@@ -2,8 +2,9 @@
 
 Measures, for the partitionable kernels (``repro.pipeline.partition``)
 on the bench dataset, the cost of row-blocking one kernel into P
-independent sub-kernels and reducing the partials back: per-P wall
-clocks for the slice, compute, and reduce phases, the end-to-end
+independent sub-kernels (the compiled kernel over position-range views
+of the once-staged operand) and reducing the partials back: per-P wall
+clocks for the stage, slice, compute, and reduce phases, the end-to-end
 speedup over the unpartitioned serial run, and — the gated invariants —
 whether the reducing merge is byte-identical to serial (``merge_exact``)
 and whether the blocks cover exactly the full operand's nonzeros
@@ -32,23 +33,32 @@ BENCH_COUNTS = (1, 2, 4)
 
 
 def _phase_times(plan, scale: float) -> dict:
-    """Slice/compute/reduce wall clocks for one plan, cache-cold."""
-    from repro.convert import slice_rows
+    """Stage/slice/compute/reduce wall clocks for one plan, cache-cold.
+
+    ``stage_s`` and ``slice_s`` time the two operand steps on their own
+    (one full staging; P position-range views). ``compute_s`` is the
+    plan's jobs end to end, so it contains the run's own single staging
+    and its views as well as compile + exec; ``total_s`` is therefore
+    ``compute_s + reduce_s``.
+    """
+    from repro.convert import slice_positions
     from repro.pipeline.executor import run_jobs
     from repro.pipeline.partition import (
-        _full_storage,
+        StagedOperands,
         block_range,
         format_partition,
         reduce_partials,
     )
 
-    full = _full_storage(plan, scale, use_cache=False)
+    t0 = time.perf_counter()
+    full = StagedOperands(plan, scale, use_cache=False).full
+    stage_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     sliced_nnz = 0
     for index in range(plan.count):
         lo, hi = block_range(full.dims[0], plan.count, index)
-        sliced_nnz += int(slice_rows(full, lo, hi).nnz)
+        sliced_nnz += int(slice_positions(full, lo, hi).nnz)
     slice_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -61,10 +71,11 @@ def _phase_times(plan, scale: float) -> dict:
     reduce_s = time.perf_counter() - t0
 
     return {
+        "stage_s": stage_s,
         "slice_s": slice_s,
         "compute_s": compute_s,
         "reduce_s": reduce_s,
-        "total_s": slice_s + compute_s + reduce_s,
+        "total_s": compute_s + reduce_s,
         "work_inflation": sliced_nnz / int(full.nnz) if full.nnz else 1.0,
         "text": format_partition(data),
     }
@@ -156,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
             timed = entry[key]
             ok = ok and timed["merge_exact"] and (
                 timed["work_inflation"] == 1.0)
-            print(f"  {key:4s} slice={timed['slice_s'] * 1e3:7.1f}ms "
+            print(f"  {key:4s} stage={timed['stage_s'] * 1e3:7.1f}ms "
+                  f"slice={timed['slice_s'] * 1e3:7.1f}ms "
                   f"compute={timed['compute_s'] * 1e3:7.1f}ms "
                   f"reduce={timed['reduce_s'] * 1e3:7.1f}ms "
                   f"speedup={timed['speedup']:5.2f}x "

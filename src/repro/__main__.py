@@ -27,10 +27,11 @@ Subcommands:
   single kernel as ``P`` row blocks instead of sharding a sweep.
 * ``spmm-dist`` — distribute ONE kernel's iteration space over the
   same worker transports (SpDISTAL-style): row-block the output space
-  into independent sub-kernels whose operand slices are cut by the
-  conversion compiler, compute partials on leased workers, and fold
-  them through a reducing merge validated against the unpartitioned
-  oracle; row mode is byte-identical to the ``--serial`` baseline.
+  into independent sub-kernels whose operands are position-range
+  views of the once-staged level arrays, run the compiled kernel on
+  each (``--engine``) on leased workers, and fold the partials through
+  a reducing merge validated against the unpartitioned oracle; row
+  mode is byte-identical to the ``--serial`` baseline (its P=1 case).
 * ``worker``   — attach an elastic worker to a ``queue:DIR`` pool:
   claims chunk tasks (from ``dispatch``) and compile-request tasks
   (from ``serve``) by atomic rename, heartbeats while running them,
@@ -539,11 +540,12 @@ def _cmd_spmm_dist(args) -> int:
         return 2
 
     if args.serial:
-        # Unpartitioned in-process run: the byte-diff baseline.
+        # The P=1 case of the same path, in-process: the byte-diff baseline.
         try:
             text = serial_report(args.kernel, args.dataset, args.scale,
                                  mode=args.mode,
-                                 use_cache=_use_cache(args))
+                                 use_cache=_use_cache(args),
+                                 engine=args.engine)
         except PartitionError as exc:
             print(f"spmm-dist error: {exc}", file=sys.stderr)
             return 1
@@ -571,7 +573,7 @@ def _cmd_spmm_dist(args) -> int:
             steal=args.steal,
             min_chunk=args.min_chunk,
             on_event=event,
-            engine=None,
+            engine=args.engine,
         )
     except (DispatchError, PartitionError) as exc:
         print(f"spmm-dist error: {exc}", file=sys.stderr)
@@ -869,9 +871,10 @@ def main(argv: list[str] | None = None) -> int:
     p_dist = sub.add_parser(
         "spmm-dist",
         help="distribute ONE kernel's iteration space over the worker "
-             "transports (SpDISTAL-style row blocks): slice per-block "
-             "operands, compute partials, reduce; row mode is "
-             "byte-identical to --serial")
+             "transports (SpDISTAL-style row blocks): view per-block "
+             "operands in the staged level arrays, run the compiled "
+             "kernel on each, reduce; row mode is byte-identical to "
+             "--serial")
     p_dist.add_argument("kernel",
                         help="partitionable kernel: SpMV or DCSR-SpMM")
     p_dist.add_argument("--dataset", default="bcsstk30",
@@ -920,7 +923,14 @@ def main(argv: list[str] | None = None) -> int:
     p_dist.add_argument("--out", default=None,
                         help="also write the report text here")
     p_dist.add_argument("--no-cache", action="store_true",
-                        help="bypass the slice/cell partition cache")
+                        help="bypass the block-result partition cache and "
+                             "re-stage the operand (once per process)")
+    p_dist.add_argument("--engine", choices=["interp", "cpu", "numpy"],
+                        default=None,
+                        help="engine every block's compiled kernel runs on "
+                             "(default: REPRO_ENGINE or numpy); --serial "
+                             "with the same engine is the byte-diff "
+                             "reference")
     p_dist.add_argument("--quiet", action="store_true",
                         help="suppress per-lease progress on stderr")
 

@@ -38,7 +38,14 @@ import numpy as np
 
 from repro.formats.format import Format
 from repro.formats.memory import MemoryRegion
-from repro.tensor.storage import TensorStorage, pack, unpack
+from repro.tensor.storage import (
+    CompressedLevel,
+    DenseLevel,
+    SingletonLevel,
+    TensorStorage,
+    pack,
+    unpack,
+)
 from repro.tensor.tensor import Tensor
 
 
@@ -278,24 +285,8 @@ def convert_tensor(
 # ---------------------------------------------------------------------------
 
 
-def slice_rows(
-    storage: TensorStorage,
-    lo: int,
-    hi: int,
-    axis: int = 0,
-) -> TensorStorage:
-    """The sub-tensor with mode-``axis`` coordinates in ``[lo, hi)``.
-
-    Routes through the same coordinate space as the conversion
-    primitives: unpack to sorted COO, keep entries whose ``axis``
-    coordinate falls in the half-open range, rebase them to zero, and
-    re-pack into the *same* format with the sliced dimension shrunk to
-    ``hi - lo``. The row-block partitioner cuts per-worker operand
-    slices this way (CSR/DCSR row ranges for ``axis=0``, contraction
-    ranges for ``axis=1``); concatenating consecutive slices is lossless
-    because packing preserves the row-major entry order, including
-    through empty blocks and blocks ending on empty rows.
-    """
+def _sliced_dims(storage: TensorStorage, lo: int, hi: int, axis: int) -> tuple:
+    """``storage.dims`` with mode ``axis`` cut to ``[lo, hi)``, validated."""
     if not 0 <= axis < storage.order:
         raise ConversionError(
             f"slice axis {axis} out of range for order-{storage.order} "
@@ -311,18 +302,67 @@ def slice_rows(
             "cannot range-slice a blocked format; convert to a flat "
             "format first"
         )
+    return storage.dims[:axis] + (hi - lo,) + storage.dims[axis + 1:]
+
+
+def slice_rows(
+    storage: TensorStorage,
+    lo: int,
+    hi: int,
+    axis: int = 0,
+) -> TensorStorage:
+    """The sub-tensor with mode-``axis`` coordinates in ``[lo, hi)``.
+
+    The general coordinate filter: unpack to sorted COO, keep entries
+    whose ``axis`` coordinate falls in the range, rebase them to zero and
+    re-pack into the *same* format with that dimension shrunk. It cuts
+    the partitioner's contraction split and is the reference for
+    :func:`slice_positions`; consecutive slices concatenate losslessly.
+    """
+    dims = _sliced_dims(storage, lo, hi, axis)
     coords, vals = unpack(storage)
     if _stores_explicit_zeros(storage.fmt):
         keep_nz = vals != 0.0
         coords, vals = coords[keep_nz], vals[keep_nz]
     keep = (coords[:, axis] >= lo) & (coords[:, axis] < hi)
-    coords = coords[keep].copy()
-    vals = vals[keep]
-    if len(coords):
-        coords[:, axis] -= lo
-    dims = list(storage.dims)
-    dims[axis] = hi - lo
-    return pack(coords, vals, tuple(dims), storage.fmt)
+    coords = coords[keep]
+    coords[:, axis] -= lo
+    return pack(coords, vals[keep], dims, storage.fmt)
+
+
+def slice_positions(storage: TensorStorage, lo: int, hi: int) -> TensorStorage:
+    """Root-mode coordinates ``[lo, hi)`` as a view of the level arrays.
+
+    SpDISTAL's tensor partition: cut the root level by coordinate range,
+    then take each compressed level's *image*, the position range its
+    parent range owns. A dense root owns positions ``[lo, hi)`` (CSR:
+    ``pos[lo:hi+1] - pos[lo]`` over ``crd``/``vals[pos[lo]:pos[hi]]``);
+    an ordered compressed root finds them by ``searchsorted`` (DCSR).
+    O(hi - lo); deeper ``crd``/``vals`` are read-only views. Equal,
+    array for array, to ``slice_rows`` on the root mode.
+    """
+    dims = _sliced_dims(storage, lo, hi, storage.fmt.mode_of_level(0))
+    root, *inner = storage.levels
+    if isinstance(root, SingletonLevel) or not (
+            storage.fmt.level_format(0).ordered
+            and all(isinstance(lvl, CompressedLevel) for lvl in inner)):
+        raise ConversionError(
+            f"cannot position-slice {storage.fmt}: needs a dense or ordered "
+            f"compressed root over compressed levels (CSR, DCSR)"
+        )
+    if isinstance(root, DenseLevel):
+        levels: list = [DenseLevel(hi - lo)]
+    else:
+        first, last = (int(p) for p in np.searchsorted(root.crd, (lo, hi)))
+        levels = [CompressedLevel(
+            pos=np.array([0, last - first], dtype=root.pos.dtype),
+            crd=root.crd[first:last] - root.crd.dtype.type(lo))]
+        lo, hi = first, last
+    for lvl in inner:  # [lo, hi) is the position range the parent owns
+        pos = lvl.pos[lo:hi + 1]
+        lo, hi = int(pos[0]), int(pos[-1])
+        levels.append(CompressedLevel(pos=pos - lo, crd=lvl.crd[lo:hi]))
+    return TensorStorage(storage.fmt, dims, levels, storage.vals[lo:hi])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from repro.core.lowering import Lowerer
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.core.memory_analysis import KernelAnalysis, MemoryPlan
 from repro.core.runner import run_program
@@ -94,13 +95,18 @@ class CompiledKernel:
         """Execute and densify the result (convenience for tests)."""
         return to_dense(self.run(**overrides))
 
-    def run_engine(self, engine: str | None = None) -> np.ndarray:
+    def run_engine(self, engine: str | None = None,
+                   strict: bool = False) -> np.ndarray:
         """Execute functionally with the selected engine, densified.
 
         ``engine`` is one of :data:`ENGINES` (``None`` asks
         :func:`default_engine`). All engines return the dense result in
         the output tensor's shape; they agree up to floating-point
-        summation order, with ``interp`` as the oracle.
+        summation order, with ``interp`` as the oracle. The ``numpy``
+        engine records on its ``exec`` span and in
+        ``repro_engine_fallbacks_total`` whether it fell back to the
+        ``cpu`` walker; ``strict`` makes that fallback raise
+        :class:`~repro.backends.numpy_exec.VectorizeFallback` instead.
         """
         engine = default_engine() if engine is None else engine
         if engine == "interp":
@@ -116,8 +122,15 @@ class CompiledKernel:
         if engine == "numpy":
             from repro.backends.numpy_exec import NumpyExecutor
 
-            with _trace.span("exec", kernel=self.name, engine="numpy"):
-                result = NumpyExecutor(self.stmt).run()
+            executor = NumpyExecutor(self.stmt)
+            with _trace.span("exec", kernel=self.name, engine="numpy") as sp:
+                result = executor.run(strict=strict)
+                sp.set(fell_back=executor.fell_back)
+            if executor.fell_back:
+                _metrics.counter(
+                    "repro_engine_fallbacks_total",
+                    "numpy-engine runs that fell back to the cpu walker",
+                    ("kernel",)).inc(kernel=self.name)
             return np.asarray(result, dtype=np.float64).reshape(out_shape)
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 

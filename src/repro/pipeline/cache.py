@@ -151,11 +151,6 @@ NO_CACHE_EXEMPT_STAGES = frozenset({"dataset"})
 _STAGE_SUBSYSTEMS: dict[str, tuple[str, ...]] = {
     "dataset": ("convert.py", "data", "formats", "kernels", "tensor"),
     "convert": ("convert.py", "data", "formats", "tensor"),
-    # Per-block operand slices and partial products of the single-kernel
-    # partitioner: keyed on the slicing/packing/compute sources only, so
-    # unrelated compiler edits keep staged blocks warm across dispatches.
-    "partition": ("convert.py", "data", "formats", "tensor",
-                  "pipeline/partition.py"),
 }
 
 

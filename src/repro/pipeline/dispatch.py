@@ -957,7 +957,7 @@ def dispatch(
         merge_error: str | None = None
         if not lost and not quarantined and len(done) == chunks:
             try:
-                merged = merge_manifests(manifests)
+                merged = merge_manifests(manifests, use_cache=use_cache)
             except MergeError as exc:  # pragma: no cover - defensive fold
                 # Every manifest was validated at acceptance, so this is a
                 # should-not-happen guard; carry the reason in the result

@@ -1,56 +1,36 @@
 """Single-kernel distribution: SpDISTAL-style row-block partitioning.
 
-The dispatcher (:mod:`repro.pipeline.dispatch`) shards *job lists*: each
-job is one whole (kernel, dataset) cell, so a single large kernel is
-still bounded by what one worker holds. SpDISTAL (Yadav et al.) removes
-that ceiling by compiling *one* sparse computation into distributed
-pieces. This module reproduces that capability for the matrix products
-the evaluation runs end-to-end (CSR SpMV, DCSR SpMM):
+The dispatcher shards *job lists*, so one large kernel is still bounded
+by one worker. SpDISTAL (Yadav et al.) schedules *one* compiled sparse
+kernel over partitioned tensors instead; this module does that for CSR
+SpMV and DCSR SpMM (README, "Distributed single-kernel execution"):
 
-* :class:`PartitionPlan` row-blocks the output iteration space of one
-  kernel into ``count`` independent sub-kernels. Each block's sparse
-  operand slice is cut by the conversion compiler's coordinate
-  primitives (:func:`repro.convert.slice_rows`) from the staged full
-  matrix and memoized under the new ``partition`` cache stage; dense
-  operands are broadcast by reference (regenerated deterministically
-  from the seed, never shipped).
-* The plan is addressed as a **pseudo-artifact** string
-  ``partition:<kernel>:<dataset>:p<P>:<mode>`` that flows wholesale
-  through the batch/shard/dispatch machinery: ``artifact_jobs`` expands
-  it to per-block jobs, shard manifests carry the block payloads, and
-  the fault-tolerant transports (``inline:N``, ``local:N``,
-  ``queue:DIR``) lease blocks exactly like sweep chunks — including
-  lease expiry, work-steal tail chunking and ``--resume``.
-* Partial outputs fold through a **reducing merge**
-  (:func:`reduce_partials`): row-partitioned blocks concatenate (the
-  merged array is byte-identical to the unpartitioned run because each
-  row's dot product sees exactly the same operand subarrays in the same
-  order); contraction-split (``sum`` mode) partials are summed, which
-  reassociates the reduction, so they are validated cell-by-cell
-  against the unpartitioned oracle instead of byte-compared.
-
-Two partition modes:
-
-``row``
-    Split the output rows ``i``. Block ``b`` computes rows ``[lo, hi)``
-    from the row slice ``A[lo:hi]`` and the full dense operand.
-    Deterministic and byte-identical to serial by construction.
-``sum``
-    Split the contraction dimension ``k``. Every block computes a full-
-    shape partial from column slice ``A[:, lo:hi]`` and dense rows
-    ``[lo, hi)``; the reduce sums partials. Float results differ from
-    serial only by reduction order (tolerance-validated).
+* :class:`PartitionPlan` cuts one kernel into ``count`` sub-kernels.
+  The operand is staged once per run (:class:`StagedOperands`); a
+  ``row`` block's sparse operand is a position-range *view* of it
+  (:func:`repro.convert.slice_positions`), a ``sum`` block's a column
+  filter (:func:`repro.convert.slice_rows`) with the matching dense
+  rows. Either way the block is the ordinary ``KERNELS[kernel]``
+  statement, compiled and run on the chosen engine.
+* The plan travels as the pseudo-artifact string
+  ``partition:<kernel>:<dataset>:p<P>:<mode>`` through batch, shard,
+  dispatch and every transport, leased and resumed like sweep chunks.
+* :func:`reduce_partials` concatenates ``row`` blocks (byte-identical
+  to the unpartitioned run, its P=1 case) or sums ``sum`` partials, and
+  checks either against an independent unpartitioned oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
 
 from repro import obs
 from repro.pipeline.cache import memoize_stage
+from repro.pipeline.executor import Job, run_jobs
 
 __all__ = [
     "PARTITION_FORMATS",
@@ -59,6 +39,7 @@ __all__ = [
     "PARTITION_SEED",
     "PartitionError",
     "PartitionPlan",
+    "StagedOperands",
     "block_range",
     "format_partition",
     "is_partition_artifact",
@@ -144,25 +125,15 @@ class PartitionPlan:
         return partition_artifact(self.kernel, self.dataset, self.count,
                                   self.mode)
 
-    @property
-    def format_name(self) -> str:
-        return PARTITION_FORMATS[self.kernel]
-
     def jobs(self, scale: float, use_cache: bool | None = None,
              engine: str | None = None) -> list:
-        """One executor job per block (keys feed the steal cost table)."""
-        from repro.pipeline.executor import Job
-
-        kwargs: dict = {"use_cache": use_cache}
-        if engine is not None:
-            kwargs["engine"] = engine
+        """One executor job per block (keys feed the steal cost table),
+        all sharing the :class:`StagedOperands` the reduce reads back."""
+        operands = StagedOperands(self, scale, use_cache)
         return [
             Job((self.kernel, self.dataset,
                  f"part{index}of{self.count}:{self.mode}"),
-                partition_cell,
-                (self.kernel, self.dataset, self.mode, index, self.count,
-                 scale),
-                dict(kwargs))
+                partition_cell, (operands, index), {"engine": engine})
             for index in range(self.count)
         ]
 
@@ -203,25 +174,14 @@ def block_range(extent: int, count: int, index: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Operands
+# Operands and the per-block cell (top-level, so pools and workers pickle it)
 # ---------------------------------------------------------------------------
 
 
-def _full_storage(plan: PartitionPlan, scale: float,
-                  use_cache: bool | None = None):
-    """The full sparse operand, staged once per (dataset, format)."""
-    from repro.convert import staged_matrix_storage
-
-    return staged_matrix_storage(plan.dataset, scale, PARTITION_SEED,
-                                 plan.format_name, use_cache)
-
-
 def _dense_operand(kernel: str, dims: tuple[int, ...]) -> np.ndarray:
-    """The dense operand, regenerated deterministically from the seed.
-
-    Blocks broadcast this by reference: every worker rebuilds the same
-    array from (kernel, dims, seed) instead of shipping it, the same way
-    the dataset stage regenerates matrices from their spec.
+    """The dense operand, regenerated deterministically from the seed:
+    broadcast by reference, every worker rebuilds the same array from
+    (kernel, dims, seed) the way the dataset stage regenerates matrices.
     """
     rng = np.random.default_rng(PARTITION_SEED)
     if kernel == "SpMV":
@@ -230,91 +190,112 @@ def _dense_operand(kernel: str, dims: tuple[int, ...]) -> np.ndarray:
     return rng.random((dims[1], r))
 
 
-def _rowwise_product(coords: np.ndarray, vals: np.ndarray, nrows: int,
-                     dense: np.ndarray) -> np.ndarray:
-    """Per-row dot products of sparse rows against a dense operand.
-
-    One ``np.dot`` per stored row over that row's (vals, cols) slice.
-    Because a row block sees exactly the same per-row subarrays as the
-    full matrix, block results are bitwise equal to the serial run's.
+@dataclasses.dataclass(eq=False)
+class StagedOperands:
+    """One run's operands, staged on first use, then shared by its blocks,
+    reduce and oracle: once per run and process (pickling ships only the
+    plan; threads racing to be first at worst both stage). ``use_cache``
+    says whether the ``convert`` stage may answer, not how often we ask.
     """
-    out = np.zeros((nrows,) + dense.shape[1:], dtype=np.float64)
-    if len(vals):
-        rows = coords[:, 0]
-        cols = coords[:, 1]
-        bounds = np.searchsorted(rows, np.arange(nrows + 1))
-        for i in range(nrows):
-            s, e = bounds[i], bounds[i + 1]
-            if s < e:
-                out[i] = vals[s:e] @ dense[cols[s:e]]
-    return out
+
+    plan: PartitionPlan
+    scale: float
+    use_cache: bool | None = None
+
+    def __reduce__(self):
+        return StagedOperands, (self.plan, self.scale, self.use_cache)
+
+    @functools.cached_property
+    def full(self):
+        """The full sparse operand (``TensorStorage``)."""
+        from repro.convert import staged_matrix_storage
+
+        return staged_matrix_storage(
+            self.plan.dataset, self.scale, PARTITION_SEED,
+            PARTITION_FORMATS[self.plan.kernel], self.use_cache)
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The full dense operand array."""
+        return _dense_operand(self.plan.kernel, self.full.dims)
+
+    @functools.cached_property
+    def dense_tensor(self):
+        """The full dense operand as the kernel's operand tensor."""
+        return _dense_tensor(self.plan.kernel, self.dense)
 
 
-# ---------------------------------------------------------------------------
-# Per-block cell (top-level, so process pools and queue workers pickle it)
-# ---------------------------------------------------------------------------
+def _dense_tensor(kernel: str, array: np.ndarray):
+    """``array`` packed as ``kernel``'s dense operand tensor."""
+    from repro.kernels.suite import KERNELS
+
+    spec = next(ts for ts in KERNELS[kernel].tensor_specs
+                if ts.role == "dense")
+    return spec.make(array.shape).from_dense(array)
 
 
-def partition_cell(kernel: str, dataset: str, mode: str, index: int,
-                   count: int, scale: float,
-                   use_cache: bool | None = None,
+def _run_kernel(kernel: str, sparse, dense, engine: str) -> np.ndarray:
+    """Compile ``KERNELS[kernel]`` over the given operands and run it.
+
+    ``strict``: a silent fallback would pass for a partition slowdown.
+    Uncached: the statement embeds the block's data, and the block
+    *result* is what the ``partition`` stage keeps.
+    """
+    from repro.core.compiler import compile_stmt
+    from repro.kernels.suite import KERNELS
+
+    spec = KERNELS[kernel]
+    tensors = {}
+    for ts in spec.tensor_specs:
+        if ts.role == "dense":
+            tensors[ts.name] = dense
+        elif ts.role == "sparse":
+            tensors[ts.name] = ts.make(sparse.dims)
+            tensors[ts.name]._storage = sparse
+        else:
+            tensors[ts.name] = ts.make(sparse.dims[:1] + dense.shape[1:])
+    stmt, _out = spec.build(tensors)
+    return compile_stmt(stmt, kernel, cache=False).run_engine(engine,
+                                                              strict=True)
+
+
+def partition_cell(operands: StagedOperands, index: int,
                    engine: str | None = None) -> dict:
-    """Compute one block's partial output (JSON-safe payload).
+    """Compute one block's partial output on the compiled kernel.
 
-    The operand slice and the block result each memoize under the
-    ``partition`` stage, so a re-leased block (worker death, retry) is
-    answered from the cache by whichever worker computed it first.
-    ``engine`` is accepted for dispatch signature-compatibility; the
-    block product is its own vectorized path.
+    The result memoizes under the ``partition`` stage (keyed by engine),
+    so a re-leased block (worker death, retry) is answered by whichever
+    worker computed it first, without staging anything.
     """
-    del engine  # blocks compute row-wise regardless of sweep engine
-    plan = PartitionPlan(kernel, dataset, count, mode)
-    from repro.convert import slice_rows
-    from repro.tensor.storage import unpack
+    from repro.convert import slice_positions, slice_rows
+    from repro.core.compiler import default_engine
 
-    full = _full_storage(plan, scale, use_cache)
-    dims = full.dims
-    axis = 0 if mode == "row" else 1
-    lo, hi = block_range(dims[axis], count, index)
-
-    with obs.span("partition:slice", kernel=kernel, dataset=dataset,
-                  mode=mode, block=index, count=count) as sp:
-        sliced = memoize_stage(
-            "partition",
-            ("slice", kernel, dataset, scale, PARTITION_SEED, mode, index,
-             count),
-            lambda: slice_rows(full, lo, hi, axis=axis),
-            use_cache,
-        )
-        sp.set(lo=lo, hi=hi, nnz=int(sliced.nnz))
-    obs.counter("repro_partition_blocks_total",
-                "Partition blocks sliced and computed").inc()
+    plan, scale = operands.plan, operands.scale
+    engine = default_engine() if engine is None else engine
+    where = dict(kernel=plan.kernel, dataset=plan.dataset, mode=plan.mode,
+                 block=index, count=plan.count)
 
     def compute() -> dict:
-        dense = _dense_operand(kernel, dims)
-        coords, vals = unpack(sliced)
-        with obs.span("partition:compute", kernel=kernel, dataset=dataset,
-                      mode=mode, block=index, nnz=int(sliced.nnz)):
-            if mode == "row":
-                partial = _rowwise_product(coords, vals, hi - lo, dense)
-            else:
-                # Contraction split: full-shape partial from the column
-                # slice and the matching dense rows.
-                partial = _rowwise_product(coords, vals, dims[0],
-                                           dense[lo:hi])
-        return {
-            "kernel": kernel, "dataset": dataset, "mode": mode,
-            "block": index, "count": count, "lo": lo, "hi": hi,
-            "scale": scale, "seed": PARTITION_SEED,
-            "nnz": int(sliced.nnz), "shape": list(partial.shape),
-            "values": partial.tolist(),
-        }
+        full = operands.full
+        row = plan.mode == "row"
+        lo, hi = block_range(full.dims[0 if row else 1], plan.count, index)
+        with obs.span("partition:slice", **where) as sp:
+            sliced = (slice_positions(full, lo, hi) if row
+                      else slice_rows(full, lo, hi, axis=1))
+            dense = (operands.dense_tensor if row
+                     else _dense_tensor(plan.kernel, operands.dense[lo:hi]))
+            sp.set(lo=lo, hi=hi, nnz=int(sliced.nnz))
+        with obs.span("partition:compute", nnz=int(sliced.nnz),
+                      engine=engine, **where):
+            partial = _run_kernel(plan.kernel, sliced, dense, engine)
+        obs.counter("repro_partition_blocks_total",
+                    "Partition blocks sliced and computed").inc()
+        return dict(where, lo=lo, hi=hi, scale=scale, seed=PARTITION_SEED,
+                    nnz=int(sliced.nnz), values=partial)
 
     return memoize_stage(
-        "partition",
-        ("cell", kernel, dataset, scale, PARTITION_SEED, mode, index, count),
-        compute, use_cache,
-    )
+        "partition", ("cell", plan.artifact, scale, PARTITION_SEED, index,
+                      engine), compute, operands.use_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -322,49 +303,44 @@ def partition_cell(kernel: str, dataset: str, mode: str, index: int,
 # ---------------------------------------------------------------------------
 
 
-def _oracle(plan: PartitionPlan, scale: float, shape: tuple[int, ...],
-            use_cache: bool | None = None) -> np.ndarray:
-    """Unpartitioned reference computed by an *independent* accumulation.
-
+def _validate_against_oracle(operands: StagedOperands,
+                             out: np.ndarray) -> float:
+    """Check ``out`` against an *independent* unpartitioned accumulation:
     ``np.add.at`` scatters every nonzero's contribution in storage order
-    — a different association of the same sums than the per-row dots —
-    so agreement genuinely cross-checks the partition arithmetic.
+    over the operands the blocks were cut from, a different association
+    of the same sums than any engine's, so agreement is a real check.
     """
     from repro.tensor.storage import unpack
 
-    full = _full_storage(plan, scale, use_cache)
-    coords, vals = unpack(full)
-    dense = _dense_operand(plan.kernel, full.dims)
-    oracle = np.zeros(shape, dtype=np.float64)
-    if len(vals):
-        contrib = (vals[:, None] * dense[coords[:, 1]]
-                   if dense.ndim == 2 else vals * dense[coords[:, 1]])
-        np.add.at(oracle, coords[:, 0], contrib)
-    return oracle
-
-
-def _validate_against_oracle(plan: PartitionPlan, scale: float,
-                             out: np.ndarray,
-                             use_cache: bool | None = None) -> float:
-    oracle = _oracle(plan, scale, out.shape, use_cache)
+    coords, vals = unpack(operands.full)
+    dense = operands.dense
+    oracle = np.zeros(out.shape, dtype=np.float64)
+    contrib = (vals[:, None] * dense[coords[:, 1]]
+               if dense.ndim == 2 else vals * dense[coords[:, 1]])
+    np.add.at(oracle, coords[:, 0], contrib)
     maxerr = float(np.max(np.abs(out - oracle))) if out.size else 0.0
     tol = 1e-8 * max(1.0, float(np.max(np.abs(oracle))) if out.size else 1.0)
     if maxerr > tol:
         raise PartitionError(
-            f"{plan.artifact}: merged output disagrees with the "
+            f"{operands.plan.artifact}: merged output disagrees with the "
             f"unpartitioned oracle (max |err| {maxerr:.3e} > tol {tol:.3e})"
         )
     return maxerr
 
 
 def reduce_partials(artifact: str, results: list) -> dict:
-    """Fold per-block partials into the merged output (reducing merge).
+    """Fold per-block job results into the merged output (reducing merge).
 
-    Row-partitioned blocks concatenate in block order; contraction-split
-    partials sum. Either way the merged array is validated cell-by-cell
-    against the unpartitioned oracle before a report is built.
+    Row blocks concatenate in block order; contraction-split partials
+    sum; the merged array is validated against the unpartitioned oracle.
+    The operands come off the jobs (:meth:`PartitionPlan.jobs` shares
+    them), so the reduce reads what the blocks read, same ``use_cache``.
     """
     plan = parse_partition(artifact)
+    operands = results[0].job.args[0] if results else None
+    if not isinstance(operands, StagedOperands) or operands.plan != plan:
+        raise PartitionError(
+            f"{artifact}: results do not come from this plan's jobs")
     partials = sorted((res.unwrap() for res in results),
                       key=lambda p: p["block"])
     if [p["block"] for p in partials] != list(range(plan.count)):
@@ -372,11 +348,9 @@ def reduce_partials(artifact: str, results: list) -> dict:
             f"{artifact}: expected blocks 0..{plan.count - 1}, got "
             f"{[p['block'] for p in partials]}"
         )
-    scale = partials[0]["scale"]
     with obs.span("partition:reduce", artifact=artifact, mode=plan.mode,
                   blocks=plan.count) as sp:
-        arrays = [np.asarray(p["values"], dtype=np.float64).reshape(
-            tuple(p["shape"])) for p in partials]
+        arrays = [np.asarray(p["values"], dtype=np.float64) for p in partials]
         if plan.mode == "row":
             edges = [(p["lo"], p["hi"]) for p in partials]
             for (lo, hi), (nlo, _) in zip(edges, edges[1:]):
@@ -387,22 +361,19 @@ def reduce_partials(artifact: str, results: list) -> dict:
                     )
             out = np.concatenate(arrays, axis=0)
         else:
-            out = arrays[0]
-            for arr in arrays[1:]:
-                out = out + arr
+            out = functools.reduce(np.add, arrays)
         nnz_total = sum(p["nnz"] for p in partials)
-        full = _full_storage(plan, scale)
-        if nnz_total != int(full.nnz):
+        if nnz_total != int(operands.full.nnz):
             raise PartitionError(
                 f"{artifact}: blocks cover {nnz_total} nonzeros but the "
-                f"full operand holds {int(full.nnz)} (lost or duplicated "
-                f"work)"
+                f"full operand holds {int(operands.full.nnz)} (lost or "
+                f"duplicated work)"
             )
-        maxerr = _validate_against_oracle(plan, scale, out)
+        maxerr = _validate_against_oracle(operands, out)
         sp.set(nnz=nnz_total, maxerr=maxerr)
     obs.counter("repro_partition_reduces_total",
                 "Partition reducing merges performed").inc()
-    return _report_data(plan, scale, out, nnz_total, maxerr)
+    return _report_data(plan, operands.scale, out, nnz_total, maxerr)
 
 
 def _report_data(plan: PartitionPlan, scale: float, out: np.ndarray,
@@ -449,24 +420,13 @@ def format_partition(data: dict) -> str:
 
 
 def serial_report(kernel: str, dataset: str, scale: float,
-                  mode: str = "row",
-                  use_cache: bool | None = None) -> str:
+                  mode: str = "row", use_cache: bool | None = None,
+                  engine: str | None = None) -> str:
     """The unpartitioned run's report text (the byte-identity reference).
 
-    Computes the full product in-process with the same per-row dots the
-    blocks use, validates it against the oracle, and renders the same
-    report — so ``diff`` against any row-partitioned dispatch is empty.
+    The P=1 case of the partitioned path, in-process, so ``diff`` against
+    any row-partitioned dispatch on the same engine is empty.
     """
-    from repro.tensor.storage import unpack
-
     plan = PartitionPlan(kernel, dataset, 1, mode)
-    full = _full_storage(plan, scale, use_cache)
-    dense = _dense_operand(kernel, full.dims)
-    coords, vals = unpack(full)
-    with obs.span("partition:compute", kernel=kernel, dataset=dataset,
-                  mode=mode, block=0, nnz=int(full.nnz)):
-        out = _rowwise_product(coords, vals, full.dims[0], dense)
-    maxerr = _validate_against_oracle(plan, scale, out, use_cache)
-    return format_partition(
-        _report_data(plan, scale, out, int(full.nnz), maxerr)
-    )
+    return format_partition(reduce_partials(
+        plan.artifact, run_jobs(plan.jobs(scale, use_cache, engine))))

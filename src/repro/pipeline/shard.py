@@ -27,10 +27,14 @@ dataset or compiles a kernel first serves the others.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.pipeline.batch import (
     ARTIFACT_NAMES,
@@ -190,8 +194,14 @@ def encode_result(artifact: str, value: Any) -> Any:
         return dict(value)
     from repro.pipeline.partition import is_partition_artifact
 
-    if is_partition_artifact(artifact):  # per-block partial (already JSON-safe)
-        return dict(value)
+    if is_partition_artifact(artifact):
+        # Per-block partial: the array crosses the wire as raw
+        # little-endian float64 bytes, digest alongside.
+        array = np.ascontiguousarray(value["values"], dtype="<f8")
+        raw = array.tobytes()
+        return dict(value, shape=list(array.shape),
+                    values=base64.b64encode(raw).decode("ascii"),
+                    sha256=hashlib.sha256(raw).hexdigest())
     raise KeyError(
         f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
     )
@@ -220,10 +230,22 @@ def decode_result(artifact: str, payload: Any) -> Any:
         return dict(payload)
     if artifact == "pipeline_sweep":
         return dict(payload)
-    from repro.pipeline.partition import is_partition_artifact
+    from repro.pipeline.partition import PartitionError, is_partition_artifact
 
     if is_partition_artifact(artifact):
-        return dict(payload)
+        try:
+            raw = base64.b64decode(payload["values"], validate=True)
+        except ValueError:  # a damaged character is damage like any other
+            raw = b""
+        if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
+            raise PartitionError(
+                f"{artifact}: partial of block {payload['block']} is "
+                f"corrupt (sha256 mismatch over its values)")
+        out = {k: v for k, v in payload.items()
+               if k not in ("shape", "sha256")}
+        out["values"] = np.frombuffer(raw, dtype="<f8").reshape(
+            payload["shape"])
+        return out
     raise KeyError(
         f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
     )
@@ -460,12 +482,16 @@ def _check_consistent(manifests: list[ShardManifest]) -> None:
 def merge_manifests(
     manifests: list[ShardManifest],
     require_current_compiler: bool = True,
+    use_cache: bool | None = None,
 ) -> MergedArtifact:
     """Validate shard manifests and fold them into the serial artefact.
 
     The merged result is assembled through the exact code path the serial
     harness uses (:func:`assemble_artifact` over results in canonical job
     order), so its formatted text is byte-identical to ``repro tables``.
+    ``use_cache`` governs what the fold itself computes: a partition
+    plan's reducing merge stages the full operand for its oracle, and a
+    ``--no-cache`` dispatch must not answer that from the cache.
 
     Raises :class:`MergeError` when the manifests are incompatible (mixed
     artefact / scale / compiler hash, overlapping shards) or incomplete
@@ -519,7 +545,7 @@ def merge_manifests(
                 ) from None
             origin[key] = manifest.shard
 
-    expected = artifact_jobs(artifact, scale)
+    expected = artifact_jobs(artifact, scale, use_cache)
     expected_keys = [job.key for job in expected]
     missing = [k for k in expected_keys if k not in collected]
     if missing:

@@ -36,7 +36,7 @@ import json
 import os
 from typing import Any
 
-from repro.core.compiler import ENGINES
+from repro.core.compiler import ENGINES, default_engine
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -238,12 +238,16 @@ class CompileRequest:
             raise ValueError(
                 f"partition requests run on the fixed evaluation seed "
                 f"{DEFAULT_SEED}, got {self.seed}")
-        # The block product is its own vectorized path: engine and
-        # platform filters do not change its result, so canonicalise
-        # them away like compile does.
+        # Blocks run the compiled kernel on the engine, and engines agree
+        # only up to summation order, so the resolved engine is part of
+        # the result's identity; platform filters are not.
+        engine = default_engine() if self.engine is None else self.engine
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; choose from {ENGINES}")
         return dataclasses.replace(self, dataset=dataset, scale=scale,
                                    seed=DEFAULT_SEED, platforms=None,
-                                   engine=None, fuse=True,
+                                   engine=engine, fuse=True,
                                    partition=count)
 
     def canonical(self) -> dict[str, Any]:
@@ -530,7 +534,6 @@ def exec_check(request: CompileRequest,
     cache stage), so results for different engines never collide. For
     ``engine="interp"`` the check is the oracle run itself.
     """
-    from repro.core.compiler import default_engine
     from repro.pipeline.cache import memoize_stage
 
     req = request.resolved()
@@ -685,10 +688,13 @@ def partition(request: CompileRequest,
 
     The request's ``partition`` field is the block count and ``split``
     the dimension to cut (``row`` concatenates output blocks, ``sum``
-    splits the contraction and sums partials). Blocks run inline on the
-    executor's thread pool; the dispatcher offers the same plan over any
-    transport as the ``partition:*`` pseudo-artifact. Memoized under the
-    ``partition`` stage on the request's canonical JSON.
+    splits the contraction and sums partials). The plan's jobs share one
+    staged operand — staged once per request, whatever ``use_cache`` —
+    which the blocks view, the reduce counts and the oracle reads; each
+    block runs the compiled kernel on the request's engine, inline on
+    the executor's thread pool. The dispatcher offers the same plan over
+    any transport as the ``partition:*`` pseudo-artifact. Memoized under
+    the ``partition`` stage on the request's canonical JSON.
     """
     from repro.pipeline.cache import memoize_stage
     from repro.pipeline.executor import run_jobs
@@ -703,7 +709,8 @@ def partition(request: CompileRequest,
     def compute() -> CompileResult:
         plan = PartitionPlan(req.kernel, req.dataset, req.partition,
                              req.split)
-        results = run_jobs(plan.jobs(req.scale, use_cache=use_cache))
+        results = run_jobs(plan.jobs(req.scale, use_cache=use_cache,
+                                     engine=req.engine))
         data = reduce_partials(plan.artifact, results)
         summary = dict(data, blocks=req.partition,
                        text=format_partition(data))

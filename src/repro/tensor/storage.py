@@ -142,15 +142,38 @@ _POS_DTYPE = np.int64
 _CRD_DTYPE = np.int32
 
 
+def _strictly_sorted(coords: np.ndarray,
+                     storage_order: tuple[int, ...]) -> bool:
+    """Whether each row is lexicographically below the next one.
+
+    Compared column by column in storage order (never through a Horner
+    key, which overflows int64 on large dimension products): a row pair
+    is ordered by the first column where it differs, and a fully tied
+    pair — a duplicate — is not strictly ordered.
+    """
+    if coords.shape[0] < 2:
+        return True
+    tied = np.ones(coords.shape[0] - 1, dtype=bool)
+    below = np.zeros(coords.shape[0] - 1, dtype=bool)
+    for m in storage_order:
+        col = coords[:, m]
+        below |= tied & (col[:-1] < col[1:])
+        tied &= col[:-1] == col[1:]
+    return bool(below.all())
+
+
 def _dedupe_coo(
     coords: np.ndarray, vals: np.ndarray, storage_order: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort COO entries by storage order and sum duplicates.
 
     ``coords`` is (nnz, order); returns sorted, unique coords and summed
-    values in storage-level order of significance.
+    values in storage-level order of significance. Entries that already
+    arrive strictly increasing (unpacked storage, generated datasets,
+    dense index grids) are sorted and duplicate-free, so they skip the
+    lexsort — the stable sort would return the identity permutation.
     """
-    if coords.shape[0] == 0:
+    if _strictly_sorted(coords, storage_order):
         return coords, vals
     keys = tuple(coords[:, m] for m in reversed(storage_order))
     order = np.lexsort(keys)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -62,3 +64,38 @@ def csr_tensor(name: str, array: np.ndarray) -> Tensor:
 
 def dense_vector(name: str, array: np.ndarray) -> Tensor:
     return Tensor(name, array.shape, DENSE_VECTOR(offChip)).from_dense(array)
+
+
+def assert_same_storage(got, want) -> None:
+    """Bit-identical packed storage: format, dims, level arrays (with
+    their dtypes) and values."""
+    assert got.fmt == want.fmt and got.dims == want.dims
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        assert type(a) is type(b)
+        for name in ("size", "pos", "crd"):
+            if hasattr(b, name):
+                x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert got.vals.dtype == want.vals.dtype
+    assert got.vals.tobytes() == want.vals.tobytes()
+
+
+def start_vanishing_worker(transport, pattern: str) -> None:
+    """Claim the first queue task matching ``pattern``, then vanish
+    without heartbeating: a killed worker, as the dispatcher sees it."""
+
+    def saboteur():
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if transport.queue_dir.exists():
+                for task in sorted(transport.queue_dir.glob(pattern)):
+                    try:
+                        os.replace(task, transport.claimed_dir /
+                                   (task.name + ".saboteur"))
+                        return
+                    except OSError:
+                        pass
+            time.sleep(0.01)
+
+    threading.Thread(target=saboteur, daemon=True).start()

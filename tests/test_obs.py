@@ -33,6 +33,7 @@ from repro import obs
 from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
 from repro.obs.timeline import load_trace_dir, render_summary, to_chrome
+from tests.conftest import start_vanishing_worker
 
 TINY = 0.02
 
@@ -226,6 +227,67 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
+# Engine fallbacks are visible: span attr, counter, strict
+# ---------------------------------------------------------------------------
+
+
+class TestEngineFallback:
+    @staticmethod
+    def _kernels():
+        """(vectorizable SpMV, a sparse-sparse join over differing index
+        sets — which the vectorizer hands to the cpu walker)."""
+        import numpy as np
+
+        from repro.core.compiler import compile_stmt
+        from repro.formats import CSR, DENSE_VECTOR, SPARSE_VECTOR, offChip
+        from repro.ir import index_vars
+        from repro.tensor import Tensor
+        from tests.helpers_kernels import build_small_kernel_stmt
+
+        stmt, _out, _ = build_small_kernel_stmt("SpMV")
+        A = Tensor("A", (3, 4), CSR(offChip)).from_dense(
+            np.array([[1.0, 0, 2, 0], [0, 0, 0, 3], [4, 5, 0, 0]]))
+        b = Tensor("b", (4,), SPARSE_VECTOR(offChip)).from_dense(
+            np.array([1.0, 0.0, 2.0, 3.0]))
+        y = Tensor("y", (3,), DENSE_VECTOR(offChip))
+        i, j = index_vars("i j")
+        y[i] = A[i, j] * b[j]
+        return (compile_stmt(stmt, "obs-spmv", cache=False),
+                compile_stmt(y.get_index_stmt(), "obs-fallback", cache=False))
+
+    def test_exec_span_and_counter_record_fallback(self, trace_dir_env):
+        from repro.backends.numpy_exec import VectorizeFallback
+
+        clean, falls = self._kernels()
+        counter = obs.counter("repro_engine_fallbacks_total", "",
+                              ("kernel",))
+        before = counter.value(kernel="obs-fallback")
+        clean.run_engine("numpy")
+        falls.run_engine("numpy")
+        with pytest.raises(VectorizeFallback):
+            falls.run_engine("numpy", strict=True)
+        assert counter.value(kernel="obs-fallback") == before + 1
+        assert counter.value(kernel="obs-spmv") == 0
+        spans = {r["attrs"]["kernel"]: r["attrs"]
+                 for r in load_trace_dir(trace_dir_env).spans
+                 if r["name"] == "exec" and "fell_back" in r["attrs"]}
+        assert spans["obs-spmv"]["fell_back"] is False
+        assert spans["obs-fallback"]["fell_back"] is True
+
+    def test_partition_compute_spans_carry_engine(self, fresh_cache,
+                                                  trace_dir_env):
+        from repro.pipeline.executor import run_jobs
+        from repro.pipeline.partition import PartitionPlan
+
+        run_jobs(PartitionPlan("SpMV", "bcsstk30", 2).jobs(TINY,
+                                                           engine="cpu"))
+        computes = [r for r in load_trace_dir(trace_dir_env).spans
+                    if r["name"] == "partition:compute"]
+        assert [r["attrs"]["engine"] for r in computes] == ["cpu", "cpu"]
+        assert sorted(r["attrs"]["block"] for r in computes) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
 # The computed/cached split
 # ---------------------------------------------------------------------------
 
@@ -266,31 +328,12 @@ class TestDispatchTracing:
         worker: the merged timeline must show the expired lease and the
         traced artefact must stay byte-identical to an untraced serial
         run."""
-        import os
-
         from repro.pipeline.batch import format_artifact, run_artifact
         from repro.pipeline.dispatch import QueueTransport, dispatch
         from repro.pipeline.fsqueue import worker_loop
 
         transport = QueueTransport(tmp_path / "pool")
-
-        def saboteur():
-            # Claim the first task, then vanish without heartbeating —
-            # a killed worker, from the dispatcher's point of view.
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if transport.queue_dir.exists():
-                    for task in sorted(
-                            transport.queue_dir.glob("chunk-*.json")):
-                        try:
-                            os.replace(task, transport.claimed_dir /
-                                       (task.name + ".saboteur"))
-                            return
-                        except OSError:
-                            pass
-                time.sleep(0.01)
-
-        threading.Thread(target=saboteur, daemon=True).start()
+        start_vanishing_worker(transport, "chunk-*.json")
         stop = {"exit": False}
         worker = threading.Thread(
             target=worker_loop,

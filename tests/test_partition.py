@@ -1,20 +1,24 @@
 """Single-kernel distribution (repro.pipeline.partition).
 
-Covers the pseudo-artifact naming, the row-block slice primitive
-(hypothesis: lossless round-trips through empty blocks and blocks
-ending on empty rows), byte-identity of the reducing merge against the
-serial run, the shard/dispatch integration, the typed-API ``partition``
-action, and the ``part-*`` queue task naming.
+Covers the pseudo-artifact naming, the row-block slice primitives
+(hypothesis: the level-array view equals the coordinate filter, and
+slices round-trip losslessly through empty blocks and blocks ending on
+empty rows), byte-identity of the reducing merge against the serial run
+per engine, staging the operand once per request, binary partials in
+shard manifests, the shard/dispatch integration (killed worker and
+``--resume`` included), the typed-API ``partition`` action, and the
+``part-*`` queue task naming.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.convert import ConversionError, slice_rows
+from repro.convert import ConversionError, slice_positions, slice_rows
 from repro.formats.format import format_of
 from repro.pipeline.executor import run_jobs
 from repro.pipeline.partition import (
@@ -30,6 +34,7 @@ from repro.pipeline.partition import (
     serial_report,
 )
 from repro.tensor.storage import pack, unpack
+from tests.conftest import assert_same_storage, start_vanishing_worker
 
 TINY = 0.03
 DATASET = "bcsstk30"
@@ -146,6 +151,37 @@ def test_slice_rows_round_trips_losslessly(matrix, fmt_name, count, data):
     np.testing.assert_array_equal(got_v, ref_vals)
 
 
+@given(sparse_matrices(), st.sampled_from(sorted(PARTITION_FORMATS.values())),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_slice_positions_equals_slice_rows(matrix, fmt_name, data):
+    """The level-array view is the coordinate filter, array for array.
+
+    ``lo``/``hi`` are drawn freely, so ``lo == hi``, ranges made only of
+    empty rows and ranges ending on empty rows (the generator leaves the
+    upper half of the rows empty) all occur.
+    """
+    coords, vals, dims = matrix
+    full = pack(coords, vals, dims, format_of(fmt_name))
+    lo = data.draw(st.integers(0, dims[0]))
+    hi = data.draw(st.integers(lo, dims[0]))
+    assert_same_storage(slice_positions(full, lo, hi),
+                        slice_rows(full, lo, hi))
+
+
+def test_slice_positions_rejects_bad_input():
+    csr = pack(np.array([[0, 0]]), np.array([1.0]), (2, 2), format_of("csr"))
+    with pytest.raises(ConversionError, match="out of bounds"):
+        slice_positions(csr, 1, 3)
+    bcsr = pack(np.zeros((0, 4), dtype=np.int64), np.zeros(0),
+                (1, 1, 4, 4), format_of("bcsr"))
+    with pytest.raises(ConversionError, match="blocked format"):
+        slice_positions(bcsr, 0, 1)
+    coo = pack(np.array([[0, 0]]), np.array([1.0]), (2, 2), format_of("coo"))
+    with pytest.raises(ConversionError, match="cannot position-slice"):
+        slice_positions(coo, 0, 1)
+
+
 @given(sparse_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_slice_rows_axis1_round_trips(matrix, data):
@@ -178,9 +214,10 @@ def test_slice_rows_rejects_bad_ranges():
 # ---------------------------------------------------------------------------
 
 
-def _merged_text(kernel: str, count: int, mode: str = "row") -> str:
+def _merged_text(kernel: str, count: int, mode: str = "row",
+                 engine: str | None = None) -> str:
     plan = PartitionPlan(kernel, DATASET, count, mode)
-    results = run_jobs(plan.jobs(TINY))
+    results = run_jobs(plan.jobs(TINY, engine=engine))
     return format_partition(reduce_partials(plan.artifact, results))
 
 
@@ -193,11 +230,52 @@ class TestReduce:
         assert _merged_text(kernel, count) == serial
 
     @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
+    @pytest.mark.parametrize("engine", ["numpy", "cpu"])
+    def test_every_count_byte_identical_per_engine(self, fresh_cache, kernel,
+                                                   engine):
+        """Blocks honour the engine, and on each engine every P renders
+        the serial report byte for byte (7 does not divide the rows)."""
+        serial = serial_report(kernel, DATASET, TINY, engine=engine)
+        for count in (1, 2, 3, 4, 7):
+            assert _merged_text(kernel, count, engine=engine) == serial, count
+
+    def test_engine_joins_the_cell_key(self, fresh_cache):
+        """A block computed on one engine is not served to another."""
+        plan = PartitionPlan("SpMV", DATASET, 2)
+        for engine in ("numpy", "cpu", "numpy"):
+            run_jobs(plan.jobs(TINY, engine=engine))
+        stats = fresh_cache.stats.as_dict()["stages"]["partition"]
+        assert (stats["misses"], stats["hits"]) == (4, 2)
+
+    def test_blocks_run_the_compiled_kernel_on_the_engine(self, fresh_cache,
+                                                          monkeypatch):
+        """Each block goes through ``CompiledKernel.run_engine``, strict."""
+        from repro.core.compiler import CompiledKernel
+
+        calls = []
+        real = CompiledKernel.run_engine
+
+        def spy(self, engine=None, strict=False):
+            calls.append((self.name, engine, strict))
+            return real(self, engine, strict)
+
+        monkeypatch.setattr(CompiledKernel, "run_engine", spy)
+        _merged_text("DCSR-SpMM", 3, engine="cpu")
+        assert calls == [("DCSR-SpMM", "cpu", True)] * 3
+
+    @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
     def test_sum_merge_validates_against_oracle(self, fresh_cache, kernel):
         text = _merged_text(kernel, 3, mode="sum")
         assert "mode sum" in text
         # The oracle check ran and passed inside reduce_partials.
         assert "oracle maxerr" in text
+
+    def test_reduce_rejects_foreign_results(self, fresh_cache):
+        plan = PartitionPlan("SpMV", DATASET, 2)
+        results = run_jobs(plan.jobs(TINY))
+        other = PartitionPlan("SpMV", DATASET, 2, "sum")
+        with pytest.raises(PartitionError, match="this plan's jobs"):
+            reduce_partials(other.artifact, results)
 
     def test_reduce_rejects_missing_block(self, fresh_cache):
         plan = PartitionPlan("SpMV", DATASET, 3)
@@ -211,6 +289,69 @@ class TestReduce:
         with pytest.raises(PartitionError,
                            match="partition:SpMV:bcsstk30:p2:row"):
             reduce_partials(plan.artifact, results[:1])
+
+
+# ---------------------------------------------------------------------------
+# Staging: once per request, under the caller's use_cache
+# ---------------------------------------------------------------------------
+
+
+class TestStaging:
+    @pytest.fixture
+    def stagings(self, monkeypatch):
+        """Every ``staged_matrix_storage`` call as (use_cache, computed)."""
+        import repro.convert as convert_mod
+
+        calls = []
+        real_stage, real_convert = (convert_mod.staged_matrix_storage,
+                                    convert_mod.convert)
+
+        def stage(dataset, scale, seed, fmt, use_cache=None):
+            calls.append([use_cache, False])
+            return real_stage(dataset, scale, seed, fmt, use_cache)
+
+        def convert(*args, **kwargs):  # only a staging *compute* converts
+            calls[-1][1] = True
+            return real_convert(*args, **kwargs)
+
+        monkeypatch.setattr(convert_mod, "staged_matrix_storage", stage)
+        monkeypatch.setattr(convert_mod, "convert", convert)
+        return calls
+
+    @pytest.mark.parametrize("split", ["row", "sum"])
+    def test_no_cache_request_stages_exactly_once(self, fresh_cache,
+                                                  stagings, split):
+        """P=4 uncached: four blocks, the reduce's nnz check and the
+        oracle all read one staging (it was 2P + 2 before)."""
+        from repro.api import CompileRequest, partition
+
+        for _ in range(2):  # per request, not per process
+            stagings.clear()
+            partition(CompileRequest(action="partition", kernel="SpMV",
+                                     dataset=DATASET, scale=TINY,
+                                     partition=4, split=split),
+                      use_cache=False)
+            assert stagings == [[False, True]]
+
+    def test_no_cache_dispatch_reduce_bypasses_the_cache(self, fresh_cache,
+                                                         stagings):
+        """The merge's oracle staging honours --no-cache too (it used to
+        read the convert stage with the default ``use_cache``)."""
+        from repro.pipeline.dispatch import dispatch
+
+        artifact = partition_artifact("SpMV", DATASET, 2)
+        result = dispatch(artifact, TINY, "inline:1", chunks_per_worker=2,
+                          use_cache=False)
+        assert result.ok
+        assert stagings and all(call == [False, True] for call in stagings)
+
+    def test_warm_block_is_answered_without_staging(self, fresh_cache,
+                                                    stagings):
+        plan = PartitionPlan("SpMV", DATASET, 2)
+        run_jobs(plan.jobs(TINY))
+        stagings.clear()
+        warm = run_jobs(plan.jobs(TINY))
+        assert all(res.ok for res in warm) and stagings == []
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +383,84 @@ class TestShardIntegration:
                            match=r"missing job\(s\) for artefact "
                                  r"partition:SpMV:bcsstk30:p4:row"):
             merge_manifests([shard])
+
+    def test_manifest_partials_are_binary_and_digest_checked(
+            self, fresh_cache):
+        """Partials cross the manifest boundary as raw float64 bytes
+        plus a sha256; a flipped byte fails decode, naming the block."""
+        import base64
+
+        from repro.pipeline.shard import (
+            MergeError,
+            ShardManifest,
+            ShardSpec,
+            decode_result,
+            merge_manifests,
+            run_shard,
+        )
+
+        artifact = partition_artifact("DCSR-SpMM", DATASET, 2)
+        manifest = run_shard(artifact, TINY, ShardSpec(1, 1))
+        wire = json.loads(json.dumps(manifest.to_dict()))
+        payload = wire["jobs"][1]["value"]
+        raw = base64.b64decode(payload["values"])
+        assert len(raw) == 8 * int(np.prod(payload["shape"]))
+        clean = decode_result(artifact, payload)
+        assert clean["values"].shape == tuple(payload["shape"])
+        assert clean["values"].tobytes() == raw
+        assert merge_manifests([ShardManifest.from_dict(wire)]).text == (
+            serial_report("DCSR-SpMM", DATASET, TINY))
+
+        flipped = bytearray(raw)
+        flipped[len(raw) // 2] ^= 0x01
+        payload["values"] = base64.b64encode(bytes(flipped)).decode("ascii")
+        with pytest.raises(PartitionError, match="block 1 is corrupt"):
+            decode_result(artifact, payload)
+        with pytest.raises(MergeError, match="block 1 is corrupt"):
+            merge_manifests([ShardManifest.from_dict(wire)])
+        payload["values"] = "!" + payload["values"][1:]  # not even base64
+        with pytest.raises(PartitionError, match="block 1 is corrupt"):
+            decode_result(artifact, payload)
+
+    def test_killed_queue_worker_blocks_are_released(self, fresh_cache,
+                                                     tmp_path):
+        """A worker that claims a block and vanishes loses its lease; the
+        survivor recomputes it and the merge stays byte-identical."""
+        from repro.pipeline.dispatch import QueueTransport, dispatch
+        from repro.pipeline.fsqueue import worker_loop
+
+        transport = QueueTransport(tmp_path / "pool")
+        start_vanishing_worker(transport, "part-*.json")
+        stop = {"exit": False}
+        worker = threading.Thread(
+            target=worker_loop,
+            kwargs=dict(root=transport.root, poll=0.02,
+                        should_exit=lambda: stop["exit"]),
+            daemon=True)
+        worker.start()
+        events: list[str] = []
+        result = dispatch(partition_artifact("SpMV", DATASET, 4), TINY,
+                          transport, lease_timeout=1.0, retries=8,
+                          on_event=events.append)
+        stop["exit"] = True
+        worker.join(10)
+        assert not worker.is_alive()
+        assert result.ok
+        assert any("lease expired" in e for e in events)
+        assert result.merged.text == serial_report("SpMV", DATASET, TINY)
+
+    def test_resume_skips_completed_blocks(self, fresh_cache, tmp_path):
+        from repro.pipeline.dispatch import dispatch
+
+        artifact = partition_artifact("SpMV", DATASET, 4)
+        kwargs = dict(chunks_per_worker=2, state_dir=tmp_path / "state",
+                      resume=True)
+        first = dispatch(artifact, TINY, "inline:2", **kwargs)
+        again = dispatch(artifact, TINY, "inline:2", **kwargs)
+        assert first.ok and again.ok
+        assert first.resumed_chunks == 0 and again.resumed_chunks > 0
+        assert again.merged.text == first.merged.text == serial_report(
+            "SpMV", DATASET, TINY)
 
     def test_dispatch_inline_byte_identical(self, fresh_cache):
         from repro.pipeline.dispatch import dispatch

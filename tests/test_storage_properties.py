@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.formats import Format, compressed, dense, offChip
 from repro.tensor.storage import from_dense, pack, to_dense, unpack
+from tests.conftest import assert_same_storage
 
 
 @st.composite
@@ -109,3 +110,64 @@ def test_pack_is_deterministic(seed):
     assert np.array_equal(a.vals, b.vals)
     assert np.array_equal(a.levels[1].crd, b.levels[1].crd)
     assert np.array_equal(a.levels[1].pos, b.levels[1].pos)
+
+
+@given(formats_and_dims(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pack_sorted_fast_path_is_bit_identical(fmt_dims, data):
+    """``pack`` skips the lexsort for strictly sorted input; sorted,
+    shuffled and duplicated inputs must pack to the same bits with the
+    shortcut and with the sort forced."""
+    from unittest import mock
+
+    from repro.tensor import storage as storage_mod
+
+    fmt, dims = fmt_dims
+    coords, vals = data.draw(coo_entries(dims))
+    keys = tuple(coords[:, m] for m in reversed(fmt.mode_ordering))
+    order = np.lexsort(keys) if len(coords) else np.zeros(0, dtype=np.int64)
+    sorted_c, sorted_v = coords[order], vals[order]
+    if len(sorted_c) > 1:  # strictly sorted: drop duplicate coordinates
+        keep = np.concatenate(
+            ([True], np.any(sorted_c[1:] != sorted_c[:-1], axis=1)))
+        sorted_c, sorted_v = sorted_c[keep], sorted_v[keep]
+    perm = data.draw(st.permutations(list(range(len(sorted_c)))))
+    variants = {
+        "sorted": (sorted_c, sorted_v),
+        "shuffled": (sorted_c[perm], sorted_v[perm]),
+        "duplicated": (np.concatenate([sorted_c, sorted_c[:3]]),
+                       np.concatenate([sorted_v, sorted_v[:3]])),
+        "raw": (coords, vals),
+    }
+    for label, (c, v) in variants.items():
+        fast = pack(c, v, dims, fmt)
+        with mock.patch.object(storage_mod, "_strictly_sorted",
+                               return_value=False):
+            slow = pack(c, v, dims, fmt)
+        assert_same_storage(fast, slow)
+    assert storage_mod._strictly_sorted(sorted_c, fmt.mode_ordering)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.integers(0, 3)), max_size=8),
+       st.permutations([0, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_strictly_sorted_matches_tuple_order(rows, ordering):
+    from repro.tensor.storage import _strictly_sorted
+
+    coords = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    keyed = [tuple(row[m] for m in ordering) for row in rows]
+    expected = all(a < b for a, b in zip(keyed, keyed[1:]))
+    assert _strictly_sorted(coords, tuple(ordering)) == expected
+
+
+def test_strictly_sorted_does_not_overflow():
+    """Column-wise comparison: a Horner key over these extents wraps."""
+    from repro.tensor.storage import _strictly_sorted
+
+    big = 2 ** 62
+    coords = np.array([[big - 1, 0, big - 1], [big - 1, 1, 0],
+                       [big, 0, 0]], dtype=np.int64)
+    assert _strictly_sorted(coords, (0, 1, 2))
+    assert not _strictly_sorted(coords[::-1], (0, 1, 2))
+    assert not _strictly_sorted(coords[[0, 0, 1]], (0, 1, 2))
