@@ -102,36 +102,53 @@ class CompiledKernel:
         ``engine`` is one of :data:`ENGINES` (``None`` asks
         :func:`default_engine`). All engines return the dense result in
         the output tensor's shape; they agree up to floating-point
-        summation order, with ``interp`` as the oracle. The ``numpy``
-        engine records on its ``exec`` span and in
-        ``repro_engine_fallbacks_total`` whether it fell back to the
-        ``cpu`` walker; ``strict`` makes that fallback raise
+        summation order, with ``interp`` as the oracle. ``strict`` makes
+        a ``numpy``-engine fallback to the ``cpu`` walker raise
         :class:`~repro.backends.numpy_exec.VectorizeFallback` instead.
+        """
+        return self.run_engine_report(engine, strict)[0]
+
+    def run_engine_report(self, engine: str | None = None,
+                          strict: bool = False) -> tuple[np.ndarray, bool]:
+        """:meth:`run_engine`, plus whether the engine fell back.
+
+        The one place the ``numpy`` engine is called from: its ``exec``
+        span carries ``fell_back``, ``plan`` (``built`` / ``reused`` /
+        ``fallback``) and, when this run built the plan, ``plan_ms``;
+        ``repro_engine_fallbacks_total`` and ``repro_exec_plans_total``
+        count the same.
         """
         engine = default_engine() if engine is None else engine
         if engine == "interp":
             with _trace.span("interp", kernel=self.name):
-                return self.run_dense()
+                return self.run_dense(), False
         out_shape = self.analysis.output.shape
         if engine == "cpu":
             from repro.backends.cpu_exec import CpuExecutor
 
             with _trace.span("exec", kernel=self.name, engine="cpu"):
                 result = CpuExecutor(self.stmt).run()
-            return np.asarray(result, dtype=np.float64).reshape(out_shape)
+            return np.asarray(result, dtype=np.float64).reshape(out_shape), False
         if engine == "numpy":
             from repro.backends.numpy_exec import NumpyExecutor
 
             executor = NumpyExecutor(self.stmt)
             with _trace.span("exec", kernel=self.name, engine="numpy") as sp:
                 result = executor.run(strict=strict)
-                sp.set(fell_back=executor.fell_back)
+                sp.set(fell_back=executor.fell_back, plan=executor.plan_state)
+                if executor.plan_ms is not None:
+                    sp.set(plan_ms=executor.plan_ms)
+            _metrics.counter(
+                "repro_exec_plans_total",
+                "numpy-engine runs by what happened to their ExecPlan",
+                ("outcome",)).inc(outcome=executor.plan_state)
             if executor.fell_back:
                 _metrics.counter(
                     "repro_engine_fallbacks_total",
                     "numpy-engine runs that fell back to the cpu walker",
                     ("kernel",)).inc(kernel=self.name)
-            return np.asarray(result, dtype=np.float64).reshape(out_shape)
+            return (np.asarray(result, dtype=np.float64).reshape(out_shape),
+                    executor.fell_back)
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
     def memory_report(self) -> str:

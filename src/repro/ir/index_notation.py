@@ -293,6 +293,12 @@ class Assignment:
     rhs: IndexExpr
     accumulate: bool = False
 
+    def __getstate__(self) -> dict:
+        """Fields only: per-process state an engine hangs on the statement
+        (the numpy engine's ``_exec_plan``) is never pickled or copied."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
     @property
     def free_vars(self) -> tuple[IndexVar, ...]:
         """Index variables of the result (in lhs order)."""

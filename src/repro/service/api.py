@@ -545,18 +545,10 @@ def exec_check(request: CompileRequest,
         kernel = build(req, use_cache=use_cache)
         with _trace.span("interp", kernel=req.kernel, dataset=req.dataset):
             expected = np.asarray(kernel.run_dense(), dtype=np.float64)
-        fell_back = False
         if engine == "interp":
-            got = expected
-        elif engine == "numpy":
-            from repro.backends.numpy_exec import NumpyExecutor
-
-            with _trace.span("exec", kernel=req.kernel, engine="numpy"):
-                executor = NumpyExecutor(kernel.stmt)
-                got = executor.run()
-            fell_back = executor.fell_back
+            got, fell_back = expected, False
         else:
-            got = kernel.run_engine(engine)
+            got, fell_back = kernel.run_engine_report(engine)
         got = np.asarray(got, dtype=np.float64).reshape(expected.shape)
         magnitude = max(1.0, float(np.max(np.abs(expected))) if expected.size
                         else 1.0)

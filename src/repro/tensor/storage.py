@@ -90,6 +90,13 @@ class TensorStorage:
 
     ``levels[L]`` stores tensor mode ``fmt.mode_ordering[L]``. ``vals`` has
     one entry per position of the innermost level.
+
+    The level arrays (``pos``/``crd``) and ``dims`` of a packed storage
+    are **immutable**: nothing writes them in place, every re-pack,
+    conversion or slice installs a new ``TensorStorage``. Consumers (the
+    numpy engine's ``ExecPlan``) may therefore cache anything derived
+    from them, keyed on the identity of this object. ``vals`` may be
+    updated in place and must be read live.
     """
 
     fmt: Format
@@ -296,62 +303,88 @@ def pack(
     return TensorStorage(fmt, tuple(dims), levels, out_vals)
 
 
+def walk_levels(storage: TensorStorage,
+                n_levels: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Enumerate the positions of level ``n_levels - 1``, outermost first.
+
+    Returns ``(positions, cols)``: one position per stored entry of that
+    level and, per walked **mode**, the entry's int64 coordinate — the
+    vectorized analogue of a generated per-level loop nest. Dense levels
+    multiply the position space, compressed levels expand their ``pos``
+    segments, singleton levels pass positions through.
+    """
+    positions = np.zeros(1, dtype=np.int64)
+    cols: dict[int, np.ndarray] = {}
+    for lvl_idx in range(n_levels):
+        lvl = storage.levels[lvl_idx]
+        if isinstance(lvl, DenseLevel):
+            dim = lvl.size
+            new = np.tile(np.arange(dim, dtype=np.int64), len(positions))
+            positions = np.repeat(positions, dim) * dim + new
+            cols = {m: np.repeat(c, dim) for m, c in cols.items()}
+        elif isinstance(lvl, SingletonLevel):
+            new = lvl.crd[positions].astype(np.int64)
+        else:
+            # offsets[e] = pos[parent of e] + (rank of e in its segment)
+            starts = lvl.pos[positions]
+            counts = lvl.pos[positions + 1] - starts
+            prefix = np.cumsum(counts) - counts
+            positions = (np.repeat(starts - prefix, counts)
+                         + np.arange(int(counts.sum())))
+            cols = {m: np.repeat(c, counts) for m, c in cols.items()}
+            new = lvl.crd[positions].astype(np.int64)
+        cols[storage.fmt.mode_of_level(lvl_idx)] = new
+    return positions, cols
+
+
 def unpack(storage: TensorStorage) -> tuple[np.ndarray, np.ndarray]:
-    """Expand level storage back to COO ``(coords, vals)``.
+    """Expand level storage back to COO ``(coords, vals)``, mode order.
 
     Dense levels enumerate every slot, so unpacking a format with a trailing
     dense level yields explicit zeros; callers filter if needed.
     """
-    order = storage.order
-    if order == 0:
+    if storage.order == 0:
         return np.zeros((1, 0), dtype=np.int64), storage.vals.copy()
-
-    # positions and per-entry coordinates, built level by level
-    positions = np.zeros(1, dtype=np.int64)
-    coord_cols: list[np.ndarray] = []
-    for lvl_idx in range(order):
-        lvl = storage.levels[lvl_idx]
-        if isinstance(lvl, DenseLevel):
-            dim = lvl.size
-            reps = len(positions)
-            new_coord = np.tile(np.arange(dim, dtype=np.int64), reps)
-            positions = np.repeat(positions, dim) * dim + new_coord
-            coord_cols = [np.repeat(c, dim) for c in coord_cols]
-            coord_cols.append(new_coord)
-        elif isinstance(lvl, SingletonLevel):
-            # One child per parent: positions pass through unchanged.
-            coord_cols.append(lvl.crd[positions].astype(np.int64))
-        else:
-            counts = lvl.pos[positions + 1] - lvl.pos[positions]
-            starts = lvl.pos[positions]
-            total = int(counts.sum())
-            # offsets[e] = starts[parent] + (rank of e within its segment)
-            prefix = np.concatenate(([0], np.cumsum(counts)))[: len(counts)]
-            seg_base = np.repeat(prefix, counts)
-            offsets = np.repeat(starts, counts) + (np.arange(total) - seg_base)
-            coord_cols = [np.repeat(c, counts) for c in coord_cols]
-            coord_cols.append(lvl.crd[offsets].astype(np.int64))
-            positions = offsets
-    coords_storage = np.stack(coord_cols, axis=1) if coord_cols else np.zeros((0, 0))
-    # map storage-level order back to mode order
-    coords = np.zeros_like(coords_storage)
-    for lvl_idx in range(order):
-        coords[:, storage.fmt.mode_of_level(lvl_idx)] = coords_storage[:, lvl_idx]
+    positions, cols = walk_levels(storage, storage.order)
+    coords = np.stack([cols[m] for m in range(storage.order)], axis=1)
     return coords, storage.vals[positions]
 
 
+def _mode_order_view(storage: TensorStorage) -> np.ndarray:
+    """All-dense ``vals`` reshaped by level and transposed to mode order."""
+    return storage.vals.reshape(
+        [storage.level_dim(L) for L in range(storage.order)]
+    ).transpose([storage.fmt.level_of_mode(m) for m in range(storage.order)])
+
+
+def dense_view(storage: TensorStorage) -> np.ndarray:
+    """All-dense storage in mode order as a **read-only** view of ``vals``.
+
+    Never copies: a non-identity mode ordering comes back strided.
+    """
+    if not all(isinstance(lvl, DenseLevel) for lvl in storage.levels):
+        raise ValueError(f"dense_view needs an all-dense format, got "
+                         f"{storage.fmt}")
+    view = _mode_order_view(storage)
+    view.flags.writeable = False
+    return view
+
+
 def to_dense(storage: TensorStorage) -> np.ndarray:
-    """Materialise the tensor as a dense numpy array."""
+    """Materialise the tensor as a dense numpy array.
+
+    Aliasing differs by format: an all-dense storage in identity mode
+    order comes back as a writable *view* of ``storage.vals``; every
+    other storage (permuted dense, or any sparse level) comes back as a
+    fresh copy. Callers that only read should use :func:`dense_view`;
+    callers that write must not assume either.
+    """
     if storage.order == 0:
         return np.array(storage.vals[0])
     if all(isinstance(lvl, DenseLevel) for lvl in storage.levels):
         # All-dense storage holds one value per slot in level order: a
         # reshape plus a mode-permuting transpose avoids the COO expansion.
-        arr = storage.vals.reshape(
-            [storage.level_dim(L) for L in range(storage.order)]
-        )
-        perm = [storage.fmt.level_of_mode(m) for m in range(storage.order)]
-        return np.ascontiguousarray(np.transpose(arr, perm))
+        return np.ascontiguousarray(_mode_order_view(storage))
     dense = np.zeros(storage.dims, dtype=np.float64)
     coords, vals = unpack(storage)
     if len(vals):

@@ -274,6 +274,31 @@ class TestEngineFallback:
         assert spans["obs-spmv"]["fell_back"] is False
         assert spans["obs-fallback"]["fell_back"] is True
 
+    def test_exec_span_and_counter_say_what_the_plan_cost(self,
+                                                          trace_dir_env):
+        """A slow request paid for planning or for compute: the span says
+        which, and exec_check reports through the same span."""
+        from repro.service import api
+
+        clean, falls = self._kernels()
+        counter = obs.counter("repro_exec_plans_total", "", ("outcome",))
+        before = {o: counter.value(outcome=o)
+                  for o in ("built", "reused", "fallback")}
+        clean.run_engine("numpy")
+        clean.run_engine("numpy")
+        falls.run_engine("numpy")
+        assert {o: counter.value(outcome=o) - n for o, n in before.items()
+                } == {"built": 1, "reused": 1, "fallback": 1}
+        api.exec_check(api.CompileRequest(kernel="SpMV", scale=TINY,
+                                          engine="numpy"), use_cache=False)
+        spans = [r["attrs"] for r in load_trace_dir(trace_dir_env).spans
+                 if r["name"] == "exec" and r["attrs"]["engine"] == "numpy"]
+        assert [a["plan"] for a in spans] == ["built", "reused", "fallback",
+                                              "built"]
+        assert [("plan_ms" in a) for a in spans] == [True, False, True, True]
+        assert spans[-1]["kernel"] == "SpMV"
+        assert spans[-1]["fell_back"] is False
+
     def test_partition_compute_spans_carry_engine(self, fresh_cache,
                                                   trace_dir_env):
         from repro.pipeline.executor import run_jobs
