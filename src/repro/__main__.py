@@ -73,6 +73,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.engines import ENGINES
+
 
 def _use_cache(args) -> bool | None:
     """``--no-cache`` → False; otherwise defer to the environment."""
@@ -92,20 +94,24 @@ def _cmd_kernels(_args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    from repro.api import CompileRequest, build
-    from repro.backends import lower_cpu
+    from repro.api import CompileRequest, build, compile
 
-    kernel = build(CompileRequest(kernel=args.kernel, dataset=args.dataset,
-                                  scale=args.scale))
+    request = CompileRequest(kernel=args.kernel, dataset=args.dataset,
+                             scale=args.scale)
+    # The memoized `compile` stage holds exactly what is printed; only
+    # --cpu needs the CompiledKernel itself (its statement).
+    result = compile(request)
     if args.memory_report:
-        print(kernel.memory_report())
+        print(result.memory_report)
         print()
-    print(kernel.source)
-    print(f"// generated Spatial LoC: {kernel.spatial_loc}",
+    print(result.source)
+    print(f"// generated Spatial LoC: {result.spatial_loc}",
           file=sys.stderr)
     if args.cpu:
+        from repro.backends.cpu import lower_cpu
+
         print()
-        print(lower_cpu(kernel.stmt, args.kernel.lower()))
+        print(lower_cpu(build(request).stmt, args.kernel.lower()))
     return 0
 
 
@@ -323,19 +329,18 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    from repro.pipeline.batch import ARTIFACT_NAMES, artifact_jobs, run_batch
+    from repro.pipeline.batch import (
+        ARTIFACT_NAMES,
+        artifact_jobs,
+        is_partition_artifact,
+        run_batch,
+    )
     from repro.pipeline.cache import default_cache
     from repro.pipeline.shard import ShardSpec
 
     artifacts = list(args.artifacts)
     if "all" in artifacts:
         artifacts = list(ARTIFACT_NAMES)
-    from repro.pipeline.partition import (
-        PartitionError,
-        is_partition_artifact,
-        parse_partition,
-    )
-
     for name in artifacts:
         if name in ARTIFACT_NAMES:
             continue
@@ -345,6 +350,8 @@ def _cmd_batch(args) -> int:
                   f"partition:<kernel>:<dataset>:p<P>:<mode> plan",
                   file=sys.stderr)
             return 2
+        from repro.pipeline.partition import PartitionError, parse_partition
+
         try:
             parse_partition(name)
         except PartitionError as exc:
@@ -768,8 +775,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="parallel worker count (default: REPRO_JOBS or 1)")
     p_tab.add_argument("--no-cache", action="store_true",
                        help="bypass the compilation/result cache")
-    p_tab.add_argument("--engine", choices=["interp", "cpu", "numpy"],
-                       default=None,
+    p_tab.add_argument("--engine", choices=ENGINES, default=None,
                        help="functionally execute each table6/format_sweep "
                             "cell with this engine and validate it against "
                             "the interpreter oracle (default: skip the check)")
@@ -798,8 +804,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="manifest path for --shard (default: "
                               "<artefact>.shardIofN.json; `-` streams the "
                               "manifest JSON to stdout)")
-    p_batch.add_argument("--engine", choices=["interp", "cpu", "numpy"],
-                         default=None,
+    p_batch.add_argument("--engine", choices=ENGINES, default=None,
                          help="functionally execute each table6/format_sweep "
                               "cell with this engine and validate it against "
                               "the interpreter oracle (default: skip the check)")
@@ -862,8 +867,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="workers bypass the compilation/result cache")
     p_disp.add_argument("--quiet", action="store_true",
                         help="suppress per-lease progress on stderr")
-    p_disp.add_argument("--engine", choices=["interp", "cpu", "numpy"],
-                        default=None,
+    p_disp.add_argument("--engine", choices=ENGINES, default=None,
                         help="workers functionally execute each "
                              "table6/format_sweep cell with this engine and "
                              "validate it against the interpreter oracle")
@@ -925,8 +929,7 @@ def main(argv: list[str] | None = None) -> int:
     p_dist.add_argument("--no-cache", action="store_true",
                         help="bypass the block-result partition cache and "
                              "re-stage the operand (once per process)")
-    p_dist.add_argument("--engine", choices=["interp", "cpu", "numpy"],
-                        default=None,
+    p_dist.add_argument("--engine", choices=ENGINES, default=None,
                         help="engine every block's compiled kernel runs on "
                              "(default: REPRO_ENGINE or numpy); --serial "
                              "with the same engine is the byte-diff "
@@ -1002,8 +1005,7 @@ def main(argv: list[str] | None = None) -> int:
                              "full dataset list)")
     p_pipe.add_argument("--scale", type=float, default=0.25)
     p_pipe.add_argument("--seed", type=int, default=7)
-    p_pipe.add_argument("--engine", choices=["interp", "cpu", "numpy"],
-                        default=None,
+    p_pipe.add_argument("--engine", choices=ENGINES, default=None,
                         help="execution engine for every stage (default: "
                              "REPRO_ENGINE or numpy); each stage is "
                              "validated against the interpreter oracle")

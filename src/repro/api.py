@@ -12,7 +12,7 @@ of those paths.
 >>> times = evaluate(CompileRequest(kernel="SpMV")).platform_times()
 """
 
-from repro.core.compiler import DEFAULT_ENGINE, ENGINES, default_engine
+from repro.engines import DEFAULT_ENGINE, ENGINES, default_engine
 from repro.service.api import (
     ACTIONS,
     BASELINE_PLATFORM,

@@ -1,24 +1,19 @@
 """Comparison backends: CPU (TACO), GPU (TACO-CUDA), handwritten Spatial."""
 
-from repro.backends.cpu import CpuBackend, CpuCodegen, lower_cpu
-from repro.backends.cpu_exec import CpuExecutor, execute_cpu
-from repro.backends.gpu import GpuBackend
-from repro.backends.handwritten import (
-    HANDWRITTEN_CAPSTAN_SPMV,
-    HandwrittenCapstanSpMV,
-    HandwrittenPlasticineSpMV,
-    handwritten_capstan_loc,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CpuBackend",
-    "CpuCodegen",
-    "CpuExecutor",
-    "GpuBackend",
-    "HANDWRITTEN_CAPSTAN_SPMV",
-    "HandwrittenCapstanSpMV",
-    "HandwrittenPlasticineSpMV",
-    "execute_cpu",
-    "handwritten_capstan_loc",
-    "lower_cpu",
-]
+_EXPORTS = {
+    "CpuBackend": ("repro.backends.cpu", "CpuBackend"),
+    "CpuCodegen": ("repro.backends.cpu", "CpuCodegen"),
+    "CpuExecutor": ("repro.backends.cpu_exec", "CpuExecutor"),
+    "GpuBackend": ("repro.backends.gpu", "GpuBackend"),
+    "HANDWRITTEN_CAPSTAN_SPMV": ("repro.backends.handwritten", "HANDWRITTEN_CAPSTAN_SPMV"),
+    "HandwrittenCapstanSpMV": ("repro.backends.handwritten", "HandwrittenCapstanSpMV"),
+    "HandwrittenPlasticineSpMV": ("repro.backends.handwritten", "HandwrittenPlasticineSpMV"),
+    "execute_cpu": ("repro.backends.cpu_exec", "execute_cpu"),
+    "handwritten_capstan_loc": ("repro.backends.handwritten", "handwritten_capstan_loc"),
+    "lower_cpu": ("repro.backends.cpu", "lower_cpu"),
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 
 import numpy as np
 
 from repro.core.lowering import Lowerer
+from repro.engines import (  # noqa: F401 - re-exported
+    DEFAULT_ENGINE,
+    ENGINES,
+    default_engine,
+)
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.core.memory_analysis import KernelAnalysis, MemoryPlan
@@ -25,28 +29,6 @@ from repro.spatial import codegen
 from repro.spatial.ir import SpatialProgram
 from repro.tensor.storage import TensorStorage, to_dense
 from repro.tensor.tensor import Tensor
-
-#: Execution engines for running a compiled kernel functionally.
-#:
-#: * ``interp`` — the Spatial program interpreter (:func:`run_program`),
-#:   the semantic oracle: handles every format in the registry.
-#: * ``cpu``    — the merge-lattice walker (``repro.backends.cpu_exec``),
-#:   a second, independent Python implementation.
-#: * ``numpy``  — the vectorized backend (``repro.backends.numpy_exec``);
-#:   orders of magnitude faster, falls back to ``cpu`` for shapes it
-#:   cannot vectorize.
-ENGINES = ("interp", "cpu", "numpy")
-
-#: Default engine for artefact generation (functional execution checks).
-DEFAULT_ENGINE = "numpy"
-
-
-def default_engine() -> str:
-    """The engine to use when none is requested (``REPRO_ENGINE`` env)."""
-    engine = os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE)
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    return engine
 
 
 @dataclasses.dataclass

@@ -1,33 +1,22 @@
 """Evaluation harness and published reference numbers."""
 
-from repro.eval import paper_results
-from repro.eval.harness import (
-    DEFAULT_SCALE,
-    build_kernel,
-    evaluate,
-    figure12,
-    figure13,
-    format_figure12,
-    format_table3,
-    format_table5,
-    format_table6,
-    table3,
-    table5,
-    table6,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_SCALE",
-    "build_kernel",
-    "evaluate",
-    "figure12",
-    "figure13",
-    "format_figure12",
-    "format_table3",
-    "format_table5",
-    "format_table6",
-    "paper_results",
-    "table3",
-    "table5",
-    "table6",
-]
+_EXPORTS = {
+    "DEFAULT_SCALE": ("repro.eval.harness", "DEFAULT_SCALE"),
+    "build_kernel": ("repro.eval.harness", "build_kernel"),
+    "evaluate": ("repro.eval.harness", "evaluate"),
+    "figure12": ("repro.eval.harness", "figure12"),
+    "figure13": ("repro.eval.harness", "figure13"),
+    "format_figure12": ("repro.eval.harness", "format_figure12"),
+    "format_table3": ("repro.eval.harness", "format_table3"),
+    "format_table5": ("repro.eval.harness", "format_table5"),
+    "format_table6": ("repro.eval.harness", "format_table6"),
+    "paper_results": ("repro.eval.paper_results", None),
+    "table3": ("repro.eval.harness", "table3"),
+    "table5": ("repro.eval.harness", "table5"),
+    "table6": ("repro.eval.harness", "table6"),
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import warnings
 from statistics import geometric_mean
+from typing import TYPE_CHECKING
 
-from repro.backends.handwritten import handwritten_capstan_loc
-from repro.capstan.resources import ResourceEstimate
-from repro.core.compiler import CompiledKernel
 from repro.data.datasets import datasets_for
 from repro.eval import paper_results
 from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNEL_ORDER
@@ -40,7 +38,11 @@ from repro.service.api import (  # noqa: F401 - back-compat re-exports
     first_dataset,
 )
 from repro.service.api import CompileRequest
-from repro.tensor.tensor import Tensor
+
+if TYPE_CHECKING:  # annotation-only: the formatters print, they never compile
+    from repro.capstan.resources import ResourceEstimate
+    from repro.core.compiler import CompiledKernel
+    from repro.tensor.tensor import Tensor
 
 #: Names re-exported for callers that still import them from here.
 __all__ = [
@@ -273,6 +275,8 @@ def table3(scale: float = 0.05, jobs: int | None = None,
 
 
 def format_table3(rows: dict[str, dict[str, int]]) -> str:
+    from repro.backends.handwritten import handwritten_capstan_loc
+
     lines = ["Table 3 — lines of code (measured | paper)"]
     lines.append(f"{'Kernel':14s}{'input':>8s}{'spatial':>9s}"
                  f"{'p.input':>9s}{'p.spatial':>10s}")

@@ -24,14 +24,12 @@ Construction follows TACO's rules:
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.ir.index_notation import IndexExpr, IndexVar
-
-if TYPE_CHECKING:  # pragma: no cover - import-cycle guard (core uses ir)
-    from repro.core.coiteration import IterTerm, LevelIterator
+from repro.ir.iteration import IterTerm, LevelIterator, iteration_algebra
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +85,7 @@ class MergeLattice:
         return f"lattice({self.ivar.name}){kind}: " + " > ".join(rows)
 
 
-def _point_sets(term: "IterTerm") -> tuple[set[frozenset[int]], bool]:
+def _point_sets(term: IterTerm) -> tuple[set[frozenset[int]], bool]:
     """(lattice point sets, has_universe) for a contraction term."""
     if term.op is None:
         it = term.leaf
@@ -117,8 +115,6 @@ def build_lattice(expr: IndexExpr, ivar: IndexVar) -> MergeLattice:
     An expression that never mentions ``ivar`` yields a *neutral* lattice
     (no points, no universe): it neither drives nor widens the iteration.
     """
-    from repro.core.coiteration import iteration_algebra  # cycle guard
-
     term = iteration_algebra(expr, ivar)
     if term is None:
         return MergeLattice(ivar, (), False, ())

@@ -30,101 +30,78 @@ and benchmark drivers all route through:
   ``repro worker`` processes attach and detach mid-sweep.
 """
 
-from repro.pipeline.cache import (
-    CacheStats,
-    CompilationCache,
-    cache_enabled,
-    compiler_version,
-    default_cache,
-    disk_cache_dir,
-    fingerprint_stmt,
-    fingerprint_tensor,
-    make_key,
-    memoize,
-    memoize_stage,
-    stage_version,
-)
-from repro.pipeline.executor import Job, JobResult, default_jobs, run_jobs
-from repro.pipeline.batch import (
-    ARTIFACT_NAMES,
-    BatchRun,
-    artifact_jobs,
-    assemble_artifact,
-    format_artifact,
-    run_artifact,
-    run_batch,
-)
-from repro.pipeline.shard import (
-    ManifestError,
-    MergedArtifact,
-    MergeError,
-    ShardManifest,
-    ShardSpec,
-    expand_manifest_paths,
-    merge_manifests,
-    run_shard,
-)
-from repro.pipeline.dispatch import (
-    DispatchError,
-    DispatchResult,
-    InlineTransport,
-    LocalTransport,
-    QueueTransport,
-    SshTransport,
-    Transport,
-    dispatch,
-    parse_transport,
-)
-from repro.pipeline.fsqueue import worker_loop
-from repro.pipeline.steal import (
-    load_costs,
-    plan_chunks,
-    record_manifest_costs,
-)
+import sys
+import types
 
-__all__ = [
-    "ARTIFACT_NAMES",
-    "BatchRun",
-    "CacheStats",
-    "CompilationCache",
-    "DispatchError",
-    "DispatchResult",
-    "InlineTransport",
-    "Job",
-    "JobResult",
-    "LocalTransport",
-    "ManifestError",
-    "MergeError",
-    "MergedArtifact",
-    "QueueTransport",
-    "ShardManifest",
-    "ShardSpec",
-    "SshTransport",
-    "Transport",
-    "artifact_jobs",
-    "assemble_artifact",
-    "cache_enabled",
-    "compiler_version",
-    "default_cache",
-    "default_jobs",
-    "disk_cache_dir",
-    "dispatch",
-    "expand_manifest_paths",
-    "fingerprint_stmt",
-    "fingerprint_tensor",
-    "format_artifact",
-    "load_costs",
-    "make_key",
-    "memoize",
-    "memoize_stage",
-    "merge_manifests",
-    "parse_transport",
-    "plan_chunks",
-    "record_manifest_costs",
-    "run_artifact",
-    "run_batch",
-    "run_jobs",
-    "run_shard",
-    "stage_version",
-    "worker_loop",
-]
+from repro import lazy_exports
+
+_EXPORTS = {
+    "ARTIFACT_NAMES": ("repro.pipeline.batch", "ARTIFACT_NAMES"),
+    "BatchRun": ("repro.pipeline.batch", "BatchRun"),
+    "CacheStats": ("repro.pipeline.cache", "CacheStats"),
+    "CompilationCache": ("repro.pipeline.cache", "CompilationCache"),
+    "DispatchError": ("repro.pipeline.dispatch", "DispatchError"),
+    "DispatchResult": ("repro.pipeline.dispatch", "DispatchResult"),
+    "InlineTransport": ("repro.pipeline.dispatch", "InlineTransport"),
+    "Job": ("repro.pipeline.executor", "Job"),
+    "JobResult": ("repro.pipeline.executor", "JobResult"),
+    "LocalTransport": ("repro.pipeline.dispatch", "LocalTransport"),
+    "ManifestError": ("repro.pipeline.shard", "ManifestError"),
+    "MergeError": ("repro.pipeline.shard", "MergeError"),
+    "MergedArtifact": ("repro.pipeline.shard", "MergedArtifact"),
+    "QueueTransport": ("repro.pipeline.dispatch", "QueueTransport"),
+    "ShardManifest": ("repro.pipeline.shard", "ShardManifest"),
+    "ShardSpec": ("repro.pipeline.shard", "ShardSpec"),
+    "SshTransport": ("repro.pipeline.dispatch", "SshTransport"),
+    "Transport": ("repro.pipeline.dispatch", "Transport"),
+    "artifact_jobs": ("repro.pipeline.batch", "artifact_jobs"),
+    "assemble_artifact": ("repro.pipeline.batch", "assemble_artifact"),
+    "cache_enabled": ("repro.pipeline.cache", "cache_enabled"),
+    "compiler_version": ("repro.pipeline.cache", "compiler_version"),
+    "default_cache": ("repro.pipeline.cache", "default_cache"),
+    "default_jobs": ("repro.pipeline.executor", "default_jobs"),
+    "disk_cache_dir": ("repro.pipeline.cache", "disk_cache_dir"),
+    "dispatch": ("repro.pipeline.dispatch", "dispatch"),
+    "expand_manifest_paths": ("repro.pipeline.shard", "expand_manifest_paths"),
+    "fingerprint_stmt": ("repro.pipeline.cache", "fingerprint_stmt"),
+    "fingerprint_tensor": ("repro.pipeline.cache", "fingerprint_tensor"),
+    "format_artifact": ("repro.pipeline.batch", "format_artifact"),
+    "load_costs": ("repro.pipeline.steal", "load_costs"),
+    "make_key": ("repro.pipeline.cache", "make_key"),
+    "memoize": ("repro.pipeline.cache", "memoize"),
+    "memoize_stage": ("repro.pipeline.cache", "memoize_stage"),
+    "merge_manifests": ("repro.pipeline.shard", "merge_manifests"),
+    "parse_transport": ("repro.pipeline.dispatch", "parse_transport"),
+    "plan_chunks": ("repro.pipeline.steal", "plan_chunks"),
+    "record_manifest_costs": ("repro.pipeline.steal", "record_manifest_costs"),
+    "run_artifact": ("repro.pipeline.batch", "run_artifact"),
+    "run_batch": ("repro.pipeline.batch", "run_batch"),
+    "run_jobs": ("repro.pipeline.executor", "run_jobs"),
+    "run_shard": ("repro.pipeline.shard", "run_shard"),
+    "stage_version": ("repro.pipeline.cache", "stage_version"),
+    "worker_loop": ("repro.pipeline.fsqueue", "worker_loop"),
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+
+class _Package(types.ModuleType):
+    """``dispatch`` names a submodule *and* the function it defines.
+
+    Importing the submodule makes the import system bind the module on
+    this package, after which ``__getattr__`` is never asked again. A
+    data descriptor outranks that binding, so ``repro.pipeline.dispatch``
+    is the callable whichever of the two was imported first.
+    """
+
+    @property
+    def dispatch(self):
+        return __getattr__("dispatch")
+
+    @dispatch.setter
+    def dispatch(self, _bound):
+        pass
+
+
+sys.modules[__name__].__class__ = _Package

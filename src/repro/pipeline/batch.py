@@ -16,15 +16,19 @@ import time
 from statistics import geometric_mean
 from typing import Any
 
-from repro.pipeline.cache import memoize_stage
+from repro.pipeline.cache import cache_enabled, memoize_stage, put_stage
 from repro.pipeline.executor import Job, JobResult, run_jobs
 
 __all__ = [
     "ARTIFACT_NAMES",
     "BatchRun",
+    "COST_STAGE",
     "artifact_jobs",
     "assemble_artifact",
+    "cost_key",
     "format_artifact",
+    "is_partition_artifact",
+    "record_cost",
     "record_result_costs",
     "run_artifact",
     "run_batch",
@@ -33,6 +37,16 @@ __all__ = [
 #: Artefacts the batch runner can regenerate.
 ARTIFACT_NAMES = ("table3", "table5", "table6", "figure12", "format_sweep",
                   "pipeline_sweep")
+
+#: Artefact-namespace prefix of the ``partition:<kernel>:<dataset>:p<P>:
+#: <mode>`` pseudo-artefacts (:mod:`repro.pipeline.partition` parses the
+#: rest; telling the two kinds of name apart must not load it).
+PARTITION_PREFIX = "partition:"
+
+
+def is_partition_artifact(name: str) -> bool:
+    """True for ``partition:<kernel>:<dataset>:p<P>:<mode>`` strings."""
+    return isinstance(name, str) and name.startswith(PARTITION_PREFIX)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +262,12 @@ def artifact_jobs(artifact: str, scale: float,
     """
     from repro.data.datasets import datasets_for
     from repro.kernels.suite import KERNEL_ORDER
-    from repro.pipeline.partition import is_partition_artifact, parse_partition
 
     if is_partition_artifact(artifact):
         # Partition pseudo-artifacts expand to one job per row block; the
         # plan string carries the kernel/dataset/count/mode coordinates.
+        from repro.pipeline.partition import parse_partition
+
         return parse_partition(artifact).jobs(scale, use_cache=use_cache,
                                               engine=engine)
     kwargs = {"use_cache": use_cache}
@@ -338,9 +353,9 @@ def _assemble_format_sweep(results: list[JobResult]) -> dict[str, dict[str, Any]
 
 def assemble_artifact(artifact: str, results: list[JobResult]):
     """Fold ordered job results into the artefact's data structure."""
-    from repro.pipeline.partition import is_partition_artifact, reduce_partials
-
     if is_partition_artifact(artifact):
+        from repro.pipeline.partition import reduce_partials
+
         return reduce_partials(artifact, results)
     if artifact == "table6":
         return _assemble_table6(results)
@@ -351,11 +366,12 @@ def assemble_artifact(artifact: str, results: list[JobResult]):
 
 def format_artifact(artifact: str, data) -> str:
     """Render an artefact with the harness's formatter."""
-    from repro.eval import harness
-    from repro.pipeline.partition import format_partition, is_partition_artifact
-
     if is_partition_artifact(artifact):
+        from repro.pipeline.partition import format_partition
+
         return format_partition(data)
+    from repro.eval import harness
+
     formatter = {
         "table3": harness.format_table3,
         "table5": harness.format_table5,
@@ -365,6 +381,24 @@ def format_artifact(artifact: str, data) -> str:
         "pipeline_sweep": harness.format_pipeline_sweep,
     }[artifact]
     return formatter(data)
+
+
+#: The staged-cache stage observed job wall times are recorded under: the
+#: persistent cost table :mod:`repro.pipeline.steal` plans chunks from.
+COST_STAGE = "cost"
+
+
+def cost_key(artifact: str, scale: float, key: tuple) -> tuple:
+    """The ``cost``-stage key parts of one job's observed wall time."""
+    # repr(scale) round-trips the float exactly (the same trick the
+    # worker command line uses), so dispatcher and workers agree on keys.
+    return (artifact, repr(scale), tuple(key))
+
+
+def record_cost(artifact: str, scale: float, key: tuple,
+                seconds: float) -> None:
+    """Record one observed job wall time (latest observation wins)."""
+    put_stage(COST_STAGE, cost_key(artifact, scale, key), float(seconds))
 
 
 def record_result_costs(artifact: str, scale: float,
@@ -378,9 +412,6 @@ def record_result_costs(artifact: str, scale: float,
     sweep was last executed. Returns the number of entries written
     (zero when caching is disabled).
     """
-    from repro.pipeline.cache import cache_enabled
-    from repro.pipeline.steal import record_cost
-
     if not cache_enabled():
         return 0
     recorded = 0

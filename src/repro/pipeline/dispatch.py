@@ -66,7 +66,11 @@ from typing import Any, Callable
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.pipeline.batch import ARTIFACT_NAMES, artifact_jobs
+from repro.pipeline.batch import (
+    ARTIFACT_NAMES,
+    artifact_jobs,
+    is_partition_artifact,
+)
 from repro.pipeline.cache import cache_enabled, cache_env_knobs, compiler_version
 from repro.pipeline.fsqueue import (
     ERROR_FORMAT,
@@ -686,8 +690,6 @@ def dispatch(
     start = time.perf_counter()
     if isinstance(transport, str):
         transport = parse_transport(transport)
-    from repro.pipeline.partition import is_partition_artifact
-
     if artifact not in ARTIFACT_NAMES and not is_partition_artifact(artifact):
         raise DispatchError(
             f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES} "

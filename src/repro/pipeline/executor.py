@@ -17,7 +17,6 @@ import os
 import time
 import traceback
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any
 
 from repro.obs import trace as _trace
@@ -137,11 +136,12 @@ def run_jobs(
         return [_collect(_run_one(job, should_stop), i)
                 for i, job in enumerate(jobs)]
     if kind == "thread":
-        pool_cls = ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor as pool_cls
     elif kind == "process":
         if should_stop is not None:
             raise ValueError("should_stop is not supported with process pools")
-        pool_cls = ProcessPoolExecutor
+        # Pulls in multiprocessing; a serial or threaded run never pays it.
+        from concurrent.futures import ProcessPoolExecutor as pool_cls
     else:
         raise ValueError(f"unknown executor kind {kind!r}")
     workers = min(max_workers, len(jobs))

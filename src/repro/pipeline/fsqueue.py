@@ -59,6 +59,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs import trace as _trace
+from repro.pipeline.batch import is_partition_artifact
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.shard import ShardSpec, run_shard
 
@@ -206,8 +207,6 @@ class QueueTransport:
         queue listing distinguishes sweep chunks from kernel blocks;
         both kinds flow through the same claim/lease/result machinery.
         """
-        from repro.pipeline.partition import is_partition_artifact
-
         prefix = ("part" if is_partition_artifact(payload.get("artifact", ""))
                   else "chunk")
         task = {"format": TASK_FORMAT, "chunk": index, "attempt": attempt,

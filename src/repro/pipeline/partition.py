@@ -29,6 +29,8 @@ import hashlib
 import numpy as np
 
 from repro import obs
+from repro.engines import default_engine
+from repro.pipeline.batch import PARTITION_PREFIX, is_partition_artifact
 from repro.pipeline.cache import memoize_stage
 from repro.pipeline.executor import Job, run_jobs
 
@@ -49,9 +51,6 @@ __all__ = [
     "reduce_partials",
     "serial_report",
 ]
-
-#: Artefact-namespace prefix for partition pseudo-artifacts.
-PARTITION_PREFIX = "partition:"
 
 #: Supported iteration-space splits.
 PARTITION_MODES = ("row", "sum")
@@ -74,11 +73,6 @@ class PartitionError(ValueError):
 # ---------------------------------------------------------------------------
 # Pseudo-artifact naming
 # ---------------------------------------------------------------------------
-
-
-def is_partition_artifact(name: str) -> bool:
-    """True for ``partition:<kernel>:<dataset>:p<P>:<mode>`` strings."""
-    return isinstance(name, str) and name.startswith(PARTITION_PREFIX)
 
 
 def partition_artifact(kernel: str, dataset: str, count: int,
@@ -268,7 +262,6 @@ def partition_cell(operands: StagedOperands, index: int,
     worker computed it first, without staging anything.
     """
     from repro.convert import slice_positions, slice_rows
-    from repro.core.compiler import default_engine
 
     plan, scale = operands.plan, operands.scale
     engine = default_engine() if engine is None else engine

@@ -41,6 +41,7 @@ from repro.pipeline.batch import (
     artifact_jobs,
     assemble_artifact,
     format_artifact,
+    is_partition_artifact,
 )
 from repro.obs import trace as _trace
 from repro.pipeline.cache import compiler_version
@@ -192,8 +193,6 @@ def encode_result(artifact: str, value: Any) -> Any:
         return dict(value)
     if artifact == "pipeline_sweep":  # plain fusion-report dict per cell
         return dict(value)
-    from repro.pipeline.partition import is_partition_artifact
-
     if is_partition_artifact(artifact):
         # Per-block partial: the array crosses the wire as raw
         # little-endian float64 bytes, digest alongside.
@@ -230,9 +229,9 @@ def decode_result(artifact: str, payload: Any) -> Any:
         return dict(payload)
     if artifact == "pipeline_sweep":
         return dict(payload)
-    from repro.pipeline.partition import PartitionError, is_partition_artifact
-
     if is_partition_artifact(artifact):
+        from repro.pipeline.partition import PartitionError
+
         try:
             raw = base64.b64decode(payload["values"], validate=True)
         except ValueError:  # a damaged character is damage like any other
@@ -317,8 +316,6 @@ class ShardManifest:
                                "total_jobs", "jobs") if f not in data]
         if missing:
             raise ManifestError(f"{source}: missing field(s) {missing}")
-        from repro.pipeline.partition import is_partition_artifact
-
         if (data["artifact"] not in ARTIFACT_NAMES
                 and not is_partition_artifact(data["artifact"])):
             raise ManifestError(

@@ -39,7 +39,8 @@ from __future__ import annotations
 from statistics import median
 from typing import Iterable
 
-from repro.pipeline.cache import get_stage, put_stage
+from repro.pipeline.batch import COST_STAGE, cost_key, record_cost
+from repro.pipeline.cache import get_stage
 from repro.pipeline.shard import ShardManifest, ShardSpec
 
 __all__ = [
@@ -52,9 +53,6 @@ __all__ = [
     "record_manifest_costs",
 ]
 
-#: The staged-cache stage name job costs are recorded under.
-COST_STAGE = "cost"
-
 #: Default floor on jobs per planned chunk (the steal-tail granularity).
 DEFAULT_MIN_CHUNK = 1
 
@@ -62,18 +60,6 @@ DEFAULT_MIN_CHUNK = 1
 # ---------------------------------------------------------------------------
 # The cost table (persistent, shared through the staged cache)
 # ---------------------------------------------------------------------------
-
-
-def _cost_parts(artifact: str, scale: float, key: tuple) -> tuple:
-    # repr(scale) round-trips the float exactly (the same trick the
-    # worker command line uses), so dispatcher and workers agree on keys.
-    return (artifact, repr(scale), tuple(key))
-
-
-def record_cost(artifact: str, scale: float, key: tuple,
-                seconds: float) -> None:
-    """Record one observed job wall time (latest observation wins)."""
-    put_stage(COST_STAGE, _cost_parts(artifact, scale, key), float(seconds))
 
 
 def record_manifest_costs(manifests: Iterable[ShardManifest]) -> int:
@@ -99,7 +85,7 @@ def load_costs(artifact: str, scale: float,
     """The recorded cost of each job in ``keys`` (absent = never seen)."""
     costs: dict[tuple, float] = {}
     for key in keys:
-        seconds = get_stage(COST_STAGE, _cost_parts(artifact, scale, key))
+        seconds = get_stage(COST_STAGE, cost_key(artifact, scale, key))
         if seconds is not None:
             costs[tuple(key)] = float(seconds)
     return costs

@@ -22,10 +22,10 @@ pattern-match is left to the default lowering, which is always correct.
 
 from __future__ import annotations
 
-from repro.core.coiteration import LoweringError
 from repro.formats.memory import MemoryRegion
 from repro.ir.cin import CinAssign, Forall
 from repro.ir.index_notation import Access, Assignment, IndexVar
+from repro.ir.iteration import LoweringError
 from repro.schedule.stmt import (
     BULK_TRANSFER,
     INNER_PAR,

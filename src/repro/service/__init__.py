@@ -10,32 +10,22 @@
   ``/stats`` and ``repro cache --json``.
 """
 
-from repro.service.api import (
-    ACTIONS,
-    CompileRequest,
-    CompileResult,
-    EngineMismatchError,
-    PlatformTimes,
-    build,
-    cached,
-    compile,
-    evaluate,
-    exec_check,
-    execute,
-)
-from repro.service.stats import cache_stats_payload
+from repro import lazy_exports
 
-__all__ = [
-    "ACTIONS",
-    "CompileRequest",
-    "CompileResult",
-    "EngineMismatchError",
-    "PlatformTimes",
-    "build",
-    "cache_stats_payload",
-    "cached",
-    "compile",
-    "evaluate",
-    "exec_check",
-    "execute",
-]
+_EXPORTS = {
+    "ACTIONS": ("repro.service.api", "ACTIONS"),
+    "CompileRequest": ("repro.service.api", "CompileRequest"),
+    "CompileResult": ("repro.service.api", "CompileResult"),
+    "EngineMismatchError": ("repro.service.api", "EngineMismatchError"),
+    "PlatformTimes": ("repro.service.api", "PlatformTimes"),
+    "build": ("repro.service.api", "build"),
+    "cache_stats_payload": ("repro.service.stats", "cache_stats_payload"),
+    "cached": ("repro.service.api", "cached"),
+    "compile": ("repro.service.api", "compile"),
+    "evaluate": ("repro.service.api", "evaluate"),
+    "exec_check": ("repro.service.api", "exec_check"),
+    "execute": ("repro.service.api", "execute"),
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

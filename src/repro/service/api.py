@@ -36,7 +36,7 @@ import json
 import os
 from typing import Any
 
-from repro.core.compiler import ENGINES, default_engine
+from repro.engines import ENGINES, default_engine
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -113,7 +113,7 @@ class CompileRequest:
     ``dataset=None`` and ``scale=None`` resolve to the kernel's first
     Table 4 dataset and :data:`DEFAULT_SCALE`; ``platforms`` restricts
     an evaluate to those platform names; ``engine`` (one of
-    :data:`~repro.core.compiler.ENGINES`) additionally executes the
+    :data:`~repro.engines.ENGINES`) additionally executes the
     kernel functionally and validates it against the interpreter oracle.
     Two requests with the same :meth:`canonical_json` are the same work
     and share one staged-cache entry.
@@ -585,14 +585,16 @@ def evaluate(request: CompileRequest,
     first executed functionally and validated against the interpreter
     oracle (:func:`exec_check`); a disagreeing engine fails the request.
     """
-    from repro.capstan.resources import estimate_resources_cached
-    from repro.capstan.simulator import CapstanSimulator
-    from repro.capstan.stats import compute_stats_cached
     from repro.pipeline.cache import memoize_stage
 
     req = dataclasses.replace(request, action="evaluate").resolved()
 
     def compute() -> CompileResult:
+        # A hit answers from the staged entry; only a miss loads the model.
+        from repro.capstan.resources import estimate_resources_cached
+        from repro.capstan.simulator import CapstanSimulator
+        from repro.capstan.stats import compute_stats_cached
+
         summary = (exec_check(req, use_cache=use_cache)
                    if req.engine is not None else None)
         coords = (req.kernel, req.dataset, req.scale, req.seed)

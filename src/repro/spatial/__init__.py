@@ -1,18 +1,18 @@
 """The Spatial parallel-pattern IR, code generator, and interpreter."""
 
-from repro.spatial import codegen, interp, ir
-from repro.spatial.codegen import count_loc, generate
-from repro.spatial.interp import InterpError, Machine, execute
-from repro.spatial.ir import SpatialProgram
+from repro import lazy_exports
 
-__all__ = [
-    "InterpError",
-    "Machine",
-    "SpatialProgram",
-    "codegen",
-    "count_loc",
-    "execute",
-    "generate",
-    "interp",
-    "ir",
-]
+_EXPORTS = {
+    "InterpError": ("repro.spatial.interp", "InterpError"),
+    "Machine": ("repro.spatial.interp", "Machine"),
+    "SpatialProgram": ("repro.spatial.ir", "SpatialProgram"),
+    "codegen": ("repro.spatial.codegen", None),
+    "count_loc": ("repro.spatial.codegen", "count_loc"),
+    "execute": ("repro.spatial.interp", "execute"),
+    "generate": ("repro.spatial.codegen", "generate"),
+    "interp": ("repro.spatial.interp", None),
+    "ir": ("repro.spatial.ir", None),
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

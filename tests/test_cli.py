@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.kernels import FORMAT_KERNEL_ORDER, KERNEL_ORDER
 
 
 def test_kernels_listing(capsys):
@@ -26,6 +27,58 @@ def test_compile_with_reports(capsys):
     out = capsys.readouterr().out
     assert "Memory analysis" in out
     assert "compute_sddmm" in out  # CPU C code present
+
+
+def _compile_outputs(capsys, kernel, *flags):
+    assert main(["compile", kernel, "--scale", "0.02", *flags]) == 0
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("kernel", [*KERNEL_ORDER, *FORMAT_KERNEL_ORDER])
+def test_compile_renders_identically_cold_warm_and_uncached(
+        kernel, capsys, monkeypatch, fresh_cache):
+    """``repro compile`` prints from the memoized ``compile`` stage; what
+    it prints must not depend on whether that stage was hit."""
+    from repro import api
+    from repro.backends.cpu import lower_cpu
+    from repro.ir.iteration import LoweringError
+    from repro.pipeline import cache as cache_mod
+
+    # The reference is rendered from the CompiledKernel, as the CLI did
+    # before it had a hit path.
+    built = api.build(api.CompileRequest(kernel=kernel, scale=0.02))
+    source = built.source + "\n"
+    report = built.memory_report() + "\n\n"
+    loc = f"// generated Spatial LoC: {built.spatial_loc}\n"
+    flag_sets = [(), ("--memory-report",)]
+    try:
+        cpu = "\n" + lower_cpu(built.stmt, kernel.lower()) + "\n"
+        flag_sets.append(("--cpu",))
+    except LoweringError:  # COO-SpMV: the C backend has no singleton merge
+        cpu = None
+    fresh_cache.clear_memory()
+
+    def all_flag_sets():
+        return {flags: _compile_outputs(capsys, kernel, *flags)
+                for flags in flag_sets}
+
+    cold = all_flag_sets()
+    assert cold[()] == (source, loc)
+    assert cold[("--memory-report",)] == (report + source, loc)
+    if cpu is not None:
+        assert cold[("--cpu",)] == (source + cpu, loc)
+
+    # A new process's view of the warm store: empty memory, entries on disk.
+    warm_cache = cache_mod.CompilationCache()
+    monkeypatch.setattr(cache_mod, "_default_cache", warm_cache)
+    assert all_flag_sets() == cold
+    # Every render was a compile-stage hit; only --cpu unpickled the kernel.
+    hits = {"compile": len(flag_sets)} | ({"build": 1} if cpu else {})
+    assert warm_cache.stats.stage_hits == hits
+    assert warm_cache.stats.stage_misses == {}
+
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    assert all_flag_sets() == cold
 
 
 def test_simulate(capsys):
