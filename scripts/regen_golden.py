@@ -3,15 +3,19 @@
 The golden tests (tests/test_golden_code.py) diff the emitted Spatial and
 CPU C code for the reference kernels against these files, so any change
 to the lowering, memory analysis, or code generators shows up as a
-readable diff. After an *intentional* code-generation change, rerun this
-script and commit the updated files; CI's golden-drift job runs it too
-and fails if the checked-in files do not match what the compiler emits.
+readable diff. ``datasets.json`` (tests/test_datasets.py) pins one sha256
+per (kernel, dataset) over the packed operand tensors, so a change to the
+generators or to ``pack`` that moves a single byte shows up too. After an
+*intentional* change, rerun this script and commit the updated files;
+CI's golden-drift job runs it too and fails if the checked-in files do
+not match what the code produces.
 
 Usage:  python scripts/regen_golden.py
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -21,7 +25,11 @@ sys.path.insert(0, str(REPO))
 
 from repro.backends import lower_cpu
 from repro.core import compile_stmt
-from tests.helpers_kernels import build_small_kernel_stmt
+from tests.helpers_kernels import (
+    DATASET_GOLDEN_SEED,
+    build_small_kernel_stmt,
+    dataset_digests,
+)
 
 GOLDEN = REPO / "tests" / "golden"
 
@@ -44,6 +52,11 @@ def regenerate() -> list[Path]:
     stmt, _, _ = build_small_kernel_stmt("SpMV")
     path = GOLDEN / "spmv.c"
     path.write_text(lower_cpu(stmt, "spmv"))
+    written.append(path)
+    path = GOLDEN / "datasets.json"
+    path.write_text(json.dumps(
+        {"seed": DATASET_GOLDEN_SEED, "digests": dataset_digests()},
+        indent=1, sort_keys=True) + "\n")
     written.append(path)
     return written
 

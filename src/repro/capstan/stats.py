@@ -102,18 +102,23 @@ class _TensorKeys:
 
     def __init__(self, tensor: Tensor) -> None:
         self.tensor = tensor
-        storage = tensor.storage
-        coords, _ = unpack(storage)
+        coords, _ = unpack(tensor.storage)
         fmt = tensor.format
-        order = fmt.order
+        # ``unpack`` walks the levels in storage order, so when every
+        # level is declared ``ordered`` the prefix keys come back
+        # non-decreasing and equal keys are adjacent; only a format with
+        # an unordered level has to sort them first.
+        presorted = all(mf.ordered for mf in fmt.mode_formats)
         # Storage-order coordinates and progressive Horner keys per level.
         self.level_keys: list[np.ndarray] = []
         key = np.zeros(len(coords), dtype=np.int64)
-        for level in range(order):
+        for level in range(fmt.order):
             mode = fmt.mode_of_level(level)
-            dim = tensor.shape[mode]
-            key = key * dim + coords[:, mode]
-            self.level_keys.append(np.unique(key))
+            key = key * tensor.shape[mode] + coords[:, mode]
+            sorted_key = key if presorted else np.sort(key)
+            first = np.ones(len(key), dtype=bool)
+            np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+            self.level_keys.append(sorted_key[first])
 
     def keys(self, level: int) -> np.ndarray:
         """Unique prefix keys at a storage level (level -1 = the root)."""

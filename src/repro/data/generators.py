@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.tensor.storage import sort_dedupe
+
 
 def _dedupe(coords: np.ndarray) -> np.ndarray:
-    """Unique rows (stable order not required)."""
-    if coords.shape[0] == 0:
-        return coords
-    return np.unique(coords, axis=0)
+    """Unique rows in lexicographic (row-major storage) order."""
+    perm, starts = sort_dedupe(coords, range(coords.shape[1]))
+    return coords[perm[starts]]
+
+
+def _dedupe_flat(flat: np.ndarray) -> np.ndarray:
+    """Sorted unique values of a 1-D array of linearised coordinates."""
+    return _dedupe(flat[:, None])[:, 0]
 
 
 def uniform_matrix(
@@ -44,7 +50,8 @@ def uniform_matrix(
     else:
         flat = rng.choice(n_rows * n_cols, size=nnz, replace=False) if (
             n_rows * n_cols < 1 << 31
-        ) else np.unique(rng.integers(0, n_rows * n_cols, size=int(nnz * 1.05)))
+        ) else _dedupe_flat(
+            rng.integers(0, n_rows * n_cols, size=int(nnz * 1.05)))
         coords = np.stack([flat // n_cols, flat % n_cols], axis=1)
     vals = rng.random(len(coords)) + 0.1
     return coords, vals
@@ -127,7 +134,8 @@ def uniform_tensor3(
         mask = rng.random(dims) < density
         coords = np.argwhere(mask)
     else:
-        flat = np.unique(rng.integers(0, total, size=int(nnz * 1.05)))[:nnz]
+        flat = _dedupe_flat(
+            rng.integers(0, total, size=int(nnz * 1.05)))[:nnz]
         c0 = flat // (dims[1] * dims[2])
         rem = flat % (dims[1] * dims[2])
         coords = np.stack([c0, rem // dims[2], rem % dims[2]], axis=1)
@@ -155,8 +163,9 @@ def rotate_columns(
     """Rotate a matrix's columns right by ``shift`` (Plus3 derived data)."""
     out = coords.copy()
     out[:, 1] = (out[:, 1] + shift) % n_cols
-    order = np.lexsort((out[:, 1], out[:, 0]))
-    return out[order], vals[order]
+    # A rotation is a bijection on columns: every run has one row.
+    perm, _ = sort_dedupe(out, (0, 1))
+    return out[perm], vals[perm]
 
 
 def rotate_even_coords(
@@ -167,12 +176,7 @@ def rotate_even_coords(
     out = coords.copy()
     even = out[:, -1] % 2 == 0
     out[even, -1] = (out[even, -1] + 1) % last_dim
-    key = [out[:, k] for k in range(out.shape[1])][::-1]
-    order = np.lexsort(tuple(key))
-    out = out[order]
-    vals = vals[order]
     # Rotation can collide coordinates; keep the first of each.
-    if len(out) > 1:
-        keep = np.concatenate(([True], np.any(out[1:] != out[:-1], axis=1)))
-        out, vals = out[keep], vals[keep]
-    return out, vals
+    perm, starts = sort_dedupe(out, range(out.shape[1]))
+    keep = perm[starts]
+    return out[keep], vals[keep]

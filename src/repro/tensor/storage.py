@@ -24,6 +24,8 @@ property-testable.
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -169,6 +171,52 @@ def _strictly_sorted(coords: np.ndarray,
     return bool(below.all())
 
 
+def sort_dedupe(coords: np.ndarray,
+                order: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical order of COO rows: a stable sort plus the run starts.
+
+    Returns ``(perm, starts)``. ``coords[perm]`` is sorted
+    lexicographically by the columns in ``order`` (most significant
+    first) with tied rows in input order, and ``starts`` indexes, within
+    ``perm``, the first row of each run of equal rows. So
+    ``coords[perm[starts]]`` is the sorted, duplicate-free row set (what
+    ``np.unique(coords, axis=0)`` returns for the identity ``order``,
+    without its structured-dtype sort), ``vals[perm[starts]]`` keeps the
+    first of each duplicate and ``np.add.reduceat(vals[perm], starts)``
+    sums them.
+
+    Rows are linearised to one int64 Horner key over the observed column
+    ranges with the row number in the low digits, so a plain value
+    ``sort()`` is stable and carries the permutation. When ``rows x
+    extents`` does not fit in int64 (see :func:`_strictly_sorted`) the
+    columns are lexsorted and adjacent rows compared instead.
+    """
+    n = coords.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    cols = [coords[:, m] for m in order]
+    lows = [int(col.min()) for col in cols]
+    extents = [int(col.max()) - low + 1 for col, low in zip(cols, lows)]
+    if n * math.prod(extents) < 1 << 63:
+        key = np.zeros(n, dtype=np.int64)
+        for col, low, extent in zip(cols, lows, extents):  # in place
+            key *= extent
+            key += col
+            key -= low
+        key *= n
+        key += np.arange(n)
+        key.sort()
+        key, perm = np.divmod(key, n)
+        new_run = key[1:] != key[:-1]
+    else:
+        perm = np.lexsort(tuple(reversed(cols)))
+        new_run = np.zeros(n - 1, dtype=bool)
+        for col in cols:
+            col = col[perm]
+            new_run |= col[1:] != col[:-1]
+    return perm, np.flatnonzero(np.concatenate(([True], new_run)))
+
+
 def _dedupe_coo(
     coords: np.ndarray, vals: np.ndarray, storage_order: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,27 +224,14 @@ def _dedupe_coo(
 
     ``coords`` is (nnz, order); returns sorted, unique coords and summed
     values in storage-level order of significance. Entries that already
-    arrive strictly increasing (unpacked storage, generated datasets,
-    dense index grids) are sorted and duplicate-free, so they skip the
-    lexsort — the stable sort would return the identity permutation.
+    arrive strictly increasing (unpacked storage, generated datasets)
+    are sorted and duplicate-free, so they skip the sort — it would
+    return the identity permutation.
     """
     if _strictly_sorted(coords, storage_order):
         return coords, vals
-    keys = tuple(coords[:, m] for m in reversed(storage_order))
-    order = np.lexsort(keys)
-    coords = coords[order]
-    vals = vals[order]
-    if coords.shape[0] > 1:
-        same = np.all(coords[1:] == coords[:-1], axis=1)
-        if same.any():
-            group_ids = np.concatenate(([0], np.cumsum(~same)))
-            n_groups = group_ids[-1] + 1
-            first = np.concatenate(([True], ~same))
-            summed = np.zeros(n_groups, dtype=vals.dtype)
-            np.add.at(summed, group_ids, vals)
-            coords = coords[first]
-            vals = summed
-    return coords, vals
+    perm, starts = sort_dedupe(coords, storage_order)
+    return coords[perm[starts]], np.add.reduceat(vals[perm], starts)
 
 
 def pack(
@@ -259,9 +294,9 @@ def pack(
             num_parents *= dim
         elif lf.is_singleton:
             # One coordinate per parent position: positions pass through.
-            if n != num_parents or (
-                n and len(np.unique(parent_pos)) != n
-            ):
+            # parent_pos is non-decreasing (entries are in storage order),
+            # so a repeated parent sits next to its twin.
+            if n != num_parents or (parent_pos[1:] == parent_pos[:-1]).any():
                 raise ValueError(
                     f"singleton level {lvl_idx} requires exactly one entry "
                     f"per parent position ({num_parents} parents, {n} "
@@ -289,8 +324,8 @@ def pack(
                 group_rank = np.zeros(0, dtype=np.int64)
                 uniq_parent = np.zeros(0, dtype=np.int64)
                 uniq_crd = np.zeros(0, dtype=_CRD_DTYPE)
-            pos = np.zeros(num_parents + 1, dtype=_POS_DTYPE)
-            np.add.at(pos, uniq_parent + 1, 1)
+            pos = np.bincount(uniq_parent + 1, minlength=num_parents + 1
+                              ).astype(_POS_DTYPE, copy=False)
             np.cumsum(pos, out=pos)
             levels.append(CompressedLevel(pos=pos, crd=uniq_crd))
             parent_pos = group_rank
@@ -387,9 +422,37 @@ def to_dense(storage: TensorStorage) -> np.ndarray:
         return np.ascontiguousarray(_mode_order_view(storage))
     dense = np.zeros(storage.dims, dtype=np.float64)
     coords, vals = unpack(storage)
-    if len(vals):
-        np.add.at(dense, tuple(coords[:, m] for m in range(storage.order)), vals)
+    idx = tuple(coords[:, m] for m in range(storage.order))
+    if all(mf.unique for mf in storage.fmt.mode_formats):
+        # Unique levels never repeat a coordinate: a plain scatter.
+        dense[idx] = vals
+    else:
+        np.add.at(dense, idx, vals)
     return dense
+
+
+def _pack_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
+    """All-dense storage of ``array``: one slot per element in level
+    order, i.e. a mode-permuting transposed copy (never through COO).
+    ``vals`` owns its memory; the caller's array is not aliased."""
+    if fmt.order != array.ndim:
+        raise ValueError(
+            f"format order {fmt.order} != tensor order {array.ndim}")
+    level_dims = []
+    for lvl_idx in range(fmt.order):
+        mode = fmt.mode_of_level(lvl_idx)
+        dim = array.shape[mode]
+        lf = fmt.level_format(lvl_idx)
+        if lf.is_block and dim != lf.size:
+            raise ValueError(
+                f"block level {lvl_idx} has static size {lf.size} but "
+                f"mode {mode} has dimension {dim}"
+            )
+        level_dims.append(dim)
+    vals = np.empty(array.size, dtype=np.float64)
+    vals.reshape(level_dims)[...] = array.transpose(fmt.mode_ordering)
+    return TensorStorage(fmt, tuple(array.shape),
+                         [DenseLevel(dim) for dim in level_dims], vals)
 
 
 def from_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
@@ -399,8 +462,7 @@ def from_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
     if array.ndim == 0:
         return pack(np.zeros((1, 0), dtype=np.int64), [float(array)], (), fmt)
     if fmt.is_all_dense:
-        idx = np.indices(array.shape).reshape(array.ndim, -1).T
-        return pack(idx, array.reshape(-1), array.shape, fmt)
+        return _pack_dense(array, fmt)
     nz = np.nonzero(array)
     coords = np.stack(nz, axis=1) if array.ndim else np.zeros((0, 0))
     return pack(coords, array[nz], array.shape, fmt)

@@ -81,9 +81,12 @@ def assert_same_storage(got, want) -> None:
     assert got.vals.tobytes() == want.vals.tobytes()
 
 
-def start_vanishing_worker(transport, pattern: str) -> None:
+def start_vanishing_worker(transport, pattern: str) -> threading.Event:
     """Claim the first queue task matching ``pattern``, then vanish
-    without heartbeating: a killed worker, as the dispatcher sees it."""
+    without heartbeating: a killed worker, as the dispatcher sees it.
+    The returned event is set once the task is claimed, so a survivor
+    that must not win the race for it can wait."""
+    claimed = threading.Event()
 
     def saboteur():
         deadline = time.monotonic() + 30
@@ -93,9 +96,11 @@ def start_vanishing_worker(transport, pattern: str) -> None:
                     try:
                         os.replace(task, transport.claimed_dir /
                                    (task.name + ".saboteur"))
+                        claimed.set()
                         return
                     except OSError:
                         pass
             time.sleep(0.01)
 
     threading.Thread(target=saboteur, daemon=True).start()
+    return claimed

@@ -6,9 +6,11 @@ statement, the output tensor, and the full operand dictionary.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from repro.kernels import KERNELS
+from repro.kernels import FORMAT_KERNEL_ORDER, KERNEL_ORDER, KERNELS
 from repro.tensor import Tensor
 
 #: Small operand shapes per kernel (distinct dims catch mode mix-ups).
@@ -59,3 +61,48 @@ def build_small_kernel_stmt(name: str, seed: int = 42, density: float = 0.4,
     spec = KERNELS[name]
     stmt, out = spec.build(tensors, inner_par=inner_par, outer_par=outer_par)
     return stmt, out, tensors
+
+
+#: Scales and seed pinned by ``tests/golden/datasets.json``.
+DATASET_GOLDEN_SCALES = (0.02, 0.05)
+DATASET_GOLDEN_SEED = 7
+
+
+def dataset_pairs() -> list[tuple[str, str]]:
+    """Every (kernel, dataset) pair of Table 6 and the format sweep."""
+    from repro.data import datasets_for
+
+    return [(kernel, dspec.name)
+            for kernel in KERNEL_ORDER + FORMAT_KERNEL_ORDER
+            for dspec in datasets_for(kernel)]
+
+
+def dataset_digest(kernel: str, dataset: str, scale: float,
+                   seed: int = DATASET_GOLDEN_SEED) -> str:
+    """sha256 over every operand's level arrays and ``vals``, as
+    ``data.load`` packs them: dtype and bytes, in operand and level order."""
+    from repro.data import load
+
+    h = hashlib.sha256()
+    for name, tensor in load(kernel, dataset, scale=scale, seed=seed).items():
+        storage = tensor.storage
+        h.update(f"{name}:{storage.dims}".encode())
+        for lvl in storage.levels:
+            h.update(type(lvl).__name__.encode())
+            for field in ("size", "pos", "crd"):
+                if hasattr(lvl, field):
+                    arr = np.asarray(getattr(lvl, field))
+                    h.update(f"{field}:{arr.dtype}".encode())
+                    h.update(arr.tobytes())
+        h.update(f"vals:{storage.vals.dtype}".encode())
+        h.update(storage.vals.tobytes())
+    return h.hexdigest()
+
+
+def dataset_digests() -> dict[str, dict[str, str]]:
+    """``{scale: {"kernel/dataset": digest}}`` for the dataset golden."""
+    return {
+        str(scale): {f"{k}/{d}": dataset_digest(k, d, scale)
+                     for k, d in dataset_pairs()}
+        for scale in DATASET_GOLDEN_SCALES
+    }

@@ -1,11 +1,23 @@
 """Unit tests for the Table 4 dataset substrate and generators."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.data import DATASETS, DATASETS_BY_NAME, datasets_for, load
 from repro.data import generators as gen
 from repro.kernels import KERNEL_ORDER
+from tests.helpers_kernels import (
+    DATASET_GOLDEN_SCALES,
+    DATASET_GOLDEN_SEED,
+    dataset_digest,
+    dataset_pairs,
+)
+
+DATASET_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "datasets.json").read_text())
 
 
 @pytest.fixture
@@ -145,3 +157,22 @@ class TestLoad:
         tensors = load("MatTransMul", "bcsstk30", scale=0.01)
         assert tensors["alpha"].scalar_value() == 2.0
         assert tensors["beta"].scalar_value() == 3.0
+
+
+class TestDatasetGolden:
+    """Every packed operand of every Table 6 / format-sweep cell is
+    byte-identical to ``tests/golden/datasets.json`` (regenerate with
+    ``python scripts/regen_golden.py`` only for an intentional change)."""
+
+    def test_golden_covers_every_pair(self):
+        assert DATASET_GOLDEN["seed"] == DATASET_GOLDEN_SEED
+        want = {f"{k}/{d}" for k, d in dataset_pairs()}
+        assert len(want) == 33
+        for scale in DATASET_GOLDEN_SCALES:
+            assert set(DATASET_GOLDEN["digests"][str(scale)]) == want
+
+    @pytest.mark.parametrize("scale", DATASET_GOLDEN_SCALES)
+    @pytest.mark.parametrize("kernel, dataset", dataset_pairs())
+    def test_operands_match_golden(self, kernel, dataset, scale):
+        want = DATASET_GOLDEN["digests"][str(scale)][f"{kernel}/{dataset}"]
+        assert dataset_digest(kernel, dataset, scale) == want

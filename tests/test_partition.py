@@ -430,13 +430,18 @@ class TestShardIntegration:
         from repro.pipeline.fsqueue import worker_loop
 
         transport = QueueTransport(tmp_path / "pool")
-        start_vanishing_worker(transport, "part-*.json")
+        claimed = start_vanishing_worker(transport, "part-*.json")
         stop = {"exit": False}
-        worker = threading.Thread(
-            target=worker_loop,
-            kwargs=dict(root=transport.root, poll=0.02,
-                        should_exit=lambda: stop["exit"]),
-            daemon=True)
+
+        def survivor():
+            # The survivor can finish all four blocks between two saboteur
+            # polls: hold back until the doomed claim exists, or there is
+            # no lease to lose.
+            claimed.wait(30)
+            worker_loop(root=transport.root, poll=0.02,
+                        should_exit=lambda: stop["exit"])
+
+        worker = threading.Thread(target=survivor, daemon=True)
         worker.start()
         events: list[str] = []
         result = dispatch(partition_artifact("SpMV", DATASET, 4), TINY,
