@@ -3,7 +3,8 @@
 Dataset sizing: benchmarks default to REPRO_SCALE=0.25 (dimensions scaled
 to a quarter, densities preserved) so the whole suite regenerates every
 table and figure in a few minutes. Run with REPRO_SCALE=1.0 for the exact
-Table 4 configurations (what EXPERIMENTS.md records).
+Table 4 configurations (what ``results/`` records, as written by
+``scripts/run_experiments.py``).
 
 Parallelism: the artefact regenerations fan out through
 ``repro.pipeline``; set REPRO_JOBS=N to spread the (kernel, dataset)

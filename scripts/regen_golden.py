@@ -5,7 +5,10 @@ CPU C code for the reference kernels against these files, so any change
 to the lowering, memory analysis, or code generators shows up as a
 readable diff. ``datasets.json`` (tests/test_datasets.py) pins one sha256
 per (kernel, dataset) over the packed operand tensors, so a change to the
-generators or to ``pack`` that moves a single byte shows up too. After an
+generators or to ``pack`` that moves a single byte shows up too.
+``requests.json`` (tests/test_registry.py) pins every action's canonical
+request JSON, which is every result cache key, and two shard manifests
+without their per-run fields. After an
 *intentional* change, rerun this script and commit the updated files;
 CI's golden-drift job runs it too and fails if the checked-in files do
 not match what the code produces.
@@ -29,6 +32,7 @@ from tests.helpers_kernels import (
     DATASET_GOLDEN_SEED,
     build_small_kernel_stmt,
     dataset_digests,
+    request_goldens,
 )
 
 GOLDEN = REPO / "tests" / "golden"
@@ -57,6 +61,10 @@ def regenerate() -> list[Path]:
     path.write_text(json.dumps(
         {"seed": DATASET_GOLDEN_SEED, "digests": dataset_digests()},
         indent=1, sort_keys=True) + "\n")
+    written.append(path)
+    path = GOLDEN / "requests.json"
+    path.write_text(json.dumps(request_goldens(), indent=1, sort_keys=True)
+                    + "\n")
     written.append(path)
     return written
 

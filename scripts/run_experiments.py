@@ -1,7 +1,7 @@
 """Regenerate every evaluation artefact at full Table 4 scale.
 
-Writes the formatted tables/figures to results/ and prints them. This is
-the run recorded in EXPERIMENTS.md. The regeneration routes through
+Writes the formatted tables/figures to results/ and prints them;
+results/ as checked in is the recorded run. The regeneration routes through
 ``repro.pipeline``: pass ``--jobs N`` (or set REPRO_JOBS) to fan the
 (kernel, dataset) work out over N workers, and ``--no-cache`` to force a
 cold recomputation (dataset generation is a separately-staged cache
@@ -40,20 +40,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.pipeline.batch import run_batch
+from repro.engines import ENGINES
+from repro.pipeline.batch import ARTEFACTS, run_batch
 from repro.pipeline.cache import default_cache
 
 OUT = Path(__file__).resolve().parent.parent / "results"
 
-#: Structural artefacts (LoC, resources) need only a tiny dataset.
-TINY = 0.02
 
-
-#: (artefact, scale attribute) pairs in regeneration order.
-def _artifact_scales(scale: float) -> list[tuple[str, float]]:
-    return [("table3", TINY), ("table5", TINY),
-            ("table6", scale), ("figure12", scale),
-            ("format_sweep", scale), ("pipeline_sweep", scale)]
+def _sweep_scales(scale: float) -> list[tuple[str, float]]:
+    """(artefact, scale) in regeneration order: structural artefacts
+    (LoC, resources) stay at their record's tiny default."""
+    return [(name, record.default_scale if record.structural else scale)
+            for name, record in ARTEFACTS.items()]
 
 
 def _run_shard(args, use_cache) -> int:
@@ -64,7 +62,7 @@ def _run_shard(args, use_cache) -> int:
     shard_dir = args.shard_dir
     shard_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for artifact, at in _artifact_scales(args.scale):
+    for artifact, at in _sweep_scales(args.scale):
         manifest = run_shard(artifact, at, spec, jobs=args.jobs,
                              use_cache=use_cache, engine=args.engine)
         out = shard_dir / f"{artifact}.shard{spec.index}of{spec.count}.json"
@@ -104,7 +102,7 @@ def _run_dispatch(args, use_cache) -> int:
     t0 = time.time()
     bad = 0
     try:
-        for artifact, at in _artifact_scales(args.scale):
+        for artifact, at in _sweep_scales(args.scale):
             def event(message, _artifact=artifact):
                 print(f"[{_artifact}] {message}", file=sys.stderr)
 
@@ -168,11 +166,10 @@ def main() -> int:
     parser.add_argument("--steal", action="store_true",
                         help="with --workers: plan cost-balanced chunks "
                              "from the recorded per-job cost table")
-    parser.add_argument("--engine", choices=["interp", "cpu", "numpy"],
-                        default=None,
-                        help="functionally execute each table6/format_sweep/"
-                             "pipeline_sweep cell with this engine and "
-                             "validate it against the interpreter oracle")
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help="functionally execute each cell that runs a "
+                             "kernel with this engine and validate it "
+                             "against the interpreter oracle")
     args = parser.parse_args()
     use_cache = False if args.no_cache else None
 
@@ -192,27 +189,20 @@ def main() -> int:
 
     OUT.mkdir(exist_ok=True)
     t0 = time.time()
-    structural = run_batch(["table3", "table5"], TINY,
-                           jobs=args.jobs, use_cache=use_cache)
-    scaled = run_batch(["table6", "figure12", "format_sweep",
-                        "pipeline_sweep"], args.scale,
-                       jobs=args.jobs, use_cache=use_cache,
-                       engine=args.engine)
+    scales = dict(_sweep_scales(args.scale))
+    runs = [run_batch([name], at, jobs=args.jobs, use_cache=use_cache,
+                      engine=args.engine)
+            for name, at in scales.items()]
 
-    failures = structural.failures + scaled.failures
+    failures = [failure for run in runs for failure in run.failures]
     for failure in failures:
         print(f"FAILED {failure.job}:\n{failure.error}", file=sys.stderr)
 
-    artefacts = {f"{name}.txt": text
-                 for run in (structural, scaled)
-                 for name, text in run.texts.items()}
-    for name, text in artefacts.items():
-        at = (args.scale
-              if name.startswith(("table6", "figure", "format", "pipeline"))
-              else TINY)
-        (OUT / name).write_text(text + "\n")
-        print(f"\n##### {name} (scale={at})")
-        print(text)
+    for run in runs:
+        for name, text in run.texts.items():
+            (OUT / f"{name}.txt").write_text(text + "\n")
+            print(f"\n##### {name}.txt (scale={scales[name]})")
+            print(text)
 
     stats = default_cache().stats
     stages = stats.stage_summary()

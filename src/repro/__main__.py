@@ -22,9 +22,7 @@ Subcommands:
   byte-identical to the serial ``tables`` run. ``--resume DIR``
   persists per-chunk manifests and picks up a partially completed
   dispatch; ``--steal`` cuts cost-balanced chunks from the persistent
-  per-job cost table instead of uniform slices. ``--partition P``
-  reinterprets the positional as a kernel name and distributes that
-  single kernel as ``P`` row blocks instead of sharding a sweep.
+  per-job cost table instead of uniform slices.
 * ``spmm-dist`` — distribute ONE kernel's iteration space over the
   same worker transports (SpDISTAL-style): row-block the output space
   into independent sub-kernels whose operands are position-range
@@ -129,36 +127,40 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_tables(args) -> int:
-    from repro.eval import harness
+def _resolve(name: str, scale: float | None):
+    """The record behind a CLI artefact name and the scale its run uses:
+    an explicit ``--scale``, else the record's default."""
+    from repro.pipeline.batch import resolve_artifact
 
-    artefact = args.artifact
-    use_cache = _use_cache(args)
-    engine = args.engine
-    if artefact == "table3":
-        print(harness.format_table3(
-            harness.table3(jobs=args.jobs, use_cache=use_cache)))
-    elif artefact == "table5":
-        print(harness.format_table5(
-            harness.table5(jobs=args.jobs, use_cache=use_cache)))
-    elif artefact == "table6":
-        print(harness.format_table6(
-            harness.table6(args.scale, jobs=args.jobs, use_cache=use_cache,
-                           engine=engine)))
-    elif artefact == "figure12":
-        print(harness.format_figure12(
-            harness.figure12(args.scale, jobs=args.jobs,
-                             use_cache=use_cache)))
-    elif artefact == "format_sweep":
-        print(harness.format_format_sweep(
-            harness.format_sweep(args.scale, jobs=args.jobs,
-                                 use_cache=use_cache, engine=engine)))
-    elif artefact == "pipeline_sweep":
-        print(harness.format_pipeline_sweep(
-            harness.pipeline_sweep(args.scale, jobs=args.jobs,
-                                   use_cache=use_cache, engine=engine)))
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+    record = resolve_artifact(name)
+    return record, record.default_scale if scale is None else scale
+
+
+def _events(args):
+    """Progress messages go to stderr unless ``--quiet``."""
+    def event(message: str) -> None:
+        if not args.quiet:
+            print(message, file=sys.stderr)
+    return event
+
+
+def _emit(args, text: str) -> int:
+    """Print an artefact's text, and write it to ``--out`` when given."""
+    if args.out:
+        from pathlib import Path
+
+        Path(args.out).write_text(text + "\n")
+    print(text)
+    return 0
+
+
+def _cmd_tables(args) -> int:
+    from repro.pipeline.batch import run_artifact
+
+    record, scale = _resolve(args.artifact, args.scale)
+    print(record.render(run_artifact(
+        record.name, scale, jobs=args.jobs, use_cache=_use_cache(args),
+        engine=args.engine)))
     return 0
 
 
@@ -331,8 +333,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_batch(args) -> int:
     from repro.pipeline.batch import (
         ARTIFACT_NAMES,
-        artifact_jobs,
-        is_partition_artifact,
+        UnknownArtifact,
         run_batch,
     )
     from repro.pipeline.cache import default_cache
@@ -341,22 +342,11 @@ def _cmd_batch(args) -> int:
     artifacts = list(args.artifacts)
     if "all" in artifacts:
         artifacts = list(ARTIFACT_NAMES)
-    for name in artifacts:
-        if name in ARTIFACT_NAMES:
-            continue
-        if not is_partition_artifact(name):
-            print(f"unknown artefact {name!r}; choose from "
-                  f"{list(ARTIFACT_NAMES)}, 'all', or a "
-                  f"partition:<kernel>:<dataset>:p<P>:<mode> plan",
-                  file=sys.stderr)
-            return 2
-        from repro.pipeline.partition import PartitionError, parse_partition
-
-        try:
-            parse_partition(name)
-        except PartitionError as exc:
-            print(f"batch error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        resolved = [_resolve(name, args.scale) for name in artifacts]
+    except UnknownArtifact as exc:
+        print(f"batch error: {exc}", file=sys.stderr)
+        return 2
     use_cache = _use_cache(args)
 
     spec = None
@@ -372,16 +362,17 @@ def _cmd_batch(args) -> int:
             return 2
 
     if args.list:
-        for artifact in artifacts:
-            jobs = artifact_jobs(artifact, args.scale, use_cache)
+        for record, scale in resolved:
+            jobs = record.jobs(scale, use_cache)
             if spec is not None:
                 jobs = spec.select(jobs)
             for job in jobs:
-                print(f"{artifact:10s}  {job}")
+                print(f"{record.name:10s}  {job}")
         return 0
 
     if spec is not None:
-        return _run_shard_to_manifest(args, artifacts[0], spec, use_cache)
+        return _run_shard_to_manifest(args, artifacts[0], resolved[0][1],
+                                      spec, use_cache)
 
     run = run_batch(artifacts, args.scale, jobs=args.jobs,
                     use_cache=use_cache,
@@ -404,7 +395,8 @@ def _cmd_batch(args) -> int:
     return 1 if run.failures else 0
 
 
-def _run_shard_to_manifest(args, artifact: str, spec, use_cache) -> int:
+def _run_shard_to_manifest(args, artifact: str, scale: float, spec,
+                           use_cache) -> int:
     from repro.pipeline.cache import default_cache
     from repro.pipeline.shard import run_shard
 
@@ -413,7 +405,7 @@ def _run_shard_to_manifest(args, artifact: str, spec, use_cache) -> int:
         print(f"[{index + 1}/{total}] {res.job}: {status} "
               f"({res.seconds:.2f}s)", file=sys.stderr)
 
-    manifest = run_shard(artifact, args.scale, spec, jobs=args.jobs,
+    manifest = run_shard(artifact, scale, spec, jobs=args.jobs,
                          use_cache=use_cache,
                          kind="process" if args.processes else "thread",
                          on_result=progress, engine=args.engine)
@@ -430,7 +422,7 @@ def _run_shard_to_manifest(args, artifact: str, spec, use_cache) -> int:
     failures = manifest.failures()
     stages = default_cache().stats.stage_summary()
     note = f"; cache stages: {stages}" if stages and not args.processes else ""
-    print(f"shard {spec} of {artifact} (scale {args.scale}): "
+    print(f"shard {spec} of {artifact} (scale {scale}): "
           f"{len(manifest.jobs)}/{manifest.total_jobs} job(s), "
           f"{len(failures)} failed -> {out}{note}",
           file=sys.stderr if to_stdout else sys.stdout)
@@ -441,8 +433,6 @@ def _run_shard_to_manifest(args, artifact: str, spec, use_cache) -> int:
 
 
 def _cmd_merge(args) -> int:
-    from pathlib import Path
-
     from repro.pipeline.shard import (
         ManifestError,
         ShardManifest,
@@ -466,38 +456,19 @@ def _cmd_merge(args) -> int:
     except ManifestError as exc:
         print(f"merge error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(merged.text + "\n")
-    print(merged.text)
-    return 0
+    return _emit(args, merged.text)
 
 
 def _cmd_dispatch(args) -> int:
-    from pathlib import Path
-
+    """Dispatch ``args.artifact`` over ``--workers`` and print the merged
+    text (the run-and-report body ``spmm-dist`` shares)."""
+    from repro.pipeline.batch import UnknownArtifact
     from repro.pipeline.dispatch import DispatchError, dispatch
 
-    artifact = args.artifact
-    if args.partition is not None:
-        # `dispatch table6 --partition` makes no sense: --partition
-        # reinterprets the positional as a kernel to row-block.
-        from repro.pipeline.partition import PartitionError, PartitionPlan
-
-        try:
-            plan = PartitionPlan(args.artifact, args.dataset,
-                                 args.partition, args.mode)
-        except PartitionError as exc:
-            print(f"dispatch error: {exc}", file=sys.stderr)
-            return 2
-        artifact = plan.artifact
-
-    def event(message: str) -> None:
-        if not args.quiet:
-            print(message, file=sys.stderr)
-
     try:
+        record, scale = _resolve(args.artifact, args.scale)
         result = dispatch(
-            artifact, args.scale, args.workers,
+            record.name, scale, args.workers,
             chunks_per_worker=args.chunks_per_worker,
             lease_timeout=args.lease_timeout,
             retries=args.retries,
@@ -507,16 +478,16 @@ def _cmd_dispatch(args) -> int:
             resume=args.resume is not None,
             steal=args.steal,
             min_chunk=args.min_chunk,
-            on_event=event,
+            on_event=_events(args),
             engine=args.engine,
         )
-    except DispatchError as exc:
-        print(f"dispatch error: {exc}", file=sys.stderr)
+    except (UnknownArtifact, DispatchError) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # e.g. the transport binary (ssh) is missing or fds ran out;
         # in-flight workers were already revoked by the dispatcher.
-        print(f"dispatch error: cannot launch workers over "
+        print(f"{args.command} error: cannot launch workers over "
               f"{args.workers}: {exc}", file=sys.stderr)
         return 2
     print(result.summary(), file=sys.stderr)
@@ -524,15 +495,10 @@ def _cmd_dispatch(args) -> int:
         print(line, file=sys.stderr)
     if not result.ok:
         return 1
-    if args.out:
-        Path(args.out).write_text(result.merged.text + "\n")
-    print(result.merged.text)
-    return 0
+    return _emit(args, result.merged.text)
 
 
 def _cmd_spmm_dist(args) -> int:
-    from pathlib import Path
-
     from repro.pipeline.partition import (
         PartitionError,
         PartitionPlan,
@@ -545,72 +511,28 @@ def _cmd_spmm_dist(args) -> int:
     except PartitionError as exc:
         print(f"spmm-dist error: {exc}", file=sys.stderr)
         return 2
-
-    if args.serial:
-        # The P=1 case of the same path, in-process: the byte-diff baseline.
-        try:
-            text = serial_report(args.kernel, args.dataset, args.scale,
-                                 mode=args.mode,
-                                 use_cache=_use_cache(args),
-                                 engine=args.engine)
-        except PartitionError as exc:
-            print(f"spmm-dist error: {exc}", file=sys.stderr)
-            return 1
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-        print(text)
-        return 0
-
-    from repro.pipeline.dispatch import DispatchError, dispatch
-
-    def event(message: str) -> None:
-        if not args.quiet:
-            print(message, file=sys.stderr)
-
+    if not args.serial:
+        args.artifact = plan.artifact
+        return _cmd_dispatch(args)
+    # The P=1 case of the same path, in-process: the byte-diff baseline.
+    scale = plan.default_scale if args.scale is None else args.scale
     try:
-        result = dispatch(
-            plan.artifact, args.scale, args.workers,
-            chunks_per_worker=args.chunks_per_worker,
-            lease_timeout=args.lease_timeout,
-            retries=args.retries,
-            use_cache=_use_cache(args),
-            worker_jobs=args.jobs,
-            state_dir=args.resume,
-            resume=args.resume is not None,
-            steal=args.steal,
-            min_chunk=args.min_chunk,
-            on_event=event,
-            engine=args.engine,
-        )
-    except (DispatchError, PartitionError) as exc:
+        text = serial_report(args.kernel, args.dataset, scale,
+                             mode=args.mode, use_cache=_use_cache(args),
+                             engine=args.engine)
+    except PartitionError as exc:
         print(f"spmm-dist error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"spmm-dist error: cannot launch workers over "
-              f"{args.workers}: {exc}", file=sys.stderr)
-        return 2
-    print(result.summary(), file=sys.stderr)
-    for line in result.failure_report():
-        print(line, file=sys.stderr)
-    if not result.ok:
         return 1
-    if args.out:
-        Path(args.out).write_text(result.merged.text + "\n")
-    print(result.merged.text)
-    return 0
+    return _emit(args, text)
 
 
 def _cmd_worker(args) -> int:
     from repro.pipeline.fsqueue import worker_loop
 
-    def event(message: str) -> None:
-        if not args.quiet:
-            print(message, file=sys.stderr)
-
     try:
         completed = worker_loop(args.dir, poll=args.poll,
                                 max_chunks=args.max_chunks, jobs=args.jobs,
-                                on_event=event)
+                                on_event=_events(args))
     except KeyboardInterrupt:
         print("worker interrupted; any claimed chunk will be re-leased "
               "after its lease expires", file=sys.stderr)
@@ -622,10 +544,6 @@ def _cmd_worker(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.service.server import ServeConfig, ServeError, run_service
 
-    def event(message: str) -> None:
-        if not args.quiet:
-            print(message, file=sys.stderr)
-
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -635,7 +553,7 @@ def _cmd_serve(args) -> int:
         drain_grace=args.drain_grace,
         queue_lease=args.lease_timeout,
         use_cache=_use_cache(args),
-        on_event=event,
+        on_event=_events(args),
     )
     try:
         return run_service(config)
@@ -741,6 +659,82 @@ def _add_trace_flag(parser) -> None:
                              "`repro trace`)")
 
 
+class _RegistryNames:
+    """``choices`` of an artefact positional: the registry's names, read
+    only when argparse checks a value or renders help (the argument's
+    ``metavar`` keeps parser construction from listing them), so a
+    command that runs no artefact (``kernels``, ``compile``) never
+    imports the registry."""
+
+    def __iter__(self):
+        from repro.pipeline.batch import ARTEFACTS
+
+        return iter(ARTEFACTS)
+
+
+_ARTIFACT_HELP = ("an artefact (`tables --help` lists them) or a "
+                  "partition:<kernel>:<dataset>:p<P>:<mode> plan")
+_SCALE_HELP = ("dataset scale (default: the artefact's own; REPRO_SCALE "
+               "or 0.25 unless it is structural)")
+_ENGINE_HELP = ("cells that run a kernel functionally execute it with this "
+                "engine and validate it against the interpreter oracle "
+                "(default: skip the check); partition blocks run on it "
+                "(default: REPRO_ENGINE or numpy)")
+
+
+def _add_run_flags(parser) -> None:
+    """The flags ``tables`` and ``batch`` hand to the batch runner."""
+    parser.add_argument("--scale", type=float, default=None, help=_SCALE_HELP)
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="parallel worker count (default: REPRO_JOBS or 1)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the compilation/result cache")
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help=_ENGINE_HELP)
+
+
+def _add_dispatch_flags(parser, workers: str) -> None:
+    """The flags ``dispatch`` and ``spmm-dist`` hand to the dispatcher."""
+    parser.add_argument("--workers", default=workers, metavar="SPEC",
+                        help=f"transport spec: local:N subprocesses, "
+                             f"ssh:host1,host2, inline:N in-process "
+                             f"threads, or queue:DIR (elastic pool; attach "
+                             f"`repro worker DIR` processes at any time); "
+                             f"default {workers}")
+    parser.add_argument("--scale", type=float, default=None,
+                        help=_SCALE_HELP)
+    parser.add_argument("--steal", action="store_true",
+                        help="cut cost-balanced chunks from the recorded "
+                             "per-job cost table (uniform fallback on the "
+                             "first sweep, which records the costs)")
+    parser.add_argument("--min-chunk", type=int, default=1, metavar="N",
+                        help="smallest planned chunk, in jobs (the "
+                             "steal-tail granularity; default 1)")
+    parser.add_argument("--chunks-per-worker", type=int, default=4,
+                        help="lease granularity: chunks cut per worker "
+                             "slot (default 4)")
+    parser.add_argument("--lease-timeout", type=float, default=900.0,
+                        help="seconds before a silent worker is presumed "
+                             "hung and its chunk reassigned (default 900)")
+    parser.add_argument("--retries", type=int, default=2,
+                        help="re-dispatches per chunk after worker death "
+                             "or job failure before quarantine (default 2)")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker-internal thread count (default: "
+                             "REPRO_JOBS or 1)")
+    parser.add_argument("--resume", metavar="DIR", default=None,
+                        help="persist per-chunk manifests under DIR and "
+                             "skip chunks a previous dispatch completed")
+    parser.add_argument("--out", default=None,
+                        help="also write the merged artefact text here")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="workers bypass the compilation/result cache")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-lease progress on stderr")
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help=_ENGINE_HELP)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -767,30 +761,15 @@ def main(argv: list[str] | None = None) -> int:
                        help="bypass the compilation/result cache")
 
     p_tab = sub.add_parser("tables", help="regenerate a table/figure")
-    p_tab.add_argument("artifact",
-                       choices=["table3", "table5", "table6", "figure12",
-                                "format_sweep", "pipeline_sweep"])
-    p_tab.add_argument("--scale", type=float, default=0.25)
-    p_tab.add_argument("--jobs", type=int, default=None,
-                       help="parallel worker count (default: REPRO_JOBS or 1)")
-    p_tab.add_argument("--no-cache", action="store_true",
-                       help="bypass the compilation/result cache")
-    p_tab.add_argument("--engine", choices=ENGINES, default=None,
-                       help="functionally execute each table6/format_sweep "
-                            "cell with this engine and validate it against "
-                            "the interpreter oracle (default: skip the check)")
+    p_tab.add_argument("artifact", choices=_RegistryNames(),
+                       metavar="ARTEFACT", help="one of: %(choices)s")
+    _add_run_flags(p_tab)
 
     p_batch = sub.add_parser(
         "batch", help="regenerate several artefacts as one parallel batch")
-    p_batch.add_argument(
-        "artifacts", nargs="+",
-        help="table3/table5/table6/figure12/format_sweep/pipeline_sweep, "
-             "'all', or a partition:<kernel>:<dataset>:p<P>:<mode> plan")
-    p_batch.add_argument("--scale", type=float, default=0.25)
-    p_batch.add_argument("--jobs", type=int, default=None,
-                         help="parallel worker count (default: REPRO_JOBS or 1)")
-    p_batch.add_argument("--no-cache", action="store_true",
-                         help="bypass the compilation/result cache")
+    p_batch.add_argument("artifacts", nargs="+",
+                         help=f"{_ARTIFACT_HELP}, or 'all'")
+    _add_run_flags(p_batch)
     p_batch.add_argument("--processes", action="store_true",
                          help="use a process pool instead of threads")
     p_batch.add_argument("--list", action="store_true",
@@ -804,73 +783,14 @@ def main(argv: list[str] | None = None) -> int:
                          help="manifest path for --shard (default: "
                               "<artefact>.shardIofN.json; `-` streams the "
                               "manifest JSON to stdout)")
-    p_batch.add_argument("--engine", choices=ENGINES, default=None,
-                         help="functionally execute each table6/format_sweep "
-                              "cell with this engine and validate it against "
-                              "the interpreter oracle (default: skip the check)")
 
     p_disp = sub.add_parser(
         "dispatch",
         help="drive an artefact's sweep through a fault-tolerant worker "
              "pool (chunked leases; merged output byte-identical to "
              "`tables`)")
-    p_disp.add_argument("artifact",
-                        help="table3/table5/table6/figure12/format_sweep/"
-                             "pipeline_sweep, a partition:<kernel>:"
-                             "<dataset>:p<P>:<mode> plan, or (with "
-                             "--partition) a kernel name to row-block")
-    p_disp.add_argument("--partition", type=int, default=None, metavar="P",
-                        help="distribute ONE kernel instead of a sweep: "
-                             "treat the positional as a kernel name and "
-                             "row-block its iteration space into P "
-                             "independent sub-kernels")
-    p_disp.add_argument("--dataset", default="bcsstk30",
-                        help="matrix dataset for --partition "
-                             "(default bcsstk30)")
-    p_disp.add_argument("--mode", choices=["row", "sum"], default="row",
-                        help="--partition split: output rows "
-                             "(byte-identical merge, default) or the "
-                             "contraction dimension (summed partials, "
-                             "oracle-validated)")
-    p_disp.add_argument("--workers", default="local:2", metavar="SPEC",
-                        help="transport spec: local:N subprocesses "
-                             "(default local:2), ssh:host1,host2, "
-                             "inline:N in-process threads, or queue:DIR "
-                             "(elastic pool; attach `repro worker DIR` "
-                             "processes at any time)")
-    p_disp.add_argument("--scale", type=float, default=0.25)
-    p_disp.add_argument("--steal", action="store_true",
-                        help="cut cost-balanced chunks from the recorded "
-                             "per-job cost table (uniform fallback on the "
-                             "first sweep, which records the costs)")
-    p_disp.add_argument("--min-chunk", type=int, default=1, metavar="N",
-                        help="smallest planned chunk, in jobs (the "
-                             "steal-tail granularity; default 1)")
-    p_disp.add_argument("--chunks-per-worker", type=int, default=4,
-                        help="lease granularity: chunks cut per worker "
-                             "slot (default 4)")
-    p_disp.add_argument("--lease-timeout", type=float, default=900.0,
-                        help="seconds before a silent worker is presumed "
-                             "hung and its chunk reassigned (default 900)")
-    p_disp.add_argument("--retries", type=int, default=2,
-                        help="re-dispatches per chunk after worker death "
-                             "or job failure before quarantine (default 2)")
-    p_disp.add_argument("--jobs", type=int, default=None,
-                        help="worker-internal thread count (default: "
-                             "REPRO_JOBS or 1)")
-    p_disp.add_argument("--resume", metavar="DIR", default=None,
-                        help="persist per-chunk manifests under DIR and "
-                             "skip chunks a previous dispatch completed")
-    p_disp.add_argument("--out", default=None,
-                        help="also write the merged artefact text here")
-    p_disp.add_argument("--no-cache", action="store_true",
-                        help="workers bypass the compilation/result cache")
-    p_disp.add_argument("--quiet", action="store_true",
-                        help="suppress per-lease progress on stderr")
-    p_disp.add_argument("--engine", choices=ENGINES, default=None,
-                        help="workers functionally execute each "
-                             "table6/format_sweep cell with this engine and "
-                             "validate it against the interpreter oracle")
+    p_disp.add_argument("artifact", help=_ARTIFACT_HELP)
+    _add_dispatch_flags(p_disp, workers="local:2")
 
     p_dist = sub.add_parser(
         "spmm-dist",
@@ -890,52 +810,11 @@ def main(argv: list[str] | None = None) -> int:
                              "merge, default) or the contraction "
                              "dimension (summed partials, "
                              "oracle-validated)")
-    p_dist.add_argument("--workers", default="inline:2", metavar="SPEC",
-                        help="transport spec: inline:N in-process threads "
-                             "(default inline:2), local:N subprocesses, "
-                             "ssh:host1,host2, or queue:DIR (elastic "
-                             "pool; attach `repro worker DIR` processes "
-                             "at any time)")
-    p_dist.add_argument("--scale", type=float, default=0.25)
     p_dist.add_argument("--serial", action="store_true",
                         help="compute unpartitioned in-process and print "
                              "the reference report (the byte-diff "
                              "baseline for row mode)")
-    p_dist.add_argument("--steal", action="store_true",
-                        help="cut cost-balanced block chunks from the "
-                             "recorded per-block cost table")
-    p_dist.add_argument("--min-chunk", type=int, default=1, metavar="N",
-                        help="smallest planned chunk, in blocks "
-                             "(default 1)")
-    p_dist.add_argument("--chunks-per-worker", type=int, default=4,
-                        help="lease granularity: chunks cut per worker "
-                             "slot (default 4)")
-    p_dist.add_argument("--lease-timeout", type=float, default=900.0,
-                        help="seconds before a silent worker is presumed "
-                             "hung and its blocks reassigned "
-                             "(default 900)")
-    p_dist.add_argument("--retries", type=int, default=2,
-                        help="re-dispatches per chunk after worker death "
-                             "or block failure before quarantine "
-                             "(default 2)")
-    p_dist.add_argument("--jobs", type=int, default=None,
-                        help="worker-internal thread count (default: "
-                             "REPRO_JOBS or 1)")
-    p_dist.add_argument("--resume", metavar="DIR", default=None,
-                        help="persist per-chunk manifests under DIR and "
-                             "skip blocks a previous run completed")
-    p_dist.add_argument("--out", default=None,
-                        help="also write the report text here")
-    p_dist.add_argument("--no-cache", action="store_true",
-                        help="bypass the block-result partition cache and "
-                             "re-stage the operand (once per process)")
-    p_dist.add_argument("--engine", choices=ENGINES, default=None,
-                        help="engine every block's compiled kernel runs on "
-                             "(default: REPRO_ENGINE or numpy); --serial "
-                             "with the same engine is the byte-diff "
-                             "reference")
-    p_dist.add_argument("--quiet", action="store_true",
-                        help="suppress per-lease progress on stderr")
+    _add_dispatch_flags(p_dist, workers="inline:2")
 
     p_merge = sub.add_parser(
         "merge", help="merge shard manifests into the full artefact")

@@ -3,8 +3,9 @@
 The paper evaluates with the Capstan authors' cycle-accurate simulator
 (Ramulator DRAM + the ISCA'19 network model), which is not public. This
 reproduction replaces it with analytic models whose free constants are
-gathered here, so every knob is visible and documented. EXPERIMENTS.md
-records the paper-vs-model deltas these constants produce.
+gathered here, so every knob is visible and documented. ``results/``
+(as written by ``scripts/run_experiments.py``) records the paper-vs-model
+deltas these constants produce.
 
 Constants marked *calibrated* were tuned (once, against Table 6's shape)
 rather than derived from the architecture description.

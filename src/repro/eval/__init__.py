@@ -4,8 +4,6 @@ from repro import lazy_exports
 
 _EXPORTS = {
     "DEFAULT_SCALE": ("repro.eval.harness", "DEFAULT_SCALE"),
-    "build_kernel": ("repro.eval.harness", "build_kernel"),
-    "evaluate": ("repro.eval.harness", "evaluate"),
     "figure12": ("repro.eval.harness", "figure12"),
     "figure13": ("repro.eval.harness", "figure13"),
     "format_figure12": ("repro.eval.harness", "format_figure12"),

@@ -11,54 +11,32 @@ compilation cache (disable with ``use_cache=False`` or the
 ``REPRO_NO_CACHE`` environment variable). Parallel runs assemble results
 in deterministic job order, so they are byte-identical to serial runs.
 
-Compile-request handling itself lives in :mod:`repro.service.api` now:
-every cell is a typed :class:`~repro.service.api.CompileRequest` and this
-module keeps only the artefact orchestration plus thin back-compat
-wrappers for the old positional signatures (which emit a
-``DeprecationWarning`` once per process — new code should go through
-:mod:`repro.api`).
+What an artefact *is* (cells, job list, assembly, codec) is its record in
+:mod:`repro.pipeline.batch`; this module holds the paper-table
+formatters those records name, and one ``run_artifact`` wrapper per
+artefact for the benchmarks. Compile requests go through
+:mod:`repro.api`.
 """
 
 from __future__ import annotations
 
-import warnings
 from statistics import geometric_mean
 from typing import TYPE_CHECKING
 
 from repro.data.datasets import datasets_for
 from repro.eval import paper_results
 from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNEL_ORDER
-from repro.service import api as _api
-from repro.service.api import (  # noqa: F401 - back-compat re-exports
-    BASELINE_PLATFORM,
-    DEFAULT_SCALE,
-    PLATFORMS,
-    EngineMismatchError,
-    PlatformTimes,
-    first_dataset,
-)
-from repro.service.api import CompileRequest
+from repro.pipeline.batch import STRUCTURAL_SCALE, run_artifact
+from repro.service.api import DEFAULT_SCALE
 
 if TYPE_CHECKING:  # annotation-only: the formatters print, they never compile
     from repro.capstan.resources import ResourceEstimate
-    from repro.core.compiler import CompiledKernel
-    from repro.tensor.tensor import Tensor
 
-#: Names re-exported for callers that still import them from here.
 __all__ = [
-    "BASELINE_PLATFORM",
     "DEFAULT_SCALE",
     "FORMAT_SWEEP_KERNELS",
-    "PLATFORMS",
-    "EngineMismatchError",
-    "PlatformTimes",
-    "build_kernel",
-    "build_kernel_cached",
-    "evaluate",
-    "exec_check",
     "figure12",
     "figure13",
-    "first_dataset",
     "format_figure12",
     "format_format_sweep",
     "format_pipeline_sweep",
@@ -66,96 +44,11 @@ __all__ = [
     "format_table3",
     "format_table5",
     "format_table6",
-    "load_dataset_cached",
     "pipeline_sweep",
     "table3",
     "table5",
     "table6",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Back-compat wrappers over repro.service.api
-# ---------------------------------------------------------------------------
-
-#: Deprecated entry points that already warned (once per process each).
-_DEPRECATED_SEEN: set[str] = set()
-
-
-def _warn_deprecated(name: str, replacement: str) -> None:
-    if name in _DEPRECATED_SEEN:
-        return
-    _DEPRECATED_SEEN.add(name)
-    warnings.warn(
-        f"repro.eval.harness.{name}() is deprecated; build a "
-        f"repro.api.CompileRequest and call {replacement} instead",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def load_dataset_cached(kernel_name: str, dataset_name: str, scale: float,
-                        seed: int = 7,
-                        use_cache: bool | None = None) -> dict[str, Tensor]:
-    """Dataset-generation stage (see :func:`repro.service.api.load_dataset`)."""
-    return _api.load_dataset(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       seed=seed),
-        use_cache=use_cache,
-    )
-
-
-def build_kernel(kernel_name: str, dataset_name: str, scale: float,
-                 seed: int = 7, use_cache: bool | None = None) -> CompiledKernel:
-    """Deprecated positional wrapper over :func:`repro.service.api.build`."""
-    _warn_deprecated("build_kernel", "repro.api.build(request)")
-    return _api.build(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       seed=seed),
-        use_cache=use_cache,
-    )
-
-
-def build_kernel_cached(kernel_name: str, dataset_name: str, scale: float,
-                        seed: int = 7,
-                        use_cache: bool | None = None) -> CompiledKernel:
-    """Deprecated positional wrapper over :func:`repro.service.api.build`."""
-    _warn_deprecated("build_kernel_cached", "repro.api.build(request)")
-    return _api.build(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       seed=seed),
-        use_cache=use_cache,
-    )
-
-
-def evaluate(kernel_name: str, dataset_name: str,
-             scale: float = DEFAULT_SCALE,
-             platforms: tuple[str, ...] | None = None,
-             use_cache: bool | None = None) -> PlatformTimes:
-    """Deprecated positional wrapper over :func:`repro.service.api.evaluate`.
-
-    Returns the evaluate payload as :class:`PlatformTimes`, exactly as
-    before; the staged result entry is shared with every caller of the
-    typed API (same canonical request, same key).
-    """
-    _warn_deprecated("evaluate", "repro.api.evaluate(request)")
-    wanted = tuple(platforms) if platforms is not None else None
-    result = _api.evaluate(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       platforms=wanted),
-        use_cache=use_cache,
-    )
-    return result.platform_times()
-
-
-def exec_check(kernel_name: str, dataset_name: str,
-               scale: float = DEFAULT_SCALE, engine: str | None = None,
-               seed: int = 7, use_cache: bool | None = None) -> dict:
-    """Functional-execution stage (see :func:`repro.service.api.exec_check`)."""
-    return _api.exec_check(
-        CompileRequest(kernel=kernel_name, dataset=dataset_name, scale=scale,
-                       seed=seed, engine=engine),
-        use_cache=use_cache,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +62,10 @@ def table6(scale: float = DEFAULT_SCALE, jobs: int | None = None,
     """Normalised geomean runtimes per platform per kernel (Table 6).
 
     ``engine`` selects the functional-execution engine used for the
-    per-cell :func:`exec_check`; the simulator-predicted table itself is
-    engine-invariant, so every engine yields byte-identical output (or
-    the run fails the equivalence check outright).
+    per-cell :func:`repro.api.exec_check`; the simulator-predicted table
+    itself is engine-invariant, so every engine yields byte-identical
+    output (or the run fails the equivalence check outright).
     """
-    from repro.pipeline.batch import run_artifact
-
     return run_artifact("table6", scale, jobs=jobs, use_cache=use_cache,
                         engine=engine)
 
@@ -231,15 +122,13 @@ def figure13(scale: float = DEFAULT_SCALE, jobs: int | None = None,
 # ---------------------------------------------------------------------------
 
 
-def table5(scale: float = 0.05, jobs: int | None = None,
+def table5(scale: float = STRUCTURAL_SCALE, jobs: int | None = None,
            use_cache: bool | None = None) -> dict[str, ResourceEstimate]:
     """Resource estimates per kernel (Table 5).
 
     Resources are structural (dataset-independent), so a tiny dataset
     suffices to build each kernel.
     """
-    from repro.pipeline.batch import run_artifact
-
     return run_artifact("table5", scale, jobs=jobs, use_cache=use_cache)
 
 
@@ -266,11 +155,9 @@ def format_table5(results: dict[str, ResourceEstimate]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def table3(scale: float = 0.05, jobs: int | None = None,
+def table3(scale: float = STRUCTURAL_SCALE, jobs: int | None = None,
            use_cache: bool | None = None) -> dict[str, dict[str, int]]:
     """Lines-of-code comparison per kernel (Table 3)."""
-    from repro.pipeline.batch import run_artifact
-
     return run_artifact("table3", scale, jobs=jobs, use_cache=use_cache)
 
 
@@ -304,8 +191,6 @@ def format_table3(rows: dict[str, dict[str, int]]) -> str:
 def figure12(scale: float = DEFAULT_SCALE, jobs: int | None = None,
              use_cache: bool | None = None) -> dict[str, dict[float, float]]:
     """DRAM bandwidth sensitivity: speedup over the 20 GB/s point."""
-    from repro.pipeline.batch import run_artifact
-
     return run_artifact("figure12", scale, jobs=jobs, use_cache=use_cache)
 
 
@@ -340,8 +225,6 @@ def format_sweep(scale: float = DEFAULT_SCALE, jobs: int | None = None,
     and reports storage footprint, generated-code size, Capstan resources,
     DRAM traffic, and predicted HBM2E runtime.
     """
-    from repro.pipeline.batch import run_artifact
-
     return run_artifact("format_sweep", scale, jobs=jobs, use_cache=use_cache,
                         engine=engine)
 
@@ -377,8 +260,6 @@ def pipeline_sweep(scale: float = DEFAULT_SCALE, jobs: int | None = None,
     cross-expression fusion with automatic cuts) and reports the cut
     decisions plus the modeled memory traffic with and without fusion.
     """
-    from repro.pipeline.batch import run_artifact
-
     return run_artifact("pipeline_sweep", scale, jobs=jobs,
                         use_cache=use_cache, engine=engine)
 

@@ -1,6 +1,7 @@
 """Published numbers from the paper's evaluation (Tables 3, 5, 6; Fig. 12).
 
-Kept verbatim so benchmarks and EXPERIMENTS.md can print paper-vs-measured
+Kept verbatim so the benchmarks and the tables under ``results/`` (as
+written by ``scripts/run_experiments.py``) can print paper-vs-measured
 side by side. Values transcribed from the paper text.
 """
 

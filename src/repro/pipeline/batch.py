@@ -2,11 +2,14 @@
 
 The evaluation harness regenerates every artefact of Section 8 by fanning
 out over independent combinations. This module makes that fan-out a
-first-class object: :func:`artifact_jobs` returns the job list for one
-artefact, :func:`run_artifact` executes it (serially or over a worker
-pool) and folds the per-job results into exactly the data structure the
-harness's serial loops produce — deterministic ordering guarantees the
-two are byte-identical. ``python -m repro batch`` drives this directly.
+first-class object, and is the one place an artefact is defined: each is
+one :class:`Artefact` record in :data:`ARTEFACTS` (job list, assembly,
+renderer, manifest codec, default scale), and :func:`resolve_artifact`
+is the only code that tells artefact names apart. :func:`run_artifact`
+executes a record's job list (serially or over a worker pool) and folds
+the per-job results into exactly the data structure the harness's serial
+loops produce — deterministic ordering guarantees the two are
+byte-identical. ``python -m repro batch`` drives this directly.
 """
 
 from __future__ import annotations
@@ -14,15 +17,20 @@ from __future__ import annotations
 import dataclasses
 import time
 from statistics import geometric_mean
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from repro.pipeline.cache import cache_enabled, memoize_stage, put_stage
 from repro.pipeline.executor import Job, JobResult, run_jobs
+from repro.service import api
 
 __all__ = [
+    "ARTEFACTS",
     "ARTIFACT_NAMES",
+    "Artefact",
     "BatchRun",
     "COST_STAGE",
+    "STRUCTURAL_SCALE",
+    "UnknownArtifact",
     "artifact_jobs",
     "assemble_artifact",
     "cost_key",
@@ -30,13 +38,14 @@ __all__ = [
     "is_partition_artifact",
     "record_cost",
     "record_result_costs",
+    "resolve_artifact",
     "run_artifact",
     "run_batch",
 ]
 
-#: Artefacts the batch runner can regenerate.
-ARTIFACT_NAMES = ("table3", "table5", "table6", "figure12", "format_sweep",
-                  "pipeline_sweep")
+#: Default scale of the structural artefacts (LoC, resources): they do
+#: not depend on the data, so a tiny dataset suffices to build each kernel.
+STRUCTURAL_SCALE = 0.05
 
 #: Artefact-namespace prefix of the ``partition:<kernel>:<dataset>:p<P>:
 #: <mode>`` pseudo-artefacts (:mod:`repro.pipeline.partition` parses the
@@ -68,8 +77,6 @@ def evaluate_cell(kernel_name: str, dataset_name: str, scale: float,
     carries the check, the engine-less request carries the times, so
     shard manifests stay byte-identical across engines.
     """
-    from repro.service import api
-
     if engine is not None:
         api.exec_check(
             api.CompileRequest(kernel=kernel_name, dataset=dataset_name,
@@ -93,8 +100,6 @@ def table5_cell(kernel_name: str, scale: float,
     estimate first serves every other artefact that needs it.
     """
     from repro.capstan.resources import estimate_resources
-    from repro.service import api
-
     dataset = api.first_dataset(kernel_name)
 
     def compute():
@@ -113,8 +118,6 @@ def table3_cell(kernel_name: str, scale: float,
                 use_cache: bool | None = None):
     """One Table 3 row: input vs generated lines of code."""
     from repro.eval import paper_results
-    from repro.service import api
-
     def compute():
         # The compile-action request renders exactly this cell's data
         # (and shares its staged entry with `repro compile` and the
@@ -141,8 +144,6 @@ def figure12_cell(kernel_name: str, scale: float,
     from repro.capstan.simulator import CapstanSimulator
     from repro.capstan.stats import compute_stats_cached
     from repro.eval.paper_results import FIG12_BANDWIDTHS
-    from repro.service import api
-
     dataset = api.first_dataset(kernel_name)
 
     def compute():
@@ -178,8 +179,6 @@ def format_sweep_cell(kernel_name: str, dataset_name: str, scale: float,
     from repro.capstan.resources import estimate_resources_cached
     from repro.capstan.simulator import CapstanSimulator
     from repro.capstan.stats import compute_stats_cached
-    from repro.service import api
-
     if engine is not None:
         api.exec_check(
             api.CompileRequest(kernel=kernel_name, dataset=dataset_name,
@@ -247,76 +246,6 @@ def pipeline_sweep_cell(pipeline_name: str, dataset_name: str, scale: float,
 
 
 # ---------------------------------------------------------------------------
-# Job lists
-# ---------------------------------------------------------------------------
-
-
-def artifact_jobs(artifact: str, scale: float,
-                  use_cache: bool | None = None,
-                  engine: str | None = None) -> list[Job]:
-    """The (kernel, dataset, platform) job list for one artefact.
-
-    ``engine`` only affects the cells that execute kernels functionally
-    (``table6`` and ``format_sweep``); job **keys** never include it, so
-    shard manifests stay engine-agnostic and merge across engines.
-    """
-    from repro.data.datasets import datasets_for
-    from repro.kernels.suite import KERNEL_ORDER
-
-    if is_partition_artifact(artifact):
-        # Partition pseudo-artifacts expand to one job per row block; the
-        # plan string carries the kernel/dataset/count/mode coordinates.
-        from repro.pipeline.partition import parse_partition
-
-        return parse_partition(artifact).jobs(scale, use_cache=use_cache,
-                                              engine=engine)
-    kwargs = {"use_cache": use_cache}
-    # Leave the kwarg out entirely when unset, so engine-less runs call
-    # the cells exactly as they always did.
-    exec_kwargs = dict(kwargs, engine=engine) if engine is not None else kwargs
-    if artifact == "table6":
-        return [
-            Job((kernel, dspec.name, "*"), evaluate_cell,
-                (kernel, dspec.name, scale), dict(exec_kwargs))
-            for kernel in KERNEL_ORDER
-            for dspec in datasets_for(kernel)
-        ]
-    if artifact == "table5":
-        return [Job((kernel, "-", "capstan-resources"), table5_cell,
-                    (kernel, scale), dict(kwargs))
-                for kernel in KERNEL_ORDER]
-    if artifact == "table3":
-        return [Job((kernel, "-", "loc"), table3_cell,
-                    (kernel, scale), dict(kwargs))
-                for kernel in KERNEL_ORDER]
-    if artifact == "figure12":
-        return [Job((kernel, "-", "bandwidth-sweep"), figure12_cell,
-                    (kernel, scale), dict(kwargs))
-                for kernel in KERNEL_ORDER]
-    if artifact == "format_sweep":
-        from repro.eval.harness import FORMAT_SWEEP_KERNELS
-
-        return [
-            Job((kernel, dspec.name, "format"), format_sweep_cell,
-                (kernel, dspec.name, scale), dict(exec_kwargs))
-            for kernel in FORMAT_SWEEP_KERNELS
-            for dspec in datasets_for(kernel)
-        ]
-    if artifact == "pipeline_sweep":
-        from repro.pipeline.fusion import PIPELINES, PIPELINE_ORDER
-
-        return [
-            Job((name, dataset, "fusion"), pipeline_sweep_cell,
-                (name, dataset, scale), dict(exec_kwargs))
-            for name in PIPELINE_ORDER
-            for dataset in PIPELINES[name].datasets
-        ]
-    raise KeyError(
-        f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Assembly: fold ordered job results into the harness data structures
 # ---------------------------------------------------------------------------
 
@@ -343,7 +272,7 @@ def _assemble_by_kernel(results: list[JobResult]) -> dict[str, Any]:
     return {res.job.key[0]: res.unwrap() for res in results}
 
 
-def _assemble_format_sweep(results: list[JobResult]) -> dict[str, dict[str, Any]]:
+def _assemble_by_dataset(results: list[JobResult]) -> dict[str, dict[str, Any]]:
     out: dict[str, dict[str, Any]] = {}
     for res in results:
         kernel, dataset = res.job.key[0], res.job.key[1]
@@ -351,36 +280,213 @@ def _assemble_format_sweep(results: list[JobResult]) -> dict[str, dict[str, Any]
     return out
 
 
+# ---------------------------------------------------------------------------
+# Manifest codecs (JSON-safe, lossless for floats); plain-dict cells use
+# the record's default ``dict`` codec
+# ---------------------------------------------------------------------------
+
+
+def _encode_times(value) -> dict:
+    return {"kernel": value.kernel, "dataset": value.dataset,
+            "seconds": dict(value.seconds)}
+
+
+def _decode_times(payload: dict):
+    return api.PlatformTimes(payload["kernel"], payload["dataset"],
+                             dict(payload["seconds"]))
+
+
+_RESOURCE_FIELDS = ("kernel", "par", "pcu", "pmu", "mc", "shuffle")
+
+
+def _encode_resources(value) -> dict:
+    return {field: getattr(value, field) for field in _RESOURCE_FIELDS}
+
+
+def _decode_resources(payload: dict):
+    from repro.capstan.resources import ResourceEstimate
+
+    return ResourceEstimate(**{field: payload[field]
+                               for field in _RESOURCE_FIELDS})
+
+
+def _encode_series(value: dict) -> dict:
+    # {bandwidth: speedup}; JSON keys are strings.
+    return {str(bw): ratio for bw, ratio in value.items()}
+
+
+def _decode_series(payload: dict) -> dict:
+    return {int(bw) if bw.lstrip("-").isdigit() else float(bw): ratio
+            for bw, ratio in payload.items()}
+
+
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+def _kernels() -> list[tuple]:
+    from repro.kernels.suite import KERNEL_ORDER
+
+    return [(kernel,) for kernel in KERNEL_ORDER]
+
+
+def _with_datasets(kernels: Iterable[str]) -> list[tuple]:
+    from repro.data.datasets import datasets_for
+
+    return [(kernel, dspec.name) for kernel in kernels
+            for dspec in datasets_for(kernel)]
+
+
+def _kernel_datasets() -> list[tuple]:
+    from repro.kernels.suite import KERNEL_ORDER
+
+    return _with_datasets(KERNEL_ORDER)
+
+
+def _format_kernel_datasets() -> list[tuple]:
+    from repro.eval.harness import FORMAT_SWEEP_KERNELS
+
+    return _with_datasets(FORMAT_SWEEP_KERNELS)
+
+
+def _pipeline_datasets() -> list[tuple]:
+    from repro.pipeline.fusion import PIPELINE_ORDER, PIPELINES
+
+    return [(name, dataset) for name in PIPELINE_ORDER
+            for dataset in PIPELINES[name].datasets]
+
+
+def _harness(formatter: str) -> Callable[[Any], str]:
+    """A paper-table formatter of ``eval/harness``, loaded when a text is
+    rendered (a shard worker never renders one)."""
+    def render(data) -> str:
+        from repro.eval import harness
+
+        return getattr(harness, formatter)(data)
+    return render
+
+
+@dataclasses.dataclass(frozen=True)
+class Artefact:
+    """Everything one artefact is: adding one is one record below.
+
+    ``rows`` lists the job coordinates in canonical order, ``(kernel,)``
+    or ``(kernel, dataset)``; ``cell`` computes one of them, ``tag`` is
+    the platform slot of its job key. ``assemble`` folds the ordered job
+    results into the artefact's data, ``render`` formats that as text,
+    and ``encode`` / ``decode`` carry one job's value through a JSON
+    shard manifest. :class:`repro.pipeline.partition.PartitionPlan`
+    offers the same interface for ``partition:*`` names.
+    """
+
+    name: str
+    cell: Callable
+    tag: str
+    rows: Callable[[], list[tuple]]
+    assemble: Callable[[list[JobResult]], Any]
+    render: Callable[[Any], str]
+    #: Structural artefacts default to :data:`STRUCTURAL_SCALE`.
+    structural: bool = False
+    #: Whether ``engine`` reaches the cells (they run kernels functionally).
+    uses_engine: bool = False
+    encode: Callable[[Any], Any] = dict
+    decode: Callable[[Any], Any] = dict
+
+    #: Queue task-file prefix of a sweep's chunks (a plan's are ``part``).
+    task_prefix = "chunk"
+
+    @property
+    def default_scale(self) -> float:
+        return STRUCTURAL_SCALE if self.structural else api.DEFAULT_SCALE
+
+    def jobs(self, scale: float, use_cache: bool | None = None,
+             engine: str | None = None) -> list[Job]:
+        """The job list. Job **keys** never include the engine, so shard
+        manifests stay engine-agnostic and merge across engines."""
+        kwargs = {"use_cache": use_cache}
+        # Leave the kwarg out entirely when unset, so engine-less runs
+        # call the cells exactly as they always did.
+        if self.uses_engine and engine is not None:
+            kwargs["engine"] = engine
+        # Key: (kernel, dataset or "-", tag).
+        return [Job((*coords, "-")[:2] + (self.tag,), self.cell,
+                    (*coords, scale), dict(kwargs))
+                for coords in self.rows()]
+
+
+#: Artefacts the batch runner can regenerate, in regeneration order.
+ARTEFACTS = {record.name: record for record in (
+    Artefact("table3", table3_cell, "loc", _kernels,
+             _assemble_by_kernel, _harness("format_table3"),
+             structural=True),
+    Artefact("table5", table5_cell, "capstan-resources", _kernels,
+             _assemble_by_kernel, _harness("format_table5"),
+             structural=True, encode=_encode_resources,
+             decode=_decode_resources),
+    Artefact("table6", evaluate_cell, "*", _kernel_datasets,
+             _assemble_table6, _harness("format_table6"), uses_engine=True,
+             encode=_encode_times, decode=_decode_times),
+    Artefact("figure12", figure12_cell, "bandwidth-sweep", _kernels,
+             _assemble_by_kernel, _harness("format_figure12"),
+             encode=_encode_series, decode=_decode_series),
+    Artefact("format_sweep", format_sweep_cell, "format",
+             _format_kernel_datasets, _assemble_by_dataset,
+             _harness("format_format_sweep"), uses_engine=True),
+    Artefact("pipeline_sweep", pipeline_sweep_cell, "fusion",
+             _pipeline_datasets, _assemble_by_dataset,
+             _harness("format_pipeline_sweep"), uses_engine=True),
+)}
+
+ARTIFACT_NAMES = tuple(ARTEFACTS)
+
+
+class UnknownArtifact(KeyError):
+    """No artefact goes by this name (or its partition plan is invalid)."""
+
+    def __init__(self, name, reason: str | None = None) -> None:
+        super().__init__(reason or (
+            f"unknown artefact {name!r}; choose from "
+            f"{', '.join(ARTIFACT_NAMES)} or a partition:* plan "
+            f"({PARTITION_PREFIX}<kernel>:<dataset>:p<P>:<mode>)"))
+
+    def __str__(self) -> str:  # KeyError would repr() the message
+        return self.args[0]
+
+
+def resolve_artifact(name: str):
+    """The record behind an artefact name: the only place names are told
+    apart. A registry hit, or a ``partition:*`` name parsed into its
+    :class:`~repro.pipeline.partition.PartitionPlan` (same interface);
+    anything else raises :class:`UnknownArtifact`."""
+    record = ARTEFACTS.get(name) if isinstance(name, str) else None
+    if record is not None:
+        return record
+    if not is_partition_artifact(name):
+        raise UnknownArtifact(name)
+    from repro.pipeline.partition import PartitionError, parse_partition
+
+    try:
+        return parse_partition(name)
+    except PartitionError as exc:
+        raise UnknownArtifact(name, str(exc)) from None
+
+
+def artifact_jobs(artifact: str, scale: float,
+                  use_cache: bool | None = None,
+                  engine: str | None = None) -> list[Job]:
+    """The (kernel, dataset, platform) job list for one artefact."""
+    return resolve_artifact(artifact).jobs(scale, use_cache, engine)
+
+
 def assemble_artifact(artifact: str, results: list[JobResult]):
     """Fold ordered job results into the artefact's data structure."""
-    if is_partition_artifact(artifact):
-        from repro.pipeline.partition import reduce_partials
-
-        return reduce_partials(artifact, results)
-    if artifact == "table6":
-        return _assemble_table6(results)
-    if artifact in ("format_sweep", "pipeline_sweep"):
-        return _assemble_format_sweep(results)
-    return _assemble_by_kernel(results)
+    return resolve_artifact(artifact).assemble(results)
 
 
 def format_artifact(artifact: str, data) -> str:
-    """Render an artefact with the harness's formatter."""
-    if is_partition_artifact(artifact):
-        from repro.pipeline.partition import format_partition
-
-        return format_partition(data)
-    from repro.eval import harness
-
-    formatter = {
-        "table3": harness.format_table3,
-        "table5": harness.format_table5,
-        "table6": harness.format_table6,
-        "figure12": harness.format_figure12,
-        "format_sweep": harness.format_format_sweep,
-        "pipeline_sweep": harness.format_pipeline_sweep,
-    }[artifact]
-    return formatter(data)
+    """Render an artefact's data as its text."""
+    return resolve_artifact(artifact).render(data)
 
 
 #: The staged-cache stage observed job wall times are recorded under: the
@@ -452,6 +558,15 @@ class BatchRun:
                 f"[{status}]")
 
 
+def _run(record, scale: float, jobs: int | None, use_cache: bool | None,
+         kind: str, engine: str | None) -> list[JobResult]:
+    """Execute one record's job list and feed the cost table."""
+    results = run_jobs(record.jobs(scale, use_cache, engine),
+                       max_workers=jobs, kind=kind)
+    record_result_costs(record.name, scale, results)
+    return results
+
+
 def run_artifact(
     artifact: str,
     scale: float,
@@ -466,15 +581,13 @@ def run_artifact(
     Raises ``RuntimeError`` (with the captured traceback) if any job
     failed.
     """
-    results = run_jobs(artifact_jobs(artifact, scale, use_cache, engine),
-                       max_workers=jobs, kind=kind)
-    record_result_costs(artifact, scale, results)
-    return assemble_artifact(artifact, results)
+    record = resolve_artifact(artifact)
+    return record.assemble(_run(record, scale, jobs, use_cache, kind, engine))
 
 
 def run_batch(
     artifacts: list[str],
-    scale: float,
+    scale: float | None,
     jobs: int | None = None,
     use_cache: bool | None = None,
     kind: str = "thread",
@@ -482,6 +595,7 @@ def run_batch(
 ) -> BatchRun:
     """Regenerate several artefacts, isolating failures per job.
 
+    ``scale=None`` runs each artefact at its record's default scale.
     Artefacts whose jobs all succeeded are assembled and formatted;
     artefacts with failed jobs are reported in :attr:`BatchRun.failures`
     and omitted from :attr:`BatchRun.artifacts`.
@@ -491,13 +605,13 @@ def run_batch(
     assembled: dict[str, Any] = {}
     texts: dict[str, str] = {}
     for artifact in artifacts:
-        results = run_jobs(artifact_jobs(artifact, scale, use_cache, engine),
-                           max_workers=jobs, kind=kind)
-        record_result_costs(artifact, scale, results)
+        record = resolve_artifact(artifact)
+        results = _run(record,
+                       record.default_scale if scale is None else scale,
+                       jobs, use_cache, kind, engine)
         all_results[artifact] = results
         if all(res.ok for res in results):
-            data = assemble_artifact(artifact, results)
-            assembled[artifact] = data
-            texts[artifact] = format_artifact(artifact, data)
+            assembled[artifact] = record.assemble(results)
+            texts[artifact] = record.render(assembled[artifact])
     return BatchRun(assembled, texts, all_results,
                     time.perf_counter() - start)

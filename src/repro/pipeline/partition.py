@@ -12,16 +12,22 @@ SpMV and DCSR SpMM (README, "Distributed single-kernel execution"):
   filter (:func:`repro.convert.slice_rows`) with the matching dense
   rows. Either way the block is the ordinary ``KERNELS[kernel]``
   statement, compiled and run on the chosen engine.
-* The plan travels as the pseudo-artifact string
-  ``partition:<kernel>:<dataset>:p<P>:<mode>`` through batch, shard,
-  dispatch and every transport, leased and resumed like sweep chunks.
-* :func:`reduce_partials` concatenates ``row`` blocks (byte-identical
-  to the unpartitioned run, its P=1 case) or sums ``sum`` partials, and
-  checks either against an independent unpartitioned oracle.
+* The plan is named ``partition:<kernel>:<dataset>:p<P>:<mode>`` on
+  command lines and in manifests; :func:`repro.pipeline.batch.
+  resolve_artifact` parses that name once, and the plan then offers the
+  interface of a registry :class:`~repro.pipeline.batch.Artefact`
+  (``jobs`` / ``assemble`` / ``render`` / ``encode`` / ``decode``), so
+  batch, shard, dispatch and every transport lease and resume its
+  blocks like sweep chunks.
+* :meth:`PartitionPlan.assemble` concatenates ``row`` blocks
+  (byte-identical to the unpartitioned run, its P=1 case) or sums
+  ``sum`` partials, and checks either against an independent
+  unpartitioned oracle.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
@@ -33,6 +39,7 @@ from repro.engines import default_engine
 from repro.pipeline.batch import PARTITION_PREFIX, is_partition_artifact
 from repro.pipeline.cache import memoize_stage
 from repro.pipeline.executor import Job, run_jobs
+from repro.service.api import DEFAULT_SCALE
 
 __all__ = [
     "PARTITION_FORMATS",
@@ -114,10 +121,17 @@ class PartitionPlan:
                 f"needs one"
             )
 
+    #: The rest of the :class:`repro.pipeline.batch.Artefact` interface.
+    default_scale = DEFAULT_SCALE
+    uses_engine = True
+    task_prefix = "part"
+
     @property
     def artifact(self) -> str:
         return partition_artifact(self.kernel, self.dataset, self.count,
                                   self.mode)
+
+    name = artifact
 
     def jobs(self, scale: float, use_cache: bool | None = None,
              engine: str | None = None) -> list:
@@ -130,6 +144,38 @@ class PartitionPlan:
                 partition_cell, (operands, index), {"engine": engine})
             for index in range(self.count)
         ]
+
+    def assemble(self, results: list) -> dict:
+        return reduce_partials(self, results)
+
+    def render(self, data: dict) -> str:
+        return format_partition(data)
+
+    def encode(self, value: dict) -> dict:
+        """One block's partial as a JSON-safe manifest payload: the array
+        crosses the wire as raw little-endian float64 bytes, digest
+        alongside."""
+        array = np.ascontiguousarray(value["values"], dtype="<f8")
+        raw = array.tobytes()
+        return dict(value, shape=list(array.shape),
+                    values=base64.b64encode(raw).decode("ascii"),
+                    sha256=hashlib.sha256(raw).hexdigest())
+
+    def decode(self, payload: dict) -> dict:
+        """Invert :meth:`encode`, refusing a partial whose bytes changed."""
+        try:
+            raw = base64.b64decode(payload["values"], validate=True)
+        except ValueError:  # a damaged character is damage like any other
+            raw = b""
+        if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
+            raise PartitionError(
+                f"{self.artifact}: partial of block {payload['block']} is "
+                f"corrupt (sha256 mismatch over its values)")
+        out = {k: v for k, v in payload.items()
+               if k not in ("shape", "sha256")}
+        out["values"] = np.frombuffer(raw, dtype="<f8").reshape(
+            payload["shape"])
+        return out
 
 
 def parse_partition(name: str) -> PartitionPlan:
@@ -321,15 +367,18 @@ def _validate_against_oracle(operands: StagedOperands,
     return maxerr
 
 
-def reduce_partials(artifact: str, results: list) -> dict:
+def reduce_partials(plan: PartitionPlan | str, results: list) -> dict:
     """Fold per-block job results into the merged output (reducing merge).
 
     Row blocks concatenate in block order; contraction-split partials
     sum; the merged array is validated against the unpartitioned oracle.
     The operands come off the jobs (:meth:`PartitionPlan.jobs` shares
     them), so the reduce reads what the blocks read, same ``use_cache``.
+    ``plan`` may be given by its artefact name.
     """
-    plan = parse_partition(artifact)
+    if isinstance(plan, str):
+        plan = parse_partition(plan)
+    artifact = plan.artifact
     operands = results[0].job.args[0] if results else None
     if not isinstance(operands, StagedOperands) or operands.plan != plan:
         raise PartitionError(
@@ -421,5 +470,5 @@ def serial_report(kernel: str, dataset: str, scale: float,
     any row-partitioned dispatch on the same engine is empty.
     """
     plan = PartitionPlan(kernel, dataset, 1, mode)
-    return format_partition(reduce_partials(
-        plan.artifact, run_jobs(plan.jobs(scale, use_cache, engine))))
+    return plan.render(plan.assemble(
+        run_jobs(plan.jobs(scale, use_cache, engine))))

@@ -27,23 +27,17 @@ dataset or compiles a kernel first serves the others.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.pipeline.batch import (
-    ARTIFACT_NAMES,
-    artifact_jobs,
-    assemble_artifact,
-    format_artifact,
-    is_partition_artifact,
-)
 from repro.obs import trace as _trace
+from repro.pipeline.batch import (
+    UnknownArtifact,
+    record_result_costs,
+    resolve_artifact,
+)
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.executor import Job, JobResult, run_jobs
 
@@ -168,7 +162,7 @@ class ShardSpec:
 
 
 # ---------------------------------------------------------------------------
-# Result payload codecs (per artefact, JSON-safe, lossless for floats)
+# Result payload codecs (each artefact's record carries its own)
 # ---------------------------------------------------------------------------
 
 
@@ -179,75 +173,12 @@ def encode_result(artifact: str, value: Any) -> Any:
     float survives encode → decode bit-identically — the property the
     byte-identical merge guarantee rests on.
     """
-    if artifact == "table6":  # PlatformTimes
-        return {"kernel": value.kernel, "dataset": value.dataset,
-                "seconds": dict(value.seconds)}
-    if artifact == "table5":  # ResourceEstimate
-        return {"kernel": value.kernel, "par": value.par, "pcu": value.pcu,
-                "pmu": value.pmu, "mc": value.mc, "shuffle": value.shuffle}
-    if artifact == "table3":  # plain LoC dict
-        return dict(value)
-    if artifact == "figure12":  # {bandwidth: speedup}; JSON keys are strings
-        return {str(bw): ratio for bw, ratio in value.items()}
-    if artifact == "format_sweep":  # plain metrics dict per cell
-        return dict(value)
-    if artifact == "pipeline_sweep":  # plain fusion-report dict per cell
-        return dict(value)
-    if is_partition_artifact(artifact):
-        # Per-block partial: the array crosses the wire as raw
-        # little-endian float64 bytes, digest alongside.
-        array = np.ascontiguousarray(value["values"], dtype="<f8")
-        raw = array.tobytes()
-        return dict(value, shape=list(array.shape),
-                    values=base64.b64encode(raw).decode("ascii"),
-                    sha256=hashlib.sha256(raw).hexdigest())
-    raise KeyError(
-        f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
-    )
+    return resolve_artifact(artifact).encode(value)
 
 
 def decode_result(artifact: str, payload: Any) -> Any:
-    """Invert :func:`encode_result` back into the harness's result type."""
-    if artifact == "table6":
-        from repro.service.api import PlatformTimes
-
-        return PlatformTimes(payload["kernel"], payload["dataset"],
-                             dict(payload["seconds"]))
-    if artifact == "table5":
-        from repro.capstan.resources import ResourceEstimate
-
-        return ResourceEstimate(
-            kernel=payload["kernel"], par=payload["par"], pcu=payload["pcu"],
-            pmu=payload["pmu"], mc=payload["mc"], shuffle=payload["shuffle"],
-        )
-    if artifact == "table3":
-        return dict(payload)
-    if artifact == "figure12":
-        return {int(bw) if bw.lstrip("-").isdigit() else float(bw): ratio
-                for bw, ratio in payload.items()}
-    if artifact == "format_sweep":
-        return dict(payload)
-    if artifact == "pipeline_sweep":
-        return dict(payload)
-    if is_partition_artifact(artifact):
-        from repro.pipeline.partition import PartitionError
-
-        try:
-            raw = base64.b64decode(payload["values"], validate=True)
-        except ValueError:  # a damaged character is damage like any other
-            raw = b""
-        if hashlib.sha256(raw).hexdigest() != payload["sha256"]:
-            raise PartitionError(
-                f"{artifact}: partial of block {payload['block']} is "
-                f"corrupt (sha256 mismatch over its values)")
-        out = {k: v for k, v in payload.items()
-               if k not in ("shape", "sha256")}
-        out["values"] = np.frombuffer(raw, dtype="<f8").reshape(
-            payload["shape"])
-        return out
-    raise KeyError(
-        f"unknown artefact {artifact!r}; choose from {ARTIFACT_NAMES}"
-    )
+    """Invert :func:`encode_result` back into the cell's result type."""
+    return resolve_artifact(artifact).decode(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +247,10 @@ class ShardManifest:
                                "total_jobs", "jobs") if f not in data]
         if missing:
             raise ManifestError(f"{source}: missing field(s) {missing}")
-        if (data["artifact"] not in ARTIFACT_NAMES
-                and not is_partition_artifact(data["artifact"])):
-            raise ManifestError(
-                f"{source}: unknown artefact {data['artifact']!r}; "
-                f"expected one of {ARTIFACT_NAMES} or a partition:* plan"
-            )
+        try:
+            resolve_artifact(data["artifact"])
+        except UnknownArtifact as exc:
+            raise ManifestError(f"{source}: {exc}") from None
         shard = data["shard"]
         try:
             positions = shard.get("positions")
@@ -382,9 +311,8 @@ def run_shard(
     selects the functional-execution engine for cells that run kernels;
     job keys and manifests stay engine-agnostic.
     """
-    from repro.pipeline.batch import record_result_costs
-
-    all_jobs = artifact_jobs(artifact, scale, use_cache, engine)
+    record = resolve_artifact(artifact)
+    all_jobs = record.jobs(scale, use_cache, engine)
     with _trace.span("chunk", artifact=artifact, shard=str(spec)) as chunk_sp:
         results = run_jobs(spec.select(all_jobs), max_workers=jobs, kind=kind,
                            on_result=on_result, should_stop=should_stop)
@@ -403,7 +331,7 @@ def run_shard(
             "computed": res.computed,
         }
         if res.ok:
-            entry["value"] = encode_result(artifact, res.value)
+            entry["value"] = record.encode(res.value)
         else:
             entry["error"] = res.error
         entries.append(entry)
@@ -484,7 +412,7 @@ def merge_manifests(
     """Validate shard manifests and fold them into the serial artefact.
 
     The merged result is assembled through the exact code path the serial
-    harness uses (:func:`assemble_artifact` over results in canonical job
+    harness uses (the record's ``assemble`` over results in canonical job
     order), so its formatted text is byte-identical to ``repro tables``.
     ``use_cache`` governs what the fold itself computes: a partition
     plan's reducing merge stages the full operand for its oracle, and a
@@ -499,6 +427,7 @@ def merge_manifests(
     _check_consistent(manifests)
     artifact = manifests[0].artifact
     scale = manifests[0].scale
+    record = resolve_artifact(artifact)  # from_dict vetted the name
 
     if require_current_compiler and manifests[0].compiler != compiler_version():
         raise MergeError(
@@ -533,7 +462,7 @@ def merge_manifests(
                     f"{artifact} (chunks {origin[key]} and {manifest.shard})"
                 )
             try:
-                collected[key] = decode_result(artifact, entry["value"])
+                collected[key] = record.decode(entry["value"])
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise MergeError(
                     f"malformed result payload for job "
@@ -542,7 +471,7 @@ def merge_manifests(
                 ) from None
             origin[key] = manifest.shard
 
-    expected = artifact_jobs(artifact, scale, use_cache)
+    expected = record.jobs(scale, use_cache)
     expected_keys = [job.key for job in expected]
     missing = [k for k in expected_keys if k not in collected]
     if missing:
@@ -560,5 +489,5 @@ def merge_manifests(
 
     results = [JobResult(job, True, value=collected[job.key])
                for job in expected]
-    data = assemble_artifact(artifact, results)
-    return MergedArtifact(artifact, scale, data, format_artifact(artifact, data))
+    data = record.assemble(results)
+    return MergedArtifact(artifact, scale, data, record.render(data))

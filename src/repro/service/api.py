@@ -1,13 +1,11 @@
 """The typed compile-request API: one entry point for every caller.
 
-Historically each caller reached into ``eval/harness.py`` through
-positional ``(kernel_name, dataset_name, scale, ...)`` functions, which
-made a serving layer impossible: there was no request object to put on
-the wire, no canonical form to key a cache on, and no single result type
-to compare across execution paths. This module is that entry point now:
+The CLI, the batch cells, dispatch and queue workers and the ``repro
+serve`` daemon all build the same request object, key the cache on its
+canonical form and compare one result type across execution paths:
 
 * :class:`CompileRequest` — a frozen dataclass naming *what* to do
-  (``action``: compile or evaluate) and *on what* (kernel, dataset,
+  (``action``: one of :data:`ACTIONS`) and *on what* (kernel, dataset,
   scale, seed, platform filter, execution engine). Its
   :meth:`~CompileRequest.canonical_json` form — defaults resolved, keys
   sorted, compact separators — **is** the cache-key derivation: the
@@ -18,15 +16,19 @@ to compare across execution paths. This module is that entry point now:
   deterministic :meth:`~CompileResult.to_json` rendering (sorted keys,
   no volatile fields), so a daemon response is byte-identical to a
   serial :func:`evaluate` of the same request.
-* :func:`build` / :func:`compile` / :func:`evaluate` /
-  :func:`execute` — the verbs, each memoized through the staged cache
-  (:mod:`repro.pipeline.cache`); :func:`cached` peeks for a finished
-  result without computing (the daemon's hot path).
+* :class:`Action` — one record per request verb in :data:`ACTIONS`:
+  the namespace its ``kernel`` is validated against, the optional fields
+  it keeps on the wire, and its ``compute``. :func:`execute` runs any
+  request through the one memoized wrapper (the result is staged under
+  the action's name, keyed on the canonical JSON); :func:`evaluate` /
+  :func:`compile` / :func:`pipeline` / :func:`partition` pin the action
+  and call it. :func:`cached` peeks for a finished result without
+  computing (the daemon's hot path). Adding a verb is one record.
+* :func:`load_dataset` / :func:`build` / :func:`exec_check` — the
+  stages below the verbs, each memoized on the evaluation coordinates.
 
-``eval/harness.py`` keeps thin back-compat wrappers over these verbs
-(the old positional signatures emit ``DeprecationWarning``); the
-artefact orchestration (tables/figures) stays there and in
-``pipeline/batch.py``, now expressed on top of this module.
+The artefact orchestration (tables/figures) lives in
+``pipeline/batch.py``, expressed on top of this module.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.engines import ENGINES, default_engine
 from repro.obs import trace as _trace
 
 __all__ = [
     "ACTIONS",
+    "Action",
     "BASELINE_PLATFORM",
     "CompileRequest",
     "CompileResult",
@@ -66,14 +69,6 @@ DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
 
 #: Default dataset-generation seed (the Table 4 synthetic datasets).
 DEFAULT_SEED = 7
-
-#: Request verbs: ``compile`` renders the kernel (source, LoC, memory
-#: plan); ``evaluate`` predicts per-platform runtimes (Table 6 cells);
-#: ``pipeline`` plans and runs a fused expression pipeline (the
-#: ``kernel`` field carries the pipeline name); ``partition`` row-blocks
-#: one kernel into ``partition`` sub-kernels and reduces the partials
-#: (SpDISTAL-style single-kernel distribution).
-ACTIONS = ("compile", "evaluate", "pipeline", "partition")
 
 PLATFORMS = (
     "Capstan (Ideal)",
@@ -104,6 +99,11 @@ class EngineMismatchError(AssertionError):
 
 _REQUEST_FIELDS = ("action", "kernel", "dataset", "scale", "seed",
                    "platforms", "engine", "fuse", "partition", "split")
+
+#: The optional request fields and their defaults; an :class:`Action`
+#: names the ones it keeps.
+_OPTIONAL = {"platforms": None, "engine": None, "fuse": True,
+             "partition": 1, "split": "row"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,28 +136,21 @@ class CompileRequest:
         Raises ``ValueError`` for an unknown action, kernel, dataset, or
         engine, and for a non-positive scale. Platform names are checked
         later, against the evaluated kernel's model set (SpMV has extra
-        handwritten baselines).
+        handwritten baselines). Optional fields the action does not keep
+        resolve to their defaults, so they never reach the canonical
+        form: every spelling of "compile SpMV on bcsstk30" shares one
+        staged entry.
         """
-        from repro.data.datasets import datasets_for
-        from repro.kernels.suite import KERNELS
-
-        if self.action not in ACTIONS:
-            raise ValueError(
-                f"unknown action {self.action!r}; choose from {ACTIONS}")
-        if self.action == "pipeline":
-            return self._resolved_pipeline()
-        if self.action == "partition":
-            return self._resolved_partition()
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose from "
-                f"{sorted(KERNELS)}")
-        specs = datasets_for(self.kernel)
-        dataset = self.dataset if self.dataset is not None else specs[0].name
-        if dataset not in {d.name for d in specs}:
+        action = ACTIONS.get(self.action)
+        if action is None:
+            raise ValueError(f"unknown action {self.action!r}; choose "
+                             f"from {tuple(ACTIONS)}")
+        datasets = action.datasets(self.kernel)
+        dataset = datasets[0] if self.dataset is None else self.dataset
+        if dataset not in datasets:
             raise ValueError(
                 f"unknown dataset {dataset!r} for {self.kernel}; choose "
-                f"from {[d.name for d in specs]}")
+                f"from {list(datasets)}")
         scale = DEFAULT_SCALE if self.scale is None else float(self.scale)
         if not scale > 0:
             raise ValueError(f"scale must be positive, got {scale}")
@@ -167,88 +160,13 @@ class CompileRequest:
         platforms = self.platforms
         if platforms is not None:
             platforms = tuple(str(p) for p in platforms)
-        # A compile renders the kernel only: platform filters and engine
-        # checks do not change its result, so canonicalise them away —
-        # every spelling of "compile SpMV on bcsstk30" shares one entry.
-        if self.action == "compile":
-            platforms = None
-        engine = None if self.action == "compile" else self.engine
-        return dataclasses.replace(self, dataset=dataset, scale=scale,
-                                   seed=int(self.seed), platforms=platforms,
-                                   engine=engine, fuse=True)
-
-    def _resolved_pipeline(self) -> CompileRequest:
-        """Resolution for pipeline requests: ``kernel`` names a pipeline
-        from the :data:`repro.pipeline.fusion.PIPELINES` registry and the
-        dataset comes from the pipeline's own evaluation set."""
-        from repro.pipeline.fusion import PIPELINES
-
-        spec = PIPELINES.get(self.kernel)
-        if spec is None:
-            raise ValueError(
-                f"unknown pipeline {self.kernel!r}; choose from "
-                f"{sorted(PIPELINES)}")
-        dataset = self.dataset if self.dataset is not None else spec.datasets[0]
-        if dataset not in spec.datasets:
-            raise ValueError(
-                f"unknown dataset {dataset!r} for pipeline {self.kernel}; "
-                f"choose from {list(spec.datasets)}")
-        scale = DEFAULT_SCALE if self.scale is None else float(self.scale)
-        if not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}")
-        return dataclasses.replace(self, dataset=dataset, scale=scale,
-                                   seed=int(self.seed), platforms=None,
-                                   fuse=bool(self.fuse))
-
-    def _resolved_partition(self) -> CompileRequest:
-        """Resolution for partition requests: the kernel must be
-        row-partitionable and the dataset one of its matrix datasets;
-        ``partition`` is the block count and ``split`` the iteration-
-        space dimension (``row`` or ``sum``)."""
-        from repro.data.datasets import datasets_for
-        from repro.pipeline.partition import PARTITION_FORMATS, PARTITION_MODES
-
-        if self.kernel not in PARTITION_FORMATS:
-            raise ValueError(
-                f"kernel {self.kernel!r} is not partitionable; choose from "
-                f"{sorted(PARTITION_FORMATS)}")
-        specs = datasets_for(self.kernel)
-        dataset = self.dataset if self.dataset is not None else specs[0].name
-        if dataset not in {d.name for d in specs}:
-            raise ValueError(
-                f"unknown dataset {dataset!r} for {self.kernel}; choose "
-                f"from {[d.name for d in specs]}")
-        scale = DEFAULT_SCALE if self.scale is None else float(self.scale)
-        if not scale > 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        try:
-            count = int(self.partition)
-        except (TypeError, ValueError):
-            raise ValueError("'partition' must be an integer") from None
-        if count < 1:
-            raise ValueError(f"partition count must be >= 1, got {count}")
-        if self.split not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown split {self.split!r}; choose from "
-                f"{PARTITION_MODES}")
-        if int(self.seed) != DEFAULT_SEED:
-            raise ValueError(
-                f"partition requests run on the fixed evaluation seed "
-                f"{DEFAULT_SEED}, got {self.seed}")
-        # Blocks run the compiled kernel on the engine, and engines agree
-        # only up to summation order, so the resolved engine is part of
-        # the result's identity; platform filters are not.
-        engine = default_engine() if self.engine is None else self.engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {ENGINES}")
-        return dataclasses.replace(self, dataset=dataset, scale=scale,
-                                   seed=DEFAULT_SEED, platforms=None,
-                                   engine=engine, fuse=True,
-                                   partition=count)
+        dropped = {name: default for name, default in _OPTIONAL.items()
+                   if name not in action.keeps}
+        fields = {"dataset": dataset, "scale": scale, "seed": int(self.seed),
+                  "platforms": platforms, "fuse": bool(self.fuse), **dropped}
+        if action.finish is not None:
+            fields.update(action.finish(self, dataset))
+        return dataclasses.replace(self, **fields)
 
     def canonical(self) -> dict[str, Any]:
         """The defaults-resolved request as a plain JSON-able dict."""
@@ -262,23 +180,20 @@ class CompileRequest:
             "platforms": list(r.platforms) if r.platforms is not None else None,
             "engine": r.engine,
         }
-        # Only pipeline requests carry a fuse flag on the wire, and only
-        # partition requests carry a block count and split, so the
-        # canonical form (and hence every cache key) of the other
-        # actions is byte-identical to what it was before each feature.
-        if r.action == "pipeline":
-            out["fuse"] = r.fuse
-        if r.action == "partition":
-            out["partition"] = r.partition
-            out["split"] = r.split
+        # The later optional fields go on the wire only for the actions
+        # that keep them, so the canonical form (and hence every cache
+        # key) of the other actions is byte-identical to what it was
+        # before each feature.
+        for name in ACTIONS[r.action].keeps:
+            out.setdefault(name, getattr(r, name))
         return out
 
     def canonical_json(self) -> str:
         """The canonical wire form — and the cache-key derivation.
 
         Sorted keys and compact separators make this byte-stable across
-        processes; :func:`evaluate`/:func:`compile` key their staged
-        result entry on exactly this string.
+        processes; :func:`execute` keys the staged result entry on
+        exactly this string.
         """
         return json.dumps(self.canonical(), sort_keys=True,
                           separators=(",", ":"))
@@ -286,11 +201,7 @@ class CompileRequest:
     @property
     def stage(self) -> str:
         """The cache stage the request's result is memoized under."""
-        if self.action == "pipeline":
-            return "pipeline"
-        if self.action == "partition":
-            return "partition"
-        return "evaluate" if self.action == "evaluate" else "compile"
+        return self.action
 
     @classmethod
     def from_dict(cls, data: Any) -> CompileRequest:
@@ -575,81 +486,185 @@ def exec_check(request: CompileRequest,
     )
 
 
+def _evaluate(req: CompileRequest, use_cache: bool | None) -> CompileResult:
+    # A hit answers from the staged entry; only a miss loads the model.
+    from repro.capstan.resources import estimate_resources_cached
+    from repro.capstan.simulator import CapstanSimulator
+    from repro.capstan.stats import compute_stats_cached
+
+    summary = (exec_check(req, use_cache=use_cache)
+               if req.engine is not None else None)
+    coords = (req.kernel, req.dataset, req.scale, req.seed)
+    kernel = build(req, use_cache=use_cache)
+    stats = compute_stats_cached(kernel, coords, use_cache)
+    sim = CapstanSimulator()
+    resources = estimate_resources_cached(kernel, coords, use_cache)
+    models = _platform_models(kernel, stats, sim, resources)
+    if req.platforms is not None:
+        unknown = [p for p in req.platforms if p not in models]
+        if unknown:
+            raise ValueError(
+                f"unknown platform(s) {unknown} for {req.kernel}; "
+                f"choose from {sorted(models)}"
+            )
+    seconds = {}
+    for name, model in models.items():
+        if req.platforms is not None and name not in req.platforms:
+            continue
+        with _trace.span("simulate", kernel=req.kernel, platform=name):
+            seconds[name] = model()
+    return CompileResult(request=req, seconds=seconds, exec_summary=summary)
+
+
+def _compile(req: CompileRequest, use_cache: bool | None) -> CompileResult:
+    # The heavyweight compilation is shared with every other path through
+    # the ``build`` stage; this only renders the wire-ready summary.
+    from repro.kernels.suite import KERNELS
+
+    kernel = build(req, use_cache=use_cache)
+    return CompileResult(
+        request=req,
+        source=kernel.source,
+        spatial_loc=int(kernel.spatial_loc),
+        input_loc=int(KERNELS[req.kernel].input_loc()),
+        memory_report=kernel.memory_report(),
+    )
+
+
+def _pipeline(req: CompileRequest, use_cache: bool | None) -> CompileResult:
+    from repro.pipeline.fusion import run_pipeline
+
+    row = run_pipeline(req.kernel, req.dataset, req.scale, req.seed,
+                       fuse=req.fuse, engine=req.engine or "interp",
+                       use_cache=use_cache)
+    return CompileResult(request=req, pipeline=row)
+
+
+def _partition(req: CompileRequest, use_cache: bool | None) -> CompileResult:
+    # The plan's jobs share one staged operand — staged once per request,
+    # whatever ``use_cache`` — which the blocks view, the reduce counts
+    # and the oracle reads; each block runs the compiled kernel on the
+    # request's engine, inline on the executor's thread pool.
+    from repro.pipeline.executor import run_jobs
+    from repro.pipeline.partition import PartitionPlan
+
+    plan = PartitionPlan(req.kernel, req.dataset, req.partition, req.split)
+    data = plan.assemble(run_jobs(plan.jobs(req.scale, use_cache=use_cache,
+                                            engine=req.engine)))
+    summary = dict(data, blocks=req.partition, text=plan.render(data))
+    return CompileResult(request=req, partition=summary)
+
+
+def _finish_partition(req: CompileRequest, dataset: str) -> dict[str, Any]:
+    from repro.pipeline.partition import PartitionPlan
+
+    try:
+        count = int(req.partition)
+    except (TypeError, ValueError):
+        raise ValueError("'partition' must be an integer") from None
+    # The plan's constructor holds the kernel / split / block-count
+    # checks (``PartitionError`` is a ``ValueError``).
+    PartitionPlan(req.kernel, dataset, count, req.split)
+    if int(req.seed) != DEFAULT_SEED:
+        raise ValueError(
+            f"partition requests run on the fixed evaluation seed "
+            f"{DEFAULT_SEED}, got {req.seed}")
+    # Blocks run the compiled kernel on the engine, and engines agree
+    # only up to summation order, so the resolved engine is part of the
+    # result's identity.
+    return {"partition": count, "engine": req.engine or default_engine()}
+
+
+def _kernel_datasets(kernel: str) -> Sequence[str]:
+    from repro.data.datasets import datasets_for
+    from repro.kernels.suite import KERNELS
+
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}")
+    return [d.name for d in datasets_for(kernel)]
+
+
+def _pipeline_datasets(name: str) -> Sequence[str]:
+    from repro.pipeline.fusion import PIPELINES
+
+    if name not in PIPELINES:
+        raise ValueError(
+            f"unknown pipeline {name!r}; choose from {sorted(PIPELINES)}")
+    return PIPELINES[name].datasets
+
+
+@dataclasses.dataclass(frozen=True)
+class Action:
+    """Everything one request verb is: adding one is one record below.
+
+    ``datasets`` validates the request's ``kernel`` in the action's
+    namespace and lists the datasets it may run on (the first is the
+    default). ``keeps`` names the optional request fields that are part
+    of the result's identity: the rest resolve to their defaults, and
+    the kept ones past ``engine`` go on the wire. ``finish`` runs the
+    action's own checks on the request and its resolved dataset and
+    returns the fields it resolves itself; ``compute`` turns a resolved
+    request into its result on a cache miss. ``doc`` is the endpoint's
+    summary.
+    """
+
+    name: str
+    doc: str
+    datasets: Callable[[str], Sequence[str]]
+    keeps: tuple[str, ...]
+    compute: Callable[[CompileRequest, bool | None], CompileResult]
+    finish: Callable[[CompileRequest, str], dict[str, Any]] | None = None
+
+
+#: The request verbs, by name.
+ACTIONS = {record.name: record for record in (
+    Action("compile", "render the kernel: source, LoC, memory report",
+           _kernel_datasets, (), _compile),
+    Action("evaluate", "predict per-platform runtimes (a Table 6 cell)",
+           _kernel_datasets, ("platforms", "engine"), _evaluate),
+    Action("pipeline", "plan and run a fused expression pipeline "
+           "(`kernel` names it; FuseFlow cut report)",
+           _pipeline_datasets, ("engine", "fuse"), _pipeline),
+    Action("partition", "row-block one kernel into `partition` "
+           "sub-kernels along `split` and reduce the partials (SpDISTAL)",
+           _kernel_datasets, ("engine", "partition", "split"), _partition,
+           finish=_finish_partition),
+)}
+
+
+def execute(request: CompileRequest,
+            use_cache: bool | None = None) -> CompileResult:
+    """Run one request, whatever its action (the worker entry point).
+
+    The result is memoized under the stage named after the action, keyed
+    on the request's :meth:`~CompileRequest.canonical_json` — the typed
+    request *is* the cache key.
+    """
+    from repro.pipeline.cache import memoize_stage
+
+    req = request.resolved()
+    return memoize_stage(
+        req.action, (req.canonical_json(),),
+        lambda: ACTIONS[req.action].compute(req, use_cache), use_cache)
+
+
 def evaluate(request: CompileRequest,
              use_cache: bool | None = None) -> CompileResult:
     """Predict runtimes on every platform for one request.
 
-    The result is memoized under the ``evaluate`` stage, keyed on the
-    request's :meth:`~CompileRequest.canonical_json` — the typed request
-    *is* the cache key. When the request names an engine, the cell is
-    first executed functionally and validated against the interpreter
-    oracle (:func:`exec_check`); a disagreeing engine fails the request.
+    When the request names an engine, the cell is first executed
+    functionally and validated against the interpreter oracle
+    (:func:`exec_check`); a disagreeing engine fails the request.
     """
-    from repro.pipeline.cache import memoize_stage
-
-    req = dataclasses.replace(request, action="evaluate").resolved()
-
-    def compute() -> CompileResult:
-        # A hit answers from the staged entry; only a miss loads the model.
-        from repro.capstan.resources import estimate_resources_cached
-        from repro.capstan.simulator import CapstanSimulator
-        from repro.capstan.stats import compute_stats_cached
-
-        summary = (exec_check(req, use_cache=use_cache)
-                   if req.engine is not None else None)
-        coords = (req.kernel, req.dataset, req.scale, req.seed)
-        kernel = build(req, use_cache=use_cache)
-        stats = compute_stats_cached(kernel, coords, use_cache)
-        sim = CapstanSimulator()
-        resources = estimate_resources_cached(kernel, coords, use_cache)
-        models = _platform_models(kernel, stats, sim, resources)
-        if req.platforms is not None:
-            unknown = [p for p in req.platforms if p not in models]
-            if unknown:
-                raise ValueError(
-                    f"unknown platform(s) {unknown} for {req.kernel}; "
-                    f"choose from {sorted(models)}"
-                )
-        seconds = {}
-        for name, model in models.items():
-            if req.platforms is not None and name not in req.platforms:
-                continue
-            with _trace.span("simulate", kernel=req.kernel, platform=name):
-                seconds[name] = model()
-        return CompileResult(request=req, seconds=seconds,
-                             exec_summary=summary)
-
-    return memoize_stage("evaluate", (req.canonical_json(),), compute,
-                         use_cache)
+    return execute(dataclasses.replace(request, action="evaluate"), use_cache)
 
 
 def compile(request: CompileRequest,  # noqa: A001 - the API verb
             use_cache: bool | None = None) -> CompileResult:
-    """Compile one request and render the kernel (Table 3 material).
-
-    Memoized under the ``compile`` stage on the request's canonical
-    JSON, like :func:`evaluate`. The heavyweight compilation itself is
-    shared with every other path through the ``build`` stage; this entry
-    only renders the wire-ready summary (source text, generated and
-    input LoC, memory report).
-    """
-    from repro.kernels.suite import KERNELS
-    from repro.pipeline.cache import memoize_stage
-
-    req = dataclasses.replace(request, action="compile").resolved()
-
-    def compute() -> CompileResult:
-        kernel = build(req, use_cache=use_cache)
-        return CompileResult(
-            request=req,
-            source=kernel.source,
-            spatial_loc=int(kernel.spatial_loc),
-            input_loc=int(KERNELS[req.kernel].input_loc()),
-            memory_report=kernel.memory_report(),
-        )
-
-    return memoize_stage("compile", (req.canonical_json(),), compute,
-                         use_cache)
+    """Compile one request and render the kernel (Table 3 material):
+    source text, generated and input LoC, memory report."""
+    return execute(dataclasses.replace(request, action="compile"), use_cache)
 
 
 def pipeline(request: CompileRequest,
@@ -658,22 +673,9 @@ def pipeline(request: CompileRequest,
 
     The request's ``kernel`` field names the pipeline; ``fuse=False``
     forces materializing cuts at every connection (the equivalence
-    baseline). Memoized under the ``pipeline`` stage on the request's
-    canonical JSON, like the other verbs.
+    baseline).
     """
-    from repro.pipeline.cache import memoize_stage
-    from repro.pipeline.fusion import run_pipeline
-
-    req = dataclasses.replace(request, action="pipeline").resolved()
-
-    def compute() -> CompileResult:
-        row = run_pipeline(req.kernel, req.dataset, req.scale, req.seed,
-                           fuse=req.fuse, engine=req.engine or "interp",
-                           use_cache=use_cache)
-        return CompileResult(request=req, pipeline=row)
-
-    return memoize_stage("pipeline", (req.canonical_json(),), compute,
-                         use_cache)
+    return execute(dataclasses.replace(request, action="pipeline"), use_cache)
 
 
 def partition(request: CompileRequest,
@@ -682,49 +684,10 @@ def partition(request: CompileRequest,
 
     The request's ``partition`` field is the block count and ``split``
     the dimension to cut (``row`` concatenates output blocks, ``sum``
-    splits the contraction and sums partials). The plan's jobs share one
-    staged operand — staged once per request, whatever ``use_cache`` —
-    which the blocks view, the reduce counts and the oracle reads; each
-    block runs the compiled kernel on the request's engine, inline on
-    the executor's thread pool. The dispatcher offers the same plan over
-    any transport as the ``partition:*`` pseudo-artifact. Memoized under
-    the ``partition`` stage on the request's canonical JSON.
+    splits the contraction and sums partials). The dispatcher offers the
+    same plan over any transport as the ``partition:*`` artefact.
     """
-    from repro.pipeline.cache import memoize_stage
-    from repro.pipeline.executor import run_jobs
-    from repro.pipeline.partition import (
-        PartitionPlan,
-        format_partition,
-        reduce_partials,
-    )
-
-    req = dataclasses.replace(request, action="partition").resolved()
-
-    def compute() -> CompileResult:
-        plan = PartitionPlan(req.kernel, req.dataset, req.partition,
-                             req.split)
-        results = run_jobs(plan.jobs(req.scale, use_cache=use_cache,
-                                     engine=req.engine))
-        data = reduce_partials(plan.artifact, results)
-        summary = dict(data, blocks=req.partition,
-                       text=format_partition(data))
-        return CompileResult(request=req, partition=summary)
-
-    return memoize_stage("partition", (req.canonical_json(),), compute,
-                         use_cache)
-
-
-def execute(request: CompileRequest,
-            use_cache: bool | None = None) -> CompileResult:
-    """Run one request, whatever its action (the worker entry point)."""
-    req = request.resolved()
-    if req.action == "compile":
-        return compile(req, use_cache=use_cache)
-    if req.action == "pipeline":
-        return pipeline(req, use_cache=use_cache)
-    if req.action == "partition":
-        return partition(req, use_cache=use_cache)
-    return evaluate(req, use_cache=use_cache)
+    return execute(dataclasses.replace(request, action="partition"), use_cache)
 
 
 def cached(request: CompileRequest) -> CompileResult | None:
@@ -737,4 +700,4 @@ def cached(request: CompileRequest) -> CompileResult | None:
     from repro.pipeline.cache import peek_stage
 
     req = request.resolved()
-    return peek_stage(req.stage, (req.canonical_json(),))
+    return peek_stage(req.action, (req.canonical_json(),))

@@ -25,20 +25,14 @@ staged pipeline every other caller uses:
   connections get a short window for a request already on the wire,
   and the process exits 0.
 
-Endpoints::
-
-    POST /evaluate   {"kernel": ..., "dataset": ..., "scale": ..., ...}
-    POST /compile    same body; renders source/LoC/memory report
-    POST /pipeline   {"kernel": <pipeline>, "fuse": ..., ...}; runs a
-                     fused expression pipeline (FuseFlow cut report)
-    POST /partition  {"kernel": ..., "partition": P, "split": ...};
-                     row-blocks one kernel and reduces the partials
-    GET  /stats      serve counters + the shared cache-stats payload
-    GET  /healthz    liveness
-
-Responses to ``/evaluate`` and ``/compile`` are the deterministic
+Endpoints: ``POST /<action>`` for every record of
+:data:`repro.service.api.ACTIONS` (listed below), each taking a
+:class:`~repro.service.api.CompileRequest` JSON body ``{"kernel": ...,
+"dataset": ..., "scale": ..., ...}`` and answering the deterministic
 ``CompileResult.to_json()`` bytes — byte-identical to a serial
-``repro.api.evaluate(request)`` of the same request.
+``repro.api.execute(request)`` of the same request; ``GET /stats``
+(serve counters + the shared cache-stats payload), ``GET /metrics`` and
+``GET /healthz`` (liveness).
 """
 
 from __future__ import annotations
@@ -58,6 +52,10 @@ from typing import Any, Callable
 from repro import obs
 from repro.service import api
 from repro.service.stats import cache_stats_payload
+
+__doc__ += "\n" + "\n".join(
+    f"    POST /{action.name:<10} {action.doc}"
+    for action in api.ACTIONS.values()) + "\n"
 
 __all__ = [
     "CompileService",
@@ -502,14 +500,15 @@ class CompileService:
         if path == "/metrics":
             return (200, self.metrics_text().encode(),
                     "text/plain; version=0.0.4; charset=utf-8")
-        if path in ("/compile", "/evaluate", "/pipeline", "/partition"):
+        if path[1:] in api.ACTIONS:
             if method != "POST":
                 return 405, _error_body(f"{path} expects POST"), json_ct
-            status, payload = await self._handle_work(path.lstrip("/"), body)
+            status, payload = await self._handle_work(path[1:], body)
             return status, payload, json_ct
+        known = [*api.ACTIONS, "stats", "metrics"]
         return 404, _error_body(
-            f"unknown path {path!r}; try /compile, /evaluate, /pipeline, "
-            f"/partition, /stats, /metrics"), json_ct
+            f"unknown path {path!r}; try "
+            f"{', '.join('/' + name for name in known)}"), json_ct
 
     def stats_payload(self) -> dict[str, Any]:
         """The ``/stats`` body: serve counters + shared cache payload."""

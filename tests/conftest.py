@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
@@ -79,6 +80,15 @@ def assert_same_storage(got, want) -> None:
                 assert x.dtype == y.dtype and np.array_equal(x, y)
     assert got.vals.dtype == want.vals.dtype
     assert got.vals.tobytes() == want.vals.tobytes()
+
+
+def patch_cell(monkeypatch, artifact: str, cell) -> None:
+    """Swap one artefact's per-job function for a fake until teardown."""
+    from repro.pipeline import batch
+
+    monkeypatch.setitem(
+        batch.ARTEFACTS, artifact,
+        dataclasses.replace(batch.ARTEFACTS[artifact], cell=cell))
 
 
 def start_vanishing_worker(transport, pattern: str) -> threading.Event:

@@ -106,3 +106,66 @@ def dataset_digests() -> dict[str, dict[str, str]]:
                      for k, d in dataset_pairs()}
         for scale in DATASET_GOLDEN_SCALES
     }
+
+
+#: Scale of the two shard manifests pinned by ``tests/golden/requests.json``.
+REQUEST_GOLDEN_SCALE = 0.02
+
+#: Every field spelled out, the ones an action canonicalises away included.
+_GOLDEN_FULL = {
+    "scale": 0.02, "seed": 3, "platforms": ("V100 GPU", "Capstan (HBM2E)"),
+    "engine": "cpu", "fuse": False, "partition": 4, "split": "sum",
+}
+
+#: Per action: a minimal request and a fully spelled-out one.
+GOLDEN_REQUESTS = {
+    "compile": ({"kernel": "SpMV"},
+                {**_GOLDEN_FULL, "kernel": "SDDMM", "dataset": "ckt11752_dc_1"}),
+    "evaluate": ({"kernel": "SpMV"},
+                 {**_GOLDEN_FULL, "kernel": "SDDMM",
+                  "dataset": "ckt11752_dc_1"}),
+    "pipeline": ({"kernel": "attention"},
+                 {**_GOLDEN_FULL, "kernel": "twohop",
+                  "dataset": "random-50pct"}),
+    # Partition requests run on the fixed evaluation seed.
+    "partition": ({"kernel": "SpMV"},
+                  {**_GOLDEN_FULL, "kernel": "DCSR-SpMM",
+                   "dataset": "ckt11752_dc_1", "seed": 7}),
+}
+
+#: The manifests pinned next to them: one registry artefact, one plan.
+_GOLDEN_MANIFESTS = (("table3", "1/2"),
+                     ("partition:SpMV:bcsstk30:p2:row", "1/1"))
+
+
+def request_goldens() -> dict:
+    """The bytes ``tests/golden/requests.json`` pins: every action's
+    canonical request JSON (hence every result cache key) and two shard
+    manifests minus their per-run fields."""
+    import contextlib
+    import io
+    import json
+
+    from repro.__main__ import main
+    from repro.api import CompileRequest
+
+    canonical = {}
+    for action, (minimal, full) in GOLDEN_REQUESTS.items():
+        for label, fields in (("minimal", minimal), ("full", full)):
+            request = CompileRequest(action=action, **fields)
+            canonical[f"{action}/{label}"] = request.canonical_json()
+    manifests = {}
+    for artifact, shard in _GOLDEN_MANIFESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["batch", artifact, "--scale",
+                         str(REQUEST_GOLDEN_SCALE), "--shard", shard,
+                         "--out", "-"])
+        assert code == 0, (artifact, code)
+        manifest = json.loads(out.getvalue())
+        del manifest["compiler"]
+        for job in manifest["jobs"]:
+            del job["seconds"], job["computed"]
+        manifests[artifact] = manifest
+    return {"canonical": canonical, "manifests": manifests}

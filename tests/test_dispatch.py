@@ -35,6 +35,7 @@ from repro.pipeline.dispatch import (
 )
 from repro.pipeline.fsqueue import worker_loop
 from repro.pipeline.shard import ShardSpec, run_shard
+from tests.conftest import patch_cell
 
 TINY = 0.02
 
@@ -317,7 +318,7 @@ class TestFaultInjection:
                 raise RuntimeError("injected persistent failure")
             return original(kernel_name, scale, use_cache)
 
-        monkeypatch.setattr(batch, "table3_cell", flaky)
+        patch_cell(monkeypatch, "table3", flaky)
         result = dispatch("table3", TINY, InlineTransport(1), retries=2)
         assert not result.ok and result.merged is None
         assert [q["key"][0] for q in result.quarantined] == ["SpMV"]
@@ -342,7 +343,7 @@ class TestFaultInjection:
                 raise RuntimeError("injected transient failure")
             return original(kernel_name, scale, use_cache)
 
-        monkeypatch.setattr(batch, "table3_cell", once)
+        patch_cell(monkeypatch, "table3", once)
         result = dispatch("table3", TINY, InlineTransport(1), retries=2)
         assert result.ok
         assert result.merged.text == _serial_text("table3")
@@ -365,7 +366,7 @@ class TestFaultInjection:
                 raise RuntimeError("injected worker failure")
             return original(kernel_name, dataset_name, scale, use_cache)
 
-        monkeypatch.setattr(batch, "evaluate_cell", once)
+        patch_cell(monkeypatch, "table6", once)
         result = dispatch("table6", TINY, InlineTransport(2))
         assert result.ok
         assert result.attempts == result.chunks + 1
@@ -504,7 +505,7 @@ class TestQueueTransport:
                 time_mod.sleep(3.0)  # outlive the 1s lease below
             return original(kernel_name, scale, use_cache)
 
-        monkeypatch.setattr(batch, "table3_cell", slow)
+        patch_cell(monkeypatch, "table3", slow)
         pool = _WorkerPool(queue_dir)
         pool.attach()
         pool.attach()
@@ -739,7 +740,7 @@ class TestResume:
             calls.append(kernel_name)
             return original(kernel_name, scale, use_cache)
 
-        monkeypatch.setattr(batch, "table3_cell", counting)
+        patch_cell(monkeypatch, "table3", counting)
         result = dispatch("table3", TINY, InlineTransport(1),
                           state_dir=state, resume=True)
         ran = {(k, "-", "loc") for k in calls}
@@ -780,11 +781,11 @@ class TestResume:
         def broken(kernel_name, scale, use_cache=None):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(batch, "table3_cell", broken)
+        patch_cell(monkeypatch, "table3", broken)
         bad = run_shard("table3", TINY, ShardSpec(1, chunks))
         assert bad.failures()
         bad.save(state / f"table3.chunk1of{chunks}.json")
-        monkeypatch.setattr(batch, "table3_cell", original)
+        patch_cell(monkeypatch, "table3", original)
 
         result = dispatch("table3", TINY, InlineTransport(1),
                           state_dir=state, resume=True)
@@ -855,7 +856,7 @@ class TestCli:
         def broken(kernel_name, scale, use_cache=None):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(batch, "table3_cell", broken)
+        patch_cell(monkeypatch, "table3", broken)
         assert main(["dispatch", "table3", "--workers", "inline:1",
                      "--scale", "0.02", "--quiet", "--retries", "0"]) == 1
         err = capsys.readouterr().err

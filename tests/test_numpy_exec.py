@@ -279,25 +279,30 @@ def test_default_engine_env(monkeypatch):
 
 def test_exec_stage_cache_key_separation(fresh_cache):
     """Engines never share exec-stage cache entries; reruns replay."""
-    from repro.eval.harness import exec_check
+    from repro.api import CompileRequest, exec_check
 
-    first = exec_check("SpMV", "bcsstk30", 0.02, engine="numpy")
-    second = exec_check("SpMV", "bcsstk30", 0.02, engine="cpu")
+    def request(engine):
+        return CompileRequest(kernel="SpMV", dataset="bcsstk30", scale=0.02,
+                              engine=engine)
+
+    first = exec_check(request("numpy"))
+    second = exec_check(request("cpu"))
     assert first["engine"] == "numpy"
     assert first["fell_back"] is False
     assert second["engine"] == "cpu"
     assert fresh_cache.stats.stage_misses["exec"] == 2
-    replay = exec_check("SpMV", "bcsstk30", 0.02, engine="numpy")
+    replay = exec_check(request("numpy"))
     assert fresh_cache.stats.stage_hits["exec"] == 1
     assert replay == first
 
 
 def test_exec_check_validates_against_oracle(fresh_cache):
     """exec_check returns a passing summary for every engine."""
-    from repro.eval.harness import exec_check
+    from repro.api import CompileRequest, exec_check
 
     for engine in ENGINES:
-        summary = exec_check("SpMV", "bcsstk30", 0.02, engine=engine)
+        summary = exec_check(CompileRequest(kernel="SpMV", dataset="bcsstk30",
+                                            scale=0.02, engine=engine))
         assert summary["kernel"] == "SpMV"
         assert summary["elements"] > 0
         assert summary["maxerr"] <= 1e-8

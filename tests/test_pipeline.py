@@ -22,6 +22,7 @@ from repro.pipeline.cache import (
 from repro.pipeline.executor import Job, run_jobs
 from repro.tensor import Tensor
 from tests.helpers_kernels import build_small_kernel_stmt
+from tests.conftest import patch_cell
 
 # Cache isolation comes from the shared ``fresh_cache`` fixture in
 # tests/conftest.py.
@@ -277,9 +278,10 @@ class TestStagedCache:
         assert len(calls) == 2
 
     def test_dataset_entries_live_in_stage_version_tree(self, fresh_cache):
-        from repro.eval.harness import load_dataset_cached
+        from repro.api import CompileRequest, load_dataset
 
-        load_dataset_cached("SpMV", "bcsstk30", TINY)
+        load_dataset(CompileRequest(kernel="SpMV", dataset="bcsstk30",
+                                    scale=TINY))
         base = disk_cache_dir()
         tree = base / stage_version("dataset")
         assert any(tree.rglob("*.pkl"))
@@ -417,7 +419,7 @@ class TestBatch:
         def broken(kernel_name, scale, use_cache=None):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(batch, "table3_cell", broken)
+        patch_cell(monkeypatch, "table3", broken)
         with pytest.raises(RuntimeError, match="injected failure"):
             run_artifact("table3", TINY, jobs=2)
 

@@ -118,29 +118,6 @@ class TestVerbs:
         assert api.execute(_req(action="compile")).source is not None
 
 
-class TestDeprecatedShims:
-    def test_old_surface_warns_once_and_matches(self, fresh_cache,
-                                                monkeypatch):
-        from repro.eval import harness
-
-        monkeypatch.setattr(harness, "_DEPRECATED_SEEN", set())
-        with pytest.deprecated_call():
-            times = harness.evaluate("SpMV", "bcsstk30", TINY)
-        assert times.seconds == api.evaluate(_req()).platform_times().seconds
-
-        # Second call: the warning fires once per process.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            harness.evaluate("SpMV", "bcsstk30", TINY)
-
-        monkeypatch.setattr(harness, "_DEPRECATED_SEEN", set())
-        with pytest.deprecated_call():
-            kernel = harness.build_kernel("SpMV", "bcsstk30", TINY)
-        assert kernel.spatial_loc > 10
-
-
 class TestStatsPayload:
     def test_shared_formatter_shape(self, fresh_cache):
         api.evaluate(_req())

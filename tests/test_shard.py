@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.pipeline.batch import artifact_jobs
+from repro.pipeline.batch import ARTIFACT_NAMES, artifact_jobs
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.shard import (
     ManifestError,
@@ -25,6 +25,7 @@ from repro.pipeline.shard import (
     merge_manifests,
     run_shard,
 )
+from tests.conftest import patch_cell
 
 TINY = 0.02
 
@@ -90,7 +91,7 @@ class TestShardSpec:
 
 class TestCodecs:
     def test_table6_round_trip(self):
-        from repro.eval.harness import PlatformTimes
+        from repro.api import PlatformTimes
 
         times = PlatformTimes("SpMV", "bcsstk30",
                               {"Capstan (HBM2E)": 0.1, "V100 GPU": 0.3})
@@ -111,7 +112,7 @@ class TestCodecs:
 
     def test_floats_survive_json_exactly(self):
         # The byte-identical merge guarantee rests on this property.
-        from repro.eval.harness import PlatformTimes
+        from repro.api import PlatformTimes
 
         ugly = 0.1 + 0.2  # 0.30000000000000004
         times = PlatformTimes("k", "d", {"p": ugly, "q": 1e-17})
@@ -188,7 +189,7 @@ class TestManifest:
         def broken(kernel_name, scale, use_cache=None):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(batch, "table3_cell", broken)
+        patch_cell(monkeypatch, "table3", broken)
         manifest = run_shard("table3", TINY, ShardSpec(1, 1))
         assert len(manifest.failures()) == len(manifest.jobs)
         assert "injected failure" in manifest.failures()[0]["error"]
@@ -204,10 +205,14 @@ def _shards(artifact: str, count: int, scale: float = TINY):
             for i in range(1, count + 1)]
 
 
+#: Every registered artefact plus one partition plan, sharded 2, 4 and 3
+#: ways in turn: a new artefact is covered by registering it.
+MERGE_CASES = [(name, (2, 4, 3)[i % 3]) for i, name in enumerate(
+    (*ARTIFACT_NAMES, "partition:SpMV:bcsstk30:p2:row"))]
+
+
 class TestMerge:
-    @pytest.mark.parametrize("artifact,count", [
-        ("table6", 3), ("table3", 2), ("table5", 4), ("figure12", 2),
-    ])
+    @pytest.mark.parametrize("artifact,count", MERGE_CASES)
     def test_merge_equals_serial(self, fresh_cache, artifact, count):
         from repro.pipeline.batch import format_artifact, run_artifact
 
@@ -298,7 +303,7 @@ class TestMerge:
         def broken(kernel_name, scale, use_cache=None):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(batch, "table3_cell", broken)
+        patch_cell(monkeypatch, "table3", broken)
         bad = run_shard("table3", TINY, ShardSpec(2, 2))
         with pytest.raises(MergeError, match="failed job"):
             merge_manifests([good, bad])

@@ -29,6 +29,7 @@ from repro.pipeline.steal import (
     record_cost,
     record_manifest_costs,
 )
+from tests.conftest import patch_cell
 
 TINY = 0.02
 
@@ -99,7 +100,7 @@ class TestExplicitShardSpec:
         def broken(kernel_name, scale, use_cache=None):
             raise RuntimeError("injected failure")
 
-        monkeypatch.setattr(batch, "table3_cell", broken)
+        patch_cell(monkeypatch, "table3", broken)
         bad = run_shard("table3", TINY, ShardSpec(2, 3, (1, 4)))
         with pytest.raises(MergeError, match=r"chunk 2/3=1,4"):
             merge_manifests([bad])
@@ -148,7 +149,7 @@ class TestCostTable:
                 raise RuntimeError("injected failure")
             return original(kernel_name, scale, use_cache)
 
-        monkeypatch.setattr(batch, "table3_cell", flaky)
+        patch_cell(monkeypatch, "table3", flaky)
         manifest = run_shard("table3", TINY, ShardSpec(1, 1))
         assert manifest.failures()
         recorded = record_manifest_costs([manifest])
