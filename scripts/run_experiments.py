@@ -83,7 +83,6 @@ def _run_dispatch(args, use_cache) -> int:
     from repro.pipeline.batch import artifact_jobs
     from repro.pipeline.dispatch import (
         DispatchError,
-        QueueTransport,
         dispatch,
         dispatch_summary_payload,
         parse_transport,
@@ -95,7 +94,6 @@ def _run_dispatch(args, use_cache) -> int:
     except DispatchError as exc:
         print(f"dispatch error: {exc}", file=sys.stderr)
         return 2
-    elastic = isinstance(transport, QueueTransport)
 
     OUT.mkdir(exist_ok=True)
     state_root = OUT / "dispatch"
@@ -114,8 +112,8 @@ def _run_dispatch(args, use_cache) -> int:
                     state_dir=state_dir, resume=True,
                     steal=args.steal, engine=args.engine,
                     # An elastic pool must survive between artefacts;
-                    # the finally below drains it after the last one.
-                    stop_queue=not elastic,
+                    # the finally below stops it after the last one.
+                    stop_queue=False,
                     on_event=event,
                 )
             except DispatchError as exc:
@@ -140,10 +138,9 @@ def _run_dispatch(args, use_cache) -> int:
                 for line in result.failure_report():
                     print(line, file=sys.stderr)
     finally:
-        if elastic:
-            # Raise the stop sentinel exactly once, after the whole
-            # sweep (or on any error), so attached workers exit.
-            transport.shutdown()
+        # Raise a queue's stop sentinel exactly once, after the whole
+        # sweep (or on any error), so attached workers exit.
+        transport.close(stop=True)
     print(f"\nTotal time: {time.time() - t0:.1f}s; manifests in "
           f"{state_root}/; artefacts in {OUT}/")
     return 1 if bad else 0

@@ -21,6 +21,9 @@ and benchmark drivers all route through:
   subprocesses, SSH hosts, or in-process threads), reassigns the chunks
   of dead or hung workers, quarantines persistently failing jobs, and
   folds the collected manifests through the validating merge.
+* :mod:`repro.pipeline.lease` — the one lease loop (retry bound, lease
+  expiry) and the ``Transport`` interface every worker pool implements;
+  ``dispatch`` and the ``serve`` daemon's queue pool both drive it.
 * :mod:`repro.pipeline.steal` — cost-model-driven work stealing: every
   dispatch records observed per-job wall times into a persistent
   ``cost`` cache stage, and ``--steal`` plans cost-balanced

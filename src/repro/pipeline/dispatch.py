@@ -1,45 +1,39 @@
 """Distributed sweep dispatcher: dynamic chunked leases over worker pools.
 
-PR 2's ``--shard I/N`` slices an artefact's job list statically: the
-operator picks the partition up front, starts every worker by hand, and
-collects the manifests themselves. SpDISTAL-style distribution moves that
-responsibility into a scheduler — this module is that scheduler for the
-Stardust evaluation sweep:
+``--shard I/N`` slices an artefact's job list statically: the operator
+picks the partition, starts every worker by hand, and collects the
+manifests. SpDISTAL-style distribution moves that into a scheduler:
 
 * The job list is cut into **chunks** (many more chunks than workers).
   Each chunk *is* a :class:`~repro.pipeline.shard.ShardSpec` slice
-  (``i/C``), so a chunk worker is just the existing ``repro batch
-  <artefact> --shard i/C`` CLI and its output is an ordinary
+  (``i/C``), so a chunk worker is just ``repro batch <artefact> --shard
+  i/C`` and its answer an ordinary
   :class:`~repro.pipeline.shard.ShardManifest`.
-* Workers **pull**: an idle worker slot is leased the next pending chunk.
-  Fast workers take more chunks; a static partition's straggler problem
+* Workers **pull**: an idle worker is leased the next pending chunk, so
+  fast workers take more and a static partition's straggler problem
   disappears.
-* Leases are **fault-tolerant**: a worker that dies is detected by its
-  exit, a worker that hangs is detected by lease expiry and killed; in
-  both cases the chunk is reassigned to another slot. Chunks whose jobs
-  keep failing are retried up to a bound, then their failing jobs are
-  **quarantined**: recorded (with their manifests' captured tracebacks)
-  in the :class:`DispatchResult` instead of poisoning the sweep.
-* The collected per-chunk manifests fold through the *existing*
-  validating merge (:func:`repro.pipeline.shard.merge_manifests`), so a
-  clean dispatch is **byte-identical** to the serial ``repro tables``
-  run — the property CI asserts on every push.
+* Leases are **fault-tolerant**. Where workers run is hidden behind one
+  interface, :class:`~repro.pipeline.lease.Transport`; what a dead,
+  silent or wrong worker costs is decided by one loop,
+  :class:`~repro.pipeline.lease.LeaseTable` (reassign up to a retry
+  bound). :func:`dispatch` plans the chunks, judges each answer
+  (:func:`accept_manifest`), and **quarantines** jobs that still fail at
+  the bound: recorded, with their tracebacks, in the
+  :class:`DispatchResult` instead of poisoning the sweep.
+* The collected manifests fold through the *existing* validating merge
+  (:func:`repro.pipeline.shard.merge_manifests`), so a clean dispatch is
+  **byte-identical** to the serial ``repro tables`` run — the property
+  CI asserts on every push.
 * A dispatch writing its manifests to a state directory can be
-  **resumed**: already-completed chunks are loaded from disk (and
-  anything else is replayed cheaply out of the staged cache under
-  ``REPRO_CACHE_DIR``).
+  **resumed**: completed chunks are loaded from disk (anything else
+  replays cheaply out of the staged cache under ``REPRO_CACHE_DIR``).
 
-Transports are pluggable behind :class:`Transport`:
-
-* ``local:N`` — N subprocess slots on this machine (the default).
-* ``ssh:host1,host2`` — one slot per SSH host; the same worker command
-  runs remotely and streams its manifest back over stdout.
-* ``inline:N`` — N in-process threads (no subprocess, shares this
-  process's monkeypatchable state; used by tests and tiny sweeps).
-* ``queue:DIR`` — an **elastic** pool: the dispatcher enqueues chunk
-  tasks into a filesystem queue (:mod:`repro.pipeline.fsqueue`) and
-  ``repro worker DIR`` processes attach and detach mid-sweep; the
-  dispatcher owns only enqueue, lease expiry, and collect.
+The pools (:func:`parse_transport`): ``local:N`` — N subprocess slots on
+this machine; ``ssh:host1,host2`` — one slot per SSH host, the same
+worker command streaming its manifest back over stdout; ``inline:N`` —
+N in-process threads (tests, tiny sweeps); ``queue:DIR`` — an
+**elastic** filesystem queue (:mod:`repro.pipeline.fsqueue`) that
+``repro worker DIR`` processes attach to and detach from mid-sweep.
 
 With ``steal=True`` the chunk partition itself adapts: observed per-job
 wall times (recorded into a persistent ``cost`` table by every
@@ -51,7 +45,6 @@ tail, so idle workers always find small work to steal. The first sweep
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import json
 import os
@@ -70,17 +63,18 @@ from repro.pipeline.batch import UnknownArtifact, resolve_artifact
 from repro.pipeline.cache import cache_enabled, cache_env_knobs, compiler_version
 from repro.pipeline.fsqueue import (
     ERROR_FORMAT,
+    ChunkRequest,
     QueueError,
     QueueTransport,
-    queue_task_payload,
+    run_task,
 )
+from repro.pipeline.lease import LeaseTable, Transport
 from repro.pipeline.shard import (
     MergedArtifact,
     MergeError,
     ShardManifest,
     ShardSpec,
     merge_manifests,
-    run_shard,
 )
 from repro.pipeline.steal import (
     DEFAULT_MIN_CHUNK,
@@ -98,9 +92,11 @@ __all__ = [
     "InlineTransport",
     "LocalTransport",
     "QueueTransport",
+    "SlotTransport",
     "SshTransport",
     "Transport",
     "WorkerHandle",
+    "accept_manifest",
     "chunk_count",
     "dispatch",
     "parse_transport",
@@ -119,44 +115,9 @@ DEFAULT_LEASE_TIMEOUT = 900.0
 #: expiry, or per-job failure (total attempts = 1 + retries).
 DEFAULT_RETRIES = 2
 
-_POLL_INTERVAL = 0.05
-
 
 class DispatchError(RuntimeError):
     """The dispatcher cannot start or resume (bad spec, bad state dir)."""
-
-
-# ---------------------------------------------------------------------------
-# Chunk requests (what a worker is asked to run)
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ChunkRequest:
-    """One lease unit: shard ``spec`` of ``artifact``'s job list."""
-
-    artifact: str
-    scale: float
-    spec: ShardSpec
-    use_cache: bool | None = None
-    jobs: int | None = None  #: worker-internal thread count
-    engine: str | None = None  #: functional-execution engine for cells
-
-    def batch_args(self) -> list[str]:
-        """The ``repro`` CLI arguments that run this chunk.
-
-        ``repr(scale)`` round-trips the float exactly through argparse,
-        so the worker computes the identical job list and cache keys.
-        """
-        args = ["batch", self.artifact, "--scale", repr(self.scale),
-                "--shard", str(self.spec), "--out", "-"]
-        if self.use_cache is False:
-            args.append("--no-cache")
-        if self.jobs is not None:
-            args += ["--jobs", str(self.jobs)]
-        if self.engine is not None:
-            args += ["--engine", self.engine]
-        return args
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +152,71 @@ class WorkerHandle:
         """
 
 
-class Transport:
-    """A pool of worker slots that can each run one chunk at a time."""
+class SlotTransport(Transport):
+    """A pool of ``slots`` worker slots that each run one chunk at a time.
 
-    #: Human-readable pool description (``local:3``).
-    name: str = "transport"
-    #: Number of chunks that may run concurrently.
-    slots: int = 1
+    Subclasses say how a chunk is started (:meth:`launch`); this class
+    keeps who runs where and answers the lease loop from the handles.
+    """
+
+    #: The ``--workers`` spelling (``local`` in ``local:3``).
+    kind = "slot"
+
+    def __init__(self, slots: int, name: str | None = None) -> None:
+        if slots < 1:
+            raise DispatchError(
+                f"{self.kind} transport needs >= 1 slot, got {slots}")
+        self.slots = slots
+        self.name = name or f"{self.kind}:{slots}"
+        #: task id -> (slot, handle, launch time)
+        self._active: dict[str, tuple[int, WorkerHandle, float]] = {}
 
     def launch(self, slot: int, request: ChunkRequest) -> WorkerHandle:
         raise NotImplementedError
 
-    def __str__(self) -> str:
-        return self.name
+    def submit(self, task_id: str, attempt: int, payload: dict) -> int:
+        busy = {slot for slot, _handle, _started in self._active.values()}
+        slot = next(s for s in range(self.slots) if s not in busy)
+        handle = self.launch(slot, ChunkRequest.from_payload(payload))
+        self._active[task_id] = (slot, handle, time.monotonic())
+        return slot
+
+    def poll(self) -> list[tuple[str, str | None, str]]:
+        out: list[tuple[str, str | None, str]] = []
+        for task_id, (_slot, handle, _started) in list(self._active.items()):
+            code = handle.poll()
+            if code is None:
+                continue
+            del self._active[task_id]
+            text: str | None = handle.manifest_text()
+            why = ""
+            if not text.strip():
+                err = handle.error_text().strip()
+                tail = err.splitlines()[-1] if err else "no output"
+                text, why = None, (f"worker exited with code {code} and "
+                                   f"produced no manifest ({tail})")
+            handle.close()
+            out.append((task_id, text, why))
+        return out
+
+    def last_alive(self, task_id: str) -> float:
+        # A slot worker has no heartbeat: the lease bounds its runtime.
+        return self._active[task_id][2]
+
+    def revoke(self, task_id: str) -> None:
+        entry = self._active.pop(task_id, None)
+        if entry is not None:
+            entry[1].kill()
+            entry[1].close()
+
+    def free(self) -> int:
+        return self.slots - len(self._active)
+
+    def close(self, stop: bool = True) -> None:
+        # An escaping exception (Ctrl-C, a launch error) must not orphan
+        # in-flight workers: revoke every live lease.
+        for task_id in list(self._active):
+            self.revoke(task_id)
 
 
 class _PopenHandle(WorkerHandle):
@@ -279,21 +292,14 @@ def worker_env() -> dict[str, str]:
     return env
 
 
-_worker_env = worker_env  # back-compat alias
-
-
-class LocalTransport(Transport):
+class LocalTransport(SlotTransport):
     """``local:N`` — N subprocess slots on this machine.
 
     Workers share the parent's ``REPRO_CACHE_DIR`` (inherited through
     the environment), so every chunk draws on the same staged cache.
     """
 
-    def __init__(self, slots: int) -> None:
-        if slots < 1:
-            raise DispatchError(f"local transport needs >= 1 slot, got {slots}")
-        self.slots = slots
-        self.name = f"local:{slots}"
+    kind = "local"
 
     def argv(self, request: ChunkRequest) -> list[str]:
         return [sys.executable, "-m", "repro", *request.batch_args()]
@@ -302,7 +308,7 @@ class LocalTransport(Transport):
         return _PopenHandle(self.argv(request), worker_env())
 
 
-class SshTransport(Transport):
+class SshTransport(SlotTransport):
     """``ssh:host1,host2`` — one slot per host, same CLI over SSH.
 
     Each host needs a checkout of this repository and a Python with the
@@ -321,12 +327,10 @@ class SshTransport(Transport):
     """
 
     def __init__(self, hosts: list[str]) -> None:
-        hosts = [h for h in hosts if h]
-        if not hosts:
+        self.hosts = [h for h in hosts if h]
+        if not self.hosts:
             raise DispatchError("ssh transport needs at least one host")
-        self.hosts = hosts
-        self.slots = len(hosts)
-        self.name = f"ssh:{','.join(hosts)}"
+        super().__init__(len(self.hosts), f"ssh:{','.join(self.hosts)}")
 
     def _remote_repo(self) -> str:
         configured = os.environ.get("REPRO_SSH_REPO", "")
@@ -354,49 +358,40 @@ class SshTransport(Transport):
 
 
 class _ThreadHandle(WorkerHandle):
-    """In-process handle: the chunk runs on a thread via run_shard."""
+    """In-process handle: the chunk runs on a thread via run_task."""
 
-    def __init__(self, request: ChunkRequest) -> None:
+    def __init__(self, request: ChunkRequest,
+                 finished: threading.Event) -> None:
         self._cancel = threading.Event()
         self._text = ""
-        self._error = ""
         self._code: int | None = None
 
         def work() -> None:
             try:
-                manifest = run_shard(
-                    request.artifact, request.scale, request.spec,
-                    jobs=request.jobs, use_cache=request.use_cache,
-                    should_stop=self._cancel.is_set,
-                    engine=request.engine,
-                )
-                self._text = manifest.to_json()
-                self._code = 1 if manifest.failures() else 0
-            except Exception:  # pragma: no cover - run_shard isolates jobs
-                import traceback
+                self._text = run_task(request.payload(), self._cancel.is_set)
+            finally:
+                self._code = 0
+                finished.set()
 
-                self._error = traceback.format_exc()
-                self._code = 1
-
-        self._thread = threading.Thread(target=work, daemon=True)
-        self._thread.start()
+        threading.Thread(target=work, daemon=True).start()
 
     def poll(self) -> int | None:
-        return None if self._thread.is_alive() else self._code
+        return self._code
 
     def kill(self) -> None:
         # Threads cannot be killed; cancel pending jobs so the chunk
-        # drains quickly and its (incomplete) manifest is discarded.
+        # drains quickly. Its (incomplete) manifest is never read: a
+        # revoked handle is not polled again.
         self._cancel.set()
 
     def manifest_text(self) -> str:
-        return "" if self._cancel.is_set() else self._text
+        return self._text
 
     def error_text(self) -> str:
-        return self._error
+        return ""
 
 
-class InlineTransport(Transport):
+class InlineTransport(SlotTransport):
     """``inline:N`` — N in-process threads (tests, tiny local sweeps).
 
     Shares this process's modules and default cache, so test fixtures
@@ -406,15 +401,20 @@ class InlineTransport(Transport):
     here bound scheduling, not single-job runtime.
     """
 
+    kind = "inline"
+
     def __init__(self, slots: int) -> None:
-        if slots < 1:
-            raise DispatchError(
-                f"inline transport needs >= 1 slot, got {slots}")
-        self.slots = slots
-        self.name = f"inline:{slots}"
+        super().__init__(slots)
+        self._finished = threading.Event()
 
     def launch(self, slot: int, request: ChunkRequest) -> WorkerHandle:
-        return _ThreadHandle(request)
+        return _ThreadHandle(request, self._finished)
+
+    def wait(self, timeout: float) -> None:
+        # A thread stores its answer before it sets the event, and the
+        # caller polls after this returns: clearing here loses nothing.
+        self._finished.wait(timeout)
+        self._finished.clear()
 
 
 def parse_transport(spec: str) -> Transport:
@@ -586,32 +586,20 @@ def _chunk_path(state_dir: Path, artifact: str, spec: ShardSpec) -> Path:
     return state_dir / f"{artifact}.chunk{spec.index}of{spec.count}.json"
 
 
-def _parse_worker_manifest(
-    handle: WorkerHandle, request: ChunkRequest
-) -> tuple[ShardManifest | None, str]:
-    """The worker's manifest, or ``(None, why)`` when it produced none."""
-    text = handle.manifest_text()
-    if not text.strip():
-        err = handle.error_text().strip()
-        tail = err.splitlines()[-1] if err else "no output"
-        return None, f"worker produced no manifest ({tail})"
-    return _validate_manifest_text(text, request)
-
-
-def _validate_manifest_text(
+def accept_manifest(
     text: str, request: ChunkRequest
-) -> tuple[ShardManifest | None, str]:
-    """Validate raw manifest JSON against the chunk it should answer for.
+) -> tuple[ShardManifest | None, str | None]:
+    """Validate a worker's raw answer against the chunk it should answer for.
 
-    Shared by the pool loop (worker stdout) and the queue loop (result
-    files); both must refuse wrong-chunk, wrong-compiler, or malformed
-    answers at acceptance, not at the final merge fold.
+    Whatever the pool (worker stdout, thread result, queue result file),
+    a wrong-chunk, wrong-compiler, or malformed answer is refused here,
+    at acceptance, not at the final merge fold.
     """
     try:
         data = json.loads(text)
         if isinstance(data, dict) and data.get("format") == ERROR_FORMAT:
-            # A queue worker that could not run the task at all reports
-            # the root cause instead of a manifest; surface *its* error,
+            # A worker that could not run the task at all reports the
+            # root cause instead of a manifest; surface *its* error,
             # not a generic format refusal.
             return None, (f"worker reported a task error: "
                           f"{data.get('error', 'unknown')}")
@@ -631,13 +619,13 @@ def _validate_manifest_text(
         return None, (f"worker runs compiler {manifest.compiler}, this "
                       f"checkout is {compiler_version()} (stale remote "
                       f"checkout?)")
-    return manifest, ""
+    return manifest, None
 
 
 def dispatch(
     artifact: str,
     scale: float,
-    transport: Transport | QueueTransport | str,
+    transport: Transport | str,
     *,
     chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
@@ -658,26 +646,23 @@ def dispatch(
     or, with ``steal=True``, into cost-balanced explicit-index chunks
     planned from the persistent cost table (falling back to uniform on
     the first sweep, before any costs are recorded); ``min_chunk``
-    floors the planned steal-tail granularity. Idle worker slots lease
-    pending chunks until none remain. A worker that exits without a
-    valid manifest, or outlives ``lease_timeout``, loses its lease: the
-    chunk is reassigned (up to ``retries`` extra attempts). A chunk
-    whose manifest still contains failed jobs after the retry bound has
-    those jobs quarantined. When every chunk completed cleanly the
-    manifests fold through :func:`~repro.pipeline.shard.merge_manifests`
-    into output byte-identical to the serial run; otherwise ``merged``
-    is ``None`` and the quarantine/lost lists say exactly what is
-    missing. Every dispatch records its jobs' observed wall times into
-    the cost table, so the *next* ``steal=True`` dispatch plans from
-    warm data.
+    floors the planned steal-tail granularity. The chunks are leased
+    through a :class:`~repro.pipeline.lease.LeaseTable`: a worker that
+    leaves no valid manifest, or shows no life for ``lease_timeout``,
+    loses its lease and the chunk is reassigned (up to ``retries`` extra
+    attempts). A chunk whose manifest still contains failed jobs at the
+    bound has those jobs quarantined. When every chunk completed cleanly
+    the manifests fold through
+    :func:`~repro.pipeline.shard.merge_manifests` into output
+    byte-identical to the serial run; otherwise ``merged`` is ``None``
+    and the quarantine/lost lists say exactly what is missing. Every
+    dispatch records its jobs' observed wall times into the cost table,
+    so the *next* ``steal=True`` dispatch plans from warm data.
 
-    A :class:`QueueTransport` (``queue:DIR``) swaps the pool loop for an
-    elastic one: chunks are enqueued as task files, ``repro worker DIR``
-    processes attach and detach mid-sweep, and a lease whose worker goes
-    silent past ``lease_timeout`` is revoked and re-enqueued. By default
-    the queue's stop sentinel is raised when the dispatch ends, draining
-    attached workers; a multi-artefact sweep passes ``stop_queue=False``
-    on all but its last dispatch so the pool survives between artefacts.
+    The pool is closed when the dispatch ends, which over ``queue:DIR``
+    raises the stop sentinel and drains attached workers; a
+    multi-artefact sweep passes ``stop_queue=False`` on all but its last
+    dispatch so the elastic pool survives between artefacts.
 
     ``state_dir`` persists per-chunk manifests (and enables
     ``resume=True`` to skip chunks already completed by an earlier,
@@ -738,42 +723,32 @@ def dispatch(
     resumed_indices = set(done)
     resumed = len(done)
 
-    pending = collections.deque(
-        i for i in range(1, chunks + 1) if i not in done)
-    attempts: dict[int, int] = {}
-    last_error: dict[int, str] = {}
+    requests = {
+        f"{record.task_prefix}-{i:04d}": ChunkRequest(
+            artifact, scale, specs[i], use_cache=use_cache,
+            jobs=worker_jobs, engine=engine)
+        for i in range(1, chunks + 1) if i not in done}
     lost: dict[int, str] = {}
     quarantined: list[dict] = []
-    total_attempts = 0
 
-    def request_for(index: int) -> ChunkRequest:
-        return ChunkRequest(artifact, scale, specs[index],
-                            use_cache=use_cache, jobs=worker_jobs,
-                            engine=engine)
-
-    def chunk_failed(index: int, why: str) -> None:
-        last_error[index] = why
-        _trace.event("chunk.failed", chunk=index, attempt=attempts[index],
-                     why=why)
-        if attempts[index] <= retries:
-            events(f"chunk {specs[index]}: {why}; reassigning "
-                   f"(attempt {attempts[index]} of {1 + retries})")
-            pending.append(index)
-        else:
-            events(f"chunk {specs[index]}: {why}; retry bound reached, "
-                   f"chunk lost")
-            lost[index] = why
-
-    def accept(index: int, manifest: ShardManifest) -> None:
-        if manifest.failures() and attempts[index] <= retries:
+    def accept(task_id: str, text: str):
+        manifest, why = accept_manifest(text, requests[task_id])
+        if manifest is not None and manifest.failures():
+            # Usable, but worth another attempt while the bound allows.
             failed = [":".join(map(str, e["key"]))
                       for e in manifest.failures()]
-            chunk_failed(index, f"{len(failed)} job(s) failed ({failed[0]}...)"
-                         if len(failed) > 1 else f"job {failed[0]} failed")
+            why = (f"{len(failed)} job(s) failed ({failed[0]}...)"
+                   if len(failed) > 1 else f"job {failed[0]} failed")
+        return manifest, why
+
+    def settle(outcome) -> None:
+        spec = requests[outcome.task_id].spec
+        if outcome.lost is not None:
+            lost[spec.index] = outcome.lost
             return
-        done[index] = manifest
-        _trace.event("chunk.done", chunk=index, jobs=len(manifest.jobs),
-                     attempt=attempts[index])
+        manifest = done[spec.index] = outcome.value
+        _trace.event("chunk.done", chunk=spec.index, jobs=len(manifest.jobs),
+                     attempt=outcome.attempt)
         if state_path is not None:
             manifest.save(_chunk_path(state_path, artifact, manifest.shard))
         if manifest.failures():
@@ -781,164 +756,27 @@ def dispatch(
                 quarantined.append({
                     "key": list(entry["key"]),
                     "error": entry.get("error", ""),
-                    "chunk": index,
+                    "chunk": spec.index,
                 })
-            events(f"chunk {specs[index]}: done with "
+            events(f"chunk {spec}: done with "
                    f"{len(manifest.failures())} job(s) quarantined after "
-                   f"{attempts[index]} attempt(s)")
+                   f"{outcome.attempt} attempt(s)")
         else:
-            events(f"chunk {specs[index]}: done "
-                   f"({len(manifest.jobs)} job(s))")
-
-    def next_attempt(index: int) -> int:
-        nonlocal total_attempts
-        attempts[index] = attempts.get(index, 0) + 1
-        total_attempts += 1
-        return attempts[index]
-
-    def pool_loop() -> None:
-        """Launch-style transports: the dispatcher owns the worker pool."""
-        #: slot -> (chunk index, handle, lease deadline)
-        active: dict[int, tuple[int, WorkerHandle, float]] = {}
-        try:
-            while pending or active:
-                # Lease pending chunks to idle slots.
-                idle = [s for s in range(transport.slots) if s not in active]
-                for slot in idle:
-                    if not pending:
-                        break
-                    index = pending.popleft()
-                    attempt = next_attempt(index)
-                    handle = transport.launch(slot, request_for(index))
-                    active[slot] = (index, handle,
-                                    time.monotonic() + lease_timeout)
-                    _trace.event("lease", chunk=index, slot=slot,
-                                 attempt=attempt)
-                    events(f"chunk {specs[index]} -> {transport} slot {slot} "
-                           f"(attempt {attempt})")
-
-                # Poll active leases.
-                for slot in list(active):
-                    index, handle, deadline = active[slot]
-                    code = handle.poll()
-                    if code is None:
-                        if time.monotonic() > deadline:
-                            handle.kill()
-                            handle.close()
-                            del active[slot]
-                            _trace.event("lease.expired", chunk=index,
-                                         slot=slot)
-                            chunk_failed(
-                                index,
-                                f"lease expired after {lease_timeout:g}s "
-                                f"(worker hung?)")
-                        continue
-                    del active[slot]
-                    manifest, why = _parse_worker_manifest(handle,
-                                                           request_for(index))
-                    handle.close()
-                    if manifest is None:
-                        chunk_failed(index,
-                                     f"worker exited with code {code}: {why}")
-                    else:
-                        accept(index, manifest)
-
-                if active:
-                    time.sleep(_POLL_INTERVAL)
-        finally:
-            # An escaping exception (Ctrl-C, a transport launch error)
-            # must not orphan in-flight workers: revoke every live lease.
-            for _index, handle, _deadline in active.values():
-                handle.kill()
-                handle.close()
-
-    def queue_loop() -> None:
-        """Queue transport: elastic workers attach and detach mid-sweep.
-
-        The dispatcher only enqueues task files, revokes silent leases,
-        and collects result files — it never launches a worker, so the
-        pool can grow (a host attaches ``repro worker DIR``) or shrink
-        (a worker is killed; its lease expires and the chunk is
-        re-enqueued) at any point during the sweep.
-        """
-        transport.prepare()
-        outstanding: set[int] = set()
-        idle_scans = 0
-        # Scan far less often than the in-memory pool loop: every scan
-        # globs the (possibly NFS-shared) queue directories, chunks run
-        # for seconds-to-minutes, and workers only poll every ~0.5s —
-        # but keep sub-second leases (tests) responsive.
-        poll = min(0.5, max(_POLL_INTERVAL, lease_timeout / 20))
-        try:
-            while pending or outstanding:
-                while pending:
-                    index = pending.popleft()
-                    attempt = next_attempt(index)
-                    transport.enqueue(index, attempt, queue_task_payload(
-                        artifact, scale, specs[index], use_cache,
-                        worker_jobs, lease_timeout=lease_timeout,
-                        engine=engine))
-                    outstanding.add(index)
-                    _trace.event("enqueue", chunk=index, attempt=attempt)
-                    events(f"chunk {specs[index]} -> {transport} "
-                           f"(attempt {attempt})")
-
-                progressed = False
-                for index, text, path in transport.collect():
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                    if index not in outstanding:
-                        continue  # late duplicate of a finished chunk
-                    progressed = True
-                    manifest, why = _validate_manifest_text(
-                        text, request_for(index))
-                    outstanding.discard(index)
-                    # Drop any still-pending duplicate attempt before
-                    # deciding this chunk's fate.
-                    transport.withdraw(index)
-                    if manifest is None:
-                        chunk_failed(index, f"queue worker answered with an "
-                                            f"invalid manifest: {why}")
-                    else:
-                        accept(index, manifest)
-
-                for index in transport.expired_leases(lease_timeout):
-                    if index not in outstanding:
-                        continue
-                    progressed = True
-                    outstanding.discard(index)
-                    _trace.event("lease.expired", chunk=index)
-                    chunk_failed(index,
-                                 f"lease expired after {lease_timeout:g}s "
-                                 f"(worker detached?)")
-
-                if pending or not outstanding:
-                    continue
-                idle_scans = 0 if progressed else idle_scans + 1
-                if idle_scans and idle_scans * poll >= 30:
-                    idle_scans = 0
-                    queued, claimed = transport.pending_counts()
-                    events(f"queue: {queued} task(s) waiting, {claimed} "
-                           f"claimed; attach workers with `repro worker "
-                           f"{transport.root}`")
-                time.sleep(poll)
-        finally:
-            # Withdraw leftover tasks; with stop_queue also raise the
-            # stop sentinel so attached workers drain and exit instead
-            # of spinning (a multi-artefact sweep keeps them attached).
-            if stop_queue:
-                transport.shutdown()
-            else:
-                transport.drain()
+            events(f"chunk {spec}: done ({len(manifest.jobs)} job(s))")
 
     with _trace.span("dispatch", artifact=artifact, scale=scale,
                      transport=str(transport)) as dispatch_span:
-        if isinstance(transport, QueueTransport):
-            queue_loop()
-        else:
-            pool_loop()
+        table = LeaseTable(transport, lease_timeout, retries, accept, events)
+        try:
+            for task_id, request in requests.items():
+                table.submit(task_id, request.payload(),
+                             f"chunk {request.spec}")
+            while table:
+                transport.wait(lease_timeout / 20)
+                for outcome in table.step():
+                    settle(outcome)
+        finally:
+            transport.close(stop_queue)
 
         manifests = [done[i] for i in sorted(done)]
         # Record observed wall times from freshly-executed chunks only:
@@ -977,12 +815,10 @@ def dispatch(
             "Dispatch jobs by execution kind.", ("kind",))
         jobs_counter.inc(jobs_computed, kind="computed")
         jobs_counter.inc(jobs_cached, kind="cached")
-        _metrics.counter("repro_dispatch_leases_total",
-                         "Chunk leases granted.").inc(total_attempts)
         _metrics.counter("repro_dispatch_chunks_lost_total",
                          "Chunks lost after the retry bound.").inc(len(lost))
         dispatch_span.set(ok=merged is not None, chunks=chunks,
-                          attempts=total_attempts,
+                          attempts=table.leases,
                           jobs_computed=jobs_computed,
                           jobs_cached=jobs_cached)
         return DispatchResult(
@@ -995,7 +831,7 @@ def dispatch(
             quarantined=quarantined,
             lost_chunks=lost,
             resumed_chunks=resumed,
-            attempts=total_attempts,
+            attempts=table.leases,
             seconds=time.perf_counter() - start,
             merge_error=merge_error,
             steal=stolen,

@@ -193,30 +193,29 @@ class _ThreadPoolBackend:
         self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-@dataclasses.dataclass
-class _PendingRequest:
-    future: asyncio.Future
-    request: api.CompileRequest
-    attempts: int = 1
-
-
 class _QueueBackend:
     """``queue:DIR`` — misses are fed to the elastic filesystem queue.
 
-    The daemon owns enqueue, lease expiry, and collect (exactly the
-    dispatcher's share of the protocol); ``repro worker DIR`` processes
-    on any host sharing the directory claim request tasks, run them
-    through :func:`repro.service.api.execute`, and write result files
-    the poll loop folds back into waiting futures. A worker that dies
-    mid-request loses its lease and the request is re-enqueued up to
-    ``retries`` times. Closing the backend raises the queue's stop
-    sentinel, releasing attached workers.
+    Each miss is one ``request`` task on the queue, leased by the same
+    :class:`~repro.pipeline.lease.LeaseTable` that leases ``dispatch``
+    chunks: ``repro worker DIR`` processes on any host sharing the
+    directory claim it, run it through :func:`repro.service.api.execute`
+    and write the result file the poll loop folds back into the waiting
+    future. A worker that dies or goes silent mid-request loses its
+    lease and the request is published again, up to ``retries`` times
+    (README "Leases and faults"). Closing the backend raises the queue's
+    stop sentinel, releasing attached workers.
     """
 
     def __init__(self, root: str, use_cache: bool | None, poll: float,
                  lease_timeout: float, retries: int,
                  on_event: Callable[[str], None]) -> None:
-        from repro.pipeline.fsqueue import QueueError, QueueTransport
+        from repro.pipeline.fsqueue import (
+            ERROR_FORMAT,
+            QueueError,
+            QueueTransport,
+        )
+        from repro.pipeline.lease import LeaseTable
 
         try:
             self.transport = QueueTransport(root)
@@ -225,10 +224,11 @@ class _QueueBackend:
         self.name = f"queue:{self.transport.root}"
         self._use_cache = use_cache
         self._poll = poll
-        self._lease_timeout = lease_timeout
-        self._retries = retries
         self._events = on_event
-        self._waiting: dict[str, _PendingRequest] = {}
+        self._error_format = ERROR_FORMAT
+        self._table = LeaseTable(self.transport, lease_timeout, retries,
+                                 self._accept, on_event)
+        self._waiting: dict[str, asyncio.Future] = {}
         self._seq = 0
         self._task: asyncio.Task | None = None
 
@@ -236,67 +236,53 @@ class _QueueBackend:
         self.transport.prepare()
         self._task = asyncio.get_running_loop().create_task(self._poll_loop())
 
-    def _payload(self, request: api.CompileRequest) -> dict[str, Any]:
-        payload: dict[str, Any] = {"request": request.canonical(),
-                                   "lease_timeout": self._lease_timeout}
-        if self._use_cache is not None:
-            payload["use_cache"] = self._use_cache
-        return payload
-
     async def submit(self, request: api.CompileRequest) -> api.CompileResult:
         self._seq += 1
-        rid = f"{self._seq:06d}"
-        future = asyncio.get_running_loop().create_future()
-        self._waiting[rid] = _PendingRequest(future, request)
-        self.transport.enqueue_request(rid, self._payload(request))
+        rid = f"req-{self._seq:06d}"
+        payload: dict[str, Any] = {"kind": "request",
+                                   "request": request.canonical()}
+        if self._use_cache is not None:
+            payload["use_cache"] = self._use_cache
+        future = self._waiting[rid] = asyncio.get_running_loop().create_future()
+        self._table.submit(rid, payload, f"request {rid}")
         return await future
 
-    def _resolve(self, rid: str, payload: dict[str, Any]) -> None:
-        pending = self._waiting.pop(rid, None)
-        if pending is None or pending.future.done():
-            return
-        if payload.get("ok"):
-            try:
-                result = api.CompileResult.from_dict(payload["result"])
-            except (KeyError, ValueError) as exc:
-                pending.future.set_exception(ServeError(
-                    f"malformed queue result for request {rid}: {exc}"))
-                return
-            pending.future.set_result(result)
-        else:
-            pending.future.set_exception(ServeError(
-                f"queue worker failed: {payload.get('error', 'unknown')}"))
+    def _accept(self, rid: str, text: str):
+        """A worker's answer as ``(value, why)`` for the lease table.
 
-    def _scan(self) -> None:
-        for rid, payload, path in self.transport.collect_requests():
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.transport.withdraw_request(rid)
-            self._resolve(rid, payload)
-        for rid in self.transport.expired_requests(self._lease_timeout):
-            pending = self._waiting.get(rid)
-            if pending is None:
-                continue
-            if pending.attempts > self._retries:
-                self._waiting.pop(rid)
-                if not pending.future.done():
-                    pending.future.set_exception(ServeError(
-                        f"request {rid} lost its worker "
-                        f"{pending.attempts} time(s); giving up"))
-                continue
-            pending.attempts += 1
-            self._events(f"request {rid} lease expired; re-enqueueing "
-                         f"(attempt {pending.attempts})")
-            self.transport.enqueue_request(rid, self._payload(pending.request))
+        A compile error the worker reports is a *value* — the exception
+        to answer with: it is deterministic, so retrying it is futile.
+        Only an unreadable answer counts against the retry bound.
+        """
+        try:
+            data = json.loads(text)
+            if (isinstance(data, dict)
+                    and data.get("format") == self._error_format):
+                return ServeError(f"queue worker failed: "
+                                  f"{data.get('error', 'unknown')}"), None
+            return api.CompileResult.from_dict(data), None
+        except (KeyError, ValueError, TypeError) as exc:
+            return None, f"malformed queue result: {exc}"
 
     async def _poll_loop(self) -> None:
         while True:
             try:
-                self._scan()
+                outcomes = self._table.step()
             except OSError as exc:  # pragma: no cover - transient fs races
                 self._events(f"queue scan error: {exc}")
+                outcomes = []
+            for outcome in outcomes:
+                future = self._waiting.pop(outcome.task_id)
+                if future.done():
+                    continue
+                if outcome.lost is not None:
+                    future.set_exception(ServeError(
+                        f"request {outcome.task_id} lost after "
+                        f"{outcome.attempt} attempt(s): {outcome.lost}"))
+                elif isinstance(outcome.value, Exception):
+                    future.set_exception(outcome.value)
+                else:
+                    future.set_result(outcome.value)
             await asyncio.sleep(self._poll)
 
     async def close(self) -> None:
@@ -304,12 +290,11 @@ class _QueueBackend:
             self._task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._task
-        for rid, pending in list(self._waiting.items()):
-            if not pending.future.done():
-                pending.future.set_exception(
-                    ServeError("server shutting down"))
+        for future in self._waiting.values():
+            if not future.done():
+                future.set_exception(ServeError("server shutting down"))
         self._waiting.clear()
-        self.transport.shutdown()
+        self.transport.close(stop=True)
 
 
 def _parse_pool(config: ServeConfig,

@@ -373,6 +373,75 @@ class TestFaultInjection:
         assert result.merged.text == _serial_text("table6")
 
 
+def _sabotage_run_task(monkeypatch, pool: str, sabotage) -> None:
+    """Make the first in-process task of ``pool`` go through ``sabotage``
+    (``inline:`` threads and ``repro worker`` loops both call run_task)."""
+    import importlib
+
+    module = importlib.import_module(
+        "repro.pipeline." + ("dispatch" if pool == "inline" else "fsqueue"))
+    real = module.run_task
+    state = {"left": 1}
+
+    def run_task(task, should_stop, jobs=None):
+        if state["left"]:
+            state["left"] -= 1
+            return sabotage(lambda: real(task, should_stop, jobs))
+        return real(task, should_stop, jobs)
+
+    monkeypatch.setattr(module, "run_task", run_task)
+
+
+class TestFaultsPerPool:
+    """The faults every pool can express, through the one lease loop."""
+
+    @pytest.mark.parametrize("pool", ["inline", "local", "queue"])
+    def test_garbage_answer_counted_and_reassigned(self, fresh_cache,
+                                                   tmp_path, monkeypatch,
+                                                   pool):
+        workers = None
+        if pool == "local":
+            transport = _SabotagedLocal(
+                2, [sys.executable, "-c", "print('not a manifest')"])
+        else:
+            _sabotage_run_task(monkeypatch, pool,
+                               lambda _run: "not a manifest\n")
+            transport = InlineTransport(2)
+            if pool == "queue":
+                transport = QueueTransport(tmp_path / "pool")
+                workers = _WorkerPool(transport.root)
+                workers.attach()
+        events: list[str] = []
+        result = dispatch("table3", TINY, transport, chunks_per_worker=2,
+                          lease_timeout=60, on_event=events.append)
+        assert result.ok
+        assert result.merged.text == _serial_text("table3")
+        assert result.attempts == result.chunks + 1
+        assert any("unreadable" in e and "reassigning" in e for e in events)
+        assert workers is None or workers.join_all()
+
+    def test_hung_inline_thread_lease_expires(self, fresh_cache,
+                                              monkeypatch):
+        """``inline:`` has the fault ``local:`` and ``queue:`` are tested
+        for above and below: a task silent past its lease is revoked (the
+        cancel flag) and reassigned, and its late answer is dropped."""
+        import time as time_mod
+
+        def hang(run):
+            time_mod.sleep(1.0)
+            return run()
+
+        _sabotage_run_task(monkeypatch, "inline", hang)
+        events: list[str] = []
+        result = dispatch("table3", TINY, InlineTransport(2),
+                          lease_timeout=0.3, retries=8,
+                          on_event=events.append)
+        assert result.ok
+        assert result.merged.text == _serial_text("table3")
+        assert any("lease expired" in e and "reassigning" in e
+                   for e in events)
+
+
 # ---------------------------------------------------------------------------
 # The elastic queue transport (queue:DIR + `repro worker`)
 # ---------------------------------------------------------------------------
@@ -526,8 +595,8 @@ class TestQueueTransport:
 
         transport = QueueTransport(queue_dir)
         transport.prepare()
-        transport.enqueue(1, 1, {"artifact": "table3", "scale": TINY,
-                                 "shard": "1/1"})
+        transport.submit("chunk-0001", 1, ChunkRequest(
+            "table3", TINY, ShardSpec(1, 1)).payload())
         monkeypatch.setattr(fsqueue, "compiler_version", lambda: "0" * 16)
         events: list[str] = []
         exits = {"count": 0}
@@ -634,13 +703,13 @@ class TestQueueTransport:
         explicit-positions spec) reports the root cause, and the
         dispatcher's failure report carries it instead of a generic
         'unreadable manifest' refusal."""
-        from repro.pipeline.dispatch import _validate_manifest_text
+        from repro.pipeline.dispatch import accept_manifest
         from repro.pipeline.fsqueue import ERROR_FORMAT
 
+        request = ChunkRequest("table3", TINY, ShardSpec(1, 1, (999,)))
         transport = QueueTransport(queue_dir)
         transport.prepare()
-        transport.enqueue(1, 1, {"artifact": "table3", "scale": TINY,
-                                 "shard": "1/1=999"})
+        transport.submit("chunk-0001", 1, request.payload())
         exits = {"count": 0}
 
         def bail():
@@ -648,12 +717,12 @@ class TestQueueTransport:
             return exits["count"] > 200
 
         worker_loop(queue_dir, poll=0.01, should_exit=bail)
-        results = transport.collect()
+        results = transport.poll()
         assert len(results) == 1
-        _index, text, _path = results[0]
+        task_id, text, _why = results[0]
+        assert task_id == "chunk-0001"
         assert json.loads(text)["format"] == ERROR_FORMAT
-        request = ChunkRequest("table3", TINY, ShardSpec(1, 1, (999,)))
-        manifest, why = _validate_manifest_text(text, request)
+        manifest, why = accept_manifest(text, request)
         assert manifest is None
         assert "stale chunk plan" in why  # the worker's real error
 
@@ -694,8 +763,8 @@ class TestQueueTransport:
         must start clean instead of mistaking them for its own chunks."""
         transport = QueueTransport(tmp_path / "pool")
         transport.prepare()
-        transport.enqueue(1, 1, {"artifact": "table6", "scale": 0.05,
-                                 "shard": "1/2"})
+        transport.submit("chunk-0001", 1, ChunkRequest(
+            "table6", 0.05, ShardSpec(1, 2)).payload())
         (transport.claimed_dir / "chunk-0002-a1.json.dead").write_text("{}")
         (transport.results_dir / "chunk-0003-a1.w.json").write_text("{}")
         transport.prepare()
@@ -867,7 +936,7 @@ class TestCli:
 
         transport = QueueTransport(tmp_path / "pool")
         transport.prepare()
-        transport.shutdown()  # raise the stop sentinel; queue is empty
+        transport.close(stop=True)  # raise the stop sentinel; queue is empty
         assert main(["worker", str(tmp_path / "pool"), "--poll", "0.01",
                      "--quiet"]) == 0
         assert "0 chunk(s) completed" in capsys.readouterr().err

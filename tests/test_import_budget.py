@@ -33,6 +33,7 @@ COMPUTE = (
     "repro.backends",
     "repro.pipeline.dispatch",
     "repro.pipeline.fsqueue",
+    "repro.pipeline.lease",
     "repro.pipeline.steal",
     "repro.pipeline.partition",
     "repro.pipeline.fusion",
@@ -63,8 +64,8 @@ LAYERS = (
     ("api", "service.api", "service.stats", "pipeline.cache",
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),
     ("core", "spatial", "capstan", "backends"),
-    ("pipeline.dispatch", "pipeline.fsqueue", "pipeline.steal",
-     "pipeline.partition", "pipeline.fusion", "service.server", "__main__"),
+    ("pipeline.dispatch", "pipeline.fsqueue", "pipeline.lease",
+     "pipeline.steal", "pipeline.partition", "pipeline.fusion", "service.server", "__main__"),
 )
 
 _PROBE = """\

@@ -499,19 +499,21 @@ class TestShardIntegration:
 
 class TestQueueTasks:
     def test_partition_payloads_publish_as_part_tasks(self, tmp_path):
+        from repro.pipeline.batch import resolve_artifact
         from repro.pipeline.fsqueue import QueueTransport
 
         queue = QueueTransport(tmp_path / "q")
         queue.prepare()
-        queue.enqueue(0, 0, {"artifact": partition_artifact("SpMV", DATASET,
-                                                            2),
-                             "scale": TINY, "positions": [0]})
-        queue.enqueue(1, 0, {"artifact": "table6", "scale": TINY,
-                             "positions": [0]})
+        for index, artifact in enumerate(
+                [partition_artifact("SpMV", DATASET, 2), "table6"]):
+            prefix = resolve_artifact(artifact).task_prefix
+            queue.submit(f"{prefix}-{index:04d}", 0,
+                         {"kind": "shard", "artifact": artifact,
+                          "scale": TINY, "shard": "1/1"})
         names = sorted(p.name for p in queue.queue_dir.glob("*.json"))
         assert names == ["chunk-0001-a0.json", "part-0000-a0.json"]
         assert queue.pending_counts() == (2, 0)
-        queue.withdraw(0)
+        queue.revoke("part-0000")
         assert queue.pending_counts() == (1, 0)
 
 

@@ -248,3 +248,66 @@ def test_dispatch_lost_its_partition_spelling(capsys):
     assert "--workers" in usage
     for flag in ("--partition", "--dataset", "--mode"):
         assert flag not in usage
+
+
+# ---------------------------------------------------------------------------
+# The guard: one lease loop (``pipeline.lease``) over one Transport
+# ---------------------------------------------------------------------------
+
+
+def _sleeps(tree: ast.AST, module: str) -> list[str]:
+    """Names of the functions that call ``<module>.sleep``, once per call."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sleep"
+                    and getattr(node.func.value, "id", None) == module):
+                found.append(func.name)
+    return found
+
+
+def _queue_isinstance(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and any(getattr(n, "id", getattr(n, "attr", None))
+                    == "QueueTransport" for n in ast.walk(node.args[-1]))]
+
+
+def test_the_loop_guard_sees_a_second_loop():
+    tree = ast.parse("def loop():\n"
+                     "    if isinstance(t, (Local, fsqueue.QueueTransport)):\n"
+                     "        time.sleep(1)\n"
+                     "async def tick():\n"
+                     "    await asyncio.sleep(1)\n")
+    assert _queue_isinstance(tree) == [2]
+    assert _sleeps(tree, "time") == ["loop"]
+    assert _sleeps(tree, "asyncio") == ["tick"]
+
+
+def test_no_second_lease_loop():
+    from repro.pipeline.fsqueue import QueueTransport
+    from repro.pipeline.lease import Transport
+
+    src = Path(repro.__file__).resolve().parent
+    scripts = src.parents[1] / "scripts"
+    branches = [f"{source}:{line}"
+                for root in (src, scripts)
+                for source in sorted(root.rglob("*.py"))
+                for line in _queue_isinstance(ast.parse(source.read_text()))]
+    assert branches == []
+    assert issubclass(QueueTransport, Transport)
+    for twin in ("enqueue_request", "withdraw_request", "collect_requests",
+                 "expired_requests"):
+        assert not hasattr(QueueTransport, twin)
+    # dispatch() waits through Transport.wait; the daemon sleeps in its
+    # drain's read window and the queue backend's one poll tick.
+    dispatch_tree = ast.parse((src / "pipeline/dispatch.py").read_text())
+    assert _sleeps(dispatch_tree, "time") == []
+    server_tree = ast.parse((src / "service/server.py").read_text())
+    assert sorted(_sleeps(server_tree, "asyncio")) == ["_finish_drain",
+                                                       "_poll_loop"]

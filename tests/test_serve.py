@@ -16,6 +16,7 @@ import pytest
 
 import repro.api as api
 from repro.service.server import ServeConfig, ServeError, ServiceThread
+from tests.conftest import start_vanishing_worker
 
 TINY = 0.02
 
@@ -39,6 +40,14 @@ def _get(port: int, path: str):
         return resp.status, resp.read()
     finally:
         conn.close()
+
+
+def _leases_total(port: int) -> float:
+    _status, text = _get(port, "/metrics")
+    for line in text.decode().splitlines():
+        if line.startswith("repro_dispatch_leases_total "):
+            return float(line.split()[1])
+    return 0.0
 
 
 def _fake_result(request: api.CompileRequest) -> api.CompileResult:
@@ -242,6 +251,62 @@ class TestQueuePool:
                 stop.set()
                 worker.join(timeout=10)
         assert not worker.is_alive()
+
+    def test_vanished_worker_request_is_released_and_answered(
+            self, fresh_cache, tmp_path):
+        """A worker claims a request task and vanishes: the lease loop
+        the daemon shares with ``dispatch`` expires the claim, publishes
+        the request again, and a second worker's answer is byte-identical
+        to the serial render. The daemon's /metrics shows the leases."""
+        from repro.pipeline.fsqueue import QueueTransport, worker_loop
+
+        qdir = tmp_path / "serve-queue"
+        claimed = start_vanishing_worker(QueueTransport(qdir), "req-*.json")
+        events: list[str] = []
+        stop = threading.Event()
+        config = ServeConfig(port=0, pool=f"queue:{qdir}", queue_poll=0.05,
+                             queue_lease=0.5, on_event=events.append)
+        worker = threading.Thread(
+            target=worker_loop, args=(qdir,),
+            kwargs=dict(poll=0.05, should_exit=stop.is_set), daemon=True)
+        with ServiceThread(config) as svc:
+            leases_before = _leases_total(svc.port)
+            answers: list = []
+            client = threading.Thread(target=lambda: answers.append(_post(
+                svc.port, "/evaluate", {"kernel": "SpMV", "scale": TINY})))
+            client.start()
+            try:
+                assert claimed.wait(timeout=10)
+                worker.start()
+                client.join(timeout=60)
+            finally:
+                stop.set()
+                worker.join(timeout=10)
+            assert answers and answers[0][0] == 200, answers
+            serial = api.evaluate(api.CompileRequest(kernel="SpMV",
+                                                     scale=TINY))
+            assert answers[0][1] == serial.to_json().encode()
+            assert _leases_total(svc.port) - leases_before == 2
+        assert any("lease expired" in e and "reassigning" in e
+                   for e in events)
+
+    def test_lost_request_answers_500_at_the_retry_bound(self, fresh_cache,
+                                                         tmp_path):
+        from repro.pipeline.fsqueue import QueueTransport
+
+        qdir = tmp_path / "serve-queue"
+        start_vanishing_worker(QueueTransport(qdir), "req-*.json")
+        config = ServeConfig(port=0, pool=f"queue:{qdir}", queue_poll=0.05,
+                             queue_lease=0.3, queue_retries=0)
+        with ServiceThread(config) as svc:
+            status, body = _post(svc.port, "/evaluate",
+                                 {"kernel": "SpMV", "scale": TINY})
+            assert status == 500
+            error = json.loads(body)["error"]
+            assert "req-000001 lost after 1 attempt(s)" in error
+            assert "lease expired" in error
+            _status, stats = _get(svc.port, "/stats")
+            assert json.loads(stats)["serve"]["inflight"] == 0
 
     def test_bad_pool_spec_rejected(self):
         with pytest.raises(ServeError, match="pool"):

@@ -282,6 +282,18 @@ class TestStealDispatch:
         assert result.merged.text == _serial_text("table3")
         assert any("cost-balanced" in e for e in events)
         assert "cost-planned" in result.summary()
+        # Guided chunks bound the critical path. Pulled in plan order by
+        # four workers (two would make the bound vacuous: a makespan
+        # never exceeds the total), the recorded costs finish within
+        # twice the ideal total/4, give or take the one job a chunk may
+        # overshoot its target by.
+        keys = [job.key for job in artifact_jobs("table3", TINY)]
+        costs = load_costs("table3", TINY, keys)
+        finish = [0.0] * 4
+        for chunk in plan_chunks(keys, costs, slots=4):
+            finish[finish.index(min(finish))] += sum(
+                costs[keys[p]] for p in chunk)
+        assert max(finish) <= 2 * sum(finish) / 4 + max(costs.values())
 
     @pytest.mark.parametrize("artifact", ["table6", "format_sweep"])
     def test_paper_sweeps_steal_byte_identical(self, fresh_cache, artifact):
