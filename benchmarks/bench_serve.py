@@ -19,7 +19,7 @@ Every warm response is also diffed byte-for-byte against the serial
 ``repro.api.evaluate`` rendering — the daemon must be a transparent
 cache front, not a different code path.
 
-Emits ``BENCH_serve.json`` through the shared schema::
+Writes ``BENCH_serve.json`` to the current directory::
 
     python -m benchmarks.bench_serve --scale 0.05 --clients 16 --smoke
 
@@ -250,19 +250,13 @@ def run_smoke(scale: float = SMOKE_SCALE, clients: int = DEFAULT_CLIENTS,
               pool: str = "inline:4", spawn_workers: int = 0,
               smoke: bool = False) -> dict:
     """Collect the metrics and write ``BENCH_serve.json``."""
-    from benchmarks.bench_utils import write_bench_json
-
     metrics = run_bench(scale, clients, pool, spawn_workers, smoke)
-    path = write_bench_json("serve", metrics, scale=scale,
-                            extra={"pool": pool, "clients": clients})
-    print(f"wrote {path}")
+    payload = {"bench": "serve", "scale": scale, "pool": pool,
+               "clients": clients, "metrics": metrics}
+    with open("BENCH_serve.json", "w") as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print("wrote BENCH_serve.json")
     return metrics
-
-
-def test_serve_latency_smoke():
-    """Acceptance: warm p50 under the bar; identical burst compiles once."""
-    metrics = run_smoke(scale=0.02, clients=8, smoke=True)
-    print(json.dumps(metrics, indent=2, sort_keys=True))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,7 +1,8 @@
 """Regenerate every evaluation artefact at full Table 4 scale.
 
 Writes the formatted tables/figures to results/ and prints them;
-results/ as checked in is the recorded run. The regeneration routes through
+results/ is git-ignored and no run is checked in (the nightly CI sweep
+uploads its own as a build artifact). The regeneration routes through
 ``repro.pipeline``: pass ``--jobs N`` (or set REPRO_JOBS) to fan the
 (kernel, dataset) work out over N workers, and ``--no-cache`` to force a
 cold recomputation (dataset generation is a separately-staged cache

@@ -69,11 +69,7 @@ def bind_symbols(
                 values.setdefault(f"{out.name}{level + 1}_nnz", prefix)
             max_extent = max(max_extent, prefix)
     values[NNZ_ACCEL_MAX] = max_extent + 1
-    # Only expose symbols the program asked for (plus any extras is fine,
-    # but keep the environment clean).
-    return {k: v for k, v in values.items() if k in set(program.symbols)} | {
-        k: v for k, v in values.items() if k not in set(program.symbols)
-    }
+    return values
 
 
 def bind_dram(program: SpatialProgram, tensors: dict[str, Tensor]) -> dict[str, np.ndarray]:

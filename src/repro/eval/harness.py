@@ -1,21 +1,15 @@
-"""Evaluation harness: regenerates every table and figure of Section 8.
-
-Each ``table*``/``figure*`` function returns plain data structures (and a
-formatted text rendering) so the pytest benchmarks can both print the
-artefact and assert its qualitative shape against the paper.
-
-All artefacts route through :mod:`repro.pipeline`: the per-combination
-work is expressed as (kernel, dataset, platform) jobs that fan out over a
-worker pool (``jobs=N``) and memoize through the content-addressed
-compilation cache (disable with ``use_cache=False`` or the
-``REPRO_NO_CACHE`` environment variable). Parallel runs assemble results
-in deterministic job order, so they are byte-identical to serial runs.
+"""Evaluation harness: the text of every table and figure of Section 8.
 
 What an artefact *is* (cells, job list, assembly, codec) is its record in
-:mod:`repro.pipeline.batch`; this module holds the paper-table
-formatters those records name, and one ``run_artifact`` wrapper per
-artefact for the benchmarks. Compile requests go through
-:mod:`repro.api`.
+:mod:`repro.pipeline.batch`, and ``run_artifact(name, scale, ...)`` there
+regenerates its data: (kernel, dataset, platform) jobs that fan out over
+a worker pool (``jobs=N``) and memoize through the content-addressed
+compilation cache (disable with ``use_cache=False`` or the
+``REPRO_NO_CACHE`` environment variable), assembled in deterministic job
+order so parallel runs are byte-identical to serial ones. This module
+holds the paper-table formatters those records name, plus
+:func:`figure13`, the Capstan / GPU / CPU rows of Table 6. Compile
+requests go through :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from typing import TYPE_CHECKING
 from repro.data.datasets import datasets_for
 from repro.eval import paper_results
 from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNEL_ORDER
-from repro.pipeline.batch import STRUCTURAL_SCALE, run_artifact
+from repro.pipeline.batch import run_artifact
 from repro.service.api import DEFAULT_SCALE
 
 if TYPE_CHECKING:  # annotation-only: the formatters print, they never compile
@@ -35,39 +29,19 @@ if TYPE_CHECKING:  # annotation-only: the formatters print, they never compile
 __all__ = [
     "DEFAULT_SCALE",
     "FORMAT_SWEEP_KERNELS",
-    "figure12",
     "figure13",
     "format_figure12",
     "format_format_sweep",
     "format_pipeline_sweep",
-    "format_sweep",
     "format_table3",
     "format_table5",
     "format_table6",
-    "pipeline_sweep",
-    "table3",
-    "table5",
-    "table6",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Table 6 / Figure 13
 # ---------------------------------------------------------------------------
-
-
-def table6(scale: float = DEFAULT_SCALE, jobs: int | None = None,
-           use_cache: bool | None = None,
-           engine: str | None = None) -> dict[str, dict[str, float]]:
-    """Normalised geomean runtimes per platform per kernel (Table 6).
-
-    ``engine`` selects the functional-execution engine used for the
-    per-cell :func:`repro.api.exec_check`; the simulator-predicted table
-    itself is engine-invariant, so every engine yields byte-identical
-    output (or the run fails the equivalence check outright).
-    """
-    return run_artifact("table6", scale, jobs=jobs, use_cache=use_cache,
-                        engine=engine)
 
 
 def format_table6(results: dict[str, dict[str, float]]) -> str:
@@ -109,7 +83,8 @@ def figure13(scale: float = DEFAULT_SCALE, jobs: int | None = None,
              use_cache: bool | None = None,
              engine: str | None = None) -> dict[str, dict[str, float]]:
     """Figure 13 series: Capstan/GPU/CPU normalised runtimes per kernel."""
-    full = table6(scale, jobs=jobs, use_cache=use_cache, engine=engine)
+    full = run_artifact("table6", scale, jobs=jobs, use_cache=use_cache,
+                        engine=engine)
     return {
         "Capstan": full["Capstan (HBM2E)"],
         "GPU": full["V100 GPU"],
@@ -120,16 +95,6 @@ def figure13(scale: float = DEFAULT_SCALE, jobs: int | None = None,
 # ---------------------------------------------------------------------------
 # Table 5
 # ---------------------------------------------------------------------------
-
-
-def table5(scale: float = STRUCTURAL_SCALE, jobs: int | None = None,
-           use_cache: bool | None = None) -> dict[str, ResourceEstimate]:
-    """Resource estimates per kernel (Table 5).
-
-    Resources are structural (dataset-independent), so a tiny dataset
-    suffices to build each kernel.
-    """
-    return run_artifact("table5", scale, jobs=jobs, use_cache=use_cache)
 
 
 def format_table5(results: dict[str, ResourceEstimate]) -> str:
@@ -153,12 +118,6 @@ def format_table5(results: dict[str, ResourceEstimate]) -> str:
 # ---------------------------------------------------------------------------
 # Table 3 (+ Section 8.3 LoC study)
 # ---------------------------------------------------------------------------
-
-
-def table3(scale: float = STRUCTURAL_SCALE, jobs: int | None = None,
-           use_cache: bool | None = None) -> dict[str, dict[str, int]]:
-    """Lines-of-code comparison per kernel (Table 3)."""
-    return run_artifact("table3", scale, jobs=jobs, use_cache=use_cache)
 
 
 def format_table3(rows: dict[str, dict[str, int]]) -> str:
@@ -188,12 +147,6 @@ def format_table3(rows: dict[str, dict[str, int]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def figure12(scale: float = DEFAULT_SCALE, jobs: int | None = None,
-             use_cache: bool | None = None) -> dict[str, dict[float, float]]:
-    """DRAM bandwidth sensitivity: speedup over the 20 GB/s point."""
-    return run_artifact("figure12", scale, jobs=jobs, use_cache=use_cache)
-
-
 def format_figure12(series: dict[str, dict[float, float]]) -> str:
     lines = ["Figure 12 — speedup vs DRAM bandwidth (relative to 20 GB/s)"]
     bws = paper_results.FIG12_BANDWIDTHS
@@ -213,20 +166,6 @@ def format_figure12(series: dict[str, dict[float, float]]) -> str:
 #: The format-sweep kernel set: the CSR SpMV baseline plus the COO, DCSR,
 #: and BCSR workloads enabled by the format abstraction subsystem.
 FORMAT_SWEEP_KERNELS = ("SpMV",) + FORMAT_KERNEL_ORDER
-
-
-def format_sweep(scale: float = DEFAULT_SCALE, jobs: int | None = None,
-                 use_cache: bool | None = None,
-                 engine: str | None = None) -> dict[str, dict[str, dict]]:
-    """Per-format kernel cost over the matrix datasets.
-
-    Each cell compiles one format-sweep kernel on one dataset (the sparse
-    operand stages once per (dataset, format) through ``repro.convert``)
-    and reports storage footprint, generated-code size, Capstan resources,
-    DRAM traffic, and predicted HBM2E runtime.
-    """
-    return run_artifact("format_sweep", scale, jobs=jobs, use_cache=use_cache,
-                        engine=engine)
 
 
 def format_format_sweep(results: dict[str, dict[str, dict]]) -> str:
@@ -249,19 +188,6 @@ def format_format_sweep(results: dict[str, dict[str, dict]]) -> str:
                 f"{cell['seconds'] * 1e6:12.2f}"
             )
     return "\n".join(lines)
-
-
-def pipeline_sweep(scale: float = DEFAULT_SCALE, jobs: int | None = None,
-                   use_cache: bool | None = None,
-                   engine: str | None = None) -> dict[str, dict[str, dict]]:
-    """Fused multi-kernel pipelines over the matrix datasets.
-
-    Each cell plans and executes one expression pipeline (FuseFlow-style
-    cross-expression fusion with automatic cuts) and reports the cut
-    decisions plus the modeled memory traffic with and without fusion.
-    """
-    return run_artifact("pipeline_sweep", scale, jobs=jobs,
-                        use_cache=use_cache, engine=engine)
 
 
 def format_pipeline_sweep(results: dict[str, dict[str, dict]]) -> str:

@@ -71,7 +71,6 @@ _EXPORTS = {
     "format_artifact": ("repro.pipeline.batch", "format_artifact"),
     "load_costs": ("repro.pipeline.steal", "load_costs"),
     "make_key": ("repro.pipeline.cache", "make_key"),
-    "memoize": ("repro.pipeline.cache", "memoize"),
     "memoize_stage": ("repro.pipeline.cache", "memoize_stage"),
     "merge_manifests": ("repro.pipeline.shard", "merge_manifests"),
     "parse_transport": ("repro.pipeline.dispatch", "parse_transport"),

@@ -68,7 +68,6 @@ __all__ = [
     "fingerprint_tensor",
     "get_stage",
     "make_key",
-    "memoize",
     "memoize_stage",
     "note_stage_compute",
     "peek_stage",
@@ -584,20 +583,6 @@ def default_cache() -> CompilationCache:
     return _default_cache
 
 
-def memoize(kind: str, parts: tuple, compute, use_cache: bool | None = None):
-    """Memoize ``compute()`` in the default cache under a content key.
-
-    ``use_cache=None`` honours the ``REPRO_NO_CACHE`` environment knob;
-    ``False`` bypasses the cache entirely; ``True`` forces it on.
-    """
-    if use_cache is None:
-        use_cache = cache_enabled()
-    if not use_cache:
-        return compute()
-    return default_cache().get_or_compute(make_key(kind, *parts), compute,
-                                          stage=kind)
-
-
 def get_stage(stage: str, parts: tuple, default: Any = None) -> Any:
     """Read one staged entry directly (no compute callback).
 
@@ -664,7 +649,7 @@ def memoize_stage(stage: str, parts: tuple, compute,
                   use_cache: bool | None = None):
     """Memoize one pipeline **stage** under its own content key.
 
-    Unlike :func:`memoize`, staged entries
+    Staged entries
 
     * key on :func:`stage_version` — the ``dataset`` stage hashes only the
       data/format/tensor sources, so compiler edits keep it warm;

@@ -373,11 +373,11 @@ def load_dataset(request: CompileRequest,
 def build(request: CompileRequest, use_cache: bool | None = None):
     """Materialise the dataset and compile the kernel, staged.
 
-    Three separately-keyed cache stages compose: the ``dataset`` stage
-    survives ``--no-cache`` and compiler edits, the ``kernel`` stage is
-    memoized by statement fingerprint inside ``compile_stmt``, and the
-    whole build is memoized under the ``build`` stage on the evaluation
-    coordinates — a warm hit skips even statement construction.
+    Two cache stages compose: ``dataset`` survives ``--no-cache`` and
+    compiler edits, and the whole build is memoized under ``build`` on
+    the evaluation coordinates (a warm hit skips even statement
+    construction). The compile inside skips ``compile_stmt``'s ``kernel``
+    stage, which would store this same kernel, operands included, twice.
     Returns the :class:`~repro.core.compiler.CompiledKernel`.
     """
     from repro.core.compiler import compile_stmt
@@ -391,7 +391,7 @@ def build(request: CompileRequest, use_cache: bool | None = None):
         tensors = load_dataset(req, use_cache=use_cache)
         with _trace.span("parse", kernel=req.kernel, dataset=req.dataset):
             stmt, _out = spec.build(tensors)
-        return compile_stmt(stmt, req.kernel, cache=use_cache)
+        return compile_stmt(stmt, req.kernel, cache=False)
 
     return memoize_stage(
         "build", (req.kernel, req.dataset, req.scale, req.seed),

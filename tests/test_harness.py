@@ -4,17 +4,14 @@ import pytest
 
 from repro.api import CompileRequest, build, evaluate
 from repro.eval.harness import (
-    figure12,
     figure13,
     format_figure12,
     format_table3,
     format_table5,
     format_table6,
-    table3,
-    table5,
-    table6,
 )
 from repro.kernels import KERNEL_ORDER
+from repro.pipeline.batch import run_artifact
 
 TINY = 0.02
 
@@ -43,21 +40,21 @@ def test_evaluate_non_spmv_has_no_handwritten_rows():
 
 
 def test_table3_rows_complete():
-    rows = table3(TINY)
+    rows = run_artifact("table3", TINY)
     assert set(rows) == set(KERNEL_ORDER)
     text = format_table3(rows)
     assert "SpMV productivity" in text
 
 
 def test_table5_rows_complete():
-    res = table5(TINY)
+    res = run_artifact("table5", TINY)
     assert set(res) == set(KERNEL_ORDER)
     assert "limit=" in format_table5(res)
 
 
 @pytest.mark.slow
 def test_table6_and_figures_tiny():
-    results = table6(0.05)
+    results = run_artifact("table6", 0.05)
     assert set(results["Capstan (HBM2E)"]) == set(KERNEL_ORDER)
     text = format_table6(results)
     assert "gmean" in text
@@ -66,7 +63,7 @@ def test_table6_and_figures_tiny():
 
 
 def test_figure12_series_shape():
-    series = figure12(0.05)
+    series = run_artifact("figure12", 0.05)
     assert set(series) == set(KERNEL_ORDER)
     for points in series.values():
         assert points[20] == pytest.approx(1.0)

@@ -59,7 +59,7 @@ BUDGET = {
 #: README "Layering", bottom to top. Module-level imports only point down
 #: or sideways; upward references are function-level (a miss, not a hit).
 LAYERS = (
-    ("engines", "formats", "ir", "schedule", "tensor", "obs", "util"),
+    ("engines", "formats", "ir", "schedule", "tensor", "obs"),
     ("kernels", "data", "convert"),
     ("api", "service.api", "service.stats", "pipeline.cache",
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),

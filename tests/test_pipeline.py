@@ -306,6 +306,18 @@ class TestStagedCache:
             assert (stats.stage_hits.get(compile_stage, 0)
                     == hits_before.get(compile_stage, 0)), compile_stage
 
+    def test_request_kernel_is_stored_once_under_build(self, fresh_cache):
+        # `build` holds the request's CompiledKernel; a nested `kernel`
+        # entry would pickle the same operands a second time.
+        from repro.api import CompileRequest, evaluate
+
+        evaluate(CompileRequest(kernel="SpMV", dataset="bcsstk30",
+                                scale=TINY))
+        stats = fresh_cache.stats
+        assert stats.stage_misses["build"] == 1
+        assert "kernel" not in stats.stage_misses
+        assert "kernel" not in stats.stage_hits
+
     def test_stages_shared_across_artifacts(self, fresh_cache):
         # Table 5's resource estimates reuse the entry the Table 6
         # simulation wrote for the same (kernel, dataset, scale) cell.
@@ -391,19 +403,17 @@ class TestBatch:
             artifact_jobs("table7", TINY)
 
     def test_parallel_table6_identical_to_serial(self):
-        from repro.eval.harness import format_table6, table6
+        from repro.eval.harness import format_table6
 
-        serial = table6(TINY, jobs=1, use_cache=False)
-        parallel = table6(TINY, jobs=4, use_cache=False)
+        serial = run_artifact("table6", TINY, jobs=1, use_cache=False)
+        parallel = run_artifact("table6", TINY, jobs=4, use_cache=False)
         assert serial == parallel  # bitwise-equal floats
         assert format_table6(serial) == format_table6(parallel)
 
     def test_warm_cache_returns_equal_table6(self, fresh_cache):
-        from repro.eval.harness import table6
-
-        cold = table6(TINY)
+        cold = run_artifact("table6", TINY)
         hits_before = fresh_cache.stats.hits
-        warm = table6(TINY)
+        warm = run_artifact("table6", TINY)
         assert warm == cold
         assert fresh_cache.stats.hits > hits_before
 

@@ -72,6 +72,15 @@ def test_cgstep_streams_the_spmv_result():
     assert row["reduction_pct"] > 0
 
 
+def test_best_pipeline_saves_a_third_of_modeled_traffic():
+    """The FuseFlow headline on the densest matrix, exact: the traffic
+    model is deterministic (modeled bytes, fixed seed)."""
+    best = max(run_pipeline(name, "random-50pct", TINY,
+                            use_cache=False)["reduction_pct"]
+               for name in PIPELINE_ORDER)
+    assert best >= 30.0
+
+
 @pytest.mark.parametrize("name", PIPELINE_ORDER)
 def test_fusion_is_numerically_transparent(name):
     """Fused and --no-fuse runs must agree bit-for-bit (the CI gate)."""

@@ -222,12 +222,13 @@ class TestMerge:
         assert merged.text == format_artifact(artifact, serial)
 
     def test_merge_survives_json_round_trip(self, fresh_cache, tmp_path):
-        from repro.eval.harness import format_table6, table6
+        from repro.eval.harness import format_table6
+        from repro.pipeline.batch import run_artifact
 
         paths = [m.save(tmp_path / f"s{m.shard.index}.json")
                  for m in _shards("table6", 3)]
         merged = merge_manifests([ShardManifest.load(p) for p in paths])
-        assert merged.text == format_table6(table6(TINY))
+        assert merged.text == format_table6(run_artifact("table6", TINY))
 
     def test_merge_order_independent(self, fresh_cache):
         shards = _shards("table3", 3)

@@ -183,39 +183,3 @@ class TestProgramHelpers:
         p = _program([SramDecl("a", SLit(1)), FifoDecl("b")])
         assert len(p.decls_of(SramDecl)) == 1
         assert len(p.decls_of(FifoDecl)) == 1
-
-
-class TestUtilLoc:
-    def test_block_comments(self):
-        from repro.util import count_loc as uloc
-
-        src = "/* block\n comment */\nint a;\n// line\nint b;\n"
-        assert uloc(src) == 2
-
-    def test_reduction_pct(self):
-        from repro.util import loc_reduction
-
-        assert loc_reduction(10, 52) == pytest.approx(80.77, abs=0.01)
-        with pytest.raises(ValueError):
-            loc_reduction(1, 0)
-
-
-class TestAsciiPlots:
-    def test_xy_contains_series(self):
-        from repro.util import ascii_xy
-
-        text = ascii_xy({"a": {1: 1.0, 10: 10.0}, "b": {1: 2.0, 10: 2.0}},
-                        title="t")
-        assert "t" in text and "o=a" in text and "x=b" in text
-
-    def test_bars(self):
-        from repro.util import ascii_bars
-
-        text = ascii_bars({"one": 1.0, "ten": 10.0})
-        assert "one" in text and "#" in text
-
-    def test_empty(self):
-        from repro.util import ascii_bars, ascii_xy
-
-        assert "empty" in ascii_xy({})
-        assert "empty" in ascii_bars({})
