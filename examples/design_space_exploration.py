@@ -15,25 +15,20 @@ import numpy as np
 
 from repro.capstan import HBM2E, CapstanSimulator
 from repro.core import compile_stmt
+from repro.formats import format_of
 from repro.kernels import KERNELS
+from repro.tensor.storage import from_dense
 
 
 def make_tensors(kernel_name: str, n: int, density: float, rng):
     spec = KERNELS[kernel_name]
-    shapes = {
-        "SpMV": {"A": (n, n), "x": (n,), "y": (n,)},
-        "SDDMM": {"A": (n, n), "B": (n, n), "C": (n, 16), "D": (16, n)},
-    }[kernel_name]
-    tensors = {}
-    for ts in spec.tensor_specs:
-        t = ts.make(shapes[ts.name])
-        if ts.role == "sparse":
-            dense = (rng.random(t.shape) < density) * rng.random(t.shape)
-            t.from_dense(dense)
-        elif ts.role == "dense":
-            t.from_dense(rng.random(t.shape))
-        tensors[ts.name] = t
-    return tensors
+    shapes = spec.shapes((n, n), free=16)
+    sparse = []
+    for ts in spec.of_role("sparse"):
+        shape = shapes[ts.name]
+        dense = (rng.random(shape) < density) * rng.random(shape)
+        sparse.append(from_dense(dense, format_of(ts.format)))
+    return spec.operands(shapes, sparse, rng.random)
 
 
 def explore(kernel_name: str, n: int = 512, density: float = 0.05) -> None:

@@ -91,11 +91,25 @@ def _cmd_kernels(_args) -> int:
     return 0
 
 
-def _cmd_compile(args) -> int:
-    from repro.api import CompileRequest, build, compile
+def _request(args):
+    """The command's resolved request, or None after printing why the
+    kernel / dataset pair names nothing (exit code 2)."""
+    from repro.api import CompileRequest
 
-    request = CompileRequest(kernel=args.kernel, dataset=args.dataset,
-                             scale=args.scale)
+    try:
+        return CompileRequest(kernel=args.kernel, dataset=args.dataset,
+                              scale=args.scale).resolved()
+    except ValueError as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_compile(args) -> int:
+    from repro.api import build, compile
+
+    request = _request(args)
+    if request is None:
+        return 2
     # The memoized `compile` stage holds exactly what is printed; only
     # --cpu needs the CompiledKernel itself (its statement).
     result = compile(request)
@@ -114,13 +128,14 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.api import BASELINE_PLATFORM, CompileRequest, evaluate
+    from repro.api import BASELINE_PLATFORM, evaluate
 
-    request = CompileRequest(kernel=args.kernel, dataset=args.dataset,
-                             scale=args.scale)
+    request = _request(args)
+    if request is None:
+        return 2
     times = evaluate(request, use_cache=_use_cache(args)).platform_times()
     base = times.seconds[BASELINE_PLATFORM]
-    print(f"{args.kernel} on {args.dataset} (scale {args.scale}):")
+    print(f"{args.kernel} on {request.dataset} (scale {args.scale}):")
     for platform, seconds in times.seconds.items():
         print(f"  {platform:34s}{seconds * 1e6:14.2f} us"
               f"{seconds / base:10.2f}x")
@@ -216,7 +231,7 @@ def _cmd_convert(args) -> int:
         src_fmt = format_of(args.source)
         dst_fmt = format_of(args.target)
     except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return 2
     if args.plan:
         # The plan is a function of the two formats alone; skip dataset
@@ -375,23 +390,16 @@ def _cmd_batch(args) -> int:
                                       spec, use_cache)
 
     run = run_batch(artifacts, args.scale, jobs=args.jobs,
-                    use_cache=use_cache,
-                    kind="process" if args.processes else "thread",
-                    engine=args.engine)
+                    use_cache=use_cache, engine=args.engine)
     bar = "=" * 78
     for artifact in artifacts:
         if artifact in run.texts:
             print(f"{bar}\n{run.texts[artifact]}\n{bar}")
     for failure in run.failures:
         print(f"FAILED {failure.job}:\n{failure.error}", file=sys.stderr)
-    if args.processes:
-        # Worker processes own their caches; the parent's counters would
-        # always read zero.
-        cache_note = "cache: n/a with --processes"
-    else:
-        stats = default_cache().stats
-        cache_note = f"cache: {stats.hits} hits / {stats.misses} misses"
-    print(f"{run.summary()} ({cache_note})")
+    stats = default_cache().stats
+    print(f"{run.summary()} (cache: {stats.hits} hits / {stats.misses} "
+          f"misses)")
     return 1 if run.failures else 0
 
 
@@ -406,9 +414,8 @@ def _run_shard_to_manifest(args, artifact: str, scale: float, spec,
               f"({res.seconds:.2f}s)", file=sys.stderr)
 
     manifest = run_shard(artifact, scale, spec, jobs=args.jobs,
-                         use_cache=use_cache,
-                         kind="process" if args.processes else "thread",
-                         on_result=progress, engine=args.engine)
+                         use_cache=use_cache, on_result=progress,
+                         engine=args.engine)
     to_stdout = args.out == "-"
     if to_stdout:
         # Dispatch workers stream the manifest back over stdout; keep
@@ -421,7 +428,7 @@ def _run_shard_to_manifest(args, artifact: str, scale: float, spec,
         manifest.save(out)
     failures = manifest.failures()
     stages = default_cache().stats.stage_summary()
-    note = f"; cache stages: {stages}" if stages and not args.processes else ""
+    note = f"; cache stages: {stages}" if stages else ""
     print(f"shard {spec} of {artifact} (scale {scale}): "
           f"{len(manifest.jobs)}/{manifest.total_jobs} job(s), "
           f"{len(failures)} failed -> {out}{note}",
@@ -770,8 +777,6 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument("artifacts", nargs="+",
                          help=f"{_ARTIFACT_HELP}, or 'all'")
     _add_run_flags(p_batch)
-    p_batch.add_argument("--processes", action="store_true",
-                         help="use a process pool instead of threads")
     p_batch.add_argument("--list", action="store_true",
                          help="print the (kernel, dataset, platform) job "
                               "list without running it")
@@ -799,8 +804,8 @@ def main(argv: list[str] | None = None) -> int:
              "operands in the staged level arrays, run the compiled "
              "kernel on each, reduce; row mode is byte-identical to "
              "--serial")
-    p_dist.add_argument("kernel",
-                        help="partitionable kernel: SpMV or DCSR-SpMM")
+    p_dist.add_argument("kernel", help="a partitionable kernel (an "
+                                       "unknown one lists them)")
     p_dist.add_argument("--dataset", default="bcsstk30",
                         help="matrix dataset (default bcsstk30)")
     p_dist.add_argument("--partition", type=int, default=2, metavar="P",
@@ -964,11 +969,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     _apply_trace(args)
-
-    if getattr(args, "dataset", "unset") is None and hasattr(args, "kernel"):
-        from repro.data import datasets_for
-
-        args.dataset = datasets_for(args.kernel)[0].name
 
     handlers = {
         "kernels": _cmd_kernels,

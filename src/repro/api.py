@@ -18,7 +18,6 @@ from repro.service.api import (
     BASELINE_PLATFORM,
     DEFAULT_SCALE,
     DEFAULT_SEED,
-    PLATFORMS,
     CompileRequest,
     CompileResult,
     EngineMismatchError,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ENGINES",
     "EngineMismatchError",
-    "PLATFORMS",
     "PlatformTimes",
     "build",
     "cached",

@@ -23,6 +23,7 @@ import dataclasses
 from repro.capstan.arch import DEFAULT_CONFIG, CapstanConfig
 from repro.capstan.calibration import DEFAULT_COST, CapstanCostModel
 from repro.capstan.dram import HBM2E, DramModel
+from repro.capstan.simulator import compute_cycles
 from repro.capstan.stats import WorkloadStats
 from repro.spatial.codegen import count_loc
 
@@ -98,15 +99,9 @@ class HandwrittenCapstanSpMV:
     outer_par: int = 32
 
     def predict_seconds(self, stats: WorkloadStats, dram: DramModel = HBM2E) -> float:
-        par = self.outer_par
-        ii = self.cost.segment_ii_cycles
-        compute_cycles = 0.0
-        for loop in stats.loops:
-            lanes = max(1, loop.vector_par) if loop.is_innermost else 1
-            per_elem = 1.0 / lanes if loop.is_innermost else self.cost.mid_loop_cycles
-            compute_cycles += max(loop.iters * per_elem, loop.launches * ii) / par
-            compute_cycles += self.cost.pattern_fill_cycles
-        compute_s = compute_cycles / self.config.clock_hz
+        compute_s = compute_cycles(
+            stats.loops, self.cost, self.cost.segment_ii_cycles,
+            self.outer_par) / self.config.clock_hz
         # Duplicated vectors turn shuffle gathers into pure streams, which
         # also raises sustained DRAM efficiency.
         better = dataclasses.replace(
@@ -146,3 +141,16 @@ class HandwrittenPlasticineSpMV:
         compute_s = compute_cycles / self.config.clock_hz
         dram_s = dram.transfer_seconds(stats.dram_total_bytes, stats.dram_bursts)
         return max(compute_s, dram_s) * (1.0 + self.cost.serial_fraction)
+
+
+def handwritten_models(kernel_name: str, stats: WorkloadStats) -> dict:
+    """Table 6 platform -> runtime predictor (a thunk) for the kernels
+    with a handwritten baseline: SpMV, and nothing else."""
+    if kernel_name != "SpMV":
+        return {}
+    return {
+        "Capstan (HBM2E, handwritten)":
+            lambda: HandwrittenCapstanSpMV().predict_seconds(stats, HBM2E),
+        "Plasticine (HBM2E, handwritten)":
+            lambda: HandwrittenPlasticineSpMV().predict_seconds(stats, HBM2E),
+    }

@@ -50,6 +50,21 @@ class SimResult:
         return other.seconds / self.seconds
 
 
+def compute_cycles(loops, cost: CapstanCostModel, segment_ii: float,
+                   par: int) -> float:
+    """The compute term: a pipelined pattern is bound by the slower of
+    its element throughput and its per-segment initiation interval
+    (segments stream back-to-back in the declarative-sparse model),
+    spread over ``par`` replicas, plus a pipeline fill per pattern."""
+    cycles = 0.0
+    for loop in loops:
+        lanes = max(1, loop.vector_par) if loop.is_innermost else 1
+        per_elem = 1.0 / lanes if loop.is_innermost else cost.mid_loop_cycles
+        cycles += max(loop.iters * per_elem, loop.launches * segment_ii) / par
+        cycles += cost.pattern_fill_cycles
+    return cycles
+
+
 class CapstanSimulator:
     """Evaluates compiled kernels on the Capstan model."""
 
@@ -84,17 +99,8 @@ class CapstanSimulator:
             cost.ideal_overhead_fraction if dram.is_ideal else 1.0
         )
 
-        compute_cycles = 0.0
         scan_cycles = 0.0
         for loop in stats.loops:
-            # A pipelined pattern is bound by the slower of its element
-            # throughput and its per-segment initiation interval; segments
-            # stream back-to-back in the declarative-sparse model.
-            lanes = max(1, loop.vector_par) if loop.is_innermost else 1
-            per_elem = 1.0 / lanes if loop.is_innermost else cost.mid_loop_cycles
-            work = max(loop.iters * per_elem, loop.launches * segment_ii)
-            compute_cycles += work / par
-            compute_cycles += cost.pattern_fill_cycles
             if loop.scan_words:
                 scan_cycles += loop.scan_words / (cost.scan_words_per_cycle * par)
             if loop.bv_coords:
@@ -104,7 +110,8 @@ class CapstanSimulator:
             stats.gather_elems, resources.shuffle
         )
 
-        compute_s = cfg.cycles_to_seconds(compute_cycles)
+        compute_s = cfg.cycles_to_seconds(
+            compute_cycles(stats.loops, cost, segment_ii, par))
         scan_s = cfg.cycles_to_seconds(scan_cycles)
         gather_s = cfg.cycles_to_seconds(gather_cycles)
         dram_s = dram.transfer_seconds(stats.dram_total_bytes, stats.dram_bursts)

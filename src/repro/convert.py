@@ -41,7 +41,6 @@ from repro.formats.memory import MemoryRegion
 from repro.tensor.storage import (
     CompressedLevel,
     DenseLevel,
-    SingletonLevel,
     TensorStorage,
     pack,
     unpack,
@@ -263,7 +262,10 @@ def convert(
     target: Format,
     dims: tuple[int, ...] | None = None,
 ) -> TensorStorage:
-    """Convert packed storage to ``target`` via a synthesized plan."""
+    """Convert packed storage to ``target`` via a synthesized plan; an
+    identity conversion returns ``storage`` itself."""
+    if storage.fmt == target:
+        return storage
     return plan_conversion(storage.fmt, target, dims).run(storage)
 
 
@@ -330,6 +332,14 @@ def slice_rows(
     return pack(coords, vals[keep], dims, storage.fmt)
 
 
+def position_sliceable(fmt: Format) -> bool:
+    """Whether :func:`slice_positions` can cut ``fmt``: a dense or ordered
+    compressed root over compressed levels (CSR, DCSR)."""
+    root, *inner = fmt.mode_formats
+    return (not root.is_singleton and root.ordered
+            and all(mf.is_compressed for mf in inner))
+
+
 def slice_positions(storage: TensorStorage, lo: int, hi: int) -> TensorStorage:
     """Root-mode coordinates ``[lo, hi)`` as a view of the level arrays.
 
@@ -343,9 +353,7 @@ def slice_positions(storage: TensorStorage, lo: int, hi: int) -> TensorStorage:
     """
     dims = _sliced_dims(storage, lo, hi, storage.fmt.mode_of_level(0))
     root, *inner = storage.levels
-    if isinstance(root, SingletonLevel) or not (
-            storage.fmt.level_format(0).ordered
-            and all(isinstance(lvl, CompressedLevel) for lvl in inner)):
+    if not position_sliceable(storage.fmt):
         raise ConversionError(
             f"cannot position-slice {storage.fmt}: needs a dense or ordered "
             f"compressed root over compressed levels (CSR, DCSR)"

@@ -3,12 +3,11 @@
 from repro.data.datasets import (
     DATASETS,
     DATASETS_BY_NAME,
-    FACTOR_RANK,
-    SDDMM_K,
     DatasetSpec,
     datasets_for,
     load,
 )
+from repro.kernels.suite import FACTOR_RANK, SDDMM_K
 
 __all__ = [
     "DATASETS",

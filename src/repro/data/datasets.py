@@ -6,9 +6,11 @@ tensors for a kernel at an optional ``scale`` (dimensions shrink by the
 factor; densities are preserved), so tests can run miniature versions of
 the exact evaluation configurations.
 
-Dense operand dimensions the paper leaves unspecified: SDDMM's factor
-rank ``K`` defaults to 256, TTM/MTTKRP's factor rank to 16 (typical for
-the ALS workloads the paper cites).
+Operand shapes follow from the kernel's record
+(:meth:`repro.kernels.suite.KernelSpec.shapes`). Dense operand dimensions
+the paper leaves unspecified: SDDMM's factor rank ``K`` defaults to 256,
+TTM/MTTKRP's factor rank to 16 (typical for the ALS workloads the paper
+cites).
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ import math
 import numpy as np
 
 from repro.data import generators as gen
-from repro.kernels.suite import KERNELS
+from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNELS
 from repro.tensor.tensor import Tensor
-
-#: Dense factor rank for SDDMM's C/D matrices.
-SDDMM_K = 256
-
-#: Dense factor rank for TTM's C and MTTKRP's C/D matrices.
-FACTOR_RANK = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,11 +47,8 @@ class DatasetSpec:
         return max(1, int(round(math.prod(dims) * self.density)))
 
 
-#: Format-sweep kernels: the same matrix workloads under COO/DCSR/BCSR
-#: storage; their sparse operand stages through the ``convert`` cache.
-FORMAT_KERNELS = ("COO-SpMV", "DCSR-SpMM", "BCSR-SpMV")
-
-MATRIX_KERNELS = ("SpMV", "SDDMM", "MatTransMul", "Residual") + FORMAT_KERNELS
+MATRIX_KERNELS = (("SpMV", "SDDMM", "MatTransMul", "Residual")
+                  + FORMAT_KERNEL_ORDER)
 PLUS3_KERNELS = ("Plus3",)
 TENSOR_KERNELS = ("TTV", "TTM", "MTTKRP")
 TENSOR2_KERNELS = ("InnerProd", "Plus2")
@@ -150,97 +143,33 @@ def load(
     """
     spec = KERNELS[kernel_name]
     dspec = DATASETS_BY_NAME[dataset_name]
-    if kernel_name not in dspec.kernels:
+    if spec.name not in dspec.kernels:
         raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
     rng = np.random.default_rng(seed)
     dims, (coords, vals) = _generate(dspec, scale, rng)
+    formats = [ts.format for ts in spec.of_role("sparse")]
+    if spec.name in FORMAT_KERNEL_ORDER:
+        # Format-sweep kernels stage their converted operand once per
+        # (dataset, format) through the conversion compiler; a blocked
+        # format's dims are the staged storage's.
+        from repro.convert import staged_matrix_storage
 
-    tensors: dict[str, Tensor] = {}
-    sparse_seen = 0
-    for ts in spec.tensor_specs:
-        shape = _shape_for(kernel_name, ts.name, ts.role, ts.order, dims)
-        t = ts.make(shape)
-        if ts.role == "scalar":
-            t.insert((), 2.0 if "alpha" in ts.name else 3.0)
-        elif ts.role == "dense":
-            t.from_dense(rng.random(shape))
-        elif ts.role == "sparse":
-            if kernel_name in FORMAT_KERNELS:
-                # Format-sweep kernels stage their converted operand once
-                # per (dataset, format) through the conversion compiler.
-                from repro.convert import staged_matrix_storage
-
-                t._storage = staged_matrix_storage(
-                    dataset_name, scale, seed, _FORMAT_OF_KERNEL[kernel_name]
-                )
-                t._pending.clear()
-            else:
-                c, v = _variant(kernel_name, sparse_seen, coords, vals,
-                                shape, rng)
-                t.from_coo(c, v)
-            sparse_seen += 1
-        tensors[ts.name] = t
-    return tensors
+        sparse = [staged_matrix_storage(dataset_name, scale, seed, fmt)
+                  for fmt in formats]
+        dims = sparse[0].dims
+    else:
+        sparse = [_variant(kernel_name, nth, coords, vals, dims)
+                  for nth in range(len(formats))]
+    return spec.operands(spec.shapes(dims), sparse, rng.random)
 
 
-#: Registered format of each format-sweep kernel's sparse operand.
-_FORMAT_OF_KERNEL = {
-    "COO-SpMV": "coo",
-    "DCSR-SpMM": "dcsr",
-    "BCSR-SpMV": "bcsr",
-}
-
-
-def _variant(kernel: str, index: int, coords, vals, shape, rng):
+def _variant(kernel: str, index: int, coords, vals, dims):
     """Derived datasets for multi-sparse-operand kernels (Section 8.1)."""
     if index == 0:
         return coords, vals
     if kernel == "Plus3":
         # Rotate the columns right by one and two.
-        return gen.rotate_columns(coords, vals, shape[1], index)
+        return gen.rotate_columns(coords, vals, dims[1], index)
     if kernel in ("Plus2", "InnerProd"):
-        return gen.rotate_even_coords(coords, vals, shape[-1])
+        return gen.rotate_even_coords(coords, vals, dims[-1])
     return coords, vals
-
-
-def _shape_for(kernel: str, name: str, role: str, order: int, dims) -> tuple:
-    """Operand shapes per kernel convention."""
-    if order == 0:
-        return ()
-    if kernel in ("SpMV", "COO-SpMV"):
-        return {"A": (dims[0], dims[1]), "x": (dims[1],), "y": (dims[0],)}[name]
-    if kernel == "DCSR-SpMM":
-        r = max(4, min(FACTOR_RANK, dims[0]))
-        return {"A": (dims[0], dims[1]), "B": (dims[1], r),
-                "C": (dims[0], r)}[name]
-    if kernel == "BCSR-SpMV":
-        from repro.convert import blocked_dims
-        from repro.formats.format import DEFAULT_BLOCK as b
-
-        nb0, nb1, _, _ = blocked_dims((dims[0], dims[1]), (b, b))
-        return {"A": (nb0, nb1, b, b), "x": (nb1, b), "y": (nb0, b)}[name]
-    if kernel == "Plus3":
-        return (dims[0], dims[1])
-    if kernel == "SDDMM":
-        k = max(8, min(SDDMM_K, dims[0]))
-        return {"A": (dims[0], dims[1]), "B": (dims[0], dims[1]),
-                "C": (dims[0], k), "D": (k, dims[1])}[name]
-    if kernel == "MatTransMul":
-        return {"A": (dims[0], dims[1]), "x": (dims[0],),
-                "z": (dims[1],), "y": (dims[1],)}[name]
-    if kernel == "Residual":
-        return {"A": (dims[0], dims[1]), "x": (dims[1],),
-                "b": (dims[0],), "y": (dims[0],)}[name]
-    if kernel == "TTV":
-        return {"B": dims, "c": (dims[2],), "A": (dims[0], dims[1])}[name]
-    if kernel == "TTM":
-        r = max(4, min(FACTOR_RANK, dims[0]))
-        return {"B": dims, "C": (r, dims[2]),
-                "A": (dims[0], dims[1], r)}[name]
-    if kernel == "MTTKRP":
-        r = max(4, min(FACTOR_RANK, dims[0]))
-        return {"B": dims, "C": (r, dims[1]), "D": (r, dims[2]),
-                "A": (dims[0], r)}[name]
-    if kernel in ("InnerProd", "Plus2"):
-        return dims
-    raise KeyError(kernel)

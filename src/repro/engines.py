@@ -3,6 +3,7 @@
 Validating an engine string is all most callers need (the request API,
 the CLI's ``--engine`` choices), so the names live here and
 :mod:`repro.core.compiler` — which runs the engines — re-exports them.
+:func:`oracle_maxerr` is the one comparison their results are held to.
 """
 
 from __future__ import annotations
@@ -31,3 +32,18 @@ def default_engine() -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     return engine
+
+
+def oracle_maxerr(got, expected, error: type[Exception], what: str) -> float:
+    """``max |got - expected|``, held to the one tolerance every oracle
+    comparison shares: 1e-8 of the oracle's largest magnitude (at least
+    1). Past it, raises ``error`` with ``what`` disagreed."""
+    import numpy as np
+
+    if not expected.size:
+        return 0.0
+    maxerr = float(np.max(np.abs(got - expected)))
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(expected))))
+    if maxerr > tol:
+        raise error(f"{what} (max |err| {maxerr:.3e} > tol {tol:.3e})")
+    return maxerr

@@ -49,16 +49,7 @@ def format_table6(results: dict[str, dict[str, float]]) -> str:
              "geomean across datasets"]
     header = f"{'Platform':34s}" + "".join(f"{k:>12s}" for k in KERNEL_ORDER)
     lines.append(header + f"{'gmean':>10s}")
-    order = [
-        "Capstan (HBM2E, handwritten)",
-        "Capstan (Ideal)",
-        "Capstan (HBM2E)",
-        "Capstan (DDR4)",
-        "Plasticine (HBM2E, handwritten)",
-        "V100 GPU",
-        "128-Thread CPU",
-    ]
-    for platform in order:
+    for platform, paper_row in paper_results.TABLE6_NORMALISED.items():
         row = results.get(platform)
         if not row:
             continue
@@ -68,14 +59,12 @@ def format_table6(results: dict[str, dict[str, float]]) -> str:
         )
         gmean = geometric_mean(list(row.values()))
         lines.append(f"{platform:34s}{cells}{gmean:10.2f}")
-        paper_row = paper_results.TABLE6_NORMALISED.get(platform)
-        if paper_row:
-            cells = "".join(
-                f"{paper_row[k]:12.2f}" if k in paper_row else f"{'—':>12s}"
-                for k in KERNEL_ORDER
-            )
-            pg = geometric_mean(list(paper_row.values()))
-            lines.append(f"{'  (paper)':34s}{cells}{pg:10.2f}")
+        cells = "".join(
+            f"{paper_row[k]:12.2f}" if k in paper_row else f"{'—':>12s}"
+            for k in KERNEL_ORDER
+        )
+        pg = geometric_mean(list(paper_row.values()))
+        lines.append(f"{'  (paper)':34s}{cells}{pg:10.2f}")
     return "\n".join(lines)
 
 

@@ -1,8 +1,6 @@
 """The evaluation kernel suite (Table 3 + format-sweep kernels)."""
 
 from repro.kernels.suite import (
-    CCD,
-    DCSR,
     FORMAT_KERNEL_ORDER,
     KERNEL_ORDER,
     KERNELS,
@@ -12,8 +10,6 @@ from repro.kernels.suite import (
 )
 
 __all__ = [
-    "CCD",
-    "DCSR",
     "FORMAT_KERNEL_ORDER",
     "KERNEL_ORDER",
     "KERNELS",

@@ -21,59 +21,54 @@ Scheduling notes (Section 8.1):
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
-from repro.formats import (
-    BCSR,
-    CCD,
-    COO,
-    CSC,
-    CSF,
-    CSR,
-    DCSR,
-    DENSE_MATRIX,
-    DENSE_MATRIX_CM,
-    DENSE_VECTOR,
-    SPARSE_VECTOR,
-    UCC,
-    Format,
-    offChip,
-    onChip,
-)
+from repro.formats import SPARSE_VECTOR, format_of, offChip, onChip
 from repro.ir import index_vars
 from repro.schedule.stmt import INNER_PAR, OUTER_PAR, REDUCTION, SPATIAL, IndexStmt
 from repro.tensor import Tensor, scalar
+from repro.tensor.storage import TensorStorage
+
+#: Dense factor rank for SDDMM's C/D matrices.
+SDDMM_K = 256
+
+#: Dense factor rank for TTM's C and MTTKRP's C/D matrices.
+FACTOR_RANK = 16
 
 
 @dataclasses.dataclass(frozen=True)
 class TensorSpec:
-    """Shape/format requirements of one kernel operand."""
+    """One kernel operand: how it is accessed and how it is stored."""
 
     name: str
     role: str  # 'output' | 'sparse' | 'dense' | 'scalar'
-    order: int
-    format_of: Callable[..., Format] | None
+    modes: tuple[str, ...]  # index variables of its access; () for a scalar
+    format: str | None  # registered format name (``formats.format_of``)
 
     def make(self, shape: tuple[int, ...]) -> Tensor:
-        if self.order == 0:
+        if not self.modes:
             return scalar(self.name, offChip)
-        assert self.format_of is not None
-        return Tensor(self.name, shape, self.format_of(offChip))
+        return Tensor(self.name, shape, format_of(self.format, offChip))
 
 
 @dataclasses.dataclass(frozen=True)
 class KernelSpec:
-    """One Table 3 kernel: expression, formats, schedule, and metadata."""
+    """One Table 3 kernel: expression, formats, schedule, and metadata.
+
+    The record is the one definition of a kernel: operand shapes
+    (:meth:`shapes`), the format a sparse operand stages in and whether
+    the kernel partitions (``pipeline.partition``) all derive from
+    ``tensor_specs``.
+    """
 
     name: str
     expression: str  # Table 3 index-notation string
     tensor_specs: tuple[TensorSpec, ...]
     build_stmt: Callable[[dict[str, Tensor], int, int], tuple[IndexStmt, Tensor]]
     input_program: str  # canonical Stardust input (for the LoC comparison)
-    paper_input_loc: int  # Table 3 "Input" column
-    paper_spatial_loc: int  # Table 3 "Spatial" column
     paper_par: int  # Table 5 "Par" column (outer parallelization)
-    uses_reduction: bool = True
+    #: (floor, cap) of the dense factor rank the paper leaves unspecified.
+    rank: tuple[int, int] = (4, FACTOR_RANK)
 
     def build(
         self,
@@ -92,6 +87,66 @@ class KernelSpec:
             for line in self.input_program.splitlines()
             if line.strip() and not line.strip().startswith("//")
         )
+
+    @property
+    def _paper_loc(self) -> tuple[int, int]:
+        from repro.eval.paper_results import TABLE3_LOC
+
+        return TABLE3_LOC.get(self.name, (0, 0))
+
+    @property
+    def paper_input_loc(self) -> int:
+        """Table 3 "Input" column (0 outside the paper's tables)."""
+        return self._paper_loc[0]
+
+    @property
+    def paper_spatial_loc(self) -> int:
+        """Table 3 "Spatial" column (0 outside the paper's tables)."""
+        return self._paper_loc[1]
+
+    def of_role(self, role: str) -> tuple[TensorSpec, ...]:
+        return tuple(ts for ts in self.tensor_specs if ts.role == role)
+
+    def shapes(self, sparse_dims: tuple[int, ...],
+               free: int | None = None) -> dict[str, tuple[int, ...]]:
+        """Every operand's shape, from the first sparse operand's dims.
+
+        That operand's index variables bind to ``sparse_dims``; every
+        variable still unbound takes ``free``, by default the factor rank
+        ``max(floor, min(cap, sparse_dims[0]))`` of :attr:`rank`.
+        """
+        if free is None:
+            floor, cap = self.rank
+            free = max(floor, min(cap, sparse_dims[0]))
+        extent = dict(zip(self.of_role("sparse")[0].modes, sparse_dims))
+        return {ts.name: tuple(extent.get(var, free) for var in ts.modes)
+                for ts in self.tensor_specs}
+
+    def operands(self, shapes: dict[str, tuple[int, ...]], sparse: Iterable,
+                 dense: Callable[[tuple[int, ...]], object]
+                 ) -> dict[str, Tensor]:
+        """The operand tensors over ``shapes``, in ``tensor_specs`` order.
+
+        ``sparse`` yields each sparse operand's packed ``TensorStorage``
+        or its ``(coords, vals)``; ``dense(shape)`` is called once per
+        dense operand for its array. Scalars take the evaluation's
+        constants (alpha 2, beta 3) and the output stays empty.
+        """
+        sparse = iter(sparse)
+        tensors: dict[str, Tensor] = {}
+        for ts in self.tensor_specs:
+            t = tensors[ts.name] = ts.make(shapes[ts.name])
+            if ts.role == "scalar":
+                t.insert((), 2.0 if "alpha" in ts.name else 3.0)
+            elif ts.role == "dense":
+                t.from_dense(dense(t.shape))
+            elif ts.role == "sparse":
+                data = next(sparse)
+                if isinstance(data, TensorStorage):
+                    t._storage = data
+                else:
+                    t.from_coo(*data)
+        return tensors
 
 
 def _env(stmt: IndexStmt, ip: int, op: int) -> IndexStmt:
@@ -258,9 +313,9 @@ _SPECS = [
         name="SpMV",
         expression="y(i) = sum_j A(i,j) * x(j)",
         tensor_specs=(
-            TensorSpec("y", "output", 1, DENSE_VECTOR),
-            TensorSpec("A", "sparse", 2, CSR),
-            TensorSpec("x", "dense", 1, DENSE_VECTOR),
+            TensorSpec("y", "output", ("i",), "dense1"),
+            TensorSpec("A", "sparse", ("i", "j"), "csr"),
+            TensorSpec("x", "dense", ("j",), "dense1"),
         ),
         build_stmt=_spmv,
         input_program="""\
@@ -275,18 +330,16 @@ stmt = stmt.precompute(A(i,j) * x(j), {}, {}, ws);
 stmt = stmt.accelerate(forall(j, ws += A*x), Spatial, Reduction, innerPar);
 std::cout << y << std::endl;
 """,
-        paper_input_loc=10,
-        paper_spatial_loc=44,
         paper_par=16,
     ),
     KernelSpec(
         name="Plus3",
         expression="A(i,j) = B(i,j) + C(i,j) + D(i,j)",
         tensor_specs=(
-            TensorSpec("A", "output", 2, CSR),
-            TensorSpec("B", "sparse", 2, CSR),
-            TensorSpec("C", "sparse", 2, CSR),
-            TensorSpec("D", "sparse", 2, CSR),
+            TensorSpec("A", "output", ("i", "j"), "csr"),
+            TensorSpec("B", "sparse", ("i", "j"), "csr"),
+            TensorSpec("C", "sparse", ("i", "j"), "csr"),
+            TensorSpec("D", "sparse", ("i", "j"), "csr"),
         ),
         build_stmt=_plus3,
         input_program="""\
@@ -299,19 +352,16 @@ Tensor T({N}, sparse_on);
 stmt = stmt.precompute(B(i,j) + C(i,j), {j}, {jw}, T);
 std::cout << A << std::endl;
 """,
-        paper_input_loc=8,
-        paper_spatial_loc=91,
         paper_par=8,
-        uses_reduction=False,
     ),
     KernelSpec(
         name="SDDMM",
         expression="A(i,j) = sum_k B(i,j) * C(i,k) * D(k,j)",
         tensor_specs=(
-            TensorSpec("A", "output", 2, CSR),
-            TensorSpec("B", "sparse", 2, CSR),
-            TensorSpec("C", "dense", 2, DENSE_MATRIX),
-            TensorSpec("D", "dense", 2, DENSE_MATRIX_CM),
+            TensorSpec("A", "output", ("i", "j"), "csr"),
+            TensorSpec("B", "sparse", ("i", "j"), "csr"),
+            TensorSpec("C", "dense", ("i", "k"), "dense2"),
+            TensorSpec("D", "dense", ("k", "j"), "dense2_cm"),
         ),
         build_stmt=_sddmm,
         input_program="""\
@@ -329,20 +379,19 @@ stmt = stmt.precompute(B(i,j) * C(i,k) * D(k,j), {}, {}, ws);
 stmt = stmt.accelerate(forall(k, ws += B*C*D), Spatial, Reduction, innerPar);
 std::cout << A << std::endl;
 """,
-        paper_input_loc=17,
-        paper_spatial_loc=62,
         paper_par=12,
+        rank=(8, SDDMM_K),
     ),
     KernelSpec(
         name="MatTransMul",
         expression="y(i) = sum_j alpha * A(j,i) * x(j) + beta * z(i)",
         tensor_specs=(
-            TensorSpec("y", "output", 1, DENSE_VECTOR),
-            TensorSpec("A", "sparse", 2, CSC),
-            TensorSpec("x", "dense", 1, DENSE_VECTOR),
-            TensorSpec("z", "dense", 1, DENSE_VECTOR),
-            TensorSpec("alpha", "scalar", 0, None),
-            TensorSpec("beta", "scalar", 0, None),
+            TensorSpec("y", "output", ("i",), "dense1"),
+            TensorSpec("A", "sparse", ("j", "i"), "csc"),
+            TensorSpec("x", "dense", ("j",), "dense1"),
+            TensorSpec("z", "dense", ("i",), "dense1"),
+            TensorSpec("alpha", "scalar", (), None),
+            TensorSpec("beta", "scalar", (), None),
         ),
         build_stmt=_mattransmul,
         input_program="""\
@@ -358,18 +407,16 @@ stmt = stmt.precompute(alpha() * A(j,i) * x(j), {}, {}, ws);
 stmt = stmt.accelerate(forall(j, ws += alpha*A*x), Spatial, Reduction, innerPar);
 std::cout << y << std::endl;
 """,
-        paper_input_loc=13,
-        paper_spatial_loc=50,
         paper_par=16,
     ),
     KernelSpec(
         name="Residual",
         expression="y(i) = b(i) - sum_j A(i,j) * x(j)",
         tensor_specs=(
-            TensorSpec("y", "output", 1, DENSE_VECTOR),
-            TensorSpec("A", "sparse", 2, CSR),
-            TensorSpec("x", "dense", 1, DENSE_VECTOR),
-            TensorSpec("b", "dense", 1, DENSE_VECTOR),
+            TensorSpec("y", "output", ("i",), "dense1"),
+            TensorSpec("A", "sparse", ("i", "j"), "csr"),
+            TensorSpec("x", "dense", ("j",), "dense1"),
+            TensorSpec("b", "dense", ("i",), "dense1"),
         ),
         build_stmt=_residual,
         input_program="""\
@@ -383,17 +430,15 @@ stmt = stmt.precompute(A(i,j) * x(j), {}, {}, ws);
 stmt = stmt.accelerate(forall(j, ws += A*x), Spatial, Reduction, innerPar);
 std::cout << y << std::endl;
 """,
-        paper_input_loc=9,
-        paper_spatial_loc=48,
         paper_par=16,
     ),
     KernelSpec(
         name="TTV",
         expression="A(i,j) = sum_k B(i,j,k) * c(k)",
         tensor_specs=(
-            TensorSpec("A", "output", 2, DCSR),
-            TensorSpec("B", "sparse", 3, CSF),
-            TensorSpec("c", "dense", 1, DENSE_VECTOR),
+            TensorSpec("A", "output", ("i", "j"), "dcsr"),
+            TensorSpec("B", "sparse", ("i", "j", "k"), "csf"),
+            TensorSpec("c", "dense", ("k",), "dense1"),
         ),
         build_stmt=_ttv,
         input_program="""\
@@ -410,17 +455,15 @@ stmt = stmt.precompute(B(i,j,k) * c(k), {}, {}, ws);
 stmt = stmt.accelerate(forall(k, ws += B*c), Spatial, Reduction, innerPar);
 std::cout << A << std::endl;
 """,
-        paper_input_loc=13,
-        paper_spatial_loc=73,
         paper_par=16,
     ),
     KernelSpec(
         name="TTM",
         expression="A(i,j,k) = sum_l B(i,j,l) * C(k,l)",
         tensor_specs=(
-            TensorSpec("A", "output", 3, CCD),
-            TensorSpec("B", "sparse", 3, CSF),
-            TensorSpec("C", "dense", 2, DENSE_MATRIX),
+            TensorSpec("A", "output", ("i", "j", "k"), "ccd"),
+            TensorSpec("B", "sparse", ("i", "j", "l"), "csf"),
+            TensorSpec("C", "dense", ("k", "l"), "dense2"),
         ),
         build_stmt=_ttm,
         input_program="""\
@@ -435,19 +478,16 @@ stmt = stmt.environment(innerPar, 16).environment(outerPar, 12);
 stmt = stmt.reorder(i, j, l, k);
 std::cout << A << std::endl;
 """,
-        paper_input_loc=11,
-        paper_spatial_loc=83,
         paper_par=12,
-        uses_reduction=False,
     ),
     KernelSpec(
         name="MTTKRP",
         expression="A(i,j) = sum_kl B(i,k,l) * C(j,k) * D(j,l)",
         tensor_specs=(
-            TensorSpec("A", "output", 2, DENSE_MATRIX),
-            TensorSpec("B", "sparse", 3, CSF),
-            TensorSpec("C", "dense", 2, DENSE_MATRIX),
-            TensorSpec("D", "dense", 2, DENSE_MATRIX),
+            TensorSpec("A", "output", ("i", "j"), "dense2"),
+            TensorSpec("B", "sparse", ("i", "k", "l"), "csf"),
+            TensorSpec("C", "dense", ("j", "k"), "dense2"),
+            TensorSpec("D", "dense", ("j", "l"), "dense2"),
         ),
         build_stmt=_mttkrp,
         input_program="""\
@@ -461,18 +501,15 @@ stmt = stmt.environment(innerPar, 16).environment(outerPar, 8);
 stmt = stmt.reorder(i, k, l, j);
 std::cout << A << std::endl;
 """,
-        paper_input_loc=15,
-        paper_spatial_loc=86,
         paper_par=8,
-        uses_reduction=False,
     ),
     KernelSpec(
         name="InnerProd",
         expression="alpha = sum_ijk B(i,j,k) * C(i,j,k)",
         tensor_specs=(
-            TensorSpec("alpha_out", "output", 0, None),
-            TensorSpec("B", "sparse", 3, UCC),
-            TensorSpec("C", "sparse", 3, UCC),
+            TensorSpec("alpha_out", "output", (), None),
+            TensorSpec("B", "sparse", ("i", "j", "k"), "ucc"),
+            TensorSpec("C", "sparse", ("i", "j", "k"), "ucc"),
         ),
         build_stmt=_innerprod,
         input_program="""\
@@ -487,17 +524,15 @@ stmt = stmt.precompute(B(i,j,k) * C(i,j,k), {}, {}, ws);
 stmt = stmt.accelerate(forall(k, ws += B*C), Spatial, Reduction, innerPar);
 std::cout << alpha << std::endl;
 """,
-        paper_input_loc=11,
-        paper_spatial_loc=115,
         paper_par=8,
     ),
     KernelSpec(
         name="Plus2",
         expression="A(i,j,k) = B(i,j,k) + C(i,j,k)",
         tensor_specs=(
-            TensorSpec("A", "output", 3, UCC),
-            TensorSpec("B", "sparse", 3, UCC),
-            TensorSpec("C", "sparse", 3, UCC),
+            TensorSpec("A", "output", ("i", "j", "k"), "ucc"),
+            TensorSpec("B", "sparse", ("i", "j", "k"), "ucc"),
+            TensorSpec("C", "sparse", ("i", "j", "k"), "ucc"),
         ),
         build_stmt=_plus2,
         input_program="""\
@@ -509,25 +544,22 @@ IndexStmt stmt = A.getAssignment();
 stmt = stmt.environment(innerPar, 16).environment(outerPar, 1);
 std::cout << A << std::endl;
 """,
-        paper_input_loc=6,
-        paper_spatial_loc=163,
         paper_par=1,
-        uses_reduction=False,
     ),
 ]
 
 #: Format-sweep kernels: the Table 3 matrix workloads re-expressed over
 #: the COO/DCSR/BCSR whole-tensor formats enabled by the singleton and
 #: block level formats. They are not part of the paper's tables (no
-#: ``paper_*`` reference numbers), so they live outside KERNEL_ORDER.
+#: ``paper_results`` rows), so they live outside KERNEL_ORDER.
 _FORMAT_SPECS = [
     KernelSpec(
         name="COO-SpMV",
         expression="y(i) = sum_j A(i,j) * x(j)  [A: COO]",
         tensor_specs=(
-            TensorSpec("y", "output", 1, DENSE_VECTOR),
-            TensorSpec("A", "sparse", 2, COO),
-            TensorSpec("x", "dense", 1, DENSE_VECTOR),
+            TensorSpec("y", "output", ("i",), "dense1"),
+            TensorSpec("A", "sparse", ("i", "j"), "coo"),
+            TensorSpec("x", "dense", ("j",), "dense1"),
         ),
         build_stmt=_coo_spmv,
         input_program="""\
@@ -539,18 +571,15 @@ IndexStmt stmt = y.getAssignment();
 stmt = stmt.environment(innerPar, 16).environment(outerPar, 1);
 std::cout << y << std::endl;
 """,
-        paper_input_loc=0,
-        paper_spatial_loc=0,
         paper_par=1,
-        uses_reduction=False,
     ),
     KernelSpec(
         name="DCSR-SpMM",
         expression="C(i,j) = sum_k A(i,k) * B(k,j)  [A: DCSR]",
         tensor_specs=(
-            TensorSpec("C", "output", 2, DENSE_MATRIX),
-            TensorSpec("A", "sparse", 2, DCSR),
-            TensorSpec("B", "dense", 2, DENSE_MATRIX),
+            TensorSpec("C", "output", ("i", "j"), "dense2"),
+            TensorSpec("A", "sparse", ("i", "k"), "dcsr"),
+            TensorSpec("B", "dense", ("k", "j"), "dense2"),
         ),
         build_stmt=_dcsr_spmm,
         input_program="""\
@@ -563,18 +592,15 @@ stmt = stmt.environment(innerPar, 16).environment(outerPar, 8);
 stmt = stmt.reorder(i, k, j);
 std::cout << C << std::endl;
 """,
-        paper_input_loc=0,
-        paper_spatial_loc=0,
         paper_par=8,
-        uses_reduction=False,
     ),
     KernelSpec(
         name="BCSR-SpMV",
         expression="y(I,bi) = sum_Jbj A(I,J,bi,bj) * x(J,bj)  [A: BCSR]",
         tensor_specs=(
-            TensorSpec("y", "output", 2, DENSE_MATRIX),
-            TensorSpec("A", "sparse", 4, BCSR),
-            TensorSpec("x", "dense", 2, DENSE_MATRIX),
+            TensorSpec("y", "output", ("I", "bi"), "dense2"),
+            TensorSpec("A", "sparse", ("I", "J", "bi", "bj"), "bcsr"),
+            TensorSpec("x", "dense", ("J", "bj"), "dense2"),
         ),
         build_stmt=_bcsr_spmv,
         input_program="""\
@@ -587,10 +613,7 @@ stmt = stmt.environment(innerPar, 16).environment(outerPar, 8);
 stmt = stmt.reorder(I, J, bi, bj);
 std::cout << y << std::endl;
 """,
-        paper_input_loc=0,
-        paper_spatial_loc=0,
         paper_par=8,
-        uses_reduction=False,
     ),
 ]
 

@@ -59,7 +59,7 @@ def is_partition_artifact(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Per-cell job functions (top-level, so process pools can pickle them)
+# Per-cell job functions
 # ---------------------------------------------------------------------------
 
 
@@ -559,10 +559,10 @@ class BatchRun:
 
 
 def _run(record, scale: float, jobs: int | None, use_cache: bool | None,
-         kind: str, engine: str | None) -> list[JobResult]:
+         engine: str | None) -> list[JobResult]:
     """Execute one record's job list and feed the cost table."""
     results = run_jobs(record.jobs(scale, use_cache, engine),
-                       max_workers=jobs, kind=kind)
+                       max_workers=jobs)
     record_result_costs(record.name, scale, results)
     return results
 
@@ -572,7 +572,6 @@ def run_artifact(
     scale: float,
     jobs: int | None = None,
     use_cache: bool | None = None,
-    kind: str = "thread",
     engine: str | None = None,
 ):
     """Regenerate one artefact through the pipeline.
@@ -582,7 +581,7 @@ def run_artifact(
     failed.
     """
     record = resolve_artifact(artifact)
-    return record.assemble(_run(record, scale, jobs, use_cache, kind, engine))
+    return record.assemble(_run(record, scale, jobs, use_cache, engine))
 
 
 def run_batch(
@@ -590,7 +589,6 @@ def run_batch(
     scale: float | None,
     jobs: int | None = None,
     use_cache: bool | None = None,
-    kind: str = "thread",
     engine: str | None = None,
 ) -> BatchRun:
     """Regenerate several artefacts, isolating failures per job.
@@ -608,7 +606,7 @@ def run_batch(
         record = resolve_artifact(artifact)
         results = _run(record,
                        record.default_scale if scale is None else scale,
-                       jobs, use_cache, kind, engine)
+                       jobs, use_cache, engine)
         all_results[artifact] = results
         if all(res.ok for res in results):
             assembled[artifact] = record.assemble(results)

@@ -32,7 +32,7 @@ class Job:
     Attributes:
         key: identifying tuple, conventionally ``(kernel, dataset,
             platform)`` with ``"*"`` for an all-platform sweep.
-        fn: a picklable top-level callable (so process pools work too).
+        fn: a top-level callable.
         args / kwargs: call arguments.
     """
 
@@ -99,7 +99,6 @@ def _run_one(job: Job,
 def run_jobs(
     jobs: Sequence[Job],
     max_workers: int | None = None,
-    kind: str = "thread",
     on_result: Callable[[JobResult, int, int], None] | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> list[JobResult]:
@@ -107,11 +106,10 @@ def run_jobs(
 
     Args:
         jobs: the work list.
-        max_workers: pool width; ``None`` reads ``REPRO_JOBS``; ``<= 1``
-            runs serially in the calling thread (no pool overhead).
-        kind: ``"thread"`` (default; shares the in-memory compilation
-            cache) or ``"process"`` (isolated workers; jobs and results
-            must be picklable).
+        max_workers: width of the thread pool (its workers share the
+            in-memory compilation cache); ``None`` reads ``REPRO_JOBS``;
+            ``<= 1`` runs serially in the calling thread (no pool
+            overhead).
         on_result: progress callback, invoked from the collecting thread
             as ``on_result(result, index, total)`` in submission order
             (long sharded sweeps report per-job progress through this).
@@ -119,8 +117,7 @@ def run_jobs(
             each job starts; once it returns True the remaining jobs are
             recorded as failed-without-running (the sweep dispatcher
             revokes an expired in-process lease through this). Jobs
-            already mid-flight run to completion. Not supported with
-            ``kind="process"`` (the predicate is not picklable).
+            already mid-flight run to completion.
     """
     jobs = list(jobs)
     if max_workers is None:
@@ -135,17 +132,10 @@ def run_jobs(
     if max_workers <= 1 or len(jobs) <= 1:
         return [_collect(_run_one(job, should_stop), i)
                 for i, job in enumerate(jobs)]
-    if kind == "thread":
-        from concurrent.futures import ThreadPoolExecutor as pool_cls
-    elif kind == "process":
-        if should_stop is not None:
-            raise ValueError("should_stop is not supported with process pools")
-        # Pulls in multiprocessing; a serial or threaded run never pays it.
-        from concurrent.futures import ProcessPoolExecutor as pool_cls
-    else:
-        raise ValueError(f"unknown executor kind {kind!r}")
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = min(max_workers, len(jobs))
-    with pool_cls(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_one, job, should_stop) for job in jobs]
         # Collect by submission index, not completion order: deterministic.
         return [_collect(f.result(), i) for i, f in enumerate(futures)]

@@ -38,6 +38,7 @@ from repro.capstan.stats import compute_stats
 from repro.core.compiler import compile_stmt, default_engine
 from repro.core.coiteration import stream_compatible
 from repro.core.memory_analysis import KernelAnalysis, analyze
+from repro.engines import oracle_maxerr
 from repro.formats import (
     CSR,
     DENSE_MATRIX,
@@ -67,9 +68,6 @@ __all__ = [
 #: the regime cross-expression fusion targets (the modeled reduction
 #: asymptote is ``16 / (16 + 8*rank)`` of total traffic).
 ATTENTION_RANK = 2
-
-#: Relative tolerance for the per-stage engine-vs-oracle check.
-_RTOL = 1e-8
 
 
 class FusionError(RuntimeError):
@@ -326,15 +324,9 @@ def run_pipeline(
             got = expected
         else:
             got = kernel.run_engine(eng)
-            denom = max(1.0, float(np.max(np.abs(expected))) if expected.size
-                        else 1.0)
-            worst = float(np.max(np.abs(got - expected))) if expected.size else 0.0
-            if worst > _RTOL * denom:
-                raise FusionError(
-                    f"stage {stage.name} of {spec.name}: engine {eng} "
-                    f"diverged from the oracle (max |err| {worst:.3e} > "
-                    f"{_RTOL:.0e} rel)"
-                )
+            oracle_maxerr(got, expected, FusionError,
+                          f"stage {stage.name} of {spec.name}: engine {eng} "
+                          f"diverged from the oracle")
         base = compute_stats(kernel)
         stage_unfused = base.dram_total_bytes
         if streams:

@@ -2,8 +2,9 @@
 
 The dispatcher shards *job lists*, so one large kernel is still bounded
 by one worker. SpDISTAL (Yadav et al.) schedules *one* compiled sparse
-kernel over partitioned tensors instead; this module does that for CSR
-SpMV and DCSR SpMM (README, "Distributed single-kernel execution"):
+kernel over partitioned tensors instead; this module does that for the
+kernels :data:`PARTITION_FORMATS` derives from the ``KERNELS`` records:
+CSR SpMV and DCSR SpMM (README, "Distributed single-kernel execution"):
 
 * :class:`PartitionPlan` cuts one kernel into ``count`` sub-kernels.
   The operand is staged once per run (:class:`StagedOperands`); a
@@ -35,7 +36,10 @@ import hashlib
 import numpy as np
 
 from repro import obs
-from repro.engines import default_engine
+from repro.convert import position_sliceable
+from repro.engines import default_engine, oracle_maxerr
+from repro.formats import format_of
+from repro.kernels.suite import KERNELS, KernelSpec
 from repro.pipeline.batch import PARTITION_PREFIX, is_partition_artifact
 from repro.pipeline.cache import memoize_stage
 from repro.pipeline.executor import Job, run_jobs
@@ -62,15 +66,31 @@ __all__ = [
 #: Supported iteration-space splits.
 PARTITION_MODES = ("row", "sum")
 
+
+def _partition_format(spec: KernelSpec) -> str | None:
+    """The format ``spec``'s sparse operand stages in when the kernel has
+    the shape :func:`_run_kernel` assembles and the oracle checks: one
+    sparse matrix ``A(i, k)`` whose position-sliceable root stores ``i``,
+    one dense operand led by ``k``, an output led by ``i``. ``row`` cuts
+    ``i`` and ``sum`` cuts ``k``, so nothing else may carry either."""
+    roles = [spec.of_role(role) for role in ("sparse", "dense", "output")]
+    if len(spec.tensor_specs) != 3 or any(len(r) != 1 for r in roles):
+        return None
+    (sparse,), (dense,), (out,) = roles
+    fmt = format_of(sparse.format)
+    fits = (len(sparse.modes) == 2 and position_sliceable(fmt)
+            and fmt.mode_of_level(0) == 0
+            and dense.modes[:1] == sparse.modes[1:]
+            and out.modes[:1] == sparse.modes[:1])
+    return sparse.format if fits else None
+
+
 #: Partitionable kernels and the format their sparse operand stages in.
-PARTITION_FORMATS = {"SpMV": "csr", "DCSR-SpMM": "dcsr"}
+PARTITION_FORMATS = {name: fmt for name, spec in KERNELS.items()
+                     if (fmt := _partition_format(spec)) is not None}
 
 #: Dataset seed (the harness's fixed evaluation seed).
 PARTITION_SEED = 7
-
-#: Dense second-operand rank for SpMM (mirrors the harness's FACTOR_RANK
-#: clamp in :func:`repro.data.datasets._shape_for`).
-_FACTOR_RANK = 16
 
 
 class PartitionError(ValueError):
@@ -214,36 +234,21 @@ def block_range(extent: int, count: int, index: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Operands and the per-block cell (top-level, so pools and workers pickle it)
+# Operands and the per-block cell
 # ---------------------------------------------------------------------------
-
-
-def _dense_operand(kernel: str, dims: tuple[int, ...]) -> np.ndarray:
-    """The dense operand, regenerated deterministically from the seed:
-    broadcast by reference, every worker rebuilds the same array from
-    (kernel, dims, seed) the way the dataset stage regenerates matrices.
-    """
-    rng = np.random.default_rng(PARTITION_SEED)
-    if kernel == "SpMV":
-        return rng.random(dims[1])
-    r = max(4, min(_FACTOR_RANK, dims[0]))
-    return rng.random((dims[1], r))
 
 
 @dataclasses.dataclass(eq=False)
 class StagedOperands:
     """One run's operands, staged on first use, then shared by its blocks,
-    reduce and oracle: once per run and process (pickling ships only the
-    plan; threads racing to be first at worst both stage). ``use_cache``
-    says whether the ``convert`` stage may answer, not how often we ask.
+    reduce and oracle: once per run and process (threads racing to be
+    first at worst both stage). ``use_cache`` says whether the
+    ``convert`` stage may answer, not how often we ask.
     """
 
     plan: PartitionPlan
     scale: float
     use_cache: bool | None = None
-
-    def __reduce__(self):
-        return StagedOperands, (self.plan, self.scale, self.use_cache)
 
     @functools.cached_property
     def full(self):
@@ -256,25 +261,17 @@ class StagedOperands:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        """The full dense operand array."""
-        return _dense_operand(self.plan.kernel, self.full.dims)
-
-    @functools.cached_property
-    def dense_tensor(self):
-        """The full dense operand as the kernel's operand tensor."""
-        return _dense_tensor(self.plan.kernel, self.dense)
-
-
-def _dense_tensor(kernel: str, array: np.ndarray):
-    """``array`` packed as ``kernel``'s dense operand tensor."""
-    from repro.kernels.suite import KERNELS
-
-    spec = next(ts for ts in KERNELS[kernel].tensor_specs
-                if ts.role == "dense")
-    return spec.make(array.shape).from_dense(array)
+        """The full dense operand array, regenerated deterministically
+        from the seed: broadcast by reference, every worker rebuilds the
+        same array the way the dataset stage regenerates matrices."""
+        spec = KERNELS[self.plan.kernel]
+        (dense,) = spec.of_role("dense")
+        rng = np.random.default_rng(PARTITION_SEED)
+        return rng.random(spec.shapes(self.full.dims)[dense.name])
 
 
-def _run_kernel(kernel: str, sparse, dense, engine: str) -> np.ndarray:
+def _run_kernel(kernel: str, sparse, dense: np.ndarray,
+                engine: str) -> np.ndarray:
     """Compile ``KERNELS[kernel]`` over the given operands and run it.
 
     ``strict``: a silent fallback would pass for a partition slowdown.
@@ -282,19 +279,13 @@ def _run_kernel(kernel: str, sparse, dense, engine: str) -> np.ndarray:
     *result* is what the ``partition`` stage keeps.
     """
     from repro.core.compiler import compile_stmt
-    from repro.kernels.suite import KERNELS
 
     spec = KERNELS[kernel]
-    tensors = {}
-    for ts in spec.tensor_specs:
-        if ts.role == "dense":
-            tensors[ts.name] = dense
-        elif ts.role == "sparse":
-            tensors[ts.name] = ts.make(sparse.dims)
-            tensors[ts.name]._storage = sparse
-        else:
-            tensors[ts.name] = ts.make(sparse.dims[:1] + dense.shape[1:])
-    stmt, _out = spec.build(tensors)
+    # A block keeps the run's factor rank (the dense operand's trailing
+    # extent), not the clamp of its own row count.
+    shapes = spec.shapes(sparse.dims, free=dense.shape[-1])
+    stmt, _out = spec.build(spec.operands(shapes, [sparse],
+                                          lambda _shape: dense))
     return compile_stmt(stmt, kernel, cache=False).run_engine(engine,
                                                               strict=True)
 
@@ -321,8 +312,7 @@ def partition_cell(operands: StagedOperands, index: int,
         with obs.span("partition:slice", **where) as sp:
             sliced = (slice_positions(full, lo, hi) if row
                       else slice_rows(full, lo, hi, axis=1))
-            dense = (operands.dense_tensor if row
-                     else _dense_tensor(plan.kernel, operands.dense[lo:hi]))
+            dense = operands.dense if row else operands.dense[lo:hi]
             sp.set(lo=lo, hi=hi, nnz=int(sliced.nnz))
         with obs.span("partition:compute", nnz=int(sliced.nnz),
                       engine=engine, **where):
@@ -357,14 +347,10 @@ def _validate_against_oracle(operands: StagedOperands,
     contrib = (vals[:, None] * dense[coords[:, 1]]
                if dense.ndim == 2 else vals * dense[coords[:, 1]])
     np.add.at(oracle, coords[:, 0], contrib)
-    maxerr = float(np.max(np.abs(out - oracle))) if out.size else 0.0
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(oracle))) if out.size else 1.0)
-    if maxerr > tol:
-        raise PartitionError(
-            f"{operands.plan.artifact}: merged output disagrees with the "
-            f"unpartitioned oracle (max |err| {maxerr:.3e} > tol {tol:.3e})"
-        )
-    return maxerr
+    return oracle_maxerr(
+        out, oracle, PartitionError,
+        f"{operands.plan.artifact}: merged output disagrees with the "
+        f"unpartitioned oracle")
 
 
 def reduce_partials(plan: PartitionPlan | str, results: list) -> dict:

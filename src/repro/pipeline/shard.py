@@ -7,9 +7,9 @@ hosts — and folds the pieces back together:
 
 * :class:`ShardSpec` names one slice (``2/8`` = shard 2 of 8, 1-based)
   and selects its jobs by **position** in the artefact's deterministic
-  job list, so the partition is stable regardless of worker count,
-  executor kind, or which machine runs it: the union of all shards is
-  exactly the full list and shards are pairwise disjoint.
+  job list, so the partition is stable regardless of worker count or
+  which machine runs it: the union of all shards is exactly the full
+  list and shards are pairwise disjoint.
 * :func:`run_shard` executes one slice and returns a self-describing
   :class:`ShardManifest` — artefact, scale, shard spec, compiler-version
   hash, and per-job results as JSON-safe payloads (floats round-trip
@@ -295,7 +295,6 @@ def run_shard(
     spec: ShardSpec,
     jobs: int | None = None,
     use_cache: bool | None = None,
-    kind: str = "thread",
     on_result=None,
     should_stop=None,
     engine: str | None = None,
@@ -314,7 +313,7 @@ def run_shard(
     record = resolve_artifact(artifact)
     all_jobs = record.jobs(scale, use_cache, engine)
     with _trace.span("chunk", artifact=artifact, shard=str(spec)) as chunk_sp:
-        results = run_jobs(spec.select(all_jobs), max_workers=jobs, kind=kind,
+        results = run_jobs(spec.select(all_jobs), max_workers=jobs,
                            on_result=on_result, should_stop=should_stop)
         chunk_sp.set(jobs=len(results),
                      computed=sum(1 for r in results if r.computed))

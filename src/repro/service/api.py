@@ -38,7 +38,7 @@ import json
 import os
 from typing import Any, Callable, Sequence
 
-from repro.engines import ENGINES, default_engine
+from repro.engines import ENGINES, default_engine, oracle_maxerr
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_SCALE",
     "DEFAULT_SEED",
     "EngineMismatchError",
-    "PLATFORMS",
     "PlatformTimes",
     "build",
     "cached",
@@ -69,14 +68,6 @@ DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
 
 #: Default dataset-generation seed (the Table 4 synthetic datasets).
 DEFAULT_SEED = 7
-
-PLATFORMS = (
-    "Capstan (Ideal)",
-    "Capstan (HBM2E)",
-    "Capstan (DDR4)",
-    "V100 GPU",
-    "128-Thread CPU",
-)
 
 #: The normalisation baseline of Table 6 / Figure 13.
 BASELINE_PLATFORM = "Capstan (HBM2E)"
@@ -403,10 +394,7 @@ def _platform_models(kernel, stats, sim, resources) -> dict[str, Any]:
     """Per-platform runtime predictors (lazily evaluated thunks)."""
     from repro.backends.cpu import CpuBackend
     from repro.backends.gpu import GpuBackend
-    from repro.backends.handwritten import (
-        HandwrittenCapstanSpMV,
-        HandwrittenPlasticineSpMV,
-    )
+    from repro.backends.handwritten import handwritten_models
     from repro.capstan.dram import DDR4, HBM2E, IDEAL
 
     models = {
@@ -419,13 +407,7 @@ def _platform_models(kernel, stats, sim, resources) -> dict[str, Any]:
         "V100 GPU": lambda: GpuBackend().predict_seconds(kernel, stats),
         "128-Thread CPU": lambda: CpuBackend().predict_seconds(kernel, stats),
     }
-    if kernel.name == "SpMV":
-        models["Capstan (HBM2E, handwritten)"] = (
-            lambda: HandwrittenCapstanSpMV().predict_seconds(stats, HBM2E)
-        )
-        models["Plasticine (HBM2E, handwritten)"] = (
-            lambda: HandwrittenPlasticineSpMV().predict_seconds(stats, HBM2E)
-        )
+    models.update(handwritten_models(kernel.name, stats))
     return models
 
 
@@ -461,16 +443,10 @@ def exec_check(request: CompileRequest,
         else:
             got, fell_back = kernel.run_engine_report(engine)
         got = np.asarray(got, dtype=np.float64).reshape(expected.shape)
-        magnitude = max(1.0, float(np.max(np.abs(expected))) if expected.size
-                        else 1.0)
-        maxerr = (float(np.max(np.abs(got - expected)))
-                  if expected.size else 0.0)
-        if maxerr > 1e-8 * magnitude:
-            raise EngineMismatchError(
-                f"{engine} engine disagrees with the interpreter oracle on "
-                f"{req.kernel}/{req.dataset} (scale={req.scale}): "
-                f"max abs error {maxerr:.3e}"
-            )
+        maxerr = oracle_maxerr(
+            got, expected, EngineMismatchError,
+            f"{engine} engine disagrees with the interpreter oracle on "
+            f"{req.kernel}/{req.dataset} (scale={req.scale})")
         return {
             "kernel": req.kernel,
             "dataset": req.dataset,

@@ -89,6 +89,21 @@ def test_simulate(capsys):
     assert "1.00x" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["compile", "NoSuch"],
+     "compile error: unknown kernel 'NoSuch'; choose from ["),
+    (["simulate", "Plus3", "--dataset", "bcsstk30"],
+     "simulate error: unknown dataset 'bcsstk30' for Plus3; choose from ["),
+    (["convert", "csr", "nosuch"],
+     "unknown format name 'nosuch'; choose from ["),
+])
+def test_unknown_name_is_one_error_line_and_exit_2(argv, line, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(line) and captured.err.count("\n") == 1
+
+
 def test_tables_artifact(capsys):
     assert main(["tables", "table3"]) == 0
     out = capsys.readouterr().out

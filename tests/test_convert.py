@@ -163,6 +163,17 @@ class TestStagedConversion:
         dcsr = staged_matrix_storage("random-1pct", 0.05, 7, "dcsr")
         assert np.allclose(to_dense(coo), to_dense(dcsr))
 
+    def test_identity_conversion_returns_its_input(self, fresh_cache):
+        """CSR staging packs CSR: converting that to CSR skips the unpack
+        and re-pack, and is array for array what they produced."""
+        from repro.convert import staged_matrix_storage
+        from tests.conftest import assert_same_storage
+
+        staged = staged_matrix_storage("random-1pct", 0.05, 7, "csr")
+        assert convert(staged, staged.fmt) is staged
+        assert_same_storage(
+            staged, plan_conversion(staged.fmt, staged.fmt).run(staged))
+
 
 class TestLossless:
     def test_explicit_zero_in_csr_survives_coo(self):

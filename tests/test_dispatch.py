@@ -1009,11 +1009,3 @@ class TestShouldStop:
         assert ran == [0, 1]
         assert [r.ok for r in results] == [True, True, False, False, False]
         assert "cancelled" in results[2].error
-
-    def test_should_stop_rejected_for_process_pools(self):
-        from repro.pipeline.executor import Job, run_jobs
-
-        jobs = [Job((i,), int, (i,)) for i in range(4)]
-        with pytest.raises(ValueError, match="process pools"):
-            run_jobs(jobs, max_workers=2, kind="process",
-                     should_stop=lambda: False)

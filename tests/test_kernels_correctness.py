@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import compile_stmt
-from repro.kernels import KERNEL_ORDER, KERNELS
+from repro.kernels import FORMAT_KERNEL_ORDER, KERNEL_ORDER, KERNELS
 from repro.tensor import evaluate_dense, to_dense
-from tests.helpers_kernels import build_small_kernel_stmt
+from tests.helpers_kernels import SMALL_DIMS, build_small_kernel_stmt
 
 ALL_KERNELS = list(KERNEL_ORDER)
 
@@ -19,6 +19,29 @@ def run_kernel(name: str, seed: int = 42, density: float = 0.4):
     result = to_dense(kernel.run())
     reference = evaluate_dense(out.get_assignment())
     return kernel, result, reference
+
+
+@pytest.mark.parametrize("name", KERNEL_ORDER + FORMAT_KERNEL_ORDER)
+def test_spec_modes_are_the_builders_accesses(name):
+    """The record cannot drift from its builder, and ``shapes()`` derives
+    the independent ``SMALL_DIMS`` fixture from the sparse operand alone."""
+    spec = KERNELS[name]
+    modes = {ts.name: ts.modes for ts in spec.tensor_specs}
+    assignment = build_small_kernel_stmt(name)[1].get_assignment()
+    accessed = {}
+    for access in (assignment.lhs, *assignment.rhs.accesses()):
+        accessed[access.tensor.name] = tuple(v.name for v in access.indices)
+    assert accessed == modes
+    extents = {}
+    for operand, operand_modes in modes.items():
+        for var, extent in zip(operand_modes, SMALL_DIMS[name][operand],
+                               strict=True):
+            assert extents.setdefault(var, extent) == extent, (operand, var)
+    sparse = spec.of_role("sparse")[0]
+    free = {n for var, n in extents.items() if var not in sparse.modes}
+    assert len(free) <= 1
+    assert spec.shapes(SMALL_DIMS[name][sparse.name],
+                       free=next(iter(free), None)) == SMALL_DIMS[name]
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)

@@ -18,7 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.convert import ConversionError, slice_positions, slice_rows
+from repro.convert import (
+    ConversionError,
+    position_sliceable,
+    slice_positions,
+    slice_rows,
+)
 from repro.formats.format import format_of
 from repro.pipeline.executor import run_jobs
 from repro.pipeline.partition import (
@@ -76,6 +81,15 @@ class TestNaming:
             PartitionPlan("SpMV", DATASET, 0)
         with pytest.raises(PartitionError, match="not a matrix dataset"):
             PartitionPlan("SpMV", "nope", 2)
+
+    def test_partitionable_kernels_are_derived_from_the_records(self):
+        """COO-SpMV falls to the capability rule, BCSR-SpMV to its order,
+        MatTransMul to CSC's root storing mode 1 (and, like Residual and
+        SDDMM, to its extra operands)."""
+        assert PARTITION_FORMATS == {"SpMV": "csr", "DCSR-SpMM": "dcsr"}
+        assert [position_sliceable(format_of(name))
+                for name in ("csr", "dcsr", "csc", "coo", "bcsr")] == [
+            True, True, True, False, False]
 
     def test_block_range_covers_extent(self):
         for extent in (0, 1, 7, 12):

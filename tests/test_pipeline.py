@@ -375,11 +375,6 @@ class TestExecutor:
         with pytest.raises(RuntimeError, match="bad"):
             results[1].unwrap()
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            run_jobs([Job((1,), _slow_identity, (1,))] * 2,
-                     max_workers=2, kind="fiber")
-
 
 # ---------------------------------------------------------------------------
 # Batch artefacts

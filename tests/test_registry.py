@@ -246,6 +246,54 @@ def test_dispatch_lost_its_partition_spelling(capsys):
 
 
 # ---------------------------------------------------------------------------
+# The guard: a kernel is its ``KernelSpec`` record, named nowhere above it
+# ---------------------------------------------------------------------------
+
+#: Orchestration, service, compiler and models hold no kernel name
+#: (ROADMAP item 1); ``handwritten.py`` *is* the SpMV baseline.
+_KERNEL_FREE = ("pipeline/", "service/", "core/", "spatial/", "capstan/",
+                "backends/")
+_NAMES_KERNELS = {"backends/handwritten.py"}
+
+
+def _kernel_names(tree: ast.AST) -> list[int]:
+    """Lines of string literals equal to a ``KERNELS`` key, docstrings
+    excluded."""
+    from repro.kernels import KERNELS
+
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in docstrings
+            and isinstance(node.value, str) and node.value in KERNELS]
+
+
+def test_the_kernel_guard_sees_a_name():
+    tree = ast.parse('"""SpMV."""\n'
+                     'FORMATS = {"SpMV": "csr"}\n'
+                     'def dense(kernel):\n'
+                     '    "TTV"\n'
+                     '    if kernel == "DCSR-SpMM": pass\n')
+    assert _kernel_names(tree) == [2, 5]
+
+
+def test_no_kernel_names_above_the_record():
+    root = Path(repro.__file__).resolve().parent
+    found = []
+    for source in sorted(root.rglob("*.py")):
+        path = source.relative_to(root).as_posix()
+        if path in _NAMES_KERNELS or not (path.startswith(_KERNEL_FREE)
+                                          or path == "convert.py"):
+            continue
+        found += [f"{path}:{line}"
+                  for line in _kernel_names(ast.parse(source.read_text()))]
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
 # The guard: one lease loop (``pipeline.lease``) over one Transport
 # ---------------------------------------------------------------------------
 
