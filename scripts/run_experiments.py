@@ -22,16 +22,14 @@ leased chunk-by-chunk to a pool of workers (``local:N`` subprocesses,
 worker` processes attach to), dead or hung workers lose their lease,
 and the merged artefacts — byte-identical to the serial run — land in
 results/ alongside the per-chunk manifests (under results/dispatch/),
-so an interrupted sweep resumes where it stopped. ``--steal`` plans
-cost-balanced chunks from the per-job cost table recorded by previous
-runs. Each dispatched artefact also writes a ``summary.json`` (chunk
-plan, attempts, faults) and ``costs.json`` (the cost table slice) under
-its results/dispatch/<artefact>/ state directory — the nightly CI sweep
-uploads these so chunk-balance regressions are inspectable across runs.
+so an interrupted sweep resumes where it stopped. Each dispatched
+artefact also writes a ``summary.json`` (chunks, attempts, faults)
+under its results/dispatch/<artefact>/ state directory — the nightly CI
+sweep uploads these so regressions are inspectable across runs.
 
 Usage:  python scripts/run_experiments.py [scale] [--jobs N] [--no-cache]
                                           [--shard I/N [--shard-dir DIR]]
-                                          [--workers SPEC] [--steal]
+                                          [--workers SPEC]
 """
 
 import argparse
@@ -81,14 +79,12 @@ def _run_dispatch(args, use_cache) -> int:
     """Dispatch every artefact's sweep over a fault-tolerant worker pool."""
     import json
 
-    from repro.pipeline.batch import artifact_jobs
     from repro.pipeline.dispatch import (
         DispatchError,
         dispatch,
         dispatch_summary_payload,
         parse_transport,
     )
-    from repro.pipeline.steal import export_costs
 
     try:
         transport = parse_transport(args.workers)
@@ -111,7 +107,7 @@ def _run_dispatch(args, use_cache) -> int:
                     artifact, at, transport,
                     use_cache=use_cache, worker_jobs=args.jobs,
                     state_dir=state_dir, resume=True,
-                    steal=args.steal, engine=args.engine,
+                    engine=args.engine,
                     # An elastic pool must survive between artefacts;
                     # the finally below stops it after the last one.
                     stop_queue=False,
@@ -122,14 +118,9 @@ def _run_dispatch(args, use_cache) -> int:
                 return 2
             print(result.summary())
             # Inspectable residue per artefact: the dispatch summary
-            # (chunk plan, attempts, faults) and the cost-table slice
-            # the next --steal plan would read. The nightly sweep
-            # uploads both.
+            # (chunks, attempts, faults). The nightly sweep uploads it.
             (state_dir / "summary.json").write_text(
                 json.dumps(dispatch_summary_payload(result), indent=2) + "\n")
-            keys = [job.key for job in artifact_jobs(artifact, at)]
-            (state_dir / "costs.json").write_text(
-                json.dumps(export_costs(artifact, at, keys), indent=2) + "\n")
             if result.ok:
                 (OUT / f"{artifact}.txt").write_text(result.merged.text + "\n")
                 print(f"\n##### {artifact}.txt (scale={at})")
@@ -161,9 +152,6 @@ def main() -> int:
                         help="dispatch all artefacts over a worker pool "
                              "(local:N, ssh:host1,host2, or queue:DIR) "
                              "with dynamic leases and automatic resume")
-    parser.add_argument("--steal", action="store_true",
-                        help="with --workers: plan cost-balanced chunks "
-                             "from the recorded per-job cost table")
     parser.add_argument("--engine", choices=ENGINES, default=None,
                         help="functionally execute each cell that runs a "
                              "kernel with this engine and validate it "
@@ -174,10 +162,6 @@ def main() -> int:
     if args.shard and args.workers:
         print("--shard and --workers are mutually exclusive: static "
               "slicing and the dispatcher both own the partition",
-              file=sys.stderr)
-        return 2
-    if args.steal and not args.workers:
-        print("--steal needs --workers: only the dispatcher plans chunks",
               file=sys.stderr)
         return 2
     if args.workers:

@@ -21,8 +21,8 @@ Subcommands:
   persistently failing jobs are quarantined, and the merged output is
   byte-identical to the serial ``tables`` run. ``--resume DIR``
   persists per-chunk manifests and picks up a partially completed
-  dispatch; ``--steal`` cuts cost-balanced chunks from the persistent
-  per-job cost table instead of uniform slices.
+  dispatch; the chunks are uniform slices, leased heaviest first by
+  the per-job wall times earlier dispatches recorded.
 * ``spmm-dist`` — distribute ONE kernel's iteration space over the
   same worker transports (SpDISTAL-style): row-block the output space
   into independent sub-kernels whose operands are position-range
@@ -160,12 +160,27 @@ def _events(args):
 
 
 def _emit(args, text: str) -> int:
-    """Print an artefact's text, and write it to ``--out`` when given."""
+    """Print an artefact's text, and write it to ``--out`` when given.
+
+    A finished sweep is never lost to either half: the file is written
+    first, so a reader that closes stdout early (``| head``) still
+    leaves it, and a file that cannot be written is reported only after
+    the text has been shown."""
+    failed = None
     if args.out:
         from pathlib import Path
 
-        Path(args.out).write_text(text + "\n")
+        out = Path(args.out)
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(text + "\n")
+        except OSError as exc:
+            failed = exc
     print(text)
+    if failed is not None:
+        print(f"{args.command} error: cannot write --out {args.out}: "
+              f"{failed}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -483,8 +498,6 @@ def _cmd_dispatch(args) -> int:
             worker_jobs=args.jobs,
             state_dir=args.resume,
             resume=args.resume is not None,
-            steal=args.steal,
-            min_chunk=args.min_chunk,
             on_event=_events(args),
             engine=args.engine,
         )
@@ -689,9 +702,24 @@ _ENGINE_HELP = ("cells that run a kernel functionally execute it with this "
                 "(default: REPRO_ENGINE or numpy)")
 
 
+def _scale(text: str) -> float:
+    """The ``type=`` of every ``--scale``: a positive number, the rule
+    ``CompileRequest.resolved`` applies, refused at parse time (before
+    any worker is started) with argparse's one-line error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:  # NaN compares false
+        raise argparse.ArgumentTypeError(
+            f"scale must be a positive number, got {text!r}")
+    return value
+
+
 def _add_run_flags(parser) -> None:
     """The flags ``tables`` and ``batch`` hand to the batch runner."""
-    parser.add_argument("--scale", type=float, default=None, help=_SCALE_HELP)
+    parser.add_argument("--scale", type=_scale, default=None,
+                        help=_SCALE_HELP)
     parser.add_argument("--jobs", type=int, default=None,
                         help="parallel worker count (default: REPRO_JOBS or 1)")
     parser.add_argument("--no-cache", action="store_true",
@@ -708,15 +736,8 @@ def _add_dispatch_flags(parser, workers: str) -> None:
                              f"threads, or queue:DIR (elastic pool; attach "
                              f"`repro worker DIR` processes at any time); "
                              f"default {workers}")
-    parser.add_argument("--scale", type=float, default=None,
+    parser.add_argument("--scale", type=_scale, default=None,
                         help=_SCALE_HELP)
-    parser.add_argument("--steal", action="store_true",
-                        help="cut cost-balanced chunks from the recorded "
-                             "per-job cost table (uniform fallback on the "
-                             "first sweep, which records the costs)")
-    parser.add_argument("--min-chunk", type=int, default=1, metavar="N",
-                        help="smallest planned chunk, in jobs (the "
-                             "steal-tail granularity; default 1)")
     parser.add_argument("--chunks-per-worker", type=int, default=4,
                         help="lease granularity: chunks cut per worker "
                              "slot (default 4)")
@@ -754,7 +775,7 @@ def main(argv: list[str] | None = None) -> int:
     p_compile = sub.add_parser("compile", help="compile a kernel")
     p_compile.add_argument("kernel")
     p_compile.add_argument("--dataset", default=None)
-    p_compile.add_argument("--scale", type=float, default=0.05)
+    p_compile.add_argument("--scale", type=_scale, default=0.05)
     p_compile.add_argument("--cpu", action="store_true",
                            help="also print TACO-style CPU C code")
     p_compile.add_argument("--memory-report", action="store_true",
@@ -763,7 +784,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="predict cross-platform runtime")
     p_sim.add_argument("kernel")
     p_sim.add_argument("--dataset", default=None)
-    p_sim.add_argument("--scale", type=float, default=0.25)
+    p_sim.add_argument("--scale", type=_scale, default=0.25)
     p_sim.add_argument("--no-cache", action="store_true",
                        help="bypass the compilation/result cache")
 
@@ -864,7 +885,7 @@ def main(argv: list[str] | None = None) -> int:
     p_conv.add_argument("target", help="target format name (see `formats`)")
     p_conv.add_argument("--dataset", default="Trefethen_20000",
                         help="matrix dataset name (default: Trefethen_20000)")
-    p_conv.add_argument("--scale", type=float, default=0.05)
+    p_conv.add_argument("--scale", type=_scale, default=0.05)
     p_conv.add_argument("--seed", type=int, default=7)
     p_conv.add_argument("--plan", action="store_true",
                         help="print the synthesized plan without running it")
@@ -887,7 +908,7 @@ def main(argv: list[str] | None = None) -> int:
     p_pipe.add_argument("--dataset", default=None,
                         help="matrix dataset (default: each pipeline's "
                              "full dataset list)")
-    p_pipe.add_argument("--scale", type=float, default=0.25)
+    p_pipe.add_argument("--scale", type=_scale, default=0.25)
     p_pipe.add_argument("--seed", type=int, default=7)
     p_pipe.add_argument("--engine", choices=ENGINES, default=None,
                         help="execution engine for every stage (default: "

@@ -20,14 +20,11 @@ and benchmark drivers all route through:
   that leases chunks of a job list to a pool of workers (local
   subprocesses, SSH hosts, or in-process threads), reassigns the chunks
   of dead or hung workers, quarantines persistently failing jobs, and
-  folds the collected manifests through the validating merge.
+  folds the collected manifests through the validating merge; it leases
+  the heaviest chunk first, by the per-job wall times it recorded.
 * :mod:`repro.pipeline.lease` — the one lease loop (retry bound, lease
   expiry) and the ``Transport`` interface every worker pool implements;
   ``dispatch`` and the ``serve`` daemon's queue pool both drive it.
-* :mod:`repro.pipeline.steal` — cost-model-driven work stealing: every
-  dispatch records observed per-job wall times into a persistent
-  ``cost`` cache stage, and ``--steal`` plans cost-balanced
-  explicit-index chunks from the table (uniform fallback when cold).
 * :mod:`repro.pipeline.fsqueue` — the ``queue:DIR`` elastic transport:
   a filesystem job queue with atomic-rename claim semantics where
   ``repro worker`` processes attach and detach mid-sweep.
@@ -69,13 +66,10 @@ _EXPORTS = {
     "fingerprint_stmt": ("repro.pipeline.cache", "fingerprint_stmt"),
     "fingerprint_tensor": ("repro.pipeline.cache", "fingerprint_tensor"),
     "format_artifact": ("repro.pipeline.batch", "format_artifact"),
-    "load_costs": ("repro.pipeline.steal", "load_costs"),
     "make_key": ("repro.pipeline.cache", "make_key"),
     "memoize_stage": ("repro.pipeline.cache", "memoize_stage"),
     "merge_manifests": ("repro.pipeline.shard", "merge_manifests"),
     "parse_transport": ("repro.pipeline.dispatch", "parse_transport"),
-    "plan_chunks": ("repro.pipeline.steal", "plan_chunks"),
-    "record_manifest_costs": ("repro.pipeline.steal", "record_manifest_costs"),
     "run_artifact": ("repro.pipeline.batch", "run_artifact"),
     "run_batch": ("repro.pipeline.batch", "run_batch"),
     "run_jobs": ("repro.pipeline.executor", "run_jobs"),

@@ -19,7 +19,7 @@ import time
 from statistics import geometric_mean
 from typing import Any, Callable, Iterable
 
-from repro.pipeline.cache import cache_enabled, memoize_stage, put_stage
+from repro.pipeline.cache import memoize_stage
 from repro.pipeline.executor import Job, JobResult, run_jobs
 from repro.service import api
 
@@ -28,16 +28,12 @@ __all__ = [
     "ARTIFACT_NAMES",
     "Artefact",
     "BatchRun",
-    "COST_STAGE",
     "STRUCTURAL_SCALE",
     "UnknownArtifact",
     "artifact_jobs",
     "assemble_artifact",
-    "cost_key",
     "format_artifact",
     "is_partition_artifact",
-    "record_cost",
-    "record_result_costs",
     "resolve_artifact",
     "run_artifact",
     "run_batch",
@@ -489,45 +485,6 @@ def format_artifact(artifact: str, data) -> str:
     return resolve_artifact(artifact).render(data)
 
 
-#: The staged-cache stage observed job wall times are recorded under: the
-#: persistent cost table :mod:`repro.pipeline.steal` plans chunks from.
-COST_STAGE = "cost"
-
-
-def cost_key(artifact: str, scale: float, key: tuple) -> tuple:
-    """The ``cost``-stage key parts of one job's observed wall time."""
-    # repr(scale) round-trips the float exactly (the same trick the
-    # worker command line uses), so dispatcher and workers agree on keys.
-    return (artifact, repr(scale), tuple(key))
-
-
-def record_cost(artifact: str, scale: float, key: tuple,
-                seconds: float) -> None:
-    """Record one observed job wall time (latest observation wins)."""
-    put_stage(COST_STAGE, cost_key(artifact, scale, key), float(seconds))
-
-
-def record_result_costs(artifact: str, scale: float,
-                        results: list[JobResult]) -> int:
-    """Record each successful job's observed wall time in the cost table.
-
-    Every run that executes an artefact's jobs — serial ``tables``, a
-    ``batch`` invocation, a shard worker — feeds the work-stealing
-    planner's persistent cost model (:mod:`repro.pipeline.steal`), so a
-    later ``dispatch --steal`` plans from warm data no matter how the
-    sweep was last executed. Returns the number of entries written
-    (zero when caching is disabled).
-    """
-    if not cache_enabled():
-        return 0
-    recorded = 0
-    for res in results:
-        if res.ok:
-            record_cost(artifact, scale, res.job.key, res.seconds)
-            recorded += 1
-    return recorded
-
-
 # ---------------------------------------------------------------------------
 # Runners
 # ---------------------------------------------------------------------------
@@ -558,15 +515,6 @@ class BatchRun:
                 f"[{status}]")
 
 
-def _run(record, scale: float, jobs: int | None, use_cache: bool | None,
-         engine: str | None) -> list[JobResult]:
-    """Execute one record's job list and feed the cost table."""
-    results = run_jobs(record.jobs(scale, use_cache, engine),
-                       max_workers=jobs)
-    record_result_costs(record.name, scale, results)
-    return results
-
-
 def run_artifact(
     artifact: str,
     scale: float,
@@ -581,7 +529,8 @@ def run_artifact(
     failed.
     """
     record = resolve_artifact(artifact)
-    return record.assemble(_run(record, scale, jobs, use_cache, engine))
+    return record.assemble(run_jobs(record.jobs(scale, use_cache, engine),
+                                    max_workers=jobs))
 
 
 def run_batch(
@@ -604,9 +553,9 @@ def run_batch(
     texts: dict[str, str] = {}
     for artifact in artifacts:
         record = resolve_artifact(artifact)
-        results = _run(record,
-                       record.default_scale if scale is None else scale,
-                       jobs, use_cache, engine)
+        at = record.default_scale if scale is None else scale
+        results = run_jobs(record.jobs(at, use_cache, engine),
+                           max_workers=jobs)
         all_results[artifact] = results
         if all(res.ok for res in results):
             assembled[artifact] = record.assemble(results)

@@ -28,10 +28,10 @@ provides that memoization for the whole pipeline:
   ``--no-cache``, so a forced recompile never regenerates datasets.
 * :func:`get_stage` / :func:`put_stage` read and write staged entries
   directly (no compute callback) for stages that *record observations*
-  rather than memoize computations — the work-stealing dispatcher's
-  ``cost`` stage stores observed per-job wall times this way, keyed on
-  the same (kernel, dataset, scale) coordinates the ``stats`` stage
-  uses, and the planner treats a missing entry as "no cost known yet".
+  rather than memoize computations — the dispatcher's ``cost`` stage
+  stores observed per-job wall times this way, keyed on the same
+  (kernel, dataset, scale) coordinates the ``stats`` stage uses, and
+  its lease order treats a missing entry as "no cost known yet".
 
 Environment knobs (read dynamically, so tests can monkeypatch them):
 

@@ -35,12 +35,12 @@ N in-process threads (tests, tiny sweeps); ``queue:DIR`` — an
 **elastic** filesystem queue (:mod:`repro.pipeline.fsqueue`) that
 ``repro worker DIR`` processes attach to and detach from mid-sweep.
 
-With ``steal=True`` the chunk partition itself adapts: observed per-job
-wall times (recorded into a persistent ``cost`` table by every
-dispatch — see :mod:`repro.pipeline.steal`) shape cost-balanced
-explicit-index chunks, large first and shrinking toward a ``min_chunk``
-tail, so idle workers always find small work to steal. The first sweep
-(no costs recorded yet) falls back to uniform chunking.
+The partition never adapts, the **lease order** does: every dispatch
+records each job's observed wall time into a persistent ``cost`` table
+(a stage of the staged cache, so a compiler edit resets it along with
+the results it described), and the next one leases the chunk with the
+heaviest recorded cost first: the sweep's dominant cell starts at once
+and the pull-based loop balances the rest behind it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,13 @@ from typing import Any, Callable
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.pipeline.batch import UnknownArtifact, resolve_artifact
-from repro.pipeline.cache import cache_enabled, cache_env_knobs, compiler_version
+from repro.pipeline.cache import (
+    cache_enabled,
+    cache_env_knobs,
+    compiler_version,
+    get_stage,
+    put_stage,
+)
 from repro.pipeline.fsqueue import (
     ERROR_FORMAT,
     ChunkRequest,
@@ -76,16 +82,9 @@ from repro.pipeline.shard import (
     ShardSpec,
     merge_manifests,
 )
-from repro.pipeline.steal import (
-    DEFAULT_MIN_CHUNK,
-    describe_plan,
-    explicit_specs,
-    load_costs,
-    plan_chunks,
-    record_manifest_costs,
-)
 
 __all__ = [
+    "COST_STAGE",
     "ChunkRequest",
     "DispatchError",
     "DispatchResult",
@@ -98,8 +97,11 @@ __all__ = [
     "WorkerHandle",
     "accept_manifest",
     "chunk_count",
+    "cost_key",
     "dispatch",
+    "load_costs",
     "parse_transport",
+    "record_manifest_costs",
     "worker_env",
 ]
 
@@ -456,6 +458,49 @@ def parse_transport(spec: str) -> Transport:
 # ---------------------------------------------------------------------------
 
 
+#: The staged-cache stage observed job wall times are recorded under:
+#: the persistent cost table the lease order is read from.
+COST_STAGE = "cost"
+
+
+def cost_key(artifact: str, scale: float, key: tuple) -> tuple:
+    """The ``cost``-stage key parts of one job's observed wall time."""
+    # repr(scale) round-trips the float exactly (the same trick the
+    # worker command line uses), so every dispatch agrees on keys.
+    return (artifact, repr(scale), tuple(key))
+
+
+def record_manifest_costs(manifests: list[ShardManifest]) -> int:
+    """Record every successful job's wall time from collected manifests
+    (latest observation wins).
+
+    Returns the number of entries written. Failed jobs are skipped: a
+    traceback's wall time says nothing about the cost of the job done
+    right. A job answered from the staged cache records its replay
+    time, and *that* is its cost for the next sweep.
+    """
+    recorded = 0
+    for manifest in manifests:
+        for entry in manifest.jobs:
+            if not entry["ok"]:
+                continue
+            key = cost_key(manifest.artifact, manifest.scale, entry["key"])
+            put_stage(COST_STAGE, key, float(entry.get("seconds", 0.0)))
+            recorded += 1
+    return recorded
+
+
+def load_costs(artifact: str, scale: float,
+               keys: list[tuple]) -> dict[tuple, float]:
+    """The recorded cost of each job in ``keys`` (absent = never seen)."""
+    costs: dict[tuple, float] = {}
+    for key in keys:
+        seconds = get_stage(COST_STAGE, cost_key(artifact, scale, key))
+        if seconds is not None:
+            costs[tuple(key)] = float(seconds)
+    return costs
+
+
 def chunk_count(total_jobs: int, slots: int,
                 chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER) -> int:
     """How many lease units to cut ``total_jobs`` into for ``slots``."""
@@ -480,8 +525,6 @@ class DispatchResult:
     attempts: int
     seconds: float
     merge_error: str | None = None  #: the final fold's refusal, if any
-    steal: bool = False  #: chunks were cost-planned (not uniform fallback)
-    plan: list[dict] | None = None  #: per-chunk size/estimated-cost report
     costs_recorded: int = 0  #: cost-table entries written by this dispatch
     #: Jobs whose pipeline actually computed something this run, vs. jobs
     #: answered entirely from the staged cache (resumed chunks' jobs all
@@ -504,12 +547,11 @@ class DispatchResult:
                       f"{len(self.lost_chunks)} lost chunk(s)")
         resumed = (f", {self.resumed_chunks} resumed"
                    if self.resumed_chunks else "")
-        planned = ", cost-planned" if self.steal else ""
         return (f"dispatch {self.artifact} (scale {self.scale}) over "
                 f"{self.transport}: {jobs} job(s) "
                 f"({self.jobs_computed} computed, "
                 f"{self.jobs_cached} cached) in {self.chunks} "
-                f"chunk(s){planned}, {self.attempts} lease(s){resumed}, "
+                f"chunk(s), {self.attempts} lease(s){resumed}, "
                 f"{self.seconds:.2f}s [{status}]")
 
     def failure_report(self) -> list[str]:
@@ -524,62 +566,6 @@ class DispatchResult:
         if self.merge_error is not None:
             lines.append(f"MERGE REFUSED: {self.merge_error}")
         return lines
-
-
-def _load_resume_state(
-    state_dir: Path,
-    artifact: str,
-    scale: float,
-    on_event: Callable[[str], None],
-    expected: dict[int, ShardSpec] | None = None,
-) -> tuple[int | None, dict[int, ShardManifest]]:
-    """Completed chunks from a previous dispatch's manifest files.
-
-    Manifests from another artefact/scale/compiler (or with failed jobs)
-    are ignored — their chunks simply run again, served mostly from the
-    staged cache. With ``expected`` (a cost-planned partition), only
-    manifests whose shard spec — including explicit positions — matches
-    the current plan are reused: a replanned chunk layout invalidates
-    the old pieces, which replay cheaply from the staged cache anyway.
-    """
-    chunks: int | None = len(expected) if expected is not None else None
-    done: dict[int, ShardManifest] = {}
-    for path in sorted(state_dir.glob(f"{artifact}.chunk*.json")):
-        try:
-            manifest = ShardManifest.load(path)
-        except Exception as exc:
-            on_event(f"resume: ignoring unreadable {path.name}: {exc}")
-            continue
-        if (manifest.artifact != artifact or manifest.scale != scale
-                or manifest.compiler != compiler_version()):
-            on_event(f"resume: ignoring stale {path.name} "
-                     f"(different artefact/scale/compiler)")
-            continue
-        if manifest.failures():
-            on_event(f"resume: re-running chunk {manifest.shard} "
-                     f"({len(manifest.failures())} failed job(s) on disk)")
-            continue
-        if expected is not None:
-            if manifest.shard != expected.get(manifest.shard.index):
-                on_event(f"resume: ignoring {path.name} "
-                         f"(chunk plan changed)")
-                continue
-            done[manifest.shard.index] = manifest
-            continue
-        if manifest.shard.positions is not None:
-            on_event(f"resume: ignoring {path.name} (cost-planned chunk, "
-                     f"this dispatch is uniform)")
-            continue
-        if chunks is None:
-            chunks = manifest.shard.count
-        if manifest.shard.count != chunks:
-            raise DispatchError(
-                f"{path}: chunk count {manifest.shard.count} does not match "
-                f"{chunks} from other manifests in {state_dir}; clear the "
-                f"directory or resume with a consistent state"
-            )
-        done[manifest.shard.index] = manifest
-    return chunks, done
 
 
 def _chunk_path(state_dir: Path, artifact: str, spec: ShardSpec) -> Path:
@@ -634,20 +620,16 @@ def dispatch(
     worker_jobs: int | None = None,
     state_dir: str | Path | None = None,
     resume: bool = False,
-    steal: bool = False,
-    min_chunk: int = DEFAULT_MIN_CHUNK,
     stop_queue: bool = True,
     on_event: Callable[[str], None] | None = None,
     engine: str | None = None,
 ) -> DispatchResult:
     """Drive ``artifact``'s whole job list through a worker pool.
 
-    The job list is cut into :func:`chunk_count` uniform shard-slices —
-    or, with ``steal=True``, into cost-balanced explicit-index chunks
-    planned from the persistent cost table (falling back to uniform on
-    the first sweep, before any costs are recorded); ``min_chunk``
-    floors the planned steal-tail granularity. The chunks are leased
-    through a :class:`~repro.pipeline.lease.LeaseTable`: a worker that
+    The job list is cut into :func:`chunk_count` uniform shard-slices,
+    leased heaviest first by the cost table's recorded job times (index
+    order while nothing is recorded) through a
+    :class:`~repro.pipeline.lease.LeaseTable`: a worker that
     leaves no valid manifest, or shows no life for ``lease_timeout``,
     loses its lease and the chunk is reassigned (up to ``retries`` extra
     attempts). A chunk whose manifest still contains failed jobs at the
@@ -657,7 +639,7 @@ def dispatch(
     byte-identical to the serial run; otherwise ``merged`` is ``None``
     and the quarantine/lost lists say exactly what is missing. Every
     dispatch records its jobs' observed wall times into the cost table,
-    so the *next* ``steal=True`` dispatch plans from warm data.
+    so the *next* dispatch orders its leases from warm data.
 
     The pool is closed when the dispatch ends, which over ``queue:DIR``
     raises the stop sentinel and drains attached workers; a
@@ -666,7 +648,9 @@ def dispatch(
 
     ``state_dir`` persists per-chunk manifests (and enables
     ``resume=True`` to skip chunks already completed by an earlier,
-    interrupted dispatch). Without it, manifests live only in memory.
+    interrupted dispatch: :func:`accept_manifest` judges a chunk file
+    like a worker's answer, and the layout never depends on the cost
+    table). Without it, manifests live only in memory.
     """
     start = time.perf_counter()
     if isinstance(transport, str):
@@ -680,54 +664,34 @@ def dispatch(
     state_path: Path | None = None
     if state_dir is not None:
         state_path = Path(state_dir)
-        state_path.mkdir(parents=True, exist_ok=True)
+        try:
+            state_path.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise DispatchError(f"state directory {state_path} exists and "
+                                f"is not a directory") from None
     if resume and state_path is None:
         raise DispatchError("resume requires a state directory")
 
     keys = [job.key for job in record.jobs(scale)]
-    total = len(keys)
+    chunks = chunk_count(len(keys), transport.slots, chunks_per_worker)
 
-    # -- chunk planning (uniform, or cost-balanced under --steal) -----------
-    specs: dict[int, ShardSpec] = {}
-    plan_report: list[dict] | None = None
-    stolen = False
-    if steal:
-        costs = load_costs(artifact, scale, keys)
-        planned = plan_chunks(keys, costs, transport.slots, min_chunk)
-        if planned is None:
-            events("steal: no recorded costs for this job list; falling "
-                   "back to uniform chunking (this sweep records them)")
-        else:
-            spec_list = explicit_specs(planned)
-            specs = {s.index: s for s in spec_list}
-            plan_report = describe_plan(spec_list, keys, costs)
-            stolen = True
-            events(f"steal: planned {len(spec_list)} cost-balanced "
-                   f"chunk(s) from {len(costs)}/{total} recorded cost(s)")
-
-    chunks: int | None = None
-    done: dict[int, ShardManifest] = {}
-    if resume:
-        chunks, done = _load_resume_state(
-            state_path, artifact, scale, events,
-            expected=specs if stolen else None)
-        if done:
-            events(f"resume: {len(done)}/{chunks} chunk(s) already complete "
-                   f"in {state_path}")
-    if stolen:
-        chunks = len(specs)
-    elif chunks is None:
-        chunks = chunk_count(total, transport.slots, chunks_per_worker)
-    if not specs:
-        specs = {i: ShardSpec(i, chunks) for i in range(1, chunks + 1)}
-    resumed_indices = set(done)
-    resumed = len(done)
-
+    # One partition, one order: the chunks are always the uniform
+    # round-robin slices, leased heaviest recorded cost first. A job
+    # never seen weighs 0 and the sort is stable, so a cold table is
+    # plain index order. Task ids count up in lease order because a
+    # queue:DIR worker claims the lowest id first; slot pools start
+    # tasks in submit order.
+    costs = load_costs(artifact, scale, keys)
+    events(f"lease order: {len(costs)}/{len(keys)} job costs on record")
+    order = sorted(
+        (ShardSpec(i, chunks) for i in range(1, chunks + 1)),
+        key=lambda spec: -sum(costs.get(key, 0.0)
+                              for key in spec.select(keys)))
     requests = {
-        f"{record.task_prefix}-{i:04d}": ChunkRequest(
-            artifact, scale, specs[i], use_cache=use_cache,
+        f"{record.task_prefix}-{n:04d}": ChunkRequest(
+            artifact, scale, spec, use_cache=use_cache,
             jobs=worker_jobs, engine=engine)
-        for i in range(1, chunks + 1) if i not in done}
+        for n, spec in enumerate(order, 1)}
     lost: dict[int, str] = {}
     quarantined: list[dict] = []
 
@@ -740,6 +704,29 @@ def dispatch(
             why = (f"{len(failed)} job(s) failed ({failed[0]}...)"
                    if len(failed) > 1 else f"job {failed[0]} failed")
         return manifest, why
+
+    # Resume is acceptance: a chunk file a previous dispatch left is
+    # judged like a worker's answer for that chunk, and anything but a
+    # clean manifest is leased again (served mostly from the staged
+    # cache).
+    done: dict[int, ShardManifest] = {}
+    if resume:
+        for task_id, request in list(requests.items()):
+            path = _chunk_path(state_path, artifact, request.spec)
+            if not path.is_file():
+                continue
+            # Bytes that are not text are judged too: not a manifest.
+            manifest, why = accept(task_id, path.read_text(errors="replace"))
+            if why is None:
+                done[request.spec.index] = manifest
+                del requests[task_id]
+            else:
+                events(f"resume: re-running chunk {request.spec} "
+                       f"({path.name}: {why})")
+        if done:
+            events(f"resume: {len(done)}/{chunks} chunk(s) already complete "
+                   f"in {state_path}")
+    resumed_indices = set(done)
 
     def settle(outcome) -> None:
         spec = requests[outcome.task_id].spec
@@ -781,9 +768,10 @@ def dispatch(
         manifests = [done[i] for i in sorted(done)]
         # Record observed wall times from freshly-executed chunks only:
         # resumed manifests carry a *previous* run's times, and re-stamping
-        # them would overwrite fresher observations ("latest wins"). Fresh
-        # chunks must be recorded dispatcher-side for transports whose
-        # workers do not share this cache (ssh without a common mount).
+        # them would overwrite fresher observations ("latest wins"). This
+        # is the table's one writer, beside its one reader: the dispatcher
+        # holds every transport's manifests, also those of workers that do
+        # not share this cache (ssh without a common mount).
         fresh = [done[i] for i in sorted(done) if i not in resumed_indices]
         costs_recorded = 0
         if cache_enabled() and fresh:
@@ -830,12 +818,10 @@ def dispatch(
             merged=merged,
             quarantined=quarantined,
             lost_chunks=lost,
-            resumed_chunks=resumed,
+            resumed_chunks=len(resumed_indices),
             attempts=table.leases,
             seconds=time.perf_counter() - start,
             merge_error=merge_error,
-            steal=stolen,
-            plan=plan_report,
             costs_recorded=costs_recorded,
             jobs_computed=jobs_computed,
             jobs_cached=jobs_cached,
@@ -858,7 +844,5 @@ def dispatch_summary_payload(result: DispatchResult) -> dict[str, Any]:
         "lost_chunks": {str(k): v for k, v in result.lost_chunks.items()},
         "merge_error": result.merge_error,
         "seconds": round(result.seconds, 3),
-        "steal": result.steal,
-        "plan": result.plan,
         "costs_recorded": result.costs_recorded,
     }

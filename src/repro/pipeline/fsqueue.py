@@ -190,7 +190,7 @@ class QueueTransport(Transport):
     Unlike the launch-style transports, nothing here starts a worker:
     tasks are published, claims watched and revoked, results read, while
     ``repro worker DIR`` processes come and go. ``slots`` is only the
-    *planning width* (how many chunks the uniform planner assumes will
+    *planning width* (how many chunks :func:`chunk_count` assumes will
     run concurrently); any number of workers may actually attach.
     """
 
@@ -359,8 +359,8 @@ def run_task(task: dict, should_stop: Callable[[], bool],
 
     A shard task answers with its manifest JSON (job failures are
     isolated inside it), a request task with the ``CompileResult``
-    JSON. An exception means the task itself was bad (a stale
-    explicit-positions spec, a request the compiler rejects): it is
+    JSON. An exception means the task itself was bad (an artefact this
+    checkout does not know, a request the compiler rejects): it is
     answered with the error envelope, which the enqueuer's ``accept``
     reads back.
     """

@@ -36,7 +36,7 @@ class Transport:
 
     #: Human-readable pool description (``local:3``).
     name: str = "transport"
-    #: Planning width: how many tasks the chunk planner assumes run at once.
+    #: Planning width: how many tasks ``chunk_count`` assumes run at once.
     slots: int = 1
 
     def submit(self, task_id: str, attempt: int, payload: dict) -> int | None:

@@ -155,7 +155,7 @@ class PartitionPlan:
 
     def jobs(self, scale: float, use_cache: bool | None = None,
              engine: str | None = None) -> list:
-        """One executor job per block (keys feed the steal cost table),
+        """One executor job per block (keys feed the dispatcher's cost table),
         all sharing the :class:`StagedOperands` the reduce reads back."""
         operands = StagedOperands(self, scale, use_cache)
         return [

@@ -33,11 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs import trace as _trace
-from repro.pipeline.batch import (
-    UnknownArtifact,
-    record_result_costs,
-    resolve_artifact,
-)
+from repro.pipeline.batch import UnknownArtifact, resolve_artifact
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.executor import Job, JobResult, run_jobs
 
@@ -78,23 +74,13 @@ class MergeError(ManifestError):
 
 @dataclasses.dataclass(frozen=True)
 class ShardSpec:
-    """One slice of a job list: shard ``index`` of ``count`` (1-based).
-
-    Two selection modes share this type:
-
-    * **Uniform** (``positions is None``): position ``p`` belongs to
-      shard ``p % count`` — the stable round-robin partition operators
-      type by hand (``--shard 2/8``).
-    * **Explicit** (``positions`` set): the shard holds exactly the
-      named 0-based job-list positions (``2/8=1,5,9``). The
-      work-stealing planner cuts *cost-balanced* chunks this way —
-      non-uniform in size, still a partition of the same canonical job
-      list, so the merge remains byte-identical to the serial run.
-    """
+    """One slice of a job list: shard ``index`` of ``count`` (1-based),
+    the jobs at every ``p`` with ``p % count == index - 1``. Operators
+    type this round-robin partition by hand (``--shard 2/8``) and the
+    dispatcher cuts its chunks by it."""
 
     index: int
     count: int
-    positions: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -103,62 +89,32 @@ class ShardSpec:
             raise ValueError(
                 f"shard index must be in 1..{self.count}, got {self.index}"
             )
-        if self.positions is not None:
-            object.__setattr__(self, "positions", tuple(self.positions))
-            if not self.positions:
-                raise ValueError("explicit shard needs at least one position")
-            if any(p < 0 for p in self.positions):
-                raise ValueError(
-                    f"shard positions must be >= 0, got {self.positions}")
-            if list(self.positions) != sorted(set(self.positions)):
-                # Canonical form keeps planner output deterministic and
-                # makes spec equality (resume validation) reliable.
-                raise ValueError(
-                    f"shard positions must be strictly increasing, got "
-                    f"{self.positions}")
 
     @classmethod
     def parse(cls, text: str) -> "ShardSpec":
-        """Parse ``"2/8"`` or explicit ``"2/8=1,5,9"`` into a spec."""
-        spec_text, eq, pos_text = text.partition("=")
-        head, sep, tail = spec_text.partition("/")
+        """Parse ``"2/8"`` into a spec."""
+        head, sep, tail = text.partition("/")
         try:
             if not sep:
                 raise ValueError
-            positions = None
-            if eq:
-                positions = tuple(int(p) for p in pos_text.split(","))
-            return cls(int(head), int(tail), positions)
+            return cls(int(head), int(tail))
         except ValueError:
             raise ValueError(
-                f"invalid shard spec {text!r}; expected I/N with 1 <= I <= N, "
-                f"optionally =p0,p1,... (0-based increasing positions)"
+                f"invalid shard spec {text!r}; expected I/N with 1 <= I <= N"
             ) from None
 
     def select(self, jobs: list[Job]) -> list[Job]:
         """This shard's slice of ``jobs``.
 
-        Uniform specs take position ``p`` into shard ``p % count``;
-        round-robin (rather than contiguous blocks) balances the slow
+        Round-robin (rather than contiguous blocks) balances the slow
         kernels, which cluster at the front of the suite order, across
-        shards. Explicit specs take exactly their named positions.
+        shards.
         """
-        if self.positions is not None:
-            out_of_range = [p for p in self.positions if p >= len(jobs)]
-            if out_of_range:
-                raise ValueError(
-                    f"shard {self} names position(s) {out_of_range} beyond "
-                    f"the {len(jobs)}-job list (stale chunk plan?)"
-                )
-            return [jobs[p] for p in self.positions]
         return [job for pos, job in enumerate(jobs)
                 if pos % self.count == self.index - 1]
 
     def __str__(self) -> str:
-        base = f"{self.index}/{self.count}"
-        if self.positions is not None:
-            return base + "=" + ",".join(map(str, self.positions))
-        return base
+        return f"{self.index}/{self.count}"
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +161,12 @@ class ShardManifest:
         return [entry for entry in self.jobs if not entry["ok"]]
 
     def to_dict(self) -> dict:
-        shard: dict[str, Any] = {"index": self.shard.index,
-                                 "count": self.shard.count}
-        if self.shard.positions is not None:
-            shard["positions"] = list(self.shard.positions)
         return {
             "format": MANIFEST_FORMAT,
             "version": self.version,
             "artifact": self.artifact,
             "scale": self.scale,
-            "shard": shard,
+            "shard": {"index": self.shard.index, "count": self.shard.count},
             "compiler": self.compiler,
             "total_jobs": self.total_jobs,
             "jobs": self.jobs,
@@ -253,12 +205,14 @@ class ShardManifest:
             raise ManifestError(f"{source}: {exc}") from None
         shard = data["shard"]
         try:
-            positions = shard.get("positions")
-            if positions is not None:
-                positions = tuple(int(p) for p in positions)
-            spec = ShardSpec(int(shard["index"]), int(shard["count"]),
-                             positions)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # Exactly these two keys: a manifest that says more about its
+            # slice (an explicit-position chunk of an older checkout) must
+            # not be read as the uniform chunk of the same I/N.
+            if set(shard) != {"index", "count"}:
+                raise ValueError(f"expected index and count, got "
+                                 f"{sorted(shard)}")
+            spec = ShardSpec(int(shard["index"]), int(shard["count"]))
+        except (TypeError, ValueError) as exc:
             raise ManifestError(f"{source}: bad shard spec: {exc}") from None
         jobs = data["jobs"]
         if not isinstance(jobs, list) or not all(
@@ -317,10 +271,6 @@ def run_shard(
                            on_result=on_result, should_stop=should_stop)
         chunk_sp.set(jobs=len(results),
                      computed=sum(1 for r in results if r.computed))
-    # Feed the work-stealing cost model from the worker side too: shard
-    # workers sharing REPRO_CACHE_DIR warm the dispatcher's table even
-    # before their manifest is collected.
-    record_result_costs(artifact, scale, results)
     entries = []
     for res in results:
         entry: dict[str, Any] = {
@@ -437,11 +387,9 @@ def merge_manifests(
         )
 
     # Failures, duplicates, and malformed payloads name the artefact and
-    # the originating chunk (the full spec — explicit-index chunks from
-    # the work-stealing planner or a queue worker are not identified by
-    # I/N alone), so a refused merge in a multi-artefact dispatch is
-    # attributable to both the sweep and the worker that produced the
-    # offending manifest.
+    # the originating chunk, so a refused merge in a multi-artefact
+    # dispatch is attributable to both the sweep and the worker that
+    # produced the offending manifest.
     failed = [(entry, m.shard) for m in manifests for entry in m.failures()]
     if failed:
         keys = [f"{':'.join(map(str, entry['key']))} (chunk {shard})"

@@ -35,7 +35,7 @@ def fresh_cache(monkeypatch, tmp_path):
     Swaps the process-wide default cache and points REPRO_CACHE_DIR at a
     per-test directory; subprocess workers inherit the variable through
     the environment, so local-transport dispatch tests share the store
-    too. Shared by the pipeline/shard/dispatch/steal suites — the cache
+    too. Shared by the pipeline/shard/dispatch/lease-order suites — the cache
     isolation mechanism lives in exactly one place.
     """
     from repro.pipeline import cache as cache_mod

@@ -206,3 +206,86 @@ def test_merge_literal_path_with_brackets(tmp_path, capsys, monkeypatch):
         bracketed / f"s{i}.json")) for i in (1, 2)]
     assert main(["merge", *paths]) == 0
     assert "Table 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "table3", "--scale", "0"],
+    ["batch", "table3", "--scale", "nan"],
+    ["dispatch", "table3", "--workers", "local:2", "--scale", "-1"],
+    ["dispatch", "partition:SpMV:bcsstk30:p2:row", "--scale", "0"],
+    ["spmm-dist", "SpMV", "--serial", "--scale", "0"],
+    ["pipeline", "attention", "--scale", "0"],
+    ["convert", "csr", "coo", "--scale", "-0.5"],
+    ["compile", "SpMV", "--scale", "0"],
+    ["simulate", "SpMV", "--scale", "nan"],
+    ["tables", "table3", "--scale", "big"],
+], ids=lambda argv: " ".join(argv))
+def test_scale_is_validated_at_parse_time(argv, capsys, monkeypatch):
+    """Every ``--scale`` refuses a non-positive or NaN value with
+    argparse's error and exit 2, before anything runs: no traceback, no
+    job at the generators' floor size, no worker started."""
+    from repro.pipeline.dispatch import SlotTransport
+
+    launched: list = []
+    monkeypatch.setattr(SlotTransport, "submit",
+                        lambda self, *task: launched.append(task))
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: argument --scale: scale must be a positive number, "
+            f"got {argv[-1]!r}") in captured.err.splitlines()[-1]
+    assert launched == []
+
+
+def _two_shards(tmp_path, monkeypatch) -> list[str]:
+    from repro.pipeline.shard import ShardSpec, run_shard
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    return [str(run_shard("table3", 0.02, ShardSpec(i, 2)).save(
+        tmp_path / f"shard{i}.json")) for i in (1, 2)]
+
+
+def test_out_creates_missing_parent_directories(tmp_path, capsys,
+                                                monkeypatch):
+    out = tmp_path / "missing" / "dir" / "t3.txt"
+    assert main(["merge", *_two_shards(tmp_path, monkeypatch),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+def test_out_is_written_even_when_stdout_closes_early(tmp_path, monkeypatch):
+    """``merge ... --out F | head``: the reader closing stdout must not
+    cost the file (``__main__`` turns the BrokenPipeError into exit 0)."""
+    import sys
+
+    class ClosedPipe:
+        def write(self, _text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    out = tmp_path / "t3.txt"
+    shards = _two_shards(tmp_path, monkeypatch)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["merge", *shards, "--out", str(out)])
+    assert "Table 3" in out.read_text()
+
+
+def test_unwritable_out_still_shows_the_finished_artefact(tmp_path, capsys,
+                                                          monkeypatch):
+    """A failure to write ``--out`` is reported after the text has been
+    printed, as one error line and exit 1, never a traceback that loses
+    a completed sweep."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "t3.txt"  # its parent is a file
+    assert main(["merge", *_two_shards(tmp_path, monkeypatch),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Table 3" in captured.out
+    assert captured.err.startswith(f"merge error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1

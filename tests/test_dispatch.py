@@ -699,14 +699,14 @@ class TestQueueTransport:
         assert pool.join_all()
 
     def test_worker_task_error_is_surfaced(self, fresh_cache, queue_dir):
-        """A worker that cannot run a task at all (here: a stale
-        explicit-positions spec) reports the root cause, and the
+        """A worker that cannot run a task at all (here: an artefact its
+        checkout cannot resolve) reports the root cause, and the
         dispatcher's failure report carries it instead of a generic
         'unreadable manifest' refusal."""
         from repro.pipeline.dispatch import accept_manifest
         from repro.pipeline.fsqueue import ERROR_FORMAT
 
-        request = ChunkRequest("table3", TINY, ShardSpec(1, 1, (999,)))
+        request = ChunkRequest("table7", TINY, ShardSpec(1, 1))
         transport = QueueTransport(queue_dir)
         transport.prepare()
         transport.submit("chunk-0001", 1, request.payload())
@@ -724,7 +724,7 @@ class TestQueueTransport:
         assert json.loads(text)["format"] == ERROR_FORMAT
         manifest, why = accept_manifest(text, request)
         assert manifest is None
-        assert "stale chunk plan" in why  # the worker's real error
+        assert "unknown artefact 'table7'" in why  # the worker's real error
 
     def test_result_write_failure_leaves_claim_to_expire(self, fresh_cache,
                                                          queue_dir,
@@ -874,6 +874,43 @@ class TestResume:
         with pytest.raises(DispatchError, match="state directory"):
             dispatch("table3", TINY, InlineTransport(1), resume=True)
 
+    def test_resume_ignores_another_chunk_layout(self, fresh_cache,
+                                                 tmp_path):
+        """Only the planned chunks' own files are looked at: a finished
+        sweep cut for another pool width is neither reused nor an error."""
+        state = tmp_path / "state"
+        first = dispatch("table3", TINY, InlineTransport(1), state_dir=state)
+        again = dispatch("table3", TINY, InlineTransport(2), state_dir=state,
+                         resume=True)
+        assert first.ok and again.ok
+        assert again.chunks != first.chunks
+        assert again.resumed_chunks == 0
+
+    def test_resume_refuses_the_wrong_chunk_in_a_chunk_file(self, fresh_cache,
+                                                            tmp_path):
+        """Resume is acceptance: a file holding another chunk's manifest
+        is refused with accept_manifest's reason, and the chunk runs."""
+        state = tmp_path / "state"
+        chunks = chunk_count(len(artifact_jobs("table3", TINY)), 1)
+        run_shard("table3", TINY, ShardSpec(2, chunks)).save(
+            state / f"table3.chunk1of{chunks}.json")
+        events: list[str] = []
+        result = dispatch("table3", TINY, InlineTransport(1),
+                          state_dir=state, resume=True,
+                          on_event=events.append)
+        assert result.ok and result.resumed_chunks == 0
+        assert sum(e.startswith("resume:") for e in events) == 1
+        assert any("answered for the wrong chunk" in e for e in events)
+        assert result.merged.text == _serial_text("table3")
+
+    def test_state_dir_that_is_a_file_is_a_dispatch_error(self, tmp_path):
+        state = tmp_path / "state"
+        state.write_text("not a directory")
+        with pytest.raises(DispatchError) as refusal:
+            dispatch("table3", TINY, InlineTransport(1), state_dir=state,
+                     resume=True)
+        assert f"{state} exists and is not a directory" in str(refusal.value)
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -960,17 +997,15 @@ class TestCli:
         worker.join(10)
         assert not worker.is_alive()
 
-    def test_batch_shard_accepts_explicit_positions(self, fresh_cache,
+    def test_batch_shard_rejects_explicit_positions(self, fresh_cache,
                                                     capsys):
         from repro.__main__ import main
-        from repro.pipeline.shard import ShardManifest
 
         assert main(["batch", "table3", "--scale", "0.02",
-                     "--shard", "1/2=0,3", "--out", "-"]) == 0
-        manifest = ShardManifest.from_dict(
-            json.loads(capsys.readouterr().out))
-        assert manifest.shard == ShardSpec(1, 2, (0, 3))
-        assert len(manifest.jobs) == 2
+                     "--shard", "1/2=0,3", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid shard spec '1/2=0,3'" in captured.err
 
     def test_batch_out_dash_streams_manifest(self, fresh_cache, capsys):
         from repro.__main__ import main

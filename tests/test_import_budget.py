@@ -34,7 +34,6 @@ COMPUTE = (
     "repro.pipeline.dispatch",
     "repro.pipeline.fsqueue",
     "repro.pipeline.lease",
-    "repro.pipeline.steal",
     "repro.pipeline.partition",
     "repro.pipeline.fusion",
     "repro.service.server",
@@ -65,7 +64,7 @@ LAYERS = (
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),
     ("core", "spatial", "capstan", "backends"),
     ("pipeline.dispatch", "pipeline.fsqueue", "pipeline.lease",
-     "pipeline.steal", "pipeline.partition", "pipeline.fusion", "service.server", "__main__"),
+     "pipeline.partition", "pipeline.fusion", "service.server", "__main__"),
 )
 
 _PROBE = """\

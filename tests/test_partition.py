@@ -488,9 +488,8 @@ class TestShardIntegration:
         result = dispatch(artifact, TINY, "inline:2",
                           chunks_per_worker=2, lease_timeout=60.0,
                           retries=1, use_cache=None, worker_jobs=None,
-                          state_dir=None, resume=False, steal=False,
-                          min_chunk=1, on_event=lambda m: None,
-                          engine=None)
+                          state_dir=None, resume=False,
+                          on_event=lambda m: None, engine=None)
         assert result.ok
         assert result.merged.text == serial_report("DCSR-SpMM", DATASET,
                                                    TINY)
@@ -502,8 +501,7 @@ class TestShardIntegration:
             dispatch("table9", TINY, "inline:1",
                      chunks_per_worker=1, lease_timeout=60.0, retries=1,
                      use_cache=None, worker_jobs=None, state_dir=None,
-                     resume=False, steal=False, min_chunk=1,
-                     on_event=lambda m: None, engine=None)
+                     resume=False, on_event=lambda m: None, engine=None)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class TestShardSpec:
         assert str(ShardSpec.parse("1/1")) == "1/1"
 
     @pytest.mark.parametrize("text", ["", "2", "0/3", "4/3", "a/b", "1/0",
-                                      "-1/3", "1/3/5"])
+                                      "-1/3", "1/3/5", "1/2=0,3"])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError):
             ShardSpec.parse(text)
@@ -182,6 +182,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="unknown artefact"):
             ShardManifest.from_dict(data)
 
+    def test_load_rejects_explicit_positions(self, fresh_cache):
+        """An explicit-position manifest of an older checkout must not be
+        read as the uniform chunk of the same I/N."""
+        data = run_shard("table3", TINY, ShardSpec(1, 2)).to_dict()
+        assert sorted(data["shard"]) == ["count", "index"]
+        data["shard"]["positions"] = [0, 3]
+        with pytest.raises(ManifestError, match="bad shard spec.*positions"):
+            ShardManifest.from_dict(data)
+
     def test_captures_failures_instead_of_raising(self, fresh_cache,
                                                   monkeypatch):
         from repro.pipeline import batch
@@ -308,6 +317,24 @@ class TestMerge:
         bad = run_shard("table3", TINY, ShardSpec(2, 2))
         with pytest.raises(MergeError, match="failed job"):
             merge_manifests([good, bad])
+
+    def test_merge_reports_originating_chunk(self, fresh_cache, monkeypatch):
+        """A failed job is attributed to the chunk that ran it."""
+        def broken(kernel_name, scale, use_cache=None):
+            raise RuntimeError("injected failure")
+
+        patch_cell(monkeypatch, "table3", broken)
+        bad = run_shard("table3", TINY, ShardSpec(2, 3))
+        with pytest.raises(MergeError, match=r"\(chunk 2/3\)"):
+            merge_manifests([bad])
+
+    def test_merge_reports_duplicate_chunks(self, fresh_cache):
+        """A job two manifests both carry names both chunks (uniform
+        specs cannot overlap, so one entry is copied across)."""
+        a, b = _shards("table3", 2)
+        b.jobs.append(dict(a.jobs[0]))
+        with pytest.raises(MergeError, match=r"chunks 1/2 and 2/2"):
+            merge_manifests([a, b])
 
 
 # ---------------------------------------------------------------------------
