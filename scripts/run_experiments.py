@@ -10,12 +10,7 @@ entry, so even that reuses previously generated datasets); otherwise
 repeated runs reuse the on-disk cache under REPRO_CACHE_DIR (default
 ~/.cache/repro).
 
-For multi-host sweeps, ``--shard I/N`` runs this host's deterministic
-slice of every artefact's job list and writes shard manifests to
-``--shard-dir`` instead of tables; collect the manifests from all N
-hosts and fold each artefact with ``python -m repro merge``.
-
-``--workers SPEC`` replaces static sharding with the fault-tolerant
+``--workers SPEC`` runs the sweep through the fault-tolerant
 dispatcher (``repro.pipeline.dispatch``): every artefact's job list is
 leased chunk-by-chunk to a pool of workers (``local:N`` subprocesses,
 ``ssh:host1,host2``, or an elastic ``queue:DIR`` pool that `repro
@@ -28,7 +23,6 @@ under its results/dispatch/<artefact>/ state directory — the nightly CI
 sweep uploads these so regressions are inspectable across runs.
 
 Usage:  python scripts/run_experiments.py [scale] [--jobs N] [--no-cache]
-                                          [--shard I/N [--shard-dir DIR]]
                                           [--workers SPEC]
 """
 
@@ -51,28 +45,6 @@ def _sweep_scales(scale: float) -> list[tuple[str, float]]:
     (LoC, resources) stay at their record's tiny default."""
     return [(name, record.default_scale if record.structural else scale)
             for name, record in ARTEFACTS.items()]
-
-
-def _run_shard(args, use_cache) -> int:
-    """Write this host's shard manifest for every artefact."""
-    from repro.pipeline.shard import ShardSpec, run_shard
-
-    spec = ShardSpec.parse(args.shard)
-    shard_dir = args.shard_dir
-    shard_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for artifact, at in _sweep_scales(args.scale):
-        manifest = run_shard(artifact, at, spec, jobs=args.jobs,
-                             use_cache=use_cache, engine=args.engine)
-        out = shard_dir / f"{artifact}.shard{spec.index}of{spec.count}.json"
-        manifest.save(out)
-        failed = len(manifest.failures())
-        failures += failed
-        print(f"{artifact:10s} shard {spec}: {len(manifest.jobs)}/"
-              f"{manifest.total_jobs} job(s), {failed} failed -> {out}")
-    print(f"\nCollect all {spec.count} hosts' manifests, then per artefact:\n"
-          f"  python -m repro merge {shard_dir}/<artefact>.shard*.json")
-    return 1 if failures else 0
 
 
 def _run_dispatch(args, use_cache) -> int:
@@ -143,11 +115,6 @@ def main() -> int:
     parser.add_argument("scale", nargs="?", type=float, default=1.0)
     parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--shard", metavar="I/N", default=None,
-                        help="run shard I of N and write manifests "
-                             "instead of tables")
-    parser.add_argument("--shard-dir", type=Path, default=OUT / "shards",
-                        help="manifest output directory for --shard")
     parser.add_argument("--workers", metavar="SPEC", default=None,
                         help="dispatch all artefacts over a worker pool "
                              "(local:N, ssh:host1,host2, or queue:DIR) "
@@ -159,15 +126,8 @@ def main() -> int:
     args = parser.parse_args()
     use_cache = False if args.no_cache else None
 
-    if args.shard and args.workers:
-        print("--shard and --workers are mutually exclusive: static "
-              "slicing and the dispatcher both own the partition",
-              file=sys.stderr)
-        return 2
     if args.workers:
         return _run_dispatch(args, use_cache)
-    if args.shard:
-        return _run_shard(args, use_cache)
 
     OUT.mkdir(exist_ok=True)
     t0 = time.time()

@@ -6,8 +6,10 @@ Subcommands:
   generated Spatial, the memory analysis, and (optionally) CPU C code.
 * ``simulate`` — predict runtime across platforms for a kernel+dataset.
 * ``kernels``  — list the evaluation kernels and their datasets.
-* ``tables``   — regenerate a table or figure of the paper
-  (``--jobs N`` fans the work out; ``--no-cache`` recomputes from
+* ``tables``   — regenerate a table or figure of the paper, or run a
+  ``partition:<kernel>:<dataset>:p<P>:<mode>`` plan in-process (its
+  ``p1`` run is the serial reference of every distributed run;
+  ``--jobs N`` fans the work out; ``--no-cache`` recomputes from
   scratch).
 * ``batch``    — regenerate several artefacts as one parallel job batch,
   with per-job failure isolation and a cache/throughput summary;
@@ -22,14 +24,10 @@ Subcommands:
   byte-identical to the serial ``tables`` run. ``--resume DIR``
   persists per-chunk manifests and picks up a partially completed
   dispatch; the chunks are uniform slices, leased heaviest first by
-  the per-job wall times earlier dispatches recorded.
-* ``spmm-dist`` — distribute ONE kernel's iteration space over the
-  same worker transports (SpDISTAL-style): row-block the output space
-  into independent sub-kernels whose operands are position-range
-  views of the once-staged level arrays, run the compiled kernel on
-  each (``--engine``) on leased workers, and fold the partials through
-  a reducing merge validated against the unpartitioned oracle; row
-  mode is byte-identical to the ``--serial`` baseline (its P=1 case).
+  the per-job wall times earlier dispatches recorded. A
+  ``partition:*`` plan distributes ONE kernel (SpDISTAL-style row
+  blocks) over the same transports; row mode is byte-identical to
+  ``tables`` on the plan's ``p1`` spelling.
 * ``worker``   — attach an elastic worker to a ``queue:DIR`` pool:
   claims chunk tasks (from ``dispatch``) and compile-request tasks
   (from ``serve``) by atomic rename, heartbeats while running them,
@@ -185,9 +183,13 @@ def _emit(args, text: str) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from repro.pipeline.batch import run_artifact
+    from repro.pipeline.batch import UnknownArtifact, run_artifact
 
-    record, scale = _resolve(args.artifact, args.scale)
+    try:
+        record, scale = _resolve(args.artifact, args.scale)
+    except UnknownArtifact as exc:
+        print(f"tables error: {exc}", file=sys.stderr)
+        return 2
     print(record.render(run_artifact(
         record.name, scale, jobs=args.jobs, use_cache=_use_cache(args),
         engine=args.engine)))
@@ -311,12 +313,9 @@ def _print_pipeline_report(row: dict) -> None:
 def _cmd_pipeline(args) -> int:
     import json
 
-    from repro.pipeline.fusion import (
-        PIPELINE_ORDER,
-        PIPELINES,
-        FusionError,
-        run_pipeline,
-    )
+    from repro.api import CompileRequest, pipeline
+    from repro.engines import default_engine
+    from repro.pipeline.fusion import PIPELINE_ORDER, PIPELINES, FusionError
 
     if args.all:
         names = list(PIPELINE_ORDER)
@@ -331,18 +330,22 @@ def _cmd_pipeline(args) -> int:
               f"{', '.join(PIPELINE_ORDER)}", file=sys.stderr)
         return 2
 
-    use_cache = _use_cache(args)
+    # An engine-less request runs on the interpreter oracle (the sweep
+    # cells' row); the command's default is REPRO_ENGINE or numpy.
+    engine = args.engine or default_engine()
     payload: dict[str, dict] = {}
     for name in names:
         spec = PIPELINES[name]
         datasets = [args.dataset] if args.dataset else list(spec.datasets)
         payload[name] = {}
         for dataset in datasets:
+            request = CompileRequest(
+                kernel=name, dataset=dataset, scale=args.scale,
+                seed=args.seed, engine=engine, action="pipeline",
+                fuse=not args.no_fuse)
             try:
-                row = run_pipeline(name, dataset, args.scale, args.seed,
-                                   fuse=not args.no_fuse, engine=args.engine,
-                                   use_cache=use_cache)
-            except FusionError as exc:
+                row = pipeline(request, use_cache=_use_cache(args)).pipeline
+            except (FusionError, ValueError) as exc:
                 print(f"pipeline error: {exc}", file=sys.stderr)
                 return 1
             payload[name][dataset] = row["outputs"]
@@ -482,8 +485,6 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_dispatch(args) -> int:
-    """Dispatch ``args.artifact`` over ``--workers`` and print the merged
-    text (the run-and-report body ``spmm-dist`` shares)."""
     from repro.pipeline.batch import UnknownArtifact
     from repro.pipeline.dispatch import DispatchError, dispatch
 
@@ -516,34 +517,6 @@ def _cmd_dispatch(args) -> int:
     if not result.ok:
         return 1
     return _emit(args, result.merged.text)
-
-
-def _cmd_spmm_dist(args) -> int:
-    from repro.pipeline.partition import (
-        PartitionError,
-        PartitionPlan,
-        serial_report,
-    )
-
-    try:
-        plan = PartitionPlan(args.kernel, args.dataset, args.partition,
-                             args.mode)
-    except PartitionError as exc:
-        print(f"spmm-dist error: {exc}", file=sys.stderr)
-        return 2
-    if not args.serial:
-        args.artifact = plan.artifact
-        return _cmd_dispatch(args)
-    # The P=1 case of the same path, in-process: the byte-diff baseline.
-    scale = plan.default_scale if args.scale is None else args.scale
-    try:
-        text = serial_report(args.kernel, args.dataset, scale,
-                             mode=args.mode, use_cache=_use_cache(args),
-                             engine=args.engine)
-    except PartitionError as exc:
-        print(f"spmm-dist error: {exc}", file=sys.stderr)
-        return 1
-    return _emit(args, text)
 
 
 def _cmd_worker(args) -> int:
@@ -679,20 +652,7 @@ def _add_trace_flag(parser) -> None:
                              "`repro trace`)")
 
 
-class _RegistryNames:
-    """``choices`` of an artefact positional: the registry's names, read
-    only when argparse checks a value or renders help (the argument's
-    ``metavar`` keeps parser construction from listing them), so a
-    command that runs no artefact (``kernels``, ``compile``) never
-    imports the registry."""
-
-    def __iter__(self):
-        from repro.pipeline.batch import ARTEFACTS
-
-        return iter(ARTEFACTS)
-
-
-_ARTIFACT_HELP = ("an artefact (`tables --help` lists them) or a "
+_ARTIFACT_HELP = ("an artefact (an unknown name lists them) or a "
                   "partition:<kernel>:<dataset>:p<P>:<mode> plan")
 _SCALE_HELP = ("dataset scale (default: the artefact's own; REPRO_SCALE "
                "or 0.25 unless it is structural)")
@@ -728,14 +688,14 @@ def _add_run_flags(parser) -> None:
                         help=_ENGINE_HELP)
 
 
-def _add_dispatch_flags(parser, workers: str) -> None:
-    """The flags ``dispatch`` and ``spmm-dist`` hand to the dispatcher."""
-    parser.add_argument("--workers", default=workers, metavar="SPEC",
-                        help=f"transport spec: local:N subprocesses, "
-                             f"ssh:host1,host2, inline:N in-process "
-                             f"threads, or queue:DIR (elastic pool; attach "
-                             f"`repro worker DIR` processes at any time); "
-                             f"default {workers}")
+def _add_dispatch_flags(parser) -> None:
+    """The flags ``dispatch`` hands to the dispatcher."""
+    parser.add_argument("--workers", default="local:2", metavar="SPEC",
+                        help="transport spec: local:N subprocesses, "
+                             "ssh:host1,host2, inline:N in-process "
+                             "threads, or queue:DIR (elastic pool; attach "
+                             "`repro worker DIR` processes at any time); "
+                             "default local:2")
     parser.add_argument("--scale", type=_scale, default=None,
                         help=_SCALE_HELP)
     parser.add_argument("--chunks-per-worker", type=int, default=4,
@@ -789,8 +749,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="bypass the compilation/result cache")
 
     p_tab = sub.add_parser("tables", help="regenerate a table/figure")
-    p_tab.add_argument("artifact", choices=_RegistryNames(),
-                       metavar="ARTEFACT", help="one of: %(choices)s")
+    p_tab.add_argument("artifact", metavar="ARTEFACT", help=_ARTIFACT_HELP)
     _add_run_flags(p_tab)
 
     p_batch = sub.add_parser(
@@ -816,31 +775,7 @@ def main(argv: list[str] | None = None) -> int:
              "pool (chunked leases; merged output byte-identical to "
              "`tables`)")
     p_disp.add_argument("artifact", help=_ARTIFACT_HELP)
-    _add_dispatch_flags(p_disp, workers="local:2")
-
-    p_dist = sub.add_parser(
-        "spmm-dist",
-        help="distribute ONE kernel's iteration space over the worker "
-             "transports (SpDISTAL-style row blocks): view per-block "
-             "operands in the staged level arrays, run the compiled "
-             "kernel on each, reduce; row mode is byte-identical to "
-             "--serial")
-    p_dist.add_argument("kernel", help="a partitionable kernel (an "
-                                       "unknown one lists them)")
-    p_dist.add_argument("--dataset", default="bcsstk30",
-                        help="matrix dataset (default bcsstk30)")
-    p_dist.add_argument("--partition", type=int, default=2, metavar="P",
-                        help="number of independent blocks (default 2)")
-    p_dist.add_argument("--mode", choices=["row", "sum"], default="row",
-                        help="split the output rows (byte-identical "
-                             "merge, default) or the contraction "
-                             "dimension (summed partials, "
-                             "oracle-validated)")
-    p_dist.add_argument("--serial", action="store_true",
-                        help="compute unpartitioned in-process and print "
-                             "the reference report (the byte-diff "
-                             "baseline for row mode)")
-    _add_dispatch_flags(p_dist, workers="inline:2")
+    _add_dispatch_flags(p_disp)
 
     p_merge = sub.add_parser(
         "merge", help="merge shard manifests into the full artefact")
@@ -985,7 +920,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="exit 1 on malformed lines or orphaned "
                               "spans (expected only after worker kills)")
 
-    for p in (p_tab, p_batch, p_disp, p_dist, p_work, p_serve, p_pipe):
+    for p in (p_tab, p_batch, p_disp, p_work, p_serve, p_pipe):
         _add_trace_flag(p)
 
     args = parser.parse_args(argv)
@@ -998,7 +933,6 @@ def main(argv: list[str] | None = None) -> int:
         "tables": _cmd_tables,
         "batch": _cmd_batch,
         "dispatch": _cmd_dispatch,
-        "spmm-dist": _cmd_spmm_dist,
         "worker": _cmd_worker,
         "merge": _cmd_merge,
         "formats": _cmd_formats,

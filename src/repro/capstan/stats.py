@@ -83,10 +83,6 @@ class WorkloadStats:
         return sum(l.scan_words for l in self.loops)
 
     @property
-    def total_bv_coords(self) -> int:
-        return sum(l.bv_coords for l in self.loops)
-
-    @property
     def innermost_iters(self) -> int:
         return sum(l.iters for l in self.loops if l.is_innermost)
 

@@ -136,21 +136,7 @@ class Lowerer:
         self._dim_symbol_cache: dict[int, str] = {}
         # Non-unique driving levels (COO roots) repeat output coordinates,
         # so dense outputs must scatter-accumulate instead of streaming.
-        self._scatter_out = self._output_scatters()
-
-    def _output_scatters(self) -> bool:
-        """True when the dense output's coordinates may repeat (COO-style
-        non-unique driving levels), forcing scatter accumulation."""
-        out = self.analysis.output
-        if out.is_on_chip or out.order == 0 or not out.format.is_all_dense:
-            return False
-        for info in self.analysis.foralls:
-            st = info.strategy
-            if st.result_iterator is None or st.result_iterator.tensor is not out:
-                continue
-            if any(not it.level_format.unique for it in st.driving):
-                return True
-        return False
+        self._scatter_out = self.analysis.output_scatters
 
     # -- small helpers --------------------------------------------------------
 

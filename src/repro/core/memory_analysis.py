@@ -103,6 +103,22 @@ class KernelAnalysis:
     def strategy(self, ivar: IndexVar) -> IterationStrategy:
         return self.info(ivar).strategy
 
+    @property
+    def output_scatters(self) -> bool:
+        """True when the dense output's coordinates may repeat: a
+        non-unique (COO-style) driving level forces scatter accumulation,
+        so the output stream is not in coordinate order."""
+        out = self.output
+        if out.is_on_chip or out.order == 0 or not out.format.is_all_dense:
+            return False
+        for info in self.foralls:
+            st = info.strategy
+            if st.result_iterator is None or st.result_iterator.tensor is not out:
+                continue
+            if any(not it.level_format.unique for it in st.driving):
+                return True
+        return False
+
 
 def analyze(stmt: IndexStmt) -> KernelAnalysis:
     """Analyse a scheduled statement: loop depths and iteration strategies."""
@@ -214,9 +230,6 @@ class MemoryPlan:
 
     def get(self, tensor_name: str, array: str) -> Optional[ArrayBinding]:
         return self.bindings.get((tensor_name, array))
-
-    def of_tensor(self, tensor_name: str) -> list[ArrayBinding]:
-        return [b for (t, _), b in self.bindings.items() if t == tensor_name]
 
     def shuffle_levels(self) -> int:
         """Number of distinct loop levels engaging the shuffle network."""

@@ -301,14 +301,6 @@ def rewrite(root: CinStmt, fn: Callable[[CinStmt], Optional[CinStmt]]) -> CinStm
     return node if out is None else out
 
 
-def parent_of(root: CinStmt, node: CinStmt) -> Optional[CinStmt]:
-    """The parent of ``node`` in ``root``, or None if node is the root."""
-    for s in root.walk():
-        if any(c is node for c in s.children()):
-            return s
-    return None
-
-
 def enclosing_foralls(root: CinStmt, node: CinStmt) -> tuple[Forall, ...]:
     """Foralls on the path from ``root`` down to ``node`` (outermost first)."""
 

@@ -214,31 +214,19 @@ def pipeline_sweep_cell(pipeline_name: str, dataset_name: str, scale: float,
                         use_cache: bool | None = None,
                         engine: str | None = None):
     """One pipeline-sweep cell: the fused-vs-unfused report for one
-    pipeline on one dataset.
+    pipeline on one dataset, the ``pipeline`` action's row.
 
-    The row itself is computed with the interpreter oracle, so shard
-    manifests stay engine-agnostic (the discipline :func:`evaluate_cell`
-    set). ``engine`` adds a separate engine-keyed run whose every stage is
-    validated cell-by-cell against the oracle inside
-    :func:`repro.pipeline.fusion.run_pipeline`.
+    The row itself is the engine-less request's, computed with the
+    interpreter oracle, so shard manifests stay engine-agnostic (the
+    discipline :func:`evaluate_cell` set). ``engine`` adds a separate
+    engine-keyed request whose every stage is validated cell-by-cell
+    against the oracle.
     """
-    from repro.pipeline.fusion import run_pipeline
-
+    request = api.CompileRequest(kernel=pipeline_name, dataset=dataset_name,
+                                 scale=scale, action="pipeline")
     if engine is not None and engine != "interp":
-        memoize_stage(
-            "pipeline", (pipeline_name, dataset_name, scale, 7, engine),
-            lambda: run_pipeline(pipeline_name, dataset_name, scale, seed=7,
-                                 fuse=True, engine=engine,
-                                 use_cache=use_cache)["checksum"],
-            use_cache,
-        )
-
-    def compute():
-        return run_pipeline(pipeline_name, dataset_name, scale, seed=7,
-                            fuse=True, engine="interp", use_cache=use_cache)
-
-    return memoize_stage("pipeline", (pipeline_name, dataset_name, scale, 7),
-                         compute, use_cache)
+        api.pipeline(dataclasses.replace(request, engine=engine), use_cache)
+    return api.pipeline(request, use_cache).pipeline
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,6 @@ class PipelineRequest:
     datasets: tuple[str, ...]
     setup: Callable[..., dict[str, Tensor]]
 
-    def consumers_of(self, intermediate: str) -> list[PipelineStage]:
-        return [s for s in self.stages if intermediate in s.inputs]
-
 
 @dataclasses.dataclass(frozen=True)
 class CutDecision:
@@ -128,22 +125,6 @@ class CutDecision:
 # ---------------------------------------------------------------------------
 # Cut planning
 # ---------------------------------------------------------------------------
-
-
-def _output_scatters(analysis: KernelAnalysis) -> bool:
-    """Mirror of the lowerer's scatter test: dense outputs driven by a
-    non-unique level repeat coordinates, so the output stream is not in
-    coordinate order."""
-    out = analysis.output
-    if out.is_on_chip or out.order == 0 or not out.format.is_all_dense:
-        return False
-    for info in analysis.foralls:
-        st = info.strategy
-        if st.result_iterator is None or st.result_iterator.tensor is not out:
-            continue
-        if any(not it.level_format.unique for it in st.driving):
-            return True
-    return False
 
 
 def _ordered_consumption(analysis: KernelAnalysis, name: str) -> bool:
@@ -198,7 +179,7 @@ def _plan(
             consumer = consumers[0]
             required = consumer.input_formats.get(stage.output, producer_fmt)
             reason = stream_compatible(producer_fmt, required)
-            if reason is None and _output_scatters(analyses[stage.name]):
+            if reason is None and analyses[stage.name].output_scatters:
                 reason = (
                     "scatter output (producer accumulates coordinates out "
                     "of stream order)"

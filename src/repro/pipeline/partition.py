@@ -42,7 +42,7 @@ from repro.formats import format_of
 from repro.kernels.suite import KERNELS, KernelSpec
 from repro.pipeline.batch import PARTITION_PREFIX, is_partition_artifact
 from repro.pipeline.cache import memoize_stage
-from repro.pipeline.executor import Job, run_jobs
+from repro.pipeline.executor import Job
 from repro.service.api import DEFAULT_SCALE
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "partition_artifact",
     "partition_cell",
     "reduce_partials",
-    "serial_report",
 ]
 
 #: Supported iteration-space splits.
@@ -406,10 +405,11 @@ def reduce_partials(plan: PartitionPlan | str, results: list) -> dict:
 
 def _report_data(plan: PartitionPlan, scale: float, out: np.ndarray,
                  nnz_total: int, maxerr: float) -> dict:
-    """The artefact data dict (shared by merged and serial paths).
+    """The artefact data dict.
 
     Deliberately excludes the block count: a row-mode report depends
-    only on the merged array, so serial and any ``P`` byte-diff equal.
+    only on the merged array, so the ``p1`` plan (the serial reference)
+    and any ``P`` byte-diff equal.
     """
     flat = out.reshape(-1)
     samples = {}
@@ -445,16 +445,3 @@ def format_partition(data: dict) -> str:
         lines.append(f"sample {label:<5} = {value}")
     lines.append(f"oracle maxerr = {data['oracle_maxerr']}")
     return "\n".join(lines)
-
-
-def serial_report(kernel: str, dataset: str, scale: float,
-                  mode: str = "row", use_cache: bool | None = None,
-                  engine: str | None = None) -> str:
-    """The unpartitioned run's report text (the byte-identity reference).
-
-    The P=1 case of the partitioned path, in-process, so ``diff`` against
-    any row-partitioned dispatch on the same engine is empty.
-    """
-    plan = PartitionPlan(kernel, dataset, 1, mode)
-    return plan.render(plan.assemble(
-        run_jobs(plan.jobs(scale, use_cache, engine))))

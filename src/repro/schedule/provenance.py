@@ -11,23 +11,11 @@ lowerer queries this module to recover, for any forall variable:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Sequence
 
 from repro.ir.cin import FuseRel, IndexVarRel, SplitDown, SplitUp
 from repro.ir.index_notation import IndexVar
-
-
-@dataclasses.dataclass(frozen=True)
-class DerivedBounds:
-    """Iteration-space information for one (possibly derived) variable."""
-
-    root: IndexVar
-    trip_count_of: "TripCountFn"
-
-
-TripCountFn = object  # callable (root_dim: int) -> int
 
 
 class Provenance:

@@ -43,9 +43,6 @@ class DenseLevel:
     def kind(self) -> LevelKind:
         return LevelKind.DENSE
 
-    def num_children(self, num_parents: int) -> int:
-        return num_parents * self.size
-
 
 @dataclasses.dataclass
 class CompressedLevel:

@@ -110,6 +110,30 @@ def test_tables_artifact(capsys):
     assert "Table 3" in out
 
 
+def test_tables_unknown_name_is_one_error_line_and_exit_2(capsys):
+    from repro.pipeline.batch import ARTIFACT_NAMES
+
+    assert main(["tables", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tables error: unknown artefact 'nope'; "
+                                   f"choose from {', '.join(ARTIFACT_NAMES)}")
+    assert captured.err.count("\n") == 1
+
+
+def test_tables_pipeline_sweep_fills_the_pipeline_action(capsys, fresh_cache):
+    """A sweep cell is the ``pipeline`` action's request: after ``tables
+    pipeline_sweep`` the daemon's hot path finds it staged."""
+    from repro.api import CompileRequest, cached
+    from repro.pipeline.fusion import PIPELINES
+
+    assert main(["tables", "pipeline_sweep", "--scale", "0.02"]) == 0
+    assert "attention" in capsys.readouterr().out
+    for dataset in PIPELINES["attention"].datasets:
+        assert cached(CompileRequest(kernel="attention", dataset=dataset,
+                                     scale=0.02, action="pipeline")) is not None
+
+
 def test_formats_listing(capsys):
     assert main(["formats"]) == 0
     out = capsys.readouterr().out
@@ -213,7 +237,8 @@ def test_merge_literal_path_with_brackets(tmp_path, capsys, monkeypatch):
     ["batch", "table3", "--scale", "nan"],
     ["dispatch", "table3", "--workers", "local:2", "--scale", "-1"],
     ["dispatch", "partition:SpMV:bcsstk30:p2:row", "--scale", "0"],
-    ["spmm-dist", "SpMV", "--serial", "--scale", "0"],
+    pytest.param(["tables", "partition:SpMV:bcsstk30:p1:row", "--scale", "0"],
+                 id="tables p1 plan --scale 0"),
     ["pipeline", "attention", "--scale", "0"],
     ["convert", "csr", "coo", "--scale", "-0.5"],
     ["compile", "SpMV", "--scale", "0"],

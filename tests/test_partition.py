@@ -25,6 +25,7 @@ from repro.convert import (
     slice_rows,
 )
 from repro.formats.format import format_of
+from repro.pipeline.batch import format_artifact, run_artifact
 from repro.pipeline.executor import run_jobs
 from repro.pipeline.partition import (
     PARTITION_FORMATS,
@@ -36,7 +37,6 @@ from repro.pipeline.partition import (
     parse_partition,
     partition_artifact,
     reduce_partials,
-    serial_report,
 )
 from repro.tensor.storage import pack, unpack
 from tests.conftest import assert_same_storage, start_vanishing_worker
@@ -228,6 +228,12 @@ def test_slice_rows_rejects_bad_ranges():
 # ---------------------------------------------------------------------------
 
 
+def _serial(kernel: str, engine: str | None = None) -> str:
+    """The serial reference: ``tables`` on the plan's ``p1`` spelling."""
+    name = partition_artifact(kernel, DATASET, 1)
+    return format_artifact(name, run_artifact(name, TINY, engine=engine))
+
+
 def _merged_text(kernel: str, count: int, mode: str = "row",
                  engine: str | None = None) -> str:
     plan = PartitionPlan(kernel, DATASET, count, mode)
@@ -240,7 +246,7 @@ class TestReduce:
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_row_merge_byte_identical_to_serial(self, fresh_cache, kernel,
                                                 count):
-        serial = serial_report(kernel, DATASET, TINY)
+        serial = _serial(kernel)
         assert _merged_text(kernel, count) == serial
 
     @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
@@ -249,7 +255,7 @@ class TestReduce:
                                                    engine):
         """Blocks honour the engine, and on each engine every P renders
         the serial report byte for byte (7 does not divide the rows)."""
-        serial = serial_report(kernel, DATASET, TINY, engine=engine)
+        serial = _serial(kernel, engine)
         for count in (1, 2, 3, 4, 7):
             assert _merged_text(kernel, count, engine=engine) == serial, count
 
@@ -381,7 +387,7 @@ class TestShardIntegration:
         shards = [run_shard(artifact, TINY, ShardSpec(i, 2))
                   for i in (1, 2)]
         merged = merge_manifests(shards)
-        assert merged.text == serial_report("SpMV", DATASET, TINY)
+        assert merged.text == _serial("SpMV")
 
     def test_merge_error_names_partition_artefact(self, fresh_cache):
         from repro.pipeline.shard import (
@@ -422,8 +428,8 @@ class TestShardIntegration:
         clean = decode_result(artifact, payload)
         assert clean["values"].shape == tuple(payload["shape"])
         assert clean["values"].tobytes() == raw
-        assert merge_manifests([ShardManifest.from_dict(wire)]).text == (
-            serial_report("DCSR-SpMM", DATASET, TINY))
+        assert (merge_manifests([ShardManifest.from_dict(wire)]).text
+                == _serial("DCSR-SpMM"))
 
         flipped = bytearray(raw)
         flipped[len(raw) // 2] ^= 0x01
@@ -466,7 +472,7 @@ class TestShardIntegration:
         assert not worker.is_alive()
         assert result.ok
         assert any("lease expired" in e for e in events)
-        assert result.merged.text == serial_report("SpMV", DATASET, TINY)
+        assert result.merged.text == _serial("SpMV")
 
     def test_resume_skips_completed_blocks(self, fresh_cache, tmp_path):
         from repro.pipeline.dispatch import dispatch
@@ -478,8 +484,7 @@ class TestShardIntegration:
         again = dispatch(artifact, TINY, "inline:2", **kwargs)
         assert first.ok and again.ok
         assert first.resumed_chunks == 0 and again.resumed_chunks > 0
-        assert again.merged.text == first.merged.text == serial_report(
-            "SpMV", DATASET, TINY)
+        assert again.merged.text == first.merged.text == _serial("SpMV")
 
     def test_dispatch_inline_byte_identical(self, fresh_cache):
         from repro.pipeline.dispatch import dispatch
@@ -491,8 +496,7 @@ class TestShardIntegration:
                           state_dir=None, resume=False,
                           on_event=lambda m: None, engine=None)
         assert result.ok
-        assert result.merged.text == serial_report("DCSR-SpMM", DATASET,
-                                                   TINY)
+        assert result.merged.text == _serial("DCSR-SpMM")
 
     def test_dispatch_rejects_unknown_artifact(self, fresh_cache):
         from repro.pipeline.dispatch import DispatchError, dispatch
@@ -542,8 +546,7 @@ class TestApiAction:
                                         dataset=DATASET, scale=TINY,
                                         partition=2))
         assert result.partition["blocks"] == 2
-        assert result.partition["text"] == serial_report("SpMV", DATASET,
-                                                         TINY)
+        assert result.partition["text"] == _serial("SpMV")
 
     def test_partition_result_round_trips(self, fresh_cache):
         from repro.api import CompileRequest, CompileResult, partition

@@ -102,11 +102,7 @@ class TestArtefacts:
             _stdout(capsys, ["batch", name, *scale, "--shard", f"{i}/2",
                              "--out", path])
         assert _stdout(capsys, ["merge", *shards]) == text
-        if name in ARTEFACTS:
-            assert _stdout(capsys, ["tables", name, *scale]) == text
-        else:  # a plan's `tables` is the unpartitioned run
-            assert _stdout(capsys, ["spmm-dist", "SpMV", "--serial",
-                                    *scale]) == text
+        assert _stdout(capsys, ["tables", name, *scale]) == text
 
     def test_structural_artefacts_default_to_one_small_scale(self):
         structural = [r.name for r in ARTEFACTS.values()
