@@ -11,18 +11,24 @@ Operand shapes follow from the kernel's record
 the paper leaves unspecified: SDDMM's factor rank ``K`` defaults to 256,
 TTM/MTTKRP's factor rank to 16 (typical for the ALS workloads the paper
 cites).
+
+Like the kernel records, the dataset records load without NumPy, the
+generators or the tensor layer: those are imported by the functions that
+materialise data, i.e. on a cache miss.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.data import generators as gen
 from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNELS
-from repro.tensor.tensor import Tensor
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.tensor.tensor import Tensor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,6 +90,8 @@ def datasets_for(kernel: str) -> list[DatasetSpec]:
 
 
 def _generate(spec: DatasetSpec, scale: float, rng: np.random.Generator):
+    from repro.data import generators as gen
+
     dims = spec.scaled_dims(scale)
     if spec.generator == "banded_symmetric":
         return dims, gen.banded_symmetric(dims[0], spec.density, rng)
@@ -119,6 +127,8 @@ def load_matrix_coo(
         raise ValueError(f"{dataset_name} is not a matrix dataset")
 
     def compute():
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         dims, (coords, vals) = _generate(dspec, scale, rng)
         return dims, coords, vals
@@ -141,6 +151,8 @@ def load(
     variants for multi-operand kernels); dense operands are random; output
     tensors are left empty.
     """
+    import numpy as np
+
     spec = KERNELS[kernel_name]
     dspec = DATASETS_BY_NAME[dataset_name]
     if spec.name not in dspec.kernels:
@@ -165,6 +177,8 @@ def load(
 
 def _variant(kernel: str, index: int, coords, vals, dims):
     """Derived datasets for multi-sparse-operand kernels (Section 8.1)."""
+    from repro.data import generators as gen
+
     if index == 0:
         return coords, vals
     if kernel == "Plus3":

@@ -16,18 +16,23 @@ Scheduling notes (Section 8.1):
 * TTM and MTTKRP reorder their loops so the innermost (vectorised) loop is
   dense, which keeps their dense-factor accesses affine (no shuffle
   network), matching Table 5's resource profile.
+
+The records name formats rather than holding format objects, so this
+module imports none of the input language at module level: a cache hit
+reads names and ranks without loading ``formats`` / ``ir`` /
+``schedule`` / ``tensor`` (or NumPy). The builders and
+:meth:`KernelSpec.operands` import what they use, i.e. on a miss.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Iterable
+from typing import TYPE_CHECKING
 
-from repro.formats import SPARSE_VECTOR, format_of, offChip, onChip
-from repro.ir import index_vars
-from repro.schedule.stmt import INNER_PAR, OUTER_PAR, REDUCTION, SPATIAL, IndexStmt
-from repro.tensor import Tensor, scalar
-from repro.tensor.storage import TensorStorage
+if TYPE_CHECKING:
+    from repro.schedule.stmt import IndexStmt
+    from repro.tensor import Tensor
 
 #: Dense factor rank for SDDMM's C/D matrices.
 SDDMM_K = 256
@@ -46,6 +51,9 @@ class TensorSpec:
     format: str | None  # registered format name (``formats.format_of``)
 
     def make(self, shape: tuple[int, ...]) -> Tensor:
+        from repro.formats import format_of, offChip
+        from repro.tensor import Tensor, scalar
+
         if not self.modes:
             return scalar(self.name, offChip)
         return Tensor(self.name, shape, format_of(self.format, offChip))
@@ -132,6 +140,8 @@ class KernelSpec:
         dense operand for its array. Scalars take the evaluation's
         constants (alpha 2, beta 3) and the output stays empty.
         """
+        from repro.tensor.storage import TensorStorage
+
         sparse = iter(sparse)
         tensors: dict[str, Tensor] = {}
         for ts in self.tensor_specs:
@@ -150,6 +160,8 @@ class KernelSpec:
 
 
 def _env(stmt: IndexStmt, ip: int, op: int) -> IndexStmt:
+    from repro.schedule.stmt import INNER_PAR, OUTER_PAR
+
     return stmt.environment(INNER_PAR, ip).environment(OUTER_PAR, op)
 
 
@@ -159,6 +171,11 @@ def _env(stmt: IndexStmt, ip: int, op: int) -> IndexStmt:
 
 
 def _spmv(tensors, ip, op):
+    from repro.formats import onChip
+    from repro.ir import index_vars
+    from repro.schedule.stmt import INNER_PAR, REDUCTION, SPATIAL
+    from repro.tensor import scalar
+
     A, x, y = tensors["A"], tensors["x"], tensors["y"]
     i, j = index_vars("i j")
     y[i] = A[i, j] * x[j]
@@ -170,6 +187,10 @@ def _spmv(tensors, ip, op):
 
 
 def _plus3(tensors, ip, op):
+    from repro.formats import SPARSE_VECTOR, onChip
+    from repro.ir import index_vars
+    from repro.tensor import Tensor
+
     A, B, C, D = tensors["A"], tensors["B"], tensors["C"], tensors["D"]
     i, j, jw = index_vars("i j jw")
     A[i, j] = B[i, j] + C[i, j] + D[i, j]
@@ -181,6 +202,11 @@ def _plus3(tensors, ip, op):
 
 
 def _sddmm(tensors, ip, op):
+    from repro.formats import onChip
+    from repro.ir import index_vars
+    from repro.schedule.stmt import INNER_PAR, REDUCTION, SPATIAL
+    from repro.tensor import scalar
+
     A, B, C, D = tensors["A"], tensors["B"], tensors["C"], tensors["D"]
     i, j, k = index_vars("i j k")
     A[i, j] = B[i, j] * C[i, k] * D[k, j]
@@ -192,6 +218,11 @@ def _sddmm(tensors, ip, op):
 
 
 def _mattransmul(tensors, ip, op):
+    from repro.formats import onChip
+    from repro.ir import index_vars
+    from repro.schedule.stmt import INNER_PAR, REDUCTION, SPATIAL
+    from repro.tensor import scalar
+
     A, x, z, y = tensors["A"], tensors["x"], tensors["z"], tensors["y"]
     alpha, beta = tensors["alpha"], tensors["beta"]
     i, j = index_vars("i j")
@@ -205,6 +236,11 @@ def _mattransmul(tensors, ip, op):
 
 
 def _residual(tensors, ip, op):
+    from repro.formats import onChip
+    from repro.ir import index_vars
+    from repro.schedule.stmt import INNER_PAR, REDUCTION, SPATIAL
+    from repro.tensor import scalar
+
     A, x, b, y = tensors["A"], tensors["x"], tensors["b"], tensors["y"]
     i, j = index_vars("i j")
     term = A[i, j] * x[j]
@@ -217,6 +253,11 @@ def _residual(tensors, ip, op):
 
 
 def _ttv(tensors, ip, op):
+    from repro.formats import onChip
+    from repro.ir import index_vars
+    from repro.schedule.stmt import INNER_PAR, REDUCTION, SPATIAL
+    from repro.tensor import scalar
+
     A, B, c = tensors["A"], tensors["B"], tensors["c"]
     i, j, k = index_vars("i j k")
     A[i, j] = B[i, j, k] * c[k]
@@ -228,6 +269,8 @@ def _ttv(tensors, ip, op):
 
 
 def _ttm(tensors, ip, op):
+    from repro.ir import index_vars
+
     A, B, C = tensors["A"], tensors["B"], tensors["C"]
     i, j, k, l = index_vars("i j k l")
     A[i, j, k] = B[i, j, l] * C[k, l]
@@ -239,6 +282,8 @@ def _ttm(tensors, ip, op):
 
 
 def _mttkrp(tensors, ip, op):
+    from repro.ir import index_vars
+
     A, B, C, D = tensors["A"], tensors["B"], tensors["C"], tensors["D"]
     i, j, k, l = index_vars("i j k l")
     A[i, j] = B[i, k, l] * C[j, k] * D[j, l]
@@ -248,6 +293,11 @@ def _mttkrp(tensors, ip, op):
 
 
 def _innerprod(tensors, ip, op):
+    from repro.formats import onChip
+    from repro.ir import index_vars
+    from repro.schedule.stmt import INNER_PAR, REDUCTION, SPATIAL
+    from repro.tensor import scalar
+
     alpha, B, C = tensors["alpha_out"], tensors["B"], tensors["C"]
     i, j, k = index_vars("i j k")
     alpha[()] = B[i, j, k] * C[i, j, k]
@@ -261,6 +311,8 @@ def _innerprod(tensors, ip, op):
 def _coo_spmv(tensors, ip, op):
     """SpMV over a COO matrix: one flat position loop with a singleton
     column bind; the dense output scatter-accumulates on chip."""
+    from repro.ir import index_vars
+
     A, x, y = tensors["A"], tensors["x"], tensors["y"]
     i, j = index_vars("i j")
     y[i] = A[i, j] * x[j]
@@ -273,6 +325,8 @@ def _dcsr_spmm(tensors, ip, op):
     The dense output column loop is vectorised innermost (the TTM
     reorder trick), keeping B's row access affine per lane.
     """
+    from repro.ir import index_vars
+
     C, A, B = tensors["C"], tensors["A"], tensors["B"]
     i, j, k = index_vars("i j k")
     C[i, j] = A[i, k] * B[k, j]
@@ -288,6 +342,8 @@ def _bcsr_spmv(tensors, ip, op):
     column, tile row, tile column); both tile loops carry compile-time
     trip counts.
     """
+    from repro.ir import index_vars
+
     A, x, y = tensors["A"], tensors["x"], tensors["y"]
     I, J, bi, bj = index_vars("I J bi bj")
     y[I, bi] = A[I, J, bi, bj] * x[J, bj]
@@ -297,6 +353,8 @@ def _bcsr_spmv(tensors, ip, op):
 
 
 def _plus2(tensors, ip, op):
+    from repro.ir import index_vars
+
     A, B, C = tensors["A"], tensors["B"], tensors["C"]
     i, j, k = index_vars("i j k")
     A[i, j, k] = B[i, j, k] + C[i, j, k]

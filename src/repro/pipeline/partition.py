@@ -32,6 +32,7 @@ import base64
 import dataclasses
 import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -334,18 +335,21 @@ def partition_cell(operands: StagedOperands, index: int,
 def _validate_against_oracle(operands: StagedOperands,
                              out: np.ndarray) -> float:
     """Check ``out`` against an *independent* unpartitioned accumulation:
-    ``np.add.at`` scatters every nonzero's contribution in storage order
-    over the operands the blocks were cut from, a different association
-    of the same sums than any engine's, so agreement is a real check.
+    one ``np.bincount`` over flat ``row * width + column`` keys sums every
+    nonzero's contribution in storage order over the operands the blocks
+    were cut from, a different association of the same sums than any
+    engine's, so agreement is a real check.
     """
     from repro.tensor.storage import unpack
 
     coords, vals = unpack(operands.full)
     dense = operands.dense
-    oracle = np.zeros(out.shape, dtype=np.float64)
+    width = math.prod(out.shape[1:])
     contrib = (vals[:, None] * dense[coords[:, 1]]
                if dense.ndim == 2 else vals * dense[coords[:, 1]])
-    np.add.at(oracle, coords[:, 0], contrib)
+    keys = coords[:, :1] * width + np.arange(width)
+    oracle = np.bincount(keys.ravel(), weights=contrib.ravel(),
+                         minlength=out.size).reshape(out.shape)
     return oracle_maxerr(
         out, oracle, PartitionError,
         f"{operands.plan.artifact}: merged output disagrees with the "

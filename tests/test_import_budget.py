@@ -1,4 +1,5 @@
-"""The import budget: a cache hit never imports the compute layer.
+"""The import budget: a cache hit never imports the compute layer, the
+input language or NumPy.
 
 ``python -m repro`` is what every ``local:N`` / ``ssh:`` dispatch worker
 runs, so what a warm command imports is the fixed cost of a sweep chunk.
@@ -39,8 +40,20 @@ COMPUTE = (
     "repro.service.server",
 )
 
+#: A hit reads only names, and the kernel and dataset records load without
+#: the language they describe, so a hit loads neither it nor NumPy.
+RECORDS_ONLY = COMPUTE + (
+    "numpy",
+    "repro.formats",
+    "repro.ir",
+    "repro.schedule",
+    "repro.tensor",
+    "repro.convert",
+    "repro.data.generators",
+)
+
 #: case -> (what the interpreter runs, module prefixes it must not load,
-#: the only ``repro`` modules it may load or None for "anything else").
+#: the only modules it may load or None for "anything else").
 #: A list is CLI argv run against the warm cache; a string is a statement.
 BUDGET = {
     "import repro": ("import repro", COMPUTE, {"repro"}),
@@ -48,18 +61,23 @@ BUDGET = {
         "repro", "repro.api", "repro.engines", "repro.obs",
         "repro.obs.metrics", "repro.obs.trace", "repro.service",
         "repro.service.api"}),
-    "kernels": (["kernels"], COMPUTE, None),
-    "compile": (["compile", "SpMV", "--scale", SCALE], COMPUTE, None),
-    "tables": (["tables", "table6", "--scale", SCALE], COMPUTE, None),
+    "import repro.kernels": ("import repro.kernels", RECORDS_ONLY, None),
+    "import repro.data": ("import repro.data", RECORDS_ONLY, None),
+    "kernels": (["kernels"], RECORDS_ONLY, None),
+    "compile": (["compile", "SpMV", "--scale", SCALE], RECORDS_ONLY, None),
+    "tables": (["tables", "table6", "--scale", SCALE], RECORDS_ONLY, None),
     "batch shard": (["batch", "table6", "--scale", SCALE, "--shard", "1/2",
-                     "--out", "-"], COMPUTE, None),
+                     "--out", "-"], RECORDS_ONLY, None),
 }
 
 #: README "Layering", bottom to top. Module-level imports only point down
 #: or sideways; upward references are function-level (a miss, not a hit).
+#: The records sit below the language, so a module-level import of it
+#: from ``kernels`` or ``data.datasets`` points up and fails.
 LAYERS = (
+    ("kernels", "data.datasets"),
     ("engines", "formats", "ir", "schedule", "tensor", "obs"),
-    ("kernels", "data", "convert"),
+    ("data", "convert"),
     ("api", "service.api", "service.stats", "pipeline.cache",
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),
     ("core", "spatial", "capstan", "backends"),
@@ -70,14 +88,16 @@ LAYERS = (
 _PROBE = """\
 import json, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")),
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "numpy" or m.split(".")[0] == "repro")),
       file=sys.stderr)
 sys.exit(code)
 """
 
 
 def _run(what, cache_dir, **env):
-    """Run one case in a fresh interpreter: (stdout, loaded repro modules)."""
+    """Run one case in a fresh interpreter: (stdout, loaded ``repro``
+    modules plus ``numpy`` if it was imported)."""
     if isinstance(what, str):
         body = f"{what}\ncode = 0"
     else:
@@ -149,12 +169,13 @@ def test_warm_case_stays_inside_its_budget(case, warm):
 def test_a_miss_loads_the_compute_layer_on_demand(case, flags, env, warm,
                                                   tmp_path):
     """The deny list is a hit-path budget, not a ban: the same command
-    against nothing cached compiles, and prints the same bytes."""
+    against nothing cached imports the language, NumPy and the compiler
+    where they are used, and prints the same bytes."""
     _cache_dir, expected = warm
     stdout, loaded = _run(BUDGET[case][0] + flags, tmp_path / "cold", **env)
     assert stdout == expected[case]
-    assert {"repro.core.compiler", "repro.core.lowering",
-            "repro.spatial.ir"} <= loaded
+    assert {"numpy", "repro.tensor", "repro.core.compiler",
+            "repro.core.lowering", "repro.spatial.ir"} <= loaded
 
 
 def _layer(module):
