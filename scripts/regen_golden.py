@@ -1,9 +1,9 @@
 """Regenerate the golden-file snapshots under tests/golden/.
 
-The golden tests (tests/test_golden_code.py) diff the emitted Spatial and
-CPU C code for the reference kernels against these files, so any change
-to the lowering, memory analysis, or code generators shows up as a
-readable diff. ``datasets.json`` (tests/test_datasets.py) pins one sha256
+The golden tests (tests/test_golden_code.py) diff the emitted Spatial of
+every kernel record, and SpMV's CPU C code, against these files, so any
+change to the lowering, memory analysis, or code generators shows up as
+a readable diff. ``datasets.json`` (tests/test_datasets.py) pins one sha256
 per (kernel, dataset) over the packed operand tensors, so a change to the
 generators or to ``pack`` that moves a single byte shows up too.
 ``requests.json`` (tests/test_registry.py) pins every action's canonical
@@ -30,6 +30,7 @@ from repro.backends import lower_cpu
 from repro.core import compile_stmt
 from tests.helpers_kernels import (
     DATASET_GOLDEN_SEED,
+    SPATIAL_GOLDEN_KERNELS,
     build_small_kernel_stmt,
     dataset_digests,
     request_goldens,
@@ -37,16 +38,12 @@ from tests.helpers_kernels import (
 
 GOLDEN = REPO / "tests" / "golden"
 
-#: Kernels with Spatial golden snapshots. COO-SpMV and BCSR-SpMV pin the
-#: singleton-scanner and static-block code shapes of the format subsystem.
-SPATIAL_KERNELS = ("SpMV", "SDDMM", "Plus3", "COO-SpMV", "BCSR-SpMV")
-
 
 def regenerate() -> list[Path]:
     """Write all golden files; return the paths written."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in SPATIAL_KERNELS:
+    for name in SPATIAL_GOLDEN_KERNELS:
         stmt, _, _ = build_small_kernel_stmt(name)
         # Bypass the cache: goldens must reflect the compiler as it is.
         source = compile_stmt(stmt, name.lower(), cache=False).source

@@ -49,10 +49,11 @@ Subcommands:
 * ``convert``  — synthesize and run a format-conversion plan between two
   registered formats on a matrix dataset (the ``repro.convert``
   conversion compiler).
-* ``pipeline`` — plan and run a fused expression pipeline (FuseFlow):
-  chained einsum stages whose intermediates stream producer-to-consumer
-  on-fabric unless a cut heuristic forces materialization; prints the
-  per-connection cut report and the modeled traffic saved
+* ``pipeline`` — plan a fused expression pipeline (FuseFlow) and run it
+  stage by stage: chained einsum stages whose intermediates the traffic
+  model streams producer-to-consumer unless a cut heuristic forces
+  materialization; prints the per-connection cut report and the modeled
+  traffic saved
   (``--no-fuse`` is the materialize-everything baseline, ``--out``
   writes the fusion-invariant numeric outputs as JSON).
 * ``cache``    — inspect or clear the on-disk compilation cache
@@ -832,10 +833,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_pipe = sub.add_parser(
         "pipeline",
-        help="plan and run a fused expression pipeline (FuseFlow): "
-             "producer levels stream into consumer co-iterators with "
-             "automatic materializing cuts; prints the cut report and "
-             "modeled traffic")
+        help="plan a fused expression pipeline (FuseFlow) and run it "
+             "stage by stage; prints the cut report and the modeled "
+             "traffic fusion saves")
     p_pipe.add_argument("name", nargs="?", default=None,
                         help="pipeline name (see --all for the registry)")
     p_pipe.add_argument("--all", action="store_true",

@@ -215,18 +215,15 @@ def estimate_resources(
 
 def estimate_resources_cached(
     kernel: CompiledKernel,
-    key: tuple | None = None,
+    key: tuple,
     use_cache: bool | None = None,
 ) -> ResourceEstimate:
     """:func:`estimate_resources` memoized under the ``resources`` stage.
 
-    Keyed by the evaluation coordinates when given (so Table 5 rows and
-    Table 6 simulations share one entry per kernel configuration), else
-    by the statement fingerprint.
+    Keyed by the evaluation coordinates, so Table 5 rows and Table 6
+    simulations share one entry per kernel configuration.
     """
-    from repro.pipeline.cache import fingerprint_stmt, memoize_stage
+    from repro.pipeline.cache import memoize_stage
 
-    parts = key if key is not None else (fingerprint_stmt(kernel.stmt,
-                                                          kernel.name),)
-    return memoize_stage("resources", tuple(parts),
+    return memoize_stage("resources", tuple(key),
                          lambda: estimate_resources(kernel), use_cache)

@@ -439,7 +439,7 @@ def compute_stats(
 
 def compute_stats_cached(
     kernel: CompiledKernel,
-    key: tuple | None = None,
+    key: tuple,
     use_cache: bool | None = None,
 ) -> WorkloadStats:
     """:func:`compute_stats` memoized under the pipeline's ``stats`` stage.
@@ -447,12 +447,9 @@ def compute_stats_cached(
     ``key`` is the evaluation coordinate tuple, e.g. ``(kernel, dataset,
     scale, seed)``; callers that share coordinates (Table 6 cells and the
     Figure 12 bandwidth sweep) then share one stats entry per cell instead
-    of re-deriving it per artefact. Without ``key`` the statement
-    fingerprint is used, which still dedupes identical kernels.
+    of re-deriving it per artefact.
     """
-    from repro.pipeline.cache import fingerprint_stmt, memoize_stage
+    from repro.pipeline.cache import memoize_stage
 
-    parts = key if key is not None else (fingerprint_stmt(kernel.stmt,
-                                                          kernel.name),)
-    return memoize_stage("stats", tuple(parts),
+    return memoize_stage("stats", tuple(key),
                          lambda: compute_stats(kernel), use_cache)

@@ -255,7 +255,7 @@ def stream_compatible(producer_fmt, consumer_fmt) -> str | None:
     Following Chou et al.'s capability records, streaming requires the two
     sides to agree structurally (same level kinds and mode ordering) and
     every produced level to be *ordered* and *unique*: a consumer iterator
-    merges streams positionally, so out-of-order or duplicated coordinates
+    merges its inputs positionally, so out-of-order or duplicated coordinates
     would need a materialized sort/dedup pass in between.
     """
     if (producer_fmt.mode_formats != consumer_fmt.mode_formats

@@ -137,12 +137,10 @@ class CompiledKernel:
         return self.plan.report()
 
 
-def _compile(
-    stmt: IndexStmt, name: str, streamed: frozenset = frozenset()
-) -> CompiledKernel:
+def _compile(stmt: IndexStmt, name: str) -> CompiledKernel:
     """The uncached compilation pipeline (analysis → plan → lowering)."""
     with _trace.span("lower", kernel=name):
-        lowerer = Lowerer(stmt, name, streamed=streamed)
+        lowerer = Lowerer(stmt, name)
         program = lowerer.lower()
     return CompiledKernel(
         name=name,
@@ -158,7 +156,6 @@ def compile_stmt(
     name: str = "kernel",
     *,
     cache: bool | None = None,
-    streamed: frozenset = frozenset(),
 ) -> CompiledKernel:
     """Compile a scheduled statement to a Spatial kernel.
 
@@ -175,21 +172,15 @@ def compile_stmt(
         cache: ``None`` uses the process default (honouring the
             ``REPRO_NO_CACHE`` environment knob); ``False`` bypasses the
             cache; ``True`` forces it on.
-        streamed: fused-pipeline connections — tensors whose DRAM
-            materialization is elided. Extends the cache key (only when
-            non-empty, so plain compiles keep their existing keys).
     """
     from repro.pipeline import cache as cache_mod
 
-    streamed = frozenset(streamed)
     use_cache = cache_mod.cache_enabled() if cache is None else bool(cache)
     if not use_cache:
-        return _compile(stmt, name, streamed)
+        return _compile(stmt, name)
     key = cache_mod.fingerprint_stmt(stmt, name)
-    if streamed:
-        key = cache_mod.make_key("kernel-streamed", key, *sorted(streamed))
     return cache_mod.default_cache().get_or_compute(
-        key, lambda: _compile(stmt, name, streamed), stage="kernel"
+        key, lambda: _compile(stmt, name), stage="kernel"
     )
 
 

@@ -102,20 +102,11 @@ NNZ_ACCEL_MAX = "nnz_accel_max"
 class Lowerer:
     """Lowers one scheduled statement to a :class:`SpatialProgram`."""
 
-    def __init__(
-        self,
-        stmt: IndexStmt,
-        name: str = "kernel",
-        streamed: frozenset = frozenset(),
-    ) -> None:
+    def __init__(self, stmt: IndexStmt, name: str = "kernel") -> None:
         self.stmt = stmt
         self.name = name
-        # Fused-pipeline connections: tensors whose DRAM materialization is
-        # elided because a producer stage streams directly into this
-        # kernel's co-iterators (or this kernel streams into a consumer).
-        self.streamed = frozenset(streamed)
         self.analysis: KernelAnalysis = analyze(stmt)
-        self.plan: MemoryPlan = plan_memory(self.analysis, self.streamed)
+        self.plan: MemoryPlan = plan_memory(self.analysis)
         self.env = dict(stmt.environment_vars)
         self.symbols: dict[str, None] = {}
         self.dram: list[DramDecl] = []
@@ -287,11 +278,6 @@ class Lowerer:
         self._body_stack.pop()
 
         self.notes.extend(self.plan.report().splitlines())
-        for name in sorted(self.streamed):
-            self.notes.append(
-                f"fused stream: {name} levels stream over on-fabric FIFOs "
-                "(DRAM materialization elided)"
-            )
         for info in self.analysis.foralls:
             self.notes.extend(f"  {t}" for t in info.strategy.trace)
         return SpatialProgram(
@@ -302,7 +288,6 @@ class Lowerer:
             accel=tuple(accel),
             layouts=self.layouts,
             notes=tuple(self.notes),
-            streams=tuple(sorted(self.streamed)),
         )
 
     @staticmethod
@@ -535,7 +520,7 @@ class Lowerer:
         self._body_stack.append(body)
         self.coord[id(ivar)] = SVar(idx)
         self._recombine_derived_coords(ivar)
-        # The element register streams out at the loop that completes the
+        # The element register is enqueued at the loop that completes the
         # output coordinate binding (the root var's loop, or the innermost
         # loop derived from it after split/fuse).
         stream_elem = out_var is not None and not had_out_coord and (
@@ -1054,20 +1039,10 @@ class Lowerer:
             if vb.staged_full or vb.alloc_depth != depth:
                 continue
             name = self.vals_name(tensor)
-            fmt = tensor.format
-            access = self._access_of(tensor)
-            trailing_level = fmt.order - 1
+            trailing_level = tensor.format.order - 1
             trailing_dim = self.dim_symbol(tensor, trailing_level)
-            base: SExpr = SLit(0)
-            for level in range(trailing_level):
-                mode = fmt.mode_of_level(level)
-                coord = self.coord.get(id(access.indices[mode]))
-                if coord is None:
-                    raise LoweringError(
-                        f"slice of {tensor.name} staged before its "
-                        f"coordinates are bound"
-                    )
-                base = sadd(smul(base, self.dim_symbol(tensor, level)), coord)
+            base = self._row_major_address(self._access_of(tensor),
+                                           trailing_level)
             start = smul(base, trailing_dim)
             end = smul(sadd(base, SLit(1)), trailing_dim)
             self.emit(SramDecl(name, trailing_dim))
@@ -1154,15 +1129,25 @@ class Lowerer:
             self._body_stack[0].insert(0, SramDecl(full, size))
             self._declared.add(full)
             self._dense_out_full = True
-        addr: SExpr = SLit(0)
-        for level in range(fmt.order):
-            mode = fmt.mode_of_level(level)
-            coordv = self.coord.get(id(asg.lhs.indices[mode]))
-            if coordv is None:
-                raise LoweringError("dense output coordinate unbound")
-            addr = sadd(smul(addr, self.dim_symbol(out, level)), coordv)
+        addr = self._row_major_address(asg.lhs, fmt.order)
         self.emit(SramWrite(full, addr, value, accumulate=asg.accumulate,
                             atomic=asg.accumulate))
+
+    def _row_major_address(self, access: Access, levels: int) -> SExpr:
+        """Row-major fold of ``access``'s bound coordinates over its first
+        ``levels`` storage levels (an affine address into a dense buffer)."""
+        tensor = access.tensor
+        fmt = tensor.format
+        addr: SExpr = SLit(0)
+        for level in range(levels):
+            var = access.indices[fmt.mode_of_level(level)]
+            coord = self.coord.get(id(var))
+            if coord is None:
+                raise LoweringError(
+                    f"coordinate {var} for {tensor.name} level {level} unbound"
+                )
+            addr = sadd(smul(addr, self.dim_symbol(tensor, level)), coord)
+        return addr
 
     # -- expressions --------------------------------------------------------------------
 
@@ -1210,25 +1195,13 @@ class Lowerer:
                         f"its innermost position is bound"
                     )
                 return SRead(name, pos)
-            addr: SExpr = SLit(0)
-            for level in range(fmt.order):
-                mode = fmt.mode_of_level(level)
-                coord = self.coord.get(id(access.indices[mode]))
-                if coord is None:
-                    raise LoweringError(
-                        f"coordinate {access.indices[mode]} for "
-                        f"{tensor.name} unbound"
-                    )
-                addr = sadd(smul(addr, self.dim_symbol(tensor, level)), coord)
-            return SRead(name, addr)
+            return SRead(name, self._row_major_address(access, fmt.order))
         raise LoweringError(
             f"access {access} has no value binding at this point "
             f"(vals in {vb.memory})"
         )
 
 
-def lower(
-    stmt: IndexStmt, name: str = "kernel", streamed: frozenset = frozenset()
-) -> SpatialProgram:
+def lower(stmt: IndexStmt, name: str = "kernel") -> SpatialProgram:
     """Lower a scheduled statement to a Spatial program."""
-    return Lowerer(stmt, name, streamed=streamed).lower()
+    return Lowerer(stmt, name).lower()

@@ -219,11 +219,6 @@ class MemoryPlan:
 
     bindings: dict[tuple[str, str], ArrayBinding]
     analysis: KernelAnalysis
-    #: Tensors whose DRAM buffer a fused pipeline elides: the producer's
-    #: level streams feed the consumer's co-iterators over on-fabric FIFOs,
-    #: so the bindings above describe the *shape* of the traffic while the
-    #: backing store is a stream, not DRAM.
-    streamed: frozenset = frozenset()
 
     def binding(self, tensor_name: str, array: str) -> ArrayBinding:
         return self.bindings[(tensor_name, array)]
@@ -244,11 +239,6 @@ class MemoryPlan:
         lines = ["Memory analysis (Section 6.1 bindings):"]
         for key in sorted(self.bindings):
             lines.append(f"  {self.bindings[key]}")
-        for name in sorted(self.streamed):
-            lines.append(
-                f"  {name}.* -> {MemoryType.FIFO} (fused pipeline stream; "
-                "DRAM buffer elided)"
-            )
         return "\n".join(lines)
 
 
@@ -273,16 +263,8 @@ def _add(plan: dict, binding: ArrayBinding) -> None:
         plan[key] = dataclasses.replace(existing, uses_shuffle=True)
 
 
-def plan_memory(
-    analysis: KernelAnalysis, streamed: frozenset = frozenset()
-) -> MemoryPlan:
-    """Bind every tensor sub-array to a physical memory type.
-
-    ``streamed`` names tensors whose materialization a fused pipeline
-    elides (producer output / consumer operand connections); their array
-    bindings are still derived — they describe the stream's shape — but
-    the plan records that the backing buffer is an on-fabric FIFO.
-    """
+def plan_memory(analysis: KernelAnalysis) -> MemoryPlan:
+    """Bind every tensor sub-array to a physical memory type."""
     plan: dict[tuple[str, str], ArrayBinding] = {}
     out = analysis.output
 
@@ -290,7 +272,7 @@ def plan_memory(
         _plan_access(plan, analysis, asg.lhs, is_output=asg.lhs.tensor is out)
         for acc in asg.rhs.accesses():
             _plan_access(plan, analysis, acc, is_output=False)
-    return MemoryPlan(plan, analysis, streamed=frozenset(streamed))
+    return MemoryPlan(plan, analysis)
 
 
 def _loop_depth(analysis: KernelAnalysis, ivar: IndexVar) -> int:

@@ -16,14 +16,14 @@ a materializing **cut** when formats or reuse patterns force one:
   production order (its access variables are not a prefix of the
   consumer's loop order), so a stream would need unbounded buffering.
 
-Execution is stage-by-stage with the selected engine, every stage
-validated cell-by-cell against the interpreter oracle; fused and unfused
-runs share the same numeric path (fusion changes the *model* — compile
-notes, memory plan, capstan traffic — never the values), which the CI
-fusion-transparency gate byte-diffs. The headline numbers — intermediate
-bytes elided and end-to-end traffic reduction — come from
-:func:`repro.capstan.stats.compute_stats` with the streamed connections
-marked.
+Fusion is a traffic model. Execution is stage-by-stage with the selected
+engine, every stage validated cell-by-cell against the interpreter
+oracle, and fused and unfused runs compile and run the same programs:
+the cut decisions reach only :func:`repro.capstan.stats.compute_stats`,
+whose ``stream_inputs`` / ``stream_output`` marks drop a streamed
+connection's DRAM bytes. Those bytes — intermediate traffic elided and
+the end-to-end reduction — are the headline numbers; the CI
+fusion-transparency gate byte-diffs the values across ``--no-fuse``.
 """
 
 from __future__ import annotations
@@ -80,9 +80,12 @@ class PipelineStage:
 
     ``build(env)`` receives the bound operand tensors by name (leaf inputs
     plus intermediates produced by earlier stages) and returns the
-    scheduled :class:`IndexStmt` and its output tensor. ``input_formats``
-    optionally pins an operand to a format different from what the
-    producer stores — a declared mismatch the planner must cut.
+    scheduled :class:`IndexStmt` and its output tensor. It is called once
+    per run, before any stage executes: an intermediate is still empty
+    then, and is filled in place before this stage compiles.
+    ``input_formats`` optionally pins an operand to a format different
+    from what the producer stores — a declared mismatch the planner must
+    cut.
     """
 
     name: str
@@ -214,22 +217,6 @@ def _checksum(array: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _build_env(stage: PipelineStage, env: dict[str, Tensor],
-               dense: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """The operand view one stage builds against, honouring any declared
-    ``input_formats`` (a cut materializes the converted copy)."""
-    view = dict(env)
-    for name, fmt in stage.input_formats.items():
-        t = env[name]
-        if t.format == fmt:
-            continue
-        conv = Tensor(name, t.shape, fmt)
-        if name in dense:
-            conv.from_dense(dense[name])
-        view[name] = conv
-    return view
-
-
 def run_pipeline(
     pipeline: str | PipelineRequest,
     dataset: str,
@@ -261,45 +248,43 @@ def run_pipeline(
     dims, coords, vals = load_matrix_coo(dataset, scale, seed,
                                          use_cache=use_cache)
     rng = np.random.default_rng([seed, 1])
-    leaf = spec.setup(dims, coords, vals, rng)
+    env: dict[str, Tensor] = dict(spec.setup(dims, coords, vals, rng))
 
-    # Pass 1 — structural plan: build every stage against empty
-    # intermediates, analyse loop structure, and decide the cuts.
-    env: dict[str, Tensor] = dict(leaf)
-    outs: dict[str, Tensor] = {}
+    # Build every stage once. A stage output stays empty until its stage
+    # runs; a declared ``input_formats`` copy of a leaf is filled now from
+    # the leaf's data, a copy of an intermediate when its producer runs.
+    stmts: dict[str, IndexStmt] = {}
     analyses: dict[str, KernelAnalysis] = {}
+    outs: dict[str, Tensor] = {}
+    copies: dict[str, list[Tensor]] = {}
     for stage in spec.stages:
-        view = _build_env(stage, env, {})
-        stmt, out = stage.build(view)
-        analyses[stage.name] = analyze(stmt)
-        outs[stage.output] = out
-        env[stage.output] = out
+        view = dict(env)
+        for name, fmt in stage.input_formats.items():
+            if env[name].format == fmt:
+                continue
+            view[name] = Tensor(name, env[name].shape, fmt)
+            if name in outs:
+                copies.setdefault(name, []).append(view[name])
+            else:
+                view[name].from_dense(env[name].to_dense())
+        stmts[stage.name], outs[stage.output] = stage.build(view)
+        analyses[stage.name] = analyze(stmts[stage.name])
+        env[stage.output] = outs[stage.output]
     decisions = _plan(spec, outs, analyses, fuse)
-    by_intermediate = {d.intermediate: d for d in decisions}
+    streamed = {d.intermediate for d in decisions if d.streamed}
 
-    # Pass 2 — execute stage-by-stage with the chosen engine, validating
-    # each stage cell-by-cell against the interpreter oracle, handing the
-    # packed intermediate to the consumer (the stream in the model).
-    env = dict(leaf)
-    dense: dict[str, np.ndarray] = {}
+    # Execute stage by stage with the chosen engine, validating each stage
+    # cell-by-cell against the interpreter oracle. Fusion only changes
+    # which bytes the traffic model charges to DRAM.
     stage_rows: list[dict] = []
     outputs: dict[str, dict] = {}
     unfused_total = 0
     fused_total = 0
     for stage in spec.stages:
-        view = _build_env(stage, env, dense)
-        stmt, out = stage.build(view)
-        streams = set()
-        if fuse:
-            for name in stage.inputs:
-                d = by_intermediate.get(name)
-                if d is not None and d.streamed:
-                    streams.add(name)
-            d = by_intermediate.get(stage.output)
-            if d is not None and d.streamed:
-                streams.add(stage.output)
-        kernel = compile_stmt(stmt, name=f"{spec.name}-{stage.name}",
-                              cache=use_cache, streamed=frozenset(streams))
+        streams = {n for n in (*stage.inputs, stage.output) if n in streamed}
+        kernel = compile_stmt(stmts[stage.name],
+                              name=f"{spec.name}-{stage.name}",
+                              cache=use_cache)
         expected = kernel.run_dense()
         if eng == "interp":
             got = expected
@@ -308,24 +293,16 @@ def run_pipeline(
             oracle_maxerr(got, expected, FusionError,
                           f"stage {stage.name} of {spec.name}: engine {eng} "
                           f"diverged from the oracle")
-        base = compute_stats(kernel)
-        stage_unfused = base.dram_total_bytes
+        stage_unfused = stage_fused = compute_stats(kernel).dram_total_bytes
         if streams:
-            fused_stats = compute_stats(
-                kernel,
-                stream_inputs=frozenset(n for n in streams
-                                        if n != stage.output),
-                stream_output=stage.output in streams,
-            )
-            stage_fused = fused_stats.dram_total_bytes
-        else:
-            stage_fused = stage_unfused
+            stage_fused = compute_stats(
+                kernel, stream_inputs=frozenset(streams - {stage.output}),
+                stream_output=stage.output in streams).dram_total_bytes
         unfused_total += stage_unfused
         fused_total += stage_fused
 
-        out.from_dense(got)
-        env[stage.output] = out
-        dense[stage.output] = got
+        for t in (outs[stage.output], *copies.get(stage.output, ())):
+            t.from_dense(got)
         outputs[stage.output] = {
             "shape": [int(s) for s in got.shape],
             "checksum": _checksum(got),

@@ -105,11 +105,6 @@ class SpatialCodegen:
     def generate(self) -> str:
         p = self.program
         self.emit(f"// Spatial kernel generated by Stardust: {p.name}")
-        if getattr(p, "streams", ()):
-            self.emit("// Fused pipeline connections (FuseFlow): the DRAM")
-            self.emit("// buffers below are elided; levels stream on-fabric.")
-            for name in p.streams:
-                self.emit(f"//   stream: {name}")
         self.emit("import spatial.dsl._")
         self.emit()
         if p.env:

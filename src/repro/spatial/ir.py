@@ -464,9 +464,6 @@ class SpatialProgram:
         accel: statements inside the ``Accel { ... }`` block.
         layouts: tensor → DRAM array mapping for data binding.
         notes: free-form lowering notes (memory analysis report).
-        streams: tensors whose DRAM buffers a fused pipeline elides —
-            producer output levels stream straight into the consumer's
-            co-iterators over on-fabric FIFOs.
     """
 
     name: str
@@ -476,7 +473,6 @@ class SpatialProgram:
     accel: tuple[SStmt, ...]
     layouts: dict[str, TensorLayout]
     notes: tuple[str, ...] = ()
-    streams: tuple[str, ...] = ()
 
     def all_statements(self) -> Iterator[SStmt]:
         for d in self.dram:

@@ -32,6 +32,9 @@ SMALL_DIMS = {
     "BCSR-SpMV": {"A": (3, 5, 4, 4), "x": (5, 4), "y": (3, 4)},
 }
 
+#: Kernels with a ``tests/golden/<name>.spatial`` snapshot: every record.
+SPATIAL_GOLDEN_KERNELS = tuple(KERNELS)
+
 
 def make_small_tensors(name: str, seed: int = 42, density: float = 0.4,
                        dims: dict | None = None) -> dict[str, Tensor]:

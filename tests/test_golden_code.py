@@ -1,8 +1,8 @@
 """Golden-file snapshots of generated code.
 
 Any change to the lowering, memory analysis, or code generator that alters
-the emitted Spatial (or CPU C) for the reference kernels shows up here as
-a readable diff. Regenerate intentionally with:
+the emitted Spatial (of every kernel record) or CPU C (of SpMV) shows up
+here as a readable diff. Regenerate intentionally with:
 
     python scripts/regen_golden.py
 
@@ -16,7 +16,7 @@ import pytest
 
 from repro.backends import lower_cpu
 from repro.core import compile_stmt
-from tests.helpers_kernels import build_small_kernel_stmt
+from tests.helpers_kernels import SPATIAL_GOLDEN_KERNELS, build_small_kernel_stmt
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -32,8 +32,7 @@ def _diff_message(name: str, got: str, want: str) -> str:
             f"regenerate the golden file (see module docstring)\n{diff}")
 
 
-@pytest.mark.parametrize("name",
-                         ["SpMV", "SDDMM", "Plus3", "COO-SpMV", "BCSR-SpMV"])
+@pytest.mark.parametrize("name", SPATIAL_GOLDEN_KERNELS)
 def test_spatial_matches_golden(name):
     stmt, _, _ = build_small_kernel_stmt(name)
     got = compile_stmt(stmt, name.lower()).source

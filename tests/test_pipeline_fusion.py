@@ -25,6 +25,7 @@ from repro.pipeline.fusion import (
     FusionError,
     PipelineRequest,
     PipelineStage,
+    _checksum,
     run_pipeline,
 )
 from repro.schedule.stmt import INNER_PAR, OUTER_PAR
@@ -251,21 +252,58 @@ def test_stream_marks_elide_traffic():
     assert elided_out.dram_read_bytes == base.dram_read_bytes
 
 
-def test_streamed_compile_notes_and_source():
-    A = Tensor("A", (8, 8), CSR(offChip))
-    A.from_dense(np.eye(8))
-    x = Tensor("x", (8,), DENSE_VECTOR(offChip)).from_dense(np.ones(8))
-    y = Tensor("y", (8,), DENSE_VECTOR(offChip))
-    i, j = index_vars("i j")
-    y[i] = A[i, j] * x[j]
-    stmt = y.get_index_stmt()
-    plain = compile_stmt(stmt, name="probe", cache=False)
-    fused = compile_stmt(stmt, name="probe", cache=False,
-                         streamed=frozenset({"x"}))
-    assert "stream: x" in fused.source
-    assert "stream:" not in plain.source
-    # The stream marks change the model, never the executable program.
-    np.testing.assert_allclose(fused.run_dense(), plain.run_dense())
+# ---------------------------------------------------------------------------
+# One build and one compiled program per stage, whatever the cuts
+# ---------------------------------------------------------------------------
+
+
+def test_fused_and_unfused_runs_share_compiled_stages(fresh_cache):
+    """Fusion reaches only the traffic model, so a --no-fuse run reuses
+    the kernels a fused run compiled."""
+    _run("attention", fuse=True, use_cache=True)
+    _run("attention", fuse=False, use_cache=True)
+    assert fresh_cache.stats.stage_misses["kernel"] == 2
+    assert fresh_cache.stats.stage_hits["kernel"] == 2
+
+
+def test_each_stage_is_built_once():
+    calls = []
+
+    def counted(stage):
+        def build(env):
+            calls.append(stage.name)
+            return stage.build(env)
+
+        return dataclasses.replace(stage, build=build)
+
+    spec = PIPELINES["attention"]
+    _run(dataclasses.replace(
+        spec, stages=tuple(counted(s) for s in spec.stages)))
+    assert calls == [s.name for s in spec.stages]
+
+
+def test_declared_format_on_a_leaf_operand_is_filled():
+    """A declared-format copy of a leaf carries the leaf's data, so the
+    stage computes ``a * b``, not ``a * 0``."""
+
+    def mul(env):
+        a, b = env["a"], env["b"]
+        t = Tensor("u", a.shape, SPARSE_VECTOR(offChip))
+        i, = index_vars("i")
+        t[i] = a[i] * b[i]
+        stmt = (t.get_index_stmt().environment(INNER_PAR, 16)
+                .environment(OUTER_PAR, 4))
+        return stmt, t
+
+    from repro.data.datasets import load_matrix_coo
+
+    row = _run(_chain([PipelineStage(
+        "mul", "u", ("a", "b"), mul,
+        input_formats={"b": SPARSE_VECTOR(offChip)})]))
+    dims, _, _ = load_matrix_coo(DATASET, TINY, 7, use_cache=False)
+    leaves = _vec_setup(dims, None, None, np.random.default_rng([7, 1]))
+    want = leaves["a"].to_dense() * leaves["b"].to_dense()
+    assert row["checksum"] == _checksum(want)
 
 
 # ---------------------------------------------------------------------------
