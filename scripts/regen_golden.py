@@ -8,7 +8,10 @@ per (kernel, dataset) over the packed operand tensors, so a change to the
 generators or to ``pack`` that moves a single byte shows up too.
 ``requests.json`` (tests/test_registry.py) pins every action's canonical
 request JSON, which is every result cache key, and two shard manifests
-without their per-run fields. After an
+without their per-run fields. ``execution.json`` (tests/test_interp.py)
+pins the sha256 of every kernel record's ``run_dense()`` and every
+pipeline's output checksum, so an interpreter change that moves one bit
+of a result shows up. After an
 *intentional* change, rerun this script and commit the updated files;
 CI's golden-drift job runs it too and fails if the checked-in files do
 not match what the code produces.
@@ -33,6 +36,7 @@ from tests.helpers_kernels import (
     SPATIAL_GOLDEN_KERNELS,
     build_small_kernel_stmt,
     dataset_digests,
+    execution_digests,
     request_goldens,
 )
 
@@ -61,6 +65,10 @@ def regenerate() -> list[Path]:
     written.append(path)
     path = GOLDEN / "requests.json"
     path.write_text(json.dumps(request_goldens(), indent=1, sort_keys=True)
+                    + "\n")
+    written.append(path)
+    path = GOLDEN / "execution.json"
+    path.write_text(json.dumps(execution_digests(), indent=1, sort_keys=True)
                     + "\n")
     written.append(path)
     return written

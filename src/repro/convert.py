@@ -135,9 +135,20 @@ class ConversionPlan:
         return "\n".join(lines)
 
     def run(self, storage: TensorStorage) -> TensorStorage:
-        state = {"storage": storage, "coords": None, "vals": None,
-                 "dims": tuple(storage.dims)}
-        for step in self.steps:
+        return self._run({"storage": storage, "dims": tuple(storage.dims)},
+                         self.steps)
+
+    def run_coo(self, coords: np.ndarray, vals: np.ndarray,
+                dims: tuple[int, ...]) -> TensorStorage:
+        """Every step after the leading ``unpack``, on COO entries over
+        ``dims`` in place of the unpacked source storage: converting raw
+        entries costs one pack, not a pack into the source format first."""
+        return self._run({"coords": coords, "vals": vals,
+                          "dims": tuple(dims)}, self.steps[1:])
+
+    @staticmethod
+    def _run(state: dict, steps: tuple[ConversionStep, ...]) -> TensorStorage:
+        for step in steps:
             state = step.apply(state)
         result = state.get("result")
         if result is None:  # pragma: no cover - plans always end in pack
@@ -388,11 +399,12 @@ def staged_matrix_storage(
     """One matrix dataset converted to a registered format, staged once.
 
     The raw (dims, coords, vals) triple comes from the ``dataset`` cache
-    stage (shared with every kernel using the dataset); the converted
-    storage memoizes under the ``convert`` stage keyed by (dataset, scale,
-    seed, format), so a sweep over many kernels converts each matrix at
-    most once per format — cold conversions happen on the first worker to
-    ask.
+    stage (shared with every kernel using the dataset) and is taken for a
+    CSR matrix's unpacked entries: the CSR-to-format plan runs on it from
+    its second step, so staging packs once. The converted storage
+    memoizes under the ``convert`` stage keyed by (dataset, scale, seed,
+    format), so a sweep over many kernels converts each matrix at most
+    once per format — cold conversions happen on the first worker to ask.
     """
     from repro.data.datasets import load_matrix_coo
     from repro.formats.format import CSR, format_of
@@ -401,8 +413,9 @@ def staged_matrix_storage(
     def compute() -> TensorStorage:
         dims, coords, vals = load_matrix_coo(dataset_name, scale, seed,
                                              use_cache=use_cache)
-        base = pack(coords, vals, dims, CSR(MemoryRegion.OFF_CHIP))
-        return convert(base, format_of(format_name))
+        plan = plan_conversion(CSR(MemoryRegion.OFF_CHIP),
+                               format_of(format_name))
+        return plan.run_coo(coords, vals, dims)
 
     return memoize_stage(
         "convert", (dataset_name, scale, seed, format_name), compute,

@@ -7,6 +7,15 @@ bit-vector scanners yield Figure 7 pattern-index tuples, ``Reduce``
 combines lane values through its operator, and re-executing a declaration
 re-initialises the memory (which is how per-iteration workspaces reset).
 
+A program is translated once, then executed. Translation turns every
+expression into a closure ``f(m, env) -> value`` and every statement into
+a closure ``f(m, env)``, where ``m`` is the run's :class:`Machine` and
+``env`` the scope; a block is a tuple of statement closures (comments
+compile to nothing). The translation is cached on the program, so a
+re-run pays none of it; all run state (memories, FIFOs, registers, bit
+vectors) lives on the per-run :class:`Machine`, and every hardware
+precondition is checked as the closures run, raising :class:`InterpError`.
+
 The interpreter is the correctness oracle for the compiler: every kernel's
 generated code is run on small inputs and compared against the dense
 reference semantics of :func:`repro.tensor.ops.evaluate_dense`.
@@ -15,11 +24,17 @@ reference semantics of :func:`repro.tensor.ops.evaluate_dense`.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 
 import numpy as np
 
-from repro.tensor.bitvector import INVALID, BitVector, gen_bitvector, scan
+from repro.tensor.bitvector import (
+    INVALID,
+    BitVector,
+    gen_bitvector,
+    scan_columns,
+)
 from repro.spatial.ir import (
     Assign,
     BitVectorDecl,
@@ -56,13 +71,20 @@ from repro.spatial.ir import (
 )
 
 _BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": lambda a, b: a // b if isinstance(a, (int, float)) and float(a).is_integer() and float(b).is_integer() else a / b,
     "%": lambda a, b: a % b,
     "min": min,
     "max": max,
+}
+
+#: Operators translated to a closure that applies them inline.
+_INLINE = {
+    "+": lambda fa, fb: lambda m, env: fa(m, env) + fb(m, env),
+    "-": lambda fa, fb: lambda m, env: fa(m, env) - fb(m, env),
+    "*": lambda fa, fb: lambda m, env: fa(m, env) * fb(m, env),
 }
 
 
@@ -91,255 +113,21 @@ class Machine:
         self.env: dict[str, float] = {}
         self.env.update(symbols)
         self.env.update(program.env)
-        for d in program.dram:
-            size = int(self.eval(d.size, self.env))
-            data = dram_data.get(d.name)
+        dram, self._accel = _translate(program)
+        for name, size in dram:
+            size = int(size(self, self.env))
+            data = dram_data.get(name)
             if data is not None:
                 arr = np.zeros(max(size, len(data)), dtype=np.float64)
                 arr[: len(data)] = data
             else:
                 arr = np.zeros(size, dtype=np.float64)
-            self.dram[d.name] = arr
-
-    # -- expression evaluation -------------------------------------------------
-
-    def eval(self, e: SExpr, env: dict[str, float]) -> float:
-        if isinstance(e, SLit):
-            return e.value
-        if isinstance(e, SVar):
-            try:
-                return env[e.name]
-            except KeyError:
-                raise InterpError(f"unbound variable {e.name!r}")
-        if isinstance(e, SBin):
-            return _BINOPS[e.op](self.eval(e.a, env), self.eval(e.b, env))
-        if isinstance(e, SSelect):
-            # Lazy select: only the chosen branch is evaluated, so invalid
-            # scan positions never reach a memory read.
-            if self.eval(e.cond, env):
-                return self.eval(e.a, env)
-            return self.eval(e.b, env)
-        if isinstance(e, SValid):
-            return 1.0 if env[e.var.name] != INVALID else 0.0
-        if isinstance(e, SRead):
-            addr = int(self.eval(e.addr, env))
-            if e.mem in self.sram:
-                mem = self.sram[e.mem]
-            elif e.mem in self.dram:
-                mem = self.dram[e.mem]
-            else:
-                raise InterpError(f"read from undeclared memory {e.mem!r}")
-            if not 0 <= addr < len(mem):
-                raise InterpError(
-                    f"out-of-bounds read {e.mem}({addr}), size {len(mem)}"
-                )
-            return float(mem[addr])
-        if isinstance(e, SDeq):
-            q = self.fifo.get(e.fifo)
-            if q is None:
-                raise InterpError(f"dequeue from undeclared FIFO {e.fifo!r}")
-            if not q:
-                raise InterpError(f"FIFO underflow on {e.fifo!r}")
-            return q.popleft()
-        if isinstance(e, SRegRead):
-            try:
-                return self.regs[e.reg]
-            except KeyError:
-                raise InterpError(f"read of undeclared register {e.reg!r}")
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-    # -- statement execution ----------------------------------------------------
+            self.dram[name] = arr
 
     def run(self) -> None:
         env = dict(self.env)
-        for s in self.program.accel:
-            self.exec(s, env)
-
-    def exec(self, s: SStmt, env: dict[str, float]) -> None:
-        if isinstance(s, Comment):
-            return
-        if isinstance(s, SramDecl):
-            size = int(self.eval(s.size, env))
-            self.sram[s.name] = np.zeros(size, dtype=np.float64)
-        elif isinstance(s, FifoDecl):
-            self.fifo[s.name] = deque()
-        elif isinstance(s, RegDecl):
-            self.regs[s.name] = float(s.init)
-        elif isinstance(s, BitVectorDecl):
-            length = int(self.eval(s.length, env))
-            self.bitvec_len[s.name] = length
-            self.bitvec[s.name] = gen_bitvector(np.zeros(0, dtype=np.int64), max(length, 1))
-        elif isinstance(s, GenBitVector):
-            self.exec_gen_bitvector(s, env)
-        elif isinstance(s, BitVectorOp):
-            a, b = self.bitvec[s.a], self.bitvec[s.b]
-            self.bitvec[s.dst] = (a & b) if s.op == "and" else (a | b)
-        elif isinstance(s, LoadBulk):
-            self.exec_load(s, env)
-        elif isinstance(s, StoreBulk):
-            start = int(self.eval(s.start, env))
-            end = int(self.eval(s.end, env))
-            src = self.sram[s.src]
-            self.dram[s.dst][start:end] = src[: end - start]
-        elif isinstance(s, StreamStore):
-            offset = int(self.eval(s.offset, env))
-            length = int(self.eval(s.length, env))
-            q = self.fifo[s.fifo]
-            if len(q) < length:
-                raise InterpError(
-                    f"stream store of {length} from {s.fifo!r} holding {len(q)}"
-                )
-            for k in range(length):
-                self.dram[s.dram][offset + k] = q.popleft()
-        elif isinstance(s, Assign):
-            env[s.name] = self.eval(s.expr, env)
-        elif isinstance(s, Enq):
-            self.fifo[s.fifo].append(self.eval(s.expr, env))
-        elif isinstance(s, RegWrite):
-            value = self.eval(s.expr, env)
-            if s.accumulate:
-                self.regs[s.reg] += value
-            else:
-                self.regs[s.reg] = value
-        elif isinstance(s, SramWrite):
-            addr = int(self.eval(s.addr, env))
-            mem = self.sram[s.mem]
-            if not 0 <= addr < len(mem):
-                raise InterpError(
-                    f"out-of-bounds write {s.mem}({addr}), size {len(mem)}"
-                )
-            value = self.eval(s.expr, env)
-            if s.accumulate:
-                mem[addr] += value
-            else:
-                mem[addr] = value
-        elif isinstance(s, DramWrite):
-            addr = int(self.eval(s.addr, env))
-            self.dram[s.dram][addr] = self.eval(s.expr, env)
-        elif isinstance(s, Foreach):
-            for binding in self.iterations(s.counter, s.ivars, env):
-                inner = dict(env)
-                inner.update(binding)
-                for b in s.body:
-                    self.exec(b, inner)
-        elif isinstance(s, ReducePat):
-            # Reduce folds lane values into the register's current value;
-            # the canonical idiom declares the register (init 0) just before.
-            total = self.regs.get(s.reg, 0.0)
-            combine = _BINOPS[s.combine]
-            for binding in self.iterations(s.counter, s.ivars, env):
-                inner = dict(env)
-                inner.update(binding)
-                for b in s.body:
-                    self.exec(b, inner)
-                total = combine(total, self.eval(s.value, inner))
-            self.regs[s.reg] = total
-        elif isinstance(s, MemReduce):
-            for binding in self.iterations(s.counter, s.ivars, env):
-                inner = dict(env)
-                inner.update(binding)
-                for b in s.body:
-                    self.exec(b, inner)
-                src = self.sram[s.value_mem]
-                dst = self.sram[s.mem]
-                dst[: len(src)] = _BINOPS[s.combine](dst[: len(src)], src)
-        else:
-            raise TypeError(f"cannot execute {type(s).__name__}")
-
-    # -- pattern iteration --------------------------------------------------------
-
-    def iterations(self, counter, ivars, env):
-        """Yield binder environments for one pattern's counter."""
-        if isinstance(counter, DenseCounter):
-            length = int(self.eval(counter.length, env))
-            base = int(self.eval(counter.base, env)) if counter.base is not None else 0
-            trips = max(0, math.ceil(length / counter.step))
-            if len(ivars) != 1:
-                raise InterpError("dense counters bind exactly one index")
-            for k in range(trips):
-                yield {ivars[0]: base + k * counter.step}
-            return
-        if isinstance(counter, SingletonCounter):
-            # Exactly one iteration: the coordinate stored at the parent's
-            # position (COO-style singleton levels).
-            if len(ivars) != 1:
-                raise InterpError("singleton counters bind exactly one index")
-            pos = int(self.eval(counter.pos, env))
-            if counter.crd_mem in self.sram:
-                mem = self.sram[counter.crd_mem]
-            elif counter.crd_mem in self.dram:
-                mem = self.dram[counter.crd_mem]
-            else:
-                raise InterpError(
-                    f"singleton scan of undeclared memory {counter.crd_mem!r}"
-                )
-            if not 0 <= pos < len(mem):
-                raise InterpError(
-                    f"singleton position {pos} out of bounds for "
-                    f"{counter.crd_mem!r} (size {len(mem)})"
-                )
-            yield {ivars[0]: int(mem[pos])}
-            return
-        assert isinstance(counter, ScanCounter)
-        bv_a = self.bitvec[counter.bv_a]
-        if counter.bv_b is None:
-            # Single-vector scan binds (pos_a, pos_out, coord).
-            if len(ivars) != 3:
-                raise InterpError("single-vector scans bind (pos, out, coord)")
-            for entry in scan(bv_a):
-                yield {
-                    ivars[0]: entry.pos_a,
-                    ivars[1]: entry.pos_out,
-                    ivars[2]: entry.coord,
-                }
-            return
-        bv_b = self.bitvec[counter.bv_b]
-        if len(ivars) != 4:
-            raise InterpError("two-vector scans bind (a, b, out, coord)")
-        for entry in scan(bv_a, bv_b, counter.op):
-            yield {
-                ivars[0]: entry.pos_a,
-                ivars[1]: entry.pos_b,
-                ivars[2]: entry.pos_out,
-                ivars[3]: entry.coord,
-            }
-
-    # -- memory helpers -------------------------------------------------------------
-
-    def exec_load(self, s: LoadBulk, env: dict[str, float]) -> None:
-        start = int(self.eval(s.start, env))
-        end = int(self.eval(s.end, env))
-        if end < start:
-            raise InterpError(f"negative-length load {s.dst} [{start}:{end}]")
-        src = self.dram[s.src][start:end]
-        if s.dst in self.sram:
-            mem = self.sram[s.dst]
-            if len(src) > len(mem):
-                raise InterpError(
-                    f"load of {len(src)} words overflows SRAM {s.dst!r} "
-                    f"({len(mem)} words)"
-                )
-            mem[: len(src)] = src
-        elif s.dst in self.fifo:
-            self.fifo[s.dst].extend(float(v) for v in src)
-        else:
-            raise InterpError(f"load into undeclared memory {s.dst!r}")
-
-    def exec_gen_bitvector(self, s: GenBitVector, env: dict[str, float]) -> None:
-        count = int(self.eval(s.count, env))
-        length = self.bitvec_len[s.dst]
-        if s.crd_mem in self.fifo:
-            q = self.fifo[s.crd_mem]
-            if len(q) < count:
-                raise InterpError(
-                    f"genBitvector drains {count} from {s.crd_mem!r} holding {len(q)}"
-                )
-            coords = np.array([q.popleft() for _ in range(count)], dtype=np.int64)
-        elif s.crd_mem in self.sram:
-            coords = self.sram[s.crd_mem][:count].astype(np.int64)
-        else:
-            raise InterpError(f"genBitvector from undeclared memory {s.crd_mem!r}")
-        self.bitvec[s.dst] = gen_bitvector(coords, max(length, 1))
+        for s in self._accel:
+            s(self, env)
 
 
 def execute(
@@ -351,3 +139,378 @@ def execute(
     machine = Machine(program, dram_data, symbols)
     machine.run()
     return machine
+
+
+# -- translation --------------------------------------------------------------
+
+
+def _translate(program: SpatialProgram) -> tuple[tuple, tuple]:
+    """``(dram, accel)`` closures of a program, translated on first use:
+    ``(name, size)`` per DRAM declaration, and the Accel block."""
+    cached = program.__dict__.get("_interp_code")
+    if (cached is not None and cached[0] is program.dram
+            and cached[1] is program.accel):
+        return cached[2]
+    code = (tuple((d.name, _expr(d.size)) for d in program.dram),
+            _block(program.accel))
+    # Built fully, then published by one attribute store: racing threads
+    # each translate the whole program and the last one stays.
+    program._interp_code = (program.dram, program.accel, code)
+    return code
+
+
+def _expr(e: SExpr):
+    """Translate an expression into ``f(m, env) -> value``."""
+    if isinstance(e, SLit):
+        value = e.value
+        return lambda m, env: value
+    if isinstance(e, SVar):
+        name = e.name
+
+        def var(m, env):
+            try:
+                return env[name]
+            except KeyError:
+                raise InterpError(f"unbound variable {name!r}")
+        return var
+    if isinstance(e, SBin):
+        fa, fb = _expr(e.a), _expr(e.b)
+        if e.op in _INLINE:
+            return _INLINE[e.op](fa, fb)
+        op = _BINOPS[e.op]
+        return lambda m, env: op(fa(m, env), fb(m, env))
+    if isinstance(e, SSelect):
+        # Lazy select: only the chosen branch is evaluated, so invalid
+        # scan positions never reach a memory read.
+        fc, fa, fb = _expr(e.cond), _expr(e.a), _expr(e.b)
+        return lambda m, env: fa(m, env) if fc(m, env) else fb(m, env)
+    if isinstance(e, SValid):
+        name = e.var.name
+        return lambda m, env: 1.0 if env[name] != INVALID else 0.0
+    if isinstance(e, SRead):
+        mem_name, fa = e.mem, _expr(e.addr)
+
+        def read(m, env):
+            addr = int(fa(m, env))
+            mem = m.sram.get(mem_name)
+            if mem is None:
+                mem = m.dram.get(mem_name)
+                if mem is None:
+                    raise InterpError(
+                        f"read from undeclared memory {mem_name!r}")
+            if not 0 <= addr < len(mem):
+                raise InterpError(
+                    f"out-of-bounds read {mem_name}({addr}), size {len(mem)}"
+                )
+            return mem.item(addr)
+        return read
+    if isinstance(e, SDeq):
+        name = e.fifo
+
+        def deq(m, env):
+            try:
+                return m.fifo[name].popleft()
+            except KeyError:
+                raise InterpError(f"dequeue from undeclared FIFO {name!r}")
+            except IndexError:
+                raise InterpError(f"FIFO underflow on {name!r}")
+        return deq
+    if isinstance(e, SRegRead):
+        name = e.reg
+
+        def reg_read(m, env):
+            try:
+                return m.regs[name]
+            except KeyError:
+                raise InterpError(f"read of undeclared register {name!r}")
+        return reg_read
+    raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+
+def _block(stmts) -> tuple:
+    return tuple(_stmt(s) for s in stmts if not isinstance(s, Comment))
+
+
+def _stmt(s: SStmt):
+    """Translate a statement into ``f(m, env)``."""
+    if isinstance(s, SramDecl):
+        name, size = s.name, _expr(s.size)
+
+        def sram_decl(m, env):
+            m.sram[name] = np.zeros(int(size(m, env)), dtype=np.float64)
+        return sram_decl
+    if isinstance(s, FifoDecl):
+        name = s.name
+
+        def fifo_decl(m, env):
+            m.fifo[name] = deque()
+        return fifo_decl
+    if isinstance(s, RegDecl):
+        name, init = s.name, float(s.init)
+
+        def reg_decl(m, env):
+            m.regs[name] = init
+        return reg_decl
+    if isinstance(s, BitVectorDecl):
+        return _bitvector_decl(s)
+    if isinstance(s, GenBitVector):
+        return _gen_bitvector(s)
+    if isinstance(s, BitVectorOp):
+        dst, a, b, is_and = s.dst, s.a, s.b, s.op == "and"
+
+        def bitvector_op(m, env):
+            bv_a, bv_b = m.bitvec[a], m.bitvec[b]
+            m.bitvec[dst] = (bv_a & bv_b) if is_and else (bv_a | bv_b)
+        return bitvector_op
+    if isinstance(s, LoadBulk):
+        return _load(s)
+    if isinstance(s, StoreBulk):
+        dst, src, fstart, fend = s.dst, s.src, _expr(s.start), _expr(s.end)
+
+        def store(m, env):
+            start = int(fstart(m, env))
+            end = int(fend(m, env))
+            m.dram[dst][start:end] = m.sram[src][: end - start]
+        return store
+    if isinstance(s, StreamStore):
+        return _stream_store(s)
+    if isinstance(s, Assign):
+        name, f = s.name, _expr(s.expr)
+
+        def assign(m, env):
+            env[name] = f(m, env)
+        return assign
+    if isinstance(s, Enq):
+        name, f = s.fifo, _expr(s.expr)
+
+        def enq(m, env):
+            m.fifo[name].append(f(m, env))
+        return enq
+    if isinstance(s, RegWrite):
+        reg, f, accumulate = s.reg, _expr(s.expr), s.accumulate
+
+        def reg_write(m, env):
+            value = f(m, env)
+            if accumulate:
+                m.regs[reg] += value
+            else:
+                m.regs[reg] = value
+        return reg_write
+    if isinstance(s, SramWrite):
+        return _sram_write(s)
+    if isinstance(s, DramWrite):
+        name, faddr, f = s.dram, _expr(s.addr), _expr(s.expr)
+
+        def dram_write(m, env):
+            addr = int(faddr(m, env))
+            m.dram[name][addr] = f(m, env)
+        return dram_write
+    if isinstance(s, Foreach):
+        return _foreach(s.counter, s.ivars, _block(s.body))
+    if isinstance(s, ReducePat):
+        return _reduce(s)
+    if isinstance(s, MemReduce):
+        # Each iteration runs the body, then folds the value buffer into
+        # the accumulator buffer.
+        mem, value_mem, op = s.mem, s.value_mem, _BINOPS[s.combine]
+
+        def fold(m, env):
+            src = m.sram[value_mem]
+            dst = m.sram[mem]
+            dst[: len(src)] = op(dst[: len(src)], src)
+        return _foreach(s.counter, s.ivars, (*_block(s.body), fold))
+    raise TypeError(f"cannot execute {type(s).__name__}")
+
+
+# -- memory statements --------------------------------------------------------
+
+
+def _bitvector_decl(s: BitVectorDecl):
+    name, flength = s.name, _expr(s.length)
+
+    def bitvector_decl(m, env):
+        length = int(flength(m, env))
+        m.bitvec_len[name] = length
+        m.bitvec[name] = gen_bitvector(np.zeros(0, dtype=np.int64),
+                                       max(length, 1))
+    return bitvector_decl
+
+
+def _gen_bitvector(s: GenBitVector):
+    dst, crd, fcount = s.dst, s.crd_mem, _expr(s.count)
+
+    def gen(m, env):
+        count = int(fcount(m, env))
+        length = m.bitvec_len[dst]
+        q = m.fifo.get(crd)
+        if q is not None:
+            if len(q) < count:
+                raise InterpError(
+                    f"genBitvector drains {count} from {crd!r} holding {len(q)}"
+                )
+            coords = np.array([q.popleft() for _ in range(count)],
+                              dtype=np.int64)
+        elif crd in m.sram:
+            coords = m.sram[crd][:count].astype(np.int64)
+        else:
+            raise InterpError(f"genBitvector from undeclared memory {crd!r}")
+        m.bitvec[dst] = gen_bitvector(coords, max(length, 1))
+    return gen
+
+
+def _load(s: LoadBulk):
+    dst, src, fstart, fend = s.dst, s.src, _expr(s.start), _expr(s.end)
+
+    def load(m, env):
+        start = int(fstart(m, env))
+        end = int(fend(m, env))
+        if end < start:
+            raise InterpError(f"negative-length load {dst} [{start}:{end}]")
+        data = m.dram[src][start:end]
+        mem = m.sram.get(dst)
+        if mem is not None:
+            if len(data) > len(mem):
+                raise InterpError(
+                    f"load of {len(data)} words overflows SRAM {dst!r} "
+                    f"({len(mem)} words)"
+                )
+            mem[: len(data)] = data
+        elif dst in m.fifo:
+            m.fifo[dst].extend(data.tolist())
+        else:
+            raise InterpError(f"load into undeclared memory {dst!r}")
+    return load
+
+
+def _stream_store(s: StreamStore):
+    dram, fifo, foffset, flength = (s.dram, s.fifo, _expr(s.offset),
+                                    _expr(s.length))
+
+    def stream_store(m, env):
+        offset = int(foffset(m, env))
+        length = int(flength(m, env))
+        q = m.fifo[fifo]
+        if len(q) < length:
+            raise InterpError(
+                f"stream store of {length} from {fifo!r} holding {len(q)}"
+            )
+        for k in range(length):
+            m.dram[dram][offset + k] = q.popleft()
+    return stream_store
+
+
+def _sram_write(s: SramWrite):
+    name, faddr, f = s.mem, _expr(s.addr), _expr(s.expr)
+    accumulate = s.accumulate
+
+    def sram_write(m, env):
+        addr = int(faddr(m, env))
+        mem = m.sram[name]
+        if not 0 <= addr < len(mem):
+            raise InterpError(
+                f"out-of-bounds write {name}({addr}), size {len(mem)}"
+            )
+        value = f(m, env)
+        mem[addr] = mem.item(addr) + value if accumulate else value
+    return sram_write
+
+
+# -- patterns -----------------------------------------------------------------
+
+
+def _domain(counter, ivars: tuple[str, ...]):
+    """Translate a counter into ``domain(m, env)``: the values its binders
+    take, one int per iteration for a one-index counter, else a tuple."""
+    if isinstance(counter, DenseCounter):
+        flength, step = _expr(counter.length), counter.step
+        fbase = None if counter.base is None else _expr(counter.base)
+
+        def dense(m, env):
+            length = int(flength(m, env))
+            base = int(fbase(m, env)) if fbase is not None else 0
+            trips = max(0, math.ceil(length / step))
+            if len(ivars) != 1:
+                raise InterpError("dense counters bind exactly one index")
+            return range(base, base + trips * step, step)
+        return dense
+    if isinstance(counter, SingletonCounter):
+        crd, fpos = counter.crd_mem, _expr(counter.pos)
+
+        def singleton(m, env):
+            # Exactly one iteration: the coordinate stored at the parent's
+            # position (COO-style singleton levels).
+            if len(ivars) != 1:
+                raise InterpError("singleton counters bind exactly one index")
+            pos = int(fpos(m, env))
+            mem = m.sram.get(crd)
+            if mem is None:
+                mem = m.dram.get(crd)
+                if mem is None:
+                    raise InterpError(
+                        f"singleton scan of undeclared memory {crd!r}")
+            if not 0 <= pos < len(mem):
+                raise InterpError(
+                    f"singleton position {pos} out of bounds for "
+                    f"{crd!r} (size {len(mem)})"
+                )
+            return (int(mem[pos]),)
+        return singleton
+    if not isinstance(counter, ScanCounter):
+        raise TypeError(f"cannot iterate {type(counter).__name__}")
+    a, b, op = counter.bv_a, counter.bv_b, counter.op
+    if b is None:
+        def scan_one(m, env):
+            # Single-vector scan binds (pos_a, pos_out, coord).
+            bv_a = m.bitvec[a]
+            if len(ivars) != 3:
+                raise InterpError("single-vector scans bind (pos, out, coord)")
+            pos_a, _, pos_out, coord = scan_columns(bv_a)
+            return zip(pos_a, pos_out, coord)
+        return scan_one
+
+    def scan_two(m, env):
+        bv_a, bv_b = m.bitvec[a], m.bitvec[b]
+        if len(ivars) != 4:
+            raise InterpError("two-vector scans bind (a, b, out, coord)")
+        return zip(*scan_columns(bv_a, bv_b, op))
+    return scan_two
+
+
+def _foreach(counter, ivars: tuple[str, ...], body: tuple):
+    """A loop running ``body`` in a fresh copy of the scope per iteration."""
+    domain = _domain(counter, ivars)
+    one = ivars[0] if len(ivars) == 1 else None
+
+    def foreach(m, env):
+        for x in domain(m, env):
+            inner = env.copy()
+            if one is None:
+                inner.update(zip(ivars, x))
+            else:
+                inner[one] = x
+            for b in body:
+                b(m, inner)
+    return foreach
+
+
+def _reduce(s: ReducePat):
+    # Reduce folds lane values into the register's current value; the
+    # canonical idiom declares the register (init 0) just before.
+    domain = _domain(s.counter, s.ivars)
+    body, value = _block(s.body), _expr(s.value)
+    reg, ivars, combine = s.reg, s.ivars, _BINOPS[s.combine]
+    one = ivars[0] if len(ivars) == 1 else None
+
+    def reduce(m, env):
+        total = m.regs.get(reg, 0.0)
+        for x in domain(m, env):
+            inner = env.copy()
+            if one is None:
+                inner.update(zip(ivars, x))
+            else:
+                inner[one] = x
+            for b in body:
+                b(m, inner)
+            total = combine(total, value(m, inner))
+        m.regs[reg] = total
+    return reduce

@@ -474,6 +474,12 @@ class SpatialProgram:
     layouts: dict[str, TensorLayout]
     notes: tuple[str, ...] = ()
 
+    def __getstate__(self) -> dict:
+        """Fields only: the interpreter's cached translation (closures)
+        is never pickled or copied."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
     def all_statements(self) -> Iterator[SStmt]:
         for d in self.dram:
             yield from d.walk()

@@ -10,8 +10,9 @@ tuple* ``(pos_a, pos_b, pos_out, i_dense)`` — the operand positions (or
 the dense coordinate.
 
 This module implements that machinery exactly: :func:`gen_bitvector`
-mirrors the hardware's ``Gen BV`` block, and :func:`scan` mirrors the
-sparse bit-vector scanner. The Spatial interpreter and the Capstan
+mirrors the hardware's ``Gen BV`` block, and :func:`scan_columns` mirrors
+the sparse bit-vector scanner (:func:`scan` yields the same tuples one
+:class:`ScanEntry` at a time). The Spatial interpreter and the Capstan
 simulator both consume these primitives.
 """
 
@@ -102,27 +103,29 @@ class ScanEntry:
         return self.pos_b != INVALID
 
 
-def scan(
+def scan_columns(
     bv_a: BitVector,
     bv_b: BitVector | None = None,
     op: str = "and",
     pos_a_base: int = 0,
     pos_b_base: int = 0,
     pos_out_base: int = 0,
-) -> Iterator[ScanEntry]:
-    """Scan one or two bit vectors, yielding pattern-index tuples.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Scan one or two bit vectors into pattern-index columns.
 
-    With one vector, iterates its set bits (pattern of Figure 9, line 7).
-    With two, combines them with ``op`` ('and' for ∩, 'or' for ∪) and emits
-    ``(pos_a, pos_b, pos_out, coord)`` per set bit of the combination, with
+    Returns ``(pos_a, pos_b, pos_out, coord)``, one Python-int list each
+    with one entry per set bit. With one vector, iterates its set bits
+    (pattern of Figure 9, line 7) and ``pos_b`` is all :data:`INVALID`.
+    With two, combines them with ``op`` ('and' for ∩, 'or' for ∪), with
     invalid operand positions set to :data:`INVALID`. The ``*_base``
-    arguments offset positions into the enclosing segment, matching how the
-    hardware scanner chains position counters across segments.
+    arguments offset positions into the enclosing segment, matching how
+    the hardware scanner chains position counters across segments.
     """
     if bv_b is None:
-        for k, c in enumerate(bv_a.coordinates()):
-            yield ScanEntry(pos_a_base + k, INVALID, pos_out_base + k, int(c))
-        return
+        coords = bv_a.coordinates().tolist()
+        n = len(coords)
+        return (list(range(pos_a_base, pos_a_base + n)), [INVALID] * n,
+                list(range(pos_out_base, pos_out_base + n)), coords)
     _check_same_space(bv_a, bv_b)
     if op not in ("and", "or"):
         raise ValueError(f"unknown scan op {op!r}")
@@ -137,10 +140,25 @@ def scan(
     ranks_b = np.searchsorted(cb, coords)
     in_a = (ranks_a < len(ca)) & (ca[np.minimum(ranks_a, max(len(ca) - 1, 0))] == coords) if len(ca) else np.zeros(len(coords), dtype=bool)
     in_b = (ranks_b < len(cb)) & (cb[np.minimum(ranks_b, max(len(cb) - 1, 0))] == coords) if len(cb) else np.zeros(len(coords), dtype=bool)
-    for k, c in enumerate(coords):
-        pa = pos_a_base + int(ranks_a[k]) if bool(in_a[k]) else INVALID
-        pb = pos_b_base + int(ranks_b[k]) if bool(in_b[k]) else INVALID
-        yield ScanEntry(pa, pb, pos_out_base + k, int(c))
+    pos_a = np.where(in_a, ranks_a + pos_a_base, INVALID)
+    pos_b = np.where(in_b, ranks_b + pos_b_base, INVALID)
+    n = len(coords)
+    return (pos_a.tolist(), pos_b.tolist(),
+            list(range(pos_out_base, pos_out_base + n)), coords.tolist())
+
+
+def scan(
+    bv_a: BitVector,
+    bv_b: BitVector | None = None,
+    op: str = "and",
+    pos_a_base: int = 0,
+    pos_b_base: int = 0,
+    pos_out_base: int = 0,
+) -> Iterator[ScanEntry]:
+    """:func:`scan_columns` as one :class:`ScanEntry` per set bit."""
+    for entry in zip(*scan_columns(bv_a, bv_b, op, pos_a_base, pos_b_base,
+                                   pos_out_base)):
+        yield ScanEntry(*entry)
 
 
 def scan_count(bv_a: BitVector, bv_b: BitVector | None = None, op: str = "and") -> int:

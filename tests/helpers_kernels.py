@@ -111,6 +111,42 @@ def dataset_digests() -> dict[str, dict[str, str]]:
     }
 
 
+#: Scales pinned by ``tests/golden/execution.json`` (seed: the dataset one).
+EXECUTION_GOLDEN_SCALE = 0.01
+PIPELINE_GOLDEN_SCALE = 0.05
+
+
+def run_dense_digest(kernel: str) -> str:
+    """sha256 over the shape and float64 bytes of ``run_dense()`` for one
+    kernel record on its default dataset: the interpreter's output."""
+    from repro.api import CompileRequest, build
+
+    result = build(CompileRequest(kernel=kernel, scale=EXECUTION_GOLDEN_SCALE,
+                                  seed=DATASET_GOLDEN_SEED)).run_dense()
+    h = hashlib.sha256(str(result.shape).encode())
+    h.update(np.ascontiguousarray(result, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def pipeline_checksum(name: str) -> str:
+    """``run_pipeline``'s final checksum for one registered pipeline on its
+    first dataset, numpy engine (every stage is checked against the
+    interpreter on the way)."""
+    from repro.pipeline.fusion import PIPELINES, run_pipeline
+
+    return run_pipeline(name, PIPELINES[name].datasets[0],
+                        scale=PIPELINE_GOLDEN_SCALE, seed=DATASET_GOLDEN_SEED,
+                        engine="numpy")["checksum"]
+
+
+def execution_digests() -> dict[str, dict[str, str]]:
+    """Everything ``tests/golden/execution.json`` pins."""
+    from repro.pipeline.fusion import PIPELINES
+
+    return {"run_dense": {k: run_dense_digest(k) for k in KERNELS},
+            "pipelines": {p: pipeline_checksum(p) for p in PIPELINES}}
+
+
 #: Scale of the two shard manifests pinned by ``tests/golden/requests.json``.
 REQUEST_GOLDEN_SCALE = 0.02
 

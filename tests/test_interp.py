@@ -1,8 +1,14 @@
 """Unit tests for the Spatial IR interpreter semantics."""
 
+import json
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.kernels import KERNELS
+from repro.pipeline.fusion import PIPELINES
 from repro.spatial.interp import InterpError, execute
 from repro.spatial.ir import (
     Assign,
@@ -22,8 +28,10 @@ from repro.spatial.ir import (
     SBin,
     ScanCounter,
     SDeq,
+    SingletonCounter,
     SLit,
     SRead,
+    SRegRead,
     SSelect,
     SValid,
     SVar,
@@ -33,6 +41,10 @@ from repro.spatial.ir import (
     StoreBulk,
     StreamStore,
 )
+from tests.helpers_kernels import pipeline_checksum, run_dense_digest
+
+EXECUTION_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "execution.json").read_text())
 
 
 def make_program(accel, dram=(), symbols=(), env=None):
@@ -279,3 +291,101 @@ class TestScanPatterns:
         ]
         with pytest.raises(InterpError, match="bind"):
             run(accel)
+
+
+_X = [DramDecl("x_dram", SLit(4))]
+
+
+class TestPreconditions:
+    """Every hardware precondition the interpreter enforces, one program
+    each, with the message it raises."""
+
+    @pytest.mark.parametrize("accel, dram, message", [
+        ([Assign("v", SRead("nope", SLit(0)))], (),
+         "read from undeclared memory 'nope'"),
+        ([Assign("v", SDeq("nope"))], (),
+         "dequeue from undeclared FIFO 'nope'"),
+        ([Assign("v", SRegRead("nope"))], (),
+         "read of undeclared register 'nope'"),
+        ([SramDecl("s", SLit(2)), SramWrite("s", SLit(2), SLit(1.0))], (),
+         r"out-of-bounds write s\(2\), size 2"),
+        ([SramDecl("s", SLit(4)), LoadBulk("s", "x_dram", SLit(3), SLit(1))],
+         _X, r"negative-length load s \[3:1\]"),
+        ([LoadBulk("nope", "x_dram", SLit(0), SLit(2))], _X,
+         "load into undeclared memory 'nope'"),
+        ([BitVectorDecl("a", SLit(16)), FifoDecl("f"), Enq("f", SLit(1.0)),
+          GenBitVector("a", "f", SLit(2))], (),
+         "genBitvector drains 2 from 'f' holding 1"),
+        ([BitVectorDecl("a", SLit(16)), GenBitVector("a", "nope", SLit(1))],
+         (), "genBitvector from undeclared memory 'nope'"),
+        ([SramDecl("crd", SLit(2)),
+          Foreach(SingletonCounter("crd", SLit(5)), ("i",), ())], (),
+         r"singleton position 5 out of bounds for 'crd' \(size 2\)"),
+        ([Foreach(SingletonCounter("nope", SLit(0)), ("i",), ())], (),
+         "singleton scan of undeclared memory 'nope'"),
+        ([SramDecl("crd", SLit(2)),
+          Foreach(SingletonCounter("crd", SLit(0)), ("i", "j"), ())], (),
+         "singleton counters bind exactly one index"),
+        ([Foreach(DenseCounter(SLit(2)), ("i", "j"), ())], (),
+         "dense counters bind exactly one index"),
+        ([BitVectorDecl("a", SLit(16)), BitVectorDecl("b", SLit(16)),
+          Foreach(ScanCounter("a", "b", "and", SLit(16)), ("x",), ())], (),
+         r"two-vector scans bind \(a, b, out, coord\)"),
+    ])
+    def test_violation_raises(self, accel, dram, message):
+        with pytest.raises(InterpError, match=message):
+            run(accel, dram)
+
+    def test_singleton_counter_binds_stored_coordinate(self):
+        accel = [
+            SramDecl("crd", SLit(3)),
+            SramWrite("crd", SLit(1), SLit(7.0)),
+            RegDecl("r", 0.0),
+            Foreach(SingletonCounter("crd", SLit(1)), ("i",), (
+                RegWrite("r", SVar("i"), accumulate=True),
+            )),
+        ]
+        assert run(accel).regs["r"] == 7.0
+
+    def test_fifo_load_keeps_python_floats(self):
+        accel = [FifoDecl("f"), LoadBulk("f", "x_dram", SLit(1), SLit(3))]
+        m = run(accel, _X, {"x_dram": np.array([5.0, 6.0, 7.0, 8.0])})
+        assert [type(v) for v in m.fifo["f"]] == [float, float]
+        assert list(m.fifo["f"]) == [6.0, 7.0]
+
+
+class TestTranslation:
+    def test_program_translates_once_and_never_pickles_it(self):
+        program = make_program([
+            RegDecl("r", 0.0), RegWrite("r", SLit(2.0), accumulate=True)])
+        execute(program, {}, {})
+        code = program._interp_code
+        assert execute(program, {}, {}).regs["r"] == 2.0  # state per run
+        assert program._interp_code is code
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone == program and "_interp_code" not in vars(clone)
+
+    def test_replaced_block_is_translated_again(self):
+        program = make_program([RegDecl("r", 1.0)])
+        execute(program, {}, {})
+        program.accel = (RegDecl("r", 5.0),)
+        assert execute(program, {}, {}).regs["r"] == 5.0
+
+
+class TestExecutionGolden:
+    """Results are bit-identical to ``tests/golden/execution.json``
+    (regenerate with ``python scripts/regen_golden.py`` only for an
+    intentional change)."""
+
+    def test_golden_covers_every_record(self):
+        assert set(EXECUTION_GOLDEN["run_dense"]) == set(KERNELS)
+        assert set(EXECUTION_GOLDEN["pipelines"]) == set(PIPELINES)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_run_dense_matches_golden(self, kernel):
+        assert run_dense_digest(kernel) == EXECUTION_GOLDEN["run_dense"][kernel]
+
+    @pytest.mark.parametrize("pipeline", list(PIPELINES))
+    def test_pipeline_checksum_matches_golden(self, pipeline):
+        assert (pipeline_checksum(pipeline)
+                == EXECUTION_GOLDEN["pipelines"][pipeline])

@@ -323,19 +323,19 @@ class TestStaging:
         import repro.convert as convert_mod
 
         calls = []
-        real_stage, real_convert = (convert_mod.staged_matrix_storage,
-                                    convert_mod.convert)
+        real_stage, real_plan = (convert_mod.staged_matrix_storage,
+                                 convert_mod.plan_conversion)
 
         def stage(dataset, scale, seed, fmt, use_cache=None):
             calls.append([use_cache, False])
             return real_stage(dataset, scale, seed, fmt, use_cache)
 
-        def convert(*args, **kwargs):  # only a staging *compute* converts
+        def plan(*args, **kwargs):  # only a staging *compute* plans one
             calls[-1][1] = True
-            return real_convert(*args, **kwargs)
+            return real_plan(*args, **kwargs)
 
         monkeypatch.setattr(convert_mod, "staged_matrix_storage", stage)
-        monkeypatch.setattr(convert_mod, "convert", convert)
+        monkeypatch.setattr(convert_mod, "plan_conversion", plan)
         return calls
 
     @pytest.mark.parametrize("split", ["row", "sum"])
