@@ -1,4 +1,4 @@
-"""``repro serve`` latency: cold vs warm, with and without coalescing.
+"""``repro serve`` latency: cold vs warm, and request coalescing.
 
 Runs an in-process daemon (:class:`repro.service.server.ServiceThread`)
 and drives it with concurrent HTTP clients over the Table 6 kernels on
@@ -11,9 +11,7 @@ their first datasets:
   overhead: parse + cache peek + render);
 * **coalesce** — N identical concurrent cold requests must trigger
   exactly one underlying compile (the rest join its in-flight future or
-  hit the cache the winner populated);
-* **no-coalesce** — the same burst with coalescing disabled, for the
-  comparison column.
+  hit the cache the winner populated).
 
 Every warm response is also diffed byte-for-byte against the serial
 ``repro.api.evaluate`` rendering — the daemon must be a transparent
@@ -210,25 +208,6 @@ def run_bench(scale: float = SMOKE_SCALE, clients: int = DEFAULT_CLIENTS,
     for proc in workers:  # the drain's stop sentinel releases them
         proc.wait(timeout=60)
 
-    # The comparison column: the same burst, coalescing off — every
-    # client that misses the cache starts its own job.
-    nc_config = ServeConfig(port=0, pool=pool if not spawn_workers
-                            else "inline:4",
-                            max_inflight=max(64, clients), coalesce=False)
-    if not spawn_workers or not pool.startswith("queue:"):
-        with ServiceThread(nc_config) as svc:
-            before = _stats(svc.port)["serve"]
-            burst = [{"kernel": kernels[0], "scale": scale,
-                      "seed": seed + 2}] * clients
-            t0 = time.perf_counter()
-            _run_clients(svc.port, burst, clients)
-            wall = time.perf_counter() - t0
-            after = _stats(svc.port)["serve"]
-            metrics["no_coalesce"] = {
-                "computed": float(after["computed"] - before["computed"]),
-                "wall_ms": wall * 1e3,
-            }
-
     if smoke:
         assert metrics["warm"]["p50_ms"] < WARM_P50_BAR_MS, (
             f"warm p50 {metrics['warm']['p50_ms']:.1f}ms over the "
@@ -284,10 +263,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"coalesce     computed={co['computed']:.0f} "
           f"coalesced={co['coalesced']:.0f} "
           f"cache_hits={co['cache_hits']:.0f} wall={co['wall_ms']:.0f}ms")
-    if "no_coalesce" in metrics:
-        nc = metrics["no_coalesce"]
-        print(f"no-coalesce  computed={nc['computed']:.0f} "
-              f"wall={nc['wall_ms']:.0f}ms")
     return 0
 
 

@@ -1,14 +1,18 @@
 """Regenerate every evaluation artefact at full Table 4 scale.
 
-Writes the formatted tables/figures to results/ and prints them;
-results/ is git-ignored and no run is checked in (the nightly CI sweep
-uploads its own as a build artifact). The regeneration routes through
-``repro.pipeline``: pass ``--jobs N`` (or set REPRO_JOBS) to fan the
-(kernel, dataset) work out over N workers, and ``--no-cache`` to force a
-cold recomputation (dataset generation is a separately-staged cache
-entry, so even that reuses previously generated datasets); otherwise
-repeated runs reuse the on-disk cache under REPRO_CACHE_DIR (default
-~/.cache/repro).
+The one command that loops over all the artefacts (``python -m repro
+tables ARTEFACT`` prints one). Writes the formatted tables/figures to
+results/ and prints them; results/ is git-ignored and no run is checked
+in (the nightly CI sweep uploads its own as a build artifact). The
+structural artefacts (Tables 3 and 5) stay at their records' default
+scale. Each artefact's (kernel, dataset) jobs run through
+``repro.pipeline``: pass ``--jobs N`` (or set REPRO_JOBS) to fan them
+out over N threads, and ``--no-cache`` to force a cold recomputation
+(dataset generation is a separately-staged cache entry, so even that
+reuses previously generated datasets); otherwise repeated runs reuse the
+on-disk cache under REPRO_CACHE_DIR (default ~/.cache/repro). An
+artefact with a failed job is reported and skipped; the others are
+still written, and the exit status is 1.
 
 ``--workers SPEC`` runs the sweep through the fault-tolerant
 dispatcher (``repro.pipeline.dispatch``): every artefact's job list is
@@ -34,8 +38,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.engines import ENGINES
-from repro.pipeline.batch import ARTEFACTS, run_batch
+from repro.pipeline.batch import ARTEFACTS
 from repro.pipeline.cache import default_cache
+from repro.pipeline.executor import run_jobs
 
 OUT = Path(__file__).resolve().parent.parent / "results"
 
@@ -78,8 +83,7 @@ def _run_dispatch(args, use_cache) -> int:
                 result = dispatch(
                     artifact, at, transport,
                     use_cache=use_cache, worker_jobs=args.jobs,
-                    state_dir=state_dir, resume=True,
-                    engine=args.engine,
+                    state_dir=state_dir, engine=args.engine,
                     # An elastic pool must survive between artefacts;
                     # the finally below stops it after the last one.
                     stop_queue=False,
@@ -110,7 +114,37 @@ def _run_dispatch(args, use_cache) -> int:
     return 1 if bad else 0
 
 
-def main() -> int:
+def _run_serial(args, use_cache) -> int:
+    """Run every artefact's jobs in this process; a failed job skips its
+    artefact, not the sweep."""
+    OUT.mkdir(exist_ok=True)
+    t0 = time.time()
+    bad = 0
+    for name, at in _sweep_scales(args.scale):
+        record = ARTEFACTS[name]
+        results = run_jobs(record.jobs(at, use_cache, args.engine),
+                           max_workers=args.jobs)
+        failures = [res for res in results if not res.ok]
+        for failure in failures:
+            print(f"FAILED {failure.job}:\n{failure.error}", file=sys.stderr)
+        if failures:
+            bad += 1
+            continue
+        text = record.render(record.assemble(results))
+        (OUT / f"{name}.txt").write_text(text + "\n")
+        print(f"\n##### {name}.txt (scale={at})")
+        print(text)
+
+    stats = default_cache().stats
+    stages = stats.stage_summary()
+    print(f"\nTotal time: {time.time() - t0:.1f}s; "
+          f"cache: {stats.hits} hits / {stats.misses} misses"
+          + (f" [{stages}]" if stages else "")
+          + f"; artefacts in {OUT}/")
+    return 1 if bad else 0
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scale", nargs="?", type=float, default=1.0)
     parser.add_argument("--jobs", type=int, default=None)
@@ -123,36 +157,11 @@ def main() -> int:
                         help="functionally execute each cell that runs a "
                              "kernel with this engine and validate it "
                              "against the interpreter oracle")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     use_cache = False if args.no_cache else None
-
     if args.workers:
         return _run_dispatch(args, use_cache)
-
-    OUT.mkdir(exist_ok=True)
-    t0 = time.time()
-    scales = dict(_sweep_scales(args.scale))
-    runs = [run_batch([name], at, jobs=args.jobs, use_cache=use_cache,
-                      engine=args.engine)
-            for name, at in scales.items()]
-
-    failures = [failure for run in runs for failure in run.failures]
-    for failure in failures:
-        print(f"FAILED {failure.job}:\n{failure.error}", file=sys.stderr)
-
-    for run in runs:
-        for name, text in run.texts.items():
-            (OUT / f"{name}.txt").write_text(text + "\n")
-            print(f"\n##### {name}.txt (scale={scales[name]})")
-            print(text)
-
-    stats = default_cache().stats
-    stages = stats.stage_summary()
-    print(f"\nTotal time: {time.time() - t0:.1f}s; "
-          f"cache: {stats.hits} hits / {stats.misses} misses"
-          + (f" [{stages}]" if stages else "")
-          + f"; artefacts in {OUT}/")
-    return 1 if failures else 0
+    return _run_serial(args, use_cache)
 
 
 if __name__ == "__main__":

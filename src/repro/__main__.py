@@ -1,68 +1,7 @@
 """Command-line interface: ``python -m repro``.
 
-Subcommands:
-
-* ``compile``  — compile an evaluation kernel on a dataset; print the
-  generated Spatial, the memory analysis, and (optionally) CPU C code.
-* ``simulate`` — predict runtime across platforms for a kernel+dataset.
-* ``kernels``  — list the evaluation kernels and their datasets.
-* ``tables``   — regenerate a table or figure of the paper, or run a
-  ``partition:<kernel>:<dataset>:p<P>:<mode>`` plan in-process (its
-  ``p1`` run is the serial reference of every distributed run;
-  ``--jobs N`` fans the work out; ``--no-cache`` recomputes from
-  scratch).
-* ``batch``    — regenerate several artefacts as one parallel job batch,
-  with per-job failure isolation and a cache/throughput summary;
-  ``--shard I/N --out F.json`` runs one deterministic slice of a single
-  artefact's job list and writes a shard manifest instead (``--out -``
-  streams the manifest to stdout, which is how dispatch workers report).
-* ``dispatch`` — drive an artefact's whole job list through a pool of
-  fault-tolerant workers (``--workers local:N`` / ``ssh:h1,h2`` /
-  ``inline:N`` / ``queue:DIR``): idle workers lease chunks dynamically,
-  dead or hung workers lose their lease and the chunk is reassigned,
-  persistently failing jobs are quarantined, and the merged output is
-  byte-identical to the serial ``tables`` run. ``--resume DIR``
-  persists per-chunk manifests and picks up a partially completed
-  dispatch; the chunks are uniform slices, leased heaviest first by
-  the per-job wall times earlier dispatches recorded. A
-  ``partition:*`` plan distributes ONE kernel (SpDISTAL-style row
-  blocks) over the same transports; row mode is byte-identical to
-  ``tables`` on the plan's ``p1`` spelling.
-* ``worker``   — attach an elastic worker to a ``queue:DIR`` pool:
-  claims chunk tasks (from ``dispatch``) and compile-request tasks
-  (from ``serve``) by atomic rename, heartbeats while running them,
-  streams results back through the queue directory, and exits when
-  the dispatcher raises the stop sentinel. Start and stop workers on
-  any host (sharing the directory) at any point mid-sweep.
-* ``serve``    — run the compile-as-a-service daemon: an HTTP/JSON
-  front end over the typed ``repro.api`` request surface. Hot requests
-  are answered straight from the staged cache, identical in-flight
-  requests coalesce into one job, and misses run on an ``inline:N``
-  thread pool or an elastic ``queue:DIR`` worker pool. SIGTERM drains
-  gracefully; ``/stats`` reports serve and cache counters.
-* ``merge``    — validate shard manifests and fold them into the full
-  artefact, byte-identical to the serial ``tables`` output. Arguments
-  may be glob patterns (quoted, for non-shell callers).
-* ``formats``  — list the registered whole-tensor formats with their
-  level kinds, mode ordering, and memory region (``--json`` for a
-  machine-readable dump).
-* ``convert``  — synthesize and run a format-conversion plan between two
-  registered formats on a matrix dataset (the ``repro.convert``
-  conversion compiler).
-* ``pipeline`` — plan a fused expression pipeline (FuseFlow) and run it
-  stage by stage: chained einsum stages whose intermediates the traffic
-  model streams producer-to-consumer unless a cut heuristic forces
-  materialization; prints the per-connection cut report and the modeled
-  traffic saved
-  (``--no-fuse`` is the materialize-everything baseline, ``--out``
-  writes the fusion-invariant numeric outputs as JSON).
-* ``cache``    — inspect or clear the on-disk compilation cache
-  (``--json`` emits the same stats payload the serve daemon exposes
-  at ``/stats``).
-* ``trace``    — summarize or export the structured span traces that
-  ``--trace DIR`` (or ``REPRO_TRACE_DIR``) makes every stage of the
-  pipeline write: per-stage totals, cache hit ratios, worker
-  utilization, the critical path, and a Chrome trace-viewer export.
+``python -m repro -h`` lists the subcommands; ``python -m repro COMMAND
+-h`` documents one.
 """
 
 from __future__ import annotations
@@ -239,12 +178,15 @@ def _cmd_convert(args) -> int:
 
     import numpy as np
 
-    from repro.convert import ConversionError, plan_conversion
-    from repro.data.datasets import load_matrix_coo
-    from repro.formats import CSR, format_of, offChip
-    from repro.tensor.storage import pack, to_dense
+    from repro.convert import (
+        ConversionError,
+        plan_conversion,
+        staged_matrix_storage,
+    )
+    from repro.data import DATASETS_BY_NAME
+    from repro.formats import format_of
+    from repro.tensor.storage import to_dense
 
-    use_cache = _use_cache(args)
     try:
         src_fmt = format_of(args.source)
         dst_fmt = format_of(args.target)
@@ -260,12 +202,10 @@ def _cmd_convert(args) -> int:
             print(f"conversion error: {exc}", file=sys.stderr)
             return 1
         return 0
-    dims, coords, vals = load_matrix_coo(args.dataset, args.scale, args.seed,
-                                         use_cache=use_cache)
-    base = pack(coords, vals, dims, CSR(offChip))
+    dims = DATASETS_BY_NAME[args.dataset].scaled_dims(args.scale)
     try:
-        to_src = plan_conversion(base.fmt, src_fmt, dims)
-        source = to_src.run(base) if args.source != "csr" else base
+        source = staged_matrix_storage(args.dataset, args.scale, args.seed,
+                                       args.source, _use_cache(args))
         plan = plan_conversion(source.fmt, dst_fmt,
                                dims if dst_fmt.order == len(dims) else None)
     except ConversionError as exc:
@@ -365,24 +305,20 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    from repro.pipeline.batch import (
-        ARTIFACT_NAMES,
-        UnknownArtifact,
-        run_batch,
-    )
-    from repro.pipeline.cache import default_cache
+    from repro.pipeline.batch import UnknownArtifact
     from repro.pipeline.shard import ShardSpec
 
-    artifacts = list(args.artifacts)
-    if "all" in artifacts:
-        artifacts = list(ARTIFACT_NAMES)
+    if not (args.shard or args.list):
+        print("batch error: batch runs one shard (--shard I/N [--out F]) "
+              "or lists the jobs (--list); print an artefact with `tables "
+              "ARTEFACT`, regenerate every one with "
+              "`scripts/run_experiments.py`", file=sys.stderr)
+        return 2
     try:
-        resolved = [_resolve(name, args.scale) for name in artifacts]
+        record, scale = _resolve(args.artifact, args.scale)
     except UnknownArtifact as exc:
         print(f"batch error: {exc}", file=sys.stderr)
         return 2
-    use_cache = _use_cache(args)
-
     spec = None
     if args.shard:
         try:
@@ -390,36 +326,13 @@ def _cmd_batch(args) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        if len(artifacts) != 1:
-            print("--shard slices one artefact's job list; pass exactly "
-                  "one artefact (one manifest per file)", file=sys.stderr)
-            return 2
-
+    use_cache = _use_cache(args)
     if args.list:
-        for record, scale in resolved:
-            jobs = record.jobs(scale, use_cache)
-            if spec is not None:
-                jobs = spec.select(jobs)
-            for job in jobs:
-                print(f"{record.name:10s}  {job}")
+        jobs = record.jobs(scale, use_cache)
+        for job in spec.select(jobs) if spec is not None else jobs:
+            print(f"{record.name:10s}  {job}")
         return 0
-
-    if spec is not None:
-        return _run_shard_to_manifest(args, artifacts[0], resolved[0][1],
-                                      spec, use_cache)
-
-    run = run_batch(artifacts, args.scale, jobs=args.jobs,
-                    use_cache=use_cache, engine=args.engine)
-    bar = "=" * 78
-    for artifact in artifacts:
-        if artifact in run.texts:
-            print(f"{bar}\n{run.texts[artifact]}\n{bar}")
-    for failure in run.failures:
-        print(f"FAILED {failure.job}:\n{failure.error}", file=sys.stderr)
-    stats = default_cache().stats
-    print(f"{run.summary()} (cache: {stats.hits} hits / {stats.misses} "
-          f"misses)")
-    return 1 if run.failures else 0
+    return _run_shard_to_manifest(args, args.artifact, scale, spec, use_cache)
 
 
 def _run_shard_to_manifest(args, artifact: str, scale: float, spec,
@@ -499,7 +412,6 @@ def _cmd_dispatch(args) -> int:
             use_cache=_use_cache(args),
             worker_jobs=args.jobs,
             state_dir=args.resume,
-            resume=args.resume is not None,
             on_event=_events(args),
             engine=args.engine,
         )
@@ -678,50 +590,24 @@ def _scale(text: str) -> float:
 
 
 def _add_run_flags(parser) -> None:
-    """The flags ``tables`` and ``batch`` hand to the batch runner."""
+    """The flags ``tables``, ``batch`` and ``dispatch`` hand to the
+    artefact's job runner."""
     parser.add_argument("--scale", type=_scale, default=None,
                         help=_SCALE_HELP)
     parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel worker count (default: REPRO_JOBS or 1)")
+                        help="parallel jobs per process; for `dispatch`, "
+                             "per worker (default: REPRO_JOBS or 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the compilation/result cache")
     parser.add_argument("--engine", choices=ENGINES, default=None,
                         help=_ENGINE_HELP)
 
 
-def _add_dispatch_flags(parser) -> None:
-    """The flags ``dispatch`` hands to the dispatcher."""
-    parser.add_argument("--workers", default="local:2", metavar="SPEC",
-                        help="transport spec: local:N subprocesses, "
-                             "ssh:host1,host2, inline:N in-process "
-                             "threads, or queue:DIR (elastic pool; attach "
-                             "`repro worker DIR` processes at any time); "
-                             "default local:2")
-    parser.add_argument("--scale", type=_scale, default=None,
-                        help=_SCALE_HELP)
-    parser.add_argument("--chunks-per-worker", type=int, default=4,
-                        help="lease granularity: chunks cut per worker "
-                             "slot (default 4)")
-    parser.add_argument("--lease-timeout", type=float, default=900.0,
-                        help="seconds before a silent worker is presumed "
-                             "hung and its chunk reassigned (default 900)")
-    parser.add_argument("--retries", type=int, default=2,
-                        help="re-dispatches per chunk after worker death "
-                             "or job failure before quarantine (default 2)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker-internal thread count (default: "
-                             "REPRO_JOBS or 1)")
-    parser.add_argument("--resume", metavar="DIR", default=None,
-                        help="persist per-chunk manifests under DIR and "
-                             "skip chunks a previous dispatch completed")
-    parser.add_argument("--out", default=None,
-                        help="also write the merged artefact text here")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="workers bypass the compilation/result cache")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-lease progress on stderr")
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help=_ENGINE_HELP)
+def _command(sub, name: str, handler, help: str):
+    """One subcommand's parser, which runs ``handler``."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -731,9 +617,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("kernels", help="list evaluation kernels")
+    _command(sub, "kernels", _cmd_kernels,
+             "list the evaluation kernels and their datasets")
 
-    p_compile = sub.add_parser("compile", help="compile a kernel")
+    p_compile = _command(sub, "compile", _cmd_compile,
+                         "compile a kernel; print the generated Spatial")
     p_compile.add_argument("kernel")
     p_compile.add_argument("--dataset", default=None)
     p_compile.add_argument("--scale", type=_scale, default=0.05)
@@ -742,21 +630,24 @@ def main(argv: list[str] | None = None) -> int:
     p_compile.add_argument("--memory-report", action="store_true",
                            help="print the Section 6 memory analysis")
 
-    p_sim = sub.add_parser("simulate", help="predict cross-platform runtime")
+    p_sim = _command(sub, "simulate", _cmd_simulate,
+                     "predict cross-platform runtime")
     p_sim.add_argument("kernel")
     p_sim.add_argument("--dataset", default=None)
     p_sim.add_argument("--scale", type=_scale, default=0.25)
     p_sim.add_argument("--no-cache", action="store_true",
                        help="bypass the compilation/result cache")
 
-    p_tab = sub.add_parser("tables", help="regenerate a table/figure")
+    p_tab = _command(sub, "tables", _cmd_tables,
+                     "print one table/figure, or run a partition:* plan "
+                     "in-process (its p1 run is the serial reference)")
     p_tab.add_argument("artifact", metavar="ARTEFACT", help=_ARTIFACT_HELP)
     _add_run_flags(p_tab)
 
-    p_batch = sub.add_parser(
-        "batch", help="regenerate several artefacts as one parallel batch")
-    p_batch.add_argument("artifacts", nargs="+",
-                         help=f"{_ARTIFACT_HELP}, or 'all'")
+    p_batch = _command(sub, "batch", _cmd_batch,
+                       "run one shard of an artefact's job list into a "
+                       "manifest (what dispatch workers run), or --list it")
+    p_batch.add_argument("artifact", metavar="ARTEFACT", help=_ARTIFACT_HELP)
     _add_run_flags(p_batch)
     p_batch.add_argument("--list", action="store_true",
                          help="print the (kernel, dataset, platform) job "
@@ -764,22 +655,43 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument("--shard", metavar="I/N", default=None,
                          help="run only shard I of N (1-based, "
                               "deterministic round-robin slice) and write "
-                              "a JSON manifest instead of printing tables")
+                              "a JSON manifest")
     p_batch.add_argument("--out", default=None,
                          help="manifest path for --shard (default: "
                               "<artefact>.shardIofN.json; `-` streams the "
                               "manifest JSON to stdout)")
 
-    p_disp = sub.add_parser(
-        "dispatch",
-        help="drive an artefact's sweep through a fault-tolerant worker "
-             "pool (chunked leases; merged output byte-identical to "
-             "`tables`)")
+    p_disp = _command(sub, "dispatch", _cmd_dispatch,
+                      "drive an artefact's sweep through a fault-tolerant "
+                      "worker pool (chunked leases; merged output "
+                      "byte-identical to `tables`)")
     p_disp.add_argument("artifact", help=_ARTIFACT_HELP)
-    _add_dispatch_flags(p_disp)
+    _add_run_flags(p_disp)
+    p_disp.add_argument("--workers", default="local:2", metavar="SPEC",
+                        help="transport spec: local:N subprocesses, "
+                             "ssh:host1,host2, inline:N in-process "
+                             "threads, or queue:DIR (elastic pool; attach "
+                             "`repro worker DIR` processes at any time); "
+                             "default local:2")
+    p_disp.add_argument("--chunks-per-worker", type=int, default=4,
+                        help="lease granularity: chunks cut per worker "
+                             "slot (default 4)")
+    p_disp.add_argument("--lease-timeout", type=float, default=900.0,
+                        help="seconds before a silent worker is presumed "
+                             "hung and its chunk reassigned (default 900)")
+    p_disp.add_argument("--retries", type=int, default=2,
+                        help="re-dispatches per chunk after worker death "
+                             "or job failure before quarantine (default 2)")
+    p_disp.add_argument("--resume", metavar="DIR", default=None,
+                        help="persist per-chunk manifests under DIR and "
+                             "skip chunks a previous dispatch completed")
+    p_disp.add_argument("--out", default=None,
+                        help="also write the merged artefact text here")
+    p_disp.add_argument("--quiet", action="store_true",
+                        help="suppress per-lease progress on stderr")
 
-    p_merge = sub.add_parser(
-        "merge", help="merge shard manifests into the full artefact")
+    p_merge = _command(sub, "merge", _cmd_merge,
+                       "merge shard manifests into the full artefact")
     p_merge.add_argument("manifests", nargs="*",
                          help="shard manifest files (or quoted glob "
                               "patterns) written by "
@@ -791,11 +703,10 @@ def main(argv: list[str] | None = None) -> int:
                               "compiler version (hashes must still agree "
                               "between shards)")
 
-    p_work = sub.add_parser(
-        "worker",
-        help="attach an elastic worker to a queue:DIR pool (claims "
-             "dispatch chunks and serve compile-requests until the "
-             "queue is stopped)")
+    p_work = _command(sub, "worker", _cmd_worker,
+                      "attach an elastic worker to a queue:DIR pool "
+                      "(claims dispatch chunks and serve compile-requests "
+                      "until the queue is stopped)")
     p_work.add_argument("dir", help="the queue directory given to "
                                     "`dispatch --workers queue:DIR` or "
                                     "`serve --pool queue:DIR`")
@@ -810,13 +721,13 @@ def main(argv: list[str] | None = None) -> int:
     p_work.add_argument("--quiet", action="store_true",
                         help="suppress per-chunk progress on stderr")
 
-    p_formats = sub.add_parser(
-        "formats", help="list registered whole-tensor formats")
+    p_formats = _command(sub, "formats", _cmd_formats,
+                         "list registered whole-tensor formats")
     p_formats.add_argument("--json", action="store_true",
                            help="machine-readable JSON output")
 
-    p_conv = sub.add_parser(
-        "convert", help="convert a matrix dataset between formats")
+    p_conv = _command(sub, "convert", _cmd_convert,
+                      "convert a matrix dataset between formats")
     p_conv.add_argument("source", help="source format name (see `formats`)")
     p_conv.add_argument("target", help="target format name (see `formats`)")
     p_conv.add_argument("--dataset", default="Trefethen_20000",
@@ -831,11 +742,10 @@ def main(argv: list[str] | None = None) -> int:
     p_conv.add_argument("--no-cache", action="store_true",
                         help="bypass the dataset/conversion cache")
 
-    p_pipe = sub.add_parser(
-        "pipeline",
-        help="plan a fused expression pipeline (FuseFlow) and run it "
-             "stage by stage; prints the cut report and the modeled "
-             "traffic fusion saves")
+    p_pipe = _command(sub, "pipeline", _cmd_pipeline,
+                      "plan a fused expression pipeline (FuseFlow) and run "
+                      "it stage by stage; prints the cut report and the "
+                      "modeled traffic fusion saves")
     p_pipe.add_argument("name", nargs="?", default=None,
                         help="pipeline name (see --all for the registry)")
     p_pipe.add_argument("--all", action="store_true",
@@ -859,11 +769,10 @@ def main(argv: list[str] | None = None) -> int:
     p_pipe.add_argument("--no-cache", action="store_true",
                         help="bypass the compilation/result cache")
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the compile-as-a-service daemon: HTTP/JSON requests "
-             "answered from the staged cache, coalesced, and fed to a "
-             "worker pool on miss")
+    p_serve = _command(sub, "serve", _cmd_serve,
+                       "run the compile-as-a-service daemon: HTTP/JSON "
+                       "requests answered from the staged cache, "
+                       "coalesced, and fed to a worker pool on miss")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8757,
                          help="listen port (0 picks an ephemeral port; the "
@@ -895,7 +804,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--quiet", action="store_true",
                          help="suppress pool events on stderr")
 
-    p_cache = sub.add_parser("cache", help="inspect or clear the cache")
+    p_cache = _command(sub, "cache", _cmd_cache,
+                       "inspect or clear the cache")
     p_cache.add_argument("action", nargs="?", choices=["info", "clear"],
                          default="info")
     p_cache.add_argument("--json", action="store_true",
@@ -903,10 +813,10 @@ def main(argv: list[str] | None = None) -> int:
                               "payload as the serve daemon's /stats "
                               "cache section")
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="inspect structured span traces written under "
-             "REPRO_TRACE_DIR (or --trace DIR on the producing command)")
+    p_trace = _command(sub, "trace", _cmd_trace,
+                       "inspect structured span traces written under "
+                       "REPRO_TRACE_DIR (or --trace DIR on the producing "
+                       "command)")
     p_trace.add_argument("action", choices=["summary", "export"],
                          help="summary: per-stage totals, cache hit "
                               "ratios, worker utilization, critical path; "
@@ -925,24 +835,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     _apply_trace(args)
-
-    handlers = {
-        "kernels": _cmd_kernels,
-        "compile": _cmd_compile,
-        "simulate": _cmd_simulate,
-        "tables": _cmd_tables,
-        "batch": _cmd_batch,
-        "dispatch": _cmd_dispatch,
-        "worker": _cmd_worker,
-        "merge": _cmd_merge,
-        "formats": _cmd_formats,
-        "convert": _cmd_convert,
-        "pipeline": _cmd_pipeline,
-        "serve": _cmd_serve,
-        "cache": _cmd_cache,
-        "trace": _cmd_trace,
-    }
-    return handlers[args.command](args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

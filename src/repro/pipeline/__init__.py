@@ -37,7 +37,6 @@ from repro import lazy_exports
 
 _EXPORTS = {
     "ARTIFACT_NAMES": ("repro.pipeline.batch", "ARTIFACT_NAMES"),
-    "BatchRun": ("repro.pipeline.batch", "BatchRun"),
     "CacheStats": ("repro.pipeline.cache", "CacheStats"),
     "CompilationCache": ("repro.pipeline.cache", "CompilationCache"),
     "DispatchError": ("repro.pipeline.dispatch", "DispatchError"),
@@ -71,7 +70,6 @@ _EXPORTS = {
     "merge_manifests": ("repro.pipeline.shard", "merge_manifests"),
     "parse_transport": ("repro.pipeline.dispatch", "parse_transport"),
     "run_artifact": ("repro.pipeline.batch", "run_artifact"),
-    "run_batch": ("repro.pipeline.batch", "run_batch"),
     "run_jobs": ("repro.pipeline.executor", "run_jobs"),
     "run_shard": ("repro.pipeline.shard", "run_shard"),
     "stage_version": ("repro.pipeline.cache", "stage_version"),

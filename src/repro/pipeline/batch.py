@@ -9,13 +9,13 @@ is the only code that tells artefact names apart. :func:`run_artifact`
 executes a record's job list (serially or over a worker pool) and folds
 the per-job results into exactly the data structure the harness's serial
 loops produce — deterministic ordering guarantees the two are
-byte-identical. ``python -m repro batch`` drives this directly.
+byte-identical. ``python -m repro tables`` prints one artefact, and
+``scripts/run_experiments.py`` regenerates them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from statistics import geometric_mean
 from typing import Any, Callable, Iterable
 
@@ -27,7 +27,6 @@ __all__ = [
     "ARTEFACTS",
     "ARTIFACT_NAMES",
     "Artefact",
-    "BatchRun",
     "STRUCTURAL_SCALE",
     "UnknownArtifact",
     "artifact_jobs",
@@ -36,7 +35,6 @@ __all__ = [
     "is_partition_artifact",
     "resolve_artifact",
     "run_artifact",
-    "run_batch",
 ]
 
 #: Default scale of the structural artefacts (LoC, resources): they do
@@ -114,24 +112,21 @@ def table3_cell(kernel_name: str, scale: float,
                 use_cache: bool | None = None):
     """One Table 3 row: input vs generated lines of code."""
     from repro.eval import paper_results
-    def compute():
-        # The compile-action request renders exactly this cell's data
-        # (and shares its staged entry with `repro compile` and the
-        # daemon's /compile endpoint).
-        result = api.compile(
-            api.CompileRequest(kernel=kernel_name, scale=scale,
-                               action="compile"),
-            use_cache=use_cache,
-        )
-        paper_in, paper_sp = paper_results.TABLE3_LOC[kernel_name]
-        return {
-            "input_loc": result.input_loc,
-            "spatial_loc": result.spatial_loc,
-            "paper_input_loc": paper_in,
-            "paper_spatial_loc": paper_sp,
-        }
 
-    return memoize_stage("table3", (kernel_name, scale), compute, use_cache)
+    # The compile-action request renders exactly this cell's data (and
+    # shares its staged entry with `repro compile` and the daemon's
+    # /compile endpoint).
+    result = api.compile(
+        api.CompileRequest(kernel=kernel_name, scale=scale),
+        use_cache=use_cache,
+    )
+    paper_in, paper_sp = paper_results.TABLE3_LOC[kernel_name]
+    return {
+        "input_loc": result.input_loc,
+        "spatial_loc": result.spatial_loc,
+        "paper_input_loc": paper_in,
+        "paper_spatial_loc": paper_sp,
+    }
 
 
 def figure12_cell(kernel_name: str, scale: float,
@@ -474,33 +469,8 @@ def format_artifact(artifact: str, data) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runner
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class BatchRun:
-    """Outcome of one batch invocation (artefacts + execution report)."""
-
-    artifacts: dict[str, Any]
-    texts: dict[str, str]
-    results: dict[str, list[JobResult]]
-    seconds: float
-
-    @property
-    def jobs(self) -> int:
-        return sum(len(r) for r in self.results.values())
-
-    @property
-    def failures(self) -> list[JobResult]:
-        return [res for rs in self.results.values() for res in rs if not res.ok]
-
-    def summary(self) -> str:
-        failed = len(self.failures)
-        status = "ok" if not failed else f"{failed} FAILED"
-        return (f"batch: {self.jobs} jobs across "
-                f"{len(self.results)} artefact(s) in {self.seconds:.2f}s "
-                f"[{status}]")
 
 
 def run_artifact(
@@ -520,33 +490,3 @@ def run_artifact(
     return record.assemble(run_jobs(record.jobs(scale, use_cache, engine),
                                     max_workers=jobs))
 
-
-def run_batch(
-    artifacts: list[str],
-    scale: float | None,
-    jobs: int | None = None,
-    use_cache: bool | None = None,
-    engine: str | None = None,
-) -> BatchRun:
-    """Regenerate several artefacts, isolating failures per job.
-
-    ``scale=None`` runs each artefact at its record's default scale.
-    Artefacts whose jobs all succeeded are assembled and formatted;
-    artefacts with failed jobs are reported in :attr:`BatchRun.failures`
-    and omitted from :attr:`BatchRun.artifacts`.
-    """
-    start = time.perf_counter()
-    all_results: dict[str, list[JobResult]] = {}
-    assembled: dict[str, Any] = {}
-    texts: dict[str, str] = {}
-    for artifact in artifacts:
-        record = resolve_artifact(artifact)
-        at = record.default_scale if scale is None else scale
-        results = run_jobs(record.jobs(at, use_cache, engine),
-                           max_workers=jobs)
-        all_results[artifact] = results
-        if all(res.ok for res in results):
-            assembled[artifact] = record.assemble(results)
-            texts[artifact] = record.render(assembled[artifact])
-    return BatchRun(assembled, texts, all_results,
-                    time.perf_counter() - start)

@@ -619,7 +619,6 @@ def dispatch(
     use_cache: bool | None = None,
     worker_jobs: int | None = None,
     state_dir: str | Path | None = None,
-    resume: bool = False,
     stop_queue: bool = True,
     on_event: Callable[[str], None] | None = None,
     engine: str | None = None,
@@ -646,11 +645,11 @@ def dispatch(
     multi-artefact sweep passes ``stop_queue=False`` on all but its last
     dispatch so the elastic pool survives between artefacts.
 
-    ``state_dir`` persists per-chunk manifests (and enables
-    ``resume=True`` to skip chunks already completed by an earlier,
-    interrupted dispatch: :func:`accept_manifest` judges a chunk file
-    like a worker's answer, and the layout never depends on the cost
-    table). Without it, manifests live only in memory.
+    ``state_dir`` persists per-chunk manifests and resumes from them: a
+    chunk an earlier, interrupted dispatch completed is skipped when
+    :func:`accept_manifest` accepts its file the way it would a worker's
+    answer (the layout never depends on the cost table). Without it,
+    manifests live only in memory.
     """
     start = time.perf_counter()
     if isinstance(transport, str):
@@ -669,8 +668,6 @@ def dispatch(
         except (FileExistsError, NotADirectoryError):
             raise DispatchError(f"state directory {state_path} exists and "
                                 f"is not a directory") from None
-    if resume and state_path is None:
-        raise DispatchError("resume requires a state directory")
 
     keys = [job.key for job in record.jobs(scale)]
     chunks = chunk_count(len(keys), transport.slots, chunks_per_worker)
@@ -710,7 +707,7 @@ def dispatch(
     # clean manifest is leased again (served mostly from the staged
     # cache).
     done: dict[int, ShardManifest] = {}
-    if resume:
+    if state_path is not None:
         for task_id, request in list(requests.items()):
             path = _chunk_path(state_path, artifact, request.spec)
             if not path.is_file():

@@ -108,9 +108,6 @@ class ServeConfig:
     queue_lease: float = 60.0
     queue_retries: int = 2
     use_cache: bool | None = None
-    #: Coalesce identical in-flight requests (off only for benchmarks
-    #: measuring the coalescing win).
-    coalesce: bool = True
     #: Test hook: replaces :func:`repro.service.api.execute` for the
     #: inline pool. Signature ``(request, use_cache) -> CompileResult``.
     execute: Callable[..., Any] | None = None
@@ -581,8 +578,6 @@ class CompileService:
                 return 200, hit.to_json().encode()
 
             key = request.canonical_json()
-            if not self.config.coalesce:
-                key = f"{key}#{self.stats.requests}"
             future = self._inflight.get(key)
             if future is None:
                 if len(self._inflight) >= self.config.max_inflight:

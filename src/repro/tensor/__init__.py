@@ -1,6 +1,6 @@
 """Sparse tensor substrate: level storage, bit vectors, and the Tensor API."""
 
-from repro.tensor.bitvector import BitVector, ScanEntry, gen_bitvector, scan, scan_count
+from repro.tensor.bitvector import BitVector, gen_bitvector
 from repro.tensor.ops import evaluate_dense, infer_dimensions
 from repro.tensor.storage import (
     CompressedLevel,
@@ -17,7 +17,6 @@ __all__ = [
     "BitVector",
     "CompressedLevel",
     "DenseLevel",
-    "ScanEntry",
     "Tensor",
     "TensorStorage",
     "evaluate_dense",
@@ -26,8 +25,6 @@ __all__ = [
     "infer_dimensions",
     "pack",
     "scalar",
-    "scan",
-    "scan_count",
     "to_dense",
     "unpack",
     "vector",

@@ -11,15 +11,12 @@ the dense coordinate.
 
 This module implements that machinery exactly: :func:`gen_bitvector`
 mirrors the hardware's ``Gen BV`` block, and :func:`scan_columns` mirrors
-the sparse bit-vector scanner (:func:`scan` yields the same tuples one
-:class:`ScanEntry` at a time). The Spatial interpreter and the Capstan
-simulator both consume these primitives.
+the sparse bit-vector scanner. The Spatial interpreter consumes both.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -85,31 +82,10 @@ def gen_bitvector(coords: np.ndarray, n: int) -> BitVector:
     return BitVector(words, n)
 
 
-@dataclasses.dataclass(frozen=True)
-class ScanEntry:
-    """One pattern-index tuple produced by the scanner (Figure 7)."""
-
-    pos_a: int
-    pos_b: int
-    pos_out: int
-    coord: int
-
-    @property
-    def a_valid(self) -> bool:
-        return self.pos_a != INVALID
-
-    @property
-    def b_valid(self) -> bool:
-        return self.pos_b != INVALID
-
-
 def scan_columns(
     bv_a: BitVector,
     bv_b: BitVector | None = None,
     op: str = "and",
-    pos_a_base: int = 0,
-    pos_b_base: int = 0,
-    pos_out_base: int = 0,
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Scan one or two bit vectors into pattern-index columns.
 
@@ -117,15 +93,12 @@ def scan_columns(
     with one entry per set bit. With one vector, iterates its set bits
     (pattern of Figure 9, line 7) and ``pos_b`` is all :data:`INVALID`.
     With two, combines them with ``op`` ('and' for ∩, 'or' for ∪), with
-    invalid operand positions set to :data:`INVALID`. The ``*_base``
-    arguments offset positions into the enclosing segment, matching how
-    the hardware scanner chains position counters across segments.
+    invalid operand positions set to :data:`INVALID`.
     """
     if bv_b is None:
         coords = bv_a.coordinates().tolist()
         n = len(coords)
-        return (list(range(pos_a_base, pos_a_base + n)), [INVALID] * n,
-                list(range(pos_out_base, pos_out_base + n)), coords)
+        return list(range(n)), [INVALID] * n, list(range(n)), coords
     _check_same_space(bv_a, bv_b)
     if op not in ("and", "or"):
         raise ValueError(f"unknown scan op {op!r}")
@@ -140,31 +113,8 @@ def scan_columns(
     ranks_b = np.searchsorted(cb, coords)
     in_a = (ranks_a < len(ca)) & (ca[np.minimum(ranks_a, max(len(ca) - 1, 0))] == coords) if len(ca) else np.zeros(len(coords), dtype=bool)
     in_b = (ranks_b < len(cb)) & (cb[np.minimum(ranks_b, max(len(cb) - 1, 0))] == coords) if len(cb) else np.zeros(len(coords), dtype=bool)
-    pos_a = np.where(in_a, ranks_a + pos_a_base, INVALID)
-    pos_b = np.where(in_b, ranks_b + pos_b_base, INVALID)
-    n = len(coords)
-    return (pos_a.tolist(), pos_b.tolist(),
-            list(range(pos_out_base, pos_out_base + n)), coords.tolist())
+    pos_a = np.where(in_a, ranks_a, INVALID)
+    pos_b = np.where(in_b, ranks_b, INVALID)
+    return (pos_a.tolist(), pos_b.tolist(), list(range(len(coords))),
+            coords.tolist())
 
-
-def scan(
-    bv_a: BitVector,
-    bv_b: BitVector | None = None,
-    op: str = "and",
-    pos_a_base: int = 0,
-    pos_b_base: int = 0,
-    pos_out_base: int = 0,
-) -> Iterator[ScanEntry]:
-    """:func:`scan_columns` as one :class:`ScanEntry` per set bit."""
-    for entry in zip(*scan_columns(bv_a, bv_b, op, pos_a_base, pos_b_base,
-                                   pos_out_base)):
-        yield ScanEntry(*entry)
-
-
-def scan_count(bv_a: BitVector, bv_b: BitVector | None = None, op: str = "and") -> int:
-    """Number of entries the scanner would produce (the first scanner loop
-    of Section 7.2, which computes result position sub-array entries)."""
-    if bv_b is None:
-        return bv_a.popcount()
-    combined = (bv_a & bv_b) if op == "and" else (bv_a | bv_b)
-    return combined.popcount()

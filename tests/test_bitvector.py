@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tensor.bitvector import INVALID, gen_bitvector, scan, scan_count
+from repro.tensor.bitvector import INVALID, gen_bitvector, scan_columns
+
+
+def entries(*args):
+    """The scanner's ``(pos_a, pos_b, pos_out, coord)`` tuples, one per
+    set bit."""
+    return list(zip(*scan_columns(*args)))
 
 
 class TestGenBitVector:
@@ -70,11 +76,9 @@ class TestFigure7Example:
         self.b = gen_bitvector(np.array([0, 2, 3, 8]), 9)
 
     def test_union_coords(self):
-        entries = list(scan(self.a, self.b, "or"))
-        assert [e.coord for e in entries] == [0, 1, 2, 3, 5, 8]
+        assert scan_columns(self.a, self.b, "or")[3] == [0, 1, 2, 3, 5, 8]
 
     def test_union_pattern_indices(self):
-        entries = list(scan(self.a, self.b, "or"))
         # Figure 7 lists (X,0,0,0) (0,X,1,1) (1,1,2,2) (X,2,3,3) (2,X,4,5)
         # and finally (3,X,5,8); that last tuple is a typo in the paper —
         # coordinate 8 lives in B (crd [0,2,3,8]) at position 3, not in A
@@ -87,43 +91,35 @@ class TestFigure7Example:
             (2, INVALID, 4, 5),
             (INVALID, 3, 5, 8),
         ]
-        got = [(e.pos_a, e.pos_b, e.pos_out, e.coord) for e in entries]
-        assert got == expected
+        assert entries(self.a, self.b, "or") == expected
 
     def test_intersection(self):
-        entries = list(scan(self.a, self.b, "and"))
-        assert [(e.pos_a, e.pos_b, e.coord) for e in entries] == [(1, 1, 2)]
+        assert entries(self.a, self.b, "and") == [(1, 1, 0, 2)]
 
     def test_validity_flags(self):
-        entries = list(scan(self.a, self.b, "or"))
-        assert not entries[0].a_valid and entries[0].b_valid
-        assert entries[2].a_valid and entries[2].b_valid
+        pos_a, pos_b, _, _ = scan_columns(self.a, self.b, "or")
+        assert pos_a[0] == INVALID and pos_b[0] != INVALID
+        assert pos_a[2] != INVALID and pos_b[2] != INVALID
 
     def test_scan_count(self):
-        assert scan_count(self.a, self.b, "or") == 6
-        assert scan_count(self.a, self.b, "and") == 1
-        assert scan_count(self.a) == 3
+        # The first scanner loop of Section 7.2 sizes the result position
+        # sub-array: one entry per set bit of the combined vector.
+        union, inter = self.a | self.b, self.a & self.b
+        assert len(entries(self.a, self.b, "or")) == union.popcount() == 6
+        assert len(entries(self.a, self.b, "and")) == inter.popcount() == 1
+        assert len(entries(self.a)) == self.a.popcount() == 3
 
 
 class TestSingleScan:
     def test_single_vector_positions(self):
         bv = gen_bitvector(np.array([3, 7]), 10)
-        entries = list(scan(bv))
-        assert [(e.pos_a, e.pos_out, e.coord) for e in entries] == [
-            (0, 0, 3), (1, 1, 7),
-        ]
-
-    def test_position_bases(self):
-        bv = gen_bitvector(np.array([1]), 4)
-        entries = list(scan(bv, pos_a_base=10, pos_out_base=20))
-        assert entries[0].pos_a == 10
-        assert entries[0].pos_out == 20
+        assert entries(bv) == [(0, INVALID, 0, 3), (1, INVALID, 1, 7)]
 
     def test_bad_op_rejected(self):
         a = gen_bitvector(np.array([1]), 4)
         b = gen_bitvector(np.array([2]), 4)
         with pytest.raises(ValueError):
-            list(scan(a, b, "xor"))
+            scan_columns(a, b, "xor")
 
 
 @given(
@@ -135,8 +131,8 @@ def test_scan_matches_set_semantics(ca, cb):
     """Scan output equals Python-set union/intersection, in order."""
     a = gen_bitvector(np.array(sorted(ca), dtype=np.int64), 64)
     b = gen_bitvector(np.array(sorted(cb), dtype=np.int64), 64)
-    union = [e.coord for e in scan(a, b, "or")]
-    inter = [e.coord for e in scan(a, b, "and")]
+    union = scan_columns(a, b, "or")[3]
+    inter = scan_columns(a, b, "and")[3]
     assert union == sorted(set(ca) | set(cb))
     assert inter == sorted(set(ca) & set(cb))
 
@@ -152,11 +148,11 @@ def test_scan_positions_index_operand_coords(ca, cb):
     sa, sb = sorted(ca), sorted(cb)
     a = gen_bitvector(np.array(sa, dtype=np.int64), 64)
     b = gen_bitvector(np.array(sb, dtype=np.int64), 64)
-    for e in scan(a, b, "or"):
-        if e.a_valid:
-            assert sa[e.pos_a] == e.coord
-        if e.b_valid:
-            assert sb[e.pos_b] == e.coord
+    for pos_a, pos_b, _, coord in entries(a, b, "or"):
+        if pos_a != INVALID:
+            assert sa[pos_a] == coord
+        if pos_b != INVALID:
+            assert sb[pos_b] == coord
 
 
 @given(st.lists(st.integers(0, 200), unique=True, max_size=64), st.integers(201, 300))

@@ -811,7 +811,7 @@ class TestResume:
 
         patch_cell(monkeypatch, "table3", counting)
         result = dispatch("table3", TINY, InlineTransport(1),
-                          state_dir=state, resume=True)
+                          state_dir=state)
         ran = {(k, "-", "loc") for k in calls}
         assert result.ok
         assert result.merged.text == _serial_text("table3")
@@ -831,8 +831,7 @@ class TestResume:
 
         events: list[str] = []
         result = dispatch("table3", TINY, InlineTransport(1),
-                          state_dir=state, resume=True,
-                          on_event=events.append)
+                          state_dir=state, on_event=events.append)
         assert result.ok
         assert result.resumed_chunks == 0
         assert result.attempts == chunks
@@ -857,7 +856,7 @@ class TestResume:
         patch_cell(monkeypatch, "table3", original)
 
         result = dispatch("table3", TINY, InlineTransport(1),
-                          state_dir=state, resume=True)
+                          state_dir=state)
         assert result.ok
         assert result.resumed_chunks == 0
         assert result.merged.text == _serial_text("table3")
@@ -869,10 +868,13 @@ class TestResume:
         assert result.ok
         saved = sorted(state.glob("table3.chunk*.json"))
         assert len(saved) == result.chunks
-
-    def test_resume_requires_state_dir(self):
-        with pytest.raises(DispatchError, match="state directory"):
-            dispatch("table3", TINY, InlineTransport(1), resume=True)
+        # A state directory always resumes: the second dispatch into it
+        # leases nothing and prints the same text.
+        again = dispatch("table3", TINY, InlineTransport(2),
+                         state_dir=state)
+        assert again.resumed_chunks == again.chunks == result.chunks
+        assert again.attempts == 0
+        assert again.merged.text == result.merged.text
 
     def test_resume_ignores_another_chunk_layout(self, fresh_cache,
                                                  tmp_path):
@@ -880,8 +882,7 @@ class TestResume:
         sweep cut for another pool width is neither reused nor an error."""
         state = tmp_path / "state"
         first = dispatch("table3", TINY, InlineTransport(1), state_dir=state)
-        again = dispatch("table3", TINY, InlineTransport(2), state_dir=state,
-                         resume=True)
+        again = dispatch("table3", TINY, InlineTransport(2), state_dir=state)
         assert first.ok and again.ok
         assert again.chunks != first.chunks
         assert again.resumed_chunks == 0
@@ -896,8 +897,7 @@ class TestResume:
             state / f"table3.chunk1of{chunks}.json")
         events: list[str] = []
         result = dispatch("table3", TINY, InlineTransport(1),
-                          state_dir=state, resume=True,
-                          on_event=events.append)
+                          state_dir=state, on_event=events.append)
         assert result.ok and result.resumed_chunks == 0
         assert sum(e.startswith("resume:") for e in events) == 1
         assert any("answered for the wrong chunk" in e for e in events)
@@ -907,8 +907,7 @@ class TestResume:
         state = tmp_path / "state"
         state.write_text("not a directory")
         with pytest.raises(DispatchError) as refusal:
-            dispatch("table3", TINY, InlineTransport(1), state_dir=state,
-                     resume=True)
+            dispatch("table3", TINY, InlineTransport(1), state_dir=state)
         assert f"{state} exists and is not a directory" in str(refusal.value)
 
 

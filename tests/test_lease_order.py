@@ -106,12 +106,12 @@ class TestCostTable:
         observations ("latest wins" means latest *execution*)."""
         state = tmp_path / "state"
         first = dispatch("table3", TINY, InlineTransport(1),
-                         state_dir=state, resume=True)
+                         state_dir=state)
         assert first.ok and first.costs_recorded > 0
         key = ("SpMV", "-", "loc")
         _record("table3", TINY, key, 123.0)  # a fresher observation
         again = dispatch("table3", TINY, InlineTransport(1),
-                         state_dir=state, resume=True)
+                         state_dir=state)
         assert again.ok
         assert again.resumed_chunks == again.chunks  # nothing executed
         assert again.costs_recorded == 0
@@ -245,7 +245,7 @@ class TestLeaseOrder:
         _weigh_chunks("table3", keys, chunks, lambda i: float(i))
         with pytest.raises(Interrupt):
             dispatch("table3", TINY, InlineTransport(1), state_dir=state,
-                     resume=True, on_event=interrupt_after_two)
+                     on_event=interrupt_after_two)
         finished = {chunks, chunks - 1}  # the two heaviest ran first
         assert {int(path.name.split("chunk")[1].split("of")[0])
                 for path in state.glob("table3.chunk*.json")} == finished
@@ -254,8 +254,7 @@ class TestLeaseOrder:
         events: list[str] = []
         del calls[:]
         result = dispatch("table3", TINY, InlineTransport(1),
-                          state_dir=state, resume=True,
-                          on_event=events.append)
+                          state_dir=state, on_event=events.append)
         assert result.ok
         assert result.resumed_chunks == 2
         assert result.attempts == chunks - 2

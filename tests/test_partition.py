@@ -478,8 +478,7 @@ class TestShardIntegration:
         from repro.pipeline.dispatch import dispatch
 
         artifact = partition_artifact("SpMV", DATASET, 4)
-        kwargs = dict(chunks_per_worker=2, state_dir=tmp_path / "state",
-                      resume=True)
+        kwargs = dict(chunks_per_worker=2, state_dir=tmp_path / "state")
         first = dispatch(artifact, TINY, "inline:2", **kwargs)
         again = dispatch(artifact, TINY, "inline:2", **kwargs)
         assert first.ok and again.ok
@@ -493,8 +492,8 @@ class TestShardIntegration:
         result = dispatch(artifact, TINY, "inline:2",
                           chunks_per_worker=2, lease_timeout=60.0,
                           retries=1, use_cache=None, worker_jobs=None,
-                          state_dir=None, resume=False,
-                          on_event=lambda m: None, engine=None)
+                          state_dir=None, on_event=lambda m: None,
+                          engine=None)
         assert result.ok
         assert result.merged.text == _serial("DCSR-SpMM")
 
@@ -505,7 +504,7 @@ class TestShardIntegration:
             dispatch("table9", TINY, "inline:1",
                      chunks_per_worker=1, lease_timeout=60.0, retries=1,
                      use_cache=None, worker_jobs=None, state_dir=None,
-                     resume=False, on_event=lambda m: None, engine=None)
+                     on_event=lambda m: None, engine=None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from repro.core import compile_stmt
 from repro.formats import CSR, DENSE_VECTOR, Format, compressed, offChip
 from repro.ir import index_vars
-from repro.pipeline.batch import artifact_jobs, run_artifact, run_batch
+from repro.pipeline.batch import artifact_jobs, run_artifact
 from repro.pipeline.cache import (
     CompilationCache,
     compiler_version,
@@ -412,12 +412,6 @@ class TestBatch:
         assert warm == cold
         assert fresh_cache.stats.hits > hits_before
 
-    def test_run_batch_summary_and_texts(self):
-        run = run_batch(["table3"], TINY, jobs=2, use_cache=False)
-        assert not run.failures
-        assert "Table 3" in run.texts["table3"]
-        assert "10 jobs" in run.summary()
-
     def test_run_artifact_raises_on_failure(self, monkeypatch):
         from repro.pipeline import batch
 
@@ -470,13 +464,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SpMV:bcsstk30:*" in out
 
-    def test_batch_runs_artifacts(self, capsys, fresh_cache):
+    def test_batch_needs_shard_or_list(self, capsys, fresh_cache):
+        """``batch`` is only the shard-worker protocol: without --shard
+        or --list it runs nothing and names the commands that print
+        artefacts."""
         from repro.__main__ import main
 
-        assert main(["batch", "table3", "--scale", "0.02", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 3" in out
-        assert "batch: 10 jobs" in out
+        assert main(["batch", "table3", "--scale", "0.02"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "`tables ARTEFACT`" in captured.err
+        assert "scripts/run_experiments.py" in captured.err
+        assert fresh_cache.stats.misses == 0
 
     def test_tables_jobs_flag(self, capsys, fresh_cache):
         from repro.__main__ import main

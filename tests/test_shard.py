@@ -373,7 +373,10 @@ class TestCli:
     def test_shard_rejects_multiple_artifacts(self, capsys):
         from repro.__main__ import main
 
-        assert main(["batch", "table3", "table5", "--shard", "1/2"]) == 2
+        # One artefact per manifest: argparse refuses a second name.
+        with pytest.raises(SystemExit) as refusal:
+            main(["batch", "table3", "table5", "--shard", "1/2"])
+        assert refusal.value.code == 2
 
     def test_shard_rejects_bad_spec(self, capsys):
         from repro.__main__ import main
