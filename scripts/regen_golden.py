@@ -11,7 +11,8 @@ request JSON, which is every result cache key, and two shard manifests
 without their per-run fields. ``execution.json`` (tests/test_interp.py)
 pins the sha256 of every kernel record's ``run_dense()`` and every
 pipeline's output checksum, so an interpreter change that moves one bit
-of a result shows up. After an
+of a result shows up; its ``numpy`` section (tests/test_numpy_exec.py)
+does the same for the numpy engine's densified result. After an
 *intentional* change, rerun this script and commit the updated files;
 CI's golden-drift job runs it too and fails if the checked-in files do
 not match what the code produces.

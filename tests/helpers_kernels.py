@@ -116,16 +116,39 @@ EXECUTION_GOLDEN_SCALE = 0.01
 PIPELINE_GOLDEN_SCALE = 0.05
 
 
+#: ``(kernel, scale)`` pairs pinned for the numpy engine: every record at
+#: the execution scale, plus SDDMM where its gathers span several blocks.
+NUMPY_GOLDEN_CASES = (*((k, EXECUTION_GOLDEN_SCALE) for k in KERNELS),
+                      ("SDDMM", 0.05))
+
+
+def _golden_kernel(kernel: str, scale: float = EXECUTION_GOLDEN_SCALE):
+    from repro.api import CompileRequest, build
+
+    return build(CompileRequest(kernel=kernel, scale=scale,
+                                seed=DATASET_GOLDEN_SEED))
+
+
+def _array_digest(result) -> str:
+    result = np.asarray(result, dtype=np.float64)
+    h = hashlib.sha256(str(result.shape).encode())
+    h.update(np.ascontiguousarray(result).tobytes())
+    return h.hexdigest()
+
+
 def run_dense_digest(kernel: str) -> str:
     """sha256 over the shape and float64 bytes of ``run_dense()`` for one
     kernel record on its default dataset: the interpreter's output."""
-    from repro.api import CompileRequest, build
+    return _array_digest(_golden_kernel(kernel).run_dense())
 
-    result = build(CompileRequest(kernel=kernel, scale=EXECUTION_GOLDEN_SCALE,
-                                  seed=DATASET_GOLDEN_SEED)).run_dense()
-    h = hashlib.sha256(str(result.shape).encode())
-    h.update(np.ascontiguousarray(result, dtype=np.float64).tobytes())
-    return h.hexdigest()
+
+def numpy_digest(kernel: str, scale: float) -> str:
+    """The same digest over the numpy engine's result, densified."""
+    return _array_digest(_golden_kernel(kernel, scale).run_engine("numpy"))
+
+
+def numpy_golden_key(kernel: str, scale: float) -> str:
+    return f"{kernel}@{scale}"
 
 
 def pipeline_checksum(name: str) -> str:
@@ -144,6 +167,8 @@ def execution_digests() -> dict[str, dict[str, str]]:
     from repro.pipeline.fusion import PIPELINES
 
     return {"run_dense": {k: run_dense_digest(k) for k in KERNELS},
+            "numpy": {numpy_golden_key(k, s): numpy_digest(k, s)
+                      for k, s in NUMPY_GOLDEN_CASES},
             "pipelines": {p: pipeline_checksum(p) for p in PIPELINES}}
 
 

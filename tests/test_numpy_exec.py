@@ -13,9 +13,11 @@ the universal oracle.
 
 from __future__ import annotations
 
+import json
 import pickle
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,9 +53,19 @@ from repro.ir import index_vars
 from repro.tensor import Tensor, evaluate_dense, to_dense
 from repro.tensor.storage import DenseLevel, dense_view
 from tests.conftest import random_sparse
-from tests.helpers_kernels import SMALL_DIMS, build_small_kernel_stmt
+from tests.helpers_kernels import (
+    NUMPY_GOLDEN_CASES,
+    SMALL_DIMS,
+    build_small_kernel_stmt,
+    numpy_digest,
+    numpy_golden_key,
+)
 
 ALL_KERNELS = tuple(SMALL_DIMS)
+
+NUMPY_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "execution.json")
+    .read_text())["numpy"]
 
 #: Small per-order operand shapes for the format-registry sweep. Block
 #: formats (BCSR) need the two inner dims to equal the static 4x4 tile.
@@ -146,6 +158,19 @@ def test_format_registry_cross_validation(format_name, rng):
         cpu = execute_cpu(y.get_index_stmt())
         assert np.allclose(np.asarray(cpu).reshape(reference.shape),
                            reference)
+
+
+def test_numpy_golden_covers_every_case():
+    assert set(NUMPY_GOLDEN) == {numpy_golden_key(k, s)
+                                 for k, s in NUMPY_GOLDEN_CASES}
+
+
+@pytest.mark.parametrize("kernel,scale", NUMPY_GOLDEN_CASES)
+def test_numpy_result_matches_golden(kernel, scale):
+    """The densified result is bit-identical to ``tests/golden/
+    execution.json`` (signed zeros included), on blocked gathers too."""
+    assert (numpy_digest(kernel, scale)
+            == NUMPY_GOLDEN[numpy_golden_key(kernel, scale)])
 
 
 @settings(max_examples=15, deadline=None)
