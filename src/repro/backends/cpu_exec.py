@@ -43,7 +43,7 @@ from repro.ir.index_notation import (
 )
 from repro.ir.lattice import MergeLattice, build_lattice, iteration_space
 from repro.schedule.stmt import IndexStmt
-from repro.tensor.storage import CompressedLevel
+from repro.tensor.storage import CompressedLevel, TensorStorage, wrap_dense
 from repro.tensor.tensor import Tensor
 
 
@@ -169,9 +169,11 @@ class CpuExecutor:
 
     # -- statement walk --------------------------------------------------------------
 
-    def run(self) -> np.ndarray:
+    def run(self) -> TensorStorage:
+        """Walk the statement; the result in the output's declared format."""
         self.walk(self.cin)
-        return self.out.reshape(self.output.shape) if self.output.order else self.out
+        return wrap_dense(self.out.reshape(self.output.shape),
+                          self.output.format)
 
     def walk(self, stmt: CinStmt) -> None:
         if isinstance(stmt, SuchThat):
@@ -271,7 +273,7 @@ class CpuExecutor:
             self.out[idx] = total
 
 
-def execute_cpu(stmt: IndexStmt | Assignment) -> np.ndarray:
-    """Execute a statement with the CPU interpreter; returns the dense
-    result array."""
+def execute_cpu(stmt: IndexStmt | Assignment) -> TensorStorage:
+    """Execute a statement with the CPU interpreter; returns the result
+    in the output's declared format (``np.asarray`` densifies it)."""
     return CpuExecutor(stmt).run()

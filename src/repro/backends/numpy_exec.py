@@ -16,11 +16,21 @@ SDFG into a pre-state, a compute state and a post-state:
   **block** levels first validate their static extent). The plan keeps only
   compact index arrays (gather indices per dense operand, positions into
   ``vals``, ``reduceat`` run starts and output keys, join index pairs)
-  and einsum strings — no coordinate matrix, no keys, no value;
+  and einsum strings — no coordinate matrix, no value. For a compressed
+  lhs it also packs the output's level arrays once: a term's sorted,
+  unique run keys *are* the output coordinates (a multi-term sum merges
+  them with one sorted union), so only where each run lands in ``vals``
+  is kept;
 * **compute state** — :meth:`ExecPlan.run`: gather → multiply/``einsum``
-  → ``np.add.reduceat`` → scatter, reading ``vals``, dense operands and
-  scalars live;
-* **post-state** — the dense result in the lhs shape.
+  → ``np.add.reduceat``, reading ``vals``, dense operands and scalars
+  live. A term with a dense gather wider than its per-entry output
+  (SDDMM's two rank-``K`` rows per entry) runs in blocks of about
+  :data:`GATHER_BLOCK_BYTES` of gathers, cut at run starts, so every
+  per-output sum sees the same operands in the same order as one pass;
+* **post-state** — a :class:`TensorStorage` in the lhs's declared format:
+  the planned level arrays plus fresh ``vals`` for a compressed lhs (no
+  dense buffer), the computed array wrapped without a copy for a dense
+  one. ``np.asarray`` densifies it on request.
 
 Each additive term is classified by how many *sparse* (non-all-dense)
 factors it multiplies: none → one ``einsum`` over dense views; one →
@@ -44,6 +54,7 @@ result is engine-independent up to floating-point summation order.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -62,10 +73,13 @@ from repro.ir.index_notation import (
 from repro.schedule.stmt import IndexStmt
 from repro.tensor.ops import infer_dimensions
 from repro.tensor.storage import (
+    DenseLevel,
     TensorStorage,
     dense_view,
+    pack,
     unpack,
     walk_levels,
+    wrap_dense,
 )
 
 __all__ = [
@@ -74,11 +88,15 @@ __all__ = [
     "VectorizeFallback",
     "enumerate_entries",
     "execute_numpy",
-    "segment_scatter_add",
 ]
 
 #: einsum subscript letters; ``e`` is reserved for the entry axis.
 _LETTERS = "abcdfghijklmnopqrstuvwxyz"
+
+#: Bytes of dense gathers one block of entries holds at once, about an
+#: L2 cache. Whole, SDDMM's two ``(nnz, 256)`` gathers at scale 0.05 are
+#: 14.8 MB each, and a call took 2.3x as long as in 1 MiB blocks.
+GATHER_BLOCK_BYTES = 1 << 20
 
 
 class VectorizeFallback(Exception):
@@ -133,15 +151,26 @@ def _scatter_order(keys: np.ndarray):
     return perm, starts, keys[starts]
 
 
-def segment_scatter_add(buffer: np.ndarray, keys: np.ndarray,
-                        contrib: np.ndarray) -> None:
-    """``buffer[keys] += contrib`` with duplicate keys accumulated."""
-    if len(keys) == 0:
-        return
-    perm, starts, ukeys = _scatter_order(keys)
-    if perm is not None:
-        contrib = contrib[perm]
-    buffer[ukeys] += np.add.reduceat(contrib, starts, axis=0)
+def _blocks(n: int, starts, size: int) -> list:
+    """``[(entries, starts)]``: slices of about ``size`` entries, cut only
+    at run starts (a run longer than ``size`` stays whole), each with its
+    run starts rebased to the slice (``None``: one entry per run)."""
+    if starts is None:
+        cuts = range(0, n, size)
+    else:
+        cuts = np.unique(starts[np.searchsorted(
+            starts, np.arange(0, n, size), side="right") - 1])
+    bounds = [*map(int, cuts), n]
+    blocks = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        local = None
+        if starts is not None:
+            local = starts[np.searchsorted(starts, lo):
+                           np.searchsorted(starts, hi)] - lo
+            if len(local) == hi - lo:
+                local = None
+        blocks.append((slice(lo, hi), local))
+    return blocks
 
 
 def _flatten_factors(expr: IndexExpr) -> tuple[float, list[IndexExpr]]:
@@ -209,7 +238,9 @@ class _Term:
     ``factors`` holds ``(tensor, positions, block)`` per sparse factor
     (``positions`` is ``None`` for the identity; ``block`` the extents of
     the format's trailing block levels, kept as dense value axes);
-    ``dense`` holds :func:`_operand`'s arguments per dense operand.
+    ``dense`` holds :func:`_operand`'s arguments per dense operand;
+    ``blocks`` the entry slices computed one at a time, with their run
+    starts (see :func:`_blocks`).
     """
 
     def __init__(self, term: IndexExpr, lhs_vars, dims, letters) -> None:
@@ -238,6 +269,7 @@ class _Term:
         self.shape = tuple(dims[v] if id(v) in in_term else 1
                            for v in lhs_vars)
         self.factors, self.dense, self.ukeys, self.n = [], [], None, None
+        self.key_vars = None
         if not sparse:
             self.dense = [(acc.tensor, None, None, None, None)
                           for acc in dense]
@@ -264,25 +296,32 @@ class _Term:
             vals_sub = "e" + sub(acc.indices[st.fmt.mode_of_level(lv)]
                                  for lv in tile)
         self.n = len(next(iter(cols.values())))
+        lhs_s = [v for v in present if id(v) in cols]
+        lhs_d = [v for v in present if id(v) not in cols]
+        # A keyed term's runs are output coordinates: its sparse lhs
+        # variables, linearised into ``ukeys``, times the dense tail.
+        self.key_vars = (tuple(map(id, lhs_s)), tuple(map(id, lhs_d))
+                         ) if lhs_s else None
+        self.d_shape = tuple(dims[v] for v in lhs_d)
         if not self.n:
+            if lhs_s:
+                self.ukeys = np.zeros(0, dtype=np.int64)
             return
 
         # Entries sharing an output coordinate (reduction vars living in
         # the sparse factor) merge: order them by linearized output key,
         # once, and fold that order into every index array.
-        lhs_s = [v for v in present if id(v) in cols]
-        lhs_d = [v for v in present if id(v) not in cols]
-        perm = None
+        perm = starts = None
         if lhs_s:
             keys = 0
             for v in lhs_s:
                 keys = keys * dims[v] + cols[id(v)]
             perm, starts, self.ukeys = _scatter_order(keys)
-            self.starts = None if len(starts) == self.n else starts
+            if len(starts) == self.n:
+                starts = None
             s_shape = tuple(dims[v] for v in lhs_s)
-            d_shape = tuple(dims[v] for v in lhs_d)
-            self.buffer_shape = (int(np.prod(s_shape)),) + d_shape
-            self.sd_shape = s_shape + d_shape
+            self.buffer_shape = (int(np.prod(s_shape)),) + self.d_shape
+            self.sd_shape = s_shape + self.d_shape
             self.axes = [(lhs_s + lhs_d).index(v) for v in present]
         if perm is not None:
             cols = {k: c[perm] for k, c in cols.items()}
@@ -310,6 +349,7 @@ class _Term:
             s == out for s in subs[1:])
         self.einsum = None if pure else ",".join(subs) + "->" + out
         self.tail = pure and bool(lhs_d)
+        widths = [0]  # values each gather holds per entry
         for acc, shared, residual in gathers:
             shape = [acc.tensor.shape[m] for m in residual]
             index = None
@@ -317,32 +357,40 @@ class _Term:
                 index = np.ravel_multi_index(
                     [cols[id(acc.indices[m])] for m in shared],
                     [acc.tensor.shape[m] for m in shared])
+                widths.append(int(np.prod(shape)))
             if self.tail:
                 self.dense.append((acc.tensor, residual + shared,
                                    shape + [-1], index, -1))
             else:
                 self.dense.append((acc.tensor, shared + residual,
                                    [-1] + shape, index, 0))
+        # A gather wider than the per-entry output (the einsum contracts
+        # its rows away) runs in blocks. A term without keys sums every
+        # entry into one output and is never blocked: partial sums would
+        # reassociate it.
+        self.blocks = [(slice(None), starts)]
+        if lhs_s and max(widths) > int(np.prod(self.d_shape)):
+            size = max(1, GATHER_BLOCK_BYTES // (8 * sum(widths)))
+            self.blocks = _blocks(self.n, starts, size)
 
-    def run(self) -> np.ndarray:
+    def _scalar(self) -> float:
         scalar = self.literal
         for t in self.scalars:
             scalar *= t.scalar_value()
-        if self.n == 0:
-            return np.zeros(self.shape)
-        ops = [_operand(*spec) for spec in self.dense]
-        if self.n is None:  # no sparse factor
-            if not ops:
-                return np.full(self.shape, scalar)
-            return (scalar * np.einsum(self.einsum, *ops)).reshape(self.shape)
+        return scalar
+
+    def _block(self, scalar: float, entries: slice, starts) -> np.ndarray:
+        """One slice of entries' contributions, summed per run."""
         vals = None
         for t, pos, blk in self.factors:
             v = t.storage.vals.reshape((-1,) + blk) if blk else t.storage.vals
-            if pos is not None:
-                v = v[pos]
+            v = v[entries] if pos is None else v[pos[entries]]
             vals = v if vals is None else vals * v
         if scalar != 1.0:
             vals = vals * scalar
+        ops = [_operand(t, axes, shape, None if index is None
+                        else index[entries], axis)
+               for t, axes, shape, index, axis in self.dense]
         if self.einsum is not None:
             contrib = np.einsum(self.einsum, vals, *ops)
         elif ops:
@@ -352,15 +400,37 @@ class _Term:
             contrib *= vals
         else:
             contrib = vals
-        if self.ukeys is None:  # einsum already reduced the entry axis
-            return contrib.reshape(self.shape)
-        if self.starts is not None:
-            contrib = np.add.reduceat(contrib, self.starts,
+        if starts is not None:
+            contrib = np.add.reduceat(contrib, starts,
                                       axis=-1 if self.tail else 0)
-        if self.tail:
-            contrib = np.moveaxis(contrib, -1, 0)
+        return contrib
+
+    def entries(self) -> np.ndarray:
+        """A keyed term's value per run, in ``ukeys`` order, shaped
+        ``(runs,) + d_shape``. May be a view of an operand's ``vals``."""
+        if self.n == 0:
+            return np.zeros((0,) + self.d_shape)
+        scalar = self._scalar()
+        parts = [self._block(scalar, *block) for block in self.blocks]
+        axis = -1 if self.tail else 0
+        contrib = parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
+        return np.moveaxis(contrib, -1, 0) if self.tail else contrib
+
+    def run(self) -> np.ndarray:
+        """The term as a dense array that broadcasts to the lhs shape."""
+        if self.n == 0:
+            return np.zeros(self.shape)
+        if self.n is None:  # no sparse factor
+            scalar = self._scalar()
+            ops = [_operand(*spec) for spec in self.dense]
+            if not ops:
+                return np.full(self.shape, scalar)
+            return (scalar * np.einsum(self.einsum, *ops)).reshape(self.shape)
+        if self.ukeys is None:  # einsum already reduced the entry axis
+            return self._block(self._scalar(), *self.blocks[0]).reshape(
+                self.shape)
         buffer = np.zeros(self.buffer_shape)
-        buffer[self.ukeys] += contrib
+        buffer[self.ukeys] += self.entries()
         # Axes are (lhs_s..., lhs_d...); interleave back into lhs order.
         return buffer.reshape(self.sd_shape).transpose(self.axes).reshape(
             self.shape)
@@ -371,8 +441,13 @@ class ExecPlan:
 
     Holds the operand tensors with the storages they had at build time
     (the identity snapshot :meth:`current` revalidates), one
-    :class:`_Term` per additive term, the output shape, and — for a
-    statement that cannot be vectorized — the reason, as ``fallback``.
+    :class:`_Term` per additive term, the output format and shape, and —
+    for a statement that cannot be vectorized — the reason, as
+    ``fallback``. ``levels`` is the output's level structure, fixed at
+    plan time: all dense for a dense lhs, packed from the terms' keys for
+    a compressed one (``slots`` then says where each term's entries land
+    in ``vals``), ``None`` for a compressed lhs the terms cannot key,
+    whose dense result is packed on every run.
     """
 
     def __init__(self, a: Assignment) -> None:
@@ -381,6 +456,9 @@ class ExecPlan:
         self.inputs = tuple(dict.fromkeys(a.rhs.tensors()))
         self.storages = self._snapshot()
         self.fallback: str | None = None
+        self.fmt = a.lhs.tensor.format
+        self.out_shape = a.lhs.tensor.shape
+        self.levels = self.slots = None
         try:
             dims = infer_dimensions(a)
             if len(dims) > len(_LETTERS):
@@ -389,7 +467,6 @@ class ExecPlan:
                 )
             letters = {id(v): _LETTERS[k] for k, v in enumerate(dims)}
             lhs_vars = list(a.lhs.indices)
-            self.out_shape = tuple(dims[v] for v in lhs_vars)
             self.terms = [(sign, _Term(term, lhs_vars, dims, letters))
                           for sign, term in additive_terms(a.rhs)]
         except VectorizeFallback as exc:
@@ -401,6 +478,52 @@ class ExecPlan:
         # whole cost for tiny-nnz kernels with dense outputs).
         self.direct = (len(self.terms) == 1 and self.terms[0][0] == 1
                        and not self.accumulate)
+        if self.fmt.is_all_dense:
+            self.levels = [DenseLevel(self.out_shape[m])
+                           for m in self.fmt.mode_ordering]
+        elif not self.accumulate:
+            self._plan_output(lhs_vars)
+
+    def _plan_output(self, lhs_vars) -> None:
+        """Pack a compressed output's level arrays, once.
+
+        Every term must key its runs on the same split of all the lhs
+        variables; the output coordinates are then the sorted union of
+        their keys, times the dense tail. Packing labels each coordinate
+        with its number, so ``slots`` records where every term's entries
+        land in ``vals`` (``None``: all of it, in order).
+        """
+        splits = {term.key_vars for _, term in self.terms}
+        mode = {id(v): m for m, v in enumerate(lhs_vars)}
+        if len(splits) != 1 or None in splits or len(mode) != len(lhs_vars):
+            return
+        ((s_ids, d_ids),) = splits
+        if len(s_ids) + len(d_ids) != len(mode):
+            return
+        term_keys = [term.ukeys for _, term in self.terms]
+        keys = (term_keys[0] if len(term_keys) == 1
+                else np.unique(np.concatenate(term_keys)))
+        width = math.prod(self.out_shape[mode[v]] for v in d_ids)
+        coords = np.empty((len(keys) * width, len(mode)), dtype=np.int64)
+        s_cols = np.unravel_index(keys, [self.out_shape[mode[v]]
+                                         for v in s_ids])
+        for v, col in zip(s_ids, s_cols):
+            coords[:, mode[v]] = np.repeat(col, width)
+        d_cols = np.indices([self.out_shape[mode[v]] for v in d_ids])
+        for v, col in zip(d_ids, d_cols.reshape(len(d_ids), width)):
+            coords[:, mode[v]] = np.tile(col, len(keys))
+        labelled = pack(coords, np.arange(1, len(coords) + 1),
+                        self.out_shape, self.fmt)
+        filled = np.flatnonzero(labelled.vals)
+        slot = np.empty(len(coords), dtype=np.int64)
+        slot[labelled.vals[filled].astype(np.int64) - 1] = filled
+        self.levels, self.n_slots = labelled.levels, len(labelled.vals)
+        self.slots = []
+        for ukeys in term_keys:
+            runs = np.searchsorted(keys, ukeys)
+            mine = slot[(runs[:, None] * width + np.arange(width)).ravel()]
+            self.slots.append(None if np.array_equal(
+                mine, np.arange(self.n_slots)) else mine)
 
     def _snapshot(self) -> tuple:
         # The lhs is read raw: packing an empty output would change
@@ -413,8 +536,27 @@ class ExecPlan:
         return all(now is then for now, then
                    in zip(self._snapshot(), self.storages))
 
-    def run(self) -> np.ndarray:
-        """The compute state: the dense result in the lhs shape."""
+    def run(self) -> TensorStorage:
+        """The compute and post-states: the result in the lhs format."""
+        if self.levels is None:  # a compressed lhs the terms cannot key
+            return wrap_dense(self._run_dense(), self.fmt)
+        if self.slots is None:  # a dense lhs: the array, in level order
+            vals = self._run_dense().transpose(self.fmt.mode_ordering)
+            return TensorStorage(self.fmt, self.out_shape, list(self.levels),
+                                 vals.reshape(-1))
+        # Each slot starts at +0.0 and takes its terms in order, exactly
+        # as the dense sum did: 0.0 + -0.0 is +0.0 here too.
+        vals = np.zeros(self.n_slots)
+        for (sign, term), slots in zip(self.terms, self.slots):
+            op = np.add if sign >= 0 else np.subtract
+            contrib = term.entries().reshape(-1)
+            if slots is None:
+                op(vals, contrib, out=vals)
+            else:
+                vals[slots] = op(vals[slots], contrib)
+        return TensorStorage(self.fmt, self.out_shape, list(self.levels), vals)
+
+    def _run_dense(self) -> np.ndarray:
         if self.direct:
             contrib = self.terms[0][1].run()
             if contrib.shape == self.out_shape:
@@ -465,8 +607,8 @@ class NumpyExecutor:
             self.plan_state = "fallback"
         return plan
 
-    def run(self, strict: bool = False) -> np.ndarray:
-        """Execute, returning the dense result array (lhs shape).
+    def run(self, strict: bool = False) -> TensorStorage:
+        """Execute, returning the result in the lhs's declared format.
 
         ``strict=True`` raises :class:`VectorizeFallback` instead of
         delegating to the ``CpuExecutor`` interpreter.
@@ -479,14 +621,11 @@ class NumpyExecutor:
         self.fell_back = True
         from repro.backends.cpu_exec import CpuExecutor
 
-        result = CpuExecutor(self.assignment).run()
-        return np.asarray(result, dtype=np.float64).reshape(
-            self.assignment.lhs.tensor.shape
-        )
+        return CpuExecutor(self.assignment).run()
 
 
 def execute_numpy(stmt: IndexStmt | Assignment,
-                  strict: bool = False) -> np.ndarray:
+                  strict: bool = False) -> TensorStorage:
     """Execute a statement with the vectorized NumPy backend.
 
     Falls back to :func:`repro.backends.cpu_exec.execute_cpu` for

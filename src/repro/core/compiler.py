@@ -78,20 +78,23 @@ class CompiledKernel:
         return to_dense(self.run(**overrides))
 
     def run_engine(self, engine: str | None = None,
-                   strict: bool = False) -> np.ndarray:
-        """Execute functionally with the selected engine, densified.
+                   strict: bool = False) -> TensorStorage:
+        """Execute functionally with the selected engine.
 
         ``engine`` is one of :data:`ENGINES` (``None`` asks
-        :func:`default_engine`). All engines return the dense result in
-        the output tensor's shape; they agree up to floating-point
-        summation order, with ``interp`` as the oracle. ``strict`` makes
-        a ``numpy``-engine fallback to the ``cpu`` walker raise
+        :func:`default_engine`). Every engine returns the result as a
+        :class:`TensorStorage` in the output tensor's declared format, a
+        level writer's output: no engine builds a dense buffer for a
+        compressed result, and ``np.asarray`` densifies on request. They
+        agree up to floating-point summation order, with ``interp`` as
+        the oracle. ``strict`` makes a ``numpy``-engine fallback to the
+        ``cpu`` walker raise
         :class:`~repro.backends.numpy_exec.VectorizeFallback` instead.
         """
         return self.run_engine_report(engine, strict)[0]
 
     def run_engine_report(self, engine: str | None = None,
-                          strict: bool = False) -> tuple[np.ndarray, bool]:
+                          strict: bool = False) -> tuple[TensorStorage, bool]:
         """:meth:`run_engine`, plus whether the engine fell back.
 
         The one place the ``numpy`` engine is called from: its ``exec``
@@ -103,14 +106,12 @@ class CompiledKernel:
         engine = default_engine() if engine is None else engine
         if engine == "interp":
             with _trace.span("interp", kernel=self.name):
-                return self.run_dense(), False
-        out_shape = self.analysis.output.shape
+                return self.run(), False
         if engine == "cpu":
             from repro.backends.cpu_exec import CpuExecutor
 
             with _trace.span("exec", kernel=self.name, engine="cpu"):
-                result = CpuExecutor(self.stmt).run()
-            return np.asarray(result, dtype=np.float64).reshape(out_shape), False
+                return CpuExecutor(self.stmt).run(), False
         if engine == "numpy":
             from repro.backends.numpy_exec import NumpyExecutor
 
@@ -129,8 +130,7 @@ class CompiledKernel:
                     "repro_engine_fallbacks_total",
                     "numpy-engine runs that fell back to the cpu walker",
                     ("kernel",)).inc(kernel=self.name)
-            return (np.asarray(result, dtype=np.float64).reshape(out_shape),
-                    executor.fell_back)
+            return result, executor.fell_back
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
     def memory_report(self) -> str:

@@ -1,4 +1,5 @@
-"""The execution-engine names: a leaf module that imports nothing of ``repro``.
+"""The execution-engine names: a leaf module that imports nothing of
+``repro`` at import time.
 
 Validating an engine string is all most callers need (the request API,
 the CLI's ``--engine`` choices), so the names live here and
@@ -37,9 +38,18 @@ def default_engine() -> str:
 def oracle_maxerr(got, expected, error: type[Exception], what: str) -> float:
     """``max |got - expected|``, held to the one tolerance every oracle
     comparison shares: 1e-8 of the oracle's largest magnitude (at least
-    1). Past it, raises ``error`` with ``what`` disagreed."""
+    1). Past it, raises ``error`` with ``what`` disagreed.
+
+    Two engine results (``TensorStorage``) meet on the union of their
+    stored coordinates, an entry one side does not store counting as 0:
+    the same ``maxerr`` as their dense arrays, without building them.
+    """
     import numpy as np
 
+    if not isinstance(expected, np.ndarray):
+        from repro.tensor.storage import aligned_values
+
+        got, expected = aligned_values(got, expected)
     if not expected.size:
         return 0.0
     maxerr = float(np.max(np.abs(got - expected)))

@@ -276,9 +276,11 @@ def _run_kernel(kernel: str, sparse, dense: np.ndarray,
 
     ``strict``: a silent fallback would pass for a partition slowdown.
     Uncached: the statement embeds the block's data, and the block
-    *result* is what the ``partition`` stage keeps.
+    *result* is what the ``partition`` stage keeps: the dense view of the
+    (all-dense) output storage.
     """
     from repro.core.compiler import compile_stmt
+    from repro.tensor.storage import dense_view
 
     spec = KERNELS[kernel]
     # A block keeps the run's factor rank (the dense operand's trailing
@@ -286,8 +288,8 @@ def _run_kernel(kernel: str, sparse, dense: np.ndarray,
     shapes = spec.shapes(sparse.dims, free=dense.shape[-1])
     stmt, _out = spec.build(spec.operands(shapes, [sparse],
                                           lambda _shape: dense))
-    return compile_stmt(stmt, kernel, cache=False).run_engine(engine,
-                                                              strict=True)
+    return dense_view(compile_stmt(stmt, kernel, cache=False).run_engine(
+        engine, strict=True))
 
 
 def partition_cell(operands: StagedOperands, index: int,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from typing import Any, Callable, Sequence
 
@@ -416,8 +417,8 @@ def exec_check(request: CompileRequest,
     """Functional-execution **stage**: run one cell with the request's engine.
 
     Executes the kernel's statement with the selected engine and checks
-    the dense result against the Spatial interpreter
-    (``CompiledKernel.run_dense`` — the oracle: it executes the lowered
+    the result, on coordinates, against the Spatial interpreter
+    (``CompiledKernel.run`` — the oracle: it executes the lowered
     program and handles every format, and unlike the dense broadcast
     reference it never materializes the full iteration-space product,
     which is intractable at sweep scales for contractions like SDDMM).
@@ -433,16 +434,13 @@ def exec_check(request: CompileRequest,
     engine = req.engine if req.engine is not None else default_engine()
 
     def compute() -> dict:
-        import numpy as np
-
         kernel = build(req, use_cache=use_cache)
         with _trace.span("interp", kernel=req.kernel, dataset=req.dataset):
-            expected = np.asarray(kernel.run_dense(), dtype=np.float64)
+            expected = kernel.run()
         if engine == "interp":
             got, fell_back = expected, False
         else:
             got, fell_back = kernel.run_engine_report(engine)
-        got = np.asarray(got, dtype=np.float64).reshape(expected.shape)
         maxerr = oracle_maxerr(
             got, expected, EngineMismatchError,
             f"{engine} engine disagrees with the interpreter oracle on "
@@ -452,7 +450,7 @@ def exec_check(request: CompileRequest,
             "dataset": req.dataset,
             "engine": engine,
             "maxerr": maxerr,
-            "elements": int(expected.size),
+            "elements": math.prod(expected.shape),
             "fell_back": fell_back,
         }
 

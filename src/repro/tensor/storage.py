@@ -84,7 +84,7 @@ Level = DenseLevel | CompressedLevel | SingletonLevel
 
 
 @dataclasses.dataclass
-class TensorStorage:
+class TensorStorage(np.lib.mixins.NDArrayOperatorsMixin):
     """Packed storage for one tensor: levels (outermost first) plus values.
 
     ``levels[L]`` stores tensor mode ``fmt.mode_ordering[L]``. ``vals`` has
@@ -96,6 +96,11 @@ class TensorStorage:
     numpy engine's ``ExecPlan``) may therefore cache anything derived
     from them, keyed on the identity of this object. ``vals`` may be
     updated in place and must be read live.
+
+    To NumPy a storage is the dense tensor it holds, built on request:
+    ``np.asarray`` calls :meth:`__array__`, and arithmetic operators and
+    ufuncs (``result + 1e-3``, ``np.abs(result)``) densify every storage
+    operand first.
     """
 
     fmt: Format
@@ -106,6 +111,29 @@ class TensorStorage:
     @property
     def order(self) -> int:
         return len(self.dims)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """``dims``, under the name NumPy consumers read."""
+        return self.dims
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense tensor, built on request by :func:`to_dense`, so
+        ``np.asarray`` (and any NumPy function) reads a storage as the
+        tensor it holds. ``copy`` follows NumPy 2: ``True`` never aliases
+        ``vals``, ``False`` refuses to build a new array."""
+        dense = to_dense(self)
+        if dtype is not None:
+            dense = dense.astype(dtype, copy=False)
+        shared = np.may_share_memory(dense, self.vals)
+        if copy is False and not shared:
+            raise ValueError("densifying this storage needs a copy")
+        return dense.copy() if copy and shared else dense
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(np.asarray(x) if isinstance(x, TensorStorage) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
     @property
     def nnz(self) -> int:
@@ -450,6 +478,65 @@ def _pack_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
     vals.reshape(level_dims)[...] = array.transpose(fmt.mode_ordering)
     return TensorStorage(fmt, tuple(array.shape),
                          [DenseLevel(dim) for dim in level_dims], vals)
+
+
+def wrap_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
+    """A computed dense result as storage in ``fmt``, which
+    :func:`to_dense` gives back bit for bit.
+
+    All-dense formats wrap ``array``: ``vals`` is a view of it whenever
+    it is already in level order, so the caller hands the array over.
+    Any other format packs every entry that is not ``+0.0`` (a ``-0.0``
+    is kept), where :func:`from_dense` would drop it.
+    """
+    array = np.asarray(array, dtype=np.float64)
+    if fmt.is_all_dense:
+        return TensorStorage(
+            fmt, array.shape,
+            [DenseLevel(array.shape[m]) for m in fmt.mode_ordering],
+            array.transpose(fmt.mode_ordering).reshape(-1))
+    # Any set bit: +0.0 is the one all-zero float64.
+    flat = np.ascontiguousarray(array).reshape(-1)
+    keep = np.flatnonzero(flat.view(np.int64) != 0)
+    coords = np.stack(np.unravel_index(keep, array.shape), axis=1)
+    return pack(coords, flat[keep], array.shape, fmt)
+
+
+def aligned_values(a: TensorStorage,
+                   b: TensorStorage) -> tuple[np.ndarray, np.ndarray]:
+    """Two same-shape tensors' values over the union of their stored
+    coordinates, an entry one side does not store reading 0 there.
+
+    Storages of one unique format with equal level arrays (an engine
+    result and the interpreter's, as a rule) store the same coordinates
+    in the same order: their ``vals`` come back as they are. Otherwise
+    coordinates meet as linearised keys, with duplicate coordinates of a
+    non-unique format summed as :func:`to_dense` sums them.
+    """
+    if a.dims != b.dims:
+        raise ValueError(f"shapes differ: {a.dims} vs {b.dims}")
+    # Equal dims and format fix the dense levels; compare the rest.
+    if (a.fmt == b.fmt and all(mf.unique for mf in a.fmt.mode_formats)
+            and all(np.array_equal(x.crd, y.crd) and (
+                isinstance(x, SingletonLevel) or np.array_equal(x.pos, y.pos))
+                for x, y in zip(a.levels, b.levels)
+                if not isinstance(x, DenseLevel))):
+        return a.vals, b.vals
+    keyed = []
+    for storage in (a, b):
+        coords, vals = unpack(storage)
+        keyed.append((np.ravel_multi_index(coords.T, storage.dims), vals,
+                      all(mf.unique for mf in storage.fmt.mode_formats)))
+    keys = np.union1d(keyed[0][0], keyed[1][0])
+    out = []
+    for k, vals, unique in keyed:
+        aligned = np.zeros(len(keys))
+        if unique:
+            aligned[np.searchsorted(keys, k)] = vals
+        else:
+            np.add.at(aligned, np.searchsorted(keys, k), vals)
+        out.append(aligned)
+    return out[0], out[1]
 
 
 def from_dense(array: np.ndarray, fmt: Format) -> TensorStorage:

@@ -25,15 +25,16 @@ from tests.helpers_kernels import build_small_kernel_stmt
 def test_matches_dense_reference(name):
     stmt, out, _ = build_small_kernel_stmt(name)
     result = execute_cpu(stmt)
+    assert result.fmt == out.format
     reference = np.atleast_1d(evaluate_dense(out.get_assignment()))
-    assert np.allclose(result.reshape(reference.shape), reference)
+    assert np.allclose(to_dense(result).reshape(reference.shape), reference)
 
 
 @pytest.mark.parametrize("name", KERNEL_ORDER)
 def test_matches_spatial_interpreter(name):
     """Differential: CPU executor vs Spatial interpreter, same statement."""
     stmt, out, _ = build_small_kernel_stmt(name, seed=9, density=0.35)
-    cpu = execute_cpu(stmt)
+    cpu = to_dense(execute_cpu(stmt))
     spatial = to_dense(compile_stmt(stmt, name.lower()).run())
     assert np.allclose(cpu.reshape(np.atleast_1d(spatial).shape),
                        np.atleast_1d(spatial))

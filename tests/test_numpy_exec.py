@@ -32,7 +32,6 @@ from repro.backends.numpy_exec import (
     VectorizeFallback,
     enumerate_entries,
     execute_numpy,
-    segment_scatter_add,
 )
 from repro.core import compile_stmt
 from repro.core.compiler import ENGINES, default_engine
@@ -132,15 +131,16 @@ def test_matches_dense_reference(name):
     executor = NumpyExecutor(stmt)
     result = executor.run(strict=True)
     assert not executor.fell_back
+    assert result.fmt == out.format  # the declared format, not dense
     reference = np.atleast_1d(evaluate_dense(out.get_assignment()))
-    assert np.allclose(result.reshape(reference.shape), reference)
+    assert np.allclose(to_dense(result).reshape(reference.shape), reference)
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
 def test_matches_spatial_interpreter(name):
     """Differential: numpy engine vs Spatial interpreter, same statement."""
     stmt, _, _ = build_small_kernel_stmt(name, seed=9, density=0.35)
-    result = execute_numpy(stmt, strict=True)
+    result = to_dense(execute_numpy(stmt, strict=True))
     spatial = np.atleast_1d(to_dense(compile_stmt(stmt, name.lower()).run()))
     assert np.allclose(result.reshape(spatial.shape), spatial)
 
@@ -153,7 +153,7 @@ def test_format_registry_cross_validation(format_name, rng):
     result = executor.run(strict=True)
     assert not executor.fell_back
     reference = np.atleast_1d(evaluate_dense(y.get_assignment()))
-    assert np.allclose(result.reshape(reference.shape), reference)
+    assert np.allclose(to_dense(result).reshape(reference.shape), reference)
     if _cpu_walkable(format_of(format_name)):
         cpu = execute_cpu(y.get_index_stmt())
         assert np.allclose(np.asarray(cpu).reshape(reference.shape),
@@ -187,7 +187,8 @@ def test_property_spmv_three_way(seed, density):
     stmt = y.get_index_stmt()
     reference = evaluate_dense(y.get_assignment())
     assert np.allclose(execute_numpy(stmt, strict=True), reference)
-    assert np.allclose(execute_cpu(stmt).reshape(reference.shape), reference)
+    assert np.allclose(to_dense(execute_cpu(stmt)).reshape(reference.shape),
+                       reference)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +268,89 @@ def test_enumerate_entries_round_trip(format_name, rng):
     assert np.allclose(rebuilt, dense)
 
 
-def test_segment_scatter_add_matches_add_at(rng):
-    """Duplicate and unsorted keys accumulate exactly like np.add.at."""
-    keys = rng.integers(0, 20, size=200)
-    contrib = rng.random((200, 3))
-    buffer = np.zeros((20, 3))
-    segment_scatter_add(buffer, keys, contrib)
-    reference = np.zeros((20, 3))
-    np.add.at(reference, keys, contrib)
-    assert np.allclose(buffer, reference)
+# ---------------------------------------------------------------------------
+# The sparse post-state and blocked gathers
+# ---------------------------------------------------------------------------
+
+
+def test_ttv_result_stays_sparse(fresh_cache):
+    """At scale 0.25 TTV's dense output would be 51 MB. The engine writes
+    the interpreter's level arrays instead, within the oracle tolerance,
+    and allocates a small fraction of that dense buffer, plan included."""
+    import tracemalloc
+
+    from repro.api import CompileRequest, build
+    from repro.engines import oracle_maxerr
+
+    kernel = build(CompileRequest(kernel="TTV", scale=0.25, seed=7))
+    expected = kernel.run()
+    dense_bytes = 8 * int(np.prod(expected.shape))
+    tracemalloc.start()
+    try:
+        result = kernel.run_engine("numpy", strict=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.fmt == kernel.analysis.output.format
+    assert peak < dense_bytes // 8
+    for got, want in zip(result.levels, expected.levels):
+        assert type(got) is type(want)
+        for name in ("pos", "crd"):
+            if hasattr(want, name):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert oracle_maxerr(result, expected, AssertionError, "TTV") < 1e-12
+
+
+def test_oracle_maxerr_on_coordinates_equals_dense(fresh_cache):
+    """Comparing two storages on their coordinates gives the maxerr their
+    dense arrays give, for every engine pair the exec stage compares."""
+    from repro.api import CompileRequest, build
+    from repro.engines import oracle_maxerr
+
+    for name in ("SDDMM", "TTM", "Plus3", "SpMV", "InnerProd"):
+        kernel = build(CompileRequest(kernel=name, scale=0.02, seed=7))
+        expected = kernel.run()
+        for engine in ENGINES:
+            got = kernel.run_engine(engine)
+            assert oracle_maxerr(got, expected, AssertionError, name) == (
+                oracle_maxerr(np.asarray(got), np.asarray(expected),
+                              AssertionError, name))
+
+
+def _rowsum_sddmm(seed: int, rank: int = 48):
+    """``y(i) = B(i,j) * C(i,k) * D(k,j)``: SDDMM's two rank-``rank``
+    gathers, reduced over each row's run of entries."""
+    rng = np.random.default_rng(seed)
+    B = Tensor("B", (9, 30), CSR(offChip)).from_dense(
+        random_sparse(rng, (9, 30), 0.6))
+    C = Tensor("C", (9, rank), DENSE_MATRIX(offChip)).from_dense(
+        rng.random((9, rank)) - 0.5)
+    D = Tensor("D", (rank, 30), DENSE_MATRIX(offChip)).from_dense(
+        rng.random((rank, 30)) - 0.5)
+    y = Tensor("y", (9,), DENSE_VECTOR(offChip))
+    i, j, k = index_vars("i j k")
+    y[i] = B[i, j] * C[i, k] * D[k, j]
+    return y.get_index_stmt()
+
+
+def _small_sddmm(seed: int):
+    return build_small_kernel_stmt("SDDMM", seed=seed, density=0.7)[0]
+
+
+# (statement, budget): one entry per block, a few entries per block, runs
+# longer than a block, several runs per block.
+@pytest.mark.parametrize("build,budget", [
+    (_small_sddmm, 8), (_small_sddmm, 800),
+    (_rowsum_sddmm, 8), (_rowsum_sddmm, 1536), (_rowsum_sddmm, 30_000)])
+def test_blocked_gathers_are_bit_identical(build, budget, monkeypatch):
+    """Blocks cut at run starts reproduce the one-pass result bit for
+    bit."""
+    whole = execute_numpy(build(3), strict=True)
+    monkeypatch.setattr(numpy_exec, "GATHER_BLOCK_BYTES", budget)
+    stmt = build(3)
+    blocked = execute_numpy(stmt, strict=True)
+    assert len(_plan_of(stmt).terms[0][1].blocks) > 1
+    assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +475,8 @@ def test_reused_plan_derives_nothing_again(name, monkeypatch):
         raise AssertionError("structure re-derived on a reused plan")
 
     for primitive in ("enumerate_entries", "walk_levels", "unpack", "_scatter_order",
-                      "_join", "infer_dimensions", "additive_terms"):
+                      "_join", "infer_dimensions", "additive_terms", "pack",
+                      "_blocks"):
         monkeypatch.setattr(numpy_exec, primitive, boom)
     executor = NumpyExecutor(stmt)
     assert np.array_equal(executor.run(strict=True), first)
@@ -438,7 +514,7 @@ def test_values_are_read_live(rng):
     """An in-place update of vals (sparse, dense or scalar) shows in the
     next result without a rebuild."""
     stmt, out, tensors = build_small_kernel_stmt("MatTransMul")
-    first = execute_numpy(stmt, strict=True)
+    first = to_dense(execute_numpy(stmt, strict=True))
     plan = _plan_of(stmt)
     tensors["A"].storage.vals *= 2
     tensors["z"].storage.vals *= 2

@@ -19,10 +19,12 @@ from repro.formats import (
 from repro.tensor.storage import (
     CompressedLevel,
     DenseLevel,
+    aligned_values,
     from_dense,
     pack,
     to_dense,
     unpack,
+    wrap_dense,
 )
 
 
@@ -210,3 +212,53 @@ class TestStorageAccessors:
         st = from_dense(v, SPARSE_VECTOR(offChip))
         assert st.levels[0].crd.tolist() == [1, 3]
         assert st.vals.tolist() == [3.0, 7.0]
+
+
+class TestResultStorage:
+    """What an engine result is: a storage NumPy densifies on request."""
+
+    def test_densifies_on_request(self):
+        st = from_dense(figure8_matrix(), CSR(offChip))
+        assert st.shape == st.dims == (4, 4)
+        assert np.array_equal(np.asarray(st), figure8_matrix())
+        assert np.asarray(st, dtype=np.float32).dtype == np.float32
+        assert np.allclose(st, figure8_matrix())
+        with pytest.raises(ValueError):
+            np.asarray(st, copy=False)  # a sparse storage has no dense view
+        # Operators and ufuncs see the dense tensor too.
+        assert np.array_equal(st + 1e-3, figure8_matrix() + 1e-3)
+        assert np.array_equal(2 * st - st, figure8_matrix())
+        assert np.array_equal(np.negative(st), -figure8_matrix())
+
+    def test_dense_copy_never_aliases(self):
+        st = from_dense(figure8_matrix(), DENSE_MATRIX(offChip))
+        assert np.shares_memory(np.asarray(st), st.vals)
+        assert not np.shares_memory(np.array(st), st.vals)
+
+    def test_wrap_dense_keeps_signed_zeros(self):
+        array = np.array([[0.0, -0.0, 2.0], [-1.0, 0.0, 0.0]])
+        for fmt in (CSR(offChip), CSC(offChip), DENSE_MATRIX(offChip)):
+            st = wrap_dense(array, fmt)
+            assert st.fmt == fmt
+            assert to_dense(st).tobytes() == array.tobytes()
+        assert wrap_dense(array, CSR(offChip)).nnz == 3
+        assert np.shares_memory(wrap_dense(array, DENSE_MATRIX(offChip)).vals,
+                                array)
+
+    def test_aligned_values_agree_with_the_dense_difference(self):
+        from repro.formats import COO
+
+        rng = np.random.default_rng(3)
+        a = (rng.random((5, 6)) < 0.4) * rng.random((5, 6))
+        b = (rng.random((5, 6)) < 0.4) * rng.random((5, 6))
+        # COO keeps duplicates: b's entries twice at half value.
+        coords = np.stack(np.nonzero(b), axis=1)
+        dup = pack(np.concatenate([coords, coords]),
+                   np.concatenate([b[tuple(coords.T)] / 2] * 2),
+                   b.shape, COO(offChip))
+        got, expected = aligned_values(from_dense(a, CSR(offChip)), dup)
+        assert np.max(np.abs(got - expected)) == np.max(np.abs(a - b))
+        assert len(got) == np.count_nonzero((a != 0) | (b != 0))
+        with pytest.raises(ValueError):
+            aligned_values(from_dense(a, CSR(offChip)),
+                           from_dense(a.T, CSR(offChip)))
