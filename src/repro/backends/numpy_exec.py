@@ -156,21 +156,14 @@ def _blocks(n: int, starts, size: int) -> list:
     at run starts (a run longer than ``size`` stays whole), each with its
     run starts rebased to the slice (``None``: one entry per run)."""
     if starts is None:
-        cuts = range(0, n, size)
-    else:
-        cuts = np.unique(starts[np.searchsorted(
-            starts, np.arange(0, n, size), side="right") - 1])
+        return [(slice(lo, min(lo + size, n)), None)
+                for lo in range(0, n, size)]
+    cuts = np.unique(starts[np.searchsorted(
+        starts, np.arange(0, n, size), side="right") - 1])
     bounds = [*map(int, cuts), n]
-    blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        local = None
-        if starts is not None:
-            local = starts[np.searchsorted(starts, lo):
-                           np.searchsorted(starts, hi)] - lo
-            if len(local) == hi - lo:
-                local = None
-        blocks.append((slice(lo, hi), local))
-    return blocks
+    return [(slice(lo, hi), starts[np.searchsorted(starts, lo):
+                                   np.searchsorted(starts, hi)] - lo)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _flatten_factors(expr: IndexExpr) -> tuple[float, list[IndexExpr]]:

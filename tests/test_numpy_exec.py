@@ -301,6 +301,39 @@ def test_ttv_result_stays_sparse(fresh_cache):
     assert oracle_maxerr(result, expected, AssertionError, "TTV") < 1e-12
 
 
+def test_sparse_result_keeps_the_dense_sums_signed_zeros(rng):
+    """An entry that computes to -0.0 reads +0.0, as it did when the
+    result was summed into a zeroed dense buffer."""
+    B = Tensor("B", (6, 8), CSR(offChip)).from_dense(
+        random_sparse(rng, (6, 8), 0.6))
+    x = rng.random(8)
+    x[::2] = -0.0
+    c = Tensor("c", (8,), DENSE_VECTOR(offChip)).from_dense(x)
+    A = Tensor("A", (6, 8), CSR(offChip))
+    i, j = index_vars("i j")
+    A[i, j] = B[i, j] * c[j]
+    result = execute_numpy(A.get_index_stmt(), strict=True)
+    expected = 0.0 + B.to_dense() * x
+    assert not np.signbit(expected).any()
+    assert np.asarray(result).tobytes() == expected.tobytes()
+
+
+def test_compressed_lhs_without_shared_keys_packs_the_dense_sum(rng):
+    """A compressed lhs whose terms do not share keys (a sparse term plus
+    a dense one) is summed dense and packed into its format."""
+    B = Tensor("B", (6, 8), CSR(offChip)).from_dense(
+        random_sparse(rng, (6, 8)))
+    C = Tensor("C", (6, 8), DENSE_MATRIX(offChip)).from_dense(
+        rng.random((6, 8)))
+    A = Tensor("A", (6, 8), CSR(offChip))
+    i, j = index_vars("i j")
+    A[i, j] = B[i, j] + C[i, j]
+    stmt = A.get_index_stmt()
+    result = execute_numpy(stmt, strict=True)
+    assert result.fmt == A.format and _plan_of(stmt).levels is None
+    assert np.allclose(result, B.to_dense() + C.to_dense())
+
+
 def test_oracle_maxerr_on_coordinates_equals_dense(fresh_cache):
     """Comparing two storages on their coordinates gives the maxerr their
     dense arrays give, for every engine pair the exec stage compares."""
