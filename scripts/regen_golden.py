@@ -3,7 +3,9 @@
 The golden tests (tests/test_golden_code.py) diff the emitted Spatial of
 every kernel record, and SpMV's CPU C code, against these files, so any
 change to the lowering, memory analysis, or code generators shows up as
-a readable diff. ``datasets.json`` (tests/test_datasets.py) pins one sha256
+a readable diff; ``notes.json`` pins each record's lowering notes (the
+memory-analysis report and every forall's strategy trace, the text of
+``repro compile --memory-report``). ``datasets.json`` (tests/test_datasets.py) pins one sha256
 per (kernel, dataset) over the packed operand tensors, so a change to the
 generators or to ``pack`` that moves a single byte shows up too.
 ``requests.json`` (tests/test_registry.py) pins every action's canonical
@@ -48,13 +50,18 @@ def regenerate() -> list[Path]:
     """Write all golden files; return the paths written."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
     written = []
+    notes = {}
     for name in SPATIAL_GOLDEN_KERNELS:
         stmt, _, _ = build_small_kernel_stmt(name)
         # Bypass the cache: goldens must reflect the compiler as it is.
-        source = compile_stmt(stmt, name.lower(), cache=False).source
+        kernel = compile_stmt(stmt, name.lower(), cache=False)
+        notes[name] = list(kernel.program.notes)
         path = GOLDEN / f"{name.lower()}.spatial"
-        path.write_text(source)
+        path.write_text(kernel.source)
         written.append(path)
+    path = GOLDEN / "notes.json"
+    path.write_text(json.dumps(notes, indent=1, sort_keys=True) + "\n")
+    written.append(path)
     stmt, _, _ = build_small_kernel_stmt("SpMV")
     path = GOLDEN / "spmv.c"
     path.write_text(lower_cpu(stmt, "spmv"))

@@ -1,8 +1,9 @@
 """Golden-file snapshots of generated code.
 
 Any change to the lowering, memory analysis, or code generator that alters
-the emitted Spatial (of every kernel record) or CPU C (of SpMV) shows up
-here as a readable diff. Regenerate intentionally with:
+the emitted Spatial (of every kernel record), its lowering notes, or CPU
+C (of SpMV) shows up here as a readable diff. Regenerate intentionally
+with:
 
     python scripts/regen_golden.py
 
@@ -10,6 +11,7 @@ and commit the result. CI's golden-drift job runs the same script and
 fails on any uncommitted difference.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,14 @@ def test_spatial_matches_golden(name):
     got = compile_stmt(stmt, name.lower()).source
     want = (GOLDEN / f"{name.lower()}.spatial").read_text()
     assert got == want, _diff_message(f"{name.lower()}.spatial", got, want)
+
+
+@pytest.mark.parametrize("name", SPATIAL_GOLDEN_KERNELS)
+def test_lowering_notes_match_golden(name):
+    stmt, _, _ = build_small_kernel_stmt(name)
+    got = "\n".join(compile_stmt(stmt, name.lower()).program.notes)
+    want = "\n".join(json.loads((GOLDEN / "notes.json").read_text())[name])
+    assert got == want, _diff_message(f"notes.json[{name}]", got, want)
 
 
 def test_cpu_code_matches_golden():
