@@ -490,22 +490,9 @@ def _cmd_cache(args) -> int:
         print(f"size:             {info['bytes'] / 1024:.1f} KiB")
         return 0
     if args.action == "clear":
-        import re
-        import shutil
-        from pathlib import Path
-
-        cache.clear_memory()
+        removed = cache.clear()
         if info["dir"]:
-            # Remove only the cache's own per-compiler-version trees, in
-            # case REPRO_CACHE_DIR points at a directory holding other
-            # content too.
-            base = Path(info["dir"])
-            if base.exists():
-                for child in base.iterdir():
-                    if child.is_dir() and re.fullmatch(r"[0-9a-f]{16}",
-                                                       child.name):
-                        shutil.rmtree(child, ignore_errors=True)
-            print(f"cleared {info['entries']} entries from {info['dir']}")
+            print(f"cleared {removed} entries from {info['dir']}")
         else:
             print("disk store disabled; cleared in-memory cache only")
         return 0

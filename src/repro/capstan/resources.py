@@ -33,7 +33,6 @@ from repro.spatial.ir import (
     Foreach,
     GenBitVector,
     LoadBulk,
-    MemReduce,
     ReducePat,
     SBin,
     SExpr,
@@ -137,7 +136,7 @@ def _count_stmt(s: SStmt, model: ResourceModel) -> _Tally:
     elif isinstance(s, (LoadBulk, StoreBulk, StreamStore)):
         t.mc += 1.0
         t.pcu += model.pcu_per_transfer
-    elif isinstance(s, (Foreach, ReducePat, MemReduce)):
+    elif isinstance(s, (Foreach, ReducePat)):
         ops = 2  # counter + control
         for b in s.body:
             for node in getattr(b, "__dict__", {}).values():
@@ -186,7 +185,7 @@ def estimate_resources(
     replicated = _Tally()
     seen_outer = False
     for s in program.accel:
-        if isinstance(s, (Foreach, ReducePat, MemReduce)) and not seen_outer:
+        if isinstance(s, (Foreach, ReducePat)) and not seen_outer:
             seen_outer = True
             # The outermost pattern itself is control (one PCU per replica);
             # everything inside replicates.

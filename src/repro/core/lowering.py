@@ -14,12 +14,14 @@ Naming follows the paper's generated code (Figure 11): ``B2_pos`` is the
 position array of B's second storage level, ``B_vals`` its values array,
 ``*_dram`` the off-chip copies, ``B1_dim`` the dimension of B's first
 storage level. Scan pattern-index binders end in ``_p`` (operand
-positions), which the segment-gating logic uses to recognise possibly
-invalid (union) parents.
+positions); the scan opener records them, and the segment-gating logic
+looks parents up in that record to recognise possibly invalid (union)
+parents.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Optional
 
@@ -53,11 +55,12 @@ from repro.core.memory_analysis import (
     analyze,
     plan_memory,
 )
-from repro.schedule.stmt import INNER_PAR, OUTER_PAR, IndexStmt
+from repro.schedule.stmt import BULK_TRANSFER, INNER_PAR, OUTER_PAR, REDUCTION, IndexStmt
 from repro.spatial.ir import (
     Assign,
     BitVectorDecl,
     BitVectorOp,
+    Counter,
     DenseCounter,
     DramDecl,
     DramWrite,
@@ -99,6 +102,31 @@ FIFO_DEPTH = 16
 NNZ_ACCEL_MAX = "nnz_accel_max"
 
 
+@dataclasses.dataclass(frozen=True)
+class _Loop:
+    """What an ``_open_<kind>`` opener hands :meth:`Lowerer.lower_forall`.
+
+    ``counter`` and ``binders`` make the pattern; ``coord`` is the forall
+    variable's coordinate inside it. ``out_state`` is the compressed output
+    level being assembled (:meth:`Lowerer._begin_output_level`), with
+    ``out_idx`` the result's index in its segment and ``count`` the number
+    of results. ``par`` overrides the pattern's parallelization factor;
+    ``elem_reg`` is a streamed 1-D dense output's element register; and
+    ``result_ws`` marks a result written to an on-chip workspace through
+    ``ws_out_pos``.
+    """
+
+    counter: Counter
+    binders: tuple[str, ...]
+    coord: SExpr
+    out_state: Optional[dict] = None
+    out_idx: Optional[SExpr] = None
+    count: Optional[SExpr] = None
+    par: Optional[int] = None
+    elem_reg: Optional[str] = None
+    result_ws: bool = False
+
+
 class Lowerer:
     """Lowers one scheduled statement to a :class:`SpatialProgram`."""
 
@@ -120,6 +148,7 @@ class Lowerer:
         self.ws_bitvector: dict[int, str] = {}  # id(tensor) -> bv name
         self.out_pos: dict[int, SExpr] = {}  # output level -> out position
         self.seg_start: dict[tuple[int, int], SExpr] = {}  # scan segment bases
+        self._scan_positions: set[str] = set()  # scan operand-position binders
         self.ws_out_pos: Optional[SExpr] = None
         self._declared_regs: set[str] = set()
         self._declared: set[str] = set()
@@ -420,10 +449,10 @@ class Lowerer:
             raise LoweringError(f"cannot lower {type(stmt).__name__}")
 
     def lower_mapcall(self, node: MapCall) -> None:
-        if node.func == "BulkTransfer":
+        if node.func == BULK_TRANSFER:
             self._lower_bulk_transfer(node)
             return
-        if node.func not in ("Reduction", "Reduce"):
+        if node.func != REDUCTION:
             raise LoweringError(
                 f"backend function {node.func!r} has no Spatial lowering rule"
             )
@@ -479,34 +508,59 @@ class Lowerer:
 
     def lower_forall(self, forall: Forall, reduce_into: Optional[str] = None,
                      reduce_par: Optional[int] = None) -> None:
+        """Lower one forall to one ``Foreach`` (``ReducePat`` when a
+        Reduction map accumulates into ``reduce_into``).
+
+        Only the counter depends on the strategy kind: ``_open_<kind>``
+        emits what precedes the loop, opens the body and binds the
+        coordinate, positions and values. The rest is the same for every
+        kind: located operands, the result position and row buffer, the
+        pattern itself, and the compressed output level's bookkeeping.
+        """
         info = self.analysis.info(forall.ivar)
+        strategy = info.strategy
         par = reduce_par if reduce_par is not None else self._pattern_par(info)
-        kind = info.strategy.kind
-        if kind == "dense":
-            self._lower_dense_loop(forall, info, par, reduce_into)
-        elif kind == "compressed":
-            self._lower_compressed_loop(forall, info, par, reduce_into)
-        elif kind == "singleton":
-            self._lower_singleton_loop(forall, info, reduce_into)
-        elif kind == "scan":
-            self._lower_scan_loop(forall, info, par, reduce_into)
-        else:  # pragma: no cover - defensive
-            raise LoweringError(f"unknown strategy kind {kind}")
+        saved_ws_out = self.ws_out_pos
+        loop = getattr(self, f"_open_{strategy.kind}")(forall.ivar, info, par)
+        if loop.par is not None:
+            par = loop.par
+        for located in strategy.located:
+            self._bind_dense_position(located, loop.coord)
+        result_it = strategy.result_iterator
+        row = None
+        if result_it is not None and not loop.result_ws:
+            if loop.out_state is not None:
+                self._bind_output_compressed(loop.out_state, loop.out_idx,
+                                             loop.coord)
+            elif result_it.level_format.is_dense:
+                self._bind_output_dense(result_it, loop.coord)
+            row = self._stage_output_row(result_it.level)
+        if loop.elem_reg is not None:
+            self._declare_reg(loop.elem_reg)
+        if reduce_into is None:
+            self.lower_stmt(forall.body)
+            if loop.elem_reg is not None:
+                self.emit(Enq(self.vals_name(self.analysis.output),
+                              SRegRead(loop.elem_reg)))
+            if row is not None:
+                self._store_output_row(result_it.level, row)
+            body = tuple(self._body_stack.pop())
+            self.emit(Foreach(loop.counter, loop.binders, body, par=par))
+        else:
+            value = self._reduce_value(forall.body)
+            body = tuple(self._body_stack.pop())
+            self.emit(ReducePat(reduce_into, loop.counter, loop.binders, body,
+                                value, "+", par=par))
+        self.ws_out_pos = saved_ws_out
+        self._end_output_level(loop.out_state, loop.count)
 
     # .. dense ....................................................................
 
-    def _lower_dense_loop(self, forall, info, par, reduce_into) -> None:
-        ivar = forall.ivar
-        strategy = info.strategy
+    def _open_dense(self, ivar: IndexVar, info, par: int) -> _Loop:
+        """A counter over the universe (the trip count comes first)."""
         length = self._dense_trip_count(ivar)
-        idx = ivar.name
-        counter = DenseCounter(length)
         self._stage_slices_for_depth(info.depth)
-
         out = self.analysis.output
-        elem_reg = None
-        result_it = strategy.result_iterator
-
         out_var = None
         if (out.order == 1 and out.format.is_all_dense
                 and not out.is_on_chip and not self._scatter_out):
@@ -515,40 +569,17 @@ class Lowerer:
                     out_var = asg.lhs.indices[0]
                     break
         had_out_coord = out_var is not None and id(out_var) in self.coord
-
-        body: list[SStmt] = []
-        self._body_stack.append(body)
-        self.coord[id(ivar)] = SVar(idx)
+        self._body_stack.append([])
+        coord = SVar(ivar.name)
+        self.coord[id(ivar)] = coord
         self._recombine_derived_coords(ivar)
         # The element register is enqueued at the loop that completes the
         # output coordinate binding (the root var's loop, or the innermost
         # loop derived from it after split/fuse).
-        stream_elem = out_var is not None and not had_out_coord and (
-            id(out_var) in self.coord
-        )
-        for it in strategy.located:
-            self._bind_dense_position(it, SVar(idx))
-        row = None
-        if result_it is not None:
-            self._bind_output_dense(result_it, SVar(idx))
-            row = self._stage_output_row(result_it.level)
-        if stream_elem:
-            elem_reg = f"{out.name}_elem"
-            self.emit(RegDecl(elem_reg, 0.0))
-            self._declared_regs.add(elem_reg)
-        if reduce_into is None:
-            self.lower_stmt(forall.body)
-            if elem_reg is not None:
-                self.emit(Enq(self.vals_name(out), SRegRead(elem_reg)))
-            if row is not None:
-                self._store_output_row(result_it.level, row)
-            self._body_stack.pop()
-            self.emit(Foreach(counter, (idx,), tuple(body), par=par))
-        else:
-            value = self._reduce_value(forall.body)
-            self._body_stack.pop()
-            self.emit(ReducePat(reduce_into, counter, (idx,), tuple(body),
-                                value, "+", par=par))
+        stream_elem = (out_var is not None and not had_out_coord
+                       and id(out_var) in self.coord)
+        return _Loop(DenseCounter(length), (ivar.name,), coord,
+                     elem_reg=f"{out.name}_elem" if stream_elem else None)
 
     def _recombine_derived_coords(self, ivar: IndexVar) -> None:
         """Recover root coordinates from split/fuse-derived loop variables.
@@ -721,16 +752,13 @@ class Lowerer:
     def _gate_parent(self, parent: SExpr) -> SExpr:
         return SSelect(self._parent_valid(parent), parent, SLit(0))
 
-    @staticmethod
-    def _parent_may_be_invalid(parent: SExpr) -> bool:
-        return any(
-            isinstance(e, SVar) and e.name.endswith("_p") for e in parent.walk()
-        )
+    def _parent_may_be_invalid(self, parent: SExpr) -> bool:
+        return any(isinstance(e, SVar) and e.name in self._scan_positions
+                   for e in parent.walk())
 
-    @staticmethod
-    def _parent_valid(parent: SExpr) -> SExpr:
+    def _parent_valid(self, parent: SExpr) -> SExpr:
         for e in parent.walk():
-            if isinstance(e, SVar) and e.name.endswith("_p"):
+            if isinstance(e, SVar) and e.name in self._scan_positions:
                 return SValid(e)
         raise LoweringError("no scan position in parent expression")
 
@@ -759,8 +787,9 @@ class Lowerer:
     def _is_innermost_level(tensor, level: int) -> bool:
         return level == tensor.format.order - 1
 
-    def _lower_compressed_loop(self, forall, info, par, reduce_into) -> None:
-        ivar = forall.ivar
+    def _open_compressed(self, ivar: IndexVar, info, par: int) -> _Loop:
+        """A position loop over the driving iterator's segment; the
+        coordinate is dequeued from its crd stream."""
         it = info.strategy.driving[0]
         tensor = it.tensor
         self._stage_slices_for_depth(info.depth)
@@ -768,16 +797,14 @@ class Lowerer:
         want_vals = tensor.format.streams_vals_at(it.level)
         crd_mem, vals_mem = self._load_segment_stream(it, start, end, want_vals)
         out_state = self._begin_output_level(info)
-
-        idx = self.fresh(f"{ivar.name}q")
-        body: list[SStmt] = []
-        self._body_stack.append(body)
-        coord_name = ivar.name
-        self.emit(Assign(coord_name, SDeq(crd_mem)))
-        self.coord[id(ivar)] = SVar(coord_name)
+        idx = SVar(self.fresh(f"{ivar.name}q"))
+        self._body_stack.append([])
+        coord = SVar(ivar.name)
+        self.emit(Assign(coord.name, SDeq(crd_mem)))
+        self.coord[id(ivar)] = coord
         if it.level + 1 < tensor.format.order:
             pos_name = self.fresh(f"{tensor.name}{it.level + 1}_abs")
-            self.emit(Assign(pos_name, sadd(start, SVar(idx))))
+            self.emit(Assign(pos_name, sadd(start, idx)))
             self.position[(id(tensor), it.level)] = SVar(pos_name)
         if vals_mem is not None:
             vb = self.plan.get(tensor.name, "vals")
@@ -786,52 +813,31 @@ class Lowerer:
                 self.emit(Assign(hoist, SDeq(vals_mem)))
                 self.value_of[id(tensor)] = SVar(hoist)
             else:
-                self.value_of[id(tensor)] = SRead(vals_mem, SVar(idx))
-        for located in info.strategy.located:
-            self._bind_dense_position(located, SVar(coord_name))
-        row = None
-        result_it = info.strategy.result_iterator
-        if result_it is not None:
-            if result_it.level_format.is_compressed and out_state is not None:
-                self._bind_output_compressed(out_state, SVar(idx),
-                                             SVar(coord_name))
-            elif result_it.level_format.is_dense:
-                self._bind_output_dense(result_it, SVar(coord_name))
-            row = self._stage_output_row(result_it.level)
-
-        if reduce_into is None:
-            self.lower_stmt(forall.body)
-            if row is not None:
-                self._store_output_row(result_it.level, row)
-            self._body_stack.pop()
-            self.emit(Foreach(DenseCounter(seg_len), (idx,), tuple(body), par=par))
-        else:
-            value = self._reduce_value(forall.body)
-            self._body_stack.pop()
-            self.emit(ReducePat(reduce_into, DenseCounter(seg_len), (idx,),
-                                tuple(body), value, "+", par=par))
-        self._end_output_level(out_state, seg_len)
+                self.value_of[id(tensor)] = SRead(vals_mem, idx)
+        return _Loop(DenseCounter(seg_len), (idx.name,), coord,
+                     out_state=out_state, out_idx=idx, count=seg_len)
 
     # .. singleton (one coordinate per parent position) ............................
 
-    def _lower_singleton_loop(self, forall, info, reduce_into) -> None:
-        """Lower a singleton-level forall (COO column/tail levels).
+    def _open_singleton(self, ivar: IndexVar, info, par: int) -> _Loop:
+        """A singleton-level forall (COO column/tail levels).
 
         No counter loop runs: the ``Singleton`` scanner yields the one
         coordinate stored at the parent's position, and the position
         passes through unchanged (1:1 with the parent level).
         """
-        ivar = forall.ivar
         it = info.strategy.driving[0]
         tensor = it.tensor
+        result_it = info.strategy.result_iterator
+        if result_it is not None and not result_it.level_format.is_dense:
+            raise LoweringError(
+                "singleton loops cannot produce compressed output levels"
+            )
         self._stage_slices_for_depth(info.depth)
         parent = self._parent_position(it)
-        counter = SingletonCounter(self.crd_name(tensor, it.level), parent)
-        idx = ivar.name
-
-        body: list[SStmt] = []
-        self._body_stack.append(body)
-        self.coord[id(ivar)] = SVar(idx)
+        self._body_stack.append([])
+        coord = SVar(ivar.name)
+        self.coord[id(ivar)] = coord
         self.position[(id(tensor), it.level)] = parent
         if (self.value_of.get(id(tensor)) is None
                 and self._is_innermost_level(tensor, it.level)):
@@ -842,33 +848,14 @@ class Lowerer:
                                                 MemoryType.SRAM_SPARSE):
                 self.value_of[id(tensor)] = SRead(self.vals_name(tensor),
                                                   parent)
-        for located in info.strategy.located:
-            self._bind_dense_position(located, SVar(idx))
-        result_it = info.strategy.result_iterator
-        row = None
-        if result_it is not None:
-            if not result_it.level_format.is_dense:
-                raise LoweringError(
-                    "singleton loops cannot produce compressed output levels"
-                )
-            self._bind_output_dense(result_it, SVar(idx))
-            row = self._stage_output_row(result_it.level)
-        if reduce_into is None:
-            self.lower_stmt(forall.body)
-            if row is not None:
-                self._store_output_row(result_it.level, row)
-            self._body_stack.pop()
-            self.emit(Foreach(counter, (idx,), tuple(body), par=1))
-        else:
-            value = self._reduce_value(forall.body)
-            self._body_stack.pop()
-            self.emit(ReducePat(reduce_into, counter, (idx,), tuple(body),
-                                value, "+", par=1))
+        return _Loop(SingletonCounter(self.crd_name(tensor, it.level), parent),
+                     (ivar.name,), coord, par=1)
 
     # .. scans (co-iteration) ......................................................
 
-    def _lower_scan_loop(self, forall, info, par, reduce_into) -> None:
-        ivar = forall.ivar
+    def _open_scan(self, ivar: IndexVar, info, par: int) -> _Loop:
+        """A bit-vector scanner over one or two operands; a compressed
+        result is counted by a first scanner loop (Section 7.2)."""
         strategy = info.strategy
         self._stage_slices_for_depth(info.depth)
         dim = self.ivar_dim(ivar)
@@ -901,23 +888,23 @@ class Lowerer:
             self.ws_bitvector[id(out_t)] = ws_bv
 
         out_state = self._begin_output_level(info)
-        count_reg = None
         counter = ScanCounter(bv_names[0],
                               bv_names[1] if len(bv_names) > 1 else None,
                               op, dim)
+        # Binders: the operand positions, the output position, the coordinate.
         ivars = self._scan_binders(ivar, len(bv_names))
+        self._scan_positions.update(ivars[:-2])
+        count = None
         if strategy.result_compressed and not result_ws:
             # First scanner loop: count result positions (Section 7.2).
             count_reg = self.fresh(f"{ivar.name}_cnt")
             self.emit(RegDecl(count_reg, 0.0))
             self.emit(ReducePat(count_reg, counter, ivars, (), SLit(1),
                                 "+", par=par))
-
-        body: list[SStmt] = []
-        self._body_stack.append(body)
-        coord_var = SVar(ivars[-1])
-        self.coord[id(ivar)] = coord_var
-        saved_ws_out = self.ws_out_pos
+            count = SRegRead(count_reg)
+        self._body_stack.append([])
+        coord = SVar(ivars[-1])
+        self.coord[id(ivar)] = coord
         for k, (it, kind) in enumerate(operands):
             pvar = SVar(ivars[k])
             if kind == "ws" or self._is_innermost_level(it.tensor, it.level):
@@ -925,32 +912,11 @@ class Lowerer:
             if kind == "seg" and it.level + 1 < it.tensor.format.order:
                 base = self.seg_start[(id(it.tensor), it.level)]
                 self.position[(id(it.tensor), it.level)] = sadd(base, pvar)
-        for located in strategy.located:
-            self._bind_dense_position(located, coord_var)
-        row = None
-        if result_it is not None and not result_ws:
-            if result_it.level_format.is_compressed and out_state is not None:
-                self._bind_output_compressed(out_state, SVar(ivars[-2]), coord_var)
-            elif result_it.level_format.is_dense:
-                self._bind_output_dense(result_it, coord_var)
-            row = self._stage_output_row(result_it.level)
+        out_idx = SVar(ivars[-2])
         if result_ws:
-            self.ws_out_pos = SVar(ivars[-2])
-
-        if reduce_into is None:
-            self.lower_stmt(forall.body)
-            if row is not None:
-                self._store_output_row(result_it.level, row)
-            self._body_stack.pop()
-            self.emit(Foreach(counter, ivars, tuple(body), par=par))
-        else:
-            value = self._reduce_value(forall.body)
-            self._body_stack.pop()
-            self.emit(ReducePat(reduce_into, counter, ivars, tuple(body),
-                                value, "+", par=par))
-        self.ws_out_pos = saved_ws_out
-        cnt = SRegRead(count_reg) if count_reg is not None else None
-        self._end_output_level(out_state, cnt)
+            self.ws_out_pos = out_idx
+        return _Loop(counter, ivars, coord, out_state=out_state,
+                     out_idx=out_idx, count=count, result_ws=result_ws)
 
     @staticmethod
     def _scan_binders(ivar: IndexVar, n_ops: int) -> tuple[str, ...]:

@@ -504,30 +504,13 @@ class CompilationCache:
         versions (every source edit abandons the previous tree, which
         would otherwise grow the store without bound).
         """
-        import re
-        import shutil
-
         base = self._disk_dir()
         if base is None:
             return 0
-        current = compiler_version()
         versions = {stage_version(stage) for stage in _STAGE_SUBSYSTEMS}
-        versions.add(current)
-        removed = 0
-        try:
-            siblings = list(base.iterdir())
-        except OSError:
-            siblings = []
-        for child in siblings:
-            if (child.is_dir() and child.name not in versions
-                    and re.fullmatch(r"[0-9a-f]{16}", child.name)):
-                try:
-                    stale = sum(1 for _ in child.rglob("*.pkl"))
-                except OSError:
-                    # Another process is clearing the same stale tree.
-                    stale = 0
-                shutil.rmtree(child, ignore_errors=True)
-                removed += stale
+        versions.add(compiler_version())
+        removed = sum(_remove_tree(tree) for tree in _version_trees(base)
+                      if tree.name not in versions)
         # Bound every live version tree (the compiler tree and each stage
         # tree — dataset entries are the largest in the store), oldest
         # entries first. Concurrent shard workers share REPRO_CACHE_DIR
@@ -552,6 +535,16 @@ class CompilationCache:
                     pass
         return removed
 
+    def clear(self) -> int:
+        """Empty the memory layer and delete every version tree on disk;
+        return the number of disk entries removed. Anything else under the
+        cache directory (it may be shared) is left alone."""
+        self.clear_memory()
+        base = self._disk_dir()
+        if base is None:
+            return 0
+        return sum(_remove_tree(tree) for tree in _version_trees(base))
+
     def disk_info(self) -> dict[str, Any]:
         """Location / entry count / byte size of the disk store."""
         base = self._disk_dir()
@@ -569,6 +562,31 @@ class CompilationCache:
         except OSError:
             pass  # directory tree vanished mid-walk (concurrent clear/prune)
         return {"dir": str(base), "entries": entries, "bytes": size}
+
+
+def _version_trees(base: Path) -> list[Path]:
+    """The store's own per-version trees under ``base``."""
+    import re
+
+    try:
+        children = list(base.iterdir())
+    except OSError:
+        return []
+    return [c for c in children
+            if c.is_dir() and re.fullmatch(r"[0-9a-f]{16}", c.name)]
+
+
+def _remove_tree(tree: Path) -> int:
+    """Delete one version tree; return the number of entries it held."""
+    import shutil
+
+    try:
+        entries = sum(1 for _ in tree.rglob("*.pkl"))
+    except OSError:
+        # Another process is clearing the same tree.
+        entries = 0
+    shutil.rmtree(tree, ignore_errors=True)
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from repro.schedule.provenance import Provenance
 from repro.schedule.stmt import (
     BULK_TRANSFER,
     INNER_PAR,
-    MEM_REDUCE,
     OUTER_PAR,
     REDUCTION,
     SPATIAL,
@@ -17,7 +16,6 @@ __all__ = [
     "BULK_TRANSFER",
     "INNER_PAR",
     "IndexStmt",
-    "MEM_REDUCE",
     "OUTER_PAR",
     "Provenance",
     "REDUCTION",

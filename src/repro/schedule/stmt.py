@@ -27,9 +27,10 @@ OUTER_PAR = "outerPar"
 #: The Spatial backend name used by map/accelerate in this paper.
 SPATIAL = "Spatial"
 
-#: Backend function names recognised by the Spatial lowerer.
+#: The backend functions the Spatial lowerer has a rule for: ``Reduction``
+#: (a ``ReducePat`` into an on-chip scalar) and ``BulkTransfer`` (one bulk
+#: load instead of a copy loop, Section 5.2).
 REDUCTION = "Reduction"
-MEM_REDUCE = "MemReduce"
 BULK_TRANSFER = "BulkTransfer"
 
 

@@ -14,7 +14,6 @@ from repro.spatial.ir import (
     Assign,
     BitVectorDecl,
     BitVectorOp,
-    Comment,
     DenseCounter,
     DramWrite,
     Enq,
@@ -22,7 +21,6 @@ from repro.spatial.ir import (
     Foreach,
     GenBitVector,
     LoadBulk,
-    MemReduce,
     RegDecl,
     RegWrite,
     ReducePat,
@@ -75,9 +73,8 @@ def format_expr(e: SExpr) -> str:
 
 def _counter_header(counter, par: int) -> str:
     if isinstance(counter, DenseCounter):
-        step = f" by {counter.step}" if counter.step != 1 else " by 1"
         parstr = f" par {par}" if par != 1 else ""
-        return f"{format_expr(counter.length)}{step}{parstr}"
+        return f"{format_expr(counter.length)} by 1{parstr}"
     if isinstance(counter, SingletonCounter):
         return f"Singleton({counter.crd_mem}({format_expr(counter.pos)}))"
     assert isinstance(counter, ScanCounter)
@@ -133,9 +130,7 @@ class SpatialCodegen:
     # -- statements ----------------------------------------------------------
 
     def stmt(self, s: SStmt) -> None:
-        if isinstance(s, Comment):
-            self.emit(f"// {s.text}")
-        elif isinstance(s, SramDecl):
+        if isinstance(s, SramDecl):
             kind = "SparseSRAM" if s.sparse else "SRAM"
             self.emit(f"val {s.name} = {kind}[T]({format_expr(s.size)})")
         elif isinstance(s, FifoDecl):
@@ -201,17 +196,6 @@ class SpatialCodegen:
             for b in s.body:
                 self.stmt(b)
             self.emit(format_expr(s.value))
-            self.depth -= 1
-            self.emit(f"}} {{ _ {s.combine} _ }}")
-        elif isinstance(s, MemReduce):
-            head = _counter_header(s.counter, s.par)
-            binder = ", ".join(s.ivars)
-            mp = f" par {s.mem_par}" if s.mem_par != 1 else ""
-            self.emit(f"MemReduce({s.mem}{mp})({head}) {{ {binder} =>")
-            self.depth += 1
-            for b in s.body:
-                self.stmt(b)
-            self.emit(s.value_mem)
             self.depth -= 1
             self.emit(f"}} {{ _ {s.combine} _ }}")
         else:

@@ -10,11 +10,11 @@ re-initialises the memory (which is how per-iteration workspaces reset).
 A program is translated once, then executed. Translation turns every
 expression into a closure ``f(m, env) -> value`` and every statement into
 a closure ``f(m, env)``, where ``m`` is the run's :class:`Machine` and
-``env`` the scope; a block is a tuple of statement closures (comments
-compile to nothing). The translation is cached on the program, so a
-re-run pays none of it; all run state (memories, FIFOs, registers, bit
-vectors) lives on the per-run :class:`Machine`, and every hardware
-precondition is checked as the closures run, raising :class:`InterpError`.
+``env`` the scope; a block is a tuple of statement closures. The
+translation is cached on the program, so a re-run pays none of it; all
+run state (memories, FIFOs, registers, bit vectors) lives on the per-run
+:class:`Machine`, and every hardware precondition is checked as the
+closures run, raising :class:`InterpError`.
 
 The interpreter is the correctness oracle for the compiler: every kernel's
 generated code is run on small inputs and compared against the dense
@@ -23,7 +23,6 @@ reference semantics of :func:`repro.tensor.ops.evaluate_dense`.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import deque
 
@@ -39,7 +38,6 @@ from repro.spatial.ir import (
     Assign,
     BitVectorDecl,
     BitVectorOp,
-    Comment,
     DenseCounter,
     DramWrite,
     Enq,
@@ -47,7 +45,6 @@ from repro.spatial.ir import (
     Foreach,
     GenBitVector,
     LoadBulk,
-    MemReduce,
     RegDecl,
     RegWrite,
     ReducePat,
@@ -228,7 +225,7 @@ def _expr(e: SExpr):
 
 
 def _block(stmts) -> tuple:
-    return tuple(_stmt(s) for s in stmts if not isinstance(s, Comment))
+    return tuple(_stmt(s) for s in stmts)
 
 
 def _stmt(s: SStmt):
@@ -309,16 +306,6 @@ def _stmt(s: SStmt):
         return _foreach(s.counter, s.ivars, _block(s.body))
     if isinstance(s, ReducePat):
         return _reduce(s)
-    if isinstance(s, MemReduce):
-        # Each iteration runs the body, then folds the value buffer into
-        # the accumulator buffer.
-        mem, value_mem, op = s.mem, s.value_mem, _BINOPS[s.combine]
-
-        def fold(m, env):
-            src = m.sram[value_mem]
-            dst = m.sram[mem]
-            dst[: len(src)] = op(dst[: len(src)], src)
-        return _foreach(s.counter, s.ivars, (*_block(s.body), fold))
     raise TypeError(f"cannot execute {type(s).__name__}")
 
 
@@ -422,16 +409,12 @@ def _domain(counter, ivars: tuple[str, ...]):
     """Translate a counter into ``domain(m, env)``: the values its binders
     take, one int per iteration for a one-index counter, else a tuple."""
     if isinstance(counter, DenseCounter):
-        flength, step = _expr(counter.length), counter.step
-        fbase = None if counter.base is None else _expr(counter.base)
+        flength = _expr(counter.length)
 
         def dense(m, env):
-            length = int(flength(m, env))
-            base = int(fbase(m, env)) if fbase is not None else 0
-            trips = max(0, math.ceil(length / step))
             if len(ivars) != 1:
                 raise InterpError("dense counters bind exactly one index")
-            return range(base, base + trips * step, step)
+            return range(int(flength(m, env)))
         return dense
     if isinstance(counter, SingletonCounter):
         crd, fpos = counter.crd_mem, _expr(counter.pos)

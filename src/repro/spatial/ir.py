@@ -158,11 +158,9 @@ def ssub(a: SExpr, b: SExpr) -> SExpr:
 
 @dataclasses.dataclass(frozen=True)
 class DenseCounter:
-    """``len by step par p``: an uncompressed (dense) counter."""
+    """``len by 1 par p``: an uncompressed (dense) counter over ``[0, len)``."""
 
     length: SExpr
-    step: int = 1
-    base: Optional[SExpr] = None  # offset added to the index when binding
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,11 +212,6 @@ class SStmt:
         for block in self.body_blocks():
             for s in block:
                 yield from s.walk()
-
-
-@dataclasses.dataclass(frozen=True)
-class Comment(SStmt):
-    text: str
 
 
 @dataclasses.dataclass(frozen=True)
@@ -414,24 +407,6 @@ class ReducePat(SStmt):
         return (self.body,)
 
 
-@dataclasses.dataclass(frozen=True)
-class MemReduce(SStmt):
-    """``MemReduce(mem par mp)(counter par p)``: reduction into an SRAM
-    buffer (used for blocked dense accumulations)."""
-
-    mem: str
-    counter: Counter
-    ivars: tuple[str, ...]
-    body: tuple[SStmt, ...]
-    value_mem: str
-    combine: str = "+"
-    par: int = 1
-    mem_par: int = 1
-
-    def body_blocks(self) -> tuple[tuple[SStmt, ...], ...]:
-        return (self.body,)
-
-
 # ---------------------------------------------------------------------------
 # Program container
 # ---------------------------------------------------------------------------
@@ -487,12 +462,9 @@ class SpatialProgram:
             yield from s.walk()
 
     def patterns(self) -> list[SStmt]:
-        """All Foreach/Reduce/MemReduce patterns (outer to inner)."""
-        return [
-            s
-            for s in self.all_statements()
-            if isinstance(s, (Foreach, ReducePat, MemReduce))
-        ]
+        """All Foreach/Reduce patterns (outer to inner)."""
+        return [s for s in self.all_statements()
+                if isinstance(s, (Foreach, ReducePat))]
 
     def decls_of(self, cls) -> list[SStmt]:
         return [s for s in self.all_statements() if isinstance(s, cls)]

@@ -154,15 +154,6 @@ class TestPatterns:
         ]
         assert run(accel).regs["r"] == 10.0
 
-    def test_foreach_counter_base(self):
-        accel = [
-            RegDecl("r", 0.0),
-            Foreach(DenseCounter(SLit(3), base=SLit(10)), ("i",), (
-                RegWrite("r", SVar("i"), accumulate=True),
-            )),
-        ]
-        assert run(accel).regs["r"] == 33.0
-
     def test_reduce_folds_into_register(self):
         accel = [
             RegDecl("acc", 0.0),

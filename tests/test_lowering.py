@@ -136,6 +136,24 @@ class TestTransfers:
         assert any(s.name == "x_vals" and s.sparse for s in top)
 
 
+class TestScanPositions:
+    def test_index_variable_named_like_a_scan_position_is_not_gated(self):
+        """Only the scan opener's operand-position binders can be invalid;
+        a plain counter whose name ends in ``_p`` is not one."""
+        A = Tensor("A", (3, 4), CSR(offChip))
+        x = Tensor("x", (4,), DENSE_VECTOR(offChip))
+        y = Tensor("y", (3,), DENSE_VECTOR(offChip))
+        r_p, j = index_vars("r_p j")
+        y[r_p] = A[r_p, j] * x[j]
+        source = compile_stmt(y.get_index_stmt()).source
+        assert "A2_pos(r_p)" in source
+        assert ".valid" not in source
+
+    def test_union_scan_positions_still_gate_child_segments(self):
+        source = compiled("Plus2").source
+        assert "B3_pos(mux(ja_p.valid, (B2_start_0 + ja_p), 0))" in source
+
+
 class TestErrors:
     def test_unsupported_map_function(self):
         A = Tensor("A", (3, 4), CSR(offChip))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -492,3 +493,20 @@ class TestCli:
         assert "cache dir:" in out and "entries:" in out
         assert main(["cache", "clear"]) == 0
         assert fresh_cache.disk_info()["entries"] == 0
+
+    def test_cache_clear_spares_foreign_content(self, capsys, fresh_cache):
+        """``cache clear`` removes only the store's version trees, and the
+        count it prints is what it removed."""
+        from repro.__main__ import main
+
+        compile_stmt(_spmv_stmt(), "spmv_cli_clear")
+        own = fresh_cache.disk_info()["entries"]
+        assert own > 0
+        foreign = Path(fresh_cache.disk_info()["dir"]) / "other" / "keep.pkl"
+        foreign.parent.mkdir(parents=True)
+        foreign.write_bytes(b"not a cache entry")
+        capsys.readouterr()
+        assert main(["cache", "clear"]) == 0
+        assert f"cleared {own} entries from" in capsys.readouterr().out
+        assert foreign.exists()
+        assert fresh_cache.disk_info()["entries"] == 1
