@@ -14,7 +14,10 @@ without their per-run fields. ``execution.json`` (tests/test_interp.py)
 pins the sha256 of every kernel record's ``run_dense()`` and every
 pipeline's output checksum, so an interpreter change that moves one bit
 of a result shows up; its ``numpy`` section (tests/test_numpy_exec.py)
-does the same for the numpy engine's densified result. After an
+does the same for the numpy engine's densified result.
+``table6-1.0.txt`` (tests/test_golden_code.py, ``slow``) is a cold
+``tables table6 --scale 1.0`` render, so a model change that moves a
+paper-scale cell shows up as a text diff. After an
 *intentional* change, rerun this script and commit the updated files;
 CI's golden-drift job runs it too and fails if the checked-in files do
 not match what the code produces.
@@ -37,10 +40,12 @@ from repro.core import compile_stmt
 from tests.helpers_kernels import (
     DATASET_GOLDEN_SEED,
     SPATIAL_GOLDEN_KERNELS,
+    TABLE6_GOLDEN_SCALE,
     build_small_kernel_stmt,
     dataset_digests,
     execution_digests,
     request_goldens,
+    table6_text,
 )
 
 GOLDEN = REPO / "tests" / "golden"
@@ -78,6 +83,9 @@ def regenerate() -> list[Path]:
     path = GOLDEN / "execution.json"
     path.write_text(json.dumps(execution_digests(), indent=1, sort_keys=True)
                     + "\n")
+    written.append(path)
+    path = GOLDEN / f"table6-{TABLE6_GOLDEN_SCALE}.txt"
+    path.write_text(table6_text())
     written.append(path)
     return written
 

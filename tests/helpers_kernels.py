@@ -111,6 +111,25 @@ def dataset_digests() -> dict[str, dict[str, str]]:
     }
 
 
+#: Scale of ``tests/golden/table6-1.0.txt``: the paper's datasets.
+TABLE6_GOLDEN_SCALE = 1.0
+
+
+def table6_text(scale: float = TABLE6_GOLDEN_SCALE) -> str:
+    """``tables table6 --scale S`` stdout, rendered cold: serially, into
+    a fresh memory-only default cache that is swapped back afterwards."""
+    from repro.pipeline import cache as cache_mod
+    from repro.pipeline.batch import format_artifact, run_artifact
+
+    saved = cache_mod._default_cache
+    cache_mod._default_cache = cache_mod.CompilationCache(disk=False)
+    try:
+        return format_artifact("table6", run_artifact("table6", scale,
+                                                      jobs=1)) + "\n"
+    finally:
+        cache_mod._default_cache = saved
+
+
 #: Scales pinned by ``tests/golden/execution.json`` (seed: the dataset one).
 EXECUTION_GOLDEN_SCALE = 0.01
 PIPELINE_GOLDEN_SCALE = 0.05

@@ -2,8 +2,9 @@
 
 Any change to the lowering, memory analysis, or code generator that alters
 the emitted Spatial (of every kernel record), its lowering notes, or CPU
-C (of SpMV) shows up here as a readable diff. Regenerate intentionally
-with:
+C (of SpMV) shows up here as a readable diff; so does a model change that
+moves a cell of Table 6 at the paper's scale (``slow``). Regenerate
+intentionally with:
 
     python scripts/regen_golden.py
 
@@ -18,7 +19,12 @@ import pytest
 
 from repro.backends import lower_cpu
 from repro.core import compile_stmt
-from tests.helpers_kernels import SPATIAL_GOLDEN_KERNELS, build_small_kernel_stmt
+from tests.helpers_kernels import (
+    SPATIAL_GOLDEN_KERNELS,
+    TABLE6_GOLDEN_SCALE,
+    build_small_kernel_stmt,
+    table6_text,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -55,3 +61,11 @@ def test_cpu_code_matches_golden():
     got = lower_cpu(stmt, "spmv")
     want = (GOLDEN / "spmv.c").read_text()
     assert got == want, _diff_message("spmv.c", got, want)
+
+
+@pytest.mark.slow
+def test_table6_paper_scale_matches_golden():
+    got = table6_text()
+    name = f"table6-{TABLE6_GOLDEN_SCALE}.txt"
+    want = (GOLDEN / name).read_text()
+    assert got == want, _diff_message(name, got, want)
