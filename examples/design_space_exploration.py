@@ -28,7 +28,12 @@ def make_tensors(kernel_name: str, n: int, density: float, rng):
         shape = shapes[ts.name]
         dense = (rng.random(shape) < density) * rng.random(shape)
         sparse.append(from_dense(dense, format_of(ts.format)))
-    return spec.operands(shapes, sparse, rng.random)
+
+    def draw(shape):
+        array = rng.random(shape)
+        return lambda: array
+
+    return spec.operands(shapes, sparse, draw)
 
 
 def explore(kernel_name: str, n: int = 512, density: float = 0.05) -> None:

@@ -123,6 +123,20 @@ class _TensorKeys:
         return self.level_keys[level]
 
 
+def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted union of two sorted, duplicate-free key arrays.
+
+    A stable sort of the two concatenated runs is a linear merge; the
+    first of each run of equal neighbours is kept. Unlike ``np.union1d``,
+    which hashes its inputs, this stays linear on millions of keys.
+    """
+    merged = np.concatenate((a, b))
+    merged.sort(kind="stable")
+    first = np.ones(len(merged), dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    return merged[first]
+
+
 def _count_ops(expr: IndexExpr) -> int:
     if isinstance(expr, (Add, Sub, Mul)):
         return 1 + _count_ops(expr.a) + _count_ops(expr.b)
@@ -285,7 +299,7 @@ class StatsBuilder:
                     merged = np.intersect1d(key_sets[0], key_sets[1],
                                             assume_unique=True)
                 else:
-                    merged = np.union1d(key_sets[0], key_sets[1])
+                    merged = sorted_union(key_sets[0], key_sets[1])
             else:
                 merged = key_sets[0]
             iters = len(merged)
@@ -370,21 +384,27 @@ class StatsBuilder:
             if t.name in self.stream_inputs:
                 continue  # pos/crd/vals all arrive over the fused stream
             bound = self.tensor_of(t)
-            storage = bound.storage
             fmt = t.format
-            for level, lvl in enumerate(storage.levels):
-                if isinstance(lvl, CompressedLevel):
-                    self.stats.dram_read_bytes += len(lvl.pos) * WORD_BYTES
-                    self.stats.dram_bursts += 1
-                elif isinstance(lvl, SingletonLevel):
-                    # Singleton crd arrays stage whole, like pos arrays.
-                    self.stats.dram_read_bytes += len(lvl.crd) * WORD_BYTES
-                    self.stats.dram_bursts += 1
+            if bound.format.is_all_dense:
+                # Sized from the shape: reading the values would draw a
+                # deferred operand (``Tensor.from_draw``) for nothing.
+                n_vals = math.prod(bound.shape)
+            else:
+                storage = bound.storage
+                for level, lvl in enumerate(storage.levels):
+                    if isinstance(lvl, CompressedLevel):
+                        self.stats.dram_read_bytes += len(lvl.pos) * WORD_BYTES
+                        self.stats.dram_bursts += 1
+                    elif isinstance(lvl, SingletonLevel):
+                        # Singleton crd arrays stage whole, like pos arrays.
+                        self.stats.dram_read_bytes += len(lvl.crd) * WORD_BYTES
+                        self.stats.dram_bursts += 1
+                n_vals = len(storage.vals)
             vb = self.plan.get(t.name, "vals")
             if vb is None:
                 continue
             if vb.staged_full:
-                self.stats.dram_read_bytes += len(storage.vals) * WORD_BYTES
+                self.stats.dram_read_bytes += n_vals * WORD_BYTES
                 self.stats.dram_bursts += 1
             elif vb.memory is MemoryType.SRAM_DENSE:
                 # Slice staged per launch of its allocation site.

@@ -288,9 +288,7 @@ def convert_tensor(
 ) -> Tensor:
     """A new tensor holding ``tensor``'s data in ``target`` format."""
     storage = convert(tensor.storage, target, dims)
-    out = Tensor(name or tensor.name, storage.dims, target)
-    out._storage = storage
-    return out
+    return Tensor(name or tensor.name, storage.dims, target).install(storage)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,26 @@ def load_matrix_coo(
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class DenseDraw:
+    """A dense operand's values, stored as the generator state that
+    draws them: ``draw()`` is ``random(shape)`` from ``state``.
+
+    A module-level record rather than a closure, so a tensor holding one
+    pickles into a cache entry as a few hundred bytes of state.
+    """
+
+    state: dict
+    shape: tuple[int, ...]
+
+    def __call__(self) -> np.ndarray:
+        import numpy as np
+
+        bit_generator = getattr(np.random, self.state["bit_generator"])()
+        bit_generator.state = self.state
+        return np.random.Generator(bit_generator).random(self.shape)
+
+
 def load(
     kernel_name: str,
     dataset_name: str,
@@ -148,8 +168,9 @@ def load(
     """Materialise a kernel's operand tensors for one dataset.
 
     Sparse operands take the dataset's structure (with the paper's derived
-    variants for multi-operand kernels); dense operands are random; output
-    tensors are left empty.
+    variants for multi-operand kernels); dense operands are random, held
+    as a :class:`DenseDraw` until something reads their values (a Table 6
+    evaluation never does); output tensors are left empty.
     """
     import numpy as np
 
@@ -172,7 +193,15 @@ def load(
     else:
         sparse = [_variant(kernel_name, nth, coords, vals, dims)
                   for nth in range(len(formats))]
-    return spec.operands(spec.shapes(dims), sparse, rng.random)
+
+    def dense(shape: tuple[int, ...]) -> DenseDraw:
+        # Skip what the draw will consume, one uint64 per float64, so the
+        # next operand starts where an eager draw would have left it.
+        draw = DenseDraw(rng.bit_generator.state, shape)
+        rng.bit_generator.advance(math.prod(shape))
+        return draw
+
+    return spec.operands(spec.shapes(dims), sparse, dense)
 
 
 def _variant(kernel: str, index: int, coords, vals, dims):

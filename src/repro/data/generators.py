@@ -24,12 +24,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.storage import sort_dedupe
+from repro.tensor.storage import _strictly_sorted, sort_dedupe
 
 
 def _dedupe(coords: np.ndarray) -> np.ndarray:
-    """Unique rows in lexicographic (row-major storage) order."""
-    perm, starts = sort_dedupe(coords, range(coords.shape[1]))
+    """Unique rows in lexicographic (row-major storage) order; rows that
+    already arrive that way come back as they are."""
+    order = tuple(range(coords.shape[1]))
+    if _strictly_sorted(coords, order):
+        return coords
+    perm, starts = sort_dedupe(coords, order)
     return coords[perm[starts]]
 
 
@@ -108,18 +112,13 @@ def trefethen(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
         k *= 2
     primes = _primes_up_to(min(n - 1, 64))
     offsets.extend(int(p) for p in primes)
-    offsets = sorted(set(offsets))
-    rows_list, cols_list = [], []
-    for off in offsets:
-        r = np.arange(0, n - off)
-        rows_list.append(r)
-        cols_list.append(r + off)
-        if off:
-            rows_list.append(r + off)
-            cols_list.append(r)
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    coords = _dedupe(np.stack([rows, cols], axis=1))
+    # Each row's columns in order: the row plus every signed offset,
+    # ascending, clipped to the matrix; sorted and unique as built.
+    signed = np.array(sorted({s * off for off in offsets for s in (1, -1)}))
+    rows = np.repeat(np.arange(n), len(signed))
+    cols = rows + np.tile(signed, n)
+    keep = (cols >= 0) & (cols < n)
+    coords = np.stack([rows[keep], cols[keep]], axis=1)
     vals = rng.random(len(coords)) + 0.1
     return coords, vals
 

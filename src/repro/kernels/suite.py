@@ -136,9 +136,12 @@ class KernelSpec:
         """The operand tensors over ``shapes``, in ``tensor_specs`` order.
 
         ``sparse`` yields each sparse operand's packed ``TensorStorage``
-        or its ``(coords, vals)``; ``dense(shape)`` is called once per
-        dense operand for its array. Scalars take the evaluation's
-        constants (alpha 2, beta 3) and the output stays empty.
+        or its ``(coords, vals)``. ``dense(shape)`` is called once per
+        dense operand and returns a zero-argument draw: a callable
+        returning a fresh array of that shape, which the tensor calls on
+        the first read of its storage (:meth:`Tensor.from_draw`). Scalars
+        take the evaluation's constants (alpha 2, beta 3) and the output
+        stays empty.
         """
         from repro.tensor.storage import TensorStorage
 
@@ -149,11 +152,11 @@ class KernelSpec:
             if ts.role == "scalar":
                 t.insert((), 2.0 if "alpha" in ts.name else 3.0)
             elif ts.role == "dense":
-                t.from_dense(dense(t.shape))
+                t.from_draw(dense(t.shape))
             elif ts.role == "sparse":
                 data = next(sparse)
                 if isinstance(data, TensorStorage):
-                    t._storage = data
+                    t.install(data)
                 else:
                     t.from_coo(*data)
         return tensors

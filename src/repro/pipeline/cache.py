@@ -166,10 +166,13 @@ def fingerprint_tensor(tensor: Any) -> str:
 
     The data hash covers the packed level arrays and values, so mutating a
     tensor's contents (or loading a different dataset into the same
-    formats) changes the compilation key. Tensors that hold no data yet
+    formats) changes the compilation key. A pending draw counts as data:
+    it is drawn and its bytes hashed, so a key does not depend on
+    whether the values were drawn yet. Tensors that hold no data yet
     (e.g. outputs) hash as ``empty`` without forcing a pack.
     """
-    has_data = tensor._storage is not None or bool(tensor._pending)
+    has_data = (tensor._storage is not None or bool(tensor._pending)
+                or tensor._draw is not None)
     if not has_data:
         data = "empty"
     else:

@@ -306,7 +306,7 @@ def run_pipeline(
         # copy pinned to another format is packed from the dense array.
         for t in (outs[stage.output], *copies.get(stage.output, ())):
             if t.format == got.fmt:
-                t._storage = got
+                t.install(got)
             else:
                 t.from_dense(dense)
         outputs[stage.output] = {

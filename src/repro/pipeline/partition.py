@@ -287,7 +287,7 @@ def _run_kernel(kernel: str, sparse, dense: np.ndarray,
     # extent), not the clamp of its own row count.
     shapes = spec.shapes(sparse.dims, free=dense.shape[-1])
     stmt, _out = spec.build(spec.operands(shapes, [sparse],
-                                          lambda _shape: dense))
+                                          lambda _shape: dense.copy))
     return dense_view(compile_stmt(stmt, kernel, cache=False).run_engine(
         engine, strict=True))
 

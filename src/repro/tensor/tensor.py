@@ -14,7 +14,7 @@ with :meth:`Tensor.get_assignment` (the paper's ``getAssignment()``).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class Tensor:
         self.format = fmt
         self._storage: TensorStorage | None = None
         self._pending: list[tuple[tuple[int, ...], float]] = []
+        self._draw: Callable[[], np.ndarray] | None = None
         self._assignment: Assignment | None = None
 
     # -- basic properties ---------------------------------------------------
@@ -88,7 +89,17 @@ class Tensor:
 
     @property
     def storage(self) -> TensorStorage:
-        """Packed storage, building it from inserted entries on demand."""
+        """Packed storage: a pending draw is drawn and inserted entries
+        are packed on demand."""
+        draw = self._draw
+        if draw is not None:
+            array = np.asarray(draw(), dtype=np.float64)
+            self._check_shape(array)
+            # Install before dropping the draw: a concurrent reader sees
+            # one or the other, never an empty tensor. Two racing readers
+            # both draw, and get the same bytes.
+            self._storage = storage_mod.wrap_dense(array, self.format)
+            self._draw = None
         if self._storage is None or self._pending:
             self._pack_pending()
         assert self._storage is not None
@@ -107,19 +118,42 @@ class Tensor:
             raise ValueError(f"expected {self.order} coordinates, got {coords}")
         self._pending.append((coords, float(value)))
 
-    def from_coo(self, coords: np.ndarray, vals: np.ndarray) -> "Tensor":
-        """Pack COO arrays directly (bulk ingestion)."""
+    def install(self, storage: TensorStorage) -> "Tensor":
+        """Hold ``storage`` as this tensor's data, as it is (no copy),
+        dropping queued inserts and a pending draw."""
+        self._storage = storage
+        self._draw = None
         self._pending.clear()
-        self._storage = pack(np.asarray(coords), np.asarray(vals), self.shape, self.format)
         return self
 
+    def from_coo(self, coords: np.ndarray, vals: np.ndarray) -> "Tensor":
+        """Pack COO arrays directly (bulk ingestion)."""
+        return self.install(
+            pack(np.asarray(coords), np.asarray(vals), self.shape, self.format))
+
     def from_dense(self, array: np.ndarray) -> "Tensor":
+        """Pack a copy of ``array``; the tensor never aliases it."""
         array = np.asarray(array, dtype=np.float64)
+        self._check_shape(array)
+        return self.install(storage_mod.from_dense(array, self.format))
+
+    def from_draw(self, draw: Callable[[], np.ndarray]) -> "Tensor":
+        """Defer this tensor's values to ``draw()``, called on the first
+        read of :attr:`storage`.
+
+        ``draw`` takes no arguments and returns a fresh array of
+        :attr:`shape`; the tensor owns it, so an all-dense format holds
+        it without a copy (:func:`~repro.tensor.storage.wrap_dense`). A
+        tensor with a pending draw pickles the draw, not the array.
+        """
+        self._storage = None
+        self._pending.clear()
+        self._draw = draw
+        return self
+
+    def _check_shape(self, array: np.ndarray) -> None:
         if array.shape != self.shape:
             raise ValueError(f"array shape {array.shape} != tensor shape {self.shape}")
-        self._pending.clear()
-        self._storage = storage_mod.from_dense(array, self.format)
-        return self
 
     def _pack_pending(self) -> None:
         if self._pending:

@@ -54,6 +54,31 @@ class TestGenerators:
         assert 0 in offsets and 1 in offsets and 2 in offsets
         assert 4 in offsets and 32 in offsets  # powers of two
 
+    @pytest.mark.parametrize("n", [8, 9, 63, 64, 65, 1000, 4096])
+    def test_trefethen_equals_the_sort_dedupe_construction(self, n):
+        """Rows built in order equal the old per-offset diagonals, sorted
+        and deduplicated; the values follow from the same stream."""
+        offsets = [0, *(1 << e for e in range(n.bit_length()) if 1 << e < n),
+                   *(int(p) for p in gen._primes_up_to(min(n - 1, 64)))]
+        rows, cols = [], []
+        for off in sorted(set(offsets)):
+            r = np.arange(0, n - off)
+            rows += [r, r + off] if off else [r]
+            cols += [r + off, r] if off else [r]
+        pairs = np.stack([np.concatenate(rows), np.concatenate(cols)], axis=1)
+        want = np.unique(pairs, axis=0)
+        coords, vals = gen.trefethen(n, np.random.default_rng(5))
+        assert coords.dtype == want.dtype
+        assert np.array_equal(coords, want)
+        want_vals = np.random.default_rng(5).random(len(want)) + 0.1
+        assert np.array_equal(vals, want_vals)
+
+    def test_dedupe_keeps_sorted_input_as_is(self):
+        coords = np.array([[0, 1], [0, 3], [2, 0]])
+        assert gen._dedupe(coords) is coords
+        shuffled = np.array([[2, 0], [0, 3], [0, 1], [0, 3]])
+        assert np.array_equal(gen._dedupe(shuffled), coords)
+
     def test_uniform_tensor3(self, nprng):
         coords, vals = gen.uniform_tensor3((20, 20, 20), 0.1, nprng)
         assert coords.shape[1] == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.capstan.stats import compute_stats
+from repro.capstan.stats import compute_stats, sorted_union
 from repro.core import compile_stmt
 from tests.helpers_kernels import build_small_kernel_stmt
 
@@ -146,3 +146,22 @@ class TestAggregates:
     def test_innermost_iters(self):
         stats, _, tensors = stats_for("SpMV")
         assert stats.innermost_iters == tensors["A"].nnz
+
+
+class TestSortedUnion:
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 50), (50, 0), (1, 1),
+                                       (200, 300), (5000, 40)])
+    def test_equals_union1d(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        a, b = (np.unique(rng.integers(0, 1000, size=n)) for n in sizes)
+        got = sorted_union(a, b)
+        assert got.dtype == np.union1d(a, b).dtype
+        assert np.array_equal(got, np.union1d(a, b))
+
+    def test_disjoint_and_identical_sets(self):
+        a = np.arange(0, 100, 2)
+        b = np.arange(1, 100, 2)
+        assert np.array_equal(sorted_union(a, b), np.arange(100))
+        assert np.array_equal(sorted_union(b[:10], a[30:]),
+                              np.union1d(b[:10], a[30:]))
+        assert np.array_equal(sorted_union(a, a), a)
