@@ -8,6 +8,10 @@ memory-analysis report and every forall's strategy trace, the text of
 ``repro compile --memory-report``). ``datasets.json`` (tests/test_datasets.py) pins one sha256
 per (kernel, dataset) over the packed operand tensors, so a change to the
 generators or to ``pack`` that moves a single byte shows up too.
+``conversions.json`` (tests/test_convert.py) pins, for every ordered pair
+of registered formats with and without pinned dims, the conversion
+plan's ``describe()`` text (or its refusal) and a sha256 of the
+converted level arrays and ``vals``.
 ``requests.json`` (tests/test_registry.py) pins every action's canonical
 request JSON, which is every result cache key, and two shard manifests
 without their per-run fields. ``execution.json`` (tests/test_interp.py)
@@ -42,6 +46,7 @@ from tests.helpers_kernels import (
     SPATIAL_GOLDEN_KERNELS,
     TABLE6_GOLDEN_SCALE,
     build_small_kernel_stmt,
+    conversion_digests,
     dataset_digests,
     execution_digests,
     request_goldens,
@@ -75,6 +80,10 @@ def regenerate() -> list[Path]:
     path.write_text(json.dumps(
         {"seed": DATASET_GOLDEN_SEED, "digests": dataset_digests()},
         indent=1, sort_keys=True) + "\n")
+    written.append(path)
+    path = GOLDEN / "conversions.json"
+    path.write_text(json.dumps(conversion_digests(), indent=1, sort_keys=True)
+                    + "\n")
     written.append(path)
     path = GOLDEN / "requests.json"
     path.write_text(json.dumps(request_goldens(), indent=1, sort_keys=True)

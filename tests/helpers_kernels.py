@@ -80,6 +80,20 @@ def dataset_pairs() -> list[tuple[str, str]]:
             for dspec in datasets_for(kernel)]
 
 
+def _hash_storage(h, storage) -> None:
+    """Feed one storage's level arrays and ``vals`` (dtype and bytes, in
+    level order) to the sha256 ``h``."""
+    for lvl in storage.levels:
+        h.update(type(lvl).__name__.encode())
+        for field in ("size", "pos", "crd"):
+            if hasattr(lvl, field):
+                arr = np.asarray(getattr(lvl, field))
+                h.update(f"{field}:{arr.dtype}".encode())
+                h.update(arr.tobytes())
+    h.update(f"vals:{storage.vals.dtype}".encode())
+    h.update(storage.vals.tobytes())
+
+
 def dataset_digest(kernel: str, dataset: str, scale: float,
                    seed: int = DATASET_GOLDEN_SEED) -> str:
     """sha256 over every operand's level arrays and ``vals``, as
@@ -90,15 +104,7 @@ def dataset_digest(kernel: str, dataset: str, scale: float,
     for name, tensor in load(kernel, dataset, scale=scale, seed=seed).items():
         storage = tensor.storage
         h.update(f"{name}:{storage.dims}".encode())
-        for lvl in storage.levels:
-            h.update(type(lvl).__name__.encode())
-            for field in ("size", "pos", "crd"):
-                if hasattr(lvl, field):
-                    arr = np.asarray(getattr(lvl, field))
-                    h.update(f"{field}:{arr.dtype}".encode())
-                    h.update(arr.tobytes())
-        h.update(f"vals:{storage.vals.dtype}".encode())
-        h.update(storage.vals.tobytes())
+        _hash_storage(h, storage)
     return h.hexdigest()
 
 
@@ -109,6 +115,59 @@ def dataset_digests() -> dict[str, dict[str, str]]:
                      for k, d in dataset_pairs()}
         for scale in DATASET_GOLDEN_SCALES
     }
+
+
+#: Flat input shape per tensor order for ``tests/golden/conversions.json``
+#: (a blocked format blocks the order-2 shape; 6 and 9 are not tile
+#: multiples, so tiles pad).
+CONVERSION_SHAPES = {1: (9,), 2: (6, 9), 3: (4, 5, 6)}
+
+
+def conversion_input(fmt):
+    """``(storage, flat dims)``: a small input packed into ``fmt``, with an
+    explicit ``0.0`` and a ``-0.0`` among its entries."""
+    from repro.convert import block_coords, blocked_dims
+    from repro.tensor.storage import pack
+
+    sizes = tuple(mf.size for mf in fmt.mode_formats if mf.is_block)
+    dims = CONVERSION_SHAPES[fmt.order - len(sizes)]
+    rng = np.random.default_rng(len(dims))
+    dense = (rng.random(dims) < 0.4) * (rng.random(dims) + 0.5)
+    coords = np.argwhere(dense)
+    vals = dense[tuple(coords.T)]
+    vals[0], vals[-1] = 0.0, -0.0
+    if sizes:
+        return pack(block_coords(coords, sizes), vals,
+                    blocked_dims(dims, sizes), fmt), dims
+    return pack(coords, vals, dims, fmt), dims
+
+
+def conversion_digests() -> dict[str, dict[str, str]]:
+    """``{"source->target[@dims]": {"plan" | "error": text, "sha256": ...}}``
+    over every ordered pair of registered formats, with and without the
+    input's flat dims pinned: what ``tests/golden/conversions.json`` pins."""
+    from repro.convert import plan_conversion
+    from repro.formats import format_of
+    from repro.formats.format import registered_formats
+
+    cases = {}
+    names = sorted(registered_formats())
+    for src in names:
+        storage, flat = conversion_input(format_of(src))
+        for dst in names:
+            for dims in (None, flat):
+                key = f"{src}->{dst}" + ("" if dims is None else f"@{dims}")
+                try:
+                    plan = plan_conversion(storage.fmt, format_of(dst), dims)
+                    out = plan.run(storage)
+                except ValueError as exc:  # ConversionError, or pack's
+                    cases[key] = {"error": f"{type(exc).__name__}: {exc}"}
+                    continue
+                h = hashlib.sha256(str(out.dims).encode())
+                _hash_storage(h, out)
+                cases[key] = {"plan": plan.describe(),
+                              "sha256": h.hexdigest()}
+    return cases
 
 
 #: Scale of ``tests/golden/table6-1.0.txt``: the paper's datasets.

@@ -1,5 +1,8 @@
 """The format-conversion compiler: plans, primitives, and round trips."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from repro.formats import (
 )
 from repro.tensor import Tensor
 from repro.tensor.storage import pack, to_dense
+from tests.helpers_kernels import conversion_digests
 
 
 def random_matrix(m=12, n=16, density=0.3, seed=3):
@@ -187,3 +191,14 @@ class TestLossless:
         back = convert(coo, CSR(offChip))
         assert back.nnz == 2
         assert np.allclose(back.vals, csr.vals)
+
+
+def test_conversions_match_golden():
+    """Every ordered format pair, with and without pinned dims: the plan
+    text (or refusal) and the converted arrays, byte for byte
+    (``scripts/regen_golden.py`` rewrites the file)."""
+    golden = Path(__file__).resolve().parent / "golden" / "conversions.json"
+    want = json.loads(golden.read_text())
+    got = conversion_digests()
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []
