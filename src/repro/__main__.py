@@ -183,7 +183,7 @@ def _cmd_convert(args) -> int:
         plan_conversion,
         staged_matrix_storage,
     )
-    from repro.data import DATASETS_BY_NAME
+    from repro.data import DATASETS, DATASETS_BY_NAME
     from repro.formats import format_of
     from repro.tensor.storage import to_dense
 
@@ -202,6 +202,16 @@ def _cmd_convert(args) -> int:
             print(f"conversion error: {exc}", file=sys.stderr)
             return 1
         return 0
+    matrices = [d.name for d in DATASETS if d.kind == "matrix"]
+    flat_order = src_fmt.order - sum(mf.is_block for mf in src_fmt.mode_formats)
+    if args.dataset not in matrices or flat_order != 2:
+        what = (f"{args.dataset!r} is not a matrix dataset"
+                if args.dataset not in matrices else
+                f"source format {args.source!r} is not a matrix format "
+                f"(order {flat_order})")
+        print(f"convert error: {what}; the matrix datasets are {matrices}",
+              file=sys.stderr)
+        return 2
     dims = DATASETS_BY_NAME[args.dataset].scaled_dims(args.scale)
     try:
         source = staged_matrix_storage(args.dataset, args.scale, args.seed,

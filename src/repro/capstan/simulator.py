@@ -30,7 +30,6 @@ from repro.capstan.network import NetworkModel
 from repro.capstan.resources import ResourceEstimate, estimate_resources
 from repro.capstan.stats import WorkloadStats, compute_stats
 from repro.core.compiler import CompiledKernel
-from repro.tensor.tensor import Tensor
 
 
 @dataclasses.dataclass
@@ -80,13 +79,12 @@ class CapstanSimulator:
     def simulate(
         self,
         kernel: CompiledKernel,
-        tensors: dict[str, Tensor] | None = None,
         dram: DramModel = HBM2E,
         stats: WorkloadStats | None = None,
         resources: ResourceEstimate | None = None,
     ) -> SimResult:
         if stats is None:
-            stats = compute_stats(kernel, tensors)
+            stats = compute_stats(kernel)
         if resources is None:
             resources = estimate_resources(kernel, self.config)
         cfg = self.config
@@ -138,7 +136,6 @@ class CapstanSimulator:
     def sweep_bandwidth(
         self,
         kernel: CompiledKernel,
-        tensors: dict[str, Tensor] | None,
         bandwidths_gb_s,
         stats: WorkloadStats | None = None,
     ) -> dict[float, SimResult]:
@@ -146,10 +143,9 @@ class CapstanSimulator:
         from repro.capstan.dram import custom_bandwidth
 
         if stats is None:
-            stats = compute_stats(kernel, tensors)
+            stats = compute_stats(kernel)
         resources = estimate_resources(kernel, self.config)
         return {
-            bw: self.simulate(kernel, tensors, custom_bandwidth(bw), stats,
-                              resources)
+            bw: self.simulate(kernel, custom_bandwidth(bw), stats, resources)
             for bw in bandwidths_gb_s
         }

@@ -158,14 +158,12 @@ class StatsBuilder:
     def __init__(
         self,
         kernel: CompiledKernel,
-        tensors: dict[str, Tensor],
         stream_inputs: frozenset[str] = frozenset(),
         stream_output: bool = False,
     ) -> None:
         self.kernel = kernel
         self.analysis = kernel.analysis
         self.plan = kernel.plan
-        self.tensors = tensors
         # Fused-pipeline connections: operands arriving over an on-fabric
         # stream (and an output leaving on one) never touch DRAM, so their
         # segment/static transfers are elided from the traffic model.
@@ -181,15 +179,11 @@ class StatsBuilder:
 
     # -- helpers ----------------------------------------------------------------
 
-    def tensor_of(self, t) -> Tensor:
-        return self.tensors.get(t.name, t)
-
     def keys_of(self, t) -> _TensorKeys:
-        bound = self.tensor_of(t)
-        tk = self._keys_cache.get(id(bound))
+        tk = self._keys_cache.get(id(t))
         if tk is None:
-            tk = _TensorKeys(bound)
-            self._keys_cache[id(bound)] = tk
+            tk = _TensorKeys(t)
+            self._keys_cache[id(t)] = tk
         return tk
 
     def dim_of(self, ivar) -> int:
@@ -197,7 +191,7 @@ class StatsBuilder:
             for acc in (asg.lhs, *asg.rhs.accesses()):
                 mode = acc.mode_of(ivar)
                 if mode is not None:
-                    return self.tensor_of(acc.tensor).shape[mode]
+                    return acc.tensor.shape[mode]
         raise KeyError(f"no dimension for {ivar}")
 
     def _vector_par(self, info: ForallInfo) -> int:
@@ -220,7 +214,7 @@ class StatsBuilder:
         keys = self.keys_of(t).keys(level)
         restriction = self._restriction.get((id(t), level - 1))
         if restriction is not None:
-            dim = self.tensor_of(t).shape[t.format.mode_of_level(level)]
+            dim = t.shape[t.format.mode_of_level(level)]
             keys = _restrict(keys, restriction, dim)
         return keys
 
@@ -278,7 +272,7 @@ class StatsBuilder:
             if not it.level_format.unique and not it.tensor.is_on_chip:
                 # Non-unique (COO root) levels store one position per
                 # entry; unique prefix keys undercount the traversal.
-                lvl = self.tensor_of(it.tensor).storage.levels[it.level]
+                lvl = it.tensor.storage.levels[it.level]
                 iters = int(getattr(lvl, "nnz", len(keys)))
             else:
                 iters = len(keys)
@@ -383,14 +377,13 @@ class StatsBuilder:
                 continue
             if t.name in self.stream_inputs:
                 continue  # pos/crd/vals all arrive over the fused stream
-            bound = self.tensor_of(t)
             fmt = t.format
-            if bound.format.is_all_dense:
+            if fmt.is_all_dense:
                 # Sized from the shape: reading the values would draw a
                 # deferred operand (``Tensor.from_draw``) for nothing.
-                n_vals = math.prod(bound.shape)
+                n_vals = math.prod(t.shape)
             else:
-                storage = bound.storage
+                storage = t.storage
                 for level, lvl in enumerate(storage.levels):
                     if isinstance(lvl, CompressedLevel):
                         self.stats.dram_read_bytes += len(lvl.pos) * WORD_BYTES
@@ -408,7 +401,7 @@ class StatsBuilder:
                 self.stats.dram_bursts += 1
             elif vb.memory is MemoryType.SRAM_DENSE:
                 # Slice staged per launch of its allocation site.
-                trailing_dim = bound.shape[fmt.mode_of_level(fmt.order - 1)]
+                trailing_dim = t.shape[fmt.mode_of_level(fmt.order - 1)]
                 n = launches_at_depth(vb.alloc_depth)
                 self.stats.dram_read_bytes += n * trailing_dim * WORD_BYTES
                 self.stats.slice_read_bytes += n * trailing_dim * WORD_BYTES
@@ -439,7 +432,6 @@ class StatsBuilder:
 
 def compute_stats(
     kernel: CompiledKernel,
-    tensors: dict[str, Tensor] | None = None,
     *,
     stream_inputs: frozenset[str] = frozenset(),
     stream_output: bool = False,
@@ -450,10 +442,7 @@ def compute_stats(
     a producer stage; ``stream_output`` marks the output as streaming into
     a consumer stage. Both elide the corresponding DRAM transfers.
     """
-    bound = dict(kernel.tensors)
-    if tensors:
-        bound.update(tensors)
-    return StatsBuilder(kernel, bound, stream_inputs=stream_inputs,
+    return StatsBuilder(kernel, stream_inputs=stream_inputs,
                         stream_output=stream_output).build()
 
 

@@ -2,42 +2,41 @@
 
 TACO-style compilers derive conversion routines between tensor formats
 from the same level abstraction that drives kernel compilation (Chou et
-al., "Format Abstraction for Sparse Tensor Algebra Compilers"). This
-module reproduces that facility for the registered whole-tensor formats:
-:func:`plan_conversion` synthesizes a :class:`ConversionPlan` — an
-ordered list of primitive coordinate-space transformations — between any
-two registered formats, and :func:`convert` executes the plan on packed
+al., "Format Abstraction for Sparse Tensor Algebra Compilers"). Under
+that abstraction putting coordinates into any registered format is one
+level walk (``pack``), so a conversion is a straight line: unpack,
+remap the coordinates, pack. :func:`plan_conversion` records which
+remappings a source→target pair needs in a :class:`ConversionPlan`, and
+:func:`convert` runs it on packed
 :class:`~repro.tensor.storage.TensorStorage`.
 
-The primitive vocabulary:
+The steps, in the order a plan runs them:
 
 * ``unpack``   — expand level storage to sorted COO entries;
 * ``sparsify`` — drop explicit zeros materialised by trailing dense or
   block levels (so blocked→compressed round trips are lossless);
+* ``unblock``  — merge (block index, intra-tile offset) coordinates back
+  into flat modes;
 * ``block``    — split each mode ``c`` into ``(c // b, c % b)`` tile
   coordinates (matrix → BCSR's blocked 4-D space, padding dimensions up
   to tile multiples);
-* ``unblock``  — the inverse merge of tile coordinates;
 * ``pack``     — rank coordinates into the target's level structure (the
   target's mode ordering re-sorts entries as part of packing).
 
-Conversions compose: CSR↔COO↔DCSR are direct re-rankings of the same
-coordinate space, while CSR↔BCSR route through the block/unblock steps.
-The evaluation harness stages converted datasets once per (dataset,
-format) through the pipeline's staged cache, so a format sweep converts
-each matrix at most once per format.
+``block`` and ``pack`` are one call, :func:`pack_entries`, which is also
+how the dataset layer packs every kernel's sparse operands from their
+generated entries. CSR↔COO↔DCSR are direct re-rankings of the same
+coordinate space, while CSR↔BCSR add the block/unblock steps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable
 
 import numpy as np
 
 from repro.formats.format import Format
-from repro.formats.memory import MemoryRegion
 from repro.tensor.storage import (
     CompressedLevel,
     DenseLevel,
@@ -45,7 +44,6 @@ from repro.tensor.storage import (
     pack,
     unpack,
 )
-from repro.tensor.tensor import Tensor
 
 
 class ConversionError(ValueError):
@@ -104,123 +102,80 @@ def _stores_explicit_zeros(fmt: Format) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def pack_entries(coords: np.ndarray, vals: np.ndarray,
+                 dims: tuple[int, ...], target: Format) -> TensorStorage:
+    """Pack COO entries into ``target``'s level structure: one level walk.
+
+    Entries over a blocked target's flat dims are first split into tile
+    coordinates (padding dims up to tile multiples); entries already in
+    its blocked space, like every entry of a flat target, pack as they
+    are.
+    """
+    sizes = _block_sizes(target)
+    dims = tuple(dims)
+    if sizes and len(dims) != target.order:
+        coords, dims = block_coords(coords, sizes), blocked_dims(dims, sizes)
+    return pack(coords, vals, dims, target)
+
+
 @dataclasses.dataclass(frozen=True)
-class ConversionStep:
-    """One primitive of a synthesized conversion routine."""
-
-    op: str  # unpack | sparsify | block | unblock | pack
-    detail: str
-    apply: Callable[[dict], dict] = dataclasses.field(compare=False, repr=False)
-
-    def __str__(self) -> str:
-        return f"{self.op}: {self.detail}"
-
-
-@dataclasses.dataclass
 class ConversionPlan:
     """A synthesized source→target conversion routine.
 
-    The plan is a pipeline of :class:`ConversionStep` functions over a
-    state dict ``{coords, vals, dims}``; :meth:`run` executes it and packs
-    the result into the target format's level structure.
+    ``sparsify`` drops explicit zeros, ``unblock`` holds the source tile
+    sizes to merge away and ``block`` the target tile sizes that
+    :func:`pack_entries` splits into (both empty when the tiles stay);
+    ``dims`` pins the flat dims an unblock produces.
     """
 
     source: Format
     target: Format
-    steps: tuple[ConversionStep, ...]
+    sparsify: bool
+    unblock: tuple[int, ...]
+    block: tuple[int, ...]
+    dims: tuple[int, ...] | None
+
+    @property
+    def steps(self) -> tuple[str, ...]:
+        remaps = (("sparsify", self.sparsify), ("unblock", self.unblock),
+                  ("block", self.block))
+        return ("unpack", *(op for op, runs in remaps if runs), "pack")
 
     def describe(self) -> str:
-        lines = [f"convert {self.source} -> {self.target}"]
-        lines.extend(f"  {k + 1}. {step}" for k, step in enumerate(self.steps))
+        target = self.target
+        ordering = ""
+        if target.mode_ordering != tuple(range(target.order)):
+            ordering = f" (mode ordering {list(target.mode_ordering)})"
+        levels = ", ".join(str(m) for m in target.mode_formats)
+        detail = {
+            "unpack": "expand level storage to COO entries",
+            "sparsify": "drop explicit zeros from dense/block segments",
+            "unblock": "merge tile coordinates back into flat modes",
+            "block": f"split modes into {'x'.join(map(str, self.block))} "
+                     f"tile coordinates (pad to tile multiples)",
+            "pack": f"rank coordinates into {{{levels}}}{ordering}",
+        }
+        lines = [f"convert {self.source} -> {target}"]
+        lines.extend(f"  {k}. {op}: {detail[op]}"
+                     for k, op in enumerate(self.steps, 1))
         return "\n".join(lines)
 
     def run(self, storage: TensorStorage) -> TensorStorage:
-        return self._run({"storage": storage, "dims": tuple(storage.dims)},
-                         self.steps)
+        coords, vals = unpack(storage)
+        return self.run_coo(coords, vals, storage.dims)
 
     def run_coo(self, coords: np.ndarray, vals: np.ndarray,
                 dims: tuple[int, ...]) -> TensorStorage:
-        """Every step after the leading ``unpack``, on COO entries over
-        ``dims`` in place of the unpacked source storage: converting raw
-        entries costs one pack, not a pack into the source format first."""
-        return self._run({"coords": coords, "vals": vals,
-                          "dims": tuple(dims)}, self.steps[1:])
-
-    @staticmethod
-    def _run(state: dict, steps: tuple[ConversionStep, ...]) -> TensorStorage:
-        for step in steps:
-            state = step.apply(state)
-        result = state.get("result")
-        if result is None:  # pragma: no cover - plans always end in pack
-            raise ConversionError("plan did not produce a packed result")
-        return result
-
-
-def _step_unpack() -> ConversionStep:
-    def apply(state: dict) -> dict:
-        coords, vals = unpack(state["storage"])
-        state.update(coords=coords, vals=vals)
-        return state
-
-    return ConversionStep("unpack", "expand level storage to COO entries",
-                          apply)
-
-
-def _step_sparsify() -> ConversionStep:
-    def apply(state: dict) -> dict:
-        keep = state["vals"] != 0.0
-        state.update(coords=state["coords"][keep], vals=state["vals"][keep])
-        return state
-
-    return ConversionStep(
-        "sparsify", "drop explicit zeros from dense/block segments", apply
-    )
-
-
-def _step_block(sizes: tuple[int, ...]) -> ConversionStep:
-    def apply(state: dict) -> dict:
-        state["coords"] = block_coords(state["coords"], sizes)
-        state["dims"] = blocked_dims(state["dims"], sizes)
-        return state
-
-    tiles = "x".join(map(str, sizes))
-    return ConversionStep(
-        "block", f"split modes into {tiles} tile coordinates (pad to "
-        f"tile multiples)", apply
-    )
-
-
-def _step_unblock(sizes: tuple[int, ...], dims: tuple[int, ...] | None
-                  ) -> ConversionStep:
-    def apply(state: dict) -> dict:
-        order = len(sizes)
-        state["coords"] = unblock_coords(state["coords"], sizes)
-        if dims is not None:
-            merged = dims
-        else:
-            merged = tuple(
-                state["dims"][m] * sizes[m] for m in range(order)
-            )
-        state["dims"] = merged
-        return state
-
-    return ConversionStep("unblock", "merge tile coordinates back into "
-                          "flat modes", apply)
-
-
-def _step_pack(target: Format) -> ConversionStep:
-    def apply(state: dict) -> dict:
-        state["result"] = pack(state["coords"], state["vals"], state["dims"],
-                               target)
-        return state
-
-    ordering = ""
-    if target.mode_ordering != tuple(range(target.order)):
-        ordering = f" (mode ordering {list(target.mode_ordering)})"
-    return ConversionStep(
-        "pack", f"rank coordinates into {{{', '.join(str(m) for m in target.mode_formats)}}}{ordering}",
-        apply,
-    )
+        """Every step after ``unpack``, on COO entries in the source's
+        coordinate space over ``dims``."""
+        if self.sparsify:
+            keep = vals != 0.0
+            coords, vals = coords[keep], vals[keep]
+        if self.unblock:
+            coords = unblock_coords(coords, self.unblock)
+            dims = self.dims if self.dims is not None else tuple(
+                d * b for d, b in zip(dims, self.unblock))
+        return pack_entries(coords, vals, dims, self.target)
 
 
 def plan_conversion(
@@ -235,9 +190,7 @@ def plan_conversion(
     """
     src_blocks = _block_sizes(source)
     dst_blocks = _block_sizes(target)
-    steps: list[ConversionStep] = [_step_unpack()]
-    if _stores_explicit_zeros(source) and not target.is_all_dense:
-        steps.append(_step_sparsify())
+    retile = src_blocks != dst_blocks
     if src_blocks and not dst_blocks:
         if source.order != 2 * len(src_blocks):
             raise ConversionError(
@@ -245,7 +198,6 @@ def plan_conversion(
                 f"{source} has order {source.order} with "
                 f"{len(src_blocks)} block level(s)"
             )
-        steps.append(_step_unblock(src_blocks, dims))
     elif dst_blocks and not src_blocks:
         if target.order != source.order + len(dst_blocks) or (
             len(dst_blocks) != source.order
@@ -254,18 +206,18 @@ def plan_conversion(
                 f"blocking splits every source mode once: source order "
                 f"{source.order} cannot block into {target}"
             )
-        steps.append(_step_block(dst_blocks))
-    elif src_blocks and dst_blocks and src_blocks != dst_blocks:
-        # Re-tile through the flat coordinate space.
-        steps.append(_step_unblock(src_blocks, None))
-        steps.append(_step_block(dst_blocks))
-    elif source.order != target.order:
+    elif not retile and source.order != target.order:
         raise ConversionError(
             f"cannot convert order-{source.order} format {source} to "
             f"order-{target.order} format {target} without block levels"
         )
-    steps.append(_step_pack(target))
-    return ConversionPlan(source, target, tuple(steps))
+    return ConversionPlan(
+        source, target,
+        sparsify=_stores_explicit_zeros(source) and not target.is_all_dense,
+        unblock=src_blocks if retile else (),
+        block=dst_blocks if retile else (),
+        dims=dims if src_blocks and not dst_blocks else None,
+    )
 
 
 def convert(
@@ -278,17 +230,6 @@ def convert(
     if storage.fmt == target:
         return storage
     return plan_conversion(storage.fmt, target, dims).run(storage)
-
-
-def convert_tensor(
-    tensor: Tensor,
-    target: Format,
-    name: str | None = None,
-    dims: tuple[int, ...] | None = None,
-) -> Tensor:
-    """A new tensor holding ``tensor``'s data in ``target`` format."""
-    storage = convert(tensor.storage, target, dims)
-    return Tensor(name or tensor.name, storage.dims, target).install(storage)
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +335,23 @@ def staged_matrix_storage(
     format_name: str,
     use_cache: bool | None = None,
 ) -> TensorStorage:
-    """One matrix dataset converted to a registered format, staged once.
+    """One matrix dataset packed into a registered format, staged once.
 
     The raw (dims, coords, vals) triple comes from the ``dataset`` cache
-    stage (shared with every kernel using the dataset) and is taken for a
-    CSR matrix's unpacked entries: the CSR-to-format plan runs on it from
-    its second step, so staging packs once. The converted storage
+    stage and goes through :func:`pack_entries`. The packed storage
     memoizes under the ``convert`` stage keyed by (dataset, scale, seed,
-    format), so a sweep over many kernels converts each matrix at most
-    once per format — cold conversions happen on the first worker to ask.
+    format), which partition staging and ``repro convert`` read:
+    unpickling it is far cheaper than unpickling the triple and packing
+    again.
     """
     from repro.data.datasets import load_matrix_coo
-    from repro.formats.format import CSR, format_of
+    from repro.formats.format import format_of
     from repro.pipeline.cache import memoize_stage
 
     def compute() -> TensorStorage:
         dims, coords, vals = load_matrix_coo(dataset_name, scale, seed,
                                              use_cache=use_cache)
-        plan = plan_conversion(CSR(MemoryRegion.OFF_CHIP),
-                               format_of(format_name))
-        return plan.run_coo(coords, vals, dims)
+        return pack_entries(coords, vals, dims, format_of(format_name))
 
     return memoize_stage(
         "convert", (dataset_name, scale, seed, format_name), compute,

@@ -116,9 +116,10 @@ def load_matrix_coo(
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The raw ``(dims, coords, vals)`` of one matrix dataset.
 
-    Staged under the ``dataset`` cache key, so the format-conversion
-    stage (and the ``repro convert`` CLI) share one generated matrix per
-    (dataset, scale, seed) with every kernel that consumes it.
+    Staged under the ``dataset`` cache key, so the ``convert`` stage
+    (partition staging and the ``repro convert`` CLI) and the fused
+    pipelines share one generated matrix per (dataset, scale, seed).
+    ``load`` generates a kernel's operands itself and does not read it.
     """
     from repro.pipeline.cache import memoize_stage
 
@@ -168,11 +169,16 @@ def load(
     """Materialise a kernel's operand tensors for one dataset.
 
     Sparse operands take the dataset's structure (with the paper's derived
-    variants for multi-operand kernels); dense operands are random, held
-    as a :class:`DenseDraw` until something reads their values (a Table 6
+    variants for multi-operand kernels), each packed into its format by
+    :func:`repro.convert.pack_entries`, so a blocked format's dims are
+    the packed storage's; dense operands are random, held as a
+    :class:`DenseDraw` until something reads their values (a Table 6
     evaluation never does); output tensors are left empty.
     """
     import numpy as np
+
+    from repro.convert import pack_entries
+    from repro.formats import format_of
 
     spec = KERNELS[kernel_name]
     dspec = DATASETS_BY_NAME[dataset_name]
@@ -180,19 +186,10 @@ def load(
         raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
     rng = np.random.default_rng(seed)
     dims, (coords, vals) = _generate(dspec, scale, rng)
-    formats = [ts.format for ts in spec.of_role("sparse")]
-    if spec.name in FORMAT_KERNEL_ORDER:
-        # Format-sweep kernels stage their converted operand once per
-        # (dataset, format) through the conversion compiler; a blocked
-        # format's dims are the staged storage's.
-        from repro.convert import staged_matrix_storage
-
-        sparse = [staged_matrix_storage(dataset_name, scale, seed, fmt)
-                  for fmt in formats]
-        dims = sparse[0].dims
-    else:
-        sparse = [_variant(kernel_name, nth, coords, vals, dims)
-                  for nth in range(len(formats))]
+    sparse = [pack_entries(*_variant(kernel_name, nth, coords, vals, dims),
+                           dims, format_of(ts.format))
+              for nth, ts in enumerate(spec.of_role("sparse"))]
+    dims = sparse[0].dims
 
     def dense(shape: tuple[int, ...]) -> DenseDraw:
         # Skip what the draw will consume, one uint64 per float64, so the

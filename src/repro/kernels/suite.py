@@ -136,15 +136,14 @@ class KernelSpec:
         """The operand tensors over ``shapes``, in ``tensor_specs`` order.
 
         ``sparse`` yields each sparse operand's packed ``TensorStorage``
-        or its ``(coords, vals)``. ``dense(shape)`` is called once per
+        (``data.load`` packs them with ``convert.pack_entries``), which
+        the tensor holds as it is. ``dense(shape)`` is called once per
         dense operand and returns a zero-argument draw: a callable
         returning a fresh array of that shape, which the tensor calls on
         the first read of its storage (:meth:`Tensor.from_draw`). Scalars
         take the evaluation's constants (alpha 2, beta 3) and the output
         stays empty.
         """
-        from repro.tensor.storage import TensorStorage
-
         sparse = iter(sparse)
         tensors: dict[str, Tensor] = {}
         for ts in self.tensor_specs:
@@ -154,11 +153,7 @@ class KernelSpec:
             elif ts.role == "dense":
                 t.from_draw(dense(t.shape))
             elif ts.role == "sparse":
-                data = next(sparse)
-                if isinstance(data, TensorStorage):
-                    t.install(data)
-                else:
-                    t.from_coo(*data)
+                t.install(next(sparse))
         return tensors
 
 

@@ -146,9 +146,8 @@ def figure12_cell(kernel_name: str, scale: float,
         # Shares the per-cell stats entry with the Table 6 simulations.
         stats = compute_stats_cached(kernel, (kernel_name, dataset, scale, 7),
                                      use_cache)
-        sweep = CapstanSimulator().sweep_bandwidth(
-            kernel, None, FIG12_BANDWIDTHS, stats
-        )
+        sweep = CapstanSimulator().sweep_bandwidth(kernel, FIG12_BANDWIDTHS,
+                                                   stats)
         base = sweep[FIG12_BANDWIDTHS[0]].seconds
         return {bw: base / res.seconds for bw, res in sweep.items()}
 
@@ -160,11 +159,12 @@ def format_sweep_cell(kernel_name: str, dataset_name: str, scale: float,
                       engine: str | None = None):
     """One format-sweep cell: per-format cost of a kernel on one dataset.
 
-    The kernel's sparse operand is staged once per (dataset, format) by
-    the conversion compiler (``repro.convert``), so every cell sharing a
-    dataset reuses the same generated matrix and every cell sharing a
-    format reuses the converted storage. ``engine`` adds the same
-    functional equivalence check as :func:`evaluate_cell`.
+    The kernel's operands come from the ``dataset`` stage like any
+    evaluation's: ``data.load`` packs the generated matrix straight into
+    the kernel's format (``convert.pack_entries``), and each (dataset,
+    format) pair belongs to one kernel, so no packed operand is shared
+    between cells and no ``convert`` entry is written. ``engine`` adds
+    the same functional equivalence check as :func:`evaluate_cell`.
     """
     from repro.capstan.dram import HBM2E
     from repro.capstan.resources import estimate_resources_cached

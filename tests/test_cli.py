@@ -96,6 +96,15 @@ def test_simulate(capsys):
      "simulate error: unknown dataset 'bcsstk30' for Plus3; choose from ["),
     (["convert", "csr", "nosuch"],
      "unknown format name 'nosuch'; choose from ["),
+    (["convert", "csr", "coo", "--dataset", "nosuch"],
+     "convert error: 'nosuch' is not a matrix dataset; the matrix datasets "
+     "are ['bcsstk30', "),
+    (["convert", "csr", "coo", "--dataset", "facebook"],
+     "convert error: 'facebook' is not a matrix dataset; the matrix "
+     "datasets are ['bcsstk30', "),
+    (["convert", "csf", "csr", "--dataset", "random-1pct"],
+     "convert error: source format 'csf' is not a matrix format (order 3); "
+     "the matrix datasets are ['bcsstk30', "),
 ])
 def test_unknown_name_is_one_error_line_and_exit_2(argv, line, capsys):
     assert main(argv) == 2

@@ -11,7 +11,7 @@ from repro.convert import (
     block_coords,
     blocked_dims,
     convert,
-    convert_tensor,
+    pack_entries,
     plan_conversion,
     unblock_coords,
 )
@@ -55,22 +55,20 @@ class TestBlockedCoordinates:
 class TestPlans:
     def test_plan_steps_csr_to_coo(self):
         plan = plan_conversion(CSR(offChip), COO(offChip))
-        assert [s.op for s in plan.steps] == ["unpack", "pack"]
+        assert plan.steps == ("unpack", "pack")
         assert "->" in plan.describe()
 
     def test_plan_steps_csr_to_bcsr(self):
         plan = plan_conversion(CSR(offChip), format_of("bcsr"))
-        assert [s.op for s in plan.steps] == ["unpack", "block", "pack"]
+        assert plan.steps == ("unpack", "block", "pack")
 
     def test_plan_steps_bcsr_to_csr_sparsifies(self):
         plan = plan_conversion(format_of("bcsr"), CSR(offChip))
-        assert [s.op for s in plan.steps] == [
-            "unpack", "sparsify", "unblock", "pack",
-        ]
+        assert plan.steps == ("unpack", "sparsify", "unblock", "pack")
 
     def test_plan_dense_to_coo_sparsifies(self):
         plan = plan_conversion(DENSE_MATRIX(offChip), COO(offChip))
-        assert "sparsify" in [s.op for s in plan.steps]
+        assert "sparsify" in plan.steps
 
     def test_order_mismatch_without_blocks_rejected(self):
         from repro.formats import DENSE_VECTOR
@@ -129,21 +127,42 @@ class TestRoundTrips:
         assert np.allclose(back.vals, csc.vals)
 
 
-class TestConvertTensor:
-    def test_convert_tensor_produces_usable_tensor(self):
+class TestConvertedTensor:
+    def test_installed_conversion_is_usable_tensor(self):
         dense, coords, vals = random_matrix()
-        t = Tensor("A", dense.shape, CSR(offChip))
-        t.from_coo(coords, vals)
-        coo = convert_tensor(t, COO(offChip))
+        t = Tensor("A", dense.shape, CSR(offChip)).from_coo(coords, vals)
+        storage = convert(t.storage, COO(offChip))
+        coo = Tensor("A", storage.dims, COO(offChip)).install(storage)
         assert coo.format.has_singleton_level
         assert np.allclose(coo.to_dense(), dense)
 
-    def test_convert_tensor_blocked_shape(self):
+    def test_installed_blocked_conversion_shape(self):
         dense, coords, vals = random_matrix()
-        t = Tensor("A", dense.shape, CSR(offChip))
-        t.from_coo(coords, vals)
-        blocked = convert_tensor(t, format_of("bcsr"))
+        t = Tensor("A", dense.shape, CSR(offChip)).from_coo(coords, vals)
+        storage = convert(t.storage, format_of("bcsr"))
+        blocked = Tensor("A", storage.dims, storage.fmt).install(storage)
         assert blocked.shape == blocked_dims(dense.shape, (4, 4))
+
+
+class TestPackEntries:
+    def test_flat_entries_block_into_a_blocked_target(self):
+        """Flat dims block first: the same arrays as the CSR->BCSR plan."""
+        from tests.conftest import assert_same_storage
+
+        dense, coords, vals = random_matrix()
+        bcsr = format_of("bcsr")
+        csr = pack(coords, vals, dense.shape, CSR(offChip))
+        assert_same_storage(pack_entries(coords, vals, dense.shape, bcsr),
+                            convert(csr, bcsr))
+
+    def test_blocked_entries_pack_as_they_are(self):
+        from tests.conftest import assert_same_storage
+
+        bcsr = format_of("bcsr")
+        dense, coords, vals = random_matrix()
+        blocked = pack_entries(coords, vals, dense.shape, bcsr)
+        assert_same_storage(pack_entries(block_coords(coords, (4, 4)), vals,
+                                         blocked.dims, bcsr), blocked)
 
 
 class TestStagedConversion:

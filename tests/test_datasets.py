@@ -8,7 +8,7 @@ import pytest
 
 from repro.data import DATASETS, DATASETS_BY_NAME, datasets_for, load
 from repro.data import generators as gen
-from repro.kernels import KERNEL_ORDER
+from repro.kernels import FORMAT_KERNEL_ORDER, KERNEL_ORDER
 from tests.helpers_kernels import (
     DATASET_GOLDEN_SCALES,
     DATASET_GOLDEN_SEED,
@@ -182,6 +182,48 @@ class TestLoad:
         tensors = load("MatTransMul", "bcsstk30", scale=0.01)
         assert tensors["alpha"].scalar_value() == 2.0
         assert tensors["beta"].scalar_value() == 3.0
+
+
+class TestLoadPath:
+    """A dataset load generates its matrix once and packs every sparse
+    operand itself: it stores one ``dataset`` entry and never reads or
+    writes the ``convert`` stage."""
+
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        from repro.data import datasets
+        from repro.pipeline import cache as cache_mod
+
+        cache = cache_mod.CompilationCache(disk=False)
+        monkeypatch.setattr(cache_mod, "_default_cache", cache)
+        calls = []
+        real = datasets._generate
+
+        def generate(*args):
+            calls.append(args[0].name)
+            return real(*args)
+
+        monkeypatch.setattr(datasets, "_generate", generate)
+        return cache, calls
+
+    @pytest.mark.parametrize("kernel", FORMAT_KERNEL_ORDER)
+    def test_cold_format_kernel_load_generates_once(self, kernel,
+                                                    generations):
+        from repro.api import CompileRequest, load_dataset
+
+        cache, calls = generations
+        load_dataset(CompileRequest(kernel=kernel, scale=0.05))
+        assert len(calls) == 1
+        assert cache.stats.stores == 1
+
+    def test_no_load_touches_the_convert_stage(self, generations):
+        from repro.api import CompileRequest, load_dataset
+
+        cache, _ = generations
+        for kernel in KERNEL_ORDER + FORMAT_KERNEL_ORDER:
+            load_dataset(CompileRequest(kernel=kernel, scale=0.02))
+        stages = set(cache.stats.stage_hits) | set(cache.stats.stage_misses)
+        assert stages == {"dataset"}
 
 
 class TestDatasetGolden:

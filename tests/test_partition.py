@@ -323,19 +323,19 @@ class TestStaging:
         import repro.convert as convert_mod
 
         calls = []
-        real_stage, real_plan = (convert_mod.staged_matrix_storage,
-                                 convert_mod.plan_conversion)
+        real_stage, real_pack = (convert_mod.staged_matrix_storage,
+                                 convert_mod.pack_entries)
 
         def stage(dataset, scale, seed, fmt, use_cache=None):
             calls.append([use_cache, False])
             return real_stage(dataset, scale, seed, fmt, use_cache)
 
-        def plan(*args, **kwargs):  # only a staging *compute* plans one
+        def pack(*args, **kwargs):  # only a staging *compute* packs
             calls[-1][1] = True
-            return real_plan(*args, **kwargs)
+            return real_pack(*args, **kwargs)
 
         monkeypatch.setattr(convert_mod, "staged_matrix_storage", stage)
-        monkeypatch.setattr(convert_mod, "plan_conversion", plan)
+        monkeypatch.setattr(convert_mod, "pack_entries", pack)
         return calls
 
     @pytest.mark.parametrize("split", ["row", "sum"])

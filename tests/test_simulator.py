@@ -50,7 +50,7 @@ class TestMemoryOrdering:
 
     def test_sweep_helper(self, compiled, sim):
         kernel = compiled["SpMV"]
-        sweep = sim.sweep_bandwidth(kernel, None, (20, 200, 2000))
+        sweep = sim.sweep_bandwidth(kernel, (20, 200, 2000))
         assert set(sweep) == {20, 200, 2000}
         assert sweep[20].seconds >= sweep[2000].seconds
 
