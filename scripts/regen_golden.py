@@ -18,7 +18,9 @@ without their per-run fields. ``execution.json`` (tests/test_interp.py)
 pins the sha256 of every kernel record's ``run_dense()`` and every
 pipeline's output checksum, so an interpreter change that moves one bit
 of a result shows up; its ``numpy`` section (tests/test_numpy_exec.py)
-does the same for the numpy engine's densified result.
+does the same for the numpy engine's densified result, and its
+``partitions`` section (tests/test_partition.py) holds the report text of
+five partition plans at scale 0.25, ``oracle maxerr`` included.
 ``table6-1.0.txt`` (tests/test_golden_code.py, ``slow``) is a cold
 ``tables table6 --scale 1.0`` render, so a model change that moves a
 paper-scale cell shows up as a text diff. After an

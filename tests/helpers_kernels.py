@@ -240,6 +240,31 @@ def pipeline_checksum(name: str) -> str:
                         engine="numpy")["checksum"]
 
 
+#: Scale of the partition reports pinned by ``tests/golden/execution.json``.
+PARTITION_GOLDEN_SCALE = 0.25
+
+#: Partition plans whose reports are pinned: the serial reference and a
+#: row split of each kernel, a contraction (``sum``) split, and a matrix
+#: with hub rows.
+PARTITION_GOLDEN_PLANS = (
+    "partition:SpMV:bcsstk30:p1:row",
+    "partition:SpMV:bcsstk30:p4:row",
+    "partition:DCSR-SpMM:bcsstk30:p4:row",
+    "partition:DCSR-SpMM:bcsstk30:p2:sum",
+    "partition:SpMV:ckt11752_dc_1:p3:row",
+)
+
+
+def partition_report(artifact: str) -> str:
+    """``tables ARTEFACT --scale 0.25 --engine numpy`` text, computed
+    serially without the cache; ``oracle maxerr`` included."""
+    from repro.pipeline.batch import format_artifact, run_artifact
+
+    return format_artifact(artifact, run_artifact(
+        artifact, PARTITION_GOLDEN_SCALE, jobs=1, use_cache=False,
+        engine="numpy"))
+
+
 def execution_digests() -> dict[str, dict[str, str]]:
     """Everything ``tests/golden/execution.json`` pins."""
     from repro.pipeline.fusion import PIPELINES
@@ -247,7 +272,9 @@ def execution_digests() -> dict[str, dict[str, str]]:
     return {"run_dense": {k: run_dense_digest(k) for k in KERNELS},
             "numpy": {numpy_golden_key(k, s): numpy_digest(k, s)
                       for k, s in NUMPY_GOLDEN_CASES},
-            "pipelines": {p: pipeline_checksum(p) for p in PIPELINES}}
+            "pipelines": {p: pipeline_checksum(p) for p in PIPELINES},
+            "partitions": {a: partition_report(a)
+                           for a in PARTITION_GOLDEN_PLANS}}
 
 
 #: Scale of the two shard manifests pinned by ``tests/golden/requests.json``.

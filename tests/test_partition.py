@@ -12,6 +12,7 @@ shard manifests, the shard/dispatch integration (killed worker and
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +41,14 @@ from repro.pipeline.partition import (
 )
 from repro.tensor.storage import pack, unpack
 from tests.conftest import assert_same_storage, start_vanishing_worker
+from tests.helpers_kernels import PARTITION_GOLDEN_PLANS, partition_report
 
 TINY = 0.03
 DATASET = "bcsstk30"
+
+PARTITION_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "execution.json")
+    .read_text())["partitions"]
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +315,20 @@ class TestReduce:
         with pytest.raises(PartitionError,
                            match="partition:SpMV:bcsstk30:p2:row"):
             reduce_partials(plan.artifact, results[:1])
+
+
+class TestGolden:
+    """Reports are byte-identical to the ``partitions`` section of
+    ``tests/golden/execution.json``, ``oracle maxerr`` included
+    (regenerate with ``python scripts/regen_golden.py`` only for an
+    intentional change)."""
+
+    def test_golden_covers_every_plan(self):
+        assert set(PARTITION_GOLDEN) == set(PARTITION_GOLDEN_PLANS)
+
+    @pytest.mark.parametrize("artifact", PARTITION_GOLDEN_PLANS)
+    def test_report_matches_golden(self, fresh_cache, artifact):
+        assert partition_report(artifact) == PARTITION_GOLDEN[artifact]
 
 
 # ---------------------------------------------------------------------------
