@@ -334,28 +334,59 @@ def partition_cell(operands: StagedOperands, index: int,
 # ---------------------------------------------------------------------------
 
 
+#: Contributions per oracle chunk: about 1 MiB of float64 weights.
+ORACLE_CHUNK = 1 << 17
+
+
 def _validate_against_oracle(operands: StagedOperands,
                              out: np.ndarray) -> float:
     """Check ``out`` against an *independent* unpartitioned accumulation:
-    one ``np.bincount`` over flat ``row * width + column`` keys sums every
+    ``np.bincount`` over flat ``row * width + column`` keys sums every
     nonzero's contribution in storage order over the operands the blocks
     were cut from, a different association of the same sums than any
     engine's, so agreement is a real check.
+
+    The entries are cut at row starts into chunks of about
+    :data:`ORACLE_CHUNK` contributions (a longer row stays whole), and
+    each chunk's rows come from one bincount of its own. Every output
+    cell still sums all its contributions in storage order in one
+    bincount, so the oracle is the same bits as one bincount over all
+    entries, in bounded memory.
     """
     from repro.tensor.storage import unpack
 
-    coords, vals = unpack(operands.full)
-    dense = operands.dense
-    width = math.prod(out.shape[1:])
-    contrib = (vals[:, None] * dense[coords[:, 1]]
-               if dense.ndim == 2 else vals * dense[coords[:, 1]])
-    keys = coords[:, :1] * width + np.arange(width)
-    oracle = np.bincount(keys.ravel(), weights=contrib.ravel(),
-                         minlength=out.size).reshape(out.shape)
-    return oracle_maxerr(
-        out, oracle, PartitionError,
-        f"{operands.plan.artifact}: merged output disagrees with the "
-        f"unpartitioned oracle")
+    artifact = operands.plan.artifact
+    with obs.span("partition:oracle", artifact=artifact) as sp:
+        coords, vals = unpack(operands.full)
+        rows, cols = coords[:, 0], coords[:, 1]
+        if (rows[1:] < rows[:-1]).any():
+            raise PartitionError(
+                f"{artifact}: the operand's rows are not stored in order")
+        width = math.prod(out.shape[1:])
+        dense = operands.dense.reshape(len(operands.dense), width)
+        oracle = np.zeros((out.shape[0], width))
+        # Cut at the first row start at or past every ``step`` entries
+        # t: the end of the row that entry t - 1 is in.
+        step = max(1, ORACLE_CHUNK // width)
+        targets = np.arange(step, len(rows), step)
+        cuts = sorted({0, len(rows), *np.searchsorted(
+            rows, rows[targets - 1], side="right").tolist()})
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            first, stop = rows[lo], rows[hi - 1] + 1
+            # (row - first) * width + column, in two passes
+            keys = np.add.outer(rows[lo:hi] * width,
+                                np.arange(width) - first * width)
+            contrib = np.take(dense, cols[lo:hi], axis=0)
+            contrib *= vals[lo:hi, None]
+            oracle[first:stop] = np.bincount(
+                keys.ravel(), weights=contrib.ravel(),
+                minlength=(stop - first) * width).reshape(-1, width)
+        maxerr = oracle_maxerr(
+            out, oracle.reshape(out.shape), PartitionError,
+            f"{artifact}: merged output disagrees with the unpartitioned "
+            f"oracle")
+        sp.set(nnz=len(rows), chunks=len(cuts) - 1, maxerr=maxerr)
+    return maxerr
 
 
 def reduce_partials(plan: PartitionPlan | str, results: list) -> dict:

@@ -273,9 +273,14 @@ def pack(
         dims: dimension sizes per tensor mode.
         fmt: target format; ``fmt.order`` must equal ``len(dims)``.
 
-    The algorithm walks levels top-down, tracking each entry's *parent
-    position*. Dense levels multiply the position space by the dimension;
-    compressed levels rank the unique (parent, coordinate) pairs.
+    Entries are sorted into storage order and deduplicated first (a
+    no-op for sorted input), then the levels are built in one walk
+    top-down, tracking each entry's *parent position*. Dense levels
+    multiply the position space by the dimension. A compressed level
+    stores the coordinate of every *fresh* entry, one whose coordinates
+    at this level or above differ from its predecessor's (every entry
+    below a non-unique level), and counts them per parent into ``pos``;
+    where every entry is fresh, positions are the entry indices.
     """
     order = len(dims)
     if fmt.order != order:
@@ -300,14 +305,22 @@ def pack(
     n = coords.shape[0]
 
     levels: list[Level] = []
-    # parent position of each stored entry at the level being built
-    parent_pos = np.zeros(n, dtype=np.int64)
+    # Each entry's position at the level above; None when entry e sits at
+    # position e (then every entry opens a position at each level below).
+    parent: np.ndarray | None = np.zeros(n, dtype=np.int64)
     num_parents = 1
+    # Whether entry e's coordinates so far differ from entry e-1's, i.e.
+    # whether e opens a new position at the next compressed level; None
+    # when every entry does.
+    fresh: np.ndarray | None = np.zeros(n, dtype=bool)
+    fresh[:1] = True
     for lvl_idx in range(order):
         mode = fmt.mode_of_level(lvl_idx)
         dim = dims[mode]
         lvl_coords = coords[:, mode]
         lf = fmt.level_format(lvl_idx)
+        if fresh is not None:
+            fresh[1:] |= lvl_coords[1:] != lvl_coords[:-1]
         if lf.is_dense:
             if lf.is_block and dim != lf.size:
                 raise ValueError(
@@ -315,51 +328,53 @@ def pack(
                     f"mode {mode} has dimension {dim}"
                 )
             levels.append(DenseLevel(dim))
-            parent_pos = parent_pos * dim + lvl_coords
+            parent = (np.arange(n, dtype=np.int64) if parent is None
+                      else parent) * dim + lvl_coords
             num_parents *= dim
         elif lf.is_singleton:
             # One coordinate per parent position: positions pass through.
-            # parent_pos is non-decreasing (entries are in storage order),
+            # parent is non-decreasing (entries are in storage order),
             # so a repeated parent sits next to its twin.
-            if n != num_parents or (parent_pos[1:] == parent_pos[:-1]).any():
+            if n != num_parents or (parent is not None
+                                    and (parent[1:] == parent[:-1]).any()):
                 raise ValueError(
                     f"singleton level {lvl_idx} requires exactly one entry "
                     f"per parent position ({num_parents} parents, {n} "
                     f"entries); use a non-unique compressed parent level"
                 )
-            crd = np.zeros(num_parents, dtype=_CRD_DTYPE)
-            crd[parent_pos] = lvl_coords
-            levels.append(SingletonLevel(crd=crd))
+            # n distinct non-decreasing parents out of n: entry e is at e.
+            levels.append(SingletonLevel(crd=lvl_coords.astype(_CRD_DTYPE)))
+            parent = fresh = None
         else:
-            # Rank unique (parent_pos, coord) pairs. Entries are already
-            # sorted in storage order, so pairs appear grouped and sorted.
-            # Non-unique compressed levels (the COO root) keep one position
-            # per stored entry instead of grouping equal pairs.
-            key = parent_pos * dim + lvl_coords
-            if n:
-                if lf.unique:
-                    new_group = np.concatenate(([True], key[1:] != key[:-1]))
-                else:
-                    new_group = np.ones(n, dtype=bool)
-                group_rank = np.cumsum(new_group) - 1
-                uniq_key = key[new_group]
-                uniq_parent = parent_pos[new_group]
-                uniq_crd = (uniq_key % dim).astype(_CRD_DTYPE)
+            # Entries are sorted and duplicate-free, so a fresh entry opens
+            # the next position. A non-unique level (the COO root) gives
+            # every stored entry a position of its own.
+            if fresh is not None and (not lf.unique or fresh.all()):
+                fresh = None
+            if fresh is None:
+                crd = lvl_coords.astype(_CRD_DTYPE)
+                opened_by = parent
             else:
-                group_rank = np.zeros(0, dtype=np.int64)
-                uniq_parent = np.zeros(0, dtype=np.int64)
-                uniq_crd = np.zeros(0, dtype=_CRD_DTYPE)
-            pos = np.bincount(uniq_parent + 1, minlength=num_parents + 1
-                              ).astype(_POS_DTYPE, copy=False)
-            np.cumsum(pos, out=pos)
-            levels.append(CompressedLevel(pos=pos, crd=uniq_crd))
-            parent_pos = group_rank
-            num_parents = len(uniq_crd)
+                opens = np.flatnonzero(fresh)
+                crd = lvl_coords[opens].astype(_CRD_DTYPE)
+                opened_by = parent[opens]
+            if opened_by is None:
+                pos = np.arange(num_parents + 1, dtype=_POS_DTYPE)
+            else:
+                pos = np.zeros(num_parents + 1, dtype=_POS_DTYPE)
+                np.cumsum(np.bincount(opened_by, minlength=num_parents),
+                          out=pos[1:])
+            levels.append(CompressedLevel(pos=pos, crd=crd))
+            parent = None if fresh is None else np.cumsum(fresh) - 1
+            num_parents = len(crd)
 
     # One value slot per innermost-level position: compressed tails have one
     # slot per stored entry, dense tails one per (possibly zero) dense slot.
-    out_vals = np.zeros(num_parents, dtype=np.float64)
-    out_vals[parent_pos] = vals
+    if parent is None:
+        out_vals = vals.copy()
+    else:
+        out_vals = np.zeros(num_parents, dtype=np.float64)
+        out_vals[parent] = vals
     return TensorStorage(fmt, tuple(dims), levels, out_vals)
 
 

@@ -170,6 +170,60 @@ def conversion_digests() -> dict[str, dict[str, str]]:
     return cases
 
 
+def reference_pack(coords, vals, dims, fmt):
+    """``pack`` as a per-level Horner-key walk: each compressed level ranks
+    the distinct ``parent * dim + coordinate`` keys of the sorted,
+    duplicate-free entries. Slower than ``pack``'s one walk, and the
+    arrays it builds must be equal to ``pack``'s."""
+    from repro.tensor.storage import (
+        CompressedLevel,
+        DenseLevel,
+        SingletonLevel,
+        TensorStorage,
+        _dedupe_coo,
+    )
+
+    coords = np.asarray(coords, dtype=np.int64).reshape(-1, len(dims))
+    coords, vals = _dedupe_coo(coords, np.asarray(vals, dtype=np.float64),
+                               fmt.mode_ordering)
+    n = coords.shape[0]
+    levels = []
+    parent_pos = np.zeros(n, dtype=np.int64)
+    num_parents = 1
+    for lvl_idx in range(len(dims)):
+        mode = fmt.mode_of_level(lvl_idx)
+        dim = dims[mode]
+        lvl_coords = coords[:, mode]
+        lf = fmt.level_format(lvl_idx)
+        if lf.is_dense:
+            levels.append(DenseLevel(dim))
+            parent_pos = parent_pos * dim + lvl_coords
+            num_parents *= dim
+        elif lf.is_singleton:
+            if n != num_parents or (parent_pos[1:] == parent_pos[:-1]).any():
+                raise ValueError("singleton level needs one entry per parent")
+            crd = np.zeros(num_parents, dtype=np.int32)
+            crd[parent_pos] = lvl_coords
+            levels.append(SingletonLevel(crd=crd))
+        else:
+            key = parent_pos * dim + lvl_coords
+            new_group = np.ones(n, dtype=bool)
+            if lf.unique:
+                new_group[1:] = key[1:] != key[:-1]
+            group_rank = np.cumsum(new_group) - 1
+            uniq_parent = parent_pos[new_group]
+            uniq_crd = (key[new_group] % dim).astype(np.int32)
+            pos = np.bincount(uniq_parent + 1, minlength=num_parents + 1
+                              ).astype(np.int64, copy=False)
+            np.cumsum(pos, out=pos)
+            levels.append(CompressedLevel(pos=pos, crd=uniq_crd))
+            parent_pos = group_rank
+            num_parents = len(uniq_crd)
+    out_vals = np.zeros(num_parents, dtype=np.float64)
+    out_vals[parent_pos] = vals
+    return TensorStorage(fmt, tuple(dims), levels, out_vals)
+
+
 #: Scale of ``tests/golden/table6-1.0.txt``: the paper's datasets.
 TABLE6_GOLDEN_SCALE = 1.0
 

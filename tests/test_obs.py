@@ -311,6 +311,20 @@ class TestEngineFallback:
         assert [r["attrs"]["engine"] for r in computes] == ["cpu", "cpu"]
         assert sorted(r["attrs"]["block"] for r in computes) == [0, 1]
 
+    def test_partition_oracle_span_inside_reduce(self, fresh_cache,
+                                                 trace_dir_env):
+        from repro.pipeline.executor import run_jobs
+        from repro.pipeline.partition import PartitionPlan, reduce_partials
+
+        plan = PartitionPlan("DCSR-SpMM", "bcsstk30", 2)
+        data = reduce_partials(plan, run_jobs(plan.jobs(TINY)))
+        spans = {r["name"]: r for r in load_trace_dir(trace_dir_env).spans}
+        oracle = spans["partition:oracle"]
+        assert oracle["parent"] == spans["partition:reduce"]["id"]
+        assert oracle["attrs"]["nnz"] == data["nnz"]
+        assert oracle["attrs"]["chunks"] >= 1
+        assert repr(oracle["attrs"]["maxerr"]) == data["oracle_maxerr"]
+
 
 # ---------------------------------------------------------------------------
 # The computed/cached split

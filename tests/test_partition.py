@@ -10,8 +10,10 @@ shard manifests, the shard/dispatch integration (killed worker and
 ``part-*`` queue task naming.
 """
 
+import dataclasses
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,11 @@ from repro.convert import (
 )
 from repro.formats.format import format_of
 from repro.pipeline.batch import format_artifact, run_artifact
+from repro.pipeline import partition
 from repro.pipeline.executor import run_jobs
 from repro.pipeline.partition import (
     PARTITION_FORMATS,
+    PARTITION_MODES,
     PartitionError,
     PartitionPlan,
     block_range,
@@ -329,6 +333,104 @@ class TestGolden:
     @pytest.mark.parametrize("artifact", PARTITION_GOLDEN_PLANS)
     def test_report_matches_golden(self, fresh_cache, artifact):
         assert partition_report(artifact) == PARTITION_GOLDEN[artifact]
+
+
+class TestOracle:
+    """The oracle catches a wrong merge anywhere, and works in chunks."""
+
+    SCALE = 0.25
+
+    @pytest.fixture(scope="class")
+    def merged(self):
+        """Per (kernel, mode): the plan, its job results and the merged
+        output (computed once, outside the per-test cache)."""
+        out = {}
+        for kernel in sorted(PARTITION_FORMATS):
+            for mode in PARTITION_MODES:
+                plan = PartitionPlan(kernel, DATASET, 4, mode)
+                results = run_jobs(plan.jobs(self.SCALE, use_cache=False))
+                out[kernel, mode] = plan, results
+        return out
+
+    @staticmethod
+    def _perturbed(results, row: int):
+        """The results with the largest merged cell of output row ``row``
+        moved by a relative 1e-6, through the block that holds the row
+        (the first block, for a ``sum`` split)."""
+        parts = [res.unwrap() for res in results]
+        row_split = parts[0]["mode"] == "row"
+        merged = (np.concatenate([p["values"] for p in parts]) if row_split
+                  else sum(p["values"] for p in parts))
+        cells = merged.reshape(len(merged), -1)[row]
+        cell = np.argmax(np.abs(cells))
+        index = next(i for i, p in enumerate(parts)
+                     if not row_split or p["lo"] <= row < p["hi"])
+        part = parts[index]
+        values = np.array(part["values"])
+        local = row - part["lo"] if row_split else row
+        values.reshape(len(values), -1)[local, cell] += 1e-6 * cells[cell]
+        results = list(results)
+        results[index] = dataclasses.replace(
+            results[index], value=dict(part, values=values))
+        return results
+
+    @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
+    @pytest.mark.parametrize("mode", PARTITION_MODES)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejects_a_perturbed_cell(self, merged, monkeypatch, kernel,
+                                      mode, where):
+        """One merged cell off by a relative 1e-6 in the first row, the last
+        row, or a row inside a middle chunk fails the reduce, naming the
+        artefact (small chunks, so SpMV cuts into several too)."""
+        monkeypatch.setattr(partition, "ORACLE_CHUNK", 4096)
+        plan, results = merged[kernel, mode]
+        operands = results[0].job.args[0]
+        rows = unpack(operands.full)[0][:, 0]
+        row = {"first": rows[0], "last": rows[-1],
+               "middle": rows[len(rows) // 2]}[where]
+        reduce_partials(plan, results)  # unperturbed: passes
+        with pytest.raises(PartitionError,
+                           match=f"{plan.artifact}: merged output disagrees"):
+            reduce_partials(plan, self._perturbed(results, int(row)))
+
+    @pytest.mark.parametrize("chunk", [1, 64, 1 << 17])
+    def test_chunking_never_moves_a_bit(self, merged, monkeypatch, chunk):
+        """Any chunk size, rows longer than a chunk included, gives the
+        same report as one chunk."""
+        plan, results = merged["DCSR-SpMM", "row"]
+        monkeypatch.setattr(partition, "ORACLE_CHUNK", 1 << 40)
+        whole = reduce_partials(plan, results)
+        monkeypatch.setattr(partition, "ORACLE_CHUNK", chunk)
+        assert reduce_partials(plan, results) == whole
+
+    def test_rows_out_of_order_are_refused(self, merged):
+        """The chunks assume rows never decrease in storage order; an
+        operand stored column-major breaks that and is refused."""
+        plan, results = merged["SpMV", "row"]
+        staged = results[0].job.args[0]
+        operands = partition.StagedOperands(plan, self.SCALE)
+        full = staged.full
+        operands.full = pack(*unpack(full), full.dims, format_of("csc"))
+        operands.dense = staged.dense
+        results = [dataclasses.replace(res, job=dataclasses.replace(
+            res.job, args=(operands, *res.job.args[1:]))) for res in results]
+        with pytest.raises(PartitionError, match="rows are not stored in "
+                                                 "order"):
+            reduce_partials(plan, results)
+
+    @pytest.mark.parametrize("mode", PARTITION_MODES)
+    def test_reduce_runs_in_bounded_memory(self, merged, mode):
+        """The oracle never holds an nnz x width array: DCSR-SpMM P=4 at
+        scale 0.25 reduces under 16 MiB of traced allocations."""
+        plan, results = merged["DCSR-SpMM", mode]
+        results[0].job.args[0].full  # staged before tracing starts
+        tracemalloc.start()
+        try:
+            reduce_partials(plan, results)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats import Format, compressed, dense, offChip
+from repro.formats.format import format_of, registered_formats
 from repro.tensor.storage import from_dense, pack, to_dense, unpack
 from tests.conftest import assert_same_storage
+from tests.helpers_kernels import reference_pack
 
 
 @st.composite
@@ -171,3 +173,39 @@ def test_strictly_sorted_does_not_overflow():
     assert _strictly_sorted(coords, (0, 1, 2))
     assert not _strictly_sorted(coords[::-1], (0, 1, 2))
     assert not _strictly_sorted(coords[[0, 0, 1]], (0, 1, 2))
+
+
+@st.composite
+def registered_format_entries(draw):
+    """A registered format under a random mode ordering, dims that fit its
+    block levels, and entries that may be unsorted, duplicated, empty or
+    a single one, with explicit ``0.0`` and ``-0.0`` values."""
+    base = format_of(draw(st.sampled_from(sorted(registered_formats()))))
+    fmt = Format(base.mode_formats,
+                 draw(st.permutations(list(range(base.order)))), offChip)
+    dims = tuple(
+        lf.size if lf.is_block else draw(st.integers(1, 5))
+        for lf in (fmt.level_format(fmt.level_of_mode(m))
+                   for m in range(fmt.order)))
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 16))
+    coords = np.array(
+        [[draw(st.integers(0, d - 1)) for d in dims] for _ in range(n)],
+        dtype=np.int64).reshape(n, fmt.order)
+    vals = np.array([draw(st.sampled_from([0.0, -0.0])
+                          | st.floats(-10, 10, allow_nan=False))
+                     for _ in range(n)])
+    if n:
+        twins = draw(st.lists(st.integers(0, n - 1), max_size=4))
+        coords = np.concatenate([coords, coords[twins]])
+        vals = np.concatenate([vals, -vals[twins]])
+    return fmt, dims, coords, vals
+
+
+@given(registered_format_entries())
+@settings(max_examples=200, deadline=None)
+def test_pack_equals_the_reference_level_walk(case):
+    """``pack``'s one walk over fresh entries builds the same level
+    arrays, ``vals`` and dtypes as the per-level Horner-key walk."""
+    fmt, dims, coords, vals = case
+    assert_same_storage(pack(coords, vals, dims, fmt),
+                        reference_pack(coords, vals, dims, fmt))
