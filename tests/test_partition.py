@@ -28,8 +28,8 @@ from repro.convert import (
     slice_rows,
 )
 from repro.formats.format import format_of
-from repro.pipeline.batch import format_artifact, run_artifact
 from repro.pipeline import partition
+from repro.pipeline.batch import format_artifact, run_artifact
 from repro.pipeline.executor import run_jobs
 from repro.pipeline.partition import (
     PARTITION_FORMATS,
@@ -342,8 +342,8 @@ class TestOracle:
 
     @pytest.fixture(scope="class")
     def merged(self):
-        """Per (kernel, mode): the plan, its job results and the merged
-        output (computed once, outside the per-test cache)."""
+        """Per (kernel, mode): the P=4 plan at scale 0.25 and its job
+        results, computed once for the class without the cache."""
         out = {}
         for kernel in sorted(PARTITION_FORMATS):
             for mode in PARTITION_MODES:
