@@ -306,7 +306,7 @@ def pack(
 
     levels: list[Level] = []
     # Each entry's position at the level above; None when entry e sits at
-    # position e (then every entry opens a position at each level below).
+    # position e, so that no two entries share a parent.
     parent: np.ndarray | None = np.zeros(n, dtype=np.int64)
     num_parents = 1
     # Whether entry e's coordinates so far differ from entry e-1's, i.e.
