@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro.engines import ENGINES
 
@@ -572,18 +573,25 @@ _ENGINE_HELP = ("cells that run a kernel functionally execute it with this "
                 "(default: REPRO_ENGINE or numpy)")
 
 
-def _scale(text: str) -> float:
-    """The ``type=`` of every ``--scale``: a positive number, the rule
-    ``CompileRequest.resolved`` applies, refused at parse time (before
-    any worker is started) with argparse's one-line error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not value > 0:  # NaN compares false
-        raise argparse.ArgumentTypeError(
-            f"scale must be a positive number, got {text!r}")
-    return value
+def _positive(name: str) -> Callable[[str], float]:
+    """The ``type=`` of a ``--<name>`` flag that takes a positive number
+    (every ``--scale``, the rule ``CompileRequest.resolved`` applies, and
+    every ``--lease-timeout``): anything else is refused at parse time,
+    before any worker is started, with argparse's one-line error."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not value > 0:  # NaN compares false
+            raise argparse.ArgumentTypeError(
+                f"{name} must be a positive number, got {text!r}")
+        return value
+    return parse
+
+
+_scale = _positive("scale")
+_lease_timeout = _positive("lease-timeout")
 
 
 def _add_run_flags(parser) -> None:
@@ -673,7 +681,8 @@ def main(argv: list[str] | None = None) -> int:
     p_disp.add_argument("--chunks-per-worker", type=int, default=4,
                         help="lease granularity: chunks cut per worker "
                              "slot (default 4)")
-    p_disp.add_argument("--lease-timeout", type=float, default=900.0,
+    p_disp.add_argument("--lease-timeout", type=_lease_timeout,
+                        default=900.0,
                         help="seconds before a silent worker is presumed "
                              "hung and its chunk reassigned (default 900)")
     p_disp.add_argument("--retries", type=int, default=2,
@@ -790,8 +799,8 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="S",
                          help="hard deadline for the SIGTERM graceful "
                               "drain (default 30)")
-    p_serve.add_argument("--lease-timeout", type=float, default=60.0,
-                         metavar="S",
+    p_serve.add_argument("--lease-timeout", type=_lease_timeout,
+                         default=60.0, metavar="S",
                          help="queue:DIR pool: seconds before a silent "
                               "worker's request is re-enqueued (default 60)")
     p_serve.add_argument("--no-cache", action="store_true",

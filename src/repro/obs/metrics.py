@@ -1,13 +1,12 @@
 """Process-wide metrics registry with Prometheus-text exposition.
 
 Counters, gauges, and log-bucketed histograms shared across the
-process, surfaced three ways:
+process, surfaced two ways:
 
 * the serve daemon's ``GET /metrics`` endpoint renders
   :func:`MetricsRegistry.render` (Prometheus text exposition format);
 * ``repro cache --json`` and ``/stats`` fold :func:`MetricsRegistry.
-  snapshot` into the shared cache payload;
-* ``dispatch_summary_payload`` carries the dispatch counters.
+  snapshot` into the shared cache payload.
 
 Everything is stdlib-only and thread-safe (one lock per metric; the
 serve daemon's event loop and worker threads both record freely).

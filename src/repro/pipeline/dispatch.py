@@ -34,6 +34,8 @@ worker command streaming its manifest back over stdout; ``inline:N`` —
 N in-process threads (tests, tiny sweeps); ``queue:DIR`` — an
 **elastic** filesystem queue (:mod:`repro.pipeline.fsqueue`) that
 ``repro worker DIR`` processes attach to and detach from mid-sweep.
+The first three are slot pools: each lease runs on a thread of its own,
+which stores the worker's answer and wakes the lease loop at once.
 
 The partition never adapts, the **lease order** does: every dispatch
 records each job's observed wall time into a persistent ``cost`` table
@@ -51,7 +53,6 @@ import os
 import shlex
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -94,7 +95,6 @@ __all__ = [
     "SlotTransport",
     "SshTransport",
     "Transport",
-    "WorkerHandle",
     "accept_manifest",
     "chunk_count",
     "cost_key",
@@ -127,38 +127,13 @@ class DispatchError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-class WorkerHandle:
-    """A running chunk worker: poll it, kill it, read its manifest."""
-
-    def poll(self) -> int | None:
-        """Exit code, or ``None`` while still running."""
-        raise NotImplementedError
-
-    def kill(self) -> None:
-        """Terminate the worker (lease expiry); must be idempotent."""
-        raise NotImplementedError
-
-    def manifest_text(self) -> str:
-        """The worker's stdout (the manifest JSON on success)."""
-        raise NotImplementedError
-
-    def error_text(self) -> str:
-        """The worker's stderr (progress lines / tracebacks)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any worker-side resources (spool files); idempotent.
-
-        The dispatcher calls this exactly once per lease, after the
-        outputs have been read or the worker has been killed.
-        """
-
-
 class SlotTransport(Transport):
     """A pool of ``slots`` worker slots that each run one chunk at a time.
 
-    Subclasses say how a chunk is started (:meth:`launch`); this class
-    keeps who runs where and answers the lease loop from the handles.
+    Subclasses say how a chunk starts (:meth:`start`); this class keeps
+    who runs where. Each lease finishes on a thread of its own, which
+    stores the worker's answer and sets the pool's one event, so the
+    lease loop wakes the moment a worker is done.
     """
 
     #: The ``--workers`` spelling (``local`` in ``local:3``).
@@ -170,35 +145,46 @@ class SlotTransport(Transport):
                 f"{self.kind} transport needs >= 1 slot, got {slots}")
         self.slots = slots
         self.name = name or f"{self.kind}:{slots}"
-        #: task id -> (slot, handle, launch time)
-        self._active: dict[str, tuple[int, WorkerHandle, float]] = {}
+        #: task id -> (slot, stop, launch time, answer box)
+        self._active: dict[str, tuple[int, Callable[[], None], float,
+                                      list[tuple[str | None, str]]]] = {}
+        self._finished = threading.Event()
 
-    def launch(self, slot: int, request: ChunkRequest) -> WorkerHandle:
+    def start(self, slot: int, request: ChunkRequest
+              ) -> tuple[Callable[[], str], Callable[[], None]]:
+        """Launch ``request`` on ``slot``; return ``(finish, stop)``.
+
+        ``finish()`` blocks until the worker is done and returns its
+        answer, or raises saying why there is none; ``stop()`` ends the
+        worker early. A worker that cannot launch raises here.
+        """
         raise NotImplementedError
 
     def submit(self, task_id: str, attempt: int, payload: dict) -> int:
-        busy = {slot for slot, _handle, _started in self._active.values()}
+        busy = {entry[0] for entry in self._active.values()}
         slot = next(s for s in range(self.slots) if s not in busy)
-        handle = self.launch(slot, ChunkRequest.from_payload(payload))
-        self._active[task_id] = (slot, handle, time.monotonic())
+        finish, stop = self.start(slot, ChunkRequest.from_payload(payload))
+        box: list[tuple[str | None, str]] = []
+
+        def run() -> None:
+            try:
+                box.append((finish(), ""))
+            except Exception as exc:
+                box.append((None, str(exc) or repr(exc)))
+            self._finished.set()
+
+        self._active[task_id] = (slot, stop, time.monotonic(), box)
+        threading.Thread(target=run, name=f"repro-slot-{slot}",
+                         daemon=True).start()
         return slot
 
     def poll(self) -> list[tuple[str, str | None, str]]:
         out: list[tuple[str, str | None, str]] = []
-        for task_id, (_slot, handle, _started) in list(self._active.items()):
-            code = handle.poll()
-            if code is None:
-                continue
-            del self._active[task_id]
-            text: str | None = handle.manifest_text()
-            why = ""
-            if not text.strip():
-                err = handle.error_text().strip()
-                tail = err.splitlines()[-1] if err else "no output"
-                text, why = None, (f"worker exited with code {code} and "
-                                   f"produced no manifest ({tail})")
-            handle.close()
-            out.append((task_id, text, why))
+        for task_id, (_slot, _stop, _started, box) in list(
+                self._active.items()):
+            if box:
+                del self._active[task_id]
+                out.append((task_id, *box[0]))
         return out
 
     def last_alive(self, task_id: str) -> float:
@@ -206,13 +192,19 @@ class SlotTransport(Transport):
         return self._active[task_id][2]
 
     def revoke(self, task_id: str) -> None:
+        # The lease's box goes with it, so a late answer is never read.
         entry = self._active.pop(task_id, None)
         if entry is not None:
-            entry[1].kill()
-            entry[1].close()
+            entry[1]()
 
     def free(self) -> int:
         return self.slots - len(self._active)
+
+    def wait(self, timeout: float) -> None:
+        # A thread stores its answer before it sets the event, and the
+        # caller polls after this returns: clearing here loses nothing.
+        self._finished.wait(timeout)
+        self._finished.clear()
 
     def close(self, stop: bool = True) -> None:
         # An escaping exception (Ctrl-C, a launch error) must not orphan
@@ -221,61 +213,23 @@ class SlotTransport(Transport):
             self.revoke(task_id)
 
 
-class _PopenHandle(WorkerHandle):
-    """Subprocess-backed handle; stdout/stderr spool to temp files so a
-    large manifest can never deadlock the pipe while we poll."""
+def _popen(argv: list[str], env: dict[str, str] | None
+           ) -> tuple[Callable[[], str], Callable[[], None]]:
+    """Start a worker process; its ``finish`` is ``communicate()``, which
+    drains both pipes, so a large manifest can never block the worker."""
+    proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env)
 
-    def __init__(self, argv: list[str], env: dict[str, str] | None) -> None:
-        self._out = tempfile.NamedTemporaryFile(
-            mode="w+", suffix=".out", delete=False)
-        self._err = tempfile.NamedTemporaryFile(
-            mode="w+", suffix=".err", delete=False)
-        try:
-            self._proc = subprocess.Popen(
-                argv, stdout=self._out, stderr=self._err,
-                stdin=subprocess.DEVNULL, env=env,
-            )
-        except BaseException:
-            # Popen itself failed (missing ssh binary, fd exhaustion):
-            # the dispatcher never sees this handle, so the spool files
-            # must be cleaned up here.
-            self.close()
-            raise
+    def finish() -> str:
+        out, err = proc.communicate()
+        if out.strip():
+            return out
+        tail = err.strip().splitlines()[-1] if err.strip() else "no output"
+        raise RuntimeError(f"worker exited with code {proc.returncode} "
+                           f"and produced no manifest ({tail})")
 
-    def poll(self) -> int | None:
-        return self._proc.poll()
-
-    def kill(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.kill()
-            try:
-                self._proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
-                pass
-
-    def _read(self, handle) -> str:
-        try:
-            handle.flush()
-            return Path(handle.name).read_text()
-        except (OSError, ValueError):  # pragma: no cover - spool closed
-            return ""
-
-    def manifest_text(self) -> str:
-        return self._read(self._out)
-
-    def error_text(self) -> str:
-        return self._read(self._err)
-
-    def close(self) -> None:
-        for handle in (self._out, self._err):
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover - double close is fine
-                pass
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
+    return finish, proc.kill
 
 
 def worker_env() -> dict[str, str]:
@@ -306,8 +260,8 @@ class LocalTransport(SlotTransport):
     def argv(self, request: ChunkRequest) -> list[str]:
         return [sys.executable, "-m", "repro", *request.batch_args()]
 
-    def launch(self, slot: int, request: ChunkRequest) -> WorkerHandle:
-        return _PopenHandle(self.argv(request), worker_env())
+    def start(self, slot: int, request: ChunkRequest):
+        return _popen(self.argv(request), worker_env())
 
 
 class SshTransport(SlotTransport):
@@ -355,42 +309,8 @@ class SshTransport(SlotTransport):
         return ["ssh", "-o", "BatchMode=yes", host,
                 self.remote_command(request)]
 
-    def launch(self, slot: int, request: ChunkRequest) -> WorkerHandle:
-        return _PopenHandle(self.argv(request, self.hosts[slot]), None)
-
-
-class _ThreadHandle(WorkerHandle):
-    """In-process handle: the chunk runs on a thread via run_task."""
-
-    def __init__(self, request: ChunkRequest,
-                 finished: threading.Event) -> None:
-        self._cancel = threading.Event()
-        self._text = ""
-        self._code: int | None = None
-
-        def work() -> None:
-            try:
-                self._text = run_task(request.payload(), self._cancel.is_set)
-            finally:
-                self._code = 0
-                finished.set()
-
-        threading.Thread(target=work, daemon=True).start()
-
-    def poll(self) -> int | None:
-        return self._code
-
-    def kill(self) -> None:
-        # Threads cannot be killed; cancel pending jobs so the chunk
-        # drains quickly. Its (incomplete) manifest is never read: a
-        # revoked handle is not polled again.
-        self._cancel.set()
-
-    def manifest_text(self) -> str:
-        return self._text
-
-    def error_text(self) -> str:
-        return ""
+    def start(self, slot: int, request: ChunkRequest):
+        return _popen(self.argv(request, self.hosts[slot]), None)
 
 
 class InlineTransport(SlotTransport):
@@ -405,18 +325,10 @@ class InlineTransport(SlotTransport):
 
     kind = "inline"
 
-    def __init__(self, slots: int) -> None:
-        super().__init__(slots)
-        self._finished = threading.Event()
-
-    def launch(self, slot: int, request: ChunkRequest) -> WorkerHandle:
-        return _ThreadHandle(request, self._finished)
-
-    def wait(self, timeout: float) -> None:
-        # A thread stores its answer before it sets the event, and the
-        # caller polls after this returns: clearing here loses nothing.
-        self._finished.wait(timeout)
-        self._finished.clear()
+    def start(self, slot: int, request: ChunkRequest):
+        cancel = threading.Event()
+        return (lambda: run_task(request.payload(), cancel.is_set),
+                cancel.set)
 
 
 def parse_transport(spec: str) -> Transport:

@@ -45,8 +45,6 @@ __all__ = [
     "MergedArtifact",
     "ShardManifest",
     "ShardSpec",
-    "decode_result",
-    "encode_result",
     "expand_manifest_paths",
     "merge_manifests",
     "run_shard",
@@ -115,26 +113,6 @@ class ShardSpec:
 
     def __str__(self) -> str:
         return f"{self.index}/{self.count}"
-
-
-# ---------------------------------------------------------------------------
-# Result payload codecs (each artefact's record carries its own)
-# ---------------------------------------------------------------------------
-
-
-def encode_result(artifact: str, value: Any) -> Any:
-    """A per-job result as a JSON-safe payload.
-
-    JSON serialises floats with ``repr`` (shortest round-trip), so every
-    float survives encode → decode bit-identically — the property the
-    byte-identical merge guarantee rests on.
-    """
-    return resolve_artifact(artifact).encode(value)
-
-
-def decode_result(artifact: str, payload: Any) -> Any:
-    """Invert :func:`encode_result` back into the cell's result type."""
-    return resolve_artifact(artifact).decode(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +258,9 @@ def run_shard(
             "computed": res.computed,
         }
         if res.ok:
+            # JSON writes floats with ``repr`` (shortest round trip), so
+            # every value decodes bit-identically: the byte-identical
+            # merge rests on it.
             entry["value"] = record.encode(res.value)
         else:
             entry["error"] = res.error

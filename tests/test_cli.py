@@ -253,11 +253,16 @@ def test_merge_literal_path_with_brackets(tmp_path, capsys, monkeypatch):
     ["compile", "SpMV", "--scale", "0"],
     ["simulate", "SpMV", "--scale", "nan"],
     ["tables", "table3", "--scale", "big"],
+    ["dispatch", "table3", "--workers", "inline:1", "--lease-timeout", "0"],
+    ["dispatch", "table3", "--workers", "local:2", "--lease-timeout", "-5"],
+    ["dispatch", "table3", "--lease-timeout", "nan"],
+    ["serve", "--pool", "inline:1", "--lease-timeout", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_scale_is_validated_at_parse_time(argv, capsys, monkeypatch):
-    """Every ``--scale`` refuses a non-positive or NaN value with
-    argparse's error and exit 2, before anything runs: no traceback, no
-    job at the generators' floor size, no worker started."""
+    """Every ``--scale`` and ``--lease-timeout`` refuses a non-positive
+    or NaN value with argparse's error and exit 2, before anything runs:
+    no traceback, no job at the generators' floor size, no lease that
+    expires at once, no worker started."""
     from repro.pipeline.dispatch import SlotTransport
 
     launched: list = []
@@ -268,7 +273,8 @@ def test_scale_is_validated_at_parse_time(argv, capsys, monkeypatch):
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"error: argument --scale: scale must be a positive number, "
+    flag = argv[-2]
+    assert (f"error: argument {flag}: {flag[2:]} must be a positive number, "
             f"got {argv[-1]!r}") in captured.err.splitlines()[-1]
     assert launched == []
 

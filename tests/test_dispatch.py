@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 
 import pytest
 
@@ -168,8 +169,9 @@ class TestDispatchClean:
         assert result.merged.text == _serial_text("table3")
 
     def test_no_spool_files_leak(self, fresh_cache, tmp_path, monkeypatch):
-        """Every lease's stdout/stderr spool files are removed — on the
-        success path and when a lease expires and the worker is killed."""
+        """A lease leaves no stdout/stderr files behind (its pipes are
+        drained in memory) — on the success path and when a lease expires
+        and the worker is killed."""
         monkeypatch.setenv("TMPDIR", str(tmp_path / "spool"))
         (tmp_path / "spool").mkdir()
         import tempfile
@@ -390,6 +392,70 @@ def _sabotage_run_task(monkeypatch, pool: str, sabotage) -> None:
         return real(task, should_stop, jobs)
 
     monkeypatch.setattr(module, "run_task", run_task)
+
+
+class TestSlotPools:
+    """``local:`` / ``ssh:`` / ``inline:`` run each lease on a thread that
+    stores the answer and sets the pool's one event."""
+
+    def test_worker_exit_wakes_the_lease_loop(self):
+        """One ``wait`` returns when the worker exits, not a poll tick."""
+
+        class Sleeper(LocalTransport):
+            def argv(self, request):
+                return [sys.executable, "-c",
+                        "import time; time.sleep(0.3); print('{}')"]
+
+        transport = Sleeper(1)
+        request = ChunkRequest("table3", TINY, ShardSpec(1, 1))
+        try:
+            transport.submit("t1", 1, request.payload())
+            transport.wait(30)
+            assert transport.poll() == [("t1", "{}\n", "")]
+        finally:
+            transport.close()
+
+    def test_missing_worker_binary_raises(self, fresh_cache, tmp_path,
+                                          monkeypatch):
+        """A worker that cannot launch raises out of ``dispatch`` (the
+        CLI turns that into exit 2) and leaves no temp file behind."""
+
+        class Missing(LocalTransport):
+            def argv(self, request):
+                return [str(tmp_path / "no-such-worker")]
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr("tempfile.tempdir", str(scratch))
+        with pytest.raises(OSError):
+            dispatch("table3", TINY, Missing(2))
+        assert list(scratch.iterdir()) == []
+
+    def test_no_slot_thread_outlives_dispatch(self, fresh_cache,
+                                              monkeypatch):
+        """Every lease's thread ends by the time ``dispatch`` returns,
+        the one whose hung worker was killed at lease expiry included."""
+        started: list[threading.Thread] = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        transport = _SabotagedLocal(
+            2, [sys.executable, "-c", "import time; time.sleep(600)"])
+        events: list[str] = []
+        result = dispatch("table3", TINY, transport, lease_timeout=2.5,
+                          retries=8, chunks_per_worker=2,
+                          on_event=events.append)
+        assert result.ok
+        assert any("lease expired" in e for e in events)
+        slots = [t for t in started if t.name.startswith("repro-slot-")]
+        assert len(slots) == result.attempts
+        for thread in slots:
+            thread.join(5)
+        assert [t.name for t in slots if t.is_alive()] == []
 
 
 class TestFaultsPerPool:
@@ -945,6 +1011,16 @@ class TestCli:
         second = capsys.readouterr()
         assert second.out == first
         assert "resumed" in second.err
+
+    def test_dispatch_without_ssh_cannot_launch(self, fresh_cache, tmp_path,
+                                                monkeypatch, capsys):
+        from repro.__main__ import main
+
+        monkeypatch.setenv("PATH", str(tmp_path))  # no ssh binary on it
+        assert main(["dispatch", "table3", "--workers", "ssh:nohost",
+                     "--scale", "0.02", "--quiet"]) == 2
+        assert ("dispatch error: cannot launch workers over ssh:nohost"
+                in capsys.readouterr().err)
 
     def test_dispatch_rejects_bad_transport(self, capsys):
         from repro.__main__ import main

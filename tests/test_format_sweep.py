@@ -9,13 +9,12 @@ from repro.pipeline.batch import (
     artifact_jobs,
     assemble_artifact,
     format_sweep_cell,
+    resolve_artifact,
     run_artifact,
 )
 from repro.pipeline.executor import run_jobs
 from repro.pipeline.shard import (
     ShardSpec,
-    decode_result,
-    encode_result,
     merge_manifests,
     run_shard,
 )
@@ -46,8 +45,8 @@ def test_cell_metrics_shape(tmp_path, monkeypatch):
 def test_encode_decode_round_trip():
     cell = {"format": "f", "nnz": 3, "storage_bytes": 12, "spatial_loc": 7,
             "pcu": 1, "pmu": 2, "dram_bytes": 64, "seconds": 1.25e-6}
-    assert decode_result("format_sweep",
-                         encode_result("format_sweep", cell)) == cell
+    record = resolve_artifact("format_sweep")
+    assert record.decode(record.encode(cell)) == cell
 
 
 @pytest.mark.slow

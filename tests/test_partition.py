@@ -532,11 +532,11 @@ class TestShardIntegration:
         plus a sha256; a flipped byte fails decode, naming the block."""
         import base64
 
+        from repro.pipeline.batch import resolve_artifact
         from repro.pipeline.shard import (
             MergeError,
             ShardManifest,
             ShardSpec,
-            decode_result,
             merge_manifests,
             run_shard,
         )
@@ -547,7 +547,8 @@ class TestShardIntegration:
         payload = wire["jobs"][1]["value"]
         raw = base64.b64decode(payload["values"])
         assert len(raw) == 8 * int(np.prod(payload["shape"]))
-        clean = decode_result(artifact, payload)
+        record = resolve_artifact(artifact)
+        clean = record.decode(payload)
         assert clean["values"].shape == tuple(payload["shape"])
         assert clean["values"].tobytes() == raw
         assert (merge_manifests([ShardManifest.from_dict(wire)]).text
@@ -557,12 +558,12 @@ class TestShardIntegration:
         flipped[len(raw) // 2] ^= 0x01
         payload["values"] = base64.b64encode(bytes(flipped)).decode("ascii")
         with pytest.raises(PartitionError, match="block 1 is corrupt"):
-            decode_result(artifact, payload)
+            record.decode(payload)
         with pytest.raises(MergeError, match="block 1 is corrupt"):
             merge_manifests([ShardManifest.from_dict(wire)])
         payload["values"] = "!" + payload["values"][1:]  # not even base64
         with pytest.raises(PartitionError, match="block 1 is corrupt"):
-            decode_result(artifact, payload)
+            record.decode(payload)
 
     def test_killed_queue_worker_blocks_are_released(self, fresh_cache,
                                                      tmp_path):

@@ -13,15 +13,17 @@ import json
 
 import pytest
 
-from repro.pipeline.batch import ARTIFACT_NAMES, artifact_jobs
+from repro.pipeline.batch import (
+    ARTIFACT_NAMES,
+    artifact_jobs,
+    resolve_artifact,
+)
 from repro.pipeline.cache import compiler_version
 from repro.pipeline.shard import (
     ManifestError,
     MergeError,
     ShardManifest,
     ShardSpec,
-    decode_result,
-    encode_result,
     merge_manifests,
     run_shard,
 )
@@ -89,26 +91,29 @@ class TestShardSpec:
 # ---------------------------------------------------------------------------
 
 
+def _wire(artifact: str, value):
+    """``value`` through the artefact's codec and a JSON round trip."""
+    record = resolve_artifact(artifact)
+    return record.decode(json.loads(json.dumps(record.encode(value))))
+
+
 class TestCodecs:
     def test_table6_round_trip(self):
         from repro.api import PlatformTimes
 
         times = PlatformTimes("SpMV", "bcsstk30",
                               {"Capstan (HBM2E)": 0.1, "V100 GPU": 0.3})
-        wire = json.loads(json.dumps(encode_result("table6", times)))
-        assert decode_result("table6", wire) == times
+        assert _wire("table6", times) == times
 
     def test_table5_round_trip(self):
         from repro.capstan.resources import ResourceEstimate
 
         est = ResourceEstimate("TTV", 4, 100, 50, 20, 3)
-        wire = json.loads(json.dumps(encode_result("table5", est)))
-        assert decode_result("table5", wire) == est
+        assert _wire("table5", est) == est
 
     def test_figure12_round_trip_restores_int_keys(self):
         series = {20: 1.0, 2000: 17.25}
-        wire = json.loads(json.dumps(encode_result("figure12", series)))
-        assert decode_result("figure12", wire) == series
+        assert _wire("figure12", series) == series
 
     def test_floats_survive_json_exactly(self):
         # The byte-identical merge guarantee rests on this property.
@@ -116,16 +121,13 @@ class TestCodecs:
 
         ugly = 0.1 + 0.2  # 0.30000000000000004
         times = PlatformTimes("k", "d", {"p": ugly, "q": 1e-17})
-        wire = json.loads(json.dumps(encode_result("table6", times)))
-        decoded = decode_result("table6", wire)
+        decoded = _wire("table6", times)
         assert decoded.seconds["p"] == ugly
         assert decoded.seconds["q"] == 1e-17
 
     def test_unknown_artifact_rejected(self):
         with pytest.raises(KeyError):
-            encode_result("table7", {})
-        with pytest.raises(KeyError):
-            decode_result("table7", {})
+            resolve_artifact("table7")
 
 
 # ---------------------------------------------------------------------------
