@@ -148,7 +148,7 @@ def run_bench(scale: float = SMOKE_SCALE, clients: int = DEFAULT_CLIENTS,
 
     workers: list[subprocess.Popen] = []
     config = ServeConfig(port=0, pool=pool, max_inflight=max(64, clients),
-                         queue_poll=0.02, queue_lease=120.0)
+                         lease_timeout=120.0)
     with ServiceThread(config) as svc:
         if spawn_workers:
             root = pool.partition(":")[2]

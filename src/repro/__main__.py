@@ -468,7 +468,7 @@ def _cmd_serve(args) -> int:
         max_inflight=args.max_inflight,
         request_timeout=args.timeout,
         drain_grace=args.drain_grace,
-        queue_lease=args.lease_timeout,
+        lease_timeout=args.lease_timeout,
         use_cache=_use_cache(args),
         on_event=_events(args),
     )
@@ -575,9 +575,10 @@ _ENGINE_HELP = ("cells that run a kernel functionally execute it with this "
 
 def _positive(name: str) -> Callable[[str], float]:
     """The ``type=`` of a ``--<name>`` flag that takes a positive number
-    (every ``--scale``, the rule ``CompileRequest.resolved`` applies, and
-    every ``--lease-timeout``): anything else is refused at parse time,
-    before any worker is started, with argparse's one-line error."""
+    (every ``--scale``, the rule ``CompileRequest.resolved`` applies,
+    every ``--lease-timeout`` and ``serve --timeout``): anything else is
+    refused at parse time, before any worker is started, with argparse's
+    one-line error."""
     def parse(text: str) -> float:
         try:
             value = float(text)
@@ -784,15 +785,17 @@ def main(argv: list[str] | None = None) -> int:
                          help="listen port (0 picks an ephemeral port; the "
                               "banner reports it)")
     p_serve.add_argument("--pool", default="inline:2", metavar="SPEC",
-                         help="miss backend: inline:N in-process threads "
-                              "(default inline:2) or queue:DIR (elastic "
-                              "pool; attach `repro worker DIR` processes "
-                              "at any time)")
+                         help="transport misses are leased on, as for "
+                              "dispatch --workers: inline:N in-process "
+                              "threads (default inline:2) or queue:DIR "
+                              "(elastic pool; attach `repro worker DIR` "
+                              "processes at any time)")
     p_serve.add_argument("--max-inflight", type=int, default=32, metavar="N",
                          help="bound on concurrently running jobs; beyond "
                               "it new work is rejected with 429 "
                               "(default 32)")
-    p_serve.add_argument("--timeout", type=float, default=120.0, metavar="S",
+    p_serve.add_argument("--timeout", type=_positive("timeout"),
+                         default=120.0, metavar="S",
                          help="per-request wall-clock bound; 504 on expiry "
                               "(default 120)")
     p_serve.add_argument("--drain-grace", type=float, default=30.0,
@@ -801,8 +804,8 @@ def main(argv: list[str] | None = None) -> int:
                               "drain (default 30)")
     p_serve.add_argument("--lease-timeout", type=_lease_timeout,
                          default=60.0, metavar="S",
-                         help="queue:DIR pool: seconds before a silent "
-                              "worker's request is re-enqueued (default 60)")
+                         help="seconds before a silent worker's request "
+                              "is leased again (default 60)")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="workers bypass the compilation/result cache "
                               "(the daemon's hot path still serves "

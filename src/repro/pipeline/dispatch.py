@@ -128,9 +128,9 @@ class DispatchError(RuntimeError):
 
 
 class SlotTransport(Transport):
-    """A pool of ``slots`` worker slots that each run one chunk at a time.
+    """A pool of ``slots`` worker slots that each run one task at a time.
 
-    Subclasses say how a chunk starts (:meth:`start`); this class keeps
+    Subclasses say how a task starts (:meth:`start`); this class keeps
     who runs where. Each lease finishes on a thread of its own, which
     stores the worker's answer and sets the pool's one event, so the
     lease loop wakes the moment a worker is done.
@@ -150,9 +150,10 @@ class SlotTransport(Transport):
                                       list[tuple[str | None, str]]]] = {}
         self._finished = threading.Event()
 
-    def start(self, slot: int, request: ChunkRequest
+    def start(self, slot: int, payload: dict
               ) -> tuple[Callable[[], str], Callable[[], None]]:
-        """Launch ``request`` on ``slot``; return ``(finish, stop)``.
+        """Launch the task body ``payload`` on ``slot``; return
+        ``(finish, stop)``.
 
         ``finish()`` blocks until the worker is done and returns its
         answer, or raises saying why there is none; ``stop()`` ends the
@@ -163,7 +164,7 @@ class SlotTransport(Transport):
     def submit(self, task_id: str, attempt: int, payload: dict) -> int:
         busy = {entry[0] for entry in self._active.values()}
         slot = next(s for s in range(self.slots) if s not in busy)
-        finish, stop = self.start(slot, ChunkRequest.from_payload(payload))
+        finish, stop = self.start(slot, payload)
         box: list[tuple[str | None, str]] = []
 
         def run() -> None:
@@ -260,8 +261,9 @@ class LocalTransport(SlotTransport):
     def argv(self, request: ChunkRequest) -> list[str]:
         return [sys.executable, "-m", "repro", *request.batch_args()]
 
-    def start(self, slot: int, request: ChunkRequest):
-        return _popen(self.argv(request), worker_env())
+    def start(self, slot: int, payload: dict):
+        return _popen(self.argv(ChunkRequest.from_payload(payload)),
+                      worker_env())
 
 
 class SshTransport(SlotTransport):
@@ -309,26 +311,28 @@ class SshTransport(SlotTransport):
         return ["ssh", "-o", "BatchMode=yes", host,
                 self.remote_command(request)]
 
-    def start(self, slot: int, request: ChunkRequest):
-        return _popen(self.argv(request, self.hosts[slot]), None)
+    def start(self, slot: int, payload: dict):
+        return _popen(self.argv(ChunkRequest.from_payload(payload),
+                                self.hosts[slot]), None)
 
 
 class InlineTransport(SlotTransport):
-    """``inline:N`` — N in-process threads (tests, tiny local sweeps).
+    """``inline:N`` — N in-process threads (tests, tiny local sweeps,
+    ``repro serve``'s default pool), each running :func:`run_task`.
 
     Shares this process's modules and default cache, so test fixtures
     (monkeypatched job functions, private cache directories) apply to
     the workers. A killed lease cannot interrupt a job mid-flight — the
-    cancel flag skips the chunk's *remaining* jobs — so lease timeouts
-    here bound scheduling, not single-job runtime.
+    cancel flag skips a chunk's *remaining* jobs, a request runs to its
+    end — so lease timeouts here bound scheduling, not single-job
+    runtime.
     """
 
     kind = "inline"
 
-    def start(self, slot: int, request: ChunkRequest):
+    def start(self, slot: int, payload: dict):
         cancel = threading.Event()
-        return (lambda: run_task(request.payload(), cancel.is_set),
-                cancel.set)
+        return lambda: run_task(payload, cancel.is_set), cancel.set
 
 
 def parse_transport(spec: str) -> Transport:

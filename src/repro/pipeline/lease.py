@@ -1,14 +1,14 @@
 """The lease loop: one retry/expiry policy over one worker-pool interface.
 
-``repro dispatch`` (sweep chunks) and the ``repro serve`` daemon's
-``queue:DIR`` pool (compile requests) hand work to workers that may
+``repro dispatch`` (sweep chunks) and the ``repro serve`` daemon
+(compile requests, on any of its pools) hand work to workers that may
 die, hang, detach or answer garbage. :class:`Transport` is what a pool
 must answer, and nothing about retries: ``local:`` / ``ssh:`` /
 ``inline:`` (:mod:`repro.pipeline.dispatch`) and ``queue:DIR``
 (:mod:`repro.pipeline.fsqueue`) implement it, a test substitutes a fake.
 :class:`LeaseTable` is the policy, written once. It never blocks; the
-caller owns the waiting (``Transport.wait`` in ``dispatch``, one
-``asyncio.sleep`` tick in the daemon).
+caller owns the waiting: ``Transport.wait`` between steps, in the
+dispatching thread or in the daemon's one lease thread.
 """
 
 from __future__ import annotations

@@ -13,11 +13,16 @@ staged pipeline every other caller uses:
   underlying job; joiners await the first request's future.
 * **Admission control** — at most ``max_inflight`` *underlying* jobs run
   at once (joiners ride free); beyond that the daemon answers 429.
-* **Worker pools** — ``inline:N`` runs misses on an in-process thread
-  pool; ``queue:DIR`` feeds them to the elastic filesystem queue
-  (:mod:`repro.pipeline.fsqueue`), where any number of ``repro worker
-  DIR`` processes — on any host sharing the directory — claim and
-  compute them, reporting results back through the queue directory.
+* **Worker pools** — every miss is one ``request`` task, leased by the
+  loop that leases ``dispatch`` chunks
+  (:class:`~repro.pipeline.lease.LeaseTable`) on a
+  :func:`~repro.pipeline.dispatch.parse_transport` pool: ``inline:N``
+  runs it on an in-process slot thread; ``queue:DIR`` publishes it to
+  the elastic filesystem queue, where ``repro worker DIR`` processes on
+  any host sharing the directory claim it. A silent worker loses its
+  lease and the request is leased again, up to the retry bound.
+  ``local:`` and ``ssh:`` are refused: they start one process per
+  lease, and no worker command runs a request.
 * **Timeouts and drain** — every request is bounded by a per-request
   timeout (504 on expiry; the underlying job keeps running and lands in
   the cache for the retry). SIGTERM/SIGINT begin a graceful drain:
@@ -38,10 +43,9 @@ Endpoints: ``POST /<action>`` for every record of
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
 import dataclasses
-import functools
+import itertools
 import json
 import os
 import signal
@@ -50,6 +54,14 @@ import time
 from typing import Any, Callable
 
 from repro import obs
+from repro.pipeline.dispatch import (
+    DispatchError,
+    LocalTransport,
+    SshTransport,
+    parse_transport,
+)
+from repro.pipeline.fsqueue import ERROR_FORMAT
+from repro.pipeline.lease import LeaseTable, Outcome
 from repro.service import api
 from repro.service.stats import cache_stats_payload
 
@@ -81,7 +93,6 @@ _REASONS = {
     405: "Method Not Allowed",
     429: "Too Many Requests",
     500: "Internal Server Error",
-    503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
@@ -92,8 +103,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8757
-    #: ``inline:N`` (in-process thread pool) or ``queue:DIR`` (elastic
-    #: ``repro worker`` pool over the filesystem queue).
+    #: ``inline:N`` (in-process slot threads) or ``queue:DIR`` (elastic
+    #: ``repro worker`` pool over the filesystem queue): a
+    #: :func:`repro.pipeline.dispatch.parse_transport` spec.
     pool: str = "inline:2"
     #: Bound on concurrently *running* jobs; more distinct cold requests
     #: than this are rejected with 429 (coalesced joiners are not jobs).
@@ -103,36 +115,35 @@ class ServeConfig:
     request_timeout: float = 120.0
     #: Hard deadline for graceful drain after SIGTERM.
     drain_grace: float = 30.0
-    #: ``queue:`` pool: result-poll interval / worker lease / re-enqueues.
-    queue_poll: float = 0.1
-    queue_lease: float = 60.0
-    queue_retries: int = 2
+    #: Every pool: seconds a request's worker may stay silent before the
+    #: lease loop re-leases it, and how many times it may.
+    lease_timeout: float = 60.0
+    retries: int = 2
     use_cache: bool | None = None
-    #: Test hook: replaces :func:`repro.service.api.execute` for the
-    #: inline pool. Signature ``(request, use_cache) -> CompileResult``.
-    execute: Callable[..., Any] | None = None
     on_event: Callable[[str], None] | None = None
 
 
+def _total(help_text: str) -> Any:
+    """A :class:`ServeStats` counter, mirrored into ``/metrics`` as
+    ``repro_serve_<name>_total`` with this help text."""
+    return dataclasses.field(default=0, metadata={"help": help_text})
+
+
+@dataclasses.dataclass(slots=True)
 class ServeStats:
     """Daemon counters surfaced by ``/stats`` (event-loop-only writes)."""
 
-    __slots__ = ("requests", "cache_hits", "coalesced", "computed",
-                 "rejected", "timeouts", "errors", "started",
-                 "responses", "status_codes")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.computed = 0
-        self.rejected = 0
-        self.timeouts = 0
-        self.errors = 0
-        self.started = time.time()
-        #: Every HTTP response sent (all endpoints), total and by code.
-        self.responses = 0
-        self.status_codes: dict[int, int] = {}
+    requests: int = _total("Work requests admitted (compile/evaluate).")
+    cache_hits: int = _total("Requests answered from the staged cache.")
+    coalesced: int = _total("Requests that joined an in-flight compile.")
+    computed: int = _total("Underlying jobs computed by the pool.")
+    rejected: int = _total("Requests rejected by admission control (429).")
+    timeouts: int = _total("Requests that hit their deadline (504).")
+    errors: int = _total("Requests that failed (500).")
+    #: Every HTTP response sent (all endpoints), total and by code.
+    responses: int = 0
+    status_codes: dict[int, int] = dataclasses.field(default_factory=dict)
+    started: float = dataclasses.field(default_factory=time.time)
 
     def count_response(self, status: int) -> None:
         self.responses += 1
@@ -140,191 +151,51 @@ class ServeStats:
 
     def as_dict(self, inflight: int, draining: bool,
                 pool: str) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "computed": self.computed,
-            "rejected": self.rejected,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "responses": self.responses,
-            "status_codes": {str(code): n for code, n
-                             in sorted(self.status_codes.items())},
-            "inflight": inflight,
-            "draining": draining,
-            "pool": pool,
-            "uptime_s": time.time() - self.started,
-        }
+        out = dataclasses.asdict(self)
+        out.update(status_codes={str(code): n for code, n
+                                 in sorted(self.status_codes.items())},
+                   inflight=inflight, draining=draining, pool=pool,
+                   uptime_s=time.time() - out.pop("started"))
+        return out
 
 
-# ---------------------------------------------------------------------------
-# Worker-pool backends
-# ---------------------------------------------------------------------------
-
-
-class _ThreadPoolBackend:
-    """``inline:N`` — misses run on an in-process thread pool."""
-
-    def __init__(self, slots: int, use_cache: bool | None,
-                 execute: Callable[..., Any] | None) -> None:
-        if slots < 1:
-            raise ServeError(f"inline pool needs >= 1 slot, got {slots}")
-        self.name = f"inline:{slots}"
-        self._use_cache = use_cache
-        self._execute = execute if execute is not None else (
-            lambda req, use_cache: api.execute(req, use_cache=use_cache))
-        self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=slots, thread_name_prefix="repro-serve")
-
-    def start(self) -> None:
-        pass
-
-    async def submit(self, request: api.CompileRequest) -> api.CompileResult:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._pool,
-            functools.partial(self._execute, request, self._use_cache))
-
-    async def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
-
-
-class _QueueBackend:
-    """``queue:DIR`` — misses are fed to the elastic filesystem queue.
-
-    Each miss is one ``request`` task on the queue, leased by the same
-    :class:`~repro.pipeline.lease.LeaseTable` that leases ``dispatch``
-    chunks: ``repro worker DIR`` processes on any host sharing the
-    directory claim it, run it through :func:`repro.service.api.execute`
-    and write the result file the poll loop folds back into the waiting
-    future. A worker that dies or goes silent mid-request loses its
-    lease and the request is published again, up to ``retries`` times
-    (README "Leases and faults"). Closing the backend raises the queue's
-    stop sentinel, releasing attached workers.
-    """
-
-    def __init__(self, root: str, use_cache: bool | None, poll: float,
-                 lease_timeout: float, retries: int,
-                 on_event: Callable[[str], None]) -> None:
-        from repro.pipeline.fsqueue import (
-            ERROR_FORMAT,
-            QueueError,
-            QueueTransport,
-        )
-        from repro.pipeline.lease import LeaseTable
-
-        try:
-            self.transport = QueueTransport(root)
-        except QueueError as exc:
-            raise ServeError(str(exc)) from None
-        self.name = f"queue:{self.transport.root}"
-        self._use_cache = use_cache
-        self._poll = poll
-        self._events = on_event
-        self._error_format = ERROR_FORMAT
-        self._table = LeaseTable(self.transport, lease_timeout, retries,
-                                 self._accept, on_event)
-        self._waiting: dict[str, asyncio.Future] = {}
-        self._seq = 0
-        self._task: asyncio.Task | None = None
-
-    def start(self) -> None:
-        self.transport.prepare()
-        self._task = asyncio.get_running_loop().create_task(self._poll_loop())
-
-    async def submit(self, request: api.CompileRequest) -> api.CompileResult:
-        self._seq += 1
-        rid = f"req-{self._seq:06d}"
-        payload: dict[str, Any] = {"kind": "request",
-                                   "request": request.canonical()}
-        if self._use_cache is not None:
-            payload["use_cache"] = self._use_cache
-        future = self._waiting[rid] = asyncio.get_running_loop().create_future()
-        self._table.submit(rid, payload, f"request {rid}")
-        return await future
-
-    def _accept(self, rid: str, text: str):
-        """A worker's answer as ``(value, why)`` for the lease table.
-
-        A compile error the worker reports is a *value* — the exception
-        to answer with: it is deterministic, so retrying it is futile.
-        Only an unreadable answer counts against the retry bound.
-        """
-        try:
-            data = json.loads(text)
-            if (isinstance(data, dict)
-                    and data.get("format") == self._error_format):
-                return ServeError(f"queue worker failed: "
-                                  f"{data.get('error', 'unknown')}"), None
-            return api.CompileResult.from_dict(data), None
-        except (KeyError, ValueError, TypeError) as exc:
-            return None, f"malformed queue result: {exc}"
-
-    async def _poll_loop(self) -> None:
-        while True:
-            try:
-                outcomes = self._table.step()
-            except OSError as exc:  # pragma: no cover - transient fs races
-                self._events(f"queue scan error: {exc}")
-                outcomes = []
-            for outcome in outcomes:
-                future = self._waiting.pop(outcome.task_id)
-                if future.done():
-                    continue
-                if outcome.lost is not None:
-                    future.set_exception(ServeError(
-                        f"request {outcome.task_id} lost after "
-                        f"{outcome.attempt} attempt(s): {outcome.lost}"))
-                elif isinstance(outcome.value, Exception):
-                    future.set_exception(outcome.value)
-                else:
-                    future.set_result(outcome.value)
-            await asyncio.sleep(self._poll)
-
-    async def close(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._task
-        for future in self._waiting.values():
-            if not future.done():
-                future.set_exception(ServeError("server shutting down"))
-        self._waiting.clear()
-        self.transport.close(stop=True)
-
-
-def _parse_pool(config: ServeConfig,
-                on_event: Callable[[str], None]):
-    kind, sep, arg = config.pool.strip().partition(":")
-    if kind == "inline":
-        try:
-            slots = int(arg) if sep else 2
-        except ValueError:
-            raise ServeError(
-                f"invalid pool {config.pool!r}; expected inline:N") from None
-        return _ThreadPoolBackend(slots, config.use_cache, config.execute)
-    if kind == "queue":
-        return _QueueBackend(arg, config.use_cache, config.queue_poll,
-                             config.queue_lease, config.queue_retries,
-                             on_event)
-    raise ServeError(f"unknown pool {config.pool!r}; expected inline:N "
-                     f"or queue:DIR")
-
-
-# ---------------------------------------------------------------------------
-# The daemon
-# ---------------------------------------------------------------------------
+#: Seconds the lease thread waits on the pool between lease-table steps:
+#: a slot pool wakes it sooner, the moment a worker answers; a
+#: ``queue:DIR`` pool is scanned this often.
+LEASE_WAIT = 0.1
 
 
 class CompileService:
-    """The serve daemon: HTTP front, coalescing map, worker-pool back."""
+    """The serve daemon: HTTP front, coalescing map, lease-table back.
+
+    The event loop submits misses to the table under one lock; one
+    daemon thread waits on the pool, steps the table under the same lock
+    and hands each outcome back to the loop.
+    """
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.stats = ServeStats()
         self._events = config.on_event if config.on_event else (lambda _m: None)
-        self._backend = _parse_pool(config, self._events)
+        try:
+            self._transport = parse_transport(config.pool)
+        except DispatchError as exc:
+            raise ServeError(f"invalid pool: {exc}") from None
+        if isinstance(self._transport, (LocalTransport, SshTransport)):
+            raise ServeError(
+                f"pool {self._transport} starts one process per lease and "
+                f"no worker command runs a request; use inline:N or "
+                f"queue:DIR")
+        self.pool_name = self._transport.name
+        self._table = LeaseTable(self._transport, config.lease_timeout,
+                                 config.retries, self._accept, self._events)
+        self._lock = threading.Lock()
+        self._lease_thread = threading.Thread(
+            target=self._lease_loop, name="repro-lease", daemon=True)
+        self._closed = False
+        self._rids = itertools.count(1)
+        #: task id -> the future its outcome settles.
+        self._leased: dict[str, asyncio.Future] = {}
         self._requests_total = obs.counter(
             "repro_requests_total", "HTTP responses by path and status.",
             ("path", "status"))
@@ -336,6 +207,7 @@ class CompileService:
         self._inflight_spans: dict[str, str | None] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._drain_event: asyncio.Event | None = None
         self._done: asyncio.Event | None = None
         self._draining = False
@@ -344,16 +216,18 @@ class CompileService:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
+        self._loop = asyncio.get_running_loop()
         self._drain_event = asyncio.Event()
         self._done = asyncio.Event()
-        self._backend.start()
+        # A queue:DIR pool clears a previous owner's residue, its stop
+        # sentinel included, before workers attach, not at the first miss.
+        prepare = getattr(self._transport, "prepare", None)
+        if prepare is not None:
+            prepare()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
-
-    @property
-    def pool_name(self) -> str:
-        return self._backend.name
+        self._lease_thread.start()
 
     def begin_drain(self) -> None:
         """Stop accepting, finish in-flight work, then shut down.
@@ -395,11 +269,57 @@ class CompileService:
                 await asyncio.wait(pending)
                 break
             await asyncio.wait(pending, timeout=remaining)
-        await self._backend.close()
+        # The lease thread is at most one wait-and-step from noticing.
+        self._closed = True
+        self._lease_thread.join()
+        self._transport.close(stop=True)
         self._done.set()
 
     async def wait_done(self) -> None:
         await self._done.wait()
+
+    # -- the lease loop -----------------------------------------------------
+
+    def _accept(self, rid: str, text: str):
+        """A worker's answer as ``(value, why)`` for the lease table.
+
+        A compile error the worker reports is a *value* — the exception
+        to answer with: it is deterministic, so retrying it is futile.
+        Only an unreadable answer counts against the retry bound.
+        """
+        try:
+            data = json.loads(text)
+            if isinstance(data, dict) and data.get("format") == ERROR_FORMAT:
+                return ServeError(f"worker failed: "
+                                  f"{data.get('error', 'unknown')}"), None
+            return api.CompileResult.from_dict(data), None
+        except (KeyError, ValueError, TypeError) as exc:
+            return None, f"malformed worker result: {exc}"
+
+    def _lease_loop(self) -> None:
+        while not self._closed:
+            self._transport.wait(LEASE_WAIT)
+            with self._lock:
+                try:
+                    outcomes = self._table.step()
+                except OSError as exc:  # pragma: no cover - transient fs races
+                    self._events(f"queue scan error: {exc}")
+                    outcomes = []
+            for outcome in outcomes:
+                self._loop.call_soon_threadsafe(self._settle, outcome)
+
+    def _settle(self, outcome: Outcome) -> None:
+        future = self._leased.pop(outcome.task_id)
+        if future.done():
+            return
+        if outcome.lost is not None:
+            future.set_exception(ServeError(
+                f"request {outcome.task_id} lost after "
+                f"{outcome.attempt} attempt(s): {outcome.lost}"))
+        elif isinstance(outcome.value, Exception):
+            future.set_exception(outcome.value)
+        else:
+            future.set_result(outcome.value)
 
     # -- HTTP layer ---------------------------------------------------------
 
@@ -509,18 +429,11 @@ class CompileService:
         """
         reg = obs.registry()
         stats = self.stats
-        serve_totals = {
-            "requests": "Work requests admitted (compile/evaluate).",
-            "cache_hits": "Requests answered from the staged cache.",
-            "coalesced": "Requests that joined an in-flight compile.",
-            "computed": "Underlying jobs computed by the pool.",
-            "rejected": "Requests rejected by admission control (429).",
-            "timeouts": "Requests that hit their deadline (504).",
-            "errors": "Requests that failed (500).",
-        }
-        for field, help_text in serve_totals.items():
-            reg.counter(f"repro_serve_{field}_total",
-                        help_text).set_total(getattr(stats, field))
+        for field in dataclasses.fields(stats):
+            if "help" in field.metadata:
+                reg.counter(f"repro_serve_{field.name}_total",
+                            field.metadata["help"]
+                            ).set_total(getattr(stats, field.name))
         reg.gauge("repro_serve_inflight",
                   "Underlying jobs currently running."
                   ).set(len(self._inflight))
@@ -551,10 +464,15 @@ class CompileService:
         if isinstance(data, dict) and "timeout" in data:
             # Transport-level field: bounds *this* request, capped by the
             # server's own limit; never part of the canonical request.
+            raw = data.pop("timeout")
             try:
-                timeout = min(timeout, float(data.pop("timeout")))
+                asked = float(raw)
             except (TypeError, ValueError):
-                return 400, _error_body("'timeout' must be a number")
+                asked = float("nan")
+            if not asked > 0:  # NaN compares false
+                return 400, _error_body(
+                    f"timeout must be a positive number, got {raw!r}")
+            timeout = min(timeout, asked)
         try:
             request = api.CompileRequest.from_dict(
                 {**data, "action": action} if isinstance(data, dict) else data)
@@ -621,11 +539,17 @@ class CompileService:
                                 dataset=request.dataset,
                                 action=request.action)
         self._inflight_spans[key] = compute_span.id
+        rid = f"req-{next(self._rids):06d}"
+        payload = {"kind": "request", "request": request.canonical(),
+                   "use_cache": self.config.use_cache}
+        leased = self._leased[rid] = loop.create_future()
 
         async def run() -> None:
             try:
                 with compute_span:
-                    result = await self._backend.submit(request)
+                    with self._lock:
+                        self._table.submit(rid, payload, f"request {rid}")
+                    result = await leased
             except asyncio.CancelledError:
                 if not future.done():
                     future.set_exception(ServeError("server shutting down"))
@@ -750,12 +674,7 @@ class ServiceThread:
     async def _main(self) -> None:
         self.service = CompileService(self.config)
         self._loop = asyncio.get_running_loop()
-        try:
-            await self.service.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._started.set()
-            return
+        await self.service.start()
         self.port = self.service.port
         self._started.set()
         await self.service.wait_done()

@@ -105,6 +105,11 @@ def test_simulate(capsys):
     (["convert", "csf", "csr", "--dataset", "random-1pct"],
      "convert error: source format 'csf' is not a matrix format (order 3); "
      "the matrix datasets are ['bcsstk30', "),
+    (["serve", "--port", "0", "--pool", "carrier-pigeon"],
+     "serve error: invalid pool: unknown transport 'carrier-pigeon'; "),
+    (["serve", "--port", "0", "--pool", "local:2"],
+     "serve error: pool local:2 starts one process per lease and no worker "
+     "command runs a request; use inline:N or queue:DIR\n"),
 ])
 def test_unknown_name_is_one_error_line_and_exit_2(argv, line, capsys):
     assert main(argv) == 2
@@ -257,12 +262,13 @@ def test_merge_literal_path_with_brackets(tmp_path, capsys, monkeypatch):
     ["dispatch", "table3", "--workers", "local:2", "--lease-timeout", "-5"],
     ["dispatch", "table3", "--lease-timeout", "nan"],
     ["serve", "--pool", "inline:1", "--lease-timeout", "0"],
+    ["serve", "--timeout", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_scale_is_validated_at_parse_time(argv, capsys, monkeypatch):
-    """Every ``--scale`` and ``--lease-timeout`` refuses a non-positive
-    or NaN value with argparse's error and exit 2, before anything runs:
-    no traceback, no job at the generators' floor size, no lease that
-    expires at once, no worker started."""
+    """Every ``--scale``, ``--lease-timeout`` and ``serve --timeout``
+    refuses a non-positive or NaN value with argparse's error and exit
+    2, before anything runs: no traceback, no job at the generators'
+    floor size, no lease that expires at once, no worker started."""
     from repro.pipeline.dispatch import SlotTransport
 
     launched: list = []

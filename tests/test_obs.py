@@ -444,7 +444,8 @@ def _post(port: int, path: str, body: dict, timeout: float = 60.0):
 
 class TestServeObservability:
     def test_coalesced_requests_share_one_compute_span(self, fresh_cache,
-                                                       trace_dir_env):
+                                                       trace_dir_env,
+                                                       monkeypatch):
         import repro.api as api
         from repro.service.server import ServeConfig, ServiceThread
 
@@ -456,7 +457,8 @@ class TestServeObservability:
                                      seconds={api.BASELINE_PLATFORM: 1.0})
 
         clients = 4
-        config = ServeConfig(port=0, pool="inline:2", execute=slow_execute)
+        monkeypatch.setattr("repro.service.api.execute", slow_execute)
+        config = ServeConfig(port=0, pool="inline:2")
         with ServiceThread(config) as svc:
             results: list[int] = []
             lock = threading.Lock()

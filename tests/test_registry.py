@@ -343,10 +343,10 @@ def test_no_second_lease_loop():
     for twin in ("enqueue_request", "withdraw_request", "collect_requests",
                  "expired_requests"):
         assert not hasattr(QueueTransport, twin)
-    # dispatch() waits through Transport.wait; the daemon sleeps in its
-    # drain's read window and the queue backend's one poll tick.
+    # dispatch() and the daemon's lease thread wait through
+    # Transport.wait; the daemon sleeps only in its drain's read window.
     dispatch_tree = ast.parse((src / "pipeline/dispatch.py").read_text())
     assert _sleeps(dispatch_tree, "time") == []
     server_tree = ast.parse((src / "service/server.py").read_text())
-    assert sorted(_sleeps(server_tree, "asyncio")) == ["_finish_drain",
-                                                       "_poll_loop"]
+    assert _sleeps(server_tree, "time") == []
+    assert _sleeps(server_tree, "asyncio") == ["_finish_drain"]

@@ -106,7 +106,8 @@ class TestRoundTrip:
 
 
 class TestCoalescing:
-    def test_identical_concurrent_requests_compute_once(self, fresh_cache):
+    def test_identical_concurrent_requests_compute_once(self, fresh_cache,
+                                                        monkeypatch):
         calls = []
         gate = threading.Event()
 
@@ -115,7 +116,8 @@ class TestCoalescing:
             gate.wait(timeout=10)
             return _fake_result(request)
 
-        config = ServeConfig(port=0, pool="inline:4", execute=execute)
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        config = ServeConfig(port=0, pool="inline:4")
         with ServiceThread(config) as svc:
             results = []
 
@@ -146,15 +148,15 @@ class TestCoalescing:
 
 
 class TestAdmissionAndTimeouts:
-    def test_429_beyond_max_inflight(self, fresh_cache):
+    def test_429_beyond_max_inflight(self, fresh_cache, monkeypatch):
         gate = threading.Event()
 
         def execute(request, use_cache):
             gate.wait(timeout=10)
             return _fake_result(request)
 
-        config = ServeConfig(port=0, pool="inline:2", max_inflight=1,
-                             execute=execute)
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        config = ServeConfig(port=0, pool="inline:2", max_inflight=1)
         with ServiceThread(config) as svc:
             first = []
             t = threading.Thread(target=lambda: first.append(
@@ -178,14 +180,15 @@ class TestAdmissionAndTimeouts:
             serve = json.loads(_get(svc.port, "/stats")[1])["serve"]
             assert serve["rejected"] == 1
 
-    def test_timeout_returns_clean_504(self, fresh_cache):
+    def test_timeout_returns_clean_504(self, fresh_cache, monkeypatch):
         release = threading.Event()
 
         def execute(request, use_cache):
             release.wait(timeout=10)
             return _fake_result(request)
 
-        config = ServeConfig(port=0, pool="inline:1", execute=execute)
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        config = ServeConfig(port=0, pool="inline:1")
         with ServiceThread(config) as svc:
             status, body = _post(svc.port, "/evaluate",
                                  {"kernel": "SpMV", "scale": TINY,
@@ -197,12 +200,28 @@ class TestAdmissionAndTimeouts:
             serve = json.loads(_get(svc.port, "/stats")[1])["serve"]
             assert serve["timeouts"] == 1
 
-    def test_worker_error_surfaces_as_500(self, fresh_cache):
+    def test_non_positive_body_timeout_is_a_400(self, fresh_cache):
+        """A body ``timeout`` that is not a positive number is refused
+        like ``serve --timeout``, never run with an instant deadline or
+        silently dropped."""
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            for timeout, shown in ((-1, "-1"), (0, "0"),
+                                   (float("nan"), "nan")):
+                status, body = _post(svc.port, "/evaluate",
+                                     {"kernel": "SpMV", "scale": TINY,
+                                      "timeout": timeout})
+                assert status == 400, (timeout, body)
+                assert json.loads(body)["error"] == (
+                    f"timeout must be a positive number, got {shown}")
+            serve = json.loads(_get(svc.port, "/stats")[1])["serve"]
+            assert serve["requests"] == 0
+
+    def test_worker_error_surfaces_as_500(self, fresh_cache, monkeypatch):
         def execute(request, use_cache):
             raise RuntimeError("compiler exploded")
 
-        with ServiceThread(ServeConfig(port=0, pool="inline:1",
-                                       execute=execute)) as svc:
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
             status, body = _post(svc.port, "/evaluate",
                                  {"kernel": "SpMV", "scale": TINY})
             assert status == 500
@@ -226,13 +245,56 @@ class TestStatsParity:
         assert set(cli["counters"]) == set(cache_section["counters"])
 
 
+class TestLeaseLoop:
+    """Every pool's misses are leased by the one lease table."""
+
+    def test_inline_miss_is_one_lease(self, fresh_cache):
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            leases_before = _leases_total(svc.port)
+            status, body = _post(svc.port, "/evaluate",
+                                 {"kernel": "SpMV", "scale": TINY})
+            assert status == 200
+            serial = api.evaluate(api.CompileRequest(kernel="SpMV",
+                                                     scale=TINY))
+            assert body == serial.to_json().encode()
+            assert _leases_total(svc.port) - leases_before == 1
+
+    def test_no_thread_outlives_the_daemon(self, fresh_cache, monkeypatch):
+        """Each miss runs on a slot thread of its own, and ``stop()``
+        leaves neither the lease thread nor a slot thread behind."""
+        started: list[threading.Thread] = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        monkeypatch.setattr("repro.service.api.execute",
+                            lambda request, use_cache: _fake_result(request))
+        svc = ServiceThread(ServeConfig(port=0, pool="inline:2")).start()
+        try:
+            for kernel in ("SpMV", "Plus2"):
+                assert _post(svc.port, "/evaluate",
+                             {"kernel": kernel, "scale": TINY})[0] == 200
+        finally:
+            svc.stop()
+        slots = [t for t in started if t.name.startswith("repro-slot-")]
+        assert len(slots) == 2
+        leases = [t for t in started if t.name == "repro-lease"]
+        assert len(leases) == 1
+        for thread in slots + leases:
+            thread.join(5)
+        assert [t.name for t in slots + leases if t.is_alive()] == []
+
+
 class TestQueuePool:
     def test_misses_flow_through_queue_workers(self, fresh_cache, tmp_path):
         from repro.pipeline.fsqueue import worker_loop
 
         qdir = tmp_path / "serve-queue"
         stop = threading.Event()
-        config = ServeConfig(port=0, pool=f"queue:{qdir}", queue_poll=0.05)
+        config = ServeConfig(port=0, pool=f"queue:{qdir}")
         with ServiceThread(config) as svc:
             worker = threading.Thread(
                 target=worker_loop, args=(qdir,),
@@ -264,8 +326,8 @@ class TestQueuePool:
         claimed = start_vanishing_worker(QueueTransport(qdir), "req-*.json")
         events: list[str] = []
         stop = threading.Event()
-        config = ServeConfig(port=0, pool=f"queue:{qdir}", queue_poll=0.05,
-                             queue_lease=0.5, on_event=events.append)
+        config = ServeConfig(port=0, pool=f"queue:{qdir}", lease_timeout=0.5,
+                             on_event=events.append)
         worker = threading.Thread(
             target=worker_loop, args=(qdir,),
             kwargs=dict(poll=0.05, should_exit=stop.is_set), daemon=True)
@@ -296,8 +358,8 @@ class TestQueuePool:
 
         qdir = tmp_path / "serve-queue"
         start_vanishing_worker(QueueTransport(qdir), "req-*.json")
-        config = ServeConfig(port=0, pool=f"queue:{qdir}", queue_poll=0.05,
-                             queue_lease=0.3, queue_retries=0)
+        config = ServeConfig(port=0, pool=f"queue:{qdir}", lease_timeout=0.3,
+                             retries=0)
         with ServiceThread(config) as svc:
             status, body = _post(svc.port, "/evaluate",
                                  {"kernel": "SpMV", "scale": TINY})
@@ -314,7 +376,7 @@ class TestQueuePool:
 
 
 class TestDrain:
-    def test_drain_finishes_inflight_work(self, fresh_cache):
+    def test_drain_finishes_inflight_work(self, fresh_cache, monkeypatch):
         started = threading.Event()
 
         def execute(request, use_cache):
@@ -322,8 +384,8 @@ class TestDrain:
             time.sleep(0.3)
             return _fake_result(request)
 
-        svc = ServiceThread(ServeConfig(port=0, pool="inline:1",
-                                        execute=execute)).start()
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        svc = ServiceThread(ServeConfig(port=0, pool="inline:1")).start()
         results = []
         t = threading.Thread(target=lambda: results.append(
             _post(svc.port, "/evaluate", {"kernel": "SpMV", "scale": TINY})))
