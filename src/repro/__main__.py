@@ -805,7 +805,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--lease-timeout", type=_lease_timeout,
                          default=60.0, metavar="S",
                          help="seconds before a silent worker's request "
-                              "is leased again (default 60)")
+                              "is leased again; an inline: request cannot "
+                              "be stopped and runs once (default 60)")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="workers bypass the compilation/result cache "
                               "(the daemon's hot path still serves "

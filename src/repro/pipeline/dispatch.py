@@ -146,24 +146,27 @@ class SlotTransport(Transport):
         self.slots = slots
         self.name = name or f"{self.kind}:{slots}"
         #: task id -> (slot, stop, launch time, answer box)
-        self._active: dict[str, tuple[int, Callable[[], None], float,
+        self._active: dict[str, tuple[int, Callable[[], None] | None, float,
                                       list[tuple[str | None, str]]]] = {}
+        #: Slots whose lease thread has not returned: a revoked lease
+        #: keeps its slot until its worker is really gone.
+        self._busy: set[int] = set()
         self._finished = threading.Event()
 
     def start(self, slot: int, payload: dict
-              ) -> tuple[Callable[[], str], Callable[[], None]]:
+              ) -> tuple[Callable[[], str], Callable[[], None] | None]:
         """Launch the task body ``payload`` on ``slot``; return
         ``(finish, stop)``.
 
         ``finish()`` blocks until the worker is done and returns its
         answer, or raises saying why there is none; ``stop()`` ends the
-        worker early. A worker that cannot launch raises here.
+        worker early, and is ``None`` for a worker that cannot be
+        stopped. A worker that cannot launch raises here.
         """
         raise NotImplementedError
 
     def submit(self, task_id: str, attempt: int, payload: dict) -> int:
-        busy = {entry[0] for entry in self._active.values()}
-        slot = next(s for s in range(self.slots) if s not in busy)
+        slot = next(s for s in range(self.slots) if s not in self._busy)
         finish, stop = self.start(slot, payload)
         box: list[tuple[str | None, str]] = []
 
@@ -172,8 +175,11 @@ class SlotTransport(Transport):
                 box.append((finish(), ""))
             except Exception as exc:
                 box.append((None, str(exc) or repr(exc)))
-            self._finished.set()
+            finally:
+                self._busy.discard(slot)
+                self._finished.set()
 
+        self._busy.add(slot)
         self._active[task_id] = (slot, stop, time.monotonic(), box)
         threading.Thread(target=run, name=f"repro-slot-{slot}",
                          daemon=True).start()
@@ -190,16 +196,19 @@ class SlotTransport(Transport):
 
     def last_alive(self, task_id: str) -> float:
         # A slot worker has no heartbeat: the lease bounds its runtime.
-        return self._active[task_id][2]
+        # One that has answered, or cannot be stopped, is alive: revoking
+        # it would only throw its answer away or run the task twice.
+        _slot, stop, started, box = self._active[task_id]
+        return time.monotonic() if stop is None or box else started
 
     def revoke(self, task_id: str) -> None:
         # The lease's box goes with it, so a late answer is never read.
         entry = self._active.pop(task_id, None)
-        if entry is not None:
+        if entry is not None and entry[1] is not None:
             entry[1]()
 
     def free(self) -> int:
-        return self.slots - len(self._active)
+        return self.slots - len(self._busy)
 
     def wait(self, timeout: float) -> None:
         # A thread stores its answer before it sets the event, and the
@@ -322,17 +331,18 @@ class InlineTransport(SlotTransport):
 
     Shares this process's modules and default cache, so test fixtures
     (monkeypatched job functions, private cache directories) apply to
-    the workers. A killed lease cannot interrupt a job mid-flight — the
-    cancel flag skips a chunk's *remaining* jobs, a request runs to its
-    end — so lease timeouts here bound scheduling, not single-job
-    runtime.
+    the workers. A killed lease cannot interrupt a job mid-flight: the
+    cancel flag skips a chunk's *remaining* jobs, so lease timeouts here
+    bound scheduling, not single-job runtime. A request has no point to
+    stop at, so its lease never expires: it runs to its end.
     """
 
     kind = "inline"
 
     def start(self, slot: int, payload: dict):
         cancel = threading.Event()
-        return lambda: run_task(payload, cancel.is_set), cancel.set
+        stop = None if payload["kind"] == "request" else cancel.set
+        return lambda: run_task(payload, cancel.is_set), stop
 
 
 def parse_transport(spec: str) -> Transport:

@@ -19,8 +19,9 @@ staged pipeline every other caller uses:
   :func:`~repro.pipeline.dispatch.parse_transport` pool: ``inline:N``
   runs it on an in-process slot thread; ``queue:DIR`` publishes it to
   the elastic filesystem queue, where ``repro worker DIR`` processes on
-  any host sharing the directory claim it. A silent worker loses its
-  lease and the request is leased again, up to the retry bound.
+  any host sharing the directory claim it. A silent queue worker loses
+  its lease and the request is leased again, up to the retry bound; an
+  inline request cannot be stopped, so it runs once, to its end.
   ``local:`` and ``ssh:`` are refused: they start one process per
   lease, and no worker command runs a request.
 * **Timeouts and drain** — every request is bounded by a per-request
@@ -93,6 +94,7 @@ _REASONS = {
     405: "Method Not Allowed",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
@@ -115,35 +117,34 @@ class ServeConfig:
     request_timeout: float = 120.0
     #: Hard deadline for graceful drain after SIGTERM.
     drain_grace: float = 30.0
-    #: Every pool: seconds a request's worker may stay silent before the
-    #: lease loop re-leases it, and how many times it may.
+    #: Seconds a request's worker may stay silent before the lease loop
+    #: leases it again, and how many times it may. An ``inline:`` request
+    #: cannot be stopped, so it is never silent: it runs once.
     lease_timeout: float = 60.0
     retries: int = 2
     use_cache: bool | None = None
     on_event: Callable[[str], None] | None = None
 
 
-def _total(help_text: str) -> Any:
-    """A :class:`ServeStats` counter, mirrored into ``/metrics`` as
-    ``repro_serve_<name>_total`` with this help text."""
-    return dataclasses.field(default=0, metadata={"help": help_text})
-
-
-@dataclasses.dataclass(slots=True)
 class ServeStats:
     """Daemon counters surfaced by ``/stats`` (event-loop-only writes)."""
 
-    requests: int = _total("Work requests admitted (compile/evaluate).")
-    cache_hits: int = _total("Requests answered from the staged cache.")
-    coalesced: int = _total("Requests that joined an in-flight compile.")
-    computed: int = _total("Underlying jobs computed by the pool.")
-    rejected: int = _total("Requests rejected by admission control (429).")
-    timeouts: int = _total("Requests that hit their deadline (504).")
-    errors: int = _total("Requests that failed (500).")
-    #: Every HTTP response sent (all endpoints), total and by code.
-    responses: int = 0
-    status_codes: dict[int, int] = dataclasses.field(default_factory=dict)
-    started: float = dataclasses.field(default_factory=time.time)
+    __slots__ = ("requests", "cache_hits", "coalesced", "computed",
+                 "rejected", "timeouts", "errors", "started",
+                 "responses", "status_codes")
+
+    def __init__(self) -> None:
+        self.requests = 0
+        self.cache_hits = 0
+        self.coalesced = 0
+        self.computed = 0
+        self.rejected = 0
+        self.timeouts = 0
+        self.errors = 0
+        self.started = time.time()
+        #: Every HTTP response sent (all endpoints), total and by code.
+        self.responses = 0
+        self.status_codes: dict[int, int] = {}
 
     def count_response(self, status: int) -> None:
         self.responses += 1
@@ -151,12 +152,22 @@ class ServeStats:
 
     def as_dict(self, inflight: int, draining: bool,
                 pool: str) -> dict[str, Any]:
-        out = dataclasses.asdict(self)
-        out.update(status_codes={str(code): n for code, n
-                                 in sorted(self.status_codes.items())},
-                   inflight=inflight, draining=draining, pool=pool,
-                   uptime_s=time.time() - out.pop("started"))
-        return out
+        return {
+            "requests": self.requests,
+            "cache_hits": self.cache_hits,
+            "coalesced": self.coalesced,
+            "computed": self.computed,
+            "rejected": self.rejected,
+            "timeouts": self.timeouts,
+            "errors": self.errors,
+            "responses": self.responses,
+            "status_codes": {str(code): n for code, n
+                             in sorted(self.status_codes.items())},
+            "inflight": inflight,
+            "draining": draining,
+            "pool": pool,
+            "uptime_s": time.time() - self.started,
+        }
 
 
 #: Seconds the lease thread waits on the pool between lease-table steps:
@@ -429,11 +440,18 @@ class CompileService:
         """
         reg = obs.registry()
         stats = self.stats
-        for field in dataclasses.fields(stats):
-            if "help" in field.metadata:
-                reg.counter(f"repro_serve_{field.name}_total",
-                            field.metadata["help"]
-                            ).set_total(getattr(stats, field.name))
+        serve_totals = {
+            "requests": "Work requests admitted (compile/evaluate).",
+            "cache_hits": "Requests answered from the staged cache.",
+            "coalesced": "Requests that joined an in-flight compile.",
+            "computed": "Underlying jobs computed by the pool.",
+            "rejected": "Requests rejected by admission control (429).",
+            "timeouts": "Requests that hit their deadline (504).",
+            "errors": "Requests that failed (500).",
+        }
+        for field, help_text in serve_totals.items():
+            reg.counter(f"repro_serve_{field}_total",
+                        help_text).set_total(getattr(stats, field))
         reg.gauge("repro_serve_inflight",
                   "Underlying jobs currently running."
                   ).set(len(self._inflight))
@@ -674,7 +692,12 @@ class ServiceThread:
     async def _main(self) -> None:
         self.service = CompileService(self.config)
         self._loop = asyncio.get_running_loop()
-        await self.service.start()
+        try:
+            await self.service.start()
+        except BaseException as exc:
+            self._startup_error = exc
+            self._started.set()
+            return
         self.port = self.service.port
         self._started.set()
         await self.service.wait_done()

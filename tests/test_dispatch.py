@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -456,6 +457,52 @@ class TestSlotPools:
         for thread in slots:
             thread.join(5)
         assert [t.name for t in slots if t.is_alive()] == []
+
+    def test_revoked_slot_stays_busy_until_its_thread_returns(self):
+        """A revoked inline chunk finishes its current job before the
+        cancel flag is read, so its slot is not handed out again until
+        the thread is gone: ``inline:N`` never runs more than N."""
+        gate = threading.Event()
+
+        class Gated(InlineTransport):
+            def start(self, slot, payload):
+                _finish, stop = super().start(slot, payload)
+                return (lambda: gate.wait(30) and "{}"), stop
+
+        transport = Gated(1)
+        request = ChunkRequest("table3", TINY, ShardSpec(1, 1))
+        try:
+            transport.submit("t1", 1, request.payload())
+            transport.revoke("t1")
+            assert transport.free() == 0
+            gate.set()
+            transport.wait(30)
+            assert transport.free() == 1
+            assert transport.poll() == []  # the revoked answer is dropped
+        finally:
+            transport.close()
+
+    def test_inline_request_lease_never_expires(self):
+        """An inline request cannot be stopped: while it runs, and once
+        it has answered, it counts as alive."""
+        gate = threading.Event()
+
+        class Gated(InlineTransport):
+            def start(self, slot, payload):
+                _finish, stop = super().start(slot, payload)
+                return (lambda: gate.wait(30) and "{}"), stop
+
+        transport = Gated(1)
+        try:
+            transport.submit("r1", 1, {"kind": "request", "request": {}})
+            time.sleep(0.05)
+            assert time.monotonic() - transport.last_alive("r1") < 0.05
+            gate.set()
+            transport.wait(30)
+            assert time.monotonic() - transport.last_alive("r1") < 0.05
+            assert transport.poll() == [("r1", "{}", "")]
+        finally:
+            transport.close()
 
 
 class TestFaultsPerPool:

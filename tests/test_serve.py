@@ -259,6 +259,28 @@ class TestLeaseLoop:
             assert body == serial.to_json().encode()
             assert _leases_total(svc.port) - leases_before == 1
 
+    def test_inline_request_outlives_its_lease_once(self, fresh_cache,
+                                                    monkeypatch):
+        """An in-process request cannot be stopped, so a lease shorter
+        than its run neither expires it nor starts a second copy: the
+        one run answers 200 and the slot cap holds."""
+        calls = []
+
+        def execute(request, use_cache):
+            calls.append(request)
+            time.sleep(0.5)
+            return _fake_result(request)
+
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        config = ServeConfig(port=0, pool="inline:1", lease_timeout=0.2)
+        with ServiceThread(config) as svc:
+            leases_before = _leases_total(svc.port)
+            status, body = _post(svc.port, "/evaluate",
+                                 {"kernel": "SpMV", "scale": TINY})
+            assert status == 200, body
+            assert _leases_total(svc.port) - leases_before == 1
+        assert len(calls) == 1
+
     def test_no_thread_outlives_the_daemon(self, fresh_cache, monkeypatch):
         """Each miss runs on a slot thread of its own, and ``stop()``
         leaves neither the lease thread nor a slot thread behind."""
