@@ -98,6 +98,19 @@ def _events(args):
     return event
 
 
+def _write(args, flag: str, path: str, text: str) -> str | None:
+    """Write ``text`` to the file ``flag`` names, parents created; the
+    one ``<command> error: cannot write ...`` line if that fails."""
+    from pathlib import Path
+
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        return f"{args.command} error: cannot write {flag} {path}: {exc}"
+    return None
+
+
 def _emit(args, text: str) -> int:
     """Print an artefact's text, and write it to ``--out`` when given.
 
@@ -105,20 +118,10 @@ def _emit(args, text: str) -> int:
     first, so a reader that closes stdout early (``| head``) still
     leaves it, and a file that cannot be written is reported only after
     the text has been shown."""
-    failed = None
-    if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text + "\n")
-        except OSError as exc:
-            failed = exc
+    failed = _write(args, "--out", args.out, text + "\n") if args.out else None
     print(text)
-    if failed is not None:
-        print(f"{args.command} error: cannot write --out {args.out}: "
-              f"{failed}", file=sys.stderr)
+    if failed:
+        print(failed, file=sys.stderr)
         return 1
     return 0
 
@@ -309,9 +312,9 @@ def _cmd_pipeline(args) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.out == "-":
             print(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        elif failed := _write(args, "--out", args.out, text + "\n"):
+            print(failed, file=sys.stderr)
+            return 1
     return 0
 
 
@@ -532,8 +535,10 @@ def _cmd_trace(args) -> int:
         if not args.chrome:
             print("error: export needs --chrome OUT.json", file=sys.stderr)
             return 2
-        with open(args.chrome, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome(data), fh)
+        chrome = json.dumps(to_chrome(data))
+        if failed := _write(args, "--chrome", args.chrome, chrome):
+            print(failed, file=sys.stderr)
+            return 1
         print(f"wrote {len(data.spans)} span(s), {len(data.events)} "
               f"event(s) to {args.chrome}", file=sys.stderr)
     problems = data.problems()

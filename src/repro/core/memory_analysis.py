@@ -77,7 +77,10 @@ class KernelAnalysis:
 
     stmt: IndexStmt
     foralls: list[ForallInfo]
-    by_ivar: dict[int, ForallInfo]
+    #: Keyed by the variable itself, not its ``id()``: a kernel loaded
+    #: from the disk store holds new variable objects (pickling keeps
+    #: this map's keys the same objects as the foralls' variables).
+    by_ivar: dict[IndexVar, ForallInfo]
     assignments: list[CinAssign]
     output: object  # Tensor
     inputs: list[object]
@@ -86,7 +89,7 @@ class KernelAnalysis:
     max_depth: int
 
     def info(self, ivar: IndexVar) -> ForallInfo:
-        found = self.by_ivar.get(id(ivar))
+        found = self.by_ivar.get(ivar)
         if found is not None:
             return found
         # Derived-variable fallback: after split/fuse, accesses still index
@@ -125,7 +128,7 @@ def analyze(stmt: IndexStmt) -> KernelAnalysis:
     cin, relations = strip_suchthat(stmt.cin)
     provenance = Provenance(relations)
     foralls: list[ForallInfo] = []
-    by_ivar: dict[int, ForallInfo] = {}
+    by_ivar: dict[IndexVar, ForallInfo] = {}
 
     def visit(s: CinStmt, depth: int, mapped: Optional[MapCall]) -> None:
         if isinstance(s, SuchThat):
@@ -137,7 +140,7 @@ def analyze(stmt: IndexStmt) -> KernelAnalysis:
             strategy = build_strategy(s.ivar, rhs_exprs, lhs_accesses)
             info = ForallInfo(s, depth, strategy, mapped)
             foralls.append(info)
-            by_ivar[id(s.ivar)] = info
+            by_ivar[s.ivar] = info
             visit(s.body, depth + 1, mapped)
         elif isinstance(s, Where):
             visit(s.producer, depth, mapped)

@@ -4,9 +4,10 @@ Counters, gauges, and log-bucketed histograms shared across the
 process, surfaced two ways:
 
 * the serve daemon's ``GET /metrics`` endpoint renders
-  :func:`MetricsRegistry.render` (Prometheus text exposition format);
-* ``repro cache --json`` and ``/stats`` fold :func:`MetricsRegistry.
-  snapshot` into the shared cache payload.
+  :func:`MetricsRegistry.render` (Prometheus text exposition format) of
+  this registry, then of the daemon's own registry of serve counters;
+* ``repro cache --json`` and ``/stats`` fold this registry's
+  :func:`MetricsRegistry.snapshot` into the shared cache payload.
 
 Everything is stdlib-only and thread-safe (one lock per metric; the
 serve daemon's event loop and worker threads both record freely).
@@ -227,7 +228,8 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Named metrics, registered once and shared process-wide."""
+    """Named metrics, each registered once: the process-wide default
+    (:func:`registry`) or one component's own (a serve daemon's)."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}

@@ -23,20 +23,22 @@ class Provenance:
 
     def __init__(self, relations: Sequence[IndexVarRel] = ()) -> None:
         self.relations = tuple(relations)
-        self._parent: dict[int, tuple[IndexVarRel, str]] = {}
+        # Keyed by the variable itself, not its ``id()``, so the map
+        # survives a pickle round trip (a kernel from the disk store).
+        self._parent: dict[IndexVar, tuple[IndexVarRel, str]] = {}
         for rel in self.relations:
             if isinstance(rel, (SplitUp, SplitDown)):
-                self._parent[id(rel.outer)] = (rel, "outer")
-                self._parent[id(rel.inner)] = (rel, "inner")
+                self._parent[rel.outer] = (rel, "outer")
+                self._parent[rel.inner] = (rel, "inner")
             elif isinstance(rel, FuseRel):
-                self._parent[id(rel.fused)] = (rel, "fused")
+                self._parent[rel.fused] = (rel, "fused")
 
     def is_derived(self, ivar: IndexVar) -> bool:
-        return id(ivar) in self._parent
+        return ivar in self._parent
 
     def roots(self, ivar: IndexVar) -> tuple[IndexVar, ...]:
         """Underived ancestor variables of ``ivar`` (fuse has two)."""
-        entry = self._parent.get(id(ivar))
+        entry = self._parent.get(ivar)
         if entry is None:
             return (ivar,)
         rel, _role = entry
@@ -50,7 +52,7 @@ class Provenance:
 
         ``dim_of`` maps ``id(root_var)`` to the root dimension size.
         """
-        entry = self._parent.get(id(ivar))
+        entry = self._parent.get(ivar)
         if entry is None:
             try:
                 return dim_of[id(ivar)]
@@ -68,4 +70,4 @@ class Provenance:
 
     def recombine(self, ivar: IndexVar) -> tuple[IndexVarRel, str] | None:
         """The relation and role deriving ``ivar``, or None for roots."""
-        return self._parent.get(id(ivar))
+        return self._parent.get(ivar)

@@ -37,8 +37,9 @@ Endpoints: ``POST /<action>`` for every record of
 "dataset": ..., "scale": ..., ...}`` and answering the deterministic
 ``CompileResult.to_json()`` bytes — byte-identical to a serial
 ``repro.api.execute(request)`` of the same request; ``GET /stats``
-(serve counters + the shared cache-stats payload), ``GET /metrics`` and
-``GET /healthz`` (liveness).
+(serve counters + the shared cache-stats payload), ``GET /metrics`` (the
+process registry, then the daemon's own instruments) and ``GET /healthz``
+(liveness).
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ import time
 from typing import Any, Callable
 
 from repro import obs
+from repro.obs.metrics import MetricsRegistry
+from repro.pipeline.cache import default_cache
 from repro.pipeline.dispatch import (
     DispatchError,
     LocalTransport,
@@ -126,48 +129,17 @@ class ServeConfig:
     on_event: Callable[[str], None] | None = None
 
 
-class ServeStats:
-    """Daemon counters surfaced by ``/stats`` (event-loop-only writes)."""
-
-    __slots__ = ("requests", "cache_hits", "coalesced", "computed",
-                 "rejected", "timeouts", "errors", "started",
-                 "responses", "status_codes")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.computed = 0
-        self.rejected = 0
-        self.timeouts = 0
-        self.errors = 0
-        self.started = time.time()
-        #: Every HTTP response sent (all endpoints), total and by code.
-        self.responses = 0
-        self.status_codes: dict[int, int] = {}
-
-    def count_response(self, status: int) -> None:
-        self.responses += 1
-        self.status_codes[status] = self.status_codes.get(status, 0) + 1
-
-    def as_dict(self, inflight: int, draining: bool,
-                pool: str) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
-            "computed": self.computed,
-            "rejected": self.rejected,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "responses": self.responses,
-            "status_codes": {str(code): n for code, n
-                             in sorted(self.status_codes.items())},
-            "inflight": inflight,
-            "draining": draining,
-            "pool": pool,
-            "uptime_s": time.time() - self.started,
-        }
+#: The daemon's counters: ``/stats``' ``serve`` key ``<key>`` is the
+#: ``/metrics`` series ``repro_serve_<key>_total``, with this help text.
+_COUNTERS = {
+    "requests": "Work requests admitted (compile/evaluate).",
+    "cache_hits": "Requests answered from the staged cache.",
+    "coalesced": "Requests that joined an in-flight compile.",
+    "computed": "Underlying jobs computed by the pool.",
+    "rejected": "Requests rejected by admission control (429).",
+    "timeouts": "Requests that hit their deadline (504).",
+    "errors": "Requests that failed (500).",
+}
 
 
 #: Seconds the lease thread waits on the pool between lease-table steps:
@@ -181,12 +153,28 @@ class CompileService:
 
     The event loop submits misses to the table under one lock; one
     daemon thread waits on the pool, steps the table under the same lock
-    and hands each outcome back to the loop.
+    and hands each outcome back to the loop, which settles the one
+    future every waiter on that miss shares. The daemon counts on its
+    own :class:`~repro.obs.metrics.MetricsRegistry`, ``metrics``.
     """
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.stats = ServeStats()
+        self.metrics = MetricsRegistry()
+        self._count = {key: self.metrics.counter(f"repro_serve_{key}_total",
+                                                 help_text)
+                       for key, help_text in _COUNTERS.items()}
+        self._responses = self.metrics.counter(
+            "repro_serve_responses_total", "HTTP responses sent, by status.",
+            ("status",))
+        self._inflight_now = self.metrics.gauge(
+            "repro_serve_inflight", "Underlying jobs currently running.")
+        self._uptime = self.metrics.gauge(
+            "repro_serve_uptime_seconds", "Seconds since the daemon started.")
+        self._stages = self.metrics.counter(
+            "repro_cache_stage_total",
+            "Staged-cache lookups by stage and outcome.", ("stage", "outcome"))
+        self._started = time.time()
         self._events = config.on_event if config.on_event else (lambda _m: None)
         try:
             self._transport = parse_transport(config.pool)
@@ -205,17 +193,17 @@ class CompileService:
             target=self._lease_loop, name="repro-lease", daemon=True)
         self._closed = False
         self._rids = itertools.count(1)
-        #: task id -> the future its outcome settles.
-        self._leased: dict[str, asyncio.Future] = {}
+        #: canonical request -> (future, compute span) of its one miss;
+        #: coalesced joiners await the same future.
+        self._inflight: dict[str, tuple[asyncio.Future, Any]] = {}
+        #: task id -> the canonical request whose miss it leases.
+        self._leased: dict[str, str] = {}
         self._requests_total = obs.counter(
             "repro_requests_total", "HTTP responses by path and status.",
             ("path", "status"))
         self._request_seconds = obs.histogram(
             "repro_request_seconds",
             "HTTP request handling latency (seconds).")
-        self._inflight: dict[str, asyncio.Future] = {}
-        #: inflight key -> the compute span id joiners reference.
-        self._inflight_spans: dict[str, str | None] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -284,6 +272,8 @@ class CompileService:
         self._closed = True
         self._lease_thread.join()
         self._transport.close(stop=True)
+        for rid in list(self._leased):
+            self._settle(Outcome(rid, 0, ServeError("server shutting down")))
         self._done.set()
 
     async def wait_done(self) -> None:
@@ -320,17 +310,22 @@ class CompileService:
                 self._loop.call_soon_threadsafe(self._settle, outcome)
 
     def _settle(self, outcome: Outcome) -> None:
-        future = self._leased.pop(outcome.task_id)
-        if future.done():
+        """Settle the miss ``outcome`` leased (once: drain fails the rest)."""
+        key = self._leased.pop(outcome.task_id, None)
+        if key is None:
             return
+        future, compute = self._inflight.pop(key)
+        error = outcome.value if isinstance(outcome.value, Exception) else None
         if outcome.lost is not None:
-            future.set_exception(ServeError(
-                f"request {outcome.task_id} lost after "
-                f"{outcome.attempt} attempt(s): {outcome.lost}"))
-        elif isinstance(outcome.value, Exception):
-            future.set_exception(outcome.value)
-        else:
+            error = ServeError(f"request {outcome.task_id} lost after "
+                               f"{outcome.attempt} attempt(s): {outcome.lost}")
+        compute.__exit__(type(error) if error else None, error, None)
+        if error is None:
+            self._count["computed"].inc()
             future.set_result(outcome.value)
+        else:
+            self._count["errors"].inc()
+            future.set_exception(error)
 
     # -- HTTP layer ---------------------------------------------------------
 
@@ -363,10 +358,10 @@ class CompileService:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # defense: never drop the response
-                self.stats.errors += 1
+                self._count["errors"].inc()
                 status, payload = 500, _error_body(
                     f"{type(exc).__name__}: {exc}")
-            self.stats.count_response(status)
+            self._responses.inc(status=str(status))
             self._requests_total.inc(path=path, status=str(status))
             self._request_seconds.observe(time.perf_counter() - t0)
             keep = (not self._draining
@@ -425,50 +420,31 @@ class CompileService:
 
     def stats_payload(self) -> dict[str, Any]:
         """The ``/stats`` body: serve counters + shared cache payload."""
-        return {
-            "serve": self.stats.as_dict(len(self._inflight), self._draining,
-                                        self.pool_name),
-            "cache": cache_stats_payload(),
-        }
+        return {"serve": self.serve_stats(), "cache": cache_stats_payload()}
+
+    def serve_stats(self) -> dict[str, Any]:
+        """``/stats``' ``serve`` section, read off the daemon's instruments."""
+        self._sample_gauges()
+        codes = {code: int(n) for code, n in self._responses.snapshot().items()}
+        return {**{key: int(c.value()) for key, c in self._count.items()},
+                "responses": sum(codes.values()), "status_codes": codes,
+                "inflight": int(self._inflight_now.value()),
+                "draining": self._draining, "pool": self.pool_name,
+                "uptime_s": self._uptime.value()}
 
     def metrics_text(self) -> str:
-        """The ``/metrics`` body: Prometheus text exposition.
+        """The ``/metrics`` body: the process registry, then the daemon's."""
+        self._sample_gauges()
+        # The in-memory tally only: the disk store's walk stays off the loop.
+        for stage, entry in default_cache().stats.as_dict()["stages"].items():
+            self._stages.set_total(entry["hits"], stage=stage, outcome="hit")
+            self._stages.set_total(entry["misses"], stage=stage,
+                                   outcome="miss")
+        return obs.registry().render() + self.metrics.render()
 
-        Request counts and the latency histogram accumulate live in the
-        process registry; the serve/cache counters are mirrored into it
-        at scrape time so every series shares one exposition.
-        """
-        reg = obs.registry()
-        stats = self.stats
-        serve_totals = {
-            "requests": "Work requests admitted (compile/evaluate).",
-            "cache_hits": "Requests answered from the staged cache.",
-            "coalesced": "Requests that joined an in-flight compile.",
-            "computed": "Underlying jobs computed by the pool.",
-            "rejected": "Requests rejected by admission control (429).",
-            "timeouts": "Requests that hit their deadline (504).",
-            "errors": "Requests that failed (500).",
-        }
-        for field, help_text in serve_totals.items():
-            reg.counter(f"repro_serve_{field}_total",
-                        help_text).set_total(getattr(stats, field))
-        reg.gauge("repro_serve_inflight",
-                  "Underlying jobs currently running."
-                  ).set(len(self._inflight))
-        reg.gauge("repro_serve_uptime_seconds",
-                  "Seconds since the daemon started."
-                  ).set(time.time() - stats.started)
-        cache_counters = cache_stats_payload().get("counters", {})
-        stage_counter = reg.counter(
-            "repro_cache_stage_total",
-            "Staged-cache lookups by stage and outcome.",
-            ("stage", "outcome"))
-        for stage, entry in cache_counters.get("stages", {}).items():
-            stage_counter.set_total(entry.get("hits", 0),
-                                    stage=stage, outcome="hit")
-            stage_counter.set_total(entry.get("misses", 0),
-                                    stage=stage, outcome="miss")
-        return reg.render()
+    def _sample_gauges(self) -> None:
+        self._inflight_now.set(len(self._inflight))
+        self._uptime.set(time.time() - self._started)
 
     # -- request handling ---------------------------------------------------
 
@@ -498,42 +474,44 @@ class CompileService:
         except ValueError as exc:
             return 400, _error_body(str(exc))
 
-        self.stats.requests += 1
+        requests = self._count["requests"]
+        requests.inc()
         # Request spans do not nest on the thread-local stack: handler
         # coroutines interleave on the one event-loop thread, so stack
         # discipline would attach spans to whichever request last
         # yielded. Each span is its own top-level track instead.
         with obs.span("request", _nest=False,
-                      _track=f"req-{self.stats.requests}",
+                      _track=f"req-{requests.value():.0f}",
                       action=action, kernel=request.kernel,
                       dataset=request.dataset) as sp:
             hit = api.cached(request)
             if hit is not None:
-                self.stats.cache_hits += 1
+                self._count["cache_hits"].inc()
                 sp.set(outcome="hit", status=200)
                 return 200, hit.to_json().encode()
 
             key = request.canonical_json()
-            future = self._inflight.get(key)
-            if future is None:
+            miss = self._inflight.get(key)
+            if miss is None:
                 if len(self._inflight) >= self.config.max_inflight:
-                    self.stats.rejected += 1
+                    self._count["rejected"].inc()
                     sp.set(outcome="rejected", status=429)
                     return 429, _error_body(
                         f"{len(self._inflight)} requests already in flight "
                         f"(max {self.config.max_inflight}); retry shortly")
-                future = self._launch(key, request)
+                miss = self._launch(key, request)
                 sp.set(outcome="computed")
             else:
-                self.stats.coalesced += 1
+                self._count["coalesced"].inc()
                 sp.set(outcome="joined")
+            future, compute = miss
             # N coalesced joiners all reference the one compute span.
-            sp.set(compute_span=self._inflight_spans.get(key))
+            sp.set(compute_span=compute.id)
             try:
                 result = await asyncio.wait_for(asyncio.shield(future),
                                                 timeout)
             except asyncio.TimeoutError:
-                self.stats.timeouts += 1
+                self._count["timeouts"].inc()
                 sp.set(outcome="timeout", status=504)
                 return 504, _error_body(
                     f"request timed out after {timeout:g}s; the job keeps "
@@ -544,48 +522,27 @@ class CompileService:
             sp.set(status=200)
             return 200, result.to_json().encode()
 
-    def _launch(self, key: str, request: api.CompileRequest) -> asyncio.Future:
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
+    def _launch(self, key: str, request: api.CompileRequest):
+        """Lease a miss; its ``(future, compute span)`` until it settles."""
+        future = self._loop.create_future()
         # Waiters may all time out before completion; retrieve the
         # exception so the loop never logs "exception was never retrieved".
         future.add_done_callback(
             lambda f: f.exception() if not f.cancelled() else None)
-        self._inflight[key] = future
-        compute_span = obs.span("compute", _nest=False, _track="compute",
-                                kernel=request.kernel,
-                                dataset=request.dataset,
-                                action=request.action)
-        self._inflight_spans[key] = compute_span.id
+        compute = obs.span("compute", _nest=False, _track="compute",
+                           kernel=request.kernel, dataset=request.dataset,
+                           action=request.action).__enter__()
         rid = f"req-{next(self._rids):06d}"
+        self._inflight[key] = (future, compute)
+        self._leased[rid] = key
         payload = {"kind": "request", "request": request.canonical(),
                    "use_cache": self.config.use_cache}
-        leased = self._leased[rid] = loop.create_future()
-
-        async def run() -> None:
-            try:
-                with compute_span:
-                    with self._lock:
-                        self._table.submit(rid, payload, f"request {rid}")
-                    result = await leased
-            except asyncio.CancelledError:
-                if not future.done():
-                    future.set_exception(ServeError("server shutting down"))
-                raise
-            except Exception as exc:
-                self.stats.errors += 1
-                if not future.done():
-                    future.set_exception(exc)
-            else:
-                self.stats.computed += 1
-                if not future.done():
-                    future.set_result(result)
-            finally:
-                self._inflight.pop(key, None)
-                self._inflight_spans.pop(key, None)
-
-        loop.create_task(run())
-        return future
+        try:
+            with self._lock:
+                self._table.submit(rid, payload, f"request {rid}")
+        except Exception as exc:
+            self._settle(Outcome(rid, 0, exc))
+        return future, compute
 
 
 def _error_body(message: str) -> bytes:
@@ -651,10 +608,11 @@ def run_service(config: ServeConfig,
         announce(f"serving on http://{config.host}:{service.port} "
                  f"(pool {service.pool_name}; pid {os.getpid()})")
         await service.wait_done()
-        stats = service.stats
-        announce(f"drained: {stats.requests} request(s), "
-                 f"{stats.cache_hits} cache hit(s), "
-                 f"{stats.coalesced} coalesced, {stats.computed} computed")
+        stats = service.serve_stats()
+        announce(f"drained: {stats['requests']} request(s), "
+                 f"{stats['cache_hits']} cache hit(s), "
+                 f"{stats['coalesced']} coalesced, "
+                 f"{stats['computed']} computed")
 
     asyncio.run(main())
     return 0

@@ -335,3 +335,45 @@ def test_unwritable_out_still_shows_the_finished_artefact(tmp_path, capsys,
     assert "Table 3" in captured.out
     assert captured.err.startswith(f"merge error: cannot write --out {out}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_pipeline_out_creates_parents_and_reports_unwritable(tmp_path, capsys):
+    """``pipeline --out`` writes the way ``_emit`` does: a missing
+    directory is created, and an unwritable path is one error line and
+    exit 1 after the run, not a traceback."""
+    argv = ["pipeline", "cgstep", "--dataset", "random-10pct",
+            "--scale", "0.02", "--out"]
+    out = tmp_path / "missing" / "dir" / "cgstep.json"
+    assert main([*argv, str(out)]) == 0
+    assert '"cgstep"' in out.read_text()
+    capsys.readouterr()
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "file" / "cgstep.json"  # its parent is a file
+    assert main([*argv, str(blocked)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pipeline error: cannot write --out {blocked}: ")
+    assert err.count("\n") == 1
+
+
+def test_trace_export_creates_parents_and_reports_unwritable(
+        tmp_path, capsys, monkeypatch):
+    import json
+
+    from repro import obs
+
+    traces = tmp_path / "traces"
+    monkeypatch.setenv(obs.TRACE_ENV, str(traces))
+    with obs.span("outer"):
+        pass
+    monkeypatch.delenv(obs.TRACE_ENV)
+    out = tmp_path / "missing" / "dir" / "trace.json"
+    assert main(["trace", "export", str(traces), "--chrome", str(out)]) == 0
+    assert json.loads(out.read_text())["traceEvents"]
+    capsys.readouterr()
+    (tmp_path / "file").write_text("")
+    blocked = tmp_path / "file" / "trace.json"  # its parent is a file
+    assert main(["trace", "export", str(traces),
+                 "--chrome", str(blocked)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"trace error: cannot write --chrome {blocked}: ")
+    assert err.count("\n") == 1

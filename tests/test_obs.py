@@ -522,6 +522,43 @@ class TestServeObservability:
             assert any(s.startswith("repro_cache_stage_total")
                        for s in samples)
 
+    def test_metrics_scrape_leaves_the_process_snapshot_alone(
+            self, fresh_cache):
+        """A ``/metrics`` scrape renders the daemon's instruments; it
+        adds no series to the process registry that ``/stats`` and
+        ``repro cache --json`` snapshot."""
+        from repro.service.server import ServeConfig, ServiceThread
+
+        def names():
+            metrics = json.loads(_get(svc.port, "/stats")[1])["cache"][
+                "metrics"]
+            return {kind: sorted(group) for kind, group in metrics.items()}
+
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            _post(svc.port, "/evaluate", {"kernel": "SpMV", "scale": TINY})
+            before = names()
+            assert _get(svc.port, "/metrics")[0] == 200
+            after = names()
+            assert after == before
+            assert not [name for group in after.values() for name in group
+                        if name.startswith(("repro_serve_",
+                                            "repro_cache_stage_"))]
+
+    def test_metrics_scrape_does_not_walk_the_disk_store(
+            self, fresh_cache, monkeypatch):
+        from repro.pipeline.cache import CompilationCache
+        from repro.service.server import ServeConfig, ServiceThread
+
+        def no_walk(self):
+            raise AssertionError("/metrics walked the disk store")
+
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            _post(svc.port, "/evaluate", {"kernel": "SpMV", "scale": TINY})
+            monkeypatch.setattr(CompilationCache, "disk_info", no_walk)
+            status, body, _headers = _get(svc.port, "/metrics")
+            assert status == 200
+            assert "\nrepro_cache_stage_total{" in body.decode()
+
     def test_stats_counts_responses_by_status(self, fresh_cache):
         from repro.service.server import ServeConfig, ServiceThread
 

@@ -1,10 +1,15 @@
 """Unit tests for workload-statistics extraction."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.capstan.stats import compute_stats, sorted_union
 from repro.core import compile_stmt
+from repro.ir import index_vars
+from repro.ir.cin import SplitUp
+from repro.schedule.provenance import Provenance
 from tests.helpers_kernels import build_small_kernel_stmt
 
 
@@ -89,6 +94,35 @@ class TestScanStats:
         j_loop = stats.loop("j")
         # Both operands' level-1 fibers stream into Gen BV blocks.
         assert j_loop.bv_coords > 0
+
+
+class TestLoadedKernel:
+    """A kernel-stage hit may come back from the disk store: a pickled
+    kernel whose loop variables are new objects at new addresses."""
+
+    def test_analysis_resolves_loops_by_variable_not_address(self):
+        stmt, _, _ = build_small_kernel_stmt("Plus2")
+        kernel = compile_stmt(stmt, "plus2", cache=False)
+        loaded = pickle.loads(pickle.dumps(kernel))
+        for info in loaded.analysis.foralls:
+            assert loaded.analysis.info(info.ivar) is info
+        # The first compile's variables still live at the addresses the
+        # analysis was built with; once such an address is reused by one
+        # of the loaded kernel's own variables, an ``id()``-keyed lookup
+        # hands back another loop (``j`` launched once per ``(i, j)``).
+        for info in kernel.analysis.foralls:
+            with pytest.raises(KeyError):
+                loaded.analysis.info(info.ivar)
+        assert compute_stats(loaded) == compute_stats(kernel)
+
+    def test_provenance_survives_a_pickle_round_trip(self):
+        i, io, ii = index_vars("i io ii")
+        loaded = pickle.loads(pickle.dumps(
+            (Provenance([SplitUp(i, io, ii, 4)]), i, io, ii)))
+        prov, i, io, ii = loaded
+        assert prov.is_derived(io) and prov.is_derived(ii)
+        assert prov.roots(ii) == (i,)
+        assert prov.trip_count(io, {id(i): 10}) == 3
 
 
 class TestRestriction:
