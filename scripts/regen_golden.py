@@ -21,6 +21,9 @@ of a result shows up; its ``numpy`` section (tests/test_numpy_exec.py)
 does the same for the numpy engine's densified result, and its
 ``partitions`` section (tests/test_partition.py) holds the report text of
 five partition plans at scale 0.25, ``oracle maxerr`` included.
+``cli.json`` (tests/test_cli.py) pins the command-line surface: each
+subcommand's option strings and positional names, and the exit code and
+stderr of a fixed list of refused argv.
 ``table6-1.0.txt`` (tests/test_golden_code.py, ``slow``) is a cold
 ``tables table6 --scale 1.0`` render, so a model change that moves a
 paper-scale cell shows up as a text diff. After an
@@ -48,6 +51,7 @@ from tests.helpers_kernels import (
     SPATIAL_GOLDEN_KERNELS,
     TABLE6_GOLDEN_SCALE,
     build_small_kernel_stmt,
+    cli_goldens,
     conversion_digests,
     dataset_digests,
     execution_digests,
@@ -89,6 +93,10 @@ def regenerate() -> list[Path]:
     written.append(path)
     path = GOLDEN / "requests.json"
     path.write_text(json.dumps(request_goldens(), indent=1, sort_keys=True)
+                    + "\n")
+    written.append(path)
+    path = GOLDEN / "cli.json"
+    path.write_text(json.dumps(cli_goldens(), indent=1, sort_keys=True)
                     + "\n")
     written.append(path)
     path = GOLDEN / "execution.json"

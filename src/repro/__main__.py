@@ -621,7 +621,8 @@ def _command(sub, name: str, handler, help: str):
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser; each subcommand sets ``handler``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Stardust reproduction command-line interface",
@@ -847,8 +848,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for p in (p_tab, p_batch, p_disp, p_work, p_serve, p_pipe):
         _add_trace_flag(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     _apply_trace(args)
     return args.handler(args)
 

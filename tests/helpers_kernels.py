@@ -392,3 +392,64 @@ def request_goldens() -> dict:
             del job["seconds"], job["computed"]
         manifests[artifact] = manifest
     return {"canonical": canonical, "manifests": manifests}
+
+
+#: argv the CLI refuses, pinned by ``tests/golden/cli.json``. None names
+#: a temp path, and the trace row runs with ``REPRO_TRACE_DIR`` unset.
+CLI_REFUSALS = (
+    ["tables", "nope"],
+    ["batch", "table3"],
+    ["merge"],
+    ["pipeline"],
+    ["pipeline", "nosuch"],
+    ["compile", "NoSuch"],
+    ["simulate", "Plus3", "--dataset", "bcsstk30"],
+    ["convert", "csr", "nosuch"],
+    ["dispatch", "table3", "--workers", "carrier-pigeon:2"],
+    ["serve", "--port", "0", "--pool", "local:2"],
+    ["trace", "summary"],
+)
+
+
+def cli_goldens() -> dict:
+    """The bytes ``tests/golden/cli.json`` pins: each subcommand's sorted
+    option strings and positional names, and for each ``CLI_REFUSALS``
+    argv its exit code and stderr. A refusal ``main`` returns keeps its
+    whole stderr; an argparse refusal keeps only its last line, the
+    error, because the usage lines above it may reorder."""
+    import argparse
+    import contextlib
+    import io
+    import os
+
+    from repro.__main__ import build_parser, main
+    from repro.obs import TRACE_ENV
+
+    commands = {}
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        commands[name] = {
+            "options": sorted(option for action in parser._actions
+                              for option in action.option_strings),
+            "positionals": [action.dest for action in parser._actions
+                            if not action.option_strings],
+        }
+    refusals = {}
+    saved = os.environ.pop(TRACE_ENV, None)
+    try:
+        for argv in CLI_REFUSALS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                    stderr = err.getvalue()
+                except SystemExit as exc:
+                    code = exc.code
+                    stderr = err.getvalue().splitlines()[-1] + "\n"
+            refusals[" ".join(argv)] = {"code": code, "stderr": stderr}
+    finally:
+        if saved is not None:
+            os.environ[TRACE_ENV] = saved
+    return {"commands": commands, "refusals": refusals}

@@ -1,5 +1,8 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -116,6 +119,16 @@ def test_unknown_name_is_one_error_line_and_exit_2(argv, line, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(line) and captured.err.count("\n") == 1
+
+
+def test_cli_surface_matches_golden():
+    """``tests/golden/cli.json`` (``scripts/regen_golden.py``) pins every
+    subcommand's flags and positionals, and the exact stderr and exit
+    code of each refusal in ``CLI_REFUSALS``."""
+    from tests.helpers_kernels import cli_goldens
+
+    golden = Path(__file__).resolve().parent / "golden" / "cli.json"
+    assert cli_goldens() == json.loads(golden.read_text())
 
 
 def test_tables_artifact(capsys):
