@@ -8,14 +8,29 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from typing import Callable
 
 from repro.engines import ENGINES
 
 
-def _use_cache(args) -> bool | None:
-    """``--no-cache`` → False; otherwise defer to the environment."""
-    return False if getattr(args, "no_cache", False) else None
+class Refusal(Exception):
+    """A command's refusal: ``main`` prints the message, one finished
+    stderr line, and returns ``code``."""
+
+    def __init__(self, line: str, code: int = 2):
+        super().__init__(line)
+        self.code = code
+
+
+@contextmanager
+def _refusing(prefix: str, *errors: type[BaseException], code: int = 2):
+    """Refuse when the block raises one of ``errors``: the line is
+    ``prefix`` followed by the error's text."""
+    try:
+        yield
+    except errors as exc:
+        raise Refusal(f"{prefix}{exc}", code) from None
 
 
 def _cmd_kernels(_args) -> int:
@@ -31,24 +46,19 @@ def _cmd_kernels(_args) -> int:
 
 
 def _request(args):
-    """The command's resolved request, or None after printing why the
-    kernel / dataset pair names nothing (exit code 2)."""
+    """The command's resolved request; refused (exit code 2) when the
+    kernel / dataset pair names nothing."""
     from repro.api import CompileRequest
 
-    try:
+    with _refusing(f"{args.command} error: ", ValueError):
         return CompileRequest(kernel=args.kernel, dataset=args.dataset,
                               scale=args.scale).resolved()
-    except ValueError as exc:
-        print(f"{args.command} error: {exc}", file=sys.stderr)
-        return None
 
 
 def _cmd_compile(args) -> int:
     from repro.api import build, compile
 
     request = _request(args)
-    if request is None:
-        return 2
     # The memoized `compile` stage holds exactly what is printed; only
     # --cpu needs the CompiledKernel itself (its statement).
     result = compile(request)
@@ -59,10 +69,12 @@ def _cmd_compile(args) -> int:
     print(f"// generated Spatial LoC: {result.spatial_loc}",
           file=sys.stderr)
     if args.cpu:
-        from repro.backends.cpu import lower_cpu
+        from repro.backends.cpu import LoweringError, lower_cpu
 
+        with _refusing("compile error: ", LoweringError, code=1):
+            code = lower_cpu(build(request).stmt, args.kernel.lower())
         print()
-        print(lower_cpu(build(request).stmt, args.kernel.lower()))
+        print(code)
     return 0
 
 
@@ -70,9 +82,7 @@ def _cmd_simulate(args) -> int:
     from repro.api import BASELINE_PLATFORM, evaluate
 
     request = _request(args)
-    if request is None:
-        return 2
-    times = evaluate(request, use_cache=_use_cache(args)).platform_times()
+    times = evaluate(request, use_cache=args.use_cache).platform_times()
     base = times.seconds[BASELINE_PLATFORM]
     print(f"{args.kernel} on {request.dataset} (scale {args.scale}):")
     for platform, seconds in times.seconds.items():
@@ -81,13 +91,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve(name: str, scale: float | None):
-    """The record behind a CLI artefact name and the scale its run uses:
-    an explicit ``--scale``, else the record's default."""
-    from repro.pipeline.batch import resolve_artifact
+def _resolve(args):
+    """The record behind the command's artefact name and the scale its
+    run uses: an explicit ``--scale``, else the record's default. An
+    unknown name is refused (exit code 2)."""
+    from repro.pipeline.batch import UnknownArtifact, resolve_artifact
 
-    record = resolve_artifact(name)
-    return record, record.default_scale if scale is None else scale
+    with _refusing(f"{args.command} error: ", UnknownArtifact):
+        record = resolve_artifact(args.artifact)
+    return record, record.default_scale if args.scale is None else args.scale
 
 
 def _events(args):
@@ -98,17 +110,16 @@ def _events(args):
     return event
 
 
-def _write(args, flag: str, path: str, text: str) -> str | None:
-    """Write ``text`` to the file ``flag`` names, parents created; the
-    one ``<command> error: cannot write ...`` line if that fails."""
+def _write(args, flag: str, path: str, text: str) -> None:
+    """Write ``text`` to the file ``flag`` names, parents created; if
+    that fails, refuse with one ``<command> error: cannot write ...``
+    line (exit code 1)."""
     from pathlib import Path
 
-    try:
+    with _refusing(f"{args.command} error: cannot write {flag} {path}: ",
+                   OSError, code=1):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        return f"{args.command} error: cannot write {flag} {path}: {exc}"
-    return None
 
 
 def _emit(args, text: str) -> int:
@@ -118,24 +129,20 @@ def _emit(args, text: str) -> int:
     first, so a reader that closes stdout early (``| head``) still
     leaves it, and a file that cannot be written is reported only after
     the text has been shown."""
-    failed = _write(args, "--out", args.out, text + "\n") if args.out else None
-    print(text)
-    if failed:
-        print(failed, file=sys.stderr)
-        return 1
+    try:
+        if args.out:
+            _write(args, "--out", args.out, text + "\n")
+    finally:
+        print(text)
     return 0
 
 
 def _cmd_tables(args) -> int:
-    from repro.pipeline.batch import UnknownArtifact, run_artifact
+    from repro.pipeline.batch import run_artifact
 
-    try:
-        record, scale = _resolve(args.artifact, args.scale)
-    except UnknownArtifact as exc:
-        print(f"tables error: {exc}", file=sys.stderr)
-        return 2
+    record, scale = _resolve(args)
     print(record.render(run_artifact(
-        record.name, scale, jobs=args.jobs, use_cache=_use_cache(args),
+        record.name, scale, jobs=args.jobs, use_cache=args.use_cache,
         engine=args.engine)))
     return 0
 
@@ -195,16 +202,12 @@ def _cmd_convert(args) -> int:
         src_fmt = format_of(args.source)
         dst_fmt = format_of(args.target)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+        raise Refusal(exc.args[0]) from None
     if args.plan:
         # The plan is a function of the two formats alone; skip dataset
         # generation entirely.
-        try:
+        with _refusing("conversion error: ", ConversionError, code=1):
             print(plan_conversion(src_fmt, dst_fmt).describe())
-        except ConversionError as exc:
-            print(f"conversion error: {exc}", file=sys.stderr)
-            return 1
         return 0
     matrices = [d.name for d in DATASETS if d.kind == "matrix"]
     flat_order = src_fmt.order - sum(mf.is_block for mf in src_fmt.mode_formats)
@@ -213,18 +216,14 @@ def _cmd_convert(args) -> int:
                 if args.dataset not in matrices else
                 f"source format {args.source!r} is not a matrix format "
                 f"(order {flat_order})")
-        print(f"convert error: {what}; the matrix datasets are {matrices}",
-              file=sys.stderr)
-        return 2
+        raise Refusal(f"convert error: {what}; the matrix datasets are "
+                      f"{matrices}")
     dims = DATASETS_BY_NAME[args.dataset].scaled_dims(args.scale)
-    try:
+    with _refusing("conversion error: ", ConversionError, code=1):
         source = staged_matrix_storage(args.dataset, args.scale, args.seed,
-                                       args.source, _use_cache(args))
+                                       args.source, args.use_cache)
         plan = plan_conversion(source.fmt, dst_fmt,
                                dims if dst_fmt.order == len(dims) else None)
-    except ConversionError as exc:
-        print(f"conversion error: {exc}", file=sys.stderr)
-        return 1
     print(plan.describe())
     start = time.perf_counter()
     converted = plan.run(source)
@@ -239,8 +238,7 @@ def _cmd_convert(args) -> int:
         if np.allclose(to_dense(back), to_dense(source)):
             print("verify: dense round-trip matches")
         else:
-            print("verify: MISMATCH", file=sys.stderr)
-            return 1
+            raise Refusal("verify: MISMATCH", 1)
     return 0
 
 
@@ -276,14 +274,12 @@ def _cmd_pipeline(args) -> int:
         names = list(PIPELINE_ORDER)
     elif args.name:
         if args.name not in PIPELINES:
-            print(f"unknown pipeline {args.name!r}; choose from: "
-                  f"{', '.join(PIPELINE_ORDER)}", file=sys.stderr)
-            return 2
+            raise Refusal(f"unknown pipeline {args.name!r}; choose from: "
+                          f"{', '.join(PIPELINE_ORDER)}")
         names = [args.name]
     else:
-        print("pipeline: give a pipeline name or --all; registered: "
-              f"{', '.join(PIPELINE_ORDER)}", file=sys.stderr)
-        return 2
+        raise Refusal("pipeline: give a pipeline name or --all; registered: "
+                      f"{', '.join(PIPELINE_ORDER)}")
 
     # An engine-less request runs on the interpreter oracle (the sweep
     # cells' row); the command's default is REPRO_ENGINE or numpy.
@@ -298,11 +294,9 @@ def _cmd_pipeline(args) -> int:
                 kernel=name, dataset=dataset, scale=args.scale,
                 seed=args.seed, engine=engine, action="pipeline",
                 fuse=not args.no_fuse)
-            try:
-                row = pipeline(request, use_cache=_use_cache(args)).pipeline
-            except (FusionError, ValueError) as exc:
-                print(f"pipeline error: {exc}", file=sys.stderr)
-                return 1
+            with _refusing("pipeline error: ", FusionError, ValueError,
+                           code=1):
+                row = pipeline(request, use_cache=args.use_cache).pipeline
             payload[name][dataset] = row["outputs"]
             _print_pipeline_report(row)
             print()
@@ -312,45 +306,33 @@ def _cmd_pipeline(args) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.out == "-":
             print(text)
-        elif failed := _write(args, "--out", args.out, text + "\n"):
-            print(failed, file=sys.stderr)
-            return 1
+        else:
+            _write(args, "--out", args.out, text + "\n")
     return 0
 
 
 def _cmd_batch(args) -> int:
-    from repro.pipeline.batch import UnknownArtifact
     from repro.pipeline.shard import ShardSpec
 
     if not (args.shard or args.list):
-        print("batch error: batch runs one shard (--shard I/N [--out F]) "
-              "or lists the jobs (--list); print an artefact with `tables "
-              "ARTEFACT`, regenerate every one with "
-              "`scripts/run_experiments.py`", file=sys.stderr)
-        return 2
-    try:
-        record, scale = _resolve(args.artifact, args.scale)
-    except UnknownArtifact as exc:
-        print(f"batch error: {exc}", file=sys.stderr)
-        return 2
+        raise Refusal("batch error: batch runs one shard (--shard I/N "
+                      "[--out F]) or lists the jobs (--list); print an "
+                      "artefact with `tables ARTEFACT`, regenerate every one "
+                      "with `scripts/run_experiments.py`")
+    record, scale = _resolve(args)
     spec = None
     if args.shard:
-        try:
+        with _refusing("", ValueError):
             spec = ShardSpec.parse(args.shard)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    use_cache = _use_cache(args)
     if args.list:
-        jobs = record.jobs(scale, use_cache)
+        jobs = record.jobs(scale, args.use_cache)
         for job in spec.select(jobs) if spec is not None else jobs:
             print(f"{record.name:10s}  {job}")
         return 0
-    return _run_shard_to_manifest(args, args.artifact, scale, spec, use_cache)
+    return _run_shard_to_manifest(args, args.artifact, scale, spec)
 
 
-def _run_shard_to_manifest(args, artifact: str, scale: float, spec,
-                           use_cache) -> int:
+def _run_shard_to_manifest(args, artifact: str, scale: float, spec) -> int:
     from repro.pipeline.cache import default_cache
     from repro.pipeline.shard import run_shard
 
@@ -360,7 +342,7 @@ def _run_shard_to_manifest(args, artifact: str, scale: float, spec,
               f"({res.seconds:.2f}s)", file=sys.stderr)
 
     manifest = run_shard(artifact, scale, spec, jobs=args.jobs,
-                         use_cache=use_cache, on_result=progress,
+                         use_cache=args.use_cache, on_result=progress,
                          engine=args.engine)
     to_stdout = args.out == "-"
     if to_stdout:
@@ -396,48 +378,37 @@ def _cmd_merge(args) -> int:
     paths = expand_manifest_paths(args.manifests)
     if not paths:
         patterns = " ".join(args.manifests) or "(no arguments)"
-        print(f"merge error: no manifest files matched {patterns}; "
-              f"run `batch <artefact> --shard I/N --out F.json` first",
-              file=sys.stderr)
-        return 2
-    try:
+        raise Refusal(f"merge error: no manifest files matched {patterns}; "
+                      f"run `batch <artefact> --shard I/N --out F.json` first")
+    with _refusing("merge error: ", ManifestError, code=1):
         manifests = [ShardManifest.load(p) for p in paths]
         merged = merge_manifests(
             manifests,
             require_current_compiler=not args.allow_stale_compiler,
         )
-    except ManifestError as exc:
-        print(f"merge error: {exc}", file=sys.stderr)
-        return 1
     return _emit(args, merged.text)
 
 
 def _cmd_dispatch(args) -> int:
-    from repro.pipeline.batch import UnknownArtifact
     from repro.pipeline.dispatch import DispatchError, dispatch
 
-    try:
-        record, scale = _resolve(args.artifact, args.scale)
+    record, scale = _resolve(args)
+    # OSError: e.g. the transport binary (ssh) is missing or fds ran out;
+    # in-flight workers were already revoked by the dispatcher.
+    with _refusing(f"{args.command} error: ", DispatchError), \
+            _refusing(f"{args.command} error: cannot launch workers over "
+                      f"{args.workers}: ", OSError):
         result = dispatch(
             record.name, scale, args.workers,
             chunks_per_worker=args.chunks_per_worker,
             lease_timeout=args.lease_timeout,
             retries=args.retries,
-            use_cache=_use_cache(args),
+            use_cache=args.use_cache,
             worker_jobs=args.jobs,
             state_dir=args.resume,
             on_event=_events(args),
             engine=args.engine,
         )
-    except (UnknownArtifact, DispatchError) as exc:
-        print(f"{args.command} error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # e.g. the transport binary (ssh) is missing or fds ran out;
-        # in-flight workers were already revoked by the dispatcher.
-        print(f"{args.command} error: cannot launch workers over "
-              f"{args.workers}: {exc}", file=sys.stderr)
-        return 2
     print(result.summary(), file=sys.stderr)
     for line in result.failure_report():
         print(line, file=sys.stderr)
@@ -454,9 +425,8 @@ def _cmd_worker(args) -> int:
                                 max_chunks=args.max_chunks, jobs=args.jobs,
                                 on_event=_events(args))
     except KeyboardInterrupt:
-        print("worker interrupted; any claimed chunk will be re-leased "
-              "after its lease expires", file=sys.stderr)
-        return 130
+        raise Refusal("worker interrupted; any claimed chunk will be "
+                      "re-leased after its lease expires", 130) from None
     print(f"worker done: {completed} chunk(s) completed", file=sys.stderr)
     return 0
 
@@ -472,18 +442,12 @@ def _cmd_serve(args) -> int:
         request_timeout=args.timeout,
         drain_grace=args.drain_grace,
         lease_timeout=args.lease_timeout,
-        use_cache=_use_cache(args),
+        use_cache=args.use_cache,
         on_event=_events(args),
     )
-    try:
+    with _refusing("serve error: ", ServeError), _refusing(
+            f"serve error: cannot bind {args.host}:{args.port}: ", OSError):
         return run_service(config)
-    except ServeError as exc:
-        print(f"serve error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"serve error: cannot bind {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
 
 
 def _cmd_cache(args) -> int:
@@ -522,23 +486,18 @@ def _cmd_trace(args) -> int:
 
     root = args.dir or os.environ.get(TRACE_ENV)
     if not root:
-        print(f"error: no trace directory (pass one or set {TRACE_ENV})",
-              file=sys.stderr)
-        return 2
+        raise Refusal(f"error: no trace directory (pass one or set "
+                      f"{TRACE_ENV})")
     data = load_trace_dir(root)
     if not data.records:
-        print(f"error: no trace records under {root}", file=sys.stderr)
-        return 1
+        raise Refusal(f"error: no trace records under {root}", 1)
     if args.action == "summary":
         print(render_summary(data))
     elif args.action == "export":
         if not args.chrome:
-            print("error: export needs --chrome OUT.json", file=sys.stderr)
-            return 2
+            raise Refusal("error: export needs --chrome OUT.json")
         chrome = json.dumps(to_chrome(data))
-        if failed := _write(args, "--chrome", args.chrome, chrome):
-            print(failed, file=sys.stderr)
-            return 1
+        _write(args, "--chrome", args.chrome, chrome)
         print(f"wrote {len(data.spans)} span(s), {len(data.events)} "
               f"event(s) to {args.chrome}", file=sys.stderr)
     problems = data.problems()
@@ -550,74 +509,93 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _apply_trace(args) -> None:
-    """``--trace DIR`` → the environment knob, inherited by workers."""
-    if getattr(args, "trace", None):
-        import os
-
-        from repro.obs import TRACE_ENV
-
-        os.environ[TRACE_ENV] = args.trace
-
-
-def _add_trace_flag(parser) -> None:
-    parser.add_argument("--trace", metavar="DIR", default=None,
-                        help="write structured span traces as JSONL under "
-                             "DIR (same as REPRO_TRACE_DIR; inherited by "
-                             "spawned/remote workers; inspect with "
-                             "`repro trace`)")
-
-
-_ARTIFACT_HELP = ("an artefact (an unknown name lists them) or a "
-                  "partition:<kernel>:<dataset>:p<P>:<mode> plan")
-_SCALE_HELP = ("dataset scale (default: the artefact's own; REPRO_SCALE "
-               "or 0.25 unless it is structural)")
-_ENGINE_HELP = ("cells that run a kernel functionally execute it with this "
-                "engine and validate it against the interpreter oracle "
-                "(default: skip the check); partition blocks run on it "
-                "(default: REPRO_ENGINE or numpy)")
-
-
-def _positive(name: str) -> Callable[[str], float]:
+def _positive(name: str, kind=float) -> Callable[[str], float]:
     """The ``type=`` of a ``--<name>`` flag that takes a positive number
     (every ``--scale``, the rule ``CompileRequest.resolved`` applies,
-    every ``--lease-timeout`` and ``serve --timeout``): anything else is
-    refused at parse time, before any worker is started, with argparse's
-    one-line error."""
+    every ``--lease-timeout``, ``serve --timeout``, ``worker --poll``)
+    or, with ``kind=int``, a positive integer (``worker --max-chunks``):
+    anything else is refused at parse time, before any worker is
+    started, with argparse's one-line error."""
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = float("nan")
         if not value > 0:  # NaN compares false
             raise argparse.ArgumentTypeError(
-                f"{name} must be a positive number, got {text!r}")
+                f"{name} must be a positive "
+                f"{'integer' if kind is int else 'number'}, got {text!r}")
         return value
     return parse
 
 
-_scale = _positive("scale")
-_lease_timeout = _positive("lease-timeout")
+def _port(text: str) -> int:
+    """``serve --port``'s ``type=``: an integer in 0-65535, refused at
+    parse time like ``_positive``, not at ``bind``."""
+    if not (text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"port must be an integer in 0-65535, got {text!r}")
+    return int(text)
 
 
-def _add_run_flags(parser) -> None:
-    """The flags ``tables``, ``batch`` and ``dispatch`` hand to the
-    artefact's job runner."""
-    parser.add_argument("--scale", type=_scale, default=None,
-                        help=_SCALE_HELP)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel jobs per process; for `dispatch`, "
-                             "per worker (default: REPRO_JOBS or 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the compilation/result cache")
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help=_ENGINE_HELP)
+#: The arguments more than one command takes, each defined once: its
+#: ``add_argument`` name -> keywords. ``_command`` adds the ones a
+#: command names; the command overrides only what really differs.
+_SHARED = {
+    "artifact": {"metavar": "ARTEFACT",
+                 "help": "an artefact (an unknown name lists them) or a "
+                         "partition:<kernel>:<dataset>:p<P>:<mode> plan"},
+    "kernel": {},
+    "--scale": {"type": _positive("scale")},
+    "--dataset": {"default": None},
+    "--seed": {"type": int, "default": 7},
+    "--jobs": {"type": int, "default": None,
+               "help": "parallel jobs per process; for `dispatch`, per "
+                       "worker (default: REPRO_JOBS or 1)"},
+    # `--no-cache` -> False; otherwise None defers to the environment.
+    "--no-cache": {"dest": "use_cache", "action": "store_const",
+                   "const": False, "default": None,
+                   "help": "bypass the compilation/result cache"},
+    "--engine": {"choices": ENGINES, "default": None,
+                 "help": "cells that run a kernel functionally execute it "
+                         "with this engine and validate it against the "
+                         "interpreter oracle (default: skip the check); "
+                         "partition blocks run on it (default: REPRO_ENGINE "
+                         "or numpy)"},
+    "--lease-timeout": {"type": _positive("lease-timeout"), "metavar": "S",
+                        "default": 900.0,
+                        "help": "seconds before a silent worker is presumed "
+                                "hung and its chunk reassigned (default 900)"},
+    "--out": {"default": None, "metavar": "FILE",
+              "help": "also write the merged artefact text here"},
+    "--quiet": {"action": "store_true",
+                "help": "suppress progress messages on stderr"},
+    "--json": {"action": "store_true", "help": "machine-readable JSON output"},
+    "--trace": {"metavar": "DIR", "default": None,
+                "help": "write structured span traces as JSONL under DIR "
+                        "(same as REPRO_TRACE_DIR; inherited by "
+                        "spawned/remote workers; inspect with `repro "
+                        "trace`)"},
+}
+
+#: What ``tables``, ``batch`` and ``dispatch`` take to run an artefact's
+#: jobs, and the ``--scale`` they share.
+_RUN = "artifact --scale --jobs --no-cache --engine --trace"
+_RUN_SCALE = {"default": None,
+              "help": "dataset scale (default: the artefact's own; "
+                      "REPRO_SCALE or 0.25 unless it is structural)"}
 
 
-def _command(sub, name: str, handler, help: str):
-    """One subcommand's parser, which runs ``handler``."""
+def _command(sub, name: str, handler, help: str, shared: str = "",
+             **overrides):
+    """One subcommand's parser, which runs ``handler``, with the
+    ``_SHARED`` arguments ``shared`` names; ``no_cache={"help": ...}``
+    overrides the keywords of ``--no-cache``."""
     parser = sub.add_parser(name, help=help)
     parser.set_defaults(handler=handler)
+    for arg in shared.split():
+        override = overrides.get(arg.lstrip("-").replace("-", "_"), {})
+        parser.add_argument(arg, **{**_SHARED[arg], **override})
     return parser
 
 
@@ -633,34 +611,28 @@ def build_parser() -> argparse.ArgumentParser:
              "list the evaluation kernels and their datasets")
 
     p_compile = _command(sub, "compile", _cmd_compile,
-                         "compile a kernel; print the generated Spatial")
-    p_compile.add_argument("kernel")
-    p_compile.add_argument("--dataset", default=None)
-    p_compile.add_argument("--scale", type=_scale, default=0.05)
+                         "compile a kernel; print the generated Spatial",
+                         "kernel --dataset --scale", scale={"default": 0.05})
     p_compile.add_argument("--cpu", action="store_true",
                            help="also print TACO-style CPU C code")
     p_compile.add_argument("--memory-report", action="store_true",
                            help="print the Section 6 memory analysis")
 
-    p_sim = _command(sub, "simulate", _cmd_simulate,
-                     "predict cross-platform runtime")
-    p_sim.add_argument("kernel")
-    p_sim.add_argument("--dataset", default=None)
-    p_sim.add_argument("--scale", type=_scale, default=0.25)
-    p_sim.add_argument("--no-cache", action="store_true",
-                       help="bypass the compilation/result cache")
+    _command(sub, "simulate", _cmd_simulate, "predict cross-platform runtime",
+             "kernel --dataset --scale --no-cache", scale={"default": 0.25})
 
-    p_tab = _command(sub, "tables", _cmd_tables,
-                     "print one table/figure, or run a partition:* plan "
-                     "in-process (its p1 run is the serial reference)")
-    p_tab.add_argument("artifact", metavar="ARTEFACT", help=_ARTIFACT_HELP)
-    _add_run_flags(p_tab)
+    _command(sub, "tables", _cmd_tables,
+             "print one table/figure, or run a partition:* plan "
+             "in-process (its p1 run is the serial reference)",
+             _RUN, scale=_RUN_SCALE)
 
     p_batch = _command(sub, "batch", _cmd_batch,
                        "run one shard of an artefact's job list into a "
-                       "manifest (what dispatch workers run), or --list it")
-    p_batch.add_argument("artifact", metavar="ARTEFACT", help=_ARTIFACT_HELP)
-    _add_run_flags(p_batch)
+                       "manifest (what dispatch workers run), or --list it",
+                       _RUN + " --out", scale=_RUN_SCALE, out={
+                           "help": "manifest path for --shard (default: "
+                                   "<artefact>.shardIofN.json; `-` streams "
+                                   "the manifest JSON to stdout)"})
     p_batch.add_argument("--list", action="store_true",
                          help="print the (kernel, dataset, platform) job "
                               "list without running it")
@@ -668,17 +640,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run only shard I of N (1-based, "
                               "deterministic round-robin slice) and write "
                               "a JSON manifest")
-    p_batch.add_argument("--out", default=None,
-                         help="manifest path for --shard (default: "
-                              "<artefact>.shardIofN.json; `-` streams the "
-                              "manifest JSON to stdout)")
 
     p_disp = _command(sub, "dispatch", _cmd_dispatch,
                       "drive an artefact's sweep through a fault-tolerant "
                       "worker pool (chunked leases; merged output "
-                      "byte-identical to `tables`)")
-    p_disp.add_argument("artifact", help=_ARTIFACT_HELP)
-    _add_run_flags(p_disp)
+                      "byte-identical to `tables`)",
+                      _RUN + " --lease-timeout --out --quiet",
+                      scale=_RUN_SCALE)
     p_disp.add_argument("--workers", default="local:2", metavar="SPEC",
                         help="transport spec: local:N subprocesses, "
                              "ssh:host1,host2, inline:N in-process "
@@ -688,29 +656,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_disp.add_argument("--chunks-per-worker", type=int, default=4,
                         help="lease granularity: chunks cut per worker "
                              "slot (default 4)")
-    p_disp.add_argument("--lease-timeout", type=_lease_timeout,
-                        default=900.0,
-                        help="seconds before a silent worker is presumed "
-                             "hung and its chunk reassigned (default 900)")
     p_disp.add_argument("--retries", type=int, default=2,
                         help="re-dispatches per chunk after worker death "
                              "or job failure before quarantine (default 2)")
     p_disp.add_argument("--resume", metavar="DIR", default=None,
                         help="persist per-chunk manifests under DIR and "
                              "skip chunks a previous dispatch completed")
-    p_disp.add_argument("--out", default=None,
-                        help="also write the merged artefact text here")
-    p_disp.add_argument("--quiet", action="store_true",
-                        help="suppress per-lease progress on stderr")
 
     p_merge = _command(sub, "merge", _cmd_merge,
-                       "merge shard manifests into the full artefact")
+                       "merge shard manifests into the full artefact",
+                       "--out")
     p_merge.add_argument("manifests", nargs="*",
                          help="shard manifest files (or quoted glob "
                               "patterns) written by "
                               "`batch --shard I/N --out ...`")
-    p_merge.add_argument("--out", default=None,
-                         help="also write the merged artefact text here")
     p_merge.add_argument("--allow-stale-compiler", action="store_true",
                          help="merge manifests produced by a different "
                               "compiler version (hashes must still agree "
@@ -719,75 +678,84 @@ def build_parser() -> argparse.ArgumentParser:
     p_work = _command(sub, "worker", _cmd_worker,
                       "attach an elastic worker to a queue:DIR pool "
                       "(claims dispatch chunks and serve compile-requests "
-                      "until the queue is stopped)")
+                      "until the queue is stopped)",
+                      "--jobs --quiet --trace", jobs={
+                          "help": "thread count per chunk (default: the "
+                                  "task's own setting, else REPRO_JOBS "
+                                  "or 1)"})
     p_work.add_argument("dir", help="the queue directory given to "
                                     "`dispatch --workers queue:DIR` or "
                                     "`serve --pool queue:DIR`")
-    p_work.add_argument("--poll", type=float, default=0.5, metavar="S",
+    p_work.add_argument("--poll", type=_positive("poll"), default=0.5,
+                        metavar="S",
                         help="seconds between empty-queue scans "
                              "(default 0.5)")
-    p_work.add_argument("--max-chunks", type=int, default=None, metavar="N",
+    p_work.add_argument("--max-chunks", type=_positive("max-chunks", int),
+                        default=None, metavar="N",
                         help="detach after completing N chunks")
-    p_work.add_argument("--jobs", type=int, default=None,
-                        help="thread count per chunk (default: the task's "
-                             "own setting, else REPRO_JOBS or 1)")
-    p_work.add_argument("--quiet", action="store_true",
-                        help="suppress per-chunk progress on stderr")
 
-    p_formats = _command(sub, "formats", _cmd_formats,
-                         "list registered whole-tensor formats")
-    p_formats.add_argument("--json", action="store_true",
-                           help="machine-readable JSON output")
+    _command(sub, "formats", _cmd_formats,
+             "list registered whole-tensor formats", "--json")
 
     p_conv = _command(sub, "convert", _cmd_convert,
-                      "convert a matrix dataset between formats")
+                      "convert a matrix dataset between formats",
+                      "--dataset --scale --seed --no-cache",
+                      dataset={"default": "Trefethen_20000",
+                               "help": "matrix dataset name (default: "
+                                       "Trefethen_20000)"},
+                      scale={"default": 0.05},
+                      no_cache={"help": "bypass the dataset/conversion "
+                                        "cache"})
     p_conv.add_argument("source", help="source format name (see `formats`)")
     p_conv.add_argument("target", help="target format name (see `formats`)")
-    p_conv.add_argument("--dataset", default="Trefethen_20000",
-                        help="matrix dataset name (default: Trefethen_20000)")
-    p_conv.add_argument("--scale", type=_scale, default=0.05)
-    p_conv.add_argument("--seed", type=int, default=7)
     p_conv.add_argument("--plan", action="store_true",
                         help="print the synthesized plan without running it")
     p_conv.add_argument("--verify", action="store_true",
                         help="round-trip back to the source format and "
                              "check dense equality")
-    p_conv.add_argument("--no-cache", action="store_true",
-                        help="bypass the dataset/conversion cache")
 
     p_pipe = _command(sub, "pipeline", _cmd_pipeline,
                       "plan a fused expression pipeline (FuseFlow) and run "
                       "it stage by stage; prints the cut report and the "
-                      "modeled traffic fusion saves")
+                      "modeled traffic fusion saves",
+                      "--dataset --scale --seed --engine --no-cache --out "
+                      "--trace",
+                      dataset={"help": "matrix dataset (default: each "
+                                       "pipeline's full dataset list)"},
+                      scale={"default": 0.25},
+                      engine={"help": "execution engine for every stage "
+                                      "(default: REPRO_ENGINE or numpy); "
+                                      "each stage is validated against the "
+                                      "interpreter oracle"},
+                      out={"help": "write the numeric outputs (shapes + "
+                                   "checksums) as JSON; fused and --no-fuse "
+                                   "runs must byte-match"})
     p_pipe.add_argument("name", nargs="?", default=None,
                         help="pipeline name (see --all for the registry)")
     p_pipe.add_argument("--all", action="store_true",
                         help="run every registered pipeline")
-    p_pipe.add_argument("--dataset", default=None,
-                        help="matrix dataset (default: each pipeline's "
-                             "full dataset list)")
-    p_pipe.add_argument("--scale", type=_scale, default=0.25)
-    p_pipe.add_argument("--seed", type=int, default=7)
-    p_pipe.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine for every stage (default: "
-                             "REPRO_ENGINE or numpy); each stage is "
-                             "validated against the interpreter oracle")
     p_pipe.add_argument("--no-fuse", action="store_true",
                         help="force a materializing cut at every "
                              "connection (the equivalence baseline)")
-    p_pipe.add_argument("--out", default=None, metavar="FILE",
-                        help="write the numeric outputs (shapes + "
-                             "checksums) as JSON; fused and --no-fuse "
-                             "runs must byte-match")
-    p_pipe.add_argument("--no-cache", action="store_true",
-                        help="bypass the compilation/result cache")
 
     p_serve = _command(sub, "serve", _cmd_serve,
                        "run the compile-as-a-service daemon: HTTP/JSON "
                        "requests answered from the staged cache, "
-                       "coalesced, and fed to a worker pool on miss")
+                       "coalesced, and fed to a worker pool on miss",
+                       "--lease-timeout --no-cache --quiet --trace",
+                       lease_timeout={
+                           "default": 60.0,
+                           "help": "seconds before a silent worker's "
+                                   "request is leased again; an inline: "
+                                   "request cannot be stopped and runs once "
+                                   "(default 60)"},
+                       no_cache={"help": "workers bypass the "
+                                         "compilation/result cache (the "
+                                         "daemon's hot path still serves "
+                                         "pre-existing entries)"})
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8757,
+    p_serve.add_argument("--port", type=_port,
+                         default=8757,
                          help="listen port (0 picks an ephemeral port; the "
                               "banner reports it)")
     p_serve.add_argument("--pool", default="inline:2", metavar="SPEC",
@@ -808,26 +776,14 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="S",
                          help="hard deadline for the SIGTERM graceful "
                               "drain (default 30)")
-    p_serve.add_argument("--lease-timeout", type=_lease_timeout,
-                         default=60.0, metavar="S",
-                         help="seconds before a silent worker's request "
-                              "is leased again; an inline: request cannot "
-                              "be stopped and runs once (default 60)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="workers bypass the compilation/result cache "
-                              "(the daemon's hot path still serves "
-                              "pre-existing entries)")
-    p_serve.add_argument("--quiet", action="store_true",
-                         help="suppress pool events on stderr")
 
     p_cache = _command(sub, "cache", _cmd_cache,
-                       "inspect or clear the cache")
+                       "inspect or clear the cache", "--json", json={
+                           "help": "print cache stats as JSON — the same "
+                                   "payload as the serve daemon's /stats "
+                                   "cache section"})
     p_cache.add_argument("action", nargs="?", choices=["info", "clear"],
                          default="info")
-    p_cache.add_argument("--json", action="store_true",
-                         help="print cache stats as JSON — the same "
-                              "payload as the serve daemon's /stats "
-                              "cache section")
 
     p_trace = _command(sub, "trace", _cmd_trace,
                        "inspect structured span traces written under "
@@ -845,16 +801,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--strict", action="store_true",
                          help="exit 1 on malformed lines or orphaned "
                               "spans (expected only after worker kills)")
-
-    for p in (p_tab, p_batch, p_disp, p_work, p_serve, p_pipe):
-        _add_trace_flag(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_trace(args)
-    return args.handler(args)
+    if getattr(args, "trace", None):
+        # `--trace DIR` -> the environment knob, inherited by workers.
+        import os
+
+        from repro.obs import TRACE_ENV
+
+        os.environ[TRACE_ENV] = args.trace
+    try:
+        return args.handler(args)
+    except Refusal as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

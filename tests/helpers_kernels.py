@@ -408,6 +408,11 @@ CLI_REFUSALS = (
     ["dispatch", "table3", "--workers", "carrier-pigeon:2"],
     ["serve", "--port", "0", "--pool", "local:2"],
     ["trace", "summary"],
+    ["compile", "COO-SpMV", "--cpu"],
+    ["serve", "--port", "70000"],
+    ["worker", "queue-dir", "--poll", "-1"],
+    ["worker", "queue-dir", "--poll", "0"],
+    ["worker", "queue-dir", "--max-chunks", "0"],
 )
 
 

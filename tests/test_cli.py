@@ -298,6 +298,34 @@ def test_scale_is_validated_at_parse_time(argv, capsys, monkeypatch):
     assert launched == []
 
 
+@pytest.mark.parametrize("port", ["70000", "-1", "65536", "http"])
+def test_serve_port_is_validated_at_parse_time(port, capsys):
+    """A port outside 0-65535 is argparse's one-line error and exit 2,
+    not an OverflowError traceback from ``bind``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--port", port, "--pool", "inline:1", "--quiet"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument --port: port must be an integer in 0-65535, "
+        f"got {port!r}")
+
+
+def test_compile_cpu_refusal_keeps_the_spatial_text(capsys):
+    """``compile --cpu`` on a kernel the C backend cannot lower keeps the
+    Spatial text on stdout and ends in one ``compile error:`` line and
+    exit 1, not a LoweringError traceback."""
+    argv = ["compile", "COO-SpMV", "--scale", "0.02"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--cpu"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err == (plain.err + "compile error: CPU merge lowering "
+                            "expects two operands\n")
+
+
 def _two_shards(tmp_path, monkeypatch) -> list[str]:
     from repro.pipeline.shard import ShardSpec, run_shard
 

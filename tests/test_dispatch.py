@@ -1100,6 +1100,28 @@ class TestCli:
                      "--quiet"]) == 0
         assert "0 chunk(s) completed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--poll", "-1"], ["--poll", "0"],
+                                       ["--max-chunks", "0"]],
+                             ids=" ".join)
+    def test_worker_refuses_bad_poll_and_max_chunks(self, flags, tmp_path,
+                                                    capsys):
+        """A negative or zero ``--poll`` (a sleep that raises, a scan that
+        spins) and a ``--max-chunks`` below 1 (a chunk run when none
+        should be) are argparse's error and exit 2. The queue is already
+        stopped, so a worker that starts returns 0 instead of hanging."""
+        from repro.__main__ import main
+
+        transport = QueueTransport(tmp_path / "pool")
+        transport.prepare()
+        transport.close(stop=True)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["worker", str(tmp_path / "pool"), *flags, "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        kind = "integer" if flags[0] == "--max-chunks" else "number"
+        assert err.endswith(f"error: argument {flags[0]}: {flags[0][2:]} "
+                            f"must be a positive {kind}, got {flags[1]!r}")
+
     def test_dispatch_queue_cli_round_trip(self, fresh_cache, tmp_path,
                                            capsys):
         import threading
