@@ -36,13 +36,13 @@ class GpuBackend:
 
     def dense_output_bytes(self, kernel: CompiledKernel) -> int:
         """Size of the densified result TACO's GPU backend materialises."""
-        out = kernel.analysis.output
+        out = kernel.output
         if out.order == 0:
             return 4
         return int(np.prod(out.shape)) * 4
 
     def output_needs_densify(self, kernel: CompiledKernel) -> bool:
-        return kernel.analysis.output.format.has_compressed_level
+        return kernel.output.format.has_compressed_level
 
     def predict_seconds(self, kernel: CompiledKernel, stats: WorkloadStats) -> float:
         m = self.model

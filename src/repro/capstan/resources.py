@@ -214,15 +214,18 @@ def estimate_resources(
 
 def estimate_resources_cached(
     kernel: CompiledKernel,
-    key: tuple,
     use_cache: bool | None = None,
 ) -> ResourceEstimate:
     """:func:`estimate_resources` memoized under the ``resources`` stage.
 
-    Keyed by the evaluation coordinates, so Table 5 rows and Table 6
-    simulations share one entry per kernel configuration.
+    The estimate reads only the program, so it is keyed by the kernel's
+    structural program key: every dataset and scale of one kernel
+    configuration, Table 5 rows and Table 6 simulations alike, shares
+    one entry. Under ``--no-cache`` the key is never derived.
     """
-    from repro.pipeline.cache import memoize_stage
+    from repro.pipeline.cache import memoize_stage, stage_bypassed
 
-    return memoize_stage("resources", tuple(key),
+    parts = () if stage_bypassed("resources", use_cache) else (
+        kernel.program_key,)
+    return memoize_stage("resources", parts,
                          lambda: estimate_resources(kernel), use_cache)

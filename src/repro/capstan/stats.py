@@ -153,7 +153,13 @@ def _restrict(keys: np.ndarray, parents: Optional[np.ndarray], dim: int) -> np.n
 
 
 class StatsBuilder:
-    """Walks the scheduled CIN once, accumulating workload statistics."""
+    """Walks the scheduled CIN once, accumulating workload statistics.
+
+    The walk follows ``analysis.stmt``, the statement whose loop
+    variables key the analysis; that statement may belong to a shared,
+    data-free program, so every shape and storage is read from the
+    kernel's own tensor of the same name (:attr:`CompiledKernel.tensors`).
+    """
 
     def __init__(
         self,
@@ -170,8 +176,9 @@ class StatsBuilder:
         self.stream_inputs = frozenset(stream_inputs)
         self.stream_output = bool(stream_output)
         self.env = kernel.stmt.environment_vars
+        self.tensors = kernel.tensors
         self.stats = WorkloadStats(kernel.name, [])
-        self._keys_cache: dict[int, _TensorKeys] = {}
+        self._keys_cache: dict[str, _TensorKeys] = {}
         self._ws_keys: dict[int, np.ndarray] = {}  # workspace key sets
         # Per-(tensor, level) parent restriction during intersection descent.
         self._restriction: dict[tuple[int, int], np.ndarray] = {}
@@ -179,11 +186,15 @@ class StatsBuilder:
 
     # -- helpers ----------------------------------------------------------------
 
+    def bound(self, t) -> Tensor:
+        """The kernel's own tensor named like the analysis tensor ``t``."""
+        return self.tensors[t.name]
+
     def keys_of(self, t) -> _TensorKeys:
-        tk = self._keys_cache.get(id(t))
+        tk = self._keys_cache.get(t.name)
         if tk is None:
-            tk = _TensorKeys(t)
-            self._keys_cache[id(t)] = tk
+            tk = _TensorKeys(self.bound(t))
+            self._keys_cache[t.name] = tk
         return tk
 
     def dim_of(self, ivar) -> int:
@@ -191,7 +202,7 @@ class StatsBuilder:
             for acc in (asg.lhs, *asg.rhs.accesses()):
                 mode = acc.mode_of(ivar)
                 if mode is not None:
-                    return acc.tensor.shape[mode]
+                    return self.bound(acc.tensor).shape[mode]
         raise KeyError(f"no dimension for {ivar}")
 
     def _vector_par(self, info: ForallInfo) -> int:
@@ -214,15 +225,14 @@ class StatsBuilder:
         keys = self.keys_of(t).keys(level)
         restriction = self._restriction.get((id(t), level - 1))
         if restriction is not None:
-            dim = t.shape[t.format.mode_of_level(level)]
+            dim = self.bound(t).shape[t.format.mode_of_level(level)]
             keys = _restrict(keys, restriction, dim)
         return keys
 
     # -- main walk ---------------------------------------------------------------
 
     def build(self) -> WorkloadStats:
-        cin = self.kernel.stmt.cin
-        self.walk(cin, launches=1)
+        self.walk(self.analysis.stmt.cin, launches=1)
         self._add_static_traffic()
         return self.stats
 
@@ -272,7 +282,7 @@ class StatsBuilder:
             if not it.level_format.unique and not it.tensor.is_on_chip:
                 # Non-unique (COO root) levels store one position per
                 # entry; unique prefix keys undercount the traversal.
-                lvl = it.tensor.storage.levels[it.level]
+                lvl = self.bound(it.tensor).storage.levels[it.level]
                 iters = int(getattr(lvl, "nnz", len(keys)))
             else:
                 iters = len(keys)
@@ -372,7 +382,7 @@ class StatsBuilder:
             loop = loops_by_depth.get(depth - 1)
             return loop.iters if loop is not None else 1
 
-        for t in self.analysis.inputs:
+        for t in map(self.bound, self.analysis.inputs):
             if t.order == 0 or t.is_on_chip:
                 continue
             if t.name in self.stream_inputs:
@@ -410,7 +420,7 @@ class StatsBuilder:
                 self.stats.dram_bursts += max(1, n // 64)
             # FIFO vals traffic is accounted per segment in the walk.
 
-        out = self.analysis.output
+        out = self.bound(self.analysis.output)
         if self.stream_output:
             return  # consumed downstream by the fused consumer, never stored
         if out.order == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Callable
 
 import numpy as np
 
@@ -32,14 +33,25 @@ from repro.tensor.tensor import Tensor
 
 
 @dataclasses.dataclass
-class CompiledKernel:
-    """A Stardust compilation result."""
+class KernelProgram:
+    """The data-free half of a compilation: what a structure lowers to.
+
+    The Spatial program leaves every dimension and nnz as a host-bound
+    symbol, so it depends on the statement's structure (expression,
+    formats, schedule) and not on its operands: one program serves every
+    dataset and scale. ``analysis`` and ``plan`` describe the statement it
+    was lowered from; their tensors are that statement's, so a reader of
+    operand data resolves tensors by name through
+    :attr:`CompiledKernel.tensors` instead. ``key`` is the ``program``
+    stage key (:func:`~repro.pipeline.cache.fingerprint_program`), filled
+    in on first use when the program was compiled outside that stage.
+    """
 
     name: str
-    stmt: IndexStmt
     program: SpatialProgram
     analysis: KernelAnalysis
     plan: MemoryPlan
+    key: str | None = None
 
     @functools.cached_property
     def source(self) -> str:
@@ -47,29 +59,89 @@ class CompiledKernel:
         with _trace.span("codegen", kernel=self.name):
             return codegen.generate(self.program)
 
-    @property
+    @functools.cached_property
     def spatial_loc(self) -> int:
         """Lines of generated Spatial (the Table 3 metric)."""
         return codegen.count_loc(self.source)
 
+
+@dataclasses.dataclass
+class CompiledKernel:
+    """A Stardust compilation result: a program bound to one statement.
+
+    ``compiled`` may be shared by every kernel whose statement has the
+    same structure (the ``program`` stage); ``stmt`` is this kernel's own
+    statement, whose tensors hold its operand data.
+    """
+
+    stmt: IndexStmt
+    compiled: KernelProgram
+
     @property
+    def name(self) -> str:
+        return self.compiled.name
+
+    @property
+    def program(self) -> SpatialProgram:
+        return self.compiled.program
+
+    @property
+    def analysis(self) -> KernelAnalysis:
+        return self.compiled.analysis
+
+    @property
+    def plan(self) -> MemoryPlan:
+        return self.compiled.plan
+
+    @property
+    def source(self) -> str:
+        """Generated Spatial source text (Figure 11 style)."""
+        return self.compiled.source
+
+    @property
+    def spatial_loc(self) -> int:
+        """Lines of generated Spatial (the Table 3 metric)."""
+        return self.compiled.spatial_loc
+
+    @property
+    def program_key(self) -> str:
+        """The structural key this kernel's program is stored under."""
+        if self.compiled.key is None:
+            from repro.pipeline.cache import fingerprint_program
+
+            self.compiled.key = fingerprint_program(self.stmt, self.name)
+        return self.compiled.key
+
+    @functools.cached_property
     def tensors(self) -> dict[str, Tensor]:
-        named = {}
-        for t in (self.analysis.output, *self.analysis.inputs,
-                  *self.analysis.workspaces):
-            named[t.name] = t
-        return named
+        """This kernel's tensors by name: output, inputs and workspaces."""
+        return {t.name: t for t in self.stmt.cin.tensors()}
+
+    @property
+    def output(self) -> Tensor:
+        """This kernel's output tensor."""
+        return self.tensors[self.analysis.output.name]
 
     def run(self, **overrides: Tensor) -> TensorStorage:
         """Execute the kernel functionally on the bound tensor data.
 
-        Keyword arguments replace input tensors by name (they must have
-        identical shapes and formats).
+        Keyword arguments replace input tensors by name; a replacement
+        must have the same shape and format as the tensor it replaces
+        (``ValueError`` otherwise).
         """
         tensors = dict(self.tensors)
         for name, t in overrides.items():
-            if name not in tensors:
+            bound = tensors.get(name)
+            if bound is None:
                 raise KeyError(f"kernel has no tensor named {name!r}")
+            if t.format != bound.format:
+                raise ValueError(
+                    f"override {name!r} has format {t.format}; the kernel "
+                    f"was compiled for {bound.format}")
+            if t.shape != bound.shape:
+                raise ValueError(
+                    f"override {name!r} has shape {t.shape}; the kernel "
+                    f"is bound to {bound.shape}")
             tensors[name] = t
         return run_program(self.program, tensors, self.analysis.output.name)
 
@@ -137,18 +209,16 @@ class CompiledKernel:
         return self.plan.report()
 
 
-def _compile(stmt: IndexStmt, name: str) -> CompiledKernel:
+def _lower(stmt: IndexStmt, name: str, key: str | None = None) -> KernelProgram:
     """The uncached compilation pipeline (analysis → plan → lowering)."""
     with _trace.span("lower", kernel=name):
         lowerer = Lowerer(stmt, name)
         program = lowerer.lower()
-    return CompiledKernel(
-        name=name,
-        stmt=stmt,
-        program=program,
-        analysis=lowerer.analysis,
-        plan=lowerer.plan,
-    )
+    return KernelProgram(name, program, lowerer.analysis, lowerer.plan, key)
+
+
+def _compile(stmt: IndexStmt, name: str) -> CompiledKernel:
+    return CompiledKernel(stmt, _lower(stmt, name))
 
 
 def compile_stmt(
@@ -182,6 +252,33 @@ def compile_stmt(
     return cache_mod.default_cache().get_or_compute(
         key, lambda: _compile(stmt, name), stage="kernel"
     )
+
+
+def compile_program(
+    stmt: IndexStmt,
+    name: str,
+    data_free: Callable[[], IndexStmt],
+    use_cache: bool | None = None,
+) -> CompiledKernel:
+    """Bind ``stmt`` to the program its structure compiles to.
+
+    The ``program`` stage holds one :class:`KernelProgram` per
+    :func:`~repro.pipeline.cache.fingerprint_program` key, compiled on a
+    miss from ``data_free()``: the same statement over operands with the
+    same names, shapes and formats but no data, so the entry holds no
+    operand arrays. Every statement with that key (any dataset, any
+    scale) binds to the one entry. ``use_cache=False`` and
+    ``REPRO_NO_CACHE=1`` bypass the stage and compile ``stmt`` itself,
+    without deriving the key.
+    """
+    from repro.pipeline import cache as cache_mod
+
+    if cache_mod.stage_bypassed("program", use_cache):
+        return _compile(stmt, name)
+    key = cache_mod.fingerprint_program(stmt, name)
+    compiled = cache_mod.memoize_stage(
+        "program", (key,), lambda: _lower(data_free(), name, key), use_cache)
+    return CompiledKernel(stmt, compiled)
 
 
 def compile_tensor(result: Tensor, name: str | None = None) -> CompiledKernel:

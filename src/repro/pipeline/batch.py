@@ -89,23 +89,17 @@ def table5_cell(kernel_name: str, scale: float,
                 use_cache: bool | None = None):
     """One Table 5 row: the resource estimate for one compiled kernel.
 
-    Memoized under the ``resources`` stage with the same coordinate key
-    the Table 6 simulations use, so whichever shard computes a kernel's
-    estimate first serves every other artefact that needs it.
+    Read through the ``resources`` stage, keyed by the kernel's program,
+    so Table 5 and the Table 6 simulations of the same kernel share one
+    entry whatever their datasets and scales.
     """
-    from repro.capstan.resources import estimate_resources
-    dataset = api.first_dataset(kernel_name)
+    from repro.capstan.resources import estimate_resources_cached
 
-    def compute():
-        kernel = api.build(
-            api.CompileRequest(kernel=kernel_name, dataset=dataset,
-                               scale=scale),
-            use_cache=use_cache,
-        )
-        return estimate_resources(kernel)
-
-    return memoize_stage("resources", (kernel_name, dataset, scale, 7),
-                         compute, use_cache)
+    kernel = api.build(
+        api.CompileRequest(kernel=kernel_name, scale=scale),
+        use_cache=use_cache,
+    )
+    return estimate_resources_cached(kernel, use_cache)
 
 
 def table3_cell(kernel_name: str, scale: float,
@@ -144,8 +138,9 @@ def figure12_cell(kernel_name: str, scale: float,
             use_cache=use_cache,
         )
         # Shares the per-cell stats entry with the Table 6 simulations.
-        stats = compute_stats_cached(kernel, (kernel_name, dataset, scale, 7),
-                                     use_cache)
+        stats = compute_stats_cached(
+            kernel, (kernel_name, dataset, scale, api.DEFAULT_SEED),
+            use_cache)
         sweep = CapstanSimulator().sweep_bandwidth(kernel, FIG12_BANDWIDTHS,
                                                    stats)
         base = sweep[FIG12_BANDWIDTHS[0]].seconds
@@ -177,15 +172,16 @@ def format_sweep_cell(kernel_name: str, dataset_name: str, scale: float,
             use_cache=use_cache,
         )
 
+    coords = (kernel_name, dataset_name, scale, api.DEFAULT_SEED)
+
     def compute():
-        coords = (kernel_name, dataset_name, scale, 7)
         kernel = api.build(
             api.CompileRequest(kernel=kernel_name, dataset=dataset_name,
                                scale=scale),
             use_cache=use_cache,
         )
         stats = compute_stats_cached(kernel, coords, use_cache)
-        resources = estimate_resources_cached(kernel, coords, use_cache)
+        resources = estimate_resources_cached(kernel, use_cache)
         seconds = CapstanSimulator().simulate(
             kernel, dram=HBM2E, stats=stats, resources=resources
         ).seconds
@@ -201,8 +197,7 @@ def format_sweep_cell(kernel_name: str, dataset_name: str, scale: float,
             "seconds": float(seconds),
         }
 
-    return memoize_stage("format_sweep", (kernel_name, dataset_name, scale, 7),
-                         compute, use_cache)
+    return memoize_stage("format_sweep", coords, compute, use_cache)
 
 
 def pipeline_sweep_cell(pipeline_name: str, dataset_name: str, scale: float,

@@ -10,6 +10,10 @@ provides that memoization for the whole pipeline:
   variables, and every referenced tensor's name, shape, format, memory
   region, and packed-data hash. Two statements with the same key lower to
   the same kernel bound to the same data.
+* :func:`fingerprint_program` is the same key without shapes or data:
+  two statements with the same structural key lower to the same Spatial
+  program (every dimension is a host-bound symbol), so the ``program``
+  stage compiles it once and every cell binds its own operands to it.
 * :func:`compiler_version` hashes every source file of the ``repro``
   package, so any code change invalidates prior cache entries — stale
   results can never survive a compiler edit.
@@ -20,12 +24,13 @@ provides that memoization for the whole pipeline:
   to share between concurrent runs: writes are atomic renames and corrupt
   or unreadable entries degrade to cache misses.
 * :func:`memoize_stage` splits the pipeline into separately-keyed
-  **stages** (``dataset`` generation, ``kernel`` compilation, ``stats``,
-  ``resources``, and the artefact-level results). Stages are the unit of
-  sharing between shard workers and of selective invalidation: the
-  ``dataset`` stage is keyed by a hash of only the data/format/tensor
-  sources (compiler edits keep datasets warm) and is exempt from
-  ``--no-cache``, so a forced recompile never regenerates datasets.
+  **stages** (``dataset`` generation, ``program`` and ``kernel``
+  compilation, ``stats``, ``resources``, and the artefact-level results).
+  Stages are the unit of sharing between shard workers and of selective
+  invalidation: the ``dataset`` stage is keyed by a hash of only the
+  data/format/tensor sources (compiler edits keep datasets warm) and is
+  exempt from ``--no-cache``, so a forced recompile never regenerates
+  datasets.
 * :func:`get_stage` / :func:`put_stage` read and write staged entries
   directly (no compute callback) for stages that *record observations*
   rather than memoize computations — the dispatcher's ``cost`` stage
@@ -64,6 +69,7 @@ __all__ = [
     "compiler_version",
     "default_cache",
     "disk_cache_dir",
+    "fingerprint_program",
     "fingerprint_stmt",
     "fingerprint_tensor",
     "get_stage",
@@ -73,6 +79,7 @@ __all__ = [
     "peek_stage",
     "stage_computes",
     "put_stage",
+    "stage_bypassed",
     "stage_version",
     "subsystem_version",
 ]
@@ -202,6 +209,24 @@ def fingerprint_stmt(stmt: Any, name: str = "kernel") -> str:
     tensors = sorted(fingerprint_tensor(t) for t in stmt.cin.tensors())
     return _sha256(
         "stmt", name, str(stmt.cin), env, "\n".join(tensors), compiler_version()
+    )
+
+
+def fingerprint_program(stmt: Any, name: str = "kernel") -> str:
+    """The structural key of a scheduled :class:`IndexStmt`.
+
+    :func:`fingerprint_stmt` without shapes or data: the kernel name, the
+    CIN text, the environment variables, each tensor's name, order and
+    format (memory region included), and the compiler version. The
+    lowerer reads nothing else, so every statement with this key lowers
+    to the same program.
+    """
+    env = ",".join(f"{k}={v}" for k, v in sorted(stmt.environment_vars.items()))
+    tensors = sorted(f"{t.name}|{t.order}|{t.format!r}"
+                     for t in stmt.cin.tensors())
+    return _sha256(
+        "program", name, str(stmt.cin), env, "\n".join(tensors),
+        compiler_version()
     )
 
 
@@ -666,6 +691,17 @@ def note_stage_compute() -> None:
         _stage_compute_local, "count", 0) + 1
 
 
+def stage_bypassed(stage: str, use_cache: bool | None = None) -> bool:
+    """Whether :func:`memoize_stage` computes ``stage`` without the store.
+
+    True under ``REPRO_NO_CACHE=1``, and under ``use_cache=False`` for
+    every stage outside :data:`NO_CACHE_EXEMPT_STAGES`. A caller whose
+    key costs something to derive asks first and skips it.
+    """
+    return not cache_enabled() or (
+        use_cache is False and stage not in NO_CACHE_EXEMPT_STAGES)
+
+
 def memoize_stage(stage: str, parts: tuple, compute,
                   use_cache: bool | None = None):
     """Memoize one pipeline **stage** under its own content key.
@@ -693,8 +729,7 @@ def memoize_stage(stage: str, parts: tuple, compute,
         return compute()
 
     with _trace.span(f"stage:{stage}") as sp:
-        if not cache_enabled() or (
-                use_cache is False and stage not in NO_CACHE_EXEMPT_STAGES):
+        if stage_bypassed(stage, use_cache):
             value = run()
         else:
             version = stage_version(stage)

@@ -365,14 +365,26 @@ def load_dataset(request: CompileRequest,
 def build(request: CompileRequest, use_cache: bool | None = None):
     """Materialise the dataset and compile the kernel, staged.
 
-    Two cache stages compose: ``dataset`` survives ``--no-cache`` and
-    compiler edits, and the whole build is memoized under ``build`` on
-    the evaluation coordinates (a warm hit skips even statement
-    construction). The compile inside skips ``compile_stmt``'s ``kernel``
-    stage, which would store this same kernel, operands included, twice.
-    Returns the :class:`~repro.core.compiler.CompiledKernel`.
+    Three cache stages compose:
+
+    * ``dataset`` survives ``--no-cache`` and compiler edits;
+    * ``program`` holds the compiled program, analysis and memory plan
+      under the statement's structural key (kernel name, CIN text,
+      environment, each tensor's name, order and format, compiler
+      version; no shapes, no data). It is compiled from the statement
+      rebuilt over data-free operands, so it holds no operand arrays,
+      and every dataset and scale of one kernel binds to the one entry:
+      a cold Table 6 lowers 10 programs for its 24 cells;
+    * ``build`` memoizes the bound kernel on the evaluation coordinates
+      (a warm hit skips even statement construction).
+
+    ``use_cache=False`` and ``REPRO_NO_CACHE=1`` bypass ``program`` like
+    every compile-side stage: each cell compiles its own statement. The
+    compile never goes through ``compile_stmt``'s ``kernel`` stage, which
+    would store this same kernel, operands included, twice. Returns the
+    :class:`~repro.core.compiler.CompiledKernel`.
     """
-    from repro.core.compiler import compile_stmt
+    from repro.core.compiler import compile_program
     from repro.kernels.suite import KERNELS
     from repro.pipeline.cache import memoize_stage
 
@@ -383,7 +395,12 @@ def build(request: CompileRequest, use_cache: bool | None = None):
         tensors = load_dataset(req, use_cache=use_cache)
         with _trace.span("parse", kernel=req.kernel, dataset=req.dataset):
             stmt, _out = spec.build(tensors)
-        return compile_stmt(stmt, req.kernel, cache=False)
+
+        def data_free():
+            return spec.build({name: t.copy_structure(name)
+                               for name, t in tensors.items()})[0]
+
+        return compile_program(stmt, req.kernel, data_free, use_cache)
 
     return memoize_stage(
         "build", (req.kernel, req.dataset, req.scale, req.seed),
@@ -472,7 +489,7 @@ def _evaluate(req: CompileRequest, use_cache: bool | None) -> CompileResult:
     kernel = build(req, use_cache=use_cache)
     stats = compute_stats_cached(kernel, coords, use_cache)
     sim = CapstanSimulator()
-    resources = estimate_resources_cached(kernel, coords, use_cache)
+    resources = estimate_resources_cached(kernel, use_cache)
     models = _platform_models(kernel, stats, sim, resources)
     if req.platforms is not None:
         unknown = [p for p in req.platforms if p not in models]
