@@ -14,7 +14,9 @@ vectorised:
 
 Union/intersection iteration counts are exact: they are computed as sizes
 of unions/intersections of linearised coordinate-prefix sets, which is
-precisely what the hardware's scanners enumerate (Figure 7).
+precisely what the hardware's scanners enumerate (Figure 7). Those sets
+are read level by level from the packed ``pos``/``crd`` arrays, never
+from an unpacked copy of the entries.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.ir.cin import (
 )
 from repro.ir.index_notation import Add, IndexExpr, Mul, Neg, Sub
 from repro.tensor.bitvector import WORD_BITS
-from repro.tensor.storage import CompressedLevel, SingletonLevel, unpack
+from repro.tensor.storage import CompressedLevel, SingletonLevel
 from repro.tensor.tensor import Tensor
 
 WORD_BYTES = 4
@@ -94,33 +96,92 @@ class WorkloadStats:
 
 
 class _TensorKeys:
-    """Linearised storage-prefix coordinate keys of a sparse tensor."""
+    """Linearised storage-prefix coordinate keys of a sparse tensor.
+
+    The keys of a level are the distinct prefixes of the tensor's stored
+    entries, read straight from the level arrays the way SAM's level
+    scanner reads them: each position's key is its parent position's
+    key times the level's dimension plus its coordinate. A level is
+    computed when it is first asked for.
+    """
 
     def __init__(self, tensor: Tensor) -> None:
         self.tensor = tensor
-        coords, _ = unpack(tensor.storage)
-        fmt = tensor.format
-        # ``unpack`` walks the levels in storage order, so when every
-        # level is declared ``ordered`` the prefix keys come back
-        # non-decreasing and equal keys are adjacent; only a format with
-        # an unordered level has to sort them first.
-        presorted = all(mf.ordered for mf in fmt.mode_formats)
-        # Storage-order coordinates and progressive Horner keys per level.
-        self.level_keys: list[np.ndarray] = []
-        key = np.zeros(len(coords), dtype=np.int64)
-        for level in range(fmt.order):
-            mode = fmt.mode_of_level(level)
-            key = key * tensor.shape[mode] + coords[:, mode]
-            sorted_key = key if presorted else np.sort(key)
-            first = np.ones(len(key), dtype=bool)
-            np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-            self.level_keys.append(sorted_key[first])
+        self.storage = tensor.storage
+        # The key of every position, per level from the root down.
+        self._position_keys = [np.zeros(1, dtype=np.int64)]
+        self._keys: dict[int, np.ndarray] = {}
+        self._live: dict[int, Optional[np.ndarray]] = {}
+
+    @property
+    def level_keys(self) -> list[np.ndarray]:
+        return [self.keys(level) for level in range(self.tensor.format.order)]
 
     def keys(self, level: int) -> np.ndarray:
         """Unique prefix keys at a storage level (level -1 = the root)."""
         if level < 0:
             return np.zeros(1, dtype=np.int64)
-        return self.level_keys[level]
+        keys = self._keys.get(level)
+        if keys is None:
+            keys = self._keys[level] = self._distinct(level)
+        return keys
+
+    def _distinct(self, level: int) -> np.ndarray:
+        keys = self._positions(level)
+        live = self._live_positions(level)
+        if live is not None:
+            keys = keys[live]
+        # Ordered, unique levels lay their keys out strictly increasing;
+        # under an unordered level they need a sort, and under an
+        # unordered or non-unique one, a dedupe.
+        above = [self.tensor.format.level_format(l) for l in range(level + 1)]
+        if not all(lf.ordered for lf in above):
+            keys = np.sort(keys)
+        if not all(lf.ordered and lf.unique for lf in above):
+            first = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            keys = keys[first]
+        return keys
+
+    def _positions(self, level: int) -> np.ndarray:
+        """The key of every position at ``level``."""
+        fmt = self.tensor.format
+        while len(self._position_keys) <= level + 1:
+            at = len(self._position_keys) - 1
+            parent = self._position_keys[-1]
+            lvl = self.storage.levels[at]
+            dim = self.tensor.shape[fmt.mode_of_level(at)]
+            if isinstance(lvl, CompressedLevel):
+                keys = np.repeat(parent, np.diff(lvl.pos)) * dim + lvl.crd
+            elif isinstance(lvl, SingletonLevel):
+                keys = parent * dim + lvl.crd
+            else:
+                keys = (parent[:, None] * dim + np.arange(dim)).reshape(-1)
+            self._position_keys.append(keys)
+        return self._position_keys[level + 1]
+
+    def _live_positions(self, level: int) -> Optional[np.ndarray]:
+        """Mask of the positions at ``level`` with a stored entry below
+        them, or None when every position has one: an empty compressed
+        segment further down leaves its ancestors without entries."""
+        if level >= self.tensor.format.order - 1:
+            return None
+        if level not in self._live:
+            below = self._live_positions(level + 1)
+            lvl = self.storage.levels[level + 1]
+            if isinstance(lvl, CompressedLevel):
+                if below is None:
+                    counts = np.diff(lvl.pos)
+                else:
+                    seen = np.concatenate(([0], np.cumsum(below)))
+                    counts = seen[lvl.pos[1:]] - seen[lvl.pos[:-1]]
+                live = counts > 0
+            elif isinstance(lvl, SingletonLevel) or below is None:
+                live = below
+            else:
+                live = below.reshape(-1, lvl.size).any(axis=1)
+            self._live[level] = None if live is None or live.all() else live
+        return self._live[level]
 
 
 def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,10 +207,19 @@ def _count_ops(expr: IndexExpr) -> int:
 
 
 def _restrict(keys: np.ndarray, parents: Optional[np.ndarray], dim: int) -> np.ndarray:
-    """Keep only keys whose parent prefix (key // dim) is in ``parents``."""
+    """Keep only keys whose parent prefix (key // dim) is in ``parents``.
+
+    Both arrays are sorted and duplicate-free, so the keys under parent
+    ``p`` are one run, ``[p * dim, (p + 1) * dim)``: two binary searches
+    per parent find it, and nothing is computed per key.
+    """
     if parents is None:
         return keys
-    return keys[np.isin(keys // dim, parents, assume_unique=False)]
+    starts = np.searchsorted(keys, parents * dim)
+    counts = np.searchsorted(keys, (parents + 1) * dim) - starts
+    offsets = np.cumsum(counts) - counts
+    return keys[np.repeat(starts - offsets, counts)
+                + np.arange(counts.sum())]
 
 
 class StatsBuilder:

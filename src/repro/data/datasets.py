@@ -108,36 +108,60 @@ def _generate(spec: DatasetSpec, scale: float, rng: np.random.Generator):
     raise KeyError(spec.generator)
 
 
-def load_matrix_coo(
-    dataset_name: str,
-    scale: float = 1.0,
-    seed: int = 7,
-    use_cache: bool | None = None,
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The raw ``(dims, coords, vals)`` of one matrix dataset.
+def _generated(dspec: DatasetSpec, scale: float, seed: int,
+               use_cache: bool | None = None):
+    """One generation of a dataset: ``(dims, coords, vals, state)``.
 
-    Staged under the ``dataset`` cache key, so the ``convert`` stage
-    (partition staging and the ``repro convert`` CLI) and the fused
-    pipelines share one generated matrix per (dataset, scale, seed).
-    ``load`` generates a kernel's operands itself and does not read it.
+    Staged under the ``dataset`` cache key ``("coo", dataset, scale,
+    seed)``, so every kernel evaluated on the dataset, the ``convert``
+    stage and the fused pipelines share one draw per (dataset, scale,
+    seed). ``coords`` is int32, ``state`` is the generator state after
+    the draw, and both arrays are read-only: a consumer writing into
+    them would corrupt the next consumer's operands.
     """
     from repro.pipeline.cache import memoize_stage
-
-    dspec = DATASETS_BY_NAME[dataset_name]
-    if dspec.kind != "matrix":
-        raise ValueError(f"{dataset_name} is not a matrix dataset")
 
     def compute():
         import numpy as np
 
         rng = np.random.default_rng(seed)
         dims, (coords, vals) = _generate(dspec, scale, rng)
-        return dims, coords, vals
+        assert max(dims) < 1 << 31, dims
+        return (dims, coords.astype(np.int32), vals,
+                rng.bit_generator.state)
 
-    return memoize_stage(
-        "dataset", ("matrix-coo", dataset_name, scale, seed), compute,
-        use_cache,
-    )
+    entry = memoize_stage("dataset", ("coo", dspec.name, scale, seed),
+                          compute, use_cache)
+    for array in entry[1:3]:
+        array.flags.writeable = False  # a disk hit unpickles writeable
+    return entry
+
+
+def load_matrix_coo(
+    dataset_name: str,
+    scale: float = 1.0,
+    seed: int = 7,
+    use_cache: bool | None = None,
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The raw, read-only ``(dims, coords, vals)`` of one matrix dataset.
+
+    The first three fields of the dataset's one staged generation, which
+    :func:`load`, the ``convert`` stage (partition staging and the
+    ``repro convert`` CLI) and the fused pipelines all read.
+    """
+    dspec = DATASETS_BY_NAME[dataset_name]
+    if dspec.kind != "matrix":
+        raise ValueError(f"{dataset_name} is not a matrix dataset")
+    return _generated(dspec, scale, seed, use_cache)[:3]
+
+
+def _resume(state: dict) -> np.random.Generator:
+    """A generator that continues from a saved bit-generator ``state``."""
+    import numpy as np
+
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,11 +177,7 @@ class DenseDraw:
     shape: tuple[int, ...]
 
     def __call__(self) -> np.ndarray:
-        import numpy as np
-
-        bit_generator = getattr(np.random, self.state["bit_generator"])()
-        bit_generator.state = self.state
-        return np.random.Generator(bit_generator).random(self.shape)
+        return _resume(self.state).random(self.shape)
 
 
 def load(
@@ -171,12 +191,13 @@ def load(
     Sparse operands take the dataset's structure (with the paper's derived
     variants for multi-operand kernels), each packed into its format by
     :func:`repro.convert.pack_entries`, so a blocked format's dims are
-    the packed storage's; dense operands are random, held as a
-    :class:`DenseDraw` until something reads their values (a Table 6
-    evaluation never does); output tensors are left empty.
+    the packed storage's. The structure is the dataset's one staged
+    generation, shared by every kernel evaluated on it; dense operands
+    are random, drawn by a generator resumed from the state that
+    generation left, and held as a :class:`DenseDraw` until something
+    reads their values (a Table 6 evaluation never does); output tensors
+    are left empty.
     """
-    import numpy as np
-
     from repro.convert import pack_entries
     from repro.formats import format_of
 
@@ -184,8 +205,8 @@ def load(
     dspec = DATASETS_BY_NAME[dataset_name]
     if spec.name not in dspec.kernels:
         raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
-    rng = np.random.default_rng(seed)
-    dims, (coords, vals) = _generate(dspec, scale, rng)
+    dims, coords, vals, state = _generated(dspec, scale, seed)
+    rng = _resume(state)
     sparse = [pack_entries(*_variant(kernel_name, nth, coords, vals, dims),
                            dims, format_of(ts.format))
               for nth, ts in enumerate(spec.of_role("sparse"))]

@@ -186,8 +186,9 @@ class TestLoad:
 
 class TestLoadPath:
     """A dataset load generates its matrix once and packs every sparse
-    operand itself: it stores one ``dataset`` entry and never reads or
-    writes the ``convert`` stage."""
+    operand itself: it stores the generated entry and the packed
+    operands, both in the ``dataset`` stage, and never reads or writes
+    the ``convert`` stage."""
 
     @pytest.fixture
     def generations(self, monkeypatch):
@@ -214,7 +215,42 @@ class TestLoadPath:
         cache, calls = generations
         load_dataset(CompileRequest(kernel=kernel, scale=0.05))
         assert len(calls) == 1
-        assert cache.stats.stores == 1
+        assert cache.stats.stores == 2
+
+    def test_cold_table6_generates_each_dataset_once(self, generations,
+                                                     monkeypatch):
+        """24 cells over 10 datasets: one generation per dataset, which
+        every kernel evaluated on it reads."""
+        from repro.data import datasets
+        from repro.pipeline.batch import run_artifact
+
+        _, calls = generations
+        cells = []
+        real_load = datasets.load
+
+        def load(*args, **kwargs):
+            cells.append(args[:2])
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(datasets, "load", load)
+        run_artifact("table6", 0.05, jobs=1)
+        assert len(cells) == 24
+        assert len(calls) == 10
+        assert sorted(calls) == sorted({d for _, d in cells})
+
+    def test_generated_arrays_are_read_only(self, fresh_cache):
+        """Kernels share one generated ``coords`` / ``vals`` pair, fresh
+        or unpickled from the disk store: a write in place raises."""
+        from repro.data.datasets import load_matrix_coo
+
+        for _ in range(2):
+            _, coords, vals = load_matrix_coo("bcsstk30", 0.02)
+            with pytest.raises(ValueError, match="read-only"):
+                coords[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 1.0
+            fresh_cache.clear_memory()
+        assert fresh_cache.stats.disk_hits == 1
 
     def test_no_load_touches_the_convert_stage(self, generations):
         from repro.api import CompileRequest, load_dataset

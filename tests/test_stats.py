@@ -4,12 +4,29 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.capstan.stats import compute_stats, sorted_union
+from repro.capstan.stats import (
+    _restrict,
+    _TensorKeys,
+    compute_stats,
+    sorted_union,
+)
 from repro.core import compile_stmt
+from repro.formats import Format, offChip
+from repro.formats.levels import LevelKind, ModeFormat
 from repro.ir import index_vars
 from repro.ir.cin import SplitUp
 from repro.schedule.provenance import Provenance
+from repro.tensor import Tensor
+from repro.tensor.storage import (
+    CompressedLevel,
+    SingletonLevel,
+    TensorStorage,
+    pack,
+    unpack,
+)
 from tests.helpers_kernels import build_small_kernel_stmt
 
 
@@ -199,3 +216,139 @@ class TestSortedUnion:
         assert np.array_equal(sorted_union(b[:10], a[30:]),
                               np.union1d(b[:10], a[30:]))
         assert np.array_equal(sorted_union(a, a), a)
+
+
+@given(st.lists(st.integers(0, 40), max_size=30),
+       st.lists(st.integers(0, 12), max_size=8), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_restrict_equals_isin(keys, parents, dim):
+    """The binary-search restriction keeps what ``np.isin`` keeps, on
+    sorted, duplicate-free key sets (empty ones included)."""
+    keys = np.unique(np.array(keys, dtype=np.int64))
+    parents = np.unique(np.array(parents, dtype=np.int64))
+    want = keys[np.isin(keys // dim, parents)]
+    got = _restrict(keys, parents, dim)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert _restrict(keys, None, dim) is keys
+
+
+# ---------------------------------------------------------------------------
+# Keys read from level arrays == the unpack + Horner walk they replaced
+# ---------------------------------------------------------------------------
+
+
+def horner_level_keys(tensor: Tensor) -> list[np.ndarray]:
+    """The oracle: unpack every stored entry, Horner-key its prefix at
+    each level, sort when any level is unordered, keep distinct keys."""
+    coords, _ = unpack(tensor.storage)
+    fmt = tensor.format
+    presorted = all(mf.ordered for mf in fmt.mode_formats)
+    out = []
+    key = np.zeros(len(coords), dtype=np.int64)
+    for level in range(fmt.order):
+        mode = fmt.mode_of_level(level)
+        key = key * tensor.shape[mode] + coords[:, mode]
+        sorted_key = key if presorted else np.sort(key)
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+        out.append(sorted_key[first])
+    return out
+
+
+def _child_ranges(child, n_parents: int):
+    """``[start, end)`` of each parent position's children at ``child``."""
+    if isinstance(child, CompressedLevel):
+        return child.pos[:-1], child.pos[1:]
+    width = 1 if isinstance(child, SingletonLevel) else child.size
+    starts = np.arange(n_parents, dtype=np.int64) * width
+    return starts, starts + width
+
+
+def shuffle_segments(storage: TensorStorage, level: int,
+                     seed: int) -> TensorStorage:
+    """``storage`` with the positions inside each segment of compressed
+    ``level`` permuted, their subtrees and values carried along: an
+    arrangement an unordered level may hold and ``pack`` never makes."""
+    rng = np.random.default_rng(seed)
+    levels = list(storage.levels)
+    lvl = levels[level]
+    segment = np.repeat(np.arange(len(lvl.pos) - 1), np.diff(lvl.pos))
+    order = np.lexsort((rng.random(len(lvl.crd)), segment))
+    levels[level] = CompressedLevel(pos=lvl.pos, crd=lvl.crd[order])
+    for below in range(level + 1, len(levels)):
+        child = levels[below]
+        starts, ends = _child_ranges(child, len(order))
+        starts, ends = starts[order], ends[order]
+        counts = ends - starts
+        order = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+                 + np.arange(int(counts.sum())))
+        if isinstance(child, CompressedLevel):
+            pos = np.concatenate(([0], np.cumsum(counts))).astype(
+                child.pos.dtype)
+            levels[below] = CompressedLevel(pos=pos, crd=child.crd[order])
+        elif isinstance(child, SingletonLevel):
+            levels[below] = SingletonLevel(crd=child.crd[order])
+    return TensorStorage(storage.fmt, storage.dims, levels,
+                         storage.vals[order])
+
+
+_LEVEL_FORMATS = (
+    ModeFormat(LevelKind.DENSE),
+    ModeFormat(LevelKind.COMPRESSED),
+    ModeFormat(LevelKind.COMPRESSED, ordered=False),
+    ModeFormat(LevelKind.COMPRESSED, unique=False),
+    ModeFormat(LevelKind.COMPRESSED, ordered=False, unique=False),
+    ModeFormat(LevelKind.BIT_VECTOR),
+    ModeFormat(LevelKind.BLOCK, size=2),
+    ModeFormat(LevelKind.SINGLETON),
+)
+
+
+@st.composite
+def packed_tensors(draw):
+    """A tensor over 1-3 levels drawn from every level kind (a singleton
+    only below a non-unique level, where ``pack`` accepts it, and only
+    blocks below a block), with empty segments, repeated prefixes, no
+    entries at all, and each unordered level's segments shuffled or
+    not."""
+    order = draw(st.integers(1, 3))
+    mode_formats = []
+    for _ in range(order):
+        above = mode_formats[-1] if mode_formats else None
+        choices = [mf for mf in _LEVEL_FORMATS
+                   if (not mf.is_singleton or (above is not None and (
+                       above.is_singleton or not above.unique)))
+                   and (above is None or not above.is_block or mf.is_block)]
+        mode_formats.append(draw(st.sampled_from(choices)))
+    fmt = Format(mode_formats, draw(st.permutations(list(range(order)))),
+                 offChip)
+    dims = tuple(
+        lf.size if lf.is_block else draw(st.integers(1, 5))
+        for lf in (fmt.level_format(fmt.level_of_mode(m))
+                   for m in range(order)))
+    n = draw(st.sampled_from([0, 1]) | st.integers(2, 16))
+    coords = np.array(
+        [[draw(st.integers(0, d - 1)) for d in dims] for _ in range(n)],
+        dtype=np.int64).reshape(n, order)
+    storage = pack(coords, np.ones(n), dims, fmt)
+    for level, lf in enumerate(mode_formats):
+        if (not lf.ordered and isinstance(storage.levels[level],
+                                          CompressedLevel)
+                and draw(st.booleans())):
+            storage = shuffle_segments(storage, level,
+                                       draw(st.integers(0, 2 ** 16)))
+    return Tensor("A", dims, fmt).install(storage)
+
+
+@given(packed_tensors())
+@settings(max_examples=300, deadline=None)
+def test_level_array_keys_equal_the_horner_walk(tensor):
+    want = horner_level_keys(tensor)
+    # Levels on request, deepest first, then again from a fresh reader.
+    keys = _TensorKeys(tensor)
+    for level in reversed(range(tensor.format.order)):
+        got = keys.keys(level)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[level]), level
+    for got, expected in zip(_TensorKeys(tensor).level_keys, want):
+        assert np.array_equal(got, expected)
