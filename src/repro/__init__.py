@@ -71,7 +71,6 @@ _EXPORTS = {
     "Tensor": ("repro.tensor", "Tensor"),
     "UCC": ("repro.formats", "UCC"),
     "compile_stmt": ("repro.core", "compile_stmt"),
-    "compile_tensor": ("repro.core", "compile_tensor"),
     "compressed": ("repro.formats", "compressed"),
     "compute_stats": ("repro.capstan", "compute_stats"),
     "default_cache": ("repro.pipeline", "default_cache"),

@@ -16,7 +16,6 @@ _EXPORTS = {
     "bind_symbols": ("repro.core.runner", "bind_symbols"),
     "build_strategy": ("repro.core.coiteration", "build_strategy"),
     "compile_stmt": ("repro.core.compiler", "compile_stmt"),
-    "compile_tensor": ("repro.core.compiler", "compile_tensor"),
     "iteration_algebra": ("repro.core.coiteration", "iteration_algebra"),
     "lower": ("repro.core.lowering", "lower"),
     "plan_memory": ("repro.core.memory_analysis", "plan_memory"),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable
 
 import numpy as np
 
@@ -217,70 +216,39 @@ def _lower(stmt: IndexStmt, name: str, key: str | None = None) -> KernelProgram:
     return KernelProgram(name, program, lowerer.analysis, lowerer.plan, key)
 
 
-def _compile(stmt: IndexStmt, name: str) -> CompiledKernel:
-    return CompiledKernel(stmt, _lower(stmt, name))
-
-
 def compile_stmt(
     stmt: IndexStmt,
     name: str = "kernel",
     *,
     cache: bool | None = None,
 ) -> CompiledKernel:
-    """Compile a scheduled statement to a Spatial kernel.
+    """Compile a scheduled statement and bind it to its own operands.
 
-    Compilation is memoized through :mod:`repro.pipeline.cache`, keyed by
-    a content hash of the statement, its tensor formats and data, the
-    schedule, and the compiler version — so repeated harness runs and CLI
-    invocations reuse prior results (including across processes via the
-    on-disk store).
+    The one compile entry point. A cached call binds ``stmt`` to the
+    ``program`` stage entry under its structural key
+    (:func:`~repro.pipeline.cache.fingerprint_program`: kernel name,
+    CIN, environment, each tensor's name, order and format). On a miss
+    the entry is lowered from ``stmt.with_tensors(Tensor.copy_structure)``,
+    the same statement over operands without data, so it holds no
+    operand arrays and every statement of that structure (any dataset,
+    any scale) binds to it. Keying reads no operand data: a deferred
+    operand stays undrawn.
 
     Args:
         stmt: the scheduled statement.
         name: kernel name (appears in generated code, so it is part of
-            the cache key).
-        cache: ``None`` uses the process default (honouring the
-            ``REPRO_NO_CACHE`` environment knob); ``False`` bypasses the
-            cache; ``True`` forces it on.
+            the key).
+        cache: ``None`` uses the process default; ``False`` bypasses the
+            ``program`` stage and lowers ``stmt`` itself, as does
+            ``REPRO_NO_CACHE=1`` whatever ``cache`` says.
     """
     from repro.pipeline import cache as cache_mod
 
-    use_cache = cache_mod.cache_enabled() if cache is None else bool(cache)
-    if not use_cache:
-        return _compile(stmt, name)
-    key = cache_mod.fingerprint_stmt(stmt, name)
-    return cache_mod.default_cache().get_or_compute(
-        key, lambda: _compile(stmt, name), stage="kernel"
-    )
-
-
-def compile_program(
-    stmt: IndexStmt,
-    name: str,
-    data_free: Callable[[], IndexStmt],
-    use_cache: bool | None = None,
-) -> CompiledKernel:
-    """Bind ``stmt`` to the program its structure compiles to.
-
-    The ``program`` stage holds one :class:`KernelProgram` per
-    :func:`~repro.pipeline.cache.fingerprint_program` key, compiled on a
-    miss from ``data_free()``: the same statement over operands with the
-    same names, shapes and formats but no data, so the entry holds no
-    operand arrays. Every statement with that key (any dataset, any
-    scale) binds to the one entry. ``use_cache=False`` and
-    ``REPRO_NO_CACHE=1`` bypass the stage and compile ``stmt`` itself,
-    without deriving the key.
-    """
-    from repro.pipeline import cache as cache_mod
-
-    if cache_mod.stage_bypassed("program", use_cache):
-        return _compile(stmt, name)
+    if cache_mod.stage_bypassed("program", cache):
+        return CompiledKernel(stmt, _lower(stmt, name))
     key = cache_mod.fingerprint_program(stmt, name)
     compiled = cache_mod.memoize_stage(
-        "program", (key,), lambda: _lower(data_free(), name, key), use_cache)
+        "program", (key,),
+        lambda: _lower(stmt.with_tensors(Tensor.copy_structure), name, key),
+        cache)
     return CompiledKernel(stmt, compiled)
-
-
-def compile_tensor(result: Tensor, name: str | None = None) -> CompiledKernel:
-    """Compile the assignment recorded on a tensor with no schedule."""
-    return compile_stmt(result.get_index_stmt(), name or result.name)

@@ -5,15 +5,14 @@ platform) combinations over and over; TACO-style compilers memoize lowered
 kernels per (expression, format) key for exactly this reason. This module
 provides that memoization for the whole pipeline:
 
-* :func:`fingerprint_stmt` derives a stable, content-addressed key from a
+* :func:`fingerprint_program` derives a stable structural key from a
   scheduled statement: the concrete index notation text, the environment
-  variables, and every referenced tensor's name, shape, format, memory
-  region, and packed-data hash. Two statements with the same key lower to
-  the same kernel bound to the same data.
-* :func:`fingerprint_program` is the same key without shapes or data:
-  two statements with the same structural key lower to the same Spatial
-  program (every dimension is a host-bound symbol), so the ``program``
-  stage compiles it once and every cell binds its own operands to it.
+  variables, and every referenced tensor's name, order and format
+  (memory region included). Two statements with the same key lower to
+  the same Spatial program (every dimension is a host-bound symbol), so
+  the ``program`` stage compiles it once and every compile binds its own
+  operands to it. :func:`fingerprint_stmt` adds shapes and a hash of the
+  operand data; no compile path keys on it.
 * :func:`compiler_version` hashes every source file of the ``repro``
   package, so any code change invalidates prior cache entries — stale
   results can never survive a compiler edit.
@@ -24,8 +23,8 @@ provides that memoization for the whole pipeline:
   to share between concurrent runs: writes are atomic renames and corrupt
   or unreadable entries degrade to cache misses.
 * :func:`memoize_stage` splits the pipeline into separately-keyed
-  **stages** (``dataset`` generation, ``program`` and ``kernel``
-  compilation, ``stats``, ``resources``, and the artefact-level results).
+  **stages** (``dataset`` generation, ``program`` compilation,
+  ``stats``, ``resources``, and the artefact-level results).
   Stages are the unit of sharing between shard workers and of selective
   invalidation: the ``dataset`` stage is keyed by a hash of only the
   data/format/tensor sources (compiler edits keep datasets warm) and is
@@ -233,7 +232,7 @@ def fingerprint_program(stmt: Any, name: str = "kernel") -> str:
 def make_key(kind: str, *parts: Any, version: str | None = None) -> str:
     """A content-addressed key for arbitrary pipeline results.
 
-    ``kind`` namespaces the entry (``"kernel"``, ``"evaluate"``, ...);
+    ``kind`` namespaces the entry (``"program"``, ``"evaluate"``, ...);
     remaining parts are stringified into the hash along with a version
     token — the whole-compiler hash unless the caller passes the
     narrower :func:`stage_version` — so code changes invalidate entries.
@@ -297,7 +296,7 @@ class CacheStats:
     Besides the aggregate counters, staged lookups (through
     :func:`memoize_stage` or a ``stage=`` argument to
     :meth:`CompilationCache.get_or_compute`) are tallied per stage, so a
-    run can show e.g. dataset-stage hits alongside kernel-stage misses.
+    run can show e.g. dataset-stage hits alongside program-stage misses.
     """
 
     __slots__ = ("memory_hits", "disk_hits", "misses", "stores",
@@ -320,7 +319,7 @@ class CacheStats:
         counters[stage] = counters.get(stage, 0) + 1
 
     def stage_summary(self) -> str:
-        """``dataset 3h/0m, kernel 0h/3m`` — one clause per seen stage."""
+        """``dataset 3h/0m, program 0h/3m`` — one clause per seen stage."""
         stages = sorted(set(self.stage_hits) | set(self.stage_misses))
         return ", ".join(
             f"{s} {self.stage_hits.get(s, 0)}h/{self.stage_misses.get(s, 0)}m"

@@ -270,13 +270,15 @@ class StagedOperands:
         return rng.random(spec.shapes(self.full.dims)[dense.name])
 
 
-def _run_kernel(kernel: str, sparse, dense: np.ndarray,
-                engine: str) -> np.ndarray:
+def _run_kernel(kernel: str, sparse, dense: np.ndarray, engine: str,
+                use_cache: bool | None) -> np.ndarray:
     """Compile ``KERNELS[kernel]`` over the given operands and run it.
 
     ``strict``: a silent fallback would pass for a partition slowdown.
-    Uncached: the statement embeds the block's data, and the block
-    *result* is what the ``partition`` stage keeps: the dense view of the
+    Every block of a plan has one structure, so a cached run lowers it
+    once and binds each block's statement to that ``program`` entry;
+    under ``--no-cache`` each block lowers its own. The block *result*
+    is what the ``partition`` stage keeps: the dense view of the
     (all-dense) output storage.
     """
     from repro.core.compiler import compile_stmt
@@ -288,7 +290,7 @@ def _run_kernel(kernel: str, sparse, dense: np.ndarray,
     shapes = spec.shapes(sparse.dims, free=dense.shape[-1])
     stmt, _out = spec.build(spec.operands(shapes, [sparse],
                                           lambda _shape: dense.copy))
-    return dense_view(compile_stmt(stmt, kernel, cache=False).run_engine(
+    return dense_view(compile_stmt(stmt, kernel, cache=use_cache).run_engine(
         engine, strict=True))
 
 
@@ -318,7 +320,8 @@ def partition_cell(operands: StagedOperands, index: int,
             sp.set(lo=lo, hi=hi, nnz=int(sliced.nnz))
         with obs.span("partition:compute", nnz=int(sliced.nnz),
                       engine=engine, **where):
-            partial = _run_kernel(plan.kernel, sliced, dense, engine)
+            partial = _run_kernel(plan.kernel, sliced, dense, engine,
+                                  operands.use_cache)
         obs.counter("repro_partition_blocks_total",
                     "Partition blocks sliced and computed").inc()
         return dict(where, lo=lo, hi=hi, scale=scale, seed=PARTITION_SEED,

@@ -14,11 +14,15 @@ Every command returns a *new* IndexStmt; schedules compose functionally.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.ir.cin import CinStmt, make_concrete
-from repro.ir.index_notation import Assignment, IndexExpr, IndexVar
+from repro.ir.cin import CinAssign, CinStmt, make_concrete, rewrite
+from repro.ir.index_notation import Access, Assignment, IndexExpr, IndexVar
 from repro.schedule import transform
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.tensor.tensor import Tensor
 
 #: Conventional environment variable names (Figure 5, lines 17–18).
 INNER_PAR = "innerPar"
@@ -136,6 +140,41 @@ class IndexStmt:
                 self.cin, target, backend, func, self._resolve_par(par)
             )
         )
+
+    # -- rebinding ----------------------------------------------------------
+
+    def with_tensors(self, replace: Callable[[Tensor], Tensor]) -> "IndexStmt":
+        """The same statement over other tensor objects.
+
+        ``replace`` is called once per distinct tensor (output, inputs,
+        workspaces and ``MapCall`` operands alike) and its result stands
+        in for that tensor in every access of the CIN and the
+        assignment. Index variables, schedule and environment are kept,
+        and so is sharing: an expression reached twice is rebuilt once.
+        """
+        tensors: dict[int, Tensor] = {}
+        exprs: dict[int, IndexExpr] = {}
+
+        def expr(e: IndexExpr) -> IndexExpr:
+            if id(e) not in exprs:
+                if isinstance(e, Access):
+                    if id(e.tensor) not in tensors:
+                        tensors[id(e.tensor)] = replace(e.tensor)
+                    exprs[id(e)] = Access(tensors[id(e.tensor)], e.indices)
+                else:
+                    exprs[id(e)] = e.map_children(expr)
+            return exprs[id(e)]
+
+        def assign(node: CinStmt) -> CinStmt | None:
+            if not isinstance(node, CinAssign):
+                return None
+            return dataclasses.replace(node, lhs=expr(node.lhs),
+                                       rhs=expr(node.rhs))
+
+        a = self.assignment
+        return IndexStmt(rewrite(self.cin, assign),
+                         Assignment(expr(a.lhs), expr(a.rhs), a.accumulate),
+                         dict(self.environment_vars))
 
     # -- introspection --------------------------------------------------------
 

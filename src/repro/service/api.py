@@ -24,8 +24,10 @@ canonical form and compare one result type across execution paths:
   :func:`compile` / :func:`pipeline` / :func:`partition` pin the action
   and call it. :func:`cached` peeks for a finished result without
   computing (the daemon's hot path). Adding a verb is one record.
-* :func:`load_dataset` / :func:`build` / :func:`exec_check` — the
-  stages below the verbs, each memoized on the evaluation coordinates.
+* :func:`load_dataset` / :func:`exec_check` — the stages below the
+  verbs, each memoized on the evaluation coordinates; :func:`build`
+  joins the ``dataset`` stage to the ``program`` stage and stores
+  nothing of its own.
 
 The artefact orchestration (tables/figures) lives in
 ``pipeline/batch.py``, expressed on top of this module.
@@ -363,49 +365,26 @@ def load_dataset(request: CompileRequest,
 
 
 def build(request: CompileRequest, use_cache: bool | None = None):
-    """Materialise the dataset and compile the kernel, staged.
+    """Load the request's dataset, build its statement and compile it.
 
-    Three cache stages compose:
-
-    * ``dataset`` survives ``--no-cache`` and compiler edits;
-    * ``program`` holds the compiled program, analysis and memory plan
-      under the statement's structural key (kernel name, CIN text,
-      environment, each tensor's name, order and format, compiler
-      version; no shapes, no data). It is compiled from the statement
-      rebuilt over data-free operands, so it holds no operand arrays,
-      and every dataset and scale of one kernel binds to the one entry:
-      a cold Table 6 lowers 10 programs for its 24 cells;
-    * ``build`` memoizes the bound kernel on the evaluation coordinates
-      (a warm hit skips even statement construction).
-
-    ``use_cache=False`` and ``REPRO_NO_CACHE=1`` bypass ``program`` like
-    every compile-side stage: each cell compiles its own statement. The
-    compile never goes through ``compile_stmt``'s ``kernel`` stage, which
-    would store this same kernel, operands included, twice. Returns the
-    :class:`~repro.core.compiler.CompiledKernel`.
+    The operands come from the ``dataset`` stage, which survives
+    ``--no-cache`` and compiler edits; the statement is rebuilt over
+    them on every call (well under a millisecond) and
+    :func:`~repro.core.compiler.compile_stmt` binds it to the one
+    ``program`` entry of its structure, so every dataset and scale of a
+    kernel shares one compile: a cold Table 6 lowers 10 programs for
+    its 24 cells. Nothing here stores the operands a second time.
+    ``use_cache=False`` and ``REPRO_NO_CACHE=1`` lower each cell's own
+    statement. Returns the :class:`~repro.core.compiler.CompiledKernel`.
     """
-    from repro.core.compiler import compile_program
+    from repro.core.compiler import compile_stmt
     from repro.kernels.suite import KERNELS
-    from repro.pipeline.cache import memoize_stage
 
     req = request.resolved()
-
-    def compute():
-        spec = KERNELS[req.kernel]
-        tensors = load_dataset(req, use_cache=use_cache)
-        with _trace.span("parse", kernel=req.kernel, dataset=req.dataset):
-            stmt, _out = spec.build(tensors)
-
-        def data_free():
-            return spec.build({name: t.copy_structure(name)
-                               for name, t in tensors.items()})[0]
-
-        return compile_program(stmt, req.kernel, data_free, use_cache)
-
-    return memoize_stage(
-        "build", (req.kernel, req.dataset, req.scale, req.seed),
-        compute, use_cache,
-    )
+    tensors = load_dataset(req, use_cache=use_cache)
+    with _trace.span("parse", kernel=req.kernel, dataset=req.dataset):
+        stmt, _out = KERNELS[req.kernel].build(tensors)
+    return compile_stmt(stmt, req.kernel, cache=use_cache)
 
 
 def _platform_models(kernel, stats, sim, resources) -> dict[str, Any]:
@@ -507,9 +486,9 @@ def _evaluate(req: CompileRequest, use_cache: bool | None) -> CompileResult:
     return CompileResult(request=req, seconds=seconds, exec_summary=summary)
 
 
-def _compile(req: CompileRequest, use_cache: bool | None) -> CompileResult:
-    # The heavyweight compilation is shared with every other path through
-    # the ``build`` stage; this only renders the wire-ready summary.
+def _render(req: CompileRequest, use_cache: bool | None) -> CompileResult:
+    # The compiled program is shared with every other path through the
+    # ``program`` stage; this only renders the wire-ready summary.
     from repro.kernels.suite import KERNELS
 
     kernel = build(req, use_cache=use_cache)
@@ -611,7 +590,7 @@ class Action:
 #: The request verbs, by name.
 ACTIONS = {record.name: record for record in (
     Action("compile", "render the kernel: source, LoC, memory report",
-           _kernel_datasets, (), _compile),
+           _kernel_datasets, (), _render),
     Action("evaluate", "predict per-platform runtimes (a Table 6 cell)",
            _kernel_datasets, ("platforms", "engine"), _evaluate),
     Action("pipeline", "plan and run a fused expression pipeline "

@@ -19,7 +19,7 @@ def cache_stats_payload() -> dict[str, Any]:
 
     ``disk`` describes the on-disk store (location, entry count, byte
     size); ``counters`` is the in-process hit/miss tally including the
-    per-stage breakdown (``dataset``/``build``/``evaluate``/...);
+    per-stage breakdown (``dataset``/``program``/``evaluate``/...);
     ``compiler`` is the cache-invalidation hash of the checkout;
     ``metrics`` is the process metrics registry
     (:func:`repro.obs.registry`) snapshot.

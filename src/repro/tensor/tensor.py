@@ -246,8 +246,10 @@ class Tensor:
     # -- misc ---------------------------------------------------------------
 
     def copy_structure(self, name: str | None = None) -> "Tensor":
-        """A new empty tensor with the same shape and format."""
-        return Tensor(name, self.shape, self.format)
+        """A new empty tensor with the same shape and format, named
+        ``name`` (default: this tensor's name)."""
+        return Tensor(self.name if name is None else name, self.shape,
+                      self.format)
 
     def __repr__(self) -> str:
         return (

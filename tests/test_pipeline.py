@@ -88,8 +88,19 @@ class TestCompileCache:
         k1 = compile_stmt(_spmv_stmt(), "spmv_cache_test")
         assert fresh_cache.stats.misses == 1
         k2 = compile_stmt(_spmv_stmt(), "spmv_cache_test")
-        assert k2 is k1
+        assert k2.compiled is k1.compiled
         assert fresh_cache.stats.memory_hits == 1
+
+    def test_same_structure_other_data_binds_one_program(self, fresh_cache):
+        stmts = [_spmv_stmt(density=0.4), _spmv_stmt(density=0.6)]
+        k1, k2 = (compile_stmt(s, "spmv_cache_test") for s in stmts)
+        assert k2.compiled is k1.compiled
+        assert fresh_cache.stats.stage_misses["program"] == 1
+        assert fresh_cache.stats.stage_hits["program"] == 1
+        # Each kernel runs on its own statement's operands.
+        assert k1.stmt is stmts[0] and k2.stmt is stmts[1]
+        assert k1.run_dense() == pytest.approx([7.0, 6.0, 10.0])
+        assert k2.run_dense() == pytest.approx([7.0, 6.0, 13.0])
 
     def test_schedule_change_misses(self, fresh_cache):
         compile_stmt(_spmv_stmt(inner_par=16), "spmv_cache_test")
@@ -109,12 +120,14 @@ class TestCompileCache:
         assert k1 is not k2
         assert fresh_cache.stats.misses == 0
 
-    def test_no_cache_env_disables(self, fresh_cache, monkeypatch):
+    @pytest.mark.parametrize("cache", [None, True])
+    def test_no_cache_env_disables(self, fresh_cache, monkeypatch, cache):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        compile_stmt(_spmv_stmt(), "spmv_cache_test")
-        compile_stmt(_spmv_stmt(), "spmv_cache_test")
+        compile_stmt(_spmv_stmt(), "spmv_cache_test", cache=cache)
+        compile_stmt(_spmv_stmt(), "spmv_cache_test", cache=cache)
         assert fresh_cache.stats.misses == 0
         assert len(fresh_cache) == 0
+        assert fresh_cache.disk_info()["entries"] == 0
 
     def test_cached_kernel_still_runs(self, fresh_cache):
         compile_stmt(_spmv_stmt(), "spmv_cache_test")
@@ -243,7 +256,7 @@ class TestStagedCache:
         # compiler edits elsewhere keep them warm.
         assert len(stage_version("dataset")) == 16
         assert stage_version("dataset") != compiler_version()
-        assert stage_version("kernel") == compiler_version()
+        assert stage_version("program") == compiler_version()
 
     def test_stage_counters(self, fresh_cache):
         memoize_stage("stats", ("k",), lambda: 1)
@@ -256,8 +269,8 @@ class TestStagedCache:
 
     def test_no_cache_bypasses_compile_stages(self, fresh_cache):
         calls = []
-        memoize_stage("kernel", ("k",), lambda: calls.append(1))
-        memoize_stage("kernel", ("k",), lambda: calls.append(1),
+        memoize_stage("program", ("k",), lambda: calls.append(1))
+        memoize_stage("program", ("k",), lambda: calls.append(1),
                       use_cache=False)
         assert len(calls) == 2  # second run recomputed
 
@@ -302,22 +315,24 @@ class TestStagedCache:
         assert cold.seconds == warm.seconds
         assert (stats.stage_hits.get("dataset", 0)
                 == hits_before.get("dataset", 0) + 1)
-        for compile_stage in ("build", "kernel", "evaluate", "stats",
-                              "resources"):
+        for compile_stage in ("program", "evaluate", "stats", "resources"):
             assert (stats.stage_hits.get(compile_stage, 0)
                     == hits_before.get(compile_stage, 0)), compile_stage
 
-    def test_request_kernel_is_stored_once_under_build(self, fresh_cache):
-        # `build` holds the request's CompiledKernel; a nested `kernel`
-        # entry would pickle the same operands a second time.
+    def test_request_operands_are_stored_once_under_dataset(self,
+                                                            fresh_cache):
+        # The request's operands live in `dataset`; its kernel binds the
+        # data-free `program` entry, and no stage stores the bound kernel
+        # (that would pickle the same operands a second time).
         from repro.api import CompileRequest, evaluate
 
         evaluate(CompileRequest(kernel="SpMV", dataset="bcsstk30",
                                 scale=TINY))
         stats = fresh_cache.stats
-        assert stats.stage_misses["build"] == 1
-        assert "kernel" not in stats.stage_misses
-        assert "kernel" not in stats.stage_hits
+        assert stats.stage_misses["program"] == 1
+        assert set(stats.stage_misses) == {"dataset", "program", "stats",
+                                           "resources", "evaluate"}
+        assert not stats.stage_hits
 
     def test_stages_shared_across_artifacts(self, fresh_cache):
         # Table 5's resource estimates reuse the entry the Table 6

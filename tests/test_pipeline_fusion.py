@@ -262,8 +262,8 @@ def test_fused_and_unfused_runs_share_compiled_stages(fresh_cache):
     the kernels a fused run compiled."""
     _run("attention", fuse=True, use_cache=True)
     _run("attention", fuse=False, use_cache=True)
-    assert fresh_cache.stats.stage_misses["kernel"] == 2
-    assert fresh_cache.stats.stage_hits["kernel"] == 2
+    assert fresh_cache.stats.stage_misses["program"] == 2
+    assert fresh_cache.stats.stage_hits["program"] == 2
 
 
 def test_each_stage_is_built_once():
