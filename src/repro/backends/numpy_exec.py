@@ -10,9 +10,9 @@ SDFG into a pre-state, a compute state and a post-state:
   runs against a given set of operand storages. Everything that depends
   only on the statement and on ``pos``/``crd``/dims is decided here, by
   one walk of each sparse operand's levels
-  (:func:`~repro.tensor.storage.walk_levels`: **dense** levels multiply
-  the position space, **compressed** levels expand ``pos`` segments,
-  **singleton** levels gather one coordinate per parent position;
+  (:func:`~repro.tensor.storage.walk_levels`: each level's ``segments``
+  repeat the coordinate columns above it by its children per parent and
+  append its own coordinates, so entry ``e`` of the walk is ``vals[e]``;
   **block** levels first validate their static extent). The plan keeps only
   compact index arrays (gather indices per dense operand, positions into
   ``vals``, ``reduceat`` run starts and output keys, join index pairs)
@@ -194,8 +194,8 @@ def _join(a: Access, b: Access):
         )
     for acc in (a, b):
         _check_blocks(acc.tensor.storage)
-    pos_a, cols_a = walk_levels(a.tensor.storage, a.tensor.order)
-    pos_b, cols_b = walk_levels(b.tensor.storage, b.tensor.order)
+    cols_a = walk_levels(a.tensor.storage, a.tensor.order)
+    cols_b = walk_levels(b.tensor.storage, b.tensor.order)
     mode_b = {id(v): m for m, v in enumerate(b.indices)}
     keys_a = keys_b = 0
     for m, v in enumerate(a.indices):
@@ -209,7 +209,7 @@ def _join(a: Access, b: Access):
     _, ia, ib = np.intersect1d(keys_a, keys_b, assume_unique=True,
                                return_indices=True)
     cols = {id(v): cols_a[m][ia] for m, v in enumerate(a.indices)}
-    return cols, [(a.tensor, pos_a[ia], ()), (b.tensor, pos_b[ib], ())]
+    return cols, [(a.tensor, ia, ()), (b.tensor, ib, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +282,9 @@ class _Term:
             while st.fmt.level_format(n_outer - 1).is_block:
                 n_outer -= 1
             tile = range(n_outer, st.order)
-            pos, by_mode = walk_levels(st, n_outer)
+            by_mode = walk_levels(st, n_outer)
             cols = {id(acc.indices[m]): c for m, c in by_mode.items()}
-            factors = [(acc.tensor, pos,
+            factors = [(acc.tensor, None,
                         tuple(st.levels[lv].size for lv in tile))]
             vals_sub = "e" + sub(acc.indices[st.fmt.mode_of_level(lv)]
                                  for lv in tile)
@@ -318,11 +318,13 @@ class _Term:
             self.axes = [(lhs_s + lhs_d).index(v) for v in present]
         if perm is not None:
             cols = {k: c[perm] for k, c in cols.items()}
-            factors = [(t, pos[perm], blk) for t, pos, blk in factors]
+            factors = [(t, perm if pos is None else pos[perm], blk)
+                       for t, pos, blk in factors]
         for t, pos, blk in factors:
-            identity = (len(pos) * int(np.prod(blk)) == t.storage.nnz
-                        and np.array_equal(pos, np.arange(len(pos))))
-            self.factors.append((t, None if identity else pos, blk))
+            if (pos is not None and len(pos) == t.storage.nnz
+                    and np.array_equal(pos, np.arange(len(pos)))):
+                pos = None  # a join that kept every entry, in order
+            self.factors.append((t, pos, blk))
 
         # Each dense factor is gathered at the entry coordinates along
         # the modes the sparse factor also indexes; its remaining modes

@@ -41,7 +41,7 @@ from repro.ir.cin import (
 )
 from repro.ir.index_notation import Add, IndexExpr, Mul, Neg, Sub
 from repro.tensor.bitvector import WORD_BITS
-from repro.tensor.storage import CompressedLevel, SingletonLevel
+from repro.tensor.storage import scan
 from repro.tensor.tensor import Tensor
 
 WORD_BYTES = 4
@@ -100,14 +100,17 @@ class _TensorKeys:
 
     The keys of a level are the distinct prefixes of the tensor's stored
     entries, read straight from the level arrays the way SAM's level
-    scanner reads them: each position's key is its parent position's
-    key times the level's dimension plus its coordinate. A level is
-    computed when it is first asked for.
+    scanner reads them: with the level's ``segments`` ``(counts,
+    coords)``, its position keys are ``repeat(parent, counts) * dim +
+    coords`` over the parent level's position keys, for every kind of
+    level. A level is computed when it is first asked for.
     """
 
     def __init__(self, tensor: Tensor) -> None:
         self.tensor = tensor
         self.storage = tensor.storage
+        self._scan = scan(self.storage)
+        self._segments: list[tuple] = []
         # The key of every position, per level from the root down.
         self._position_keys = [np.zeros(1, dtype=np.int64)]
         self._keys: dict[int, np.ndarray] = {}
@@ -143,43 +146,43 @@ class _TensorKeys:
             keys = keys[first]
         return keys
 
+    def _level(self, level: int) -> tuple:
+        """``(counts, coords)`` of ``level``, scanned from the root once."""
+        while len(self._segments) <= level:
+            self._segments.append(next(self._scan))
+        return self._segments[level]
+
     def _positions(self, level: int) -> np.ndarray:
         """The key of every position at ``level``."""
         fmt = self.tensor.format
         while len(self._position_keys) <= level + 1:
             at = len(self._position_keys) - 1
-            parent = self._position_keys[-1]
-            lvl = self.storage.levels[at]
+            counts, coords = self._level(at)
             dim = self.tensor.shape[fmt.mode_of_level(at)]
-            if isinstance(lvl, CompressedLevel):
-                keys = np.repeat(parent, np.diff(lvl.pos)) * dim + lvl.crd
-            elif isinstance(lvl, SingletonLevel):
-                keys = parent * dim + lvl.crd
-            else:
-                keys = (parent[:, None] * dim + np.arange(dim)).reshape(-1)
-            self._position_keys.append(keys)
+            self._position_keys.append(
+                np.repeat(self._position_keys[-1], counts) * dim + coords)
         return self._position_keys[level + 1]
 
     def _live_positions(self, level: int) -> Optional[np.ndarray]:
         """Mask of the positions at ``level`` with a stored entry below
         them, or None when every position has one: an empty compressed
-        segment further down leaves its ancestors without entries."""
-        if level >= self.tensor.format.order - 1:
+        segment further down leaves its ancestors without entries. A
+        branchless level (dense, block, singleton) gives every parent a
+        child, so under all-live positions it is not scanned at all."""
+        fmt = self.tensor.format
+        if level >= fmt.order - 1:
             return None
         if level not in self._live:
             below = self._live_positions(level + 1)
-            lvl = self.storage.levels[level + 1]
-            if isinstance(lvl, CompressedLevel):
-                if below is None:
-                    counts = np.diff(lvl.pos)
-                else:
+            live = None
+            if below is not None or not fmt.level_format(level + 1).branchless:
+                counts = self._level(level + 1)[0]
+                if below is not None:  # live children per parent
+                    ends = np.cumsum(np.broadcast_to(
+                        counts, len(self._level(level)[1])))
                     seen = np.concatenate(([0], np.cumsum(below)))
-                    counts = seen[lvl.pos[1:]] - seen[lvl.pos[:-1]]
+                    counts = seen[ends] - seen[ends - counts]
                 live = counts > 0
-            elif isinstance(lvl, SingletonLevel) or below is None:
-                live = below
-            else:
-                live = below.reshape(-1, lvl.size).any(axis=1)
             self._live[level] = None if live is None or live.all() else live
         return self._live[level]
 
@@ -352,8 +355,8 @@ class StatsBuilder:
             if not it.level_format.unique and not it.tensor.is_on_chip:
                 # Non-unique (COO root) levels store one position per
                 # entry; unique prefix keys undercount the traversal.
-                lvl = self.bound(it.tensor).storage.levels[it.level]
-                iters = int(getattr(lvl, "nnz", len(keys)))
+                iters = len(self.bound(it.tensor).storage.array(it.level,
+                                                                "crd"))
             else:
                 iters = len(keys)
             # Segment transfers: crd (+vals at innermost level) stream once.
@@ -464,13 +467,14 @@ class StatsBuilder:
                 n_vals = math.prod(t.shape)
             else:
                 storage = t.storage
-                for level, lvl in enumerate(storage.levels):
-                    if isinstance(lvl, CompressedLevel):
-                        self.stats.dram_read_bytes += len(lvl.pos) * WORD_BYTES
-                        self.stats.dram_bursts += 1
-                    elif isinstance(lvl, SingletonLevel):
-                        # Singleton crd arrays stage whole, like pos arrays.
-                        self.stats.dram_read_bytes += len(lvl.crd) * WORD_BYTES
+                for level in range(fmt.order):
+                    # A compressed level's pos and a singleton's crd stage
+                    # whole.
+                    lf = fmt.level_format(level)
+                    if not lf.is_dense:
+                        staged = "crd" if lf.is_singleton else "pos"
+                        self.stats.dram_read_bytes += len(
+                            storage.array(level, staged)) * WORD_BYTES
                         self.stats.dram_bursts += 1
                 n_vals = len(storage.vals)
             vb = self.plan.get(t.name, "vals")

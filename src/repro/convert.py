@@ -308,7 +308,7 @@ def slice_positions(storage: TensorStorage, lo: int, hi: int) -> TensorStorage:
             f"cannot position-slice {storage.fmt}: needs a dense or ordered "
             f"compressed root over compressed levels (CSR, DCSR)"
         )
-    if isinstance(root, DenseLevel):
+    if storage.fmt.level_format(0).is_dense:
         levels: list = [DenseLevel(hi - lo)]
     else:
         first, last = (int(p) for p in np.searchsorted(root.crd, (lo, hi)))

@@ -15,12 +15,7 @@ import numpy as np
 
 from repro.spatial.interp import Machine, execute
 from repro.spatial.ir import SpatialProgram
-from repro.tensor.storage import (
-    CompressedLevel,
-    DenseLevel,
-    SingletonLevel,
-    TensorStorage,
-)
+from repro.tensor.storage import CompressedLevel, DenseLevel, TensorStorage
 from repro.tensor.tensor import Tensor
 
 #: Name of the staging-capacity symbol emitted by the lowerer.
@@ -35,9 +30,9 @@ def bind_symbols(
     """Compute values for every symbol the program declares.
 
     Dimension symbols come from tensor shapes; nnz symbols from packed
-    storage (for the output, a safe upper bound: the dense size, capped by
-    the total input nnz budget when all inputs are sparse is not sound for
-    unions, so the dense size is used).
+    storage. An output's nnz symbol is the dense size of its level
+    prefix, a safe upper bound: a bound from the inputs' nnz would not
+    hold for unions.
     """
     values: dict[str, int] = {}
     max_extent = 1
@@ -53,10 +48,11 @@ def bind_symbols(
             values[t.name] = t.scalar_value()
             continue
         storage = t.storage
-        for level, lvl in enumerate(storage.levels):
-            if isinstance(lvl, (CompressedLevel, SingletonLevel)):
-                values[f"{t.name}{level + 1}_nnz"] = lvl.nnz
-                max_extent = max(max_extent, lvl.nnz)
+        for level in range(fmt.order):
+            if not fmt.level_format(level).is_dense:
+                nnz = len(storage.array(level, "crd"))
+                values[f"{t.name}{level + 1}_nnz"] = nnz
+                max_extent = max(max_extent, nnz)
         max_extent = max(max_extent, len(storage.vals))
     # Output nnz bounds: dense size per level prefix.
     out = tensors.get(output_name)

@@ -16,6 +16,21 @@ values array. Each level materialises the coordinates of one tensor mode
 * **singleton** levels store a bare ``crd`` array with exactly one
   coordinate per parent position (the COO column/tail levels).
 
+A consumer never branches on the kind of a level: each level class
+answers two level functions, and every walk derives from them.
+
+* ``segments(n_parents) -> (counts, coords)``: the children of each of
+  ``n_parents`` parent positions, in position order. ``counts`` is the
+  number of children per parent (an int for a fixed fan-out: dense
+  ``size``, singleton 1; ``np.diff(pos)`` for compressed) and ``coords``
+  one coordinate per child position.
+* ``arrays``: the level's stored arrays by name (``{}`` dense, ``crd``
+  singleton, ``pos`` and ``crd`` compressed).
+
+A walk from the root visits every position of each level in order, so
+the positions of a level are always ``0..n-1`` and a level's parents
+are simply counted: :func:`scan` yields each level's segments.
+
 The :func:`pack` function converts COO data into this representation for an
 arbitrary format, and :func:`unpack` converts back, so round-tripping is
 property-testable.
@@ -25,12 +40,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from repro.formats.format import Format
-from repro.formats.levels import LevelKind
 
 
 @dataclasses.dataclass
@@ -40,8 +54,14 @@ class DenseLevel:
     size: int
 
     @property
-    def kind(self) -> LevelKind:
-        return LevelKind.DENSE
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def segments(self, n_parents: int) -> tuple[int, np.ndarray]:
+        """Every parent holds each coordinate of ``[0, size)`` once."""
+        coords = np.empty((n_parents, self.size), dtype=np.int64)
+        coords[:] = np.arange(self.size)  # one broadcast copy: no np.tile
+        return self.size, coords.reshape(-1)
 
 
 @dataclasses.dataclass
@@ -52,8 +72,8 @@ class CompressedLevel:
     crd: np.ndarray
 
     @property
-    def kind(self) -> LevelKind:
-        return LevelKind.COMPRESSED
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"pos": self.pos, "crd": self.crd}
 
     @property
     def nnz(self) -> int:
@@ -62,6 +82,10 @@ class CompressedLevel:
     def segment(self, parent_pos: int) -> tuple[int, int]:
         """Child position range ``[start, end)`` for one parent position."""
         return int(self.pos[parent_pos]), int(self.pos[parent_pos + 1])
+
+    def segments(self, n_parents: int) -> tuple[np.ndarray, np.ndarray]:
+        """Parent ``p`` holds ``crd[pos[p]:pos[p + 1]]``."""
+        return self.pos[1:] - self.pos[:-1], self.crd
 
 
 @dataclasses.dataclass
@@ -72,12 +96,12 @@ class SingletonLevel:
     crd: np.ndarray
 
     @property
-    def kind(self) -> LevelKind:
-        return LevelKind.SINGLETON
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"crd": self.crd}
 
-    @property
-    def nnz(self) -> int:
-        return len(self.crd)
+    def segments(self, n_parents: int) -> tuple[int, np.ndarray]:
+        """Parent ``p`` holds the one coordinate ``crd[p]``."""
+        return 1, self.crd
 
 
 Level = DenseLevel | CompressedLevel | SingletonLevel
@@ -146,30 +170,16 @@ class TensorStorage(np.lib.mixins.NDArrayOperatorsMixin):
 
     def array(self, level: int, name: str) -> np.ndarray:
         """Fetch a named sub-array (``pos``/``crd``) of a sparse level."""
-        lvl = self.levels[level]
-        if isinstance(lvl, SingletonLevel):
-            if name == "crd":
-                return lvl.crd
-            raise KeyError(
-                f"singleton level {level} has no {name!r} array (only crd)"
-            )
-        if not isinstance(lvl, CompressedLevel):
-            raise KeyError(f"level {level} is dense and has no {name!r} array")
-        if name == "pos":
-            return lvl.pos
-        if name == "crd":
-            return lvl.crd
-        raise KeyError(f"unknown sub-array {name!r}")
+        arrays = self.levels[level].arrays
+        if name not in arrays:
+            raise KeyError(f"level {level} has no {name!r} array (it stores "
+                           f"{', '.join(arrays) or 'none'})")
+        return arrays[name]
 
     def bytes_total(self, elem_bytes: int = 4) -> int:
         """Total footprint in bytes (indices and values, 4B words)."""
-        total = len(self.vals) * elem_bytes
-        for lvl in self.levels:
-            if isinstance(lvl, CompressedLevel):
-                total += (len(lvl.pos) + len(lvl.crd)) * 4
-            elif isinstance(lvl, SingletonLevel):
-                total += len(lvl.crd) * 4
-        return total
+        return len(self.vals) * elem_bytes + 4 * sum(
+            len(arr) for lvl in self.levels for arr in lvl.arrays.values())
 
 
 _POS_DTYPE = np.int64
@@ -378,51 +388,53 @@ def pack(
     return TensorStorage(fmt, tuple(dims), levels, out_vals)
 
 
+def scan(storage: TensorStorage) -> Iterator[tuple[int | np.ndarray,
+                                                  np.ndarray]]:
+    """Every level's ``segments``, from the root down.
+
+    The parents of a level are all the positions of the level above, in
+    order, so each level is asked for as many parents as the level above
+    yielded coordinates (the root has one parent).
+    """
+    n_parents = 1
+    for lvl in storage.levels:
+        counts, coords = lvl.segments(n_parents)
+        yield counts, coords
+        n_parents = len(coords)
+
+
 def walk_levels(storage: TensorStorage,
-                n_levels: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+                n_levels: int) -> dict[int, np.ndarray]:
     """Enumerate the positions of level ``n_levels - 1``, outermost first.
 
-    Returns ``(positions, cols)``: one position per stored entry of that
-    level and, per walked **mode**, the entry's int64 coordinate — the
-    vectorized analogue of a generated per-level loop nest. Dense levels
-    multiply the position space, compressed levels expand their ``pos``
-    segments, singleton levels pass positions through.
+    Returns, per walked **mode**, one int64 coordinate per position of
+    that level, in position order — the vectorized analogue of a
+    generated per-level loop nest. Each level repeats the columns above
+    it by its ``counts`` and appends its own ``coords``. Position ``e``
+    of the last level is row ``e``; for the innermost level that is
+    ``vals[e]``.
     """
-    positions = np.zeros(1, dtype=np.int64)
     cols: dict[int, np.ndarray] = {}
-    for lvl_idx in range(n_levels):
-        lvl = storage.levels[lvl_idx]
-        if isinstance(lvl, DenseLevel):
-            dim = lvl.size
-            new = np.tile(np.arange(dim, dtype=np.int64), len(positions))
-            positions = np.repeat(positions, dim) * dim + new
-            cols = {m: np.repeat(c, dim) for m, c in cols.items()}
-        elif isinstance(lvl, SingletonLevel):
-            new = lvl.crd[positions].astype(np.int64)
-        else:
-            # offsets[e] = pos[parent of e] + (rank of e in its segment)
-            starts = lvl.pos[positions]
-            counts = lvl.pos[positions + 1] - starts
-            prefix = np.cumsum(counts) - counts
-            positions = (np.repeat(starts - prefix, counts)
-                         + np.arange(int(counts.sum())))
-            cols = {m: np.repeat(c, counts) for m, c in cols.items()}
-            new = lvl.crd[positions].astype(np.int64)
-        cols[storage.fmt.mode_of_level(lvl_idx)] = new
-    return positions, cols
+    for lvl_idx, (counts, coords) in zip(range(n_levels), scan(storage)):
+        cols = {m: np.repeat(c, counts) for m, c in cols.items()}
+        cols[storage.fmt.mode_of_level(lvl_idx)] = coords.astype(
+            np.int64, copy=False)
+    return cols
 
 
 def unpack(storage: TensorStorage) -> tuple[np.ndarray, np.ndarray]:
     """Expand level storage back to COO ``(coords, vals)``, mode order.
 
-    Dense levels enumerate every slot, so unpacking a format with a trailing
-    dense level yields explicit zeros; callers filter if needed.
+    ``vals`` is ``storage.vals`` itself, not a copy: row ``e`` of
+    ``coords`` is the coordinate of ``vals[e]``. Dense levels enumerate
+    every slot, so unpacking a format with a trailing dense level yields
+    explicit zeros; callers filter if needed.
     """
     if storage.order == 0:
-        return np.zeros((1, 0), dtype=np.int64), storage.vals.copy()
-    positions, cols = walk_levels(storage, storage.order)
+        return np.zeros((1, 0), dtype=np.int64), storage.vals
+    cols = walk_levels(storage, storage.order)
     coords = np.stack([cols[m] for m in range(storage.order)], axis=1)
-    return coords, storage.vals[positions]
+    return coords, storage.vals
 
 
 def _mode_order_view(storage: TensorStorage) -> np.ndarray:
@@ -437,7 +449,7 @@ def dense_view(storage: TensorStorage) -> np.ndarray:
 
     Never copies: a non-identity mode ordering comes back strided.
     """
-    if not all(isinstance(lvl, DenseLevel) for lvl in storage.levels):
+    if not storage.fmt.is_all_dense:
         raise ValueError(f"dense_view needs an all-dense format, got "
                          f"{storage.fmt}")
     view = _mode_order_view(storage)
@@ -456,7 +468,7 @@ def to_dense(storage: TensorStorage) -> np.ndarray:
     """
     if storage.order == 0:
         return np.array(storage.vals[0])
-    if all(isinstance(lvl, DenseLevel) for lvl in storage.levels):
+    if storage.fmt.is_all_dense:
         # All-dense storage holds one value per slot in level order: a
         # reshape plus a mode-permuting transpose avoids the COO expansion.
         return np.ascontiguousarray(_mode_order_view(storage))
@@ -532,10 +544,9 @@ def aligned_values(a: TensorStorage,
         raise ValueError(f"shapes differ: {a.dims} vs {b.dims}")
     # Equal dims and format fix the dense levels; compare the rest.
     if (a.fmt == b.fmt and all(mf.unique for mf in a.fmt.mode_formats)
-            and all(np.array_equal(x.crd, y.crd) and (
-                isinstance(x, SingletonLevel) or np.array_equal(x.pos, y.pos))
-                for x, y in zip(a.levels, b.levels)
-                if not isinstance(x, DenseLevel))):
+            and all(np.array_equal(arr, y.arrays[name])
+                    for x, y in zip(a.levels, b.levels)
+                    for name, arr in x.arrays.items())):
         return a.vals, b.vals
     keyed = []
     for storage in (a, b):
@@ -563,5 +574,5 @@ def from_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
     if fmt.is_all_dense:
         return _pack_dense(array, fmt)
     nz = np.nonzero(array)
-    coords = np.stack(nz, axis=1) if array.ndim else np.zeros((0, 0))
+    coords = np.stack(nz, axis=1)
     return pack(coords, array[nz], array.shape, fmt)

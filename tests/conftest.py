@@ -82,6 +82,25 @@ def assert_same_storage(got, want) -> None:
     assert got.vals.tobytes() == want.vals.tobytes()
 
 
+def assert_scannable(storage) -> None:
+    """The invariant a root-down level walk (``storage.scan``) relies on:
+    every ``pos`` starts at 0, is non-decreasing, has one segment per
+    parent position and ends at ``len(crd)``; each level's children per
+    parent add up to its coordinates; ``vals`` holds one value per
+    innermost position."""
+    n_parents = 1
+    for lvl in storage.levels:
+        pos = lvl.arrays.get("pos")
+        if pos is not None:
+            assert len(pos) == n_parents + 1
+            assert pos[0] == 0 and pos[-1] == len(lvl.crd)
+            assert (np.diff(pos) >= 0).all()
+        counts, coords = lvl.segments(n_parents)
+        assert np.broadcast_to(counts, n_parents).sum() == len(coords)
+        n_parents = len(coords)
+    assert len(storage.vals) == n_parents
+
+
 def patch_cell(monkeypatch, artifact: str, cell) -> None:
     """Swap one artefact's per-job function for a fake until teardown."""
     from repro.pipeline import batch

@@ -51,7 +51,7 @@ from repro.formats import (
 from repro.ir import index_vars
 from repro.tensor import Tensor, evaluate_dense, to_dense
 from repro.tensor.storage import DenseLevel, dense_view
-from tests.conftest import random_sparse
+from tests.conftest import assert_scannable, random_sparse
 from tests.helpers_kernels import (
     NUMPY_GOLDEN_CASES,
     SMALL_DIMS,
@@ -495,6 +495,17 @@ def test_repeated_runs_are_identical_per_format(format_name):
         lambda: _registry_stmt(format_name,
                                np.random.default_rng(5)).get_index_stmt(),
         lambda stmt: lambda: execute_numpy(stmt, strict=True))
+
+
+@pytest.mark.parametrize("density", [0.4, 0.0])
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_results_satisfy_the_scan_invariant(name, density):
+    """An engine result, compressed or not, empty or not, is storage a
+    root-down level walk can read (``assert_scannable``)."""
+    stmt, out, _ = build_small_kernel_stmt(name, density=density)
+    result = execute_numpy(stmt, strict=True)
+    assert result.fmt == out.format
+    assert_scannable(result)
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)

@@ -44,7 +44,11 @@ from repro.pipeline.partition import (
     reduce_partials,
 )
 from repro.tensor.storage import pack, unpack
-from tests.conftest import assert_same_storage, start_vanishing_worker
+from tests.conftest import (
+    assert_same_storage,
+    assert_scannable,
+    start_vanishing_worker,
+)
 from tests.helpers_kernels import PARTITION_GOLDEN_PLANS, partition_report
 
 TINY = 0.03
@@ -191,6 +195,19 @@ def test_slice_positions_equals_slice_rows(matrix, fmt_name, data):
     hi = data.draw(st.integers(lo, dims[0]))
     assert_same_storage(slice_positions(full, lo, hi),
                         slice_rows(full, lo, hi))
+
+
+@given(sparse_matrices(), st.sampled_from(sorted(PARTITION_FORMATS.values())),
+       st.data())
+@settings(max_examples=80, deadline=None)
+def test_slice_positions_outputs_are_scannable(matrix, fmt_name, data):
+    """A cut is storage a root-down level walk can read: its pos arrays
+    are rebased to 0 and span their crd, and vals fits the last level."""
+    coords, vals, dims = matrix
+    full = pack(coords, vals, dims, format_of(fmt_name))
+    lo = data.draw(st.integers(0, dims[0]))
+    hi = data.draw(st.integers(lo, dims[0]))
+    assert_scannable(slice_positions(full, lo, hi))
 
 
 def test_slice_positions_rejects_bad_input():

@@ -5,7 +5,8 @@ import pytest
 from repro.core import compile_stmt
 from repro.core.runner import assemble_output, bind_dram, bind_symbols
 from repro.spatial.interp import execute
-from tests.helpers_kernels import build_small_kernel_stmt
+from tests.conftest import assert_scannable
+from tests.helpers_kernels import SMALL_DIMS, build_small_kernel_stmt
 
 
 @pytest.fixture
@@ -92,6 +93,16 @@ class TestAssembleOutput:
         assert isinstance(storage.levels[2], CompressedLevel)
         # pos arrays chain: level-2 parent count = level-1 nnz.
         assert len(storage.levels[2].pos) == storage.levels[1].nnz + 1
+
+    @pytest.mark.parametrize("density", [0.4, 0.0])
+    @pytest.mark.parametrize("name", list(SMALL_DIMS))
+    def test_outputs_satisfy_the_scan_invariant(self, name, density):
+        """The interpreter's assembled output, compressed or not, empty
+        or not, is storage a root-down level walk can read."""
+        stmt, out, tensors = build_small_kernel_stmt(name, density=density)
+        storage = compile_stmt(stmt, name, cache=False).run_engine("interp")
+        assert storage.fmt == out.format
+        assert_scannable(storage)
 
     def test_scalar_output(self):
         stmt, out, tensors = build_small_kernel_stmt("InnerProd")

@@ -1,9 +1,14 @@
 """Unit tests for level-based tensor storage (pack/unpack)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.formats import (
+    COO,
     CSC,
     CSF,
     CSR,
@@ -15,15 +20,19 @@ from repro.formats import (
     compressed,
     dense,
     offChip,
+    singleton,
 )
 from repro.tensor.storage import (
     CompressedLevel,
     DenseLevel,
+    SingletonLevel,
     aligned_values,
     from_dense,
     pack,
+    scan,
     to_dense,
     unpack,
+    walk_levels,
     wrap_dense,
 )
 
@@ -182,15 +191,24 @@ class TestPackEdgeCases:
 
 
 class TestStorageAccessors:
-    def test_array_lookup(self):
-        st = from_dense(figure8_matrix(), CSR(offChip))
-        assert st.array(1, "pos").tolist() == [0, 1, 3, 4, 5]
-        assert st.array(1, "crd").tolist() == [1, 0, 2, 1, 3]
+    # COO's column level is a singleton: a crd array and no pos array.
+    @pytest.mark.parametrize("fmt, arrays", [
+        (CSR, {"pos": [0, 1, 3, 4, 5], "crd": [1, 0, 2, 1, 3]}),
+        (COO, {"crd": [1, 0, 2, 1, 3]}),
+    ], ids=["csr", "coo"])
+    def test_array_lookup(self, fmt, arrays):
+        st = from_dense(figure8_matrix(), fmt(offChip))
+        assert list(st.levels[1].arrays) == list(arrays)
+        for name, expected in arrays.items():
+            assert st.array(1, name).tolist() == expected
 
-    def test_array_on_dense_level_rejected(self):
-        st = from_dense(figure8_matrix(), CSR(offChip))
+    @pytest.mark.parametrize("fmt, level", [(CSR, 0), (COO, 1)],
+                             ids=["csr", "coo"])
+    def test_array_on_dense_level_rejected(self, fmt, level):
+        """A dense level stores no pos (nor crd); a singleton no pos."""
+        st = from_dense(figure8_matrix(), fmt(offChip))
         with pytest.raises(KeyError):
-            st.array(0, "pos")
+            st.array(level, "pos")
 
     def test_unknown_array_rejected(self):
         st = from_dense(figure8_matrix(), CSR(offChip))
@@ -202,10 +220,14 @@ class TestStorageAccessors:
         assert st.level_dim(0) == 5
         assert st.level_dim(1) == 3
 
-    def test_bytes_total(self):
-        st = from_dense(figure8_matrix(), CSR(offChip))
-        # 5 vals + 5 pos entries + 5 crd entries, 4 bytes each.
-        assert st.bytes_total() == (5 + 5 + 5) * 4
+    # CSR: 5 vals + 5 pos + 5 crd. COO: 5 vals + the root's 2 pos and
+    # 5 crd + the singleton's 5 crd. 4 bytes each.
+    @pytest.mark.parametrize("fmt, words", [(CSR, 5 + 5 + 5),
+                                            (COO, 5 + 2 + 5 + 5)],
+                             ids=["csr", "coo"])
+    def test_bytes_total(self, fmt, words):
+        st = from_dense(figure8_matrix(), fmt(offChip))
+        assert st.bytes_total() == words * 4
 
     def test_sparse_vector(self):
         v = np.array([0.0, 3.0, 0.0, 7.0, 0.0])
@@ -262,3 +284,110 @@ class TestResultStorage:
         with pytest.raises(ValueError):
             aligned_values(from_dense(a, CSR(offChip)),
                            from_dense(a.T, CSR(offChip)))
+
+    @pytest.mark.parametrize("fmt", [
+        CSR(offChip), Format([compressed, singleton], [0, 1], offChip)],
+        ids=["csr", "compressed-singleton"])
+    def test_aligned_values_pass_equal_level_arrays_through(self, fmt):
+        """One unique format with equal level arrays: ``vals`` as they
+        are. Unequal arrays at any level, a singleton's crd included,
+        go through the coordinate keys."""
+        # One entry per stored row, so the singleton level packs.
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        b = np.diag([5.0, 6.0, 7.0, 8.0])
+        x, y = from_dense(a, fmt), from_dense(b, fmt)
+        got, expected = aligned_values(x, y)
+        assert got is x.vals and expected is y.vals
+        z = from_dense(np.fliplr(b), fmt)  # same pos, other columns
+        got, expected = aligned_values(x, z)
+        assert len(got) == 8 and got.sum() == a.sum()
+        assert expected.sum() == b.sum()
+
+    def test_aligned_values_sum_a_coo_pair(self):
+        """COO's root is non-unique: a pair with equal level arrays still
+        meets on keys, so duplicate coordinates are summed."""
+        coords = np.array([[0, 1], [0, 1], [2, 0]])
+        a = pack(coords, np.array([1.0, 2.0, 4.0]), (3, 2), COO(offChip))
+        b = pack(coords, np.array([8.0, 16.0, 32.0]), (3, 2), COO(offChip))
+        assert all(np.array_equal(arr, y.arrays[name])
+                   for x, y in zip(a.levels, b.levels)
+                   for name, arr in x.arrays.items())
+        got, expected = aligned_values(a, b)
+        assert got.tolist() == [3.0, 4.0]
+        assert expected.tolist() == [24.0, 32.0]
+
+
+class TestLevelFunctions:
+    """``segments`` and ``arrays``: the two things a level kind answers."""
+
+    def test_segments_per_kind(self):
+        csr = from_dense(figure8_matrix(), CSR(offChip))
+        coo = from_dense(figure8_matrix(), COO(offChip))
+        counts, coords = csr.levels[0].segments(1)
+        assert counts == 4 and coords.tolist() == [0, 1, 2, 3]
+        counts, coords = csr.levels[1].segments(4)
+        assert counts.tolist() == [1, 2, 1, 1]
+        assert coords.tolist() == [1, 0, 2, 1, 3]
+        counts, coords = coo.levels[1].segments(5)
+        assert counts == 1 and coords.tolist() == [1, 0, 2, 1, 3]
+        assert DenseLevel(3).segments(2)[1].tolist() == [0, 1, 2] * 2
+
+    def test_arrays_per_kind(self):
+        pos, crd = np.array([0, 2]), np.array([1, 3], dtype=np.int32)
+        assert DenseLevel(4).arrays == {}
+        assert SingletonLevel(crd).arrays.keys() == {"crd"}
+        assert CompressedLevel(pos, crd).arrays.keys() == {"pos", "crd"}
+
+    def test_scan_counts_each_levels_parents(self):
+        st = pack(np.array([[0, 1, 2], [2, 0, 0]]), np.array([1.0, 2.0]),
+                  (3, 2, 3), Format([dense, compressed, dense], [0, 1, 2],
+                                    offChip))
+        coords = [c.tolist() for _, c in scan(st)]
+        assert coords == [[0, 1, 2], [1, 0], [0, 1, 2] * 2]
+
+    def test_walk_levels_returns_mode_columns(self):
+        st = from_dense(figure8_matrix(), CSC(offChip))
+        cols = walk_levels(st, 2)
+        assert cols[1].tolist() == [0, 1, 1, 2, 3]  # columns: level 0
+        assert cols[0].tolist() == [1, 0, 2, 1, 3]
+        assert all(c.dtype == np.int64 for c in cols.values())
+        assert walk_levels(st, 1)[1].tolist() == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# The guard: a level's kind is read from its format, never its class
+# ---------------------------------------------------------------------------
+
+_LEVEL_CLASSES = {"DenseLevel", "CompressedLevel", "SingletonLevel"}
+#: The level classes' own module, and the ``cpu`` walker until it is
+#: deleted (ROADMAP item 9).
+_MAY_TEST_KIND = {"tensor/storage.py", "backends/cpu_exec.py"}
+
+
+def _kind_tests(tree: ast.AST) -> list[int]:
+    """Lines of ``isinstance`` calls against a storage level class."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and any(getattr(n, "id", getattr(n, "attr", None))
+                    in _LEVEL_CLASSES for n in ast.walk(node.args[-1]))]
+
+
+def test_the_level_guard_sees_a_kind_test():
+    tree = ast.parse("if isinstance(lvl, DenseLevel): pass\n"
+                     "if isinstance(lvl, (storage.SingletonLevel, X)): pass\n"
+                     "if isinstance(st, TensorStorage): pass\n"
+                     "if 'pos' in lvl.arrays: pass\n")
+    assert _kind_tests(tree) == [1, 2]
+
+
+def test_no_level_kind_tests_outside_storage():
+    root = Path(repro.__file__).resolve().parent
+    found = []
+    for source in sorted(root.rglob("*.py")):
+        path = source.relative_to(root).as_posix()
+        if path in _MAY_TEST_KIND:
+            continue
+        found += [f"{path}:{line}"
+                  for line in _kind_tests(ast.parse(source.read_text()))]
+    assert found == []
