@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNELS
@@ -28,6 +30,7 @@ from repro.kernels.suite import FORMAT_KERNEL_ORDER, KERNELS
 if TYPE_CHECKING:
     import numpy as np
 
+    from repro.tensor.storage import TensorStorage
     from repro.tensor.tensor import Tensor
 
 
@@ -118,6 +121,11 @@ def _generated(dspec: DatasetSpec, scale: float, seed: int,
     seed). ``coords`` is int32, ``state`` is the generator state after
     the draw, and both arrays are read-only: a consumer writing into
     them would corrupt the next consumer's operands.
+
+    Next to the entry, in memory only, the generation holds each sparse
+    operand packed from it once (:func:`_packed`): the memo is never
+    pickled and is dropped with the entry's arrays, so a cleared memory
+    layer, or ``REPRO_NO_CACHE=1``, starts it cold.
     """
     from repro.pipeline.cache import memoize_stage
 
@@ -189,26 +197,23 @@ def load(
     """Materialise a kernel's operand tensors for one dataset.
 
     Sparse operands take the dataset's structure (with the paper's derived
-    variants for multi-operand kernels), each packed into its format by
-    :func:`repro.convert.pack_entries`, so a blocked format's dims are
-    the packed storage's. The structure is the dataset's one staged
-    generation, shared by every kernel evaluated on it; dense operands
-    are random, drawn by a generator resumed from the state that
-    generation left, and held as a :class:`DenseDraw` until something
-    reads their values (a Table 6 evaluation never does); output tensors
-    are left empty.
+    variants for multi-operand kernels, see :func:`derivation`), each
+    packed into its format by :func:`repro.convert.pack_entries`, so a
+    blocked format's dims are the packed storage's. The structure is the
+    dataset's one staged generation, and each (derivation, format) of it
+    is packed once per generation: every kernel evaluated on the dataset
+    holds the same read-only storage. Dense operands are random, drawn
+    by a generator resumed from the state that generation left, and held
+    as a :class:`DenseDraw` until something reads their values (a Table
+    6 evaluation never does); output tensors are left empty.
     """
-    from repro.convert import pack_entries
-    from repro.formats import format_of
-
     spec = KERNELS[kernel_name]
     dspec = DATASETS_BY_NAME[dataset_name]
     if spec.name not in dspec.kernels:
         raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
-    dims, coords, vals, state = _generated(dspec, scale, seed)
-    rng = _resume(state)
-    sparse = [pack_entries(*_variant(kernel_name, nth, coords, vals, dims),
-                           dims, format_of(ts.format))
+    generation = _generated(dspec, scale, seed)
+    rng = _resume(generation[3])
+    sparse = [_packed(generation, derivation(kernel_name, nth), ts.format)
               for nth, ts in enumerate(spec.of_role("sparse"))]
     dims = sparse[0].dims
 
@@ -222,15 +227,72 @@ def load(
     return spec.operands(spec.shapes(dims), sparse, dense)
 
 
-def _variant(kernel: str, index: int, coords, vals, dims):
-    """Derived datasets for multi-sparse-operand kernels (Section 8.1)."""
+def derivation(kernel: str, index: int) -> tuple:
+    """How ``kernel``'s ``index``-th sparse operand derives from its
+    dataset's generation (Section 8.1).
+
+    ``("identity",)`` is the generation itself; Plus3 rotates the columns
+    right by one and two (``("rotate_columns", 1)`` / ``2``), Plus2 and
+    InnerProd rotate the even last-mode coordinates
+    (``("rotate_even_coords",)``). Operands of one generation with equal
+    derivations and formats share one packed storage.
+    """
+    if index == 0:
+        return ("identity",)
+    if kernel == "Plus3":
+        return ("rotate_columns", index)
+    if kernel in ("Plus2", "InnerProd"):
+        return ("rotate_even_coords",)
+    return ("identity",)
+
+
+def _variant(derived: tuple, coords, vals, dims):
+    """The ``(coords, vals)`` of one :func:`derivation` of a generation."""
     from repro.data import generators as gen
 
-    if index == 0:
-        return coords, vals
-    if kernel == "Plus3":
-        # Rotate the columns right by one and two.
-        return gen.rotate_columns(coords, vals, dims[1], index)
-    if kernel in ("Plus2", "InnerProd"):
+    name, *args = derived
+    if name == "rotate_columns":
+        return gen.rotate_columns(coords, vals, dims[1], *args)
+    if name == "rotate_even_coords":
         return gen.rotate_even_coords(coords, vals, dims[-1])
     return coords, vals
+
+
+#: Each live generation's packed operands by (derivation, format name),
+#: keyed by ``id`` of the generation's ``coords`` array. A finalizer on
+#: that array drops its memo, so the memo lives as long as the
+#: generation does and never outlives the cache entry holding it.
+_PACKS: dict[int, dict[tuple, TensorStorage]] = {}
+_PACKS_LOCK = threading.Lock()
+
+
+def _packed(generation: tuple, derived: tuple,
+            fmt_name: str) -> TensorStorage:
+    """``generation``'s ``derived`` variant packed into ``fmt_name``, once.
+
+    The storage is read-only (``vals`` and every level array), since
+    every kernel that reads the operand holds the same object. Two
+    threads racing on one operand may both pack it; both get the
+    storage stored first.
+    """
+    from repro.convert import pack_entries
+    from repro.formats import format_of
+
+    dims, coords, vals, _ = generation
+    key = id(coords)
+    with _PACKS_LOCK:
+        packs = _PACKS.get(key)
+        if packs is None:
+            packs = _PACKS[key] = {}
+            weakref.finalize(coords, _PACKS.pop, key, None)
+        storage = packs.get((derived, fmt_name))
+    if storage is not None:
+        return storage
+    storage = pack_entries(*_variant(derived, coords, vals, dims), dims,
+                           format_of(fmt_name))
+    storage.vals.flags.writeable = False
+    for level in storage.levels:
+        for array in level.arrays.values():
+            array.flags.writeable = False
+    with _PACKS_LOCK:
+        return packs.setdefault((derived, fmt_name), storage)

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.storage import _strictly_sorted, sort_dedupe
+from repro.tensor.storage import (_strictly_sorted, sort_dedupe,
+                                  sorted_run_starts)
 
 
 def _dedupe(coords: np.ndarray) -> np.ndarray:
@@ -34,7 +35,7 @@ def _dedupe(coords: np.ndarray) -> np.ndarray:
     if _strictly_sorted(coords, order):
         return coords
     perm, starts = sort_dedupe(coords, order)
-    return coords[perm[starts]]
+    return np.take(coords, perm[starts], axis=0)
 
 
 def _dedupe_flat(flat: np.ndarray) -> np.ndarray:
@@ -164,7 +165,7 @@ def rotate_columns(
     out[:, 1] = (out[:, 1] + shift) % n_cols
     # A rotation is a bijection on columns: every run has one row.
     perm, _ = sort_dedupe(out, (0, 1))
-    return out[perm], vals[perm]
+    return np.take(out, perm, axis=0), vals[perm]
 
 
 def rotate_even_coords(
@@ -172,10 +173,21 @@ def rotate_even_coords(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate even coordinates of the last mode by one (Plus2/InnerProd
     derived datasets)."""
-    out = coords.copy()
-    even = out[:, -1] % 2 == 0
-    out[even, -1] = (out[even, -1] + 1) % last_dim
-    # Rotation can collide coordinates; keep the first of each.
-    perm, starts = sort_dedupe(out, range(out.shape[1]))
-    keep = perm[starts]
-    return out[keep], vals[keep]
+    # Even c -> c + 1 is c | 1; only an odd last_dim's last coordinate
+    # (even) wraps around to 0.
+    last = coords[:, -1] | 1
+    if last_dim % 2:
+        last[last == last_dim] = 0
+    # Rotation can collide coordinates; keep the first of each. Inside a
+    # fiber of sorted input, c -> c | 1 keeps the order and a collision
+    # sits next to its twin: only the wrap or unsorted input needs a sort.
+    columns = [coords[:, m] for m in range(coords.shape[1] - 1)] + [last]
+    keep = sorted_run_starts(columns)
+    if keep is None:
+        out = coords.copy()
+        out[:, -1] = last
+        perm, starts = sort_dedupe(out, range(out.shape[1]))
+        keep = perm[starts]
+    out = np.take(coords, keep, axis=0)
+    out[:, -1] = last[keep]
+    return out, vals[keep]

@@ -20,8 +20,13 @@ def _isolated_cache_dir(tmp_path_factory):
 
     The pipeline cache resolves REPRO_CACHE_DIR dynamically, so setting it
     here (unless the caller already pinned one) redirects every disk-cache
-    write of the whole session to a temporary directory.
+    write of the whole session to a temporary directory. The cache
+    switches a shell may export (REPRO_NO_CACHE, REPRO_CACHE_DISK,
+    REPRO_CACHE_MEM) are dropped, so every test starts from the default
+    layers; a test that needs one sets it through ``monkeypatch``.
     """
+    for name in ("REPRO_NO_CACHE", "REPRO_CACHE_DISK", "REPRO_CACHE_MEM"):
+        os.environ.pop(name, None)
     if "REPRO_CACHE_DIR" not in os.environ:
         os.environ["REPRO_CACHE_DIR"] = str(
             tmp_path_factory.mktemp("repro-cache")

@@ -8,7 +8,7 @@ import pytest
 
 from repro.data import DATASETS, DATASETS_BY_NAME, datasets_for, load
 from repro.data import generators as gen
-from repro.kernels import FORMAT_KERNEL_ORDER, KERNEL_ORDER
+from repro.kernels import FORMAT_KERNEL_ORDER, KERNEL_ORDER, KERNELS
 from tests.helpers_kernels import (
     DATASET_GOLDEN_SCALES,
     DATASET_GOLDEN_SEED,
@@ -78,6 +78,8 @@ class TestGenerators:
         assert gen._dedupe(coords) is coords
         shuffled = np.array([[2, 0], [0, 3], [0, 1], [0, 3]])
         assert np.array_equal(gen._dedupe(shuffled), coords)
+        drawn = np.random.default_rng(2).integers(0, 60, size=(5000, 3))
+        assert np.array_equal(gen._dedupe(drawn), np.unique(drawn, axis=0))
 
     def test_uniform_tensor3(self, nprng):
         coords, vals = gen.uniform_tensor3((20, 20, 20), 0.1, nprng)
@@ -96,14 +98,45 @@ class TestGenerators:
         out, out_vals = gen.rotate_columns(coords, vals, 8, 1)
         keys = set(map(tuple, out))
         assert keys == {(0, 1), (0, 0), (1, 4)}
+        for shuffled in (False, True):
+            coords, vals = _drawn_entries((300, 50), 4000, shuffled)
+            out, out_vals = gen.rotate_columns(coords, vals, 50, 2)
+            rotated = np.stack([coords[:, 0], (coords[:, 1] + 2) % 50], axis=1)
+            order = np.lexsort((rotated[:, 1], rotated[:, 0]))
+            assert np.array_equal(out, rotated[order])
+            assert np.array_equal(out_vals, vals[order])
 
     def test_rotate_even_coords(self):
+        """Sorted input with an even last dim takes the sort-free path;
+        shuffled input and an odd last dim's wrap to 0 take the sort.
+        Each collision keeps its first entry."""
         coords = np.array([[0, 0, 2], [0, 0, 3]])
         vals = np.array([1.0, 2.0])
         out, out_vals = gen.rotate_even_coords(coords, vals, 8)
         keys = set(map(tuple, out))
         assert keys == {(0, 0, 3)}  # collision keeps one entry
         assert len(out_vals) == 1
+        for last_dim, shuffled in ((40, False), (40, True), (41, False)):
+            coords, vals = _drawn_entries((20, 30, last_dim), 6000, shuffled)
+            out, out_vals = gen.rotate_even_coords(coords, vals, last_dim)
+            rotated = coords.copy()
+            even = rotated[:, 2] % 2 == 0
+            rotated[even, 2] = (rotated[even, 2] + 1) % last_dim
+            unique, first = np.unique(rotated, axis=0, return_index=True)
+            assert len(unique) < len(coords)  # some rotations collide
+            assert np.array_equal(out, unique)
+            assert np.array_equal(out_vals, vals[first])
+
+
+def _drawn_entries(dims, n, shuffled):
+    """Up to ``n`` distinct entries over ``dims`` with distinct values,
+    in lexicographic order or shuffled."""
+    rng = np.random.default_rng(11)
+    coords = np.unique(np.stack([rng.integers(0, d, size=n) for d in dims],
+                                axis=1), axis=0)
+    if shuffled:
+        coords = coords[rng.permutation(len(coords))]
+    return coords, rng.random(len(coords))
 
 
 class TestDatasetSpecs:
@@ -237,6 +270,62 @@ class TestLoadPath:
         assert len(cells) == 24
         assert len(calls) == 10
         assert sorted(calls) == sorted({d for _, d in cells})
+
+    @pytest.fixture
+    def packs(self, monkeypatch):
+        import repro.convert
+
+        calls = []
+        real = repro.convert.pack_entries
+
+        def pack_entries(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(repro.convert, "pack_entries", pack_entries)
+        return calls
+
+    @staticmethod
+    def _table6_operands():
+        """Every sparse operand of every Table 6 cell, as (dataset,
+        derivation, format)."""
+        from repro.data.datasets import derivation
+
+        return [(d.name, derivation(k, nth), ts.format)
+                for k in KERNEL_ORDER for d in datasets_for(k)
+                for nth, ts in enumerate(KERNELS[k].of_role("sparse"))]
+
+    def test_cold_table6_packs_each_operand_once(self, generations, packs,
+                                                 monkeypatch):
+        """One pack per distinct (dataset, derivation, format); a second
+        render in the process, compile stages forced, packs nothing."""
+        from repro.pipeline.batch import run_artifact
+
+        # Room for every entry of the render, so the second one evicts
+        # no generation (the default LRU holds 64).
+        monkeypatch.setenv("REPRO_CACHE_MEM", "512")
+        run_artifact("table6", 0.02, jobs=1)
+        assert len(packs) == len(set(self._table6_operands()))
+        packs.clear()
+        run_artifact("table6", 0.02, jobs=1, use_cache=False)
+        assert packs == []
+
+    def test_uncached_cells_pack_their_own_operands(self, generations, packs,
+                                                    monkeypatch):
+        from repro.pipeline.batch import run_artifact
+
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        run_artifact("table6", 0.02, jobs=1)
+        assert len(packs) == len(self._table6_operands())
+
+    def test_kernels_share_one_read_only_storage(self, generations):
+        spmv = load("SpMV", "bcsstk30", 0.02)["A"].storage
+        sddmm = load("SDDMM", "bcsstk30", 0.02)["B"].storage
+        assert spmv is sddmm
+        crd_level = spmv.levels[1]
+        for array in (spmv.vals, crd_level.crd, crd_level.pos):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_generated_arrays_are_read_only(self, fresh_cache):
         """Kernels share one generated ``coords`` / ``vals`` pair, fresh

@@ -118,8 +118,9 @@ def test_pack_is_deterministic(seed):
 @settings(max_examples=150, deadline=None)
 def test_pack_sorted_fast_path_is_bit_identical(fmt_dims, data):
     """``pack`` skips the lexsort for strictly sorted input; sorted,
-    shuffled and duplicated inputs must pack to the same bits with the
-    shortcut and with the sort forced."""
+    shuffled, signed-zero and duplicated inputs must pack to the same
+    bits with the shortcut, with the sort forced, and as the sort plus
+    ``reduceat`` reference (which ``pack`` skips when nothing repeats)."""
     from unittest import mock
 
     from repro.tensor import storage as storage_mod
@@ -137,6 +138,9 @@ def test_pack_sorted_fast_path_is_bit_identical(fmt_dims, data):
     variants = {
         "sorted": (sorted_c, sorted_v),
         "shuffled": (sorted_c[perm], sorted_v[perm]),
+        "shuffled_signed_zeros": (sorted_c[perm],
+                                  np.where(np.arange(len(perm)) % 2, -0.0,
+                                           sorted_v[perm])),
         "duplicated": (np.concatenate([sorted_c, sorted_c[:3]]),
                        np.concatenate([sorted_v, sorted_v[:3]])),
         "raw": (coords, vals),
@@ -147,6 +151,10 @@ def test_pack_sorted_fast_path_is_bit_identical(fmt_dims, data):
                                return_value=False):
             slow = pack(c, v, dims, fmt)
         assert_same_storage(fast, slow)
+        if len(c):
+            order, starts = storage_mod.sort_dedupe(c, fmt.mode_ordering)
+            c, v = c[order[starts]], np.add.reduceat(v[order], starts)
+        assert_same_storage(fast, pack(c, v, dims, fmt))
     assert storage_mod._strictly_sorted(sorted_c, fmt.mode_ordering)
 
 
