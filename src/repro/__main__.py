@@ -221,7 +221,7 @@ def _cmd_convert(args) -> int:
     dims = DATASETS_BY_NAME[args.dataset].scaled_dims(args.scale)
     with _refusing("conversion error: ", ConversionError, code=1):
         source = staged_matrix_storage(args.dataset, args.scale, args.seed,
-                                       args.source, args.use_cache)
+                                       args.source)
         plan = plan_conversion(source.fmt, dst_fmt,
                                dims if dst_fmt.order == len(dims) else None)
     print(plan.describe())
@@ -704,8 +704,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "help": "matrix dataset name (default: "
                                        "Trefethen_20000)"},
                       scale={"default": 0.05},
-                      no_cache={"help": "bypass the dataset/conversion "
-                                        "cache"})
+                      no_cache={"help": "no effect: convert reads only "
+                                        "the dataset stage, which is "
+                                        "exempt"})
     p_conv.add_argument("source", help="source format name (see `formats`)")
     p_conv.add_argument("target", help="target format name (see `formats`)")
     p_conv.add_argument("--plan", action="store_true",

@@ -324,7 +324,7 @@ def slice_positions(storage: TensorStorage, lo: int, hi: int) -> TensorStorage:
 
 
 # ---------------------------------------------------------------------------
-# Staged dataset conversion (harness integration)
+# Dataset staging (harness integration)
 # ---------------------------------------------------------------------------
 
 
@@ -333,27 +333,17 @@ def staged_matrix_storage(
     scale: float,
     seed: int,
     format_name: str,
-    use_cache: bool | None = None,
 ) -> TensorStorage:
-    """One matrix dataset packed into a registered format, staged once.
+    """One matrix dataset packed into a registered format, once per
+    generation.
 
-    The raw (dims, coords, vals) triple comes from the ``dataset`` cache
-    stage and goes through :func:`pack_entries`. The packed storage
-    memoizes under the ``convert`` stage keyed by (dataset, scale, seed,
-    format), which partition staging and ``repro convert`` read:
-    unpickling it is far cheaper than unpickling the triple and packing
-    again.
+    The dataset's staged generation packed into ``format_name`` through
+    :func:`pack_entries`, memoized in memory beside the generation
+    exactly like a kernel's operands (so it *is* the storage ``load``
+    gives a kernel reading the dataset in that format). Partition
+    staging and ``repro convert`` read it; the storage is read-only.
     """
-    from repro.data.datasets import load_matrix_coo
-    from repro.formats.format import format_of
-    from repro.pipeline.cache import memoize_stage
+    from repro.data.datasets import _matrix_generation, _packed
 
-    def compute() -> TensorStorage:
-        dims, coords, vals = load_matrix_coo(dataset_name, scale, seed,
-                                             use_cache=use_cache)
-        return pack_entries(coords, vals, dims, format_of(format_name))
-
-    return memoize_stage(
-        "convert", (dataset_name, scale, seed, format_name), compute,
-        use_cache,
-    )
+    return _packed(_matrix_generation(dataset_name, scale, seed),
+                   ("identity",), format_name)

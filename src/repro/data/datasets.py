@@ -111,21 +111,23 @@ def _generate(spec: DatasetSpec, scale: float, rng: np.random.Generator):
     raise KeyError(spec.generator)
 
 
-def _generated(dspec: DatasetSpec, scale: float, seed: int,
-               use_cache: bool | None = None):
+def _generated(dspec: DatasetSpec, scale: float, seed: int):
     """One generation of a dataset: ``(dims, coords, vals, state)``.
 
     Staged under the ``dataset`` cache key ``("coo", dataset, scale,
-    seed)``, so every kernel evaluated on the dataset, the ``convert``
-    stage and the fused pipelines share one draw per (dataset, scale,
-    seed). ``coords`` is int32, ``state`` is the generator state after
-    the draw, and both arrays are read-only: a consumer writing into
-    them would corrupt the next consumer's operands.
+    seed)``, the only operand data the store holds: every kernel
+    evaluated on the dataset, partition staging, ``repro convert`` and
+    the fused pipelines share one draw per (dataset, scale, seed).
+    ``coords`` is int32, ``state`` is the generator state after the
+    draw, and both arrays are read-only: a consumer writing into them
+    would corrupt the next consumer's operands. The stage is exempt from
+    ``--no-cache``; only ``REPRO_NO_CACHE=1`` draws afresh.
 
-    Next to the entry, in memory only, the generation holds each sparse
-    operand packed from it once (:func:`_packed`): the memo is never
-    pickled and is dropped with the entry's arrays, so a cleared memory
-    layer, or ``REPRO_NO_CACHE=1``, starts it cold.
+    Next to the entry, in memory only, the generation holds what is
+    derived from it (:func:`_memo`): each sparse operand packed once and
+    each kernel's operand dict. The memo is never pickled and is dropped
+    with the entry's arrays, so a cleared memory layer, or
+    ``REPRO_NO_CACHE=1``, starts it cold.
     """
     from repro.pipeline.cache import memoize_stage
 
@@ -139,7 +141,7 @@ def _generated(dspec: DatasetSpec, scale: float, seed: int,
                 rng.bit_generator.state)
 
     entry = memoize_stage("dataset", ("coo", dspec.name, scale, seed),
-                          compute, use_cache)
+                          compute)
     for array in entry[1:3]:
         array.flags.writeable = False  # a disk hit unpickles writeable
     return entry
@@ -149,18 +151,23 @@ def load_matrix_coo(
     dataset_name: str,
     scale: float = 1.0,
     seed: int = 7,
-    use_cache: bool | None = None,
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The raw, read-only ``(dims, coords, vals)`` of one matrix dataset.
 
     The first three fields of the dataset's one staged generation, which
-    :func:`load`, the ``convert`` stage (partition staging and the
-    ``repro convert`` CLI) and the fused pipelines all read.
+    :func:`load`, :func:`repro.convert.staged_matrix_storage` (partition
+    staging and the ``repro convert`` CLI) and the fused pipelines all
+    read.
     """
+    return _matrix_generation(dataset_name, scale, seed)[:3]
+
+
+def _matrix_generation(dataset_name: str, scale: float, seed: int) -> tuple:
+    """:func:`_generated` of a dataset that must be a matrix."""
     dspec = DATASETS_BY_NAME[dataset_name]
     if dspec.kind != "matrix":
         raise ValueError(f"{dataset_name} is not a matrix dataset")
-    return _generated(dspec, scale, seed, use_cache)[:3]
+    return _generated(dspec, scale, seed)
 
 
 def _resume(state: dict) -> np.random.Generator:
@@ -206,12 +213,24 @@ def load(
     by a generator resumed from the state that generation left, and held
     as a :class:`DenseDraw` until something reads their values (a Table
     6 evaluation never does); output tensors are left empty.
+
+    The dict is built once per generation and kernel, beside the packs
+    (:func:`_memo`): while the generation lives, every call returns the
+    same tensors, so a caller that draws, fills or installs into one
+    changes what the next caller gets.
     """
     spec = KERNELS[kernel_name]
     dspec = DATASETS_BY_NAME[dataset_name]
     if spec.name not in dspec.kernels:
         raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
     generation = _generated(dspec, scale, seed)
+    return _memo(generation, ("operands", kernel_name),
+                 lambda: _operands(kernel_name, generation))
+
+
+def _operands(kernel_name: str, generation: tuple) -> dict[str, Tensor]:
+    """:func:`load`'s operand dict, built from ``generation``."""
+    spec = KERNELS[kernel_name]
     rng = _resume(generation[3])
     sparse = [_packed(generation, derivation(kernel_name, nth), ts.format)
               for nth, ts in enumerate(spec.of_role("sparse"))]
@@ -258,12 +277,33 @@ def _variant(derived: tuple, coords, vals, dims):
     return coords, vals
 
 
-#: Each live generation's packed operands by (derivation, format name),
-#: keyed by ``id`` of the generation's ``coords`` array. A finalizer on
+#: What each live generation derives, by key: packed operands by
+#: (derivation, format name), operand dicts by ("operands", kernel).
+#: Keyed by ``id`` of the generation's ``coords`` array. A finalizer on
 #: that array drops its memo, so the memo lives as long as the
 #: generation does and never outlives the cache entry holding it.
-_PACKS: dict[int, dict[tuple, TensorStorage]] = {}
-_PACKS_LOCK = threading.Lock()
+_MEMO: dict[int, dict[tuple, object]] = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def _memo(generation: tuple, key: tuple, compute):
+    """``compute()``, once per live ``generation`` and ``key``.
+
+    Two threads racing on one key may both compute; both get the value
+    stored first.
+    """
+    coords = generation[1]
+    with _MEMO_LOCK:
+        memo = _MEMO.get(id(coords))
+        if memo is None:
+            memo = _MEMO[id(coords)] = {}
+            weakref.finalize(coords, _MEMO.pop, id(coords), None)
+        value = memo.get(key)
+    if value is None:
+        value = compute()
+        with _MEMO_LOCK:
+            value = memo.setdefault(key, value)
+    return value
 
 
 def _packed(generation: tuple, derived: tuple,
@@ -271,28 +311,19 @@ def _packed(generation: tuple, derived: tuple,
     """``generation``'s ``derived`` variant packed into ``fmt_name``, once.
 
     The storage is read-only (``vals`` and every level array), since
-    every kernel that reads the operand holds the same object. Two
-    threads racing on one operand may both pack it; both get the
-    storage stored first.
+    every kernel that reads the operand holds the same object.
     """
-    from repro.convert import pack_entries
-    from repro.formats import format_of
+    def pack() -> TensorStorage:
+        from repro.convert import pack_entries
+        from repro.formats import format_of
 
-    dims, coords, vals, _ = generation
-    key = id(coords)
-    with _PACKS_LOCK:
-        packs = _PACKS.get(key)
-        if packs is None:
-            packs = _PACKS[key] = {}
-            weakref.finalize(coords, _PACKS.pop, key, None)
-        storage = packs.get((derived, fmt_name))
-    if storage is not None:
+        dims, coords, vals, _ = generation
+        storage = pack_entries(*_variant(derived, coords, vals, dims), dims,
+                               format_of(fmt_name))
+        storage.vals.flags.writeable = False
+        for level in storage.levels:
+            for array in level.arrays.values():
+                array.flags.writeable = False
         return storage
-    storage = pack_entries(*_variant(derived, coords, vals, dims), dims,
-                           format_of(fmt_name))
-    storage.vals.flags.writeable = False
-    for level in storage.levels:
-        for array in level.arrays.values():
-            array.flags.writeable = False
-    with _PACKS_LOCK:
-        return packs.setdefault((derived, fmt_name), storage)
+
+    return _memo(generation, (derived, fmt_name), pack)

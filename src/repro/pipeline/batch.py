@@ -154,12 +154,12 @@ def format_sweep_cell(kernel_name: str, dataset_name: str, scale: float,
                       engine: str | None = None):
     """One format-sweep cell: per-format cost of a kernel on one dataset.
 
-    The kernel's operands come from the ``dataset`` stage like any
-    evaluation's: ``data.load`` packs the generated matrix straight into
-    the kernel's format (``convert.pack_entries``), and each (dataset,
-    format) pair belongs to one kernel, so no packed operand is shared
-    between cells and no ``convert`` entry is written. ``engine`` adds
-    the same functional equivalence check as :func:`evaluate_cell`.
+    The kernel's operands come from :func:`repro.api.load_dataset` like
+    any evaluation's: ``data.load`` packs the dataset's staged
+    generation straight into the kernel's format
+    (``convert.pack_entries``), in memory beside it, so the store gains
+    no operand entry. ``engine`` adds the same functional equivalence
+    check as :func:`evaluate_cell`.
     """
     from repro.capstan.dram import HBM2E
     from repro.capstan.resources import estimate_resources_cached

@@ -27,7 +27,7 @@ provides that memoization for the whole pipeline:
   ``stats``, ``resources``, and the artefact-level results).
   Stages are the unit of sharing between shard workers and of selective
   invalidation: the ``dataset`` stage is keyed by a hash of only the
-  data/format/tensor sources (compiler edits keep datasets warm) and is
+  data and tensor sources (compiler edits keep datasets warm) and is
   exempt from ``--no-cache``, so a forced recompile never regenerates
   datasets.
 * :func:`get_stage` / :func:`put_stage` read and write staged entries
@@ -128,18 +128,14 @@ def subsystem_version(subpackages: tuple[str, ...]) -> str:
     Narrower than :func:`compiler_version`: cache stages whose results
     depend only on part of the codebase (dataset generation does not care
     about the lowerer) key on the subsystems they actually read, so
-    unrelated compiler edits keep those entries warm. Entries may name a
-    subpackage directory or a single top-level module file
-    (``convert.py``).
+    unrelated compiler edits keep those entries warm.
     """
     import repro
 
     root = Path(repro.__file__).resolve().parent
     h = hashlib.sha256()
     for sub in sorted(subpackages):
-        target = root / sub
-        paths = [target] if target.is_file() else sorted(target.rglob("*.py"))
-        for path in paths:
+        for path in sorted((root / sub).rglob("*.py")):
             h.update(str(path.relative_to(root)).encode())
             h.update(path.read_bytes())
     return h.hexdigest()[:16]
@@ -151,11 +147,11 @@ def subsystem_version(subpackages: tuple[str, ...]) -> str:
 NO_CACHE_EXEMPT_STAGES = frozenset({"dataset"})
 
 #: Stages keyed by a subsystem hash instead of the whole-compiler hash.
-#: ``convert.py`` is included wherever converted operands can be embedded
-#: in an entry, so conversion-compiler edits invalidate them.
+#: A ``dataset`` entry is one generation (dims, coordinates, values,
+#: generator state): the dataset records and generators, plus the
+#: ``tensor`` dedupe they call, are all it depends on.
 _STAGE_SUBSYSTEMS: dict[str, tuple[str, ...]] = {
-    "dataset": ("convert.py", "data", "formats", "kernels", "tensor"),
-    "convert": ("convert.py", "data", "formats", "tensor"),
+    "dataset": ("data", "tensor"),
 }
 
 
@@ -463,13 +459,6 @@ class CompilationCache:
         with self._lock:
             return len(self._memory)
 
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._memory:
-                return True
-        path = self._entry_path(key)
-        return path is not None and path.exists()
-
     # -- memory layer (callers hold the lock) -------------------------------
 
     def _memory_put(self, key: str, value: Any) -> None:
@@ -708,7 +697,7 @@ def memoize_stage(stage: str, parts: tuple, compute,
     Staged entries
 
     * key on :func:`stage_version` — the ``dataset`` stage hashes only the
-      data/format/tensor sources, so compiler edits keep it warm;
+      data and tensor sources, so compiler edits keep it warm;
     * live in the disk store under their own version tree (shared by
       every shard worker pointing at the same ``REPRO_CACHE_DIR``);
     * honour :data:`NO_CACHE_EXEMPT_STAGES`: ``use_cache=False`` (the

@@ -245,8 +245,7 @@ def run_pipeline(
         )
     eng = default_engine() if engine is None else engine
 
-    dims, coords, vals = load_matrix_coo(dataset, scale, seed,
-                                         use_cache=use_cache)
+    dims, coords, vals = load_matrix_coo(dataset, scale, seed)
     rng = np.random.default_rng([seed, 1])
     env: dict[str, Tensor] = dict(spec.setup(dims, coords, vals, rng))
 

@@ -242,8 +242,9 @@ def block_range(extent: int, count: int, index: int) -> tuple[int, int]:
 class StagedOperands:
     """One run's operands, staged on first use, then shared by its blocks,
     reduce and oracle: once per run and process (threads racing to be
-    first at worst both stage). ``use_cache`` says whether the
-    ``convert`` stage may answer, not how often we ask.
+    first at worst both stage). The sparse operand is the dataset's
+    generation packed once, in memory beside it, whatever ``use_cache``;
+    ``use_cache`` governs the blocks' compiles and ``partition`` entries.
     """
 
     plan: PartitionPlan
@@ -257,7 +258,7 @@ class StagedOperands:
 
         return staged_matrix_storage(
             self.plan.dataset, self.scale, PARTITION_SEED,
-            PARTITION_FORMATS[self.plan.kernel], self.use_cache)
+            PARTITION_FORMATS[self.plan.kernel])
 
     @functools.cached_property
     def dense(self) -> np.ndarray:

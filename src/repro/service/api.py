@@ -24,9 +24,10 @@ canonical form and compare one result type across execution paths:
   :func:`compile` / :func:`pipeline` / :func:`partition` pin the action
   and call it. :func:`cached` peeks for a finished result without
   computing (the daemon's hot path). Adding a verb is one record.
-* :func:`load_dataset` / :func:`exec_check` — the stages below the
-  verbs, each memoized on the evaluation coordinates; :func:`build`
-  joins the ``dataset`` stage to the ``program`` stage and stores
+* :func:`load_dataset` / :func:`exec_check` — what the verbs stand on:
+  the operands, memoized beside their dataset's staged generation, and
+  the ``exec`` stage, keyed on the evaluation coordinates;
+  :func:`build` joins the operands to the ``program`` stage and stores
   nothing of its own.
 
 The artefact orchestration (tables/figures) lives in
@@ -343,45 +344,40 @@ class CompileResult:
 # ---------------------------------------------------------------------------
 
 
-def load_dataset(request: CompileRequest,
-                 use_cache: bool | None = None) -> dict:
-    """Dataset-generation **stage**: the kernel's packed operand tensors.
+def load_dataset(request: CompileRequest) -> dict:
+    """The request kernel's operand tensors on its dataset.
 
-    Generating and packing the synthetic Table 4 datasets dominates cold
-    build time but involves no compiler code, so this stage is keyed by a
-    hash of only the data/format/tensor sources and — uniquely — stays
-    warm under ``--no-cache``: a forced recompile reuses the generated
-    datasets while every later stage recomputes.
+    :func:`repro.data.datasets.load` on the resolved request. Only the
+    dataset's generation is staged (the ``dataset`` stage, keyed by a
+    hash of only the data and tensor sources and exempt from
+    ``--no-cache``); the packed operands and this dict live beside it in
+    memory, so repeated builds of one request get the same tensors.
     """
     from repro.data.datasets import load
-    from repro.pipeline.cache import memoize_stage
 
     req = request.resolved()
-    return memoize_stage(
-        "dataset", (req.kernel, req.dataset, req.scale, req.seed),
-        lambda: load(req.kernel, req.dataset, scale=req.scale, seed=req.seed),
-        use_cache,
-    )
+    return load(req.kernel, req.dataset, scale=req.scale, seed=req.seed)
 
 
 def build(request: CompileRequest, use_cache: bool | None = None):
     """Load the request's dataset, build its statement and compile it.
 
-    The operands come from the ``dataset`` stage, which survives
-    ``--no-cache`` and compiler edits; the statement is rebuilt over
-    them on every call (well under a millisecond) and
+    The operands come from :func:`load_dataset`, whose generation
+    survives ``--no-cache`` and compiler edits; the statement is rebuilt
+    over them on every call (well under a millisecond) and
     :func:`~repro.core.compiler.compile_stmt` binds it to the one
     ``program`` entry of its structure, so every dataset and scale of a
     kernel shares one compile: a cold Table 6 lowers 10 programs for
-    its 24 cells. Nothing here stores the operands a second time.
-    ``use_cache=False`` and ``REPRO_NO_CACHE=1`` lower each cell's own
-    statement. Returns the :class:`~repro.core.compiler.CompiledKernel`.
+    its 24 cells. No stage stores the operands: the store holds only the
+    generation they are packed from. ``use_cache=False`` and
+    ``REPRO_NO_CACHE=1`` lower each cell's own statement. Returns the
+    :class:`~repro.core.compiler.CompiledKernel`.
     """
     from repro.core.compiler import compile_stmt
     from repro.kernels.suite import KERNELS
 
     req = request.resolved()
-    tensors = load_dataset(req, use_cache=use_cache)
+    tensors = load_dataset(req)
     with _trace.span("parse", kernel=req.kernel, dataset=req.dataset):
         stmt, _out = KERNELS[req.kernel].build(tensors)
     return compile_stmt(stmt, req.kernel, cache=use_cache)

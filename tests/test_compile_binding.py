@@ -57,7 +57,8 @@ def test_compile_leaves_a_deferred_operand_undrawn(fresh_cache):
     assert deferred
     stmt, _out = KERNELS["SpMV"].build(tensors)
     kernel = compile_stmt(stmt, "SpMV", cache=True)
-    assert fresh_cache.stats.stage_misses == {"dataset": 2, "program": 1}
+    # The generation is the one dataset entry; the operands are not one.
+    assert fresh_cache.stats.stage_misses == {"dataset": 1, "program": 1}
     for t in deferred:
         assert t._draw is not None and t._storage is None, t.name
     assert kernel.tensors["x"] is tensors["x"]

@@ -166,17 +166,30 @@ class TestPackEntries:
 
 
 class TestStagedConversion:
-    def test_staged_matrix_storage_memoizes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.convert import staged_matrix_storage
-        from repro.pipeline.cache import default_cache
+    def test_staged_matrix_storage_memoizes(self, fresh_cache, monkeypatch):
+        """One generation packs once: the same storage comes back, and the
+        store holds the generation only."""
+        import repro.convert as convert_mod
 
-        default_cache().clear_memory()
-        first = staged_matrix_storage("random-1pct", 0.05, 7, "coo")
-        again = staged_matrix_storage("random-1pct", 0.05, 7, "coo")
-        assert np.allclose(first.vals, again.vals)
-        stats = default_cache().stats
-        assert stats.stage_hits.get("convert", 0) >= 1
+        packs = []
+        real = convert_mod.pack_entries
+        monkeypatch.setattr(convert_mod, "pack_entries",
+                            lambda *args: (packs.append(args), real(*args))[1])
+        first = convert_mod.staged_matrix_storage("random-1pct", 0.05, 7, "coo")
+        again = convert_mod.staged_matrix_storage("random-1pct", 0.05, 7, "coo")
+        assert again is first and len(packs) == 1
+        stats = fresh_cache.stats
+        assert stats.stage_misses == {"dataset": 1}
+        assert stats.stage_hits == {"dataset": 1}
+
+    def test_staged_storage_is_the_kernels_operand(self, fresh_cache):
+        from repro.convert import staged_matrix_storage
+        from repro.data import load
+
+        staged = staged_matrix_storage("bcsstk30", 0.02, 7, "csr")
+        assert staged is load("SpMV", "bcsstk30", 0.02)["A"].storage
+        with pytest.raises(ValueError, match="read-only"):
+            staged.vals[0] = 1.0
 
     def test_staged_formats_share_base_dataset(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -219,9 +219,9 @@ class TestLoad:
 
 class TestLoadPath:
     """A dataset load generates its matrix once and packs every sparse
-    operand itself: it stores the generated entry and the packed
-    operands, both in the ``dataset`` stage, and never reads or writes
-    the ``convert`` stage."""
+    operand itself: it stores the generation in the ``dataset`` stage
+    and nothing else; the packed operands and the operand dict live in
+    memory beside the generation."""
 
     @pytest.fixture
     def generations(self, monkeypatch):
@@ -248,7 +248,19 @@ class TestLoadPath:
         cache, calls = generations
         load_dataset(CompileRequest(kernel=kernel, scale=0.05))
         assert len(calls) == 1
-        assert cache.stats.stores == 2
+        assert cache.stats.stores == 1  # the generation, not the operands
+
+    def test_load_returns_one_dict_per_generation(self, fresh_cache):
+        """A second load of one cell is the same dict; once the memory
+        layer drops the generation, the next load reads it back from
+        disk and builds a fresh dict over a fresh pack."""
+        first = load("SpMV", "bcsstk30", 0.02)
+        assert load("SpMV", "bcsstk30", 0.02) is first
+        fresh_cache.clear_memory()
+        again = load("SpMV", "bcsstk30", 0.02)
+        assert again is not first
+        assert again["A"].storage is not first["A"].storage
+        assert fresh_cache.stats.disk_hits == 1
 
     def test_cold_table6_generates_each_dataset_once(self, generations,
                                                      monkeypatch):

@@ -21,8 +21,14 @@ from repro.pipeline.cache import fingerprint_tensor
 from repro.tensor import Tensor
 
 
-def _sddmm_factor() -> Tensor:
-    """SDDMM's rank-256 row-major factor, still pending."""
+def _sddmm_factor(cache) -> Tensor:
+    """SDDMM's rank-256 row-major factor, still pending.
+
+    ``load`` shares its tensors while their generation lives, so the
+    ``fresh_cache`` memory layer is cleared first: each call reads the
+    generation back from disk and gets tensors of its own.
+    """
+    cache.clear_memory()
     tensor = load("SDDMM", "bcsstk30", scale=0.05)["C"]
     assert tensor._draw is not None
     return tensor
@@ -50,8 +56,8 @@ def test_table6_evaluation_draws_no_dense_operand(fresh_cache, monkeypatch):
     assert drawn == []
 
 
-def test_pickled_pending_tensor_is_small_and_draws_the_same_bytes():
-    tensor = _sddmm_factor()
+def test_pickled_pending_tensor_is_small_and_draws_the_same_bytes(fresh_cache):
+    tensor = _sddmm_factor(fresh_cache)
     blob = pickle.dumps(tensor)
     assert len(blob) < 2048
     again = pickle.loads(blob)
@@ -60,19 +66,19 @@ def test_pickled_pending_tensor_is_small_and_draws_the_same_bytes():
     assert len(pickle.dumps(tensor)) > 100 * len(blob)  # drawn: the array
 
 
-def test_fingerprint_is_the_same_before_and_after_the_draw():
-    tensor = _sddmm_factor()
+def test_fingerprint_is_the_same_before_and_after_the_draw(fresh_cache):
+    tensor = _sddmm_factor(fresh_cache)
     before = fingerprint_tensor(tensor)
     assert tensor._draw is None  # hashing drew it
-    fresh = _sddmm_factor()
+    fresh = _sddmm_factor(fresh_cache)
     fresh.storage
     assert fingerprint_tensor(fresh) == before
     assert fingerprint_tensor(tensor) == before
 
 
-def test_concurrent_first_reads_see_one_storage_never_an_empty_one():
+def test_concurrent_first_reads_see_one_storage_never_an_empty_one(fresh_cache):
     for _ in range(50):
-        tensor = _sddmm_factor()
+        tensor = _sddmm_factor(fresh_cache)
         barrier = threading.Barrier(2)
         got = [None, None]
 
@@ -98,8 +104,8 @@ def test_a_drawn_array_is_held_without_a_copy(rng):
     assert np.array_equal(drawn.to_dense(), packed.to_dense())
 
 
-def test_installing_storage_drops_a_pending_draw():
-    tensor = _sddmm_factor()
+def test_installing_storage_drops_a_pending_draw(fresh_cache):
+    tensor = _sddmm_factor(fresh_cache)
     zeros = np.zeros(tensor.shape)
     tensor.from_dense(zeros)
     assert tensor._draw is None

@@ -451,58 +451,76 @@ class TestOracle:
 
 
 # ---------------------------------------------------------------------------
-# Staging: once per request, under the caller's use_cache
+# Staging: once per request, packed once per generation
 # ---------------------------------------------------------------------------
 
 
 class TestStaging:
     @pytest.fixture
     def stagings(self, monkeypatch):
-        """Every ``staged_matrix_storage`` call as (use_cache, computed)."""
+        """Every ``staged_matrix_storage`` call, as the packs it made."""
         import repro.convert as convert_mod
 
         calls = []
         real_stage, real_pack = (convert_mod.staged_matrix_storage,
                                  convert_mod.pack_entries)
 
-        def stage(dataset, scale, seed, fmt, use_cache=None):
-            calls.append([use_cache, False])
-            return real_stage(dataset, scale, seed, fmt, use_cache)
+        def stage(*args):
+            calls.append(0)
+            return real_stage(*args)
 
-        def pack(*args, **kwargs):  # only a staging *compute* packs
-            calls[-1][1] = True
-            return real_pack(*args, **kwargs)
+        def pack(*args):  # only a staging packs in a partition run
+            calls[-1] += 1
+            return real_pack(*args)
 
         monkeypatch.setattr(convert_mod, "staged_matrix_storage", stage)
         monkeypatch.setattr(convert_mod, "pack_entries", pack)
         return calls
 
+    def _request(self, split):
+        from repro.api import CompileRequest
+
+        return CompileRequest(action="partition", kernel="SpMV",
+                              dataset=DATASET, scale=TINY, partition=4,
+                              split=split)
+
     @pytest.mark.parametrize("split", ["row", "sum"])
     def test_no_cache_request_stages_exactly_once(self, fresh_cache,
                                                   stagings, split):
         """P=4 uncached: four blocks, the reduce's nnz check and the
-        oracle all read one staging (it was 2P + 2 before)."""
-        from repro.api import CompileRequest, partition
+        oracle all read one staging (it was 2P + 2 before), and the
+        generation packs once: the second request's staging reads the
+        pack the first one left beside the generation."""
+        from repro.api import partition
 
-        for _ in range(2):  # per request, not per process
+        for packs in (1, 0):  # staged per request, packed per generation
             stagings.clear()
-            partition(CompileRequest(action="partition", kernel="SpMV",
-                                     dataset=DATASET, scale=TINY,
-                                     partition=4, split=split),
-                      use_cache=False)
-            assert stagings == [[False, True]]
+            partition(self._request(split), use_cache=False)
+            assert stagings == [packs]
 
-    def test_no_cache_dispatch_reduce_bypasses_the_cache(self, fresh_cache,
+    def test_uncached_process_packs_every_request(self, fresh_cache,
+                                                  stagings, monkeypatch):
+        """Under ``REPRO_NO_CACHE=1`` each request draws its own
+        generation, so each staging packs."""
+        from repro.api import partition
+
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        for _ in range(2):
+            stagings.clear()
+            partition(self._request("row"))
+            assert stagings == [1]
+
+    def test_no_cache_dispatch_packs_the_generation_once(self, fresh_cache,
                                                          stagings):
-        """The merge's oracle staging honours --no-cache too (it used to
-        read the convert stage with the default ``use_cache``)."""
+        """The blocks and the merge's oracle each stage, in-process, from
+        one generation: one pack between them."""
         from repro.pipeline.dispatch import dispatch
 
         artifact = partition_artifact("SpMV", DATASET, 2)
         result = dispatch(artifact, TINY, "inline:1", chunks_per_worker=2,
                           use_cache=False)
         assert result.ok
-        assert stagings and all(call == [False, True] for call in stagings)
+        assert len(stagings) > 1 and sum(stagings) == 1
 
     def test_warm_block_is_answered_without_staging(self, fresh_cache,
                                                     stagings):

@@ -163,6 +163,38 @@ class TestDiskStore:
         assert fresh.get("b" * 64, "missing") == "missing"
         assert not path.exists()  # corrupt entry was dropped
 
+    def test_truncated_generation_regenerates(self, fresh_cache,
+                                              monkeypatch):
+        """A generation is the only operand data on disk. Torn, it
+        degrades to a miss: the next load draws it again, the operands
+        are byte-identical to a clean load, and its arrays are read-only
+        again, regenerated and reread from the rewritten entry."""
+        from repro.data import datasets
+        from repro.data.datasets import load_matrix_coo
+        from tests.helpers_kernels import DATASET_GOLDEN_SEED, dataset_digest
+
+        clean = dataset_digest("SpMV", "bcsstk30", TINY)
+        (path,) = (disk_cache_dir() / stage_version("dataset")).rglob("*.pkl")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+        fresh_cache.clear_memory()
+        calls = []
+        real = datasets._generate
+        monkeypatch.setattr(datasets, "_generate",
+                            lambda *args: (calls.append(args), real(*args))[1])
+
+        assert dataset_digest("SpMV", "bcsstk30", TINY) == clean
+        assert len(calls) == 1
+        for reread in (False, True):
+            if reread:
+                fresh_cache.clear_memory()
+            _, coords, vals = load_matrix_coo(
+                "bcsstk30", TINY, DATASET_GOLDEN_SEED)
+            for array in (coords, vals):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        assert len(calls) == 1 and path.read_bytes() == blob
+
     def test_disk_disabled(self, tmp_path):
         cache = CompilationCache(disk=False)
         cache.put("c" * 64, 1)
@@ -333,6 +365,27 @@ class TestStagedCache:
         assert set(stats.stage_misses) == {"dataset", "program", "stats",
                                            "resources", "evaluate"}
         assert not stats.stage_hits
+
+    def test_cold_table6_stores_only_generations_as_operand_data(
+            self, fresh_cache):
+        """With the disk store on, a cold Table 6 writes one ``dataset``
+        entry per distinct (dataset, scale, seed), each a generation,
+        and no tree but the dataset tree and the compiler tree."""
+        import pickle
+
+        from repro.data import DATASETS
+        from repro.kernels import KERNEL_ORDER
+
+        run_artifact("table6", 0.05)
+        trees = {tree.name: sorted(tree.rglob("*.pkl"))
+                 for tree in disk_cache_dir().iterdir()}
+        generations = trees.pop(stage_version("dataset"))
+        assert len(generations) == sum(
+            bool(set(d.kernels) & set(KERNEL_ORDER)) for d in DATASETS)
+        for path in generations:
+            dims, coords, vals, state = pickle.loads(path.read_bytes())
+            assert coords.shape == (len(vals), len(dims)) and "state" in state
+        assert list(trees) == [compiler_version()]
 
     def test_stages_shared_across_artifacts(self, fresh_cache):
         # Table 5's resource estimates reuse the entry the Table 6

@@ -300,7 +300,7 @@ def test_declared_format_on_a_leaf_operand_is_filled():
     row = _run(_chain([PipelineStage(
         "mul", "u", ("a", "b"), mul,
         input_formats={"b": SPARSE_VECTOR(offChip)})]))
-    dims, _, _ = load_matrix_coo(DATASET, TINY, 7, use_cache=False)
+    dims, _, _ = load_matrix_coo(DATASET, TINY, 7)
     leaves = _vec_setup(dims, None, None, np.random.default_rng([7, 1]))
     want = leaves["a"].to_dense() * leaves["b"].to_dense()
     assert row["checksum"] == _checksum(want)
