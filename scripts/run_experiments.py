@@ -6,8 +6,7 @@ results/ and prints them; results/ is git-ignored and no run is checked
 in (the nightly CI sweep uploads its own as a build artifact). The
 structural artefacts (Tables 3 and 5) stay at their records' default
 scale. Each artefact's (kernel, dataset) jobs run through
-``repro.pipeline``: pass ``--jobs N`` (or set REPRO_JOBS) to fan them
-out over N threads, and ``--no-cache`` to force a cold recomputation
+``repro.pipeline``: pass ``--jobs N`` to fan them out over N threads, and ``--no-cache`` to force a cold recomputation
 (dataset generation is a separately-staged cache entry, so even that
 reuses previously generated datasets); otherwise repeated runs reuse the
 on-disk cache under REPRO_CACHE_DIR (default ~/.cache/repro). An
@@ -16,9 +15,11 @@ still written, and the exit status is 1.
 
 ``--workers SPEC`` runs the sweep through the fault-tolerant
 dispatcher (``repro.pipeline.dispatch``): every artefact's job list is
-leased chunk-by-chunk to a pool of workers (``local:N`` subprocesses,
-``ssh:host1,host2``, or an elastic ``queue:DIR`` pool that `repro
-worker` processes attach to), dead or hung workers lose their lease,
+leased chunk-by-chunk to a pool of workers (``local:N`` worker
+processes, ``ssh:host1,host2``, or an elastic ``queue:DIR`` pool that
+`repro worker` processes attach to; one pool serves every artefact, so
+``local:`` / ``ssh:`` workers start once), dead or hung workers lose
+their lease,
 and the merged artefacts — byte-identical to the serial run — land in
 results/ alongside the per-chunk manifests (under results/dispatch/),
 so an interrupted sweep resumes where it stopped. Each dispatched
@@ -84,8 +85,9 @@ def _run_dispatch(args, use_cache) -> int:
                     artifact, at, transport,
                     use_cache=use_cache, worker_jobs=args.jobs,
                     state_dir=state_dir, engine=args.engine,
-                    # An elastic pool must survive between artefacts;
-                    # the finally below stops it after the last one.
+                    # The pool (a queue's attached workers, each slot's
+                    # worker process) survives between artefacts; the
+                    # finally below stops it after the last one.
                     stop_queue=False,
                     on_event=event,
                 )
@@ -106,8 +108,8 @@ def _run_dispatch(args, use_cache) -> int:
                 for line in result.failure_report():
                     print(line, file=sys.stderr)
     finally:
-        # Raise a queue's stop sentinel exactly once, after the whole
-        # sweep (or on any error), so attached workers exit.
+        # Stop the pool exactly once, after the whole sweep (or on any
+        # error), so attached and slot workers exit.
         transport.close(stop=True)
     print(f"\nTotal time: {time.time() - t0:.1f}s; manifests in "
           f"{state_root}/; artefacts in {OUT}/")

@@ -418,9 +418,13 @@ def _cmd_dispatch(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    from repro.pipeline.fsqueue import worker_loop
+    from repro.pipeline.fsqueue import stdio_loop, worker_loop
 
     try:
+        if args.dir == "-":
+            # A slot's worker: its stderr is the pool owner's, keep quiet.
+            stdio_loop(args.jobs)
+            return 0
         completed = worker_loop(args.dir, poll=args.poll,
                                 max_chunks=args.max_chunks, jobs=args.jobs,
                                 on_event=_events(args))
@@ -551,7 +555,7 @@ _SHARED = {
     "--seed": {"type": int, "default": 7},
     "--jobs": {"type": int, "default": None,
                "help": "parallel jobs per process; for `dispatch`, per "
-                       "worker (default: REPRO_JOBS or 1)"},
+                       "worker (default 1)"},
     # `--no-cache` -> False; otherwise None defers to the environment.
     "--no-cache": {"dest": "use_cache", "action": "store_const",
                    "const": False, "default": None,
@@ -583,7 +587,7 @@ _SHARED = {
 _RUN = "artifact --scale --jobs --no-cache --engine --trace"
 _RUN_SCALE = {"default": None,
               "help": "dataset scale (default: the artefact's own; "
-                      "REPRO_SCALE or 0.25 unless it is structural)"}
+                      "0.25 unless it is structural)"}
 
 
 def _command(sub, name: str, handler, help: str, shared: str = "",
@@ -678,35 +682,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_work = _command(sub, "worker", _cmd_worker,
                       "attach an elastic worker to a queue:DIR pool "
                       "(claims dispatch chunks and serve compile-requests "
-                      "until the queue is stopped)",
+                      "until the queue is stopped), or with `-` answer "
+                      "one JSON task per stdin line (a local:/ssh: slot)",
                       "--jobs --quiet --trace", jobs={
                           "help": "thread count per chunk (default: the "
-                                  "task's own setting, else REPRO_JOBS "
-                                  "or 1)"})
+                                  "task's own setting, else 1)"})
     p_work.add_argument("dir", help="the queue directory given to "
                                     "`dispatch --workers queue:DIR` or "
-                                    "`serve --pool queue:DIR`")
+                                    "`serve --pool queue:DIR`, or `-`")
     p_work.add_argument("--poll", type=_positive("poll"), default=0.5,
                         metavar="S",
                         help="seconds between empty-queue scans "
                              "(default 0.5)")
     p_work.add_argument("--max-chunks", type=_positive("max-chunks", int),
                         default=None, metavar="N",
-                        help="detach after completing N chunks")
+                        help="detach from the queue after completing N "
+                             "chunks")
 
     _command(sub, "formats", _cmd_formats,
              "list registered whole-tensor formats", "--json")
 
     p_conv = _command(sub, "convert", _cmd_convert,
                       "convert a matrix dataset between formats",
-                      "--dataset --scale --seed --no-cache",
+                      "--dataset --scale --seed",
                       dataset={"default": "Trefethen_20000",
                                "help": "matrix dataset name (default: "
                                        "Trefethen_20000)"},
-                      scale={"default": 0.05},
-                      no_cache={"help": "no effect: convert reads only "
-                                        "the dataset stage, which is "
-                                        "exempt"})
+                      scale={"default": 0.05})
     p_conv.add_argument("source", help="source format name (see `formats`)")
     p_conv.add_argument("target", help="target format name (see `formats`)")
     p_conv.add_argument("--plan", action="store_true",
@@ -761,10 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "banner reports it)")
     p_serve.add_argument("--pool", default="inline:2", metavar="SPEC",
                          help="transport misses are leased on, as for "
-                              "dispatch --workers: inline:N in-process "
-                              "threads (default inline:2) or queue:DIR "
-                              "(elastic pool; attach `repro worker DIR` "
-                              "processes at any time)")
+                              "dispatch --workers (default inline:2)")
     p_serve.add_argument("--max-inflight", type=int, default=32, metavar="N",
                          help="bound on concurrently running jobs; beyond "
                               "it new work is rejected with 429 "

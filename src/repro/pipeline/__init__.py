@@ -17,14 +17,15 @@ and benchmark drivers all route through:
   lists across workers/hosts, with self-describing JSON manifests and a
   validating merge that reproduces the serial artefacts byte-identically.
 * :mod:`repro.pipeline.dispatch` — a fault-tolerant sweep dispatcher
-  that leases chunks of a job list to a pool of workers (local
-  subprocesses, SSH hosts, or in-process threads), reassigns the chunks
+  that leases chunks of a job list to a pool of workers (one long-lived
+  process per local or SSH slot, in-process threads, or an elastic
+  queue), reassigns the chunks
   of dead or hung workers, quarantines persistently failing jobs, and
   folds the collected manifests through the validating merge; it leases
   the heaviest chunk first, by the per-job wall times it recorded.
 * :mod:`repro.pipeline.lease` — the one lease loop (retry bound, lease
   expiry) and the ``Transport`` interface every worker pool implements;
-  ``dispatch`` and the ``serve`` daemon's queue pool both drive it.
+  ``dispatch`` and every ``serve`` pool drive it.
 * :mod:`repro.pipeline.fsqueue` — the ``queue:DIR`` elastic transport:
   a filesystem job queue with atomic-rename claim semantics where
   ``repro worker`` processes attach and detach mid-sweep.
@@ -58,7 +59,6 @@ _EXPORTS = {
     "cache_enabled": ("repro.pipeline.cache", "cache_enabled"),
     "compiler_version": ("repro.pipeline.cache", "compiler_version"),
     "default_cache": ("repro.pipeline.cache", "default_cache"),
-    "default_jobs": ("repro.pipeline.executor", "default_jobs"),
     "disk_cache_dir": ("repro.pipeline.cache", "disk_cache_dir"),
     "dispatch": ("repro.pipeline.dispatch", "dispatch"),
     "expand_manifest_paths": ("repro.pipeline.shard", "expand_manifest_paths"),

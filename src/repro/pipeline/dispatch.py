@@ -6,9 +6,9 @@ manifests. SpDISTAL-style distribution moves that into a scheduler:
 
 * The job list is cut into **chunks** (many more chunks than workers).
   Each chunk *is* a :class:`~repro.pipeline.shard.ShardSpec` slice
-  (``i/C``), so a chunk worker is just ``repro batch <artefact> --shard
-  i/C`` and its answer an ordinary
-  :class:`~repro.pipeline.shard.ShardManifest`.
+  (``i/C``), so its answer is an ordinary
+  :class:`~repro.pipeline.shard.ShardManifest`, the one ``repro batch
+  <artefact> --shard i/C`` writes.
 * Workers **pull**: an idle worker is leased the next pending chunk, so
   fast workers take more and a static partition's straggler problem
   disappears.
@@ -28,14 +28,16 @@ manifests. SpDISTAL-style distribution moves that into a scheduler:
   **resumed**: completed chunks are loaded from disk (anything else
   replays cheaply out of the staged cache under ``REPRO_CACHE_DIR``).
 
-The pools (:func:`parse_transport`): ``local:N`` — N subprocess slots on
-this machine; ``ssh:host1,host2`` — one slot per SSH host, the same
-worker command streaming its manifest back over stdout; ``inline:N`` —
-N in-process threads (tests, tiny sweeps); ``queue:DIR`` — an
-**elastic** filesystem queue (:mod:`repro.pipeline.fsqueue`) that
+The pools (:func:`parse_transport`): ``local:N`` — N worker processes
+on this machine; ``ssh:host1,host2`` — one worker process per SSH host;
+``inline:N`` — N in-process threads (tests, tiny sweeps); ``queue:DIR``
+— an **elastic** filesystem queue (:mod:`repro.pipeline.fsqueue`) that
 ``repro worker DIR`` processes attach to and detach from mid-sweep.
-The first three are slot pools: each lease runs on a thread of its own,
-which stores the worker's answer and wakes the lease loop at once.
+The first three are slot pools: a ``local:`` / ``ssh:`` slot keeps one
+long-lived ``repro worker -`` process, fed one task per stdin line and
+answering one per stdout line, so a worker starts once per slot, not
+once per lease. Each lease runs on a thread of its own, which stores
+the worker's answer and wakes the lease loop at once.
 
 The partition never adapts, the **lease order** does: every dispatch
 records each job's observed wall time into a persistent ``cost`` table
@@ -47,6 +49,7 @@ and the pull-based loop balances the rest behind it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -127,13 +130,21 @@ class DispatchError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+#: Seconds :meth:`SlotTransport.close` gives an idle worker process to
+#: exit once its stdin is closed, before it is killed.
+CLOSE_GRACE = 5.0
+
+
 class SlotTransport(Transport):
     """A pool of ``slots`` worker slots that each run one task at a time.
 
-    Subclasses say how a task starts (:meth:`start`); this class keeps
-    who runs where. Each lease finishes on a thread of its own, which
-    stores the worker's answer and sets the pool's one event, so the
-    lease loop wakes the moment a worker is done.
+    Each slot keeps one long-lived ``repro worker -`` process
+    (:func:`~repro.pipeline.fsqueue.stdio_loop`), started from
+    :meth:`argv` at the slot's first lease and again once it has died:
+    a task is one line on its stdin, the answer one line on its stdout.
+    Stopping a task kills its process. Each lease finishes on a thread
+    of its own, which stores the worker's answer and sets the pool's one
+    event, so the lease loop wakes the moment a worker is done.
     """
 
     #: The ``--workers`` spelling (``local`` in ``local:3``).
@@ -152,10 +163,16 @@ class SlotTransport(Transport):
         #: keeps its slot until its worker is really gone.
         self._busy: set[int] = set()
         self._finished = threading.Event()
+        #: slot -> its worker process
+        self._procs: dict[int, subprocess.Popen] = {}
+
+    def argv(self, slot: int) -> list[str]:
+        """The command that starts ``slot``'s worker process."""
+        raise NotImplementedError
 
     def start(self, slot: int, payload: dict
               ) -> tuple[Callable[[], str], Callable[[], None] | None]:
-        """Launch the task body ``payload`` on ``slot``; return
+        """Hand the task body ``payload`` to ``slot``'s worker; return
         ``(finish, stop)``.
 
         ``finish()`` blocks until the worker is done and returns its
@@ -163,7 +180,37 @@ class SlotTransport(Transport):
         worker early, and is ``None`` for a worker that cannot be
         stopped. A worker that cannot launch raises here.
         """
-        raise NotImplementedError
+        proc = self._procs.get(slot)
+        if proc is None or proc.poll() is not None:
+            # Its own session: a Ctrl-C reaches the dispatcher, whose
+            # close() ends the workers.
+            proc = self._procs[slot] = subprocess.Popen(
+                self.argv(slot), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, text=True, env=worker_env(),
+                start_new_session=True)
+        try:
+            proc.stdin.write(json.dumps(payload) + "\n")
+            proc.stdin.flush()
+        except OSError:
+            pass  # the worker is gone: finish() says how
+
+        def finish() -> str:
+            line = proc.stdout.readline()
+            with contextlib.suppress(ValueError):
+                answer = json.loads(line)
+                if isinstance(answer, str):
+                    return answer
+            # No line (the worker is gone) or garbage (its answer stream
+            # is out of step): end it and its pipes, so the next lease
+            # starts a new one.
+            with contextlib.suppress(OSError), proc:
+                proc.kill()
+            raise RuntimeError(
+                f"worker answer unreadable: {line.strip()[:80]!r}" if line
+                else f"worker exited with code {proc.returncode} and gave "
+                     f"no answer")
+
+        return finish, proc.kill
 
     def submit(self, task_id: str, attempt: int, payload: dict) -> int:
         slot = next(s for s in range(self.slots) if s not in self._busy)
@@ -218,35 +265,29 @@ class SlotTransport(Transport):
 
     def close(self, stop: bool = True) -> None:
         # An escaping exception (Ctrl-C, a launch error) must not orphan
-        # in-flight workers: revoke every live lease.
+        # in-flight workers: revoke every live lease. Idle workers stay
+        # for the pool's next dispatch unless ``stop``: then each sees
+        # its stdin close and exits, or is killed after CLOSE_GRACE.
         for task_id in list(self._active):
             self.revoke(task_id)
-
-
-def _popen(argv: list[str], env: dict[str, str] | None
-           ) -> tuple[Callable[[], str], Callable[[], None]]:
-    """Start a worker process; its ``finish`` is ``communicate()``, which
-    drains both pipes, so a large manifest can never block the worker."""
-    proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True, env=env)
-
-    def finish() -> str:
-        out, err = proc.communicate()
-        if out.strip():
-            return out
-        tail = err.strip().splitlines()[-1] if err.strip() else "no output"
-        raise RuntimeError(f"worker exited with code {proc.returncode} "
-                           f"and produced no manifest ({tail})")
-
-    return finish, proc.kill
+        if not stop:
+            return
+        procs, self._procs = list(self._procs.values()), {}
+        for proc in procs:
+            with contextlib.suppress(OSError), proc:
+                proc.stdin.close()
+                try:
+                    proc.wait(CLOSE_GRACE)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
 
 
 def worker_env() -> dict[str, str]:
     """A spawned worker's environment: ours, plus ``repro`` importable.
 
-    Shared by the local transport, the serve benchmark, and tests that
-    launch ``python -m repro worker`` subprocesses.
+    Every slot's ``repro worker -`` process starts with it, and so do
+    the serve benchmark and tests that launch ``python -m repro worker``
+    subprocesses.
     """
     import repro
 
@@ -259,7 +300,7 @@ def worker_env() -> dict[str, str]:
 
 
 class LocalTransport(SlotTransport):
-    """``local:N`` — N subprocess slots on this machine.
+    """``local:N`` — N worker processes on this machine.
 
     Workers share the parent's ``REPRO_CACHE_DIR`` (inherited through
     the environment), so every chunk draws on the same staged cache.
@@ -267,21 +308,17 @@ class LocalTransport(SlotTransport):
 
     kind = "local"
 
-    def argv(self, request: ChunkRequest) -> list[str]:
-        return [sys.executable, "-m", "repro", *request.batch_args()]
-
-    def start(self, slot: int, payload: dict):
-        return _popen(self.argv(ChunkRequest.from_payload(payload)),
-                      worker_env())
+    def argv(self, slot: int) -> list[str]:
+        return [sys.executable, "-m", "repro", "worker", "-"]
 
 
 class SshTransport(SlotTransport):
-    """``ssh:host1,host2`` — one slot per host, same CLI over SSH.
+    """``ssh:host1,host2`` — one slot per host, the same worker over SSH.
 
     Each host needs a checkout of this repository and a Python with the
-    dependencies installed; the remote command is the exact worker
-    command :class:`LocalTransport` runs, and the manifest streams back
-    over stdout, so no shared filesystem is required. Knobs (read from
+    dependencies installed; the remote command is the ``repro worker -``
+    :class:`LocalTransport` runs, and tasks and answers stream over the
+    SSH channel, so no shared filesystem is required. Knobs (read from
     the dispatcher's environment):
 
     * ``REPRO_SSH_REPO``   — remote checkout path (default: this repo's
@@ -299,30 +336,18 @@ class SshTransport(SlotTransport):
             raise DispatchError("ssh transport needs at least one host")
         super().__init__(len(self.hosts), f"ssh:{','.join(self.hosts)}")
 
-    def _remote_repo(self) -> str:
-        configured = os.environ.get("REPRO_SSH_REPO", "")
-        if configured:
-            return configured
+    def argv(self, slot: int) -> list[str]:
         import repro
 
-        return str(Path(repro.__file__).resolve().parents[2])
-
-    def remote_command(self, request: ChunkRequest) -> str:
+        repo = (os.environ.get("REPRO_SSH_REPO")
+                or str(Path(repro.__file__).resolve().parents[2]))
         python = os.environ.get("REPRO_SSH_PYTHON", "python3")
         knobs = {"PYTHONPATH": "src", **cache_env_knobs(),
                  **_trace.trace_env_knobs()}
         exports = " ".join(f"{k}={shlex.quote(v)}" for k, v in knobs.items())
-        batch = " ".join(shlex.quote(a) for a in request.batch_args())
-        return (f"cd {shlex.quote(self._remote_repo())} && "
-                f"env {exports} {shlex.quote(python)} -m repro {batch}")
-
-    def argv(self, request: ChunkRequest, host: str) -> list[str]:
-        return ["ssh", "-o", "BatchMode=yes", host,
-                self.remote_command(request)]
-
-    def start(self, slot: int, payload: dict):
-        return _popen(self.argv(ChunkRequest.from_payload(payload),
-                                self.hosts[slot]), None)
+        return ["ssh", "-o", "BatchMode=yes", self.hosts[slot],
+                f"cd {shlex.quote(repo)} && env {exports} "
+                f"{shlex.quote(python)} -m repro worker -"]
 
 
 class InlineTransport(SlotTransport):
@@ -391,8 +416,8 @@ COST_STAGE = "cost"
 
 def cost_key(artifact: str, scale: float, key: tuple) -> tuple:
     """The ``cost``-stage key parts of one job's observed wall time."""
-    # repr(scale) round-trips the float exactly (the same trick the
-    # worker command line uses), so every dispatch agrees on keys.
+    # repr(scale) round-trips the float exactly, so every dispatch
+    # agrees on keys.
     return (artifact, repr(scale), tuple(key))
 
 
@@ -567,9 +592,11 @@ def dispatch(
     so the *next* dispatch orders its leases from warm data.
 
     The pool is closed when the dispatch ends, which over ``queue:DIR``
-    raises the stop sentinel and drains attached workers; a
+    raises the stop sentinel and drains attached workers, and over
+    ``local:`` / ``ssh:`` ends each slot's worker process; a
     multi-artefact sweep passes ``stop_queue=False`` on all but its last
-    dispatch so the elastic pool survives between artefacts.
+    dispatch so the pool, warm workers and all, survives between
+    artefacts.
 
     ``state_dir`` persists per-chunk manifests and resumes from them: a
     chunk an earlier, interrupted dispatch completed is skipped when

@@ -13,7 +13,6 @@ a whole table regeneration.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 import traceback
 from collections.abc import Callable, Sequence
@@ -22,7 +21,7 @@ from typing import Any
 from repro.obs import trace as _trace
 from repro.pipeline.cache import stage_computes
 
-__all__ = ["Job", "JobResult", "default_jobs", "run_jobs"]
+__all__ = ["Job", "JobResult", "run_jobs"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,14 +67,6 @@ class JobResult:
         return self.value
 
 
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_one(job: Job,
              should_stop: Callable[[], bool] | None = None) -> JobResult:
     if should_stop is not None and should_stop():
@@ -107,9 +98,8 @@ def run_jobs(
     Args:
         jobs: the work list.
         max_workers: width of the thread pool (its workers share the
-            in-memory compilation cache); ``None`` reads ``REPRO_JOBS``;
-            ``<= 1`` runs serially in the calling thread (no pool
-            overhead).
+            in-memory compilation cache); ``None`` or ``<= 1`` runs
+            serially in the calling thread (no pool overhead).
         on_result: progress callback, invoked from the collecting thread
             as ``on_result(result, index, total)`` in submission order
             (long sharded sweeps report per-job progress through this).
@@ -120,8 +110,6 @@ def run_jobs(
             already mid-flight run to completion.
     """
     jobs = list(jobs)
-    if max_workers is None:
-        max_workers = default_jobs()
     total = len(jobs)
 
     def _collect(result: JobResult, index: int) -> JobResult:
@@ -129,7 +117,7 @@ def run_jobs(
             on_result(result, index, total)
         return result
 
-    if max_workers <= 1 or len(jobs) <= 1:
+    if max_workers is None or max_workers <= 1 or len(jobs) <= 1:
         return [_collect(_run_one(job, should_stop), i)
                 for i, job in enumerate(jobs)]
     from concurrent.futures import ThreadPoolExecutor

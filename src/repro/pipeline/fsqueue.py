@@ -28,7 +28,8 @@ Every task file has one schema, ``{"format", "id", "attempt", "kind",
 dict answered with the ``CompileResult`` JSON; a task that could not
 run at all is answered with the one error envelope
 (:data:`ERROR_FORMAT`). :func:`run_task` runs either kind in-process;
-the ``inline:N`` pool calls it too.
+the ``inline:N`` pool and the ``repro worker -`` process behind every
+``local:`` / ``ssh:`` slot call it too.
 
 Claim protocol: a worker renames a task file from ``queue/`` into
 ``claimed/``. Rename is atomic, so exactly one of the racing workers
@@ -49,6 +50,7 @@ lease to produce an answer that must be rejected.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -72,6 +74,7 @@ __all__ = [
     "QueueError",
     "QueueTransport",
     "run_task",
+    "stdio_loop",
     "worker_loop",
 ]
 
@@ -104,9 +107,8 @@ class QueueError(RuntimeError):
 class ChunkRequest:
     """One lease unit: shard ``spec`` of ``artifact``'s job list.
 
-    The one description of a chunk: ``local:`` / ``ssh:`` workers get it
-    as CLI arguments (:meth:`batch_args`), ``queue:`` and ``inline:``
-    workers as a task body (:meth:`payload`).
+    The one description of a chunk: every pool hands its workers the
+    task body (:meth:`payload`) that :func:`run_task` runs.
     """
 
     artifact: str
@@ -115,22 +117,6 @@ class ChunkRequest:
     use_cache: bool | None = None
     jobs: int | None = None  #: worker-internal thread count
     engine: str | None = None  #: functional-execution engine for cells
-
-    def batch_args(self) -> list[str]:
-        """The ``repro`` CLI arguments that run this chunk.
-
-        ``repr(scale)`` round-trips the float exactly through argparse,
-        so the worker computes the identical job list and cache keys.
-        """
-        args = ["batch", self.artifact, "--scale", repr(self.scale),
-                "--shard", str(self.spec), "--out", "-"]
-        if self.use_cache is False:
-            args.append("--no-cache")
-        if self.jobs is not None:
-            args += ["--jobs", str(self.jobs)]
-        if self.engine is not None:
-            args += ["--engine", self.engine]
-        return args
 
     def payload(self) -> dict[str, Any]:
         """The task body that runs this chunk (see :func:`run_task`)."""
@@ -349,7 +335,7 @@ class QueueTransport(Transport):
 
 
 # ---------------------------------------------------------------------------
-# Running a task (``repro worker DIR`` and the ``inline:N`` pool)
+# Running a task (``repro worker DIR``, ``repro worker -`` and ``inline:N``)
 # ---------------------------------------------------------------------------
 
 
@@ -383,6 +369,23 @@ def run_task(task: dict, should_stop: Callable[[], bool],
     except Exception as exc:
         return json.dumps({"format": ERROR_FORMAT, "id": task.get("id"),
                            "error": f"{type(exc).__name__}: {exc}"}) + "\n"
+
+
+def stdio_loop(jobs: int | None = None) -> None:
+    """``repro worker -``: answer one JSON task per stdin line until
+    stdin closes.
+
+    Each answer is :func:`run_task`'s text, written as one JSON string
+    per stdout line in task order. While a task runs ``sys.stdout`` is
+    stderr, so a stray print cannot corrupt the answer stream. The
+    ``local:`` and ``ssh:`` pools keep one such process per slot.
+    """
+    answers = sys.stdout
+    for line in sys.stdin:
+        with contextlib.redirect_stdout(sys.stderr):
+            answer = run_task(json.loads(line), lambda: False, jobs)
+        answers.write(json.dumps(answer) + "\n")
+        answers.flush()
 
 
 def _claim_order(path: Path) -> tuple[bool, str]:

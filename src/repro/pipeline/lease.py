@@ -3,9 +3,11 @@
 ``repro dispatch`` (sweep chunks) and the ``repro serve`` daemon
 (compile requests, on any of its pools) hand work to workers that may
 die, hang, detach or answer garbage. :class:`Transport` is what a pool
-must answer, and nothing about retries: ``local:`` / ``ssh:`` /
-``inline:`` (:mod:`repro.pipeline.dispatch`) and ``queue:DIR``
-(:mod:`repro.pipeline.fsqueue`) implement it, a test substitutes a fake.
+must answer, and nothing about retries: the slot pools ``local:`` /
+``ssh:`` (one long-lived ``repro worker -`` process per slot) and
+``inline:`` (:mod:`repro.pipeline.dispatch`) and the elastic
+``queue:DIR`` (:mod:`repro.pipeline.fsqueue`) implement it, a test
+substitutes a fake.
 :class:`LeaseTable` is the policy, written once. It never blocks; the
 caller owns the waiting: ``Transport.wait`` between steps, in the
 dispatching thread or in the daemon's one lease thread.

@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from typing import Any, Callable, Sequence
 
 from repro.engines import ENGINES, default_engine, oracle_maxerr
@@ -67,8 +66,8 @@ __all__ = [
     "pipeline",
 ]
 
-#: Default dataset scale; override with REPRO_SCALE (1.0 = full Table 4).
-DEFAULT_SCALE = float(os.environ.get("REPRO_SCALE", "0.25"))
+#: Default dataset scale (1.0 = full Table 4).
+DEFAULT_SCALE = 0.25
 
 #: Default dataset-generation seed (the Table 4 synthetic datasets).
 DEFAULT_SEED = 7

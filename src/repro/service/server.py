@@ -17,13 +17,13 @@ staged pipeline every other caller uses:
   loop that leases ``dispatch`` chunks
   (:class:`~repro.pipeline.lease.LeaseTable`) on a
   :func:`~repro.pipeline.dispatch.parse_transport` pool: ``inline:N``
-  runs it on an in-process slot thread; ``queue:DIR`` publishes it to
-  the elastic filesystem queue, where ``repro worker DIR`` processes on
-  any host sharing the directory claim it. A silent queue worker loses
-  its lease and the request is leased again, up to the retry bound; an
-  inline request cannot be stopped, so it runs once, to its end.
-  ``local:`` and ``ssh:`` are refused: they start one process per
-  lease, and no worker command runs a request.
+  runs it on an in-process slot thread; ``local:N`` and ``ssh:`` hand
+  it to a slot's long-lived ``repro worker -`` process; ``queue:DIR``
+  publishes it to the elastic filesystem queue, where ``repro worker
+  DIR`` processes on any host sharing the directory claim it. A worker
+  silent past its lease loses it (a slot's process is killed) and the
+  request is leased again, up to the retry bound; an inline request
+  cannot be stopped, so it runs once, to its end.
 * **Timeouts and drain** — every request is bounded by a per-request
   timeout (504 on expiry; the underlying job keeps running and lands in
   the cache for the retry). SIGTERM/SIGINT begin a graceful drain:
@@ -58,12 +58,7 @@ from typing import Any, Callable
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import default_cache
-from repro.pipeline.dispatch import (
-    DispatchError,
-    LocalTransport,
-    SshTransport,
-    parse_transport,
-)
+from repro.pipeline.dispatch import DispatchError, parse_transport
 from repro.pipeline.fsqueue import ERROR_FORMAT
 from repro.pipeline.lease import LeaseTable, Outcome
 from repro.service import api
@@ -180,11 +175,6 @@ class CompileService:
             self._transport = parse_transport(config.pool)
         except DispatchError as exc:
             raise ServeError(f"invalid pool: {exc}") from None
-        if isinstance(self._transport, (LocalTransport, SshTransport)):
-            raise ServeError(
-                f"pool {self._transport} starts one process per lease and "
-                f"no worker command runs a request; use inline:N or "
-                f"queue:DIR")
         self.pool_name = self._transport.name
         self._table = LeaseTable(self._transport, config.lease_timeout,
                                  config.retries, self._accept, self._events)

@@ -406,7 +406,6 @@ CLI_REFUSALS = (
     ["simulate", "Plus3", "--dataset", "bcsstk30"],
     ["convert", "csr", "nosuch"],
     ["dispatch", "table3", "--workers", "carrier-pigeon:2"],
-    ["serve", "--port", "0", "--pool", "local:2"],
     ["trace", "summary"],
     ["compile", "COO-SpMV", "--cpu"],
     ["serve", "--port", "70000"],

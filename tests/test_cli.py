@@ -112,9 +112,6 @@ def test_simulate(capsys):
      "the matrix datasets are ['bcsstk30', "),
     (["serve", "--port", "0", "--pool", "carrier-pigeon"],
      "serve error: invalid pool: unknown transport 'carrier-pigeon'; "),
-    (["serve", "--port", "0", "--pool", "local:2"],
-     "serve error: pool local:2 starts one process per lease and no worker "
-     "command runs a request; use inline:N or queue:DIR\n"),
 ])
 def test_unknown_name_is_one_error_line_and_exit_2(argv, line, capsys):
     assert main(argv) == 2

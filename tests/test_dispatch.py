@@ -100,38 +100,21 @@ class TestChunkMath:
         assert chunk_count(10, 0, 0) == 1
 
 
-class TestChunkRequest:
-    def test_batch_args_round_trip_scale(self):
-        req = ChunkRequest("table6", 0.1 + 0.2, ShardSpec(2, 8))
-        args = req.batch_args()
-        assert float(args[args.index("--scale") + 1]) == 0.1 + 0.2
-        assert args[args.index("--shard") + 1] == "2/8"
-        assert args[args.index("--out") + 1] == "-"
-
-    def test_batch_args_flags(self):
-        req = ChunkRequest("table3", TINY, ShardSpec(1, 2),
-                           use_cache=False, jobs=3)
-        args = req.batch_args()
-        assert "--no-cache" in args
-        assert args[args.index("--jobs") + 1] == "3"
-
-
 class TestSshCommand:
     def test_remote_command_shape(self, monkeypatch):
+        """Each host's slot runs one ``repro worker -`` over SSH."""
         monkeypatch.setenv("REPRO_SSH_REPO", "/srv/stardust")
         monkeypatch.setenv("REPRO_SSH_PYTHON", "python3.11")
         monkeypatch.setenv("REPRO_CACHE_DIR", "/mnt/shared/cache")
         t = SshTransport(["h1", "h2"])
-        req = ChunkRequest("table6", TINY, ShardSpec(3, 8))
-        cmd = t.remote_command(req)
+        argv = t.argv(1)
+        assert argv[:3] == ["ssh", "-o", "BatchMode=yes"]
+        assert argv[3] == "h2"
+        cmd = argv[4]
         assert cmd.startswith("cd /srv/stardust && env ")
         assert "PYTHONPATH=src" in cmd
         assert "REPRO_CACHE_DIR=/mnt/shared/cache" in cmd
-        assert "python3.11 -m repro batch table6" in cmd
-        assert "--shard 3/8" in cmd and "--out -" in cmd
-        argv = t.argv(req, "h2")
-        assert argv[:3] == ["ssh", "-o", "BatchMode=yes"]
-        assert argv[3] == "h2"
+        assert cmd.endswith("python3.11 -m repro worker -")
 
     def test_cache_knobs_forwarded(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
@@ -216,7 +199,8 @@ class TestDispatchClean:
 
 
 class _SabotagedLocal(LocalTransport):
-    """A local transport whose first ``n_faults`` launches misbehave."""
+    """A local transport whose first ``n_faults`` worker processes
+    misbehave; the slot's next lease starts a real worker."""
 
     def __init__(self, slots: int, dud_argv: list[str], n_faults: int = 1):
         super().__init__(slots)
@@ -224,12 +208,12 @@ class _SabotagedLocal(LocalTransport):
         self._faults_left = n_faults
         self.faults_injected = 0
 
-    def argv(self, request: ChunkRequest) -> list[str]:
+    def argv(self, slot: int) -> list[str]:
         if self._faults_left > 0:
             self._faults_left -= 1
             self.faults_injected += 1
             return self._dud
-        return super().argv(request)
+        return super().argv(slot)
 
 
 class TestFaultInjection:
@@ -400,12 +384,14 @@ class TestSlotPools:
     stores the answer and sets the pool's one event."""
 
     def test_worker_exit_wakes_the_lease_loop(self):
-        """One ``wait`` returns when the worker exits, not a poll tick."""
+        """One ``wait`` returns when the slot's worker answers its line,
+        not a poll tick."""
 
         class Sleeper(LocalTransport):
-            def argv(self, request):
+            def argv(self, slot):
                 return [sys.executable, "-c",
-                        "import time; time.sleep(0.3); print('{}')"]
+                        "import json, time; time.sleep(0.3); "
+                        "print(json.dumps('{}\\n'))"]
 
         transport = Sleeper(1)
         request = ChunkRequest("table3", TINY, ShardSpec(1, 1))
@@ -416,13 +402,41 @@ class TestSlotPools:
         finally:
             transport.close()
 
+    def test_a_slot_keeps_one_process_across_dispatches(self, fresh_cache,
+                                                        monkeypatch):
+        """Two artefacts over one ``local:2`` pool kept open between
+        them start exactly one worker process per slot, and ``close()``
+        ends both."""
+        import subprocess
+
+        spawned: list[subprocess.Popen] = []
+
+        class Counted(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Counted)
+        transport = LocalTransport(2)
+        try:
+            for artifact in ("table3", "table5"):
+                result = dispatch(artifact, TINY, transport,
+                                  chunks_per_worker=2, stop_queue=False)
+                assert result.ok
+                assert result.merged.text == _serial_text(artifact)
+            assert len(spawned) == 2
+            assert all(proc.poll() is None for proc in spawned)
+        finally:
+            transport.close()
+        assert [proc.poll() for proc in spawned] == [0, 0]
+
     def test_missing_worker_binary_raises(self, fresh_cache, tmp_path,
                                           monkeypatch):
         """A worker that cannot launch raises out of ``dispatch`` (the
         CLI turns that into exit 2) and leaves no temp file behind."""
 
         class Missing(LocalTransport):
-            def argv(self, request):
+            def argv(self, slot):
                 return [str(tmp_path / "no-such-worker")]
 
         scratch = tmp_path / "tmp"
@@ -503,6 +517,48 @@ class TestSlotPools:
             assert transport.poll() == [("r1", "{}", "")]
         finally:
             transport.close()
+
+
+class TestStdioWorker:
+    """``repro worker -``: one JSON task per stdin line, one JSON string
+    answer per stdout line."""
+
+    def test_two_task_lines_two_answer_lines(self, fresh_cache):
+        import subprocess
+
+        from repro.pipeline.dispatch import worker_env
+        from repro.pipeline.shard import ShardManifest
+
+        tasks = "".join(json.dumps(ChunkRequest(
+            "table3", TINY, ShardSpec(i, 2)).payload()) + "\n"
+            for i in (1, 2))
+        done = subprocess.run([sys.executable, "-m", "repro", "worker", "-"],
+                              input=tasks, capture_output=True, text=True,
+                              env=worker_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2
+        shards = [ShardManifest.from_dict(json.loads(json.loads(line))).shard
+                  for line in lines]
+        assert shards == [ShardSpec(1, 2), ShardSpec(2, 2)]
+
+    def test_stray_print_cannot_corrupt_the_answers(self, monkeypatch,
+                                                    capsys):
+        import io
+
+        from repro.pipeline import fsqueue
+
+        def noisy(task, should_stop, jobs=None):
+            print("stray output")
+            return f"answer {task['n']}\n"
+
+        monkeypatch.setattr(fsqueue, "run_task", noisy)
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 1}\n{"n": 2}\n'))
+        fsqueue.stdio_loop()
+        captured = capsys.readouterr()
+        assert [json.loads(line) for line in captured.out.splitlines()] == [
+            "answer 1\n", "answer 2\n"]
+        assert captured.err == "stray output\n" * 2
 
 
 class TestFaultsPerPool:

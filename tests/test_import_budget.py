@@ -1,8 +1,9 @@
 """The import budget: a cache hit never imports the compute layer, the
 input language or NumPy.
 
-``python -m repro`` is what every ``local:N`` / ``ssh:`` dispatch worker
-runs, so what a warm command imports is the fixed cost of a sweep chunk.
+``python -m repro`` is how every command starts, and every ``local:N`` /
+``ssh:`` slot's ``repro worker -`` process, so what a warm command
+imports is the fixed cost of a CLI call and of a slot's start-up.
 Each case below runs in its own interpreter against a disk cache warmed
 in this process and reports ``sys.modules``; one table says what each
 case may and may not have loaded.

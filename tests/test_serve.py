@@ -259,6 +259,19 @@ class TestLeaseLoop:
             assert body == serial.to_json().encode()
             assert _leases_total(svc.port) - leases_before == 1
 
+    def test_local_pool_answers_like_execute(self, fresh_cache):
+        """A ``local:1`` slot's ``repro worker -`` process answers a
+        compile and an evaluate with the bytes ``api.execute`` gives."""
+        bodies = [{"kernel": "SpMV", "scale": TINY, "action": "compile"},
+                  {"kernel": "Plus2", "scale": TINY}]
+        with ServiceThread(ServeConfig(port=0, pool="local:1")) as svc:
+            answers = [_post(svc.port, f"/{body.get('action', 'evaluate')}",
+                             body) for body in bodies]
+        for body, (status, answer) in zip(bodies, answers):
+            assert status == 200, answer
+            request = api.CompileRequest.from_dict(body)
+            assert answer == api.execute(request).to_json().encode()
+
     def test_inline_request_outlives_its_lease_once(self, fresh_cache,
                                                     monkeypatch):
         """An in-process request cannot be stopped, so a lease shorter
