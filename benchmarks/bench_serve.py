@@ -176,9 +176,14 @@ def run_bench(scale: float = SMOKE_SCALE, clients: int = DEFAULT_CLIENTS,
         metrics["warm"]["byte_mismatches"] = float(mismatches)
 
         # Coalescing: an identical concurrent cold burst computes once.
+        # The oracle check (``engine``) keeps its compute at tens of
+        # milliseconds, longer than the clients take to arrive: a plain
+        # evaluate at this scale takes a few milliseconds, and an
+        # in-process slot thread may finish it before a second client
+        # is read, leaving nothing to join.
         before = _stats(svc.port)["serve"]
         burst = [{"kernel": kernels[0], "scale": scale,
-                  "seed": seed + 1}] * clients
+                  "seed": seed + 1, "engine": "interp"}] * clients
         t0 = time.perf_counter()
         _run_clients(svc.port, burst, clients)
         wall = time.perf_counter() - t0

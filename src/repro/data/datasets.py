@@ -87,9 +87,14 @@ DATASETS: tuple[DatasetSpec, ...] = (
 
 DATASETS_BY_NAME = {d.name: d for d in DATASETS}
 
+_DATASETS_BY_KERNEL = {
+    kernel: tuple(d for d in DATASETS if kernel in d.kernels)
+    for kernel in dict.fromkeys(k for d in DATASETS for k in d.kernels)}
 
-def datasets_for(kernel: str) -> list[DatasetSpec]:
-    return [d for d in DATASETS if kernel in d.kernels]
+
+def datasets_for(kernel: str) -> tuple[DatasetSpec, ...]:
+    """The kernel's Table 4 datasets, in table order (one shared tuple)."""
+    return _DATASETS_BY_KERNEL.get(kernel, ())
 
 
 def _generate(spec: DatasetSpec, scale: float, rng: np.random.Generator):

@@ -37,6 +37,7 @@ The artefact orchestration (tables/figures) lives in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from typing import Any, Callable, Sequence
@@ -100,8 +101,30 @@ _OPTIONAL = {"platforms": None, "engine": None, "fuse": True,
              "partition": 1, "split": "row"}
 
 
+class _Memoized:
+    """Per-object memos kept off the dataclass fields.
+
+    A memo lives in the instance ``__dict__`` beside the fields, so
+    ``==``, ``hash`` and ``repr`` never see it, and :meth:`__getstate__`
+    pickles (and copies) the fields only: a memoized object pickles to
+    the same bytes as a fresh one.
+    """
+
+    def _memo(self, name: str, compute: Callable[[], Any]) -> Any:
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            object.__setattr__(self, name, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        """Fields only: the memos are never pickled or copied."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
+
 @dataclasses.dataclass(frozen=True)
-class CompileRequest:
+class CompileRequest(_Memoized):
     """One unit of compiler work, in canonical, wire-ready form.
 
     ``dataset=None`` and ``scale=None`` resolve to the kernel's first
@@ -133,8 +156,12 @@ class CompileRequest:
         handwritten baselines). Optional fields the action does not keep
         resolve to their defaults, so they never reach the canonical
         form: every spelling of "compile SpMV on bcsstk30" shares one
-        staged entry.
+        staged entry. Memoized: a request resolves once, and a resolved
+        request resolves to itself.
         """
+        return self._memo("_resolved", self._resolve)
+
+    def _resolve(self) -> CompileRequest:
         action = ACTIONS.get(self.action)
         if action is None:
             raise ValueError(f"unknown action {self.action!r}; choose "
@@ -160,7 +187,9 @@ class CompileRequest:
                   "platforms": platforms, "fuse": bool(self.fuse), **dropped}
         if action.finish is not None:
             fields.update(action.finish(self, dataset))
-        return dataclasses.replace(self, **fields)
+        resolved = dataclasses.replace(self, **fields)
+        object.__setattr__(resolved, "_resolved", resolved)
+        return resolved
 
     def canonical(self) -> dict[str, Any]:
         """The defaults-resolved request as a plain JSON-able dict."""
@@ -187,10 +216,10 @@ class CompileRequest:
 
         Sorted keys and compact separators make this byte-stable across
         processes; :func:`execute` keys the staged result entry on
-        exactly this string.
+        exactly this string. Computed once per request object.
         """
-        return json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
+        return self._memo("_canonical_json", lambda: json.dumps(
+            self.canonical(), sort_keys=True, separators=(",", ":")))
 
     @property
     def stage(self) -> str:
@@ -216,9 +245,14 @@ class CompileRequest:
         scale = data.get("scale")
         seed = data.get("seed", DEFAULT_SEED)
         try:
+            # A bool or a fractional seed would be coerced onto another
+            # request's cache key (``true`` -> 1, ``7.9`` -> 7).
+            if (isinstance(scale, bool) or isinstance(seed, bool)
+                    or (isinstance(seed, float) and not seed.is_integer())):
+                raise ValueError
             scale = float(scale) if scale is not None else None
             seed = int(seed)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError("'scale' must be a number and 'seed' an "
                              "integer") from None
         fuse = data.get("fuse", True)
@@ -273,7 +307,7 @@ class PlatformTimes:
 
 
 @dataclasses.dataclass(frozen=True)
-class CompileResult:
+class CompileResult(_Memoized):
     """The result of one :class:`CompileRequest`, wire-ready.
 
     Evaluate requests fill ``seconds`` (and ``exec_summary`` when an
@@ -281,7 +315,9 @@ class CompileResult:
     ``spatial_loc`` / ``input_loc`` / ``memory_report``.
     :meth:`to_json` is deterministic — sorted keys, no timestamps — so
     any two paths that computed the same request (serial call, batch
-    cell, daemon response, queue worker) render identical bytes.
+    cell, daemon response, queue worker) render identical bytes. It is
+    encoded once per result object: every later call (each daemon hit
+    on a result held in memory) returns the same string.
     """
 
     request: CompileRequest
@@ -319,7 +355,8 @@ class CompileResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return self._memo("_json", lambda: json.dumps(
+            self.to_dict(), sort_keys=True, indent=2))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> CompileResult:
@@ -540,14 +577,16 @@ def _finish_partition(req: CompileRequest, dataset: str) -> dict[str, Any]:
     return {"partition": count, "engine": req.engine or default_engine()}
 
 
+@functools.cache
 def _kernel_datasets(kernel: str) -> Sequence[str]:
+    # Cached per known kernel (an unknown name raises, so is never kept).
     from repro.data.datasets import datasets_for
     from repro.kernels.suite import KERNELS
 
     if kernel not in KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}")
-    return [d.name for d in datasets_for(kernel)]
+    return tuple(d.name for d in datasets_for(kernel))
 
 
 def _pipeline_datasets(name: str) -> Sequence[str]:

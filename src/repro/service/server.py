@@ -7,7 +7,10 @@ staged pipeline every other caller uses:
 
 * **Hot path** — a request whose result is already in the staged cache
   (:func:`repro.service.api.cached`) is answered immediately, without
-  touching the worker pool.
+  touching the worker pool. A hit does each piece of work once: one
+  parse, one resolve, one key, one cache peek; the body is the cached
+  result's ``to_json()``, encoded once per result object, so a hit
+  held in memory reuses the string every earlier hit encoded.
 * **Coalescing** — identical in-flight requests (same
   :meth:`~repro.service.api.CompileRequest.canonical_json`) share one
   underlying job; joiners await the first request's future.
@@ -336,7 +339,16 @@ class CompileService:
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
         while True:
-            request = await self._next_request(reader)
+            try:
+                request = await self._next_request(reader)
+            except ValueError as exc:
+                # A malformed request line or Content-Length: the stream
+                # cannot be resynchronised, so answer 400 and close.
+                self._responses.inc(status="400")
+                writer.write(_render_response(400, _error_body(str(exc)),
+                                              False))
+                await writer.drain()
+                return
             if request is None:
                 return
             method, path, headers, body = request
@@ -363,7 +375,11 @@ class CompileService:
                 return
 
     async def _next_request(self, reader: asyncio.StreamReader):
-        """The next parsed request, honouring the drain protocol."""
+        """The next parsed request, honouring the drain protocol.
+
+        ``None`` when the client went away; a malformed request raises
+        ``ValueError``.
+        """
         read = asyncio.ensure_future(_read_request(reader))
         if not self._draining:
             drain = asyncio.ensure_future(self._drain_event.wait())
@@ -384,7 +400,7 @@ class CompileService:
                 return None
         try:
             return await read
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             return None
 
     async def _route(self, method: str, path: str,
@@ -566,7 +582,10 @@ async def _read_request(reader: asyncio.StreamReader):
             break
         name, _sep, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise ValueError(f"invalid Content-Length {raw_length!r}")
+    length = int(raw_length)
     body = await reader.readexactly(length) if length else b""
     return method, path.split("?", 1)[0], headers, body
 

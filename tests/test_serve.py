@@ -6,7 +6,9 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import pickle
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -50,6 +52,16 @@ def _leases_total(port: int) -> float:
     return 0.0
 
 
+def _raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send raw bytes; everything the daemon answers until it closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
 def _fake_result(request: api.CompileRequest) -> api.CompileResult:
     return api.CompileResult(request=request.resolved(),
                              seconds={api.BASELINE_PLATFORM: 1.0})
@@ -91,6 +103,12 @@ class TestRoundTrip:
                          {"kernel": "NoSuch"})[0] == 400
             assert _post(svc.port, "/evaluate",
                          {"kernel": "SpMV", "sclae": 1})[0] == 400
+            # Coercing these would serve another request's cache entry.
+            for bad in ({"seed": 7.9}, {"seed": True}, {"scale": True}):
+                status, body = _post(svc.port, "/evaluate",
+                                     {"kernel": "SpMV", **bad})
+                assert status == 400
+                assert "'seed' an integer" in json.loads(body)["error"]
             assert _post(svc.port, "/elsewhere", {})[0] == 404
             assert _get(svc.port, "/evaluate")[0] == 405
             assert _get(svc.port, "/healthz")[0] == 200
@@ -103,6 +121,83 @@ class TestRoundTrip:
                 assert "error" in json.loads(resp.read())
             finally:
                 conn.close()
+
+
+class TestMalformedHttp:
+    @pytest.mark.parametrize("raw", [
+        b"GARBAGE\r\n",
+        b"POST /evaluate HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}",
+        b"POST /evaluate HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+    ], ids=["request-line", "non-numeric-length", "negative-length"])
+    def test_answers_400_then_closes(self, fresh_cache, raw):
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            # Reading to EOF also checks that the daemon closes.
+            head, _, body = _raw_exchange(svc.port, raw).partition(
+                b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"\r\nConnection: close" in head
+            assert json.loads(body)["error"]
+            assert _get(svc.port, "/healthz")[0] == 200
+            serve = json.loads(_get(svc.port, "/stats")[1])["serve"]
+            assert serve["status_codes"]["400"] == 1
+            assert serve["requests"] == 0
+
+
+#: One request body per action, at a tiny scale.
+_HIT_BODIES = {
+    "compile": {"kernel": "SpMV", "scale": TINY},
+    "evaluate": {"kernel": "SpMV", "scale": TINY},
+    "pipeline": {"kernel": "twohop", "scale": TINY},
+    "partition": {"kernel": "SpMV", "scale": TINY, "partition": 2},
+}
+
+
+class TestHitPath:
+    """A hit is answered from the memoized request and result, and the
+    memos change nothing on the wire or on disk."""
+
+    def test_every_action_has_a_body(self):
+        assert set(_HIT_BODIES) == set(api.ACTIONS)
+
+    @pytest.mark.parametrize("action", sorted(_HIT_BODIES))
+    def test_hits_answer_execute_bytes(self, fresh_cache, action):
+        body = _HIT_BODIES[action]
+        path = f"/{action}"
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            status, miss = _post(svc.port, path, body)
+            assert status == 200
+            before = json.loads(_get(svc.port, "/stats")[1])["serve"]
+            memory = [_post(svc.port, path, body) for _ in range(2)]
+            fresh_cache.clear_memory()
+            disk = _post(svc.port, path, body)
+            after = json.loads(_get(svc.port, "/stats")[1])["serve"]
+        # A fresh disk load, encoded afresh, is the reference.
+        fresh_cache.clear_memory()
+        request = api.CompileRequest.from_dict({**body, "action": action})
+        expected = api.execute(request).to_json().encode()
+        assert miss == expected
+        assert memory == [(200, expected)] * 2
+        assert disk == (200, expected)
+        assert after["requests"] - before["requests"] == 3
+        assert after["cache_hits"] - before["cache_hits"] == 3
+
+    @pytest.mark.parametrize("action", sorted(_HIT_BODIES))
+    def test_memos_are_invisible(self, fresh_cache, action):
+        request = api.CompileRequest.from_dict(
+            {**_HIT_BODIES[action], "action": action})
+        result = api.execute(request)
+        pickled = pickle.dumps(result), pickle.dumps(request)
+        text = result.to_json()
+        resolved = request.resolved()
+        key = request.canonical_json()
+        assert result.to_json() is text
+        assert request.canonical_json() is key
+        assert resolved.resolved() is resolved
+        assert request.resolved() is resolved
+        assert (pickle.dumps(result), pickle.dumps(request)) == pickled
+        clone = pickle.loads(pickled[0])
+        assert clone == result
+        assert clone.to_json() == text
 
 
 class TestCoalescing:

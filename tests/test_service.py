@@ -72,6 +72,21 @@ class TestCompileRequest:
             api.CompileRequest.from_dict({"kernel": "SpMV",
                                           "platforms": "V100 GPU"})
 
+    def test_from_dict_rejects_coerced_seed_and_scale(self):
+        # Each would otherwise share another request's cache key.
+        for bad in ({"seed": 7.9}, {"seed": True}, {"seed": False},
+                    {"scale": True}):
+            with pytest.raises(ValueError, match="'seed' an integer"):
+                api.CompileRequest.from_dict({"kernel": "SpMV", **bad})
+        assert api.CompileRequest.from_dict(
+            {"kernel": "SpMV", "seed": 3.0}).seed == 3
+
+    def test_memos_ignored_by_eq_and_hash(self):
+        fresh, memoized = _req(), _req()
+        memoized.canonical_json()
+        assert fresh == memoized and hash(fresh) == hash(memoized)
+        assert fresh.resolved() == memoized.resolved()
+
     def test_json_round_trip(self):
         req = _req(platforms=("Capstan (HBM2E)", "V100 GPU")).resolved()
         again = api.CompileRequest.from_json(req.canonical_json()).resolved()
