@@ -248,10 +248,18 @@ EXECUTION_GOLDEN_SCALE = 0.01
 PIPELINE_GOLDEN_SCALE = 0.05
 
 
+#: Records whose run keys cover every output row at the benchmark's
+#: scales: each run's sum lands in its own row, in key order.
+IDENTITY_KEYED_KERNELS = ("SpMV", "MatTransMul", "Residual", "COO-SpMV",
+                          "BCSR-SpMV", "DCSR-SpMM")
+
 #: ``(kernel, scale)`` pairs pinned for the numpy engine: every record at
-#: the execution scale, plus SDDMM where its gathers span several blocks.
+#: the execution scale and at 0.05 (the ``exec_small`` scale, where
+#: SDDMM's gathers span several blocks), plus the identity-keyed records
+#: at 0.25, whose runs are long enough for ``reduceat``'s SIMD order.
 NUMPY_GOLDEN_CASES = (*((k, EXECUTION_GOLDEN_SCALE) for k in KERNELS),
-                      ("SDDMM", 0.05))
+                      *((k, 0.05) for k in KERNELS),
+                      *((k, 0.25) for k in IDENTITY_KEYED_KERNELS))
 
 
 def _golden_kernel(kernel: str, scale: float = EXECUTION_GOLDEN_SCALE):
