@@ -22,9 +22,15 @@ SDFG into a pre-state, a compute state and a post-state:
   them with one sorted union), so only where each run lands in ``vals``
   is kept;
 * **compute state** — :meth:`ExecPlan.run`: gather → multiply/``einsum``
-  → ``np.add.reduceat``, reading ``vals``, dense operands and scalars
-  live. A term with a dense gather wider than its per-entry output
-  (SDDMM's two rank-``K`` rows per entry) runs in blocks of about
+  → ``np.add.reduceat``. It reads live only what values may change: each
+  operand's ``vals`` (sparse, dense and scalar), through the storages
+  the plan holds. Everything else is fixed at plan time: each dense
+  operand's level dims and one permutation (its mode ordering composed
+  with its gather's axes; none when that is the identity), and whether
+  a keyed term's runs are every row of its output (then the runs,
+  ``+ 0.0``, *are* the output: no zeroed buffer, no scatter). A term
+  with a dense gather wider than its per-entry output (SDDMM's two
+  rank-``K`` rows per entry) runs in blocks of about
   :data:`GATHER_BLOCK_BYTES` of gathers, cut at run starts, so every
   per-output sum sees the same operands in the same order as one pass;
 * **post-state** — a :class:`TensorStorage` in the lhs's declared format:
@@ -44,8 +50,8 @@ else the :class:`CpuExecutor` merge-lattice interpreter, on every call.
 The plan hangs on the statement's :class:`Assignment` (never pickled,
 freed with it) and is revalidated on every run by **identity** of each
 operand's current :class:`TensorStorage`: any re-pack, conversion or
-``_storage`` rebinding forces a rebuild, while level arrays of a packed
-storage are immutable and values are read live.
+``_storage`` rebinding forces a rebuild, while level arrays and dims of
+a packed storage are immutable and values are read live.
 
 Like ``CpuExecutor``, this backend executes the *algorithm* (the original
 assignment), not the schedule: schedules are semantics-preserving, so the
@@ -75,7 +81,6 @@ from repro.tensor.ops import infer_dimensions
 from repro.tensor.storage import (
     DenseLevel,
     TensorStorage,
-    dense_view,
     pack,
     unpack,
     walk_levels,
@@ -209,7 +214,7 @@ def _join(a: Access, b: Access):
     _, ia, ib = np.intersect1d(keys_a, keys_b, assume_unique=True,
                                return_indices=True)
     cols = {id(v): cols_a[m][ia] for m, v in enumerate(a.indices)}
-    return cols, [(a.tensor, ia, ()), (b.tensor, ib, ())]
+    return cols, [(a.tensor.storage, ia, ()), (b.tensor.storage, ib, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +222,33 @@ def _join(a: Access, b: Access):
 # ---------------------------------------------------------------------------
 
 
-def _operand(tensor, axes, shape, index, axis) -> np.ndarray:
-    """A dense operand, read live: its view, or a fresh gather from it."""
-    view = dense_view(tensor.storage)
-    if index is None:
-        return view
-    return np.take(view.transpose(axes).reshape(shape), index, axis=axis)
+def _dense_spec(st: TensorStorage, axes=None, shape=None, index=None,
+                axis=None) -> tuple:
+    """How to read a dense operand each run: ``vals`` reshaped to its
+    level dims, permuted by its mode ordering composed with the gather's
+    ``axes``, reshaped to ``shape`` (default: mode order, no gather),
+    then gathered at ``index`` along ``axis``. An identity permutation
+    reshapes ``vals`` straight to ``shape``."""
+    dims = [st.level_dim(L) for L in range(st.order)]
+    perm = [st.fmt.level_of_mode(m) for m in axes or range(st.order)]
+    shape = shape or [dims[L] for L in perm]
+    if perm == sorted(perm):
+        return st, shape, None, None, index, axis
+    return st, dims, perm, shape, index, axis
 
 
 class _Term:
     """One additive term: index arrays and einsum strings, no values.
 
-    ``factors`` holds ``(tensor, positions, block)`` per sparse factor
+    Operands are held as the storages the plan snapshot validates, and
+    their ``vals`` are read on every run. ``factors`` holds ``(storage,
+    positions, block)`` per sparse factor
     (``positions`` is ``None`` for the identity; ``block`` the extents of
     the format's trailing block levels, kept as dense value axes);
-    ``dense`` holds :func:`_operand`'s arguments per dense operand;
-    ``blocks`` the entry slices computed one at a time, with their run
-    starts (see :func:`_blocks`).
+    ``dense`` holds :func:`_dense_spec` per dense operand, with its
+    gather index and axis; ``blocks`` the entry slices computed one at a
+    time, with their run starts (see :func:`_blocks`). ``identity``: the
+    run keys are every row of the buffer, so the runs *are* the buffer.
     """
 
     def __init__(self, term: IndexExpr, lhs_vars, dims, letters) -> None:
@@ -245,7 +260,7 @@ class _Term:
             elif not isinstance(f, Access):  # pragma: no cover
                 raise VectorizeFallback(f"unexpected factor {type(f).__name__}")
             elif f.tensor.order == 0:
-                self.scalars.append(f.tensor)
+                self.scalars.append(f.tensor.storage)
             elif f.tensor.format.is_all_dense:
                 dense.append(f)
             else:
@@ -262,10 +277,9 @@ class _Term:
         self.shape = tuple(dims[v] if id(v) in in_term else 1
                            for v in lhs_vars)
         self.factors, self.dense, self.ukeys, self.n = [], [], None, None
-        self.key_vars = None
+        self.key_vars, self.identity = None, False
         if not sparse:
-            self.dense = [(acc.tensor, None, None, None, None)
-                          for acc in dense]
+            self.dense = [_dense_spec(acc.tensor.storage) for acc in dense]
             self.einsum = (",".join(sub(acc.indices) for acc in dense)
                            + "->" + sub(present))
             return
@@ -284,8 +298,7 @@ class _Term:
             tile = range(n_outer, st.order)
             by_mode = walk_levels(st, n_outer)
             cols = {id(acc.indices[m]): c for m, c in by_mode.items()}
-            factors = [(acc.tensor, None,
-                        tuple(st.levels[lv].size for lv in tile))]
+            factors = [(st, None, tuple(st.levels[lv].size for lv in tile))]
             vals_sub = "e" + sub(acc.indices[st.fmt.mode_of_level(lv)]
                                  for lv in tile)
         self.n = len(next(iter(cols.values())))
@@ -316,15 +329,18 @@ class _Term:
             self.buffer_shape = (int(np.prod(s_shape)),) + self.d_shape
             self.sd_shape = s_shape + self.d_shape
             self.axes = [(lhs_s + lhs_d).index(v) for v in present]
+            # Sorted, unique and in range: as many keys as rows is
+            # every row, in order.
+            self.identity = len(self.ukeys) == self.buffer_shape[0]
         if perm is not None:
             cols = {k: c[perm] for k, c in cols.items()}
-            factors = [(t, perm if pos is None else pos[perm], blk)
-                       for t, pos, blk in factors]
-        for t, pos, blk in factors:
-            if (pos is not None and len(pos) == t.storage.nnz
+            factors = [(st, perm if pos is None else pos[perm], blk)
+                       for st, pos, blk in factors]
+        for st, pos, blk in factors:
+            if (pos is not None and len(pos) == st.nnz
                     and np.array_equal(pos, np.arange(len(pos)))):
                 pos = None  # a join that kept every entry, in order
-            self.factors.append((t, pos, blk))
+            self.factors.append((st, pos, blk))
 
         # Each dense factor is gathered at the entry coordinates along
         # the modes the sparse factor also indexes; its remaining modes
@@ -346,19 +362,20 @@ class _Term:
         self.tail = pure and bool(lhs_d)
         widths = [0]  # values each gather holds per entry
         for acc, shared, residual in gathers:
-            shape = [acc.tensor.shape[m] for m in residual]
-            index = None
-            if shared:  # one flat index over the shared modes
-                index = np.ravel_multi_index(
-                    [cols[id(acc.indices[m])] for m in shared],
-                    [acc.tensor.shape[m] for m in shared])
-                widths.append(int(np.prod(shape)))
-            if self.tail:
-                self.dense.append((acc.tensor, residual + shared,
-                                   shape + [-1], index, -1))
-            else:
-                self.dense.append((acc.tensor, shared + residual,
-                                   [-1] + shape, index, 0))
+            st, shape = acc.tensor.storage, [acc.tensor.shape[m]
+                                             for m in residual]
+            if not shared:
+                self.dense.append(_dense_spec(st))
+                continue
+            # One flat index over the shared modes.
+            index = np.ravel_multi_index(
+                [cols[id(acc.indices[m])] for m in shared],
+                [acc.tensor.shape[m] for m in shared])
+            widths.append(int(np.prod(shape)))
+            axes, shape, axis = ((residual + shared, shape + [-1], -1)
+                                 if self.tail else
+                                 (shared + residual, [-1] + shape, 0))
+            self.dense.append(_dense_spec(st, axes, shape, index, axis))
         # A gather wider than the per-entry output (the einsum contracts
         # its rows away) runs in blocks. A term without keys sums every
         # entry into one output and is never blocked: partial sums would
@@ -370,62 +387,79 @@ class _Term:
 
     def _scalar(self) -> float:
         scalar = self.literal
-        for t in self.scalars:
-            scalar *= t.scalar_value()
+        for st in self.scalars:
+            scalar *= float(st.vals[0])
         return scalar
 
-    def _block(self, scalar: float, entries: slice, starts) -> np.ndarray:
-        """One slice of entries' contributions, summed per run."""
-        vals = None
-        for t, pos, blk in self.factors:
-            v = t.storage.vals.reshape((-1,) + blk) if blk else t.storage.vals
-            v = v[entries] if pos is None else v[pos[entries]]
-            vals = v if vals is None else vals * v
-        if scalar != 1.0:
-            vals = vals * scalar
-        ops = [_operand(t, axes, shape, None if index is None
-                        else index[entries], axis)
-               for t, axes, shape, index, axis in self.dense]
-        if self.einsum is not None:
-            contrib = np.einsum(self.einsum, vals, *ops)
-        elif ops:
-            contrib = ops[0]  # a fresh gather: safe to scale in place
-            for other in ops[1:]:
-                contrib *= other
-            contrib *= vals
-        else:
-            contrib = vals
-        if starts is not None:
-            contrib = np.add.reduceat(contrib, starts,
-                                      axis=-1 if self.tail else 0)
-        return contrib
+    def _sources(self) -> list:
+        """``(values, index, axis)`` per dense operand: its ``vals``, read
+        live and laid out for its gather (views, copied only where a
+        permutation forces it), with the gather's index and axis."""
+        return [(st.vals.reshape(dims) if perm is None
+                 else st.vals.reshape(dims).transpose(perm).reshape(shape),
+                 index, axis)
+                for st, dims, perm, shape, index, axis in self.dense]
 
     def entries(self) -> np.ndarray:
         """A keyed term's value per run, in ``ukeys`` order, shaped
-        ``(runs,) + d_shape``. May be a view of an operand's ``vals``."""
+        ``(runs,) + d_shape`` (an unkeyed one's einsum, the entry axis
+        summed away). May be a view of an operand's ``vals``."""
         if self.n == 0:
             return np.zeros((0,) + self.d_shape)
         scalar = self._scalar()
-        parts = [self._block(scalar, *block) for block in self.blocks]
+        srcs = self._sources()
+        parts = []
+        for entries, starts in self.blocks:
+            vals = None
+            for st, pos, blk in self.factors:
+                v = st.vals.reshape((-1,) + blk) if blk else st.vals
+                v = v[entries] if pos is None else v[pos[entries]]
+                vals = v if vals is None else vals * v
+            if scalar != 1.0:
+                vals = vals * scalar
+            ops = [src if index is None
+                   else src.take(index[entries], axis=axis)
+                   for src, index, axis in srcs]
+            if self.einsum is not None:
+                contrib = np.einsum(self.einsum, vals, *ops)
+            elif ops:
+                contrib = ops[0]  # a fresh gather: safe to scale in place
+                for other in ops[1:]:
+                    contrib *= other
+                contrib *= vals
+            else:
+                contrib = vals
+            if starts is not None:
+                contrib = np.add.reduceat(contrib, starts,
+                                          axis=-1 if self.tail else 0)
+            parts.append(contrib)
         axis = -1 if self.tail else 0
         contrib = parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
-        return np.moveaxis(contrib, -1, 0) if self.tail else contrib
+        if self.tail:  # the entry axis last: move it first
+            return contrib.transpose(contrib.ndim - 1, *range(contrib.ndim - 1))
+        return contrib
 
     def run(self) -> np.ndarray:
-        """The term as a dense array that broadcasts to the lhs shape."""
-        if self.n == 0:
-            return np.zeros(self.shape)
+        """The term as a fresh dense array that broadcasts to the lhs
+        shape."""
         if self.n is None:  # no sparse factor
             scalar = self._scalar()
-            ops = [_operand(*spec) for spec in self.dense]
+            ops = [src for src, _, _ in self._sources()]
             if not ops:
                 return np.full(self.shape, scalar)
             return (scalar * np.einsum(self.einsum, *ops)).reshape(self.shape)
+        if self.n == 0:
+            return np.zeros(self.shape)
+        contrib = self.entries()
         if self.ukeys is None:  # einsum already reduced the entry axis
-            return self._block(self._scalar(), *self.blocks[0]).reshape(
-                self.shape)
-        buffer = np.zeros(self.buffer_shape)
-        buffer[self.ukeys] += self.entries()
+            return contrib.reshape(self.shape)
+        if self.identity:
+            # Each row takes its one run, exactly as scattered into
+            # zeros: 0.0 + -0.0 is +0.0, and the sum is a fresh array.
+            buffer = contrib + 0.0
+        else:
+            buffer = np.zeros(self.buffer_shape)
+            buffer[self.ukeys] += contrib
         # Axes are (lhs_s..., lhs_d...); interleave back into lhs order.
         return buffer.reshape(self.sd_shape).transpose(self.axes).reshape(
             self.shape)
@@ -435,7 +469,7 @@ class ExecPlan:
     """Everything about running one assignment that its values cannot change.
 
     Holds the operand tensors with the storages they had at build time
-    (the identity snapshot :meth:`current` revalidates), one
+    (``held``, the identity snapshot :meth:`current` revalidates), one
     :class:`_Term` per additive term, the output format and shape, and —
     for a statement that cannot be vectorized — the reason, as
     ``fallback``. ``levels`` is the output's level structure, fixed at
@@ -448,8 +482,11 @@ class ExecPlan:
     def __init__(self, a: Assignment) -> None:
         # The lhs matters to ``+=`` only; None otherwise.
         self.lhs = a.lhs.tensor if a.accumulate else None
-        self.inputs = tuple(dict.fromkeys(a.rhs.tensors()))
-        self.storages = self._snapshot()
+        # The lhs is read raw: packing an empty output would change
+        # whether ``+=`` has something to add.
+        self.lhs_storage = getattr(self.lhs, "_storage", None)
+        self.held = tuple((t, t.storage)
+                          for t in dict.fromkeys(a.rhs.tensors()))
         self.fallback: str | None = None
         self.fmt = a.lhs.tensor.format
         self.out_shape = a.lhs.tensor.shape
@@ -467,7 +504,7 @@ class ExecPlan:
         except VectorizeFallback as exc:
             self.fallback = str(exc)
             return
-        self.accumulate = self.storages[0] is not None
+        self.accumulate = self.lhs_storage is not None
         # Single positive term: the term buffer *is* the result, so skip
         # the output allocation and the full-size += pass (this is the
         # whole cost for tiny-nnz kernels with dense outputs).
@@ -520,49 +557,42 @@ class ExecPlan:
             self.slots.append(None if np.array_equal(
                 mine, np.arange(self.n_slots)) else mine)
 
-    def _snapshot(self) -> tuple:
-        # The lhs is read raw: packing an empty output would change
-        # whether ``+=`` has something to add.
-        return (getattr(self.lhs, "_storage", None),
-                *(t.storage for t in self.inputs))
-
     def current(self) -> bool:
         """Whether every operand still holds the storage planned against."""
-        return all(now is then for now, then
-                   in zip(self._snapshot(), self.storages))
+        return (getattr(self.lhs, "_storage", None) is self.lhs_storage
+                and all([t.storage is st for t, st in self.held]))
 
     def run(self) -> TensorStorage:
         """The compute and post-states: the result in the lhs format."""
-        if self.levels is None:  # a compressed lhs the terms cannot key
-            return wrap_dense(self._run_dense(), self.fmt)
-        if self.slots is None:  # a dense lhs: the array, in level order
-            vals = self._run_dense().transpose(self.fmt.mode_ordering)
+        if self.slots is not None:
+            # Each slot starts at +0.0 and takes its terms in order,
+            # exactly as the dense sum did: 0.0 + -0.0 is +0.0 here too.
+            vals = np.zeros(self.n_slots)
+            for (sign, term), slots in zip(self.terms, self.slots):
+                op = np.add if sign >= 0 else np.subtract
+                contrib = term.entries().reshape(-1)
+                if slots is None:
+                    op(vals, contrib, out=vals)
+                else:
+                    vals[slots] = op(vals[slots], contrib)
             return TensorStorage(self.fmt, self.out_shape, list(self.levels),
-                                 vals.reshape(-1))
-        # Each slot starts at +0.0 and takes its terms in order, exactly
-        # as the dense sum did: 0.0 + -0.0 is +0.0 here too.
-        vals = np.zeros(self.n_slots)
-        for (sign, term), slots in zip(self.terms, self.slots):
-            op = np.add if sign >= 0 else np.subtract
-            contrib = term.entries().reshape(-1)
-            if slots is None:
-                op(vals, contrib, out=vals)
-            else:
-                vals[slots] = op(vals[slots], contrib)
-        return TensorStorage(self.fmt, self.out_shape, list(self.levels), vals)
-
-    def _run_dense(self) -> np.ndarray:
+                                 vals)
         if self.direct:
-            contrib = self.terms[0][1].run()
-            if contrib.shape == self.out_shape:
-                return contrib
-            return np.broadcast_to(contrib, self.out_shape).copy()
-        out = np.zeros(self.out_shape, dtype=np.float64)
-        for sign, term in self.terms:
-            (np.add if sign >= 0 else np.subtract)(out, term.run(), out=out)
-        if self.accumulate:
-            np.add(out, self.lhs.to_dense(), out=out)
-        return out
+            out = self.terms[0][1].run()
+            if out.shape != self.out_shape:
+                out = np.broadcast_to(out, self.out_shape).copy()
+        else:
+            out = np.zeros(self.out_shape)
+            for sign, term in self.terms:
+                (np.add if sign >= 0 else np.subtract)(out, term.run(),
+                                                       out=out)
+            if self.accumulate:
+                np.add(out, self.lhs.to_dense(), out=out)
+        if self.levels is None:  # a compressed lhs the terms cannot key
+            return wrap_dense(out, self.fmt)
+        # A dense lhs: the array, in level order.
+        return TensorStorage(self.fmt, self.out_shape, list(self.levels),
+                             out.transpose(self.fmt.mode_ordering).reshape(-1))
 
 
 class NumpyExecutor:
@@ -587,10 +617,16 @@ class NumpyExecutor:
         self.plan_state: str | None = None
         self.plan_ms: float | None = None
 
-    def _plan(self) -> ExecPlan:
+    def run(self, strict: bool = False) -> TensorStorage:
+        """Execute, returning the result in the lhs's declared format.
+
+        ``strict=True`` raises :class:`VectorizeFallback` instead of
+        delegating to the ``CpuExecutor`` interpreter.
+        """
         plan = getattr(self.assignment, "_exec_plan", None)
-        self.plan_state = "reused"
-        if plan is None or not plan.current():
+        if plan is not None and plan.current():
+            self.plan_state = "reused"
+        else:
             start = time.perf_counter()
             plan = ExecPlan(self.assignment)
             self.plan_ms = (time.perf_counter() - start) * 1e3
@@ -598,19 +634,9 @@ class NumpyExecutor:
             # Built fully, then published by one attribute store: racing
             # threads each build a whole plan and the last one stays.
             object.__setattr__(self.assignment, "_exec_plan", plan)
-        if plan.fallback is not None:
-            self.plan_state = "fallback"
-        return plan
-
-    def run(self, strict: bool = False) -> TensorStorage:
-        """Execute, returning the result in the lhs's declared format.
-
-        ``strict=True`` raises :class:`VectorizeFallback` instead of
-        delegating to the ``CpuExecutor`` interpreter.
-        """
-        plan = self._plan()
         if plan.fallback is None:
             return plan.run()
+        self.plan_state = "fallback"
         if strict:
             raise VectorizeFallback(plan.fallback)
         self.fell_back = True

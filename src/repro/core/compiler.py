@@ -184,28 +184,34 @@ class CompiledKernel:
             with _trace.span("exec", kernel=self.name, engine="cpu"):
                 return CpuExecutor(self.stmt).run(), False
         if engine == "numpy":
-            from repro.backends.numpy_exec import NumpyExecutor
-
+            NumpyExecutor, plans, fallbacks = _numpy_engine()
             executor = NumpyExecutor(self.stmt)
             with _trace.span("exec", kernel=self.name, engine="numpy") as sp:
                 result = executor.run(strict=strict)
                 sp.set(fell_back=executor.fell_back, plan=executor.plan_state)
                 if executor.plan_ms is not None:
                     sp.set(plan_ms=executor.plan_ms)
-            _metrics.counter(
-                "repro_exec_plans_total",
-                "numpy-engine runs by what happened to their ExecPlan",
-                ("outcome",)).inc(outcome=executor.plan_state)
+            plans.inc(outcome=executor.plan_state)
             if executor.fell_back:
-                _metrics.counter(
-                    "repro_engine_fallbacks_total",
-                    "numpy-engine runs that fell back to the cpu walker",
-                    ("kernel",)).inc(kernel=self.name)
+                fallbacks.inc(kernel=self.name)
             return result, executor.fell_back
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
     def memory_report(self) -> str:
         return self.plan.report()
+
+
+@functools.cache
+def _numpy_engine() -> tuple:
+    """The numpy engine's executor class and its two counters, resolved
+    on first use only: a run looks up neither again."""
+    from repro.backends.numpy_exec import NumpyExecutor
+
+    return (NumpyExecutor,
+            _metrics.counter("repro_exec_plans_total", "numpy-engine runs by "
+                             "what happened to their ExecPlan", ("outcome",)),
+            _metrics.counter("repro_engine_fallbacks_total", "numpy-engine "
+                             "runs that fell back to the cpu walker", ("kernel",)))
 
 
 def _lower(stmt: IndexStmt, name: str, key: str | None = None) -> KernelProgram:

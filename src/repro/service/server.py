@@ -277,7 +277,10 @@ class CompileService:
     def _accept(self, rid: str, text: str):
         """A worker's answer as ``(value, why)`` for the lease table.
 
-        A compile error the worker reports is a *value* — the exception
+        A result's value is the worker's text itself, already the
+        ``CompileResult.to_json()`` a serial run answers with: it is
+        read only to tell it from an error, never encoded again. A
+        compile error the worker reports is a *value* — the exception
         to answer with: it is deterministic, so retrying it is futile.
         Only an unreadable answer counts against the retry bound.
         """
@@ -286,8 +289,10 @@ class CompileService:
             if isinstance(data, dict) and data.get("format") == ERROR_FORMAT:
                 return ServeError(f"worker failed: "
                                   f"{data.get('error', 'unknown')}"), None
-            return api.CompileResult.from_dict(data), None
-        except (KeyError, ValueError, TypeError) as exc:
+            if not isinstance(data, dict) or "request" not in data:
+                raise ValueError("not a CompileResult payload")
+            return text, None
+        except (ValueError, TypeError) as exc:
             return None, f"malformed worker result: {exc}"
 
     def _lease_loop(self) -> None:
@@ -485,11 +490,13 @@ class CompileService:
         # Request spans do not nest on the thread-local stack: handler
         # coroutines interleave on the one event-loop thread, so stack
         # discipline would attach spans to whichever request last
-        # yielded. Each span is its own top-level track instead.
-        with obs.span("request", _nest=False,
-                      _track=f"req-{requests.value():.0f}",
-                      action=action, kernel=request.kernel,
-                      dataset=request.dataset) as sp:
+        # yielded. Each span is its own top-level track instead. Its
+        # track name (a locked counter read) and attributes are built
+        # only when a trace records them.
+        span = (obs.span("request", _nest=False, _track=f"req-{requests.value():.0f}",
+                         action=action, kernel=request.kernel, dataset=request.dataset)
+                if obs.tracing_enabled() else obs.span("request"))
+        with span as sp:
             hit = api.cached(request)
             if hit is not None:
                 self._count["cache_hits"].inc()
@@ -526,7 +533,7 @@ class CompileService:
                 sp.set(outcome="error", status=500)
                 return 500, _error_body(f"{type(exc).__name__}: {exc}")
             sp.set(status=200)
-            return 200, result.to_json().encode()
+            return 200, result.encode()
 
     def _launch(self, key: str, request: api.CompileRequest):
         """Lease a miss; its ``(future, compute span)`` until it settles."""

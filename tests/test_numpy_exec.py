@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import repro.backends.numpy_exec as numpy_exec
 from repro import obs
+from repro.obs.metrics import MetricsRegistry
 from repro.backends.cpu_exec import execute_cpu
 from repro.backends.numpy_exec import (
     NumpyExecutor,
@@ -50,6 +51,7 @@ from repro.formats import (
 )
 from repro.ir import index_vars
 from repro.tensor import Tensor, evaluate_dense, to_dense
+import repro.tensor.storage as storage_mod
 from repro.tensor.storage import DenseLevel, dense_view
 from tests.conftest import assert_scannable, random_sparse
 from tests.helpers_kernels import (
@@ -318,6 +320,31 @@ def test_sparse_result_keeps_the_dense_sums_signed_zeros(rng):
     assert np.asarray(result).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("empty_row", [None, 4])
+def test_dense_result_keeps_the_dense_sums_signed_zeros(rng, empty_row):
+    """A dense-lhs SpMV row whose products are all -0.0 reads +0.0, when
+    every row has a run (the runs are the result) and when one row is
+    empty (the runs are scattered into zeros)."""
+    dense = random_sparse(rng, (6, 8), 0.5)
+    dense[:, 1] = rng.random(6) + 0.5  # every row stored
+    dense[2] = 0.0
+    dense[2, [0, 2]] = (1.5, 2.5)  # row 2 meets only x's -0.0 entries
+    if empty_row is not None:
+        dense[empty_row] = 0.0
+    x = rng.random(8) + 0.5
+    x[[0, 2]] = -0.0
+    A = Tensor("A", (6, 8), CSR(offChip)).from_dense(dense)
+    xt = Tensor("x", (8,), DENSE_VECTOR(offChip)).from_dense(x)
+    y = Tensor("y", (6,), DENSE_VECTOR(offChip))
+    i, j = index_vars("i j")
+    y[i] = A[i, j] * xt[j]
+    stmt = y.get_index_stmt()
+    result = np.asarray(execute_numpy(stmt, strict=True))
+    assert _plan_of(stmt).terms[0][1].identity is (empty_row is None)
+    assert np.array_equal(result, dense @ x)
+    assert result[2] == 0.0 and not np.signbit(result).any()
+
+
 def test_compressed_lhs_without_shared_keys_packs_the_dense_sum(rng):
     """A compressed lhs whose terms do not share keys (a sparse term plus
     a dense one) is summed dense and packed into its format."""
@@ -525,6 +552,25 @@ def test_reused_plan_derives_nothing_again(name, monkeypatch):
     executor = NumpyExecutor(stmt)
     assert np.array_equal(executor.run(strict=True), first)
     assert executor.plan_state == "reused" and executor.plan_ms is None
+
+
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_reused_plan_looks_nothing_up_again(name, monkeypatch):
+    """After the first call a run through ``run_engine`` resolves no
+    metric by name and builds no dense view: the counters and every
+    dense operand's layout are fixed by then."""
+    stmt, _, _ = build_small_kernel_stmt(name)
+    kernel = compile_stmt(stmt, name, cache=False)
+    first = kernel.run_engine("numpy", strict=True)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("looked up again on a reused plan")
+
+    monkeypatch.setattr(MetricsRegistry, "_get_or_create", boom)
+    for helper in ("dense_view", "_mode_order_view"):
+        monkeypatch.setattr(storage_mod, helper, boom)
+    again = kernel.run_engine("numpy", strict=True)
+    assert again.vals.tobytes() == first.vals.tobytes()
 
 
 def test_plan_rebuilt_when_a_storage_is_replaced(rng):

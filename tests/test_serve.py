@@ -17,7 +17,13 @@ import time
 import pytest
 
 import repro.api as api
-from repro.service.server import ServeConfig, ServeError, ServiceThread
+from repro.pipeline.fsqueue import ERROR_FORMAT
+from repro.service.server import (
+    CompileService,
+    ServeConfig,
+    ServeError,
+    ServiceThread,
+)
 from tests.conftest import start_vanishing_worker
 
 TINY = 0.02
@@ -366,6 +372,33 @@ class TestLeaseLoop:
             assert status == 200, answer
             request = api.CompileRequest.from_dict(body)
             assert answer == api.execute(request).to_json().encode()
+
+    def test_a_worker_answer_is_the_miss_body(self, fresh_cache,
+                                              monkeypatch):
+        """A result text is answered as the worker wrote it, never
+        decoded into a result and encoded again; an error envelope stays
+        an error, and unreadable text is a reason to lease again."""
+        svc = CompileService(ServeConfig(port=0, pool="inline:1"))
+        text = _fake_result(api.CompileRequest(kernel="SpMV")).to_json()
+        value, why = svc._accept("req-1", text)
+        assert value is text and why is None
+        value, why = svc._accept("req-1", json.dumps(
+            {"format": ERROR_FORMAT, "error": "ValueError: no"}))
+        assert isinstance(value, ServeError) and why is None
+        assert str(value) == "worker failed: ValueError: no"
+        for bad in ("{", "[]", '{"format": "other"}'):
+            value, why = svc._accept("req-1", bad)
+            assert value is None and why.startswith("malformed worker result")
+
+        def execute(request, use_cache):
+            raise ValueError("no such kernel today")
+
+        monkeypatch.setattr("repro.service.api.execute", execute)
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            status, body = _post(svc.port, "/evaluate",
+                                 {"kernel": "SpMV", "scale": TINY})
+        assert status == 500
+        assert b"worker failed: ValueError: no such kernel today" in body
 
     def test_inline_request_outlives_its_lease_once(self, fresh_cache,
                                                     monkeypatch):
