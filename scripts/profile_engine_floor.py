@@ -20,11 +20,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import CompileRequest, build  # noqa: E402
-from repro.kernels import KERNELS  # noqa: E402
-
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.api import CompileRequest, build
+    from repro.kernels import KERNELS
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--calls", type=int, default=500)

@@ -455,8 +455,9 @@ class _Term:
             return contrib.reshape(self.shape)
         if self.identity:
             # Each row takes its one run, exactly as scattered into
-            # zeros: 0.0 + -0.0 is +0.0, and the sum is a fresh array.
-            buffer = contrib + 0.0
+            # zeros: 0.0 + -0.0 is +0.0, and the sum is a fresh array,
+            # row-major like the buffer whatever the runs' layout.
+            buffer = np.add(contrib, 0.0, order="C")
         else:
             buffer = np.zeros(self.buffer_shape)
             buffer[self.ukeys] += contrib
