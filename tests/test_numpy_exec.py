@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.backends.numpy_exec as numpy_exec
+import repro.tensor.storage as storage_mod
 from repro import obs
-from repro.obs.metrics import MetricsRegistry
 from repro.backends.cpu_exec import execute_cpu
 from repro.backends.numpy_exec import (
     NumpyExecutor,
@@ -50,8 +50,8 @@ from repro.formats import (
     registered_formats,
 )
 from repro.ir import index_vars
+from repro.obs.metrics import MetricsRegistry
 from repro.tensor import Tensor, evaluate_dense, to_dense
-import repro.tensor.storage as storage_mod
 from repro.tensor.storage import DenseLevel, dense_view
 from tests.conftest import assert_scannable, random_sparse
 from tests.helpers_kernels import (
@@ -341,7 +341,7 @@ def test_dense_result_keeps_the_dense_sums_signed_zeros(rng, empty_row):
     stmt = y.get_index_stmt()
     result = np.asarray(execute_numpy(stmt, strict=True))
     assert _plan_of(stmt).terms[0][1].identity is (empty_row is None)
-    assert np.array_equal(result, dense @ x)
+    assert np.allclose(result, dense @ x)
     assert result[2] == 0.0 and not np.signbit(result).any()
 
 
