@@ -1,49 +1,43 @@
 """Profile the numpy engine's per-call floor over reused plans.
 
-Builds every kernel record at one scale (``exec_small``'s 0.05 by
-default), runs each once through ``run_engine("numpy")`` so its
-``ExecPlan`` is built, then profiles ``--calls`` more runs of each under
-cProfile and prints the ``--top`` functions by own time (``tottime``).
-A plan-time decision that slipped back into the run shows up here as a
-function called once per run.
+Builds every kernel record at ``SCALE`` (``exec_small``'s 0.05), runs
+each once through ``run_engine("numpy")`` so its ``ExecPlan`` is built,
+then profiles ``CALLS`` more runs of each under cProfile and prints the
+``TOP`` functions by own time (``tottime``). A plan-time decision that
+slipped back into the run shows up here as a function called once per
+run.
 
-Usage:  python scripts/profile_engine_floor.py [--scale 0.05] [--calls 500] [--top 30]
+Usage:  PYTHONPATH=src python scripts/profile_engine_floor.py
 """
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import pstats
 import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SCALE = 0.05
+CALLS = 500
+TOP = 30
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     from repro.api import CompileRequest, build
     from repro.kernels import KERNELS
 
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=0.05)
-    parser.add_argument("--calls", type=int, default=500)
-    parser.add_argument("--top", type=int, default=30)
-    args = parser.parse_args(argv)
-    kernels = [build(CompileRequest(kernel=name, scale=args.scale))
+    kernels = [build(CompileRequest(kernel=name, scale=SCALE))
                for name in KERNELS]
     for kernel in kernels:
         kernel.run_engine("numpy")
     profile = cProfile.Profile()
     profile.enable()
     for kernel in kernels:
-        for _ in range(args.calls):
+        for _ in range(CALLS):
             kernel.run_engine("numpy")
     profile.disable()
-    print(f"{args.calls} reused-plan run_engine('numpy') calls of each of "
-          f"{len(kernels)} kernel records at scale {args.scale}")
-    pstats.Stats(profile, stream=sys.stdout).sort_stats("tottime").print_stats(
-        args.top)
+    print(f"{CALLS} reused-plan run_engine('numpy') calls of each of "
+          f"{len(kernels)} kernel records at scale {SCALE}")
+    pstats.Stats(profile, stream=sys.stdout).sort_stats("tottime").print_stats(TOP)
     return 0
 
 

@@ -227,14 +227,12 @@ def _dense_spec(st: TensorStorage, axes=None, shape=None, index=None,
     """How to read a dense operand each run: ``vals`` reshaped to its
     level dims, permuted by its mode ordering composed with the gather's
     ``axes``, reshaped to ``shape`` (default: mode order, no gather),
-    then gathered at ``index`` along ``axis``. An identity permutation
-    reshapes ``vals`` straight to ``shape``."""
+    then gathered at ``index`` along ``axis``. ``perm`` is ``None`` for
+    the identity: ``vals`` reshapes straight to ``shape``."""
     dims = [st.level_dim(L) for L in range(st.order)]
     perm = [st.fmt.level_of_mode(m) for m in axes or range(st.order)]
     shape = shape or [dims[L] for L in perm]
-    if perm == sorted(perm):
-        return st, shape, None, None, index, axis
-    return st, dims, perm, shape, index, axis
+    return st, dims, None if perm == sorted(perm) else perm, shape, index, axis
 
 
 class _Term:
@@ -376,6 +374,10 @@ class _Term:
                                  if self.tail else
                                  (shared + residual, [-1] + shape, 0))
             self.dense.append(_dense_spec(st, axes, shape, index, axis))
+        # The pure product scales its first operand in place: that must
+        # be a fresh gather, never a view of an operand's ``vals``.
+        assert self.einsum is not None or all(
+            index is not None for *_, index, _ in self.dense)
         # A gather wider than the per-entry output (the einsum contracts
         # its rows away) runs in blocks. A term without keys sums every
         # entry into one output and is never blocked: partial sums would
@@ -395,7 +397,7 @@ class _Term:
         """``(values, index, axis)`` per dense operand: its ``vals``, read
         live and laid out for its gather (views, copied only where a
         permutation forces it), with the gather's index and axis."""
-        return [(st.vals.reshape(dims) if perm is None
+        return [(st.vals.reshape(shape) if perm is None
                  else st.vals.reshape(dims).transpose(perm).reshape(shape),
                  index, axis)
                 for st, dims, perm, shape, index, axis in self.dense]

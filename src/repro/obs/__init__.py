@@ -24,6 +24,7 @@ from repro.obs.metrics import (
     registry,
 )
 from repro.obs.trace import (
+    _NULL_SPAN as NULL_SPAN,
     TRACE_ENV,
     event,
     span,
@@ -33,6 +34,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "NULL_SPAN",
     "TRACE_ENV",
     "counter",
     "event",

@@ -338,6 +338,11 @@ class CompileResult(_Memoized):
         return PlatformTimes(self.request.kernel, self.request.dataset,
                              dict(self.seconds))
 
+    #: The keys of every :meth:`to_dict`: a worker's answer with any
+    #: other key set is not a result this checkout would answer with.
+    KEYS = frozenset(("request", "seconds", "exec", "source", "spatial_loc",
+                      "input_loc", "memory_report", "pipeline", "partition"))
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "request": self.request.canonical(),

@@ -279,7 +279,8 @@ class CompileService:
 
         A result's value is the worker's text itself, already the
         ``CompileResult.to_json()`` a serial run answers with: it is
-        read only to tell it from an error, never encoded again. A
+        read only to tell it from an error and to check it has exactly
+        a result's keys, never built into a result or encoded again. A
         compile error the worker reports is a *value* — the exception
         to answer with: it is deterministic, so retrying it is futile.
         Only an unreadable answer counts against the retry bound.
@@ -289,7 +290,8 @@ class CompileService:
             if isinstance(data, dict) and data.get("format") == ERROR_FORMAT:
                 return ServeError(f"worker failed: "
                                   f"{data.get('error', 'unknown')}"), None
-            if not isinstance(data, dict) or "request" not in data:
+            if (not isinstance(data, dict) or data.keys() != api.CompileResult.KEYS
+                    or not isinstance(data["request"], dict)):
                 raise ValueError("not a CompileResult payload")
             return text, None
         except (ValueError, TypeError) as exc:
@@ -495,7 +497,7 @@ class CompileService:
         # only when a trace records them.
         span = (obs.span("request", _nest=False, _track=f"req-{requests.value():.0f}",
                          action=action, kernel=request.kernel, dataset=request.dataset)
-                if obs.tracing_enabled() else obs.span("request"))
+                if obs.tracing_enabled() else obs.NULL_SPAN)
         with span as sp:
             hit = api.cached(request)
             if hit is not None:

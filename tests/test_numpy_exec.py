@@ -617,8 +617,8 @@ def test_values_are_read_live(rng):
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
 def test_engine_never_writes_an_operand(name):
-    """The engine reads operands through read-only views and fresh
-    gathers: no operand's values change across runs."""
+    """The engine only reads operands' ``vals`` and scales only fresh
+    gathers in place: no operand's values change across runs."""
     stmt, _, tensors = build_small_kernel_stmt(name)
     inputs = [t for t in tensors.values() if t._storage is not None]
     before = [t.storage.vals.tobytes() for t in inputs]

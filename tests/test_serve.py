@@ -386,7 +386,13 @@ class TestLeaseLoop:
             {"format": ERROR_FORMAT, "error": "ValueError: no"}))
         assert isinstance(value, ServeError) and why is None
         assert str(value) == "worker failed: ValueError: no"
-        for bad in ("{", "[]", '{"format": "other"}'):
+        result = json.loads(text)
+        assert result.keys() == api.CompileResult.KEYS
+        missing = {k: v for k, v in result.items() if k != "seconds"}
+        extra = {**result, "elapsed": 1.0}
+        not_a_request = {**result, "request": "SpMV"}
+        for bad in ("{", "[]", '{"format": "other"}', json.dumps(missing),
+                    json.dumps(extra), json.dumps(not_a_request)):
             value, why = svc._accept("req-1", bad)
             assert value is None and why.startswith("malformed worker result")
 
