@@ -68,6 +68,9 @@ class _Metric:
         self._lock = threading.Lock()
 
     def _values(self, labels: dict[str, str]) -> tuple[str, ...]:
+        # Labels passed in declared order (every call site) skip the sets.
+        if tuple(labels) == self.labelnames:
+            return tuple(map(str, labels.values()))
         if set(labels) != set(self.labelnames):
             raise ValueError(
                 f"{self.name} expects labels {self.labelnames}, "

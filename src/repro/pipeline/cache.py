@@ -77,6 +77,7 @@ __all__ = [
     "note_stage_compute",
     "peek_stage",
     "stage_computes",
+    "stage_key",
     "put_stage",
     "stage_bypassed",
     "stage_version",
@@ -617,6 +618,12 @@ def default_cache() -> CompilationCache:
     return _default_cache
 
 
+def stage_key(stage: str, parts: tuple) -> tuple[str, str]:
+    """``(key, version)`` of the staged entry ``stage`` keeps for ``parts``."""
+    version = stage_version(stage)
+    return make_key(stage, *parts, version=version), version
+
+
 def get_stage(stage: str, parts: tuple, default: Any = None) -> Any:
     """Read one staged entry directly (no compute callback).
 
@@ -627,23 +634,23 @@ def get_stage(stage: str, parts: tuple, default: Any = None) -> Any:
     """
     if not cache_enabled():
         return default
-    version = stage_version(stage)
-    return default_cache().get(make_key(stage, *parts, version=version),
-                               default, version=version)
+    key, version = stage_key(stage, parts)
+    return default_cache().get(key, default, version=version)
 
 
-def peek_stage(stage: str, parts: tuple, default: Any = None) -> Any:
+def peek_stage(stage: str, parts: tuple, default: Any = None, *,
+               key: tuple[str, str] | None = None) -> Any:
     """Read one staged entry with per-stage hit/miss accounting.
 
     Like :func:`get_stage`, but the lookup shows up in the stage
     counters — the daemon's hot path uses this so cache traffic from
-    served requests is observable in ``/stats``.
+    served requests is observable in ``/stats``. ``key``, the entry's
+    :func:`stage_key` when the caller kept it, skips deriving it again.
     """
     if not cache_enabled():
         return default
-    version = stage_version(stage)
-    return default_cache().peek(make_key(stage, *parts, version=version),
-                                default, stage=stage, version=version)
+    entry, version = key if key is not None else stage_key(stage, parts)
+    return default_cache().peek(entry, default, stage=stage, version=version)
 
 
 def put_stage(stage: str, parts: tuple, value: Any) -> None:
@@ -655,9 +662,8 @@ def put_stage(stage: str, parts: tuple, value: Any) -> None:
     """
     if not cache_enabled():
         return
-    version = stage_version(stage)
-    default_cache().put(make_key(stage, *parts, version=version), value,
-                        version=version)
+    key, version = stage_key(stage, parts)
+    default_cache().put(key, value, version=version)
 
 
 _stage_compute_local = threading.local()
@@ -720,10 +726,8 @@ def memoize_stage(stage: str, parts: tuple, compute,
         if stage_bypassed(stage, use_cache):
             value = run()
         else:
-            version = stage_version(stage)
+            key, version = stage_key(stage, parts)
             value = default_cache().get_or_compute(
-                make_key(stage, *parts, version=version), run,
-                stage=stage, version=version,
-            )
+                key, run, stage=stage, version=version)
         sp.set(hit=not computed)
     return value

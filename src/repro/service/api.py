@@ -221,6 +221,18 @@ class CompileRequest(_Memoized):
         return self._memo("_canonical_json", lambda: json.dumps(
             self.canonical(), sort_keys=True, separators=(",", ":")))
 
+    def stage_key(self) -> tuple[str, str]:
+        """``(key, version)`` of the staged entry holding the result.
+
+        :func:`~repro.pipeline.cache.stage_key` of the resolved request's
+        action and canonical JSON, computed once per request object.
+        """
+        from repro.pipeline.cache import stage_key
+
+        r = self.resolved()
+        return r._memo("_stage_key", lambda: stage_key(
+            r.action, (r.canonical_json(),)))
+
     @property
     def stage(self) -> str:
         """The cache stage the request's result is memoized under."""
@@ -709,4 +721,4 @@ def cached(request: CompileRequest) -> CompileResult | None:
     from repro.pipeline.cache import peek_stage
 
     req = request.resolved()
-    return peek_stage(req.action, (req.canonical_json(),))
+    return peek_stage(req.action, (), key=req.stage_key())

@@ -7,10 +7,15 @@ staged pipeline every other caller uses:
 
 * **Hot path** — a request whose result is already in the staged cache
   (:func:`repro.service.api.cached`) is answered immediately, without
-  touching the worker pool. A hit does each piece of work once: one
-  parse, one resolve, one key, one cache peek; the body is the cached
-  result's ``to_json()``, encoded once per result object, so a hit
-  held in memory reuses the string every earlier hit encoded.
+  touching the worker pool. A connection awaits its next request
+  directly (no task per read). A body seen before is not parsed again:
+  up to :data:`PARSED_BODIES` ``(action, body)`` pairs (bodies of at
+  most :data:`PARSED_BODY_BYTES`) map to their resolved request and
+  timeout (a 400 is never kept), and the request
+  memoizes its stage key, so a repeated hit is one read, one map
+  lookup and one cache peek; the body is the cached result's
+  ``to_json()``, encoded once per result object, so a hit held in
+  memory reuses the string every earlier hit encoded.
 * **Coalescing** — identical in-flight requests (same
   :meth:`~repro.service.api.CompileRequest.canonical_json`) share one
   underlying job; joiners await the first request's future.
@@ -30,9 +35,12 @@ staged pipeline every other caller uses:
 * **Timeouts and drain** — every request is bounded by a per-request
   timeout (504 on expiry; the underlying job keeps running and lands in
   the cache for the retry). SIGTERM/SIGINT begin a graceful drain:
-  the listener closes, in-flight requests finish, idle keep-alive
-  connections get a short window for a request already on the wire,
-  and the process exits 0.
+  the listener closes, in-flight requests finish, and one timer gives
+  idle keep-alive connections :data:`DRAIN_READ_WINDOW` seconds for a
+  request already on the wire; a read still pending when it fires is
+  cancelled and its connection ends as at EOF. The process exits 0.
+  An HTTP/1.0 request is answered ``Connection: close`` unless it
+  asked for ``keep-alive``.
 
 Endpoints: ``POST /<action>`` for every record of
 :data:`repro.service.api.ACTIONS` (listed below), each taking a
@@ -87,6 +95,12 @@ class ServeError(RuntimeError):
 #: Seconds an idle keep-alive connection gets, once draining starts, to
 #: deliver a request that was already on the wire when the signal hit.
 DRAIN_READ_WINDOW = 0.5
+
+#: Bounds on the ``(action, body)`` -> resolved-request map that lets a
+#: repeated body skip parsing: past ``PARSED_BODIES`` entries the oldest
+#: goes, and a body longer than ``PARSED_BODY_BYTES`` is never kept.
+PARSED_BODIES = 1024
+PARSED_BODY_BYTES = 4096
 
 _REASONS = {
     200: "OK",
@@ -198,18 +212,24 @@ class CompileService:
             "repro_request_seconds",
             "HTTP request handling latency (seconds).")
         self._conn_tasks: set[asyncio.Task] = set()
+        #: Connection tasks awaiting their next request: drain's read
+        #: window ends the ones still here when it closes.
+        self._idle: set[asyncio.Task] = set()
+        #: (action, body) -> (resolved request, timeout) of bodies that
+        #: parsed, within PARSED_BODIES and PARSED_BODY_BYTES.
+        self._parsed: dict[tuple[str, bytes],
+                           tuple[api.CompileRequest, float]] = {}
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._drain_event: asyncio.Event | None = None
         self._done: asyncio.Event | None = None
         self._draining = False
+        self._reads_cut = False
         self.port: int | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._drain_event = asyncio.Event()
         self._done = asyncio.Event()
         # A queue:DIR pool clears a previous owner's residue, its stop
         # sentinel included, before workers attach, not at the first miss.
@@ -232,10 +252,17 @@ class CompileService:
         if self._draining:
             return
         self._draining = True
-        self._drain_event.set()
         if self._server is not None:
             self._server.close()
-        asyncio.get_running_loop().create_task(self._finish_drain())
+        loop = asyncio.get_running_loop()
+        loop.call_later(DRAIN_READ_WINDOW, self._cut_reads)
+        loop.create_task(self._finish_drain())
+
+    def _cut_reads(self) -> None:
+        """Drain's read window closed: end every connection still reading."""
+        self._reads_cut = True
+        for task in self._idle:
+            task.cancel()
 
     async def _finish_drain(self) -> None:
         if self._server is not None:
@@ -358,7 +385,7 @@ class CompileService:
                 return
             if request is None:
                 return
-            method, path, headers, body = request
+            method, path, keep, body = request
             t0 = time.perf_counter()
             content_type = "application/json"
             try:
@@ -373,8 +400,7 @@ class CompileService:
             self._responses.inc(status=str(status))
             self._requests_total.inc(path=path, status=str(status))
             self._request_seconds.observe(time.perf_counter() - t0)
-            keep = (not self._draining
-                    and headers.get("connection", "").lower() != "close")
+            keep = keep and not self._draining
             writer.write(_render_response(status, payload, keep,
                                           content_type))
             await writer.drain()
@@ -384,31 +410,24 @@ class CompileService:
     async def _next_request(self, reader: asyncio.StreamReader):
         """The next parsed request, honouring the drain protocol.
 
-        ``None`` when the client went away; a malformed request raises
+        ``None`` when the client went away or drain's read window closed
+        before a whole request arrived; a malformed request raises
         ``ValueError``.
         """
-        read = asyncio.ensure_future(_read_request(reader))
-        if not self._draining:
-            drain = asyncio.ensure_future(self._drain_event.wait())
-            try:
-                await asyncio.wait({read, drain},
-                                   return_when=asyncio.FIRST_COMPLETED)
-            finally:
-                drain.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await drain
-        if not read.done() and self._draining:
-            # Drain began while this connection was idle: allow a short
-            # window for a request that was already on the wire.
-            try:
-                return await asyncio.wait_for(read, DRAIN_READ_WINDOW)
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                    ConnectionError):
-                return None
+        if self._reads_cut:
+            return None
+        task = asyncio.current_task()
+        self._idle.add(task)
         try:
-            return await read
+            return await _read_request(reader)
+        except asyncio.CancelledError:
+            if not self._reads_cut:
+                raise
+            return None  # _cut_reads ended this read: a clean EOF
         except (asyncio.IncompleteReadError, ConnectionError):
             return None
+        finally:
+            self._idle.discard(task)
 
     async def _route(self, method: str, path: str,
                      body: bytes) -> tuple[int, bytes, str]:
@@ -461,12 +480,13 @@ class CompileService:
 
     # -- request handling ---------------------------------------------------
 
-    async def _handle_work(self, action: str,
-                           body: bytes) -> tuple[int, bytes]:
+    def _parse_work(self, action: str,
+                    body: bytes) -> tuple[api.CompileRequest, float]:
+        """``body``'s resolved request and timeout; ``ValueError`` is a 400."""
         try:
             data = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:
-            return 400, _error_body(f"request is not valid JSON: {exc}")
+            raise ValueError(f"request is not valid JSON: {exc}") from None
         timeout = self.config.request_timeout
         if isinstance(data, dict) and "timeout" in data:
             # Transport-level field: bounds *this* request, capped by the
@@ -477,15 +497,26 @@ class CompileService:
             except (TypeError, ValueError):
                 asked = float("nan")
             if not asked > 0:  # NaN compares false
-                return 400, _error_body(
+                raise ValueError(
                     f"timeout must be a positive number, got {raw!r}")
             timeout = min(timeout, asked)
-        try:
-            request = api.CompileRequest.from_dict(
-                {**data, "action": action} if isinstance(data, dict) else data)
-            request = request.resolved()
-        except ValueError as exc:
-            return 400, _error_body(str(exc))
+        request = api.CompileRequest.from_dict(
+            {**data, "action": action} if isinstance(data, dict) else data)
+        return request.resolved(), timeout
+
+    async def _handle_work(self, action: str,
+                           body: bytes) -> tuple[int, bytes]:
+        parsed = self._parsed.get((action, body))
+        if parsed is None:
+            try:
+                parsed = self._parse_work(action, body)
+            except ValueError as exc:
+                return 400, _error_body(str(exc))
+            if len(body) <= PARSED_BODY_BYTES:
+                if len(self._parsed) >= PARSED_BODIES:
+                    del self._parsed[next(iter(self._parsed))]
+                self._parsed[action, body] = parsed
+        request, timeout = parsed
 
         requests = self._count["requests"]
         requests.inc()
@@ -576,14 +607,19 @@ def _render_response(status: int, body: bytes, keep_alive: bool,
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one HTTP/1.1 request; None on clean EOF before a start line."""
+    """Parse one HTTP/1.x request; None on clean EOF before a start line.
+
+    Returns ``(method, path, keep_alive, body)``: HTTP/1.1 keeps the
+    connection unless it sent ``Connection: close``, HTTP/1.0 only if it
+    sent ``Connection: keep-alive``.
+    """
     line = await reader.readline()
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise ValueError(f"malformed request line {line!r}")
-    method, path, _version = parts
+    method, path, version = parts
     headers: dict[str, str] = {}
     while True:
         raw = await reader.readline()
@@ -596,7 +632,10 @@ async def _read_request(reader: asyncio.StreamReader):
         raise ValueError(f"invalid Content-Length {raw_length!r}")
     length = int(raw_length)
     body = await reader.readexactly(length) if length else b""
-    return method, path.split("?", 1)[0], headers, body
+    connection = headers.get("connection", "").lower()
+    keep = (connection == "keep-alive" if version == "HTTP/1.0"
+            else connection != "close")
+    return method, path.split("?", 1)[0], keep, body
 
 
 # ---------------------------------------------------------------------------

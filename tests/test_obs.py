@@ -197,6 +197,27 @@ class TestMetrics:
         assert 'repro_test_total{path="/evaluate",status="200"} 3' in text
         assert text.endswith("\n")
 
+    def test_labels_in_any_order_else_value_error(self):
+        reg = metrics_mod.MetricsRegistry()
+        c = reg.counter("repro_order_total", "", ("path", "status"))
+        g = reg.gauge("repro_order_now", "", ("path", "status"))
+        c.inc(status=200, path="/x")
+        c.inc(path="/x", status="200")
+        g.set(4, status="200", path="/x")
+        assert c.value(path="/x", status="200") == 2
+        assert g.value(status="200", path="/x") == 4
+        for bad in ({"path": "/x"}, {"path": "/x", "code": "200"},
+                    {"path": "/x", "status": "200", "extra": "1"}, {}):
+            with pytest.raises(ValueError, match="expects labels"):
+                c.inc(**bad)
+            with pytest.raises(ValueError, match="expects labels"):
+                g.set(1, **bad)
+            with pytest.raises(ValueError, match="expects labels"):
+                c.value(**bad)
+        plain = reg.counter("repro_plain_total")
+        with pytest.raises(ValueError, match="expects labels"):
+            plain.inc(path="/x")
+
     def test_histogram_buckets_cumulative(self):
         reg = metrics_mod.MetricsRegistry()
         h = reg.histogram("repro_lat_seconds", "latency")

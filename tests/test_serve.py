@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import pickle
 import signal
 import socket
@@ -18,7 +17,9 @@ import pytest
 
 import repro.api as api
 from repro.pipeline.fsqueue import ERROR_FORMAT
+from repro.service import server
 from repro.service.server import (
+    DRAIN_READ_WINDOW,
     CompileService,
     ServeConfig,
     ServeError,
@@ -30,9 +31,14 @@ TINY = 0.02
 
 
 def _post(port: int, path: str, body: dict, timeout: float = 60.0):
+    return _post_raw(port, path, json.dumps(body), timeout)
+
+
+def _post_raw(port: int, path: str, body: str | bytes,
+              timeout: float = 60.0):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
-        conn.request("POST", path, body=json.dumps(body),
+        conn.request("POST", path, body=body,
                      headers={"Content-Type": "application/json"})
         resp = conn.getresponse()
         return resp.status, resp.read()
@@ -58,13 +64,18 @@ def _leases_total(port: int) -> float:
     return 0.0
 
 
-def _raw_exchange(port: int, payload: bytes) -> bytes:
+def _raw_exchange(port: int, payload: bytes, timeout: float = 30) -> bytes:
     """Send raw bytes; everything the daemon answers until it closes."""
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
         sock.sendall(payload)
-        chunks = []
-        while chunk := sock.recv(65536):
-            chunks.append(chunk)
+        return _read_to_eof(sock)
+
+
+def _read_to_eof(sock: socket.socket) -> bytes:
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
     return b"".join(chunks)
 
 
@@ -148,6 +159,41 @@ class TestMalformedHttp:
             assert serve["status_codes"]["400"] == 1
             assert serve["requests"] == 0
 
+    def test_http10_is_closed_unless_it_asks_to_stay(self, fresh_cache):
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            # Reading to EOF, bounded: a held-open socket times out.
+            head, _, body = _raw_exchange(
+                svc.port, b"GET /healthz HTTP/1.0\r\n\r\n",
+                timeout=5).partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert b"\r\nConnection: close" in head
+            assert json.loads(body) == {"ok": True}
+            with socket.create_connection(("127.0.0.1", svc.port),
+                                          timeout=5) as sock:
+                stream = sock.makefile("rb")
+                for _ in range(2):
+                    sock.sendall(b"GET /healthz HTTP/1.0\r\n"
+                                 b"Connection: Keep-Alive\r\n\r\n")
+                    head = _read_head(stream)
+                    assert b"\r\nConnection: keep-alive" in head
+                    assert stream.read(_content_length(head)) == b'{"ok": true}'
+
+
+def _read_head(stream) -> bytes:
+    """One response's status line and headers, off a socket file."""
+    lines = []
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        lines.append(line)
+    return b"".join(lines)
+
+
+def _content_length(head: bytes) -> int:
+    for line in head.split(b"\r\n"):
+        name, _, value = line.partition(b":")
+        if name.lower() == b"content-length":
+            return int(value)
+    raise AssertionError(f"no Content-Length in {head!r}")
+
 
 #: One request body per action, at a tiny scale.
 _HIT_BODIES = {
@@ -204,6 +250,54 @@ class TestHitPath:
         clone = pickle.loads(pickled[0])
         assert clone == result
         assert clone.to_json() == text
+
+
+class TestParseOnce:
+    """A body seen before answers from the ``(action, body)`` map."""
+
+    def test_a_repeated_body_is_not_parsed_again(self, fresh_cache,
+                                                 monkeypatch):
+        body = {"kernel": "SpMV", "scale": TINY}
+        expected = api.execute(
+            api.CompileRequest.from_dict(body)).to_json().encode()
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            assert _post(svc.port, "/evaluate", body) == (200, expected)
+
+            def broken(*_args, **_kwargs):
+                raise AssertionError("a repeated body was parsed again")
+
+            monkeypatch.setattr(api.CompileRequest, "from_dict", broken)
+            monkeypatch.setattr("repro.pipeline.cache.make_key", broken)
+            parsed = dict(svc.service._parsed)
+            for _ in range(2):
+                assert _post(svc.port, "/evaluate", body) == (200, expected)
+                # Neither is stored: both fail before ``from_dict``.
+                for bad in (b"{not json", b'{"kernel": "SpMV", "timeout": 0}'):
+                    status, answer = _post_raw(svc.port, "/evaluate", bad)
+                    assert status == 400
+                    assert "error" in json.loads(answer)
+                assert svc.service._parsed == parsed
+
+    def test_the_map_stays_within_its_bounds(self, fresh_cache, monkeypatch):
+        monkeypatch.setattr(server, "PARSED_BODIES", 4)
+        expected = api.execute(api.CompileRequest.from_dict(
+            {"kernel": "SpMV", "scale": TINY, "action": "compile"})
+        ).to_json().encode()
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            # Distinct bodies (each its own timeout), one cached request.
+            for i in range(10):
+                assert _post(svc.port, "/compile", {
+                    "kernel": "SpMV", "scale": TINY, "timeout": 60 + i,
+                }) == (200, expected)
+                assert len(svc.service._parsed) == min(i + 1, 4)
+            assert {json.loads(body)["timeout"]
+                    for _action, body in svc.service._parsed} == {66, 67, 68, 69}
+            # A long body answers like any other and is not kept.
+            parsed = dict(svc.service._parsed)
+            padding = " " * server.PARSED_BODY_BYTES
+            assert _post_raw(svc.port, "/compile", json.dumps(
+                {"kernel": "SpMV", "scale": TINY}) + padding) == (200, expected)
+            assert svc.service._parsed == parsed
 
 
 class TestCoalescing:
@@ -563,6 +657,62 @@ class TestDrain:
         svc.stop()  # begins the drain and joins the serve thread
         t.join(timeout=30)
         assert results and results[0][0] == 200
+
+    @staticmethod
+    def _idle_connection(svc: ServiceThread) -> socket.socket:
+        """A keep-alive connection whose handler is waiting for a request."""
+        sock = socket.create_connection(("127.0.0.1", svc.port), timeout=5)
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        stream = sock.makefile("rb")
+        head = _read_head(stream)
+        assert b"\r\nConnection: keep-alive" in head
+        assert stream.read(_content_length(head)) == b'{"ok": true}'
+        return sock
+
+    @staticmethod
+    def _begin_drain(svc: ServiceThread) -> float:
+        """Start the drain on the daemon's loop; when it began."""
+        svc._loop.call_soon_threadsafe(svc.service.begin_drain)
+        while not svc.service._draining:
+            time.sleep(0.001)
+        return time.monotonic()
+
+    #: Drains here end well inside this grace.
+    GRACE = 20.0
+
+    def test_idle_keepalive_closes_within_the_window(self, fresh_cache):
+        svc = ServiceThread(ServeConfig(port=0, pool="inline:1",
+                                        drain_grace=self.GRACE)).start()
+        with self._idle_connection(svc) as sock:
+            began = self._begin_drain(svc)
+            assert _read_to_eof(sock) == b""
+            assert time.monotonic() - began < DRAIN_READ_WINDOW + 0.5
+        svc.stop(timeout=self.GRACE / 2)
+        assert not svc._thread.is_alive()
+
+    def test_request_inside_the_window_is_answered(self, fresh_cache):
+        svc = ServiceThread(ServeConfig(port=0, pool="inline:1",
+                                        drain_grace=self.GRACE)).start()
+        with self._idle_connection(svc) as sock:
+            self._begin_drain(svc)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            head, _, body = _read_to_eof(sock).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body) == {"ok": True}
+        svc.stop(timeout=self.GRACE / 2)
+        assert not svc._thread.is_alive()
+
+    def test_headers_held_past_the_window_are_dropped(self, fresh_cache):
+        svc = ServiceThread(ServeConfig(port=0, pool="inline:1",
+                                        drain_grace=self.GRACE)).start()
+        with self._idle_connection(svc) as sock:
+            began = self._begin_drain(svc)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            assert _read_to_eof(sock) == b""
+            assert time.monotonic() - began < DRAIN_READ_WINDOW + 0.5
+        svc.stop(timeout=self.GRACE / 2)
+        assert not svc._thread.is_alive()
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         from repro.pipeline.dispatch import worker_env
