@@ -638,18 +638,17 @@ def get_stage(stage: str, parts: tuple, default: Any = None) -> Any:
     return default_cache().get(key, default, version=version)
 
 
-def peek_stage(stage: str, parts: tuple, default: Any = None, *,
-               key: tuple[str, str] | None = None) -> Any:
+def peek_stage(stage: str, key: tuple[str, str], default: Any = None) -> Any:
     """Read one staged entry with per-stage hit/miss accounting.
 
+    ``key`` is the entry's ``(key, version)`` from :func:`stage_key`.
     Like :func:`get_stage`, but the lookup shows up in the stage
     counters — the daemon's hot path uses this so cache traffic from
-    served requests is observable in ``/stats``. ``key``, the entry's
-    :func:`stage_key` when the caller kept it, skips deriving it again.
+    served requests is observable in ``/stats``.
     """
     if not cache_enabled():
         return default
-    entry, version = key if key is not None else stage_key(stage, parts)
+    entry, version = key
     return default_cache().peek(entry, default, stage=stage, version=version)
 
 

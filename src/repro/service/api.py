@@ -721,4 +721,4 @@ def cached(request: CompileRequest) -> CompileResult | None:
     from repro.pipeline.cache import peek_stage
 
     req = request.resolved()
-    return peek_stage(req.action, (), key=req.stage_key())
+    return peek_stage(req.action, req.stage_key())

@@ -8,11 +8,11 @@ staged pipeline every other caller uses:
 * **Hot path** — a request whose result is already in the staged cache
   (:func:`repro.service.api.cached`) is answered immediately, without
   touching the worker pool. A connection awaits its next request
-  directly (no task per read). A body seen before is not parsed again:
-  up to :data:`PARSED_BODIES` ``(action, body)`` pairs (bodies of at
-  most :data:`PARSED_BODY_BYTES`) map to their resolved request and
-  timeout (a 400 is never kept), and the request
-  memoizes its stage key, so a repeated hit is one read, one map
+  directly (no task per read). A body seen before, byte for byte, is
+  not parsed again: an LRU map of up to :data:`PARSED_BODIES`
+  ``(action, body)`` pairs (bodies of at most :data:`PARSED_BODY_BYTES`)
+  gives its resolved request and timeout (a 400 is never kept), and the
+  request memoizes its stage key, so a repeated hit is one read, one map
   lookup and one cache peek; the body is the cached result's
   ``to_json()``, encoded once per result object, so a hit held in
   memory reuses the string every earlier hit encoded.
@@ -58,6 +58,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -97,8 +98,9 @@ class ServeError(RuntimeError):
 DRAIN_READ_WINDOW = 0.5
 
 #: Bounds on the ``(action, body)`` -> resolved-request map that lets a
-#: repeated body skip parsing: past ``PARSED_BODIES`` entries the oldest
-#: goes, and a body longer than ``PARSED_BODY_BYTES`` is never kept.
+#: repeated body skip parsing: past ``PARSED_BODIES`` entries the least
+#: recently used goes, and a body longer than ``PARSED_BODY_BYTES`` is
+#: never kept.
 PARSED_BODIES = 1024
 PARSED_BODY_BYTES = 4096
 
@@ -215,10 +217,6 @@ class CompileService:
         #: Connection tasks awaiting their next request: drain's read
         #: window ends the ones still here when it closes.
         self._idle: set[asyncio.Task] = set()
-        #: (action, body) -> (resolved request, timeout) of bodies that
-        #: parsed, within PARSED_BODIES and PARSED_BODY_BYTES.
-        self._parsed: dict[tuple[str, bytes],
-                           tuple[api.CompileRequest, float]] = {}
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._done: asyncio.Event | None = None
@@ -480,43 +478,13 @@ class CompileService:
 
     # -- request handling ---------------------------------------------------
 
-    def _parse_work(self, action: str,
-                    body: bytes) -> tuple[api.CompileRequest, float]:
-        """``body``'s resolved request and timeout; ``ValueError`` is a 400."""
-        try:
-            data = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"request is not valid JSON: {exc}") from None
-        timeout = self.config.request_timeout
-        if isinstance(data, dict) and "timeout" in data:
-            # Transport-level field: bounds *this* request, capped by the
-            # server's own limit; never part of the canonical request.
-            raw = data.pop("timeout")
-            try:
-                asked = float(raw)
-            except (TypeError, ValueError):
-                asked = float("nan")
-            if not asked > 0:  # NaN compares false
-                raise ValueError(
-                    f"timeout must be a positive number, got {raw!r}")
-            timeout = min(timeout, asked)
-        request = api.CompileRequest.from_dict(
-            {**data, "action": action} if isinstance(data, dict) else data)
-        return request.resolved(), timeout
-
     async def _handle_work(self, action: str,
                            body: bytes) -> tuple[int, bytes]:
-        parsed = self._parsed.get((action, body))
-        if parsed is None:
-            try:
-                parsed = self._parse_work(action, body)
-            except ValueError as exc:
-                return 400, _error_body(str(exc))
-            if len(body) <= PARSED_BODY_BYTES:
-                if len(self._parsed) >= PARSED_BODIES:
-                    del self._parsed[next(iter(self._parsed))]
-                self._parsed[action, body] = parsed
-        request, timeout = parsed
+        parse = _parse_kept if len(body) <= PARSED_BODY_BYTES else _parse_work
+        try:
+            request, timeout = parse(action, body, self.config.request_timeout)
+        except ValueError as exc:
+            return 400, _error_body(str(exc))
 
         requests = self._count["requests"]
         requests.inc()
@@ -604,6 +572,36 @@ def _render_response(status: int, body: bytes, keep_alive: bool,
             f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             f"\r\n")
     return head.encode("latin-1") + body
+
+
+def _parse_work(action: str, body: bytes,
+                request_timeout: float) -> tuple[api.CompileRequest, float]:
+    """``body``'s resolved request and timeout; ``ValueError`` is a 400."""
+    try:
+        data = json.loads(body or b"{}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"request is not valid JSON: {exc}") from None
+    timeout = request_timeout
+    if isinstance(data, dict) and "timeout" in data:
+        # Transport-level field: bounds *this* request, capped by the
+        # server's own limit; never part of the canonical request.
+        raw = data.pop("timeout")
+        try:
+            asked = float(raw)
+        except (TypeError, ValueError):
+            asked = float("nan")
+        if not asked > 0:  # NaN compares false
+            raise ValueError(
+                f"timeout must be a positive number, got {raw!r}")
+        timeout = min(timeout, asked)
+    request = api.CompileRequest.from_dict(
+        {**data, "action": action} if isinstance(data, dict) else data)
+    return request.resolved(), timeout
+
+
+#: :func:`_parse_work` of a body seen before, from memory. A call that
+#: raised (a 400) is never kept.
+_parse_kept = functools.lru_cache(maxsize=PARSED_BODIES)(_parse_work)
 
 
 async def _read_request(reader: asyncio.StreamReader):

@@ -257,6 +257,7 @@ class TestParseOnce:
 
     def test_a_repeated_body_is_not_parsed_again(self, fresh_cache,
                                                  monkeypatch):
+        server._parse_kept.cache_clear()
         body = {"kernel": "SpMV", "scale": TINY}
         expected = api.execute(
             api.CompileRequest.from_dict(body)).to_json().encode()
@@ -268,7 +269,7 @@ class TestParseOnce:
 
             monkeypatch.setattr(api.CompileRequest, "from_dict", broken)
             monkeypatch.setattr("repro.pipeline.cache.make_key", broken)
-            parsed = dict(svc.service._parsed)
+            assert server._parse_kept.cache_info().currsize == 1
             for _ in range(2):
                 assert _post(svc.port, "/evaluate", body) == (200, expected)
                 # Neither is stored: both fail before ``from_dict``.
@@ -276,10 +277,11 @@ class TestParseOnce:
                     status, answer = _post_raw(svc.port, "/evaluate", bad)
                     assert status == 400
                     assert "error" in json.loads(answer)
-                assert svc.service._parsed == parsed
+                assert server._parse_kept.cache_info().currsize == 1
 
-    def test_the_map_stays_within_its_bounds(self, fresh_cache, monkeypatch):
-        monkeypatch.setattr(server, "PARSED_BODIES", 4)
+    def test_the_map_stays_within_its_bounds(self, fresh_cache):
+        server._parse_kept.cache_clear()
+        assert server._parse_kept.cache_info().maxsize == server.PARSED_BODIES
         expected = api.execute(api.CompileRequest.from_dict(
             {"kernel": "SpMV", "scale": TINY, "action": "compile"})
         ).to_json().encode()
@@ -289,15 +291,12 @@ class TestParseOnce:
                 assert _post(svc.port, "/compile", {
                     "kernel": "SpMV", "scale": TINY, "timeout": 60 + i,
                 }) == (200, expected)
-                assert len(svc.service._parsed) == min(i + 1, 4)
-            assert {json.loads(body)["timeout"]
-                    for _action, body in svc.service._parsed} == {66, 67, 68, 69}
+                assert server._parse_kept.cache_info().currsize == i + 1
             # A long body answers like any other and is not kept.
-            parsed = dict(svc.service._parsed)
             padding = " " * server.PARSED_BODY_BYTES
             assert _post_raw(svc.port, "/compile", json.dumps(
                 {"kernel": "SpMV", "scale": TINY}) + padding) == (200, expected)
-            assert svc.service._parsed == parsed
+            assert server._parse_kept.cache_info().currsize == 10
 
 
 class TestCoalescing:
