@@ -26,7 +26,10 @@ subcommand's option strings and positional names, and the exit code and
 stderr of a fixed list of refused argv.
 ``table6-1.0.txt`` (tests/test_golden_code.py, ``slow``) is a cold
 ``tables table6 --scale 1.0`` render, so a model change that moves a
-paper-scale cell shows up as a text diff. After an
+paper-scale cell shows up as a text diff; ``table3.txt`` and
+``table5.txt`` are the ``tables table3`` and ``tables table5`` texts
+(lines of code and Capstan resources; neither depends on the scale).
+After an
 *intentional* change, rerun this script and commit the updated files;
 CI's golden-drift job runs it too and fails if the checked-in files do
 not match what the code produces.
@@ -49,14 +52,15 @@ from repro.core import compile_stmt
 from tests.helpers_kernels import (
     DATASET_GOLDEN_SEED,
     SPATIAL_GOLDEN_KERNELS,
+    STRUCTURAL_GOLDENS,
     TABLE6_GOLDEN_SCALE,
+    artifact_text,
     build_small_kernel_stmt,
     cli_goldens,
     conversion_digests,
     dataset_digests,
     execution_digests,
     request_goldens,
-    table6_text,
 )
 
 GOLDEN = REPO / "tests" / "golden"
@@ -104,8 +108,12 @@ def regenerate() -> list[Path]:
                     + "\n")
     written.append(path)
     path = GOLDEN / f"table6-{TABLE6_GOLDEN_SCALE}.txt"
-    path.write_text(table6_text())
+    path.write_text(artifact_text("table6", TABLE6_GOLDEN_SCALE))
     written.append(path)
+    for name in STRUCTURAL_GOLDENS:
+        path = GOLDEN / f"{name}.txt"
+        path.write_text(artifact_text(name))
+        written.append(path)
     return written
 
 

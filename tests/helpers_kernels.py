@@ -227,18 +227,25 @@ def reference_pack(coords, vals, dims, fmt):
 #: Scale of ``tests/golden/table6-1.0.txt``: the paper's datasets.
 TABLE6_GOLDEN_SCALE = 1.0
 
+#: Artefacts whose text does not depend on the scale, pinned whole as
+#: ``tests/golden/<name>.txt`` at their default scale.
+STRUCTURAL_GOLDENS = ("table3", "table5")
 
-def table6_text(scale: float = TABLE6_GOLDEN_SCALE) -> str:
-    """``tables table6 --scale S`` stdout, rendered cold: serially, into
-    a fresh memory-only default cache that is swapped back afterwards."""
+
+def artifact_text(name: str, scale: float | None = None) -> str:
+    """``tables NAME --scale S`` stdout (S defaults to the artefact's
+    own), rendered cold: serially, into a fresh memory-only default
+    cache that is swapped back afterwards."""
     from repro.pipeline import cache as cache_mod
-    from repro.pipeline.batch import format_artifact, run_artifact
+    from repro.pipeline.batch import (format_artifact, resolve_artifact,
+                                      run_artifact)
 
+    if scale is None:
+        scale = resolve_artifact(name).default_scale
     saved = cache_mod._default_cache
     cache_mod._default_cache = cache_mod.CompilationCache(disk=False)
     try:
-        return format_artifact("table6", run_artifact("table6", scale,
-                                                      jobs=1)) + "\n"
+        return format_artifact(name, run_artifact(name, scale, jobs=1)) + "\n"
     finally:
         cache_mod._default_cache = saved
 

@@ -2,8 +2,9 @@
 
 Any change to the lowering, memory analysis, or code generator that alters
 the emitted Spatial (of every kernel record), its lowering notes, or CPU
-C (of SpMV) shows up here as a readable diff; so does a model change that
-moves a cell of Table 6 at the paper's scale (``slow``). Regenerate
+C (of SpMV) shows up here as a readable diff; so does a change that moves
+a line of Table 3 (lines of code) or Table 5 (Capstan resources), and a
+model change that moves a cell of Table 6 at the paper's scale (``slow``). Regenerate
 intentionally with:
 
     python scripts/regen_golden.py
@@ -21,9 +22,10 @@ from repro.backends import lower_cpu
 from repro.core import compile_stmt
 from tests.helpers_kernels import (
     SPATIAL_GOLDEN_KERNELS,
+    STRUCTURAL_GOLDENS,
     TABLE6_GOLDEN_SCALE,
+    artifact_text,
     build_small_kernel_stmt,
-    table6_text,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -63,9 +65,16 @@ def test_cpu_code_matches_golden():
     assert got == want, _diff_message("spmv.c", got, want)
 
 
+@pytest.mark.parametrize("name", STRUCTURAL_GOLDENS)
+def test_structural_table_matches_golden(name):
+    got = artifact_text(name)
+    want = (GOLDEN / f"{name}.txt").read_text()
+    assert got == want, _diff_message(f"{name}.txt", got, want)
+
+
 @pytest.mark.slow
 def test_table6_paper_scale_matches_golden():
-    got = table6_text()
+    got = artifact_text("table6", TABLE6_GOLDEN_SCALE)
     name = f"table6-{TABLE6_GOLDEN_SCALE}.txt"
     want = (GOLDEN / name).read_text()
     assert got == want, _diff_message(name, got, want)
