@@ -461,22 +461,20 @@ class StatsBuilder:
             if t.name in self.stream_inputs:
                 continue  # pos/crd/vals all arrive over the fused stream
             fmt = t.format
-            if fmt.is_all_dense:
-                # Sized from the shape: reading the values would draw a
-                # deferred operand (``Tensor.from_draw``) for nothing.
-                n_vals = math.prod(t.shape)
-            else:
-                storage = t.storage
-                for level in range(fmt.order):
-                    # A compressed level's pos and a singleton's crd stage
-                    # whole.
-                    lf = fmt.level_format(level)
-                    if not lf.is_dense:
-                        staged = "crd" if lf.is_singleton else "pos"
-                        self.stats.dram_read_bytes += len(
-                            storage.array(level, staged)) * WORD_BYTES
-                        self.stats.dram_bursts += 1
-                n_vals = len(storage.vals)
+            n_vals = 1
+            for level in range(fmt.order):
+                # The array read by parent position stages whole. Sizes
+                # come from the shape where the count law allows: reading
+                # an all-dense operand's storage would draw a deferred
+                # operand (``Tensor.from_draw``) for nothing.
+                lf = fmt.level_format(level)
+                if lf.parent_array is not None:
+                    self.stats.dram_read_bytes += len(t.storage.array(
+                        level, lf.parent_array)) * WORD_BYTES
+                    self.stats.dram_bursts += 1
+                n_vals = lf.count(
+                    n_vals, lambda: t.shape[fmt.mode_of_level(level)],
+                    lambda: len(t.storage.array(level, "crd")))
             vb = self.plan.get(t.name, "vals")
             if vb is None:
                 continue
@@ -506,7 +504,7 @@ class StatsBuilder:
         self.stats.dram_write_bytes += entries * WORD_BYTES
         bursts = 0
         for level in range(fmt.order):
-            if fmt.level_format(level).is_compressed:
+            if fmt.level_format(level).arrays():
                 # Coordinate stream (bounded by the entry count) + pos store.
                 self.stats.dram_write_bytes += entries * WORD_BYTES
                 self.stats.dram_write_bytes += WORD_BYTES

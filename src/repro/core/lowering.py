@@ -157,6 +157,11 @@ class Lowerer:
         # Non-unique driving levels (COO roots) repeat output coordinates,
         # so dense outputs must scatter-accumulate instead of streaming.
         self._scatter_out = self.analysis.output_scatters
+        # An off-chip 1-D dense result that does not scatter streams out
+        # through a FIFO, one element per iteration of its loop.
+        out = self.analysis.output
+        self._stream_out = (out.order == 1 and out.format.is_all_dense
+                            and not out.is_on_chip and not self._scatter_out)
 
     # -- small helpers --------------------------------------------------------
 
@@ -204,20 +209,13 @@ class Lowerer:
     # -- array / memory names ---------------------------------------------------
 
     @staticmethod
-    def pos_name(tensor, level: int) -> str:
-        return f"{tensor.name}{level + 1}_pos"
-
-    @staticmethod
-    def crd_name(tensor, level: int) -> str:
-        return f"{tensor.name}{level + 1}_crd"
+    def array_name(tensor, level: int, array: str) -> str:
+        """``B2_pos``: a level array (``pos``, ``crd``, ``bv``) by name."""
+        return f"{tensor.name}{level + 1}_{array}"
 
     @staticmethod
     def vals_name(tensor) -> str:
         return f"{tensor.name}_vals"
-
-    @staticmethod
-    def bv_name(tensor, level: int) -> str:
-        return f"{tensor.name}{level + 1}_bv"
 
     @staticmethod
     def dram_name(onchip_name: str) -> str:
@@ -229,15 +227,28 @@ class Lowerer:
         """Symbolic number of positions at a storage level (-1 = root)."""
         if level < 0:
             return SLit(1)
+        return tensor.format.level_format(level).count(
+            self._level_count_expr(tensor, level - 1),
+            lambda: self.dim_symbol(tensor, level),
+            lambda: self.nnz_symbol(tensor, level), smul)
+
+    def _array_size(self, tensor, level: int, array: str) -> SExpr:
+        """Length of a level array: ``pos`` bounds each parent's segment,
+        every other array holds one entry per position."""
+        if array == "pos":
+            return sadd(self._level_count_expr(tensor, level - 1), SLit(1))
+        return self._level_count_expr(tensor, level)
+
+    def _staged_arrays(self, tensor):
+        """``(name, size)`` of each level array the memory plan stages
+        whole in SRAM: the one read by parent position."""
         fmt = tensor.format
-        lf = fmt.level_format(level)
-        if lf.is_dense:
-            parent = self._level_count_expr(tensor, level - 1)
-            return smul(parent, self.dim_symbol(tensor, level))
-        if lf.is_singleton:
-            # One child per parent position: the count passes through.
-            return self._level_count_expr(tensor, level - 1)
-        return self.nnz_symbol(tensor, level)
+        for level in range(fmt.order):
+            array = fmt.level_format(level).parent_array
+            if (array is not None
+                    and self.plan.get(tensor.name, f"{array}{level}") is not None):
+                yield (self.array_name(tensor, level, array),
+                       self._array_size(tensor, level, array))
 
     def declare_tensor_dram(self, tensor, is_output: bool) -> None:
         if tensor.is_on_chip:
@@ -254,29 +265,13 @@ class Lowerer:
             return
         fmt = tensor.format
         for level in range(fmt.order):
-            lf = fmt.level_format(level)
-            if lf.is_singleton:
-                crd_dram = self.dram_name(self.crd_name(tensor, level))
-                self.dram.append(
-                    DramDecl(crd_dram, self._level_count_expr(tensor, level),
-                             tensor.name, f"crd{level}")
-                )
-                layout.arrays[f"crd{level}"] = crd_dram
-                continue
-            if not lf.is_compressed:
-                continue
-            parent = self._level_count_expr(tensor, level - 1)
-            pos_dram = self.dram_name(self.pos_name(tensor, level))
-            crd_dram = self.dram_name(self.crd_name(tensor, level))
-            self.dram.append(
-                DramDecl(pos_dram, sadd(parent, SLit(1)), tensor.name, f"pos{level}")
-            )
-            self.dram.append(
-                DramDecl(crd_dram, self._level_count_expr(tensor, level),
-                         tensor.name, f"crd{level}")
-            )
-            layout.arrays[f"pos{level}"] = pos_dram
-            layout.arrays[f"crd{level}"] = crd_dram
+            for array in fmt.level_format(level).arrays():
+                role = f"{array}{level}"
+                name = self.dram_name(self.array_name(tensor, level, array))
+                self.dram.append(DramDecl(
+                    name, self._array_size(tensor, level, array),
+                    tensor.name, role))
+                layout.arrays[role] = name
         vals_dram = self.dram_name(self.vals_name(tensor))
         self.dram.append(
             DramDecl(vals_dram, self._level_count_expr(tensor, fmt.order - 1),
@@ -332,24 +327,7 @@ class Lowerer:
         for tensor in self.analysis.inputs:
             if tensor.order == 0 or tensor.is_on_chip:
                 continue
-            fmt = tensor.format
-            for level in range(fmt.order):
-                if (fmt.level_format(level).is_singleton
-                        and self.plan.get(tensor.name, f"crd{level}")
-                        is not None):
-                    # Singleton coordinates are read by parent position
-                    # (affine): stage the whole crd array like a pos array.
-                    name = self.crd_name(tensor, level)
-                    size = self._level_count_expr(tensor, level)
-                    self.emit(SramDecl(name, size))
-                    self.emit(LoadBulk(name, self.dram_name(name), SLit(0),
-                                       size, par=ip))
-                    self._declared.add(name)
-                    continue
-                if self.plan.get(tensor.name, f"pos{level}") is None:
-                    continue
-                name = self.pos_name(tensor, level)
-                size = sadd(self._level_count_expr(tensor, level - 1), SLit(1))
+            for name, size in self._staged_arrays(tensor):
                 self.emit(SramDecl(name, size))
                 self.emit(LoadBulk(name, self.dram_name(name), SLit(0), size, par=ip))
                 self._declared.add(name)
@@ -358,24 +336,18 @@ class Lowerer:
                 MemoryType.SRAM_DENSE, MemoryType.SRAM_SPARSE
             ):
                 name = self.vals_name(tensor)
-                size = self._level_count_expr(tensor, fmt.order - 1)
+                size = self._level_count_expr(tensor, tensor.order - 1)
                 self.emit(SramDecl(name, size,
                                    sparse=vb.memory is MemoryType.SRAM_SPARSE))
                 self.emit(LoadBulk(name, self.dram_name(name), SLit(0), size, par=ip))
                 self._declared.add(name)
-        if out.order > 0 and not out.is_on_chip:
-            fmt = out.format
-            for level in range(fmt.order):
-                if not fmt.level_format(level).is_compressed:
-                    continue
-                name = self.pos_name(out, level)
-                size = sadd(self._out_count_expr(level - 1), SLit(1))
+        if not out.is_on_chip:
+            for name, size in self._staged_arrays(out):
                 self.emit(SramDecl(name, size))
                 self._declared.add(name)
         if out.order == 0:
             self._declare_reg(f"{out.name}_reg")
-        if (out.order == 1 and out.format.is_all_dense
-                and not self._scatter_out):
+        if self._stream_out:
             name = self.vals_name(out)
             self.emit(FifoDecl(name, FIFO_DEPTH))
             self._declared.add(name)
@@ -383,15 +355,6 @@ class Lowerer:
     def _declare_reg(self, reg: str) -> None:
         self.emit(RegDecl(reg, 0.0))
         self._declared_regs.add(reg)
-
-    def _out_count_expr(self, level: int) -> SExpr:
-        out = self.analysis.output
-        if level < 0:
-            return SLit(1)
-        fmt = out.format
-        if fmt.level_format(level).is_dense:
-            return smul(self._out_count_expr(level - 1), self.dim_symbol(out, level))
-        return self.nnz_symbol(out, level)
 
     def emit_epilogue(self) -> None:
         out = self.analysis.output
@@ -401,21 +364,16 @@ class Lowerer:
             self.emit(DramWrite(self.dram_name(self.vals_name(out)), SLit(0),
                                 SRegRead(f"{out.name}_reg")))
             return
-        fmt = out.format
         ip = self.env.get(INNER_PAR, 1)
-        for level in range(fmt.order):
-            if not fmt.level_format(level).is_compressed:
-                continue
-            name = self.pos_name(out, level)
-            size = sadd(self._out_count_expr(level - 1), SLit(1))
+        for name, size in self._staged_arrays(out):
             self.emit(StoreBulk(self.dram_name(name), name, SLit(0), size, par=ip))
         if self._dense_out_full:
             # Scatter-accumulated (or derived-variable) outputs bulk-store
             # the whole buffer once at kernel end.
-            size = self._out_count_expr(fmt.order - 1)
+            size = self._level_count_expr(out, out.order - 1)
             self.emit(StoreBulk(self.dram_name(self.vals_name(out)),
                                 self.vals_name(out), SLit(0), size, par=ip))
-        elif out.order == 1 and fmt.is_all_dense:
+        elif self._stream_out:
             self.emit(StreamStore(self.dram_name(self.vals_name(out)),
                                   self.vals_name(out), SLit(0),
                                   self.dim_symbol(out, 0)))
@@ -562,8 +520,7 @@ class Lowerer:
         self._stage_slices_for_depth(info.depth)
         out = self.analysis.output
         out_var = None
-        if (out.order == 1 and out.format.is_all_dense
-                and not out.is_on_chip and not self._scatter_out):
+        if self._stream_out:
             for asg in self.analysis.assignments:
                 if asg.lhs.tensor is out:
                     out_var = asg.lhs.indices[0]
@@ -734,7 +691,7 @@ class Lowerer:
         """(start, end, len) of the driving iterator's current segment."""
         tensor = it.tensor
         parent = self._parent_position(it)
-        pos_mem = self.pos_name(tensor, it.level)
+        pos_mem = self.array_name(tensor, it.level, "pos")
         prefix = f"{tensor.name}{it.level + 1}"
         start_name = self.fresh(f"{prefix}_start")
         len_name = self.fresh(f"{prefix}_len")
@@ -767,7 +724,7 @@ class Lowerer:
     ) -> tuple[str, Optional[str]]:
         """Allocate + load the crd (and optionally vals) segment arrays."""
         tensor = it.tensor
-        crd = self.crd_name(tensor, it.level)
+        crd = self.array_name(tensor, it.level, "crd")
         self.emit(FifoDecl(crd, FIFO_DEPTH))
         self.emit(LoadBulk(crd, self.dram_name(crd), start, end, par=1))
         vals = None
@@ -848,7 +805,7 @@ class Lowerer:
                                                 MemoryType.SRAM_SPARSE):
                 self.value_of[id(tensor)] = SRead(self.vals_name(tensor),
                                                   parent)
-        return _Loop(SingletonCounter(self.crd_name(tensor, it.level), parent),
+        return _Loop(SingletonCounter(self.array_name(tensor, it.level, "crd"), parent),
                      (ivar.name,), coord, par=1)
 
     # .. scans (co-iteration) ......................................................
@@ -870,7 +827,7 @@ class Lowerer:
             start, end, seg_len = self._segment(it)
             want_vals = self._is_innermost_level(it.tensor, it.level)
             crd_mem, _vals = self._load_segment_stream(it, start, end, want_vals)
-            bv = self.bv_name(it.tensor, it.level)
+            bv = self.array_name(it.tensor, it.level, "bv")
             self.emit(BitVectorDecl(bv, dim))
             self.emit(GenBitVector(bv, crd_mem, seg_len))
             bv_names.append(bv)
@@ -882,7 +839,7 @@ class Lowerer:
         result_ws = result_it is not None and result_it.tensor.is_on_chip
         if result_ws and len(bv_names) == 2:
             out_t = result_it.tensor
-            ws_bv = self.bv_name(out_t, result_it.level)
+            ws_bv = self.array_name(out_t, result_it.level, "bv")
             self.emit(BitVectorDecl(ws_bv, dim))
             self.emit(BitVectorOp(ws_bv, bv_names[0], bv_names[1], op))
             self.ws_bitvector[id(out_t)] = ws_bv
@@ -949,7 +906,7 @@ class Lowerer:
             self._declared_regs.add(cnt_reg)
         start_name = self.fresh(f"{out.name}{level + 1}_ostart")
         self.emit(Assign(start_name, SRegRead(cnt_reg)))
-        crd_fifo = self.crd_name(out, level)
+        crd_fifo = self.array_name(out, level, "crd")
         self.emit(FifoDecl(crd_fifo, FIFO_DEPTH))
         vals_fifo = None
         if self._is_innermost_level(out, level):
@@ -983,10 +940,10 @@ class Lowerer:
         end_name = self.fresh(f"{out.name}{level + 1}_oend")
         self.emit(Assign(end_name, sadd(start, cnt)))
         parent = self.out_pos.get(level - 1, SLit(0))
-        self.emit(SramWrite(self.pos_name(out, level), sadd(parent, SLit(1)),
+        self.emit(SramWrite(self.array_name(out, level, "pos"), sadd(parent, SLit(1)),
                             SVar(end_name)))
         self.emit(RegWrite(out_state["cnt_reg"], SVar(end_name)))
-        crd_dram = self.dram_name(self.crd_name(out, level))
+        crd_dram = self.dram_name(self.array_name(out, level, "crd"))
         self.emit(StreamStore(crd_dram, out_state["crd_fifo"], start, cnt))
         if out_state["vals_fifo"] is not None:
             vals_dram = self.dram_name(self.vals_name(out))
@@ -1066,7 +1023,7 @@ class Lowerer:
             # accumulate into the whole-tensor buffer, stored at the end.
             self._assign_dense_full(asg, out, fmt, value)
             return
-        if out.order == 1 and fmt.is_all_dense:
+        if self._stream_out:
             # Per-element register, enqueued once per outer iteration (the
             # enclosing dense loop emits the enq).
             reg = f"{out.name}_elem"
@@ -1091,7 +1048,7 @@ class Lowerer:
         """Write a dense output through a whole-tensor on-chip buffer."""
         full = self.vals_name(out)
         if full not in self._declared:
-            size = self._out_count_expr(fmt.order - 1)
+            size = self._level_count_expr(out, fmt.order - 1)
             self._body_stack[0].insert(0, SramDecl(full, size))
             self._declared.add(full)
             self._dense_out_full = True

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.spatial.interp import Machine, execute
 from repro.spatial.ir import SpatialProgram
-from repro.tensor.storage import CompressedLevel, DenseLevel, TensorStorage
+from repro.tensor.storage import Level, TensorStorage, make_level
 from repro.tensor.tensor import Tensor
 
 #: Name of the staging-capacity symbol emitted by the lowerer.
@@ -29,10 +29,10 @@ def bind_symbols(
 ) -> dict[str, int]:
     """Compute values for every symbol the program declares.
 
-    Dimension symbols come from tensor shapes; nnz symbols from packed
-    storage. An output's nnz symbol is the dense size of its level
-    prefix, a safe upper bound: a bound from the inputs' nnz would not
-    hold for unions.
+    Dimension symbols come from tensor shapes; nnz symbols, one per
+    level that stores coordinates, from packed storage. An output's nnz
+    symbol is the dense size of its level prefix, a safe upper bound: a
+    bound from the inputs' nnz would not hold for unions.
     """
     values: dict[str, int] = {}
     max_extent = 1
@@ -49,7 +49,7 @@ def bind_symbols(
             continue
         storage = t.storage
         for level in range(fmt.order):
-            if not fmt.level_format(level).is_dense:
+            if "crd" in fmt.level_format(level).arrays():
                 nnz = len(storage.array(level, "crd"))
                 values[f"{t.name}{level + 1}_nnz"] = nnz
                 max_extent = max(max_extent, nnz)
@@ -61,7 +61,7 @@ def bind_symbols(
         fmt = out.format
         for level in range(fmt.order):
             prefix *= out.shape[fmt.mode_of_level(level)]
-            if fmt.level_format(level).is_compressed:
+            if "crd" in fmt.level_format(level).arrays():
                 values.setdefault(f"{out.name}{level + 1}_nnz", prefix)
             max_extent = max(max_extent, prefix)
     values[NNZ_ACCEL_MAX] = max_extent + 1
@@ -99,21 +99,21 @@ def assemble_output(
     if output.order == 0:
         vals = machine.dram[layout.arrays["vals"]][:1].copy()
         return TensorStorage(fmt, (), [], vals)
-    levels: list[DenseLevel | CompressedLevel] = []
-    num_parents = 1
+    levels: list[Level] = []
+    n = 1  # positions at the level above
     for level in range(fmt.order):
+        lf = fmt.level_format(level)
         dim = output.shape[fmt.mode_of_level(level)]
-        if fmt.level_format(level).is_dense:
-            levels.append(DenseLevel(dim))
-            num_parents *= dim
-        else:
-            pos_arr = machine.dram[layout.arrays[f"pos{level}"]]
-            pos = pos_arr[: num_parents + 1].astype(np.int64)
-            nnz = int(pos[num_parents])
-            crd = machine.dram[layout.arrays[f"crd{level}"]][:nnz].astype(np.int32)
-            levels.append(CompressedLevel(pos=pos, crd=crd))
-            num_parents = nnz
-    vals = machine.dram[layout.arrays["vals"]][:num_parents].copy()
+        dram = {a: machine.dram[layout.arrays[f"{a}{level}"]]
+                for a in lf.arrays()}
+        # pos bounds each parent's segment; its last entry is the nnz.
+        pos = dram["pos"][: n + 1].astype(np.int64) if "pos" in dram else None
+        count = lf.count(n, lambda: dim, lambda: int(pos[n]))
+        levels.append(make_level(dim, {
+            a: pos if a == "pos" else arr[:count].astype(np.int32)
+            for a, arr in dram.items()}))
+        n = count
+    vals = machine.dram[layout.arrays["vals"]][:n].copy()
     return TensorStorage(fmt, output.shape, levels, vals)
 
 

@@ -21,6 +21,23 @@ level-function interface — *full*, *ordered*, *unique*, *branchless*, and
 *compact* — which the co-iteration machinery consults instead of matching
 on concrete kinds wherever a capability suffices.
 
+Each kind declares, once, in one record, what the compiler needs to know
+to lay a level out. The compiler reads these level functions instead of
+naming kinds:
+
+* :meth:`ModeFormat.arrays` — the arrays the level stores (none for
+  dense and block, ``pos`` and ``crd`` for compressed, ``crd`` for
+  singleton, ``bv`` for bit vectors). DRAM declarations, host binding
+  and output assembly loop over them.
+* :attr:`ModeFormat.parent_array` — the first of them, the array read by
+  parent position (``pos``, or a singleton's ``crd``): the one staged
+  whole in SRAM at kernel start.
+* :meth:`ModeFormat.count` — the level's position count given its
+  parent's: parent × dim for dense and block levels, the parent count
+  for singletons, the stored entry count (nnz) for compressed and
+  bit-vector levels. It evaluates over symbolic sizes (with
+  ``mul=smul``) as over plain ints.
+
 In the co-iteration rewrite system of Figure 10, mode formats map onto
 iterator symbols: dense and block levels are the universe ``U``,
 compressed levels are ``C``, bit-vector levels are ``B``, and singleton
@@ -32,7 +49,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional
+import operator
+from typing import Any, Callable, Optional
 
 
 class LevelKind(enum.Enum):
@@ -48,19 +66,49 @@ class LevelKind(enum.Enum):
         return self.value
 
 
-#: Default capability properties per level kind (Chou et al., Table 1):
-#: ``full``       — every coordinate in [0, N) is represented;
-#: ``branchless`` — child positions derive from the parent position without
-#:                  a data-dependent search (dense arithmetic or 1:1 maps);
-#: ``compact``    — stored positions are contiguous with no padding.
-#: ``ordered``/``unique`` defaults live on :class:`ModeFormat` (they are
-#: per-instance: COO's root is a *non-unique* compressed level).
-_KIND_CAPABILITIES: dict[LevelKind, dict[str, bool]] = {
-    LevelKind.DENSE: {"full": True, "branchless": True, "compact": False},
-    LevelKind.COMPRESSED: {"full": False, "branchless": False, "compact": True},
-    LevelKind.BIT_VECTOR: {"full": True, "branchless": False, "compact": False},
-    LevelKind.SINGLETON: {"full": False, "branchless": True, "compact": True},
-    LevelKind.BLOCK: {"full": True, "branchless": True, "compact": False},
+def _times_dim(parent, dim, nnz, mul):
+    return mul(parent, dim())
+
+
+def _per_parent(parent, dim, nnz, mul):
+    return parent
+
+
+def _stored(parent, dim, nnz, mul):
+    return nnz()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Kind:
+    """What one level kind declares.
+
+    The capabilities follow Chou et al., Table 1: ``full`` — every
+    coordinate in [0, N) is represented; ``branchless`` — child positions
+    derive from the parent position without a data-dependent search
+    (dense arithmetic or 1:1 maps); ``compact`` — stored positions are
+    contiguous with no padding. ``ordered``/``unique`` live on
+    :class:`ModeFormat` (they are per-instance: COO's root is a
+    *non-unique* compressed level). ``symbol`` is the Figure 10 iterator
+    symbol, ``arrays`` the stored arrays (the first is read by parent
+    position) and ``count`` the position-count law.
+    """
+
+    symbol: str
+    full: bool
+    branchless: bool
+    compact: bool
+    arrays: tuple[str, ...]
+    count: Callable[..., Any]
+
+
+_KINDS: dict[LevelKind, _Kind] = {
+    #                    symbol full  branchless compact arrays  count
+    LevelKind.DENSE: _Kind("U", True, True, False, (), _times_dim),
+    LevelKind.COMPRESSED: _Kind("C", False, False, True, ("pos", "crd"),
+                                _stored),
+    LevelKind.BIT_VECTOR: _Kind("B", True, False, False, ("bv",), _stored),
+    LevelKind.SINGLETON: _Kind("S", False, True, True, ("crd",), _per_parent),
+    LevelKind.BLOCK: _Kind("U", True, True, False, (), _times_dim),
 }
 
 
@@ -118,15 +166,15 @@ class ModeFormat:
 
     @property
     def full(self) -> bool:
-        return _KIND_CAPABILITIES[self.kind]["full"]
+        return _KINDS[self.kind].full
 
     @property
     def branchless(self) -> bool:
-        return _KIND_CAPABILITIES[self.kind]["branchless"]
+        return _KINDS[self.kind].branchless
 
     @property
     def compact(self) -> bool:
-        return _KIND_CAPABILITIES[self.kind]["compact"]
+        return _KINDS[self.kind].compact
 
     def properties(self) -> dict[str, bool]:
         """The full capability record (level-function interface)."""
@@ -141,30 +189,39 @@ class ModeFormat:
     @property
     def iterator_symbol(self) -> str:
         """Iterator-format symbol used by the Figure 10 rewrite system."""
-        if self.is_dense:
-            return "U"
-        if self.is_compressed:
-            return "C"
-        if self.is_singleton:
-            return "S"
-        return "B"
+        return _KINDS[self.kind].symbol
+
+    # -- layout level functions ----------------------------------------------
 
     def arrays(self) -> tuple[str, ...]:
-        """Names of the sub-arrays this level format owns.
+        """Names of the sub-arrays this level format stores.
 
-        Dense and block levels store no explicit arrays (only the dimension
-        size); compressed levels store ``pos`` and ``crd`` arrays;
-        singleton levels store only a ``crd`` array (one coordinate per
-        parent position); bit-vector levels store a packed occupancy word
-        stream.
+        Dense and block levels store none (only the dimension size);
+        compressed levels store ``pos`` and ``crd``; singleton levels only
+        ``crd`` (one coordinate per parent position); bit-vector levels a
+        packed occupancy word stream ``bv``.
         """
-        if self.is_dense:
-            return ()
-        if self.is_compressed:
-            return ("pos", "crd")
-        if self.is_singleton:
-            return ("crd",)
-        return ("bv",)
+        return _KINDS[self.kind].arrays
+
+    @property
+    def parent_array(self) -> Optional[str]:
+        """The stored array read by parent position (``pos``, or a
+        singleton's ``crd``), ``None`` for a level that stores none."""
+        arrays = self.arrays()
+        return arrays[0] if arrays else None
+
+    def count(self, parent, dim: Callable[[], Any], nnz: Callable[[], Any],
+              mul: Callable[[Any, Any], Any] = operator.mul):
+        """The number of positions at this level, given ``parent``, the
+        number at the level above (1 above the root).
+
+        ``dim`` and ``nnz`` return the level's extent and its stored
+        entry count; the law calls only the one it reads, so a caller
+        never computes (or, symbolically, declares) a size the count does
+        not use. ``mul`` multiplies: ``operator.mul`` over ints,
+        ``smul`` over symbolic sizes.
+        """
+        return _KINDS[self.kind].count(parent, dim, nnz, mul)
 
     def __str__(self) -> str:
         flags = []

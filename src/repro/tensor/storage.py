@@ -107,6 +107,15 @@ class SingletonLevel:
 Level = DenseLevel | CompressedLevel | SingletonLevel
 
 
+def make_level(size: int, arrays: dict[str, np.ndarray]) -> Level:
+    """The storage level holding ``arrays``, a level format's declared
+    ones (``ModeFormat.arrays()``) by name; a level that stores none is
+    dense over ``size`` coordinates."""
+    if "pos" in arrays:
+        return CompressedLevel(**arrays)
+    return SingletonLevel(**arrays) if arrays else DenseLevel(size)
+
+
 @dataclasses.dataclass
 class TensorStorage(np.lib.mixins.NDArrayOperatorsMixin):
     """Packed storage for one tensor: levels (outermost first) plus values.

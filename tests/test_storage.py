@@ -19,7 +19,9 @@ from repro.formats import (
     Format,
     compressed,
     dense,
+    format_of,
     offChip,
+    registered_formats,
     singleton,
 )
 from repro.tensor.storage import (
@@ -355,6 +357,38 @@ class TestLevelFunctions:
 
 
 # ---------------------------------------------------------------------------
+# Storage agrees with each level format's declaration
+# ---------------------------------------------------------------------------
+
+def _registry_storage(name: str, density: float, seed: int):
+    fmt = format_of(name)
+    shape = []
+    for mode in range(fmt.order):
+        lf = fmt.level_format(fmt.level_of_mode(mode))
+        shape.append(lf.size if lf.is_block else 3 + mode)
+    rng = np.random.default_rng(seed)
+    array = (rng.random(shape) < density) * rng.random(shape)
+    return fmt, from_dense(array, fmt)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("name", sorted(registered_formats()))
+def test_storage_holds_the_declared_arrays_and_counts(name, density):
+    fmt, st = _registry_storage(name, density, seed=len(name))
+    n = 1
+    for level, lvl in enumerate(st.levels):
+        lf = fmt.level_format(level)
+        assert tuple(lvl.arrays) == lf.arrays()
+        # The count reads a compressed level's nnz off its pos array, so
+        # it checks len(crd) rather than restating it.
+        n = lf.count(n, lambda: st.level_dim(level),
+                     lambda: int(st.array(level, "pos")[-1]))
+        if "crd" in lvl.arrays:
+            assert len(st.array(level, "crd")) == n
+    assert len(st.vals) == n
+
+
+# ---------------------------------------------------------------------------
 # The guard: a level's kind is read from its format, never its class
 # ---------------------------------------------------------------------------
 
@@ -391,3 +425,59 @@ def test_no_level_kind_tests_outside_storage():
         found += [f"{path}:{line}"
                   for line in _kind_tests(ast.parse(source.read_text()))]
     assert found == []
+
+
+# Beyond the class test: kind predicates on a level or tensor format and
+# ``LevelKind`` members. Outside the format declarations and storage's
+# level classes the compiler reads level functions (``arrays``,
+# ``parent_array``, ``count``, the capabilities) instead. Each file's
+# count may only shrink: lower its entry when a site goes, never raise it.
+_KIND_PREDICATES = {"is_dense", "is_compressed", "is_singleton",
+                    "is_all_dense"}
+_MAY_NAME_KIND = ("formats/", "tensor/storage.py")
+_KIND_PREDICATE_ALLOWANCE = {
+    "backends/cpu.py": 1,
+    "backends/numpy_exec.py": 2,
+    "convert.py": 5,
+    "core/coiteration.py": 1,
+    "core/lowering.py": 6,
+    "core/memory_analysis.py": 6,
+    "ir/iteration.py": 1,
+    "schedule/autoschedule.py": 2,
+}
+
+
+def _kind_predicates(tree: ast.AST) -> list[int]:
+    """The lines (each once) holding a kind predicate or a ``LevelKind``
+    member."""
+    return sorted({
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr in _KIND_PREDICATES
+             or getattr(node.value, "id", getattr(node.value, "attr", None))
+             == "LevelKind")})
+
+
+def test_the_kind_guard_sees_a_predicate():
+    tree = ast.parse("if lf.is_dense: pass\n"
+                     "x = fmt.is_all_dense or k is LevelKind.SINGLETON\n"
+                     "y = levels.LevelKind.BLOCK\n"
+                     "if 'pos' in lf.arrays() or lf.is_block: pass\n"
+                     "z = fmt.level_format(0).is_compressed\n")
+    assert _kind_predicates(tree) == [1, 2, 3, 5]
+
+
+def test_kind_predicates_stay_within_their_allowance():
+    root = Path(repro.__file__).resolve().parent
+    found: dict[str, list[int]] = {}
+    for source in sorted(root.rglob("*.py")):
+        path = source.relative_to(root).as_posix()
+        if path.startswith(_MAY_NAME_KIND):
+            continue
+        lines = _kind_predicates(ast.parse(source.read_text()))
+        if lines:
+            found[path] = lines
+    counts = {path: len(lines) for path, lines in found.items()}
+    assert counts == _KIND_PREDICATE_ALLOWANCE, (
+        "kind predicates moved; a count may only fall (lower its entry): "
+        f"{found}")
