@@ -154,6 +154,7 @@ class Lowerer:
         self._declared: set[str] = set()
         self._dense_out_full = False
         self._dim_symbol_cache: dict[int, str] = {}
+        self._counts: dict[tuple[str, int], SExpr] = {}  # (tensor, level)
         # Non-unique driving levels (COO roots) repeat output coordinates,
         # so dense outputs must scatter-accumulate instead of streaming.
         self._scatter_out = self.analysis.output_scatters
@@ -227,10 +228,13 @@ class Lowerer:
         """Symbolic number of positions at a storage level (-1 = root)."""
         if level < 0:
             return SLit(1)
-        return tensor.format.level_format(level).count(
-            self._level_count_expr(tensor, level - 1),
-            lambda: self.dim_symbol(tensor, level),
-            lambda: self.nnz_symbol(tensor, level), smul)
+        key = (tensor.name, level)
+        if key not in self._counts:
+            self._counts[key] = tensor.format.level_format(level).count(
+                self._level_count_expr(tensor, level - 1),
+                lambda: self.dim_symbol(tensor, level),
+                lambda: self.nnz_symbol(tensor, level), smul)
+        return self._counts[key]
 
     def _array_size(self, tensor, level: int, array: str) -> SExpr:
         """Length of a level array: ``pos`` bounds each parent's segment,

@@ -53,19 +53,6 @@ import operator
 from typing import Any, Callable, Optional
 
 
-class LevelKind(enum.Enum):
-    """The storage discipline of one tensor dimension."""
-
-    DENSE = "uncompressed"
-    COMPRESSED = "compressed"
-    BIT_VECTOR = "bitvector"
-    SINGLETON = "singleton"
-    BLOCK = "block"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
-
-
 def _times_dim(parent, dim, nnz, mul):
     return mul(parent, dim())
 
@@ -101,15 +88,27 @@ class _Kind:
     count: Callable[..., Any]
 
 
-_KINDS: dict[LevelKind, _Kind] = {
-    #                    symbol full  branchless compact arrays  count
-    LevelKind.DENSE: _Kind("U", True, True, False, (), _times_dim),
-    LevelKind.COMPRESSED: _Kind("C", False, False, True, ("pos", "crd"),
-                                _stored),
-    LevelKind.BIT_VECTOR: _Kind("B", True, False, False, ("bv",), _stored),
-    LevelKind.SINGLETON: _Kind("S", False, True, True, ("crd",), _per_parent),
-    LevelKind.BLOCK: _Kind("U", True, True, False, (), _times_dim),
-}
+class LevelKind(enum.Enum):
+    """The storage discipline of one tensor dimension; each member holds
+    its kind's one declaration (``_decl``)."""
+
+    #                         symbol full  branchless compact arrays count
+    DENSE = "uncompressed", _Kind("U", True, True, False, (), _times_dim)
+    COMPRESSED = "compressed", _Kind("C", False, False, True, ("pos", "crd"),
+                                     _stored)
+    BIT_VECTOR = "bitvector", _Kind("B", True, False, False, ("bv",), _stored)
+    SINGLETON = "singleton", _Kind("S", False, True, True, ("crd",),
+                                   _per_parent)
+    BLOCK = "block", _Kind("U", True, True, False, (), _times_dim)
+
+    def __new__(cls, value: str, decl: _Kind) -> LevelKind:
+        member = object.__new__(cls)
+        member._value_ = value
+        member._decl = decl
+        return member
+
+    def __str__(self) -> str:  # pragma: no cover - trivial
+        return self.value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,15 +165,15 @@ class ModeFormat:
 
     @property
     def full(self) -> bool:
-        return _KINDS[self.kind].full
+        return self.kind._decl.full
 
     @property
     def branchless(self) -> bool:
-        return _KINDS[self.kind].branchless
+        return self.kind._decl.branchless
 
     @property
     def compact(self) -> bool:
-        return _KINDS[self.kind].compact
+        return self.kind._decl.compact
 
     def properties(self) -> dict[str, bool]:
         """The full capability record (level-function interface)."""
@@ -189,7 +188,7 @@ class ModeFormat:
     @property
     def iterator_symbol(self) -> str:
         """Iterator-format symbol used by the Figure 10 rewrite system."""
-        return _KINDS[self.kind].symbol
+        return self.kind._decl.symbol
 
     # -- layout level functions ----------------------------------------------
 
@@ -201,13 +200,13 @@ class ModeFormat:
         ``crd`` (one coordinate per parent position); bit-vector levels a
         packed occupancy word stream ``bv``.
         """
-        return _KINDS[self.kind].arrays
+        return self.kind._decl.arrays
 
     @property
     def parent_array(self) -> Optional[str]:
         """The stored array read by parent position (``pos``, or a
         singleton's ``crd``), ``None`` for a level that stores none."""
-        arrays = self.arrays()
+        arrays = self.kind._decl.arrays
         return arrays[0] if arrays else None
 
     def count(self, parent, dim: Callable[[], Any], nnz: Callable[[], Any],
@@ -221,7 +220,7 @@ class ModeFormat:
         not use. ``mul`` multiplies: ``operator.mul`` over ints,
         ``smul`` over symbolic sizes.
         """
-        return _KINDS[self.kind].count(parent, dim, nnz, mul)
+        return self.kind._decl.count(parent, dim, nnz, mul)
 
     def __str__(self) -> str:
         flags = []
