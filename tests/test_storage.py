@@ -360,21 +360,16 @@ class TestLevelFunctions:
 # Storage agrees with each level format's declaration
 # ---------------------------------------------------------------------------
 
-def _registry_storage(name: str, density: float, seed: int):
+@pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("name", sorted(registered_formats()))
+def test_storage_holds_the_declared_arrays_and_counts(name, density):
     fmt = format_of(name)
     shape = []
     for mode in range(fmt.order):
         lf = fmt.level_format(fmt.level_of_mode(mode))
         shape.append(lf.size if lf.is_block else 3 + mode)
-    rng = np.random.default_rng(seed)
-    array = (rng.random(shape) < density) * rng.random(shape)
-    return fmt, from_dense(array, fmt)
-
-
-@pytest.mark.parametrize("density", [0.0, 0.4, 1.0])
-@pytest.mark.parametrize("name", sorted(registered_formats()))
-def test_storage_holds_the_declared_arrays_and_counts(name, density):
-    fmt, st = _registry_storage(name, density, seed=len(name))
+    rng = np.random.default_rng(len(name))
+    st = from_dense((rng.random(shape) < density) * rng.random(shape), fmt)
     n = 1
     for level, lvl in enumerate(st.levels):
         lf = fmt.level_format(level)
