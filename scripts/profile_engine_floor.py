@@ -2,10 +2,14 @@
 
 Builds every kernel record at ``SCALE`` (``exec_small``'s 0.05), runs
 each once through ``run_engine("numpy")`` so its ``ExecPlan`` is built,
-then profiles ``CALLS`` more runs of each under cProfile and prints the
-``TOP`` functions by own time (``tottime``). A plan-time decision that
-slipped back into the run shows up here as a function called once per
-run.
+then prints one row per record: a reused-plan ``run_engine`` in µs, the
+plan's own ``ExecPlan.run`` in µs (each the best of ``ROUNDS`` rounds of
+``TIMED`` calls), their difference (the wrapper: tracing check,
+counters, plan lookup) and the Python calls into ``repro`` one run makes.
+Then it profiles ``CALLS`` more runs of each under cProfile and prints
+the ``TOP`` functions by own time (``tottime``). A plan-time decision
+that slipped back into the run shows up here as a function called once
+per run.
 
 Usage:  PYTHONPATH=src python scripts/profile_engine_floor.py
 """
@@ -13,12 +17,42 @@ Usage:  PYTHONPATH=src python scripts/profile_engine_floor.py
 from __future__ import annotations
 
 import cProfile
+import functools
+import os
 import pstats
 import sys
+import timeit
+from pathlib import Path
 
 SCALE = 0.05
 CALLS = 500
 TOP = 30
+TIMED = 50
+ROUNDS = 5
+
+
+def best_us(fn) -> float:
+    return min(timeit.repeat(fn, number=TIMED, repeat=ROUNDS)) / TIMED * 1e6
+
+
+def repro_calls(fn) -> int:
+    """Python calls into the ``repro`` package one ``fn()`` makes."""
+    import repro
+
+    root = str(Path(repro.__file__).resolve().parent) + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def main() -> int:
@@ -29,6 +63,16 @@ def main() -> int:
                for name in KERNELS]
     for kernel in kernels:
         kernel.run_engine("numpy")
+    print(f"reused-plan runs at scale {SCALE}, best of {ROUNDS} x {TIMED}")
+    print(f"{'kernel':<12} {'run_engine us':>14} {'ExecPlan.run us':>16} "
+          f"{'wrapper us':>11} {'repro calls':>12}")
+    for kernel in kernels:
+        run = functools.partial(kernel.run_engine, "numpy")
+        plan_run = kernel.stmt.assignment._exec_plan.run
+        engine, plan = best_us(run), best_us(plan_run)
+        print(f"{kernel.name:<12} {engine:>14.2f} {plan:>16.2f} "
+              f"{engine - plan:>11.2f} {repro_calls(run):>12}")
+    print()
     profile = cProfile.Profile()
     profile.enable()
     for kernel in kernels:

@@ -21,18 +21,25 @@ SDFG into a pre-state, a compute state and a post-state:
   unique run keys *are* the output coordinates (a multi-term sum merges
   them with one sorted union), so only where each run lands in ``vals``
   is kept;
-* **compute state** — :meth:`ExecPlan.run`: gather → multiply/``einsum``
-  → ``np.add.reduceat``. It reads live only what values may change: each
-  operand's ``vals`` (sparse, dense and scalar), through the storages
-  the plan holds. Everything else is fixed at plan time: each dense
-  operand's level dims and one permutation (its mode ordering composed
-  with its gather's axes; none when that is the identity), and whether
-  a keyed term's runs are every row of its output (then the runs,
-  ``+ 0.0``, *are* the output: no zeroed buffer, no scatter). A term
-  with a dense gather wider than its per-entry output (SDDMM's two
-  rank-``K`` rows per entry) runs in blocks of about
-  :data:`GATHER_BLOCK_BYTES` of gathers, cut at run starts, so every
-  per-output sum sees the same operands in the same order as one pass;
+* **compute state** — ``ExecPlan.run``: gather → multiply/``einsum``
+  → ``np.add.reduceat``, as a tuple of *runners*, one closure per term
+  picked at plan time for that term's shape (its sparse values as a
+  view or a positions gather; a keyed dense gather in one pass or in
+  blocks; an einsum over dense views; its runs as the output rows or
+  scattered into zeros; a slots write into a compressed lhs), so a run
+  re-tests nothing the plan decided and does the same NumPy operations
+  in the same order a general pass would: the same bytes. It reads live
+  only what values may change: each operand's ``vals`` (sparse, dense
+  and scalar), through the storages the plan holds. Everything else is
+  fixed at plan time: each dense operand's level dims and one
+  permutation (its mode ordering composed with its gather's axes; none
+  when that is the identity), and whether a keyed term's runs are every
+  row of its output (then the runs, ``+ 0.0``, *are* the output: no
+  zeroed buffer, no scatter). A term with a dense gather wider than its
+  per-entry output (SDDMM's two rank-``K`` rows per entry) runs in
+  blocks of about :data:`GATHER_BLOCK_BYTES` of gathers, cut at run
+  starts, so every per-output sum sees the same operands in the same
+  order as one pass;
 * **post-state** — a :class:`TensorStorage` in the lhs's declared format:
   the planned level arrays plus fresh ``vals`` for a compressed lhs (no
   dense buffer), the computed array wrapped without a copy for a dense
@@ -47,8 +54,9 @@ product, three or more sparse factors, joins over differing variable
 sets — plans to *fall back*: :class:`VectorizeFallback` under ``strict``,
 else the :class:`CpuExecutor` merge-lattice interpreter, on every call.
 
-The plan hangs on the statement's :class:`Assignment` (never pickled,
-freed with it) and is revalidated on every run by **identity** of each
+Every run goes through :func:`run_plan`, which hangs the plan on the
+statement's :class:`Assignment` (never pickled, freed with it) and
+revalidates it on every run by **identity** of each
 operand's current :class:`TensorStorage`: any re-pack, conversion or
 ``_storage`` rebinding forces a rebuild, while level arrays and dims of
 a packed storage are immutable and values are read live.
@@ -61,6 +69,7 @@ result is engine-independent up to floating-point summation order.
 from __future__ import annotations
 
 import math
+import operator
 import time
 
 import numpy as np
@@ -93,6 +102,7 @@ __all__ = [
     "VectorizeFallback",
     "enumerate_entries",
     "execute_numpy",
+    "run_plan",
 ]
 
 #: einsum subscript letters; ``e`` is reserved for the entry axis.
@@ -235,6 +245,114 @@ def _dense_spec(st: TensorStorage, axes=None, shape=None, index=None,
     return st, dims, None if perm == sorted(perm) else perm, shape, index, axis
 
 
+# ---------------------------------------------------------------------------
+# Runners: the compute state, one closure per shape, picked at plan time.
+# Each reads ``vals`` live through the storages the plan holds and does
+# the fewest NumPy operations its shape needs, in the order one general
+# pass would do them, so every result is the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _layout(st, dims, perm, shape):
+    """A dense operand's ``vals`` laid out for its gather: a reshaped
+    view, or a transposed copy where the permutation forces one."""
+    if perm is not None:
+        return lambda: st.vals.reshape(dims).transpose(perm).reshape(shape)
+    return lambda: st.vals.reshape(shape)
+
+
+def _gathered(spec):
+    """A dense operand laid out and gathered at its index (the whole
+    operand when it has none)."""
+    st, dims, perm, shape, index, axis = spec
+    if index is not None and perm is None and len(shape) == 1:
+        return lambda: st.vals.take(index, axis=axis)  # ``vals`` as laid out
+    layout = _layout(st, dims, perm, shape)
+    return layout if index is None else lambda: layout().take(index, axis=axis)
+
+
+def _reader(st: TensorStorage, blk: tuple, pos):
+    """A sparse factor's value per entry: ``vals`` itself (a view), or
+    gathered at its planned positions ``pos``. ``blk`` keeps a block
+    format's tile as value axes."""
+    if blk:
+        shape, pos = (-1,) + blk, slice(None) if pos is None else pos
+        return lambda: st.vals.reshape(shape)[pos]
+    return (lambda: st.vals) if pos is None else (lambda: st.vals[pos])
+
+
+def _scalar(literal: float, scalars) -> float:
+    """A term's scalar: its literal times its scalar operands, read live."""
+    for st in scalars:
+        literal *= float(st.vals[0])
+    return literal
+
+
+def _values(readers, literal: float, scalars):
+    """The product of the sparse factors' values per entry, times the
+    term's scalar; the one reader itself when there is nothing to
+    multiply."""
+    first, *rest = readers
+    if not rest and not scalars and literal == 1.0:
+        return first
+
+    def values():
+        vals = first()
+        for read in rest:
+            vals = vals * read()
+        scalar = _scalar(literal, scalars)
+        if scalar != 1.0:
+            vals = vals * scalar
+        return vals
+    return values
+
+
+def _one_pass(values, ops, einsum, starts, axis):
+    """A term over all its entries at once: the values, times the
+    gathered operands (an ``einsum``, or in place into the first, fresh
+    gather), summed over each run of ``starts`` along ``axis``."""
+    if einsum is not None:
+        def run():
+            vals = values()
+            return np.einsum(einsum, vals, *[op() for op in ops])
+    elif ops:
+        first, *rest = ops
+
+        def run():
+            vals = values()
+            contrib = first()
+            for op in rest:
+                contrib *= op()
+            contrib *= vals
+            return contrib
+    else:
+        run = values
+    if starts is None:
+        return run
+    return lambda: np.add.reduceat(run(), starts, axis=axis)
+
+
+def _in_blocks(values, layouts, gathers, blocks, einsum):
+    """A term whose gathers run in ``blocks`` (entry slices with their
+    run starts): the values and each operand's layout are read once per
+    run, and each block takes its slice of them; ``gathers`` holds each
+    operand's ``(index, axis)`` (``None``: read whole)."""
+    def run():
+        vals = values()
+        srcs = [layout() for layout in layouts]
+        parts = []
+        for entries, starts in blocks:
+            ops = [src if gather is None
+                   else src.take(gather[0][entries], axis=gather[1])
+                   for src, gather in zip(srcs, gathers)]
+            contrib = np.einsum(einsum, vals[entries], *ops)
+            if starts is not None:
+                contrib = np.add.reduceat(contrib, starts, axis=0)
+            parts.append(contrib)
+        return np.concatenate(parts, 0)
+    return run
+
+
 class _Term:
     """One additive term: index arrays and einsum strings, no values.
 
@@ -247,6 +365,12 @@ class _Term:
     gather index and axis; ``blocks`` the entry slices computed one at a
     time, with their run starts (see :func:`_blocks`). ``identity``: the
     run keys are every row of the buffer, so the runs *are* the buffer.
+
+    ``entries`` (a keyed term's value per run, in ``ukeys`` order,
+    shaped ``(runs,) + d_shape``; an unkeyed one's einsum, the entry axis
+    summed away; possibly a view of an operand's ``vals``) and ``run``
+    (the term as a fresh dense array that broadcasts to the lhs shape)
+    are runners picked here for this term's shape.
     """
 
     def __init__(self, term: IndexExpr, lhs_vars, dims, letters) -> None:
@@ -280,6 +404,7 @@ class _Term:
             self.dense = [_dense_spec(acc.tensor.storage) for acc in dense]
             self.einsum = (",".join(sub(acc.indices) for acc in dense)
                            + "->" + sub(present))
+            self.run = self._einsum_runner()
             return
 
         if len(sparse) == 2:
@@ -310,6 +435,9 @@ class _Term:
         if not self.n:
             if lhs_s:
                 self.ukeys = np.zeros(0, dtype=np.int64)
+            empty, shape = (0,) + self.d_shape, self.shape
+            self.entries = lambda: np.zeros(empty)
+            self.run = lambda: np.zeros(shape)
             return
 
         # Entries sharing an output coordinate (reduction vars living in
@@ -386,86 +514,70 @@ class _Term:
         if lhs_s and max(widths) > int(np.prod(self.d_shape)):
             size = max(1, GATHER_BLOCK_BYTES // (8 * sum(widths)))
             self.blocks = _blocks(self.n, starts, size)
+        self.entries = self._entries_runner()
+        self.run = self._dense_runner()
 
-    def _scalar(self) -> float:
-        scalar = self.literal
-        for st in self.scalars:
-            scalar *= float(st.vals[0])
-        return scalar
+    def _entries_runner(self):
+        """The runner of ``entries``: one pass, or in blocks."""
+        values = _values([_reader(st, blk, pos)
+                          for st, pos, blk in self.factors],
+                         self.literal, self.scalars)
+        if len(self.blocks) > 1:
+            # Only a contracting einsum gathers wider than its output.
+            assert self.einsum is not None and not self.tail
+            return _in_blocks(
+                values, [_layout(*spec[:4]) for spec in self.dense],
+                [None if spec[4] is None else spec[4:] for spec in self.dense],
+                self.blocks, self.einsum)
+        ((_, starts),) = self.blocks
+        run = _one_pass(values, [_gathered(spec) for spec in self.dense],
+                        self.einsum, starts, -1 if self.tail else 0)
+        if not self.tail:
+            return run
+        # The entry axis came last (see ``tail``): move it first.
+        axes = (len(self.d_shape), *range(len(self.d_shape)))
+        return lambda: run().transpose(axes)
 
-    def _sources(self) -> list:
-        """``(values, index, axis)`` per dense operand: its ``vals``, read
-        live and laid out for its gather (views, copied only where a
-        permutation forces it), with the gather's index and axis."""
-        return [(st.vals.reshape(shape) if perm is None
-                 else st.vals.reshape(dims).transpose(perm).reshape(shape),
-                 index, axis)
-                for st, dims, perm, shape, index, axis in self.dense]
+    def _einsum_runner(self):
+        """A term without a sparse factor: one einsum over the dense
+        operands' views, times the scalar (always: the product is a
+        fresh array, never an einsum view of an operand)."""
+        shape, literal, scalars = self.shape, self.literal, self.scalars
+        if not self.dense:
+            return lambda: np.full(shape, _scalar(literal, scalars))
+        einsum = self.einsum
+        layouts = [_layout(*spec[:4]) for spec in self.dense]
 
-    def entries(self) -> np.ndarray:
-        """A keyed term's value per run, in ``ukeys`` order, shaped
-        ``(runs,) + d_shape`` (an unkeyed one's einsum, the entry axis
-        summed away). May be a view of an operand's ``vals``."""
-        if self.n == 0:
-            return np.zeros((0,) + self.d_shape)
-        scalar = self._scalar()
-        srcs = self._sources()
-        parts = []
-        for entries, starts in self.blocks:
-            vals = None
-            for st, pos, blk in self.factors:
-                v = st.vals.reshape((-1,) + blk) if blk else st.vals
-                v = v[entries] if pos is None else v[pos[entries]]
-                vals = v if vals is None else vals * v
-            if scalar != 1.0:
-                vals = vals * scalar
-            ops = [src if index is None
-                   else src.take(index[entries], axis=axis)
-                   for src, index, axis in srcs]
-            if self.einsum is not None:
-                contrib = np.einsum(self.einsum, vals, *ops)
-            elif ops:
-                contrib = ops[0]  # a fresh gather: safe to scale in place
-                for other in ops[1:]:
-                    contrib *= other
-                contrib *= vals
-            else:
-                contrib = vals
-            if starts is not None:
-                contrib = np.add.reduceat(contrib, starts,
-                                          axis=-1 if self.tail else 0)
-            parts.append(contrib)
-        axis = -1 if self.tail else 0
-        contrib = parts[0] if len(parts) == 1 else np.concatenate(parts, axis)
-        if self.tail:  # the entry axis last: move it first
-            return contrib.transpose(contrib.ndim - 1, *range(contrib.ndim - 1))
-        return contrib
+        def run():
+            ops = [layout() for layout in layouts]
+            return (_scalar(literal, scalars) * np.einsum(einsum, *ops)
+                    ).reshape(shape)
+        return run
 
-    def run(self) -> np.ndarray:
-        """The term as a fresh dense array that broadcasts to the lhs
-        shape."""
-        if self.n is None:  # no sparse factor
-            scalar = self._scalar()
-            ops = [src for src, _, _ in self._sources()]
-            if not ops:
-                return np.full(self.shape, scalar)
-            return (scalar * np.einsum(self.einsum, *ops)).reshape(self.shape)
-        if self.n == 0:
-            return np.zeros(self.shape)
-        contrib = self.entries()
+    def _dense_runner(self):
+        """The term as a dense array: an unkeyed einsum reshaped, a
+        keyed term's runs as the rows themselves (``identity``) or
+        scattered into zeros, then its axes put back in lhs order."""
+        entries, shape = self.entries, self.shape
         if self.ukeys is None:  # einsum already reduced the entry axis
-            return contrib.reshape(self.shape)
+            return lambda: entries().reshape(shape)
         if self.identity:
             # Each row takes its one run, exactly as scattered into
             # zeros: 0.0 + -0.0 is +0.0, and the sum is a fresh array,
             # row-major like the buffer whatever the runs' layout.
-            buffer = np.add(contrib, 0.0, order="C")
+            def rows():
+                return np.add(entries(), 0.0, order="C")
         else:
-            buffer = np.zeros(self.buffer_shape)
-            buffer[self.ukeys] += contrib
+            buffer_shape, ukeys = self.buffer_shape, self.ukeys
+
+            def rows():
+                contrib = entries()  # before the buffer: a lower peak
+                buffer = np.zeros(buffer_shape)
+                buffer[ukeys] += contrib
+                return buffer
         # Axes are (lhs_s..., lhs_d...); interleave back into lhs order.
-        return buffer.reshape(self.sd_shape).transpose(self.axes).reshape(
-            self.shape)
+        sd_shape, axes = self.sd_shape, self.axes
+        return lambda: rows().reshape(sd_shape).transpose(axes).reshape(shape)
 
 
 class ExecPlan:
@@ -479,7 +591,10 @@ class ExecPlan:
     plan time: all dense for a dense lhs, packed from the terms' keys for
     a compressed one (``slots`` then says where each term's entries land
     in ``vals``), ``None`` for a compressed lhs the terms cannot key,
-    whose dense result is packed on every run.
+    whose dense result is packed on every run. ``run`` (not set on a
+    fall-back plan) is the compute and post-states, picked here: each
+    term's runner written into fresh ``vals`` at its slots, or the
+    terms' dense sum stored in the lhs format.
     """
 
     def __init__(self, a: Assignment) -> None:
@@ -518,6 +633,8 @@ class ExecPlan:
                            for m in self.fmt.mode_ordering]
         elif not self.accumulate:
             self._plan_output(lhs_vars)
+        self.run = (self._slots_run() if self.slots is not None
+                    else self._dense_run())
 
     def _plan_output(self, lhs_vars) -> None:
         """Pack a compressed output's level arrays, once.
@@ -562,47 +679,112 @@ class ExecPlan:
 
     def current(self) -> bool:
         """Whether every operand still holds the storage planned against."""
-        return (getattr(self.lhs, "_storage", None) is self.lhs_storage
-                and all([t.storage is st for t, st in self.held]))
+        if getattr(self.lhs, "_storage", None) is not self.lhs_storage:
+            return False
+        for t, st in self.held:
+            if t.storage is not st:
+                return False
+        return True
 
-    def run(self) -> TensorStorage:
-        """The compute and post-states: the result in the lhs format."""
-        if self.slots is not None:
-            # Each slot starts at +0.0 and takes its terms in order,
-            # exactly as the dense sum did: 0.0 + -0.0 is +0.0 here too.
-            vals = np.zeros(self.n_slots)
-            for (sign, term), slots in zip(self.terms, self.slots):
-                op = np.add if sign >= 0 else np.subtract
-                contrib = term.entries().reshape(-1)
-                if slots is None:
-                    op(vals, contrib, out=vals)
-                else:
-                    vals[slots] = op(vals[slots], contrib)
-            return TensorStorage(self.fmt, self.out_shape, list(self.levels),
-                                 vals)
+    def _slots_run(self):
+        """A compressed lhs with planned level arrays: each term's runs
+        go into fresh ``vals`` at its slots. Each slot starts at +0.0
+        and takes its terms in order, exactly as the dense sum did:
+        0.0 + -0.0 is +0.0 here too."""
+        fmt, shape, levels, n = (self.fmt, self.out_shape, self.levels,
+                                 self.n_slots)
+        writers = [_slot_writer(term, sign, slots)
+                   for (sign, term), slots in zip(self.terms, self.slots)]
+
+        def run():
+            vals = np.zeros(n)
+            for write in writers:
+                write(vals)
+            return TensorStorage(fmt, shape, list(levels), vals)
+        return run
+
+    def _dense_run(self):
+        """A dense sum of the terms (the one term's own array when it is
+        the result), then stored: in level order for a dense lhs, packed
+        for a compressed lhs the terms cannot key."""
+        fmt, out_shape, levels = self.fmt, self.out_shape, self.levels
+        order = fmt.mode_ordering
+        if levels is None:
+            def store(out):
+                return wrap_dense(out, fmt)
+        else:  # a dense lhs: the array, in level order
+            def store(out):
+                return TensorStorage(fmt, out_shape, list(levels),
+                                     out.transpose(order).reshape(-1))
         if self.direct:
-            out = self.terms[0][1].run()
-            if out.shape != self.out_shape:
-                out = np.broadcast_to(out, self.out_shape).copy()
-        else:
-            out = np.zeros(self.out_shape)
-            for sign, term in self.terms:
-                (np.add if sign >= 0 else np.subtract)(out, term.run(),
-                                                       out=out)
-            if self.accumulate:
-                np.add(out, self.lhs.to_dense(), out=out)
-        if self.levels is None:  # a compressed lhs the terms cannot key
-            return wrap_dense(out, self.fmt)
-        # A dense lhs: the array, in level order.
-        return TensorStorage(self.fmt, self.out_shape, list(self.levels),
-                             out.transpose(self.fmt.mode_ordering).reshape(-1))
+            ((_, term),) = self.terms
+            term_run = term.run
+            if term.shape == out_shape:
+                return lambda: store(term_run())
+            return lambda: store(np.broadcast_to(term_run(), out_shape).copy())
+        steps = [(np.add if sign >= 0 else np.subtract, term.run)
+                 for sign, term in self.terms]
+        if self.accumulate:
+            steps.append((np.add, self.lhs.to_dense))
+
+        def run():
+            out = np.zeros(out_shape)
+            for op, term_run in steps:
+                op(out, term_run(), out=out)
+            return store(out)
+        return run
+
+
+def _slot_writer(term: _Term, sign: float, slots):
+    """A keyed term's runs added into (``sign`` < 0: subtracted from) the
+    output's ``vals``: in place over all of them, or at ``slots``."""
+    entries = term.entries
+    flat = (lambda: entries().reshape(-1)) if term.d_shape else entries
+    if slots is None:
+        into = operator.iadd if sign >= 0 else operator.isub
+        return lambda vals: into(vals, flat())
+    op = np.add if sign >= 0 else np.subtract
+
+    def write(vals):
+        vals[slots] = op(vals[slots], flat())
+    return write
+
+
+def run_plan(a: Assignment, strict: bool = False
+             ) -> tuple[TensorStorage, str, float | None]:
+    """Run ``a`` through its plan: the one path every numpy-engine run
+    takes.
+
+    A current plan runs as it is; a missing or stale one is built first
+    and published on ``a``. Returns ``(result, plan_state, plan_ms)``:
+    the result in the lhs's declared format; ``"reused"``, ``"built"``
+    or ``"fallback"`` (a plan that delegates, new or not); what building
+    the plan cost in ms, ``None`` when this run reused it. A fall-back
+    plan raises :class:`VectorizeFallback` under ``strict`` and runs the
+    ``CpuExecutor`` otherwise.
+    """
+    plan = getattr(a, "_exec_plan", None)
+    plan_ms = None
+    if plan is None or not plan.current():
+        start = time.perf_counter()
+        plan = ExecPlan(a)
+        plan_ms = (time.perf_counter() - start) * 1e3
+        # Built fully, then published by one attribute store: racing
+        # threads each build a whole plan and the last one stays.
+        object.__setattr__(a, "_exec_plan", plan)
+    if plan.fallback is None:
+        return plan.run(), "reused" if plan_ms is None else "built", plan_ms
+    if strict:
+        raise VectorizeFallback(plan.fallback)
+    from repro.backends.cpu_exec import CpuExecutor
+
+    return CpuExecutor(a).run(), "fallback", plan_ms
 
 
 class NumpyExecutor:
     """Vectorized execution of a (scheduled or bare) statement.
 
-    Cheap to construct: the :class:`ExecPlan` is looked up on the
-    statement's assignment, or built, in :meth:`run`.
+    Cheap to construct: :meth:`run` goes through :func:`run_plan`.
 
     Attributes:
         fell_back: True once :meth:`run` has delegated to the
@@ -626,26 +808,10 @@ class NumpyExecutor:
         ``strict=True`` raises :class:`VectorizeFallback` instead of
         delegating to the ``CpuExecutor`` interpreter.
         """
-        plan = getattr(self.assignment, "_exec_plan", None)
-        if plan is not None and plan.current():
-            self.plan_state = "reused"
-        else:
-            start = time.perf_counter()
-            plan = ExecPlan(self.assignment)
-            self.plan_ms = (time.perf_counter() - start) * 1e3
-            self.plan_state = "built"
-            # Built fully, then published by one attribute store: racing
-            # threads each build a whole plan and the last one stays.
-            object.__setattr__(self.assignment, "_exec_plan", plan)
-        if plan.fallback is None:
-            return plan.run()
-        self.plan_state = "fallback"
-        if strict:
-            raise VectorizeFallback(plan.fallback)
-        self.fell_back = True
-        from repro.backends.cpu_exec import CpuExecutor
-
-        return CpuExecutor(self.assignment).run()
+        result, self.plan_state, self.plan_ms = run_plan(self.assignment,
+                                                         strict)
+        self.fell_back = self.plan_state == "fallback"
+        return result
 
 
 def execute_numpy(stmt: IndexStmt | Assignment,

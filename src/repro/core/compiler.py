@@ -20,6 +20,7 @@ from repro.engines import (  # noqa: F401 - re-exported
     ENGINES,
     default_engine,
 )
+from repro.obs import NULL_SPAN
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.core.memory_analysis import KernelAnalysis, MemoryPlan
@@ -168,11 +169,13 @@ class CompiledKernel:
                           strict: bool = False) -> tuple[TensorStorage, bool]:
         """:meth:`run_engine`, plus whether the engine fell back.
 
-        The one place the ``numpy`` engine is called from: its ``exec``
+        The one place a kernel's ``numpy`` run is observed: its ``exec``
         span carries ``fell_back``, ``plan`` (``built`` / ``reused`` /
         ``fallback``) and, when this run built the plan, ``plan_ms``;
         ``repro_engine_fallbacks_total`` and ``repro_exec_plans_total``
-        count the same.
+        count the same. The span is built only while tracing is on (one
+        environment read per run tells), and the plans counter is bound
+        once per outcome.
         """
         engine = default_engine() if engine is None else engine
         if engine == "interp":
@@ -184,17 +187,22 @@ class CompiledKernel:
             with _trace.span("exec", kernel=self.name, engine="cpu"):
                 return CpuExecutor(self.stmt).run(), False
         if engine == "numpy":
-            NumpyExecutor, plans, fallbacks = _numpy_engine()
-            executor = NumpyExecutor(self.stmt)
-            with _trace.span("exec", kernel=self.name, engine="numpy") as sp:
-                result = executor.run(strict=strict)
-                sp.set(fell_back=executor.fell_back, plan=executor.plan_state)
-                if executor.plan_ms is not None:
-                    sp.set(plan_ms=executor.plan_ms)
-            plans.inc(outcome=executor.plan_state)
-            if executor.fell_back:
-                fallbacks.inc(kernel=self.name)
-            return result, executor.fell_back
+            run_plan, plans, fallbacks = _numpy_engine()
+            sp = _trace.span("exec", kernel=self.compiled.name, engine="numpy")
+            if sp is NULL_SPAN:  # tracing is off: no span to fill in
+                result, state, plan_ms = run_plan(self.stmt.assignment, strict)
+            else:
+                with sp:
+                    result, state, plan_ms = run_plan(self.stmt.assignment,
+                                                      strict)
+                    sp.set(fell_back=state == "fallback", plan=state)
+                    if plan_ms is not None:
+                        sp.set(plan_ms=plan_ms)
+            plans[state].inc()
+            if state != "fallback":
+                return result, False
+            fallbacks.inc(kernel=self.name)
+            return result, True
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
 
     def memory_report(self) -> str:
@@ -203,13 +211,16 @@ class CompiledKernel:
 
 @functools.cache
 def _numpy_engine() -> tuple:
-    """The numpy engine's executor class and its two counters, resolved
-    on first use only: a run looks up neither again."""
-    from repro.backends.numpy_exec import NumpyExecutor
+    """The numpy engine's run function, its plans counter bound once per
+    outcome and its fallbacks counter, resolved on first use only: a run
+    looks up none of them again."""
+    from repro.backends.numpy_exec import run_plan
 
-    return (NumpyExecutor,
-            _metrics.counter("repro_exec_plans_total", "numpy-engine runs by "
-                             "what happened to their ExecPlan", ("outcome",)),
+    plans = _metrics.counter("repro_exec_plans_total", "numpy-engine runs by "
+                             "what happened to their ExecPlan", ("outcome",))
+    return (run_plan,
+            {outcome: plans.labels(outcome=outcome)
+             for outcome in ("built", "reused", "fallback")},
             _metrics.counter("repro_engine_fallbacks_total", "numpy-engine "
                              "runs that fell back to the cpu walker", ("kernel",)))
 

@@ -269,6 +269,13 @@ class Lowerer:
             return
         fmt = tensor.format
         for level in range(fmt.order):
+            if fmt.level_format(level).is_bit_vector:
+                # The host packs and binds pos/crd levels only; a bit
+                # vector is an on-chip stream (a workspace's).
+                raise LoweringError(
+                    f"tensor {tensor.name} stores level {level} as a bit "
+                    "vector off-chip; the host cannot bind bit-vector "
+                    "arrays — give that level a compressed format")
             for array in fmt.level_format(level).arrays():
                 role = f"{array}{level}"
                 name = self.dram_name(self.array_name(tensor, level, array))

@@ -23,6 +23,7 @@ import threading
 from typing import Any, Iterable
 
 __all__ = [
+    "BoundCounter",
     "Counter",
     "Gauge",
     "Histogram",
@@ -97,6 +98,11 @@ class Counter(_Metric):
         with self._lock:
             self._counts[key] = self._counts.get(key, 0.0) + amount
 
+    def labels(self, **labels: str) -> BoundCounter:
+        """This counter at one label set, resolved once: a hot path binds
+        it ahead and each ``inc`` skips the label checks."""
+        return BoundCounter(self, self._values(labels))
+
     def set_total(self, value: float, **labels: str) -> None:
         """Mirror an externally tracked total (scrape-time sync)."""
         key = self._values(labels)
@@ -124,6 +130,20 @@ class Counter(_Metric):
                 return self._counts.get((), 0.0)
             return {",".join(v) or "": c
                     for v, c in sorted(self._counts.items())}
+
+
+class BoundCounter:
+    """One label set of a :class:`Counter` (:meth:`Counter.labels`)."""
+
+    __slots__ = ("_counts", "_lock", "_key")
+
+    def __init__(self, counter: Counter, key: tuple[str, ...]) -> None:
+        self._counts, self._lock, self._key = (counter._counts,
+                                               counter._lock, key)
+
+    def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._counts[self._key] = self._counts.get(self._key, 0.0) + amount
 
 
 class Gauge(_Metric):

@@ -607,24 +607,37 @@ _parse_kept = functools.lru_cache(maxsize=PARSED_BODIES)(_parse_work)
 async def _read_request(reader: asyncio.StreamReader):
     """Parse one HTTP/1.x request; None on clean EOF before a start line.
 
+    The head takes two reads: the request line up to its CR, checked as
+    soon as it arrives, then the rest up to the blank line, which, read
+    from that line's LF on, ends at the first ``\\n\\r\\n`` whether or
+    not headers come between. A head over the stream's limit is
+    malformed (``ValueError``).
+
     Returns ``(method, path, keep_alive, body)``: HTTP/1.1 keeps the
     connection unless it sent ``Connection: close``, HTTP/1.0 only if it
     sent ``Connection: keep-alive``.
     """
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
+    try:
+        line = await reader.readuntil(b"\r")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise
+    except asyncio.LimitOverrunError:
+        raise ValueError("request line over the head limit") from None
+    parts = line.decode("latin-1").split()
     if len(parts) != 3:
         raise ValueError(f"malformed request line {line!r}")
     method, path, version = parts
+    try:
+        rest = await reader.readuntil(b"\n\r\n")
+    except asyncio.LimitOverrunError:
+        raise ValueError("request head over the head limit") from None
     headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _sep, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    for raw in rest.splitlines():
+        if raw:
+            name, _sep, value = raw.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
     raw_length = headers.get("content-length", "0") or "0"
     if not (raw_length.isascii() and raw_length.isdigit()):
         raise ValueError(f"invalid Content-Length {raw_length!r}")

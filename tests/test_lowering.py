@@ -4,7 +4,14 @@ import pytest
 
 from repro.core import compile_stmt
 from repro.core.coiteration import LoweringError
-from repro.formats import CSR, DENSE_VECTOR, offChip
+from repro.formats import (
+    CSR,
+    DENSE_VECTOR,
+    Format,
+    bit_vector,
+    dense,
+    offChip,
+)
 from repro.ir import index_vars
 from repro.spatial.ir import (
     BitVectorOp,
@@ -184,6 +191,16 @@ class TestErrors:
         stmt = y.get_index_stmt().map(j, "Spatial", "Reduction")
         with pytest.raises(LoweringError, match="on-chip scalar"):
             compile_stmt(stmt)
+
+    def test_off_chip_bit_vector_level_is_refused(self):
+        B = Tensor("B", (3, 4), Format([dense, bit_vector], [0, 1], offChip))
+        x = Tensor("x", (4,), DENSE_VECTOR(offChip))
+        y = Tensor("y", (3,), DENSE_VECTOR(offChip))
+        i, j = index_vars("i j")
+        y[i] = B[i, j] * x[j]
+        with pytest.raises(LoweringError,
+                           match="tensor B stores level 1 as a bit vector"):
+            compile_stmt(y.get_index_stmt(), cache=False)
 
 
 class TestDeterminism:

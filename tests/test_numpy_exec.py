@@ -14,6 +14,7 @@ the universal oracle.
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import sys
 import threading
@@ -571,6 +572,43 @@ def test_reused_plan_looks_nothing_up_again(name, monkeypatch):
         monkeypatch.setattr(storage_mod, helper, boom)
     again = kernel.run_engine("numpy", strict=True)
     assert again.vals.tobytes() == first.vals.tobytes()
+
+
+#: Per-record ceilings on the Python calls into ``repro`` one reused-plan
+#: run makes. A ceiling may only go down, to the highest count any
+#: supported Python gives (3.12 inlines comprehensions and counts fewer).
+ENGINE_CALLS = json.loads(
+    (Path(__file__).resolve().parent / "engine_calls.json").read_text())
+
+
+def test_engine_call_ceilings_cover_every_record():
+    assert set(ENGINE_CALLS) == set(ALL_KERNELS)
+
+
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_reused_run_stays_under_its_call_ceiling(name, monkeypatch):
+    """A reused-plan ``run_engine("numpy")`` makes no more Python calls
+    into ``repro`` than its committed ceiling: per-call bookkeeping that
+    creeps back in fails here."""
+    monkeypatch.delenv(obs.TRACE_ENV, raising=False)
+    kernel = compile_stmt(build_small_kernel_stmt(name)[0], name, cache=False)
+    kernel.run_engine("numpy", strict=True)
+    root = str(Path(numpy_exec.__file__).resolve().parents[1]) + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        kernel.run_engine("numpy", strict=True)
+    finally:
+        sys.setprofile(None)
+    assert calls <= ENGINE_CALLS[name], (
+        f"{name}: {calls} calls into repro per reused run, ceiling "
+        f"{ENGINE_CALLS[name]}")
 
 
 def test_plan_rebuilt_when_a_storage_is_replaced(rng):

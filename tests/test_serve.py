@@ -179,6 +179,36 @@ class TestMalformedHttp:
                     assert stream.read(_content_length(head)) == b'{"ok": true}'
 
 
+class TestHeadRead:
+    """The request head is read in two reads: the request line, then the
+    rest up to the blank line, however the client's sends cut it."""
+
+    def test_a_head_cut_across_sends_reads_whole(self, fresh_cache):
+        pieces = [b"GET /heal", b"thz HTTP/1.1\r", b"\nHost: x\r\nConn",
+                  b"ection: close\r", b"\n\r", b"\n"]
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            with socket.create_connection(("127.0.0.1", svc.port),
+                                          timeout=30) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for piece in pieces:
+                    sock.sendall(piece)
+                    time.sleep(0.02)
+                head, _, body = _read_to_eof(sock).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert json.loads(body) == {"ok": True}
+
+    def test_an_over_limit_head_answers_400_then_closes(self, fresh_cache):
+        raw = (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+               + b"\r\n\r\n")
+        with ServiceThread(ServeConfig(port=0, pool="inline:1")) as svc:
+            head, _, body = _raw_exchange(svc.port, raw).partition(
+                b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"\r\nConnection: close" in head
+            assert "limit" in json.loads(body)["error"]
+            assert _get(svc.port, "/healthz")[0] == 200
+
+
 def _read_head(stream) -> bytes:
     """One response's status line and headers, off a socket file."""
     lines = []
