@@ -152,17 +152,19 @@ class Lowerer:
         self.ws_out_pos: Optional[SExpr] = None
         self._declared_regs: set[str] = set()
         self._declared: set[str] = set()
-        self._dense_out_full = False
         self._dim_symbol_cache: dict[int, str] = {}
         self._counts: dict[tuple[str, int], SExpr] = {}  # (tensor, level)
-        # Non-unique driving levels (COO roots) repeat output coordinates,
-        # so dense outputs must scatter-accumulate instead of streaming.
-        self._scatter_out = self.analysis.output_scatters
-        # An off-chip 1-D dense result that does not scatter streams out
-        # through a FIFO, one element per iteration of its loop.
+        # Where the result values live is the memory plan's binding: a
+        # FIFO, a dense-SRAM row, or the whole result in dense SRAM.
         out = self.analysis.output
-        self._stream_out = (out.order == 1 and out.format.is_all_dense
-                            and not out.is_on_chip and not self._scatter_out)
+        self.out_vals = (None if out.is_on_chip
+                         else self.plan.get(out.name, "vals"))
+        # A result FIFO with no coordinate stream beside it carries a 1-D
+        # dense result out, one element per iteration of its loop.
+        self._stream_out = (
+            self.out_vals is not None
+            and self.out_vals.memory is MemoryType.FIFO
+            and self.plan.get(out.name, f"crd{out.order - 1}") is None)
 
     # -- small helpers --------------------------------------------------------
 
@@ -335,6 +337,9 @@ class Lowerer:
         """Kernel-start allocations: position SRAMs, full stages, outputs."""
         out = self.analysis.output
         ip = self.env.get(INNER_PAR, 1)
+        if self.out_vals is not None and self.out_vals.staged_full:
+            self.emit(SramDecl(self.vals_name(out),
+                               self._level_count_expr(out, out.order - 1)))
         for tensor in self.analysis.inputs:
             if tensor.order == 0 or tensor.is_on_chip:
                 continue
@@ -378,9 +383,7 @@ class Lowerer:
         ip = self.env.get(INNER_PAR, 1)
         for name, size in self._staged_arrays(out):
             self.emit(StoreBulk(self.dram_name(name), name, SLit(0), size, par=ip))
-        if self._dense_out_full:
-            # Scatter-accumulated (or derived-variable) outputs bulk-store
-            # the whole buffer once at kernel end.
+        if self.out_vals.staged_full:
             size = self._level_count_expr(out, out.order - 1)
             self.emit(StoreBulk(self.dram_name(self.vals_name(out)),
                                 self.vals_name(out), SLit(0), size, par=ip))
@@ -493,8 +496,10 @@ class Lowerer:
         loop = getattr(self, f"_open_{strategy.kind}")(forall.ivar, info, par)
         if loop.par is not None:
             par = loop.par
-        for located in strategy.located:
-            self._bind_dense_position(located, loop.coord)
+        for it in strategy.located:
+            parent = self.position.get((id(it.tensor), it.level - 1), SLit(0))
+            self.position[(id(it.tensor), it.level)] = self._dense_position(
+                it.tensor, it.level, parent, loop.coord)
         result_it = strategy.result_iterator
         row = None
         if result_it is not None and not loop.result_ws:
@@ -502,8 +507,10 @@ class Lowerer:
                 self._bind_output_compressed(loop.out_state, loop.out_idx,
                                              loop.coord)
             elif result_it.level_format.is_dense:
-                self._bind_output_dense(result_it, loop.coord)
-            row = self._stage_output_row(result_it.level)
+                self.out_pos[result_it.level] = self._dense_position(
+                    result_it.tensor, result_it.level,
+                    self.out_pos.get(result_it.level - 1, SLit(0)), loop.coord)
+            row = self._stage_output_row(info.depth, result_it)
         if loop.elem_reg is not None:
             self._declare_reg(loop.elem_reg)
         if reduce_into is None:
@@ -512,7 +519,7 @@ class Lowerer:
                 self.emit(Enq(self.vals_name(self.analysis.output),
                               SRegRead(loop.elem_reg)))
             if row is not None:
-                self._store_output_row(result_it.level, row)
+                self._store_output_row(row)
             body = tuple(self._body_stack.pop())
             self.emit(Foreach(loop.counter, loop.binders, body, par=par))
         else:
@@ -622,42 +629,37 @@ class Lowerer:
         return smul(self._dense_trip_count(relation.outer),
                     self._dense_trip_count(relation.inner))
 
-    def _bind_dense_position(self, it: LevelIterator, coord: SExpr) -> None:
-        tensor = it.tensor
-        parent = self.position.get((id(tensor), it.level - 1), SLit(0))
-        pos = sadd(smul(parent, self.dim_symbol(tensor, it.level)), coord)
-        self.position[(id(tensor), it.level)] = pos
+    def _dense_position(self, tensor, level: int, parent: SExpr,
+                        coord: SExpr) -> SExpr:
+        """Position of ``coord`` in a dense level: ``parent * dim + coord``."""
+        return sadd(smul(parent, self.dim_symbol(tensor, level)), coord)
 
-    def _bind_output_dense(self, it: LevelIterator, coord: SExpr) -> None:
-        parent = self.out_pos.get(it.level - 1, SLit(0))
-        self.out_pos[it.level] = sadd(
-            smul(parent, self.dim_symbol(it.tensor, it.level)), coord
-        )
+    @staticmethod
+    def _slice_bounds(base: SExpr, dim: SExpr) -> tuple[SExpr, SExpr]:
+        """``[base * dim, (base + 1) * dim)``: the ``base``-th row of a
+        row-major array with rows of ``dim`` elements."""
+        return smul(base, dim), smul(sadd(base, SLit(1)), dim)
 
-    # .. output row buffers (dense innermost level of a >=2-D output) ..............
+    # .. output row buffers (the plan's dense-SRAM result row) ......................
 
-    def _stage_output_row(self, level: int) -> Optional[str]:
-        """If the output's next level is a trailing dense level, allocate a
-        row buffer in the current body; returns its name."""
-        out = self.analysis.output
-        fmt = out.format
-        if out.is_on_chip or out.order < 2:
+    def _stage_output_row(self, depth: int,
+                          result_it: LevelIterator) -> Optional[str]:
+        """Allocate the result row in this loop's body when the memory plan
+        binds it here; returns its name."""
+        vb = self.out_vals
+        if (vb is None or vb.staged_full or vb.memory is not MemoryType.SRAM_DENSE
+                or vb.alloc_depth != depth + 1
+                or result_it.tensor is not self.analysis.output):
             return None
-        if level + 1 != fmt.order - 1:
-            return None
-        if not fmt.level_format(level + 1).is_dense:
-            return None
+        out = result_it.tensor
         name = f"{out.name}_row"
-        self.emit(SramDecl(name, self.dim_symbol(out, level + 1)))
-        self._declared.add(name)
+        self.emit(SramDecl(name, self.dim_symbol(out, out.order - 1)))
         return name
 
-    def _store_output_row(self, level: int, row: str) -> None:
+    def _store_output_row(self, row: str) -> None:
         out = self.analysis.output
-        dim = self.dim_symbol(out, level + 1)
-        base = self.out_pos.get(level, SLit(0))
-        start = smul(base, dim)
-        end = smul(sadd(base, SLit(1)), dim)
+        start, end = self._slice_bounds(self.out_pos.get(out.order - 2, SLit(0)),
+                                        self.dim_symbol(out, out.order - 1))
         self.emit(StoreBulk(self.dram_name(self.vals_name(out)), row,
                             start, end, par=self.env.get(INNER_PAR, 1)))
 
@@ -671,7 +673,7 @@ class Lowerer:
             return recorded if recorded is not None else SLit(0)
         tensor = it.tensor
         fmt = tensor.format
-        access = self._access_of_any(tensor)
+        access = self._access_of(tensor)
         pos: SExpr = SLit(0)
         for level in range(it.level):
             prior = self.position.get((id(tensor), level))
@@ -688,10 +690,10 @@ class Lowerer:
                 raise LoweringError(
                     f"coordinate for {tensor.name} level {level} unbound"
                 )
-            pos = sadd(smul(pos, self.dim_symbol(tensor, level)), coord)
+            pos = self._dense_position(tensor, level, pos, coord)
         return pos
 
-    def _access_of_any(self, tensor) -> Access:
+    def _access_of(self, tensor) -> Access:
         for asg in self.analysis.assignments:
             for acc in (asg.lhs, *asg.rhs.accesses()):
                 if acc.tensor is tensor:
@@ -975,21 +977,13 @@ class Lowerer:
             name = self.vals_name(tensor)
             trailing_level = tensor.format.order - 1
             trailing_dim = self.dim_symbol(tensor, trailing_level)
-            base = self._row_major_address(self._access_of(tensor),
-                                           trailing_level)
-            start = smul(base, trailing_dim)
-            end = smul(sadd(base, SLit(1)), trailing_dim)
+            start, end = self._slice_bounds(
+                self._row_major_address(self._access_of(tensor), trailing_level),
+                trailing_dim)
             self.emit(SramDecl(name, trailing_dim))
             self.emit(LoadBulk(name, self.dram_name(name), start, end,
                                par=self.env.get(INNER_PAR, 1)))
             self._declared.add(name)
-
-    def _access_of(self, tensor) -> Access:
-        for asg in self.analysis.assignments:
-            for acc in asg.rhs.accesses():
-                if acc.tensor is tensor:
-                    return acc
-        raise LoweringError(f"tensor {tensor.name} is never accessed")
 
     # -- assignments -----------------------------------------------------------------
 
@@ -1018,54 +1012,36 @@ class Lowerer:
                 raise LoweringError("workspace write without a bound position")
             name = self.vals_name(out)
             if name not in self._declared:
-                dim = self.dim_symbol(out, out.order - 1)
+                memory = self.plan.binding(out.name, "vals").memory
                 self.emit_parent(SramDecl(
-                    name, dim, sparse=out.format.has_compressed_level))
+                    name, self.dim_symbol(out, out.order - 1),
+                    sparse=memory is MemoryType.SRAM_SPARSE))
                 self._declared.add(name)
             self.emit(SramWrite(name, addr, value, accumulate=asg.accumulate))
             return
-        fmt = out.format
-        inner_level = fmt.order - 1
-        if fmt.level_format(inner_level).is_compressed:
-            self.emit(Enq(self.vals_name(out), value))
-            return
-        if self._scatter_out:
-            # Non-unique (COO) driving levels revisit output coordinates:
-            # accumulate into the whole-tensor buffer, stored at the end.
-            self._assign_dense_full(asg, out, fmt, value)
-            return
-        if self._stream_out:
-            # Per-element register, enqueued once per outer iteration (the
-            # enclosing dense loop emits the enq).
-            reg = f"{out.name}_elem"
-            self.emit(RegWrite(reg, value, accumulate=asg.accumulate))
-            return
-        # Row-buffer accumulation (dense trailing level of a >=2-D output).
-        name = f"{out.name}_row"
-        if name in self._declared:
-            mode = fmt.mode_of_level(inner_level)
+        vb = self.out_vals
+        if vb.staged_full:
+            # Repeated or derived-loop coordinates: the whole result,
+            # written at the flattened coordinate.
+            self.emit(SramWrite(self.vals_name(out),
+                                self._row_major_address(asg.lhs, out.order),
+                                value, accumulate=asg.accumulate,
+                                atomic=asg.accumulate))
+        elif vb.memory is MemoryType.SRAM_DENSE:
+            mode = out.format.mode_of_level(out.order - 1)
             coordv = self.coord.get(id(asg.lhs.indices[mode]))
             if coordv is None:
                 raise LoweringError("dense output coordinate unbound")
-            self.emit(SramWrite(name, coordv, value,
+            self.emit(SramWrite(f"{out.name}_row", coordv, value,
                                 accumulate=asg.accumulate,
                                 atomic=asg.accumulate))
-            return
-        # Fallback (derived loop variables, fused outputs): a whole-tensor
-        # buffer written at the flattened coordinate, bulk-stored at the end.
-        self._assign_dense_full(asg, out, fmt, value)
-
-    def _assign_dense_full(self, asg: CinAssign, out, fmt, value: SExpr) -> None:
-        """Write a dense output through a whole-tensor on-chip buffer."""
-        full = self.vals_name(out)
-        if full not in self._declared:
-            size = self._level_count_expr(out, fmt.order - 1)
-            self._body_stack[0].insert(0, SramDecl(full, size))
-            self._declared.add(full)
-            self._dense_out_full = True
-        addr = self._row_major_address(asg.lhs, fmt.order)
-        self.emit(SramWrite(full, addr, value, accumulate=asg.accumulate,
-                            atomic=asg.accumulate))
+        elif self._stream_out:
+            # Per-element register, enqueued once per iteration of the
+            # loop that completes the coordinate (``_open_dense``).
+            self.emit(RegWrite(f"{out.name}_elem", value,
+                               accumulate=asg.accumulate))
+        else:
+            self.emit(Enq(self.vals_name(out), value))
 
     def _row_major_address(self, access: Access, levels: int) -> SExpr:
         """Row-major fold of ``access``'s bound coordinates over its first
@@ -1080,7 +1056,7 @@ class Lowerer:
                 raise LoweringError(
                     f"coordinate {var} for {tensor.name} level {level} unbound"
                 )
-            addr = sadd(smul(addr, self.dim_symbol(tensor, level)), coord)
+            addr = self._dense_position(tensor, level, addr, coord)
         return addr
 
     # -- expressions --------------------------------------------------------------------

@@ -18,6 +18,12 @@ The binding preconditions implemented here follow Section 6.1:
   sparse SRAM when accessed by scan positions (co-iteration) or gathered by
   sparse coordinates (which also engages the shuffle network), and dense
   SRAM when staged as an affine slice of a dense tensor;
+* **result values** take one of three placements: a **FIFO** (a
+  compressed innermost level, at that level's loop; a 1-D dense stream, at
+  L0), a **dense-SRAM row** in the body of the loop over the result's
+  second-to-last level, or the **whole result in dense SRAM** at L0
+  (``staged_full``) when coordinates repeat or the row loop is derived.
+  Lowering emits only what the plan binds;
 * **scalars** are registers.
 
 Transfer placement follows Section 6.2: each array is allocated at the
@@ -367,16 +373,7 @@ def _plan_access(
     strategy = analysis.strategy(inner_var)
 
     if is_output:
-        if inner_fmt.is_compressed or fmt.is_all_dense:
-            _add(plan, ArrayBinding(
-                name, "vals", MemoryType.FIFO, vals_depth,
-                "result values enqueue in order and stream-store to DRAM",
-            ))
-        else:
-            _add(plan, ArrayBinding(
-                name, "vals", MemoryType.SRAM_DENSE, vals_depth,
-                "dense result slice accumulates in SRAM, bulk-stored per tile",
-            ))
+        _add(plan, _result_vals(analysis, name, fmt, level_vars, level_depths))
         return
 
     if tensor.is_on_chip:
@@ -463,3 +460,27 @@ def _plan_access(
             "strided slices: whole dense tensor staged once, affine access",
             staged_full=True,
         ))
+
+
+def _result_vals(analysis: KernelAnalysis, name: str, fmt, level_vars,
+                 level_depths) -> ArrayBinding:
+    """The result values' one placement; lowering emits it as bound."""
+    last = fmt.order - 1
+    streamed = "result values enqueue in order and stream-store to DRAM"
+    if fmt.level_format(last).is_compressed:
+        return ArrayBinding(name, "vals", MemoryType.FIFO,
+                            level_depths[last], streamed)
+    why = "result coordinates repeat"
+    if not analysis.output_scatters:
+        if last == 0:
+            return ArrayBinding(name, "vals", MemoryType.FIFO, 0, streamed)
+        row_loop = analysis.by_ivar.get(level_vars[last - 1])
+        if row_loop is not None:
+            return ArrayBinding(
+                name, "vals", MemoryType.SRAM_DENSE, row_loop.depth + 1,
+                "dense result row accumulates in SRAM, bulk-stored per row")
+        why = "the result's row loop is derived (split/fuse)"
+    return ArrayBinding(
+        name, "vals", MemoryType.SRAM_DENSE, 0,
+        f"{why}: the whole result accumulates in dense SRAM, bulk-stored "
+        "at kernel end", staged_full=True)

@@ -1,8 +1,13 @@
 """Unit tests for the memory analysis (Section 6 bindings)."""
 
+import pytest
 
+from repro import Tensor, index_vars
 from repro.core import analyze, plan_memory
+from repro.core.lowering import Lowerer
 from repro.formats import MemoryType
+from repro.kernels import KERNELS
+from repro.spatial.ir import FifoDecl, Foreach, ReducePat, SramDecl
 from tests.helpers_kernels import build_small_kernel_stmt
 
 
@@ -151,3 +156,55 @@ class TestAnalysisStructure:
         report = plan.report()
         for name in ("A", "B", "C", "D", "ws"):
             assert name in report
+
+
+# -- the result is placed once: lowering emits it where the plan binds it ------
+
+
+def _fused_stmt():
+    i, j, f = index_vars("i j f")
+    C, D, Z = (Tensor(name, (8, 9)) for name in "CDZ")
+    Z[i, j] = C[i, j] * D[i, j]
+    return Z.get_index_stmt().fuse(i, j, f)
+
+
+def _split_stmt():
+    i, j, jo, ji = index_vars("i j jo ji")
+    C, Z = Tensor("C", (8, 4)), Tensor("Z", (8, 4))
+    Z[i, j] = C[i, j] * 2
+    return Z.get_index_stmt().split_up(j, jo, ji, 4)
+
+
+PLACEMENT_CASES = [
+    *(pytest.param(lambda name=name: build_small_kernel_stmt(name)[0], id=name)
+      for name, spec in KERNELS.items()
+      if any(t.role == "output" and t.modes for t in spec.tensor_specs)),
+    pytest.param(_fused_stmt, id="fuse"),
+    pytest.param(_split_stmt, id="split_up"),
+]
+
+
+def _declarations(stmts, depth=0):
+    """Every FIFO and SRAM declaration with its depth: the number of
+    enclosing ``Foreach`` / ``ReducePat`` patterns."""
+    for stmt in stmts:
+        if isinstance(stmt, (FifoDecl, SramDecl)):
+            yield stmt, depth
+        elif isinstance(stmt, (Foreach, ReducePat)):
+            yield from _declarations(stmt.body, depth + 1)
+
+
+@pytest.mark.parametrize("build", PLACEMENT_CASES)
+def test_lowering_emits_the_result_where_the_plan_binds_it(build):
+    lowerer = Lowerer(build())
+    program = lowerer.lower()
+    out = lowerer.analysis.output
+    whole, row = f"{out.name}_vals", f"{out.name}_row"
+    placed = [
+        (MemoryType.FIFO if isinstance(decl, FifoDecl)
+         else MemoryType.SRAM_SPARSE if decl.sparse else MemoryType.SRAM_DENSE,
+         depth, isinstance(decl, SramDecl) and decl.name == whole)
+        for decl, depth in _declarations(program.accel)
+        if decl.name in (whole, row)]
+    vals = lowerer.plan.binding(out.name, "vals")
+    assert placed == [(vals.memory, vals.alloc_depth, vals.staged_full)]
