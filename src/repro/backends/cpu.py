@@ -121,7 +121,7 @@ class CpuCodegen:
         elif strategy.kind == "compressed":
             it = strategy.driving[0]
             t, L = it.tensor.name, it.level + 1
-            parent = self._parent_pos(it)
+            parent = self._position(it.access, it.level - 1)
             p = f"p{t}{L}"
             self.emit(
                 f"for (int {p} = {t}{L}_pos[{parent}]; "
@@ -144,7 +144,7 @@ class CpuCodegen:
         names = []
         for it in its:
             t, L = it.tensor.name, it.level + 1
-            parent = self._parent_pos(it)
+            parent = self._position(it.access, it.level - 1)
             p = f"p{t}{L}"
             self.emit(f"int {p} = {t}{L}_pos[{parent}];")
             self.emit(f"int {p}_end = {t}{L}_pos[{parent} + 1];")
@@ -211,18 +211,12 @@ class CpuCodegen:
                     return f"{acc.tensor.name}{level + 1}_dim"
         raise LoweringError(f"no dimension for {ivar}")
 
-    def _parent_pos(self, it) -> str:
-        if it.level == 0:
-            return "0"
-        prior = self._pos.get((id(it.tensor), it.level - 1))
-        if prior is not None:
-            return prior
-        # Dense parent: linearised position expression.
-        return self._dense_pos(it.tensor, it.level - 1)
-
-    def _dense_pos(self, tensor, level: int) -> str:
+    def _position(self, access: Access, level: int) -> str:
+        """The position of ``level`` of the tensor ``access`` reads: the one
+        its loop binds, else located from the parent (``parent * dim +
+        coord``)."""
+        tensor = access.tensor
         fmt = tensor.format
-        access = self._access_for(tensor)
         expr = "0"
         for L in range(level + 1):
             p = self._pos.get((id(tensor), L))
@@ -234,28 +228,11 @@ class CpuCodegen:
             expr = var if expr == "0" else f"({expr} * {dim} + {var})"
         return expr
 
-    def _access_for(self, tensor):
-        for asg in self.analysis.assignments:
-            for acc in (asg.lhs, *asg.rhs.accesses()):
-                if acc.tensor is tensor:
-                    return acc
-        raise LoweringError(f"no access for {tensor.name}")
-
     def _lhs_ref(self, access: Access) -> str:
         t = access.tensor
         if t.order == 0:
             return f"{t.name}_val" if not t.is_on_chip else t.name
-        return f"{t.name}_vals[{self._vals_pos(access)}]"
-
-    def _vals_pos(self, access: Access) -> str:
-        t = access.tensor
-        fmt = t.format
-        last = fmt.order - 1
-        if fmt.level_format(last).is_compressed:
-            p = self._pos.get((id(t), last))
-            if p is not None:
-                return p
-        return self._dense_pos(t, last)
+        return f"{t.name}_vals[{self._position(access, t.order - 1)}]"
 
     def _expr(self, e: IndexExpr) -> str:
         if isinstance(e, Literal):
@@ -264,7 +241,7 @@ class CpuCodegen:
             t = e.tensor
             if t.order == 0:
                 return t.name if t.is_on_chip else f"{t.name}_val"
-            return f"{t.name}_vals[{self._vals_pos(e)}]"
+            return f"{t.name}_vals[{self._position(e, t.order - 1)}]"
         if isinstance(e, Add):
             return f"({self._expr(e.a)} + {self._expr(e.b)})"
         if isinstance(e, Sub):

@@ -146,7 +146,6 @@ class Lowerer:
         self.position: dict[tuple[int, int], SExpr] = {}  # (tensor, level) -> pos
         self.value_of: dict[int, SExpr] = {}  # id(tensor) -> value expr
         self.ws_bitvector: dict[int, str] = {}  # id(tensor) -> bv name
-        self.out_pos: dict[int, SExpr] = {}  # output level -> out position
         self.seg_start: dict[tuple[int, int], SExpr] = {}  # scan segment bases
         self._scan_positions: set[str] = set()  # scan operand-position binders
         self.ws_out_pos: Optional[SExpr] = None
@@ -485,8 +484,8 @@ class Lowerer:
 
         Only the counter depends on the strategy kind: ``_open_<kind>``
         emits what precedes the loop, opens the body and binds the
-        coordinate, positions and values. The rest is the same for every
-        kind: located operands, the result position and row buffer, the
+        coordinate, the positions of the levels it iterates, and values.
+        The rest is the same for every kind: the result row buffer, the
         pattern itself, and the compressed output level's bookkeeping.
         """
         info = self.analysis.info(forall.ivar)
@@ -496,20 +495,12 @@ class Lowerer:
         loop = getattr(self, f"_open_{strategy.kind}")(forall.ivar, info, par)
         if loop.par is not None:
             par = loop.par
-        for it in strategy.located:
-            parent = self.position.get((id(it.tensor), it.level - 1), SLit(0))
-            self.position[(id(it.tensor), it.level)] = self._dense_position(
-                it.tensor, it.level, parent, loop.coord)
         result_it = strategy.result_iterator
         row = None
         if result_it is not None and not loop.result_ws:
             if loop.out_state is not None:
                 self._bind_output_compressed(loop.out_state, loop.out_idx,
                                              loop.coord)
-            elif result_it.level_format.is_dense:
-                self.out_pos[result_it.level] = self._dense_position(
-                    result_it.tensor, result_it.level,
-                    self.out_pos.get(result_it.level - 1, SLit(0)), loop.coord)
             row = self._stage_output_row(info.depth, result_it)
         if loop.elem_reg is not None:
             self._declare_reg(loop.elem_reg)
@@ -629,10 +620,33 @@ class Lowerer:
         return smul(self._dense_trip_count(relation.outer),
                     self._dense_trip_count(relation.inner))
 
-    def _dense_position(self, tensor, level: int, parent: SExpr,
-                        coord: SExpr) -> SExpr:
-        """Position of ``coord`` in a dense level: ``parent * dim + coord``."""
-        return sadd(smul(parent, self.dim_symbol(tensor, level)), coord)
+    def _position(self, access: Access, level: int) -> SExpr:
+        """The position of storage ``level`` of the tensor ``access``
+        reads (0 above the root).
+
+        A level that stores arrays has its position bound by the loop that
+        iterates it. A level that stores none (dense, block) is located
+        from its parent: ``parent * dim + coord``, with the access's
+        coordinate bound at the time of reading, whatever the loop order.
+        """
+        if level < 0:
+            return SLit(0)
+        tensor = access.tensor
+        bound = self.position.get((id(tensor), level))
+        if bound is not None:
+            return bound
+        fmt = tensor.format
+        if fmt.level_format(level).arrays():
+            raise LoweringError(
+                f"level {level} of {tensor.name} is read before the loop "
+                "that iterates it binds its position")
+        var = access.indices[fmt.mode_of_level(level)]
+        coord = self.coord.get(id(var))
+        if coord is None:
+            raise LoweringError(
+                f"coordinate {var} for {tensor.name} level {level} unbound")
+        return sadd(smul(self._position(access, level - 1),
+                         self.dim_symbol(tensor, level)), coord)
 
     @staticmethod
     def _slice_bounds(base: SExpr, dim: SExpr) -> tuple[SExpr, SExpr]:
@@ -658,40 +672,13 @@ class Lowerer:
 
     def _store_output_row(self, row: str) -> None:
         out = self.analysis.output
-        start, end = self._slice_bounds(self.out_pos.get(out.order - 2, SLit(0)),
-                                        self.dim_symbol(out, out.order - 1))
+        start, end = self._slice_bounds(
+            self._position(self._access_of(out), out.order - 2),
+            self.dim_symbol(out, out.order - 1))
         self.emit(StoreBulk(self.dram_name(self.vals_name(out)), row,
                             start, end, par=self.env.get(INNER_PAR, 1)))
 
     # .. compressed (single driving iterator) .....................................
-
-    def _parent_position(self, it: LevelIterator) -> SExpr:
-        """Position of the parent level, recovering dense chains from bound
-        coordinates when no loop recorded them (split/fused loops)."""
-        recorded = self.position.get((id(it.tensor), it.level - 1))
-        if recorded is not None or it.level == 0:
-            return recorded if recorded is not None else SLit(0)
-        tensor = it.tensor
-        fmt = tensor.format
-        access = self._access_of(tensor)
-        pos: SExpr = SLit(0)
-        for level in range(it.level):
-            prior = self.position.get((id(tensor), level))
-            if prior is not None:
-                pos = prior
-                continue
-            if not fmt.level_format(level).is_dense:
-                raise LoweringError(
-                    f"compressed level {level} of {tensor.name} has no "
-                    "bound position"
-                )
-            coord = self.coord.get(id(access.indices[fmt.mode_of_level(level)]))
-            if coord is None:
-                raise LoweringError(
-                    f"coordinate for {tensor.name} level {level} unbound"
-                )
-            pos = self._dense_position(tensor, level, pos, coord)
-        return pos
 
     def _access_of(self, tensor) -> Access:
         for asg in self.analysis.assignments:
@@ -703,7 +690,7 @@ class Lowerer:
     def _segment(self, it: LevelIterator) -> tuple[SExpr, SExpr, SExpr]:
         """(start, end, len) of the driving iterator's current segment."""
         tensor = it.tensor
-        parent = self._parent_position(it)
+        parent = self._position(it.access, it.level - 1)
         pos_mem = self.array_name(tensor, it.level, "pos")
         prefix = f"{tensor.name}{it.level + 1}"
         start_name = self.fresh(f"{prefix}_start")
@@ -804,7 +791,7 @@ class Lowerer:
                 "singleton loops cannot produce compressed output levels"
             )
         self._stage_slices_for_depth(info.depth)
-        parent = self._parent_position(it)
+        parent = self._position(it.access, it.level - 1)
         self._body_stack.append([])
         coord = SVar(ivar.name)
         self.coord[id(ivar)] = coord
@@ -937,7 +924,8 @@ class Lowerer:
     def _bind_output_compressed(self, out_state: dict, seg_idx: SExpr,
                                 coord: SExpr) -> None:
         level = out_state["level"]
-        self.out_pos[level] = sadd(out_state["start"], seg_idx)
+        self.position[(id(out_state["tensor"]), level)] = sadd(
+            out_state["start"], seg_idx)
         self.emit(Enq(out_state["crd_fifo"], coord))
 
     def _end_output_level(self, out_state: Optional[dict],
@@ -952,7 +940,7 @@ class Lowerer:
         start = out_state["start"]
         end_name = self.fresh(f"{out.name}{level + 1}_oend")
         self.emit(Assign(end_name, sadd(start, cnt)))
-        parent = self.out_pos.get(level - 1, SLit(0))
+        parent = self._position(self._access_of(out), level - 1)
         self.emit(SramWrite(self.array_name(out, level, "pos"), sadd(parent, SLit(1)),
                             SVar(end_name)))
         self.emit(RegWrite(out_state["cnt_reg"], SVar(end_name)))
@@ -978,7 +966,7 @@ class Lowerer:
             trailing_level = tensor.format.order - 1
             trailing_dim = self.dim_symbol(tensor, trailing_level)
             start, end = self._slice_bounds(
-                self._row_major_address(self._access_of(tensor), trailing_level),
+                self._position(self._access_of(tensor), trailing_level - 1),
                 trailing_dim)
             self.emit(SramDecl(name, trailing_dim))
             self.emit(LoadBulk(name, self.dram_name(name), start, end,
@@ -1021,10 +1009,8 @@ class Lowerer:
             return
         vb = self.out_vals
         if vb.staged_full:
-            # Repeated or derived-loop coordinates: the whole result,
-            # written at the flattened coordinate.
             self.emit(SramWrite(self.vals_name(out),
-                                self._row_major_address(asg.lhs, out.order),
+                                self._position(asg.lhs, out.order - 1),
                                 value, accumulate=asg.accumulate,
                                 atomic=asg.accumulate))
         elif vb.memory is MemoryType.SRAM_DENSE:
@@ -1042,22 +1028,6 @@ class Lowerer:
                                accumulate=asg.accumulate))
         else:
             self.emit(Enq(self.vals_name(out), value))
-
-    def _row_major_address(self, access: Access, levels: int) -> SExpr:
-        """Row-major fold of ``access``'s bound coordinates over its first
-        ``levels`` storage levels (an affine address into a dense buffer)."""
-        tensor = access.tensor
-        fmt = tensor.format
-        addr: SExpr = SLit(0)
-        for level in range(levels):
-            var = access.indices[fmt.mode_of_level(level)]
-            coord = self.coord.get(id(var))
-            if coord is None:
-                raise LoweringError(
-                    f"coordinate {var} for {tensor.name} level {level} unbound"
-                )
-            addr = self._dense_position(tensor, level, addr, coord)
-        return addr
 
     # -- expressions --------------------------------------------------------------------
 
@@ -1095,17 +1065,7 @@ class Lowerer:
                 raise LoweringError(f"coordinate for {tensor.name} slice unbound")
             return SRead(name, coord)
         if vb.staged_full:
-            if fmt.has_compressed_level:
-                # Sparse tensors with trailing block/dense levels address
-                # values by storage position, not by affine coordinates.
-                pos = self.position.get((id(tensor), fmt.order - 1))
-                if pos is None:
-                    raise LoweringError(
-                        f"positional access to {tensor.name} values before "
-                        f"its innermost position is bound"
-                    )
-                return SRead(name, pos)
-            return SRead(name, self._row_major_address(access, fmt.order))
+            return SRead(name, self._position(access, fmt.order - 1))
         raise LoweringError(
             f"access {access} has no value binding at this point "
             f"(vals in {vb.memory})"

@@ -22,8 +22,9 @@ The binding preconditions implemented here follow Section 6.1:
   compressed innermost level, at that level's loop; a 1-D dense stream, at
   L0), a **dense-SRAM row** in the body of the loop over the result's
   second-to-last level, or the **whole result in dense SRAM** at L0
-  (``staged_full``) when coordinates repeat or the row loop is derived.
-  Lowering emits only what the plan binds;
+  (``staged_full``) when coordinates repeat, the row loop is derived, or
+  the loop order would revisit a row or a 1-D stream. Lowering emits
+  only what the plan binds;
 * **scalars** are registers.
 
 Transfer placement follows Section 6.2: each array is allocated at the
@@ -257,14 +258,16 @@ def _add(plan: dict, binding: ArrayBinding) -> None:
     if existing is None:
         plan[key] = binding
         return
-    # Keep the stronger requirement: random access beats streaming.
+    # Keep the stronger requirement: random access beats streaming, and
+    # the whole array beats a slice of it.
     rank = {
         MemoryType.FIFO: 0,
         MemoryType.BIT_VECTOR: 1,
         MemoryType.SRAM_DENSE: 2,
         MemoryType.SRAM_SPARSE: 3,
     }
-    if rank.get(binding.memory, -1) > rank.get(existing.memory, -1):
+    if ((rank.get(binding.memory, -1), binding.staged_full)
+            > (rank.get(existing.memory, -1), existing.staged_full)):
         plan[key] = dataclasses.replace(
             binding, uses_shuffle=binding.uses_shuffle or existing.uses_shuffle
         )
@@ -462,6 +465,18 @@ def _plan_access(
         ))
 
 
+def _enclosing(analysis: KernelAnalysis, info: ForallInfo) -> list[ForallInfo]:
+    """The loops around ``info``'s. ``foralls`` is in pre-order, so each
+    ancestor is the last shallower loop before it."""
+    here = next(n for n, f in enumerate(analysis.foralls) if f is info)
+    chain, depth = [], info.depth
+    for f in reversed(analysis.foralls[:here]):
+        if f.depth < depth:
+            chain.append(f)
+            depth = f.depth
+    return chain
+
+
 def _result_vals(analysis: KernelAnalysis, name: str, fmt, level_vars,
                  level_depths) -> ArrayBinding:
     """The result values' one placement; lowering emits it as bound."""
@@ -470,16 +485,42 @@ def _result_vals(analysis: KernelAnalysis, name: str, fmt, level_vars,
     if fmt.level_format(last).is_compressed:
         return ArrayBinding(name, "vals", MemoryType.FIFO,
                             level_depths[last], streamed)
-    why = "result coordinates repeat"
-    if not analysis.output_scatters:
-        if last == 0:
+    roots = analysis.provenance.roots
+
+    def over(loop: ForallInfo, levels) -> bool:
+        """``loop`` runs over a coordinate of one of the result's
+        ``levels`` (or a variable derived from one)."""
+        return any(r is level_vars[L] for r in roots(loop.ivar) for L in levels)
+
+    def repeats(loop: ForallInfo) -> bool:
+        """A loop over no result coordinate encloses ``loop``: each
+        element ``loop`` writes is visited more than once."""
+        return not all(over(f, range(fmt.order))
+                       for f in _enclosing(analysis, loop))
+
+    def encloses(outer: ForallInfo, inner: ForallInfo) -> bool:
+        return any(f is outer for f in _enclosing(analysis, inner))
+
+    if analysis.output_scatters:
+        why = "result coordinates repeat"
+    elif last == 0:
+        if not repeats(analysis.info(level_vars[0])):
             return ArrayBinding(name, "vals", MemoryType.FIFO, 0, streamed)
-        row_loop = analysis.by_ivar.get(level_vars[last - 1])
-        if row_loop is not None:
-            return ArrayBinding(
-                name, "vals", MemoryType.SRAM_DENSE, row_loop.depth + 1,
-                "dense result row accumulates in SRAM, bulk-stored per row")
+        why = "a loop over no result coordinate encloses the result's loop"
+    elif (row_loop := analysis.by_ivar.get(level_vars[last - 1])) is None:
         why = "the result's row loop is derived (split/fuse)"
+    elif repeats(row_loop):
+        why = "a loop over no result coordinate encloses the row loop"
+    elif not all(encloses(row_loop, f)
+                 for f in analysis.foralls if over(f, [last])):
+        why = "the row loop does not enclose the last level's loop"
+    elif not all(encloses(f, row_loop)
+                 for f in analysis.foralls if over(f, range(last - 1))):
+        why = "a loop over an outer result level sits inside the row loop"
+    else:
+        return ArrayBinding(
+            name, "vals", MemoryType.SRAM_DENSE, row_loop.depth + 1,
+            "dense result row accumulates in SRAM, bulk-stored per row")
     return ArrayBinding(
         name, "vals", MemoryType.SRAM_DENSE, 0,
         f"{why}: the whole result accumulates in dense SRAM, bulk-stored "

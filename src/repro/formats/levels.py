@@ -28,7 +28,11 @@ naming kinds:
 * :meth:`ModeFormat.arrays` — the arrays the level stores (none for
   dense and block, ``pos`` and ``crd`` for compressed, ``crd`` for
   singleton, ``bv`` for bit vectors). DRAM declarations, host binding
-  and output assembly loop over them.
+  and output assembly loop over them. They also fix where a level's
+  position comes from: a level that stores arrays has it bound by the
+  loop that iterates it; a level whose ``arrays()`` is empty is
+  *located* (parent position × dim + coordinate), never iterated for
+  positions.
 * :attr:`ModeFormat.parent_array` — the first of them, the array read by
   parent position (``pos``, or a singleton's ``crd``): the one staged
   whole in SRAM at kernel start.

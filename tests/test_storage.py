@@ -434,12 +434,11 @@ _KIND_PREDICATES = {"is_dense", "is_compressed", "is_singleton",
 _MAY_NAME_KIND = ("formats/", "tensor/storage.py")
 _KIND_PREDICATE_ALLOWANCE = {
     "__main__.py": 1,
-    "backends/cpu.py": 1,
     "backends/gpu.py": 1,
     "backends/numpy_exec.py": 4,
     "convert.py": 6,
     "core/coiteration.py": 1,
-    "core/lowering.py": 7,
+    "core/lowering.py": 4,
     "core/memory_analysis.py": 8,
     "ir/iteration.py": 1,
     "schedule/autoschedule.py": 2,
