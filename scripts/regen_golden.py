@@ -28,7 +28,10 @@ stderr of a fixed list of refused argv.
 ``tables table6 --scale 1.0`` render, so a model change that moves a
 paper-scale cell shows up as a text diff; ``table3.txt`` and
 ``table5.txt`` are the ``tables table3`` and ``tables table5`` texts
-(lines of code and Capstan resources; neither depends on the scale).
+(lines of code and Capstan resources; neither depends on the scale), and
+``pipeline_sweep-0.05.txt`` is the ``tables pipeline_sweep --scale 0.05``
+text, so a change that moves one fusion cut decision or its traffic shows
+up.
 After an
 *intentional* change, rerun this script and commit the updated files;
 CI's golden-drift job runs it too and fails if the checked-in files do
@@ -51,6 +54,7 @@ from repro.backends import lower_cpu
 from repro.core import compile_stmt
 from tests.helpers_kernels import (
     DATASET_GOLDEN_SEED,
+    PIPELINE_GOLDEN_SCALE,
     SPATIAL_GOLDEN_KERNELS,
     STRUCTURAL_GOLDENS,
     TABLE6_GOLDEN_SCALE,
@@ -114,6 +118,9 @@ def regenerate() -> list[Path]:
         path = GOLDEN / f"{name}.txt"
         path.write_text(artifact_text(name))
         written.append(path)
+    path = GOLDEN / f"pipeline_sweep-{PIPELINE_GOLDEN_SCALE}.txt"
+    path.write_text(artifact_text("pipeline_sweep", PIPELINE_GOLDEN_SCALE))
+    written.append(path)
     return written
 
 

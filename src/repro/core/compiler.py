@@ -25,6 +25,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.core.memory_analysis import KernelAnalysis, MemoryPlan
 from repro.core.runner import run_program
+from repro.ir.cin import SplitDown, SplitUp
 from repro.schedule.stmt import IndexStmt
 from repro.spatial import codegen
 from repro.spatial.ir import SpatialProgram
@@ -143,7 +144,24 @@ class CompiledKernel:
                     f"override {name!r} has shape {t.shape}; the kernel "
                     f"is bound to {bound.shape}")
             tensors[name] = t
+        self._refuse_ragged_splits()
         return run_program(self.program, tensors, self.analysis.output.name)
+
+    def _refuse_ragged_splits(self) -> None:
+        """The Spatial IR has no conditional, so a lowered split has no tail
+        guard: a factor that does not divide its extent would run off the
+        arrays. Refuse it before the interpreter runs."""
+        prov = self.analysis.provenance
+        dim_of = {id(v): self.tensors[acc.tensor.name].shape[mode]
+                  for asg in self.analysis.assignments
+                  for acc in (asg.lhs, *asg.rhs.accesses())
+                  for mode, v in enumerate(acc.indices)}
+        for rel in prov.relations:
+            if (isinstance(rel, (SplitUp, SplitDown)) and
+                    (extent := prov.trip_count(rel.parent, dim_of)) % rel.factor):
+                raise ValueError(
+                    f"{rel} does not divide the extent {extent} of "
+                    f"{rel.parent}: the lowered program has no tail guard")
 
     def run_dense(self, **overrides: Tensor) -> np.ndarray:
         """Execute and densify the result (convenience for tests)."""

@@ -159,11 +159,14 @@ class Lowerer:
         self.out_vals = (None if out.is_on_chip
                          else self.plan.get(out.name, "vals"))
         # A result FIFO with no coordinate stream beside it carries a 1-D
-        # dense result out, one element per iteration of its loop.
-        self._stream_out = (
-            self.out_vals is not None
+        # dense result out, one element per iteration of the loop that
+        # completes its coordinate (the root's, or the innermost derived).
+        self._stream_at = (
+            self.analysis.info(self._access_of(out).indices[0])
+            if self.out_vals is not None
             and self.out_vals.memory is MemoryType.FIFO
-            and self.plan.get(out.name, f"crd{out.order - 1}") is None)
+            and self.plan.get(out.name, f"crd{out.order - 1}") is None
+            else None)
 
     # -- small helpers --------------------------------------------------------
 
@@ -362,7 +365,7 @@ class Lowerer:
                 self._declared.add(name)
         if out.order == 0:
             self._declare_reg(f"{out.name}_reg")
-        if self._stream_out:
+        if self._stream_at is not None:
             name = self.vals_name(out)
             self.emit(FifoDecl(name, FIFO_DEPTH))
             self._declared.add(name)
@@ -386,7 +389,7 @@ class Lowerer:
             size = self._level_count_expr(out, out.order - 1)
             self.emit(StoreBulk(self.dram_name(self.vals_name(out)),
                                 self.vals_name(out), SLit(0), size, par=ip))
-        elif self._stream_out:
+        elif self._stream_at is not None:
             self.emit(StreamStore(self.dram_name(self.vals_name(out)),
                                   self.vals_name(out), SLit(0),
                                   self.dim_symbol(out, 0)))
@@ -527,25 +530,14 @@ class Lowerer:
         """A counter over the universe (the trip count comes first)."""
         length = self._dense_trip_count(ivar)
         self._stage_slices_for_depth(info.depth)
-        out = self.analysis.output
-        out_var = None
-        if self._stream_out:
-            for asg in self.analysis.assignments:
-                if asg.lhs.tensor is out:
-                    out_var = asg.lhs.indices[0]
-                    break
-        had_out_coord = out_var is not None and id(out_var) in self.coord
         self._body_stack.append([])
         coord = SVar(ivar.name)
         self.coord[id(ivar)] = coord
         self._recombine_derived_coords(ivar)
-        # The element register is enqueued at the loop that completes the
-        # output coordinate binding (the root var's loop, or the innermost
-        # loop derived from it after split/fuse).
-        stream_elem = (out_var is not None and not had_out_coord
-                       and id(out_var) in self.coord)
+        out = self.analysis.output
         return _Loop(DenseCounter(length), (ivar.name,), coord,
-                     elem_reg=f"{out.name}_elem" if stream_elem else None)
+                     elem_reg=f"{out.name}_elem" if info is self._stream_at
+                     else None)
 
     def _recombine_derived_coords(self, ivar: IndexVar) -> None:
         """Recover root coordinates from split/fuse-derived loop variables.
@@ -1021,7 +1013,7 @@ class Lowerer:
             self.emit(SramWrite(f"{out.name}_row", coordv, value,
                                 accumulate=asg.accumulate,
                                 atomic=asg.accumulate))
-        elif self._stream_out:
+        elif self._stream_at is not None:
             # Per-element register, enqueued once per iteration of the
             # loop that completes the coordinate (``_open_dense``).
             self.emit(RegWrite(f"{out.name}_elem", value,

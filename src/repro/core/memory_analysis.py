@@ -23,8 +23,10 @@ The binding preconditions implemented here follow Section 6.1:
   L0), a **dense-SRAM row** in the body of the loop over the result's
   second-to-last level, or the **whole result in dense SRAM** at L0
   (``staged_full``) when coordinates repeat, the row loop is derived, or
-  the loop order would revisit a row or a 1-D stream. Lowering emits
-  only what the plan binds;
+  the loops do not visit the result's rows (a 1-D result's elements) in
+  storage order, once (:meth:`KernelAnalysis.in_order`, the one
+  loop-order rule the lowerer and the fusion planner also ask). Lowering
+  emits only what the plan binds;
 * **scalars** are registers.
 
 Transfer placement follows Section 6.2: each array is allocated at the
@@ -69,13 +71,17 @@ class ForallInfo:
     """Analysis record for one forall."""
 
     forall: Forall
-    depth: int
+    enclosing: tuple[ForallInfo, ...]  # the loops around it, outermost first
     strategy: IterationStrategy
     mapped: Optional[MapCall] = None  # the MapCall wrapping it, if any
 
     @property
     def ivar(self) -> IndexVar:
         return self.forall.ivar
+
+    @property
+    def depth(self) -> int:
+        return len(self.enclosing)
 
 
 @dataclasses.dataclass
@@ -113,6 +119,31 @@ class KernelAnalysis:
     def strategy(self, ivar: IndexVar) -> IterationStrategy:
         return self.info(ivar).strategy
 
+    def in_order(self, level_vars, anchor: int) -> bool:
+        """True when the loops visit levels ``0..anchor`` of a tensor whose
+        storage levels are indexed by ``level_vars`` in storage order, each
+        coordinate once: the loops over those levels nest in storage order
+        (a split's outer loop around its inner one), only they enclose one
+        another, and the innermost of them encloses every loop over a
+        deeper level (Section 6.1's condition for a stream)."""
+        rank = {v: L for L, v in enumerate(level_vars)}  # -1: no level
+        prov = self.provenance
+
+        def levels(f: ForallInfo) -> list[int]:
+            return [rank.get(r, -1) for r in prov.roots(f.ivar)]
+
+        mine = [f for f in self.foralls if any(0 <= L <= anchor for L in levels(f))]
+        if not mine:
+            return True
+        inner = max(mine, key=lambda f: f.depth)
+        chain = (*inner.enclosing, inner)
+        keys = [(rank.get(r, -1), path)
+                for f in chain for r, path in prov.digits(f.ivar)]
+        if len(chain) != len(mine) or keys != sorted(keys) or keys[0][0] < 0:
+            return False
+        return all(f is inner or any(g is inner for g in f.enclosing)
+                   for f in self.foralls if max(levels(f)) > anchor)
+
     @property
     def output_scatters(self) -> bool:
         """True when the dense output's coordinates may repeat: a
@@ -137,32 +168,32 @@ def analyze(stmt: IndexStmt) -> KernelAnalysis:
     foralls: list[ForallInfo] = []
     by_ivar: dict[IndexVar, ForallInfo] = {}
 
-    def visit(s: CinStmt, depth: int, mapped: Optional[MapCall]) -> None:
+    def visit(s: CinStmt, enclosing: tuple, mapped: Optional[MapCall]) -> None:
         if isinstance(s, SuchThat):
-            visit(s.body, depth, mapped)
+            visit(s.body, enclosing, mapped)
         elif isinstance(s, Forall):
             assigns = s.assignments()
             rhs_exprs = [a.rhs for a in assigns]
             lhs_accesses = [a.lhs for a in assigns]
             strategy = build_strategy(s.ivar, rhs_exprs, lhs_accesses)
-            info = ForallInfo(s, depth, strategy, mapped)
+            info = ForallInfo(s, enclosing, strategy, mapped)
             foralls.append(info)
             by_ivar[s.ivar] = info
-            visit(s.body, depth + 1, mapped)
+            visit(s.body, (*enclosing, info), mapped)
         elif isinstance(s, Where):
-            visit(s.producer, depth, mapped)
-            visit(s.consumer, depth, mapped)
+            visit(s.producer, enclosing, mapped)
+            visit(s.consumer, enclosing, mapped)
         elif isinstance(s, CinSequence):
             for sub in s.stmts:
-                visit(sub, depth, mapped)
+                visit(sub, enclosing, mapped)
         elif isinstance(s, MapCall):
-            visit(s.original, depth, s)
+            visit(s.original, enclosing, s)
         elif isinstance(s, CinAssign):
             pass
         else:  # pragma: no cover - defensive
             raise LoweringError(f"cannot analyse {type(s).__name__}")
 
-    visit(cin, 0, None)
+    visit(cin, (), None)
 
     assignments = list(cin.assignments())
     if not assignments:
@@ -287,10 +318,6 @@ def plan_memory(analysis: KernelAnalysis) -> MemoryPlan:
     return MemoryPlan(plan, analysis)
 
 
-def _loop_depth(analysis: KernelAnalysis, ivar: IndexVar) -> int:
-    return analysis.info(ivar).depth
-
-
 def _plan_access(
     plan: dict,
     analysis: KernelAnalysis,
@@ -316,7 +343,7 @@ def _plan_access(
 
     # Depth at which each storage level's variable binds.
     level_vars = [access.indices[fmt.mode_of_level(L)] for L in range(fmt.order)]
-    level_depths = [_loop_depth(analysis, v) for v in level_vars]
+    level_depths = [analysis.info(v).depth for v in level_vars]
     innermost_level = max(range(fmt.order), key=lambda L: level_depths[L])
 
     for L in range(fmt.order):
@@ -465,18 +492,6 @@ def _plan_access(
         ))
 
 
-def _enclosing(analysis: KernelAnalysis, info: ForallInfo) -> list[ForallInfo]:
-    """The loops around ``info``'s. ``foralls`` is in pre-order, so each
-    ancestor is the last shallower loop before it."""
-    here = next(n for n, f in enumerate(analysis.foralls) if f is info)
-    chain, depth = [], info.depth
-    for f in reversed(analysis.foralls[:here]):
-        if f.depth < depth:
-            chain.append(f)
-            depth = f.depth
-    return chain
-
-
 def _result_vals(analysis: KernelAnalysis, name: str, fmt, level_vars,
                  level_depths) -> ArrayBinding:
     """The result values' one placement; lowering emits it as bound."""
@@ -485,38 +500,15 @@ def _result_vals(analysis: KernelAnalysis, name: str, fmt, level_vars,
     if fmt.level_format(last).is_compressed:
         return ArrayBinding(name, "vals", MemoryType.FIFO,
                             level_depths[last], streamed)
-    roots = analysis.provenance.roots
-
-    def over(loop: ForallInfo, levels) -> bool:
-        """``loop`` runs over a coordinate of one of the result's
-        ``levels`` (or a variable derived from one)."""
-        return any(r is level_vars[L] for r in roots(loop.ivar) for L in levels)
-
-    def repeats(loop: ForallInfo) -> bool:
-        """A loop over no result coordinate encloses ``loop``: each
-        element ``loop`` writes is visited more than once."""
-        return not all(over(f, range(fmt.order))
-                       for f in _enclosing(analysis, loop))
-
-    def encloses(outer: ForallInfo, inner: ForallInfo) -> bool:
-        return any(f is outer for f in _enclosing(analysis, inner))
-
+    row_loop = analysis.by_ivar.get(level_vars[last - 1]) if last else None
     if analysis.output_scatters:
         why = "result coordinates repeat"
-    elif last == 0:
-        if not repeats(analysis.info(level_vars[0])):
-            return ArrayBinding(name, "vals", MemoryType.FIFO, 0, streamed)
-        why = "a loop over no result coordinate encloses the result's loop"
-    elif (row_loop := analysis.by_ivar.get(level_vars[last - 1])) is None:
+    elif last and row_loop is None:
         why = "the result's row loop is derived (split/fuse)"
-    elif repeats(row_loop):
-        why = "a loop over no result coordinate encloses the row loop"
-    elif not all(encloses(row_loop, f)
-                 for f in analysis.foralls if over(f, [last])):
-        why = "the row loop does not enclose the last level's loop"
-    elif not all(encloses(f, row_loop)
-                 for f in analysis.foralls if over(f, range(last - 1))):
-        why = "a loop over an outer result level sits inside the row loop"
+    elif not analysis.in_order(level_vars, max(last - 1, 0)):
+        why = "the loops do not visit the result in storage order, once"
+    elif not last:
+        return ArrayBinding(name, "vals", MemoryType.FIFO, 0, streamed)
     else:
         return ArrayBinding(
             name, "vals", MemoryType.SRAM_DENSE, row_loop.depth + 1,

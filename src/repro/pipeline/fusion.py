@@ -11,10 +11,13 @@ a materializing **cut** when formats or reuse patterns force one:
 * format mismatch between the produced levels and the consumer iterator
   (via :func:`repro.core.coiteration.stream_compatible`);
 * unordered or non-unique producer levels;
-* scatter outputs (the producer emits coordinates out of stream order);
+* a producer that stores its result whole at its end (its memory plan
+  stages the result values in full: coordinates repeat, or its loops
+  revisit them);
 * gathered reuse — the consumer re-reads the intermediate out of
-  production order (its access variables are not a prefix of the
-  consumer's loop order), so a stream would need unbounded buffering.
+  production order (its loops do not visit the intermediate in storage
+  order, once: :meth:`KernelAnalysis.in_order`), so a stream would need
+  unbounded buffering.
 
 Fusion is a traffic model. Execution is stage-by-stage with the selected
 engine, every stage validated cell-by-cell against the interpreter
@@ -37,7 +40,7 @@ import numpy as np
 from repro.capstan.stats import compute_stats
 from repro.core.compiler import compile_stmt, default_engine
 from repro.core.coiteration import stream_compatible
-from repro.core.memory_analysis import KernelAnalysis, analyze
+from repro.core.memory_analysis import KernelAnalysis, analyze, plan_memory
 from repro.engines import oracle_maxerr
 from repro.formats import (
     CSR,
@@ -132,27 +135,16 @@ class CutDecision:
 
 def _ordered_consumption(analysis: KernelAnalysis, name: str) -> bool:
     """True when the consumer reads ``name`` exactly in production order:
-    the access's index variables (in storage-level order) form a prefix of
-    the consumer's loop order, so one streamed pass suffices."""
-    access = None
-    for asg in analysis.assignments:
-        for acc in asg.rhs.accesses():
-            if acc.tensor.name == name:
-                access = acc
-                break
-        if access is not None:
-            break
+    its loops visit every level of the access in storage order, once, so
+    one streamed pass suffices."""
+    access = next((acc for asg in analysis.assignments
+                   for acc in asg.rhs.accesses() if acc.tensor.name == name),
+                  None)
     if access is None:
         return False
     fmt = access.tensor.format
     level_vars = [access.indices[fmt.mode_of_level(L)] for L in range(fmt.order)]
-    loop_vars = [f.ivar for f in analysis.foralls]
-    if len(loop_vars) < len(level_vars):
-        return False
-    return all(
-        lv is ov or lv.name == ov.name
-        for lv, ov in zip(level_vars, loop_vars[: len(level_vars)])
-    )
+    return analysis.in_order(level_vars, fmt.order - 1)
 
 
 def _plan(
@@ -182,18 +174,17 @@ def _plan(
             consumer = consumers[0]
             required = consumer.input_formats.get(stage.output, producer_fmt)
             reason = stream_compatible(producer_fmt, required)
-            if reason is None and analyses[stage.name].output_scatters:
-                reason = (
-                    "scatter output (producer accumulates coordinates out "
-                    "of stream order)"
-                )
+            if reason is None:
+                vals = plan_memory(analyses[stage.name]).get(stage.output, "vals")
+                if vals is not None and vals.staged_full:
+                    reason = f"producer stores {stage.output} at its end: {vals.reason}"
             if reason is None and not _ordered_consumption(
                 analyses[consumer.name], stage.output
             ):
                 reason = (
                     f"reuse: consumer {consumer.name} gathers {stage.output} "
-                    "out of production order (access variables are not a "
-                    "prefix of its loop order)"
+                    "out of production order (its loops do not visit it in "
+                    "storage order, once)"
                 )
         decisions.append(CutDecision(
             intermediate=stage.output,

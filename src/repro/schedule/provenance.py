@@ -5,6 +5,8 @@ variables whose iteration spaces are functions of their parents'. The
 lowerer queries this module to recover, for any forall variable:
 
 * the *root* variable it derives from (the one tensors are accessed with),
+* its place in the root's coordinate order (a split's outer loop is the
+  more significant digit),
 * its trip count given the root dimension, and
 * the affine recombination ``root = outer * factor + inner`` for splits.
 """
@@ -38,14 +40,20 @@ class Provenance:
 
     def roots(self, ivar: IndexVar) -> tuple[IndexVar, ...]:
         """Underived ancestor variables of ``ivar`` (fuse has two)."""
+        return tuple(root for root, _path in self.digits(ivar))
+
+    def digits(self, ivar: IndexVar) -> tuple[tuple[IndexVar, tuple[int, ...]], ...]:
+        """Where ``ivar``'s loop sits in its roots' coordinates, most
+        significant first: one ``(root, path)`` per root, ``path`` ranking
+        each split on the way down from the root (outer 0, inner 1)."""
         entry = self._parent.get(ivar)
         if entry is None:
-            return (ivar,)
-        rel, _role = entry
+            return ((ivar, ()),)
+        rel, role = entry
         if isinstance(rel, (SplitUp, SplitDown)):
-            return self.roots(rel.parent)
-        assert isinstance(rel, FuseRel)
-        return self.roots(rel.outer) + self.roots(rel.inner)
+            rank = 0 if role == "outer" else 1
+            return tuple((r, path + (rank,)) for r, path in self.digits(rel.parent))
+        return self.digits(rel.outer) + self.digits(rel.inner)
 
     def trip_count(self, ivar: IndexVar, dim_of: dict[int, int]) -> int:
         """Trip count of the forall over ``ivar``.

@@ -353,6 +353,9 @@ def _load(s: LoadBulk):
         end = int(fend(m, env))
         if end < start:
             raise InterpError(f"negative-length load {dst} [{start}:{end}]")
+        if end > len(m.dram[src]):
+            raise InterpError(f"out-of-bounds load {src}[{start}:{end}], "
+                              f"size {len(m.dram[src])}")
         data = m.dram[src][start:end]
         mem = m.sram.get(dst)
         if mem is not None:

@@ -3,8 +3,10 @@
 Any change to the lowering, memory analysis, or code generator that alters
 the emitted Spatial (of every kernel record), its lowering notes, or CPU
 C (of SpMV) shows up here as a readable diff; so does a change that moves
-a line of Table 3 (lines of code) or Table 5 (Capstan resources), and a
-model change that moves a cell of Table 6 at the paper's scale (``slow``). Regenerate
+a line of Table 3 (lines of code) or Table 5 (Capstan resources), a
+fusion cut decision or its traffic in ``pipeline_sweep`` at scale 0.05,
+and a model change that moves a cell of Table 6 at the paper's scale
+(``slow``). Regenerate
 intentionally with:
 
     python scripts/regen_golden.py
@@ -21,6 +23,7 @@ import pytest
 from repro.backends import lower_cpu
 from repro.core import compile_stmt
 from tests.helpers_kernels import (
+    PIPELINE_GOLDEN_SCALE,
     SPATIAL_GOLDEN_KERNELS,
     STRUCTURAL_GOLDENS,
     TABLE6_GOLDEN_SCALE,
@@ -70,6 +73,13 @@ def test_structural_table_matches_golden(name):
     got = artifact_text(name)
     want = (GOLDEN / f"{name}.txt").read_text()
     assert got == want, _diff_message(f"{name}.txt", got, want)
+
+
+def test_pipeline_sweep_matches_golden():
+    got = artifact_text("pipeline_sweep", PIPELINE_GOLDEN_SCALE)
+    name = f"pipeline_sweep-{PIPELINE_GOLDEN_SCALE}.txt"
+    want = (GOLDEN / name).read_text()
+    assert got == want, _diff_message(name, got, want)
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 """Loop order is a schedule choice, never a correctness one.
 
 Every ``reorder`` permutation of a few dense, CSR and 3-tensor statements
-(and of one split schedule) either refuses at compile time
+(and of split and fuse schedules) either refuses at compile time
 (``LoweringError``) or computes the dense reference on both the Spatial
 interpreter (the oracle) and the numpy engine. A level located from its
 parent must read the parent's position whatever the loop order, and the
@@ -28,6 +28,8 @@ from repro import (
     to_dense,
 )
 from repro.core.coiteration import LoweringError
+from repro.core.runner import run_program
+from repro.spatial.interp import InterpError
 
 from tests.conftest import random_sparse
 
@@ -36,13 +38,30 @@ def _matrix(rng, name, shape, fmt):
     return Tensor(name, shape, fmt(offChip)).from_dense(random_sparse(rng, shape))
 
 
-def _spmv(rng, fmt):
+def _spmv(rng, fmt, rows=5):
     i, j = index_vars("i j")
-    A = _matrix(rng, "A", (5, 6), fmt)
+    A = _matrix(rng, "A", (rows, 6), fmt)
     x = _matrix(rng, "x", (6,), DENSE_VECTOR)
-    y = Tensor("y", (5,), DENSE_VECTOR(offChip))
+    y = Tensor("y", (rows,), DENSE_VECTOR(offChip))
     y[i] = A[i, j] * x[j]
     return y, y.get_index_stmt(), (i, j)
+
+
+def _split_rows(rng, rows=6):
+    """Dense SpMV with the (1-D) result's loop split: the result streams
+    only when the outer loop sits around the inner one, outside ``j``."""
+    y, stmt, (i, j) = _spmv(rng, DENSE_MATRIX, rows)
+    io, ii = index_vars("io ii")
+    return y, stmt.split_up(i, io, ii, 2), (io, ii, j)
+
+
+def _fuse_rows(rng, order="ij"):
+    """Dense SpMV with ``i`` and ``j`` fused: the one loop visits each
+    result element once per column."""
+    y, stmt, (i, j) = _spmv(rng, DENSE_MATRIX, 4)
+    outer, inner = (i, j) if order == "ij" else (j, i)
+    f, = index_vars("f")
+    return y, stmt.reorder(outer, inner).fuse(outer, inner, f), (f,)
 
 
 def _elementwise(rng, b_fmt):
@@ -106,6 +125,9 @@ STATEMENTS = {
     "dense-x-csr": lambda rng: _elementwise(rng, CSR),
     "transpose-product": _transpose_product,
     "split-columns": _split_columns,
+    "split-rows": _split_rows,
+    "fuse-rows": _fuse_rows,
+    "fuse-columns-first": lambda rng: _fuse_rows(rng, order="ji"),
     "dense-3d": _elementwise3,
     "dense-gemm": _gemm,
     "ttv-ddc": lambda rng: _ttv(rng, [dense, dense, compressed]),
@@ -130,3 +152,41 @@ def test_every_loop_order_refuses_or_matches_the_reference(name, order):
     reference = evaluate_dense(out.get_assignment())
     assert np.allclose(to_dense(kernel.run()), reference), "interp"
     assert np.allclose(to_dense(kernel.run_engine("numpy")), reference), "numpy"
+
+
+def _ragged_columns(rng, factor):
+    """``C = A * B`` on 5x6 with ``j`` split by a factor that leaves a tail."""
+    C, stmt, (i, j) = _elementwise(rng, DENSE_MATRIX)
+    jo, ji = index_vars("jo ji")
+    return C, stmt.split_up(j, jo, ji, factor), (i, jo, ji)
+
+
+RAGGED = {
+    "split-rows-on-5": lambda rng: _split_rows(rng, rows=5),
+    "split-columns-by-4": lambda rng: _ragged_columns(rng, 4),
+    "split-columns-by-5": lambda rng: _ragged_columns(rng, 5),
+}
+
+
+@pytest.mark.parametrize("name", RAGGED)
+def test_a_split_that_leaves_a_tail_is_refused_before_the_interpreter(name):
+    """The Spatial IR has no conditional, so the program has no tail guard;
+    the other engines still compute the reference."""
+    out, stmt, ivars = RAGGED[name](np.random.default_rng(7))
+    for order in itertools.permutations(ivars):
+        kernel = compile_stmt(stmt.reorder(*order), "loop_order", cache=False)
+        with pytest.raises(ValueError, match=r"split_up\(.*\) does not "
+                                             r"divide the extent [56]"):
+            kernel.run()
+        assert np.allclose(to_dense(kernel.run_engine("numpy")),
+                           evaluate_dense(out.get_assignment()))
+
+
+def test_a_load_past_the_end_of_a_dram_array_raises():
+    """Without the refusal, order ``(io, ii, j)`` on 5 rows loads row 5 of
+    ``A`` (words 30..36 of 30): the oracle raises instead of keeping the
+    stale words in SRAM."""
+    out, stmt, _ = _split_rows(np.random.default_rng(7), rows=5)
+    kernel = compile_stmt(stmt, "loop_order", cache=False)
+    with pytest.raises(InterpError, match=r"out-of-bounds load A_vals_dram"):
+        run_program(kernel.program, kernel.tensors, out.name)

@@ -11,6 +11,7 @@ from repro.core.coiteration import stream_compatible
 from repro.formats import (
     CSC,
     CSR,
+    DENSE_MATRIX,
     DENSE_VECTOR,
     SPARSE_VECTOR,
     Format,
@@ -25,6 +26,8 @@ from repro.pipeline.fusion import (
     FusionError,
     PipelineRequest,
     PipelineStage,
+    _cg_setup,
+    _cg_update,
     _checksum,
     run_pipeline,
 )
@@ -228,6 +231,40 @@ def test_unordered_vector_producer_forces_pipeline_cut():
     assert not d["streamed"]
     assert "unordered producer" in d["reason"]
     assert fused["outputs"] == _run(spec, fuse=False)["outputs"]
+
+
+def test_producer_that_stores_its_result_at_its_end_is_cut():
+    """A dense ``q = A*p`` looping ``(j, i)`` revisits every ``q(i)``: its
+    plan bulk-stores the whole of ``q`` at kernel end, so nothing streams."""
+
+    def setup(dims, coords, vals, rng):
+        env = _cg_setup(dims, coords, vals, rng)
+        env["A"] = Tensor("A", dims, DENSE_MATRIX(offChip)).from_dense(
+            env["A"].to_dense())
+        return env
+
+    def spmv(env):
+        A, p = env["A"], env["p"]
+        q = Tensor("q", (A.shape[0],), DENSE_VECTOR(offChip))
+        i, j = index_vars("i j")
+        q[i] = A[i, j] * p[j]
+        return q.get_index_stmt().reorder(j, i), q
+
+    spec = PipelineRequest(
+        name="custom",
+        description="test pipeline",
+        stages=(PipelineStage("spmv", "q", ("A", "p"), spmv),
+                PipelineStage("update", "z", ("q", "r", "alpha"), _cg_update)),
+        datasets=(DATASET,),
+        setup=setup,
+    )
+    fused = _run(spec, fuse=True)
+    d = _decisions(fused)["q"]
+    assert not d["streamed"]
+    assert d["reason"].startswith("producer stores q at its end: ")
+    assert d["reason"].endswith("the whole result accumulates in dense SRAM, "
+                                "bulk-stored at kernel end")
+    assert fused["elided_bytes"] == 0
 
 
 # ---------------------------------------------------------------------------
