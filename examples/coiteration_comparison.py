@@ -47,7 +47,7 @@ lattice = build_lattice(A2.get_assignment().rhs, j)
 print("TACO merge lattice:", lattice.describe())
 print("full union:", lattice.is_full_union, "\n")
 
-print("--- TACO CPU lowering (multi-way merge while-loops) ---")
+print("--- TACO CPU lowering (one merge while-loop per lattice point) ---")
 print(lower_cpu(A2.get_index_stmt(), "plus2d"))
 
 kernel = compile_stmt(A2.get_index_stmt(), "plus2d")

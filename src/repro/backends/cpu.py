@@ -7,10 +7,12 @@ baseline:
 * :func:`lower_cpu` — an imperative code generator that lowers the same
   scheduled CIN to C-like nested loops (Figure 4a's programming model:
   for-loops from foralls, one element per access, computation in the
-  innermost loop, temporally repeated accumulation). Compressed-compressed
-  co-iteration lowers to TACO's two-way merge ``while`` loops, in contrast
-  to Stardust's bit-vector scanners (Section 9 discusses exactly this
-  difference).
+  innermost loop, temporally repeated accumulation). Co-iteration lowers
+  to TACO's merge: one ``while`` loop per merge-lattice point, each case
+  in it lowering the body without the operands absent at the coordinate,
+  in contrast to Stardust's bit-vector scanners (Section 9 discusses
+  exactly this difference). It refuses a tensor workspace (Plus3's ``T``)
+  and a split or fused loop, whose variable indexes no tensor mode.
 * :class:`CpuBackend` — an analytic performance model over the same
   workload statistics the Capstan simulator consumes, calibrated to the
   Section 8.1 machine.
@@ -19,6 +21,8 @@ baseline:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 
 from repro.capstan.calibration import DEFAULT_CPU, CpuModel
 from repro.capstan.stats import WorkloadStats
@@ -54,14 +58,15 @@ class CpuCodegen:
         from repro.core.memory_analysis import analyze
 
         self.stmt = stmt
-        self.name = name
+        self.name = name.replace("-", "_")  # a C identifier
         self.analysis = analyze(stmt)
         self.lines: list[str] = []
         self.depth = 0
         self._pos: dict[tuple[int, int], str] = {}
+        self._absent: frozenset[int] = frozenset()  # ids of dropped tensors
 
-    def emit(self, text: str) -> None:
-        self.lines.append(f"{_INDENT * self.depth}{text}")
+    def emit(self, *texts: str) -> None:
+        self.lines += [f"{_INDENT * self.depth}{text}" for text in texts]
 
     def generate(self) -> str:
         out = self.analysis.output
@@ -69,17 +74,11 @@ class CpuCodegen:
         self.emit(f"// TACO-style CPU kernel: {self.name}")
         self.emit(f"int compute_{self.name}({', '.join('taco_tensor_t *' + a for a in args)}) {{")
         self.depth += 1
-        self.lower(self._strip(self.stmt.cin))
+        self.lower(self.stmt.cin)
         self.emit("return 0;")
         self.depth -= 1
         self.emit("}")
         return "\n".join(self.lines) + "\n"
-
-    @staticmethod
-    def _strip(stmt: CinStmt) -> CinStmt:
-        while isinstance(stmt, SuchThat):
-            stmt = stmt.body
-        return stmt
 
     # -- statements -----------------------------------------------------------
 
@@ -91,7 +90,11 @@ class CpuCodegen:
         elif isinstance(stmt, Where):
             for asg in stmt.producer.assignments():
                 t = asg.lhs.tensor
-                if t.is_on_chip and t.order == 0:
+                if t.order:
+                    raise LoweringError(
+                        f"the C emitter declares only scalar workspaces: "
+                        f"{t.name} has order {t.order}")
+                if t.is_on_chip:
                     self.emit(f"double {t.name} = 0.0;")
             self.lower(stmt.producer)
             self.lower(stmt.consumer)
@@ -113,92 +116,85 @@ class CpuCodegen:
         if strategy.kind == "dense":
             dim = self._dim_of(forall.ivar)
             omp = "  // #pragma omp parallel for" if info.depth == 0 else ""
-            self.emit(f"for (int {v} = 0; {v} < {dim}; {v}++) {{{omp}")
-            self.depth += 1
-            self.lower(forall.body)
-            self.depth -= 1
-            self.emit("}")
-        elif strategy.kind == "compressed":
+            self._block(f"for (int {v} = 0; {v} < {dim}; {v}++) {{{omp}", forall.body)
+        elif strategy.kind == "singleton":  # the parent's position binds it
             it = strategy.driving[0]
-            t, L = it.tensor.name, it.level + 1
             parent = self._position(it.access, it.level - 1)
-            p = f"p{t}{L}"
-            self.emit(
-                f"for (int {p} = {t}{L}_pos[{parent}]; "
-                f"{p} < {t}{L}_pos[{parent} + 1]; {p}++) {{"
-            )
-            self.depth += 1
-            self.emit(f"int {v} = {t}{L}_crd[{p}];")
-            self._pos[(id(it.tensor), it.level)] = p
+            self.emit(f"int {v} = {it.tensor.name}{it.level + 1}_crd[{parent}];")
+            self._pos[(id(it.tensor), it.level)] = parent
             self.lower(forall.body)
-            self.depth -= 1
-            self.emit("}")
-        else:  # scan -> two-way merge while loops (TACO lowering)
+        else:
             self._lower_merge(forall, strategy)
 
-    def _lower_merge(self, forall: Forall, strategy) -> None:
-        v = forall.ivar.name
-        its = strategy.driving
-        if len(its) != 2:
-            raise LoweringError("CPU merge lowering expects two operands")
-        names = []
-        for it in its:
-            t, L = it.tensor.name, it.level + 1
-            parent = self._position(it.access, it.level - 1)
-            p = f"p{t}{L}"
-            self.emit(f"int {p} = {t}{L}_pos[{parent}];")
-            self.emit(f"int {p}_end = {t}{L}_pos[{parent} + 1];")
-            names.append((p, t, L, it))
-        (pa, ta, La, ita), (pb, tb, Lb, itb) = names
-        union = strategy.op == "or"
-        cond = f"{pa} < {pa}_end && {pb} < {pb}_end"
-        self.emit(f"while ({cond}) {{")
+    def _block(self, head: str, body: CinStmt, pre=(), post=(),
+               drop=frozenset(), close: bool = True) -> None:
+        """``head``; one level deeper the ``pre`` lines, ``body`` lowered
+        without the tensors ``drop`` names, the ``post`` lines; then the
+        closing brace, unless the next ``head`` opens with it."""
+        saved, self._absent = self._absent, self._absent | drop
+        self.emit(head)
         self.depth += 1
-        self.emit(f"int {v}_a = {ta}{La}_crd[{pa}];")
-        self.emit(f"int {v}_b = {tb}{Lb}_crd[{pb}];")
-        self.emit(f"int {v} = {v}_a < {v}_b ? {v}_a : {v}_b;")
-        self._pos[(id(ita.tensor), ita.level)] = pa
-        self._pos[(id(itb.tensor), itb.level)] = pb
-        if union:
-            self.emit(f"if ({v}_a == {v} && {v}_b == {v}) {{")
-            self.depth += 1
-            self.lower(forall.body)
-            self.depth -= 1
-            self.emit(f"}} else if ({v}_a == {v}) {{")
-            self.depth += 1
-            self.emit("// b absent: its operand contributes zero")
-            self.lower(forall.body)
-            self.depth -= 1
-            self.emit("} else {")
-            self.depth += 1
-            self.emit("// a absent: its operand contributes zero")
-            self.lower(forall.body)
-            self.depth -= 1
-            self.emit("}")
-        else:
-            self.emit(f"if ({v}_a == {v} && {v}_b == {v}) {{")
-            self.depth += 1
-            self.lower(forall.body)
-            self.depth -= 1
-            self.emit("}")
-        self.emit(f"{pa} += (int)({v}_a == {v});")
-        self.emit(f"{pb} += (int)({v}_b == {v});")
+        self.emit(*pre)
+        self.lower(body)
+        self.emit(*post)
         self.depth -= 1
-        self.emit("}")
-        if union:
-            for p, t, L, it in names:
-                self.emit(f"while ({p} < {p}_end) {{")
-                self.depth += 1
-                self.emit(f"int {v} = {t}{L}_crd[{p}];")
-                self.lower(forall.body)
-                self.emit(f"{p}++;")
-                self.depth -= 1
-                self.emit("}")
+        if close:
+            self.emit("}")
+        self._absent = saved
+
+    def _lower_merge(self, forall: Forall, strategy) -> None:
+        """TACO's merge: one ``while`` loop per lattice point, top point
+        first. A point's loop co-iterates only its operands, and each case
+        in it lowers the body without the operands absent at the
+        coordinate. With one operand live, the merge is a ``for`` loop."""
+        v = forall.ivar.name
+        live = [it for it in strategy.driving if id(it.tensor) not in self._absent]
+        if len(live) < len(strategy.driving) and strategy.op != "or":
+            return  # an absent operand leaves nothing to intersect
+        arr = [f"{it.tensor.name}{it.level + 1}" for it in live]
+        parents = [self._position(it.access, it.level - 1) for it in live]
+        for it, a in zip(live, arr):
+            self._pos[(id(it.tensor), it.level)] = f"p{a}"
+        if len(live) == 1:
+            (a,), (parent,) = arr, parents
+            self._block(f"for (int p{a} = {a}_pos[{parent}]; p{a} < {a}_pos[{parent} + 1]; "
+                        f"p{a}++) {{", forall.body, [f"int {v} = {a}_crd[p{a}];"])
+            return
+        for a, parent in zip(arr, parents):
+            self.emit(f"int p{a} = {a}_pos[{parent}];", f"int p{a}_end = {a}_pos[{parent} + 1];")
+        ids = [id(it.tensor) for it in live]
+        sizes = range(len(live), 0, -1) if strategy.op == "or" else [len(live)]
+        points = [c for n in sizes for c in itertools.combinations(range(len(live)), n)]
+        crd = [f"{v}_{it.tensor.name}" for it in live]
+        for point in points:
+            head = f"while ({' && '.join(f'p{arr[k]} < p{arr[k]}_end' for k in point)}) {{"
+            if len(point) == 1:
+                a = arr[point[0]]
+                self._block(head, forall.body, [f"int {v} = {a}_crd[p{a}];"], [f"p{a}++;"],
+                            frozenset(ids).difference(ids[k] for k in point))
+                continue
+            self.emit(head)
+            self.depth += 1
+            self.emit(*(f"int {crd[k]} = {arr[k]}_crd[p{arr[k]}];" for k in point))
+            low = functools.reduce(lambda m, c: f"({m} < {c} ? {m} : {c})",
+                                   [crd[k] for k in point])
+            self.emit(f"int {v} = {low};")
+            cases = [c for c in points if set(c) <= set(point)]
+            for n, case in enumerate(cases):
+                last = n == len(cases) - 1
+                cond = " && ".join(f"{crd[k]} == {v}" for k in case)
+                head = "{" if n and last else f"if ({cond}) {{"  # the last case is what is left
+                self._block(("} else " if n else "") + head, forall.body,
+                            drop=frozenset(ids).difference(ids[k] for k in case), close=last)
+            self.emit(*(f"p{arr[k]} += (int)({crd[k]} == {v});" for k in point))
+            self.depth -= 1
+            self.emit("}")
 
     def lower_assign(self, asg: CinAssign) -> None:
-        lhs = self._lhs_ref(asg.lhs)
-        op = "+=" if asg.accumulate else "="
-        self.emit(f"{lhs} {op} {self._expr(asg.rhs)};")
+        rhs = self._expr(asg.rhs)
+        if rhs is not None:
+            op = "+=" if asg.accumulate else "="
+            self.emit(f"{self._lhs_ref(asg.lhs)} {op} {rhs};")
 
     # -- expressions / addressing -----------------------------------------------
 
@@ -234,23 +230,30 @@ class CpuCodegen:
             return f"{t.name}_val" if not t.is_on_chip else t.name
         return f"{t.name}_vals[{self._position(access, t.order - 1)}]"
 
-    def _expr(self, e: IndexExpr) -> str:
+    def _expr(self, e: IndexExpr) -> str | None:
+        """C for ``e``, or None where an absent operand makes it zero."""
         if isinstance(e, Literal):
             return repr(float(e.value))
         if isinstance(e, Access):
             t = e.tensor
+            if id(t) in self._absent:
+                return None
             if t.order == 0:
                 return t.name if t.is_on_chip else f"{t.name}_val"
             return f"{t.name}_vals[{self._position(e, t.order - 1)}]"
-        if isinstance(e, Add):
-            return f"({self._expr(e.a)} + {self._expr(e.b)})"
-        if isinstance(e, Sub):
-            return f"({self._expr(e.a)} - {self._expr(e.b)})"
-        if isinstance(e, Mul):
-            return f"({self._expr(e.a)} * {self._expr(e.b)})"
         if isinstance(e, Neg):
-            return f"(-{self._expr(e.a)})"
-        raise LoweringError(f"cannot lower expression {type(e).__name__}")
+            a = self._expr(e.a)
+            return None if a is None else f"(-{a})"
+        if not isinstance(e, (Add, Sub, Mul)):
+            raise LoweringError(f"cannot lower expression {type(e).__name__}")
+        a, b = self._expr(e.a), self._expr(e.b)
+        if isinstance(e, Mul):
+            return None if a is None or b is None else f"({a} * {b})"
+        if b is None:
+            return a
+        if a is None:
+            return b if isinstance(e, Add) else f"(-{b})"
+        return f"({a} {'+' if isinstance(e, Add) else '-'} {b})"
 
 
 def lower_cpu(stmt: IndexStmt, name: str = "kernel") -> str:
@@ -285,8 +288,6 @@ class CpuBackend:
             else:
                 work_cycles += loop.iters * 2.0
         threads_eff = m.threads * m.parallel_efficiency
-        from repro.ir.cin import CinSequence
-
         if any(isinstance(s, CinSequence) for s in kernel.stmt.cin.walk()):
             # TACO emits compound kernels (init + accumulate statements)
             # without a parallel outer loop.

@@ -507,6 +507,8 @@ def _result_vals(analysis: KernelAnalysis, name: str, fmt, level_vars,
         why = "the result's row loop is derived (split/fuse)"
     elif not analysis.in_order(level_vars, max(last - 1, 0)):
         why = "the loops do not visit the result in storage order, once"
+    elif not last and analysis.strategy(level_vars[0]).driving:
+        why = "the loop over the result's coordinate skips coordinates"
     elif not last:
         return ArrayBinding(name, "vals", MemoryType.FIFO, 0, streamed)
     else:

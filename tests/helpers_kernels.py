@@ -411,6 +411,7 @@ def request_goldens() -> dict:
 
 #: argv the CLI refuses, pinned by ``tests/golden/cli.json``. None names
 #: a temp path, and the trace row runs with ``REPRO_TRACE_DIR`` unset.
+#: ``compile COO-SpMV --cpu`` stays pinned at exit 0: its C once refused.
 CLI_REFUSALS = (
     ["tables", "nope"],
     ["batch", "table3"],
@@ -423,6 +424,7 @@ CLI_REFUSALS = (
     ["dispatch", "table3", "--workers", "carrier-pigeon:2"],
     ["trace", "summary"],
     ["compile", "COO-SpMV", "--cpu"],
+    ["compile", "Plus3", "--cpu"],
     ["serve", "--port", "70000"],
     ["worker", "queue-dir", "--poll", "-1"],
     ["worker", "queue-dir", "--poll", "0"],
@@ -472,3 +474,95 @@ def cli_goldens() -> dict:
         if saved is not None:
             os.environ[TRACE_ENV] = saved
     return {"commands": commands, "refusals": refusals}
+
+
+#: Every ``LoweringError`` the emitted C may raise, by message fragment,
+#: with the reason: a schedule or record that refuses with one of these is
+#: not lowered to C, and any other refusal is a fault.
+C_REFUSALS = {
+    "the C emitter declares only scalar workspaces":
+        "a tensor workspace (Plus3's T) would need level arrays of its own",
+    "no dimension for":
+        "a split or fused loop's variable indexes no tensor mode, and the "
+        "C emitter lowers no split or fuse",
+}
+
+
+def _c_array(ctype: str, name: str, values) -> str:
+    return (f"{ctype} {name}[{len(values)}] = "
+            f"{{{', '.join(repr(v) for v in values.tolist())}}};")
+
+
+def run_emitted_c(stmt, name: str = "kernel"):
+    """The emitted TACO-style C of ``stmt``, run: each operand's level
+    arrays and values are C globals named as the emitter names them
+    (``A2_pos``, ``A2_crd``, ``A2_dim``, ``A_vals``, ``alpha_val``), the
+    output is a zeroed dense ``vals``, and ``gcc -fsanitize=address``
+    builds it. Returns the output densified; the emitter's
+    ``LoweringError`` propagates. A compile error, a non-zero exit or any
+    stderr (where AddressSanitizer reports) fails the caller."""
+    import math
+    import subprocess
+    import tempfile
+    from pathlib import Path
+
+    from repro.backends.cpu import CpuCodegen
+
+    codegen = CpuCodegen(stmt, name)
+    kernel = codegen.generate()
+    out = codegen.analysis.output
+    lines = ["#include <stdio.h>",
+             "typedef struct taco_tensor_t taco_tensor_t;"]
+    for t in (out, *codegen.analysis.inputs):
+        if t.order == 0:
+            value = 0.0 if t is out else t.scalar_value()
+            lines.append(f"double {t.name}_val = {value!r};")
+            continue
+        dims = [t.shape[t.format.mode_of_level(L)] for L in range(t.order)]
+        lines += [f"int {t.name}{L + 1}_dim = {d};" for L, d in enumerate(dims)]
+        if t is out:
+            lines.append(f"double {t.name}_vals[{math.prod(dims)}];")
+            continue
+        for L, level in enumerate(t.storage.levels):
+            lines += [_c_array("int", f"{t.name}{L + 1}_{array}", values)
+                      for array, values in level.arrays.items()]
+        lines.append(_c_array("double", f"{t.name}_vals", t.storage.vals))
+    size = math.prod(out.shape)
+    result = f"{out.name}_val" if out.order == 0 else f"{out.name}_vals[n]"
+    args = ", ".join(["0"] * kernel.splitlines()[1].count("taco_tensor_t *"))
+    lines += [kernel, "int main(void) {",
+              f"  compute_{codegen.name}({args});",
+              f"  for (int n = 0; n < {size}; n++) "
+              f"printf(\"%.17g\\n\", {result});",
+              "  return 0;", "}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        source, exe = Path(tmp) / f"{codegen.name}.c", Path(tmp) / "kernel"
+        source.write_text("\n".join(lines) + "\n")
+        build = subprocess.run(["gcc", "-g", "-fsanitize=address", "-o",
+                                str(exe), str(source)],
+                               capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr + kernel
+        run = subprocess.run([str(exe)], capture_output=True, text=True,
+                             timeout=60)
+    assert run.returncode == 0 and not run.stderr, run.stderr + kernel
+    values = np.array(run.stdout.split(), dtype=np.float64)
+    if out.order == 0:
+        return values[0]
+    levels = values.reshape([out.shape[out.format.mode_of_level(L)]
+                             for L in range(out.order)])
+    return levels.transpose([out.format.level_of_mode(m)
+                             for m in range(out.order)])
+
+
+def assert_emitted_c_matches(stmt, reference, name: str = "kernel"):
+    """The emitted C of ``stmt`` computes ``reference``, or refuses with a
+    message on the written ``C_REFUSALS`` list; returns that message."""
+    from repro.core.coiteration import LoweringError
+
+    try:
+        result = run_emitted_c(stmt, name)
+    except LoweringError as exc:
+        assert any(f in str(exc) for f in C_REFUSALS), str(exc)
+        return str(exc)
+    assert np.allclose(result, reference), ("C", result, reference)
+    return None

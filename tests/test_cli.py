@@ -315,14 +315,14 @@ def test_compile_cpu_refusal_keeps_the_spatial_text(capsys):
     """``compile --cpu`` on a kernel the C backend cannot lower keeps the
     Spatial text on stdout and ends in one ``compile error:`` line and
     exit 1, not a LoweringError traceback."""
-    argv = ["compile", "COO-SpMV", "--scale", "0.02"]
+    argv = ["compile", "Plus3", "--scale", "0.02"]
     assert main(argv) == 0
     plain = capsys.readouterr()
     assert main([*argv, "--cpu"]) == 1
     captured = capsys.readouterr()
     assert captured.out == plain.out
-    assert captured.err == (plain.err + "compile error: CPU merge lowering "
-                            "expects two operands\n")
+    assert captured.err == (plain.err + "compile error: the C emitter "
+                            "declares only scalar workspaces: T has order 1\n")
 
 
 def _two_shards(tmp_path, monkeypatch) -> list[str]:

@@ -2,13 +2,16 @@
 
 Every ``reorder`` permutation of a few dense, CSR and 3-tensor statements
 (and of split and fuse schedules) either refuses at compile time
-(``LoweringError``) or computes the dense reference on both the Spatial
-interpreter (the oracle) and the numpy engine. A level located from its
+(``LoweringError``) or computes the dense reference on the Spatial
+interpreter (the oracle), on the numpy engine and in the emitted C, built
+with AddressSanitizer (which may instead refuse with a reason on the
+written ``C_REFUSALS`` list). A level located from its
 parent must read the parent's position whatever the loop order, and the
 result placement must respect the loops around the row it binds.
 """
 
 import itertools
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from repro import (
     CSR,
     DENSE_MATRIX,
     DENSE_VECTOR,
+    SPARSE_VECTOR,
     Format,
     Tensor,
     compile_stmt,
@@ -32,6 +36,7 @@ from repro.core.runner import run_program
 from repro.spatial.interp import InterpError
 
 from tests.conftest import random_sparse
+from tests.helpers_kernels import assert_emitted_c_matches
 
 
 def _matrix(rng, name, shape, fmt):
@@ -108,6 +113,30 @@ def _gemm(rng):
     return E, E.get_index_stmt(), (i, j, k)
 
 
+def _sparse_vector(rng, t_fmt):
+    """``y = s * t`` with ``t`` dense, ``y = s + t`` with ``t`` sparse: the
+    loop over the dense result's coordinate visits only nonzeros."""
+    i, = index_vars("i")
+    s = _matrix(rng, "s", (8,), SPARSE_VECTOR)
+    t = _matrix(rng, "t", (8,), t_fmt)
+    y = Tensor("y", (8,), DENSE_VECTOR(offChip))
+    y[i] = s[i] + t[i] if t_fmt is SPARSE_VECTOR else s[i] * t[i]
+    return y, y.get_index_stmt(), (i,)
+
+
+def _sparse_plus_spmv(rng):
+    """``y = s + B * x`` with ``s`` sparse and ``B`` doubly compressed: the
+    union over ``i`` runs ``B``'s row loop only where ``B`` has the row."""
+    i, j = index_vars("i j")
+    s = _matrix(rng, "s", (5,), SPARSE_VECTOR)
+    B = Tensor("B", (5, 6), Format([compressed] * 2, offChip)).from_dense(
+        random_sparse(rng, (5, 6)))
+    x = _matrix(rng, "x", (6,), DENSE_VECTOR)
+    y = Tensor("y", (5,), DENSE_VECTOR(offChip))
+    y[i] = s[i] + B[i, j] * x[j]
+    return y, y.get_index_stmt(), (i,)  # j's loop is in one term only
+
+
 def _ttv(rng, levels):
     i, j, k = index_vars("i j k")
     T = Tensor("T", (3, 4, 5), Format(levels, offChip)).from_dense(
@@ -132,6 +161,9 @@ STATEMENTS = {
     "dense-gemm": _gemm,
     "ttv-ddc": lambda rng: _ttv(rng, [dense, dense, compressed]),
     "ttv-ccc": lambda rng: _ttv(rng, [compressed] * 3),
+    "sparse-times-dense-vector": lambda rng: _sparse_vector(rng, DENSE_VECTOR),
+    "sparse-plus-sparse-vector": lambda rng: _sparse_vector(rng, SPARSE_VECTOR),
+    "sparse-plus-dcsr-spmv": _sparse_plus_spmv,
 }
 
 CASES = [(name, order)
@@ -152,6 +184,8 @@ def test_every_loop_order_refuses_or_matches_the_reference(name, order):
     reference = evaluate_dense(out.get_assignment())
     assert np.allclose(to_dense(kernel.run()), reference), "interp"
     assert np.allclose(to_dense(kernel.run_engine("numpy")), reference), "numpy"
+    if shutil.which("gcc") is not None:
+        assert_emitted_c_matches(stmt, reference)
 
 
 def _ragged_columns(rng, factor):
