@@ -56,11 +56,11 @@ def _request(args):
 
 
 def _cmd_compile(args) -> int:
-    from repro.api import build, compile
+    from repro.api import build_structure, compile
 
     request = _request(args)
     # The memoized `compile` stage holds exactly what is printed; only
-    # --cpu needs the CompiledKernel itself (its statement).
+    # --cpu needs the CompiledKernel itself (its data-free statement).
     result = compile(request)
     if args.memory_report:
         print(result.memory_report)
@@ -72,7 +72,7 @@ def _cmd_compile(args) -> int:
         from repro.backends.cpu import LoweringError, lower_cpu
 
         with _refusing("compile error: ", LoweringError, code=1):
-            code = lower_cpu(build(request).stmt, args.kernel.lower())
+            code = lower_cpu(build_structure(request).stmt, args.kernel.lower())
         print()
         print(code)
     return 0

@@ -23,6 +23,7 @@ from repro.service.api import (
     EngineMismatchError,
     PlatformTimes,
     build,
+    build_structure,
     cached,
     compile,
     evaluate,
@@ -46,6 +47,7 @@ __all__ = [
     "EngineMismatchError",
     "PlatformTimes",
     "build",
+    "build_structure",
     "cached",
     "compile",
     "default_engine",

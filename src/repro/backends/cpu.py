@@ -11,8 +11,11 @@ baseline:
   to TACO's merge: one ``while`` loop per merge-lattice point, each case
   in it lowering the body without the operands absent at the coordinate,
   in contrast to Stardust's bit-vector scanners (Section 9 discusses
-  exactly this difference). It refuses a tensor workspace (Plus3's ``T``)
-  and a split or fused loop, whose variable indexes no tensor mode.
+  exactly this difference). It refuses a tensor workspace (Plus3's ``T``),
+  a split or fused loop, whose variable indexes no tensor mode, and an
+  operand level with arrays read outside the loop that iterates it
+  (``y(i) = s(i) + a(i)`` with ``s`` sparse and ``a`` dense), which TACO
+  would merge against the dense universe.
 * :class:`CpuBackend` — an analytic performance model over the same
   workload statistics the Capstan simulator consumes, calibrated to the
   Section 8.1 machine.
@@ -210,7 +213,9 @@ class CpuCodegen:
     def _position(self, access: Access, level: int) -> str:
         """The position of ``level`` of the tensor ``access`` reads: the one
         its loop binds, else located from the parent (``parent * dim +
-        coord``)."""
+        coord``). The result is written dense; an operand level that
+        stores arrays is never located, since reading it outside its loop
+        would need a merge against the universe."""
         tensor = access.tensor
         fmt = tensor.format
         expr = "0"
@@ -219,6 +224,10 @@ class CpuCodegen:
             if p is not None:
                 expr = p
                 continue
+            if fmt.level_format(L).arrays() and tensor is not self.analysis.output:
+                raise LoweringError(
+                    f"level {L} of {tensor.name} is read before the loop "
+                    "that iterates it binds its position")
             var = access.indices[fmt.mode_of_level(L)].name
             dim = f"{tensor.name}{L + 1}_dim"
             expr = var if expr == "0" else f"({expr} * {dim} + {var})"

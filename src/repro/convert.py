@@ -111,11 +111,20 @@ def pack_entries(coords: np.ndarray, vals: np.ndarray,
     its blocked space, like every entry of a flat target, pack as they
     are.
     """
+    packed = packed_dims(dims, target)
+    if len(packed) != len(dims):
+        coords = block_coords(coords, _block_sizes(target))
+    return pack(coords, vals, packed, target)
+
+
+def packed_dims(dims: tuple[int, ...], target: Format) -> tuple[int, ...]:
+    """The dims :func:`pack_entries` gives entries over ``dims`` packed
+    into ``target``: a blocked target's flat dims padded to tile
+    multiples, anything else as it is."""
     sizes = _block_sizes(target)
-    dims = tuple(dims)
     if sizes and len(dims) != target.order:
-        coords, dims = block_coords(coords, sizes), blocked_dims(dims, sizes)
-    return pack(coords, vals, dims, target)
+        return blocked_dims(tuple(dims), sizes)
+    return tuple(dims)
 
 
 @dataclasses.dataclass(frozen=True)

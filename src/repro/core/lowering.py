@@ -490,11 +490,14 @@ class Lowerer:
         coordinate, the positions of the levels it iterates, and values.
         The rest is the same for every kind: the result row buffer, the
         pattern itself, and the compressed output level's bookkeeping.
+        Coordinates are scoped to the open loops: once the pattern is
+        emitted, the loop's coordinate and those derived inside it are
+        dropped, so a later read of them refuses.
         """
         info = self.analysis.info(forall.ivar)
         strategy = info.strategy
         par = reduce_par if reduce_par is not None else self._pattern_par(info)
-        saved_ws_out = self.ws_out_pos
+        saved_ws_out, saved_coord = self.ws_out_pos, dict(self.coord)
         loop = getattr(self, f"_open_{strategy.kind}")(forall.ivar, info, par)
         if loop.par is not None:
             par = loop.par
@@ -521,7 +524,7 @@ class Lowerer:
             body = tuple(self._body_stack.pop())
             self.emit(ReducePat(reduce_into, loop.counter, loop.binders, body,
                                 value, "+", par=par))
-        self.ws_out_pos = saved_ws_out
+        self.ws_out_pos, self.coord = saved_ws_out, saved_coord
         self._end_output_level(loop.out_state, loop.count)
 
     # .. dense ....................................................................

@@ -4,7 +4,8 @@ Each :class:`DatasetSpec` names one paper dataset, its dimensions and
 density, and which kernels consume it. :func:`load` materialises the
 tensors for a kernel at an optional ``scale`` (dimensions shrink by the
 factor; densities are preserved), so tests can run miniature versions of
-the exact evaluation configurations.
+the exact evaluation configurations. :func:`structure` gives the same
+tensors without data, for a compile: it draws, packs and stores nothing.
 
 Operand shapes follow from the kernel's record
 (:meth:`repro.kernels.suite.KernelSpec.shapes`). Dense operand dimensions
@@ -224,13 +225,37 @@ def load(
     same tensors, so a caller that draws, fills or installs into one
     changes what the next caller gets.
     """
-    spec = KERNELS[kernel_name]
-    dspec = DATASETS_BY_NAME[dataset_name]
-    if spec.name not in dspec.kernels:
-        raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
-    generation = _generated(dspec, scale, seed)
+    generation = _generated(_dataset(kernel_name, dataset_name), scale, seed)
     return _memo(generation, ("operands", kernel_name),
                  lambda: _operands(kernel_name, generation))
+
+
+def structure(kernel_name: str, dataset_name: str,
+              scale: float = 1.0) -> dict[str, Tensor]:
+    """A kernel's operand tensors for one dataset, holding no data.
+
+    The names, formats and shapes :func:`load` gives: the dataset's
+    ``scaled_dims``, padded to tile multiples for a blocked format as
+    :func:`repro.convert.pack_entries` pads them. Nothing is generated,
+    packed or stored, so a compile, whose program depends only on the
+    expression, the formats and the schedule, builds over these.
+    """
+    from repro.convert import packed_dims
+    from repro.formats import format_of
+
+    spec = KERNELS[kernel_name]
+    shapes = spec.shapes(packed_dims(
+        _dataset(kernel_name, dataset_name).scaled_dims(scale),
+        format_of(spec.of_role("sparse")[0].format)))
+    return {ts.name: ts.make(shapes[ts.name]) for ts in spec.tensor_specs}
+
+
+def _dataset(kernel_name: str, dataset_name: str) -> DatasetSpec:
+    """The dataset's record, which must list the kernel."""
+    dspec = DATASETS_BY_NAME[dataset_name]
+    if KERNELS[kernel_name].name not in dspec.kernels:
+        raise ValueError(f"{dataset_name} is not evaluated with {kernel_name}")
+    return dspec
 
 
 def _operands(kernel_name: str, generation: tuple) -> dict[str, Tensor]:

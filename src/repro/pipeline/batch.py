@@ -37,8 +37,10 @@ __all__ = [
     "run_artifact",
 ]
 
-#: Default scale of the structural artefacts (LoC, resources): they do
-#: not depend on the data, so a tiny dataset suffices to build each kernel.
+#: Default scale of the structural artefacts (LoC, resources). They read
+#: only the compiled program, which no operand data reaches: their cells
+#: build over data-free operands (``api.build_structure``) and draw
+#: nothing, so the scale stays only in their requests and cache keys.
 STRUCTURAL_SCALE = 0.05
 
 #: Artefact-namespace prefix of the ``partition:<kernel>:<dataset>:p<P>:
@@ -91,11 +93,12 @@ def table5_cell(kernel_name: str, scale: float,
 
     Read through the ``resources`` stage, keyed by the kernel's program,
     so Table 5 and the Table 6 simulations of the same kernel share one
-    entry whatever their datasets and scales.
+    entry whatever their datasets and scales. The estimate reads only
+    the program, so the kernel is built over data-free operands.
     """
     from repro.capstan.resources import estimate_resources_cached
 
-    kernel = api.build(
+    kernel = api.build_structure(
         api.CompileRequest(kernel=kernel_name, scale=scale),
         use_cache=use_cache,
     )

@@ -391,18 +391,19 @@ class CompilationCache:
     # -- core operations ----------------------------------------------------
 
     def get(self, key: str, default: Any = None,
-            version: str | None = None) -> Any:
+            version: str | None = None, stage: str | None = None) -> Any:
         """Look up ``key``, falling back from memory to the disk store.
 
         ``version`` selects the on-disk version tree (stage entries live
-        under their :func:`stage_version`; default: the compiler hash).
+        under their :func:`stage_version`; default: the compiler hash);
+        ``stage`` names the entry's stage on the ``disk.get`` span.
         """
         with self._lock:
             if key in self._memory:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 return self._memory[key]
-        value = self._disk_get(key, version)
+        value = self._disk_get(key, version, stage)
         if value is not _MISSING:
             with self._lock:
                 self.stats.disk_hits += 1
@@ -412,12 +413,13 @@ class CompilationCache:
             self.stats.misses += 1
         return default
 
-    def put(self, key: str, value: Any, version: str | None = None) -> None:
+    def put(self, key: str, value: Any, version: str | None = None,
+            stage: str | None = None) -> None:
         """Insert into the LRU and (best-effort) the disk store."""
         with self._lock:
             self.stats.stores += 1
             self._memory_put(key, value)
-        self._disk_put(key, value, version)
+        self._disk_put(key, value, version, stage)
 
     def get_or_compute(self, key: str, compute, stage: str | None = None,
                        version: str | None = None):
@@ -427,14 +429,14 @@ class CompilationCache:
         pipeline stage in :attr:`stats`; ``version`` selects the on-disk
         version tree.
         """
-        value = self.get(key, _MISSING, version=version)
+        value = self.get(key, _MISSING, version=version, stage=stage)
         if stage is not None:
             with self._lock:
                 self.stats.record_stage(stage, hit=value is not _MISSING)
         if value is not _MISSING:
             return value
         value = compute()
-        self.put(key, value, version=version)
+        self.put(key, value, version=version, stage=stage)
         return value
 
     def peek(self, key: str, default: Any = None, stage: str | None = None,
@@ -446,7 +448,7 @@ class CompilationCache:
         worker pool — either way the per-stage counters in
         :attr:`stats` record it, so ``/stats`` shows daemon traffic.
         """
-        value = self.get(key, _MISSING, version=version)
+        value = self.get(key, _MISSING, version=version, stage=stage)
         if stage is not None:
             with self._lock:
                 self.stats.record_stage(stage, hit=value is not _MISSING)
@@ -471,13 +473,19 @@ class CompilationCache:
 
     # -- disk layer ---------------------------------------------------------
 
-    def _disk_get(self, key: str, version: str | None = None) -> Any:
+    # Each entry read or written is one ``disk.get`` / ``disk.put`` span
+    # with the entry's stage and its size in ``bytes``.
+
+    def _disk_get(self, key: str, version: str | None = None,
+                  stage: str | None = None) -> Any:
         path = self._entry_path(key, version)
         if path is None or not path.exists():
             return _MISSING
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
+            with path.open("rb") as fh, _trace.span("disk.get", stage=stage) as sp:
+                value = pickle.load(fh)
+                sp.set(bytes=fh.tell())
+                return value
         except Exception:
             # Corrupt / truncated / version-skewed entry: drop and miss.
             try:
@@ -486,24 +494,27 @@ class CompilationCache:
                 pass
             return _MISSING
 
-    def _disk_put(self, key: str, value: Any, version: str | None = None) -> None:
+    def _disk_put(self, key: str, value: Any, version: str | None = None,
+                  stage: str | None = None) -> None:
         path = self._entry_path(key, version)
         if path is None:
             return
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(payload)
-                os.replace(tmp, path)
-            except BaseException:
+            with _trace.span("disk.put", stage=stage) as sp:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+                sp.set(bytes=len(payload))
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
                 try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                    with os.fdopen(fd, "wb") as fh:
+                        fh.write(payload)
+                    os.replace(tmp, path)
+                except BaseException:
+                    try:
+                        os.unlink(tmp)
+                    except OSError:
+                        pass
+                    raise
         except Exception:
             return  # disk store is best-effort; memory layer still holds it
         with self._lock:
@@ -635,7 +646,7 @@ def get_stage(stage: str, parts: tuple, default: Any = None) -> Any:
     if not cache_enabled():
         return default
     key, version = stage_key(stage, parts)
-    return default_cache().get(key, default, version=version)
+    return default_cache().get(key, default, version=version, stage=stage)
 
 
 def peek_stage(stage: str, key: tuple[str, str], default: Any = None) -> Any:
@@ -662,7 +673,7 @@ def put_stage(stage: str, parts: tuple, value: Any) -> None:
     if not cache_enabled():
         return
     key, version = stage_key(stage, parts)
-    default_cache().put(key, value, version=version)
+    default_cache().put(key, value, version=version, stage=stage)
 
 
 _stage_compute_local = threading.local()

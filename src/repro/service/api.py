@@ -28,7 +28,8 @@ canonical form and compare one result type across execution paths:
   the operands, memoized beside their dataset's staged generation, and
   the ``exec`` stage, keyed on the evaluation coordinates;
   :func:`build` joins the operands to the ``program`` stage and stores
-  nothing of its own.
+  nothing of its own. :func:`build_structure` compiles the same program
+  over data-free operands, for what reads no operand value.
 
 The artefact orchestration (tables/figures) lives in
 ``pipeline/batch.py``, expressed on top of this module.
@@ -56,6 +57,7 @@ __all__ = [
     "EngineMismatchError",
     "PlatformTimes",
     "build",
+    "build_structure",
     "cached",
     "compile",
     "evaluate",
@@ -398,13 +400,16 @@ class CompileResult(_Memoized):
 
 
 def load_dataset(request: CompileRequest) -> dict:
-    """The request kernel's operand tensors on its dataset.
+    """The request kernel's operand tensors on its dataset, with data.
 
-    :func:`repro.data.datasets.load` on the resolved request. Only the
-    dataset's generation is staged (the ``dataset`` stage, keyed by a
-    hash of only the data and tensor sources and exempt from
-    ``--no-cache``); the packed operands and this dict live beside it in
-    memory, so repeated builds of one request get the same tensors.
+    :func:`repro.data.datasets.load` on the resolved request, for the
+    verbs that read operand values (evaluate, :func:`exec_check`, the
+    figure and sweep cells); a compile reads none and builds over
+    :func:`repro.data.datasets.structure` instead. Only the dataset's
+    generation is staged (the ``dataset`` stage, keyed by a hash of only
+    the data and tensor sources and exempt from ``--no-cache``); the
+    packed operands and this dict live beside it in memory, so repeated
+    builds of one request get the same tensors.
     """
     from repro.data.datasets import load
 
@@ -415,9 +420,10 @@ def load_dataset(request: CompileRequest) -> dict:
 def build(request: CompileRequest, use_cache: bool | None = None):
     """Load the request's dataset, build its statement and compile it.
 
-    The operands come from :func:`load_dataset`, whose generation
-    survives ``--no-cache`` and compiler edits; the statement is rebuilt
-    over them on every call (well under a millisecond) and
+    The one data-bound build: the operands come from
+    :func:`load_dataset`, whose generation survives ``--no-cache`` and
+    compiler edits. The statement is rebuilt over them on every call
+    (well under a millisecond) and
     :func:`~repro.core.compiler.compile_stmt` binds it to the one
     ``program`` entry of its structure, so every dataset and scale of a
     kernel shares one compile: a cold Table 6 lowers 10 programs for
@@ -426,11 +432,32 @@ def build(request: CompileRequest, use_cache: bool | None = None):
     ``REPRO_NO_CACHE=1`` lower each cell's own statement. Returns the
     :class:`~repro.core.compiler.CompiledKernel`.
     """
+    req = request.resolved()
+    return _compile(req, load_dataset(req), use_cache)
+
+
+def build_structure(request: CompileRequest, use_cache: bool | None = None):
+    """:func:`build` over data-free operands.
+
+    The statement is built over :func:`repro.data.datasets.structure`,
+    tensors with the shapes :func:`load_dataset` would give and no data,
+    and compiled like :func:`build`'s: the same program, the same
+    ``program`` key. No dataset is drawn, packed or stored, so it serves
+    what reads only the program (the ``compile`` verb, Table 3 and 5
+    rows, ``repro compile --cpu``) and nothing that reads operand values.
+    """
+    from repro.data.datasets import structure
+
+    req = request.resolved()
+    return _compile(req, structure(req.kernel, req.dataset, req.scale),
+                    use_cache)
+
+
+def _compile(req: CompileRequest, tensors: dict, use_cache: bool | None):
+    """The request kernel's statement over ``tensors``, compiled."""
     from repro.core.compiler import compile_stmt
     from repro.kernels.suite import KERNELS
 
-    req = request.resolved()
-    tensors = load_dataset(req)
     with _trace.span("parse", kernel=req.kernel, dataset=req.dataset):
         stmt, _out = KERNELS[req.kernel].build(tensors)
     return compile_stmt(stmt, req.kernel, cache=use_cache)
@@ -537,10 +564,12 @@ def _evaluate(req: CompileRequest, use_cache: bool | None) -> CompileResult:
 
 def _render(req: CompileRequest, use_cache: bool | None) -> CompileResult:
     # The compiled program is shared with every other path through the
-    # ``program`` stage; this only renders the wire-ready summary.
+    # ``program`` stage; this only renders the wire-ready summary. What
+    # it renders depends on no operand value, so it builds over the
+    # data-free operands and no dataset is drawn.
     from repro.kernels.suite import KERNELS
 
-    kernel = build(req, use_cache=use_cache)
+    kernel = build_structure(req, use_cache=use_cache)
     return CompileResult(
         request=req,
         source=kernel.source,

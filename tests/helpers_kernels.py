@@ -485,6 +485,10 @@ C_REFUSALS = {
     "no dimension for":
         "a split or fused loop's variable indexes no tensor mode, and the "
         "C emitter lowers no split or fuse",
+    "is read before the loop that iterates it binds its position":
+        "a dense loop reads a compressed operand (y = s + a, s sparse) "
+        "only by merging it against the universe, which the C emitter, "
+        "like the Spatial lowering, does not do",
 }
 
 

@@ -2,8 +2,10 @@
 
 import shutil
 
+import numpy as np
 import pytest
 
+from repro import DENSE_VECTOR, SPARSE_VECTOR, Tensor, index_vars, offChip
 from repro.backends import (
     CpuBackend,
     GpuBackend,
@@ -17,6 +19,7 @@ from repro.capstan import HBM2E, CapstanSimulator, compute_stats
 from repro.core import compile_stmt
 from repro.kernels import KERNEL_ORDER, KERNELS
 from repro.tensor import evaluate_dense
+from tests.conftest import random_sparse
 from tests.helpers_kernels import (assert_emitted_c_matches,
                                   build_small_kernel_stmt)
 
@@ -44,6 +47,23 @@ class TestCpuCodegen:
         refused = assert_emitted_c_matches(
             stmt, evaluate_dense(out.get_assignment()), name.lower())
         assert refused in (None, C_REFUSING_RECORDS.get(name))
+
+    def test_a_sparse_operand_of_a_dense_loop_refuses(self):
+        """``y = s + a``: the loop over ``i`` is dense, and ``s``'s level
+        has no position there; locating it as if dense ran off
+        ``s_vals`` under AddressSanitizer. The emitter refuses before
+        anything is built."""
+        i, = index_vars("i")
+        rng = np.random.default_rng(7)
+        s = Tensor("s", (8,), SPARSE_VECTOR(offChip)).from_dense(
+            random_sparse(rng, (8,)))
+        a = Tensor("a", (8,), DENSE_VECTOR(offChip)).from_dense(rng.random(8))
+        y = Tensor("y", (8,), DENSE_VECTOR(offChip))
+        y[i] = s[i] + a[i]
+        refused = assert_emitted_c_matches(
+            y.get_index_stmt(), evaluate_dense(y.get_assignment()))
+        assert refused == ("level 0 of s is read before the loop that "
+                           "iterates it binds its position")
 
     def test_spmv_imperative_shape(self):
         """Figure 4a: for-loops, element accesses, innermost accumulate."""

@@ -76,9 +76,8 @@ def test_compile_renders_identically_cold_warm_and_uncached(
     monkeypatch.setattr(cache_mod, "_default_cache", warm_cache)
     assert all_flag_sets() == cold
     # Every render was a compile-stage hit; only --cpu rebuilt the
-    # kernel, from the dataset and program stages.
-    hits = {"compile": len(flag_sets)} | (
-        {"dataset": 1, "program": 1} if cpu else {})
+    # kernel, from the program stage over data-free operands.
+    hits = {"compile": len(flag_sets)} | ({"program": 1} if cpu else {})
     assert warm_cache.stats.stage_hits == hits
     assert warm_cache.stats.stage_misses == {}
 

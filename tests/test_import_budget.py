@@ -171,12 +171,14 @@ def test_a_miss_loads_the_compute_layer_on_demand(case, flags, env, warm,
                                                   tmp_path):
     """The deny list is a hit-path budget, not a ban: the same command
     against nothing cached imports the language, NumPy and the compiler
-    where they are used, and prints the same bytes."""
+    where they are used, and prints the same bytes. A compile reads no
+    operand data, so even its miss never loads the generators."""
     _cache_dir, expected = warm
     stdout, loaded = _run(BUDGET[case][0] + flags, tmp_path / "cold", **env)
     assert stdout == expected[case]
     assert {"numpy", "repro.tensor", "repro.core.compiler",
             "repro.core.lowering", "repro.spatial.ir"} <= loaded
+    assert ("repro.data.generators" in loaded) == (case == "tables")
 
 
 def _layer(module):

@@ -32,6 +32,7 @@ from repro import (
     to_dense,
 )
 from repro.core.coiteration import LoweringError
+from repro.core.lowering import Lowerer
 from repro.core.runner import run_program
 from repro.spatial.interp import InterpError
 
@@ -224,3 +225,27 @@ def test_a_load_past_the_end_of_a_dram_array_raises():
     kernel = compile_stmt(stmt, "loop_order", cache=False)
     with pytest.raises(InterpError, match=r"out-of-bounds load A_vals_dram"):
         run_program(kernel.program, kernel.tensors, out.name)
+
+
+def test_a_closed_loops_coordinate_is_out_of_scope(monkeypatch):
+    """Once a forall's body is lowered, its coordinate and those derived
+    inside it are dropped: a read through them refuses instead of emitting
+    a stale variable, while the loops still open keep theirs."""
+    _out, stmt, _ivars = _split_rows(np.random.default_rng(7))
+    A = next(acc for acc in stmt.assignment.rhs.accesses()
+             if acc.tensor.name == "A")
+    seen = []
+    lower_forall = Lowerer.lower_forall
+
+    def probe(self, forall, *args, **kwargs):
+        lower_forall(self, forall, *args, **kwargs)
+        if forall.ivar.name == "ii":  # closed inside io's loop
+            ivars = (*A.indices, *(f.ivar for f in self.analysis.foralls))
+            seen.append(sorted({v.name for v in ivars if id(v) in self.coord}))
+            with pytest.raises(LoweringError, match="coordinate i for A "
+                                                    "level 0 unbound"):
+                self._position(A, 0)
+
+    monkeypatch.setattr(Lowerer, "lower_forall", probe)
+    Lowerer(stmt, "loop_order").lower()
+    assert seen == [["io"]]
