@@ -7,14 +7,25 @@ bit-vector scanners yield Figure 7 pattern-index tuples, ``Reduce``
 combines lane values through its operator, and re-executing a declaration
 re-initialises the memory (which is how per-iteration workspaces reset).
 
-A program is translated once, then executed. Translation turns every
-expression into a closure ``f(m, env) -> value`` and every statement into
-a closure ``f(m, env)``, where ``m`` is the run's :class:`Machine` and
-``env`` the scope; a block is a tuple of statement closures. The
-translation is cached on the program, so a re-run pays none of it; all
-run state (memories, FIFOs, registers, bit vectors) lives on the per-run
-:class:`Machine`, and every hardware precondition is checked as the
-closures run, raising :class:`InterpError`.
+A program is translated once, then executed. Translation writes the
+source of one Python function, ``_program(m, E, K, data)``: ``m`` is the
+run's :class:`Machine`, ``E`` its symbols and environment variables, ``K``
+the literals that have no exact source text, ``data`` the host's DRAM
+contents. Loop binders and ``Assign``ed values are locals the translator
+numbers itself, so every variable read is resolved while the source is
+written; a read that no binding reaches looks its name up in ``E`` and
+raises ``unbound variable`` there. Memories, FIFOs, registers and bit
+vectors live in the per-run :class:`Machine` dicts; the function keeps a
+local alias of each SRAM, DRAM and FIFO, rebound wherever a declaration
+rebinds the dict entry. A program-supplied name reaches the source only
+as a ``repr()`` constant. Per-element work (reads, writes, FIFO traffic,
+loads into one declared SRAM or FIFO) checks its hardware preconditions
+inline, and a failed check calls a helper that raises
+:class:`InterpError`; segment-sized work (stores, stream stores, bit
+vectors, singleton scans) calls a helper that checks and moves the data.
+The compiled function is memoised on its source text and the translation
+is cached on the program, so a re-run pays neither, and a fresh but
+equal program pays only the writing.
 
 The interpreter is the correctness oracle for the compiler: every kernel's
 generated code is run on small inputs and compared against the dense
@@ -23,6 +34,8 @@ reference semantics of :func:`repro.tensor.ops.evaluate_dense`.
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from collections import deque
 
@@ -77,12 +90,8 @@ _BINOPS = {
     "max": max,
 }
 
-#: Operators translated to a closure that applies them inline.
-_INLINE = {
-    "+": lambda fa, fb: lambda m, env: fa(m, env) + fb(m, env),
-    "-": lambda fa, fb: lambda m, env: fa(m, env) - fb(m, env),
-    "*": lambda fa, fb: lambda m, env: fa(m, env) * fb(m, env),
-}
+#: Operators written inline as Python infix operators.
+_INFIX = ("+", "-", "*")
 
 
 class InterpError(RuntimeError):
@@ -90,7 +99,10 @@ class InterpError(RuntimeError):
 
 
 class Machine:
-    """Execution state: DRAMs, SRAMs, FIFOs, registers, bit vectors."""
+    """Execution state: DRAMs, SRAMs, FIFOs, registers, bit vectors.
+
+    The program is translated when the machine is built; :meth:`run`
+    allocates the DRAMs from ``dram_data`` and runs the Accel block."""
 
     def __init__(
         self,
@@ -110,21 +122,12 @@ class Machine:
         self.env: dict[str, float] = {}
         self.env.update(symbols)
         self.env.update(program.env)
-        dram, self._accel = _translate(program)
-        for name, size in dram:
-            size = int(size(self, self.env))
-            data = dram_data.get(name)
-            if data is not None:
-                arr = np.zeros(max(size, len(data)), dtype=np.float64)
-                arr[: len(data)] = data
-            else:
-                arr = np.zeros(size, dtype=np.float64)
-            self.dram[name] = arr
+        self._code = _translate(program)
+        self._data = dram_data
 
     def run(self) -> None:
-        env = dict(self.env)
-        for s in self._accel:
-            s(self, env)
+        function, consts = self._code
+        function(self, self.env, consts, self._data)
 
 
 def execute(
@@ -138,365 +141,475 @@ def execute(
     return machine
 
 
+# -- run-time support the generated function calls -----------------------------
+
+
+class _Undeclared:
+    """Stands for a memory or FIFO whose declaration has not run yet:
+    empty, so every inline check fails into a fault helper."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __len__(self) -> int:
+        return 0
+
+
+def _unbound(name):
+    raise InterpError(f"unbound variable {name!r}")
+
+
+def _reg_fault(name):
+    raise InterpError(f"read of undeclared register {name!r}")
+
+
+def _deq_fault(fifo, name):
+    if isinstance(fifo, _Undeclared):
+        raise InterpError(f"dequeue from undeclared FIFO {name!r}")
+    raise InterpError(f"FIFO underflow on {name!r}")
+
+
+def _read_fault(mem, name, addr):
+    if isinstance(mem, _Undeclared):
+        raise InterpError(f"read from undeclared memory {name!r}")
+    raise InterpError(f"out-of-bounds read {name}({addr}), size {len(mem)}")
+
+
+def _write_fault(mem, name, addr):
+    if isinstance(mem, _Undeclared):
+        raise InterpError(f"write to undeclared memory {name!r}")
+    raise InterpError(f"out-of-bounds write {name}({addr}), size {len(mem)}")
+
+
+def _dram_range(kind, m, name, start, end):
+    """The DRAM ``name``, once ``0 <= start <= end <= size`` holds."""
+    arr = m.dram.get(name)
+    if arr is None:
+        raise InterpError(f"{kind} of undeclared DRAM {name!r}")
+    if not 0 <= start <= end <= len(arr):
+        raise InterpError(f"out-of-bounds {kind} {name}[{start}:{end}], "
+                          f"size {len(arr)}")
+    return arr
+
+
+def _alloc(data, name, size):
+    host = data.get(name)
+    if host is None:
+        return np.zeros(size, dtype=np.float64)
+    arr = np.zeros(max(size, len(host)), dtype=np.float64)
+    arr[: len(host)] = host
+    return arr
+
+
+def _bitvector_decl(m, name, length):
+    m.bitvec_len[name] = length
+    m.bitvec[name] = gen_bitvector(np.zeros(0, dtype=np.int64),
+                                   max(length, 1))
+
+
+def _gen_bitvector(m, dst, crd, count):
+    length = m.bitvec_len[dst]
+    q = m.fifo.get(crd)
+    if q is not None:
+        if len(q) < count:
+            raise InterpError(
+                f"genBitvector drains {count} from {crd!r} holding {len(q)}")
+        coords = np.array([q.popleft() for _ in range(count)], dtype=np.int64)
+    elif crd in m.sram:
+        coords = m.sram[crd][:count].astype(np.int64)
+    else:
+        raise InterpError(f"genBitvector from undeclared memory {crd!r}")
+    m.bitvec[dst] = gen_bitvector(coords, max(length, 1))
+
+
+def _load(m, dst, src, start, end):
+    if end < start:
+        raise InterpError(f"negative-length load {dst} [{start}:{end}]")
+    data = _dram_range("load", m, src, start, end)[start:end]
+    mem = m.sram.get(dst)
+    if mem is not None:
+        if len(data) > len(mem):
+            raise InterpError(f"load of {len(data)} words overflows SRAM "
+                              f"{dst!r} ({len(mem)} words)")
+        mem[: len(data)] = data
+    elif dst in m.fifo:
+        m.fifo[dst].extend(data.tolist())
+    else:
+        raise InterpError(f"load into undeclared memory {dst!r}")
+
+
+def _store(m, dst, src, start, end):
+    _dram_range("store", m, dst, start, end)[start:end] = (
+        m.sram[src][: end - start])
+
+
+def _stream_store(m, dram, fifo, offset, length):
+    q = m.fifo[fifo]
+    if len(q) < length:
+        raise InterpError(
+            f"stream store of {length} from {fifo!r} holding {len(q)}")
+    arr = _dram_range("stream store", m, dram, offset, offset + length)
+    arr[offset:offset + length] = [q.popleft() for _ in range(length)]
+
+
+def _singleton(mem, name, pos):
+    # Exactly one iteration: the coordinate stored at the parent's
+    # position (COO-style singleton levels).
+    if isinstance(mem, _Undeclared):
+        raise InterpError(f"singleton scan of undeclared memory {name!r}")
+    if not 0 <= pos < len(mem):
+        raise InterpError(f"singleton position {pos} out of bounds for "
+                          f"{name!r} (size {len(mem)})")
+    return int(mem[pos])
+
+
+def _scan(bv_a, bv_b=None, op="and"):
+    """Pattern indices of a scan: ``(pos_a, pos_out, coord)`` per set bit
+    of one vector, ``(pos_a, pos_b, pos_out, coord)`` of two."""
+    pos_a, pos_b, pos_out, coord = scan_columns(bv_a, bv_b, op)
+    if bv_b is None:
+        return zip(pos_a, pos_out, coord)
+    return zip(pos_a, pos_b, pos_out, coord)
+
+
 # -- translation --------------------------------------------------------------
 
 
-def _translate(program: SpatialProgram) -> tuple[tuple, tuple]:
-    """``(dram, accel)`` closures of a program, translated on first use:
-    ``(name, size)`` per DRAM declaration, and the Accel block."""
+def _translate(program: SpatialProgram) -> tuple:
+    """``(function, consts)`` of a program, translated on first use."""
     cached = program.__dict__.get("_interp_code")
     if (cached is not None and cached[0] is program.dram
             and cached[1] is program.accel):
         return cached[2]
-    code = (tuple((d.name, _expr(d.size)) for d in program.dram),
-            _block(program.accel))
+    source, consts = _Writer(program).write()
+    code = (_compiled(source), consts)
     # Built fully, then published by one attribute store: racing threads
     # each translate the whole program and the last one stays.
     program._interp_code = (program.dram, program.accel, code)
     return code
 
 
-def _expr(e: SExpr):
-    """Translate an expression into ``f(m, env) -> value``."""
-    if isinstance(e, SLit):
-        value = e.value
-        return lambda m, env: value
-    if isinstance(e, SVar):
-        name = e.name
+@functools.lru_cache(maxsize=256)
+def _compiled(source: str):
+    """The function a program's source defines, compiled once per text;
+    its globals are this module's."""
+    defined = {}
+    exec(compile(source, "<spatial program>", "exec"), globals(), defined)
+    return defined["_program"]
 
-        def var(m, env):
-            try:
-                return env[name]
-            except KeyError:
-                raise InterpError(f"unbound variable {name!r}")
-        return var
-    if isinstance(e, SBin):
-        fa, fb = _expr(e.a), _expr(e.b)
-        if e.op in _INLINE:
-            return _INLINE[e.op](fa, fb)
-        op = _BINOPS[e.op]
-        return lambda m, env: op(fa(m, env), fb(m, env))
-    if isinstance(e, SSelect):
+
+def _declared(stmts) -> tuple[set[str], set[str]]:
+    """The SRAM and the FIFO names that ``stmts`` declare."""
+    srams, fifos, todo = set(), set(), list(stmts)
+    while todo:
+        s = todo.pop()
+        if type(s) is SramDecl:
+            srams.add(s.name)
+        elif type(s) is FifoDecl:
+            fifos.add(s.name)
+        elif type(s) in (Foreach, ReducePat):
+            todo.extend(s.body)
+    return srams, fifos
+
+
+class _Writer:
+    """Writes one program's function source.
+
+    Locals are numbered by prefix: ``v`` a variable, ``t`` a temporary,
+    ``s`` an SRAM, ``f`` a FIFO, ``d`` a DRAM, ``c`` a literal from
+    ``K``. ``scope`` maps each program variable in scope to its local;
+    ``ints`` holds the expression texts that are Python ints on every
+    run: int literals, loop binders, and sums, differences and products
+    of them (a text names one value, as every local is bound once).
+    """
+
+    def __init__(self, program: SpatialProgram) -> None:
+        self.program = program
+        self.dram_names = {d.name for d in program.dram}
+        self.srams, self.fifos = _declared(program.accel)
+        self.lines: list[str] = []
+        self.consts: list = []
+        self.aliases: dict[tuple[str, str], str] = {}
+        self.ints: set[str] = set()
+        self.count = 0
+
+    def write(self) -> tuple[str, tuple]:
+        for d in self.program.dram:
+            size = self.int_of(d.size, {})
+            self.emit(1, f"{self.alias('d', d.name)} = D[{d.name!r}] = "
+                         f"_alloc(data, {d.name!r}, {size})")
+        self.block(self.program.accel, {}, 1)
+        head = ["def _program(m, E, K, data):",
+                "    D, S, F, R, B = m.dram, m.sram, m.fifo, m.regs, m.bitvec"]
+        if self.consts:
+            head.append("    " + "".join(f"c{i}, " for i in
+                                         range(len(self.consts))) + "= K")
+        head += [f"    {local} = _Undeclared({name!r})"
+                 for (_, name), local in self.aliases.items()]
+        return "\n".join(head + self.lines) + "\n", tuple(self.consts)
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    def new(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    def alias(self, kind: str, name: str) -> str:
+        """The local bound to memory ``name`` of kind ``s``, ``f`` or ``d``."""
+        local = self.aliases.get((kind, name))
+        if local is None:
+            local = self.aliases[kind, name] = self.new(kind)
+        return local
+
+    def readable(self, name: str) -> str:
+        """The local an ``SRead`` of ``name`` reads: the SRAM if one is
+        declared under that name, else the DRAM."""
+        dram = name in self.dram_names and name not in self.srams
+        return self.alias("d" if dram else "s", name)
+
+    def const(self, value) -> str:
+        if type(value) in (int, float) and math.isfinite(value):
+            return repr(value)
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def int_of(self, e: SExpr, scope: dict[str, str]) -> str:
+        """Source for ``int(e)``, which is ``e`` where it is an int."""
+        text = self.expr(e, scope)
+        return text if text in self.ints else f"int({text})"
+
+    def index(self, e: SExpr, scope: dict[str, str], depth: int) -> str:
+        """A local (or literal) holding ``int(e)``."""
+        text = self.int_of(e, scope)
+        if not (text.isidentifier() or text.lstrip("-").isdigit()):
+            local = self.new("t")
+            self.emit(depth, f"{local} = {text}")
+            text = local
+        return text
+
+    # -- expressions -----------------------------------------------------------
+
+    def expr(self, e: SExpr, scope: dict[str, str]) -> str:
+        write = self.EXPRS.get(type(e))
+        if write is None:
+            raise TypeError(f"cannot evaluate {type(e).__name__}")
+        return write(self, e, scope)
+
+    def _lit(self, e: SLit, scope) -> str:
+        text = self.const(e.value)
+        if type(e.value) is int:
+            self.ints.add(text)
+        return text
+
+    def _var(self, e: SVar, scope) -> str:
+        local = scope.get(e.name)
+        if local is not None:
+            return local
+        name = repr(e.name)
+        return f"(E[{name}] if {name} in E else _unbound({name}))"
+
+    def _bin(self, e: SBin, scope) -> str:
+        a, b = self.expr(e.a, scope), self.expr(e.b, scope)
+        if e.op in _INFIX:
+            text = f"({a} {e.op} {b})"
+            if a in self.ints and b in self.ints:
+                self.ints.add(text)
+            return text
+        _BINOPS[e.op]  # an unknown operator fails translation
+        return f"_BINOPS[{e.op!r}]({a}, {b})"
+
+    def _select(self, e: SSelect, scope) -> str:
         # Lazy select: only the chosen branch is evaluated, so invalid
         # scan positions never reach a memory read.
-        fc, fa, fb = _expr(e.cond), _expr(e.a), _expr(e.b)
-        return lambda m, env: fa(m, env) if fc(m, env) else fb(m, env)
-    if isinstance(e, SValid):
-        name = e.var.name
-        return lambda m, env: 1.0 if env[name] != INVALID else 0.0
-    if isinstance(e, SRead):
-        mem_name, fa = e.mem, _expr(e.addr)
+        cond, a, b = (self.expr(x, scope) for x in (e.cond, e.a, e.b))
+        return f"({a} if {cond} else {b})"
 
-        def read(m, env):
-            addr = int(fa(m, env))
-            mem = m.sram.get(mem_name)
-            if mem is None:
-                mem = m.dram.get(mem_name)
-                if mem is None:
-                    raise InterpError(
-                        f"read from undeclared memory {mem_name!r}")
-            if not 0 <= addr < len(mem):
-                raise InterpError(
-                    f"out-of-bounds read {mem_name}({addr}), size {len(mem)}"
-                )
-            return mem.item(addr)
-        return read
-    if isinstance(e, SDeq):
-        name = e.fifo
+    def _valid(self, e: SValid, scope) -> str:
+        return f"(1.0 if {self.expr(e.var, scope)} != {INVALID!r} else 0.0)"
 
-        def deq(m, env):
-            try:
-                return m.fifo[name].popleft()
-            except KeyError:
-                raise InterpError(f"dequeue from undeclared FIFO {name!r}")
-            except IndexError:
-                raise InterpError(f"FIFO underflow on {name!r}")
-        return deq
-    if isinstance(e, SRegRead):
-        name = e.reg
-
-        def reg_read(m, env):
-            try:
-                return m.regs[name]
-            except KeyError:
-                raise InterpError(f"read of undeclared register {name!r}")
-        return reg_read
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-
-def _block(stmts) -> tuple:
-    return tuple(_stmt(s) for s in stmts)
-
-
-def _stmt(s: SStmt):
-    """Translate a statement into ``f(m, env)``."""
-    if isinstance(s, SramDecl):
-        name, size = s.name, _expr(s.size)
-
-        def sram_decl(m, env):
-            m.sram[name] = np.zeros(int(size(m, env)), dtype=np.float64)
-        return sram_decl
-    if isinstance(s, FifoDecl):
-        name = s.name
-
-        def fifo_decl(m, env):
-            m.fifo[name] = deque()
-        return fifo_decl
-    if isinstance(s, RegDecl):
-        name, init = s.name, float(s.init)
-
-        def reg_decl(m, env):
-            m.regs[name] = init
-        return reg_decl
-    if isinstance(s, BitVectorDecl):
-        return _bitvector_decl(s)
-    if isinstance(s, GenBitVector):
-        return _gen_bitvector(s)
-    if isinstance(s, BitVectorOp):
-        dst, a, b, is_and = s.dst, s.a, s.b, s.op == "and"
-
-        def bitvector_op(m, env):
-            bv_a, bv_b = m.bitvec[a], m.bitvec[b]
-            m.bitvec[dst] = (bv_a & bv_b) if is_and else (bv_a | bv_b)
-        return bitvector_op
-    if isinstance(s, LoadBulk):
-        return _load(s)
-    if isinstance(s, StoreBulk):
-        dst, src, fstart, fend = s.dst, s.src, _expr(s.start), _expr(s.end)
-
-        def store(m, env):
-            start = int(fstart(m, env))
-            end = int(fend(m, env))
-            m.dram[dst][start:end] = m.sram[src][: end - start]
-        return store
-    if isinstance(s, StreamStore):
-        return _stream_store(s)
-    if isinstance(s, Assign):
-        name, f = s.name, _expr(s.expr)
-
-        def assign(m, env):
-            env[name] = f(m, env)
-        return assign
-    if isinstance(s, Enq):
-        name, f = s.fifo, _expr(s.expr)
-
-        def enq(m, env):
-            m.fifo[name].append(f(m, env))
-        return enq
-    if isinstance(s, RegWrite):
-        reg, f, accumulate = s.reg, _expr(s.expr), s.accumulate
-
-        def reg_write(m, env):
-            value = f(m, env)
-            if accumulate:
-                m.regs[reg] += value
-            else:
-                m.regs[reg] = value
-        return reg_write
-    if isinstance(s, SramWrite):
-        return _sram_write(s)
-    if isinstance(s, DramWrite):
-        name, faddr, f = s.dram, _expr(s.addr), _expr(s.expr)
-
-        def dram_write(m, env):
-            addr = int(faddr(m, env))
-            m.dram[name][addr] = f(m, env)
-        return dram_write
-    if isinstance(s, Foreach):
-        return _foreach(s.counter, s.ivars, _block(s.body))
-    if isinstance(s, ReducePat):
-        return _reduce(s)
-    raise TypeError(f"cannot execute {type(s).__name__}")
-
-
-# -- memory statements --------------------------------------------------------
-
-
-def _bitvector_decl(s: BitVectorDecl):
-    name, flength = s.name, _expr(s.length)
-
-    def bitvector_decl(m, env):
-        length = int(flength(m, env))
-        m.bitvec_len[name] = length
-        m.bitvec[name] = gen_bitvector(np.zeros(0, dtype=np.int64),
-                                       max(length, 1))
-    return bitvector_decl
-
-
-def _gen_bitvector(s: GenBitVector):
-    dst, crd, fcount = s.dst, s.crd_mem, _expr(s.count)
-
-    def gen(m, env):
-        count = int(fcount(m, env))
-        length = m.bitvec_len[dst]
-        q = m.fifo.get(crd)
-        if q is not None:
-            if len(q) < count:
-                raise InterpError(
-                    f"genBitvector drains {count} from {crd!r} holding {len(q)}"
-                )
-            coords = np.array([q.popleft() for _ in range(count)],
-                              dtype=np.int64)
-        elif crd in m.sram:
-            coords = m.sram[crd][:count].astype(np.int64)
+    def _read(self, e: SRead, scope) -> str:
+        addr, mem = self.int_of(e.addr, scope), self.readable(e.mem)
+        if addr.isidentifier():
+            t = bind = addr
         else:
-            raise InterpError(f"genBitvector from undeclared memory {crd!r}")
-        m.bitvec[dst] = gen_bitvector(coords, max(length, 1))
-    return gen
+            t = self.new("t")
+            bind = f"({t} := {addr})"
+        return (f"({mem}.item({t}) if 0 <= {bind} < len({mem}) "
+                f"else _read_fault({mem}, {e.mem!r}, {t}))")
 
+    def _deq(self, e: SDeq, scope) -> str:
+        f = self.alias("f", e.fifo)
+        return f"({f}.popleft() if {f} else _deq_fault({f}, {e.fifo!r}))"
 
-def _load(s: LoadBulk):
-    dst, src, fstart, fend = s.dst, s.src, _expr(s.start), _expr(s.end)
+    def _reg_read(self, e: SRegRead, scope) -> str:
+        reg = repr(e.reg)
+        return f"(R[{reg}] if {reg} in R else _reg_fault({reg}))"
 
-    def load(m, env):
-        start = int(fstart(m, env))
-        end = int(fend(m, env))
-        if end < start:
-            raise InterpError(f"negative-length load {dst} [{start}:{end}]")
-        if end > len(m.dram[src]):
-            raise InterpError(f"out-of-bounds load {src}[{start}:{end}], "
-                              f"size {len(m.dram[src])}")
-        data = m.dram[src][start:end]
-        mem = m.sram.get(dst)
-        if mem is not None:
-            if len(data) > len(mem):
-                raise InterpError(
-                    f"load of {len(data)} words overflows SRAM {dst!r} "
-                    f"({len(mem)} words)"
-                )
-            mem[: len(data)] = data
-        elif dst in m.fifo:
-            m.fifo[dst].extend(data.tolist())
+    EXPRS = {SLit: _lit, SVar: _var, SBin: _bin, SSelect: _select,
+             SValid: _valid, SRead: _read, SDeq: _deq, SRegRead: _reg_read}
+
+    # -- statements ------------------------------------------------------------
+
+    def block(self, stmts, scope: dict[str, str], depth: int) -> None:
+        for s in stmts:
+            write = self.STMTS.get(type(s))
+            if write is None:
+                raise TypeError(f"cannot execute {type(s).__name__}")
+            write(self, s, scope, depth)
+
+    def _sram_decl(self, s: SramDecl, scope, depth) -> None:
+        self.emit(depth, f"{self.alias('s', s.name)} = S[{s.name!r}] = "
+                         f"np.zeros({self.int_of(s.size, scope)}, "
+                         f"dtype=np.float64)")
+
+    def _fifo_decl(self, s: FifoDecl, scope, depth) -> None:
+        self.emit(depth,
+                  f"{self.alias('f', s.name)} = F[{s.name!r}] = deque()")
+
+    def _reg_decl(self, s: RegDecl, scope, depth) -> None:
+        self.emit(depth, f"R[{s.name!r}] = {self.const(float(s.init))}")
+
+    def _bitvector_decl(self, s: BitVectorDecl, scope, depth) -> None:
+        self.emit(depth, f"_bitvector_decl(m, {s.name!r}, "
+                         f"{self.int_of(s.length, scope)})")
+
+    def _gen_bitvector(self, s: GenBitVector, scope, depth) -> None:
+        self.emit(depth, f"_gen_bitvector(m, {s.dst!r}, {s.crd_mem!r}, "
+                         f"{self.int_of(s.count, scope)})")
+
+    def _bitvector_op(self, s: BitVectorOp, scope, depth) -> None:
+        op = "&" if s.op == "and" else "|"
+        self.emit(depth, f"B[{s.dst!r}] = B[{s.a!r}] {op} B[{s.b!r}]")
+
+    def _load(self, s: LoadBulk, scope, depth) -> None:
+        start = self.index(s.start, scope, depth)
+        end = self.index(s.end, scope, depth)
+        call = f"_load(m, {s.dst!r}, {s.src!r}, {start}, {end})"
+        if ((s.dst in self.srams) == (s.dst in self.fifos)
+                or s.src not in self.dram_names):
+            self.emit(depth, call)  # no one declared kind: the full check
+            return
+        # The inline transfer, where every check holds; else _load raises.
+        src = self.alias("d", s.src)
+        if s.dst in self.fifos:
+            check = f"0 <= {start} <= {end} <= len({src})"
+            move = (f"{self.alias('f', s.dst)}.extend("
+                    f"{src}[{start}:{end}].tolist())")
         else:
-            raise InterpError(f"load into undeclared memory {dst!r}")
-    return load
+            dst = self.alias("s", s.dst)
+            check = (f"0 <= {start} <= {end} <= len({src}) "
+                     f"and {end} - {start} <= len({dst})")
+            move = f"{dst}[:{end} - {start}] = {src}[{start}:{end}]"
+        self.emit(depth, f"if {check}: {move}")
+        self.emit(depth, f"else: {call}")
 
+    def _store(self, s: StoreBulk, scope, depth) -> None:
+        self.emit(depth, f"_store(m, {s.dst!r}, {s.src!r}, "
+                         f"{self.int_of(s.start, scope)}, "
+                         f"{self.int_of(s.end, scope)})")
 
-def _stream_store(s: StreamStore):
-    dram, fifo, foffset, flength = (s.dram, s.fifo, _expr(s.offset),
-                                    _expr(s.length))
+    def _stream_store(self, s: StreamStore, scope, depth) -> None:
+        self.emit(depth, f"_stream_store(m, {s.dram!r}, {s.fifo!r}, "
+                         f"{self.int_of(s.offset, scope)}, "
+                         f"{self.int_of(s.length, scope)})")
 
-    def stream_store(m, env):
-        offset = int(foffset(m, env))
-        length = int(flength(m, env))
-        q = m.fifo[fifo]
-        if len(q) < length:
-            raise InterpError(
-                f"stream store of {length} from {fifo!r} holding {len(q)}"
-            )
-        for k in range(length):
-            m.dram[dram][offset + k] = q.popleft()
-    return stream_store
+    def _assign(self, s: Assign, scope, depth) -> None:
+        value, local = self.expr(s.expr, scope), self.new("v")
+        self.emit(depth, f"{local} = {value}")
+        if value in self.ints:
+            self.ints.add(local)
+        scope[s.name] = local
 
+    def _enq(self, s: Enq, scope, depth) -> None:
+        self.emit(depth, f"{self.alias('f', s.fifo)}.append("
+                         f"{self.expr(s.expr, scope)})")
 
-def _sram_write(s: SramWrite):
-    name, faddr, f = s.mem, _expr(s.addr), _expr(s.expr)
-    accumulate = s.accumulate
+    def _reg_write(self, s: RegWrite, scope, depth) -> None:
+        op = "+=" if s.accumulate else "="
+        self.emit(depth, f"R[{s.reg!r}] {op} {self.expr(s.expr, scope)}")
 
-    def sram_write(m, env):
-        addr = int(faddr(m, env))
-        mem = m.sram[name]
-        if not 0 <= addr < len(mem):
-            raise InterpError(
-                f"out-of-bounds write {name}({addr}), size {len(mem)}"
-            )
-        value = f(m, env)
-        mem[addr] = mem.item(addr) + value if accumulate else value
-    return sram_write
+    def _sram_write(self, s: SramWrite, scope, depth) -> None:
+        mem, t = self.alias("s", s.mem), self.index(s.addr, scope, depth)
+        self.emit(depth, f"if not 0 <= {t} < len({mem}): "
+                         f"_write_fault({mem}, {s.mem!r}, {t})")
+        old = f"{mem}.item({t}) + " if s.accumulate else ""
+        self.emit(depth, f"{mem}[{t}] = {old}{self.expr(s.expr, scope)}")
 
+    def _dram_write(self, s: DramWrite, scope, depth) -> None:
+        mem, t = self.alias("d", s.dram), self.index(s.addr, scope, depth)
+        self.emit(depth, f"if not 0 <= {t} < len({mem}): "
+                         f"_dram_range('write', m, {s.dram!r}, {t}, {t} + 1)")
+        self.emit(depth, f"{mem}[{t}] = {self.expr(s.expr, scope)}")
 
-# -- patterns -----------------------------------------------------------------
+    def _foreach(self, s: Foreach, scope, depth) -> None:
+        opened = self.loop(s.counter, s.ivars, scope, depth)
+        if opened is not None:
+            start = len(self.lines)
+            self.block(s.body, *opened)
+            if len(self.lines) == start:
+                self.emit(opened[1], "pass")
 
+    def _reduce(self, s: ReducePat, scope, depth) -> None:
+        # Reduce folds lane values into the register's current value; the
+        # canonical idiom declares the register (init 0) just before.
+        _BINOPS[s.combine]  # an unknown operator fails translation
+        total = self.new("t")
+        self.emit(depth, f"{total} = R.get({s.reg!r}, 0.0)")
+        opened = self.loop(s.counter, s.ivars, scope, depth)
+        if opened is None:
+            return
+        inner, body = opened
+        self.block(s.body, inner, body)
+        value = self.expr(s.value, inner)
+        if s.combine in _INFIX:
+            self.emit(body, f"{total} = {total} {s.combine} {value}")
+        else:
+            self.emit(body, f"{total} = _BINOPS[{s.combine!r}]"
+                            f"({total}, {value})")
+        self.emit(depth, f"R[{s.reg!r}] = {total}")
 
-def _domain(counter, ivars: tuple[str, ...]):
-    """Translate a counter into ``domain(m, env)``: the values its binders
-    take, one int per iteration for a one-index counter, else a tuple."""
-    if isinstance(counter, DenseCounter):
-        flength = _expr(counter.length)
+    STMTS = {SramDecl: _sram_decl, FifoDecl: _fifo_decl, RegDecl: _reg_decl,
+             BitVectorDecl: _bitvector_decl, GenBitVector: _gen_bitvector,
+             BitVectorOp: _bitvector_op, LoadBulk: _load, StoreBulk: _store,
+             StreamStore: _stream_store, Assign: _assign, Enq: _enq,
+             RegWrite: _reg_write, SramWrite: _sram_write,
+             DramWrite: _dram_write, Foreach: _foreach, ReducePat: _reduce}
 
-        def dense(m, env):
-            if len(ivars) != 1:
-                raise InterpError("dense counters bind exactly one index")
-            return range(int(flength(m, env)))
-        return dense
-    if isinstance(counter, SingletonCounter):
-        crd, fpos = counter.crd_mem, _expr(counter.pos)
-
-        def singleton(m, env):
-            # Exactly one iteration: the coordinate stored at the parent's
-            # position (COO-style singleton levels).
-            if len(ivars) != 1:
-                raise InterpError("singleton counters bind exactly one index")
-            pos = int(fpos(m, env))
-            mem = m.sram.get(crd)
-            if mem is None:
-                mem = m.dram.get(crd)
-                if mem is None:
-                    raise InterpError(
-                        f"singleton scan of undeclared memory {crd!r}")
-            if not 0 <= pos < len(mem):
-                raise InterpError(
-                    f"singleton position {pos} out of bounds for "
-                    f"{crd!r} (size {len(mem)})"
-                )
-            return (int(mem[pos]),)
-        return singleton
-    if not isinstance(counter, ScanCounter):
-        raise TypeError(f"cannot iterate {type(counter).__name__}")
-    a, b, op = counter.bv_a, counter.bv_b, counter.op
-    if b is None:
-        def scan_one(m, env):
-            # Single-vector scan binds (pos_a, pos_out, coord).
-            bv_a = m.bitvec[a]
-            if len(ivars) != 3:
-                raise InterpError("single-vector scans bind (pos, out, coord)")
-            pos_a, _, pos_out, coord = scan_columns(bv_a)
-            return zip(pos_a, pos_out, coord)
-        return scan_one
-
-    def scan_two(m, env):
-        bv_a, bv_b = m.bitvec[a], m.bitvec[b]
-        if len(ivars) != 4:
-            raise InterpError("two-vector scans bind (a, b, out, coord)")
-        return zip(*scan_columns(bv_a, bv_b, op))
-    return scan_two
-
-
-def _foreach(counter, ivars: tuple[str, ...], body: tuple):
-    """A loop running ``body`` in a fresh copy of the scope per iteration."""
-    domain = _domain(counter, ivars)
-    one = ivars[0] if len(ivars) == 1 else None
-
-    def foreach(m, env):
-        for x in domain(m, env):
-            inner = env.copy()
-            if one is None:
-                inner.update(zip(ivars, x))
-            else:
-                inner[one] = x
-            for b in body:
-                b(m, inner)
-    return foreach
-
-
-def _reduce(s: ReducePat):
-    # Reduce folds lane values into the register's current value; the
-    # canonical idiom declares the register (init 0) just before.
-    domain = _domain(s.counter, s.ivars)
-    body, value = _block(s.body), _expr(s.value)
-    reg, ivars, combine = s.reg, s.ivars, _BINOPS[s.combine]
-    one = ivars[0] if len(ivars) == 1 else None
-
-    def reduce(m, env):
-        total = m.regs.get(reg, 0.0)
-        for x in domain(m, env):
-            inner = env.copy()
-            if one is None:
-                inner.update(zip(ivars, x))
-            else:
-                inner[one] = x
-            for b in body:
-                b(m, inner)
-            total = combine(total, value(m, inner))
-        m.regs[reg] = total
-    return reduce
+    def loop(self, counter, ivars: tuple[str, ...], scope: dict[str, str],
+             depth: int):
+        """Open the iteration of ``counter``: ``(body scope, body depth)``,
+        or ``None`` where a binder-count check fails as it runs."""
+        if isinstance(counter, DenseCounter):
+            arity, message = 1, "dense counters bind exactly one index"
+        elif isinstance(counter, SingletonCounter):
+            arity, message = 1, "singleton counters bind exactly one index"
+        elif isinstance(counter, ScanCounter) and counter.bv_b is None:
+            arity, message = 3, "single-vector scans bind (pos, out, coord)"
+        elif isinstance(counter, ScanCounter):
+            arity, message = 4, "two-vector scans bind (a, b, out, coord)"
+        else:
+            raise TypeError(f"cannot iterate {type(counter).__name__}")
+        if len(ivars) != arity:
+            self.emit(depth, f"raise InterpError({message!r})")
+            return None
+        binders = [self.new("v") for _ in ivars]
+        self.ints.update(binders)  # range, scan and singleton yield ints
+        inner = {**scope, **dict(zip(ivars, binders))}
+        if isinstance(counter, SingletonCounter):
+            pos = self.int_of(counter.pos, scope)
+            self.emit(depth, f"{binders[0]} = _singleton("
+                             f"{self.readable(counter.crd_mem)}, "
+                             f"{counter.crd_mem!r}, {pos})")
+            return inner, depth
+        if isinstance(counter, DenseCounter):
+            domain = f"range({self.int_of(counter.length, scope)})"
+        elif counter.bv_b is None:
+            domain = f"_scan(B[{counter.bv_a!r}])"
+        else:
+            domain = (f"_scan(B[{counter.bv_a!r}], B[{counter.bv_b!r}], "
+                      f"{counter.op!r})")
+        self.emit(depth, f"for {', '.join(binders)} in {domain}:")
+        return inner, depth + 1

@@ -450,8 +450,8 @@ class SpatialProgram:
     notes: tuple[str, ...] = ()
 
     def __getstate__(self) -> dict:
-        """Fields only: the interpreter's cached translation (closures)
-        is never pickled or copied."""
+        """Fields only: the interpreter's cached translation (a generated
+        function) is never pickled or copied."""
         return {f.name: getattr(self, f.name)
                 for f in dataclasses.fields(self)}
 

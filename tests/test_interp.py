@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import compile_stmt
 from repro.kernels import KERNELS
 from repro.pipeline.fusion import PIPELINES
+from repro.spatial import interp
 from repro.spatial.interp import InterpError, execute
 from repro.spatial.ir import (
     Assign,
@@ -41,7 +43,11 @@ from repro.spatial.ir import (
     StoreBulk,
     StreamStore,
 )
-from tests.helpers_kernels import pipeline_checksum, run_dense_digest
+from tests.helpers_kernels import (
+    build_small_kernel_stmt,
+    pipeline_checksum,
+    run_dense_digest,
+)
 
 EXECUTION_GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "execution.json").read_text())
@@ -186,6 +192,31 @@ class TestPatterns:
             run(accel)
 
 
+class TestScope:
+    """Each loop iteration runs in a copy of the enclosing scope."""
+
+    def test_inner_binder_leaves_the_outer_one_alone(self):
+        accel = [
+            RegDecl("r", 0.0),
+            Foreach(DenseCounter(SLit(2)), ("i",), (
+                Foreach(DenseCounter(SLit(3)), ("i",), (
+                    Assign("x", SVar("i")),
+                )),
+                RegWrite("r", SVar("i"), accumulate=True),
+            )),
+        ]
+        assert run(accel).regs["r"] == 1.0  # 0 + 1, not 2 + 2
+
+    def test_a_variable_bound_inside_a_loop_is_unbound_after_it(self):
+        accel = [
+            Foreach(DenseCounter(SLit(2)), ("i",), (Assign("x", SVar("i")),)),
+            RegDecl("r", 0.0),
+            RegWrite("r", SVar("x")),
+        ]
+        with pytest.raises(InterpError, match="unbound variable 'x'"):
+            run(accel)
+
+
 class TestScanPatterns:
     def _bv(self, name, coords, n=16):
         return [
@@ -319,6 +350,25 @@ class TestPreconditions:
          "singleton counters bind exactly one index"),
         ([Foreach(DenseCounter(SLit(2)), ("i", "j"), ())], (),
          "dense counters bind exactly one index"),
+        # Every DRAM transfer stays inside [0, size) of its array.
+        ([SramDecl("s", SLit(4)), LoadBulk("s", "x_dram", SLit(-2), SLit(1))],
+         _X, r"out-of-bounds load x_dram\[-2:1\], size 4"),
+        ([FifoDecl("f"), LoadBulk("f", "x_dram", SLit(-2), SLit(1))],
+         _X, r"out-of-bounds load x_dram\[-2:1\], size 4"),
+        ([SramDecl("s", SLit(4)), StoreBulk("x_dram", "s", SLit(2), SLit(6))],
+         _X, r"out-of-bounds store x_dram\[2:6\], size 4"),
+        ([SramDecl("s", SLit(4)), StoreBulk("x_dram", "s", SLit(-1), SLit(1))],
+         _X, r"out-of-bounds store x_dram\[-1:1\], size 4"),
+        ([DramWrite("x_dram", SLit(-1), SLit(1.0))], _X,
+         r"out-of-bounds write x_dram\[-1:0\], size 4"),
+        ([DramWrite("x_dram", SLit(4), SLit(1.0))], _X,
+         r"out-of-bounds write x_dram\[4:5\], size 4"),
+        ([FifoDecl("f"), Enq("f", SLit(1.0)),
+          StreamStore("x_dram", "f", SLit(-1), SLit(1))], _X,
+         r"out-of-bounds stream store x_dram\[-1:0\], size 4"),
+        ([FifoDecl("f"), Enq("f", SLit(1.0)),
+          StreamStore("x_dram", "f", SLit(4), SLit(1))], _X,
+         r"out-of-bounds stream store x_dram\[4:5\], size 4"),
         ([BitVectorDecl("a", SLit(16)), BitVectorDecl("b", SLit(16)),
           Foreach(ScanCounter("a", "b", "and", SLit(16)), ("x",), ())], (),
          r"two-vector scans bind \(a, b, out, coord\)"),
@@ -361,6 +411,24 @@ class TestTranslation:
         execute(program, {}, {})
         program.accel = (RegDecl("r", 5.0),)
         assert execute(program, {}, {}).regs["r"] == 5.0
+
+    def test_equal_programs_compile_their_source_once(self, monkeypatch):
+        """Two uncached compiles lower two equal programs: each is written
+        to source, and the source is compiled once."""
+        compiled = []
+
+        def counting_compile(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(interp, "compile", counting_compile, raising=False)
+        interp._compiled.cache_clear()
+        stmt, _, _ = build_small_kernel_stmt("SpMV")
+        kernels = [compile_stmt(stmt, "spmv", cache=False) for _ in range(2)]
+        assert kernels[0].program is not kernels[1].program
+        results = [np.asarray(k.run()) for k in kernels]
+        assert len(compiled) == 1
+        assert np.array_equal(results[0], results[1])
 
 
 class TestExecutionGolden:
