@@ -335,6 +335,14 @@ class TestPreconditions:
          _X, r"negative-length load s \[3:1\]"),
         ([LoadBulk("nope", "x_dram", SLit(0), SLit(2))], _X,
          "load into undeclared memory 'nope'"),
+        ([Enq("nope", SLit(1.0))], (), "enqueue to undeclared FIFO 'nope'"),
+        ([StreamStore("x_dram", "nope", SLit(0), SLit(1))], _X,
+         "stream store from undeclared FIFO 'nope'"),
+        # A memory declared later in the program is not declared yet.
+        ([LoadBulk("f", "x_dram", SLit(0), SLit(2)), FifoDecl("f")], _X,
+         "load into undeclared memory 'f'"),
+        ([LoadBulk("s", "x_dram", SLit(0), SLit(0)), SramDecl("s", SLit(2))],
+         _X, "load into undeclared memory 's'"),
         ([BitVectorDecl("a", SLit(16)), FifoDecl("f"), Enq("f", SLit(1.0)),
           GenBitVector("a", "f", SLit(2))], (),
          "genBitvector drains 2 from 'f' holding 1"),
@@ -359,6 +367,10 @@ class TestPreconditions:
          _X, r"out-of-bounds store x_dram\[2:6\], size 4"),
         ([SramDecl("s", SLit(4)), StoreBulk("x_dram", "s", SLit(-1), SLit(1))],
          _X, r"out-of-bounds store x_dram\[-1:1\], size 4"),
+        ([SramDecl("s", SLit(2)), StoreBulk("x_dram", "s", SLit(0), SLit(4))],
+         _X, r"store of 4 words overruns SRAM 's' \(2 words\)"),
+        ([StoreBulk("x_dram", "nope", SLit(0), SLit(1))], _X,
+         "store from undeclared memory 'nope'"),
         ([DramWrite("x_dram", SLit(-1), SLit(1.0))], _X,
          r"out-of-bounds write x_dram\[-1:0\], size 4"),
         ([DramWrite("x_dram", SLit(4), SLit(1.0))], _X,
