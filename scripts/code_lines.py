@@ -10,7 +10,7 @@ import sys
 import tokenize
 from pathlib import Path
 
-GROUPS = {"orchestration": ("pipeline/", "service/", "__main__.py",
+GROUPS = {"orchestration": ("pipeline/", "service/", "__main__.py", "cli/",
                             "eval/harness.py"),
           "compute": ("core/", "spatial/", "capstan/", "backends/")}
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

@@ -15,34 +15,27 @@ rendered by the serve daemon's ``/metrics`` endpoint or folded into
 JSON payloads (:mod:`repro.obs.metrics`).  The read side —
 ``repro trace summary`` / ``export`` — lives in
 :mod:`repro.obs.timeline`.
+
+A lazy root: a process that opens no metric never loads
+:mod:`repro.obs.metrics`, and one that writes no trace never loads
+:mod:`repro.obs.writer`.
 """
 
-from repro.obs.metrics import (
-    counter,
-    gauge,
-    histogram,
-    registry,
-)
-from repro.obs.trace import (
-    _NULL_SPAN as NULL_SPAN,
-    TRACE_ENV,
-    event,
-    span,
-    trace_dir,
-    trace_env_knobs,
-    tracing_enabled,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "NULL_SPAN",
-    "TRACE_ENV",
-    "counter",
-    "event",
-    "gauge",
-    "histogram",
-    "registry",
-    "span",
-    "trace_dir",
-    "trace_env_knobs",
-    "tracing_enabled",
-]
+_EXPORTS = {
+    "NULL_SPAN": ("repro.obs.trace", "_NULL_SPAN"),
+    "TRACE_ENV": ("repro.obs.trace", "TRACE_ENV"),
+    "counter": ("repro.obs.metrics", "counter"),
+    "event": ("repro.obs.trace", "event"),
+    "gauge": ("repro.obs.metrics", "gauge"),
+    "histogram": ("repro.obs.metrics", "histogram"),
+    "registry": ("repro.obs.metrics", "registry"),
+    "span": ("repro.obs.trace", "span"),
+    "trace_dir": ("repro.obs.trace", "trace_dir"),
+    "trace_env_knobs": ("repro.obs.trace", "trace_env_knobs"),
+    "tracing_enabled": ("repro.obs.trace", "tracing_enabled"),
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

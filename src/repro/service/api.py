@@ -592,7 +592,10 @@ def _partition(req: CompileRequest, use_cache: bool | None) -> CompileResult:
     # The plan's jobs share one staged operand — staged once per request,
     # whatever ``use_cache`` — which the blocks view, the reduce counts
     # and the oracle reads; each block runs the compiled kernel on the
-    # request's engine, inline on the executor's thread pool.
+    # request's engine. ``run_jobs`` gets no ``max_workers``: the blocks
+    # run one after another in the calling thread, as two threads were
+    # no faster (2-core VM, scale 0.25: DCSR-SpMM p4 34 ms serial, 38 ms
+    # on two; SpMV within noise).
     from repro.pipeline.executor import run_jobs
     from repro.pipeline.partition import PartitionPlan
 

@@ -505,8 +505,10 @@ class _Writer:
                          f"{self.expr(s.expr, scope)})")
 
     def _reg_write(self, s: RegWrite, scope, depth) -> None:
-        op = "+=" if s.accumulate else "="
-        self.emit(depth, f"R[{s.reg!r}] {op} {self.expr(s.expr, scope)}")
+        # An accumulating write reads the register first, as a read does.
+        old = (f"{self._reg_read(SRegRead(s.reg), scope)} + "
+               if s.accumulate else "")
+        self.emit(depth, f"R[{s.reg!r}] = {old}{self.expr(s.expr, scope)}")
 
     def _sram_write(self, s: SramWrite, scope, depth) -> None:
         mem, t = self.alias("s", s.mem), self.index(s.addr, scope, depth)

@@ -1,12 +1,16 @@
 """The import budget: a cache hit never imports the compute layer, the
-input language or NumPy.
+input language or NumPy, and compiles no more ``repro`` source than its
+ceiling.
 
 ``python -m repro`` is how every command starts, and every ``local:N`` /
 ``ssh:`` slot's ``repro worker -`` process, so what a warm command
 imports is the fixed cost of a CLI call and of a slot's start-up.
 Each case below runs in its own interpreter against a disk cache warmed
 in this process and reports ``sys.modules``; one table says what each
-case may and may not have loaded.
+case may and may not have loaded, and how many bytes of ``repro``
+source it may load. Each such process compiles that source when no
+bytecode is written (``PYTHONDONTWRITEBYTECODE``), so the bytes are a
+count that stands for the import time a clock measures noisily.
 """
 
 from __future__ import annotations
@@ -53,22 +57,29 @@ RECORDS_ONLY = COMPUTE + (
     "repro.data.generators",
 )
 
+#: A process that opens no metric and writes no trace loads none of these.
+UNOBSERVED = ("repro.obs.metrics", "repro.obs.writer", "socket")
+
 #: case -> (what the interpreter runs, module prefixes it must not load,
-#: the only modules it may load or None for "anything else").
+#: the only modules it may load or None for "anything else", the most
+#: ``repro`` source it may load in KB of 1000 bytes). Lower a ceiling
+#: when a change shrinks what a case loads; never raise one.
 #: A list is CLI argv run against the warm cache; a string is a statement.
 BUDGET = {
-    "import repro": ("import repro", COMPUTE, {"repro"}),
+    "import repro": ("import repro", COMPUTE, {"repro"}, 3.6),
     "import repro.api": ("import repro.api", COMPUTE, {
         "repro", "repro.api", "repro.engines", "repro.obs",
-        "repro.obs.metrics", "repro.obs.trace", "repro.service",
-        "repro.service.api"}),
-    "import repro.kernels": ("import repro.kernels", RECORDS_ONLY, None),
-    "import repro.data": ("import repro.data", RECORDS_ONLY, None),
-    "kernels": (["kernels"], RECORDS_ONLY, None),
-    "compile": (["compile", "SpMV", "--scale", SCALE], RECORDS_ONLY, None),
-    "tables": (["tables", "table6", "--scale", SCALE], RECORDS_ONLY, None),
+        "repro.obs.trace", "repro.service", "repro.service.api"}, 46.0),
+    "import repro.kernels": ("import repro.kernels", RECORDS_ONLY, None,
+                             29.1),
+    "import repro.data": ("import repro.data", RECORDS_ONLY, None, 43.7),
+    "kernels": (["kernels"], RECORDS_ONLY, None, 48.9),
+    "compile": (["compile", "SpMV", "--scale", SCALE], RECORDS_ONLY, None,
+                131.7),
+    "tables": (["tables", "table6", "--scale", SCALE], RECORDS_ONLY, None,
+               164.7),
     "batch shard": (["batch", "table6", "--scale", SCALE, "--shard", "1/2",
-                     "--out", "-"], RECORDS_ONLY, None),
+                     "--out", "-"], RECORDS_ONLY, None, 172.0),
 }
 
 #: README "Layering", bottom to top. Module-level imports only point down
@@ -83,22 +94,25 @@ LAYERS = (
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),
     ("core", "spatial", "capstan", "backends"),
     ("pipeline.dispatch", "pipeline.fsqueue", "pipeline.lease",
-     "pipeline.partition", "pipeline.fusion", "service.server", "__main__"),
+     "pipeline.partition", "pipeline.fusion", "service.server", "__main__",
+     "cli"),
 )
 
 _PROBE = """\
-import json, sys
+import json, os, sys
 {body}
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "numpy" or m.split(".")[0] == "repro")),
-      file=sys.stderr)
+mine = [m for m in sys.modules if m.split(".")[0] == "repro"]
+seen = mine + [m for m in ("numpy", "socket") if m in sys.modules]
+print(json.dumps([sorted(seen), sum(os.path.getsize(sys.modules[m].__file__)
+                                    for m in mine)]), file=sys.stderr)
 sys.exit(code)
 """
 
 
 def _run(what, cache_dir, **env):
     """Run one case in a fresh interpreter: (stdout, loaded ``repro``
-    modules plus ``numpy`` if it was imported)."""
+    modules plus ``numpy`` and ``socket`` if they were imported, bytes of
+    ``repro`` source loaded)."""
     if isinstance(what, str):
         body = f"{what}\ncode = 0"
     else:
@@ -109,7 +123,8 @@ def _run(what, cache_dir, **env):
         env={**os.environ, "REPRO_CACHE_DIR": str(cache_dir), **env,
              "PYTHONPATH": str(Path(repro.__file__).parents[1])})
     assert done.returncode == 0, done.stderr[-2000:]
-    return done.stdout, set(json.loads(done.stderr.splitlines()[-1]))
+    loaded, source_bytes = json.loads(done.stderr.splitlines()[-1])
+    return done.stdout, set(loaded), source_bytes
 
 
 def _over_budget(loaded, deny):
@@ -127,7 +142,7 @@ def warm(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(cache_dir))
         mp.setattr(cache_mod, "_default_cache", cache_mod.CompilationCache())
-        for case, (what, _deny, _allow) in BUDGET.items():
+        for case, (what, *_limits) in BUDGET.items():
             if isinstance(what, list):
                 expected[case] = _capture(what)
     return cache_dir, expected
@@ -154,11 +169,12 @@ def _stable(case, text):
 @pytest.mark.parametrize("case", BUDGET)
 def test_warm_case_stays_inside_its_budget(case, warm):
     cache_dir, expected = warm
-    what, deny, allow = BUDGET[case]
-    stdout, loaded = _run(what, cache_dir)
-    assert _over_budget(loaded, deny) == []
+    what, deny, allow, ceiling_kb = BUDGET[case]
+    stdout, loaded, source_bytes = _run(what, cache_dir)
+    assert _over_budget(loaded, deny + UNOBSERVED) == []
     if allow is not None:
         assert loaded <= allow, sorted(loaded - allow)
+    assert source_bytes / 1000 <= ceiling_kb, (source_bytes, sorted(loaded))
     if case in expected:
         assert _stable(case, stdout) == _stable(case, expected[case])
 
@@ -174,7 +190,8 @@ def test_a_miss_loads_the_compute_layer_on_demand(case, flags, env, warm,
     where they are used, and prints the same bytes. A compile reads no
     operand data, so even its miss never loads the generators."""
     _cache_dir, expected = warm
-    stdout, loaded = _run(BUDGET[case][0] + flags, tmp_path / "cold", **env)
+    stdout, loaded, _bytes = _run(BUDGET[case][0] + flags,
+                                  tmp_path / "cold", **env)
     assert stdout == expected[case]
     assert {"numpy", "repro.tensor", "repro.core.compiler",
             "repro.core.lowering", "repro.spatial.ir"} <= loaded

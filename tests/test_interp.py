@@ -329,6 +329,8 @@ class TestPreconditions:
          "dequeue from undeclared FIFO 'nope'"),
         ([Assign("v", SRegRead("nope"))], (),
          "read of undeclared register 'nope'"),
+        ([RegWrite("nope", SLit(1.0), accumulate=True)], (),
+         "read of undeclared register 'nope'"),
         ([SramDecl("s", SLit(2)), SramWrite("s", SLit(2), SLit(1.0))], (),
          r"out-of-bounds write s\(2\), size 2"),
         ([SramDecl("s", SLit(4)), LoadBulk("s", "x_dram", SLit(3), SLit(1))],

@@ -14,7 +14,7 @@ import repro
 
 LAZY_ROOTS = ("repro", "repro.pipeline", "repro.core", "repro.capstan",
               "repro.backends", "repro.service", "repro.eval",
-              "repro.spatial")
+              "repro.spatial", "repro.obs")
 
 
 @pytest.mark.parametrize("package", LAZY_ROOTS)

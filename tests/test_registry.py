@@ -182,7 +182,7 @@ def _is_subject(node: ast.AST, path: str) -> bool:
         return node.id in _SUBJECTS
     if isinstance(node, ast.Attribute) and node.attr in _SUBJECTS:
         # `cache` / `trace` sub-command dispatch: args.action == "info".
-        cli_verb = (path == "__main__.py" and node.attr == "action"
+        cli_verb = (path.startswith("cli/") and node.attr == "action"
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "args")
         return not cli_verb
@@ -216,7 +216,7 @@ def test_the_guard_sees_a_ladder():
                      "if req.action in ('compile', 'evaluate'): pass\n"
                      "if is_partition_artifact(name): pass\n"
                      "if args.action == 'info': pass\n")
-    assert _ladders(tree, "__main__.py") == [1, 2, 3]
+    assert _ladders(tree, "cli/cache.py") == [1, 2, 3]
     assert _ladders(tree, "pipeline/shard.py") == [1, 2, 3, 4]
 
 
