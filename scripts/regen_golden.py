@@ -79,7 +79,7 @@ def regenerate() -> list[Path]:
         stmt, _, _ = build_small_kernel_stmt(name)
         # Bypass the cache: goldens must reflect the compiler as it is.
         kernel = compile_stmt(stmt, name.lower(), cache=False)
-        notes[name] = list(kernel.program.notes)
+        notes[name] = list(kernel.notes)
         path = GOLDEN / f"{name.lower()}.spatial"
         path.write_text(kernel.source)
         written.append(path)

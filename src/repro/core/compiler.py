@@ -65,6 +65,15 @@ class KernelProgram:
         """Lines of generated Spatial (the Table 3 metric)."""
         return codegen.count_loc(self.source)
 
+    @functools.cached_property
+    def notes(self) -> tuple[str, ...]:
+        """Lowering notes: the memory report, then each forall's
+        rewrite-rule trace, derived on first read."""
+        notes = self.plan.report().splitlines()
+        for info in self.analysis.foralls:
+            notes.extend(f"  {t}" for t in info.strategy.trace)
+        return tuple(notes)
+
 
 @dataclasses.dataclass
 class CompiledKernel:
@@ -103,6 +112,12 @@ class CompiledKernel:
     def spatial_loc(self) -> int:
         """Lines of generated Spatial (the Table 3 metric)."""
         return self.compiled.spatial_loc
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Lowering notes: the memory report, then each forall's
+        rewrite-rule trace."""
+        return self.compiled.notes
 
     @property
     def program_key(self) -> str:

@@ -21,11 +21,11 @@ parents.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Optional
 
 from repro.formats.memory import MemoryType
+from repro.immutable import immutable
 from repro.ir.cin import (
     CinAssign,
     CinSequence,
@@ -69,6 +69,7 @@ from repro.spatial.ir import (
     Foreach,
     GenBitVector,
     LoadBulk,
+    ONE,
     RegDecl,
     RegWrite,
     ReducePat,
@@ -90,6 +91,7 @@ from repro.spatial.ir import (
     StoreBulk,
     StreamStore,
     TensorLayout,
+    ZERO,
     sadd,
     smul,
     ssub,
@@ -102,7 +104,7 @@ FIFO_DEPTH = 16
 NNZ_ACCEL_MAX = "nnz_accel_max"
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class _Loop:
     """What an ``_open_<kind>`` opener hands :meth:`Lowerer.lower_forall`.
 
@@ -136,10 +138,9 @@ class Lowerer:
         self.analysis: KernelAnalysis = analyze(stmt)
         self.plan: MemoryPlan = plan_memory(self.analysis)
         self.env = dict(stmt.environment_vars)
-        self.symbols: dict[str, None] = {}
+        self.symbols: dict[str, SVar] = {}  # host symbols, in first use order
         self.dram: list[DramDecl] = []
         self.layouts: dict[str, TensorLayout] = {}
-        self.notes: list[str] = []
         self._body_stack: list[list[SStmt]] = []
         self._uid = itertools.count()
         self.coord: dict[int, SExpr] = {}  # id(ivar) -> coordinate value
@@ -151,8 +152,11 @@ class Lowerer:
         self.ws_out_pos: Optional[SExpr] = None
         self._declared_regs: set[str] = set()
         self._declared: set[str] = set()
-        self._dim_symbol_cache: dict[int, str] = {}
+        self._dim_symbol_cache: dict[int, SVar] = {}
         self._counts: dict[tuple[str, int], SExpr] = {}  # (tensor, level)
+        # Every access of the statement, each result before its operands.
+        self._accesses = [acc for asg in self.analysis.assignments
+                          for acc in (asg.lhs, *asg.rhs.accesses())]
         # Where the result values live is the memory plan's binding: a
         # FIFO, a dense-SRAM row, or the whole result in dense SRAM.
         out = self.analysis.output
@@ -181,8 +185,10 @@ class Lowerer:
         self._body_stack[-2].append(stmt)
 
     def sym(self, name: str) -> SVar:
-        self.symbols[name] = None
-        return SVar(name)
+        var = self.symbols.get(name)
+        if var is None:
+            var = self.symbols[name] = SVar(name)
+        return var
 
     def dim_symbol(self, tensor, level: int) -> SVar:
         return self.sym(f"{tensor.name}{level + 1}_dim")
@@ -194,21 +200,20 @@ class Lowerer:
         """Symbolic dimension of an index variable's iteration space."""
         cached = self._dim_symbol_cache.get(id(ivar))
         if cached is not None:
-            return SVar(cached)
+            return cached
         candidates: list[tuple[bool, SVar]] = []
-        for asg in self.analysis.assignments:
-            for acc in (asg.lhs, *asg.rhs.accesses()):
-                mode = acc.mode_of(ivar)
-                if mode is not None:
-                    level = acc.tensor.format.level_of_mode(mode)
-                    candidates.append(
-                        (acc.tensor.is_on_chip, self.dim_symbol(acc.tensor, level))
-                    )
+        for acc in self._accesses:
+            mode = acc.mode_of(ivar)
+            if mode is not None:
+                level = acc.tensor.format.level_of_mode(mode)
+                candidates.append(
+                    (acc.tensor.is_on_chip, self.dim_symbol(acc.tensor, level))
+                )
         if not candidates:
             raise LoweringError(f"no access binds a dimension for {ivar}")
         candidates.sort(key=lambda c: c[0])  # prefer off-chip tensors
         sym = candidates[0][1]
-        self._dim_symbol_cache[id(ivar)] = sym.name
+        self._dim_symbol_cache[id(ivar)] = sym
         return sym
 
     # -- array / memory names ---------------------------------------------------
@@ -231,20 +236,21 @@ class Lowerer:
     def _level_count_expr(self, tensor, level: int) -> SExpr:
         """Symbolic number of positions at a storage level (-1 = root)."""
         if level < 0:
-            return SLit(1)
+            return ONE
         key = (tensor.name, level)
-        if key not in self._counts:
-            self._counts[key] = tensor.format.level_format(level).count(
+        count = self._counts.get(key)
+        if count is None:
+            count = self._counts[key] = tensor.format.level_format(level).count(
                 self._level_count_expr(tensor, level - 1),
                 lambda: self.dim_symbol(tensor, level),
                 lambda: self.nnz_symbol(tensor, level), smul)
-        return self._counts[key]
+        return count
 
     def _array_size(self, tensor, level: int, array: str) -> SExpr:
         """Length of a level array: ``pos`` bounds each parent's segment,
         every other array holds one entry per position."""
         if array == "pos":
-            return sadd(self._level_count_expr(tensor, level - 1), SLit(1))
+            return sadd(self._level_count_expr(tensor, level - 1), ONE)
         return self._level_count_expr(tensor, level)
 
     def _staged_arrays(self, tensor):
@@ -265,22 +271,22 @@ class Lowerer:
         if tensor.order == 0:
             if is_output:
                 name = self.dram_name(self.vals_name(tensor))
-                self.dram.append(DramDecl(name, SLit(1), tensor.name, "vals"))
+                self.dram.append(DramDecl(name, ONE, tensor.name, "vals"))
                 layout.arrays["vals"] = name
             else:
                 self.sym(tensor.name)  # scalar inputs bind as host symbols
             self.layouts[tensor.name] = layout
             return
         fmt = tensor.format
-        for level in range(fmt.order):
-            if fmt.level_format(level).is_bit_vector:
+        for level, level_format in enumerate(fmt.mode_formats):
+            if level_format.is_bit_vector:
                 # The host packs and binds pos/crd levels only; a bit
                 # vector is an on-chip stream (a workspace's).
                 raise LoweringError(
                     f"tensor {tensor.name} stores level {level} as a bit "
                     "vector off-chip; the host cannot bind bit-vector "
                     "arrays — give that level a compressed format")
-            for array in fmt.level_format(level).arrays():
+            for array in level_format.arrays():
                 role = f"{array}{level}"
                 name = self.dram_name(self.array_name(tensor, level, array))
                 self.dram.append(DramDecl(
@@ -316,9 +322,6 @@ class Lowerer:
         self.emit_epilogue()
         self._body_stack.pop()
 
-        self.notes.extend(self.plan.report().splitlines())
-        for info in self.analysis.foralls:
-            self.notes.extend(f"  {t}" for t in info.strategy.trace)
         return SpatialProgram(
             name=self.name,
             env=dict(self.env),
@@ -326,7 +329,6 @@ class Lowerer:
             dram=tuple(self.dram),
             accel=tuple(accel),
             layouts=self.layouts,
-            notes=tuple(self.notes),
         )
 
     @staticmethod
@@ -347,7 +349,7 @@ class Lowerer:
                 continue
             for name, size in self._staged_arrays(tensor):
                 self.emit(SramDecl(name, size))
-                self.emit(LoadBulk(name, self.dram_name(name), SLit(0), size, par=ip))
+                self.emit(LoadBulk(name, self.dram_name(name), ZERO, size, par=ip))
                 self._declared.add(name)
             vb = self.plan.get(tensor.name, "vals")
             if vb is not None and vb.staged_full and vb.memory in (
@@ -357,7 +359,7 @@ class Lowerer:
                 size = self._level_count_expr(tensor, tensor.order - 1)
                 self.emit(SramDecl(name, size,
                                    sparse=vb.memory is MemoryType.SRAM_SPARSE))
-                self.emit(LoadBulk(name, self.dram_name(name), SLit(0), size, par=ip))
+                self.emit(LoadBulk(name, self.dram_name(name), ZERO, size, par=ip))
                 self._declared.add(name)
         if not out.is_on_chip:
             for name, size in self._staged_arrays(out):
@@ -379,19 +381,19 @@ class Lowerer:
         if out.is_on_chip:
             return
         if out.order == 0:
-            self.emit(DramWrite(self.dram_name(self.vals_name(out)), SLit(0),
+            self.emit(DramWrite(self.dram_name(self.vals_name(out)), ZERO,
                                 SRegRead(f"{out.name}_reg")))
             return
         ip = self.env.get(INNER_PAR, 1)
         for name, size in self._staged_arrays(out):
-            self.emit(StoreBulk(self.dram_name(name), name, SLit(0), size, par=ip))
+            self.emit(StoreBulk(self.dram_name(name), name, ZERO, size, par=ip))
         if self.out_vals.staged_full:
             size = self._level_count_expr(out, out.order - 1)
             self.emit(StoreBulk(self.dram_name(self.vals_name(out)),
-                                self.vals_name(out), SLit(0), size, par=ip))
+                                self.vals_name(out), ZERO, size, par=ip))
         elif self._stream_at is not None:
             self.emit(StreamStore(self.dram_name(self.vals_name(out)),
-                                  self.vals_name(out), SLit(0),
+                                  self.vals_name(out), ZERO,
                                   self.dim_symbol(out, 0)))
 
     # -- recursive statement lowering ---------------------------------------------
@@ -467,7 +469,7 @@ class Lowerer:
             self.emit(SramDecl(name, dim))
             self._declared.add(name)
         self.emit(LoadBulk(name, self.dram_name(self.vals_name(src)),
-                           SLit(0), dim, par=self.env.get(INNER_PAR, 1)))
+                           ZERO, dim, par=self.env.get(INNER_PAR, 1)))
         # Consumer reads address the SRAM by the copied mode's coordinate
         # through the normal lower_access slice path.
 
@@ -579,15 +581,14 @@ class Lowerer:
     def _static_extent(self, ivar: IndexVar) -> Optional[int]:
         """Compile-time extent for variables bound to fixed-size block
         levels (the trip count is a literal, not a host symbol)."""
-        for asg in self.analysis.assignments:
-            for acc in (asg.lhs, *asg.rhs.accesses()):
-                mode = acc.mode_of(ivar)
-                if mode is None:
-                    continue
-                fmt = acc.tensor.format
-                lf = fmt.level_format(fmt.level_of_mode(mode))
-                if lf.is_block:
-                    return int(lf.size)
+        for acc in self._accesses:
+            mode = acc.mode_of(ivar)
+            if mode is None:
+                continue
+            fmt = acc.tensor.format
+            lf = fmt.level_format(fmt.level_of_mode(mode))
+            if lf.is_block:
+                return int(lf.size)
         return None
 
     def _dense_trip_count(self, ivar: IndexVar) -> SExpr:
@@ -625,7 +626,7 @@ class Lowerer:
         coordinate bound at the time of reading, whatever the loop order.
         """
         if level < 0:
-            return SLit(0)
+            return ZERO
         tensor = access.tensor
         bound = self.position.get((id(tensor), level))
         if bound is not None:
@@ -647,7 +648,7 @@ class Lowerer:
     def _slice_bounds(base: SExpr, dim: SExpr) -> tuple[SExpr, SExpr]:
         """``[base * dim, (base + 1) * dim)``: the ``base``-th row of a
         row-major array with rows of ``dim`` elements."""
-        return smul(base, dim), smul(sadd(base, SLit(1)), dim)
+        return smul(base, dim), smul(sadd(base, ONE), dim)
 
     # .. output row buffers (the plan's dense-SRAM result row) ......................
 
@@ -676,10 +677,9 @@ class Lowerer:
     # .. compressed (single driving iterator) .....................................
 
     def _access_of(self, tensor) -> Access:
-        for asg in self.analysis.assignments:
-            for acc in (asg.lhs, *asg.rhs.accesses()):
-                if acc.tensor is tensor:
-                    return acc
+        for acc in self._accesses:
+            if acc.tensor is tensor:
+                return acc
         raise LoweringError(f"tensor {tensor.name} is never accessed")
 
     def _segment(self, it: LevelIterator) -> tuple[SExpr, SExpr, SExpr]:
@@ -693,16 +693,16 @@ class Lowerer:
         invalid = self._parent_may_be_invalid(parent)
         gated = self._gate_parent(parent) if invalid else parent
         self.emit(Assign(start_name, SRead(pos_mem, gated)))
-        raw_len = ssub(SRead(pos_mem, sadd(gated, SLit(1))), SVar(start_name))
+        raw_len = ssub(SRead(pos_mem, sadd(gated, ONE)), SVar(start_name))
         if invalid:
-            raw_len = SSelect(self._parent_valid(parent), raw_len, SLit(0))
+            raw_len = SSelect(self._parent_valid(parent), raw_len, ZERO)
         self.emit(Assign(len_name, raw_len))
         start = SVar(start_name)
         length = SVar(len_name)
         return start, sadd(start, length), length
 
     def _gate_parent(self, parent: SExpr) -> SExpr:
-        return SSelect(self._parent_valid(parent), parent, SLit(0))
+        return SSelect(self._parent_valid(parent), parent, ZERO)
 
     def _parent_may_be_invalid(self, parent: SExpr) -> bool:
         return any(isinstance(e, SVar) and e.name in self._scan_positions
@@ -851,7 +851,7 @@ class Lowerer:
             # First scanner loop: count result positions (Section 7.2).
             count_reg = self.fresh(f"{ivar.name}_cnt")
             self.emit(RegDecl(count_reg, 0.0))
-            self.emit(ReducePat(count_reg, counter, ivars, (), SLit(1),
+            self.emit(ReducePat(count_reg, counter, ivars, (), ONE,
                                 "+", par=par))
             count = SRegRead(count_reg)
         self._body_stack.append([])
@@ -880,7 +880,7 @@ class Lowerer:
     def _gated_value(self, it: LevelIterator, pvar: SVar, op: str) -> SExpr:
         read = SRead(self.vals_name(it.tensor), pvar)
         if op == "or":
-            return SSelect(SValid(pvar), read, SLit(0))
+            return SSelect(SValid(pvar), read, ZERO)
         return read
 
     # -- output handling ------------------------------------------------------------
@@ -936,7 +936,7 @@ class Lowerer:
         end_name = self.fresh(f"{out.name}{level + 1}_oend")
         self.emit(Assign(end_name, sadd(start, cnt)))
         parent = self._position(self._access_of(out), level - 1)
-        self.emit(SramWrite(self.array_name(out, level, "pos"), sadd(parent, SLit(1)),
+        self.emit(SramWrite(self.array_name(out, level, "pos"), sadd(parent, ONE),
                             SVar(end_name)))
         self.emit(RegWrite(out_state["cnt_reg"], SVar(end_name)))
         crd_dram = self.dram_name(self.array_name(out, level, "crd"))
@@ -1030,7 +1030,7 @@ class Lowerer:
         if isinstance(expr, Literal):
             return SLit(expr.value)
         if isinstance(expr, Neg):
-            return ssub(SLit(0), self.lower_expr(expr.a))
+            return ssub(ZERO, self.lower_expr(expr.a))
         if isinstance(expr, Add):
             return sadd(self.lower_expr(expr.a), self.lower_expr(expr.b))
         if isinstance(expr, Sub):

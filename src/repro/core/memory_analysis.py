@@ -167,38 +167,48 @@ def analyze(stmt: IndexStmt) -> KernelAnalysis:
     provenance = Provenance(relations)
     foralls: list[ForallInfo] = []
     by_ivar: dict[IndexVar, ForallInfo] = {}
+    dominated: list[list[CinAssign]] = []  # each forall's assignments
 
-    def visit(s: CinStmt, enclosing: tuple, mapped: Optional[MapCall]) -> None:
+    def visit(s: CinStmt, enclosing: tuple,
+              mapped: Optional[MapCall]) -> list[CinAssign]:
+        """Record the foralls under ``s``; returns its assignments in
+        pre-order."""
         if isinstance(s, SuchThat):
-            visit(s.body, enclosing, mapped)
-        elif isinstance(s, Forall):
-            assigns = s.assignments()
-            rhs_exprs = [a.rhs for a in assigns]
-            lhs_accesses = [a.lhs for a in assigns]
-            strategy = build_strategy(s.ivar, rhs_exprs, lhs_accesses)
-            info = ForallInfo(s, enclosing, strategy, mapped)
+            return visit(s.body, enclosing, mapped)
+        if isinstance(s, Forall):
+            info = ForallInfo(s, enclosing, None, mapped)
             foralls.append(info)
             by_ivar[s.ivar] = info
-            visit(s.body, (*enclosing, info), mapped)
-        elif isinstance(s, Where):
-            visit(s.producer, enclosing, mapped)
-            visit(s.consumer, enclosing, mapped)
-        elif isinstance(s, CinSequence):
-            for sub in s.stmts:
-                visit(sub, enclosing, mapped)
-        elif isinstance(s, MapCall):
-            visit(s.original, enclosing, s)
-        elif isinstance(s, CinAssign):
-            pass
-        else:  # pragma: no cover - defensive
-            raise LoweringError(f"cannot analyse {type(s).__name__}")
+            assigns: list[CinAssign] = []
+            dominated.append(assigns)
+            assigns += visit(s.body, (*enclosing, info), mapped)
+            return assigns
+        if isinstance(s, Where):
+            producer = visit(s.producer, enclosing, mapped)
+            return visit(s.consumer, enclosing, mapped) + producer
+        if isinstance(s, CinSequence):
+            return [a for sub in s.stmts for a in visit(sub, enclosing, mapped)]
+        if isinstance(s, MapCall):
+            return visit(s.original, enclosing, s)
+        if isinstance(s, CinAssign):
+            return [s]
+        raise LoweringError(  # pragma: no cover - defensive
+            f"cannot analyse {type(s).__name__}")
 
-    visit(cin, (), None)
+    assignments = visit(cin, (), None)
+    # Strategies are built in forall order (outermost first), each over
+    # the assignments its forall dominates.
+    for info, assigns in zip(foralls, dominated):
+        info.strategy = build_strategy(info.ivar, [a.rhs for a in assigns],
+                                       [a.lhs for a in assigns])
 
-    assignments = list(cin.assignments())
     if not assignments:
         raise LoweringError("statement contains no assignment")
-    tensors = cin.tensors()
+    seen: dict[int, object] = {}
+    for asg in assignments:
+        for t in (asg.lhs.tensor, *asg.rhs.tensors()):
+            seen.setdefault(id(t), t)
+    tensors = tuple(seen.values())
     output = assignments[0].lhs.tensor
     # The root output is the lhs that is not consumed as a workspace.
     workspace_ids = set()
@@ -249,7 +259,7 @@ class ArrayBinding:
     def __str__(self) -> str:
         shuf = ", shuffle" if self.uses_shuffle else ""
         return (
-            f"{self.tensor}.{self.array} -> {self.memory} "
+            f"{self.tensor}.{self.array} -> {self.memory.value} "
             f"(alloc@L{self.alloc_depth}{shuf}): {self.reason}"
         )
 
@@ -283,22 +293,24 @@ class MemoryPlan:
         return "\n".join(lines)
 
 
+#: How strong a binding's requirement is: random access beats streaming.
+_RANK = {
+    MemoryType.FIFO: 0,
+    MemoryType.BIT_VECTOR: 1,
+    MemoryType.SRAM_DENSE: 2,
+    MemoryType.SRAM_SPARSE: 3,
+}
+
+
 def _add(plan: dict, binding: ArrayBinding) -> None:
     key = (binding.tensor, binding.array)
     existing = plan.get(key)
     if existing is None:
         plan[key] = binding
         return
-    # Keep the stronger requirement: random access beats streaming, and
-    # the whole array beats a slice of it.
-    rank = {
-        MemoryType.FIFO: 0,
-        MemoryType.BIT_VECTOR: 1,
-        MemoryType.SRAM_DENSE: 2,
-        MemoryType.SRAM_SPARSE: 3,
-    }
-    if ((rank.get(binding.memory, -1), binding.staged_full)
-            > (rank.get(existing.memory, -1), existing.staged_full)):
+    # Keep the stronger requirement, and the whole array over a slice.
+    if ((_RANK.get(binding.memory, -1), binding.staged_full)
+            > (_RANK.get(existing.memory, -1), existing.staged_full)):
         plan[key] = dataclasses.replace(
             binding, uses_shuffle=binding.uses_shuffle or existing.uses_shuffle
         )

@@ -18,7 +18,7 @@ enumerate.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from collections.abc import Callable, Sequence
 
 from repro.formats.levels import (
@@ -30,9 +30,10 @@ from repro.formats.levels import (
     singleton,
 )
 from repro.formats.memory import MemoryRegion
+from repro.immutable import immutable
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class Format:
     """A tensor format in the Stardust data-representation language.
 
@@ -42,6 +43,12 @@ class Format:
             the tensor mode stored at level ``L``. Defaults to the identity
             (row-major for matrices).
         memory: coarse-grained memory pinning (Section 5.1).
+
+    Facts derived from the fields are fixed when the format is built
+    (they take no part in ``==``, ``hash`` or ``repr``): ``order``, the
+    number of tensor modes; ``is_on_chip``; ``is_all_dense``; and
+    ``has_compressed_level`` / ``has_singleton_level`` /
+    ``has_block_level``.
     """
 
     mode_formats: tuple[ModeFormat, ...]
@@ -69,34 +76,15 @@ class Format:
                 )
         mode_ordering = _validated_ordering(mode_ordering, len(mode_formats))
         _validate_level_structure(mode_formats)
-        object.__setattr__(self, "mode_formats", mode_formats)
-        object.__setattr__(self, "mode_ordering", mode_ordering)
-        object.__setattr__(self, "memory", memory or MemoryRegion.OFF_CHIP)
-
-    @property
-    def order(self) -> int:
-        """Number of tensor modes (dimensions)."""
-        return len(self.mode_formats)
-
-    @property
-    def is_on_chip(self) -> bool:
-        return self.memory.is_on_chip
-
-    @property
-    def is_all_dense(self) -> bool:
-        return all(mf.is_dense for mf in self.mode_formats)
-
-    @property
-    def has_compressed_level(self) -> bool:
-        return any(mf.is_compressed for mf in self.mode_formats)
-
-    @property
-    def has_singleton_level(self) -> bool:
-        return any(mf.is_singleton for mf in self.mode_formats)
-
-    @property
-    def has_block_level(self) -> bool:
-        return any(mf.is_block for mf in self.mode_formats)
+        memory = memory or MemoryRegion.OFF_CHIP
+        object.__setattr__(self, "__dict__", dict(
+            mode_formats=mode_formats, mode_ordering=mode_ordering,
+            memory=memory, order=len(mode_formats),
+            is_on_chip=memory.is_on_chip,
+            is_all_dense=all(mf.is_dense for mf in mode_formats),
+            has_compressed_level=any(mf.is_compressed for mf in mode_formats),
+            has_singleton_level=any(mf.is_singleton for mf in mode_formats),
+            has_block_level=any(mf.is_block for mf in mode_formats)))
 
     def level_of_mode(self, mode: int) -> int:
         """Storage level at which tensor mode ``mode`` is stored."""
@@ -201,6 +189,8 @@ DEFAULT_BLOCK = 4
 
 
 def _fmt(levels: Sequence[ModeFormat], ordering: Sequence[int] | None = None):
+    # A format is immutable, so each memory region's is built once.
+    @functools.cache
     def make(memory: MemoryRegion = MemoryRegion.OFF_CHIP) -> Format:
         return Format(levels, ordering, memory)
 
@@ -257,7 +247,7 @@ def BCSR(
     return Format([dense, compressed, block(size), block(size)], None, memory)
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class FormatSpec:
     """One registry entry: a named whole-tensor format constructor."""
 

@@ -51,10 +51,11 @@ co-iterated).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import operator
 from typing import Any, Callable, Optional
+
+from repro.immutable import immutable
 
 
 def _times_dim(parent, dim, nnz, mul):
@@ -69,7 +70,7 @@ def _stored(parent, dim, nnz, mul):
     return nnz()
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class _Kind:
     """What one level kind declares.
 
@@ -115,7 +116,7 @@ class LevelKind(enum.Enum):
         return self.value
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class ModeFormat:
     """The format of a single tensor mode (dimension).
 
@@ -126,6 +127,15 @@ class ModeFormat:
         unique: no coordinate repeats within a segment. COO's root level
             is compressed but *non-unique* (one entry per stored value).
         size: static extent for ``block`` levels (must be None otherwise).
+
+    What the kind implies is fixed when the level format is built (it
+    takes no part in ``==``, ``hash`` or ``repr``): the kind tests
+    ``is_dense`` (dense or block), ``is_compressed``, ``is_bit_vector``,
+    ``is_singleton`` and ``is_block``; the capabilities ``full``,
+    ``branchless`` and ``compact``; the Figure 10 ``iterator_symbol``;
+    and ``parent_array``, the stored array read by parent position
+    (``pos``, or a singleton's ``crd``; None for a level that stores
+    none).
     """
 
     kind: LevelKind
@@ -134,50 +144,26 @@ class ModeFormat:
     size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind is LevelKind.BLOCK:
+        kind = self.kind
+        if kind is LevelKind.BLOCK:
             if self.size is None or int(self.size) < 1:
                 raise ValueError(
                     f"block levels need a positive static size, got {self.size!r}"
                 )
         elif self.size is not None:
             raise ValueError(
-                f"{self.kind.value} levels take no static size (got {self.size!r})"
+                f"{kind.value} levels take no static size (got {self.size!r})"
             )
-
-    @property
-    def is_dense(self) -> bool:
-        """Uncompressed (positional) level: plain dense or fixed-size block."""
-        return self.kind in (LevelKind.DENSE, LevelKind.BLOCK)
-
-    @property
-    def is_compressed(self) -> bool:
-        return self.kind is LevelKind.COMPRESSED
-
-    @property
-    def is_bit_vector(self) -> bool:
-        return self.kind is LevelKind.BIT_VECTOR
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.kind is LevelKind.SINGLETON
-
-    @property
-    def is_block(self) -> bool:
-        return self.kind is LevelKind.BLOCK
-
-    # -- capability protocol (Chou et al.) ---------------------------------
-
-    @property
-    def full(self) -> bool:
-        return self.kind._decl.full
-
-    @property
-    def branchless(self) -> bool:
-        return self.kind._decl.branchless
-
-    @property
-    def compact(self) -> bool:
-        return self.kind._decl.compact
+        decl = kind._decl
+        self.__dict__.update(
+            is_dense=kind in (LevelKind.DENSE, LevelKind.BLOCK),
+            is_compressed=kind is LevelKind.COMPRESSED,
+            is_bit_vector=kind is LevelKind.BIT_VECTOR,
+            is_singleton=kind is LevelKind.SINGLETON,
+            is_block=kind is LevelKind.BLOCK,
+            full=decl.full, branchless=decl.branchless, compact=decl.compact,
+            iterator_symbol=decl.symbol,
+            parent_array=decl.arrays[0] if decl.arrays else None)
 
     def properties(self) -> dict[str, bool]:
         """The full capability record (level-function interface)."""
@@ -188,11 +174,6 @@ class ModeFormat:
             "branchless": self.branchless,
             "compact": self.compact,
         }
-
-    @property
-    def iterator_symbol(self) -> str:
-        """Iterator-format symbol used by the Figure 10 rewrite system."""
-        return self.kind._decl.symbol
 
     # -- layout level functions ----------------------------------------------
 
@@ -205,13 +186,6 @@ class ModeFormat:
         packed occupancy word stream ``bv``.
         """
         return self.kind._decl.arrays
-
-    @property
-    def parent_array(self) -> Optional[str]:
-        """The stored array read by parent position (``pos``, or a
-        singleton's ``crd``), ``None`` for a level that stores none."""
-        arrays = self.kind._decl.arrays
-        return arrays[0] if arrays else None
 
     def count(self, parent, dim: Callable[[], Any], nnz: Callable[[], Any],
               mul: Callable[[Any, Any], Any] = operator.mul):

@@ -17,10 +17,10 @@ distinguishable.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable, Iterator
 from typing import Optional
 
+from repro.immutable import immutable
 from repro.ir.index_notation import Access, Assignment, IndexExpr, IndexVar
 
 
@@ -37,9 +37,11 @@ class CinStmt:
 
     def walk(self) -> Iterator["CinStmt"]:
         """Pre-order traversal of the statement tree."""
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def assignments(self) -> tuple["CinAssign", ...]:
         return tuple(s for s in self.walk() if isinstance(s, CinAssign))
@@ -76,7 +78,7 @@ class CinStmt:
         return format_stmt(self)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@immutable(eq=False)
 class CinAssign(CinStmt):
     """``a = e`` or ``a += e`` over concrete index variables."""
 
@@ -85,7 +87,7 @@ class CinAssign(CinStmt):
     accumulate: bool = False
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@immutable(eq=False)
 class Forall(CinStmt):
     """``forall ivar body``, optionally annotated with a hardware
     parallelization factor (bound from the environment by lowering)."""
@@ -98,10 +100,10 @@ class Forall(CinStmt):
         return (self.body,)
 
     def map_children(self, fn) -> "Forall":
-        return dataclasses.replace(self, body=fn(self.body))
+        return Forall(self.ivar, fn(self.body), self.parallel)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@immutable(eq=False)
 class Where(CinStmt):
     """``consumer where producer``: producer materialises a temporary the
     consumer reads (introduced by ``precompute``)."""
@@ -113,12 +115,10 @@ class Where(CinStmt):
         return (self.consumer, self.producer)
 
     def map_children(self, fn) -> "Where":
-        return dataclasses.replace(
-            self, consumer=fn(self.consumer), producer=fn(self.producer)
-        )
+        return Where(fn(self.consumer), fn(self.producer))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@immutable(eq=False)
 class CinSequence(CinStmt):
     """``S1 ; S2 ; ...`` executed in order."""
 
@@ -128,14 +128,14 @@ class CinSequence(CinStmt):
         return self.stmts
 
     def map_children(self, fn) -> "CinSequence":
-        return dataclasses.replace(self, stmts=tuple(fn(s) for s in self.stmts))
+        return CinSequence(tuple(fn(s) for s in self.stmts))
 
 
 class IndexVarRel:
     """Base class of scheduling relations attached by ``s.t.`` nodes."""
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SplitUp(IndexVarRel):
     """``split_up(i, io, ii, c)``: stripmine ``i`` into an outer ``io`` and a
     constant-``c`` inner ``ii`` (outer iterates ceil(N/c))."""
@@ -149,7 +149,7 @@ class SplitUp(IndexVarRel):
         return f"split_up({self.parent}, {self.outer}, {self.inner}, {self.factor})"
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SplitDown(IndexVarRel):
     """``split_down(i, io, ii, c)``: constant-``c`` *outer* loop."""
 
@@ -162,7 +162,7 @@ class SplitDown(IndexVarRel):
         return f"split_down({self.parent}, {self.outer}, {self.inner}, {self.factor})"
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class FuseRel(IndexVarRel):
     """``fuse(io, ii, if)``: collapse two nested foralls into one."""
 
@@ -174,7 +174,7 @@ class FuseRel(IndexVarRel):
         return f"fuse({self.outer}, {self.inner}, {self.fused})"
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@immutable(eq=False)
 class SuchThat(CinStmt):
     """``body s.t. r*``: body constrained by scheduling relations."""
 
@@ -185,10 +185,10 @@ class SuchThat(CinStmt):
         return (self.body,)
 
     def map_children(self, fn) -> "SuchThat":
-        return dataclasses.replace(self, body=fn(self.body))
+        return SuchThat(fn(self.body), self.relations)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@immutable(eq=False)
 class MapCall(CinStmt):
     """A sub-statement replaced by a backend function ``f`` (Table 2).
 
@@ -209,7 +209,7 @@ class MapCall(CinStmt):
         return (self.original,)
 
     def map_children(self, fn) -> "MapCall":
-        return dataclasses.replace(self, original=fn(self.original))
+        return MapCall(fn(self.original), self.backend, self.func, self.par)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +242,10 @@ def make_concrete(assignment: Assignment) -> CinStmt:
     red_ids = {id(v) for v in reduction}
 
     terms = _additive_terms(assignment.rhs)
-    uniform = all(
+    if not reduction or len(terms) == 1 or all(
         red_ids == {id(v) for v in t.index_vars() if id(v) in red_ids}
         for _sign, t in terms
-    )
-    if not reduction or uniform or len(terms) == 1:
+    ):
         accumulate = assignment.accumulate or bool(reduction)
         stmt: CinStmt = CinAssign(assignment.lhs, assignment.rhs, accumulate)
         for ivar in reversed(free + reduction):

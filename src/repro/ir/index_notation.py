@@ -19,6 +19,8 @@ import itertools
 from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Union
 
+from repro.immutable import immutable
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tensor.tensor import Tensor
 
@@ -90,28 +92,21 @@ class IndexExpr:
     def index_vars(self) -> tuple[IndexVar, ...]:
         """All index variables in the expression, in first-use order."""
         seen: dict[int, IndexVar] = {}
-
-        def walk(e: IndexExpr) -> None:
-            if isinstance(e, Access):
-                for v in e.indices:
-                    seen.setdefault(id(v), v)
-            for c in e.children():
-                walk(c)
-
-        walk(self)
+        for a in self.accesses():
+            for v in a.indices:
+                seen.setdefault(id(v), v)
         return tuple(seen.values())
 
     def accesses(self) -> tuple["Access", ...]:
         """All tensor accesses in the expression, left-to-right."""
         out: list[Access] = []
-
-        def walk(e: IndexExpr) -> None:
+        stack: list[IndexExpr] = [self]
+        while stack:
+            e = stack.pop()
             if isinstance(e, Access):
                 out.append(e)
-            for c in e.children():
-                walk(c)
-
-        walk(self)
+            else:
+                stack.extend(reversed(e.children()))
         return tuple(out)
 
     def tensors(self) -> tuple["Tensor", ...]:
@@ -279,7 +274,7 @@ def to_expr(x: ExprLike) -> IndexExpr:
     raise TypeError(f"cannot convert {x!r} to an index expression")
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class Assignment:
     """An index-notation statement ``lhs = rhs`` or ``lhs += rhs``.
 

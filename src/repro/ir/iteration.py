@@ -12,9 +12,9 @@ the CPU backend.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
+from repro.immutable import immutable
 from repro.ir.index_notation import (
     Access,
     Add,
@@ -31,29 +31,28 @@ class LoweringError(ValueError):
     """The statement cannot be lowered to the declarative-sparse model."""
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class LevelIterator:
-    """One tensor level participating in a forall's iteration."""
+    """One tensor level participating in a forall's iteration.
+
+    Fixed when the iterator is built (not fields): ``tensor``, the
+    accessed tensor; ``level_format``, its format at ``level``; and
+    ``symbol``, the Figure 10 iterator-format symbol (U, C, B, or S).
+    """
 
     access: Access
     mode: int  # tensor mode indexed by the forall variable
     level: int  # storage level holding that mode
 
-    @property
-    def tensor(self):
-        return self.access.tensor
-
-    @property
-    def level_format(self):
-        return self.tensor.format.level_format(self.level)
-
-    @property
-    def symbol(self) -> str:
-        """Figure 10 iterator-format symbol (U, C, B, or S)."""
-        if self.tensor.is_on_chip and self.level_format.is_compressed:
-            # On-chip workspaces keep compressed structure as bit vectors.
-            return "B"
-        return self.level_format.iterator_symbol
+    def __post_init__(self) -> None:
+        tensor = self.access.tensor
+        fmt = tensor.format
+        level_format = fmt.level_format(self.level)
+        # On-chip workspaces keep compressed structure as bit vectors.
+        symbol = ("B" if fmt.is_on_chip and level_format.is_compressed
+                  else level_format.iterator_symbol)
+        self.__dict__.update(tensor=tensor, level_format=level_format,
+                             symbol=symbol)
 
     def __str__(self) -> str:
         return f"{self.tensor.name}{self.level + 1}:{self.symbol}"
@@ -62,7 +61,7 @@ class LevelIterator:
 # -- iteration algebra -------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class IterTerm:
     """A node of the contraction-set algebra: leaf or ∪/∩ combination."""
 

@@ -28,11 +28,12 @@ from typing import Optional
 
 import numpy as np
 
+from repro.immutable import immutable
 from repro.ir.index_notation import IndexExpr, IndexVar
 from repro.ir.iteration import IterTerm, LevelIterator, iteration_algebra
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class LatticePoint:
     """One lattice point: the sparse iterators present at a coordinate."""
 

@@ -17,6 +17,7 @@ import dataclasses
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
+from repro.immutable import immutable
 from repro.ir.cin import CinAssign, CinStmt, make_concrete, rewrite
 from repro.ir.index_notation import Access, Assignment, IndexExpr, IndexVar
 from repro.schedule import transform
@@ -38,7 +39,7 @@ REDUCTION = "Reduction"
 BULK_TRANSFER = "BulkTransfer"
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class IndexStmt:
     """A scheduled tensor algebra statement.
 
@@ -168,8 +169,7 @@ class IndexStmt:
         def assign(node: CinStmt) -> CinStmt | None:
             if not isinstance(node, CinAssign):
                 return None
-            return dataclasses.replace(node, lhs=expr(node.lhs),
-                                       rhs=expr(node.rhs))
+            return CinAssign(expr(node.lhs), expr(node.rhs), node.accumulate)
 
         a = self.assignment
         return IndexStmt(rewrite(self.cin, assign),

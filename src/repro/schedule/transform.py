@@ -188,12 +188,13 @@ def precompute(
     # Consumer assignment: expr replaced by a workspace read; it still
     # accumulates only if reduction loops remain around it.
     new_rhs = asg.rhs.substitute(expr, Access(workspace, i_vars))
+    rhs_vars = set(map(id, new_rhs.index_vars()))
     remaining_red = [
         f
         for f in loops
         if id(f.ivar) not in absorbed_ids
         and id(f.ivar) not in lhs_vars
-        and any(v is f.ivar for v in new_rhs.index_vars())
+        and id(f.ivar) in rhs_vars
     ]
     # The consumer keeps accumulating if reduction loops remain around it,
     # or if the lhs is initialised by another statement (sequence-split CIN)

@@ -165,8 +165,8 @@ def _unbound(name):
     raise InterpError(f"unbound variable {name!r}")
 
 
-def _reg_fault(name):
-    raise InterpError(f"read of undeclared register {name!r}")
+def _undeclared(kind, name):
+    raise InterpError(f"read of undeclared {kind} {name!r}")
 
 
 def _deq_fault(fifo, name):
@@ -441,8 +441,15 @@ class _Writer:
         return f"({f}.popleft() if {f} else _deq_fault({f}, {e.fifo!r}))"
 
     def _reg_read(self, e: SRegRead, scope) -> str:
-        reg = repr(e.reg)
-        return f"(R[{reg}] if {reg} in R else _reg_fault({reg}))"
+        return self.declared("R", "register", e.reg)
+
+    @staticmethod
+    def declared(table: str, kind: str, name: str) -> str:
+        """An inline read of ``name`` from the register (``R``) or bit
+        vector (``B``) table, raising when no declaration has run."""
+        key = repr(name)
+        return (f"({table}[{key}] if {key} in {table} "
+                f"else _undeclared({kind!r}, {key}))")
 
     EXPRS = {SLit: _lit, SVar: _var, SBin: _bin, SSelect: _select,
              SValid: _valid, SRead: _read, SDeq: _deq, SRegRead: _reg_read}
@@ -478,7 +485,9 @@ class _Writer:
 
     def _bitvector_op(self, s: BitVectorOp, scope, depth) -> None:
         op = "&" if s.op == "and" else "|"
-        self.emit(depth, f"B[{s.dst!r}] = B[{s.a!r}] {op} B[{s.b!r}]")
+        a = self.declared("B", "bit vector", s.a)
+        b = self.declared("B", "bit vector", s.b)
+        self.emit(depth, f"B[{s.dst!r}] = {a} {op} {b}")
 
     def _load(self, s: LoadBulk, scope, depth) -> None:
         self.emit(depth, f"_load(m, {s.dst!r}, {s.src!r}, "

@@ -20,6 +20,8 @@ import dataclasses
 from collections.abc import Iterator
 from typing import Optional, Union
 
+from repro.immutable import immutable
+
 
 # ---------------------------------------------------------------------------
 # Scalar expressions
@@ -30,29 +32,32 @@ class SExpr:
     """Base class of scalar Spatial expressions."""
 
     def walk(self) -> Iterator["SExpr"]:
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        """Pre-order traversal of the expression tree."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def children(self) -> tuple["SExpr", ...]:
         return ()
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SLit(SExpr):
     """A numeric literal."""
 
     value: float | int
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SVar(SExpr):
     """A named value: loop index, pattern index, symbol, or local `val`."""
 
     name: str
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SBin(SExpr):
     """Binary arithmetic (`+ - * / min max`)."""
 
@@ -64,7 +69,7 @@ class SBin(SExpr):
         return (self.a, self.b)
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SSelect(SExpr):
     """``mux(cond, a, b)`` — used for union co-iteration operand gating."""
 
@@ -76,7 +81,7 @@ class SSelect(SExpr):
         return (self.cond, self.a, self.b)
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SValid(SExpr):
     """Whether a scan pattern index is valid (operand present)."""
 
@@ -86,7 +91,7 @@ class SValid(SExpr):
         return (self.var,)
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SRead(SExpr):
     """Random-access read ``mem(addr)`` from SRAM or sparse DRAM."""
 
@@ -97,27 +102,30 @@ class SRead(SExpr):
         return (self.addr,)
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SDeq(SExpr):
     """FIFO dequeue ``fifo.deq`` (strictly in-order, use-once)."""
 
     fifo: str
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SRegRead(SExpr):
     """Register read ``reg.value``."""
 
     reg: str
 
 
-def _lit(e: SExpr) -> Optional[float]:
-    return e.value if isinstance(e, SLit) else None
+#: The literals lowering writes most. Nodes are immutable, so one instance
+#: serves every use.
+ZERO = SLit(0)
+ONE = SLit(1)
 
 
 def sadd(a: SExpr, b: SExpr) -> SExpr:
     """Build ``a + b`` with constant folding (keeps generated code tidy)."""
-    la, lb = _lit(a), _lit(b)
+    la = a.value if type(a) is SLit else None
+    lb = b.value if type(b) is SLit else None
     if la is not None and lb is not None:
         return SLit(la + lb)
     if la == 0:
@@ -129,11 +137,12 @@ def sadd(a: SExpr, b: SExpr) -> SExpr:
 
 def smul(a: SExpr, b: SExpr) -> SExpr:
     """Build ``a * b`` with constant folding."""
-    la, lb = _lit(a), _lit(b)
+    la = a.value if type(a) is SLit else None
+    lb = b.value if type(b) is SLit else None
     if la is not None and lb is not None:
         return SLit(la * lb)
     if la == 0 or lb == 0:
-        return SLit(0)
+        return ZERO
     if la == 1:
         return b
     if lb == 1:
@@ -143,7 +152,8 @@ def smul(a: SExpr, b: SExpr) -> SExpr:
 
 def ssub(a: SExpr, b: SExpr) -> SExpr:
     """Build ``a - b`` with constant folding."""
-    la, lb = _lit(a), _lit(b)
+    la = a.value if type(a) is SLit else None
+    lb = b.value if type(b) is SLit else None
     if la is not None and lb is not None:
         return SLit(la - lb)
     if lb == 0:
@@ -156,14 +166,14 @@ def ssub(a: SExpr, b: SExpr) -> SExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class DenseCounter:
     """``len by 1 par p``: an uncompressed (dense) counter over ``[0, len)``."""
 
     length: SExpr
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class ScanCounter:
     """``Scan(par=p, len=l, bv_a[, bv_b])``: sparse bit-vector scanner.
 
@@ -179,7 +189,7 @@ class ScanCounter:
     length: Optional[SExpr] = None  # dense extent of the scanned space
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SingletonCounter:
     """``Singleton(crd(parent))``: the singleton-level iterator.
 
@@ -208,13 +218,16 @@ class SStmt:
         return ()
 
     def walk(self) -> Iterator["SStmt"]:
-        yield self
-        for block in self.body_blocks():
-            for s in block:
-                yield from s.walk()
+        """Pre-order traversal: each statement, then its blocks' bodies."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for block in reversed(node.body_blocks()):
+                stack.extend(reversed(block))
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class DramDecl(SStmt):
     """Host-visible DRAM array: ``val X_dram = DRAM[T](size)``.
 
@@ -230,7 +243,7 @@ class DramDecl(SStmt):
     sparse: bool = False  # SparseDRAM: random single-element access
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SramDecl(SStmt):
     """On-chip scratchpad: ``val X = SRAM[T](size)``."""
 
@@ -239,7 +252,7 @@ class SramDecl(SStmt):
     sparse: bool = False  # sparse SRAM: random access + atomics
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class FifoDecl(SStmt):
     """Streaming buffer: ``val X = FIFO[T](depth)``."""
 
@@ -247,7 +260,7 @@ class FifoDecl(SStmt):
     depth: int = 16
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class RegDecl(SStmt):
     """On-chip scalar: ``val X = Reg[T](init)``."""
 
@@ -255,7 +268,7 @@ class RegDecl(SStmt):
     init: float = 0.0
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class BitVectorDecl(SStmt):
     """A packed bit-vector stream over a dense space of ``length`` slots."""
 
@@ -263,7 +276,7 @@ class BitVectorDecl(SStmt):
     length: SExpr
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class GenBitVector(SStmt):
     """``bv = genBitvector(crd segment)`` — Capstan's Gen BV block.
 
@@ -276,7 +289,7 @@ class GenBitVector(SStmt):
     count: SExpr  # number of coordinates in the segment
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class BitVectorOp(SStmt):
     """``dst = a AND/OR b``: combine two bit vectors into a third.
 
@@ -291,7 +304,7 @@ class BitVectorOp(SStmt):
     op: str  # "and" | "or"
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class LoadBulk(SStmt):
     """Bulk DRAM→on-chip transfer: ``dst load src(start::end par p)``."""
 
@@ -302,7 +315,7 @@ class LoadBulk(SStmt):
     par: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class StoreBulk(SStmt):
     """Bulk on-chip→DRAM transfer: ``dst(start::end par p) store src``."""
 
@@ -313,7 +326,7 @@ class StoreBulk(SStmt):
     par: int = 1
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class StreamStore(SStmt):
     """``dram stream_store_vec(offset, fifo, len)`` (Figure 11, line 42)."""
 
@@ -323,7 +336,7 @@ class StreamStore(SStmt):
     length: SExpr
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class Assign(SStmt):
     """Local immutable binding: ``val name = expr``."""
 
@@ -331,7 +344,7 @@ class Assign(SStmt):
     expr: SExpr
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class Enq(SStmt):
     """FIFO enqueue: ``fifo.enq(expr)``."""
 
@@ -339,7 +352,7 @@ class Enq(SStmt):
     expr: SExpr
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class RegWrite(SStmt):
     """Register update; ``accumulate`` adds instead of overwriting."""
 
@@ -348,7 +361,7 @@ class RegWrite(SStmt):
     accumulate: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class SramWrite(SStmt):
     """SRAM store; ``atomic`` marks read-modify-write accumulation."""
 
@@ -359,7 +372,7 @@ class SramWrite(SStmt):
     atomic: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class DramWrite(SStmt):
     """Single-element (sparse) DRAM store."""
 
@@ -368,7 +381,7 @@ class DramWrite(SStmt):
     expr: SExpr
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class Foreach(SStmt):
     """``Foreach(counter par p) { ivars => body }``.
 
@@ -386,7 +399,7 @@ class Foreach(SStmt):
         return (self.body,)
 
 
-@dataclasses.dataclass(frozen=True)
+@immutable
 class ReducePat(SStmt):
     """``Reduce(reg)(counter par p) { ivars => body; value } { _ + _ }``.
 
@@ -438,7 +451,6 @@ class SpatialProgram:
         dram: host DRAM array declarations.
         accel: statements inside the ``Accel { ... }`` block.
         layouts: tensor → DRAM array mapping for data binding.
-        notes: free-form lowering notes (memory analysis report).
     """
 
     name: str
@@ -447,7 +459,6 @@ class SpatialProgram:
     dram: tuple[DramDecl, ...]
     accel: tuple[SStmt, ...]
     layouts: dict[str, TensorLayout]
-    notes: tuple[str, ...] = ()
 
     def __getstate__(self) -> dict:
         """Fields only: the interpreter's cached translation (a generated

@@ -13,6 +13,7 @@ with :meth:`Tensor.get_assignment` (the paper's ``getAssignment()``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Sequence
 
@@ -35,6 +36,7 @@ from repro.tensor.storage import TensorStorage, pack
 _name_counter = itertools.count()
 
 
+@functools.cache
 def _default_format(order: int, memory: MemoryRegion) -> Format:
     return Format([dense_level] * order, None, memory)
 

@@ -98,7 +98,7 @@ class TestGeneratedCodeShape:
     def test_strategy_traces_name_singleton_rule(self):
         stmt, _, _ = build_small_kernel_stmt("COO-SpMV")
         kernel = compile_stmt(stmt, "coo-spmv", cache=False)
-        notes = "\n".join(kernel.program.notes)
+        notes = "\n".join(kernel.notes)
         assert "lowerIter[S1" in notes
 
 

@@ -56,7 +56,7 @@ def test_spatial_matches_golden(name):
 @pytest.mark.parametrize("name", SPATIAL_GOLDEN_KERNELS)
 def test_lowering_notes_match_golden(name):
     stmt, _, _ = build_small_kernel_stmt(name)
-    got = "\n".join(compile_stmt(stmt, name.lower()).program.notes)
+    got = "\n".join(compile_stmt(stmt, name.lower()).notes)
     want = "\n".join(json.loads((GOLDEN / "notes.json").read_text())[name])
     assert got == want, _diff_message(f"notes.json[{name}]", got, want)
 

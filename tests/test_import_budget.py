@@ -88,7 +88,7 @@ BUDGET = {
 #: from ``kernels`` or ``data.datasets`` points up and fails.
 LAYERS = (
     ("kernels", "data.datasets"),
-    ("engines", "formats", "ir", "schedule", "tensor", "obs"),
+    ("engines", "immutable", "formats", "ir", "schedule", "tensor", "obs"),
     ("data", "convert"),
     ("api", "service.api", "service.stats", "pipeline.cache",
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),

@@ -331,6 +331,11 @@ class TestPreconditions:
          "read of undeclared register 'nope'"),
         ([RegWrite("nope", SLit(1.0), accumulate=True)], (),
          "read of undeclared register 'nope'"),
+        ([BitVectorDecl("a", SLit(16)), BitVectorDecl("c", SLit(16)),
+          BitVectorOp("c", "a", "nope", "and")], (),
+         "read of undeclared bit vector 'nope'"),
+        ([BitVectorDecl("b", SLit(16)), BitVectorOp("c", "nope", "b", "or")],
+         (), "read of undeclared bit vector 'nope'"),
         ([SramDecl("s", SLit(2)), SramWrite("s", SLit(2), SLit(1.0))], (),
          r"out-of-bounds write s\(2\), size 2"),
         ([SramDecl("s", SLit(4)), LoadBulk("s", "x_dram", SLit(3), SLit(1))],

@@ -61,7 +61,7 @@ class TestProgramStructure:
 
     def test_notes_carry_memory_report(self):
         k = compiled("SpMV")
-        text = "\n".join(k.program.notes)
+        text = "\n".join(k.notes)
         assert "Memory analysis" in text
         assert "lowerIter" in text
 
