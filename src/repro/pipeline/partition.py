@@ -12,7 +12,8 @@ CSR SpMV and DCSR SpMM (README, "Distributed single-kernel execution"):
   (:func:`repro.convert.slice_positions`), a ``sum`` block's a column
   filter (:func:`repro.convert.slice_rows`) with the matching dense
   rows. Either way the block is the ordinary ``KERNELS[kernel]``
-  statement, compiled and run on the chosen engine.
+  statement, bound to the one program the run lowers and run on the
+  chosen engine.
 * The plan is named ``partition:<kernel>:<dataset>:p<P>:<mode>`` on
   command lines and in manifests; :func:`repro.pipeline.batch.
   resolve_artifact` parses that name once, and the plan then offers the
@@ -240,16 +241,20 @@ def block_range(extent: int, count: int, index: int) -> tuple[int, int]:
 
 @dataclasses.dataclass(eq=False)
 class StagedOperands:
-    """One run's operands, staged on first use, then shared by its blocks,
-    reduce and oracle: once per run and process (threads racing to be
-    first at worst both stage). The sparse operand is the dataset's
-    generation packed once, in memory beside it, whatever ``use_cache``;
-    ``use_cache`` governs the blocks' compiles and ``partition`` entries.
+    """One run's operands and program, made on first use, then shared by
+    its blocks, reduce and oracle: once per run and process (threads
+    racing to be first at worst both stage, or both lower). The sparse
+    operand is the dataset's generation packed once, in memory beside
+    it, whatever ``use_cache``; ``use_cache`` governs the first block's
+    compile and the ``partition`` entries.
     """
 
     plan: PartitionPlan
     scale: float
     use_cache: bool | None = None
+    #: The ``KernelProgram`` every block binds to, published by the run's
+    #: first block in one attribute store (:func:`_run_kernel`).
+    program = None
 
     @functools.cached_property
     def full(self):
@@ -271,28 +276,36 @@ class StagedOperands:
         return rng.random(spec.shapes(self.full.dims)[dense.name])
 
 
-def _run_kernel(kernel: str, sparse, dense: np.ndarray, engine: str,
-                use_cache: bool | None) -> np.ndarray:
-    """Compile ``KERNELS[kernel]`` over the given operands and run it.
+def _run_kernel(operands: StagedOperands, sparse, dense: np.ndarray,
+                engine: str) -> tuple[np.ndarray, bool]:
+    """Run ``KERNELS[kernel]`` over the given operands; also whether this
+    block compiled the run's program.
 
     ``strict``: a silent fallback would pass for a partition slowdown.
-    Every block of a plan has one structure, so a cached run lowers it
-    once and binds each block's statement to that ``program`` entry;
-    under ``--no-cache`` each block lowers its own. The block *result*
-    is what the ``partition`` stage keeps: the dense view of the
-    (all-dense) output storage.
+    Every block of a plan has one structure and the program takes its
+    sizes as symbols, so the run's first block compiles its statement
+    (cached or not) and every later block binds its own statement to
+    that program. The block *result* is what the ``partition`` stage
+    keeps: the dense view of the (all-dense) output storage.
     """
-    from repro.core.compiler import compile_stmt
+    from repro.core.compiler import CompiledKernel, compile_stmt
     from repro.tensor.storage import dense_view
 
-    spec = KERNELS[kernel]
+    name = operands.plan.kernel
+    spec = KERNELS[name]
     # A block keeps the run's factor rank (the dense operand's trailing
     # extent), not the clamp of its own row count.
     shapes = spec.shapes(sparse.dims, free=dense.shape[-1])
     stmt, _out = spec.build(spec.operands(shapes, [sparse],
                                           lambda _shape: dense.copy))
-    return dense_view(compile_stmt(stmt, kernel, cache=use_cache).run_engine(
-        engine, strict=True))
+    program = operands.program
+    if program is None:
+        kernel = compile_stmt(stmt, name, cache=operands.use_cache)
+        operands.program = kernel.compiled
+    else:
+        kernel = CompiledKernel(stmt, program)
+    return (dense_view(kernel.run_engine(engine, strict=True)),
+            program is None)
 
 
 def partition_cell(operands: StagedOperands, index: int,
@@ -320,9 +333,9 @@ def partition_cell(operands: StagedOperands, index: int,
             dense = operands.dense if row else operands.dense[lo:hi]
             sp.set(lo=lo, hi=hi, nnz=int(sliced.nnz))
         with obs.span("partition:compute", nnz=int(sliced.nnz),
-                      engine=engine, **where):
-            partial = _run_kernel(plan.kernel, sliced, dense, engine,
-                                  operands.use_cache)
+                      engine=engine, **where) as sp:
+            partial, lowered = _run_kernel(operands, sliced, dense, engine)
+            sp.set(lowered=lowered)
         obs.counter("repro_partition_blocks_total",
                     "Partition blocks sliced and computed").inc()
         return dict(where, lo=lo, hi=hi, scale=scale, seed=PARTITION_SEED,
@@ -338,58 +351,36 @@ def partition_cell(operands: StagedOperands, index: int,
 # ---------------------------------------------------------------------------
 
 
-#: Contributions per oracle chunk: about 1 MiB of float64 weights.
-ORACLE_CHUNK = 1 << 17
-
-
 def _validate_against_oracle(operands: StagedOperands,
                              out: np.ndarray) -> float:
     """Check ``out`` against an *independent* unpartitioned accumulation:
-    ``np.bincount`` over flat ``row * width + column`` keys sums every
+    per output column, one ``np.bincount`` over the rows sums every
     nonzero's contribution in storage order over the operands the blocks
     were cut from, a different association of the same sums than any
-    engine's, so agreement is a real check.
-
-    The entries are cut at row starts into chunks of about
-    :data:`ORACLE_CHUNK` contributions (a longer row stays whole), and
-    each chunk's rows come from one bincount of its own. Every output
-    cell still sums all its contributions in storage order in one
-    bincount, so the oracle is the same bits as one bincount over all
-    entries, in bounded memory.
+    engine's, so agreement is a real check. It holds O(nnz) at a time,
+    no more than the operand itself.
     """
-    from repro.tensor.storage import unpack
+    from repro.tensor.storage import walk_levels
 
     artifact = operands.plan.artifact
     with obs.span("partition:oracle", artifact=artifact) as sp:
-        coords, vals = unpack(operands.full)
-        rows, cols = coords[:, 0], coords[:, 1]
+        coords = walk_levels(operands.full, 2)
+        rows, cols = coords[0], coords[1]
+        # The blocks cut rows as position ranges of the root level.
         if (rows[1:] < rows[:-1]).any():
             raise PartitionError(
                 f"{artifact}: the operand's rows are not stored in order")
         width = math.prod(out.shape[1:])
         dense = operands.dense.reshape(len(operands.dense), width)
-        oracle = np.zeros((out.shape[0], width))
-        # Cut at the first row start at or past every ``step`` entries
-        # t: the end of the row that entry t - 1 is in.
-        step = max(1, ORACLE_CHUNK // width)
-        targets = np.arange(step, len(rows), step)
-        cuts = sorted({0, len(rows), *np.searchsorted(
-            rows, rows[targets - 1], side="right").tolist()})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            first, stop = rows[lo], rows[hi - 1] + 1
-            # (row - first) * width + column, in two passes
-            keys = np.add.outer(rows[lo:hi] * width,
-                                np.arange(width) - first * width)
-            contrib = np.take(dense, cols[lo:hi], axis=0)
-            contrib *= vals[lo:hi, None]
-            oracle[first:stop] = np.bincount(
-                keys.ravel(), weights=contrib.ravel(),
-                minlength=(stop - first) * width).reshape(-1, width)
+        oracle = np.empty((out.shape[0], width))
+        for j, column in enumerate(dense.T):
+            weights = column.take(cols) * operands.full.vals
+            oracle[:, j] = np.bincount(rows, weights, minlength=len(oracle))
         maxerr = oracle_maxerr(
             out, oracle.reshape(out.shape), PartitionError,
             f"{artifact}: merged output disagrees with the unpartitioned "
             f"oracle")
-        sp.set(nnz=len(rows), chunks=len(cuts) - 1, maxerr=maxerr)
+        sp.set(nnz=len(rows), width=width, maxerr=maxerr)
     return maxerr
 
 

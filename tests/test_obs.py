@@ -331,6 +331,9 @@ class TestEngineFallback:
                     if r["name"] == "partition:compute"]
         assert [r["attrs"]["engine"] for r in computes] == ["cpu", "cpu"]
         assert sorted(r["attrs"]["block"] for r in computes) == [0, 1]
+        # The first block compiles the run's program; the second binds it.
+        assert [r["attrs"]["lowered"] for r in sorted(
+            computes, key=lambda r: r["attrs"]["block"])] == [True, False]
 
     def test_partition_oracle_span_inside_reduce(self, fresh_cache,
                                                  trace_dir_env):
@@ -343,7 +346,7 @@ class TestEngineFallback:
         oracle = spans["partition:oracle"]
         assert oracle["parent"] == spans["partition:reduce"]["id"]
         assert oracle["attrs"]["nnz"] == data["nnz"]
-        assert oracle["attrs"]["chunks"] >= 1
+        assert oracle["attrs"]["width"] == data["shape"][1]
         assert repr(oracle["attrs"]["maxerr"]) == data["oracle_maxerr"]
 
 

@@ -12,6 +12,7 @@ shard manifests, the shard/dispatch integration (killed worker and
 
 import dataclasses
 import json
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -262,9 +263,10 @@ def _serial(kernel: str, engine: str | None = None) -> str:
 
 
 def _merged_text(kernel: str, count: int, mode: str = "row",
-                 engine: str | None = None) -> str:
+                 engine: str | None = None,
+                 use_cache: bool | None = None) -> str:
     plan = PartitionPlan(kernel, DATASET, count, mode)
-    results = run_jobs(plan.jobs(TINY, engine=engine))
+    results = run_jobs(plan.jobs(TINY, use_cache=use_cache, engine=engine))
     return format_partition(reduce_partials(plan.artifact, results))
 
 
@@ -277,14 +279,35 @@ class TestReduce:
         assert _merged_text(kernel, count) == serial
 
     @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
-    @pytest.mark.parametrize("engine", ["numpy", "cpu"])
+    @pytest.mark.parametrize("engine", ["numpy", "cpu", "interp"])
     def test_every_count_byte_identical_per_engine(self, fresh_cache, kernel,
                                                    engine):
         """Blocks honour the engine, and on each engine every P renders
-        the serial report byte for byte (7 does not divide the rows)."""
+        the serial report byte for byte (7 does not divide the rows),
+        cached or not. ``interp`` runs the lowered program itself, so it
+        checks that every block binds to the program the first lowered."""
         serial = _serial(kernel, engine)
-        for count in (1, 2, 3, 4, 7):
-            assert _merged_text(kernel, count, engine=engine) == serial, count
+        for use_cache in (None, False):
+            for count in (1, 2, 3, 4, 7):
+                assert _merged_text(kernel, count, engine=engine,
+                                    use_cache=use_cache) == serial, (
+                    use_cache, count)
+
+    def test_racing_blocks_bind_one_whole_program(self, fresh_cache):
+        """Four threads race seven uncached blocks of one run, switching
+        every microsecond: blocks that race to be first may each lower,
+        every block binds a whole program, and the interpreted merge
+        renders the serial report."""
+        serial = _serial("DCSR-SpMM", "interp")
+        plan = PartitionPlan("DCSR-SpMM", DATASET, 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_jobs(plan.jobs(TINY, use_cache=False,
+                                         engine="interp"), max_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert format_partition(reduce_partials(plan, results)) == serial
 
     def test_engine_joins_the_cell_key(self, fresh_cache):
         """A block computed on one engine is not served to another."""
@@ -353,7 +376,7 @@ class TestGolden:
 
 
 class TestOracle:
-    """The oracle catches a wrong merge anywhere, and works in chunks."""
+    """The oracle catches a wrong merge anywhere, one column at a time."""
 
     SCALE = 0.25
 
@@ -394,12 +417,9 @@ class TestOracle:
     @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
     @pytest.mark.parametrize("mode", PARTITION_MODES)
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    def test_rejects_a_perturbed_cell(self, merged, monkeypatch, kernel,
-                                      mode, where):
-        """One merged cell off by a relative 1e-6 in the first row, the last
-        row, or a row inside a middle chunk fails the reduce, naming the
-        artefact (small chunks, so SpMV cuts into several too)."""
-        monkeypatch.setattr(partition, "ORACLE_CHUNK", 4096)
+    def test_rejects_a_perturbed_cell(self, merged, kernel, mode, where):
+        """One merged cell off by a relative 1e-6 in the first, the middle
+        or the last stored row fails the reduce, naming the artefact."""
         plan, results = merged[kernel, mode]
         operands = results[0].job.args[0]
         rows = unpack(operands.full)[0][:, 0]
@@ -410,19 +430,40 @@ class TestOracle:
                            match=f"{plan.artifact}: merged output disagrees"):
             reduce_partials(plan, self._perturbed(results, int(row)))
 
-    @pytest.mark.parametrize("chunk", [1, 64, 1 << 17])
-    def test_chunking_never_moves_a_bit(self, merged, monkeypatch, chunk):
-        """Any chunk size, rows longer than a chunk included, gives the
-        same report as one chunk."""
-        plan, results = merged["DCSR-SpMM", "row"]
-        monkeypatch.setattr(partition, "ORACLE_CHUNK", 1 << 40)
-        whole = reduce_partials(plan, results)
-        monkeypatch.setattr(partition, "ORACLE_CHUNK", chunk)
-        assert reduce_partials(plan, results) == whole
+    @pytest.mark.parametrize("kernel", sorted(PARTITION_FORMATS))
+    @pytest.mark.parametrize("mode", PARTITION_MODES)
+    def test_columns_sum_like_one_flat_bincount(self, merged, monkeypatch,
+                                                kernel, mode):
+        """One bincount per column gives the same bits, signed zeros
+        included, as one bincount over flat ``row * width + column`` keys
+        of every contribution (each cell summed in storage order from
+        0.0)."""
+        plan, results = merged[kernel, mode]
+        operands = results[0].job.args[0]
+        coords, vals = unpack(operands.full)
+        rows, cols = coords[:, 0], coords[:, 1]
+        dense = operands.dense.reshape(len(operands.dense), -1)
+        width = dense.shape[1]
+        keys = (rows[:, None] * width + np.arange(width)).ravel()
+        flat = np.bincount(keys, weights=(dense[cols] * vals[:, None]).ravel(),
+                           minlength=operands.full.dims[0] * width)
+        captured = {}
+        real = partition.oracle_maxerr
+
+        def capture(got, expected, *args):
+            captured["oracle"] = expected
+            return real(got, expected, *args)
+
+        monkeypatch.setattr(partition, "oracle_maxerr", capture)
+        reduce_partials(plan, results)
+        oracle = captured["oracle"]
+        assert oracle.size == flat.size
+        assert oracle.tobytes() == flat.tobytes()
 
     def test_rows_out_of_order_are_refused(self, merged):
-        """The chunks assume rows never decrease in storage order; an
-        operand stored column-major breaks that and is refused."""
+        """The blocks cut rows as position ranges, so rows must never
+        decrease in storage order; an operand stored column-major breaks
+        that and is refused."""
         plan, results = merged["SpMV", "row"]
         staged = results[0].job.args[0]
         operands = partition.StagedOperands(plan, self.SCALE)
@@ -438,7 +479,7 @@ class TestOracle:
     @pytest.mark.parametrize("mode", PARTITION_MODES)
     def test_reduce_runs_in_bounded_memory(self, merged, mode):
         """The oracle never holds an nnz x width array: DCSR-SpMM P=4 at
-        scale 0.25 reduces under 16 MiB of traced allocations."""
+        scale 0.25 reduces under 8 MiB of traced allocations."""
         plan, results = merged["DCSR-SpMM", mode]
         results[0].job.args[0].full  # staged before tracing starts
         tracemalloc.start()
@@ -447,7 +488,7 @@ class TestOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
