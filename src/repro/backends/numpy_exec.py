@@ -8,15 +8,23 @@ SDFG into a pre-state, a compute state and a post-state:
 
 * **pre-state** — an :class:`ExecPlan`, built the first time a statement
   runs against a given set of operand storages. Everything that depends
-  only on the statement and on ``pos``/``crd``/dims is decided here, by
-  one walk of each sparse operand's levels
-  (:func:`~repro.tensor.storage.walk_levels`: each level's ``segments``
-  repeat the coordinate columns above it by its children per parent and
-  append its own coordinates, so entry ``e`` of the walk is ``vals[e]``;
-  **block** levels first validate their static extent). The plan keeps only
-  compact index arrays (gather indices per dense operand, positions into
-  ``vals``, ``reduceat`` run starts and output keys, join index pairs)
-  and einsum strings — no coordinate matrix, no value. For a compressed
+  only on the statement and on ``pos``/``crd``/dims is decided here,
+  from each sparse operand's level arrays (**block** levels first
+  validate their static extent). A term keyed on its operand's leading
+  storage levels, each declared ordered and unique, reads its runs off
+  them (CSR SpMV and DCSR SpMM key on the row level, SDDMM on both):
+  :func:`~repro.tensor.storage.scan_keys` keys the last key level's
+  positions, each position's child segment is one run, and only the
+  coordinate columns a dense operand gathers on are expanded per entry,
+  so no per-entry key is built or sorted. Any other term walks every
+  entry (:func:`~repro.tensor.storage.walk_levels`: each level's
+  ``segments`` repeat the coordinate columns above it by its children
+  per parent and append its own coordinates, so entry ``e`` of the walk
+  is ``vals[e]``) and sorts its keys once; both give the same index
+  arrays. The plan keeps only compact index arrays (gather indices per
+  dense operand, positions into ``vals``, ``reduceat`` run starts and
+  output keys, join index pairs) and einsum strings — no coordinate
+  matrix, no value. For a compressed
   lhs it also packs the output's level arrays once: a term's sorted,
   unique run keys *are* the output coordinates (a multi-term sum merges
   them with one sorted union), so only where each run lands in ``vals``
@@ -91,6 +99,7 @@ from repro.tensor.storage import (
     DenseLevel,
     TensorStorage,
     pack,
+    scan_keys,
     unpack,
     walk_levels,
     wrap_dense,
@@ -164,6 +173,61 @@ def _scatter_order(keys: np.ndarray):
         keys = keys[perm]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return perm, starts, keys[starts]
+
+
+def _prefix_runs(st: TensorStorage, level_vars, lhs_s):
+    """:func:`_scatter_order`'s ``starts`` and ``ukeys`` read off the
+    level arrays, with no sort and no per-entry key; ``None`` where the
+    keys need the sort.
+
+    Applies when the term's sparse lhs variables ``lhs_s`` are the
+    factor's first ``k`` storage levels (``level_vars`` are its walked
+    levels' variables), in level order, each declared ordered and
+    unique, and ``k`` is the last walked level or the one above it.
+    Positions of the last key level then hold strictly increasing keys
+    (checked, one per position: data that breaks its declaration takes
+    the sort), and the entries below one position are one run: its
+    start is where the position's child segment starts, and an empty
+    segment is no run. Returns ``(segments, starts, ukeys)``, with
+    ``segments`` the walked levels' ``(counts, coords)``.
+    """
+    k, n_outer = len(lhs_s), len(level_vars)
+    if (not k or k < n_outer - 1 or len(set(map(id, level_vars))) < n_outer
+            or list(map(id, lhs_s)) != list(map(id, level_vars[:k]))):
+        return None
+    for mf in st.fmt.mode_formats[:k]:
+        if not (mf.ordered and mf.unique):
+            return None
+    segments = []
+    for _, (counts, coords, keys) in zip(range(k), scan_keys(st)):
+        segments.append((counts, coords))
+    if not (keys[1:] > keys[:-1]).all():
+        return None
+    if k == n_outer:  # every entry is its own run
+        return segments, None, keys
+    segments.append(st.levels[k].segments(len(keys)))
+    counts = np.broadcast_to(segments[-1][0], keys.shape)
+    live = counts > 0
+    return segments, (np.cumsum(counts) - counts)[live], keys[live]
+
+
+def _entry_column(segments, level: int) -> np.ndarray:
+    """One int64 coordinate per entry (position of the last of the
+    walked ``segments``) of the mode stored at ``level``: its coordinates
+    repeated by the child counts of every level below, as
+    :func:`~repro.tensor.storage.walk_levels` repeats them."""
+    col = segments[level][1].astype(np.int64, copy=False)
+    for counts, _ in segments[level + 1:]:
+        col = np.repeat(col, counts)
+    return col
+
+
+def _in_range(index: np.ndarray, extent: int) -> np.ndarray:
+    """``index`` itself, refused as ``np.ravel_multi_index`` refuses a
+    coordinate outside ``[0, extent)``."""
+    if index.min() < 0 or index.max() >= extent:
+        raise ValueError("invalid entry in coordinates array")
+    return index
 
 
 def _blocks(n: int, starts, size: int) -> list:
@@ -409,7 +473,7 @@ class _Term:
 
         if len(sparse) == 2:
             cols, factors = _join(*sparse)
-            vals_sub = "e"
+            walked, vals_sub = set(cols), "e"
         else:
             # Trailing block levels are dense inside a block (Chou et
             # al.): enumerate blocks, and keep the tile as value axes.
@@ -419,19 +483,35 @@ class _Term:
             while st.fmt.level_format(n_outer - 1).is_block:
                 n_outer -= 1
             tile = range(n_outer, st.order)
-            by_mode = walk_levels(st, n_outer)
-            cols = {id(acc.indices[m]): c for m, c in by_mode.items()}
+            level_vars = [acc.indices[m]
+                          for m in st.fmt.mode_ordering[:n_outer]]
+            walked = set(map(id, level_vars))
             factors = [(st, None, tuple(st.levels[lv].size for lv in tile))]
             vals_sub = "e" + sub(acc.indices[st.fmt.mode_of_level(lv)]
                                  for lv in tile)
-        self.n = len(next(iter(cols.values())))
-        lhs_s = [v for v in present if id(v) in cols]
-        lhs_d = [v for v in present if id(v) not in cols]
+        lhs_s = [v for v in present if id(v) in walked]
+        lhs_d = [v for v in present if id(v) not in walked]
         # A keyed term's runs are output coordinates: its sparse lhs
         # variables, linearised into ``ukeys``, times the dense tail.
         self.key_vars = (tuple(map(id, lhs_s)), tuple(map(id, lhs_d))
                          ) if lhs_s else None
         self.d_shape = tuple(dims[v] for v in lhs_d)
+        perm = starts = runs = None
+        if len(sparse) == 1:
+            # Runs read off the level arrays need no per-entry key and
+            # no sort, and expand per entry only the columns a dense
+            # operand gathers on; any other term walks every column.
+            runs = _prefix_runs(st, level_vars, lhs_s)
+            if runs is None:
+                cols = {id(acc.indices[m]): c
+                        for m, c in walk_levels(st, n_outer).items()}
+            else:
+                segments, starts, self.ukeys = runs
+                gathered = {id(v) for a in dense for v in a.indices}
+                cols = {id(v): _entry_column(segments, lv)
+                        for lv, v in enumerate(level_vars) if id(v) in gathered}
+        self.n = (len(segments[-1][1]) if runs is not None
+                  else len(next(iter(cols.values()))))
         if not self.n:
             if lhs_s:
                 self.ukeys = np.zeros(0, dtype=np.int64)
@@ -442,14 +522,15 @@ class _Term:
 
         # Entries sharing an output coordinate (reduction vars living in
         # the sparse factor) merge: order them by linearized output key,
-        # once, and fold that order into every index array.
-        perm = starts = None
-        if lhs_s:
+        # once, and fold that order into every index array (runs read
+        # off the level arrays are in that order already).
+        if lhs_s and runs is None:
             keys = 0
             for v in lhs_s:
                 keys = keys * dims[v] + cols[id(v)]
             perm, starts, self.ukeys = _scatter_order(keys)
-            if len(starts) == self.n:
+        if lhs_s:
+            if starts is not None and len(starts) == self.n:
                 starts = None
             s_shape = tuple(dims[v] for v in lhs_s)
             self.buffer_shape = (int(np.prod(s_shape)),) + self.d_shape
@@ -477,7 +558,8 @@ class _Term:
         out = ("e" if lhs_s else "") + sub(lhs_d)
         subs, gathers = [vals_sub], []
         for acc in dense:
-            shared = [m for m, v in enumerate(acc.indices) if id(v) in cols]
+            shared = [m for m, v in enumerate(acc.indices)
+                      if id(v) in walked]
             residual = [m for m in range(len(acc.indices)) if m not in shared]
             gathers.append((acc, shared, residual))
             subs.append(("e" if shared else "")
@@ -493,10 +575,14 @@ class _Term:
             if not shared:
                 self.dense.append(_dense_spec(st))
                 continue
-            # One flat index over the shared modes.
-            index = np.ravel_multi_index(
-                [cols[id(acc.indices[m])] for m in shared],
-                [acc.tensor.shape[m] for m in shared])
+            # One flat index over the shared modes: one mode's column
+            # is that index itself, checked as ``ravel_multi_index``
+            # checks it.
+            index = (_in_range(cols[id(acc.indices[shared[0]])],
+                               acc.tensor.shape[shared[0]])
+                     if len(shared) == 1 else np.ravel_multi_index(
+                         [cols[id(acc.indices[m])] for m in shared],
+                         [acc.tensor.shape[m] for m in shared]))
             widths.append(int(np.prod(shape)))
             axes, shape, axis = ((residual + shared, shape + [-1], -1)
                                  if self.tail else

@@ -41,7 +41,7 @@ from repro.ir.cin import (
 )
 from repro.ir.index_notation import Add, IndexExpr, Mul, Neg, Sub
 from repro.tensor.bitvector import WORD_BITS
-from repro.tensor.storage import scan
+from repro.tensor.storage import scan_keys
 from repro.tensor.tensor import Tensor
 
 WORD_BYTES = 4
@@ -100,19 +100,19 @@ class _TensorKeys:
 
     The keys of a level are the distinct prefixes of the tensor's stored
     entries, read straight from the level arrays the way SAM's level
-    scanner reads them: with the level's ``segments`` ``(counts,
-    coords)``, its position keys are ``repeat(parent, counts) * dim +
-    coords`` over the parent level's position keys, for every kind of
-    level. A level is computed when it is first asked for.
+    scanner reads them: :func:`~repro.tensor.storage.scan_keys` gives
+    each level's ``segments`` ``(counts, coords)`` with its position
+    keys, ``repeat(parent, counts) * dim + coords`` over the parent
+    level's, for every kind of level. A level is scanned when it is
+    first asked for.
     """
 
     def __init__(self, tensor: Tensor) -> None:
         self.tensor = tensor
         self.storage = tensor.storage
-        self._scan = scan(self.storage)
+        self._scan = scan_keys(self.storage)
+        # ``(counts, coords, keys)`` per level from the root down.
         self._segments: list[tuple] = []
-        # The key of every position, per level from the root down.
-        self._position_keys = [np.zeros(1, dtype=np.int64)]
         self._keys: dict[int, np.ndarray] = {}
         self._live: dict[int, Optional[np.ndarray]] = {}
 
@@ -147,21 +147,15 @@ class _TensorKeys:
         return keys
 
     def _level(self, level: int) -> tuple:
-        """``(counts, coords)`` of ``level``, scanned from the root once."""
+        """``(counts, coords, keys)`` of ``level``, scanned from the root
+        once."""
         while len(self._segments) <= level:
             self._segments.append(next(self._scan))
         return self._segments[level]
 
     def _positions(self, level: int) -> np.ndarray:
         """The key of every position at ``level``."""
-        fmt = self.tensor.format
-        while len(self._position_keys) <= level + 1:
-            at = len(self._position_keys) - 1
-            counts, coords = self._level(at)
-            dim = self.tensor.shape[fmt.mode_of_level(at)]
-            self._position_keys.append(
-                np.repeat(self._position_keys[-1], counts) * dim + coords)
-        return self._position_keys[level + 1]
+        return self._level(level)[2]
 
     def _live_positions(self, level: int) -> Optional[np.ndarray]:
         """Mask of the positions at ``level`` with a stored entry below

@@ -29,7 +29,9 @@ answers two level functions, and every walk derives from them.
 
 A walk from the root visits every position of each level in order, so
 the positions of a level are always ``0..n-1`` and a level's parents
-are simply counted: :func:`scan` yields each level's segments.
+are simply counted: :func:`scan` yields each level's segments, and
+:func:`scan_keys` each level's segments with its positions' linearised
+keys.
 
 The :func:`pack` function converts COO data into this representation for an
 arbitrary format, and :func:`unpack` converts back, so round-tripping is
@@ -446,6 +448,26 @@ def scan(storage: TensorStorage) -> Iterator[tuple[int | np.ndarray,
         counts, coords = lvl.segments(n_parents)
         yield counts, coords
         n_parents = len(coords)
+
+
+def scan_keys(storage: TensorStorage) -> Iterator[tuple[int | np.ndarray,
+                                                       np.ndarray,
+                                                       np.ndarray]]:
+    """:func:`scan` with the linearised key of every position.
+
+    Yields each level's ``(counts, coords, keys)``, from the root down: a
+    position's key is its parent's key times the level's dimension plus
+    its own coordinate (Horner, from the root's one ``0``), so a level's
+    keys are its positions' storage-prefix coordinates, linearised. Under
+    ordered, unique levels they are strictly increasing. The walk is
+    :func:`scan`'s, written out: wrapping that generator would cost a
+    Python call per level of every key walk (``capstan.stats``).
+    """
+    keys = np.zeros(1, dtype=np.int64)
+    for lvl, mode in zip(storage.levels, storage.fmt.mode_ordering):
+        counts, coords = lvl.segments(len(keys))
+        keys = np.repeat(keys, counts) * storage.dims[mode] + coords
+        yield counts, coords, keys
 
 
 def walk_levels(storage: TensorStorage,

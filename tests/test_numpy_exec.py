@@ -808,3 +808,234 @@ def test_property_planned_matches_references(seed, density, fmt_a, fmt_b,
     if walkable:
         cpu = np.asarray(execute_cpu(stmt)).reshape(reference.shape)
         assert np.allclose(got, cpu, rtol=1e-10, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Runs read off the level arrays: the plan the sort gives, without it
+# ---------------------------------------------------------------------------
+
+
+def _record_level_reads(m) -> list[bool]:
+    """Patch ``_prefix_runs`` through ``m`` to record, per term of a
+    single sparse factor, whether its runs were read off the levels."""
+    level_read = []
+    prefix_runs = numpy_exec._prefix_runs
+
+    def spy(*args):
+        runs = prefix_runs(*args)
+        level_read.append(runs is not None)
+        return runs
+
+    m.setattr(numpy_exec, "_prefix_runs", spy)
+    return level_read
+
+
+def _plans(assignment, monkeypatch):
+    """``(plan, reference, level_read)``: the plan as built, the plan of
+    the walked keys (every term sorted through ``_scatter_order``, every
+    gather index through ``np.ravel_multi_index``), and per term of the
+    first whether its runs were read off the level arrays."""
+    with monkeypatch.context() as m:
+        level_read = _record_level_reads(m)
+        plan = numpy_exec.ExecPlan(assignment)
+    with monkeypatch.context() as m:
+        m.setattr(numpy_exec, "_prefix_runs", lambda *args: None)
+        m.setattr(numpy_exec, "_in_range", lambda index, extent:
+                  np.ravel_multi_index([index], [extent]))
+        reference = numpy_exec.ExecPlan(assignment)
+    assert plan.fallback is None and reference.fallback is None
+    return plan, reference, level_read
+
+
+def _same_array(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_same_terms(plan, reference):
+    """Every term's entry count, run starts (per block), output keys,
+    identity flag, value positions and gather indexes: equal values of
+    equal dtypes."""
+    for (_, got), (_, want) in zip(plan.terms, reference.terms,
+                                   strict=True):
+        assert got.n == want.n
+        assert _same_array(got.ukeys, want.ukeys)
+        assert got.identity == want.identity
+        got_blocks = getattr(got, "blocks", [])
+        want_blocks = getattr(want, "blocks", [])
+        assert len(got_blocks) == len(want_blocks)
+        for (got_entries, got_starts), (want_entries, want_starts) in zip(
+                got_blocks, want_blocks):
+            assert got_entries == want_entries
+            assert _same_array(got_starts, want_starts)
+        assert len(got.factors) == len(want.factors)
+        for (_, got_pos, _), (_, want_pos, _) in zip(got.factors,
+                                                     want.factors):
+            assert _same_array(got_pos, want_pos)
+        assert len(got.dense) == len(want.dense)
+        for got_spec, want_spec in zip(got.dense, want.dense):
+            assert _same_array(got_spec[4], want_spec[4])
+            assert got_spec[:4] == want_spec[:4] and got_spec[5] == want_spec[5]
+
+
+#: Records none of whose terms reads its runs off the level arrays:
+#: MTTKRP keys on one of three levels, InnerProd joins two sparse
+#: factors, and COO's root is non-unique.
+SORTED_KERNELS = ("MTTKRP", "InnerProd", "COO-SpMV")
+
+
+@pytest.mark.parametrize("scale", [None, 0.05], ids=["small", "0.05"])
+@pytest.mark.parametrize("name", ALL_KERNELS)
+def test_level_read_runs_equal_the_sorted_walk(name, scale, monkeypatch):
+    """Every record, on ``SMALL_DIMS`` and at the ``exec_small`` scale:
+    the runs and gathers read off the level arrays are exactly the
+    sorted walk's."""
+    if scale is None:
+        stmt = build_small_kernel_stmt(name)[0]
+    else:
+        from repro.api import CompileRequest, build
+
+        stmt = build(CompileRequest(kernel=name, scale=scale)).stmt
+    plan, reference, level_read = _plans(stmt.assignment, monkeypatch)
+    _assert_same_terms(plan, reference)
+    assert any(level_read) == (name not in SORTED_KERNELS)
+
+
+def _empty_rows(rng, shape=(11, 9)) -> np.ndarray:
+    dense = random_sparse(rng, shape, 0.3)
+    dense[[0, 4, 5, shape[0] - 1]] = 0.0  # empty rows, first and last too
+    return dense
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("fmt", [CSR, DCSR], ids=["csr", "dcsr"])
+def test_level_read_runs_of_every_position_slice(fmt, blocks, monkeypatch):
+    """Every ``slice_positions`` block of a CSR (SpMV) or DCSR (SpMM)
+    matrix with empty rows, empty blocks included, reads its runs off
+    its level arrays and plans what the sorted walk plans."""
+    from repro.convert import slice_positions
+    from repro.pipeline.partition import block_range
+
+    rng = np.random.default_rng(blocks)
+    dense = _empty_rows(rng, (6, 9)) if blocks == 7 else _empty_rows(rng)
+    full = Tensor("A", dense.shape, fmt(offChip)).from_dense(dense).storage
+    i, j, k = index_vars("i j k")
+    x = rng.random((9, 3))
+    for index in range(blocks):
+        lo, hi = block_range(dense.shape[0], blocks, index)
+        sliced = slice_positions(full, lo, hi)
+        A = Tensor("A", sliced.dims, fmt(offChip)).install(sliced)
+        if fmt is CSR:
+            X = Tensor("x", (9,), DENSE_VECTOR(offChip)).from_dense(x[:, 0])
+            y = Tensor("y", (hi - lo,), DENSE_VECTOR(offChip))
+            y[i] = A[i, j] * X[j]
+        else:
+            X = Tensor("B", (9, 3), DENSE_MATRIX(offChip)).from_dense(x)
+            y = Tensor("C", (hi - lo, 3), DENSE_MATRIX(offChip))
+            y[i, k] = A[i, j] * X[j, k]
+        plan, reference, level_read = _plans(y.get_assignment(), monkeypatch)
+        assert level_read == [True]
+        _assert_same_terms(plan, reference)
+        got = execute_numpy(y.get_index_stmt(), strict=True)
+        assert np.allclose(got, evaluate_dense(y.get_assignment()))
+    assert (lo == hi) if blocks == 7 else (lo < hi)  # P = 7: the last is empty
+
+
+def _hand_built(fmt, dims, levels, rng) -> Tensor:
+    nnz = len(levels[-1].crd)
+    return Tensor("A", dims, fmt).install(
+        storage_mod.TensorStorage(fmt, dims, levels, rng.random(nnz) + 0.5))
+
+
+def _compressed(pos, crd) -> storage_mod.CompressedLevel:
+    return storage_mod.CompressedLevel(pos=np.array(pos, dtype=np.int64),
+                                       crd=np.array(crd, dtype=np.int32))
+
+
+def _sorted_cases(rng):
+    """Terms whose runs need the sort: ``(name, lhs tensor)``."""
+    from tests.test_canonical_order import UNORDERED_CSR
+
+    i, j = index_vars("i j")
+    x = Tensor("x", (9,), DENSE_VECTOR(offChip)).from_dense(rng.random(9))
+    cases = []
+    for name, fmt in (("coo", COO(offChip)), ("csc", CSC(offChip))):
+        A = Tensor("A", (7, 9), fmt).from_dense(_empty_rows(rng, (7, 9)))
+        y = Tensor("y", (7,), DENSE_VECTOR(offChip))
+        y[i] = A[i, j] * x[j]
+        cases.append((name, y))
+    # A term keyed on an unordered level.
+    A = Tensor("A", (7, 9), UNORDERED_CSR).from_dense(_empty_rows(rng, (7, 9)))
+    Y = Tensor("Y", (7, 9), DENSE_MATRIX(offChip))
+    Y[i, j] = A[i, j] * x[j]
+    cases.append(("unordered", Y))
+    # A compressed root that the format declares ordered, stored
+    # descending: the root keys are checked, not trusted.
+    A = _hand_built(DCSR(offChip), (7, 9), [
+        _compressed([0, 3], [5, 2, 0]),
+        _compressed([0, 2, 3, 5], [1, 8, 4, 0, 3])], rng)
+    y = Tensor("y", (7,), DENSE_VECTOR(offChip))
+    y[i] = A[i, j] * x[j]
+    cases.append(("descending-root", y))
+    # A term keyed on both levels of a CSR whose row 1 descends.
+    A = _hand_built(CSR(offChip), (3, 9), [
+        DenseLevel(3), _compressed([0, 2, 5, 6], [0, 7, 6, 2, 1, 8])], rng)
+    D = Tensor("D", (3, 9), DENSE_MATRIX(offChip)).from_dense(
+        rng.random((3, 9)))
+    Y = Tensor("Y", (3, 9), DENSE_MATRIX(offChip))
+    Y[i, j] = A[i, j] * D[i, j]
+    cases.append(("descending-row", Y))
+    return cases
+
+
+def test_sort_path_terms_match_the_dense_reference(monkeypatch):
+    """A key on an unordered level, a non-unique root (COO), a key that
+    is not a storage prefix (CSC under a row-major lhs) and stored keys
+    that descend against an ordered declaration all take the sort, and
+    compute what the dense reference does."""
+    for name, y in _sorted_cases(np.random.default_rng(3)):
+        _, _, level_read = _plans(y.get_assignment(), monkeypatch)
+        assert level_read == [False], name
+        got = execute_numpy(y.get_index_stmt(), strict=True)
+        assert np.allclose(got, evaluate_dense(y.get_assignment())), name
+
+
+def test_an_unordered_level_below_the_key_is_read_off(monkeypatch):
+    """Only the key levels' declarations matter: an unordered level
+    below a row key keeps each row's entries together, so SpMV on an
+    unordered-column CSR reads its runs off the levels, as sorted."""
+    from tests.test_canonical_order import UNORDERED_CSR
+
+    rng = np.random.default_rng(4)
+    A = Tensor("A", (7, 9), UNORDERED_CSR).from_dense(_empty_rows(rng, (7, 9)))
+    x = Tensor("x", (9,), DENSE_VECTOR(offChip)).from_dense(rng.random(9))
+    y = Tensor("y", (7,), DENSE_VECTOR(offChip))
+    i, j = index_vars("i j")
+    y[i] = A[i, j] * x[j]
+    plan, reference, level_read = _plans(y.get_assignment(), monkeypatch)
+    assert level_read == [True]
+    _assert_same_terms(plan, reference)
+
+
+@pytest.mark.parametrize("coord", [9, -1])
+@pytest.mark.parametrize("ordered", [True, False],
+                         ids=["level-read", "sorted"])
+def test_gather_outside_the_dense_operand_is_refused(ordered, coord,
+                                                     monkeypatch):
+    """A stored coordinate outside the dense operand it gathers from is
+    refused when the plan is built, as ``np.ravel_multi_index`` refused
+    it, whether the runs are read off the levels or sorted."""
+    rng = np.random.default_rng(0)
+    root = [0, 1, 2] if ordered else [2, 1, 0]  # a DCSR root; descending
+    A = _hand_built(DCSR(offChip), (3, 9), [
+        _compressed([0, 3], root),
+        _compressed([0, 2, 2, 3], [1, coord, 4])], rng)
+    x = Tensor("x", (9,), DENSE_VECTOR(offChip)).from_dense(rng.random(9))
+    y = Tensor("y", (3,), DENSE_VECTOR(offChip))
+    i, j = index_vars("i j")
+    y[i] = A[i, j] * x[j]
+    level_read = _record_level_reads(monkeypatch)
+    with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+        numpy_exec.ExecPlan(y.get_assignment())
+    assert level_read == [ordered]

@@ -1,14 +1,20 @@
 """A partition request's per-request floor, counted: one
 ``api.execute(..., use_cache=False)`` of each ``partition_fuse``
 partition request at scale 0.25 makes no more Python calls into
-``repro`` and no more lowerings than ``partition_calls.json`` allows.
+``repro`` and no more lowerings than ``partition_calls.json`` allows,
+and none of its numpy-engine ``ExecPlan`` builds peaks above the
+request's ``plan_kib`` of traced memory.
 
 This is the partition half of the ``partition_fuse`` workload of the
 benchmark ledger, counted with ``sys.setprofile`` instead of timed. A
 lowering is one call of ``core.compiler._lower`` (one ``lower`` span):
 a run's blocks bind to the program its first block compiled, so a
 ``p4`` request that lowers per block fails here. A ceiling may only go
-down.
+down. A block's plan is built for one run, so what it allocates is
+paid once per block: ``plan_kib`` is the largest ``tracemalloc`` peak
+one build reaches above what was traced when it started (a plan that
+walks, keys and sorts every entry peaks at several int64 arrays of the
+block's nonzeros).
 """
 
 from __future__ import annotations
@@ -16,19 +22,22 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro import api, obs
+from repro.backends import numpy_exec
 from repro.core import compiler
 
 SCALE = 0.25
 
 #: Per-request ceilings (``<kernel>:p<blocks>``): Python calls into
-#: ``repro`` and lowerings of one uncached request, measured on CPython
-#: 3.11 (3.12 inlines comprehensions and counts fewer calls).
+#: ``repro``, lowerings and the largest plan build's peak KiB of one
+#: uncached request, measured on CPython 3.11 (3.12 inlines
+#: comprehensions and counts fewer calls).
 PARTITION_CALLS = json.loads(
     (Path(__file__).resolve().parent / "partition_calls.json").read_text())
 
@@ -66,3 +75,23 @@ def test_partition_request_stays_under_its_ceilings(case, monkeypatch):
     assert calls <= ceiling["calls"], (
         f"{case}: {calls} calls into repro per request, ceiling "
         f"{ceiling['calls']}")
+
+    build, peaks = numpy_exec.ExecPlan.__init__, []
+
+    def traced(plan, assignment):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build(plan, assignment)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(numpy_exec.ExecPlan, "__init__", traced)
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        tracemalloc.stop()
+    assert peaks, f"{case}: no ExecPlan was built"
+    plan_kib = max(peaks) / 1024
+    assert plan_kib <= ceiling["plan_kib"], (
+        f"{case}: a plan build peaked at {plan_kib:.0f} KiB, ceiling "
+        f"{ceiling['plan_kib']}")
