@@ -2,13 +2,16 @@
 
 Builds every kernel record at ``SCALE`` (``exec_small``'s 0.05), runs
 each once through ``run_engine("numpy")`` so its ``ExecPlan`` is built,
-then prints one row per record: what building its ``ExecPlan`` costs in
-µs (the first run's share, paid once per statement and by every
-one-shot caller: a partition block, a fusion stage), a reused-plan
-``run_engine`` in µs, the plan's own ``ExecPlan.run`` in µs (each the
-best of ``ROUNDS`` rounds of ``TIMED`` calls), the difference of the
-last two (the wrapper: tracing check, counters, plan lookup) and the
-Python calls into ``repro`` one run makes.
+then prints the floor table, one row per record: what building its
+``ExecPlan`` costs in µs (the first run's share, paid once per statement
+and by every one-shot caller: a partition block, a fusion stage); a
+reused-plan ``run_engine``, the engine's ``run_plan`` under it and the
+plan's own ``ExecPlan.run`` in µs (each the best of ``ROUNDS`` rounds of
+``TIMED`` calls); the two gaps between them, ``run_engine - run_plan``
+(the kernel's wrapper: the tracing check and the counters) and
+``run_plan - ExecPlan.run`` (the plan lookup and its revalidation); and
+the Python calls into ``repro`` one run makes. A floor that creeps up
+shows in the gap it lands in, with no clock-based gate.
 Then it profiles ``CALLS`` more runs of each under cProfile and prints
 the ``TOP`` functions by own time (``tottime``). A plan-time decision
 that slipped back into the run shows up here as a function called once
@@ -60,7 +63,7 @@ def repro_calls(fn) -> int:
 
 def main() -> int:
     from repro.api import CompileRequest, build
-    from repro.backends.numpy_exec import ExecPlan
+    from repro.backends.numpy_exec import ExecPlan, run_plan
     from repro.kernels import KERNELS
 
     kernels = [build(CompileRequest(kernel=name, scale=SCALE))
@@ -70,16 +73,18 @@ def main() -> int:
     print(f"plan builds and reused-plan runs at scale {SCALE}, best of "
           f"{ROUNDS} x {TIMED}")
     print(f"{'kernel':<12} {'ExecPlan() us':>14} {'run_engine us':>14} "
-          f"{'ExecPlan.run us':>16} {'wrapper us':>11} {'repro calls':>12}")
+          f"{'run_plan us':>12} {'ExecPlan.run us':>16} "
+          f"{'engine-plan us':>15} {'plan-run us':>12} {'repro calls':>12}")
     for kernel in kernels:
         assignment = kernel.stmt.assignment
         build_plan = best_us(functools.partial(ExecPlan, assignment))
         run = functools.partial(kernel.run_engine, "numpy")
-        plan_run = assignment._exec_plan.run
-        engine, plan = best_us(run), best_us(plan_run)
+        engine = best_us(run)
+        planned = best_us(functools.partial(run_plan, assignment))
+        plan = best_us(assignment._exec_plan.run)
         print(f"{kernel.name:<12} {build_plan:>14.2f} {engine:>14.2f} "
-              f"{plan:>16.2f} {engine - plan:>11.2f} "
-              f"{repro_calls(run):>12}")
+              f"{planned:>12.2f} {plan:>16.2f} {engine - planned:>15.2f} "
+              f"{planned - plan:>12.2f} {repro_calls(run):>12}")
     print()
     profile = cProfile.Profile()
     profile.enable()

@@ -10,8 +10,13 @@ of those paths.
 
 >>> from repro.api import CompileRequest, evaluate
 >>> times = evaluate(CompileRequest(kernel="SpMV")).platform_times()
+
+``build``, ``build_structure``, ``exec_check`` and ``load_dataset`` load
+the miss path (:mod:`repro.service.compute`) on first use, so importing
+this module for a cache hit never compiles it.
 """
 
+from repro import lazy_exports
 from repro.engines import DEFAULT_ENGINE, ENGINES, default_engine
 from repro.service.api import (
     ACTIONS,
@@ -22,15 +27,12 @@ from repro.service.api import (
     CompileResult,
     EngineMismatchError,
     PlatformTimes,
-    build,
-    build_structure,
+    _MISS_PATH,
     cached,
     compile,
     evaluate,
-    exec_check,
     execute,
     first_dataset,
-    load_dataset,
     partition,
     pipeline,
 )
@@ -59,3 +61,4 @@ __all__ = [
     "partition",
     "pipeline",
 ]
+__getattr__, __dir__ = lazy_exports(__name__, _MISS_PATH)

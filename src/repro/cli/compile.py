@@ -16,7 +16,7 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> int:
-    from repro.api import build_structure, compile
+    from repro.api import compile
 
     resolved = request(args)
     # The memoized `compile` stage holds exactly what is printed; only
@@ -29,6 +29,7 @@ def run(args) -> int:
     print(f"// generated Spatial LoC: {result.spatial_loc}",
           file=sys.stderr)
     if args.cpu:
+        from repro.api import build_structure
         from repro.backends.cpu import LoweringError, lower_cpu
 
         with refusing("compile error: ", LoweringError, code=1):

@@ -26,12 +26,12 @@ def add_arguments(parser) -> None:
 
 def run(args) -> int:
     import json
-    import os
 
     from repro.obs import TRACE_ENV
     from repro.obs.timeline import load_trace_dir, render_summary, to_chrome
+    from repro.settings import TRACE_DIR
 
-    root = args.dir or os.environ.get(TRACE_ENV)
+    root = args.dir or TRACE_DIR.get()
     if not root:
         raise Refusal(f"error: no trace directory (pass one or set "
                       f"{TRACE_ENV})")

@@ -20,7 +20,7 @@ from repro.engines import (  # noqa: F401 - re-exported
     ENGINES,
     default_engine,
 )
-from repro.obs import NULL_SPAN
+from repro import settings
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.core.memory_analysis import KernelAnalysis, MemoryPlan
@@ -207,8 +207,8 @@ class CompiledKernel:
         ``fallback``) and, when this run built the plan, ``plan_ms``;
         ``repro_engine_fallbacks_total`` and ``repro_exec_plans_total``
         count the same. The span is built only while tracing is on (one
-        environment read per run tells), and the plans counter is bound
-        once per outcome.
+        dict probe per run tells, :mod:`repro.settings`), and the plans
+        counter is bound once per outcome.
         """
         engine = default_engine() if engine is None else engine
         if engine == "interp":
@@ -221,11 +221,11 @@ class CompiledKernel:
                 return CpuExecutor(self.stmt).run(), False
         if engine == "numpy":
             run_plan, plans, fallbacks = _numpy_engine()
-            sp = _trace.span("exec", kernel=self.compiled.name, engine="numpy")
-            if sp is NULL_SPAN:  # tracing is off: no span to fill in
+            if not _tracing():  # no span to build or fill in
                 result, state, plan_ms = run_plan(self.stmt.assignment, strict)
             else:
-                with sp:
+                with _trace.span("exec", kernel=self.compiled.name,
+                                 engine="numpy") as sp:
                     result, state, plan_ms = run_plan(self.stmt.assignment,
                                                       strict)
                     sp.set(fell_back=state == "fallback", plan=state)
@@ -240,6 +240,10 @@ class CompiledKernel:
 
     def memory_report(self) -> str:
         return self.plan.report()
+
+
+#: Whether tracing is on: the knob's raw value, read in C (no frame).
+_tracing = settings.TRACE_DIR.raw
 
 
 @functools.cache

@@ -1,5 +1,5 @@
 """The execution-engine names: a leaf module that imports nothing of
-``repro`` at import time.
+``repro`` at import time but :mod:`repro.settings`.
 
 Validating an engine string is all most callers need (the request API,
 the CLI's ``--engine`` choices), so the names live here and
@@ -9,7 +9,7 @@ the CLI's ``--engine`` choices), so the names live here and
 
 from __future__ import annotations
 
-import os
+from repro import settings
 
 #: Execution engines for running a compiled kernel functionally.
 #:
@@ -24,12 +24,12 @@ import os
 ENGINES = ("interp", "cpu", "numpy")
 
 #: Default engine for artefact generation (functional execution checks).
-DEFAULT_ENGINE = "numpy"
+DEFAULT_ENGINE = settings.ENGINE.default
 
 
 def default_engine() -> str:
     """The engine to use when none is requested (``REPRO_ENGINE`` env)."""
-    engine = os.environ.get("REPRO_ENGINE", DEFAULT_ENGINE)
+    engine = settings.ENGINE.get()
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     return engine

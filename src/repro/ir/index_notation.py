@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Union
 
 from repro.immutable import immutable
@@ -319,13 +319,6 @@ class Assignment:
     def __str__(self) -> str:
         op = "+=" if self.accumulate else "="
         return f"{self.lhs} {op} {self.rhs}"
-
-
-def iter_subexpressions(expr: IndexExpr) -> Iterator[IndexExpr]:
-    """Pre-order traversal of an expression tree."""
-    yield expr
-    for c in expr.children():
-        yield from iter_subexpressions(c)
 
 
 def additive_terms(expr: IndexExpr) -> list[tuple[int, IndexExpr]]:

@@ -33,7 +33,6 @@ _EXPORTS = {
     "registry": ("repro.obs.metrics", "registry"),
     "span": ("repro.obs.trace", "span"),
     "trace_dir": ("repro.obs.trace", "trace_dir"),
-    "trace_env_knobs": ("repro.obs.trace", "trace_env_knobs"),
     "tracing_enabled": ("repro.obs.trace", "tracing_enabled"),
 }
 

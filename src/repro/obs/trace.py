@@ -18,8 +18,9 @@ Design constraints (tested in ``tests/test_obs.py``):
 
 * **Zero overhead when off.** ``span()`` returns a module-level no-op
   singleton unless ``REPRO_TRACE_DIR`` is set — no object allocation,
-  no clock reads, no I/O.  The env var is read dynamically, so tests
-  and the ``--trace DIR`` CLI flag can flip tracing per call.
+  no clock reads, no I/O.  The env var is read live (one dict probe,
+  :mod:`repro.settings`), so tests and the ``--trace DIR`` CLI flag can
+  flip tracing per call.
 * **Byte transparency.** Spans only ever append to their own JSONL
   file; stdout/stderr and every artefact byte stay untouched.
 * **Crash safety.** One JSON object per line, written at span *exit*
@@ -34,21 +35,25 @@ different hosts/processes merge onto one axis; ``dur`` is measured with
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Any
+
+from repro import settings
 
 __all__ = [
     "TRACE_ENV",
     "event",
     "span",
     "trace_dir",
-    "trace_env_knobs",
     "tracing_enabled",
 ]
 
 #: Environment variable naming the trace output directory.
-TRACE_ENV = "REPRO_TRACE_DIR"
+TRACE_ENV = settings.TRACE_DIR.name
+
+#: The knob's raw value, ``None`` when unset: one dict probe in C, so the
+#: check that tracing is off adds no Python frame to a span.
+_configured = settings.TRACE_DIR.raw
 
 #: Per-line schema version stamped into every record.
 SCHEMA = 1
@@ -56,20 +61,13 @@ SCHEMA = 1
 
 def tracing_enabled() -> bool:
     """Whether spans are being recorded (``REPRO_TRACE_DIR`` is set)."""
-    return bool(os.environ.get(TRACE_ENV))
+    return bool(_configured())
 
 
 def trace_dir() -> Path | None:
     """The configured trace directory, or ``None`` when tracing is off."""
-    configured = os.environ.get(TRACE_ENV, "")
+    configured = settings.TRACE_DIR.get()
     return Path(configured).expanduser() if configured else None
-
-
-def trace_env_knobs() -> dict[str, str]:
-    """Trace env settings a remote worker needs, for transports that
-    forward an explicit environment (ssh) rather than inheriting ours."""
-    configured = os.environ.get(TRACE_ENV, "")
-    return {TRACE_ENV: configured} if configured else {}
 
 
 class _NullSpan:
@@ -96,14 +94,11 @@ _NULL_SPAN = _NullSpan()
 
 
 def _active_tracer():
-    """The process's writer, or ``None`` when tracing is off; only a
-    traced process loads :mod:`repro.obs.writer`."""
-    configured = os.environ.get(TRACE_ENV, "")
-    if not configured:
-        return None
+    """The process's writer (tracing is on); only a traced process loads
+    :mod:`repro.obs.writer`."""
     from repro.obs.writer import active_tracer
 
-    return active_tracer(configured)
+    return active_tracer(settings.TRACE_DIR.get())
 
 
 def span(name: str, *, _nest: bool = True, _track: str | None = None,
@@ -115,14 +110,12 @@ def span(name: str, *, _nest: bool = True, _track: str | None = None,
     one thread would otherwise corrupt each other's ancestry.
     ``_track`` names the Chrome-export lane (defaults to the thread).
     """
-    tracer = _active_tracer()
-    if tracer is None:
+    if not _configured():
         return _NULL_SPAN
-    return tracer.span(name, attrs, _nest, _track)
+    return _active_tracer().span(name, attrs, _nest, _track)
 
 
 def event(name: str, **attrs: Any) -> None:
     """An instant (zero-duration) record — lease grants, claims, etc."""
-    tracer = _active_tracer()
-    if tracer is not None:
-        tracer.write_event(name, attrs)
+    if _configured():
+        _active_tracer().write_event(name, attrs)

@@ -37,12 +37,10 @@ provides that memoization for the whole pipeline:
   (kernel, dataset, scale) coordinates the ``stats`` stage uses, and
   its lease order treats a missing entry as "no cost known yet".
 
-Environment knobs (read dynamically, so tests can monkeypatch them):
-
-* ``REPRO_CACHE_DIR`` — on-disk store location (default ``~/.cache/repro``).
-* ``REPRO_NO_CACHE=1`` — disable all caching (equivalent to ``--no-cache``).
-* ``REPRO_CACHE_DISK=0`` — keep the in-memory LRU but skip the disk store.
-* ``REPRO_CACHE_MEM`` — in-memory LRU capacity (default 64 entries).
+Environment knobs (``REPRO_CACHE_DIR``, ``REPRO_NO_CACHE``,
+``REPRO_CACHE_DISK``, ``REPRO_CACHE_MEM``) are declared in
+:mod:`repro.settings` and read live, so tests can monkeypatch them; the
+README's knob table says what each means.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
+from repro import settings
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "CompilationCache",
     "NO_CACHE_EXEMPT_STAGES",
     "cache_enabled",
-    "cache_env_knobs",
     "compiler_version",
     "default_cache",
     "disk_cache_dir",
@@ -83,9 +81,6 @@ __all__ = [
     "stage_version",
     "subsystem_version",
 ]
-
-#: Default in-memory LRU capacity.
-DEFAULT_MEMORY_ENTRIES = 64
 
 #: Soft cap on on-disk entries per compiler version (pruned oldest-first).
 DEFAULT_MAX_DISK_ENTRIES = 10_000
@@ -243,43 +238,23 @@ def make_key(kind: str, *parts: Any, version: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+_NO_CACHE = settings.NO_CACHE
+
+
 def cache_enabled() -> bool:
     """False when ``REPRO_NO_CACHE`` disables caching globally."""
-    return os.environ.get("REPRO_NO_CACHE", "") not in ("1", "true", "yes")
+    # The knob's frame-free read: every stage lookup asks.
+    return not _NO_CACHE.parsed[_NO_CACHE.raw()]
 
 
 def disk_cache_dir() -> Path | None:
     """The on-disk store location, or None when the disk layer is off."""
-    if os.environ.get("REPRO_CACHE_DISK", "") in ("0", "false", "no"):
+    if not settings.CACHE_DISK.get():
         return None
-    configured = os.environ.get("REPRO_CACHE_DIR", "")
+    configured = settings.CACHE_DIR.get()
     if configured:
         return Path(configured).expanduser()
     return Path.home() / ".cache" / "repro"
-
-
-#: Environment variables that change cache behaviour; dispatch workers
-#: (local subprocesses, SSH remotes) must see the same values the
-#: dispatcher does or their staged entries land in a different store.
-_ENV_KNOBS = ("REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_CACHE_DISK",
-              "REPRO_CACHE_MEM")
-
-
-def cache_env_knobs() -> dict[str, str]:
-    """The cache-relevant ``REPRO_*`` variables currently set.
-
-    Used by the sweep dispatcher to forward this process's cache
-    configuration into worker environments (notably over SSH, where the
-    local environment is not inherited).
-    """
-    return {k: os.environ[k] for k in _ENV_KNOBS if k in os.environ}
-
-
-def _memory_entries() -> int:
-    try:
-        return int(os.environ.get("REPRO_CACHE_MEM", DEFAULT_MEMORY_ENTRIES))
-    except ValueError:
-        return DEFAULT_MEMORY_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +348,8 @@ class CompilationCache:
     # -- configuration ------------------------------------------------------
 
     def _capacity(self) -> int:
-        return self._max_entries if self._max_entries is not None else _memory_entries()
+        return (self._max_entries if self._max_entries is not None
+                else settings.CACHE_MEM.get())
 
     def _disk_dir(self) -> Path | None:
         if self._disk is False:

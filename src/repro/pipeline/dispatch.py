@@ -61,12 +61,12 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
+from repro import settings
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.pipeline.batch import UnknownArtifact, resolve_artifact
 from repro.pipeline.cache import (
     cache_enabled,
-    cache_env_knobs,
     compiler_version,
     get_stage,
     put_stage,
@@ -325,9 +325,10 @@ class SshTransport(SlotTransport):
       absolute path, for homogeneous clusters).
     * ``REPRO_SSH_PYTHON`` — remote interpreter (default ``python3``).
 
-    ``REPRO_*`` cache knobs set locally are forwarded into the remote
-    environment, so pointing ``REPRO_CACHE_DIR`` at a shared mount gives
-    the whole pool one staged cache.
+    The cache and trace knobs set locally are forwarded into the remote
+    environment (:func:`repro.settings.forwarded`), so pointing
+    ``REPRO_CACHE_DIR`` at a shared mount gives the whole pool one
+    staged cache.
     """
 
     def __init__(self, hosts: list[str]) -> None:
@@ -339,11 +340,10 @@ class SshTransport(SlotTransport):
     def argv(self, slot: int) -> list[str]:
         import repro
 
-        repo = (os.environ.get("REPRO_SSH_REPO")
+        repo = (settings.SSH_REPO.get()
                 or str(Path(repro.__file__).resolve().parents[2]))
-        python = os.environ.get("REPRO_SSH_PYTHON", "python3")
-        knobs = {"PYTHONPATH": "src", **cache_env_knobs(),
-                 **_trace.trace_env_knobs()}
+        python = settings.SSH_PYTHON.get()
+        knobs = {"PYTHONPATH": "src", **settings.forwarded()}
         exports = " ".join(f"{k}={shlex.quote(v)}" for k, v in knobs.items())
         return ["ssh", "-o", "BatchMode=yes", self.hosts[slot],
                 f"cd {shlex.quote(repo)} && env {exports} "

@@ -269,11 +269,15 @@ class StagedOperands:
     def dense(self) -> np.ndarray:
         """The full dense operand array, regenerated deterministically
         from the seed: broadcast by reference, every worker rebuilds the
-        same array the way the dataset stage regenerates matrices."""
+        same array the way the dataset stage regenerates matrices.
+        Read-only: every block's operand tensor holds it (or its row
+        slice) as it is."""
         spec = KERNELS[self.plan.kernel]
         (dense,) = spec.of_role("dense")
         rng = np.random.default_rng(PARTITION_SEED)
-        return rng.random(spec.shapes(self.full.dims)[dense.name])
+        array = rng.random(spec.shapes(self.full.dims)[dense.name])
+        array.flags.writeable = False
+        return array
 
 
 def _run_kernel(operands: StagedOperands, sparse, dense: np.ndarray,
@@ -286,7 +290,9 @@ def _run_kernel(operands: StagedOperands, sparse, dense: np.ndarray,
     sizes as symbols, so the run's first block compiles its statement
     (cached or not) and every later block binds its own statement to
     that program. The block *result* is what the ``partition`` stage
-    keeps: the dense view of the (all-dense) output storage.
+    keeps: the dense view of the (all-dense) output storage. The block's
+    dense operand draws ``dense`` itself, a read-only array no engine
+    writes, so no block copies it.
     """
     from repro.core.compiler import CompiledKernel, compile_stmt
     from repro.tensor.storage import dense_view
@@ -297,7 +303,7 @@ def _run_kernel(operands: StagedOperands, sparse, dense: np.ndarray,
     # extent), not the clamp of its own row count.
     shapes = spec.shapes(sparse.dims, free=dense.shape[-1])
     stmt, _out = spec.build(spec.operands(shapes, [sparse],
-                                          lambda _shape: dense.copy))
+                                          lambda _shape: lambda: dense))
     program = operands.program
     if program is None:
         kernel = compile_stmt(stmt, name, cache=operands.use_cache)

@@ -17,12 +17,12 @@ import time
 
 import pytest
 
+from repro import settings
 from repro.pipeline.batch import (
     artifact_jobs,
     format_artifact,
     run_artifact,
 )
-from repro.pipeline.cache import cache_env_knobs
 from repro.pipeline.dispatch import (
     ChunkRequest,
     DispatchError,
@@ -120,7 +120,7 @@ class TestSshCommand:
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         monkeypatch.delenv("REPRO_CACHE_DISK", raising=False)
-        knobs = cache_env_knobs()
+        knobs = settings.forwarded()
         assert knobs["REPRO_CACHE_DIR"] == "/tmp/x"
         assert knobs["REPRO_NO_CACHE"] == "1"
         assert "REPRO_CACHE_DISK" not in knobs

@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro import obs
+from repro import obs, settings
 from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
 from repro.obs.timeline import load_trace_dir, render_summary, to_chrome
@@ -48,7 +48,7 @@ class TestTracingOff:
         monkeypatch.delenv(obs.TRACE_ENV, raising=False)
         assert not obs.tracing_enabled()
         assert obs.trace_dir() is None
-        assert obs.trace_env_knobs() == {}
+        assert obs.TRACE_ENV not in settings.forwarded()
         first = obs.span("lower", kernel="SpMV")
         second = obs.span("codegen")
         assert first is second  # the module singleton: no per-call alloc
@@ -81,7 +81,7 @@ def trace_dir_env(monkeypatch, tmp_path):
 class TestSchemaRoundTrip:
     def test_nested_spans_and_events(self, trace_dir_env):
         assert obs.tracing_enabled()
-        assert obs.trace_env_knobs() == {obs.TRACE_ENV: str(trace_dir_env)}
+        assert settings.forwarded()[obs.TRACE_ENV] == str(trace_dir_env)
         with obs.span("outer", artifact="table3") as outer:
             obs.event("claim", task="chunk-1")
             with obs.span("inner", kernel="SpMV") as inner:

@@ -539,6 +539,34 @@ class TestStaging:
             partition(self._request(split), use_cache=False)
             assert stagings == [packs]
 
+    @pytest.mark.parametrize("kernel, split", [
+        ("SpMV", "row"), ("DCSR-SpMM", "row"), ("DCSR-SpMM", "sum")])
+    def test_a_block_holds_the_staged_dense_operand(self, fresh_cache,
+                                                     monkeypatch, kernel,
+                                                     split):
+        """Every block's dense operand storage is the staged array (or
+        its row slice), read-only: no block copies it, none can write it."""
+        from repro.core.compiler import CompiledKernel
+        from repro.kernels import KERNELS
+
+        (dense,) = KERNELS[kernel].of_role("dense")
+        held, real = [], CompiledKernel.run_engine
+
+        def spy(self, *args, **kwargs):
+            held.append(self.tensors[dense.name].storage.vals)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledKernel, "run_engine", spy)
+        plan = PartitionPlan(kernel, DATASET, 4, split)
+        operands = partition.StagedOperands(plan, TINY)
+        for index in range(plan.count):
+            partition.partition_cell(operands, index)
+        assert len(held) == plan.count
+        for vals in held:
+            assert np.shares_memory(vals, operands.dense)
+            with pytest.raises(ValueError, match="read-only"):
+                vals[0] = 1.0
+
     def test_uncached_process_packs_every_request(self, fresh_cache,
                                                   stagings, monkeypatch):
         """Under ``REPRO_NO_CACHE=1`` each request draws its own

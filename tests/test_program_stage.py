@@ -25,7 +25,7 @@ from repro.core.runner import bind_dram, bind_symbols
 from repro.formats import CSC, offChip
 from repro.pipeline.batch import ARTEFACTS, run_artifact
 from repro.pipeline.cache import fingerprint_program
-from repro.service.api import _platform_models
+from repro.service.compute import _platform_models
 from repro.tensor import Tensor
 
 SCALE = 0.05
