@@ -218,14 +218,15 @@ def estimate_resources_cached(
 ) -> ResourceEstimate:
     """:func:`estimate_resources` memoized under the ``resources`` stage.
 
-    The estimate reads only the program, so it is keyed by the kernel's
-    structural program key: every dataset and scale of one kernel
-    configuration, Table 5 rows and Table 6 simulations alike, shares
-    one entry. Under ``--no-cache`` the key is never derived.
+    The estimate reads only the program, so it is keyed by the key its
+    program was stored under in the ``program`` stage: every dataset and
+    scale of one kernel configuration, Table 5 rows and Table 6
+    simulations alike, shares one entry. A program lowered outside that
+    stage has no key and is estimated without the store.
     """
-    from repro.pipeline.cache import memoize_stage, stage_bypassed
+    from repro.pipeline.cache import memoize_stage
 
-    parts = () if stage_bypassed("resources", use_cache) else (
-        kernel.program_key,)
-    return memoize_stage("resources", parts,
-                         lambda: estimate_resources(kernel), use_cache)
+    key = kernel.compiled.key
+    return memoize_stage("resources", (key,),
+                         lambda: estimate_resources(kernel),
+                         False if key is None else use_cache)

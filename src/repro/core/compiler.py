@@ -25,6 +25,7 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.core.memory_analysis import KernelAnalysis, MemoryPlan
 from repro.core.runner import run_program
+from repro.immutable import immutable
 from repro.ir.cin import SplitDown, SplitUp
 from repro.schedule.stmt import IndexStmt
 from repro.spatial import codegen
@@ -33,7 +34,7 @@ from repro.tensor.storage import TensorStorage, to_dense
 from repro.tensor.tensor import Tensor
 
 
-@dataclasses.dataclass
+@immutable
 class KernelProgram:
     """The data-free half of a compilation: what a structure lowers to.
 
@@ -44,8 +45,9 @@ class KernelProgram:
     was lowered from; their tensors are that statement's, so a reader of
     operand data resolves tensors by name through
     :attr:`CompiledKernel.tensors` instead. ``key`` is the ``program``
-    stage key (:func:`~repro.pipeline.cache.fingerprint_program`), filled
-    in on first use when the program was compiled outside that stage.
+    stage key (:func:`~repro.pipeline.cache.fingerprint_program`) it was
+    stored under, fixed at construction; ``None`` when it was lowered
+    outside that stage.
     """
 
     name: str
@@ -118,15 +120,6 @@ class CompiledKernel:
         """Lowering notes: the memory report, then each forall's
         rewrite-rule trace."""
         return self.compiled.notes
-
-    @property
-    def program_key(self) -> str:
-        """The structural key this kernel's program is stored under."""
-        if self.compiled.key is None:
-            from repro.pipeline.cache import fingerprint_program
-
-            self.compiled.key = fingerprint_program(self.stmt, self.name)
-        return self.compiled.key
 
     @functools.cached_property
     def tensors(self) -> dict[str, Tensor]:

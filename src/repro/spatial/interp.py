@@ -7,7 +7,7 @@ bit-vector scanners yield Figure 7 pattern-index tuples, ``Reduce``
 combines lane values through its operator, and re-executing a declaration
 re-initialises the memory (which is how per-iteration workspaces reset).
 
-A program is translated once, then executed. Translation writes the
+A program is translated per machine, then executed. Translation writes the
 source of one Python function, ``_program(m, E, K, data)``: ``m`` is the
 run's :class:`Machine`, ``E`` its symbols and environment variables, ``K``
 the literals that have no exact source text, ``data`` the host's DRAM
@@ -23,9 +23,10 @@ checks its hardware preconditions inline, and a failed check calls a
 helper that raises :class:`InterpError`; segment-sized work (loads,
 stores, stream stores, bit vectors, singleton scans) calls a helper that
 checks and moves the data.
-The compiled function is memoised on its source text and the translation
-is cached on the program, so a re-run pays neither, and a fresh but
-equal program pays only the writing.
+The compiled function is memoised on its source text, so a re-run or an
+equal program lowered again pays only the writing. The text, not the
+program value, is the key: ``SLit(1) == SLit(1.0)``, but the two write
+an ``int`` and a ``float`` literal.
 
 The interpreter is the correctness oracle for the compiler: every kernel's
 generated code is run on small inputs and compared against the dense
@@ -122,12 +123,12 @@ class Machine:
         self.env: dict[str, float] = {}
         self.env.update(symbols)
         self.env.update(program.env)
-        self._code = _translate(program)
+        source, self._consts = _Writer(program).write()
+        self._function = _compiled(source)
         self._data = dram_data
 
     def run(self) -> None:
-        function, consts = self._code
-        function(self, self.env, consts, self._data)
+        self._function(self, self.env, self._consts, self._data)
 
 
 def execute(
@@ -289,29 +290,16 @@ def _scan(bv_a, bv_b=None, op="and"):
 # -- translation --------------------------------------------------------------
 
 
-def _translate(program: SpatialProgram) -> tuple:
-    """``(function, consts)`` of a program, translated on first use."""
-    cached = program.__dict__.get("_interp_code")
-    if (cached is not None and cached[0] is program.dram
-            and cached[1] is program.accel):
-        return cached[2]
-    source, consts = _Writer(program).write()
-    code = (_compiled(source), consts)
-    # Built fully, then published by one attribute store: racing threads
-    # each translate the whole program and the last one stays.
-    program._interp_code = (program.dram, program.accel, code)
-    return code
-
-
 @functools.lru_cache(maxsize=256)
 def _compiled(source: str):
     """The function a program's source defines, compiled once per text;
     its globals are this module's.
 
-    It pays only where an equal program is lowered again (an uncached
-    compile, a pipeline stage per request); a program run once pays
-    ``compile()`` on top of the writing. 256 texts hold the 143 distinct
-    ones a whole test-suite run writes."""
+    It pays where a text is run again (a re-run, an equal program lowered
+    again by an uncached compile or a pipeline stage per request); a
+    program run once pays ``compile()`` on top of the writing. 256 texts
+    hold the 150 distinct ones a whole test-suite run writes in its own
+    process (870 writes)."""
     defined = {}
     exec(compile(source, "<spatial program>", "exec"), globals(), defined)
     return defined["_program"]

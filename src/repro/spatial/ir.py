@@ -439,9 +439,13 @@ class TensorLayout:
     is_output: bool = False
 
 
-@dataclasses.dataclass
+@immutable
 class SpatialProgram:
     """A complete generated Spatial kernel.
+
+    Frozen like its nodes: no field is reassigned after lowering, so a
+    program cannot drift from the ``program`` stage key it is stored
+    under.
 
     Attributes:
         name: kernel name.
@@ -459,12 +463,6 @@ class SpatialProgram:
     dram: tuple[DramDecl, ...]
     accel: tuple[SStmt, ...]
     layouts: dict[str, TensorLayout]
-
-    def __getstate__(self) -> dict:
-        """Fields only: the interpreter's cached translation (a generated
-        function) is never pickled or copied."""
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
 
     def all_statements(self) -> Iterator[SStmt]:
         for d in self.dram:

@@ -45,9 +45,9 @@ NODE_MODULES = (
 )
 
 
-#: The dataclasses of those modules that are mutable by design: program
-#: and lattice containers, never IR nodes.
-MUTABLE = {"TensorLayout", "SpatialProgram", "MergeLattice"}
+#: The dataclasses of those modules that are mutable by design: a
+#: program's layout records and lattice containers, never IR nodes.
+MUTABLE = {"TensorLayout", "MergeLattice"}
 
 
 def _dataclasses() -> list[type]:

@@ -1,5 +1,6 @@
 """Unit tests for the Spatial IR interpreter semantics."""
 
+import dataclasses
 import json
 import pickle
 from pathlib import Path
@@ -415,21 +416,54 @@ class TestPreconditions:
 
 
 class TestTranslation:
-    def test_program_translates_once_and_never_pickles_it(self):
+    def test_a_rerun_compiles_its_source_once(self):
+        """Each machine writes its program's source; the text is compiled
+        once."""
         program = make_program([
             RegDecl("r", 0.0), RegWrite("r", SLit(2.0), accumulate=True)])
-        execute(program, {}, {})
-        code = program._interp_code
+        interp._compiled.cache_clear()
+        assert execute(program, {}, {}).regs["r"] == 2.0
         assert execute(program, {}, {}).regs["r"] == 2.0  # state per run
-        assert program._interp_code is code
-        clone = pickle.loads(pickle.dumps(program))
-        assert clone == program and "_interp_code" not in vars(clone)
+        info = interp._compiled.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_kernels_bound_to_one_program_compile_its_source_once(
+            self, fresh_cache):
+        stmts = [build_small_kernel_stmt("SpMV")[0] for _ in range(2)]
+        kernels = [compile_stmt(stmt, "spmv", cache=True) for stmt in stmts]
+        assert kernels[0].compiled is kernels[1].compiled
+        interp._compiled.cache_clear()
+        results = [np.asarray(k.run()) for k in kernels]
+        info = interp._compiled.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert np.array_equal(results[0], results[1])
+
+    def test_an_executed_program_pickles_like_a_fresh_one(self):
+        stmt, _, _ = build_small_kernel_stmt("SpMV")
+        kernel, fresh = (compile_stmt(stmt, "spmv", cache=False)
+                         for _ in range(2))
+        kernel.run()
+        assert pickle.dumps(kernel.program) == pickle.dumps(fresh.program)
+
+    def test_int_and_float_literals_never_share_a_function(self):
+        """``SLit(1) == SLit(1.0)``, so equal programs may write different
+        sources: the memo is keyed on the text, not the program."""
+        programs = [make_program([RegDecl("r", 0.0), RegWrite("r", SLit(v))])
+                    for v in (1, 1.0)]
+        assert programs[0] == programs[1]
+        interp._compiled.cache_clear()
+        values = [execute(p, {}, {}).regs["r"] for p in programs]
+        assert interp._compiled.cache_info().misses == 2
+        assert [(type(v), v) for v in values] == [(int, 1), (float, 1.0)]
 
     def test_replaced_block_is_translated_again(self):
         program = make_program([RegDecl("r", 1.0)])
         execute(program, {}, {})
-        program.accel = (RegDecl("r", 5.0),)
-        assert execute(program, {}, {}).regs["r"] == 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.accel = (RegDecl("r", 5.0),)
+        replaced = dataclasses.replace(program, accel=(RegDecl("r", 5.0),))
+        assert execute(replaced, {}, {}).regs["r"] == 5.0
+        assert execute(program, {}, {}).regs["r"] == 1.0
 
     def test_equal_programs_compile_their_source_once(self, monkeypatch):
         """Two uncached compiles lower two equal programs: each is written

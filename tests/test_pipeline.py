@@ -401,6 +401,22 @@ class TestStagedCache:
                 == misses_before)
         assert fresh_cache.stats.stage_hits.get("resources", 0) >= 1
 
+    def test_unkeyed_program_is_estimated_without_the_store(self,
+                                                            fresh_cache):
+        # Lowered outside the `program` stage, the program has no key:
+        # its estimate neither reads nor writes the `resources` stage.
+        from repro.capstan.resources import (
+            estimate_resources,
+            estimate_resources_cached,
+        )
+
+        stmt, _, _ = build_small_kernel_stmt("SpMV")
+        kernel = compile_stmt(stmt, "spmv", cache=False)
+        assert kernel.compiled.key is None
+        assert estimate_resources_cached(kernel) == estimate_resources(kernel)
+        stats = fresh_cache.stats
+        assert "resources" not in {*stats.stage_misses, *stats.stage_hits}
+
 
 # ---------------------------------------------------------------------------
 # Executor

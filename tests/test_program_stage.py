@@ -87,9 +87,9 @@ def test_bound_kernels_equal_their_own_compile(fresh_cache):
         # Bound to a program compiled from another statement.
         assert kernel.analysis.stmt is not kernel.stmt, cell
         assert (fingerprint_program(kernel.analysis.stmt, kernel.name)
-                == kernel.program_key), cell
-        programs.setdefault(kernel.program_key, kernel.compiled)
-        assert kernel.compiled is programs[kernel.program_key], cell
+                == kernel.compiled.key), cell
+        programs.setdefault(kernel.compiled.key, kernel.compiled)
+        assert kernel.compiled is programs[kernel.compiled.key], cell
 
         assert compute_stats(kernel) == compute_stats(own), cell
         assert estimate_resources(kernel) == estimate_resources(own), cell

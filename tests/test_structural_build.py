@@ -49,7 +49,7 @@ def test_data_free_operands_have_the_loaded_shapes(kernel, dataset, scale,
     bound = api.build(request)
     data_free = api.build_structure(request)
     assert _layout(data_free) == _layout(bound)
-    assert data_free.program_key == bound.program_key
+    assert data_free.compiled.key == bound.compiled.key is not None
 
 
 def _bound_render(request, use_cache):
