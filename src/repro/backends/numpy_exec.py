@@ -43,11 +43,16 @@ SDFG into a pre-state, a compute state and a post-state:
   permutation (its mode ordering composed with its gather's axes; none
   when that is the identity), and whether a keyed term's runs are every
   row of its output (then the runs, ``+ 0.0``, *are* the output: no
-  zeroed buffer, no scatter). A term with a dense gather wider than its
-  per-entry output (SDDMM's two rank-``K`` rows per entry) runs in
-  blocks of about :data:`GATHER_BLOCK_BYTES` of gathers, cut at run
-  starts, so every per-output sum sees the same operands in the same
-  order as one pass;
+  zeroed buffer, no scatter). A keyed term whose per-entry gathers
+  total at least twice :data:`GATHER_BLOCK_BYTES` runs in blocks of
+  about that many bytes of gathers, cut at run starts; consecutive
+  blocks form one chunk per CPU the process may use, the caller's
+  thread running the first and a shared pool the rest
+  (:func:`repro.parallel.map_chunks`), and every block gathers from one
+  contiguous copy per run of a permuted layout. Each block sums whole
+  runs, over the same operands in the same order as one pass, and a
+  term without keys (one sum over every entry) never runs in blocks, so
+  the result is the same bytes on one CPU or many;
 * **post-state** — a :class:`TensorStorage` in the lhs's declared format:
   the planned level arrays plus fresh ``vals`` for a compressed lhs (no
   dense buffer), the computed array wrapped without a copy for a dense
@@ -93,6 +98,7 @@ from repro.ir.index_notation import (
     Sub,
     additive_terms,
 )
+from repro.parallel import map_chunks, threads_for
 from repro.schedule.stmt import IndexStmt
 from repro.tensor.ops import infer_dimensions
 from repro.tensor.storage import (
@@ -111,6 +117,7 @@ __all__ = [
     "VectorizeFallback",
     "enumerate_entries",
     "execute_numpy",
+    "plan_spread",
     "run_plan",
 ]
 
@@ -118,8 +125,8 @@ __all__ = [
 _LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 #: Bytes of dense gathers one block of entries holds at once, about an
-#: L2 cache. Whole, SDDMM's two ``(nnz, 256)`` gathers at scale 0.05 are
-#: 14.8 MB each, and a call took 2.3x as long as in 1 MiB blocks.
+#: L2 cache: a gather many times that size runs slower whole than in
+#: blocks (CHANGES.md has SDDMM's timings).
 GATHER_BLOCK_BYTES = 1 << 20
 
 
@@ -232,17 +239,18 @@ def _in_range(index: np.ndarray, extent: int) -> np.ndarray:
 
 def _blocks(n: int, starts, size: int) -> list:
     """``[(entries, starts)]``: slices of about ``size`` entries, cut only
-    at run starts (a run longer than ``size`` stays whole), each with its
-    run starts rebased to the slice (``None``: one entry per run)."""
+    at run starts (a run longer than ``size`` stays whole), each with the
+    run starts inside it, a view of ``starts`` that the block rebases as
+    it sums (``None``: one entry per run)."""
     if starts is None:
         return [(slice(lo, min(lo + size, n)), None)
                 for lo in range(0, n, size)]
     cuts = np.unique(starts[np.searchsorted(
         starts, np.arange(0, n, size), side="right") - 1])
     bounds = [*map(int, cuts), n]
-    return [(slice(lo, hi), starts[np.searchsorted(starts, lo):
-                                   np.searchsorted(starts, hi)] - lo)
-            for lo, hi in zip(bounds, bounds[1:])]
+    at = np.searchsorted(starts, bounds).tolist()
+    return [(slice(lo, hi), starts[a:b])
+            for lo, hi, a, b in zip(bounds, bounds[1:], at, at[1:])]
 
 
 def _flatten_factors(expr: IndexExpr) -> tuple[float, list[IndexExpr]]:
@@ -396,24 +404,42 @@ def _one_pass(values, ops, einsum, starts, axis):
     return lambda: np.add.reduceat(run(), starts, axis=axis)
 
 
-def _in_blocks(values, layouts, gathers, blocks, einsum):
+def _in_blocks(values, layouts, gathers, blocks, einsum, axis):
     """A term whose gathers run in ``blocks`` (entry slices with their
-    run starts): the values and each operand's layout are read once per
-    run, and each block takes its slice of them; ``gathers`` holds each
-    operand's ``(index, axis)`` (``None``: read whole)."""
+    run starts), spread over the CPUs by :func:`repro.parallel.map_chunks`.
+    The values and each operand's layout are read once per run (a
+    gathered layout as one contiguous copy), and each block takes its
+    slice of them, multiplies as :func:`_one_pass` does (an ``einsum``,
+    or in place into its first, fresh gather) and sums its runs along
+    ``axis``; ``gathers`` holds each operand's ``(index, axis)``
+    (``None``: read whole)."""
     def run():
         vals = values()
-        srcs = [layout() for layout in layouts]
-        parts = []
-        for entries, starts in blocks:
-            ops = [src if gather is None
-                   else src.take(gather[0][entries], axis=gather[1])
-                   for src, gather in zip(srcs, gathers)]
-            contrib = np.einsum(einsum, vals[entries], *ops)
-            if starts is not None:
-                contrib = np.add.reduceat(contrib, starts, axis=0)
-            parts.append(contrib)
-        return np.concatenate(parts, 0)
+        srcs = [layout() if gather is None
+                else np.ascontiguousarray(layout())
+                for layout, gather in zip(layouts, gathers)]
+
+        def chunk(pieces):
+            parts = []
+            for entries, starts in pieces:
+                ops = []
+                for src, gather in zip(srcs, gathers):
+                    ops.append(src if gather is None else
+                               src.take(gather[0][entries], axis=gather[1]))
+                if einsum is not None:
+                    contrib = np.einsum(einsum, vals[entries], *ops)
+                else:
+                    contrib = ops[0]
+                    for op in ops[1:]:
+                        contrib *= op
+                    contrib *= vals[entries]
+                if starts is not None:
+                    contrib = np.add.reduceat(contrib, starts - entries.start,
+                                              axis=axis)
+                parts.append(contrib)
+            return parts
+        return np.concatenate(
+            map_chunks(chunk, blocks, threads_for(len(blocks))), axis)
     return run
 
 
@@ -426,8 +452,9 @@ class _Term:
     (``positions`` is ``None`` for the identity; ``block`` the extents of
     the format's trailing block levels, kept as dense value axes);
     ``dense`` holds :func:`_dense_spec` per dense operand, with its
-    gather index and axis; ``blocks`` the entry slices computed one at a
-    time, with their run starts (see :func:`_blocks`). ``identity``: the
+    gather index and axis; ``blocks`` the entry slices its gathers run
+    in, with the run starts inside each (see :func:`_blocks`; one slice
+    of every entry when the term runs in one pass). ``identity``: the
     run keys are every row of the buffer, so the runs *are* the buffer.
 
     ``entries`` (a keyed term's value per run, in ``ukeys`` order,
@@ -455,7 +482,7 @@ class _Term:
             raise VectorizeFallback(f"{len(sparse)} sparse factors in one term")
 
         def sub(ivars) -> str:
-            return "".join(letters[id(v)] for v in ivars)
+            return "".join(map(letters.__getitem__, map(id, ivars)))
 
         in_term = {id(v) for v in term.index_vars()}
         present = [v for v in lhs_vars if id(v) in in_term]
@@ -464,6 +491,7 @@ class _Term:
                            for v in lhs_vars)
         self.factors, self.dense, self.ukeys, self.n = [], [], None, None
         self.key_vars, self.identity = None, False
+        self.blocks = [(slice(None), None)]
         if not sparse:
             self.dense = [_dense_spec(acc.tensor.storage) for acc in dense]
             self.einsum = (",".join(sub(acc.indices) for acc in dense)
@@ -564,8 +592,8 @@ class _Term:
             gathers.append((acc, shared, residual))
             subs.append(("e" if shared else "")
                         + sub(acc.indices[m] for m in residual))
-        pure = bool(lhs_s) and vals_sub == "e" and all(
-            s == out for s in subs[1:])
+        pure = (bool(lhs_s) and vals_sub == "e"
+                and subs[1:] == [out] * len(dense))
         self.einsum = None if pure else ",".join(subs) + "->" + out
         self.tail = pure and bool(lhs_d)
         widths = [0]  # values each gather holds per entry
@@ -592,14 +620,16 @@ class _Term:
         # be a fresh gather, never a view of an operand's ``vals``.
         assert self.einsum is not None or all(
             index is not None for *_, index, _ in self.dense)
-        # A gather wider than the per-entry output (the einsum contracts
-        # its rows away) runs in blocks. A term without keys sums every
+        # Gathers of at least two blocks' bytes run in blocks, each
+        # block's runs summed whole. A term without keys sums every
         # entry into one output and is never blocked: partial sums would
         # reassociate it.
-        self.blocks = [(slice(None), starts)]
-        if lhs_s and max(widths) > int(np.prod(self.d_shape)):
-            size = max(1, GATHER_BLOCK_BYTES // (8 * sum(widths)))
-            self.blocks = _blocks(self.n, starts, size)
+        width = 8 * sum(widths)
+        if lhs_s and self.n * width >= 2 * GATHER_BLOCK_BYTES:
+            self.blocks = _blocks(self.n, starts,
+                                  max(1, GATHER_BLOCK_BYTES // width))
+        else:
+            self.blocks = [(slice(None), starts)]
         self.entries = self._entries_runner()
         self.run = self._dense_runner()
 
@@ -608,16 +638,16 @@ class _Term:
         values = _values([_reader(st, blk, pos)
                           for st, pos, blk in self.factors],
                          self.literal, self.scalars)
+        axis = -1 if self.tail else 0
         if len(self.blocks) > 1:
-            # Only a contracting einsum gathers wider than its output.
-            assert self.einsum is not None and not self.tail
-            return _in_blocks(
+            run = _in_blocks(
                 values, [_layout(*spec[:4]) for spec in self.dense],
                 [None if spec[4] is None else spec[4:] for spec in self.dense],
-                self.blocks, self.einsum)
-        ((_, starts),) = self.blocks
-        run = _one_pass(values, [_gathered(spec) for spec in self.dense],
-                        self.einsum, starts, -1 if self.tail else 0)
+                self.blocks, self.einsum, axis)
+        else:
+            ((_, starts),) = self.blocks
+            run = _one_pass(values, [_gathered(spec) for spec in self.dense],
+                            self.einsum, starts, axis)
         if not self.tail:
             return run
         # The entry axis came last (see ``tail``): move it first.
@@ -865,6 +895,15 @@ def run_plan(a: Assignment, strict: bool = False
     from repro.backends.cpu_exec import CpuExecutor
 
     return CpuExecutor(a).run(), "fallback", plan_ms
+
+
+def plan_spread(a: Assignment) -> dict:
+    """How a run of ``a``'s current, vectorized plan spreads over the
+    CPUs from this thread: ``pieces``, the blocks its terms run in (an
+    unblocked term is one), and ``threads``, the most threads one term's
+    blocks run on (:func:`repro.parallel.threads_for`)."""
+    blocks = [len(term.blocks) for _, term in a._exec_plan.terms]
+    return dict(pieces=sum(blocks), threads=threads_for(max(blocks)))
 
 
 class NumpyExecutor:

@@ -197,7 +197,9 @@ class CompiledKernel:
 
         The one place a kernel's ``numpy`` run is observed: its ``exec``
         span carries ``fell_back``, ``plan`` (``built`` / ``reused`` /
-        ``fallback``) and, when this run built the plan, ``plan_ms``;
+        ``fallback``), when this run built the plan ``plan_ms``, and,
+        unless it fell back, ``pieces`` and ``threads`` (how its blocks
+        spread over the CPUs);
         ``repro_engine_fallbacks_total`` and ``repro_exec_plans_total``
         count the same. The span is built only while tracing is on (one
         dict probe per run tells, :mod:`repro.settings`), and the plans
@@ -213,7 +215,7 @@ class CompiledKernel:
             with _trace.span("exec", kernel=self.name, engine="cpu"):
                 return CpuExecutor(self.stmt).run(), False
         if engine == "numpy":
-            run_plan, plans, fallbacks = _numpy_engine()
+            run_plan, spread, plans, fallbacks = _numpy_engine()
             if not _tracing():  # no span to build or fill in
                 result, state, plan_ms = run_plan(self.stmt.assignment, strict)
             else:
@@ -224,6 +226,8 @@ class CompiledKernel:
                     sp.set(fell_back=state == "fallback", plan=state)
                     if plan_ms is not None:
                         sp.set(plan_ms=plan_ms)
+                    if state != "fallback":
+                        sp.set(**spread(self.stmt.assignment))
             plans[state].inc()
             if state != "fallback":
                 return result, False
@@ -241,14 +245,14 @@ _tracing = settings.TRACE_DIR.raw
 
 @functools.cache
 def _numpy_engine() -> tuple:
-    """The numpy engine's run function, its plans counter bound once per
-    outcome and its fallbacks counter, resolved on first use only: a run
-    looks up none of them again."""
-    from repro.backends.numpy_exec import run_plan
+    """The numpy engine's run function, its spread report, its plans
+    counter bound once per outcome and its fallbacks counter, resolved on
+    first use only: a run looks up none of them again."""
+    from repro.backends.numpy_exec import plan_spread, run_plan
 
     plans = _metrics.counter("repro_exec_plans_total", "numpy-engine runs by "
                              "what happened to their ExecPlan", ("outcome",))
-    return (run_plan,
+    return (run_plan, plan_spread,
             {outcome: plans.labels(outcome=outcome)
              for outcome in ("built", "reused", "fallback")},
             _metrics.counter("repro_engine_fallbacks_total", "numpy-engine "

@@ -363,9 +363,12 @@ def _validate_against_oracle(operands: StagedOperands,
     per output column, one ``np.bincount`` over the rows sums every
     nonzero's contribution in storage order over the operands the blocks
     were cut from, a different association of the same sums than any
-    engine's, so agreement is a real check. It holds O(nnz) at a time,
-    no more than the operand itself.
+    engine's, so agreement is a real check. Each column writes only its
+    own (column-major) memory, so chunks of columns run one per CPU
+    (:func:`repro.parallel.map_chunks`) with the same bytes, each chunk
+    holding O(nnz) at a time.
     """
+    from repro.parallel import map_chunks, threads_for
     from repro.tensor.storage import walk_levels
 
     artifact = operands.plan.artifact
@@ -378,15 +381,23 @@ def _validate_against_oracle(operands: StagedOperands,
                 f"{artifact}: the operand's rows are not stored in order")
         width = math.prod(out.shape[1:])
         dense = operands.dense.reshape(len(operands.dense), width)
-        oracle = np.empty((out.shape[0], width))
-        for j, column in enumerate(dense.T):
-            weights = column.take(cols) * operands.full.vals
-            oracle[:, j] = np.bincount(rows, weights, minlength=len(oracle))
+        vals = operands.full.vals
+        oracle = np.empty((out.shape[0], width), order="F")
+
+        def columns(js):
+            for j in js:
+                oracle[:, j] = np.bincount(rows, dense[:, j].take(cols) * vals,
+                                           minlength=len(oracle))
+            return js
+
+        threads = threads_for(width)
+        map_chunks(columns, list(range(width)), threads)
         maxerr = oracle_maxerr(
             out, oracle.reshape(out.shape), PartitionError,
             f"{artifact}: merged output disagrees with the unpartitioned "
             f"oracle")
-        sp.set(nnz=len(rows), width=width, maxerr=maxerr)
+        sp.set(nnz=len(rows), width=width, maxerr=maxerr, pieces=width,
+               threads=threads)
     return maxerr
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
+import sys
 import threading
 import time
 
@@ -50,6 +52,55 @@ def fresh_cache(monkeypatch, tmp_path):
     cache = CompilationCache()
     monkeypatch.setattr(cache_mod, "_default_cache", cache)
     return cache
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: from then on, this process may run on ``n`` CPUs as
+    ``repro.parallel`` reads them (``os.sched_getaffinity``), whatever
+    the host has."""
+    def pin(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+    return pin
+
+
+@pytest.fixture
+def count_calls(cpus):
+    """``with count_calls(root) as calls:`` lists the code object of every
+    Python call into a file under ``root`` while the block runs, on every
+    thread, at two CPUs.
+
+    ``threading.setprofile`` reaches only threads started after it, so
+    the shared pool of ``repro.parallel`` is started afresh inside the
+    block (and shut down after it): work moved onto a pool thread is
+    counted like work on the caller's. ``list.append`` is atomic, so
+    threads that count at once lose no call.
+    """
+    from repro import parallel
+
+    cpus(2)
+
+    @contextlib.contextmanager
+    def counting(root: str):
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls.append(frame.f_code)
+
+        shared, parallel._pool = parallel._pool, None
+        threading.setprofile(count)
+        sys.setprofile(count)
+        try:
+            yield calls
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+            if parallel._pool is not None:
+                parallel._pool.shutdown()
+            parallel._pool = shared
+    return counting
 
 
 @pytest.fixture

@@ -90,7 +90,7 @@ BUDGET = {
 LAYERS = (
     ("kernels", "data.datasets"),
     ("engines", "immutable", "formats", "ir", "schedule", "tensor", "obs",
-     "settings"),
+     "settings", "parallel"),
     ("data", "convert"),
     ("api", "service.api", "service.stats", "pipeline.cache",
      "pipeline.executor", "pipeline.batch", "pipeline.shard", "eval"),

@@ -58,6 +58,7 @@ from tests.conftest import assert_scannable, random_sparse
 from tests.helpers_kernels import (
     NUMPY_GOLDEN_CASES,
     SMALL_DIMS,
+    _golden_kernel,
     build_small_kernel_stmt,
     numpy_digest,
     numpy_golden_key,
@@ -169,11 +170,15 @@ def test_numpy_golden_covers_every_case():
 
 
 @pytest.mark.parametrize("kernel,scale", NUMPY_GOLDEN_CASES)
-def test_numpy_result_matches_golden(kernel, scale):
+def test_numpy_result_matches_golden(kernel, scale, cpus):
     """The densified result is bit-identical to ``tests/golden/
-    execution.json`` (signed zeros included), on blocked gathers too."""
-    assert (numpy_digest(kernel, scale)
-            == NUMPY_GOLDEN[numpy_golden_key(kernel, scale)])
+    execution.json`` (signed zeros included), on blocked gathers too,
+    on the CPUs the process has, then pinned at one and at two."""
+    for n in (None, 1, 2):
+        if n:
+            cpus(n)
+        assert (numpy_digest(kernel, scale)
+                == NUMPY_GOLDEN[numpy_golden_key(kernel, scale)]), n
 
 
 @settings(max_examples=15, deadline=None)
@@ -398,20 +403,40 @@ def _small_sddmm(seed: int):
     return build_small_kernel_stmt("SDDMM", seed=seed, density=0.7)[0]
 
 
+def _record(name: str):
+    """A builder of the kernel record ``name``'s statement on its default
+    dataset at scale 0.25 (the seed is the golden one)."""
+    def build(seed: int):
+        return _golden_kernel(name, 0.25).stmt
+    build.__name__ = f"record_{name}"
+    return build
+
+
 # (statement, budget): one entry per block, a few entries per block, runs
-# longer than a block, several runs per block.
+# longer than a block, several runs per block; then a tail term (the
+# residual axis before the entry axis, DCSR-SpMM) and pure products
+# (COO-SpMV, Residual's matrix-vector term) at scale 0.25.
 @pytest.mark.parametrize("build,budget", [
     (_small_sddmm, 8), (_small_sddmm, 800),
-    (_rowsum_sddmm, 8), (_rowsum_sddmm, 1536), (_rowsum_sddmm, 30_000)])
-def test_blocked_gathers_are_bit_identical(build, budget, monkeypatch):
+    (_rowsum_sddmm, 8), (_rowsum_sddmm, 1536), (_rowsum_sddmm, 30_000),
+    (_record("DCSR-SpMM"), 1 << 12), (_record("DCSR-SpMM"), 1 << 20),
+    (_record("COO-SpMV"), 64), (_record("COO-SpMV"), 1 << 16),
+    (_record("Residual"), 1 << 16)])
+def test_blocked_gathers_are_bit_identical(build, budget, monkeypatch, cpus):
     """Blocks cut at run starts reproduce the one-pass result bit for
-    bit."""
-    whole = execute_numpy(build(3), strict=True)
+    bit, on the CPUs the process has, then pinned at one and at two."""
+    monkeypatch.setattr(numpy_exec, "GATHER_BLOCK_BYTES", 1 << 60)
+    stmt = build(3)
+    whole = np.asarray(execute_numpy(stmt, strict=True)).tobytes()
+    assert all(len(term.blocks) == 1 for _, term in _plan_of(stmt).terms)
     monkeypatch.setattr(numpy_exec, "GATHER_BLOCK_BYTES", budget)
     stmt = build(3)
-    blocked = execute_numpy(stmt, strict=True)
-    assert len(_plan_of(stmt).terms[0][1].blocks) > 1
-    assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes()
+    for n in (None, 1, 2):
+        if n:
+            cpus(n)
+        blocked = execute_numpy(stmt, strict=True)
+        assert max(len(term.blocks) for _, term in _plan_of(stmt).terms) > 1
+        assert np.asarray(blocked).tobytes() == whole, n
 
 
 # ---------------------------------------------------------------------------
@@ -586,26 +611,18 @@ def test_engine_call_ceilings_cover_every_record():
 
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
-def test_reused_run_stays_under_its_call_ceiling(name, monkeypatch):
+def test_reused_run_stays_under_its_call_ceiling(name, monkeypatch,
+                                                 count_calls):
     """A reused-plan ``run_engine("numpy")`` makes no more Python calls
-    into ``repro`` than its committed ceiling: per-call bookkeeping that
-    creeps back in fails here."""
+    into ``repro`` than its committed ceiling, on every thread: per-call
+    bookkeeping that creeps back in fails here."""
     monkeypatch.delenv(obs.TRACE_ENV, raising=False)
     kernel = compile_stmt(build_small_kernel_stmt(name)[0], name, cache=False)
     kernel.run_engine("numpy", strict=True)
     root = str(Path(numpy_exec.__file__).resolve().parents[1]) + os.sep
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename.startswith(root):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
+    with count_calls(root) as codes:
         kernel.run_engine("numpy", strict=True)
-    finally:
-        sys.setprofile(None)
+    calls = len(codes)
     assert calls <= ENGINE_CALLS[name], (
         f"{name}: {calls} calls into repro per reused run, ceiling "
         f"{ENGINE_CALLS[name]}")

@@ -320,6 +320,31 @@ class TestEngineFallback:
         assert spans[-1]["kernel"] == "SpMV"
         assert spans[-1]["fell_back"] is False
 
+    def test_exec_span_says_how_the_run_spread(self, trace_dir_env,
+                                               monkeypatch, cpus):
+        """Did this run use both CPUs: a blocked term's ``exec`` span
+        says how many pieces ran on how many threads."""
+        from repro.backends import numpy_exec
+        from repro.core.compiler import compile_stmt
+        from tests.helpers_kernels import build_small_kernel_stmt
+
+        clean, _falls = self._kernels()
+        cpus(2)
+        clean.run_engine("numpy")  # one piece: nothing to spread
+        monkeypatch.setattr(numpy_exec, "GATHER_BLOCK_BYTES", 64)
+        sddmm = compile_stmt(build_small_kernel_stmt("SDDMM")[0], "obs-sddmm",
+                             cache=False)
+        sddmm.run_engine("numpy")
+        cpus(1)
+        sddmm.run_engine("numpy")
+        (_, term), = sddmm.stmt.assignment._exec_plan.terms
+        spans = [(r["attrs"]["pieces"], r["attrs"]["threads"])
+                 for r in load_trace_dir(trace_dir_env).spans
+                 if r["name"] == "exec"]
+        assert len(term.blocks) > 2
+        assert spans == [(1, 1), (len(term.blocks), 2),
+                         (len(term.blocks), 1)]
+
     def test_partition_compute_spans_carry_engine(self, fresh_cache,
                                                   trace_dir_env):
         from repro.pipeline.executor import run_jobs
@@ -336,10 +361,11 @@ class TestEngineFallback:
             computes, key=lambda r: r["attrs"]["block"])] == [True, False]
 
     def test_partition_oracle_span_inside_reduce(self, fresh_cache,
-                                                 trace_dir_env):
+                                                 trace_dir_env, cpus):
         from repro.pipeline.executor import run_jobs
         from repro.pipeline.partition import PartitionPlan, reduce_partials
 
+        cpus(2)
         plan = PartitionPlan("DCSR-SpMM", "bcsstk30", 2)
         data = reduce_partials(plan, run_jobs(plan.jobs(TINY)))
         spans = {r["name"]: r for r in load_trace_dir(trace_dir_env).spans}
@@ -348,6 +374,9 @@ class TestEngineFallback:
         assert oracle["attrs"]["nnz"] == data["nnz"]
         assert oracle["attrs"]["width"] == data["shape"][1]
         assert repr(oracle["attrs"]["maxerr"]) == data["oracle_maxerr"]
+        # One piece per output column, on both CPUs.
+        assert oracle["attrs"]["pieces"] == data["shape"][1]
+        assert oracle["attrs"]["threads"] == 2
 
 
 # ---------------------------------------------------------------------------

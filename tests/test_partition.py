@@ -363,16 +363,21 @@ class TestReduce:
 
 class TestGolden:
     """Reports are byte-identical to the ``partitions`` section of
-    ``tests/golden/execution.json``, ``oracle maxerr`` included
-    (regenerate with ``python scripts/regen_golden.py`` only for an
-    intentional change)."""
+    ``tests/golden/execution.json``, ``sha256`` and ``oracle maxerr``
+    included, with the engine's blocks and the oracle's columns run on
+    the CPUs the process has, then pinned at one and at two (regenerate
+    with ``python scripts/regen_golden.py`` only for an intentional
+    change)."""
 
     def test_golden_covers_every_plan(self):
         assert set(PARTITION_GOLDEN) == set(PARTITION_GOLDEN_PLANS)
 
     @pytest.mark.parametrize("artifact", PARTITION_GOLDEN_PLANS)
-    def test_report_matches_golden(self, fresh_cache, artifact):
-        assert partition_report(artifact) == PARTITION_GOLDEN[artifact]
+    def test_report_matches_golden(self, fresh_cache, artifact, cpus):
+        for n in (None, 1, 2):
+            if n:
+                cpus(n)
+            assert partition_report(artifact) == PARTITION_GOLDEN[artifact], n
 
 
 class TestOracle:

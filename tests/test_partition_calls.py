@@ -6,7 +6,9 @@ and none of its numpy-engine ``ExecPlan`` builds peaks above the
 request's ``plan_kib`` of traced memory.
 
 This is the partition half of the ``partition_fuse`` workload of the
-benchmark ledger, counted with ``sys.setprofile`` instead of timed. A
+benchmark ledger, counted instead of timed: on every thread, at two
+CPUs (the ``count_calls`` fixture), so work that the oracle or a
+blocked engine term hands to a pool thread is counted too. A
 lowering is one call of ``core.compiler._lower`` (one ``lower`` span):
 a run's blocks bind to the program its first block compiled, so a
 ``p4`` request that lowers per block fails here. A ceiling may only go
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -43,7 +44,8 @@ PARTITION_CALLS = json.loads(
 
 
 @pytest.mark.parametrize("case", PARTITION_CALLS)
-def test_partition_request_stays_under_its_ceilings(case, monkeypatch):
+def test_partition_request_stays_under_its_ceilings(case, monkeypatch,
+                                                    count_calls):
     monkeypatch.delenv(obs.TRACE_ENV, raising=False)
     kernel, blocks = case.split(":p")
     request = api.CompileRequest(kernel=kernel, scale=SCALE,
@@ -54,20 +56,10 @@ def test_partition_request_stays_under_its_ceilings(case, monkeypatch):
 
     run()  # first use: imports, the dataset and process-wide memos
     root = str(Path(repro.__file__).resolve().parent) + os.sep
-    lower = compiler._lower.__code__
-    calls = lowerings = 0
-
-    def count(frame, event, arg):
-        nonlocal calls, lowerings
-        if event == "call" and frame.f_code.co_filename.startswith(root):
-            calls += 1
-            lowerings += frame.f_code is lower
-
-    sys.setprofile(count)
-    try:
+    with count_calls(root) as codes:
         run()
-    finally:
-        sys.setprofile(None)
+    calls = len(codes)
+    lowerings = codes.count(compiler._lower.__code__)
     ceiling = PARTITION_CALLS[case]
     assert lowerings <= ceiling["lowerings"], (
         f"{case}: {lowerings} lowerings per request, ceiling "
