@@ -14,9 +14,10 @@ timed, and prints one row per request: the median ms spent in
 * ``report`` -- the report data (sha256, samples) and its text;
 
 then the request's total, what no phase covers (statement builds,
-concatenation, the executor, the API), and its lowerings. A per-request
-cost that is paid once per block shows up as a phase that grows with
-the block count.
+concatenation, the executor, the API), its lowerings and its minor page
+faults (``ru_minflt`` of the process: heap the allocator grows and
+trims under the request). A per-request cost that is paid once per
+block shows up as a phase that grows with the block count.
 
 Usage:  PYTHONPATH=src python scripts/profile_partition.py
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import resource
 import statistics
 import sys
 import time
@@ -73,19 +75,23 @@ def instrument() -> None:
 
 
 def profile(request) -> dict[str, float]:
-    """One request's ms per phase, its total and its lowerings."""
+    """One request's ms per phase, its total, its lowerings and its
+    minor page faults."""
     from repro import api
 
     spent.clear()
     calls.clear()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     api.execute(request, use_cache=False)
     total = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     ms = {phase: spent[phase] * 1e3 for phase in PHASES}
     ms["run"] = (spent["engine"] - spent["plan"]) * 1e3
     ms["total"] = total * 1e3
     ms["other"] = ms["total"] - sum(ms[phase] for phase in PHASES)
     ms["lowerings"] = calls["lower"]
+    ms["faults"] = faults
     return ms
 
 
@@ -97,7 +103,7 @@ def main() -> int:
     print(f"partition requests at scale {SCALE}, use_cache=False, median "
           f"ms of {ROUNDS} runs after one warm-up")
     print(f"{'request':<14}" + "".join(f"{c:>8}" for c in columns)
-          + f"{'lowerings':>11}")
+          + f"{'lowerings':>11}{'faults':>8}")
     for kernel, blocks in REQUESTS:
         request = api.CompileRequest(kernel=kernel, scale=SCALE,
                                      partition=blocks, action="partition")
@@ -107,7 +113,7 @@ def main() -> int:
                for key in runs[0]}
         print(f"{f'{kernel} p{blocks}':<14}"
               + "".join(f"{row[c]:>8.2f}" for c in columns)
-              + f"{row['lowerings']:>11.0f}")
+              + f"{row['lowerings']:>11.0f}{row['faults']:>8.0f}")
     return 0
 
 

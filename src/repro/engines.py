@@ -4,7 +4,9 @@
 Validating an engine string is all most callers need (the request API,
 the CLI's ``--engine`` choices), so the names live here and
 :mod:`repro.core.compiler` — which runs the engines — re-exports them.
-:func:`oracle_maxerr` is the one comparison their results are held to.
+The one comparison their results are held to,
+:func:`repro.tensor.storage.oracle_maxerr`, lives beside the storage it
+compares.
 """
 
 from __future__ import annotations
@@ -34,26 +36,3 @@ def default_engine() -> str:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     return engine
 
-
-def oracle_maxerr(got, expected, error: type[Exception], what: str) -> float:
-    """``max |got - expected|``, held to the one tolerance every oracle
-    comparison shares: 1e-8 of the oracle's largest magnitude (at least
-    1). Past it, raises ``error`` with ``what`` disagreed.
-
-    Two engine results (``TensorStorage``) meet on the union of their
-    stored coordinates, an entry one side does not store counting as 0:
-    the same ``maxerr`` as their dense arrays, without building them.
-    """
-    import numpy as np
-
-    if not isinstance(expected, np.ndarray):
-        from repro.tensor.storage import aligned_values
-
-        got, expected = aligned_values(got, expected)
-    if not expected.size:
-        return 0.0
-    maxerr = float(np.max(np.abs(got - expected)))
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(expected))))
-    if maxerr > tol:
-        raise error(f"{what} (max |err| {maxerr:.3e} > tol {tol:.3e})")
-    return maxerr

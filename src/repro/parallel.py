@@ -1,10 +1,10 @@
 """Run ordered pieces of one computation on every CPU the process may
 use: a leaf module that imports nothing of ``repro``.
 
-The numpy engine's blocked gathers and the partition oracle's columns
-are pieces whose NumPy calls release the GIL and write disjoint
-outputs, so threads run them side by side with the same operands in
-the same order as one thread, and the results are the same bytes.
+The numpy engine's blocked gathers are pieces whose NumPy calls
+release the GIL and write disjoint outputs, so threads run them side by
+side with the same operands in the same order as one thread, and the
+results are the same bytes.
 Outer-loop parallelism with each reduction kept in order inside one
 lane, as Stardust's ``outerPar`` replicates the outer loop on Capstan.
 """

@@ -41,7 +41,6 @@ from repro.capstan.stats import compute_stats
 from repro.core.compiler import compile_stmt, default_engine
 from repro.core.coiteration import stream_compatible
 from repro.core.memory_analysis import KernelAnalysis, analyze, plan_memory
-from repro.engines import oracle_maxerr
 from repro.formats import (
     CSR,
     DENSE_MATRIX,
@@ -54,6 +53,7 @@ from repro.formats import (
 from repro.ir import index_vars
 from repro.schedule.stmt import INNER_PAR, OUTER_PAR, REDUCTION, SPATIAL, IndexStmt
 from repro.tensor import Tensor, scalar
+from repro.tensor.storage import oracle_maxerr
 
 __all__ = [
     "ATTENTION_RANK",

@@ -39,13 +39,14 @@ import numpy as np
 
 from repro import obs
 from repro.convert import position_sliceable
-from repro.engines import default_engine, oracle_maxerr
+from repro.engines import default_engine
 from repro.formats import format_of
 from repro.kernels.suite import KERNELS, KernelSpec
 from repro.pipeline.batch import PARTITION_PREFIX, is_partition_artifact
 from repro.pipeline.cache import memoize_stage
 from repro.pipeline.executor import Job
 from repro.service.api import DEFAULT_SCALE
+from repro.tensor.storage import oracle_maxerr, scan
 
 __all__ = [
     "PARTITION_FORMATS",
@@ -359,45 +360,38 @@ def partition_cell(operands: StagedOperands, index: int,
 
 def _validate_against_oracle(operands: StagedOperands,
                              out: np.ndarray) -> float:
-    """Check ``out`` against an *independent* unpartitioned accumulation:
-    per output column, one ``np.bincount`` over the rows sums every
-    nonzero's contribution in storage order over the operands the blocks
-    were cut from, a different association of the same sums than any
-    engine's, so agreement is a real check. Each column writes only its
-    own (column-major) memory, so chunks of columns run one per CPU
-    (:func:`repro.parallel.map_chunks`) with the same bytes, each chunk
-    holding O(nnz) at a time.
+    """Check ``out`` against an *independent* unpartitioned product: the
+    operand the blocks were cut from, read through its levels as the CSR
+    arrays SciPy takes (the root's rows, level 1's per-parent counts and
+    ``crd``, ``vals``), times the dense operand. SciPy sums each cell
+    from 0.0 over its row's entries in storage order, a different
+    association of the same sums than any engine's, so agreement is a
+    real check. Nothing nnz-sized is built: ``crd`` and ``vals`` are
+    handed over as they are, and the row pointer has one entry per row.
     """
-    from repro.parallel import map_chunks, threads_for
-    from repro.tensor.storage import walk_levels
+    from scipy.sparse import csr_matrix
 
     artifact = operands.plan.artifact
+    full = operands.full
     with obs.span("partition:oracle", artifact=artifact) as sp:
-        coords = walk_levels(operands.full, 2)
-        rows, cols = coords[0], coords[1]
+        levels = scan(full)
+        _, rows = next(levels)
+        counts, crd = next(levels)
         # The blocks cut rows as position ranges of the root level.
-        if (rows[1:] < rows[:-1]).any():
+        if full.fmt.mode_of_level(0) != 0 or (rows[1:] <= rows[:-1]).any():
             raise PartitionError(
                 f"{artifact}: the operand's rows are not stored in order")
+        indptr = np.zeros(full.dims[0] + 1, dtype=np.int64)
+        indptr[rows + 1] = counts
+        np.cumsum(indptr, out=indptr)
         width = math.prod(out.shape[1:])
         dense = operands.dense.reshape(len(operands.dense), width)
-        vals = operands.full.vals
-        oracle = np.empty((out.shape[0], width), order="F")
-
-        def columns(js):
-            for j in js:
-                oracle[:, j] = np.bincount(rows, dense[:, j].take(cols) * vals,
-                                           minlength=len(oracle))
-            return js
-
-        threads = threads_for(width)
-        map_chunks(columns, list(range(width)), threads)
+        oracle = csr_matrix((full.vals, crd, indptr), shape=full.dims) @ dense
         maxerr = oracle_maxerr(
             out, oracle.reshape(out.shape), PartitionError,
             f"{artifact}: merged output disagrees with the unpartitioned "
             f"oracle")
-        sp.set(nnz=len(rows), width=width, maxerr=maxerr, pieces=width,
-               threads=threads)
+        sp.set(nnz=full.nnz, width=width, maxerr=maxerr)
     return maxerr
 
 
@@ -473,7 +467,7 @@ def _report_data(plan: PartitionPlan, scale: float, out: np.ndarray,
         "scale": repr(float(scale)),
         "shape": list(out.shape),
         "nnz": nnz_total,
-        "sha256": hashlib.sha256(out.tobytes()).hexdigest(),
+        "sha256": hashlib.sha256(np.ascontiguousarray(out)).hexdigest(),
         "sum": repr(float(flat.sum())),
         "samples": samples,
         "oracle_maxerr": repr(maxerr),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.engines import default_engine, oracle_maxerr
+from repro.engines import default_engine
 from repro.obs import trace as _trace
 from repro.service.api import CompileRequest, CompileResult, EngineMismatchError
 
@@ -123,6 +123,7 @@ def exec_check(request: CompileRequest,
     ``engine="interp"`` the check is the oracle run itself.
     """
     from repro.pipeline.cache import memoize_stage
+    from repro.tensor.storage import oracle_maxerr
 
     req = request.resolved()
     engine = req.engine if req.engine is not None else default_engine()

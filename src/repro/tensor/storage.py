@@ -632,6 +632,29 @@ def aligned_values(a: TensorStorage,
     return out[0], out[1]
 
 
+def oracle_maxerr(got, expected, error: type[Exception], what: str) -> float:
+    """``max |got - expected|``, held to the one tolerance every oracle
+    comparison shares: 1e-8 of the oracle's largest magnitude (at least
+    1). Past it, raises ``error`` with ``what`` disagreed.
+
+    Two engine results (``TensorStorage``) meet on the union of their
+    stored coordinates, an entry one side does not store counting as 0
+    (:func:`aligned_values`): the same ``maxerr`` as their dense arrays,
+    without building them. The difference is the one temporary, and
+    ``|expected|`` reuses its buffer.
+    """
+    if not isinstance(expected, np.ndarray):
+        got, expected = aligned_values(got, expected)
+    if not expected.size:
+        return 0.0
+    err = np.asarray(np.subtract(got, expected))  # a 0-d result is a scalar
+    maxerr = float(np.max(np.abs(err, out=err)))
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(expected, out=err))))
+    if maxerr > tol:
+        raise error(f"{what} (max |err| {maxerr:.3e} > tol {tol:.3e})")
+    return maxerr
+
+
 def from_dense(array: np.ndarray, fmt: Format) -> TensorStorage:
     """Pack a dense numpy array, keeping only the nonzero entries for
     compressed levels (dense formats keep everything)."""

@@ -70,17 +70,17 @@ BUDGET = {
     "import repro.api": ("import repro.api", COMPUTE, {
         "repro", "repro.api", "repro.engines", "repro.obs",
         "repro.obs.trace", "repro.service", "repro.service.api",
-        "repro.settings"}, 36.5),
+        "repro.settings"}, 35.6),
     "import repro.kernels": ("import repro.kernels", RECORDS_ONLY, None,
                              29.1),
     "import repro.data": ("import repro.data", RECORDS_ONLY, None, 43.7),
     "kernels": (["kernels"], RECORDS_ONLY, None, 48.9),
     "compile": (["compile", "SpMV", "--scale", SCALE], RECORDS_ONLY, None,
-                126.5),
+                125.6),
     "tables": (["tables", "table6", "--scale", SCALE], RECORDS_ONLY, None,
-               159.3),
+               158.4),
     "batch shard": (["batch", "table6", "--scale", SCALE, "--shard", "1/2",
-                     "--out", "-"], RECORDS_ONLY, None, 166.5),
+                     "--out", "-"], RECORDS_ONLY, None, 165.7),
 }
 
 #: README "Layering", bottom to top. Module-level imports only point down

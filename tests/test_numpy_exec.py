@@ -288,7 +288,7 @@ def test_ttv_result_stays_sparse(fresh_cache):
     import tracemalloc
 
     from repro.api import CompileRequest, build
-    from repro.engines import oracle_maxerr
+    from repro.tensor.storage import oracle_maxerr
 
     kernel = build(CompileRequest(kernel="TTV", scale=0.25, seed=7))
     expected = kernel.run()
@@ -371,7 +371,7 @@ def test_oracle_maxerr_on_coordinates_equals_dense(fresh_cache):
     """Comparing two storages on their coordinates gives the maxerr their
     dense arrays give, for every engine pair the exec stage compares."""
     from repro.api import CompileRequest, build
-    from repro.engines import oracle_maxerr
+    from repro.tensor.storage import oracle_maxerr
 
     for name in ("SDDMM", "TTM", "Plus3", "SpMV", "InnerProd"):
         kernel = build(CompileRequest(kernel=name, scale=0.02, seed=7))
