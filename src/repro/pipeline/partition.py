@@ -368,12 +368,16 @@ def _validate_against_oracle(operands: StagedOperands,
     association of the same sums than any engine's, so agreement is a
     real check. Nothing nnz-sized is built: ``crd`` and ``vals`` are
     handed over as they are, and the row pointer has one entry per row.
+    The bits are the SciPy build's: one that contracts the sum into FMA
+    gives others. A process's first oracle imports ``scipy.sparse``
+    inside the span (about 0.3 s on a 2-core x86-64 VM), so every
+    one-shot render, cached or not, pays that import.
     """
-    from scipy.sparse import csr_matrix
-
     artifact = operands.plan.artifact
     full = operands.full
     with obs.span("partition:oracle", artifact=artifact) as sp:
+        from scipy.sparse import csr_matrix
+
         levels = scan(full)
         _, rows = next(levels)
         counts, crd = next(levels)

@@ -439,10 +439,10 @@ class TestOracle:
     @pytest.mark.parametrize("mode", PARTITION_MODES)
     def test_columns_sum_like_one_flat_bincount(self, merged, monkeypatch,
                                                 kernel, mode):
-        """One bincount per column gives the same bits, signed zeros
-        included, as one bincount over flat ``row * width + column`` keys
-        of every contribution (each cell summed in storage order from
-        0.0)."""
+        """The oracle's SciPy CSR product gives the same bits, signed
+        zeros included, as one bincount over flat ``row * width + column``
+        keys of every contribution (each cell summed in storage order
+        from 0.0)."""
         plan, results = merged[kernel, mode]
         operands = results[0].job.args[0]
         coords, vals = unpack(operands.full)
